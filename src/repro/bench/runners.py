@@ -1105,7 +1105,7 @@ def run_shard_scaling(
         row["sharded_converged"] = converged
         stats = [node.stats() for node in cluster]
         cells = [node.ack_table_cells() for node in cluster]
-        row["sharded_control_bytes"] = sum(s["control_bytes_sent"] for s in stats)
+        row["sharded_control_bytes"] = sum(s["strategy.bytes_sent"] for s in stats)
         row["sharded_payload_bytes"] = sum(
             s["dataplane.payload_bytes_sent"] for s in stats
         )
@@ -1150,7 +1150,7 @@ def run_shard_scaling(
         row["unsharded_converged"] = converged
         stats = [node.stats() for node in baseline]
         row["unsharded_control_bytes"] = sum(
-            s["control_bytes_sent"] for s in stats
+            s["strategy.bytes_sent"] for s in stats
         )
         row["unsharded_payload_bytes"] = sum(
             s["dataplane.payload_bytes_sent"] for s in stats

@@ -9,11 +9,12 @@ Y implies the stability of messages prior to Y".
 Since the strategy redesign (``docs/strategies.md``) this module is split
 in two layers:
 
-- :class:`ControlChannelSet` — the strategy-agnostic *carrier*: one
-  control channel per peer, epoch fencing, liveness heartbeats, resume
-  broadcasting, and frame/byte accounting.  Every stabilization engine
-  ships its protocol frames through one of these; frames the carrier does
-  not recognise are routed to the owning strategy's ``on_frame`` callback.
+- :class:`ControlChannelSet` — the strategy-agnostic *carrier*: state
+  frames as unreliable datagrams, loss repair by re-sending state,
+  epoch fencing, liveness heartbeats, resume broadcasting, and
+  frame/byte accounting.  Every stabilization engine ships its protocol
+  frames through one of these; frames the carrier does not recognise are
+  routed to the owning strategy's ``on_frame`` callback.
 - :class:`ControlPlane` — the ACK-table engine's streamer on top of the
   carrier: it batches local acknowledgments (a flush at least every
   ``control_interval_s`` or after ``control_batch`` newly acknowledged
@@ -27,8 +28,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.config import StabilizerConfig
 from repro.core.dataplane import EPOCH_TAG
-from repro.errors import StabilizerError, TransportError
+from repro.errors import StabilizerError
 from repro.transport.endpoint import TransportEndpoint
+from repro.transport.fifo import TRANSPORT_HEADER_BYTES
 from repro.transport.messages import (
     ControlBatch,
     ControlFrame,
@@ -45,6 +47,8 @@ HeardFn = Callable[[str], None]
 ResumeFn = Callable[[str, Dict[int, int]], None]
 # (peer name, engine-specific control frame)
 FrameFn = Callable[[str, object], None]
+# peer name -> the frames that rebuild this node's engine state there
+FullStateFn = Callable[[str], Sequence[object]]
 
 
 class ControlChannelSet:
@@ -53,9 +57,18 @@ class ControlChannelSet:
     One instance per node (per shard stack, under sharding).  Engines use
     :meth:`send_frame` / :meth:`broadcast_frame` for their protocol
     traffic and receive unrecognised inbound frames via ``on_frame``;
-    the carrier itself owns epoch fencing, the liveness heartbeat, and
-    the resume (crash-restart catch-up) broadcast that every engine
-    shares.
+    the carrier itself owns epoch fencing, loss repair, the liveness
+    heartbeat, and the resume (crash-restart catch-up) broadcast that
+    every engine shares.
+
+    Frames travel as datagrams — unordered, lossy, possibly duplicated —
+    so an engine may only send *state*: absolute, monotone values the
+    receiver max-merges.  The carrier repairs loss by re-sending the
+    engine's full state (the ``full_state`` callback): once per peer of
+    the last frame when the stream falls silent for
+    ``transport_min_rto_s`` (the tail probe), and to every peer on every
+    heartbeat tick (anti-entropy).  Only :class:`ResumeFrame`, a request
+    rather than state, rides a reliable channel, created on first use.
     """
 
     def __init__(
@@ -73,30 +86,35 @@ class ControlChannelSet:
         # Engine upcall for frames the carrier does not itself dispatch
         # (anything that is not a resume, report, or bare heartbeat).
         self.on_frame: Optional[FrameFn] = None
+        # peer -> the frames that rebuild this node's state at that peer.
+        self.full_state: Optional[FullStateFn] = None
         self.local_index = config.local_index
         # Epoch fencing (see dataplane.EPOCH_TAG): control reports carry
         # table row indices, which only mean anything within one epoch's
         # owner set — a stale report must be fenced, not applied.
         self.epoch = config.shard_epoch
         self.stale_epoch_frames = 0
-        channel_kwargs = config.channel_kwargs()
-        self._out_channels = {}
-        for peer in config.remote_names():
-            try:
-                channel = endpoint.channel(peer, CONTROL_CHANNEL, **channel_kwargs)
-            except TransportError:
-                channel = endpoint.channel(peer, CONTROL_CHANNEL)
-            channel.on_deliver = self._on_control
-            self._out_channels[peer] = channel
+        self._peers = list(config.remote_names())
+        endpoint.on_datagram = self._on_control
+        endpoint.accept(
+            CONTROL_CHANNEL, self._on_control, **config.channel_kwargs()
+        )
         self.frames_sent = 0
         self.frames_received = 0
         # Total control-frame wire bytes offered to the transport — the
         # fan-out cost a shard's owner-set routing is meant to cut.
         self.bytes_sent = 0
-        # Liveness heartbeats: an otherwise-idle node must still prove it
-        # is alive, or the failure detector would suspect every quiet peer.
+        self.tail_probes = 0
+        # Tail probe: the last frame to a peer has no successor to
+        # supersede it, so its loss must be repaired by a re-send.
+        self._probe_delay = config.transport_min_rto_s
+        self._probe_timer = None
+        self._tail_at = 0.0
+        self._tail_peers: list = []
+        # Heartbeats: proof of life for the failure detector, and the
+        # anti-entropy round that repairs what the tail probe cannot (a
+        # quiet origin's cell while another stream keeps the carrier busy).
         self._heartbeat_interval = config.failure_timeout_s / 3.0
-        self._last_sent_to_any = self.sim.now
         self._heartbeat_timer = self.sim.call_later(
             self._heartbeat_interval, self._heartbeat_tick
         )
@@ -107,63 +125,71 @@ class ControlChannelSet:
         self._type_names = config.type_names()
 
     # -- outbound -------------------------------------------------------------------
-    def peers(self):
-        """Every peer this carrier holds a control channel to."""
-        return list(self._out_channels)
-
     def send_frame(self, peer: str, frame) -> int:
-        """Ship one epoch-tagged control frame to ``peer``; returns its
+        """Ship one epoch-tagged state frame to ``peer``; returns its
         wire size (already added to the byte counters)."""
-        channel = self._out_channels.get(peer)
-        if channel is None:
-            raise StabilizerError(f"no control channel to {peer!r}")
+        now = self.sim.now
+        if now != self._tail_at:
+            self._tail_at = now
+            self._tail_peers = []
+        self._tail_peers.append(peer)
+        if self._probe_timer is None:
+            self._probe_timer = self.sim.call_later(
+                self._probe_delay, self._probe_tick
+            )
+        return self._ship(peer, frame)
+
+    def _ship(self, peer: str, frame) -> int:
         wire_size = frame.wire_size()
-        channel.send(
-            SyntheticPayload(wire_size),
-            meta=(EPOCH_TAG, self.epoch, frame),
+        self.endpoint.send_datagram(
+            peer,
+            (EPOCH_TAG, self.epoch, frame),
+            wire_size + TRANSPORT_HEADER_BYTES,
         )
         self.frames_sent += 1
         self.bytes_sent += wire_size
-        self._last_sent_to_any = self.sim.now
         return wire_size
 
     def broadcast_frame(self, frame) -> None:
         """Ship one frame to every peer."""
-        for peer in self._out_channels:
+        for peer in self._peers:
             self.send_frame(peer, frame)
 
-    def reset_stream(self, peer: str) -> None:
-        """Reset the control stream toward ``peer`` (drops queued
-        retransmissions) — used when resyncing a restarted peer."""
-        channel = self._out_channels.get(peer)
-        if channel is None:
-            raise StabilizerError(f"no control channel to {peer!r}")
-        channel.reset_stream()
+    def resend_state(self, peer: str) -> None:
+        """Re-send this node's full engine state to ``peer`` — or, when
+        there is none to send, a bare heartbeat."""
+        frames = self.full_state(peer) if self.full_state is not None else ()
+        if not frames:
+            frames = (
+                ControlFrame(
+                    node_index=self.local_index,
+                    origin_index=self.local_index,
+                    entries={},
+                ),
+            )
+        for frame in frames:
+            self._ship(peer, frame)
 
-    def stream_suspended(self, peer: str) -> bool:
-        """True when the control channel toward ``peer`` has given up
-        retrying (dead-peer suspension).  A suspended channel retains its
-        unacked frames; once those fill the send window, *new* frames are
-        backlogged rather than transmitted — so an engine whose frames
-        supersede each other (clock frames, full-state resyncs) should
-        :meth:`reset_stream` before re-sending, which both drops the
-        stale queue and lets the fresh frame fly as a liveness probe."""
-        channel = self._out_channels.get(peer)
-        if channel is None:
-            raise StabilizerError(f"no control channel to {peer!r}")
-        return channel.suspended
+    def _probe_tick(self) -> None:
+        self._probe_timer = None
+        if self._closed:
+            return
+        due = self._tail_at + self._probe_delay
+        if self.sim.now < due:
+            # Frames went out since this timer was armed: look again once
+            # the newest of them has been the last for a full delay.
+            self._probe_timer = self.sim.call_at(due, self._probe_tick)
+            return
+        self.tail_probes += 1
+        for peer in self._tail_peers:
+            self.resend_state(peer)
 
     def _heartbeat_tick(self) -> None:
         self._heartbeat_timer = None
         if self._closed:
             return
-        if self.sim.now - self._last_sent_to_any >= self._heartbeat_interval:
-            frame = ControlFrame(
-                node_index=self.local_index,
-                origin_index=self.local_index,
-                entries={},
-            )
-            self.broadcast_frame(frame)
+        for peer in self._peers:
+            self.resend_state(peer)
         self._heartbeat_timer = self.sim.call_later(
             self._heartbeat_interval, self._heartbeat_tick
         )
@@ -174,33 +200,46 @@ class ControlChannelSet:
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
             self._heartbeat_timer = None
+        if self._probe_timer is not None:
+            self._probe_timer.cancel()
+            self._probe_timer = None
 
     # -- crash-restart catch-up -----------------------------------------------------
     def send_resume(self, have: Dict[int, int]) -> None:
         """Broadcast a catch-up request: "I restarted; here is the highest
-        sequence I hold per origin — replay what I am missing"."""
+        sequence I hold per origin — replay what I am missing".  A request
+        is not state — nothing supersedes a lost one — so it alone travels
+        a reliable channel."""
         frame = ResumeFrame(node_index=self.local_index, have=have)
-        self.broadcast_frame(frame)
+        wire_size = frame.wire_size()
+        for peer in self._peers:
+            self.endpoint.channel(peer, CONTROL_CHANNEL).send(
+                SyntheticPayload(wire_size), meta=(EPOCH_TAG, self.epoch, frame)
+            )
+        self.frames_sent += len(self._peers)
+        self.bytes_sent += wire_size * len(self._peers)
 
     # -- inbound --------------------------------------------------------------------
-    def _on_control(self, payload, frame) -> None:
+    def _on_control(self, _carried_by, tagged) -> None:
+        """One inbound frame, off a datagram (called with its source) or
+        the resume channel (called with its payload) — unused either
+        way: the frame names its sender."""
         if self._closed:
             return
-        if isinstance(frame, tuple) and frame and frame[0] == EPOCH_TAG:
-            _tag, frame_epoch, frame = frame
-            if frame_epoch != self.epoch:
-                # Epoch fence: row indices in this report belong to a
-                # different owner set — applying them would corrupt the
-                # ACK tables.  Count and drop.
-                self.stale_epoch_frames += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self._trace_node,
-                        "control.epoch_fenced",
-                        frame_epoch=frame_epoch,
-                        local_epoch=self.epoch,
-                    )
-                return
+        _tag, frame_epoch, frame = tagged
+        if frame_epoch != self.epoch:
+            # Epoch fence: row indices in this report belong to a
+            # different owner set — applying them would corrupt the
+            # ACK tables.  Count and drop.
+            self.stale_epoch_frames += 1
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self._trace_node,
+                    "control.epoch_fenced",
+                    frame_epoch=frame_epoch,
+                    local_epoch=self.epoch,
+                )
+            return
         self.frames_received += 1
         reporter = frame.node_index
         if self.on_heard is not None:
@@ -246,6 +285,7 @@ class ControlPlane(ControlChannelSet):
         on_resume: Optional[ResumeFn] = None,
     ):
         super().__init__(endpoint, config, on_heard=on_heard, on_resume=on_resume)
+        self.full_state = self.full_state_frames
         self.tables = tables
         self.on_table_update = on_table_update
         # Pending local reports: origin -> {type_id -> seq}.
@@ -351,7 +391,7 @@ class ControlPlane(ControlChannelSet):
             if origin == self.config.local:
                 return []  # nobody to tell: we are the origin
             return [origin]
-        return list(self._out_channels)
+        return self._peers
 
     def _flush_tick(self) -> None:
         self._flush_timer = None
@@ -363,27 +403,35 @@ class ControlPlane(ControlChannelSet):
             self._flush_timer.cancel()
             self._flush_timer = None
 
-    # -- crash-restart catch-up -----------------------------------------------------
-    def resync_to(self, peer: str) -> None:
-        """Re-send this node's full acknowledgment rows to ``peer`` on a
-        reset control stream, so a restarted peer rebuilds its view of our
-        column without waiting for organic re-acks (which, being
-        monotonic, would never repeat old values)."""
-        self.reset_stream(peer)
+    # -- loss repair and crash-restart catch-up ---------------------------------------
+    def full_state_frames(self, peer: str) -> list:
+        """This node's full acknowledgment rows as one frame for ``peer``,
+        so a peer that lost a report — or restarted and lost them all —
+        rebuilds its view of our column without waiting for organic
+        re-acks (which, being monotonic, would never repeat old values).
+        A cell whose report is still batched is left to that report —
+        repair must not pre-empt the flush cadence."""
+        frames = []
         for origin, table in self.tables.items():
+            if peer not in self._targets(origin):
+                continue
+            batched = self._pending.get(origin, ())
             entries = {
                 type_id: seq
                 for type_id, seq in enumerate(table.row(self.local_index))
-                if seq > 0
+                if seq > 0 and type_id not in batched
             }
-            if not entries:
-                continue
-            frame = ControlFrame(
-                node_index=self.local_index,
-                origin_index=self.config.node_index(origin),
-                entries=entries,
-            )
-            self.send_frame(peer, frame)
+            if entries:
+                frames.append(
+                    ControlFrame(
+                        node_index=self.local_index,
+                        origin_index=self.config.node_index(origin),
+                        entries=entries,
+                    )
+                )
+        if len(frames) > 1:
+            return [ControlBatch(self.local_index, frames)]
+        return frames
 
     # -- incoming reports --------------------------------------------------------------
     def _dispatch(self, frame) -> None:

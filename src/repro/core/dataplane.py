@@ -242,6 +242,8 @@ class DataPlane:
         self._bp_handlers: List[BackpressureFn] = []
         self._bp_engaged = False
         self.backpressure_events = 0
+        # Set while a rebalance has this shard frozen (see reclaim_up_to).
+        self.hold_reclaim = False
         if config.max_buffer_bytes is not None:
             self._bp_high = int(config.max_buffer_bytes * BACKPRESSURE_HIGH)
             self._bp_low = int(config.max_buffer_bytes * BACKPRESSURE_LOW)
@@ -501,7 +503,15 @@ class DataPlane:
 
     # -- reclamation -------------------------------------------------------------
     def reclaim_up_to(self, seq: int) -> int:
-        """Called by the facade once ``seq`` is delivered everywhere."""
+        """Called by the facade once ``seq`` is delivered everywhere.
+
+        "Everywhere" is the current owner set; while a rebalance is
+        changing it (``hold_reclaim``) nothing is released: a joiner
+        restores from a state transfer that predates acknowledgments
+        still arriving from the old owners, and must be able to have the
+        difference replayed after the cutover."""
+        if self.hold_reclaim:
+            return 0
         released = self.buffer.reclaim_up_to(seq)
         if released:
             if self.tracer.enabled:

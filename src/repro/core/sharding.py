@@ -344,11 +344,17 @@ class ShardedStabilizer:
         In-flight traffic keeps draining — only new ``send()`` calls are
         refused, with an error telling the caller to retry after cutover.
         """
-        self._owned(shard)  # must be a live owned stack
+        inner = self._owned(shard)  # must be a live owned stack
         self._frozen.add(shard)
+        # The owner set is about to change: keep the send buffer until
+        # the new one exists (DataPlane.reclaim_up_to).
+        inner.dataplane.hold_reclaim = True
 
     def unfreeze_shard(self, shard: int) -> None:
         self._frozen.discard(shard)
+        inner = self.shards.get(shard)
+        if inner is not None:
+            inner.dataplane.hold_reclaim = False
 
     def frozen_shards(self) -> Tuple[int, ...]:
         return tuple(sorted(self._frozen))

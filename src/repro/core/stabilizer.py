@@ -187,6 +187,11 @@ class Stabilizer:
         self.on_peer_dead: Optional[Callable[[str, str], None]] = None
         self.detector.on_suspect(self._on_peer_suspected)
         self.detector.on_recover(self._on_peer_recovered)
+        # Every live peer's carrier heartbeats, so silence since start is
+        # as telling as silence since a last frame: without this a peer
+        # that died before its first frame would never be suspected.
+        for peer in config.remote_names():
+            self.detector.heard_from(peer)
         self.detector.start()
         # Edge admission (opt-in, like the degradation policy): installed
         # via set_admission; when present, direct sends preflight it.
@@ -558,13 +563,6 @@ class Stabilizer:
             "messages_received": self.dataplane.messages_received,
             "buffered_bytes": self.dataplane.buffer.buffered_bytes(),
             "buffer_reclaimed": self.dataplane.buffer.total_reclaimed,
-            # Deprecated aliases of the strategy.* family (one release,
-            # mirroring the wal_* precedent) — dashboards should migrate
-            # to strategy.frames_sent / strategy.frames_received /
-            # strategy.bytes_sent, which are engine-comparable.
-            "control_frames_sent": self.controlplane.frames_sent,
-            "control_frames_received": self.controlplane.frames_received,
-            "control_bytes_sent": self.controlplane.bytes_sent,
             "dataplane.payload_bytes_sent": self.dataplane.payload_bytes_sent,
             "predicate_evaluations": self.engine.evaluations,
             "evaluations_skipped_by_index": self.engine.skipped_by_index,

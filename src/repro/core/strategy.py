@@ -68,14 +68,20 @@ class StabilizationStrategy:
        ``grant_local`` from the facade; ``on_control_frame`` from the
        carrier; ``advance_candidates()`` forces pending control work out
        now (flush/broadcast) instead of waiting for the next timer.
-    5. ``on_resume_request(peer)`` / ``on_catchup()`` — crash-restart
-       resync; ``snapshot()`` / ``restore(state)`` ride the recovery
-       envelope (which refuses cross-engine restores).
+    5. ``full_state_frames(peer)`` — the frames that rebuild this
+       node's engine state at ``peer``; the carrier re-sends them to
+       repair lost frames and ``on_resume_request(peer)`` to resync a
+       restarted peer.  ``on_catchup()`` is this node's own restart;
+       ``snapshot()`` / ``restore(state)`` ride the recovery envelope
+       (which refuses cross-engine restores).
     6. ``close()`` / ``crash()`` — stop timers (graceful or not).
 
     Engines must keep every table monotone (cells never regress) and
     must call ``stabilizer._on_table_update`` after advancing cells so
-    the frontier engine re-evaluates and reclamation advances.
+    the frontier engine re-evaluates and reclamation advances.  The
+    carrier loses, duplicates and reorders frames: every frame must
+    carry absolute values the receiver max-merges, never a delta that
+    only makes sense after its predecessor.
     """
 
     #: Engine id — the ``stabilization_strategy`` config value, the
@@ -117,6 +123,7 @@ class StabilizationStrategy:
             on_resume=stabilizer._on_resume_request,
         )
         self.carrier.on_frame = self.on_control_frame
+        self.carrier.full_state = self.full_state_frames
 
     def _start(self, stabilizer) -> None:
         """Start engine timers (report batching, clock ticks, ...)."""
@@ -224,10 +231,16 @@ class StabilizationStrategy:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ recovery
+    def full_state_frames(self, peer: str) -> list:
+        """The frames that rebuild this node's engine state at ``peer``
+        from nothing (possibly none) — what the carrier re-sends to
+        repair lost frames and to resync a restarted peer."""
+        raise NotImplementedError
+
     def on_resume_request(self, peer: str) -> None:
         """A restarted ``peer`` asked for catch-up: re-send whatever
         engine state it needs to rebuild its view of this node."""
-        raise NotImplementedError
+        self.carrier.resend_state(peer)
 
     def on_catchup(self) -> None:
         """This node itself restarted (after ``restore_state``): push
@@ -252,6 +265,7 @@ class StabilizationStrategy:
             "strategy.frames_sent": self.carrier.frames_sent,
             "strategy.frames_received": self.carrier.frames_received,
             "strategy.bytes_sent": self.carrier.bytes_sent,
+            "strategy.tail_probes": self.carrier.tail_probes,
         }
         prefix = f"strategy.{self.name}."
         for key, value in self._engine_stats().items():
@@ -311,8 +325,8 @@ class AckTableStrategy(StabilizationStrategy):
     def advance_candidates(self) -> None:
         self.plane.flush()
 
-    def on_resume_request(self, peer: str) -> None:
-        self.plane.resync_to(peer)
+    def full_state_frames(self, peer: str) -> list:
+        return self.plane.full_state_frames(peer)
 
     def _engine_stats(self) -> Dict[str, float]:
         return {

@@ -124,16 +124,7 @@ class HybridClockStrategy(StabilizationStrategy):
     def _broadcast_clock(self) -> None:
         frame = self._make_clock_frame()
         self.clock_broadcasts += 1
-        for peer in self.carrier.peers():
-            # Clock frames are cumulative — the latest subsumes every
-            # earlier one — so a suspended peer's queue of stale frames
-            # is worthless.  Reset the stream first: that frees the send
-            # window the retained frames were pinning shut, and the
-            # fresh frame then actually transmits, doubling as the
-            # liveness probe that revives a healed partition.
-            if self.carrier.stream_suspended(peer):
-                self.carrier.reset_stream(peer)
-            self.carrier.send_frame(peer, frame)
+        self.carrier.broadcast_frame(frame)
         # Our own announcement participates in the GST minimum too.
         self._note_announcement(
             self.config.local_index, frame.clock, frame.stable_times
@@ -290,11 +281,10 @@ class HybridClockStrategy(StabilizationStrategy):
             del points[:keep_from]
 
     # ------------------------------------------------------------------ recovery
-    def on_resume_request(self, peer: str) -> None:
-        # One full clock frame rebuilds everything the restarted peer
-        # needs from us: our head point, clock, and stable times.
-        self.carrier.reset_stream(peer)
-        self.carrier.send_frame(peer, self._make_clock_frame())
+    def full_state_frames(self, peer: str) -> list:
+        # One clock frame rebuilds everything a peer needs from us: our
+        # head point, clock, and stable times.
+        return [self._make_clock_frame()]
 
     def on_catchup(self) -> None:
         self._broadcast_clock()

@@ -96,21 +96,6 @@ class SequencerStrategy(StabilizationStrategy):
             # The sequencer's own grants skip the wire entirely.
             self._absorb(self.config.local_index, pending)
             return
-        if self.carrier.stream_suspended(self.sequencer):
-            # The suspended channel's retained frames pin the send window
-            # shut — new deltas would queue unsent and the link would
-            # never probe back to life.  Reports are deltas, so before
-            # resetting the stream widen this one to the full grant
-            # record (our own table rows), which subsumes every dropped
-            # frame; monotone absorption makes the re-send harmless.
-            self.carrier.reset_stream(self.sequencer)
-            pending = dict(pending)
-            local_row = self.config.local_index
-            for origin, table in self.tables.items():
-                origin_index = self.config.node_index(origin)
-                for type_id, seq in enumerate(table.row(local_row)):
-                    if seq > 0 and pending.get((origin_index, type_id), 0) < seq:
-                        pending[(origin_index, type_id)] = seq
         frame = SequencerReportFrame(
             node_index=self.config.local_index, entries=pending
         )
@@ -154,21 +139,7 @@ class SequencerStrategy(StabilizationStrategy):
         frame = SequencerStableFrame(
             node_index=self.config.local_index, entries=delta
         )
-        full = None
-        for peer in self.carrier.peers():
-            if self.carrier.stream_suspended(peer):
-                # Same window-pinning hazard as the report path, but
-                # stable broadcasts are deltas a dropped queue cannot
-                # reconstruct — replace it with the full stable map.
-                self.carrier.reset_stream(peer)
-                if full is None:
-                    full = SequencerStableFrame(
-                        node_index=self.config.local_index,
-                        entries=dict(self._stable),
-                    )
-                self.carrier.send_frame(peer, full)
-            else:
-                self.carrier.send_frame(peer, frame)
+        self.carrier.broadcast_frame(frame)
         self._apply_stable_entries(delta)
 
     # ------------------------------------------------------------------ receiving side
@@ -196,36 +167,50 @@ class SequencerStrategy(StabilizationStrategy):
             self._apply_stable(origin, cells)
 
     # ------------------------------------------------------------------ recovery
-    def on_resume_request(self, peer: str) -> None:
-        self.carrier.reset_stream(peer)
-        if self.is_sequencer:
-            # The restarted node lost every stable broadcast it missed;
-            # replay the full stable map (monotone, so re-sends are safe).
-            if self._stable:
-                frame = SequencerStableFrame(
+    def full_state_frames(self, peer: str) -> list:
+        frames = []
+        if self.is_sequencer and self._stable:
+            # Every stable broadcast the peer may have missed, in one
+            # (monotone, so re-sends are safe).
+            frames.append(
+                SequencerStableFrame(
                     node_index=self.config.local_index,
                     entries=dict(self._stable),
                 )
-                self.carrier.send_frame(peer, frame)
+            )
         if peer == self.sequencer:
-            # The sequencer lost its min state: re-offer our full grant
-            # floors (our own rows ARE the grant record).
-            self._report_full_floors()
+            # Our own table rows ARE our grant record; a floor whose
+            # report is still batched is left to that report.
+            floors = {
+                key: seq
+                for key, seq in self._local_floors().items()
+                if key not in self._pending
+            }
+            if floors:
+                frames.append(
+                    SequencerReportFrame(
+                        node_index=self.config.local_index, entries=floors
+                    )
+                )
+        return frames
 
     def on_catchup(self) -> None:
         # We restarted: floors restored from the snapshot may be behind
         # grants we made after it was taken — but also ahead of anything
         # the sequencer heard if we crashed mid-batch.  Re-report all.
-        self._report_full_floors()
+        for (origin_index, type_id), seq in self._local_floors().items():
+            self._report(origin_index, type_id, seq)
+        self._flush()
 
-    def _report_full_floors(self) -> None:
+    def _local_floors(self) -> Dict[Tuple[int, int], int]:
         local_row = self.config.local_index
+        floors = {}
         for origin, table in self.tables.items():
             origin_index = self.config.node_index(origin)
             for type_id, seq in enumerate(table.row(local_row)):
                 if seq > 0:
-                    self._report(origin_index, type_id, seq)
-        self._flush()
+                    floors[(origin_index, type_id)] = seq
+        return floors
 
     def snapshot(self) -> dict:
         state = {"sequencer": self.sequencer}

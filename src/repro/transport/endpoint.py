@@ -1,8 +1,15 @@
 """Per-host transport endpoint: many named channels over one network port.
 
-Every protocol in the reproduction (Stabilizer data/control planes, Paxos,
+Every protocol in the reproduction (Stabilizer data plane, Paxos,
 pub/sub) builds on named FIFO channels.  An endpoint owns the host's side
 of every channel and demultiplexes incoming packets by channel name.
+
+Beside the reliable channels the endpoint carries *datagrams*
+(:meth:`TransportEndpoint.send_datagram` / ``on_datagram``): one raw
+packet, no sequence number, no acknowledgment, no retransmission — it
+may be lost, duplicated or overtaken.  The Stabilizer control carrier
+ships its state reports this way (``docs/strategies.md``, "The carrier:
+state, not a stream").
 
 The endpoint is also where dead-peer reports surface: a channel that
 exhausts its retransmit attempts suspends itself and the endpoint invokes
@@ -19,11 +26,12 @@ from typing import Callable, Dict, Optional, Set, Tuple
 from repro.errors import TransportError
 from repro.net.topology import Network
 from repro.obs.tracer import NULL_TRACER
-from repro.transport.fifo import FifoChannel
+from repro.transport.fifo import DeliverFn, FifoChannel
 
 TRANSPORT_PORT = "transport"
 
 PeerDeadFn = Callable[[str, str], None]  # (peer, channel name)
+DatagramFn = Callable[[str, object], None]  # (peer, body)
 
 
 class TransportEndpoint:
@@ -39,6 +47,10 @@ class TransportEndpoint:
         self._suspended_peers: Set[str] = set()
         # Invoked (peer, channel_name) when a channel gives up retrying.
         self.on_peer_dead: Optional[PeerDeadFn] = None
+        # Invoked (peer, body) for every datagram; unset, they are dropped.
+        self.on_datagram: Optional[DatagramFn] = None
+        # name -> (on_deliver, kwargs) for channels created on first use.
+        self._accepted: Dict[str, Tuple[Optional[DeliverFn], dict]] = {}
         # Observability: channels and the planes built on this endpoint
         # read the tracer from here.  The Stabilizer replaces it before
         # constructing its planes; standalone endpoints stay silent.
@@ -49,20 +61,39 @@ class TransportEndpoint:
         """Get or create the channel to ``peer`` named ``name``.
 
         Keyword arguments (``rto``, ``ack_every``, ``ack_interval``, the
-        adaptive-RTO knobs, ...) apply only at creation time.
+        adaptive-RTO knobs, ...) apply only at creation time; without
+        any, a name registered with :meth:`accept` uses that registration.
         """
         if peer == self.node_name:
             raise TransportError("no loopback channels; deliver locally instead")
         key = (peer, name)
         chan = self._channels.get(key)
         if chan is None:
+            on_deliver = None
+            if not kwargs and name in self._accepted:
+                on_deliver, kwargs = self._accepted[name]
             chan = FifoChannel(self, peer, name, **kwargs)
+            chan.on_deliver = on_deliver
             self._channels[key] = chan
         elif kwargs:
             raise TransportError(
                 f"channel {name!r} to {peer} already exists; cannot re-configure"
             )
         return chan
+
+    def accept(self, name: str, on_deliver: DeliverFn, **kwargs) -> None:
+        """Channels named ``name`` come into being on first use — a local
+        :meth:`channel` call or a peer's first packet — built with
+        ``kwargs`` and delivering to ``on_deliver``.  For rare traffic
+        that does not justify a standing channel per peer."""
+        self._accepted[name] = (on_deliver, kwargs)
+
+    def send_datagram(self, peer: str, body, size_bytes: int) -> None:
+        """Ship ``body`` to ``peer``'s ``on_datagram`` as one unreliable
+        packet of ``size_bytes`` (see module docstring)."""
+        self.net.send(
+            self.node_name, peer, self.port, ("dgram", body), size_bytes
+        )
 
     def channels(self) -> Dict[Tuple[str, str], FifoChannel]:
         return dict(self._channels)
@@ -107,6 +138,9 @@ class TransportEndpoint:
             _, name, seq, payload, meta, epoch = frame
             chan = self.channel(packet.src, name)
             chan._handle_data(seq, payload, packet.size_bytes, meta, epoch)
+        elif kind == "dgram":
+            if self.on_datagram is not None:
+                self.on_datagram(packet.src, frame[1])
         elif kind == "ack":
             _, name, cumulative, epoch = frame
             chan = self.channel(packet.src, name)

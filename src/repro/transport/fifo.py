@@ -460,13 +460,21 @@ class FifoChannel:
         if seq < self._next_deliver_seq:
             self._mark_ack_needed()  # duplicate: re-ack so sender unblocks
             return
-        self._ooo[seq] = _OutFrame(seq, payload, size, meta)
-        while self._next_deliver_seq in self._ooo:
-            frame = self._ooo.pop(self._next_deliver_seq)
-            self._next_deliver_seq += 1
+        ooo = self._ooo
+        if seq == self._next_deliver_seq and not ooo:
+            # In order with nothing buffered: no reorder-buffer round trip.
+            self._next_deliver_seq = seq + 1
             self.frames_delivered += 1
             if self.on_deliver is not None:
-                self.on_deliver(frame.payload, frame.meta)
+                self.on_deliver(payload, meta)
+        else:
+            ooo[seq] = _OutFrame(seq, payload, size, meta)
+            while self._next_deliver_seq in ooo:
+                frame = ooo.pop(self._next_deliver_seq)
+                self._next_deliver_seq += 1
+                self.frames_delivered += 1
+                if self.on_deliver is not None:
+                    self.on_deliver(frame.payload, frame.meta)
         self._since_ack += 1
         self._mark_ack_needed()
         if self._since_ack >= self.ack_every:

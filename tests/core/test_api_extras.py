@@ -137,7 +137,7 @@ def test_stats_reflect_activity():
     sim.run(until=sim.now + 0.5)
     after = a.stats()
     assert after["messages_sent"] == 1
-    assert after["control_frames_received"] > 0
+    assert after["strategy.frames_received"] > 0
     assert after["predicate_evaluations"] > 0
     assert after["pending_waiters"] == 0
     assert after["buffered_bytes"] == 0

@@ -166,7 +166,7 @@ def test_stats_aggregate_and_keep_frontier_lag_per_shard():
     assert stats["ack_table_cells"] == node.ack_table_cells()
     # The acking co-owners carried the control traffic; the counter is
     # wired through on every node.
-    assert sum(n.stats()["control_bytes_sent"] for n in cluster) > 0
+    assert sum(n.stats()["strategy.bytes_sent"] for n in cluster) > 0
     lag_keys = [k for k in stats if k.startswith("frontier_lag.")]
     assert lag_keys
     assert all(k.startswith("frontier_lag.s") for k in lag_keys)

@@ -231,6 +231,6 @@ def test_stats_are_namespaced_per_engine(strategy):
             assert not any(
                 key.startswith(f"strategy.{other}.") for key in stats
             )
-    # The pre-redesign aliases survive one release for dashboards.
-    assert stats["control_frames_sent"] == stats["strategy.frames_sent"]
+    # The pre-redesign unprefixed aliases had their one release.
+    assert not any(key.startswith("control_") for key in stats)
     cluster.close()

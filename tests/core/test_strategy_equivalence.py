@@ -9,6 +9,13 @@ the plane counters against ``data/strategy_golden.json``, a fixture
 captured from the tree *before* the control plane was extracted behind
 :class:`repro.core.strategy.StabilizationStrategy`.
 
+The fixture was regenerated once since, when control frames moved off
+the reliable FIFO onto the datagram carrier: a checked diff showed every
+advance (key, origin, new, old), every advance *time*, the frontiers,
+tables, watermarks and message counters identical, and only the three
+``control_*`` counters changed (tail probes and full-state heartbeats
+are counted as frames).
+
 Regenerate (only when the protocol itself legitimately changes) with::
 
     PYTHONPATH=src python tests/core/test_strategy_equivalence.py
