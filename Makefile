@@ -3,7 +3,7 @@
 .PHONY: install test bench bench-smoke bench-full chaos-smoke \
         durability-smoke obs-smoke overload-smoke rebalance-smoke \
         shard-smoke strategy-smoke trace-smoke api-check verify report \
-        clean
+        perf perf-compare clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -83,6 +83,22 @@ verify: test
 
 report:
 	python -m repro report
+
+# The canonical send->stable benchmark (perf/README.md): five workloads
+# end to end plus the traced per-layer pass, ~4 min.  The record lands in
+# PERF_OUT (git-ignored under perf/results/); a traced run also leaves
+# perf/results/trace_<workload>.json with each layer's top functions.
+PERF_OUT ?= perf/results/suite-local/run.json
+perf:
+	mkdir -p $(dir $(PERF_OUT))
+	python3 perf/run.py --trace 1 --out $(PERF_OUT)
+
+# Base against candidate, metric by metric against the BENCHMARK.json
+# bounds: make perf-compare BASE=parent.json CAND=perf/results/suite-local/run.json
+perf-compare:
+	@test -n "$(BASE)" -a -n "$(CAND)" || \
+	    { echo "usage: make perf-compare BASE=<base.json> CAND=<candidate.json>"; exit 2; }
+	python3 perf/compare.py $(BASE) $(CAND)
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/results \

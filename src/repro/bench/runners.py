@@ -882,26 +882,54 @@ HOTPATH_LATENCY_BUCKETS_US = (
 )
 
 
+def _ignore_advance(origin: str, frontier: int, old: int) -> None:
+    """The hot-path drivers' monitor: listens, does nothing."""
+
+
+def _watched_hotpath_engine(
+    node_names, groups, origin, predicates, table, incremental: bool
+):
+    """A bare engine over ``{origin: table}`` with every predicate
+    registered, monitored, and given its registration-time full pass.
+
+    The monitor is what keeps these drivers measuring the *eager* path:
+    the engine evaluates a slot on every update only while somebody
+    observes it, and a driver that merely pushes updates is nobody.
+    (``origin`` doubles as the context's local node here, which is
+    observed too — but a driver must not lean on that coincidence: with
+    any other origin and no listener it would time the one-lookup skip
+    and count no evaluation at all.)
+    """
+    from repro.core.frontier import FrontierEngine
+
+    ctx = DslContext(node_names, groups, origin)
+    engine = FrontierEngine(ctx, {origin: table}, incremental=incremental)
+    for key, source in predicates.items():
+        engine.register_predicate(key, source)
+        engine.monitor_stability_frontier(key, _ignore_advance)
+    # The full pass a Stabilizer runs at registration time — baselines
+    # established, excluded from any timed loop.
+    engine.reevaluate(origin)
+    return engine
+
+
 def _hotpath_latency_histogram(
     node_names, groups, origin, predicates, updates
 ) -> Histogram:
     """Replay ``updates`` on a fresh incremental engine, timing each
     report individually into a microsecond histogram."""
     from repro.core.strategy import AckTable
-    from repro.core.frontier import FrontierEngine
 
-    ctx = DslContext(node_names, groups, origin)
-    engine = FrontierEngine(ctx, node_names, incremental=True)
-    for key, source in predicates.items():
-        engine.register_predicate(key, source)
     table = AckTable(len(node_names), 2)
-    engine.reevaluate(origin, table)
+    engine = _watched_hotpath_engine(
+        node_names, groups, origin, predicates, table, incremental=True
+    )
     hist = Histogram("hotpath.report_latency_us", HOTPATH_LATENCY_BUCKETS_US)
     for node, type_id, seq in updates:
         table.update(node, type_id, seq)
         started = time.perf_counter()
         engine.reevaluate(
-            origin, table, updated_node=node, updated_cells=((type_id, seq),)
+            origin, updated_node=node, updated_cells=((type_id, seq),)
         )
         hist.observe((time.perf_counter() - started) * 1e6)
     return hist
@@ -922,7 +950,6 @@ def run_hotpath_frontier(
     resulting frontiers are compared cell-for-cell (``frontiers_match``).
     """
     from repro.core.strategy import AckTable
-    from repro.core.frontier import FrontierEngine
 
     rng = RngRegistry(seed).stream("hotpath")
     rows: List[Dict[str, object]] = []
@@ -945,20 +972,15 @@ def run_hotpath_frontier(
             timings: Dict[str, float] = {}
             engines: Dict[str, "FrontierEngine"] = {}
             for mode, incremental in (("incremental", True), ("brute", False)):
-                ctx = DslContext(node_names, groups, origin)
-                engine = FrontierEngine(ctx, node_names, incremental=incremental)
-                for key, source in predicates.items():
-                    engine.register_predicate(key, source)
                 table = AckTable(node_count, 2)
-                # The full pass a Stabilizer runs at registration time —
-                # baselines established, excluded from the timed loop.
-                engine.reevaluate(origin, table)
+                engine = _watched_hotpath_engine(
+                    node_names, groups, origin, predicates, table, incremental
+                )
                 started = time.perf_counter()
                 for node, type_id, seq in updates:
                     table.update(node, type_id, seq)
                     engine.reevaluate(
                         origin,
-                        table,
                         updated_node=node,
                         updated_cells=((type_id, seq),),
                     )

@@ -69,6 +69,13 @@ monitor / waiter / stats surfaces an application uses — and raises
     (:meth:`check_sla_restoration`) — the controller borrows
     consistency during the surge, it never keeps it.
 
+15. **The frontier is the predicate of the table.**  At quiescence, on
+    every node and for every (origin stream, predicate key),
+    ``get_stability_frontier`` equals the registered predicate evaluated
+    directly on that node's ACK table (:meth:`check_frontiers`) —
+    whether the slot was evaluated eagerly on every update because
+    somebody observed it, or is evaluated on demand because nobody does.
+
 Every individual comparison counts toward ``checks``; the bench harness
 divides by wall-clock time for the invariant-check throughput trajectory.
 
@@ -667,6 +674,24 @@ class InvariantChecker:
                         f"{origin!r}'s shard-{shard} stream, {sent} were sent"
                     )
         self.check_cutover_preservation(nodes)
+        self.check_frontiers(nodes)
+
+    def check_frontiers(self, nodes) -> None:
+        """Invariant 15: at quiescence every frontier a node reports is
+        its predicate evaluated on its own table."""
+        for node in nodes:
+            for shard, unit in self._units(node):
+                for origin, table in unit.tables.items():
+                    for key in unit.engine.predicate_keys():
+                        self.checks += 1
+                        reported = unit.get_stability_frontier(key, origin)
+                        expected = unit.engine.predicate(key).evaluate(table.table)
+                        if reported != expected:
+                            self._fail(
+                                f"stale frontier at {node.name}: origin "
+                                f"{origin!r} (shard {shard}) key {key!r} "
+                                f"reads {reported}, the table says {expected}"
+                            )
 
     def all_delivered(self, nodes) -> bool:
         """Non-asserting convergence probe used by the settle loop."""

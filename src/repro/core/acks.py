@@ -48,9 +48,20 @@ class AckTable:
         """Apply a batch ``{type_id: seq}``; returns the ``(type_id, seq)``
         cells that advanced, so one multi-entry control frame can drive a
         single cell-precise frontier re-evaluation pass."""
+        # The row is resolved (and the node range-checked) once per batch,
+        # not once per cell through update(); type ids and sequence
+        # numbers come off the wire, so each is still compared — inline.
+        self._check(node, 0)
+        row = self._rows[node]
+        type_count = self.type_count
         advanced = []
         for type_id, seq in entries.items():
-            if self.update(node, type_id, seq):
+            if not 0 <= type_id < type_count:
+                raise StabilizerError(f"type id {type_id} out of range")
+            if seq < 0:
+                raise StabilizerError(f"negative sequence number: {seq}")
+            if seq > row[type_id]:
+                row[type_id] = seq
                 advanced.append((type_id, seq))
         return advanced
 
@@ -68,11 +79,15 @@ class AckTable:
         (empty, hence falsy, when the whole row was already past
         ``seq``).
         """
+        # One range check per call: the columns walked are the table's own.
+        self._check(node, 0)
+        if seq < 0:
+            raise StabilizerError(f"negative sequence number: {seq}")
+        row = self._rows[node]
         advanced = []
-        for type_id in range(self.type_count):
-            if type_id in skip:
-                continue
-            if self.update(node, type_id, seq):
+        for type_id, current in enumerate(row):
+            if seq > current and type_id not in skip:
+                row[type_id] = seq
                 advanced.append(type_id)
         return advanced
 

@@ -112,8 +112,8 @@ class PredicateAutoAdjuster:
             self.adjustments += 1
         # Re-evaluate against current tables so waiters blocked on the
         # crashed peer release immediately.
-        for origin, table in self.stabilizer.tables.items():
-            engine.reevaluate(origin, table)
+        for origin in self.stabilizer.tables:
+            engine.reevaluate(origin)
 
     def _mask(self, source: str, names: List[str]) -> str:
         """Rewrite ``source`` so the given nodes stop gating stability.

@@ -33,6 +33,23 @@ further and avoid most calls entirely:
 (scan every predicate, evaluate every dependent one) as the brute-force
 baseline for the equivalence tests and ``bench_hotpath_frontier``.
 
+Evaluation is also **demand-driven**.  The paper's interface to stability
+is three calls — ``waitfor``, ``monitor_stability_frontier``,
+``get_stability_frontier`` — so a frontier only has to be *pushed* where
+one of them is listening.  A slot ``(origin, key)`` is **observed** when
+its key has a monitor, the slot has a pending waiter, the origin is the
+local node (the send→stable instruments hang off its advances), or a
+tracer is bound (every advance is an event).  Observed slots run the
+eager incremental path above on every table update.  Every other slot is
+a *pull* value: an update for an origin nobody observes costs
+``reevaluate`` one dictionary lookup, and ``frontier()``, ``add_waiter``,
+the first monitor and the snapshots evaluate ``predicate(table)`` when
+they ask.  A slot that becomes observed is seeded — value, witness and
+monitor high-water mark — from that evaluation, so the eager path
+continues from a correct cache; a slot whose last waiter is released
+drops its cache and is pulled again.  This is why the engine holds the
+node's table map instead of being handed a table per call.
+
 The engine is deliberately runtime-agnostic: it never touches the
 simulator.  The Stabilizer facade adapts waiters to events.
 """
@@ -40,7 +57,17 @@ simulator.  The Stabilizer facade adapts waiters to events.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.dsl.compiler import CompiledPredicate, PredicateCompiler
 from repro.dsl.semantics import DslContext
@@ -52,6 +79,13 @@ WaiterFn = Callable[[], None]
 
 Cell = Tuple[int, int]  # (node, type_id)
 CellUpdate = Tuple[int, int]  # (type_id, new_seq) for the updated node
+Slot = Tuple[str, str]  # (origin, predicate key)
+
+#: ``_watched[origin]`` when every registered key of the origin is observed.
+_EVERY_KEY = object()
+#: What ``reevaluate`` returns when nothing was evaluated: shared and
+#: read-only, so the unobserved path allocates nothing.
+_NO_ADVANCE: Mapping[str, int] = MappingProxyType({})
 
 
 class _Waiter:
@@ -86,34 +120,46 @@ class FrontierEngine:
     def __init__(
         self,
         ctx: DslContext,
-        origins: Iterable[str],
+        tables: Mapping[str, AckTable],
         incremental: bool = True,
     ):
         self.ctx = ctx
+        #: The node's live per-origin ACK tables (held, never copied).
+        self.tables = tables
         self.compiler = PredicateCompiler(ctx)
         self.incremental = incremental
+        self._local = ctx.local
         self._predicates: Dict[str, CompiledPredicate] = {}
         self._versions: Dict[str, int] = {}
         self._version_counter = 0
         self._active_key: Optional[str] = None
-        # frontier[(origin, key)] -> last evaluated value.
-        self._frontiers: Dict[Tuple[str, str], int] = {}
+        # frontier[(origin, key)] -> last evaluated value.  Observed
+        # slots only: an unobserved slot has no entry here or in _slots.
+        self._frontiers: Dict[Slot, int] = {}
         # Highest value ever reported to monitors per slot.  The raw
         # frontier may regress after change_predicate (the gap rule);
         # monitors must stay silent until the new definition catches back
         # up past everything they already saw.
-        self._monitor_high: Dict[Tuple[str, str], int] = {}
-        self._slots: Dict[Tuple[str, str], _SlotState] = {}
+        self._monitor_high: Dict[Slot, int] = {}
+        self._slots: Dict[Slot, _SlotState] = {}
         # Reverse dependency index: cell -> keys, node -> keys.
         self._cell_index: Dict[Cell, List[str]] = {}
         self._node_index: Dict[int, List[str]] = {}
         self._monitors: Dict[str, List[MonitorFn]] = {}
         # Waiter min-heaps: (seq, insertion tiebreak, waiter).
-        self._waiters: Dict[Tuple[str, str], List[Tuple[int, int, _Waiter]]] = {}
+        self._waiters: Dict[Slot, List[Tuple[int, int, _Waiter]]] = {}
         self._waiter_counter = 0
         self._cancelled_waiters = 0  # still heaped but dead (lazy deletion)
-        self._origins = list(origins)
+        # origin -> observed keys (a set, or _EVERY_KEY); an origin with no
+        # observed slot is absent.  Derived by _rewatch from the monitors,
+        # the pending waiters, the local origin and the tracer binding.
+        self._observe_all = False
+        self._watched: Dict[str, object] = {}
+        #: Predicate calls performed, eager and on read alike.
         self.evaluations = 0
+        #: The share of ``evaluations`` made for an unobserved slot because
+        #: someone asked (a read, a first waiter or monitor, a snapshot).
+        self.evaluations_on_read = 0
         self.skipped_by_index = 0
         self.skipped_by_shortcircuit = 0
         self.fast_advances = 0
@@ -124,11 +170,23 @@ class FrontierEngine:
         self.on_advance: Optional[Callable[[str, str, int, int], None]] = None
         self._tracer = NULL_TRACER
         self._trace_node = ""
+        self._rewatch()
 
     def bind_obs(self, tracer, node: str) -> None:
-        """Attach a :class:`~repro.obs.tracer.Tracer` (emits under ``node``)."""
+        """Attach a :class:`~repro.obs.tracer.Tracer` (emits under ``node``).
+
+        A bound tracer observes every slot, enabled or not: its flag can
+        be flipped at any instant, and from then on each
+        ``frontier.advance`` must carry the value the slot really had
+        before — which only a cache that never missed an update can give.
+        """
         self._tracer = tracer
         self._trace_node = node
+        if tracer is not NULL_TRACER and not self._observe_all:
+            for slot, value in self._unobserved_values():
+                self._seed(slot, value)
+            self._observe_all = True
+            self._rewatch()
 
     # -- registry ---------------------------------------------------------------
     def register_predicate(self, key: str, source: str) -> CompiledPredicate:
@@ -160,10 +218,11 @@ class FrontierEngine:
         frontier exceeds the highest value already reported.
         """
         if source is not None:
-            self._predicates[key] = self.compiler.compile(source)
+            predicate = self.compiler.compile(source)
+            self._drop_slots(key)
+            self._predicates[key] = predicate
             self._version_counter += 1
             self._versions[key] = self._version_counter
-            self._drop_slots(key)
             self._rebuild_index()
         elif key not in self._predicates:
             raise PredicateNotFound(f"no predicate registered under {key!r}")
@@ -172,22 +231,39 @@ class FrontierEngine:
     def unregister_predicate(self, key: str) -> None:
         if key not in self._predicates:
             raise PredicateNotFound(f"no predicate registered under {key!r}")
+        self._drop_slots(key)
         del self._predicates[key]
         del self._versions[key]
-        self._drop_slots(key)
         self._rebuild_index()
         if self._active_key == key:
             self._active_key = next(iter(self._predicates), None)
 
     def _drop_slots(self, key: str) -> None:
+        """``key``'s current definition is about to go: forget what was
+        cached under it.
+
+        An unobserved slot has no cache to forget, but the gap rule still
+        covers it — a monitor attached later must stay silent up to
+        whatever the outgoing definition had reached, exactly as if the
+        slot had been evaluated all along.  So that value is folded into
+        the monitor high-water mark here, while the definition can still
+        be asked.
+        """
         for slot in [s for s in self._slots if s[1] == key]:
             del self._slots[slot]
+        for slot, value in self._unobserved_values((key,)):
+            self._raise_monitor_high(slot, value)
+
+    def _raise_monitor_high(self, slot: Slot, value: int) -> None:
+        if value > self._monitor_high.get(slot, 0):
+            self._monitor_high[slot] = value
 
     def _rebuild_index(self) -> None:
         """Recompute cell -> predicates and node -> predicates.
 
         Registration and redefinition are cold-path events; a full O(P·L)
-        rebuild keeps the hot path free of incremental bookkeeping.
+        rebuild keeps the hot path free of incremental bookkeeping.  The
+        watch map names registered keys only, so it is rebuilt with it.
         """
         cell_index: Dict[Cell, List[str]] = {}
         node_index: Dict[int, List[str]] = {}
@@ -198,6 +274,73 @@ class FrontierEngine:
                 node_index.setdefault(node, []).append(key)
         self._cell_index = cell_index
         self._node_index = node_index
+        self._rewatch()
+
+    # -- observation ---------------------------------------------------------------
+    def _observed(self, origin: str, key: str) -> bool:
+        """Whether anyone is listening to slot ``(origin, key)``."""
+        return (
+            self._observe_all
+            or origin == self._local
+            or key in self._monitors
+            or (origin, key) in self._waiters
+        )
+
+    def _rewatch(self) -> None:
+        """Recompute ``origin -> observed keys``, the map ``reevaluate``
+        consults first.  Runs when a monitor, a waiter heap, a predicate
+        or the tracer binding comes or goes — never per table update."""
+        if self._observe_all:
+            self._watched = dict.fromkeys(self.tables, _EVERY_KEY)
+            return
+        monitored = [key for key in self._predicates if key in self._monitors]
+        watched: Dict[str, object] = {}
+        if monitored:
+            watched = {origin: set(monitored) for origin in self.tables}
+        for origin, key in self._waiters:
+            if origin in self.tables and key in self._predicates:
+                watched.setdefault(origin, set()).add(key)
+        if self._local in self.tables:
+            watched[self._local] = _EVERY_KEY
+        self._watched = watched
+
+    def _evaluate_on_read(self, origin: str, key: str) -> int:
+        """The pull path: ``predicate(table)`` now, for an unobserved slot.
+        Zero for an unknown origin or key, as a never-evaluated slot reads."""
+        predicate = self._predicates.get(key)
+        table = self.tables.get(origin)
+        if predicate is None or table is None:
+            return 0
+        self.evaluations += 1
+        self.evaluations_on_read += 1
+        return predicate.evaluate(table.table)
+
+    def _seed(self, slot: Slot, value: int) -> None:
+        """``slot`` is becoming observed and ``value`` was just evaluated
+        for it: install the cache the eager path would hold had it run
+        all along.  The monitor high-water mark rises to ``value`` because
+        those advances happened, unreported — a monitor is told what
+        moves from now on, not what it missed."""
+        origin, key = slot
+        predicate = self._predicates.get(key)
+        table = self.tables.get(origin)
+        if predicate is None or table is None:
+            return  # e.g. a waiter on a stream this node does not carry
+        self._frontiers[slot] = value
+        self._slots[slot] = _SlotState(
+            self._versions[key], value, self._witness(predicate, table.table, value)
+        )
+        self._raise_monitor_high(slot, value)
+
+    def _unobserved_values(
+        self, keys: Optional[Sequence[str]] = None
+    ) -> Iterator[Tuple[Slot, int]]:
+        """``(slot, value)`` for every slot of ``keys`` (default: every
+        registered key) that nobody observes, evaluated now."""
+        for origin in self.tables:
+            for key in self._predicates if keys is None else keys:
+                if not self._observed(origin, key):
+                    yield (origin, key), self._evaluate_on_read(origin, key)
 
     @property
     def active_key(self) -> Optional[str]:
@@ -221,9 +364,20 @@ class FrontierEngine:
 
     # -- monitors and waiters ------------------------------------------------------
     def monitor_stability_frontier(self, key: str, fn: MonitorFn) -> None:
-        """Call ``fn(origin, frontier, old)`` whenever ``key`` advances."""
+        """Call ``fn(origin, frontier, old)`` whenever ``key`` advances.
+
+        The first monitor on a key makes every origin's slot of that key
+        observed; each is seeded from one evaluation, and ``fn`` hears of
+        advances from here on (never a catch-up call)."""
         self.predicate(key)  # validate
-        self._monitors.setdefault(key, []).append(fn)
+        monitors = self._monitors.get(key)
+        if monitors is not None:
+            monitors.append(fn)
+            return
+        for slot, value in self._unobserved_values((key,)):
+            self._seed(slot, value)
+        self._monitors[key] = [fn]
+        self._rewatch()
 
     def add_waiter(
         self, origin: str, seq: int, callback: WaiterFn, key: Optional[str] = None
@@ -236,13 +390,25 @@ class FrontierEngine:
         """
         key = self._resolve_key(key)
         self.predicate(key)
-        if self.frontier(origin, key) >= seq:
+        slot = (origin, key)
+        observed = self._observed(origin, key)
+        if observed:
+            value = self._frontiers.get(slot, 0)
+        else:
+            value = self._evaluate_on_read(origin, key)
+        if value >= seq:
             callback()
             return None
+        if not observed:
+            # First pending waiter: the slot turns eager and carries on
+            # from the evaluation just made.
+            self._seed(slot, value)
+            self._waiters[slot] = []
+            self._rewatch()
         self._waiter_counter += 1
         waiter = _Waiter(seq, callback)
         heapq.heappush(
-            self._waiters.setdefault((origin, key), []),
+            self._waiters.setdefault(slot, []),
             (seq, self._waiter_counter, waiter),
         )
         return waiter
@@ -264,28 +430,37 @@ class FrontierEngine:
         return True
 
     def frontier(self, origin: str, key: Optional[str] = None) -> int:
+        """The current frontier of ``(origin, key)``: the cached value of
+        an observed slot, one evaluation of the table otherwise."""
         key = self._resolve_key(key)
-        return self._frontiers.get((origin, key), 0)
+        if self._observed(origin, key):
+            return self._frontiers.get((origin, key), 0)
+        return self._evaluate_on_read(origin, key)
 
     # -- evaluation --------------------------------------------------------------
     def reevaluate(
         self,
         origin: str,
-        table: AckTable,
         updated_node: Optional[int] = None,
         updated_cells: Optional[Sequence[CellUpdate]] = None,
-    ) -> Dict[str, int]:
-        """Re-run predicates for ``origin``'s stream against ``table``.
+    ) -> Mapping[str, int]:
+        """``origin``'s table moved: re-run its *observed* predicates.
 
         With ``updated_node`` given, predicates that do not read that
         node's row are skipped (the common case: one control report only
         moves one row).  ``updated_cells`` — ``(type_id, new_seq)`` pairs
         for that node — narrows the selection to cell granularity and
         enables the algebraic short-circuits.  Returns the keys that
-        advanced with their new frontier values.
+        advanced with their new frontier values.  An origin with no
+        observed slot returns at the first line: its frontiers are
+        evaluated when somebody asks (see the module docstring).
         """
+        watch = self._watched.get(origin)
+        if watch is None:
+            return _NO_ADVANCE
+        rows = self.tables[origin].table
         if not self.incremental:
-            return self._reevaluate_brute(origin, table, updated_node)
+            return self._reevaluate_brute(origin, rows, watch, updated_node)
         total = len(self._predicates)
         if not total:
             return {}
@@ -295,11 +470,13 @@ class FrontierEngine:
             keys = self._node_index.get(updated_node, [])
         else:
             keys = list(self._predicates)
+        if watch is not _EVERY_KEY:
+            total = len(watch)
+            keys = [key for key in keys if key in watch]
         self.skipped_by_index += total - len(keys)
         if not keys:
             return {}
         advanced: Dict[str, int] = {}
-        rows = table.table
         for key in keys:
             predicate = self._predicates[key]
             slot = (origin, key)
@@ -432,7 +609,8 @@ class FrontierEngine:
     def _reevaluate_brute(
         self,
         origin: str,
-        table: AckTable,
+        rows,
+        watch,
         updated_node: Optional[int] = None,
     ) -> Dict[str, int]:
         """The pre-index engine: scan all predicates, evaluate dependents.
@@ -441,8 +619,9 @@ class FrontierEngine:
         randomized equivalence tests compare the incremental path against.
         """
         advanced: Dict[str, int] = {}
-        rows = table.table
         for key, predicate in self._predicates.items():
+            if watch is not _EVERY_KEY and key not in watch:
+                continue
             if updated_node is not None and not any(
                 leaf.node == updated_node for leaf in predicate.leaves
             ):
@@ -475,6 +654,11 @@ class FrontierEngine:
             waiter.callback()
         if not heap:
             del self._waiters[slot]
+            if not self._observed(*slot):
+                # The last listener left: the slot is a pull value again.
+                self._frontiers.pop(slot, None)
+                self._slots.pop(slot, None)
+                self._rewatch()
 
     def pending_waiters(self) -> int:
         live = sum(len(ws) for ws in self._waiters.values())
@@ -485,6 +669,9 @@ class FrontierEngine:
         out: Dict[str, Dict[str, int]] = {}
         for (origin, key), value in self._frontiers.items():
             out.setdefault(origin, {})[key] = value
+        for (origin, key), value in self._unobserved_values():
+            if value:
+                out.setdefault(origin, {})[key] = value
         return out
 
     def snapshot_monitor_high(self) -> Dict[str, Dict[str, int]]:
@@ -492,7 +679,11 @@ class FrontierEngine:
 
         Persisted separately from the raw frontiers: after a predicate
         redefinition the raw value may sit *below* what monitors already
-        reported, and a restarted node must not re-report the gap."""
+        reported, and a restarted node must not re-report the gap.
+        An unobserved slot's mark is brought up to its frontier first —
+        the advances an eager pass would have counted."""
+        for slot, value in self._unobserved_values():
+            self._raise_monitor_high(slot, value)
         out: Dict[str, Dict[str, int]] = {}
         for (origin, key), value in self._monitor_high.items():
             out.setdefault(origin, {})[key] = value
@@ -501,22 +692,23 @@ class FrontierEngine:
     def restore_monitor_high(self, data: Dict[str, Dict[str, int]]) -> None:
         for origin, per_key in data.items():
             for key, value in per_key.items():
-                slot = (origin, key)
-                if value > self._monitor_high.get(slot, 0):
-                    self._monitor_high[slot] = value
+                self._raise_monitor_high((origin, key), value)
 
     def restore_frontiers(self, data: Dict[str, Dict[str, int]]) -> None:
         restored = []
         for origin, per_key in data.items():
             for key, value in per_key.items():
                 slot = (origin, key)
-                if value > self._frontiers.get(slot, 0):
+                # An unobserved slot keeps no value: it is read off the
+                # restored tables when somebody asks.
+                if self._observed(origin, key) and value > self._frontiers.get(
+                    slot, 0
+                ):
                     self._frontiers[slot] = value
                     restored.append((slot, value))
-                if value > self._monitor_high.get(slot, 0):
-                    # The pre-crash incarnation already reported up to
-                    # here; monitors resume above it, never below.
-                    self._monitor_high[slot] = value
+                # The pre-crash incarnation already reported up to here;
+                # monitors resume above it, never below.
+                self._raise_monitor_high(slot, value)
         # Restored frontiers may sit above anything the current tables
         # support; drop the evaluation caches so the next report takes a
         # full pass instead of short-circuiting against stale state, and

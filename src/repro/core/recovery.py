@@ -233,6 +233,17 @@ def restore_state(stabilizer, snapshot: dict) -> None:
     strategy_state = (snapshot.get("strategy") or {}).get("state")
     if strategy_state:
         stabilizer.strategy.restore(strategy_state)
+    # Restored frontiers are what the snapshot's node had computed; the
+    # tables are what this node now holds.  The two differ for a rebalance
+    # joiner (another owner's frontiers, under that owner's predicate
+    # scope) and after a masked predicate was snapshotted.  Nothing else
+    # would ever reconcile a stream that is already fully delivered — no
+    # further report arrives to trigger an evaluation — so every observed
+    # slot takes one pass over the restored tables now (unobserved slots
+    # are read off them anyway).  Last, because monitors and waiters may
+    # fire: they must find the node fully restored.
+    for origin in stabilizer.tables:
+        stabilizer.engine.reevaluate(origin)
 
 
 def _restore_sharded(stabilizer, snapshot: dict) -> None:

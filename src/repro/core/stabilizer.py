@@ -126,7 +126,9 @@ class Stabilizer:
         # stream that every node (us included) has acknowledged as
         # ``received``.  Send-buffer reclamation follows it — nothing else.
         self._delivery_watermark = 0
-        self.engine = FrontierEngine(config.dsl_context(), config.node_names)
+        # The engine holds the table map: frontiers nobody observes are
+        # evaluated from it on demand instead of on every update.
+        self.engine = FrontierEngine(config.dsl_context(), self.tables)
         self.engine.bind_obs(self.tracer, self.name)
         self.engine.on_advance = self._on_frontier_advance
         self.detector = FailureDetector(self.sim, config)
@@ -285,15 +287,15 @@ class Stabilizer:
         self.engine.register_predicate(key, source)
         self.stability.register_key(key)
         # New predicates see the current table immediately.
-        for origin, table in self.tables.items():
-            self.engine.reevaluate(origin, table)
+        for origin in self.tables:
+            self.engine.reevaluate(origin)
 
     def change_predicate(self, key: str, source: Optional[str] = None) -> None:
         """Switch the active predicate (optionally redefining it) —
         the dynamic-reconfiguration entry point of Section VI-D."""
         self.engine.change_predicate(key, source)
-        for origin, table in self.tables.items():
-            self.engine.reevaluate(origin, table)
+        for origin in self.tables:
+            self.engine.reevaluate(origin)
 
     def get_stability_frontier(
         self, predicate_key: Optional[str] = None, origin: Optional[str] = None
@@ -565,6 +567,7 @@ class Stabilizer:
             "buffer_reclaimed": self.dataplane.buffer.total_reclaimed,
             "dataplane.payload_bytes_sent": self.dataplane.payload_bytes_sent,
             "predicate_evaluations": self.engine.evaluations,
+            "predicate_evaluations_on_read": self.engine.evaluations_on_read,
             "evaluations_skipped_by_index": self.engine.skipped_by_index,
             "evaluations_skipped_by_shortcircuit": (
                 self.engine.skipped_by_shortcircuit
@@ -654,9 +657,7 @@ class Stabilizer:
         self.stability.on_advance(key, origin, value)
 
     def _on_table_update(self, origin: str, node: int, cells=None) -> None:
-        self.engine.reevaluate(
-            origin, self.tables[origin], updated_node=node, updated_cells=cells
-        )
+        self.engine.reevaluate(origin, updated_node=node, updated_cells=cells)
         if origin == self.name:
             self._advance_delivery_watermark(cells)
 

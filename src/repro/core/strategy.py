@@ -146,7 +146,6 @@ class StabilizationStrategy:
         )
         self.node.engine.reevaluate(
             self.config.local,
-            table,
             updated_node=self.config.local_index,
             updated_cells=[(type_id, last) for type_id in advanced],
         )
@@ -164,7 +163,6 @@ class StabilizationStrategy:
         if advanced:
             self.node.engine.reevaluate(
                 origin,
-                table,
                 updated_node=origin_index,
                 updated_cells=[(type_id, seq) for type_id in advanced],
             )

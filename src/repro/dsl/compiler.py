@@ -17,7 +17,6 @@ non-JIT ablation measured in ``benchmarks/bench_ablation_jit.py``.
 
 from __future__ import annotations
 
-import heapq
 import time
 from typing import Dict, Optional, Sequence
 
@@ -44,9 +43,10 @@ def _kth(k: int, values: tuple, largest: bool) -> int:
         raise DslEvaluationError(
             f"K parameter {k} outside 1..{len(values)} operands"
         )
-    if largest:
-        return heapq.nlargest(k, values)[-1]
-    return heapq.nsmallest(k, values)[-1]
+    # ``sorted`` runs in C; ``heapq.nlargest`` is a Python loop that only
+    # pays off for operand counts no predicate has (these are 4-8 wide).
+    ordered = sorted(values)
+    return ordered[-k] if largest else ordered[k - 1]
 
 
 def classify_shortcircuit(ir: Ir) -> Optional[str]:

@@ -89,34 +89,47 @@ class Link:
         return self.serialization_delay(size_bytes) + self.latency_s
 
     # -- transmission ----------------------------------------------------------
-    def transmit(self, packet: Packet, deliver: Callable[[Packet], None]) -> bool:
+    def transmit(
+        self,
+        packet: Packet,
+        deliver: Callable[[Packet], None],
+        now: Optional[float] = None,
+    ) -> bool:
         """Enqueue ``packet``; call ``deliver(packet)`` on arrival.
 
         Returns False (and counts a drop) when the link is down or the
         packet is randomly lost.  Reliability is the transport's job.
+        ``now`` is the caller's reading of the clock when it has just
+        taken one (``Network.send`` stamps the packet with it).
         """
+        stats = self.stats
         if not self.up:
-            self.stats.packets_dropped += 1
+            stats.packets_dropped += 1
             return False
         if self.loss_rate > 0 and self.rng.random() < self.loss_rate:
-            self.stats.packets_dropped += 1
+            stats.packets_dropped += 1
             return False
 
-        start = max(self.sim.now, self._busy_until)
-        done_serializing = start + self.serialization_delay(packet.size_bytes)
+        # Every packet of every layer passes here: the queueing and
+        # serialization arithmetic of the methods above, written out.
+        if now is None:
+            now = self.sim.now
+        size = packet.size_bytes
+        busy_until = self._busy_until
+        start = now if now > busy_until else busy_until
+        done_serializing = start + size * 8.0 / self.bandwidth_bps
         self._busy_until = done_serializing
         propagation = self.latency_s
         if self.jitter_s > 0:
             propagation += self.rng.uniform(0, self.jitter_s)
-        arrival = done_serializing + propagation
 
-        self._backlog_bytes += packet.size_bytes
-        if self._backlog_bytes > self.stats.max_backlog_bytes:
-            self.stats.max_backlog_bytes = self._backlog_bytes
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.size_bytes
+        backlog = self._backlog_bytes = self._backlog_bytes + size
+        if backlog > stats.max_backlog_bytes:
+            stats.max_backlog_bytes = backlog
+        stats.packets_sent += 1
+        stats.bytes_sent += size
 
-        self.sim.call_at(arrival, self._arrive, packet, deliver)
+        self.sim.call_at(done_serializing + propagation, self._arrive, packet, deliver)
         return True
 
     def _arrive(self, packet: Packet, deliver: Callable[[Packet], None]) -> None:

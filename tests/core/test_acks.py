@@ -44,6 +44,28 @@ def test_out_of_range_rejected():
         AckTable(0, 1)
 
 
+@pytest.mark.parametrize(
+    "batch",
+    [
+        lambda t: t.update_many(2, {0: 1}),  # node out of range
+        lambda t: t.update_many(-1, {0: 1}),
+        lambda t: t.update_many(0, {2: 1}),  # type out of range
+        lambda t: t.update_many(0, {-1: 1}),  # must not wrap to the last column
+        lambda t: t.update_many(0, {0: -1}),  # negative sequence
+        lambda t: t.set_all_types(2, 1),
+        lambda t: t.set_all_types(-1, 1),
+        lambda t: t.set_all_types(0, -1),
+    ],
+)
+def test_batch_updates_keep_the_range_checks(batch):
+    """update_many / set_all_types check once per call instead of once per
+    cell through update(); what they reject is unchanged."""
+    table = AckTable(2, 2)
+    with pytest.raises(StabilizerError):
+        batch(table)
+    assert table.snapshot() == [[0, 0], [0, 0]]
+
+
 def test_update_many_returns_advanced_types():
     table = AckTable(1, 3)
     table.update(0, 1, 10)

@@ -12,11 +12,18 @@ GROUPS = {"east": ["a", "b"], "west": ["c", "d"]}
 
 
 def engine(local="a"):
-    return FrontierEngine(DslContext(NODES, GROUPS, local), NODES)
+    """A bare engine over one zeroed table per origin.  ``local`` is "a",
+    and the local origin is always observed — so the tests below, which
+    all drive origin "a" (and "b" once, read back through ``frontier``),
+    exercise the eager path; ``test_frontier_demand.py`` covers the rest."""
+    tables = {name: AckTable(4, 2) for name in NODES}
+    return FrontierEngine(DslContext(NODES, GROUPS, local), tables)
 
 
-def table():
-    return AckTable(4, 2)
+def ignore(origin, frontier, old):
+    """An explicit no-op monitor: the counter tests below assert on the
+    eager path's evaluation/skip counters, and a slot is only evaluated
+    eagerly while somebody observes it."""
 
 
 def test_register_and_frontier_starts_at_zero():
@@ -56,9 +63,9 @@ def test_reevaluate_advances_frontier_and_fires_monitor():
     eng.register_predicate("any", "MAX($ALLWNODES - $MYWNODE)")
     events = []
     eng.monitor_stability_frontier("any", lambda o, new, old: events.append((o, new, old)))
-    t = table()
+    t = eng.tables["a"]
     t.update(1, 0, 7)
-    eng.reevaluate("a", t, updated_node=1)
+    eng.reevaluate("a", updated_node=1)
     assert eng.frontier("a", "any") == 7
     assert events == [("a", 7, 0)]
 
@@ -66,10 +73,11 @@ def test_reevaluate_advances_frontier_and_fires_monitor():
 def test_reevaluate_skips_independent_predicates():
     eng = engine()
     eng.register_predicate("west_only", "MAX($AZ_west)")
-    t = table()
+    eng.monitor_stability_frontier("west_only", ignore)
+    t = eng.tables["a"]
     t.update(1, 0, 9)  # node b: not read by the predicate
     before = eng.evaluations
-    eng.reevaluate("a", t, updated_node=1)
+    eng.reevaluate("a", updated_node=1)
     assert eng.evaluations == before
     assert eng.frontier("a", "west_only") == 0
 
@@ -79,9 +87,9 @@ def test_monitor_not_fired_when_value_unchanged():
     eng.register_predicate("all", "MIN($ALLWNODES)")
     fired = []
     eng.monitor_stability_frontier("all", lambda *a: fired.append(a))
-    t = table()
+    t = eng.tables["a"]
     t.update(0, 0, 5)  # MIN still 0: three other nodes at 0
-    eng.reevaluate("a", t)
+    eng.reevaluate("a")
     assert fired == []
 
 
@@ -90,12 +98,12 @@ def test_waiter_released_when_frontier_reaches_target():
     eng.register_predicate("any", "MAX($ALLWNODES)")
     released = []
     eng.add_waiter("a", 5, lambda: released.append("hit"), key="any")
-    t = table()
+    t = eng.tables["a"]
     t.update(2, 0, 4)
-    eng.reevaluate("a", t)
+    eng.reevaluate("a")
     assert released == []
     t.update(2, 0, 6)
-    eng.reevaluate("a", t)
+    eng.reevaluate("a")
     assert released == ["hit"]
     assert eng.pending_waiters() == 0
 
@@ -103,9 +111,9 @@ def test_waiter_released_when_frontier_reaches_target():
 def test_waiter_fires_immediately_if_already_satisfied():
     eng = engine()
     eng.register_predicate("any", "MAX($ALLWNODES)")
-    t = table()
+    t = eng.tables["a"]
     t.update(1, 0, 10)
-    eng.reevaluate("a", t)
+    eng.reevaluate("a")
     released = []
     eng.add_waiter("a", 5, lambda: released.append("now"), key="any")
     assert released == ["now"]
@@ -117,9 +125,9 @@ def test_waiter_uses_active_key_by_default():
     eng.register_predicate("strong", "MIN($ALLWNODES)")
     released = []
     eng.add_waiter("a", 3, lambda: released.append("weak"))
-    t = table()
+    t = eng.tables["a"]
     t.update(0, 0, 3)
-    eng.reevaluate("a", t)  # MAX reaches 3, MIN does not
+    eng.reevaluate("a")  # MAX reaches 3, MIN does not
     assert released == ["weak"]
 
 
@@ -139,18 +147,18 @@ def test_change_predicate_redefinition_holds_reports_through_gap():
     eng.register_predicate("p", "MAX($ALLWNODES - $MYWNODE)")
     reports = []
     eng.monitor_stability_frontier("p", lambda o, new, old: reports.append(new))
-    t = table()
+    t = eng.tables["a"]
     t.update(1, 0, 10)
-    eng.reevaluate("a", t)
+    eng.reevaluate("a")
     assert reports == [10]
     # Redefine to the strict form; only node b has acked, so value drops.
     eng.change_predicate("p", "MIN($ALLWNODES - $MYWNODE)")
-    eng.reevaluate("a", t)
+    eng.reevaluate("a")
     assert eng.frontier("a", "p") == 0
     assert reports == [10]  # no backwards report
     for node in (1, 2, 3):
         t.update(node, 0, 12)
-    eng.reevaluate("a", t)
+    eng.reevaluate("a")
     assert reports == [10, 12]
 
 
@@ -161,9 +169,9 @@ def test_duplicate_seq_waiters_all_release_in_insertion_order():
     eng.add_waiter("a", 5, lambda: released.append("first"), key="any")
     eng.add_waiter("a", 5, lambda: released.append("second"), key="any")
     eng.add_waiter("a", 5, lambda: released.append("third"), key="any")
-    t = table()
+    t = eng.tables["a"]
     t.update(1, 0, 5)
-    eng.reevaluate("a", t, updated_node=1)
+    eng.reevaluate("a", updated_node=1)
     assert released == ["first", "second", "third"]
     assert eng.pending_waiters() == 0
 
@@ -175,13 +183,13 @@ def test_waiter_heap_releases_only_satisfied_seqs():
     # Insert out of order: the heap must release by seq, not insertion.
     for seq in (9, 3, 7, 1, 5):
         eng.add_waiter("a", seq, lambda s=seq: released.append(s), key="any")
-    t = table()
+    t = eng.tables["a"]
     t.update(2, 0, 6)
-    eng.reevaluate("a", t, updated_node=2)
+    eng.reevaluate("a", updated_node=2)
     assert released == [1, 3, 5]
     assert eng.pending_waiters() == 2
     t.update(2, 0, 20)
-    eng.reevaluate("a", t, updated_node=2)
+    eng.reevaluate("a", updated_node=2)
     assert released == [1, 3, 5, 7, 9]
 
 
@@ -190,20 +198,20 @@ def test_waiters_survive_frontier_regression_after_redefinition():
     eng.register_predicate("p", "MAX($ALLWNODES - $MYWNODE)")
     released = []
     eng.add_waiter("a", 10, lambda: released.append("hit"), key="p")
-    t = table()
+    t = eng.tables["a"]
     t.update(1, 0, 5)
-    eng.reevaluate("a", t, updated_node=1)
+    eng.reevaluate("a", updated_node=1)
     assert released == []
     # Stricter redefinition regresses the frontier; the waiter must not
     # be dropped or spuriously fired while the gap lasts.
     eng.change_predicate("p", "MIN($ALLWNODES - $MYWNODE)")
-    eng.reevaluate("a", t)
+    eng.reevaluate("a")
     assert eng.frontier("a", "p") == 0
     assert released == []
     assert eng.pending_waiters() == 1
     for node in (1, 2, 3):
         t.update(node, 0, 12)
-    eng.reevaluate("a", t)
+    eng.reevaluate("a")
     assert released == ["hit"]
     assert eng.pending_waiters() == 0
 
@@ -211,9 +219,9 @@ def test_waiters_survive_frontier_regression_after_redefinition():
 def test_waiter_at_exact_current_frontier_fires_synchronously():
     eng = engine()
     eng.register_predicate("any", "MAX($ALLWNODES)")
-    t = table()
+    t = eng.tables["a"]
     t.update(1, 0, 7)
-    eng.reevaluate("a", t, updated_node=1)
+    eng.reevaluate("a", updated_node=1)
     released = []
     eng.add_waiter("a", 7, lambda: released.append("exact"), key="any")
     assert released == ["exact"]
@@ -224,16 +232,18 @@ def test_skip_counters_track_index_and_shortcircuit():
     eng = engine()
     eng.register_predicate("west_only", "MAX($AZ_west)")
     eng.register_predicate("east_min", "MIN($AZ_east)")
-    t = table()
+    for key in ("west_only", "east_min"):
+        eng.monitor_stability_frontier(key, ignore)
+    t = eng.tables["a"]
     # Baseline pass (what Stabilizer does at registration).
-    eng.reevaluate("a", t)
+    eng.reevaluate("a")
     evals = eng.evaluations
     t.update(1, 0, 9)  # node b: read only by east_min
-    eng.reevaluate("a", t, updated_node=1, updated_cells=((0, 9),))
+    eng.reevaluate("a", updated_node=1, updated_cells=((0, 9),))
     assert eng.skipped_by_index == 1  # west_only never touched
     assert eng.evaluations == evals + 1  # east_min re-evaluated (witness hit)
     t.update(1, 0, 12)  # b is no longer the east bottleneck (a still at 0)
-    eng.reevaluate("a", t, updated_node=1, updated_cells=((0, 12),))
+    eng.reevaluate("a", updated_node=1, updated_cells=((0, 12),))
     assert eng.skipped_by_shortcircuit == 1
     assert eng.evaluations == evals + 1  # witness miss: no evaluation
 
@@ -241,11 +251,12 @@ def test_skip_counters_track_index_and_shortcircuit():
 def test_max_fast_advance_skips_evaluation_but_advances():
     eng = engine()
     eng.register_predicate("any", "MAX($ALLWNODES)")
-    t = table()
-    eng.reevaluate("a", t)
+    eng.monitor_stability_frontier("any", ignore)
+    t = eng.tables["a"]
+    eng.reevaluate("a")
     evals = eng.evaluations
     t.update(2, 0, 4)
-    advanced = eng.reevaluate("a", t, updated_node=2, updated_cells=((0, 4),))
+    advanced = eng.reevaluate("a", updated_node=2, updated_cells=((0, 4),))
     assert advanced == {"any": 4}
     assert eng.frontier("a", "any") == 4
     assert eng.evaluations == evals  # direct advance, no full evaluation
@@ -255,10 +266,9 @@ def test_max_fast_advance_skips_evaluation_but_advances():
 def test_frontiers_are_per_origin():
     eng = engine()
     eng.register_predicate("any", "MAX($ALLWNODES)")
-    ta, tb = table(), table()
-    ta.update(0, 0, 4)
-    eng.reevaluate("a", ta)
-    eng.reevaluate("b", tb)
+    eng.tables["a"].update(0, 0, 4)
+    eng.reevaluate("a")
+    eng.reevaluate("b")
     assert eng.frontier("a", "any") == 4
     assert eng.frontier("b", "any") == 0
 
@@ -274,9 +284,9 @@ def test_unregister_moves_active_key():
 def test_snapshot_restore_frontiers():
     eng = engine()
     eng.register_predicate("any", "MAX($ALLWNODES)")
-    t = table()
+    t = eng.tables["a"]
     t.update(1, 0, 8)
-    eng.reevaluate("a", t)
+    eng.reevaluate("a")
     snap = eng.snapshot_frontiers()
     other = engine()
     other.register_predicate("any", "MAX($ALLWNODES)")

@@ -1,14 +1,22 @@
-"""Randomized equivalence: incremental engine == brute-force re-evaluation.
+"""Randomized equivalence of the frontier engine's three ways to an answer.
 
 The incremental engine is only allowed to *skip* work it can prove is a
 no-op, so across any monotone update stream its frontiers must be
 identical to an engine that fully re-evaluates every dependent predicate
-on every report.  These tests drive both engines through thousands of
-random ACK-table updates over a mix of predicate shapes — pure ``MAX``,
-pure ``MIN``, order statistics, second ACK-type columns, nested reduces
-and arithmetic — including mid-stream ``change_predicate`` redefinitions,
-and compare frontiers after every single step.
+on every report.  And the engine only evaluates *eagerly* where somebody
+is listening, so an engine nobody listens to must still give the same
+answers — frontier reads, waiter releases, and what a monitor is told
+from the moment it attaches — as one with a monitor on every key, and
+both must agree with the oracle ``predicate.evaluate(table)``.
+
+The tests drive the engines through thousands of random ACK-table
+updates over a mix of predicate shapes — pure ``MAX``, pure ``MIN``,
+order statistics, second ACK-type columns, nested reduces and arithmetic
+— including mid-stream ``change_predicate`` redefinitions, and compare
+after every single step.
 """
+
+import random
 
 from repro.core.acks import AckTable
 from repro.core.frontier import FrontierEngine
@@ -17,6 +25,8 @@ from repro.sim.rng import RngRegistry
 
 NODES = ["a", "b", "c", "d", "e", "f"]
 GROUPS = {"east": ["a", "b", "c"], "west": ["d", "e", "f"]}
+#: "a" is the engines' local node (always observed); "d" is a remote
+#: origin, observed only while a monitor or a pending waiter says so.
 ORIGINS = ["a", "d"]
 
 PREDICATE_POOL = [
@@ -35,17 +45,29 @@ PREDICATE_POOL = [
 ]
 
 
-def _engines(sources):
-    incremental = FrontierEngine(
-        DslContext(NODES, GROUPS, "a"), NODES, incremental=True
-    )
-    brute = FrontierEngine(
-        DslContext(NODES, GROUPS, "a"), NODES, incremental=False
+def _ignore(origin, frontier, old):
+    """An explicit no-op monitor: it makes every slot of its key observed,
+    so the engine under test runs (and counts) the eager path."""
+
+
+def _engine(sources, incremental=True, monitor=None):
+    tables = {origin: AckTable(len(NODES), 2) for origin in ORIGINS}
+    engine = FrontierEngine(
+        DslContext(NODES, GROUPS, "a"), tables, incremental=incremental
     )
     for i, source in enumerate(sources):
-        incremental.register_predicate(f"p{i}", source)
-        brute.register_predicate(f"p{i}", source)
-    return incremental, brute
+        engine.register_predicate(f"p{i}", source)
+        if monitor is not None:
+            engine.monitor_stability_frontier(f"p{i}", monitor)
+    return engine
+
+
+def _engines(sources):
+    """Incremental and brute force, both listened to on every key."""
+    return (
+        _engine(sources, incremental=True, monitor=_ignore),
+        _engine(sources, incremental=False, monitor=_ignore),
+    )
 
 
 def _assert_frontiers_equal(incremental, brute, step):
@@ -64,33 +86,27 @@ def test_incremental_matches_brute_force_over_random_streams():
             for _ in range(rng.randint(3, len(PREDICATE_POOL)))
         ]
         incremental, brute = _engines(sources)
-        tables = {
-            origin: {"inc": AckTable(len(NODES), 2), "brute": AckTable(len(NODES), 2)}
-            for origin in ORIGINS
-        }
+        # Attaching the monitors evaluated each remote slot once, to seed it.
+        seeding = incremental.evaluations_on_read
+        assert seeding == brute.evaluations_on_read == len(sources)
         values = {origin: [[0, 0] for _ in NODES] for origin in ORIGINS}
         # The full registration pass a Stabilizer performs: it establishes
         # the baseline for predicates with constant floors (e.g. ``... + 1``).
         for origin in ORIGINS:
-            incremental.reevaluate(origin, tables[origin]["inc"])
-            brute.reevaluate(origin, tables[origin]["brute"])
+            incremental.reevaluate(origin)
+            brute.reevaluate(origin)
         for step in range(800):
             origin = ORIGINS[rng.randrange(len(ORIGINS))]
             node = rng.randrange(len(NODES))
             type_id = rng.randrange(2)
             values[origin][node][type_id] += rng.randint(1, 4)
             seq = values[origin][node][type_id]
-            tables[origin]["inc"].update(node, type_id, seq)
-            tables[origin]["brute"].update(node, type_id, seq)
+            incremental.tables[origin].update(node, type_id, seq)
+            brute.tables[origin].update(node, type_id, seq)
             advanced_inc = incremental.reevaluate(
-                origin,
-                tables[origin]["inc"],
-                updated_node=node,
-                updated_cells=((type_id, seq),),
+                origin, updated_node=node, updated_cells=((type_id, seq),)
             )
-            advanced_brute = brute.reevaluate(
-                origin, tables[origin]["brute"], updated_node=node
-            )
+            advanced_brute = brute.reevaluate(origin, updated_node=node)
             assert advanced_inc == advanced_brute, f"step {step}"
             _assert_frontiers_equal(incremental, brute, step)
             # Occasionally redefine a predicate mid-stream (the paper's
@@ -102,13 +118,17 @@ def test_incremental_matches_brute_force_over_random_streams():
                 incremental.change_predicate(key, new_source)
                 brute.change_predicate(key, new_source)
                 for o in ORIGINS:
-                    incremental.reevaluate(o, tables[o]["inc"])
-                    brute.reevaluate(o, tables[o]["brute"])
+                    incremental.reevaluate(o)
+                    brute.reevaluate(o)
                 _assert_frontiers_equal(incremental, brute, step)
         # The incremental engine must actually have skipped work, not
         # just matched answers by evaluating everything.
         assert incremental.evaluations < brute.evaluations
         assert incremental.skipped_by_index + incremental.skipped_by_shortcircuit > 0
+        # ... and every answer came off the eager path: with a monitor on
+        # every key nothing was evaluated on read after the seeding.
+        assert incremental.evaluations_on_read == seeding
+        assert brute.evaluations_on_read == seeding
 
 
 def test_batched_cell_updates_match_brute_force():
@@ -116,10 +136,10 @@ def test_batched_cell_updates_match_brute_force():
     once; the single batched re-evaluation pass must equal brute force."""
     rng = RngRegistry(99).stream("frontier-batched")
     incremental, brute = _engines(PREDICATE_POOL)
-    table_inc = AckTable(len(NODES), 2)
-    table_brute = AckTable(len(NODES), 2)
-    incremental.reevaluate("a", table_inc)
-    brute.reevaluate("a", table_brute)
+    table_inc = incremental.tables["d"]
+    table_brute = brute.tables["d"]
+    incremental.reevaluate("d")
+    brute.reevaluate("d")
     values = [[0, 0] for _ in NODES]
     for step in range(500):
         node = rng.randrange(len(NODES))
@@ -132,12 +152,175 @@ def test_batched_cell_updates_match_brute_force():
             continue
         advanced = table_inc.update_many(node, entries)
         table_brute.update_many(node, entries)
-        incremental.reevaluate(
-            "a", table_inc, updated_node=node, updated_cells=advanced
-        )
-        brute.reevaluate("a", table_brute, updated_node=node)
+        incremental.reevaluate("d", updated_node=node, updated_cells=advanced)
+        brute.reevaluate("d", updated_node=node)
         for key in incremental.predicate_keys():
-            assert incremental.frontier("a", key) == brute.frontier("a", key), (
+            assert incremental.frontier("d", key) == brute.frontier("d", key), (
                 f"step {step}: {key} diverged"
             )
     assert incremental.evaluations < brute.evaluations
+
+
+# ---------------------------------------------------------------------------
+# Three ways: listened to everywhere / listened to nowhere / the oracle.
+# ---------------------------------------------------------------------------
+
+STREAMS = 200
+STEPS = 120
+
+
+class _Side:
+    """One engine of the pair plus everything it told its listeners."""
+
+    def __init__(self, sources, monitored):
+        #: key -> [(origin, frontier, old)], in firing order.
+        self.fired = {f"p{i}": [] for i in range(len(sources))}
+        self.released = []  # (waiter id, step)
+        self.step = 0
+        self.handles = {}
+        self.engine = _engine(sources)
+        if monitored:
+            for key in self.fired:
+                self.attach(key)
+
+    def attach(self, key):
+        self.engine.monitor_stability_frontier(
+            key, lambda o, new, old, _k=key: self.fired[_k].append((o, new, old))
+        )
+
+    def wait(self, waiter_id, origin, key, seq):
+        self.handles[waiter_id] = self.engine.add_waiter(
+            origin,
+            seq,
+            lambda: self.released.append((waiter_id, self.step)),
+            key=key,
+        )
+
+
+def _run_stream(seed):
+    rng = random.Random(seed)
+    sources = [rng.choice(PREDICATE_POOL) for _ in range(rng.randint(2, 6))]
+    keys = [f"p{i}" for i in range(len(sources))]
+    watched = _Side(sources, monitored=True)
+    quiet = _Side(sources, monitored=False)
+    sides = (watched, quiet)
+    # quiet's key -> how many fires watched had made when quiet attached.
+    attached_at = {}
+    values = {origin: [[0, 0] for _ in NODES] for origin in ORIGINS}
+    next_waiter = 0
+    for side in sides:
+        for origin in ORIGINS:
+            side.engine.reevaluate(origin)
+
+    def oracle(origin, key):
+        return watched.engine.predicate(key).evaluate(
+            watched.engine.tables[origin].table
+        )
+
+    for step in range(STEPS):
+        for side in sides:
+            side.step = step
+        roll = rng.random()
+        origin = rng.choice(ORIGINS)
+        key = rng.choice(keys)
+        if roll < 0.03 and key not in attached_at:
+            # A monitor joins mid-stream: told of advances from here on.
+            attached_at[key] = len(watched.fired[key])
+            quiet.attach(key)
+        elif roll < 0.10:
+            # A waiter a few sequence numbers ahead (sometimes already met).
+            seq = oracle(origin, key) + rng.randint(0, 6)
+            for side in sides:
+                side.wait(next_waiter, origin, key, seq)
+            next_waiter += 1
+        elif roll < 0.12 and watched.handles:
+            waiter_id = rng.choice(sorted(watched.handles))
+            outcomes = {
+                side.engine.cancel_waiter(side.handles.pop(waiter_id))
+                for side in sides
+            }
+            assert len(outcomes) == 1, f"seed {seed} step {step}: cancel differs"
+        elif roll < 0.14:
+            source = rng.choice(PREDICATE_POOL)
+            for side in sides:
+                side.engine.change_predicate(key, source)
+                for o in ORIGINS:
+                    side.engine.reevaluate(o)
+        elif roll < 0.20:
+            # The bulk-set path of the sequencer / hybrid-clock engines:
+            # a whole column moves, then one full pass (no updated_node).
+            type_id = rng.randrange(2)
+            floor = min(row[type_id] for row in values[origin]) + rng.randint(1, 3)
+            for node in range(len(NODES)):
+                values[origin][node][type_id] = max(
+                    values[origin][node][type_id], floor
+                )
+                for side in sides:
+                    side.engine.tables[origin].update(node, type_id, floor)
+            for side in sides:
+                side.engine.reevaluate(origin)
+        else:
+            node = rng.randrange(len(NODES))
+            entries = {}
+            for type_id in range(2):
+                if rng.random() < 0.6:
+                    values[origin][node][type_id] += rng.randint(1, 4)
+                    entries[type_id] = values[origin][node][type_id]
+            for side in sides:
+                advanced = side.engine.tables[origin].update_many(node, entries)
+                if advanced:
+                    side.engine.reevaluate(
+                        origin, updated_node=node, updated_cells=advanced
+                    )
+        # Reads: both engines and the oracle agree on every slot.
+        for o in ORIGINS:
+            for k in keys:
+                expected = oracle(o, k)
+                got = (watched.engine.frontier(o, k), quiet.engine.frontier(o, k))
+                assert got == (expected, expected), (
+                    f"seed {seed} step {step}: {o}/{k} reads {got}, "
+                    f"table says {expected}"
+                )
+        # Waiters: released by both engines at the same step, same order.
+        assert watched.released == quiet.released, f"seed {seed} step {step}"
+        assert (
+            watched.engine.pending_waiters() == quiet.engine.pending_waiters()
+        ), f"seed {seed} step {step}"
+        # Monitors: from the moment it attached, quiet's monitor hears
+        # exactly what watched's does — values, `old`, order.
+        for k, start in attached_at.items():
+            assert quiet.fired[k] == watched.fired[k][start:], (
+                f"seed {seed} step {step}: monitor on {k} diverged"
+            )
+    # The gap rule, on everything any monitor was told: per slot, strictly
+    # increasing, and each `old` is the previous report (the high-water
+    # mark) — no monitor ever fires below it, redefinitions included.
+    for side in sides:
+        for k, events in side.fired.items():
+            last = {}
+            for o, new, old in events:
+                assert new > old, f"seed {seed}: {k}@{o} fired {old}->{new}"
+                if o in last:
+                    assert old == last[o], (
+                        f"seed {seed}: {k}@{o} fired from {old}, "
+                        f"last report was {last[o]}"
+                    )
+                last[o] = new
+    return watched.engine, quiet.engine, len(attached_at)
+
+
+def test_three_way_equivalence_over_random_streams():
+    """Monitors on every key vs none vs ``predicate.evaluate(table)``."""
+    eager_watched = eager_quiet = late_monitors = 0
+    for seed in range(STREAMS):
+        watched, quiet, attached = _run_stream(seed)
+        eager_watched += watched.evaluations - watched.evaluations_on_read
+        eager_quiet += quiet.evaluations - quiet.evaluations_on_read
+        late_monitors += attached
+        # Listened to everywhere, nothing is evaluated on read beyond the
+        # one seeding evaluation per remote slot when its monitor attached.
+        assert watched.evaluations_on_read == len(watched.predicate_keys())
+    # The streams did exercise late attachment, and listening less did
+    # mean evaluating less on the update path.
+    assert late_monitors > STREAMS // 2
+    assert eager_quiet < eager_watched

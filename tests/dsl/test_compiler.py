@@ -1,10 +1,12 @@
 """Compiler tests: generated code, caching, and JIT-vs-interpreter parity."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsl.compiler import PredicateCompiler, generate_source
+from repro.dsl.compiler import PredicateCompiler, _kth, generate_source
 from repro.dsl.interpreter import evaluate_ir
 from repro.dsl.parser import parse
 from repro.dsl.semantics import DslContext, expand
@@ -203,3 +205,28 @@ def test_kth_max_counts_acks(received, k):
     # And the frontier is maximal: one higher would break the property.
     above = sum(1 for r in received if r >= frontier + 1)
     assert above < k
+
+
+def _kth_by_heap(k, values, largest):
+    """The definition ``_kth`` replaced: ``heapq`` selection."""
+    if largest:
+        return heapq.nlargest(k, values)[-1]
+    return heapq.nsmallest(k, values)[-1]
+
+
+@given(
+    values=st.lists(st.integers(0, 50), min_size=1, max_size=12),
+    k=st.integers(-1, 14),
+    largest=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_kth_matches_the_heap_definition(values, k, largest):
+    """``sorted(values)[-k]`` / ``[k - 1]`` is the same order statistic as
+    the heap selection it replaced — duplicates included — and rejects
+    the same out-of-range ``k``."""
+    values = tuple(values)
+    if 1 <= k <= len(values):
+        assert _kth(k, values, largest) == _kth_by_heap(k, values, largest)
+    else:
+        with pytest.raises(DslEvaluationError, match="outside 1"):
+            _kth(k, values, largest)

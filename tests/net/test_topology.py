@@ -109,6 +109,46 @@ def test_crashed_node_drops_deliveries():
     assert got == ["y"]
 
 
+def test_remembered_route_still_sees_crashes_partitions_and_rebinds():
+    """``send`` validates a directed pair once and remembers host, link and
+    handler entry point; everything that can change afterwards — a crash of
+    either end, a cut link, a rebound port — must still be honoured."""
+    sim = Simulator()
+    net = two_node_topology().build(sim)
+    got = []
+    net.host("b").bind("app", lambda p: got.append(("first", p.payload)))
+    assert net.send("a", "b", "app", 1, 10) is True  # route now remembered
+    net.crash_node("a")
+    assert net.send("a", "b", "app", 2, 10) is False  # crashed sender emits nothing
+    net.recover_node("a")
+    net.partition(["a"], ["b"])
+    assert net.send("a", "b", "app", 3, 10) is False
+    assert net.link("a", "b").stats.packets_dropped == 1
+    net.heal()
+    net.host("b").bind("app", lambda p: got.append(("second", p.payload)))
+    assert net.send("a", "b", "app", 4, 10) is True
+    sim.run()
+    assert got == [("second", 1), ("second", 4)]
+    packet_stats = net.link("a", "b").stats
+    assert (packet_stats.packets_sent, packet_stats.bytes_sent) == (2, 20)
+
+
+def test_send_validates_the_pair_every_time_it_is_wrong():
+    net = two_node_topology().build(Simulator())
+    for _ in range(2):  # a bad pair is never remembered
+        with pytest.raises(NetworkError, match="no link a->zz"):
+            net.send("a", "zz", "app", "x", 10)
+        with pytest.raises(NetworkError, match="unknown host"):
+            net.send("zz", "a", "app", "x", 10)
+    # A crashed sender emits nothing — checked before the destination, so
+    # even a bad destination is only refused once the node is back.
+    net.crash_node("a")
+    assert net.send("a", "zz", "app", "x", 10) is False
+    net.recover_node("a")
+    with pytest.raises(NetworkError, match="no link a->zz"):
+        net.send("a", "zz", "app", "x", 10)
+
+
 def test_single_node_topology_rejected():
     topo = Topology()
     topo.add_node("only", "g")
