@@ -161,21 +161,5 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    if name == "SyntheticPayload":
-        # Moved behind the testing namespace: it is an experiment double,
-        # not part of the replication API.
-        import warnings
-
-        warnings.warn(
-            "repro.SyntheticPayload is deprecated; "
-            "import it from repro.testing instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return testing.SyntheticPayload
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def __dir__():
     return sorted(__all__)

@@ -1,34 +1,50 @@
-"""Randomized chaos testing for the fault-tolerance layer.
+"""Randomized chaos testing: one harness, three scenarios.
 
 The paper's central claim is that stability tracking keeps working —
 and predicates stay *meaningful* — across WAN failures (Section V).
 This package turns that claim into a machine-checked property: a seeded
-random schedule of crash / restart / partition / heal events runs
-against a live multi-node cluster under continuous traffic, and a set
-of safety invariants is asserted after every event and at quiescence:
+random schedule of fault events runs against a live multi-node cluster
+under continuous traffic, and a set of safety invariants
+(:mod:`repro.chaos.invariants`) is asserted after every event and at
+quiescence.
 
-- frontier values observed by monitors never regress, across predicate
-  degradation, recovery, and even node restarts;
-- no waiter is released before its predicate actually holds against the
-  node's ACK table;
-- ACK-table cells only ever advance;
-- every message sent before a crash or partition is delivered everywhere
-  once the cluster heals and settles;
-- with durability on (the default), no node's ``persisted`` claim ever
-  exceeds its WAL's fsync watermark, and any persisted claim a peer
-  observed survives the claimant's crash-restart — checked under
-  injected disk faults (failed fsyncs, torn writes, ENOSPC, EIO);
-- under live rebalancing (:mod:`repro.chaos.rebalance`: ``node_join`` /
-  ``node_leave`` schedule events against a sharded cluster with a
-  :class:`~repro.core.rebalance.RebalanceCoordinator`), no delivery is
-  lost across a cutover, every shard's replication factor is restored
-  at quiescence, and each (shard, epoch) pair ever has exactly one
-  owner set — including crashes landing mid-handoff;
-- under overload (:mod:`repro.chaos.overload`: ``flash_crowd`` /
-  ``slow_node`` schedule events against a cluster running admission
-  control and the closed-loop SLA controller), no admitted message is
-  ever shed and every degraded predicate is walked back to its pristine
-  definition once load subsides (invariants 13 and 14).
+:class:`ChaosHarness` owns what every run shares — topology, simulator,
+flight recorder, invariant checker, staggered traffic timers, the
+``kind -> handler`` event table with its ``crash`` / ``restart`` /
+``partition`` / ``heal`` entries, the run loop and the common report
+keys.  The config class handed to it selects the scenario:
+
+- :class:`ChaosConfig` — **classic** (:func:`run_chaos`): a durable
+  3-AZ cluster, ``disk_fault`` / ``disk_heal`` events and periodic
+  checkpoints.  Frontier values observed by monitors never regress,
+  no waiter is released early, ACK cells only advance, everything sent
+  is delivered everywhere once the cluster heals, no ``persisted``
+  claim ever exceeds the WAL's fsync watermark, and any persisted claim
+  a peer observed survives the claimant's crash-restart.  Fields:
+  ``seed, events, trace_dir, azs, nodes_per_az, settle_slice_s,
+  max_settle_slices, disk_faults, checkpoint_interval_s,
+  stabilization_strategy, trace_capacity``.
+- :class:`OverloadChaosConfig` — **overload**
+  (:func:`run_overload_chaos`): admission control and the closed-loop
+  SLA controller at every node, ``flash_crowd`` / ``slow_node`` events;
+  no admitted message is ever shed and every degraded predicate is
+  walked back to its pristine definition once load subsides
+  (invariants 13 and 14).  Fields: ``seed, events, trace_dir,
+  flash_crowds, slow_nodes``.
+- :class:`RebalanceChaosConfig` — **rebalance**
+  (:func:`run_rebalance_chaos`): a sharded cluster with a
+  :class:`~repro.core.rebalance.RebalanceCoordinator`, ``node_join`` /
+  ``node_leave`` events; no delivery is lost across a cutover, every
+  shard's replication factor is restored at quiescence, and each
+  (shard, epoch) pair ever has exactly one owner set — including
+  crashes landing mid-handoff (invariants 10–12).  Fields: ``seed,
+  events, trace_dir``.
+
+Everything else a run depends on — send period, payload size, window
+and frame budgets, admission and controller tunings, shard count — is a
+named constant in the scenario's module, next to the reason for its
+value.  Every entry point also takes ``schedule=``, a handcrafted event
+list replacing the generated one.
 
 Everything is deterministic per seed: the same seed reproduces the same
 schedule, the same event interleaving, and the same final frontiers.
@@ -41,16 +57,8 @@ from repro.chaos.harness import (
     run_chaos,
 )
 from repro.chaos.invariants import InvariantChecker, InvariantViolation
-from repro.chaos.overload import (
-    OverloadChaosConfig,
-    OverloadChaosHarness,
-    run_overload_chaos,
-)
-from repro.chaos.rebalance import (
-    RebalanceChaosConfig,
-    RebalanceChaosHarness,
-    run_rebalance_chaos,
-)
+from repro.chaos.overload import OverloadChaosConfig, run_overload_chaos
+from repro.chaos.rebalance import RebalanceChaosConfig, run_rebalance_chaos
 from repro.chaos.schedule import ChaosEvent, generate_schedule
 
 __all__ = [
@@ -61,9 +69,7 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "OverloadChaosConfig",
-    "OverloadChaosHarness",
     "RebalanceChaosConfig",
-    "RebalanceChaosHarness",
     "generate_schedule",
     "run_chaos",
     "run_overload_chaos",

@@ -1,39 +1,48 @@
-"""The chaos harness: a cluster under traffic, faults, and invariants.
+"""One chaos harness, three scenarios.
 
-One :class:`ChaosHarness` run is the full experiment:
+A :class:`ChaosHarness` run is a full experiment — a cluster under
+traffic, faults, and invariants — and what the experiments share lives
+here exactly once:
 
-1. build a 3-AZ topology (``az0``/``az1``/``az2`` by default) and a
-   Stabilizer cluster with a strict all-remote-nodes predicate and a
-   relaxed any-remote-node predicate, the stock
-   :class:`~repro.core.degradation.MaskSuspectedPolicy` installed at
-   every node, and an :class:`~repro.chaos.invariants.InvariantChecker`
-   monitoring everything;
+1. build an AZ topology (plus any spare hosts the scenario provisions),
+   the simulator and network, one cluster-wide flight recorder, and an
+   :class:`~repro.chaos.invariants.InvariantChecker` wired to dump that
+   recorder on the first violation;
 2. generate the seeded fault schedule
-   (:func:`repro.chaos.schedule.generate_schedule`) and drive it:
+   (:func:`repro.chaos.schedule.generate_schedule`) — or take a
+   handcrafted one, which pins down an interleaving (a crash timed inside
+   a handoff window) that seeded randomness only sometimes produces —
+   and drive it through a ``kind -> handler`` table:
    *crash* snapshots the victim at the crash instant (the integrated
-   system's persistence, Section III-E), closes it and downs its host;
+   system's persistence, Section III-E), crashes it and downs its host;
    *restart* brings the host back, rebuilds the node from the snapshot
-   via :meth:`~repro.core.cluster.StabilizerCluster.restart_node`
-   (which triggers peer replay catch-up), and re-attaches monitors and
-   the degradation policy; *partition*/*heal* cut and restore AZ links;
-3. run steady traffic from every live node, guarding a sample of sends
-   with release-verified waiters;
-4. after the schedule closes, settle until every message is delivered
-   everywhere (bounded), then run the final delivery check.
+   via the cluster's ``restart_node`` (which triggers peer replay
+   catch-up), re-arms it and re-checks its durability claims;
+   *partition*/*heal* cut and restore AZ links;
+3. run steady, staggered traffic from every live host, guarding a sample
+   of sends with release-verified waiters;
+4. after the schedule closes, settle in bounded slices until the
+   scenario's quiescence predicate holds, then run the final checks.
+
+What differs is a :class:`Scenario`, picked by the config class handed
+to the harness: :class:`ClassicScenario` here (durability, disk faults,
+checkpoints), :class:`~repro.chaos.overload.OverloadScenario` and
+:class:`~repro.chaos.rebalance.RebalanceScenario`.
 
 The run is deterministic per seed: schedules, event interleavings and
 final frontiers reproduce exactly.  :func:`run_chaos` wraps a run and
-returns the report dict the benchmark and the smoke test consume.
+returns the report dict the benchmark and the smoke tests consume.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
-from repro.chaos.invariants import InvariantChecker, InvariantViolation
+from repro.chaos.invariants import InvariantChecker
 from repro.chaos.schedule import ChaosEvent, generate_schedule
 from repro.core.cluster import StabilizerCluster
 from repro.core.config import StabilizerConfig
@@ -47,248 +56,209 @@ from repro.sim.rng import RngRegistry
 from repro.storage.faultio import MemoryFileSystem
 from repro.transport.messages import SyntheticPayload
 
-STRICT_KEY = "all_remote"
-RELAXED_KEY = "any_remote"
-DURABLE_KEY = "durable_all"
 
-#: Disk faults honest software can survive: clean write errors, torn
-#: writes (self-healed by the log), and lost pages after a failed fsync
-#: (poison-and-rewrite).  Silent bit rot is deliberately absent — no
-#: correct implementation can keep promises about bytes that lie.
-CHAOS_DISK_FAULTS = ("fsync_fail", "eio_write", "enospc", "torn_write")
+def sum_stats(sources) -> Dict[str, float]:
+    """Key-wise sum of the ``stats()`` dicts of ``sources``."""
+    totals: Dict[str, float] = {}
+    for source in sources:
+        for key, value in source.stats().items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
 
 
-class ChaosConfig:
-    """Knobs for one chaos run; defaults give the 3-AZ/6-node experiment."""
+@dataclass
+class ScenarioConfig:
+    """The knobs every scenario's callers set, and ``scenario``, the
+    :class:`Scenario` class a config selects.  Topology, settle bounds and
+    recorder size are constants; :class:`ChaosConfig` re-declares as
+    fields the ones its callers sweep."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        azs: int = 3,
-        nodes_per_az: int = 2,
-        events: int = 12,
-        send_interval_s: float = 0.15,
-        payload_bytes: int = 1024,
-        traffic_end_s: Optional[float] = None,
-        failure_timeout_s: float = 1.5,
-        settle_slice_s: float = 2.0,
-        max_settle_slices: int = 60,
-        waiter_every: int = 5,
-        first_event_at: float = 1.0,
-        min_gap_s: float = 0.5,
-        max_gap_s: float = 2.0,
-        window_bytes: Optional[int] = 4 * 1024,
-        frame_bytes: Optional[int] = 2 * 1024,
-        frame_delay_ms: float = 2.0,
-        durability: bool = True,
-        disk_faults: bool = False,
-        disk_fault_kinds: Tuple[str, ...] = CHAOS_DISK_FAULTS,
-        disk_fault_rate: float = 0.3,
-        checkpoint_interval_s: Optional[float] = None,
-        durability_batch: int = 8,
-        durability_interval_s: float = 0.01,
-        stabilization_strategy: str = "acktable",
-        strategy_params: Optional[dict] = None,
-        trace: bool = True,
-        trace_capacity: int = 65536,
-        trace_dir: str = ".",
-    ):
-        self.seed = seed
-        self.azs = azs
-        self.nodes_per_az = nodes_per_az
-        self.events = events
-        self.send_interval_s = send_interval_s
-        self.payload_bytes = payload_bytes
-        self.traffic_end_s = traffic_end_s
-        self.failure_timeout_s = failure_timeout_s
-        self.settle_slice_s = settle_slice_s
-        self.max_settle_slices = max_settle_slices
-        self.waiter_every = waiter_every
-        self.first_event_at = first_event_at
-        self.min_gap_s = min_gap_s
-        self.max_gap_s = max_gap_s
-        # Deliberately tiny window and frame budgets: partitions and
-        # suspensions must close windows and stall streams mid-run, so the
-        # stall/resume and reclaim invariants see real traffic.
-        self.window_bytes = window_bytes
-        self.frame_bytes = frame_bytes
-        self.frame_delay_ms = frame_delay_ms
-        self.durability = durability
-        self.disk_faults = disk_faults
-        self.disk_fault_kinds = tuple(disk_fault_kinds)
-        self.disk_fault_rate = disk_fault_rate
-        self.checkpoint_interval_s = checkpoint_interval_s
-        self.durability_batch = durability_batch
-        self.durability_interval_s = durability_interval_s
-        # Which stabilization engine the cluster runs (the invariants are
-        # engine-agnostic; make strategy-smoke sweeps all three).
-        self.stabilization_strategy = stabilization_strategy
-        self.strategy_params = dict(strategy_params or {})
-        # Flight recorder: on by default — a failing seed must always
-        # come with its interleaving.  The ring bounds the cost.
-        self.trace = trace
-        self.trace_capacity = trace_capacity
-        self.trace_dir = trace_dir
+    seed: int = 0
+    events: int = 12
+    trace_dir: str = "."  # where a failing seed dumps its flight recording
+
+    azs: ClassVar[int] = 3
+    nodes_per_az: ClassVar[int] = 2
+    settle_slice_s: ClassVar[float] = 2.0
+    max_settle_slices: ClassVar[int] = 60
+    # The flight recorder is always on — a failing seed must always come
+    # with its interleaving.  The ring bounds the cost.
+    trace_capacity: ClassVar[int] = 65536
 
     def groups(self) -> Dict[str, List[str]]:
+        """Initial members by AZ (what the schedule may crash/leave)."""
         return {
             f"az{a}": [f"n{a}{i}" for i in range(self.nodes_per_az)]
             for a in range(self.azs)
         }
 
 
-class ChaosHarness:
-    """See module docstring."""
+class Scenario:
+    """What one kind of chaos run supplies to the shared harness.
 
-    def __init__(self, config: Optional[ChaosConfig] = None):
-        self.config = config or ChaosConfig()
-        self.groups = self.config.groups()
-        self.node_names = [n for members in self.groups.values() for n in members]
+    Every scenario defines ``schedule_budgets()`` (more
+    :func:`generate_schedule` arguments), ``build_cluster()`` (on
+    ``harness.net``), ``handlers()`` (its own event kinds, and steps to run
+    after the shared ones), ``send(name)`` (one traffic tick at a live
+    host) and ``report_extras(elapsed_s)``; the rest have defaults.
+    """
+
+    name: str  # dump-file prefix: ``<name>_failure_<seed>.trace.json``
+    rng_salt = 0x5EED  # XOR-ed into the seed for the traffic RNG stream
+    send_interval_s = 0.1  # per host
+    link = NetemSpec(latency_ms=10, rate_mbit=100)  # between any two hosts
+    spare_hosts = 0  # provisioned non-members ``s<i>``, spread over the AZs
+
+    def __init__(self, harness: "ChaosHarness"):
+        self.harness = harness
+        self.config = harness.config
+        self.checker = harness.checker
+
+    def arm_node(self, node) -> None:
+        """Put policy and monitors on one freshly built node."""
+        node.set_degradation_policy()
+        self.checker.attach(node)
+
+    def rearm_node(self, node) -> None:
+        """The same for a node rebuilt from its crash snapshot."""
+        self.arm_node(node)
+
+    def send_interval(self, name: str) -> float:
+        return self.send_interval_s
+
+    def crash_node(self, node) -> None:
+        node.crash()
+
+    def after_event(self) -> None:
+        """Extra continuous checks, after every fired event."""
+
+    def after_traffic(self) -> None:
+        """Between the traffic phase and the settle loop."""
+
+    def quiescent(self) -> bool:
+        return self.checker.all_delivered(list(self.harness.cluster))
+
+    def final_checks(self) -> None:
+        """Scenario invariants asserted at quiescence."""
+
+    def close(self) -> None:
+        """Stop what :meth:`build_cluster` started beside the cluster."""
+
+
+class ChaosHarness:
+    """See module docstring; ``schedule`` overrides the generated one."""
+
+    def __init__(
+        self,
+        config: Optional[ScenarioConfig] = None,
+        schedule: Optional[List[ChaosEvent]] = None,
+    ):
+        self.config = config = config or ChaosConfig()
         self.checker = InvariantChecker()
-        self.schedule: List[ChaosEvent] = generate_schedule(
-            self.groups,
-            seed=self.config.seed,
-            events=self.config.events,
-            start=self.config.first_event_at,
-            min_gap=self.config.min_gap_s,
-            max_gap=self.config.max_gap_s,
-            disk_fault_kinds=(
-                self.config.disk_fault_kinds if self.config.disk_faults else ()
-            ),
+        self.scenario = scenario = config.scenario(self)
+        self.groups = config.groups()
+        self.node_names = [n for members in self.groups.values() for n in members]
+        self.spares = [f"s{i}" for i in range(scenario.spare_hosts)]
+        self.schedule: List[ChaosEvent] = (
+            schedule
+            if schedule is not None
+            else generate_schedule(
+                self.groups,
+                seed=config.seed,
+                events=config.events,
+                **scenario.schedule_budgets(),
+            )
         )
         self.fired: List[Tuple[float, str, Tuple[str, ...]]] = []
-        self._crashed: Dict[str, dict] = {}  # node -> crash-instant snapshot
-        self._send_rng = random.Random(self.config.seed ^ 0x5EED)
-        self._sends_done = False
+        # node -> crash-instant snapshot; None marks a host that went
+        # dark before it ran a node (a spare whose join was still queued).
+        self.crashed: Dict[str, Optional[dict]] = {}
+        self.rng = random.Random(config.seed ^ scenario.rng_salt)
         self._waiter_timeouts = 0
 
-        topo = Topology()
+        self.topo = topo = Topology()
         for az, members in self.groups.items():
             for name in members:
                 topo.add_node(name, group=az)
-        topo.set_default(NetemSpec(latency_ms=10, rate_mbit=100))
+        for i, name in enumerate(self.spares):
+            topo.add_node(name, group=f"az{i % config.azs}")
+        topo.set_default(scenario.link)
+        # Partition events cut whole AZs, spares included: a spare mid-join
+        # can find itself on the wrong side of the cut.
+        self.all_groups = topo.groups()
         self.sim = Simulator()
-        self.net = topo.build(self.sim, RngRegistry(self.config.seed))
+        self.net = topo.build(self.sim, RngRegistry(config.seed))
         # One flight recorder across the whole cluster (and every node
         # incarnation), stamped with virtual time.  On an invariant
         # failure the checker dumps it next to the test output.
-        self.tracer = Tracer(
-            clock=self.sim.clock,
-            capacity=self.config.trace_capacity,
-            enabled=self.config.trace,
-        )
+        self.tracer = Tracer(clock=self.sim.clock, capacity=config.trace_capacity)
         self.checker.flight_recorder = self.tracer
-        self.checker.dump_path = (
-            Path(self.config.trace_dir)
-            / f"chaos_failure_{self.config.seed}.trace.json"
-        )
-        predicates = {
-            STRICT_KEY: "MIN($ALLWNODES - $MYWNODE)",
-            RELAXED_KEY: "MAX($ALLWNODES - $MYWNODE)",
+        dump = f"{scenario.name}_failure_{config.seed}.trace.json"
+        self.checker.dump_path = Path(config.trace_dir) / dump
+        self.cluster = scenario.build_cluster()
+        for node in self.cluster:
+            scenario.arm_node(node)
+        # kind -> steps, each called with the event's target.  A scenario
+        # handler for a shared kind runs after the shared step.
+        self.handlers: Dict[str, List[Callable[..., None]]] = {
+            "crash": [self._crash],
+            "restart": [self._restart],
+            "partition": [self._partition],
+            "heal": [self._heal],
         }
-        if self.config.durability:
-            # Released only when every node's WAL has fsynced the bytes —
-            # the claim the durability-honesty invariants police.
-            predicates[DURABLE_KEY] = "MIN($ALLWNODES.persisted)"
-        base = StabilizerConfig.from_topology(
-            topo,
+        for kind, step in scenario.handlers().items():
+            self.handlers.setdefault(kind, []).append(step)
+        for event in self.schedule:
+            if event.kind not in self.handlers:
+                raise ValueError(
+                    f"unknown chaos event kind {event.kind!r} for the "
+                    f"{scenario.name} scenario"
+                )
+
+    def stabilizer_config(self, **tunables) -> StabilizerConfig:
+        """The deployment every scenario starts from — the members only,
+        spares join later — with the shared failure-detection tuning."""
+        return StabilizerConfig(
+            node_names=self.node_names,
+            groups=self.groups,
             local=self.node_names[0],
-            predicates=predicates,
             control_interval_s=0.005,
-            failure_timeout_s=self.config.failure_timeout_s,
+            failure_timeout_s=1.5,
             # Channels give up fast so dead-peer reports (not just the
             # heartbeat timer) drive suspicion during the run.
             max_retransmit_attempts=5,
             transport_max_rto_s=1.0,
-            window_bytes=self.config.window_bytes,
-            frame_bytes=self.config.frame_bytes,
-            frame_delay_ms=self.config.frame_delay_ms,
-            durability=self.config.durability,
-            durability_group_commit_batch=self.config.durability_batch,
-            durability_group_commit_interval_s=self.config.durability_interval_s,
-            stabilization_strategy=self.config.stabilization_strategy,
-            strategy_params=self.config.strategy_params,
+            frame_bytes=2 * 1024,
+            **tunables,
         )
-        fs_factory = None
-        if self.config.durability:
-            # One seeded, fault-injectable filesystem per *host* — it
-            # survives process crash-restarts, exactly like a disk.
-            def fs_factory(name, _seed=self.config.seed):
-                return MemoryFileSystem(
-                    seed=(_seed << 8) ^ self.node_names.index(name)
-                )
-
-        self.cluster = StabilizerCluster(
-            self.net, base, fs_factory=fs_factory, tracer=self.tracer
-        )
-        if self.config.checkpoint_interval_s is not None:
-            for name in self.node_names:
-                self.sim.call_later(
-                    self.config.checkpoint_interval_s,
-                    self._checkpoint_tick,
-                    name,
-                )
-        self.checkpoints_taken = 0
-        self.checkpoint_faults = 0
-        for node in self.cluster:
-            node.set_degradation_policy()
-            self.checker.attach(node)
 
     # -- traffic -----------------------------------------------------------------
-    def _traffic_end(self) -> float:
-        if self.config.traffic_end_s is not None:
-            return self.config.traffic_end_s
+    def traffic_end(self) -> float:
         return self.schedule[-1].at + 2.0
 
     def _start_traffic(self) -> None:
-        for i, name in enumerate(self.node_names):
+        hosts = self.node_names + self.spares
+        for i, name in enumerate(hosts):
             # Stagger the first sends so streams do not tick in lockstep.
-            offset = self.config.send_interval_s * (i + 1) / len(self.node_names)
+            offset = self.scenario.send_interval_s * (i + 1) / len(hosts)
             self.sim.call_later(offset, self._send_tick, name)
 
     def _send_tick(self, name: str) -> None:
-        if self.sim.now < self._traffic_end():
-            self.sim.call_later(self.config.send_interval_s, self._send_tick, name)
-        if name in self._crashed:
-            return  # the node is down; its timer idles until restart
-        node = self.cluster[name]
-        size = self._send_rng.randrange(64, self.config.payload_bytes)
-        seq = node.send(SyntheticPayload(size))
-        self.checker.note_sent(name, seq)
-        if seq % self.config.waiter_every == 0:
-            event = self.checker.guarded_waitfor(
-                node, seq, STRICT_KEY, timeout_s=60.0
-            )
-            event.add_callback(self._count_timeout)
-            if self.config.durability:
-                durable = self.checker.guarded_waitfor(
-                    node, seq, DURABLE_KEY, timeout_s=60.0
-                )
-                durable.add_callback(self._count_timeout)
+        if self.sim.now < self.traffic_end():
+            interval = self.scenario.send_interval(name)
+            self.sim.call_later(interval, self._send_tick, name)
+        if name in self.crashed:
+            return  # the host is down; its timer idles until restart
+        self.scenario.send(name)
+
+    def guard(self, node, seq: int, key: str, **shard) -> None:
+        """Put a release-verified waiter on ``(seq, key)``."""
+        event = self.checker.guarded_waitfor(node, seq, key, timeout_s=60.0, **shard)
+        event.add_callback(self._count_timeout)
 
     def _count_timeout(self, event) -> None:
         if event.failed:
             self._waiter_timeouts += 1
-
-    # -- checkpoints ---------------------------------------------------------------
-    def _checkpoint_tick(self, name: str) -> None:
-        """Periodic snapshot + WAL compaction at ``name`` — written through
-        the node's own (fault-injecting) filesystem, so a checkpoint can
-        itself hit ENOSPC or a failed fsync and must fail cleanly."""
-        self.sim.call_later(
-            self.config.checkpoint_interval_s, self._checkpoint_tick, name
-        )
-        if name in self._crashed:
-            return
-        node = self.cluster[name]
-        fs = self.cluster.filesystems[name]
-        try:
-            save_snapshot(node, "snapshot.json", fs=fs)
-            if node.durability is not None:
-                node.durability.checkpoint()
-            self.checkpoints_taken += 1
-        except DiskFaultError:
-            self.checkpoint_faults += 1
 
     # -- fault execution -----------------------------------------------------------
     def _arm_schedule(self) -> None:
@@ -296,56 +266,52 @@ class ChaosHarness:
             self.sim.call_at(event.at, self._fire, event)
 
     def _fire(self, event: ChaosEvent) -> None:
-        if event.kind == "crash":
-            name = event.target[0]
-            node = self.cluster[name]
+        for step in self.handlers[event.kind]:
+            step(*event.target)
+        self.fired.append((self.sim.now, event.kind, event.target))
+        self.checker.check_tables(self._live_nodes())
+        self.scenario.after_event()
+
+    def _crash(self, name: str) -> None:
+        node = self.cluster.nodes.get(name)
+        if node is None:
+            self.crashed[name] = None
+        else:
             # The crash-instant snapshot is the paper's persisted state:
             # reclaim waits for *everyone*, so what peers still buffer is
             # a superset of anything this snapshot lacks.
-            self._crashed[name] = snapshot_state(node)
-            node.crash()
-            fs = self.cluster.filesystems.get(name)
-            if fs is not None and hasattr(fs, "crash"):
-                # The disk loses everything not fsynced — with a torn
-                # (injector-random) fraction of the unsynced tail left
-                # behind for recovery to truncate.
-                fs.crash(torn=True)
-            self.net.crash_node(name)
-        elif event.kind == "restart":
-            name = event.target[0]
-            self.net.recover_node(name)
-            node = self.cluster.restart_node(name, self._crashed.pop(name))
-            node.set_degradation_policy()
-            self.checker.attach(node)
+            self.crashed[name] = snapshot_state(node)
+            self.scenario.crash_node(node)
+        self.net.crash_node(name)
+
+    def _restart(self, name: str) -> None:
+        self.net.recover_node(name)
+        snapshot = self.crashed.pop(name)
+        if snapshot is not None:
+            node = self.cluster.restart_node(name, snapshot)
+            self.scenario.rearm_node(node)
             # Invariants 6+7: the recovered WAL must back the restored
             # persisted claims and everything peers ever observed.
             self.checker.check_restart(node)
-        elif event.kind == "disk_fault":
-            name, fault = event.target
-            fs = self.cluster.filesystems.get(name)
-            if fs is not None and fs.injector is not None:
-                fs.injector.arm(fault, self.config.disk_fault_rate)
-        elif event.kind == "disk_heal":
-            name = event.target[0]
-            fs = self.cluster.filesystems.get(name)
-            if fs is not None and fs.injector is not None:
-                fs.injector.clear()
-        elif event.kind == "partition":
-            a, b = event.target
-            self.net.partition(self.groups[a], self.groups[b])
-        elif event.kind == "heal":
-            self.net.heal()
-        else:  # pragma: no cover - schedule generator cannot produce this
-            raise ValueError(f"unknown chaos event kind {event.kind!r}")
-        self.fired.append((self.sim.now, event.kind, event.target))
-        self.checker.check_tables(self._live_nodes())
+
+    def _partition(self, a: str, b: str) -> None:
+        self.net.partition(self.all_groups[a], self.all_groups[b])
+
+    def _heal(self, *_azs: str) -> None:
+        self.net.heal()  # restores every link, whichever cut is named
 
     def _live_nodes(self):
-        return [
-            node for node in self.cluster if node.name not in self._crashed
-        ]
+        return [node for node in self.cluster if node.name not in self.crashed]
 
     # -- the run -------------------------------------------------------------------
+    def settle(self, quiescent: Callable[[], bool]) -> int:
+        """Run bounded slices until ``quiescent()``; returns slices used."""
+        slices = 0
+        while not quiescent() and slices < self.config.max_settle_slices:
+            slices += 1
+            self.sim.run(until=self.sim.now + self.config.settle_slice_s)
+        return slices
+
     def run(self) -> dict:
         """Execute the schedule under traffic; returns the report dict.
 
@@ -357,82 +323,217 @@ class ChaosHarness:
         self._arm_schedule()
         # Heartbeats keep the event heap non-empty forever, so run in
         # bounded slices: first to the end of the schedule and traffic,
-        # then settle until every stream converges everywhere.
-        self.sim.run(until=self._traffic_end() + 0.5)
+        # then settle until the scenario's quiescence predicate holds.
+        self.sim.run(until=self.traffic_end() + 0.5)
+        self.scenario.after_traffic()
         self.checker.check_tables(self._live_nodes())
-        settle_slices = 0
-        while not self.checker.all_delivered(self.cluster):
-            if settle_slices >= self.config.max_settle_slices:
-                break
-            settle_slices += 1
-            self.sim.run(until=self.sim.now + self.config.settle_slice_s)
-        self.checker.check_tables(self.cluster)
-        self.checker.check_delivery(self.cluster)
-        elapsed = time.perf_counter() - started
-        return self.report(elapsed, settle_slices)
-
-    def _messages_sent(self) -> Dict[str, int]:
-        """Per-origin high sequence numbers.  The checker keys its sent
-        record by ``(origin, shard)``; unsharded nodes put everything in
-        shard 0, so taking the max across shards reproduces the old
-        per-origin view exactly."""
-        sent: Dict[str, int] = {}
-        for (origin, _shard), seq in self.checker._sent.items():
-            sent[origin] = max(sent.get(origin, 0), seq)
-        return dict(sorted(sent.items()))
+        settle_slices = self.settle(self.scenario.quiescent)
+        nodes = list(self.cluster)
+        self.checker.check_tables(nodes)
+        self.checker.check_delivery(nodes)
+        self.scenario.final_checks()
+        return self.report(time.perf_counter() - started, settle_slices)
 
     def report(self, elapsed_s: float, settle_slices: int) -> dict:
-        totals: Dict[str, float] = {}
-        for node in self.cluster:
-            for key, value in node.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return {
+        report = {
             "seed": self.config.seed,
-            "nodes": len(self.node_names),
             "azs": len(self.groups),
             "schedule": [[ev.at, ev.kind, list(ev.target)] for ev in self.schedule],
             "fired": [[t, kind, list(target)] for t, kind, target in self.fired],
             "virtual_end_s": self.sim.now,
             "settle_slices": settle_slices,
-            "messages_sent": self._messages_sent(),
-            "final_frontiers": {
-                node.name: {
-                    origin: node.get_stability_frontier(STRICT_KEY, origin)
-                    for origin in self.node_names
-                }
-                for node in self.cluster
-            },
             "waiter_timeouts": self._waiter_timeouts,
             "invariant_checks": self.checker.checks,
             "monitor_events": self.checker.monitor_events,
-            "releases_checked": self.checker.releases_checked,
             "restarts_checked": self.checker.restarts_checked,
-            "durability": self.config.durability,
-            "disk_faults_injected": sum(
-                sum(fs.injector.injected.values())
-                for fs in self.cluster.filesystems.values()
-                if fs is not None and fs.injector is not None
-            ),
-            "checkpoints_taken": self.checkpoints_taken,
-            "checkpoint_faults": self.checkpoint_faults,
             "violations": list(self.checker.violations),
             "trace_events": self.tracer.emitted,
-            "trace_dropped": self.tracer.dropped,
-            "cluster_totals": totals,
             "elapsed_s": elapsed_s,
-            "checks_per_s": (
-                self.checker.checks / elapsed_s if elapsed_s > 0 else 0.0
-            ),
+        }
+        report.update(self.scenario.report_extras(elapsed_s))
+        return report
+
+    def stream_report(self, elapsed_s: float) -> dict:
+        """Report keys of the scenarios that note every send themselves."""
+        return {
+            "messages_sent": self.checker.sent_high(),
+            "releases_checked": self.checker.releases_checked,
+            "trace_dropped": self.tracer.dropped,
+            "cluster_totals": sum_stats(self.cluster),
+            "checks_per_s": self.checker.checks / elapsed_s if elapsed_s > 0 else 0.0,
         }
 
     def close(self) -> None:
+        self.scenario.close()
         self.cluster.close()
 
 
-def run_chaos(config: Optional[ChaosConfig] = None) -> dict:
+def run_chaos(
+    config: Optional[ScenarioConfig] = None,
+    schedule: Optional[List[ChaosEvent]] = None,
+) -> dict:
     """Build a harness, run it, close it, return the report."""
-    harness = ChaosHarness(config)
+    harness = ChaosHarness(config, schedule)
     try:
         return harness.run()
     finally:
         harness.close()
+
+
+# -- the classic scenario: crashes and partitions against durability ---------------
+STRICT_KEY = "all_remote"
+RELAXED_KEY = "any_remote"
+DURABLE_KEY = "durable_all"
+
+#: Disk faults honest software can survive: clean write errors, torn
+#: writes (self-healed by the log), and lost pages after a failed fsync
+#: (poison-and-rewrite).  Silent bit rot is deliberately absent — no
+#: correct implementation can keep promises about bytes that lie.
+CHAOS_DISK_FAULTS = ("fsync_fail", "eio_write", "enospc", "torn_write")
+DISK_FAULT_RATE = 0.3  # how often an armed fault hits an eligible operation
+PAYLOAD_BYTES = 1024
+WAITER_EVERY = 5  # every n-th send of a node gets guarded waiters
+# Deliberately tiny window and frame budgets: partitions and suspensions
+# must close windows and stall streams mid-run, so the stall/resume and
+# reclaim invariants see real traffic.
+WINDOW_BYTES = 4 * 1024
+FRAME_DELAY_MS = 2.0
+DURABILITY_BATCH = 8  # WAL group commit
+DURABILITY_INTERVAL_S = 0.01
+
+
+class ClassicScenario(Scenario):
+    """A durable cluster with a strict all-remote-nodes predicate, a
+    relaxed any-remote-node predicate and a persisted-everywhere one, the
+    stock :class:`~repro.core.degradation.MaskSuspectedPolicy` at every
+    node, per-host fault-injecting disks, and optional checkpoints."""
+
+    name = "chaos"
+    send_interval_s = 0.15
+
+    def __init__(self, harness: ChaosHarness):
+        super().__init__(harness)
+        self.checkpoints_taken = 0
+        self.checkpoint_faults = 0
+
+    def schedule_budgets(self) -> dict:
+        kinds = CHAOS_DISK_FAULTS if self.config.disk_faults else ()
+        return {"disk_fault_kinds": kinds}
+
+    def build_cluster(self) -> StabilizerCluster:
+        harness = self.harness
+        base = harness.stabilizer_config(
+            predicates={
+                STRICT_KEY: "MIN($ALLWNODES - $MYWNODE)",
+                RELAXED_KEY: "MAX($ALLWNODES - $MYWNODE)",
+                # Released only when every node's WAL has fsynced the
+                # bytes — the claim the durability-honesty invariants police.
+                DURABLE_KEY: "MIN($ALLWNODES.persisted)",
+            },
+            window_bytes=WINDOW_BYTES,
+            frame_delay_ms=FRAME_DELAY_MS,
+            durability=True,
+            durability_group_commit_batch=DURABILITY_BATCH,
+            durability_group_commit_interval_s=DURABILITY_INTERVAL_S,
+            stabilization_strategy=self.config.stabilization_strategy,
+        )
+
+        # One seeded, fault-injectable filesystem per *host* — it
+        # survives process crash-restarts, exactly like a disk.
+        def fs_factory(name):
+            return MemoryFileSystem(
+                seed=(self.config.seed << 8) ^ harness.node_names.index(name)
+            )
+
+        self.cluster = StabilizerCluster(
+            harness.net, base, fs_factory=fs_factory, tracer=harness.tracer
+        )
+        if self.config.checkpoint_interval_s is not None:
+            for name in harness.node_names:
+                harness.sim.call_later(
+                    self.config.checkpoint_interval_s, self._checkpoint_tick, name
+                )
+        return self.cluster
+
+    def handlers(self) -> Dict[str, Callable[..., None]]:
+        return {"disk_fault": self._disk_fault, "disk_heal": self._disk_heal}
+
+    def _disk_fault(self, name: str, fault: str) -> None:
+        self.cluster.filesystems[name].injector.arm(fault, DISK_FAULT_RATE)
+
+    def _disk_heal(self, name: str) -> None:
+        self.cluster.filesystems[name].injector.clear()
+
+    def send(self, name: str) -> None:
+        node = self.cluster[name]
+        size = self.harness.rng.randrange(64, PAYLOAD_BYTES)
+        seq = node.send(SyntheticPayload(size))
+        self.checker.note_sent(name, seq)
+        if seq % WAITER_EVERY == 0:
+            self.harness.guard(node, seq, STRICT_KEY)
+            self.harness.guard(node, seq, DURABLE_KEY)
+
+    def crash_node(self, node) -> None:
+        node.crash()
+        # The disk loses everything not fsynced — with a torn
+        # (injector-random) fraction of the unsynced tail left behind
+        # for recovery to truncate.
+        self.cluster.filesystems[node.name].crash(torn=True)
+
+    def _checkpoint_tick(self, name: str) -> None:
+        """Periodic snapshot + WAL compaction at ``name`` — written through
+        the node's own (fault-injecting) filesystem, so a checkpoint can
+        itself hit ENOSPC or a failed fsync and must fail cleanly."""
+        self.harness.sim.call_later(
+            self.config.checkpoint_interval_s, self._checkpoint_tick, name
+        )
+        if name in self.harness.crashed:
+            return
+        node = self.cluster[name]
+        try:
+            save_snapshot(node, "snapshot.json", fs=self.cluster.filesystems[name])
+            node.durability.checkpoint()
+            self.checkpoints_taken += 1
+        except DiskFaultError:
+            self.checkpoint_faults += 1
+
+    def report_extras(self, elapsed_s: float) -> dict:
+        # Totals first: reading a frontier nobody observes is itself a
+        # counted predicate evaluation.
+        stream = self.harness.stream_report(elapsed_s)
+        return {
+            "nodes": len(self.harness.node_names),
+            "final_frontiers": {
+                node.name: {
+                    origin: node.get_stability_frontier(STRICT_KEY, origin)
+                    for origin in self.harness.node_names
+                }
+                for node in self.cluster
+            },
+            "durability": True,
+            "disk_faults_injected": sum(
+                sum(fs.injector.injected.values())
+                for fs in self.cluster.filesystems.values()
+            ),
+            "checkpoints_taken": self.checkpoints_taken,
+            "checkpoint_faults": self.checkpoint_faults,
+            **stream,
+        }
+
+
+@dataclass
+class ChaosConfig(ScenarioConfig):
+    """Knobs for one classic chaos run; defaults give the 3-AZ/6-node
+    experiment with durability on."""
+
+    azs: int = 3
+    nodes_per_az: int = 2
+    settle_slice_s: float = 2.0
+    max_settle_slices: int = 60
+    disk_faults: bool = False  # schedule CHAOS_DISK_FAULTS events too
+    checkpoint_interval_s: Optional[float] = None  # snapshot + WAL compaction
+    # Which stabilization engine the cluster runs (the invariants are
+    # engine-agnostic; make strategy-smoke sweeps all three).
+    stabilization_strategy: str = "acktable"
+    trace_capacity: int = 65536
+    scenario: ClassVar[type] = ClassicScenario

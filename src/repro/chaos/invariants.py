@@ -163,6 +163,14 @@ class InvariantChecker:
         slot = (origin, shard)
         self._sent[slot] = max(self._sent.get(slot, 0), seq)
 
+    def sent_high(self) -> Dict[str, int]:
+        """Per-origin highest sequence sent, the max across its shards
+        (an unsharded node sends everything in shard 0), sorted by origin."""
+        high: Dict[str, int] = {}
+        for (origin, _shard), seq in self._sent.items():
+            high[origin] = max(high.get(origin, 0), seq)
+        return dict(sorted(high.items()))
+
     def attach(self, node, shards=None) -> None:
         """Register monitors on every predicate of ``node`` (each owned
         shard of a sharded node).

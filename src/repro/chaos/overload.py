@@ -1,12 +1,12 @@
-"""Overload chaos: flash crowds and slow nodes against the closed loop.
+"""The overload scenario: flash crowds and slow nodes against the closed loop.
 
-The crash/partition harness (:mod:`repro.chaos.harness`) stresses the
-*fault* story; this harness stresses the *load* story.  A 3-AZ cluster
-runs with the full overload pipeline engaged at every node — an
+The classic scenario (:mod:`repro.chaos.harness`) stresses the *fault*
+story; this one stresses the *load* story on the same harness.  A 3-AZ
+cluster runs with the full overload pipeline engaged at every node — an
 :class:`~repro.core.admission.AdmissionController` in front of every
 send and an :class:`~repro.core.slacontrol.SlaController` closing the
 loop on a strict all-remote predicate — while a seeded schedule mixes
-the classic faults with two new event kinds:
+the classic faults with two more event kinds:
 
 - ``flash_crowd`` multiplies one AZ's offered send rate through a
   :class:`~repro.workloads.rates.FlashCrowdShape` ramp (``flash_end``
@@ -23,170 +23,81 @@ uncovered).  Deterministic per seed, like every chaos run.
 
 from __future__ import annotations
 
-import random
-import time
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
-from repro.chaos.invariants import InvariantChecker
-from repro.chaos.schedule import ChaosEvent, generate_schedule
+from repro.chaos.harness import (
+    ChaosHarness,
+    Scenario,
+    ScenarioConfig,
+    run_chaos,
+    sum_stats,
+)
+from repro.chaos.schedule import ChaosEvent
 from repro.core.cluster import StabilizerCluster
-from repro.core.config import StabilizerConfig
-from repro.core.recovery import snapshot_state
 from repro.core.slacontrol import SlaController
 from repro.net.tc import NetemSpec
-from repro.net.topology import Topology
-from repro.obs.tracer import Tracer
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
 from repro.transport.messages import SyntheticPayload
 from repro.workloads.rates import FlashCrowdShape
 
 SLA_KEY = "sla_strict"
 SLA_SOURCE = "MIN($ALLWNODES - $MYWNODE)"
 
-
-class OverloadChaosConfig:
-    """Knobs for one overload chaos run (3 AZ × 2 nodes by default)."""
-
-    def __init__(
-        self,
-        seed: int = 0,
-        azs: int = 3,
-        nodes_per_az: int = 2,
-        events: int = 10,
-        flash_crowds: int = 1,
-        slow_nodes: int = 1,
-        send_interval_s: float = 0.1,
-        payload_bytes: int = 512,
-        admit_rate_per_s: float = 15.0,
-        queue_limit: int = 64,
-        shed_policy: str = "reject_new",
-        target_p99_s: float = 0.5,
-        controller_interval_s: float = 0.2,
-        controller_cooldown_s: float = 0.6,
-        healthy_ticks: int = 3,
-        crowd_multiplier: float = 10.0,
-        crowd_ramp_s: float = 0.5,
-        slow_latency_ms: float = 250.0,
-        slow_rate_mbit: float = 1.0,
-        waiter_every: int = 7,
-        first_event_at: float = 1.0,
-        min_gap_s: float = 0.5,
-        max_gap_s: float = 2.0,
-        failure_timeout_s: float = 1.5,
-        settle_slice_s: float = 2.0,
-        max_settle_slices: int = 60,
-        trace: bool = True,
-        trace_capacity: int = 65536,
-        trace_dir: str = ".",
-    ):
-        self.seed = seed
-        self.azs = azs
-        self.nodes_per_az = nodes_per_az
-        self.events = events
-        self.flash_crowds = flash_crowds
-        self.slow_nodes = slow_nodes
-        self.send_interval_s = send_interval_s
-        self.payload_bytes = payload_bytes
-        self.admit_rate_per_s = admit_rate_per_s
-        self.queue_limit = queue_limit
-        self.shed_policy = shed_policy
-        self.target_p99_s = target_p99_s
-        self.controller_interval_s = controller_interval_s
-        self.controller_cooldown_s = controller_cooldown_s
-        self.healthy_ticks = healthy_ticks
-        self.crowd_multiplier = crowd_multiplier
-        self.crowd_ramp_s = crowd_ramp_s
-        self.slow_latency_ms = slow_latency_ms
-        self.slow_rate_mbit = slow_rate_mbit
-        self.waiter_every = waiter_every
-        self.first_event_at = first_event_at
-        self.min_gap_s = min_gap_s
-        self.max_gap_s = max_gap_s
-        self.failure_timeout_s = failure_timeout_s
-        self.settle_slice_s = settle_slice_s
-        self.max_settle_slices = max_settle_slices
-        self.trace = trace
-        self.trace_capacity = trace_capacity
-        self.trace_dir = trace_dir
-
-    def groups(self) -> Dict[str, List[str]]:
-        return {
-            f"az{a}": [f"n{a}{i}" for i in range(self.nodes_per_az)]
-            for a in range(self.azs)
-        }
+PAYLOAD_BYTES = 512
+WAITER_EVERY = 7  # every n-th admitted send of a node gets a guarded waiter
+WINDOW_BYTES = 8 * 1024
+FRAME_DELAY_MS = 2.0
+# Edge admission: the token-bucket rate sits above the base offered rate
+# (10/s per node) and far below a crowd's, so only surges shed.
+ADMIT_RATE_PER_S = 15.0
+QUEUE_LIMIT = 64
+SHED_POLICY = "reject_new"
+# The SLA loop: stability-latency target and controller cadence.
+TARGET_P99_S = 0.5
+CONTROLLER_INTERVAL_S = 0.2
+CONTROLLER_COOLDOWN_S = 0.6
+HEALTHY_TICKS = 3
+CROWD_MULTIPLIER = 10.0  # a flash crowd's send-rate factor...
+CROWD_RAMP_S = 0.5  # ...reached, and later shed, over this long
+SLOW_LINK = NetemSpec(latency_ms=250.0, rate_mbit=1.0)  # a slow node's links
 
 
-class OverloadChaosHarness:
+class OverloadScenario(Scenario):
     """See module docstring."""
 
-    def __init__(self, config: Optional[OverloadChaosConfig] = None):
-        self.config = config or OverloadChaosConfig()
-        self.groups = self.config.groups()
-        self.node_names = [n for members in self.groups.values() for n in members]
-        self.checker = InvariantChecker()
-        self.schedule: List[ChaosEvent] = generate_schedule(
-            self.groups,
-            seed=self.config.seed,
-            events=self.config.events,
-            start=self.config.first_event_at,
-            min_gap=self.config.min_gap_s,
-            max_gap=self.config.max_gap_s,
-            flash_crowds=self.config.flash_crowds,
-            slow_nodes=self.config.slow_nodes,
-        )
-        self.fired: List[Tuple[float, str, Tuple[str, ...]]] = []
-        self._crashed: Dict[str, dict] = {}
-        self._send_rng = random.Random(self.config.seed ^ 0x0F1A5)
-        self._waiter_timeouts = 0
-        # The active flash crowd: (AZ name, rate-multiplier shape).
-        self._crowd_az: Optional[str] = None
-        self._crowd_shape: Optional[FlashCrowdShape] = None
+    name = "overload"
+    rng_salt = 0x0F1A5
 
-        self.topo = Topology()
-        for az, members in self.groups.items():
-            for name in members:
-                self.topo.add_node(name, group=az)
-        self.topo.set_default(NetemSpec(latency_ms=10, rate_mbit=100))
-        self.sim = Simulator()
-        self.net = self.topo.build(self.sim, RngRegistry(self.config.seed))
-        self.tracer = Tracer(
-            clock=self.sim.clock,
-            capacity=self.config.trace_capacity,
-            enabled=self.config.trace,
-        )
-        self.checker.flight_recorder = self.tracer
-        self.checker.dump_path = (
-            Path(self.config.trace_dir)
-            / f"overload_failure_{self.config.seed}.trace.json"
-        )
-        base = StabilizerConfig.from_topology(
-            self.topo,
-            local=self.node_names[0],
-            predicates={SLA_KEY: SLA_SOURCE},
-            control_interval_s=0.005,
-            failure_timeout_s=self.config.failure_timeout_s,
-            max_retransmit_attempts=5,
-            transport_max_rto_s=1.0,
-            window_bytes=8 * 1024,
-            frame_bytes=2 * 1024,
-            frame_delay_ms=2.0,
-        )
-        self.cluster = StabilizerCluster(self.net, base, tracer=self.tracer)
+    def __init__(self, harness: ChaosHarness):
+        super().__init__(harness)
         self.admission: Dict[str, object] = {}
         self.sla: Dict[str, SlaController] = {}
-        for node in self.cluster:
-            self._arm_node(node)
+        # The active flash crowd: (AZ name, rate-multiplier shape).
+        self._crowd: Optional[Tuple[str, FlashCrowdShape]] = None
 
-    def _arm_node(self, node) -> None:
+    def schedule_budgets(self) -> dict:
+        return {
+            "flash_crowds": self.config.flash_crowds,
+            "slow_nodes": self.config.slow_nodes,
+        }
+
+    def build_cluster(self) -> StabilizerCluster:
+        harness = self.harness
+        base = harness.stabilizer_config(
+            predicates={SLA_KEY: SLA_SOURCE},
+            window_bytes=WINDOW_BYTES,
+            frame_delay_ms=FRAME_DELAY_MS,
+        )
+        self.cluster = StabilizerCluster(harness.net, base, tracer=harness.tracer)
+        return self.cluster
+
+    def arm_node(self, node) -> None:
         """Install the full overload pipeline on one (re)built node."""
-        node.set_degradation_policy()
-        self.checker.attach(node)
+        super().arm_node(node)
         controller = node.set_admission(
-            rate_per_s=self.config.admit_rate_per_s,
-            queue_limit=self.config.queue_limit,
-            shed_policy=self.config.shed_policy,
+            rate_per_s=ADMIT_RATE_PER_S,
+            queue_limit=QUEUE_LIMIT,
+            shed_policy=SHED_POLICY,
         )
         controller.on_admitted(
             lambda seq, shard, name=node.name: self.checker.note_sent(
@@ -197,128 +108,85 @@ class OverloadChaosHarness:
         self.sla[node.name] = SlaController(
             node,
             SLA_KEY,
-            self.config.target_p99_s,
-            interval_s=self.config.controller_interval_s,
-            cooldown_s=self.config.controller_cooldown_s,
-            healthy_ticks=self.config.healthy_ticks,
+            TARGET_P99_S,
+            interval_s=CONTROLLER_INTERVAL_S,
+            cooldown_s=CONTROLLER_COOLDOWN_S,
+            healthy_ticks=HEALTHY_TICKS,
         )
 
+    def rearm_node(self, node) -> None:
+        # A controller may have died mid-degradation; the snapshot
+        # then restores a relaxed source.  A restarted node rejoins
+        # at strict — the fresh controller owns the walk from here.
+        node.change_predicate(SLA_KEY, SLA_SOURCE)
+        self.arm_node(node)
+
+    def crash_node(self, node) -> None:
+        self.sla.pop(node.name).close()
+        self.admission.pop(node.name)  # node.crash() closes it
+        node.crash()
+
     # -- traffic -----------------------------------------------------------------
-    def _traffic_end(self) -> float:
-        return self.schedule[-1].at + 2.0
+    def send_interval(self, name: str) -> float:
+        if self._crowd is None or name not in self.harness.groups[self._crowd[0]]:
+            return self.send_interval_s
+        return self.send_interval_s / self._crowd[1].rate_at(self.harness.sim.now)
 
-    def _rate_multiplier(self, name: str) -> float:
-        if self._crowd_shape is None or name not in self.groups[self._crowd_az]:
-            return 1.0
-        return self._crowd_shape.rate_at(self.sim.now)
-
-    def _start_traffic(self) -> None:
-        for i, name in enumerate(self.node_names):
-            offset = self.config.send_interval_s * (i + 1) / len(self.node_names)
-            self.sim.call_later(offset, self._send_tick, name)
-
-    def _send_tick(self, name: str) -> None:
-        if self.sim.now < self._traffic_end():
-            interval = self.config.send_interval_s / self._rate_multiplier(name)
-            self.sim.call_later(interval, self._send_tick, name)
-        if name in self._crashed:
-            return
-        controller = self.admission[name]
-        size = self._send_rng.randrange(64, self.config.payload_bytes)
-        outcome = controller.submit(SyntheticPayload(size))
+    def send(self, name: str) -> None:
+        size = self.harness.rng.randrange(64, PAYLOAD_BYTES)
+        outcome = self.admission[name].submit(SyntheticPayload(size))
         # note_sent rides the on_admitted hook — queued entries count
         # only when the pump actually sends them, shed ones never.
-        if (
-            outcome.status == "sent"
-            and outcome.seq % self.config.waiter_every == 0
-        ):
-            event = self.checker.guarded_waitfor(
-                self.cluster[name], outcome.seq, SLA_KEY, timeout_s=60.0
-            )
-            event.add_callback(self._count_timeout)
+        if outcome.status == "sent" and outcome.seq % WAITER_EVERY == 0:
+            self.harness.guard(self.cluster[name], outcome.seq, SLA_KEY)
 
-    def _count_timeout(self, event) -> None:
-        if event.failed:
-            self._waiter_timeouts += 1
+    # -- the overload events -------------------------------------------------------
+    def handlers(self) -> Dict[str, Callable[..., None]]:
+        return {
+            "flash_crowd": self._flash_crowd,
+            "flash_end": self._flash_end,
+            "slow_node": lambda name: self._set_link_spec(name, SLOW_LINK),
+            "slow_heal": lambda name: self._set_link_spec(name, None),
+        }
 
-    # -- fault execution -----------------------------------------------------------
-    def _arm_schedule(self) -> None:
-        for event in self.schedule:
-            self.sim.call_at(event.at, self._fire, event)
+    def _flash_crowd(self, az: str) -> None:
+        shape = FlashCrowdShape(
+            base_rate=1.0,
+            peak_rate=CROWD_MULTIPLIER,
+            t0=self.harness.sim.now,
+            ramp_s=CROWD_RAMP_S,
+            # Held until the schedule's flash_end clears it.
+            hold_s=self.harness.traffic_end(),
+            decay_s=CROWD_RAMP_S,
+        )
+        self._crowd = (az, shape)
+
+    def _flash_end(self) -> None:
+        self._crowd = None
 
     def _set_link_spec(self, name: str, spec: Optional[NetemSpec]) -> None:
         """Reshape every link touching ``name`` — to ``spec``, or back to
         the topology's own spec when ``spec`` is None."""
-        for peer in self.node_names:
+        harness = self.harness
+        for peer in harness.node_names:
             if peer == name:
                 continue
             for src, dst in ((name, peer), (peer, name)):
-                chosen = spec or self.topo.link_spec(src, dst)
-                self.net.link(src, dst).reshape(
+                chosen = spec or harness.topo.link_spec(src, dst)
+                harness.net.link(src, dst).reshape(
                     latency_s=chosen.latency_s,
                     bandwidth_bps=chosen.bandwidth_bps,
                 )
 
-    def _fire(self, event: ChaosEvent) -> None:
-        if event.kind == "crash":
-            name = event.target[0]
-            node = self.cluster[name]
-            self._crashed[name] = snapshot_state(node)
-            self.sla.pop(name).close()
-            self.admission.pop(name)  # node.crash() closes it
-            node.crash()
-            self.net.crash_node(name)
-        elif event.kind == "restart":
-            name = event.target[0]
-            self.net.recover_node(name)
-            node = self.cluster.restart_node(name, self._crashed.pop(name))
-            # A controller may have died mid-degradation; the snapshot
-            # then restores a relaxed source.  A restarted node rejoins
-            # at strict — the fresh controller owns the walk from here.
-            node.change_predicate(SLA_KEY, SLA_SOURCE)
-            self._arm_node(node)
-        elif event.kind == "partition":
-            a, b = event.target
-            self.net.partition(self.groups[a], self.groups[b])
-        elif event.kind == "heal":
-            self.net.heal()
-        elif event.kind == "flash_crowd":
-            az = event.target[0]
-            self._crowd_az = az
-            self._crowd_shape = FlashCrowdShape(
-                base_rate=1.0,
-                peak_rate=self.config.crowd_multiplier,
-                t0=self.sim.now,
-                ramp_s=self.config.crowd_ramp_s,
-                # Held until the schedule's flash_end clears it.
-                hold_s=self._traffic_end(),
-                decay_s=self.config.crowd_ramp_s,
-            )
-        elif event.kind == "flash_end":
-            self._crowd_az = None
-            self._crowd_shape = None
-        elif event.kind == "slow_node":
-            self._set_link_spec(
-                event.target[0],
-                NetemSpec(
-                    latency_ms=self.config.slow_latency_ms,
-                    rate_mbit=self.config.slow_rate_mbit,
-                ),
-            )
-        elif event.kind == "slow_heal":
-            self._set_link_spec(event.target[0], None)
-        else:  # pragma: no cover - schedule generator cannot produce this
-            raise ValueError(f"unknown chaos event kind {event.kind!r}")
-        self.fired.append((self.sim.now, event.kind, event.target))
-        self.checker.check_tables(self._live_nodes())
+    # -- checks --------------------------------------------------------------------
+    def after_event(self) -> None:
         self.checker.check_admission(sorted(self.admission.items()))
 
-    def _live_nodes(self):
-        return [node for node in self.cluster if node.name not in self._crashed]
-
-    # -- the run -------------------------------------------------------------------
-    def _quiescent(self) -> bool:
-        if not self.checker.all_delivered(self.cluster):
+    def quiescent(self) -> bool:
+        """Delivery everywhere, admission queues drained, and the
+        controllers' restore path given enough calm ticks to walk the
+        predicates back to strict."""
+        if not super().quiescent():
             return False
         if any(c.queue_depth() for c in self.admission.values()):
             return False
@@ -328,79 +196,40 @@ class OverloadChaosHarness:
             for c in self.sla.values()
         )
 
-    def run(self) -> dict:
-        """Execute the schedule under controlled traffic; returns the
-        report dict.  Raises
-        :class:`~repro.chaos.invariants.InvariantViolation` the moment
-        any safety property breaks."""
-        started = time.perf_counter()
-        self._start_traffic()
-        self._arm_schedule()
-        self.sim.run(until=self._traffic_end() + 0.5)
-        self.checker.check_tables(self._live_nodes())
-        # Settle: delivery everywhere, admission queues drained, and the
-        # controllers' restore path given enough calm ticks to walk the
-        # predicates back to strict.
-        settle_slices = 0
-        while not self._quiescent():
-            if settle_slices >= self.config.max_settle_slices:
-                break
-            settle_slices += 1
-            self.sim.run(until=self.sim.now + self.config.settle_slice_s)
-        self.checker.check_tables(self.cluster)
-        self.checker.check_delivery(self.cluster)
+    def final_checks(self) -> None:
         self.checker.check_admission(sorted(self.admission.items()))
         self.checker.check_sla_restoration(sorted(self.sla.items()))
-        elapsed = time.perf_counter() - started
-        return self.report(elapsed, settle_slices)
 
-    def report(self, elapsed_s: float, settle_slices: int) -> dict:
-        admission_totals: Dict[str, float] = {}
-        for controller in self.admission.values():
-            for key, value in controller.stats().items():
-                admission_totals[key] = admission_totals.get(key, 0) + value
+    def report_extras(self, elapsed_s: float) -> dict:
+        steps = [c.stats()["slacontrol.degrade_steps"] for c in self.sla.values()]
         return {
-            "seed": self.config.seed,
-            "nodes": len(self.node_names),
-            "azs": len(self.groups),
-            "schedule": [
-                [ev.at, ev.kind, list(ev.target)] for ev in self.schedule
-            ],
-            "fired": [
-                [t, kind, list(target)] for t, kind, target in self.fired
-            ],
-            "virtual_end_s": self.sim.now,
-            "settle_slices": settle_slices,
-            "waiter_timeouts": self._waiter_timeouts,
-            "invariant_checks": self.checker.checks,
-            "monitor_events": self.checker.monitor_events,
-            "violations": list(self.checker.violations),
-            "admission": admission_totals,
+            "nodes": len(self.harness.node_names),
+            "admission": sum_stats(self.admission.values()),
             "slacontrol": {
                 name: ctrl.stats() for name, ctrl in sorted(self.sla.items())
             },
-            "max_degrade_steps": max(
-                (
-                    ctrl.stats()["slacontrol.degrade_steps"]
-                    for ctrl in self.sla.values()
-                ),
-                default=0,
-            ),
+            "max_degrade_steps": max(steps, default=0),
             "restored": all(c.restored() for c in self.sla.values()),
-            "trace_events": self.tracer.emitted,
-            "elapsed_s": elapsed_s,
         }
 
     def close(self) -> None:
         for controller in self.sla.values():
             controller.close()
-        self.cluster.close()
 
 
-def run_overload_chaos(config: Optional[OverloadChaosConfig] = None) -> dict:
-    """Build an overload harness, run it, close it, return the report."""
-    harness = OverloadChaosHarness(config)
-    try:
-        return harness.run()
-    finally:
-        harness.close()
+@dataclass
+class OverloadChaosConfig(ScenarioConfig):
+    """Knobs for one overload chaos run (3 AZ × 2 nodes)."""
+
+    events: int = 10
+    flash_crowds: int = 1  # schedule budgets for the two overload events
+    slow_nodes: int = 1
+    scenario: ClassVar[type] = OverloadScenario
+
+
+def run_overload_chaos(
+    config: Optional[OverloadChaosConfig] = None,
+    schedule: Optional[List[ChaosEvent]] = None,
+) -> dict:
+    """One overload run: build the harness, run it, close it, report."""
+    return run_chaos(config or OverloadChaosConfig(), schedule)

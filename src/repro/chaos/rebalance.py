@@ -1,6 +1,6 @@
-"""Chaos harness for live shard rebalancing: membership churn under load.
+"""The rebalance scenario: membership churn under load.
 
-The sharded sibling of :class:`~repro.chaos.harness.ChaosHarness`: a
+The sharded scenario of :class:`~repro.chaos.harness.ChaosHarness`: a
 :class:`~repro.core.sharding.ShardedCluster` under continuous per-shard
 traffic, driven by a seeded schedule that — on top of the classic
 crash / restart / partition / heal repertoire — exercises the membership
@@ -18,7 +18,7 @@ given spares and a leave budget:
   carries frozen shards and parked transfer blobs) re-drives the
   handoff.
 
-The invariant checker verifies everything the plain harness verifies
+The invariant checker verifies everything the classic scenario verifies
 plus the rebalance-specific properties: no delivery lost across a
 cutover (10), replication factor restored at quiescence (11), and
 exactly one owner set per (shard, epoch) (12).
@@ -28,28 +28,20 @@ contiguous-from-1 persistence watermark, while a rebalance joiner adopts
 a mid-stream receive watermark whose prefix it never saw — the two
 models compose only once per-shard WAL state is handed off too, which
 the transfer protocol does not attempt (the blob carries watermarks and
-buffers, not logs).  Durability chaos keeps its own harness.
+buffers, not logs).  Durability chaos is the classic scenario's job.
 """
 
 from __future__ import annotations
 
-import random
-import time
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Dict, List, Optional
 
-from repro.chaos.invariants import InvariantChecker
-from repro.chaos.schedule import ChaosEvent, generate_schedule
-from repro.core.config import StabilizerConfig
+from repro.chaos.harness import ChaosHarness, Scenario, ScenarioConfig, run_chaos
+from repro.chaos.schedule import ChaosEvent
 from repro.core.rebalance import RebalanceCoordinator
-from repro.core.recovery import snapshot_state
 from repro.core.sharding import ShardedCluster
 from repro.errors import StabilizerError
 from repro.net.tc import NetemSpec
-from repro.net.topology import Topology
-from repro.obs.tracer import Tracer
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
 from repro.transport.messages import SyntheticPayload
 
 #: Per-shard predicate keys: strict (every owner) and relaxed (any owner).
@@ -61,185 +53,69 @@ REBALANCE_PREDICATES = {
     SHARD_RELAXED_KEY: "MAX($SHARDWNODES - $MYWNODE)",
 }
 
+SPARES = 1  # provisioned hosts the schedule may join
+MAX_LEAVES = 1
+MIN_GAP_S = 0.8  # shortest pause between two events (generator default: 0.5)
+SHARD_COUNT = 16
+REPLICATION = 2
+PAYLOAD_BYTES = 512
+WAITER_EVERY = 5  # every n-th send of a (node, shard) stream gets a waiter
+WINDOW_BYTES = 8 * 1024
+FRAME_DELAY_MS = 1.0
+# Coordinator patience, shorter than its defaults: a drain or transfer
+# stalled by a crash or partition times out and retries within the run.
+DRAIN_TIMEOUT_S = 2.0
+TRANSFER_TIMEOUT_S = 2.0
+MAX_TRANSFER_ATTEMPTS = 8
 
-class RebalanceChaosConfig:
-    """Knobs for one rebalance-chaos run.
 
-    Defaults give a 2-AZ / 4-member cluster with one provisioned spare,
-    16 shards at replication 2, one join and up to one leave mixed into
-    the fault schedule.
-    """
+class RebalanceScenario(Scenario):
+    """See module docstring."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        azs: int = 2,
-        nodes_per_az: int = 2,
-        spares: int = 1,
-        shard_count: int = 16,
-        replication: int = 2,
-        events: int = 8,
-        max_leaves: int = 1,
-        send_interval_s: float = 0.1,
-        payload_bytes: int = 512,
-        traffic_end_s: Optional[float] = None,
-        failure_timeout_s: float = 1.5,
-        settle_slice_s: float = 2.0,
-        max_settle_slices: int = 60,
-        waiter_every: int = 5,
-        first_event_at: float = 1.0,
-        min_gap_s: float = 0.8,
-        max_gap_s: float = 2.0,
-        window_bytes: Optional[int] = 8 * 1024,
-        frame_bytes: Optional[int] = 2 * 1024,
-        frame_delay_ms: float = 1.0,
-        control_interval_s: float = 0.005,
-        drain_timeout_s: float = 2.0,
-        transfer_timeout_s: float = 2.0,
-        max_transfer_attempts: int = 8,
-        trace: bool = True,
-        trace_capacity: int = 65536,
-        trace_dir: str = ".",
-    ):
-        self.seed = seed
-        self.azs = azs
-        self.nodes_per_az = nodes_per_az
-        self.spares = spares
-        self.shard_count = shard_count
-        self.replication = replication
-        self.events = events
-        self.max_leaves = max_leaves
-        self.send_interval_s = send_interval_s
-        self.payload_bytes = payload_bytes
-        self.traffic_end_s = traffic_end_s
-        self.failure_timeout_s = failure_timeout_s
-        self.settle_slice_s = settle_slice_s
-        self.max_settle_slices = max_settle_slices
-        self.waiter_every = waiter_every
-        self.first_event_at = first_event_at
-        self.min_gap_s = min_gap_s
-        self.max_gap_s = max_gap_s
-        self.window_bytes = window_bytes
-        self.frame_bytes = frame_bytes
-        self.frame_delay_ms = frame_delay_ms
-        self.control_interval_s = control_interval_s
-        self.drain_timeout_s = drain_timeout_s
-        self.transfer_timeout_s = transfer_timeout_s
-        self.max_transfer_attempts = max_transfer_attempts
-        self.trace = trace
-        self.trace_capacity = trace_capacity
-        self.trace_dir = trace_dir
+    name = "rebalance"
+    link = NetemSpec(latency_ms=5, rate_mbit=100)
+    spare_hosts = SPARES
 
-    def member_groups(self) -> Dict[str, List[str]]:
-        """Initial members by AZ (what the schedule may crash/leave)."""
+    def __init__(self, harness: ChaosHarness):
+        super().__init__(harness)
+        self._frozen_rejections = 0
+        self._rebalance_slices = 0
+
+    def schedule_budgets(self) -> dict:
         return {
-            f"az{a}": [f"n{a}{i}" for i in range(self.nodes_per_az)]
-            for a in range(self.azs)
+            "min_gap": MIN_GAP_S,
+            "spare_nodes": self.harness.spares,
+            "max_leaves": MAX_LEAVES,
+            "min_members": max(2, REPLICATION),
         }
 
-    def spare_names(self) -> List[str]:
-        """Provisioned non-member hosts (what the schedule may join)."""
-        return [f"s{i}" for i in range(self.spares)]
-
-    def spare_az(self, index: int) -> str:
-        return f"az{index % self.azs}"
-
-
-class RebalanceChaosHarness:
-    """See module docstring.
-
-    ``schedule`` overrides the generated one — handcrafted schedules pin
-    down specific interleavings (a crash timed inside a handoff window)
-    that seeded randomness only sometimes produces.
-    """
-
-    def __init__(
-        self,
-        config: Optional[RebalanceChaosConfig] = None,
-        schedule: Optional[List[ChaosEvent]] = None,
-    ):
-        self.config = config or RebalanceChaosConfig()
-        self.member_groups = self.config.member_groups()
-        self.members = [
-            n for members in self.member_groups.values() for n in members
-        ]
-        self.spares = self.config.spare_names()
-        self.checker = InvariantChecker()
-        self.schedule: List[ChaosEvent] = (
-            schedule
-            if schedule is not None
-            else generate_schedule(
-                self.member_groups,
-                seed=self.config.seed,
-                events=self.config.events,
-                start=self.config.first_event_at,
-                min_gap=self.config.min_gap_s,
-                max_gap=self.config.max_gap_s,
-                spare_nodes=self.spares,
-                max_leaves=self.config.max_leaves,
-                min_members=max(2, self.config.replication),
-            )
-        )
-        self.fired: List[Tuple[float, str, Tuple[str, ...]]] = []
-        # node -> crash-instant snapshot; None marks a host that went
-        # dark before its queued join had even built the node.
-        self._crashed: Dict[str, Optional[dict]] = {}
-        self._send_rng = random.Random(self.config.seed ^ 0x5EED)
-        self._waiter_timeouts = 0
-        self._frozen_rejections = 0
-
-        topo = Topology()
-        for az, members in self.member_groups.items():
-            for name in members:
-                topo.add_node(name, group=az)
-        for i, name in enumerate(self.spares):
-            topo.add_node(name, group=self.config.spare_az(i))
-        topo.set_default(NetemSpec(latency_ms=5, rate_mbit=100))
-        # Partition events cut whole AZs, spares included: a spare mid-join
-        # can find itself on the wrong side of the cut.
-        self.all_groups = topo.groups()
-        self.sim = Simulator()
-        self.net = topo.build(self.sim, RngRegistry(self.config.seed))
-        self.tracer = Tracer(
-            clock=self.sim.clock,
-            capacity=self.config.trace_capacity,
-            enabled=self.config.trace,
-        )
-        self.checker.flight_recorder = self.tracer
-        self.checker.dump_path = (
-            Path(self.config.trace_dir)
-            / f"rebalance_failure_{self.config.seed}.trace.json"
-        )
-        base = StabilizerConfig(
-            node_names=self.members,
-            groups=self.member_groups,
-            local=self.members[0],
+    def build_cluster(self) -> ShardedCluster:
+        harness = self.harness
+        base = harness.stabilizer_config(
             predicates=dict(REBALANCE_PREDICATES),
-            shard_count=self.config.shard_count,
-            shard_replication=self.config.replication,
-            control_interval_s=self.config.control_interval_s,
-            failure_timeout_s=self.config.failure_timeout_s,
-            max_retransmit_attempts=5,
-            transport_max_rto_s=1.0,
-            window_bytes=self.config.window_bytes,
-            frame_bytes=self.config.frame_bytes,
-            frame_delay_ms=self.config.frame_delay_ms,
+            shard_count=SHARD_COUNT,
+            shard_replication=REPLICATION,
+            window_bytes=WINDOW_BYTES,
+            frame_delay_ms=FRAME_DELAY_MS,
             durability=False,  # see module docstring
         )
-        self.cluster = ShardedCluster(self.net, base, tracer=self.tracer)
+        self.cluster = ShardedCluster(harness.net, base, tracer=harness.tracer)
         self.coordinator = RebalanceCoordinator(
             self.cluster,
-            tracer=self.tracer,
-            drain_timeout_s=self.config.drain_timeout_s,
-            transfer_timeout_s=self.config.transfer_timeout_s,
-            max_transfer_attempts=self.config.max_transfer_attempts,
+            tracer=harness.tracer,
+            drain_timeout_s=DRAIN_TIMEOUT_S,
+            transfer_timeout_s=TRANSFER_TIMEOUT_S,
+            max_transfer_attempts=MAX_TRANSFER_ATTEMPTS,
         )
         self.coordinator.on_cutover(self._handle_cutover)
         self.checker.note_owner_map(self.cluster.shard_map)
-        for node in self.cluster:
-            self.checker.attach(node)
+        return self.cluster
 
-    # -- cutover wiring ----------------------------------------------------------
+    def arm_node(self, node) -> None:
+        # Monitors only: this scenario never installed a degradation
+        # policy, and its seeds are pinned to that.
+        self.checker.attach(node)
+
     def _handle_cutover(self, plan, watermarks) -> None:
         """Runs synchronously inside the cutover instant: record the
         invariant-10/12 baselines, re-seed table history for the owners
@@ -247,45 +123,23 @@ class RebalanceChaosHarness:
         stacks (moved shards only — untouched stacks keep theirs)."""
         self.checker.note_cutover(plan, watermarks)
         moved = {move.shard_id for move in plan.moves}
-        touched = set()
-        for move in plan.moves:
-            touched.update(move.new)
-        for name in touched:
+        for name in {name for move in plan.moves for name in move.new}:
             self.checker.forget_node(name)
         for node in self.cluster:
             self.checker.attach(node, shards=moved)
 
     # -- traffic -----------------------------------------------------------------
-    def _traffic_end(self) -> float:
-        if self.config.traffic_end_s is not None:
-            return self.config.traffic_end_s
-        return self.schedule[-1].at + 2.0
-
-    def _start_traffic(self) -> None:
-        hosts = self.members + self.spares
-        for i, name in enumerate(hosts):
-            offset = self.config.send_interval_s * (i + 1) / len(hosts)
-            self.sim.call_later(offset, self._send_tick, name)
-
-    def _send_tick(self, name: str) -> None:
-        if self.sim.now < self._traffic_end():
-            self.sim.call_later(
-                self.config.send_interval_s, self._send_tick, name
-            )
-        if name in self._crashed:
-            return  # down; the timer idles until restart
+    def send(self, name: str) -> None:
         node = self.cluster.nodes.get(name)
         if node is None:
             return  # a spare not yet joined, or a member that left
-        shards = [
-            shard
-            for shard in node.shards
-            if shard not in node.frozen_shards()
-        ]
+        frozen = node.frozen_shards()
+        shards = [shard for shard in node.shards if shard not in frozen]
         if not shards:
             return  # a joiner whose stacks are all pending transfer
-        shard = shards[self._send_rng.randrange(len(shards))]
-        size = self._send_rng.randrange(64, self.config.payload_bytes)
+        rng = self.harness.rng
+        shard = shards[rng.randrange(len(shards))]
+        size = rng.randrange(64, PAYLOAD_BYTES)
         try:
             seq = node.send(SyntheticPayload(size), shard=shard)
         except StabilizerError:
@@ -294,173 +148,76 @@ class RebalanceChaosHarness:
             self._frozen_rejections += 1
             return
         self.checker.note_sent(name, seq, shard=shard)
-        if seq % self.config.waiter_every == 0:
-            event = self.checker.guarded_waitfor(
-                node, seq, SHARD_STRICT_KEY, timeout_s=60.0, shard=shard
-            )
-            event.add_callback(self._count_timeout)
+        if seq % WAITER_EVERY == 0:
+            self.harness.guard(node, seq, SHARD_STRICT_KEY, shard=shard)
 
-    def _count_timeout(self, event) -> None:
-        if event.failed:
-            self._waiter_timeouts += 1
+    # -- membership events and crash/restart extras --------------------------------
+    def handlers(self) -> Dict[str, Callable[..., None]]:
+        # When the coordinator is idle a joiner exists at once (all
+        # stacks pending, so attaching would register nothing yet — the
+        # cutover hook covers its built stacks later).
+        return {
+            "node_join": self.coordinator.node_join,
+            "node_leave": self.coordinator.node_leave,
+            # After the shared step — also for a spare not yet built.
+            "crash": self.coordinator.node_crashed,
+            "restart": self.coordinator.node_restarted,
+        }
 
-    # -- fault execution ---------------------------------------------------------
-    def _arm_schedule(self) -> None:
-        for event in self.schedule:
-            self.sim.call_at(event.at, self._fire, event)
+    def crash_node(self, node) -> None:
+        # The crash-instant v5 snapshot carries frozen shards and parked
+        # handoff blobs — the handoff resumes from it.
+        node.crash()
+        # The restored tables may trail the last live sample; cell
+        # monotonicity is re-seeded at the first post-restart sample.
+        self.checker.forget_node(node.name)
 
-    def _fire(self, event: ChaosEvent) -> None:
-        if event.kind == "crash":
-            self._crash(event.target[0])
-        elif event.kind == "restart":
-            self._restart(event.target[0])
-        elif event.kind == "node_join":
-            name = event.target[0]
-            self.coordinator.node_join(name)
-            # When the coordinator was idle the joiner exists already
-            # (all stacks pending, so attach registers nothing yet —
-            # the cutover hook covers its built stacks later).
-        elif event.kind == "node_leave":
-            self.coordinator.node_leave(event.target[0])
-        elif event.kind == "partition":
-            a, b = event.target
-            self.net.partition(self.all_groups[a], self.all_groups[b])
-        elif event.kind == "heal":
-            self.net.heal()
-        else:  # pragma: no cover - generator cannot produce others here
-            raise ValueError(f"unknown chaos event kind {event.kind!r}")
-        self.fired.append((self.sim.now, event.kind, event.target))
-        self.checker.check_tables(self._live_nodes())
-
-    def _crash(self, name: str) -> None:
-        node = self.cluster.nodes.get(name)
-        if node is None:
-            # A spare whose join is still queued behind another
-            # rebalance: the host goes dark before the process exists.
-            self._crashed[name] = None
-        else:
-            # The crash-instant v5 snapshot carries frozen shards and
-            # parked handoff blobs — the handoff resumes from it.
-            self._crashed[name] = snapshot_state(node)
-            node.crash()
-            self.checker.forget_node(name)
-        self.net.crash_node(name)
-        self.coordinator.node_crashed(name)
-
-    def _restart(self, name: str) -> None:
-        self.net.recover_node(name)
-        snapshot = self._crashed.pop(name)
-        if snapshot is not None:
-            node = self.cluster.restart_node(name, snapshot)
-            self.checker.attach(node)
-            self.checker.check_restart(node)
-        self.coordinator.node_restarted(name)
-
-    def _live_nodes(self):
-        return [
-            node
-            for name, node in self.cluster.nodes.items()
-            if name not in self._crashed
-        ]
-
-    # -- the run -----------------------------------------------------------------
-    def run(self) -> dict:
-        """Execute the schedule under traffic; returns the report dict.
-
-        Raises :class:`~repro.chaos.invariants.InvariantViolation` the
-        moment any safety property breaks — including the rebalance
-        invariants 10–12 at quiescence.
-        """
-        started = time.perf_counter()
-        self._start_traffic()
-        self._arm_schedule()
-        self.sim.run(until=self._traffic_end() + 0.5)
+    # -- checks --------------------------------------------------------------------
+    def after_traffic(self) -> None:
         # Let any still-active or queued rebalance finish before judging
         # the end state: the replication invariant is about quiescence.
-        rebalance_slices = 0
-        while not self.coordinator.idle:
-            if rebalance_slices >= self.config.max_settle_slices:
-                break
-            rebalance_slices += 1
-            self.sim.run(until=self.sim.now + self.config.settle_slice_s)
-        self.checker.check_tables(self._live_nodes())
-        settle_slices = 0
-        while not self.checker.all_delivered(list(self.cluster)):
-            if settle_slices >= self.config.max_settle_slices:
-                break
-            settle_slices += 1
-            self.sim.run(until=self.sim.now + self.config.settle_slice_s)
-        self.checker.check_tables(list(self.cluster))
-        self.checker.check_delivery(list(self.cluster))  # + invariant 10
+        self._rebalance_slices = self.harness.settle(lambda: self.coordinator.idle)
+
+    def final_checks(self) -> None:
+        # check_delivery already covered invariant 10.
         self.checker.check_replication(self.cluster)  # invariant 11
-        elapsed = time.perf_counter() - started
-        return self.report(elapsed, rebalance_slices, settle_slices)
 
-    def _messages_sent(self) -> Dict[str, int]:
-        sent: Dict[str, int] = {}
-        for (origin, _shard), seq in self.checker._sent.items():
-            sent[origin] = max(sent.get(origin, 0), seq)
-        return dict(sorted(sent.items()))
-
-    def report(
-        self, elapsed_s: float, rebalance_slices: int, settle_slices: int
-    ) -> dict:
-        totals: Dict[str, float] = {}
-        for node in self.cluster:
-            for key, value in node.stats().items():
-                totals[key] = totals.get(key, 0) + value
+    def report_extras(self, elapsed_s: float) -> dict:
         history = list(self.coordinator.history)
         return {
-            "seed": self.config.seed,
-            "azs": len(self.member_groups),
-            "members_initial": list(self.members),
-            "spares": list(self.spares),
+            "members_initial": list(self.harness.node_names),
+            "spares": list(self.harness.spares),
             "members_final": sorted(self.cluster.nodes),
-            "shard_count": self.config.shard_count,
-            "replication": self.config.replication,
+            "shard_count": SHARD_COUNT,
+            "replication": REPLICATION,
             "epoch_final": self.cluster.shard_map.epoch,
-            "schedule": [
-                [ev.at, ev.kind, list(ev.target)] for ev in self.schedule
-            ],
-            "fired": [
-                [t, kind, list(target)] for t, kind, target in self.fired
-            ],
-            "virtual_end_s": self.sim.now,
-            "rebalance_slices": rebalance_slices,
-            "settle_slices": settle_slices,
-            "messages_sent": self._messages_sent(),
+            "rebalance_slices": self._rebalance_slices,
             "rebalances": history,
             "cutovers_checked": self.checker.cutovers_checked,
             "unsourced_shards": sum(h["unsourced"] for h in history),
             "frozen_rejections": self._frozen_rejections,
-            "waiter_timeouts": self._waiter_timeouts,
-            "invariant_checks": self.checker.checks,
-            "monitor_events": self.checker.monitor_events,
-            "releases_checked": self.checker.releases_checked,
-            "restarts_checked": self.checker.restarts_checked,
             "rebalance_stats": self.coordinator.stats(),
-            "violations": list(self.checker.violations),
-            "trace_events": self.tracer.emitted,
-            "trace_dropped": self.tracer.dropped,
-            "cluster_totals": totals,
-            "elapsed_s": elapsed_s,
-            "checks_per_s": (
-                self.checker.checks / elapsed_s if elapsed_s > 0 else 0.0
-            ),
+            **self.harness.stream_report(elapsed_s),
         }
 
     def close(self) -> None:
         self.coordinator.close()
-        self.cluster.close()
+
+
+@dataclass
+class RebalanceChaosConfig(ScenarioConfig):
+    """Knobs for one rebalance-chaos run: a 2-AZ / 4-member cluster with
+    one provisioned spare, 16 shards at replication 2, one join and up
+    to one leave mixed into the fault schedule."""
+
+    events: int = 8
+    azs: ClassVar[int] = 2
+    scenario: ClassVar[type] = RebalanceScenario
 
 
 def run_rebalance_chaos(
     config: Optional[RebalanceChaosConfig] = None,
     schedule: Optional[List[ChaosEvent]] = None,
 ) -> dict:
-    """Build a harness, run it, close it, return the report."""
-    harness = RebalanceChaosHarness(config, schedule=schedule)
-    try:
-        return harness.run()
-    finally:
-        harness.close()
+    """One rebalance run: build the harness, run it, close it, report."""
+    return run_chaos(config or RebalanceChaosConfig(), schedule)

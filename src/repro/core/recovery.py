@@ -10,21 +10,22 @@ view-change analogue is the caller rebuilding the node and then invoking
 :meth:`~repro.core.stabilizer.Stabilizer.request_catchup` so peers replay
 what it missed while down.
 
-Version 2 added the send buffer and receive watermarks; version 3 added
-the durability section (the WAL watermarks the snapshot was compacted
-against) and made :func:`save_snapshot` crash-atomic.  Older snapshots
-still restore (version 1 without buffer replay of the node's own stream).
-Version 4 is the sharded envelope: a
+Two formats are written and read.  Version 3 is one node's state: tables,
+frontiers and monitor high-water marks, the send buffer and receive
+watermarks, and the durability section (the WAL watermarks the snapshot
+was compacted against); :func:`save_snapshot` writes it crash-atomically.
+Version 5 is the sharded envelope: a
 :class:`~repro.core.sharding.ShardedStabilizer` snapshots as one inner
 version-3 snapshot per owned shard (each carrying that shard's
-watermarks, tables, and buffer tail) plus the shard layout, and refuses
-to restore into a node whose owned-shard set differs.  Version 5 adds
-the live-rebalance state: the shard map's membership *epoch*, the set
-of shards frozen for an in-flight handoff, and any transferred state
-blobs parked in the :class:`~repro.core.rebalance.HandoffManager` —
-so a node crashing between transfer and cutover restarts without losing
-the handoff.  Version-4 envelopes still restore (epoch 0, nothing in
-flight).
+watermarks, tables, and buffer tail) plus the shard layout with its
+membership *epoch* — it refuses to restore into a node whose
+owned-shard set differs — and the live-rebalance state: the set of
+shards frozen for an in-flight handoff, and any transferred state blobs
+parked in the :class:`~repro.core.rebalance.HandoffManager`, so a node
+crashing between transfer and cutover restarts without losing the
+handoff.  Any other version is refused: nothing has written versions
+1/2 since the durability layer or the epoch-less version-4 envelope
+since live rebalancing.
 
 The strategy redesign added an optional ``strategy`` section (engine name
 plus engine-private state) to the version-3 envelope without a version
@@ -45,8 +46,8 @@ from repro.transport.messages import SyntheticPayload
 
 SNAPSHOT_VERSION = 3
 SHARDED_SNAPSHOT_VERSION = 5
-_SUPPORTED_VERSIONS = (1, 2, 3)
-_SUPPORTED_SHARDED_VERSIONS = (4, 5)
+_SUPPORTED_VERSIONS = (3,)
+_SUPPORTED_SHARDED_VERSIONS = (5,)
 
 
 def _encode_payload(payload):
@@ -69,7 +70,7 @@ def snapshot_state(stabilizer) -> dict:
     """Capture everything a restarted node needs to resume its role.
 
     Accepts a plain :class:`Stabilizer` (version-3 snapshot) or a
-    :class:`~repro.core.sharding.ShardedStabilizer` (version-4 envelope:
+    :class:`~repro.core.sharding.ShardedStabilizer` (version-5 envelope:
     one inner snapshot per owned shard plus the shard layout).
     """
     from repro.core.sharding import ShardedStabilizer
@@ -138,7 +139,7 @@ def snapshot_state(stabilizer) -> dict:
 def restore_state(stabilizer, snapshot: dict) -> None:
     """Load ``snapshot`` into a freshly constructed node.
 
-    A version-4 (sharded) snapshot restores into a
+    A version-5 (sharded) snapshot restores into a
     :class:`~repro.core.sharding.ShardedStabilizer` with the same owned
     shards: each per-shard inner snapshot restores into the matching
     shard stack.
@@ -148,8 +149,8 @@ def restore_state(stabilizer, snapshot: dict) -> None:
     message so the stream never reuses a number.  Restores the ACK tables,
     the frontier values (rebuilding the engine's reverse dependency index
     and releasing any waiter the restored frontier already covers), the
-    per-origin receive watermarks, and — for version-2 snapshots — the
-    send buffer's undelivered tail, ready for
+    per-origin receive watermarks, and the send buffer's undelivered
+    tail, ready for
     :meth:`~repro.core.stabilizer.Stabilizer.request_catchup` replay.
     """
     if snapshot.get("version") in _SUPPORTED_SHARDED_VERSIONS:
@@ -200,7 +201,7 @@ def restore_state(stabilizer, snapshot: dict) -> None:
             raise StabilizerError(f"snapshot has unknown origin {origin!r}")
         table.restore(rows)
     stabilizer.engine.restore_frontiers(snapshot["frontiers"])
-    stabilizer.engine.restore_monitor_high(snapshot.get("monitor_high", {}))
+    stabilizer.engine.restore_monitor_high(snapshot["monitor_high"])
     stabilizer.dataplane._next_seq = max(
         stabilizer.dataplane._next_seq, int(snapshot["next_seq"])
     )
@@ -215,21 +216,20 @@ def restore_state(stabilizer, snapshot: dict) -> None:
         stabilizer.dataplane.restore_highest_received(
             origin, stabilizer.tables[origin].get(local_index, received)
         )
-    buffer_state = snapshot.get("buffer")
-    if buffer_state is not None:
-        buffer = stabilizer.dataplane.buffer
-        buffer._reclaimed_up_to = max(
-            buffer._reclaimed_up_to, int(buffer_state["reclaimed_up_to"])
+    buffer_state = snapshot["buffer"]
+    buffer = stabilizer.dataplane.buffer
+    buffer._reclaimed_up_to = max(
+        buffer._reclaimed_up_to, int(buffer_state["reclaimed_up_to"])
+    )
+    for entry in buffer_state["entries"]:
+        chunk_meta = tuple(entry["chunk_meta"])
+        buffer.add(
+            entry["seq"],
+            entry["size"],
+            meta=chunk_meta[4],
+            payload=_decode_payload(entry["payload"]),
+            chunk_meta=chunk_meta,
         )
-        for entry in buffer_state["entries"]:
-            chunk_meta = tuple(entry["chunk_meta"])
-            buffer.add(
-                entry["seq"],
-                entry["size"],
-                meta=chunk_meta[4],
-                payload=_decode_payload(entry["payload"]),
-                chunk_meta=chunk_meta,
-            )
     strategy_state = (snapshot.get("strategy") or {}).get("state")
     if strategy_state:
         stabilizer.strategy.restore(strategy_state)
@@ -251,7 +251,7 @@ def _restore_sharded(stabilizer, snapshot: dict) -> None:
 
     if not isinstance(stabilizer, ShardedStabilizer):
         raise StabilizerError(
-            "version-4/5 snapshots are sharded; restore into a "
+            "version-5 snapshots are sharded; restore into a "
             "ShardedStabilizer built from the same deployment config"
         )
     config = snapshot["config"]
@@ -262,10 +262,7 @@ def _restore_sharded(stabilizer, snapshot: dict) -> None:
             f"snapshot belongs to node {config['local']!r}, "
             f"not {stabilizer.config.local!r}"
         )
-    # Version-4 envelopes predate membership epochs: normalize to epoch 0
-    # so a pre-rebalance snapshot restores into an epoch-0 deployment.
-    found = dict(snapshot["shard_map"])
-    found.setdefault("epoch", 0)
+    found = snapshot["shard_map"]
     expected = stabilizer.shard_map.to_dict()
     if found != expected:
         raise StabilizerError(
@@ -288,12 +285,12 @@ def _restore_sharded(stabilizer, snapshot: dict) -> None:
         )
     for shard, inner_snapshot in snapshot["shards"].items():
         restore_state(stabilizer.shards[int(shard)], inner_snapshot)
-    # v5: reinstate the live-rebalance state — re-freeze shards that were
+    # Reinstate the live-rebalance state — re-freeze shards that were
     # mid-handoff and re-park transferred blobs awaiting cutover.
-    for shard in snapshot.get("frozen", []):
+    for shard in snapshot["frozen"]:
         if int(shard) in stabilizer.shards:
             stabilizer.freeze_shard(int(shard))
-    stabilizer.handoff.restore_incoming(snapshot.get("handoffs", []))
+    stabilizer.handoff.restore_incoming(snapshot["handoffs"])
 
 
 def save_snapshot(

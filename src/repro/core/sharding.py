@@ -645,7 +645,7 @@ class ShardedCluster:
         self, name: str, snapshot: Optional[dict] = None
     ) -> ShardedStabilizer:
         """Crash-restart ``name``: rebuild its shard stacks on the host's
-        surviving filesystem, restore the (version-4/5) snapshot, and ask
+        surviving filesystem, restore the (version-5) snapshot, and ask
         each shard's peers to replay what was missed.
 
         A version-5 snapshot taken mid-handoff may cover fewer shards

@@ -21,7 +21,6 @@ client APIs, and neither are ours.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import StabilizerConfig
@@ -52,32 +51,7 @@ class Stabilizer:
         endpoint: Optional[TransportEndpoint] = None,
         fs=None,
         tracer: Optional[Tracer] = None,
-        **tunables,
     ):
-        if tunables:
-            # Every tunable lives on StabilizerConfig — the constructor
-            # accepts them for one release, loudly.
-            deployment = {
-                "node_names", "groups", "local", "predicates",
-                "shard_count", "shard_replication", "shard_owners", "shard_id",
-            }
-            allowed = set(config.to_dict()) - deployment
-            unknown = sorted(set(tunables) - allowed)
-            if unknown:
-                raise TypeError(
-                    "Stabilizer() got unexpected keyword argument(s): "
-                    + ", ".join(unknown)
-                )
-            fields = ", ".join(
-                f"StabilizerConfig.{name}" for name in sorted(tunables)
-            )
-            warnings.warn(
-                f"passing tunables to Stabilizer() is deprecated; "
-                f"set {fields} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = config.replace(**tunables)
         self.net = net
         self.sim = net.sim
         self.config = config

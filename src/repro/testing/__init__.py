@@ -8,8 +8,7 @@ can inject faults) without real gigabytes or real disks:
 - :class:`MemoryFileSystem` — the seeded, fault-injectable in-memory
   filesystem the durability layer and chaos harness write through.
 
-Import from here (``from repro.testing import SyntheticPayload``); the
-old ``repro.SyntheticPayload`` alias is deprecated.
+Import from here (``from repro.testing import SyntheticPayload``).
 """
 
 from repro.storage.faultio import MemoryFileSystem

@@ -72,13 +72,13 @@ def test_import_is_warning_free():
         _ = repro.Stabilizer
 
 
-def test_synthetic_payload_alias_warns():
-    with pytest.warns(DeprecationWarning, match="repro.testing"):
-        payload_cls = repro.SyntheticPayload
-    from repro.testing import SyntheticPayload
-
-    assert payload_cls is SyntheticPayload
+def test_synthetic_payload_alias_is_gone():
+    """The one-release ``repro.SyntheticPayload`` shim expired: the
+    double lives in ``repro.testing`` only."""
+    with pytest.raises(AttributeError, match="SyntheticPayload"):
+        repro.SyntheticPayload
     assert "SyntheticPayload" not in repro.__all__
+    assert repro.testing.SyntheticPayload(3).length == 3
 
 
 def test_unknown_attribute_raises():
@@ -123,21 +123,21 @@ def test_stats_has_no_deprecated_wal_aliases():
     cluster.close()
 
 
-def test_legacy_stabilizer_kwargs_warn_and_apply():
+def test_stabilizer_rejects_unknown_keywords():
+    """The one-release ``Stabilizer(**tunables)`` shim expired: tunables
+    live on ``StabilizerConfig``, and any extra keyword — a former
+    tunable or a typo — is a plain ``TypeError``."""
     from repro import NetemSpec, Simulator, Stabilizer, StabilizerConfig, Topology
 
     topo = Topology()
     topo.add_node("a", "az0")
     topo.add_node("b", "az1")
     topo.set_default(NetemSpec(latency_ms=1, rate_mbit=1000))
-    sim = Simulator()
-    net = topo.build(sim)
+    net = topo.build(Simulator())
     config = StabilizerConfig.from_topology(topo, "a")
-    with pytest.warns(DeprecationWarning, match="StabilizerConfig.frame_bytes"):
-        node = Stabilizer(net, config, frame_bytes=1024)
+    for keyword in ("frame_bytes", "no_such_knob"):
+        with pytest.raises(TypeError, match=keyword):
+            Stabilizer(net, config, **{keyword: 1024})
+    node = Stabilizer(net, config.replace(frame_bytes=1024))
     assert node.config.frame_bytes == 1024
-    assert config.frame_bytes != 1024  # the caller's config is untouched
     node.close()
-
-    with pytest.raises(TypeError, match="no_such_knob"):
-        Stabilizer(net, config.for_node("b"), no_such_knob=1)
