@@ -1,8 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench bench-smoke bench-full chaos-smoke \
-        durability-smoke obs-smoke overload-smoke rebalance-smoke \
-        shard-smoke strategy-smoke trace-smoke api-check verify report \
+.PHONY: install test bench bench-full api-check verify report \
         perf perf-compare clean
 
 install:
@@ -14,58 +12,41 @@ test:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Tiny-configuration runs of the hot-path harness (also collected by the
-# plain tier-1 `pytest` run, since they live under tests/).
-bench-smoke:
-	pytest -m bench_smoke
-
 bench-full:
 	REPRO_FULL=1 pytest benchmarks/ --benchmark-only
 
-# A seeded 3-AZ/6-node chaos run with full invariant checking, small
-# enough for CI (seconds, not minutes).
-chaos-smoke:
-	pytest -m chaos_smoke
-
-# The 20-seed disk-fault chaos sweep over the durability-honesty and
-# no-acked-persisted-loss invariants.
-durability-smoke:
-	pytest -m durability_smoke
-
-# Flight-recorder dump + full-lifecycle trace check on an injected
-# chaos failure (and the tracer counters of a clean run).
-obs-smoke:
-	pytest -m obs_smoke
-
-# Overload chaos: seeded flash-crowd / slow-node sweeps over the
-# admission-control and SLA-controller invariants — no admitted message
-# is ever shed, degraded predicates are restored (see docs/overload.md).
-overload-smoke:
-	pytest -m overload_smoke
-
-# Membership chaos: seeded join/leave/failover sweeps plus handcrafted
-# crash-mid-handoff schedules over the rebalance invariants
-# (see docs/sharding.md, "Rebalancing & failover").
-rebalance-smoke:
-	pytest -m rebalance_smoke
-
-# Partial-replication invariant runs plus the shard-scaling bench
-# harness at tiny scale (see docs/sharding.md).
-shard-smoke:
-	pytest -m shard_smoke
-
-# Stabilization-engine smoke: one seeded chaos run per engine — ACK
-# table, sequencer, hybrid clock — under the full invariant checker
-# (see docs/strategies.md).
-strategy-smoke:
-	pytest -m strategy_smoke
-
-# Cross-node tracing smoke: a seeded 3-node run must yield a well-formed
-# chrome trace with at least one complete cross-node span tree, a
-# parseable OpenMetrics exposition, and >= 95% blame attribution at 1/1
-# sampling (see docs/observability.md, "Tracing & attribution").
-trace-smoke:
-	pytest -m trace_smoke
+# One sweep alone: `make <name>-smoke` runs `pytest -m <name>_smoke`.
+# The markers are declared in pyproject.toml and all live under tests/,
+# so the plain tier-1 `pytest` run already collects every one of them.
+# (A pattern rule, so the names are not in .PHONY: make skips implicit
+# rules for phony targets, and no file is ever called `chaos-smoke`.)
+#
+#   bench       the hot-path benchmark harness at tiny configurations
+#   chaos       a seeded 3-AZ/6-node chaos run with full invariant
+#               checking, small enough for CI (seconds, not minutes)
+#   durability  the 20-seed disk-fault chaos sweep over the durability-
+#               honesty and no-acked-persisted-loss invariants
+#   obs         flight-recorder dump + full-lifecycle trace check on an
+#               injected chaos failure (and a clean run's tracer counters)
+#   overload    seeded flash-crowd / slow-node sweeps over the admission-
+#               control and SLA-controller invariants — no admitted
+#               message is ever shed, degraded predicates are restored
+#               (docs/overload.md)
+#   rebalance   seeded join/leave/failover sweeps plus handcrafted
+#               crash-mid-handoff schedules over the rebalance invariants
+#               (docs/sharding.md, "Rebalancing & failover")
+#   shard       partial-replication invariant runs plus the shard-scaling
+#               bench harness at tiny scale (docs/sharding.md)
+#   strategy    one seeded chaos run per stabilization engine — ACK table,
+#               sequencer, hybrid clock — under the full invariant checker
+#               (docs/strategies.md)
+#   trace       a seeded 3-node run must yield a well-formed chrome trace
+#               with at least one complete cross-node span tree, a
+#               parseable OpenMetrics exposition, and >= 95% blame
+#               attribution at 1/1 sampling (docs/observability.md,
+#               "Tracing & attribution")
+%-smoke:
+	pytest -m $*_smoke
 
 # Public-API gate: the __all__ snapshot test plus a warning-free import
 # (`import repro` must never trip a DeprecationWarning).  The snapshot

@@ -802,7 +802,13 @@ def run_ack_batching(
     messages: int = 200,
     rate: float = 100.0,
 ) -> List[Dict[str, float]]:
-    """Sweep the control-plane flush interval: detection lag vs frames."""
+    """Sweep the control-plane flush interval: detection lag vs reports.
+
+    ``control_reports`` is the engine's own count of batched reports put
+    on the wire — the quantity batching controls.  ``control_frames`` is
+    everything the carrier sent, which adds a floor of tail probes and
+    heartbeats that does not shrink with the interval (and grows where
+    the interval reaches ``transport_min_rto_s``)."""
     rows = []
     for interval in intervals_s:
         sim, net = build_network(ec2_topology())
@@ -830,13 +836,13 @@ def run_ack_batching(
 
         constant_rate(sim, rate, messages, send)
         sim.run(until=messages / rate + 10.0)
-        frames = sum(
-            node.controlplane.frames_sent for node in cluster
-        )
+        reports = sum(node.strategy.reports_sent for node in cluster)
+        frames = sum(node.controlplane.frames_sent for node in cluster)
         rows.append(
             {
                 "interval_ms": interval * 1e3,
                 "mean_detect_latency_ms": mean(latencies) * 1e3,
+                "control_reports": float(reports),
                 "control_frames": float(frames),
             }
         )
@@ -945,7 +951,7 @@ def run_hotpath_frontier(
     baseline, per (predicates, nodes) grid cell.
 
     Each "report" advances one random ACK-table cell and re-evaluates —
-    the exact shape of the ``ControlPlane -> FrontierEngine`` hot path.
+    the exact shape of the ``AckTableStrategy -> FrontierEngine`` hot path.
     Both engines replay an identical deterministic update stream, and the
     resulting frontiers are compared cell-for-cell (``frontiers_match``).
     """

@@ -15,7 +15,6 @@ from repro.core.admission import (
 )
 from repro.core.cluster import StabilizerCluster, build_cluster
 from repro.core.config import StabilizerConfig
-from repro.core.controlplane import ControlPlane
 from repro.core.dataplane import DataPlane, SendBuffer
 from repro.core.degradation import DegradationPolicy, MaskSuspectedPolicy
 from repro.core.durability import DurabilityManager
@@ -63,7 +62,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionOutcome",
     "CircuitBreaker",
-    "ControlPlane",
     "DataPlane",
     "DegradationPolicy",
     "DurabilityManager",

@@ -18,6 +18,10 @@ from repro.errors import ConfigError
 
 BUILTIN_TYPES = (DEFAULT_TYPE, "persisted")
 
+#: Recognised stabilization engines, in documentation order (the classes
+#: live in ``repro.core.strategy``, which re-exports this tuple).
+STRATEGY_NAMES = ("acktable", "sequencer", "hybrid_clock")
+
 
 class StabilizerConfig:
     """Per-node configuration; see module docstring.
@@ -219,17 +223,17 @@ class StabilizerConfig:
             raise ConfigError("shard_id must be non-negative")
         if shard_epoch < 0:
             raise ConfigError("shard_epoch must be non-negative")
-        if stabilization_strategy not in ("acktable", "sequencer", "hybrid_clock"):
+        if stabilization_strategy not in STRATEGY_NAMES:
             raise ConfigError(
                 f"unknown stabilization strategy {stabilization_strategy!r}; "
-                f"known: acktable, sequencer, hybrid_clock"
+                f"known: {', '.join(STRATEGY_NAMES)}"
             )
         if shard_strategies is not None:
             for shard, name in shard_strategies.items():
-                if name not in ("acktable", "sequencer", "hybrid_clock"):
+                if name not in STRATEGY_NAMES:
                     raise ConfigError(
                         f"unknown stabilization strategy {name!r} for "
-                        f"shard {shard}"
+                        f"shard {shard}; known: {', '.join(STRATEGY_NAMES)}"
                     )
 
         self.node_names = list(node_names)
@@ -390,39 +394,7 @@ class StabilizerConfig:
 
     def for_node(self, local: str) -> "StabilizerConfig":
         """The same deployment config, viewed from another node."""
-        return StabilizerConfig(
-            node_names=self.node_names,
-            groups=self.groups,
-            local=local,
-            predicates=self.predicates,
-            ack_types=self.ack_types,
-            chunk_bytes=self.chunk_bytes,
-            control_interval_s=self.control_interval_s,
-            control_batch=self.control_batch,
-            control_fanout=self.control_fanout,
-            failure_timeout_s=self.failure_timeout_s,
-            max_buffer_bytes=self.max_buffer_bytes,
-            window_bytes=self.window_bytes,
-            frame_bytes=self.frame_bytes,
-            frame_delay_ms=self.frame_delay_ms,
-            send_policy=self.send_policy,
-            max_retransmit_attempts=self.max_retransmit_attempts,
-            transport_min_rto_s=self.transport_min_rto_s,
-            transport_max_rto_s=self.transport_max_rto_s,
-            durability=self.durability,
-            durability_group_commit_interval_s=self.durability_group_commit_interval_s,
-            durability_group_commit_batch=self.durability_group_commit_batch,
-            durability_segment_bytes=self.durability_segment_bytes,
-            durability_dir=self.durability_dir,
-            shard_count=self.shard_count,
-            shard_replication=self.shard_replication,
-            shard_owners=self.shard_owners,
-            shard_id=self.shard_id,
-            shard_epoch=self.shard_epoch,
-            stabilization_strategy=self.stabilization_strategy,
-            strategy_params=self.strategy_params,
-            shard_strategies=self.shard_strategies,
-        )
+        return self.replace(local=local)
 
     def replace(self, **changes) -> "StabilizerConfig":
         """A copy with the given fields changed; validation re-runs."""

@@ -572,23 +572,17 @@ class ShardedStabilizer:
         """Cross-shard critical-path attribution of this node's own
         sends (see :meth:`repro.core.stabilizer.Stabilizer.blame`); the
         shared ring's shard tags keep per-shard sequence spaces apart."""
-        from repro.obs.critpath import BlameTable, analyze_trees
-        from repro.obs.spans import build_span_trees
+        from repro.obs.critpath import BlameTable, analyze
 
-        table = BlameTable()
         tracer = next(
             (s.tracer for s in self.shards.values() if s.tracer.enabled),
             None,
         )
         if tracer is None or tracer.emitted == 0:
-            return table
-        trees = build_span_trees(
-            tracer.events(), keys=keys, max_sends=max_sends
+            return BlameTable()
+        return analyze(
+            tracer.events(), keys=keys, max_sends=max_sends, origin=self.name
         )
-        for attribution in analyze_trees(trees, keys=keys):
-            if attribution.origin == self.name:
-                table.add(attribution)
-        return table
 
     # ------------------------------------------------------------------ teardown
     def close(self) -> None:

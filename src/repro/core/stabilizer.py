@@ -134,7 +134,6 @@ class Stabilizer:
             on_sent=self._on_sent if self.durability is not None else None,
         )
         self.strategy.bind(self)
-        self.strategy.bind_obs(self.tracer, self.registry)
         # The carrier keeps its historical attribute name: the chaos
         # invariants, ops surfaces, and benchmarks read frame counters
         # off ``node.controlplane`` whichever engine is running.
@@ -508,19 +507,13 @@ class Stabilizer:
         frontier-eval) dominated.  Returns a
         :class:`repro.obs.critpath.BlameTable` (empty when tracing is
         off or the ring holds no stabilized sends)."""
-        from repro.obs.critpath import BlameTable, analyze_trees
-        from repro.obs.spans import build_span_trees
+        from repro.obs.critpath import BlameTable, analyze
 
-        table = BlameTable()
         if self.tracer.emitted == 0:
-            return table
-        trees = build_span_trees(
-            self.tracer.events(), keys=keys, max_sends=max_sends
+            return BlameTable()
+        return analyze(
+            self.tracer.events(), keys=keys, max_sends=max_sends, origin=self.name
         )
-        for attribution in analyze_trees(trees, keys=keys):
-            if attribution.origin == self.name:
-                table.add(attribution)
-        return table
 
     def attach_alerter(self, alerter) -> None:
         """Wire an :class:`repro.obs.alerts.SloAlerter` into the node:
@@ -679,6 +672,6 @@ class Stabilizer:
         if self.durability is not None:
             self.durability.crash()
         self.detector.stop()
-        self.strategy.crash()
+        self.strategy.close()  # stops timers; no engine sends a parting frame
         self.dataplane.close()  # partial frames die with the node
         self.endpoint.close()

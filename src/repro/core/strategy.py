@@ -7,8 +7,8 @@ single shard of one — can choose its engine:
 
 - :class:`AckTableStrategy` (default, ``"acktable"``): the paper's
   protocol.  Every node streams monotone per-``(origin, type)`` ACK
-  reports to its peers (``controlplane.py`` + ``acks.py``), giving
-  cell-precise frontiers at O(n²) control fan-out.
+  reports to its peers, giving cell-precise frontiers at O(n²) control
+  fan-out.
 - :class:`~repro.core.strategy_sequencer.SequencerStrategy`
   (``"sequencer"``): deferred-update stabilization in the style of
   Gunawardhana, Bravo & Rodrigues — grant floors funnel to one sequencer
@@ -27,6 +27,15 @@ sequencer and hybrid-clock engines advance **all rows at once** when
 their global stability rule fires (per-node cell granularity is
 collapsed; see ``docs/strategies.md`` for the expressiveness trade).
 
+All three have one shape.  The base class owns what they share: the
+tables, the composed :class:`~repro.core.controlplane.ControlChannelSet`
+carrier, the one local-grant path (:meth:`StabilizationStrategy.grant_local`)
+and the one report batcher (a flush at least every
+``control_flush_interval_s`` or after ``control_batch`` distinct newly
+granted cells).  An engine fills hooks — ``_propagate_grant``,
+``_ship_batch``, ``on_control_frame``, ``full_state_frames`` and the
+``on_local_send`` / ``on_catchup`` / snapshot extras — and nothing else.
+
 Engine selection flows through
 ``StabilizerConfig(stabilization_strategy=...)``, with a per-shard
 override (``shard_strategies``) resolved by
@@ -43,12 +52,11 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.acks import AckTable
-from repro.core.controlplane import ControlChannelSet, ControlPlane
+from repro.core.controlplane import ControlChannelSet
 from repro.core.config import StabilizerConfig
-from repro.errors import ConfigError, StabilizerError
-
-#: Recognised engine names, in documentation order.
-STRATEGY_NAMES = ("acktable", "sequencer", "hybrid_clock")
+from repro.core.config import STRATEGY_NAMES  # noqa: F401 - re-exported
+from repro.errors import StabilizerError
+from repro.transport.messages import ControlBatch, ControlFrame
 
 
 class StabilizationStrategy:
@@ -61,20 +69,22 @@ class StabilizationStrategy:
     1. ``build_tables()`` — allocate the per-origin ACK tables (the
        shared evaluation substrate).
     2. ``bind(stabilizer)`` — attach to the node: build the control
-       carrier (a :class:`~repro.core.controlplane.ControlChannelSet`),
-       start engine timers.  After this, ``carrier`` is set.
-    3. ``bind_obs(tracer, registry)`` — observability binding.
-    4. Steady state: ``on_local_send`` / ``on_remote_deliver`` /
+       carrier (a :class:`~repro.core.controlplane.ControlChannelSet`
+       constructed with this engine's ``on_control_frame`` and
+       ``full_state_frames`` as its callbacks), take the carrier's
+       tracer, start engine timers.  After this, ``carrier`` is set.
+    3. Steady state: ``on_local_send`` / ``on_remote_deliver`` /
        ``grant_local`` from the facade; ``on_control_frame`` from the
        carrier; ``advance_candidates()`` forces pending control work out
        now (flush/broadcast) instead of waiting for the next timer.
-    5. ``full_state_frames(peer)`` — the frames that rebuild this
+    4. ``full_state_frames(peer)`` — the frames that rebuild this
        node's engine state at ``peer``; the carrier re-sends them to
        repair lost frames and ``on_resume_request(peer)`` to resync a
        restarted peer.  ``on_catchup()`` is this node's own restart;
        ``snapshot()`` / ``restore(state)`` ride the recovery envelope
        (which refuses cross-engine restores).
-    6. ``close()`` / ``crash()`` — stop timers (graceful or not).
+    5. ``close()`` — stop timers and the carrier; graceful shutdown and
+       crash alike (no engine sends a parting frame).
 
     Engines must keep every table monotone (cells never regress) and
     must call ``stabilizer._on_table_update`` after advancing cells so
@@ -92,10 +102,20 @@ class StabilizationStrategy:
         self.config = config
         self.node = None  # the owning Stabilizer, set by bind()
         self.carrier: Optional[ControlChannelSet] = None
+        self.tracer = None  # the carrier's, set by bind()
         self.tables: Dict[str, AckTable] = {}
         self.received_id = config.type_ids()["received"]
-        self.tracer = None
-        self.registry = None
+        # ``config.local_index`` is a list scan; the grant path runs once
+        # per acknowledgment.
+        self.local_index = config.local_index
+        self._type_names = config.type_names()
+        # The report batcher: origin -> {type_id -> seq} granted locally
+        # and not yet shipped.  The cadence honours the data plane's
+        # frame clock: never flush faster than WAN frames are cut.
+        self._pending: Dict[str, Dict[int, int]] = {}
+        self._pending_count = 0
+        self._flush_timer = None
+        self._flush_interval_s = config.control_flush_interval_s()
 
     # ------------------------------------------------------------------ lifecycle
     def build_tables(self) -> Dict[str, AckTable]:
@@ -110,28 +130,15 @@ class StabilizationStrategy:
     def bind(self, stabilizer) -> None:
         """Attach to the node and bring up the control carrier."""
         self.node = stabilizer
-        self._bind_control(stabilizer)
-        self._start(stabilizer)
-
-    def _bind_control(self, stabilizer) -> None:
-        """Build the carrier.  The default is the generic channel set
-        with engine frames routed to :meth:`on_control_frame`."""
         self.carrier = ControlChannelSet(
             stabilizer.endpoint,
             stabilizer.config,
+            on_frame=self.on_control_frame,
+            full_state=self.full_state_frames,
             on_heard=stabilizer.detector.heard_from,
             on_resume=stabilizer._on_resume_request,
         )
-        self.carrier.on_frame = self.on_control_frame
-        self.carrier.full_state = self.full_state_frames
-
-    def _start(self, stabilizer) -> None:
-        """Start engine timers (report batching, clock ticks, ...)."""
-
-    def bind_obs(self, tracer, registry) -> None:
-        """Observability binding: called once, after :meth:`bind`."""
-        self.tracer = tracer
-        self.registry = registry
+        self.tracer = self.carrier.tracer
 
     # ------------------------------------------------------------------ steady state
     def on_local_send(self, first: int, last: int) -> None:
@@ -142,11 +149,11 @@ class StabilizationStrategy:
         """
         table = self.tables[self.config.local]
         advanced = table.set_all_types(
-            self.config.local_index, last, skip=self.node._persisted_skip
+            self.local_index, last, skip=self.node._persisted_skip
         )
         self.node.engine.reevaluate(
             self.config.local,
-            updated_node=self.config.local_index,
+            updated_node=self.local_index,
             updated_cells=[(type_id, last) for type_id in advanced],
         )
         return advanced
@@ -174,21 +181,75 @@ class StabilizationStrategy:
         ``type_id`` (delivery acks, WAL fsyncs, application reports).
         Updates the local row immediately — predicates at this node see
         the grant without network delay — then hands it to the engine's
-        propagation protocol."""
+        propagation protocol.  The only local-grant path: engines fill
+        :meth:`_propagate_grant`, they do not override this."""
         table = self.tables.get(origin)
         if table is None:
             raise StabilizerError(f"unknown origin stream {origin!r}")
-        if not table.update(self.config.local_index, type_id, seq):
+        if not table.update(self.local_index, type_id, seq):
             return  # stale: monotonic overwrite means nothing to report
-        self.node._on_table_update(
-            origin, self.config.local_index, ((type_id, seq),)
-        )
+        tracer = self.tracer
+        if tracer.enabled and tracer.sampled(origin, seq):
+            names = self._type_names
+            tracer.emit(
+                self.config.local,
+                "ack.local",
+                origin=origin,
+                type=names[type_id] if type_id < len(names) else type_id,
+                seq=seq,
+            )
+        self.node._on_table_update(origin, self.local_index, ((type_id, seq),))
         self._propagate_grant(origin, type_id, seq)
 
     def _propagate_grant(self, origin: str, type_id: int, seq: int) -> None:
-        """Engine-specific propagation of a local grant."""
+        """Engine-specific propagation of a local grant (the batching
+        engines bind this to :meth:`_batch_report`)."""
         raise NotImplementedError
 
+    # ------------------------------------------------------------------ the report batcher
+    def _batch_report(self, origin: str, type_id: int, seq: int) -> None:
+        """Queue "this node grants ``origin`` up to ``seq`` at
+        ``type_id``" for the next flush: after ``control_batch`` distinct
+        pending cells, or ``control_flush_interval_s`` after the first."""
+        pending = self._pending.setdefault(origin, {})
+        if type_id not in pending:
+            # Count distinct pending (origin, type) cells: re-granting the
+            # same cell before a flush overwrites in place and must not
+            # push the batch counter toward an early flush.
+            self._pending_count += 1
+        elif pending[type_id] >= seq:
+            return  # the batch is state too: floors only rise
+        pending[type_id] = seq
+        if self._pending_count >= self.config.control_batch:
+            self.advance_candidates()
+        elif self._flush_timer is None:
+            self._flush_timer = self.carrier.sim.call_later(
+                self._flush_interval_s, self._flush_tick
+            )
+
+    def _flush_tick(self) -> None:
+        self._flush_timer = None
+        self.advance_candidates()
+
+    def advance_candidates(self) -> None:
+        """Push pending control state out *now* instead of waiting for
+        the next timer: flush the report batch (an engine with a clock
+        instead of a batch broadcasts that)."""
+        if self._flush_timer is not None:
+            self._flush_timer.cancel()
+            self._flush_timer = None
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, {}
+        self._pending_count = 0
+        self._ship_batch(pending)
+
+    def _ship_batch(self, pending: Dict[str, Dict[int, int]]) -> None:
+        """Put one flushed batch, ``origin -> {type_id -> seq}``, on the
+        wire in the engine's own frames."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ receiving side
     def _apply_stable(self, origin: str, entries) -> bool:
         """Bulk-apply a global stability verdict: every node is known to
         have granted ``origin``'s stream up to ``seq`` at ``type_id``, for
@@ -223,16 +284,13 @@ class StabilizationStrategy:
             f"{type(frame).__name__} from {peer!r}"
         )
 
-    def advance_candidates(self) -> None:
-        """Push pending control state out *now* (flush report batches,
-        broadcast the clock, ...) instead of waiting for the next timer."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------ recovery
     def full_state_frames(self, peer: str) -> list:
         """The frames that rebuild this node's engine state at ``peer``
         from nothing (possibly none) — what the carrier re-sends to
-        repair lost frames and to resync a restarted peer."""
+        repair lost frames and to resync a restarted peer.  A cell whose
+        report is still batched is left to that report: repair must not
+        pre-empt the flush cadence."""
         raise NotImplementedError
 
     def on_resume_request(self, peer: str) -> None:
@@ -275,78 +333,157 @@ class StabilizationStrategy:
 
     # ------------------------------------------------------------------ teardown
     def close(self) -> None:
-        """Graceful shutdown: stop engine timers and the carrier."""
-        self._stop()
+        """Stop engine timers and the carrier.  Shutdown and crash are
+        the same here: whatever was still batched is abandoned."""
+        if self._flush_timer is not None:
+            self._flush_timer.cancel()
+            self._flush_timer = None
         self.carrier.close()
-
-    def crash(self) -> None:
-        """Crash teardown — no parting flush, no goodbyes."""
-        self._stop()
-        self.carrier.close()
-
-    def _stop(self) -> None:
-        """Cancel engine timers."""
 
 
 class AckTableStrategy(StabilizationStrategy):
-    """The paper's protocol, verbatim: the pre-redesign ``ControlPlane``
-    streaming monotone per-cell ACK reports to every peer (or to the
-    origin only, under ``control_fanout="origin"``).  Cell-precise —
-    per-node predicates like ``KTH_MAX`` and per-peer ``MAX`` react to
-    the *first* qualifying ack, at O(n²) steady-state control traffic.
+    """The paper's protocol: monotone per-cell ACK reports, batched per
+    origin and streamed to every peer (or to the origin only, under
+    ``control_fanout="origin"``).  Cell-precise — per-node predicates
+    like ``KTH_MAX`` and per-peer ``MAX`` react to the *first* qualifying
+    ack, at O(n²) steady-state control traffic.
 
     Zero behavior change from the pre-strategy tree is a tested
     guarantee (``tests/core/test_strategy_equivalence.py``)."""
 
     name = "acktable"
 
-    def _bind_control(self, stabilizer) -> None:
-        self.plane = ControlPlane(
-            stabilizer.endpoint,
-            stabilizer.config,
-            self.tables,
-            on_table_update=stabilizer._on_table_update,
-            on_heard=stabilizer.detector.heard_from,
-            on_resume=stabilizer._on_resume_request,
+    def __init__(self, config: StabilizerConfig):
+        super().__init__(config)
+        self._peers = config.remote_names()
+        self.reports_sent = 0
+        self.reports_coalesced = 0
+
+    _propagate_grant = StabilizationStrategy._batch_report
+
+    def _targets(self, origin: str):
+        if self.config.control_fanout == "origin":
+            if origin == self.config.local:
+                return []  # nobody to tell: we are the origin
+            return [origin]
+        return self._peers
+
+    def _report_frame(self, origin: str, entries: Dict[int, int]) -> ControlFrame:
+        return ControlFrame(
+            node_index=self.local_index,
+            origin_index=self.config.node_index(origin),
+            entries=entries,
         )
-        self.carrier = self.plane
 
-    def grant_local(self, origin: str, type_id: int, seq: int) -> None:
-        # The plane owns the whole grant path (table update, trace,
-        # frontier upcall, report batching) — byte-identical to the
-        # pre-redesign note_local_ack.
-        self.plane.note_local_ack(origin, type_id, seq)
-
-    def _propagate_grant(self, origin: str, type_id: int, seq: int) -> None:
-        raise AssertionError("unreachable: grant_local is overridden")
-
-    def advance_candidates(self) -> None:
-        self.plane.flush()
+    def _ship_batch(self, pending: Dict[str, Dict[int, int]]) -> None:
+        """One coalesced transport frame per peer, however many origin
+        streams the flush covers."""
+        tracing = self.tracer.enabled
+        per_peer: Dict[str, list] = {}
+        for origin, entries in pending.items():
+            frame = self._report_frame(origin, entries)
+            for peer in self._targets(origin):
+                per_peer.setdefault(peer, []).append(frame)
+        for peer, frames in per_peer.items():
+            if len(frames) == 1:
+                outgoing = frames[0]
+            else:
+                outgoing = ControlBatch(self.local_index, frames)
+                self.reports_coalesced += len(frames)
+            self.carrier.send_frame(peer, outgoing)
+            self.reports_sent += len(frames)
+            if tracing:
+                # heads = the ack watermarks this flush carries, as
+                # [origin, type, seq] triples — the trace context that
+                # lets span reconstruction follow one send's ACK from the
+                # acking peer back to its origin.
+                names = self._type_names
+                self.tracer.emit(
+                    self.config.local,
+                    "control.send",
+                    peer=peer,
+                    origins=len(frames),
+                    cells=sum(len(f.entries) for f in frames),
+                    heads=[
+                        [
+                            self.config.node_names[f.origin_index],
+                            names[t] if t < len(names) else t,
+                            s,
+                        ]
+                        for f in frames
+                        for t, s in f.entries.items()
+                    ],
+                )
 
     def full_state_frames(self, peer: str) -> list:
-        return self.plane.full_state_frames(peer)
+        """This node's full acknowledgment rows as one frame for ``peer``,
+        so a peer that lost a report — or restarted and lost them all —
+        rebuilds its view of our column without waiting for organic
+        re-acks (which, being monotonic, would never repeat old values)."""
+        frames = []
+        for origin, table in self.tables.items():
+            if peer not in self._targets(origin):
+                continue
+            batched = self._pending.get(origin, ())
+            entries = {
+                type_id: seq
+                for type_id, seq in enumerate(table.row(self.local_index))
+                if seq > 0 and type_id not in batched
+            }
+            if entries:
+                frames.append(self._report_frame(origin, entries))
+        if len(frames) > 1:
+            return [ControlBatch(self.local_index, frames)]
+        return frames
+
+    def on_control_frame(self, peer: str, frame) -> None:
+        if isinstance(frame, ControlFrame):
+            self._apply_report(frame)
+        elif isinstance(frame, ControlBatch):
+            for report in frame.frames:
+                self._apply_report(report)
+        else:
+            super().on_control_frame(peer, frame)
+
+    def _apply_report(self, frame: ControlFrame) -> None:
+        reporter = frame.node_index
+        origin = self.config.node_names[frame.origin_index]
+        if self.tracer.enabled:
+            names = self._type_names
+            self.tracer.emit(
+                self.config.local,
+                "control.receive",
+                peer=self.config.node_names[reporter],
+                origin=origin,
+                cells=len(frame.entries),
+                heads=[
+                    [names[t] if t < len(names) else t, s]
+                    for t, s in frame.entries.items()
+                ],
+            )
+        table = self.tables.get(origin)
+        if table is None:
+            raise StabilizerError(f"control report for unknown origin {origin!r}")
+        # One batched table update and one frontier pass per frame — the
+        # advanced (type_id, seq) cells let the engine use its reverse
+        # dependency index instead of rescanning every predicate.
+        advanced = table.update_many(reporter, frame.entries)
+        if advanced:
+            self.node._on_table_update(origin, reporter, advanced)
 
     def _engine_stats(self) -> Dict[str, float]:
         return {
-            "reports_sent": self.plane.reports_sent,
-            "reports_coalesced": self.plane.reports_coalesced,
+            "reports_sent": self.reports_sent,
+            "reports_coalesced": self.reports_coalesced,
         }
 
 
 def build_strategy(config: StabilizerConfig) -> StabilizationStrategy:
-    """Instantiate the engine ``config.stabilization_strategy`` names."""
-    name = getattr(config, "stabilization_strategy", "acktable")
-    if name == "acktable":
-        return AckTableStrategy(config)
-    if name == "sequencer":
-        from repro.core.strategy_sequencer import SequencerStrategy
+    """Instantiate the engine ``config.stabilization_strategy`` names
+    (one of :data:`STRATEGY_NAMES` — the config validated that)."""
+    from repro.core.strategy_hybrid import HybridClockStrategy
+    from repro.core.strategy_sequencer import SequencerStrategy
 
-        return SequencerStrategy(config)
-    if name == "hybrid_clock":
-        from repro.core.strategy_hybrid import HybridClockStrategy
-
-        return HybridClockStrategy(config)
-    raise ConfigError(
-        f"unknown stabilization strategy {name!r}; "
-        f"known: {', '.join(STRATEGY_NAMES)}"
-    )
+    engines = (AckTableStrategy, SequencerStrategy, HybridClockStrategy)
+    by_name = {engine.name: engine for engine in engines}
+    return by_name[config.stabilization_strategy](config)

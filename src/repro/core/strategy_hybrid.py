@@ -49,8 +49,7 @@ class HybridClockStrategy(StabilizationStrategy):
 
     def __init__(self, config):
         super().__init__(config)
-        params = getattr(config, "strategy_params", None) or {}
-        interval = params.get("clock_interval_s")
+        interval = config.strategy_params.get("clock_interval_s")
         if interval is None:
             # Default: a shade slower than the ACK-table flush cadence —
             # the engine exists to trade latency for fixed-size metadata.
@@ -85,15 +84,17 @@ class HybridClockStrategy(StabilizationStrategy):
             self._hlc = clock
 
     # ------------------------------------------------------------------ lifecycle
-    def _start(self, stabilizer) -> None:
+    def bind(self, stabilizer) -> None:
+        super().bind(stabilizer)
         self._clock_timer = self.carrier.sim.call_later(
             self.clock_interval_s, self._clock_tick
         )
 
-    def _stop(self) -> None:
+    def close(self) -> None:
         if self._clock_timer is not None:
             self._clock_timer.cancel()
             self._clock_timer = None
+        super().close()
 
     # ------------------------------------------------------------------ steady state
     def on_local_send(self, first: int, last: int):
@@ -222,7 +223,7 @@ class HybridClockStrategy(StabilizationStrategy):
             self._apply_gst(advanced_types)
 
     def _apply_gst(self, type_ids: List[int]) -> None:
-        tracer = self.carrier.tracer
+        tracer = self.tracer
         for origin in self.config.node_names:
             origin_index = self.config.node_index(origin)
             points = self._points[origin_index]

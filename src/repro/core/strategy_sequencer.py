@@ -38,8 +38,9 @@ class SequencerStrategy(StabilizationStrategy):
 
     def __init__(self, config):
         super().__init__(config)
-        params = getattr(config, "strategy_params", None) or {}
-        self.sequencer = params.get("sequencer", config.node_names[0])
+        self.sequencer = config.strategy_params.get(
+            "sequencer", config.node_names[0]
+        )
         if self.sequencer not in config.node_names:
             raise StabilizerError(
                 f"sequencer {self.sequencer!r} is not a cluster node"
@@ -49,64 +50,39 @@ class SequencerStrategy(StabilizationStrategy):
         # per node, and the last broadcast stable value.
         self._floors: Dict[Tuple[int, int], List[int]] = {}
         self._stable: Dict[Tuple[int, int], int] = {}
-        # Reporter-side batch, same cadence knobs as the ACK-table engine
-        # (control_batch / control_flush_interval_s) so the benchmark
-        # compares protocols, not tuning.
-        self._pending: Dict[Tuple[int, int], int] = {}
-        self._flush_timer = None
-        self._flush_interval_s = config.control_flush_interval_s()
         self.reports_sent = 0
         self.stable_broadcasts = 0
         self.stable_entries = 0
 
     # ------------------------------------------------------------------ reporting side
+    # Grant floors ride the base class's report batcher — the same code
+    # and cadence knobs as the ACK-table engine (control_batch /
+    # control_flush_interval_s), so the benchmark compares protocols,
+    # not tuning.
+    _propagate_grant = StabilizationStrategy._batch_report
+
     def on_local_send(self, first: int, last: int):
         advanced = super().on_local_send(first, last)
         # The origin's own completeness jump is itself a grant floor the
         # sequencer must hear about, or nothing would ever stabilize.
-        local_origin = self.config.local_index
         for type_id in advanced:
-            self._report(local_origin, type_id, last)
+            self._batch_report(self.config.local, type_id, last)
         return advanced
 
-    def _propagate_grant(self, origin: str, type_id: int, seq: int) -> None:
-        self._report(self.config.node_index(origin), type_id, seq)
-
-    def _report(self, origin_index: int, type_id: int, seq: int) -> None:
-        key = (origin_index, type_id)
-        if self._pending.get(key, -1) >= seq:
-            return
-        self._pending[key] = seq
-        if len(self._pending) >= self.config.control_batch:
-            self._flush()
-        elif self._flush_timer is None:
-            self._flush_timer = self.carrier.sim.call_later(
-                self._flush_interval_s, self._flush_tick
-            )
-
-    def _flush(self) -> None:
-        if self._flush_timer is not None:
-            self._flush_timer.cancel()
-            self._flush_timer = None
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, {}
-        self.reports_sent += len(pending)
+    def _ship_batch(self, pending: Dict[str, Dict[int, int]]) -> None:
+        node_index = self.config.node_index
+        floors = {
+            (node_index(origin), type_id): seq
+            for origin, cells in pending.items()
+            for type_id, seq in cells.items()
+        }
+        self.reports_sent += len(floors)
         if self.is_sequencer:
             # The sequencer's own grants skip the wire entirely.
-            self._absorb(self.config.local_index, pending)
+            self._absorb(self.local_index, floors)
             return
-        frame = SequencerReportFrame(
-            node_index=self.config.local_index, entries=pending
-        )
+        frame = SequencerReportFrame(node_index=self.local_index, entries=floors)
         self.carrier.send_frame(self.sequencer, frame)
-
-    def _flush_tick(self) -> None:
-        self._flush_timer = None
-        self._flush()
-
-    def advance_candidates(self) -> None:
-        self._flush()
 
     # ------------------------------------------------------------------ sequencer side
     def _absorb(self, reporter: int, entries: Dict[Tuple[int, int], int]) -> None:
@@ -129,16 +105,13 @@ class SequencerStrategy(StabilizationStrategy):
             return
         self.stable_broadcasts += 1
         self.stable_entries += len(delta)
-        tracer = self.carrier.tracer
-        if tracer.enabled:
-            tracer.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 self.config.local,
                 "strategy.sequencer.stable",
                 entries=len(delta),
             )
-        frame = SequencerStableFrame(
-            node_index=self.config.local_index, entries=delta
-        )
+        frame = SequencerStableFrame(node_index=self.local_index, entries=delta)
         self.carrier.broadcast_frame(frame)
         self._apply_stable_entries(delta)
 
@@ -174,23 +147,21 @@ class SequencerStrategy(StabilizationStrategy):
             # (monotone, so re-sends are safe).
             frames.append(
                 SequencerStableFrame(
-                    node_index=self.config.local_index,
-                    entries=dict(self._stable),
+                    node_index=self.local_index, entries=dict(self._stable)
                 )
             )
         if peer == self.sequencer:
             # Our own table rows ARE our grant record; a floor whose
             # report is still batched is left to that report.
+            node_index = self.config.node_index
             floors = {
-                key: seq
-                for key, seq in self._local_floors().items()
-                if key not in self._pending
+                (node_index(origin), type_id): seq
+                for origin, type_id, seq in self._local_floors()
+                if type_id not in self._pending.get(origin, ())
             }
             if floors:
                 frames.append(
-                    SequencerReportFrame(
-                        node_index=self.config.local_index, entries=floors
-                    )
+                    SequencerReportFrame(node_index=self.local_index, entries=floors)
                 )
         return frames
 
@@ -198,19 +169,18 @@ class SequencerStrategy(StabilizationStrategy):
         # We restarted: floors restored from the snapshot may be behind
         # grants we made after it was taken — but also ahead of anything
         # the sequencer heard if we crashed mid-batch.  Re-report all.
-        for (origin_index, type_id), seq in self._local_floors().items():
-            self._report(origin_index, type_id, seq)
-        self._flush()
+        for origin, type_id, seq in self._local_floors():
+            self._batch_report(origin, type_id, seq)
+        self.advance_candidates()
 
-    def _local_floors(self) -> Dict[Tuple[int, int], int]:
-        local_row = self.config.local_index
-        floors = {}
-        for origin, table in self.tables.items():
-            origin_index = self.config.node_index(origin)
-            for type_id, seq in enumerate(table.row(local_row)):
-                if seq > 0:
-                    floors[(origin_index, type_id)] = seq
-        return floors
+    def _local_floors(self) -> List[Tuple[str, int, int]]:
+        """This node's granted ``(origin, type_id, seq)`` floors."""
+        return [
+            (origin, type_id, seq)
+            for origin, table in self.tables.items()
+            for type_id, seq in enumerate(table.row(self.local_index))
+            if seq > 0
+        ]
 
     def snapshot(self) -> dict:
         state = {"sequencer": self.sequencer}
@@ -240,8 +210,3 @@ class SequencerStrategy(StabilizationStrategy):
             "stable_broadcasts": self.stable_broadcasts,
             "stable_entries": self.stable_entries,
         }
-
-    def _stop(self) -> None:
-        if self._flush_timer is not None:
-            self._flush_timer.cancel()
-            self._flush_timer = None

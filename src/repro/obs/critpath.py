@@ -182,12 +182,16 @@ def analyze_trees(
 def analyze(
     events, keys: Optional[Iterable[str]] = None,
     max_sends: Optional[int] = None,
+    origin: Optional[str] = None,
 ) -> "BlameTable":
-    """Full pipeline: trace events → span trees → aggregated blame."""
+    """Full pipeline: trace events → span trees → aggregated blame, of
+    every origin's sends or (what a node's ``blame()`` asks, off a ring
+    the whole cluster may share) of ``origin``'s only."""
     trees = build_span_trees(events, keys=keys, max_sends=max_sends)
     table = BlameTable()
     for attribution in analyze_trees(trees, keys=keys):
-        table.add(attribution)
+        if origin is None or attribution.origin == origin:
+            table.add(attribution)
     return table
 
 

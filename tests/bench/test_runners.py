@@ -106,4 +106,7 @@ def test_reconfig_runner_tiny():
 def test_ack_batching_runner_tiny():
     rows = run_ack_batching(intervals_s=(0.005, 0.05), messages=40)
     assert rows[0]["mean_detect_latency_ms"] < rows[1]["mean_detect_latency_ms"]
-    assert rows[0]["control_frames"] > rows[1]["control_frames"]
+    # Batching controls the engine's reports; the carrier's frame count
+    # adds tail probes and heartbeats on top of them.
+    assert rows[0]["control_reports"] > rows[1]["control_reports"]
+    assert all(r["control_frames"] >= r["control_reports"] for r in rows)

@@ -78,6 +78,47 @@ def test_for_node_changes_only_local():
     assert other.node_names == config.node_names
 
 
+def test_for_node_carries_every_field():
+    """``for_node`` is ``replace(local=...)``: no field list to forget a
+    new field in.  Every field is set off its default here (the int-keyed
+    shard maps included, whose keys round-trip through ``to_dict`` as
+    strings), so a dropped one shows as a difference."""
+    config = make(
+        predicates={"all": "MIN($ALLWNODES)"},
+        ack_types=["verified"],
+        chunk_bytes=4096,
+        control_interval_s=0.01,
+        control_batch=4,
+        control_fanout="origin",
+        failure_timeout_s=2.0,
+        max_buffer_bytes=1 << 20,
+        window_bytes=64 * 1024,
+        frame_bytes=16 * 1024,
+        frame_delay_ms=1.0,
+        send_policy="block",
+        max_retransmit_attempts=5,
+        transport_min_rto_s=0.1,
+        transport_max_rto_s=2.0,
+        durability=True,
+        durability_group_commit_interval_s=0.01,
+        durability_group_commit_batch=8,
+        durability_segment_bytes=4096,
+        durability_dir="wal2",
+        shard_count=2,
+        shard_replication=2,
+        shard_owners={0: ["a", "b"], 1: ["b", "c"]},
+        shard_id=1,
+        shard_epoch=3,
+        stabilization_strategy="sequencer",
+        strategy_params={"sequencer": "b"},
+        shard_strategies={1: "hybrid_clock"},
+    )
+    full, defaults = config.to_dict(), make().to_dict()
+    positional = ("node_names", "groups", "local")
+    assert [k for k in full if k not in positional and full[k] == defaults[k]] == []
+    assert config.for_node("c").to_dict() == {**full, "local": "c"}
+
+
 def test_dict_roundtrip():
     config = make(ack_types=["verified"], chunk_bytes=4096)
     clone = StabilizerConfig.from_dict(config.to_dict())

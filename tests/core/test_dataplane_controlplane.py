@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.acks import AckTable
+from repro.core import StabilizerCluster
 from repro.core.config import StabilizerConfig
-from repro.core.controlplane import ControlPlane
 from repro.core.dataplane import DataPlane, SendBuffer
 from repro.errors import StabilizerError
 from repro.net import NetemSpec, Topology
@@ -127,94 +126,109 @@ def test_dataplane_delivery_and_received_callbacks():
 
 
 # ---------------------------------------------------------------------------
-# ControlPlane batching.
+# Control-plane batching: the report batcher every engine shares
+# (StabilizationStrategy), driven through ``grant_local`` on a two-node
+# cluster and read off the carrier (``node.controlplane``).
 # ---------------------------------------------------------------------------
 
-
-def control_pair(sim, net, batch=3, interval=0.05, fanout="all"):
-    updates = {"x": [], "y": []}
-    planes = {}
-    for name in ("x", "y"):
-        cfg = config(local=name, control_batch=batch,
-                     control_interval_s=interval, control_fanout=fanout)
-        tables = {origin: AckTable(2, 2) for origin in NODES}
-        planes[name] = ControlPlane(
-            TransportEndpoint(net, name),
-            cfg,
-            tables,
-            on_table_update=lambda origin, node, cells=None, _n=name: updates[
-                _n
-            ].append((origin, node)),
-        )
-    return planes, updates
+#: The engines that batch reports.  Under "sequencer" node x (first in
+#: NODES) is the sequencer, so y — where every grant below is made — is a
+#: reporter that ships its batch over the wire.
+BATCHING_ENGINES = ("acktable", "sequencer")
 
 
-def test_batch_count_triggers_immediate_flush():
+def control_pair(sim, net, batch=3, interval=0.05, fanout="all", engine="acktable"):
+    return StabilizerCluster(
+        net,
+        config(
+            control_batch=batch,
+            control_interval_s=interval,
+            control_fanout=fanout,
+            stabilization_strategy=engine,
+        ),
+    )
+
+
+def heard_from_y(cluster, engine, type_id=0):
+    """What x has heard of y's grants on x's stream: y's row of x's ACK
+    table, or — x being the sequencer — y's slot in its grant floors."""
+    x = cluster["x"]
+    if engine == "acktable":
+        return x.tables["x"].get(1, type_id)
+    return x.strategy._floors[(0, type_id)][1]
+
+
+@pytest.mark.parametrize("engine", BATCHING_ENGINES)
+def test_batch_count_triggers_immediate_flush(engine):
     sim, net = build_net()
-    planes, updates = control_pair(sim, net, batch=3, interval=10.0)
-    y = planes["y"]
+    cluster = control_pair(sim, net, batch=3, interval=10.0, engine=engine)
+    y = cluster["y"]
     for seq in (1, 2, 3):  # same cell re-acked: one pending entry, no flush
-        y.note_local_ack("x", 0, seq)
-    assert y.frames_sent == 0  # distinct pending cells: 1, not 3
-    y.note_local_ack("x", 1, 3)
-    y.note_local_ack("y", 0, 1)  # third distinct cell hits the batch limit
-    assert y.frames_sent >= 1  # flushed without waiting 10 s
+        y.strategy.grant_local("x", 0, seq)
+    assert y.controlplane.frames_sent == 0  # distinct pending cells: 1, not 3
+    y.strategy.grant_local("x", 1, 3)
+    y.strategy.grant_local("y", 0, 1)  # third distinct cell hits the batch limit
+    assert y.controlplane.frames_sent >= 1  # flushed without waiting 10 s
     sim.run(until=0.1)
-    # x received the cumulative report: its table shows y at 3.
-    assert planes["x"].tables["x"].get(1, 0) == 3
+    # x received the cumulative report: it has y at 3.
+    assert heard_from_y(cluster, engine) == 3
 
 
-def test_interval_timer_flushes_partial_batch():
+@pytest.mark.parametrize("engine", BATCHING_ENGINES)
+def test_interval_timer_flushes_partial_batch(engine):
     sim, net = build_net()
-    planes, updates = control_pair(sim, net, batch=100, interval=0.02)
-    y = planes["y"]
-    y.note_local_ack("x", 0, 1)
-    assert y.frames_sent == 0  # batched, not yet flushed
+    cluster = control_pair(sim, net, batch=100, interval=0.02, engine=engine)
+    y = cluster["y"]
+    y.strategy.grant_local("x", 0, 1)
+    assert y.controlplane.frames_sent == 0  # batched, not yet flushed
     sim.run(until=0.1)
-    assert y.frames_sent >= 1
-    assert planes["x"].tables["x"].get(1, 0) == 1
+    assert y.controlplane.frames_sent >= 1
+    assert heard_from_y(cluster, engine) == 1
 
 
-def test_stale_ack_produces_no_traffic():
+@pytest.mark.parametrize("engine", BATCHING_ENGINES)
+def test_stale_ack_produces_no_traffic(engine):
     sim, net = build_net()
-    planes, updates = control_pair(sim, net, batch=1)
-    y = planes["y"]
-    y.note_local_ack("x", 0, 5)
+    cluster = control_pair(sim, net, batch=1, engine=engine)
+    y = cluster["y"]
+    y.strategy.grant_local("x", 0, 5)
     sim.run(until=0.1)
-    frames = y.frames_sent
-    y.note_local_ack("x", 0, 4)  # stale: monotonic overwrite
-    y.note_local_ack("x", 0, 5)  # duplicate
+    frames = y.controlplane.frames_sent
+    assert frames >= 1
+    y.strategy.grant_local("x", 0, 4)  # stale: monotonic overwrite
+    y.strategy.grant_local("x", 0, 5)  # duplicate
     sim.run(until=0.2)
-    assert y.frames_sent == frames
+    assert y.controlplane.frames_sent == frames
 
 
 def test_origin_fanout_targets_only_the_origin():
     sim, net = build_net()
-    planes, updates = control_pair(sim, net, batch=1, fanout="origin")
-    y = planes["y"]
-    y.note_local_ack("x", 0, 7)
+    cluster = control_pair(sim, net, batch=1, fanout="origin")
+    y = cluster["y"]
+    y.strategy.grant_local("x", 0, 7)
     sim.run(until=0.1)
-    assert planes["x"].tables["x"].get(1, 0) == 7
+    assert cluster["x"].tables["x"].get(1, 0) == 7
     # And reporting about one's own stream sends nothing.
-    frames = y.frames_sent
-    y.note_local_ack("y", 0, 1)
+    frames = y.controlplane.frames_sent
+    y.strategy.grant_local("y", 0, 1)
     sim.run(until=0.2)
-    assert y.frames_sent == frames
+    assert y.controlplane.frames_sent == frames
 
 
 def test_heartbeats_flow_only_when_idle():
     sim, net = build_net()
-    planes, updates = control_pair(sim, net, batch=1)
+    cluster = control_pair(sim, net, batch=1)
+    y = cluster["y"]
     sim.run(until=10.0)  # idle: heartbeats keep flowing
-    assert planes["y"].frames_sent > 2
-    planes["y"].close()
-    sent = planes["y"].frames_sent
+    assert y.controlplane.frames_sent > 2
+    y.strategy.close()  # the engine and its carrier; the endpoint stays bound
+    sent = y.controlplane.frames_sent
     sim.run(until=20.0)
-    assert planes["y"].frames_sent == sent  # closed: silence
+    assert y.controlplane.frames_sent == sent  # closed: silence
 
 
 def test_unknown_origin_rejected():
     sim, net = build_net()
-    planes, updates = control_pair(sim, net)
+    cluster = control_pair(sim, net)
     with pytest.raises(StabilizerError, match="unknown origin"):
-        planes["y"].note_local_ack("nowhere", 0, 1)
+        cluster["y"].strategy.grant_local("nowhere", 0, 1)

@@ -1,4 +1,5 @@
-"""Lint: ``repro.core.acks`` is private to the strategy layer.
+"""Lints on the strategy layer: ``repro.core.acks`` is private to it, and
+every engine has the one shape (second half of this file).
 
 The strategy redesign (``docs/strategies.md``) put the ACK tables behind
 :class:`repro.core.strategy.StabilizationStrategy`: engines own the
@@ -85,4 +86,84 @@ def test_lint_catches_each_import_shape():
         assert list(_acks_imports(ast.parse(source))), source
     assert not list(
         _acks_imports(ast.parse("from repro.core.strategy import AckTable"))
+    )
+
+
+# ---------------------------------------------------------------------------
+# One engine shape: the carrier is composed, the grant path is inherited.
+# ---------------------------------------------------------------------------
+
+
+def _classes(tree):
+    """Yield (ClassDef, base names) for every class in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            yield node, {
+                base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+                for base in node.bases
+            }
+
+
+def _shape_violations(sources):
+    """``sources`` maps a label to module source.  An engine *has* a
+    carrier and *inherits* ``grant_local``: flag any subclass of
+    ``ControlChannelSet`` and any (transitive) subclass of
+    ``StabilizationStrategy`` that defines its own ``grant_local``."""
+    classes = [
+        (label, node, bases)
+        for label, source in sources.items()
+        for node, bases in _classes(ast.parse(source))
+    ]
+    engines = {"StabilizationStrategy"}
+    while True:
+        found = {node.name for _, node, bases in classes if bases & engines}
+        if found <= engines:
+            break
+        engines |= found
+    violations = []
+    for label, node, bases in classes:
+        if "ControlChannelSet" in bases:
+            violations.append(
+                f"{label}:{node.lineno} {node.name} subclasses ControlChannelSet"
+            )
+        if node.name in engines and node.name != "StabilizationStrategy":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "grant_local":
+                    violations.append(
+                        f"{label}:{item.lineno} {node.name} defines grant_local"
+                    )
+    return violations
+
+
+def test_engines_compose_the_carrier_and_inherit_the_grant_path():
+    sources = {
+        path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    # Not vacuous: the walk does see the engines it is guarding.
+    assert "class AckTableStrategy(StabilizationStrategy)" in sources["core/strategy.py"]
+    violations = _shape_violations(sources)
+    assert not violations, (
+        "engines have-a ControlChannelSet and fill _propagate_grant; see "
+        "docs/strategies.md, 'Writing an engine':\n  " + "\n  ".join(violations)
+    )
+
+
+def test_shape_lint_catches_both_violations():
+    violations = _shape_violations(
+        {
+            "plane.py": "class Plane(controlplane.ControlChannelSet): pass",
+            "engine.py": (
+                "class Mid(StabilizationStrategy): pass\n"
+                "class Leaf(Mid):\n"
+                "    def grant_local(self, origin, type_id, seq): pass\n"
+            ),
+        }
+    )
+    assert violations == [
+        "plane.py:1 Plane subclasses ControlChannelSet",
+        "engine.py:3 Leaf defines grant_local",
+    ]
+    assert not _shape_violations(
+        {"ok.py": "class Engine(StabilizationStrategy):\n    def close(self): pass"}
     )

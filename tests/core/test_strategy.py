@@ -25,6 +25,7 @@ from repro.core.stabilizer import Stabilizer
 from repro.core.strategy import STRATEGY_NAMES, build_strategy
 from repro.errors import ConfigError, StabilizerError
 from repro.net import NetemSpec, Topology
+from repro.obs import Tracer
 from repro.sim import Simulator
 
 NODES = ["a", "b", "c"]
@@ -44,14 +45,17 @@ def config_for(strategy, **kwargs):
     )
 
 
-def build(strategy, **config_kwargs):
+def build(strategy, tracer=None, **config_kwargs):
     topo = Topology()
     for i, name in enumerate(NODES):
         topo.add_node(name, f"az{i}")
     topo.set_default(NetemSpec(latency_ms=5, rate_mbit=100))
     sim = Simulator()
     net = topo.build(sim)
-    return sim, net, StabilizerCluster(net, config_for(strategy, **config_kwargs))
+    cluster = StabilizerCluster(
+        net, config_for(strategy, **config_kwargs), tracer=tracer
+    )
+    return sim, net, cluster
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +139,42 @@ def test_hybrid_stability_waits_for_the_next_clock_tick():
     # The GST only moves on broadcast: stability cannot have landed
     # before one full clock interval elapsed.
     assert sim.now >= interval
+    cluster.close()
+
+
+# ---------------------------------------------------------------------------
+# What every engine inherits: the one grant path, the one carrier
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_delivery_yields_an_ack_local_event_at_the_receiver(strategy):
+    tracer = Tracer()
+    sim, net, cluster = build(strategy, tracer=tracer)
+    a = cluster["a"]
+    seq = a.send(b"acked where it lands")
+    sim.run_until_triggered(a.waitfor(seq, "all", timeout_s=5.0), limit=5.0)
+    acks = {
+        event.node: event.fields
+        for event in tracer.events()
+        if event.etype == "ack.local"
+    }
+    # The span builder's cause for "b acknowledged a's send" — emitted by
+    # the shared grant path, so by every engine.
+    for receiver in ("b", "c"):
+        assert acks[receiver] == {"origin": "a", "type": "received", "seq": seq}
+    cluster.close()
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_bare_heartbeat_emits_no_control_receive(strategy):
+    tracer = Tracer()
+    sim, net, cluster = build(strategy, tracer=tracer)
+    sim.run(until=4.0)  # idle: two heartbeat rounds, nothing to report
+    assert all(node.controlplane.frames_received >= 4 for node in cluster)
+    # The carrier swallows an empty report after on_heard; no engine sees
+    # it, so none traces it as a zero-cell report.
+    assert not [e for e in tracer.events() if e.etype == "control.receive"]
     cluster.close()
 
 
