@@ -32,6 +32,10 @@ bench-full:
 #               control and SLA-controller invariants — no admitted
 #               message is ever shed, degraded predicates are restored
 #               (docs/overload.md)
+#   perf        the five perf/ workloads at a fiftieth of their size,
+#               held to the benchmark's own output checks: a src/ change
+#               that breaks the measuring stick fails tier-1, not the
+#               pipeline (perf/README.md)
 #   rebalance   seeded join/leave/failover sweeps plus handcrafted
 #               crash-mid-handoff schedules over the rebalance invariants
 #               (docs/sharding.md, "Rebalancing & failover")

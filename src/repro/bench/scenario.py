@@ -119,7 +119,6 @@ def run_scenario(scenario: dict, seed: int = 0) -> Dict[str, object]:
         sender_name,
         control_interval_s=control.get("interval_s", 0.002),
         control_batch=control.get("batch", 16),
-        control_fanout=control.get("fanout", "origin"),
     )
     cluster = StabilizerCluster(net, config)
     sender = cluster[sender_name]

@@ -46,9 +46,12 @@ class StabilizerConfig:
         ``control_interval_s`` seconds or after ``control_batch`` newly
         acknowledged messages, whichever comes first.
     control_fanout:
-        ``"all"`` streams stability reports to every peer (each WAN site
-        evaluates predicates independently); ``"origin"`` reports only to
-        the stream's primary, halving control traffic.
+        Accepted (``"all"`` or ``"origin"``), validated and round-tripped
+        through :meth:`to_dict` / :meth:`replace` for saved configs — and
+        without effect.  Report fan-out is derived from demand: a report
+        about an origin goes to the peers that observe it (see
+        :class:`~repro.core.strategy.AckTableStrategy`), of which the two
+        old settings were the hand-set extremes.
     window_bytes:
         Per-peer credit-based send window: at most this many bytes may be
         in flight (unacknowledged) toward one peer; cumulative transport

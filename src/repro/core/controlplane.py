@@ -17,17 +17,30 @@ batched and how they fill the ACK tables is the engine's business: see
 carrier per node and hands it its two callbacks (``on_frame``,
 ``full_state``) at construction.  The carrier is composed, never
 subclassed (``tests/core/test_import_lint.py`` keeps it so).
+
+The carrier also holds **interest**: which origin streams each node
+observes.  A node whose engine passes an ``interest`` callback advertises
+the origins it wants live reports about and remembers what every peer
+advertised; :attr:`ControlChannelSet.observers` is the resulting
+``origin -> peers`` routing table an engine *may* send by (the ACK-table
+engine does; the bulk-set engines broadcast and never look).  The polarity
+is fail-safe — see :meth:`ControlChannelSet.announce_interest`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.core.config import StabilizerConfig
 from repro.core.dataplane import EPOCH_TAG
 from repro.transport.endpoint import TransportEndpoint
 from repro.transport.fifo import TRANSPORT_HEADER_BYTES
-from repro.transport.messages import ControlFrame, ResumeFrame, SyntheticPayload
+from repro.transport.messages import (
+    ControlFrame,
+    InterestFrame,
+    ResumeFrame,
+    SyntheticPayload,
+)
 
 CONTROL_CHANNEL = "stab.ctrl"
 
@@ -38,6 +51,8 @@ ResumeFn = Callable[[str, Dict[int, int]], None]
 FrameFn = Callable[[str, object], None]
 # peer name -> the frames that rebuild this node's engine state there
 FullStateFn = Callable[[str], Sequence[object]]
+# () -> the origins this node observes now
+InterestFn = Callable[[], Iterable[str]]
 
 
 class ControlChannelSet:
@@ -68,6 +83,7 @@ class ControlChannelSet:
         full_state: FullStateFn,
         on_heard: HeardFn,
         on_resume: ResumeFn,
+        interest: Optional[InterestFn] = None,
     ):
         self.endpoint = endpoint
         self.sim = endpoint.sim
@@ -104,15 +120,42 @@ class ControlChannelSet:
         self._tail_peers: list = []
         # Heartbeats: proof of life for the failure detector, and the
         # anti-entropy round that repairs what the tail probe cannot (a
-        # quiet origin's cell while another stream keeps the carrier busy).
-        self._heartbeat_interval = config.failure_timeout_s / 3.0
+        # quiet origin's cell while another stream keeps the carrier busy;
+        # every cell at a node that does not observe its origin, which is
+        # therefore at most this stale).
+        self.heartbeat_interval = config.failure_timeout_s / 3.0
         self._heartbeat_timer = self.sim.call_later(
-            self._heartbeat_interval, self._heartbeat_tick
+            self.heartbeat_interval, self._heartbeat_tick
         )
         self._closed = False
         # Observability (installed on the endpoint before construction).
         self.tracer = endpoint.tracer
         self._trace_node = config.local
+        # Interest (see announce_interest).  Every origin is what a node
+        # that never said otherwise observes — the one statement that is
+        # never put on the wire.
+        self._interest_fn = interest
+        self._all_origins = frozenset(config.node_names)
+        #: What this node has told its peers it observes.
+        self.interest: FrozenSet[str] = self._all_origins
+        # The current statement as a frame; None until the first one.
+        self._interest_frame: Optional[InterestFrame] = None
+        # What each peer said, and the version it said it in; a peer that
+        # said nothing is in neither.
+        self._peer_interest: Dict[str, FrozenSet[str]] = {}
+        self._peer_versions: Dict[str, int] = {}
+        #: origin -> the peers that observe it, in deployment order:
+        #: whom a live report about that origin is for.
+        self.observers: Dict[str, List[str]] = {}
+        self._rebuild_observers()
+        #: Interest statements sent as datagrams of their own (per peer).
+        self.interest_announcements = 0
+        # Start-up: registering predicates and attaching monitors all
+        # happen at this instant, so what the node observes is only known
+        # once they have — tell the peers then, in one statement, and
+        # before any of them has flushed a report.
+        if interest is not None and self._current_interest() != self.interest:
+            self.sim.call_later(0.0, self.announce_interest, True)
 
     # -- outbound -------------------------------------------------------------------
     def send_frame(self, peer: str, frame) -> int:
@@ -129,12 +172,17 @@ class ControlChannelSet:
             )
         return self._ship(peer, frame)
 
-    def _ship(self, peer: str, frame) -> int:
+    def _ship(self, peer: str, frame, rider: Optional[InterestFrame] = None) -> int:
+        """One datagram: ``frame``, and ``rider`` behind it under the
+        same transport header."""
         wire_size = frame.wire_size()
+        if rider is None:
+            body = (EPOCH_TAG, self.epoch, frame)
+        else:
+            wire_size += rider.wire_size()
+            body = (EPOCH_TAG, self.epoch, frame, rider)
         self.endpoint.send_datagram(
-            peer,
-            (EPOCH_TAG, self.epoch, frame),
-            wire_size + TRANSPORT_HEADER_BYTES,
+            peer, body, wire_size + TRANSPORT_HEADER_BYTES
         )
         self.frames_sent += 1
         self.bytes_sent += wire_size
@@ -147,7 +195,8 @@ class ControlChannelSet:
 
     def resend_state(self, peer: str) -> None:
         """Re-send this node's full engine state to ``peer`` — or, when
-        there is none to send, a bare heartbeat."""
+        there is none to send, a bare heartbeat.  A node that has ever
+        narrowed its interest restates it in the same datagram."""
         frames = self.full_state(peer)
         if not frames:
             frames = (
@@ -157,8 +206,10 @@ class ControlChannelSet:
                     entries={},
                 ),
             )
+        rider = self._interest_frame
         for frame in frames:
-            self._ship(peer, frame)
+            self._ship(peer, frame, rider)
+            rider = None
 
     def _probe_tick(self) -> None:
         self._probe_timer = None
@@ -178,11 +229,85 @@ class ControlChannelSet:
         self._heartbeat_timer = None
         if self._closed:
             return
+        if self._interest_fn is not None:
+            # A narrowing lands here: it rides the heartbeats below.
+            current = self._current_interest()
+            if current != self.interest:
+                self._state_interest(current)
         for peer in self._peers:
             self.resend_state(peer)
         self._heartbeat_timer = self.sim.call_later(
-            self._heartbeat_interval, self._heartbeat_tick
+            self.heartbeat_interval, self._heartbeat_tick
         )
+
+    # -- interest -------------------------------------------------------------------
+    def announce_interest(self, narrowing: bool = False) -> None:
+        """The engine's observations may have changed: ask it, and if it
+        now observes an origin this node had not claimed — a *widening* —
+        tell every peer at once.  Each answers with its full state
+        (:meth:`resend_state`): monotone reports never repeat old values,
+        so what the new observer missed only a re-send carries.
+
+        A *narrowing* (``narrowing=True`` forces one out: the start-up
+        statement) otherwise waits for the next heartbeat, whose datagram
+        restates the interest of every node that ever narrowed.  So the
+        protocol fails safe.  A peer that has said nothing wants
+        everything; a lost or overtaken statement (they are versioned)
+        leaves the peer with an older, *wider* idea of this node or is
+        corrected within one heartbeat; a restarted node is served
+        everything until it speaks again (its :class:`ResumeFrame` makes
+        peers forget its previous life's version).  Interest only decides
+        who gets the live stream — heartbeats carry every origin's rows
+        to every peer regardless.
+        """
+        if self._closed:
+            return
+        current = self._current_interest()
+        claimed = self.interest
+        if current == claimed or (current <= claimed and not narrowing):
+            return
+        frame = self._state_interest(current)
+        for peer in self._peers:
+            self._ship(peer, frame)
+        self.interest_announcements += len(self._peers)
+
+    def _current_interest(self) -> FrozenSet[str]:
+        return frozenset(self._interest_fn())
+
+    def _state_interest(self, interest: FrozenSet[str]) -> InterestFrame:
+        """Make ``interest`` this node's claim: the next version."""
+        self.interest = interest
+        version = self._interest_frame.version + 1 if self._interest_frame else 1
+        node_index = self.config.node_index
+        self._interest_frame = InterestFrame(
+            self.local_index, version, [node_index(name) for name in interest]
+        )
+        return self._interest_frame
+
+    def _on_interest(self, peer: str, frame: InterestFrame) -> None:
+        if frame.version <= self._peer_versions.get(peer, 0):
+            return  # a duplicate, or overtaken by a newer statement
+        self._peer_versions[peer] = frame.version
+        names = self.config.node_names
+        wanted = frozenset(names[index] for index in frame.origins)
+        before = self._peer_interest.get(peer, self._all_origins)
+        if wanted == before:
+            return  # a heartbeat restating what is known
+        self._peer_interest[peer] = wanted
+        self._rebuild_observers()
+        if not wanted <= before:
+            self.resend_state(peer)  # widened: see announce_interest
+
+    def _rebuild_observers(self) -> None:
+        everything = self._all_origins
+        interests = [
+            (peer, self._peer_interest.get(peer, everything))
+            for peer in self._peers
+        ]
+        self.observers = {
+            origin: [peer for peer, wanted in interests if origin in wanted]
+            for origin in self.config.node_names
+        }
 
     def close(self) -> None:
         """Stop timers (the node is shutting down)."""
@@ -216,7 +341,7 @@ class ControlChannelSet:
         way: the frame names its sender."""
         if self._closed:
             return
-        _tag, frame_epoch, frame = tagged
+        frame_epoch, frame = tagged[1], tagged[2]
         if frame_epoch != self.epoch:
             # Epoch fence: row indices in this report belong to a
             # different owner set — applying them would corrupt the
@@ -233,11 +358,21 @@ class ControlChannelSet:
         self.frames_received += 1
         peer = self.config.node_names[frame.node_index]
         self.on_heard(peer)
-        if isinstance(frame, ResumeFrame):
+        if len(tagged) > 3:
+            self._on_interest(peer, tagged[3])
+        if isinstance(frame, ControlFrame):
+            if frame.entries:
+                self.on_frame(peer, frame)
+            # else a bare heartbeat: on_heard was all it had to say
+        elif isinstance(frame, ResumeFrame):
             if self.tracer.enabled:
                 self.tracer.emit(self._trace_node, "control.resume", peer=peer)
+            # A new life: whatever its last one claimed no longer counts.
+            self._peer_versions.pop(peer, None)
+            if self._peer_interest.pop(peer, None) is not None:
+                self._rebuild_observers()
             self.on_resume(peer, frame.have)
-            return
-        if isinstance(frame, ControlFrame) and not frame.entries:
-            return  # bare heartbeat: on_heard was all it had to say
-        self.on_frame(peer, frame)
+        elif isinstance(frame, InterestFrame):
+            self._on_interest(peer, frame)
+        else:
+            self.on_frame(peer, frame)

@@ -168,6 +168,12 @@ class FrontierEngine:
         # default to inert so the engine stays runtime-agnostic and the
         # hot path pays one flag/None check per advance.
         self.on_advance: Optional[Callable[[str, str, int, int], None]] = None
+        # Demand, for whoever routes by it (the ACK-table engine asks its
+        # peers for live reports about observed origins only): called
+        # after the set of observed slots changed, and with the origin
+        # when an unobserved slot is read.
+        self.on_watch_change: Optional[Callable[[], None]] = None
+        self.on_unobserved_read: Optional[Callable[[str], None]] = None
         self._tracer = NULL_TRACER
         self._trace_node = ""
         self._rewatch()
@@ -291,18 +297,24 @@ class FrontierEngine:
         consults first.  Runs when a monitor, a waiter heap, a predicate
         or the tracer binding comes or goes — never per table update."""
         if self._observe_all:
-            self._watched = dict.fromkeys(self.tables, _EVERY_KEY)
-            return
-        monitored = [key for key in self._predicates if key in self._monitors]
-        watched: Dict[str, object] = {}
-        if monitored:
-            watched = {origin: set(monitored) for origin in self.tables}
-        for origin, key in self._waiters:
-            if origin in self.tables and key in self._predicates:
-                watched.setdefault(origin, set()).add(key)
-        if self._local in self.tables:
-            watched[self._local] = _EVERY_KEY
+            watched: Dict[str, object] = dict.fromkeys(self.tables, _EVERY_KEY)
+        else:
+            monitored = [key for key in self._predicates if key in self._monitors]
+            watched = {}
+            if monitored:
+                watched = {origin: set(monitored) for origin in self.tables}
+            for origin, key in self._waiters:
+                if origin in self.tables and key in self._predicates:
+                    watched.setdefault(origin, set()).add(key)
+            if self._local in self.tables:
+                watched[self._local] = _EVERY_KEY
         self._watched = watched
+        if self.on_watch_change is not None:
+            self.on_watch_change()
+
+    def watched_origins(self):
+        """The origins with at least one observed slot (a live view)."""
+        return self._watched.keys()
 
     def _evaluate_on_read(self, origin: str, key: str) -> int:
         """The pull path: ``predicate(table)`` now, for an unobserved slot.
@@ -435,6 +447,8 @@ class FrontierEngine:
         key = self._resolve_key(key)
         if self._observed(origin, key):
             return self._frontiers.get((origin, key), 0)
+        if self.on_unobserved_read is not None:
+            self.on_unobserved_read(origin)
         return self._evaluate_on_read(origin, key)
 
     # -- evaluation --------------------------------------------------------------

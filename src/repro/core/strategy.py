@@ -7,8 +7,9 @@ single shard of one — can choose its engine:
 
 - :class:`AckTableStrategy` (default, ``"acktable"``): the paper's
   protocol.  Every node streams monotone per-``(origin, type)`` ACK
-  reports to its peers, giving cell-precise frontiers at O(n²) control
-  fan-out.
+  reports to the peers that observe that origin, giving cell-precise
+  frontiers at a control fan-out that follows demand — O(n²) only where
+  every site watches every stream.
 - :class:`~repro.core.strategy_sequencer.SequencerStrategy`
   (``"sequencer"``): deferred-update stabilization in the style of
   Gunawardhana, Bravo & Rodrigues — grant floors funnel to one sequencer
@@ -49,6 +50,7 @@ reaches ACK state through the strategy interface or the facade's
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Optional
 
 from repro.core.acks import AckTable
@@ -137,6 +139,7 @@ class StabilizationStrategy:
             full_state=self.full_state_frames,
             on_heard=stabilizer.detector.heard_from,
             on_resume=stabilizer._on_resume_request,
+            interest=self._observed_origins,
         )
         self.tracer = self.carrier.tracer
 
@@ -205,6 +208,11 @@ class StabilizationStrategy:
         """Engine-specific propagation of a local grant (the batching
         engines bind this to :meth:`_batch_report`)."""
         raise NotImplementedError
+
+    #: ``() -> origins this node observes``, for an engine that routes its
+    #: frames by demand (the carrier then advertises it and keeps
+    #: ``carrier.observers``); None for an engine that broadcasts.
+    _observed_origins = None
 
     # ------------------------------------------------------------------ the report batcher
     def _batch_report(self, origin: str, type_id: int, seq: int) -> None:
@@ -322,6 +330,7 @@ class StabilizationStrategy:
             "strategy.frames_received": self.carrier.frames_received,
             "strategy.bytes_sent": self.carrier.bytes_sent,
             "strategy.tail_probes": self.carrier.tail_probes,
+            "strategy.interest_announcements": self.carrier.interest_announcements,
         }
         prefix = f"strategy.{self.name}."
         for key, value in self._engine_stats().items():
@@ -343,30 +352,70 @@ class StabilizationStrategy:
 
 class AckTableStrategy(StabilizationStrategy):
     """The paper's protocol: monotone per-cell ACK reports, batched per
-    origin and streamed to every peer (or to the origin only, under
-    ``control_fanout="origin"``).  Cell-precise — per-node predicates
-    like ``KTH_MAX`` and per-peer ``MAX`` react to the *first* qualifying
-    ack, at O(n²) steady-state control traffic.
+    origin and streamed to the peers that *observe* that origin.
+    Cell-precise — per-node predicates like ``KTH_MAX`` and per-peer
+    ``MAX`` react to the *first* qualifying ack.
 
-    Zero behavior change from the pre-strategy tree is a tested
-    guarantee (``tests/core/test_strategy_equivalence.py``)."""
+    Fan-out follows demand.  A node observes an origin while its
+    :class:`~repro.core.frontier.FrontierEngine` has a listener on it (a
+    monitor, a pending waiter, a bound tracer, always its own stream) or
+    its frontier was read within the last heartbeat interval; the carrier
+    advertises that and :meth:`_targets` is the peers' side of it.  Where
+    every node observes everything (any traced cluster) this is the
+    paper's O(n²) stream; where only the sender watches its stream, each
+    receiver reports to it alone.  Everyone else converges by
+    anti-entropy: heartbeats carry every row to every peer, so a table
+    cell at a non-observer is at most one heartbeat interval stale, a
+    read there is a lower bound — and an observation, which turns the
+    live stream on and is exact one round trip later.
+
+    Where every node observes everything, zero behavior change from the
+    pre-strategy tree is a tested guarantee
+    (``tests/core/test_strategy_equivalence.py``); what a node that
+    observes less may and may not see is
+    ``tests/core/test_interest_contract.py``."""
 
     name = "acktable"
 
     def __init__(self, config: StabilizerConfig):
         super().__init__(config)
-        self._peers = config.remote_names()
+        self._peer_count = len(config.remote_names())
+        # origin -> when its frontier was last read here unobserved.
+        self._read_at: Dict[str, float] = {}
         self.reports_sent = 0
         self.reports_coalesced = 0
+        self.reports_withheld = 0
+
+    def bind(self, stabilizer) -> None:
+        super().bind(stabilizer)
+        engine = stabilizer.engine
+        engine.on_watch_change = self.carrier.announce_interest
+        engine.on_unobserved_read = self._on_unobserved_read
 
     _propagate_grant = StabilizationStrategy._batch_report
 
+    # ------------------------------------------------------------------ demand
+    def _observed_origins(self):
+        origins = set(self.node.engine.watched_origins())
+        if self._read_at:
+            held_since = self.node.sim.now - self.carrier.heartbeat_interval
+            origins.update(
+                origin for origin, at in self._read_at.items() if at > held_since
+            )
+        return origins
+
+    def _on_unobserved_read(self, origin: str) -> None:
+        """A read is an observation: it was answered from the table — a
+        lower bound — and asks for the live stream from here on."""
+        if origin not in self.tables:
+            return
+        self._read_at[origin] = self.node.sim.now
+        if origin not in self.carrier.interest:
+            self.carrier.announce_interest()
+
     def _targets(self, origin: str):
-        if self.config.control_fanout == "origin":
-            if origin == self.config.local:
-                return []  # nobody to tell: we are the origin
-            return [origin]
-        return self._peers
+        """Whom a report about ``origin`` is for: the peers observing it."""
+        return self.carrier.observers[origin]
 
     def _report_frame(self, origin: str, entries: Dict[int, int]) -> ControlFrame:
         return ControlFrame(
@@ -376,15 +425,29 @@ class AckTableStrategy(StabilizationStrategy):
         )
 
     def _ship_batch(self, pending: Dict[str, Dict[int, int]]) -> None:
-        """One coalesced transport frame per peer, however many origin
+        """One transport frame per observing peer, however many origin
         streams the flush covers."""
+        if len(pending) == 1:
+            # The common flush, one origin: its one report goes down the
+            # target list as it is — nothing to regroup or coalesce.
+            ((origin, entries),) = pending.items()
+            targets = self._targets(origin)
+            self.reports_withheld += self._peer_count - len(targets)
+            if not targets:
+                return
+            sends = zip(targets, repeat((self._report_frame(origin, entries),)))
+        else:
+            per_peer: Dict[str, list] = {}
+            for origin, entries in pending.items():
+                targets = self._targets(origin)
+                self.reports_withheld += self._peer_count - len(targets)
+                if targets:
+                    frame = self._report_frame(origin, entries)
+                    for peer in targets:
+                        per_peer.setdefault(peer, []).append(frame)
+            sends = per_peer.items()
         tracing = self.tracer.enabled
-        per_peer: Dict[str, list] = {}
-        for origin, entries in pending.items():
-            frame = self._report_frame(origin, entries)
-            for peer in self._targets(origin):
-                per_peer.setdefault(peer, []).append(frame)
-        for peer, frames in per_peer.items():
+        for peer, frames in sends:
             if len(frames) == 1:
                 outgoing = frames[0]
             else:
@@ -416,14 +479,14 @@ class AckTableStrategy(StabilizationStrategy):
                 )
 
     def full_state_frames(self, peer: str) -> list:
-        """This node's full acknowledgment rows as one frame for ``peer``,
-        so a peer that lost a report — or restarted and lost them all —
-        rebuilds its view of our column without waiting for organic
-        re-acks (which, being monotonic, would never repeat old values)."""
+        """This node's full acknowledgment rows, every origin's, as one
+        frame for ``peer`` — observer or not: so a peer that lost a
+        report, restarted and lost them all, or has only now begun to
+        observe a stream rebuilds its view of our column without waiting
+        for organic re-acks (which, being monotonic, would never repeat
+        old values), and so every table converges within a heartbeat."""
         frames = []
         for origin, table in self.tables.items():
-            if peer not in self._targets(origin):
-                continue
             batched = self._pending.get(origin, ())
             entries = {
                 type_id: seq
@@ -475,6 +538,7 @@ class AckTableStrategy(StabilizationStrategy):
         return {
             "reports_sent": self.reports_sent,
             "reports_coalesced": self.reports_coalesced,
+            "reports_withheld": self.reports_withheld,
         }
 
 

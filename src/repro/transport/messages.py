@@ -32,12 +32,15 @@ KIND_CONTROL_BATCH = 6
 KIND_SEQ_REPORT = 7
 KIND_SEQ_STABLE = 8
 KIND_CLOCK = 9
+KIND_INTEREST = 10
 
 # Strategy frames (see repro.core.strategy_sequencer / strategy_hybrid).
 SEQ_HEADER = struct.Struct("!BHH")  # kind, node-index, entry count
 SEQ_ENTRY = struct.Struct("!HHQ")  # origin-index, type-id, seq
 CLOCK_HEADER = struct.Struct("!BHdQdH")  # kind, node, clock, head seq/stamp, count
 CLOCK_ENTRY = struct.Struct("!Hd")  # type-id, stable time
+INTEREST_HEADER = struct.Struct("!BHIH")  # kind, node-index, version, origin count
+INTEREST_ENTRY = struct.Struct("!H")  # origin-index
 
 
 class SyntheticPayload:
@@ -465,6 +468,64 @@ class ClockFrame:
         return (
             f"<ClockFrame from={self.node_index} clock={self.clock:.6f} "
             f"head=({self.head_seq}, {self.head_stamp:.6f})>"
+        )
+
+
+class InterestFrame:
+    """Which origin streams a node observes: the control carrier's demand
+    announcement (``docs/strategies.md``, "Fan-out follows demand").
+
+    ``origins`` are the origin indices whose live reports the node wants;
+    ``version`` orders one node's announcements, because datagrams
+    overtake each other and only the newest statement counts.  Sent by
+    itself when a node's interest widens, and inside the heartbeat
+    datagram (after the state frame, under the same transport header)
+    to restate it.
+    """
+
+    __slots__ = ("node_index", "version", "origins")
+
+    def __init__(self, node_index: int, version: int, origins):
+        self.node_index = node_index
+        self.version = version
+        self.origins = tuple(sorted(origins))
+
+    def wire_size(self) -> int:
+        return INTEREST_HEADER.size + INTEREST_ENTRY.size * len(self.origins)
+
+    def encode(self) -> bytes:
+        parts = [
+            INTEREST_HEADER.pack(
+                KIND_INTEREST, self.node_index, self.version, len(self.origins)
+            )
+        ]
+        for origin in self.origins:
+            parts.append(INTEREST_ENTRY.pack(origin))
+        return b"".join(parts)
+
+    @classmethod
+    def decode(cls, data: bytes) -> "InterestFrame":
+        try:
+            kind, node, version, count = INTEREST_HEADER.unpack_from(data)
+        except struct.error as exc:
+            raise TransportError(f"malformed interest frame: {exc}") from exc
+        if kind != KIND_INTEREST:
+            raise TransportError(f"not an interest frame (kind={kind})")
+        offset = INTEREST_HEADER.size
+        origins = []
+        for _ in range(count):
+            try:
+                (origin,) = INTEREST_ENTRY.unpack_from(data, offset)
+            except struct.error as exc:
+                raise TransportError(f"truncated interest frame: {exc}") from exc
+            offset += INTEREST_ENTRY.size
+            origins.append(origin)
+        return cls(node, version, origins)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<InterestFrame from={self.node_index} v{self.version} "
+            f"origins={self.origins}>"
         )
 
 

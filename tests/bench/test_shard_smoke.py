@@ -26,9 +26,17 @@ def test_shard_scaling_smoke():
     assert len(rows) == 2
     for row in rows:
         assert row["sharded_converged"] and row["unsharded_converged"]
-        # 4 nodes / 2 owners: fan-out drops 3x; batching effects keep the
-        # exact ratio workload-dependent, so the smoke only pins > 1.5x.
+        assert row["unsharded_demand_converged"]
+        # 4 nodes / 2 owners: against the full fan-out (every node
+        # observing every stream) the report fan-out drops 3x; batching
+        # effects — and, at 60 messages, the per-stack interest
+        # announcements — keep the exact ratio workload-dependent, so the
+        # smoke only pins > 1.5x.
         assert row["control_reduction"] > 1.5
+        # Against an unsharded cluster whose reports follow demand too, a
+        # report has one reader either way; only the heartbeats' peer
+        # count still differs.  Reported, not gated.
+        assert 0 < row["control_reduction_vs_demand"] < row["control_reduction"]
         assert row["payload_reduction"] > 1.5
         assert row["frontier_lag_gauges"] > 0
         assert row["sharded_max_cells"] <= row["unsharded_max_cells"]

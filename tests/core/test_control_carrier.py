@@ -5,7 +5,11 @@ stabilization engine ships its frames as unreliable datagrams; these
 tests drop, delay and reorder exactly those packets (the data plane's
 reliable channels are left alone) and check the three repair mechanisms
 — supersession, the tail probe, the anti-entropy heartbeat — plus the one
-exception, the reliable resume request.  Everything is virtual time.
+exception, the reliable resume request.  The last section is the carrier's
+other job, interest ("Fan-out follows demand" in the same document): who
+observes which origin, announced over the same lossy datagrams and failing
+safe — a node its peers know too little about is sent too much, never too
+little.  Everything is virtual time.
 """
 
 import random
@@ -17,6 +21,7 @@ from repro.core.controlplane import CONTROL_CHANNEL
 from repro.core.strategy import STRATEGY_NAMES
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
+from repro.transport.messages import InterestFrame
 
 NODES = ["a", "b", "c", "d"]
 GROUPS = {"east": ["a", "b"], "west": ["c", "d"]}
@@ -250,7 +255,6 @@ def test_steady_state_holds_no_control_channel_or_transport_timer(strategy):
     for node in cluster:
         assert {name for (_peer, name) in node.endpoint.channels()} == {"stab.data"}
     sim.run(until=1.9)  # quiescent: every data frame delivered and acked
-    assert frontiers(cluster, "a") == {name: 100 for name in NODES}
     for node in cluster:
         channels = node.endpoint.channels()
         assert {name for (_peer, name) in channels} == {"stab.data"}
@@ -267,6 +271,10 @@ def test_steady_state_holds_no_control_channel_or_transport_timer(strategy):
     assert in_flight == (12 if strategy == "hybrid_clock" else 0)
     per_node = 4 if strategy == "hybrid_clock" else 2
     assert sim.pending_count() - in_flight == per_node * len(NODES)
+    # Read last: under the ACK-table engine a read at a node that does not
+    # observe the stream is itself an observation and announces it (the
+    # interest cases below), which would put datagrams in flight.
+    assert frontiers(cluster, "a") == {name: 100 for name in NODES}
 
 
 # -- suspicion without a control FIFO ------------------------------------------
@@ -284,3 +292,172 @@ def test_peer_that_gets_no_data_is_suspected_by_silence_alone(strategy):
     assert b.suspected_nodes() == {"d"}
     assert "transport_dead" not in [kind for _t, kind, _p in b.degradation_log()]
     assert b.stats()["transport_suspensions"] == 0
+
+
+# -- interest ------------------------------------------------------------------
+# Nobody in build()'s cluster monitors anything, so under the ACK-table
+# engine every node announces at start-up that it observes its own stream
+# only; the bulk-set engines broadcast and never announce.
+
+
+def interest_in(payload):
+    """The interest statement a packet carries: by itself, or riding
+    behind a state frame.  None for any other packet."""
+    if payload[0] != "dgram":
+        return None
+    body = payload[1]
+    if isinstance(body[2], InterestFrame):
+        return body[2]
+    return body[3] if len(body) > 3 else None
+
+
+def observers(cluster, at, origin):
+    return set(cluster[at].controlplane.observers[origin])
+
+
+def test_an_all_observing_cluster_puts_no_interest_on_the_wire(strategy):
+    sim, net, cluster = build(strategy)
+    stated = intercept(net, lambda src, dst, p: interest_in(p) is not None)
+    if strategy == "acktable":
+        for node in cluster:
+            node.monitor_stability_frontier("all", lambda *advance: None)
+    stream(sim, cluster["a"], count=100, rate_per_s=200.0)
+    sim.run(until=2 * HEARTBEAT_S + 0.1)
+    assert stated == []
+    for node in cluster:
+        stats = node.stats()
+        assert stats["strategy.interest_announcements"] == 0
+        assert stats.get("strategy.acktable.reports_withheld", 0) == 0
+        assert all(observers(cluster, node.name, o) == set(NODES) - {node.name} for o in NODES)
+
+
+def test_a_dropped_widening_is_repaired_by_the_next_heartbeat(strategy):
+    if strategy != "acktable":
+        pytest.skip("broadcasts: no interest to announce")
+    sim, net, cluster = build(strategy)
+    stream(sim, cluster["a"], count=400, rate_per_s=200.0)
+    sim.run(until=0.2)
+    assert observers(cluster, "b", "a") == {"a"}
+    # c starts to wait on a's stream and says so to everyone; b never hears.
+    lost = intercept(
+        net,
+        lambda src, dst, p: (src, dst) == ("c", "b")
+        and interest_in(p) is not None
+        and sim.now < HEARTBEAT_S,
+    )
+    cluster["c"].waitfor(400, "all", origin="a")
+    sim.run(until=HEARTBEAT_S - 0.01)
+    assert len(lost) == 1
+    assert observers(cluster, "d", "a") == {"a", "c"}
+    assert observers(cluster, "b", "a") == {"a"}  # b: still withholding
+    b_row = NODES.index("b")
+    assert cluster["c"].tables["a"].get(b_row, 0) == 0
+    # c's heartbeat restates what it observes, in the datagram it sends
+    # anyway: no announcement of its own.
+    announced = cluster["c"].stats()["strategy.interest_announcements"]
+    sim.run(until=HEARTBEAT_S + LATENCY_S + 0.001)
+    assert cluster["c"].stats()["strategy.interest_announcements"] == announced
+    assert observers(cluster, "b", "a") == {"a", "c"}
+    # b answers with its rows, and its live reports follow.
+    sim.run(until=HEARTBEAT_S + RTT_S + FLUSH_S + 0.005)
+    assert (
+        cluster["c"].tables["a"].get(b_row, 0)
+        == cluster["a"].tables["a"].get(b_row, 0)
+        > 200
+    )
+
+
+def test_of_two_reordered_announcements_the_newer_version_stands(strategy):
+    if strategy != "acktable":
+        pytest.skip("broadcasts: no interest to announce")
+    sim, net, cluster = build(strategy)
+    sim.run(until=0.1)
+    held = intercept(
+        net, lambda src, dst, p: (src, dst) == ("c", "b") and interest_in(p) is not None
+    )
+    c = cluster["c"]
+    c.waitfor(1, "all", origin="a")  # c observes {c, a} ...
+    c.waitfor(1, "all", origin="d")  # ... then {c, a, d}
+    older, newer = (interest_in(payload) for *_where, payload in held)
+    assert older.version < newer.version
+    deliver = cluster["b"].endpoint.on_datagram
+    deliver("c", held[1][3][1])
+    assert {o for o in NODES if "c" in observers(cluster, "b", o)} == {"a", "c", "d"}
+    deliver("c", held[0][3][1])  # overtaken on the way: says nothing any more
+    assert {o for o in NODES if "c" in observers(cluster, "b", o)} == {"a", "c", "d"}
+    deliver("c", held[1][3][1])  # and a duplicate changes nothing either
+    assert {o for o in NODES if "c" in observers(cluster, "b", o)} == {"a", "c", "d"}
+
+
+def test_a_widening_is_answered_with_exactly_one_resend_of_state(strategy):
+    if strategy != "acktable":
+        pytest.skip("broadcasts: no interest to announce")
+    sim, net, cluster = build(strategy)
+    stream(sim, cluster["a"], count=100, rate_per_s=200.0)
+    sim.run(until=0.2)
+    resent = []
+    for node in cluster:
+        real = node.controlplane.resend_state
+
+        def resend_state(peer, _real=real, _at=node.name):
+            resent.append((_at, peer))
+            _real(peer)
+
+        node.controlplane.resend_state = resend_state
+    cluster["c"].waitfor(100, "all", origin="a")
+    sim.run(until=0.2 + LATENCY_S + 0.001)
+    assert sorted(resent) == [("a", "c"), ("b", "c"), ("d", "c")]
+    # A second waiter on the same stream widens nothing ...
+    cluster["c"].waitfor(90, "all", origin="a")
+    sim.run(until=0.3)
+    assert len(resent) == 3
+    # ... and when both are released c goes on being served until its
+    # heartbeat says it observes less — which, being no widening, is
+    # answered by nothing beyond everybody's own heartbeat.
+    sim.run(until=HEARTBEAT_S - 0.01)
+    assert cluster["c"].stats()["pending_waiters"] == 0
+    assert observers(cluster, "b", "a") == {"a", "c"}
+    del resent[:]
+    sim.run(until=HEARTBEAT_S + LATENCY_S + 0.001)
+    assert sorted(resent) == sorted((at, p) for at in NODES for p in NODES if p != at)
+    assert observers(cluster, "b", "a") == {"a"}
+
+
+def test_a_restarted_peer_is_served_everything_until_it_speaks_again(strategy):
+    if strategy != "acktable":
+        pytest.skip("broadcasts: no interest to announce")
+    sim, net, cluster = build(strategy)
+    stream(sim, cluster["a"], count=40, rate_per_s=200.0)
+    d = cluster["d"]
+    # d's first life states its interest three times over: own stream only
+    # at start-up, a's stream too while it waits on it, and (at the
+    # heartbeat after the release) own stream only again.
+    sim.call_at(0.1, d.waitfor, 40, "all", "a")
+    sim.run(until=HEARTBEAT_S + 0.1)
+    assert d.controlplane._interest_frame.version == 3
+    assert observers(cluster, "b", "a") == {"a"}
+    snapshot = snapshot_state(d)
+    d.close()
+    net.crash_node("d")
+    sim.run(until=HEARTBEAT_S + 0.5)
+    net.recover_node("d")
+    restarted_at = sim.now
+    # The new life's own announcement is lost; its resume request is not.
+    lost = intercept(
+        net,
+        lambda src, dst, p: src == "d"
+        and interest_in(p) is not None
+        and sim.now < restarted_at + 0.1,
+    )
+    d = cluster.restart_node("d", snapshot)
+    d.waitfor(45, "all", origin="a")  # this life does observe a's stream
+    sim.run(until=restarted_at + 0.1)
+    assert len(lost) == len(NODES) - 1
+    # Peers forgot the previous life: whatever d may want, it is sent.
+    for origin in NODES:
+        assert "d" in observers(cluster, "b", origin)
+    # Its first heartbeat says what it wants, as version 1 — below anything
+    # the previous life reached, and believed all the same.
+    sim.run(until=restarted_at + HEARTBEAT_S + LATENCY_S + 0.001)
+    assert d.controlplane._interest_frame.version == 1
+    assert {o for o in NODES if "d" in observers(cluster, "b", o)} == {"a", "d"}

@@ -137,13 +137,12 @@ def test_dataplane_delivery_and_received_callbacks():
 BATCHING_ENGINES = ("acktable", "sequencer")
 
 
-def control_pair(sim, net, batch=3, interval=0.05, fanout="all", engine="acktable"):
+def control_pair(sim, net, batch=3, interval=0.05, engine="acktable"):
     return StabilizerCluster(
         net,
         config(
             control_batch=batch,
             control_interval_s=interval,
-            control_fanout=fanout,
             stabilization_strategy=engine,
         ),
     )
@@ -202,17 +201,27 @@ def test_stale_ack_produces_no_traffic(engine):
 
 
 def test_origin_fanout_targets_only_the_origin():
+    """Derived, not set: an unobserving peer receives no live report, the
+    origin does."""
     sim, net = build_net()
-    cluster = control_pair(sim, net, batch=1, fanout="origin")
-    y = cluster["y"]
+    cluster = control_pair(sim, net, batch=1)
+    x, y = cluster["x"], cluster["y"]
+    sim.run(until=0.01)  # the start-up interest announcements have landed
+    assert y.controlplane.observers == {"x": ["x"], "y": []}
     y.strategy.grant_local("x", 0, 7)
     sim.run(until=0.1)
-    assert cluster["x"].tables["x"].get(1, 0) == 7
-    # And reporting about one's own stream sends nothing.
+    assert x.tables["x"].get(1, 0) == 7
+    # x observes its own stream only, so reporting about y's own sends
+    # nothing — and says so in the counter.
     frames = y.controlplane.frames_sent
     y.strategy.grant_local("y", 0, 1)
     sim.run(until=0.2)
     assert y.controlplane.frames_sent == frames
+    assert y.stats()["strategy.acktable.reports_withheld"] == 1
+    assert x.tables["y"].get(1, 0) == 0
+    # Anti-entropy tells x anyway, at heartbeat cadence.
+    sim.run(until=0.2 + y.controlplane.heartbeat_interval)
+    assert x.tables["y"].get(1, 0) == 1
 
 
 def test_heartbeats_flow_only_when_idle():

@@ -99,7 +99,7 @@ def test_stronger_predicates_stabilize_later():
 
 def test_remote_node_can_wait_on_origin_stream():
     predicates = {"AllWNodes": "MIN($ALLWNODES - $MYWNODE)"}
-    sim, net, cluster = build(predicates=predicates, control_fanout="all")
+    sim, net, cluster = build(predicates=predicates)
     a, c = cluster["a"], cluster["c"]
     seq = a.send(b"data")
     event = c.waitfor(seq, "AllWNodes", origin="a")
@@ -108,15 +108,23 @@ def test_remote_node_can_wait_on_origin_stream():
 
 
 def test_origin_fanout_reports_only_to_origin():
+    """Derived, not set: reports reach only the nodes that observe the
+    stream — here the origin."""
     predicates = {"AllWNodes": "MIN($ALLWNODES - $MYWNODE)"}
-    sim, net, cluster = build(predicates=predicates, control_fanout="origin")
+    sim, net, cluster = build(predicates=predicates)
     a, c = cluster["a"], cluster["c"]
     seq = a.send(b"data")
     event = a.waitfor(seq, "AllWNodes")
     sim.run_until_triggered(event, limit=2.0)
     sim.run(until=sim.now + 0.5)
-    # c never hears acknowledgments from b/d about a's stream.
+    # Nothing at c observes a's stream, so b and d have not told it what
+    # they acknowledged: its own row and a's are all c's table holds ...
+    assert c.tables["a"].snapshot()[1] == c.tables["a"].snapshot()[3] == [0, 0]
+    # ... and a read answers with that lower bound.  Asking is observing:
+    # one round trip later the answer is exact.
     assert c.get_stability_frontier("AllWNodes", origin="a") == 0
+    sim.run(until=sim.now + 0.05)
+    assert c.get_stability_frontier("AllWNodes", origin="a") == seq
 
 
 def test_send_buffer_reclaimed_after_global_delivery():

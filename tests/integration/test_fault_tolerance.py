@@ -73,13 +73,17 @@ def test_partition_stalls_then_heal_recovers():
 def test_concurrent_origins_do_not_interfere():
     """Every node is a primary for its own pool; streams are independent
     and each origin's frontier tracks only its own acknowledgments."""
-    sim, net, cluster = build(control_fanout="all")
+    sim, net, cluster = build()
     seqs = {}
     for name in NODES:
         for _ in range(5):
             seqs[name] = cluster[name].send(SyntheticPayload(2048))
+    # Every node waits on every stream, its own and the others': a waiter
+    # on a remote stream is what makes its reports flow to this node.
     events = [
-        cluster[name].waitfor(seqs[name], "all") for name in NODES
+        cluster[observer].waitfor(seqs[origin], "all", origin=origin)
+        for observer in NODES
+        for origin in NODES
     ]
     sim.run_until_triggered(AllOf(sim, events), limit=30.0)
     for observer in NODES:
@@ -90,7 +94,7 @@ def test_concurrent_origins_do_not_interfere():
                 cluster[observer].dataplane.highest_received(origin)
                 == seqs[origin]
             )
-            # Observers agree on every origin's frontier eventually.
+            # Observers agree on every origin's frontier.
             assert (
                 cluster[observer].get_stability_frontier("all", origin=origin)
                 == seqs[origin]

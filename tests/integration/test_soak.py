@@ -40,7 +40,6 @@ def test_soak_mixed_faults_converge():
             "majority": "KTH_MAX(SIZEOF($ALLWNODES)/2 + 1, $ALLWNODES)",
         },
         control_interval_s=0.005,
-        control_fanout="all",
     )
     cluster = StabilizerCluster(net, config)
     origin = cluster["origin"]

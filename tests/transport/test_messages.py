@@ -7,6 +7,7 @@ from repro.transport.messages import (
     AckFrame,
     ControlFrame,
     DataFrame,
+    InterestFrame,
     SyntheticPayload,
     payload_length,
 )
@@ -79,6 +80,19 @@ def test_control_frame_roundtrip_preserves_entries():
     assert decoded.node_index == 2
     assert decoded.origin_index == 0
     assert decoded.entries == {0: 99, 3: 42}
+
+
+def test_interest_frame_roundtrip_and_wire_size():
+    frame = InterestFrame(node_index=3, version=70_000, origins=[4, 0, 2])
+    decoded = InterestFrame.decode(frame.encode())
+    assert (decoded.node_index, decoded.version) == (3, 70_000)
+    assert decoded.origins == (0, 2, 4)
+    assert frame.wire_size() == len(frame.encode())
+    assert InterestFrame(0, 1, []).wire_size() == len(InterestFrame(0, 1, []).encode())
+    with pytest.raises(TransportError, match="not an interest frame"):
+        InterestFrame.decode(ControlFrame(0, 0, {0: 1}).encode() + b"\0" * 4)
+    with pytest.raises(TransportError, match="truncated"):
+        InterestFrame.decode(frame.encode()[:-1])
 
 
 def test_control_frame_wire_size_scales_with_entries():
