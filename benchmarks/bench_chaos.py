@@ -4,24 +4,19 @@ Not a figure of the paper — this guards the failure path the same way
 ``bench_hotpath_frontier`` guards the happy path.  A seeded 3-AZ/6-node
 chaos run (crashes, partitions, heals under continuous traffic) must
 complete with zero safety-invariant violations, and the rate at which
-the checker grinds through its comparisons is recorded to
-``BENCH_chaos.json`` at the repo root so the perf trajectory covers the
-failure path too.
+the checker grinds through its comparisons is recorded
+(``--record``) to ``BENCH_chaos.json`` at the repo root so the perf
+trajectory covers the failure path too.
 """
-
-import json
-from pathlib import Path
 
 from repro.bench import format_counters, format_table
 from repro.chaos import ChaosConfig, run_chaos
 from conftest import full_scale
 
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
-
 SEEDS = (0, 7, 42)
 
 
-def test_chaos_invariant_check_throughput(benchmark, report):
+def test_chaos_invariant_check_throughput(benchmark, report, record_run):
     events = 30 if full_scale() else 14
     reports = benchmark.pedantic(
         lambda: [
@@ -78,10 +73,8 @@ def test_chaos_invariant_check_throughput(benchmark, report):
     )
     report.add_data("reports", reports)
 
-    trajectory = {"runs": []}
-    if TRAJECTORY.exists():
-        trajectory = json.loads(TRAJECTORY.read_text())
-    trajectory["runs"].append(
+    record_run(
+        "chaos",
         {
             "events": events,
             "seeds": list(SEEDS),
@@ -90,9 +83,8 @@ def test_chaos_invariant_check_throughput(benchmark, report):
             "monitor_events": [r["monitor_events"] for r in reports],
             "waiter_timeouts": [r["waiter_timeouts"] for r in reports],
             "violations": sum(len(r["violations"]) for r in reports),
-        }
+        },
     )
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
 
     for r in reports:
         assert not r["violations"], r["violations"]

@@ -10,12 +10,9 @@ fsyncs, latency bounded by the timer).
 A 3-AZ cluster runs a fixed traffic pattern per batch size; the origin
 monitors ``MIN($ALLWNODES.persisted)`` and records, per message, the
 virtual time from ``send()`` until the claim is fsync-backed on *every*
-node.  Results land in ``BENCH_durability.json`` at the repo root so
-the perf trajectory covers the durability path too.
+node.  A ``--record`` run lands in ``BENCH_durability.json`` at the repo
+root so the perf trajectory covers the durability path too.
 """
-
-import json
-from pathlib import Path
 
 from repro.bench import format_table
 from repro.core.cluster import StabilizerCluster
@@ -26,8 +23,6 @@ from repro.sim.kernel import Simulator
 from repro.storage.faultio import MemoryFileSystem
 from repro.transport.messages import SyntheticPayload
 from conftest import full_scale
-
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_durability.json"
 
 BATCHES = (1, 4, 16, 64)
 #: The timer that backstops a partial batch — large enough that the
@@ -92,7 +87,7 @@ def run_once(batch: int, messages: int) -> dict:
     }
 
 
-def test_group_commit_batch_vs_persisted_latency(benchmark, report):
+def test_group_commit_batch_vs_persisted_latency(benchmark, report, record_run):
     messages = 1000 if full_scale() else 200
     results = benchmark.pedantic(
         lambda: [run_once(batch, messages) for batch in BATCHES],
@@ -129,10 +124,8 @@ def test_group_commit_batch_vs_persisted_latency(benchmark, report):
     )
     report.add_data("results", results)
 
-    trajectory = {"runs": []}
-    if TRAJECTORY.exists():
-        trajectory = json.loads(TRAJECTORY.read_text())
-    trajectory["runs"].append(
+    record_run(
+        "durability",
         {
             "messages": messages,
             "commit_interval_s": COMMIT_INTERVAL_S,
@@ -141,9 +134,8 @@ def test_group_commit_batch_vs_persisted_latency(benchmark, report):
             "mean_ms": [r["mean_ms"] for r in results],
             "p99_ms": [r["p99_ms"] for r in results],
             "fsyncs_per_message": [r["fsyncs_per_message"] for r in results],
-        }
+        },
     )
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
 
     # The trade the knob exists for: batching amortizes fsyncs...
     # (fsync counts are cluster-wide: 3 nodes each fsync every stream)

@@ -6,19 +6,14 @@ incremental engine (reverse dependency index + algebraic short-circuits
 + heap waiters) must stay well ahead of the brute-force baseline that
 re-evaluates every dependent predicate per report.
 
-The run appends its grid to ``BENCH_hotpath.json`` at the repo root (a
-trajectory across PRs), so a future change that regresses this path is
+A ``--record`` run appends its grid to ``BENCH_hotpath.json`` at the repo
+root (a trajectory across PRs), so a future change that regresses this path is
 visible in the recorded history, not just in one session's output.
 """
-
-import json
-from pathlib import Path
 
 from repro.bench import format_counters, format_table
 from repro.bench.runners import run_hotpath_frontier
 from conftest import full_scale
-
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 # The acceptance cell: the incremental engine must be at least this much
 # faster than the brute-force baseline at 16 predicates x 8 nodes.
@@ -27,7 +22,7 @@ KEY_NODES = 8
 MIN_SPEEDUP = 2.0
 
 
-def test_hotpath_frontier_reports_per_sec(benchmark, report):
+def test_hotpath_frontier_reports_per_sec(benchmark, report, record_run):
     reports = 20_000 if full_scale() else 5_000
     rows = benchmark.pedantic(
         lambda: run_hotpath_frontier(
@@ -93,10 +88,8 @@ def test_hotpath_frontier_reports_per_sec(benchmark, report):
     )
     report.add_data("rows", rows)
 
-    trajectory = {"runs": []}
-    if TRAJECTORY.exists():
-        trajectory = json.loads(TRAJECTORY.read_text())
-    trajectory["runs"].append(
+    record_run(
+        "hotpath",
         {
             "reports": reports,
             "key_cell": {
@@ -109,9 +102,8 @@ def test_hotpath_frontier_reports_per_sec(benchmark, report):
                 "latency_p99_us": key_row["latency_p99_us"],
             },
             "rows": rows,
-        }
+        },
     )
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
 
     for row in rows:
         assert row["frontiers_match"], (

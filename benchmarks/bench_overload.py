@@ -16,24 +16,19 @@ runs the same write workload twice while one AZ's send rate ramps 10x:
   explicit, nothing admitted is ever lost, and the p99 windows stay at
   (or briefly graze) the target.
 
-Results land in ``BENCH_overload.json`` at the repo root so the perf
-trajectory covers the overload path too; each run records the full
+A ``--record`` run lands in ``BENCH_overload.json`` at the repo root so
+the perf trajectory covers the overload path too; each run records the full
 per-window timeline for both modes.
 """
-
-import json
-from pathlib import Path
 
 from repro.bench import format_table
 from repro.bench.runners import run_overload_bench
 from conftest import full_scale
 
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_overload.json"
-
 TARGET_P99_S = 0.4
 
 
-def test_flash_crowd_controller_vs_baseline(benchmark, report):
+def test_flash_crowd_controller_vs_baseline(benchmark, report, record_run):
     result = benchmark.pedantic(
         lambda: run_overload_bench(
             target_p99_s=TARGET_P99_S,
@@ -89,10 +84,8 @@ def test_flash_crowd_controller_vs_baseline(benchmark, report):
     report.add_data("baseline", baseline)
     report.add_data("controlled", controlled)
 
-    trajectory = {"runs": []}
-    if TRAJECTORY.exists():
-        trajectory = json.loads(TRAJECTORY.read_text())
-    trajectory["runs"].append(
+    record_run(
+        "overload",
         {
             "config": config,
             "baseline": {
@@ -124,9 +117,8 @@ def test_flash_crowd_controller_vs_baseline(benchmark, report):
                     "restored",
                 )
             },
-        }
+        },
     )
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
 
     # Both runs eventually drain: every admitted message stabilized.
     assert baseline["drained"] and controlled["drained"]

@@ -14,27 +14,23 @@ leave.  The numbers that must hold:
 - every phase ends with each shard at exactly its replication factor,
   live stacks included, with zero unsourced rebuilds.
 
-Results land in ``BENCH_rebalance.json`` at the repo root so the perf
-trajectory covers the rebalance path too; each run records per-phase
+A ``--record`` run lands in ``BENCH_rebalance.json`` at the repo root so
+the perf trajectory covers the rebalance path too; each run records per-phase
 handoff bytes, cutover latency, retries, and the probes.
 """
 
-import json
 import math
-from pathlib import Path
 
 from repro.bench import format_table
 from repro.bench.runners import run_rebalance_bench
 from conftest import full_scale
-
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_rebalance.json"
 
 NODES = 8
 SHARD_COUNT = 64
 REPLICATION = 2
 
 
-def test_live_rebalance_under_load(benchmark, report):
+def test_live_rebalance_under_load(benchmark, report, record_run):
     result = benchmark.pedantic(
         lambda: run_rebalance_bench(
             nodes=NODES,
@@ -89,10 +85,8 @@ def test_live_rebalance_under_load(benchmark, report):
     report.add_data("config", result["config"])
     report.add_data("phases", phases)
 
-    trajectory = {"runs": []}
-    if TRAJECTORY.exists():
-        trajectory = json.loads(TRAJECTORY.read_text())
-    trajectory["runs"].append(
+    record_run(
+        "rebalance",
         {
             "nodes": result["config"]["nodes"],
             "shard_count": result["config"]["shard_count"],
@@ -119,9 +113,8 @@ def test_live_rebalance_under_load(benchmark, report):
                 }
                 for p in phases
             ],
-        }
+        },
     )
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
 
     steady, out, down = phases
     # Each phase leaves the cluster at full replication, every rebuild

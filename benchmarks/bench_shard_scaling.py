@@ -12,19 +12,14 @@ is ``replication - 1`` instead of ``nodes - 1``), and per-node ACK-table
 cells must stay flat as the key space grows a hundredfold — control
 state is a function of owned shards, never of keys.
 
-Results land in ``BENCH_shard.json`` at the repo root so the perf
-trajectory covers the shard layer too; each run records the shard
+A ``--record`` run lands in ``BENCH_shard.json`` at the repo root so
+the perf trajectory covers the shard layer too; each run records the shard
 configuration (shard count, owners per shard) next to its numbers.
 """
-
-import json
-from pathlib import Path
 
 from repro.bench import format_table
 from repro.bench.runners import run_shard_scaling
 from conftest import full_scale
-
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_shard.json"
 
 NODES = 8
 SHARD_COUNT = 64
@@ -32,7 +27,7 @@ REPLICATION = 2
 KEYS_GRID = (10_000, 1_000_000)
 
 
-def test_shard_scaling_control_plane(benchmark, report):
+def test_shard_scaling_control_plane(benchmark, report, record_run):
     messages = 960 if full_scale() else 240
     result = benchmark.pedantic(
         lambda: run_shard_scaling(
@@ -82,10 +77,8 @@ def test_shard_scaling_control_plane(benchmark, report):
     report.add_data("config", result["config"])
     report.add_data("rows", rows)
 
-    trajectory = {"runs": []}
-    if TRAJECTORY.exists():
-        trajectory = json.loads(TRAJECTORY.read_text())
-    trajectory["runs"].append(
+    record_run(
+        "shard",
         {
             # The shard configuration rides with every run's numbers.
             "nodes": result["config"]["nodes"],
@@ -105,9 +98,8 @@ def test_shard_scaling_control_plane(benchmark, report):
             ],
             "sharded_max_cells": [r["sharded_max_cells"] for r in rows],
             "frontier_lag_max": [r["frontier_lag_max"] for r in rows],
-        }
+        },
     )
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
 
     for r in rows:
         # Both systems must actually have stabilized the workload.

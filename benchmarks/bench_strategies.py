@@ -8,23 +8,18 @@ stability latency; the sequencer funnels O(n) report streams through one
 node; the hybrid clock sends fixed-size frames but stabilizes only on
 clock ticks, so its percentiles carry interval slack (docs/strategies.md).
 
-Results land in ``BENCH_strategy.json`` at the repo root so the perf
-trajectory covers the strategy layer too; every run records all three
+A ``--record`` run lands in ``BENCH_strategy.json`` at the repo root so
+the perf trajectory covers the strategy layer too; every run records all three
 engines' numbers side by side.
 """
-
-import json
-from pathlib import Path
 
 from repro.bench import format_table
 from repro.bench.runners import run_strategy_comparison
 from repro.core.strategy import STRATEGY_NAMES
 from conftest import full_scale
 
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_strategy.json"
 
-
-def test_strategy_head_to_head(benchmark, report):
+def test_strategy_head_to_head(benchmark, report, record_run):
     messages = 480 if full_scale() else 120
     result = benchmark.pedantic(
         lambda: run_strategy_comparison(
@@ -64,10 +59,8 @@ def test_strategy_head_to_head(benchmark, report):
     report.add_data("config", result["config"])
     report.add_data("rows", rows)
 
-    trajectory = {"runs": []}
-    if TRAJECTORY.exists():
-        trajectory = json.loads(TRAJECTORY.read_text())
-    trajectory["runs"].append(
+    record_run(
+        "strategy",
         {
             "topology": result["config"]["topology"],
             "messages": messages,
@@ -82,9 +75,8 @@ def test_strategy_head_to_head(benchmark, report):
                 }
                 for r in rows
             },
-        }
+        },
     )
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
 
     by_name = {r["strategy"]: r for r in rows}
     assert set(by_name) == set(STRATEGY_NAMES)

@@ -145,19 +145,14 @@ class InvariantChecker:
     # -- wiring ----------------------------------------------------------------
     @staticmethod
     def _units(node) -> List[Tuple[int, object]]:
-        """Decompose ``node`` into its per-shard stacks.
-
-        A :class:`~repro.core.sharding.ShardedStabilizer` yields one
-        ``(shard, inner stabilizer)`` per *owned* shard — unowned shards
-        do not appear, so nothing downstream ever treats their absent
-        cells as evidence.  A plain Stabilizer (or an inner shard view
-        passed directly) is its own single unit.
-        """
-        shards = getattr(node, "shards", None)
-        if shards is not None and isinstance(shards, dict):
-            return list(shards.items())
-        shard = getattr(getattr(node, "config", None), "shard_id", None)
-        return [(0 if shard is None else shard, node)]
+        """``node.stacks()`` as ``(shard, stack)`` pairs, an unsharded
+        node's one stack counted as shard 0.  Only *live* stacks appear —
+        unowned shards do not, so nothing downstream ever treats their
+        absent cells as evidence."""
+        return [
+            (0 if shard is None else shard, unit)
+            for shard, unit in node.stacks().items()
+        ]
 
     def note_sent(self, origin: str, seq: int, shard: int = 0) -> None:
         slot = (origin, shard)
@@ -579,7 +574,7 @@ class InvariantChecker:
             for owner in owners:
                 node = cluster.nodes.get(owner)
                 self.checks += 1
-                if node is None or shard not in getattr(node, "shards", {}):
+                if node is None or shard not in node.stacks():
                     self._fail(
                         f"replication not restored: shard {shard} owner "
                         f"{owner!r} has no live stack for it"

@@ -276,31 +276,13 @@ class AdmissionController:
         self.direct_offered = 0
         self.direct_admitted = 0
         self.direct_refused = 0
-        for key in self._peer_keys():
-            self._breaker(key)
+        for shard, inner in node.stacks().items():
+            for peer in inner.config.remote_names():
+                self._breaker((peer, shard))
         self._wire_dead_peer()
         self._pump_timer = self.sim.call_later(pump_interval_s, self._pump)
 
     # ------------------------------------------------------------------ wiring
-    def _endpoints(self):
-        """Yield (shard, endpoint) for every live transport endpoint."""
-        shards = getattr(self.node, "shards", None)
-        if shards is not None and isinstance(shards, dict):
-            for shard, inner in shards.items():
-                yield shard, inner.endpoint
-        else:
-            yield None, self.node.endpoint
-
-    def _peer_keys(self) -> List[BreakerKey]:
-        shards = getattr(self.node, "shards", None)
-        if shards is not None and isinstance(shards, dict):
-            return [
-                (peer, shard)
-                for shard, inner in shards.items()
-                for peer in inner.config.remote_names()
-            ]
-        return [(peer, None) for peer in self.node.config.remote_names()]
-
     def _wire_dead_peer(self) -> None:
         node = self.node
         if hasattr(node, "shards"):
@@ -309,7 +291,7 @@ class AdmissionController:
         previous = node.on_peer_dead
 
         def chained(peer: str, channel_name: str) -> None:
-            self._breaker((peer, None)).trip()
+            self._breaker((peer, node.config.shard_id)).trip()
             if previous is not None:
                 previous(peer, channel_name)
 
@@ -512,9 +494,9 @@ class AdmissionController:
                 break
 
     def _poll_breakers(self) -> None:
-        for shard, endpoint in self._endpoints():
+        for shard, inner in self.node.stacks().items():
             health: Dict[str, bool] = {}
-            for (peer, chan_name), chan in endpoint.channels().items():
+            for (peer, chan_name), chan in inner.endpoint.channels().items():
                 slot = (shard, peer, chan_name)
                 seen_rtx, seen_stalled = self._chan_seen.get(slot, (0, False))
                 stalled = chan.window_stalled()

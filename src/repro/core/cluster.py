@@ -10,19 +10,29 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, Optional
 
 from repro.core.config import StabilizerConfig
+from repro.core.recovery import restore_state
 from repro.core.stabilizer import Stabilizer
 from repro.net.topology import Network
 
 
 class StabilizerCluster:
-    """All Stabilizer instances of one deployment, keyed by node name.
+    """All nodes of one deployment, keyed by node name.
+
+    The base of both cluster kinds: ``node_class`` is what runs at each
+    node (:class:`~repro.core.sharding.ShardedCluster` sets it to
+    :class:`~repro.core.sharding.ShardedStabilizer` and adds membership
+    change); construction, the per-host filesystem and shared-tracer
+    bookkeeping, the container protocol and the restart tail are here
+    once.
 
     With durability enabled each node gets its own filesystem (by default
     a fresh in-memory one; ``fs_factory(name)`` overrides — chaos runs
     pass seeded fault-injecting filesystems).  Filesystems belong to the
     *host*, not the process: :meth:`restart_node` hands the same one back
-    to the rebuilt Stabilizer so WAL recovery reads what the crash left.
+    to the rebuilt node so WAL recovery reads what the crash left.
     """
+
+    node_class = Stabilizer
 
     def __init__(
         self,
@@ -40,16 +50,45 @@ class StabilizerCluster:
         self.filesystems: Dict[str, object] = {}
         self.nodes: Dict[str, Stabilizer] = {}
         for name in base_config.node_names:
-            fs = fs_factory(name) if fs_factory is not None else None
-            node = Stabilizer(
-                net, base_config.for_node(name), fs=fs, tracer=tracer
-            )
-            self.nodes[name] = node
-            # Stabilizer may have created a default filesystem itself.
-            self.filesystems[name] = node.fs if fs is None else fs
+            if fs_factory is not None:
+                self.filesystems[name] = fs_factory(name)
+            self._spawn(name)
 
-    def restart_node(self, name: str, snapshot: Optional[dict] = None) -> Stabilizer:
-        """Crash-restart ``name``: rebuild its Stabilizer, restore the
+    @classmethod
+    def from_topology(
+        cls,
+        net: Network,
+        local_predicates: Optional[Dict[str, str]] = None,
+        **config_kwargs,
+    ):
+        """A cluster over ``net`` with one deployment config derived from
+        its topology (what ``build_cluster`` / ``build_sharded_cluster``
+        call)."""
+        config = StabilizerConfig.from_topology(
+            net.topology,
+            local=net.topology.node_names()[0],
+            predicates=local_predicates,
+            **config_kwargs,
+        )
+        return cls(net, config)
+
+    def _spawn(self, name: str, config: Optional[StabilizerConfig] = None, **kwargs):
+        """Build ``name``'s node on its host's filesystem and the shared
+        tracer, and book both (the node may have created a default
+        filesystem itself)."""
+        node = self.node_class(
+            self.net,
+            config or self.base_config.for_node(name),
+            fs=self.filesystems.get(name),
+            tracer=self.tracer,
+            **kwargs,
+        )
+        self.nodes[name] = node
+        self.filesystems[name] = node.fs
+        return node
+
+    def restart_node(self, name: str, snapshot: Optional[dict] = None):
+        """Crash-restart ``name``: rebuild its node, restore the
         snapshot, and ask peers to replay what it missed (Section III-E).
 
         The caller is responsible for having closed the old instance (a
@@ -58,28 +97,23 @@ class StabilizerCluster:
         ``net.recover_node(name)``.  With ``snapshot`` given, state is
         restored before the catch-up request goes out.
         """
-        from repro.core.recovery import restore_state
-
         old = self.nodes.get(name)
         if old is not None:
             old.close()
-        node = Stabilizer(
-            self.net,
-            self.base_config.for_node(name),
-            fs=self.filesystems.get(name),
-            tracer=self.tracer,
-        )
-        self.nodes[name] = node
-        self.filesystems[name] = node.fs
+        node = self._spawn(name, **self._restart_args(name, snapshot))
         if snapshot is not None:
             restore_state(node, snapshot)
         node.request_catchup()
         return node
 
-    def __getitem__(self, name: str) -> Stabilizer:
+    def _restart_args(self, name: str, snapshot: Optional[dict]) -> dict:
+        """Extra :meth:`_spawn` arguments for a restart (none here)."""
+        return {}
+
+    def __getitem__(self, name: str):
         return self.nodes[name]
 
-    def __iter__(self) -> Iterator[Stabilizer]:
+    def __iter__(self) -> Iterator:
         return iter(self.nodes.values())
 
     def __len__(self) -> int:
@@ -96,10 +130,4 @@ def build_cluster(
     **config_kwargs,
 ) -> StabilizerCluster:
     """Build a cluster over ``net`` with one shared deployment config."""
-    config = StabilizerConfig.from_topology(
-        net.topology,
-        local=net.topology.node_names()[0],
-        predicates=local_predicates,
-        **config_kwargs,
-    )
-    return StabilizerCluster(net, config)
+    return StabilizerCluster.from_topology(net, local_predicates, **config_kwargs)

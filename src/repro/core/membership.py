@@ -297,13 +297,6 @@ class RebalancePlan:
     def moved_shards(self) -> Tuple[int, ...]:
         return tuple(move.shard_id for move in self.moves)
 
-    def moves_for(self, name: str) -> Tuple[ShardMove, ...]:
-        """Moves ``name`` participates in (as joiner, leaver, or stayer)."""
-        return tuple(
-            move for move in self.moves
-            if name in move.old or name in move.new
-        )
-
     def summary(self) -> dict:
         """Run metadata for benchmarks and traces."""
         return {

@@ -64,12 +64,14 @@ HANDOFF_CHANNEL = "stab.handoff"
 # snapshot remapping
 # ---------------------------------------------------------------------------
 def remap_inner_snapshot(
-    snapshot: dict, view: StabilizerConfig
+    snapshot: dict, view: StabilizerConfig, columns: Optional[int] = None
 ) -> Tuple[dict, Dict[str, int]]:
     """Rewrite a per-shard (version-3) snapshot for a new owner set.
 
     ``snapshot`` is the inner snapshot captured at an *old* owner of the
-    shard; ``view`` is the successor shard view of the node restoring it.
+    shard; ``view`` is the successor shard view of the node restoring it;
+    ``columns`` is how many stability types the restoring stack holds
+    (the view's own, unless more were registered at run time).
     ACK-table row indices are positional in the owner list, so every row
     is moved to the name's index in the new list; rows of leavers drop,
     rows of joiners start at zero.  Origin streams of leavers drop with
@@ -98,12 +100,16 @@ def remap_inner_snapshot(
     source_local: str = old_config["local"]
     target_local: str = view.local
     is_stayer = source_local == target_local
-    type_names = list(BUILTIN_TYPES) + list(old_config["ack_types"])
-    n_types = len(type_names)
-    if n_types != len(view.type_names()):
+    # The snapshot's rows are as wide as its source's tables: configured
+    # types, then those registered at run time.  The restoring stack must
+    # hold as many, or the rows would land in the wrong shape.
+    width = len(snapshot["tables"][source_local][0])
+    if columns is None:
+        columns = len(view.type_names())
+    if width != columns:
         raise StabilizerError(
-            f"cannot remap snapshot with {n_types} stability types into a "
-            f"view with {len(view.type_names())}"
+            f"cannot remap snapshot with {width} stability types into a "
+            f"stack with {columns}"
         )
     old_index = {name: i for i, name in enumerate(old_names)}
 
@@ -113,13 +119,13 @@ def remap_inner_snapshot(
         rows: List[List[int]] = []
         for name in new_names:
             if old_rows is None:
-                rows.append([0] * n_types)  # brand-new origin stream
+                rows.append([0] * width)  # brand-new origin stream
             elif name == target_local and not is_stayer:
-                rows.append([0] * n_types)  # joiner's own acks start empty
+                rows.append([0] * width)  # joiner's own acks start empty
             elif name in old_index:
                 rows.append(list(old_rows[old_index[name]]))
             else:
-                rows.append([0] * n_types)  # another joiner's column
+                rows.append([0] * width)  # another joiner's column
         tables[origin] = rows
 
     frontiers = {
@@ -156,7 +162,7 @@ def remap_inner_snapshot(
 
     adopt: Dict[str, int] = {}
     if not is_stayer:
-        received = type_names.index("received")
+        received = BUILTIN_TYPES.index("received")
         source_row = old_index[source_local]
         for origin in new_names:
             old_rows = snapshot["tables"].get(origin)

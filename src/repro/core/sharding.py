@@ -29,10 +29,12 @@ time rather than waiting forever.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Set,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.cluster import StabilizerCluster
 from repro.core.config import StabilizerConfig
+from repro.core.rebalance import HandoffManager, remap_inner_snapshot
+from repro.core.recovery import restore_state, snapshot_state
 from repro.core.stabilizer import Stabilizer
 from repro.errors import StabilizerError
 from repro.net.topology import Network
@@ -45,16 +47,72 @@ ShardDeliveryFn = Callable[[str, int, Payload, object, int], None]
 # stack whose endpoint produced it.
 ShardPeerDeadFn = Callable[[str, int], None]
 
+# The node interface: every public method or property of ``Stabilizer``,
+# by how a sharded node answers it (table in docs/sharding.md, held to
+# both classes by tests/core/test_import_lint.py).
+#: One stack, picked by ``key=`` / ``shard=`` (see ``stack``).
+ROUTED = (
+    "send", "last_sent_seq", "waitfor", "get_stability_frontier",
+    "report_stability",
+)
+#: Every live stack now, and — through the registration log — every stack
+#: built later.
+EVERY_STACK = (
+    "register_predicate", "change_predicate", "register_stability_type",
+    "monitor_stability_frontier", "on_delivery", "set_degradation_policy",
+)
+#: One answer for the node as a whole, drawn from every live stack.
+MERGED = (
+    "stats", "obs_snapshot", "suspected_nodes", "degradation_log", "blame",
+    "stacks", "set_admission",
+)
+#: Fanned out to every live stack, not remembered.
+LIFECYCLE = ("close", "crash", "request_catchup")
+#: Not on the sharded node: call them on ``node.stack(key=, shard=)``.
+STACK_ONLY = (
+    ("on_backpressure", "a callback about one send buffer"),
+    ("backpressure_engaged", "one send buffer's state"),
+    ("waitfor_capacity", "waits on one send buffer"),
+    ("delivery_watermark", "a position in one shard's sequence space"),
+    ("type_id", "the same column on every stack: ask any one"),
+    ("active_predicate_key", "a degradation policy may move it per stack"),
+    ("attach_alerter", "an alerter binds to one stack's latency samples"),
+)
+
+# The registration log's kinds, in replay order — each may name only what
+# an earlier kind defines: a predicate source names stability types, a
+# policy or subscription names predicate keys, the active key is one.
+_REPLAY_ORDER = ("type", "predicate", "policy", "subscription", "active")
+
+
+def _definition(key: str, source: str):
+    """The replayed form of a predicate definition.  A stack built later
+    already holds the config-time keys, so there it is register-or-change;
+    the live call stays as strict as the caller made it."""
+
+    def define(shard: int, inner: Stabilizer) -> None:
+        if key in inner.engine.predicate_keys():
+            inner.change_predicate(key, source)
+        else:
+            inner.register_predicate(key, source)
+
+    return define
+
 
 class ShardedStabilizer:
     """One node of a partially replicated deployment; see module docstring.
 
     ``config`` is the *global* deployment config carrying ``shard_count``
     and ``shard_replication`` (or an explicit ``shard_owners`` mapping).
-    Every key-taking call (``send``, ``waitfor``, ...) resolves its shard
-    through the deployment's :class:`~repro.core.membership.ShardMap`;
-    operations on shards this node does not own raise
-    :class:`~repro.errors.StabilizerError` naming the owners to route to.
+    The node answers the ``Stabilizer`` interface in the five ways the
+    module's tuples name.  Routed calls resolve their shard through the
+    deployment's :class:`~repro.core.membership.ShardMap` and raise
+    :class:`~repro.errors.StabilizerError` naming the owners to route to
+    when this node does not own it (:meth:`stack` is that routing handed
+    out).  Every-stack calls are kept in one registration log that
+    :meth:`_build_shard` replays, so a stack built at a rebalance cutover
+    carries every predicate, stability type, policy, monitor and delivery
+    handler ever registered on the node.
     """
 
     def __init__(
@@ -66,8 +124,6 @@ class ShardedStabilizer:
         pending_shards: Iterable[int] = (),
         shard_epochs: Optional[Dict[int, int]] = None,
     ):
-        from repro.core.rebalance import HandoffManager
-
         self.net = net
         self.sim = net.sim
         self.config = config
@@ -92,14 +148,16 @@ class ShardedStabilizer:
         # routed error until cutover (in-flight traffic keeps draining).
         self._frozen: Set[int] = set()
         self.shards: Dict[int, Stabilizer] = {}
-        self._delivery_handlers: List[ShardDeliveryFn] = []
         self._peer_dead_handlers: List[ShardPeerDeadFn] = []
-        # Runtime-registered predicate/type/policy state, tracked so a
-        # stack rebuilt at cutover is configured identically to the ones
-        # it joins (ctor-time predicates ride in on the shard view).
-        self._runtime_predicates: Dict[str, str] = {}
-        self._extra_types: List[str] = []
-        self._policy_args: Optional[Tuple] = None
+        # The registration log: kind -> slot -> apply(shard, inner), kinds
+        # in replay order, slots in call order.  Everything _every_stack
+        # has applied is here, and replaying it is all that configures a
+        # new stack (config-time predicates ride in on the shard view).
+        # A keyed slot *redefines*, so the log stays bounded under
+        # toggling (a kind that holds one thing is its own slot).
+        self._log: Dict[str, Dict[object, Callable[[int, Stabilizer], object]]] = {
+            kind: {} for kind in _REPLAY_ORDER
+        }
         # Per-shard epoch overrides for crash-restarts: an unmoved shard
         # runs cluster-wide at the epoch of the map it was *built* from,
         # which may trail the adopted config's epoch (kept stacks are not
@@ -123,8 +181,10 @@ class ShardedStabilizer:
 
     def _build_shard(self, shard: int) -> Stabilizer:
         """Construct (or reconstruct) the inner stack for ``shard`` from
-        the *current* config's shard view and wire up the node-level
-        relays and runtime-registered predicate state."""
+        the *current* config's shard view and configure it by replaying
+        the registration log.  State, if any, is restored by the caller
+        afterwards: a replayed monitor must already be listening when
+        ``restore_state`` raises its high-water marks and re-evaluates."""
         view = self.config.shard_view(shard)
         epoch = self._shard_epoch_overrides.get(shard)
         if epoch is not None and epoch != view.shard_epoch:
@@ -135,21 +195,24 @@ class ShardedStabilizer:
             # default filesystem; every later shard (and restarts)
             # must share it — WAL directories are per-shard already.
             self.fs = inner.fs
-        inner.on_delivery(self._make_delivery_relay(shard))
         inner.on_peer_dead = self._make_peer_dead_relay(shard)
-        for type_name in self._extra_types:
-            inner.register_stability_type(type_name)
-        for key, source in self._runtime_predicates.items():
-            if key in self.config.predicates:
-                inner.change_predicate(key, source)
-            else:
-                inner.register_predicate(key, source)
-        if self._policy_args is not None:
-            policy_factory, protect = self._policy_args
-            policy = policy_factory() if policy_factory is not None else None
-            inner.set_degradation_policy(policy, protect=protect)
+        for entries in self._log.values():
+            for apply in entries.values():
+                apply(shard, inner)
         self.shards[shard] = inner
         return inner
+
+    def _every_stack(self, kind, slot, apply, replay=None) -> Dict[int, object]:
+        """The one way a call reaches every stack: run ``apply(shard,
+        inner)`` on each live one, then record it (or ``replay``, where a
+        later stack needs another form) under ``kind`` for those built
+        after this call — in ``slot``, or appended when that is ``None``.
+        An ``apply`` that raises records nothing."""
+        results = {
+            shard: apply(shard, inner) for shard, inner in self.shards.items()
+        }
+        self._log[kind][object() if slot is None else slot] = replay or apply
+        return results
 
     # ------------------------------------------------------------------ routing
     def shard_of(self, key) -> int:
@@ -163,19 +226,25 @@ class ShardedStabilizer:
     def owns(self, shard: int) -> bool:
         return shard in self.shards
 
-    def _resolve(self, key, shard: Optional[int]) -> int:
-        if shard is None:
-            if key is None:
-                if not self.owned_shards:
-                    raise StabilizerError(
-                        f"node {self.name!r} owns no shards; route writes "
-                        "to a shard owner (see ShardMap.owner_for_key)"
-                    )
-                return self.owned_shards[0]
-            shard = self.shard_map.shard_of(key)
-        return shard
+    def stacks(self) -> Dict[int, Stabilizer]:
+        """This node as its per-shard stacks: the live ``shards`` mapping
+        (see :meth:`repro.core.stabilizer.Stabilizer.stacks`)."""
+        return self.shards
 
-    def _owned(self, shard: int) -> Stabilizer:
+    def stack(self, key=None, shard: Optional[int] = None) -> Stabilizer:
+        """The live stack every routed call goes to (and how the
+        ``STACK_ONLY`` methods are reached): ``shard``'s if given, else
+        the one ``key`` hashes to, else the lowest owned shard's."""
+        if shard is None:
+            if key is not None:
+                shard = self.shard_map.shard_of(key)
+            elif self.owned_shards:
+                shard = self.owned_shards[0]
+            else:
+                raise StabilizerError(
+                    f"node {self.name!r} owns no shards; route writes "
+                    "to a shard owner (see ShardMap.owner_for_key)"
+                )
         inner = self.shards.get(shard)
         if inner is None:
             if shard in self.pending_shards:
@@ -210,17 +279,17 @@ class ShardedStabilizer:
         """
         if self.admission is not None:
             self.admission.preflight()
-        target = self._resolve(key, shard)
-        if target in self._frozen:
+        inner = self.stack(key, shard)
+        if inner.config.shard_id in self._frozen:
             raise StabilizerError(
-                f"shard {target} is frozen for rebalance to epoch "
-                f"{self.shard_map.epoch + 1}; new owners "
+                f"shard {inner.config.shard_id} is frozen for rebalance to "
+                f"epoch {self.shard_map.epoch + 1}; new owners "
                 "accept writes after cutover — retry"
             )
-        return self._owned(target).send(payload, meta)
+        return inner.send(payload, meta)
 
     def last_sent_seq(self, shard: Optional[int] = None) -> int:
-        return self._owned(self._resolve(None, shard)).last_sent_seq()
+        return self.stack(shard=shard).last_sent_seq()
 
     # ------------------------------------------------------------------ stability API
     def waitfor(
@@ -235,8 +304,7 @@ class ShardedStabilizer:
     ) -> Event:
         """An event that succeeds once ``seq`` of the resolved shard's
         ``origin`` stream satisfies the predicate."""
-        target = self._resolve(key, shard)
-        return self._owned(target).waitfor(
+        return self.stack(key, shard).waitfor(
             seq, predicate_key, origin=origin, timeout_s=timeout_s
         )
 
@@ -248,50 +316,59 @@ class ShardedStabilizer:
         key=None,
         shard: Optional[int] = None,
     ) -> int:
-        target = self._resolve(key, shard)
-        return self._owned(target).get_stability_frontier(predicate_key, origin)
+        return self.stack(key, shard).get_stability_frontier(predicate_key, origin)
 
     def register_predicate(self, key: str, source: str) -> None:
         """Register ``source`` under ``key`` on every owned shard (each
         compiles it against its own owner-set context)."""
-        for inner in self.shards.values():
-            inner.register_predicate(key, source)
-        self._runtime_predicates[key] = source
+        self._every_stack(
+            "predicate",
+            key,
+            lambda shard, inner: inner.register_predicate(key, source),
+            replay=_definition(key, source),
+        )
 
     def change_predicate(self, key: str, source: Optional[str] = None) -> None:
-        for inner in self.shards.values():
-            inner.change_predicate(key, source)
+        """Switch the active predicate to ``key`` on every owned shard,
+        redefining it first when ``source`` is given."""
+        def activate(shard: int, inner: Stabilizer) -> None:
+            inner.change_predicate(key)
+
         if source is None:
-            self._runtime_predicates.pop(key, None)
-        else:
-            self._runtime_predicates[key] = source
+            self._every_stack("active", "active", activate)
+            return
+        self._every_stack(
+            "predicate",
+            key,
+            lambda shard, inner: inner.change_predicate(key, source),
+            replay=_definition(key, source),
+        )
+        self._log["active"]["active"] = activate  # a redefinition activates too
 
     def monitor_stability_frontier(self, predicate_key: str, fn) -> None:
         """Register ``fn(origin, frontier, old_frontier, shard)`` on
-        frontier advances of ``predicate_key`` on any owned shard."""
-        for shard, inner in self.shards.items():
-            inner.monitor_stability_frontier(
+        frontier advances of ``predicate_key`` on any owned shard.  On a
+        stack built later it resumes above what the old stack (a rebuilt
+        shard) or the transfer's source (a joined one) had reported."""
+        self._every_stack(
+            "subscription",
+            None,
+            lambda shard, inner: inner.monitor_stability_frontier(
                 predicate_key,
-                lambda origin, frontier, old, shard=shard: fn(
-                    origin, frontier, old, shard
-                ),
-            )
+                lambda origin, frontier, old: fn(origin, frontier, old, shard),
+            ),
+        )
 
     def register_stability_type(self, type_name: str) -> int:
         """Add an application-defined stability level on every owned
-        shard; the column index is identical across shards."""
-        type_ids = {
-            inner.register_stability_type(type_name)
-            for inner in self.shards.values()
-        }
-        if len(type_ids) > 1:  # pragma: no cover - defensive
-            raise StabilizerError(
-                f"stability type {type_name!r} landed on different columns "
-                f"across shards: {sorted(type_ids)}"
-            )
-        if type_name not in self._extra_types:
-            self._extra_types.append(type_name)
-        return type_ids.pop() if type_ids else -1
+        shard; the column index is identical across shards (every stack
+        takes the same registrations in the same order)."""
+        type_ids = self._every_stack(
+            "type",
+            type_name,
+            lambda shard, inner: inner.register_stability_type(type_name),
+        )
+        return next(iter(type_ids.values()), -1)
 
     def report_stability(
         self,
@@ -302,21 +379,21 @@ class ShardedStabilizer:
         key=None,
         shard: Optional[int] = None,
     ) -> None:
-        target = self._resolve(key, shard)
-        self._owned(target).report_stability(type_name, seq, origin)
+        self.stack(key, shard).report_stability(type_name, seq, origin)
 
     # ------------------------------------------------------------------ delivery
     def on_delivery(self, fn: ShardDeliveryFn) -> None:
         """Subscribe to remote messages on every owned shard:
         ``fn(origin, seq, payload, meta, shard)``."""
-        self._delivery_handlers.append(fn)
-
-    def _make_delivery_relay(self, shard: int):
-        def relay(origin, seq, payload, meta):
-            for handler in self._delivery_handlers:
-                handler(origin, seq, payload, meta, shard)
-
-        return relay
+        self._every_stack(
+            "subscription",
+            None,
+            lambda shard, inner: inner.on_delivery(
+                lambda origin, seq, payload, meta: fn(
+                    origin, seq, payload, meta, shard
+                )
+            ),
+        )
 
     def on_peer_dead(self, fn: ShardPeerDeadFn) -> None:
         """Subscribe to shard-scoped transport dead-peer reports:
@@ -342,22 +419,18 @@ class ShardedStabilizer:
         """Stop accepting local writes on ``shard`` (rebalance freeze).
 
         In-flight traffic keeps draining — only new ``send()`` calls are
-        refused, with an error telling the caller to retry after cutover.
+        refused, with an error telling the caller to retry after cutover;
+        the cutover itself lifts the freeze.
         """
-        inner = self._owned(shard)  # must be a live owned stack
+        inner = self.stack(shard=shard)  # must be a live owned stack
         self._frozen.add(shard)
         # The owner set is about to change: keep the send buffer until
         # the new one exists (DataPlane.reclaim_up_to).
         inner.dataplane.hold_reclaim = True
 
-    def unfreeze_shard(self, shard: int) -> None:
-        self._frozen.discard(shard)
-        inner = self.shards.get(shard)
-        if inner is not None:
-            inner.dataplane.hold_reclaim = False
-
     def frozen_shards(self) -> Tuple[int, ...]:
         return tuple(sorted(self._frozen))
+
     def suspected_nodes(self):
         """Union of every shard detector's suspicions."""
         suspected = set()
@@ -376,26 +449,18 @@ class ShardedStabilizer:
         nothing (see ``PredicateAutoAdjuster.mask_node``).  Returns the
         installed policies keyed by shard.
         """
-        policies = {}
-        for shard, inner in self.shards.items():
-            policy = policy_factory() if policy_factory is not None else None
-            policies[shard] = inner.set_degradation_policy(
-                policy, protect=protect
-            )
-        self._policy_args = (policy_factory, protect)
-        return policies
+        return self._every_stack(
+            "policy",
+            "policy",
+            lambda shard, inner: inner.set_degradation_policy(
+                policy_factory() if policy_factory is not None else None,
+                protect=protect,
+            ),
+        )
 
-    def set_admission(self, controller=None, **kwargs):
-        """Attach an :class:`~repro.core.admission.AdmissionController`
-        guarding this node's ingest across every owned shard (breakers
-        are keyed per (peer, shard); see ``docs/overload.md``).  Returns
-        the installed controller; its counters join :meth:`stats`."""
-        if controller is None:
-            from repro.core.admission import AdmissionController
-
-            controller = AdmissionController(self, **kwargs)
-        self.admission = controller
-        return controller
+    # One definition for both node kinds: the controller decomposes either
+    # through stacks(), with breakers per (peer, shard) (docs/overload.md).
+    set_admission = Stabilizer.set_admission
 
     def degradation_log(self) -> List[Tuple[float, str, str, int]]:
         """Every (virtual time, transition, peer, shard) event across the
@@ -425,9 +490,6 @@ class ShardedStabilizer:
         nodes have cut over.  Returns the shards rebuilt / released /
         kept at this node.
         """
-        from repro.core.rebalance import remap_inner_snapshot
-        from repro.core.recovery import restore_state, snapshot_state
-
         if self.name not in new_config.node_names:
             raise StabilizerError(
                 f"node {self.name!r} is not in the new deployment; "
@@ -475,17 +537,17 @@ class ShardedStabilizer:
             if shard in self.shards:
                 continue
             view = self.config.shard_view(shard)
-            if shard in old_snapshots:
-                snap, adopt = remap_inner_snapshot(old_snapshots[shard], view)
-            else:
+            source = old_snapshots.get(shard)
+            if source is None:
                 blob = self.handoff.take(shard, new_map.epoch)
-                if blob is not None:
-                    snap, adopt = remap_inner_snapshot(blob["snapshot"], view)
-                else:
-                    # No surviving old owner could source a transfer —
-                    # the shard restarts empty (catch-up replay from
-                    # co-owners still fills in whatever they buffer).
-                    snap, adopt = None, {}
+                source = blob["snapshot"] if blob is not None else None
+            # With no surviving old owner to source a transfer the shard
+            # restarts empty (catch-up replay from co-owners still fills
+            # in whatever they buffer).
+            columns = len(view.type_names()) + len(self._log["type"])
+            snap, adopt = (
+                remap_inner_snapshot(source, view, columns) if source else (None, {})
+            )
             inner = self._build_shard(shard)
             if snap is not None:
                 restore_state(inner, snap)
@@ -514,7 +576,7 @@ class ShardedStabilizer:
 
     # ------------------------------------------------------------------ introspection
     def shard_stats(self, shard: int) -> Dict[str, float]:
-        return self._owned(shard).stats()
+        return self.stack(shard=shard).stats()
 
     def ack_table_cells(self) -> int:
         """Total ACK-table cells allocated at this node — the per-node
@@ -586,28 +648,31 @@ class ShardedStabilizer:
 
     # ------------------------------------------------------------------ teardown
     def close(self) -> None:
-        if self.admission is not None:
-            self.admission.close()
-        for inner in self.shards.values():
-            inner.close()
-        self.handoff.close()
+        self._stop(Stabilizer.close)
 
     def crash(self) -> None:
+        self._stop(Stabilizer.crash)
+
+    def _stop(self, how) -> None:
         if self.admission is not None:
             self.admission.close()
         for inner in self.shards.values():
-            inner.crash()
+            how(inner)
         self.handoff.close()
 
 
-class ShardedCluster:
+class ShardedCluster(StabilizerCluster):
     """All :class:`ShardedStabilizer` instances of one deployment.
 
-    The sharded sibling of
-    :class:`~repro.core.cluster.StabilizerCluster`: one per-host
-    filesystem shared by that host's shard stacks (WAL directories are
-    per-shard inside it), one shared tracer across nodes and restarts.
+    :class:`~repro.core.cluster.StabilizerCluster` with
+    :class:`ShardedStabilizer` nodes — one per-host filesystem shared by
+    that host's shard stacks (WAL directories are per-shard inside it) —
+    plus what only a sharded deployment has: the shard map, membership
+    change (``add_node`` / ``remove_node`` / ``adopt_config``) and a
+    restart that resumes each shard at its running epoch.
     """
+
+    node_class = ShardedStabilizer
 
     def __init__(
         self,
@@ -616,41 +681,22 @@ class ShardedCluster:
         fs_factory: Optional[Callable[[str], object]] = None,
         tracer=None,
     ):
-        self.net = net
-        self.sim = net.sim
-        self.base_config = base_config
         self.shard_map = base_config.shard_map()
-        self.tracer = tracer
-        self.filesystems: Dict[str, object] = {}
-        self.nodes: Dict[str, ShardedStabilizer] = {}
         # Set by RebalanceCoordinator on attach; lets obs_snapshot()
         # surface the cluster-level rebalance.* metrics next to the
         # per-node views.
         self.coordinator = None
-        for name in base_config.node_names:
-            fs = fs_factory(name) if fs_factory is not None else None
-            node = ShardedStabilizer(
-                net, base_config.for_node(name), fs=fs, tracer=tracer
-            )
-            self.nodes[name] = node
-            self.filesystems[name] = node.fs if fs is None else fs
+        super().__init__(net, base_config, fs_factory, tracer)
 
-    def restart_node(
-        self, name: str, snapshot: Optional[dict] = None
-    ) -> ShardedStabilizer:
-        """Crash-restart ``name``: rebuild its shard stacks on the host's
-        surviving filesystem, restore the (version-5) snapshot, and ask
-        each shard's peers to replay what was missed.
+    def _restart_args(self, name: str, snapshot: Optional[dict]) -> dict:
+        """How :meth:`restart_node` rebuilds ``name`` for a (version-5)
+        snapshot: under which config, with which shards pending, and each
+        stack at which epoch.
 
         A version-5 snapshot taken mid-handoff may cover fewer shards
         than the node owns (a joiner whose transfers had not landed):
         the uncovered shards come back *pending*, and the rebalance
         coordinator re-drives their transfers."""
-        from repro.core.recovery import restore_state
-
-        old = self.nodes.get(name)
-        if old is not None:
-            old.close()
         if name in self.base_config.node_names:
             config = self.base_config.for_node(name)
         elif snapshot is not None and "config" in snapshot:
@@ -665,14 +711,8 @@ class ShardedCluster:
                 f"node {name!r} is not in the deployment and the snapshot "
                 "carries no config to rebuild it from"
             )
+        owned = config.shard_map().owned_shards(name)
         pending: Tuple[int, ...] = ()
-        if snapshot is not None and "shards" in snapshot:
-            covered = {int(shard) for shard in snapshot["shards"]}
-            pending = tuple(
-                shard
-                for shard in config.shard_map().owned_shards(name)
-                if shard not in covered
-            )
         # Epoch fencing is per-shard *equality*, and an unmoved shard's
         # co-owners still run the stack built at the epoch the shard last
         # moved — which may trail the adopted config.  Resume each stack
@@ -681,34 +721,24 @@ class ShardedCluster:
         # cover, match a live co-owner's running epoch.
         shard_epochs: Dict[int, int] = {}
         if snapshot is not None and "shards" in snapshot:
+            covered = {int(shard) for shard in snapshot["shards"]}
+            pending = tuple(shard for shard in owned if shard not in covered)
             for shard, inner_snapshot in snapshot["shards"].items():
                 inner_config = inner_snapshot.get("config") or {}
                 if "shard_epoch" in inner_config:
                     shard_epochs[int(shard)] = int(inner_config["shard_epoch"])
-        for shard in config.shard_map().owned_shards(name):
+        for shard in owned:
             if shard in shard_epochs or shard in pending:
                 continue
             for peer_name, peer in self.nodes.items():
-                if peer_name == name:
-                    continue
-                inner = peer.shards.get(shard)
-                if inner is not None:
-                    shard_epochs[shard] = inner.config.shard_epoch
+                if peer_name != name and shard in peer.shards:
+                    shard_epochs[shard] = peer.shards[shard].config.shard_epoch
                     break
-        node = ShardedStabilizer(
-            self.net,
-            config,
-            fs=self.filesystems.get(name),
-            tracer=self.tracer,
-            pending_shards=pending,
-            shard_epochs=shard_epochs,
-        )
-        self.nodes[name] = node
-        self.filesystems[name] = node.fs
-        if snapshot is not None:
-            restore_state(node, snapshot)
-        node.request_catchup()
-        return node
+        return {
+            "config": config,
+            "pending_shards": pending,
+            "shard_epochs": shard_epochs,
+        }
 
     # ------------------------------------------------------------------ membership
     def adopt_config(self, base_config: StabilizerConfig) -> None:
@@ -729,16 +759,11 @@ class ShardedCluster:
             raise StabilizerError(f"node {name!r} is already in the cluster")
         self.net.recover_node(name)
         node_config = (config or self.base_config).for_node(name)
-        node = ShardedStabilizer(
-            self.net,
+        return self._spawn(
+            name,
             node_config,
-            fs=self.filesystems.get(name),
-            tracer=self.tracer,
             pending_shards=node_config.shard_map().owned_shards(name),
         )
-        self.nodes[name] = node
-        self.filesystems[name] = node.fs
-        return node
 
     def remove_node(self, name: str) -> None:
         """Drop a node after it left the deployment (its stacks close;
@@ -773,19 +798,6 @@ class ShardedCluster:
             record["cluster"] = cluster
         return record
 
-    def __getitem__(self, name: str) -> ShardedStabilizer:
-        return self.nodes[name]
-
-    def __iter__(self) -> Iterator[ShardedStabilizer]:
-        return iter(self.nodes.values())
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def close(self) -> None:
-        for node in self.nodes.values():
-            node.close()
-
 
 def build_sharded_cluster(
     net: Network,
@@ -795,10 +807,4 @@ def build_sharded_cluster(
     """Build a sharded cluster over ``net`` with one shared deployment
     config; pass ``shard_count`` / ``shard_replication`` (or
     ``shard_owners``) through ``config_kwargs``."""
-    config = StabilizerConfig.from_topology(
-        net.topology,
-        local=net.topology.node_names()[0],
-        predicates=local_predicates,
-        **config_kwargs,
-    )
-    return ShardedCluster(net, config)
+    return ShardedCluster.from_topology(net, local_predicates, **config_kwargs)

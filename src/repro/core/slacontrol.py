@@ -247,17 +247,16 @@ class SlaController:
     # ------------------------------------------------------------------ sharded
     @classmethod
     def install(cls, node, key: str, target_p99_s: float, **kwargs):
-        """Attach controllers to ``node``: a dict of them keyed by shard
-        for a :class:`~repro.core.sharding.ShardedStabilizer` (one per
-        owned shard stack — each shard has its own engine, tables, and
-        latency histograms, so each needs its own loop), or ``{None:
-        controller}`` for a plain Stabilizer."""
-        shards = getattr(node, "shards", None)
-        if shards is None:
-            return {None: cls(node, key, target_p99_s, **kwargs)}
+        """Attach one controller per stack of ``node``, keyed as
+        ``node.stacks()`` keys them: by shard for a
+        :class:`~repro.core.sharding.ShardedStabilizer` (each shard has
+        its own engine, tables, and latency histograms, so each needs its
+        own loop), ``{None: controller}`` for a plain Stabilizer.  A
+        controller is bound to the stack it was built on: it does not
+        follow a shard that a rebalance cutover rebuilds."""
         return {
             shard: cls(inner, key, target_p99_s, **kwargs)
-            for shard, inner in sorted(shards.items())
+            for shard, inner in sorted(node.stacks().items())
         }
 
     # ------------------------------------------------------------------ measurement

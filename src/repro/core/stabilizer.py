@@ -188,6 +188,14 @@ class Stabilizer:
 
             self.registry.gauge(f"frontier_lag.{origin}.{type_name}", fn=lag)
 
+    def stacks(self) -> Dict[Optional[int], "Stabilizer"]:
+        """This node as its per-shard stacks, keyed by shard id: itself,
+        under its view's ``shard_id`` (``None`` when unsharded).  A
+        :class:`~repro.core.sharding.ShardedStabilizer` answers with its
+        live ``shards`` mapping, so code that serves either node kind
+        iterates this instead of asking which kind it was given."""
+        return {self.config.shard_id: self}
+
     # ------------------------------------------------------------------ sending
     def send(self, payload: Payload, meta=None) -> int:
         """Originate one message; returns the sequence number that stands

@@ -105,10 +105,6 @@ class AdmissionError(BackpressureError):
         self.reason = reason
 
 
-class NodeFailedError(ReproError):
-    """An operation was routed to a node that has crashed."""
-
-
 class StorageError(ReproError):
     """Object-store or log failure (corruption, missing version)."""
 

@@ -469,10 +469,6 @@ def build_span_trees(
     return trees
 
 
-def chrome_trace_key(trace: SendTrace) -> str:
-    return trace.label()
-
-
 def chrome_span_trace(trees: Dict[SendKey, SendTrace]) -> Dict[str, object]:
     """Render span trees as a Chrome ``trace_event`` document of *nested*
     async spans (``ph: "b"``/``"e"``, one id per send), loadable in

@@ -53,9 +53,6 @@ class StabilityInstruments:
     def register_key(self, key: str) -> None:
         self._covered.setdefault(key, 0)
 
-    def unregister_key(self, key: str) -> None:
-        self._covered.pop(key, None)
-
     def note_send(self, first_seq: int, last_seq: int) -> None:
         """Record the send instant for every chunk seq of one message."""
         now = self.clock()

@@ -119,9 +119,6 @@ class StabilizerBroker:
             self._announce(topic, True)
         return subscription
 
-    def subscriber_count(self, topic: str = DEFAULT_TOPIC) -> int:
-        return len(self._subscriptions.get(topic, ()))
-
     def topics(self) -> List[str]:
         """Topics with at least one local subscriber."""
         return [t for t, subs in self._subscriptions.items() if subs]

@@ -49,10 +49,6 @@ class Process(Event):
         self._had_subscribers = False
         sim._schedule_now(self._resume, None)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 

@@ -110,11 +110,6 @@ class FlashCrowdShape:
         frac = dt / self.decay_s if self.decay_s else 1.0
         return self.peak_rate - (self.peak_rate - self.base_rate) * frac
 
-    def multiplier_at(self, t: float) -> float:
-        """``rate_at(t) / base_rate`` — for callers that scale an
-        existing sender instead of owning the rate outright."""
-        return self.rate_at(t) / self.base_rate
-
 
 def flash_crowd(
     sim: Simulator,

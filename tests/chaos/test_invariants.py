@@ -35,6 +35,9 @@ class FakeNode:
     def monitor_stability_frontier(self, key, callback):
         self.monitors[key] = callback
 
+    def stacks(self):
+        return {None: self}
+
 
 def test_monitor_monotonicity_violation_detected():
     checker = InvariantChecker()

@@ -167,3 +167,134 @@ def test_shape_lint_catches_both_violations():
     assert not _shape_violations(
         {"ok.py": "class Engine(StabilizationStrategy):\n    def close(self): pass"}
     )
+
+
+# ---------------------------------------------------------------------------
+# One node interface: every public Stabilizer method is classified once in
+# core/sharding.py, and the sharded node answers it the way it is classified.
+# ---------------------------------------------------------------------------
+
+CATEGORIES = ("ROUTED", "EVERY_STACK", "MERGED", "LIFECYCLE", "STACK_ONLY")
+
+
+def _class_body(tree, name):
+    return next(node.body for node, _bases in _classes(tree) if node.name == name)
+
+
+def _interface_tuples(sharding_tree):
+    """The five module-level tuples of ``core/sharding.py``, as name
+    tuples (``STACK_ONLY`` pairs each name with its reason)."""
+    found = {}
+    for node in sharding_tree.body:
+        if isinstance(node, ast.Assign) and node.targets[0].id in CATEGORIES:
+            found[node.targets[0].id] = ast.literal_eval(node.value)
+    assert all(reason for _name, reason in found["STACK_ONLY"])
+    found["STACK_ONLY"] = tuple(name for name, _reason in found["STACK_ONLY"])
+    return found
+
+
+def _interface_violations(stabilizer_source, sharding_source):
+    sharding_tree = ast.parse(sharding_source)
+    categories = _interface_tuples(sharding_tree)
+    public = [
+        item.name
+        for item in _class_body(ast.parse(stabilizer_source), "Stabilizer")
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
+    sharded = {}
+    for item in _class_body(sharding_tree, "ShardedStabilizer"):
+        if isinstance(item, ast.FunctionDef):
+            sharded[item.name] = item
+        elif isinstance(item, ast.Assign):
+            sharded[item.targets[0].id] = item
+    violations = []
+    for name in public:
+        homes = [cat for cat in CATEGORIES if name in categories[cat]]
+        if len(homes) != 1:
+            violations.append(
+                f"Stabilizer.{name} is classified {len(homes)} times "
+                f"({', '.join(homes) or 'nowhere'}): name it in exactly one "
+                f"of {', '.join(CATEGORIES)} in core/sharding.py"
+            )
+    for cat in CATEGORIES:
+        for name in categories[cat]:
+            if name not in public:
+                violations.append(f"{cat} names {name!r}, not a public Stabilizer method")
+            elif cat != "STACK_ONLY" and name not in sharded:
+                violations.append(f"{cat} names {name!r} but ShardedStabilizer does not define it")
+            elif cat == "STACK_ONLY" and name in sharded:
+                violations.append(f"STACK_ONLY names {name!r} but ShardedStabilizer forwards it")
+    for name in categories["EVERY_STACK"]:
+        calls = {
+            node.func.attr
+            for node in ast.walk(sharded.get(name, ast.Pass()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "self"
+        }
+        if "_every_stack" not in calls:
+            violations.append(
+                f"ShardedStabilizer.{name} is EVERY_STACK but does not go "
+                "through self._every_stack: stacks built later would miss it"
+            )
+    return violations
+
+
+def _interface_sources():
+    return (
+        (SRC / "core" / "stabilizer.py").read_text(encoding="utf-8"),
+        (SRC / "core" / "sharding.py").read_text(encoding="utf-8"),
+    )
+
+
+def test_every_stabilizer_method_is_classified_once_on_the_sharded_node():
+    violations = _interface_violations(*_interface_sources())
+    assert not violations, (
+        "see docs/sharding.md, 'The node interface':\n  " + "\n  ".join(violations)
+    )
+
+
+def test_interface_lint_catches_each_violation():
+    stabilizer, sharding = _interface_sources()
+    added = stabilizer.replace(
+        "    def last_sent_seq(self)",
+        "    def purge(self, seq):\n        pass\n\n    def last_sent_seq(self)",
+        1,
+    )
+    assert _interface_violations(added, sharding) == [
+        "Stabilizer.purge is classified 0 times (nowhere): name it in exactly "
+        "one of ROUTED, EVERY_STACK, MERGED, LIFECYCLE, STACK_ONLY in "
+        "core/sharding.py"
+    ]
+    twice = sharding.replace('LIFECYCLE = ("close",', 'LIFECYCLE = ("stats", "close",', 1)
+    assert "classified 2 times (MERGED, LIFECYCLE)" in _interface_violations(
+        stabilizer, twice
+    )[0]
+    undefined = sharding.replace("    def request_catchup(", "    def _request_catchup(", 1)
+    assert _interface_violations(stabilizer, undefined) == [
+        "LIFECYCLE names 'request_catchup' but ShardedStabilizer does not define it"
+    ]
+    bypass = sharding.replace(
+        'return self._every_stack(\n            "policy",',
+        'return every_stack(\n            "policy",',
+        1,
+    )
+    assert bypass != sharding
+    assert _interface_violations(stabilizer, bypass) == [
+        "ShardedStabilizer.set_degradation_policy is EVERY_STACK but does not "
+        "go through self._every_stack: stacks built later would miss it"
+    ]
+
+
+def test_the_interface_table_in_the_docs_is_the_lints():
+    """docs/sharding.md prints the five tuples; hold the table to them."""
+    docs = (SRC.parents[1] / "docs" / "sharding.md").read_text(encoding="utf-8")
+    categories = _interface_tuples(ast.parse(_interface_sources()[1]))
+    for cat, names in categories.items():
+        label = cat.lower().replace("_", "-")
+        row = next(
+            (line for line in docs.splitlines() if line.startswith(f"| {label} |")),
+            None,
+        )
+        assert row is not None, f"docs/sharding.md has no '| {label} |' row"
+        listed = row.split("|")[2].replace("`", "").replace(",", " ").split()
+        assert tuple(listed) == names, f"{label}: docs list {listed}, lint has {names}"

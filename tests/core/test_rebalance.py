@@ -228,6 +228,26 @@ def test_remap_joiner_zeroes_own_row_and_adopts_watermarks():
     assert adopt == {"a": 4}
 
 
+def test_remap_takes_the_snapshots_width_and_refuses_another():
+    # Rows are as wide as the source's tables (a run-time type widens
+    # them); the restoring stack must hold as many columns.
+    snap = _traffic_snapshot()
+    for rows in snap["tables"].values():
+        for row in rows:
+            row.append(0)  # as if a type had been registered at run time
+    successor = _owner_config(
+        ["a", "b", "c"], {0: ["b", "c"], 1: ["b", "c"]}, "b", epoch=1
+    )
+    view = successor.for_node("b").shard_view(0)
+    width = len(view.type_names()) + 1
+    remapped, _adopt = remap_inner_snapshot(snap, view, width)
+    assert all(
+        len(row) == width for rows in remapped["tables"].values() for row in rows
+    )
+    with pytest.raises(StabilizerError, match=f"{width} stability types"):
+        remap_inner_snapshot(snap, view)  # a stack without the type
+
+
 # ---------------------------------------------------------------------------
 # HandoffManager: transfer, idempotent take, crash persistence.
 # ---------------------------------------------------------------------------
@@ -577,4 +597,245 @@ def test_masking_a_departed_node_is_a_no_op_after_cutover():
     adjuster.mask_node(co_owner)
     assert adjuster.masked_nodes() == {co_owner}
     assert adjuster.adjustments > 0
+    teardown(coordinator, cluster)
+
+
+# ---------------------------------------------------------------------------
+# The registration log: what was registered on the node reaches every stack
+# a cutover builds (docs/sharding.md, "The node interface").
+# ---------------------------------------------------------------------------
+
+ONE = "MAX($SHARDWNODES)"
+RELAXED_ALL = "MAX($SHARDWNODES - $MYWNODE)"
+VERIFIED_ANY = "MIN($SHARDWNODES.verified)"
+CHANGES = ["leave", "join"]
+
+
+def log_size(node):
+    return sum(len(entries) for entries in node._log.values())
+
+
+def change_membership(sim, cluster, coordinator, kind, on_joiner=None):
+    """Run one membership change to completion; returns the
+    ``(node, shard)`` stacks it built.  ``on_joiner(node)`` runs on the
+    joiner while all of its stacks are still pending."""
+    before = {
+        (node.name, shard): inner
+        for node in cluster
+        for shard, inner in node.shards.items()
+    }
+    if kind == "leave":
+        coordinator.node_leave("n01")
+    else:
+        coordinator.node_join("s0")
+        assert cluster["s0"].shards == {}
+        if on_joiner is not None:
+            on_joiner(cluster["s0"])
+    settle(sim, coordinator)
+    built = {
+        (node.name, shard)
+        for node in cluster
+        for shard, inner in node.shards.items()
+        if before.get((node.name, shard)) is not inner
+    }
+    kept = {
+        (node.name, shard) for node in cluster for shard in node.shards
+    } - built
+    assert built and kept  # the change moved some shards and spared others
+    return built
+
+
+def uneven_pump(sim, cluster):
+    """Like ``pump``, but a stream's length depends on its shard, so a
+    callback labelled with the wrong shard cannot pass by coincidence."""
+    sent = {}
+    for node in cluster:
+        for shard in node.shards:
+            for _ in range(1 + shard % 3):
+                sent[(node.name, shard)] = node.send(
+                    SyntheticPayload(128), shard=shard
+                )
+    sim.run(until=sim.now + 1.0)
+    return sent
+
+
+@pytest.mark.parametrize("kind", CHANGES)
+def test_monitors_follow_every_stack_a_cutover_builds(kind):
+    sim, _net, cluster, coordinator = build()
+    reported = {}  # (node, origin, shard) -> every frontier it was told
+
+    def watch(node):
+        node.monitor_stability_frontier(
+            "all",
+            lambda origin, frontier, _old, shard, name=node.name: (
+                reported.setdefault((name, origin, shard), []).append(frontier)
+            ),
+        )
+
+    for node in cluster:
+        watch(node)
+    uneven_pump(sim, cluster)
+    built = change_membership(sim, cluster, coordinator, kind, on_joiner=watch)
+    sent = uneven_pump(sim, cluster)
+    assert len(sent) == 16  # 8 shards x 2 owners, before and after
+    heard = {
+        (origin, shard)
+        for (origin, shard), seq in sent.items()
+        if all(
+            reported.get((owner, origin, shard), [0])[-1] == seq
+            for owner in cluster.shard_map.owners(shard)
+        )
+    }
+    assert heard == set(sent)
+    # Resuming above the old stack's high-water mark (a rebuilt shard) or
+    # at the transferred frontier (a joined one): nothing is re-reported.
+    for slot, frontiers in reported.items():
+        assert frontiers == sorted(set(frontiers)), (slot, frontiers)
+    assert any((name, shard) in built for name, _origin, shard in reported)
+    teardown(coordinator, cluster)
+
+
+@pytest.mark.parametrize("kind", CHANGES)
+def test_runtime_predicates_and_the_active_key_reach_built_stacks(kind):
+    sim, _net, cluster, coordinator = build()
+
+    def configure(node):
+        node.change_predicate("all", RELAXED_ALL)  # a config-time key
+        node.register_predicate("one", ONE)
+        node.change_predicate("one")  # bare activation: no source to carry
+
+    for node in cluster:
+        configure(node)
+    built = change_membership(
+        sim, cluster, coordinator, kind, on_joiner=configure
+    )
+    for node in cluster:
+        for inner in node.shards.values():
+            assert inner.engine.predicate("one").source == ONE
+            assert inner.engine.predicate("all").source == RELAXED_ALL
+            assert inner.active_predicate_key() == "one"
+    name, shard = sorted(built)[0]
+    seq = cluster[name].send(SyntheticPayload(128), shard=shard)
+    event = cluster[name].waitfor(seq, "one", shard=shard, timeout_s=10.0)
+    sim.run_until_triggered(event)
+    assert event.ok
+    # Strict as ever on the live call: nothing is recorded when it raises.
+    size = log_size(cluster[name])
+    with pytest.raises(StabilizerError, match="already registered"):
+        cluster[name].register_predicate("one", ONE)
+    assert log_size(cluster[name]) == size
+    teardown(coordinator, cluster)
+
+
+@pytest.mark.parametrize("kind", CHANGES)
+def test_a_type_registered_between_two_definitions_of_one_key(kind):
+    # The redefinition names a type that did not exist when the key was
+    # first defined: replay goes by kind (types before definitions), not
+    # by where the key's slot was first written.
+    sim, _net, cluster, coordinator = build()
+
+    def configure(node):
+        node.change_predicate("any", ONE)
+        node.register_predicate("extra", ONE)
+        node.register_stability_type("verified")
+        node.change_predicate("any", VERIFIED_ANY)
+        node.change_predicate("extra", VERIFIED_ANY)
+        node.change_predicate("all")
+
+    for node in cluster:
+        configure(node)
+    built = change_membership(
+        sim, cluster, coordinator, kind, on_joiner=configure
+    )
+    for node in cluster:
+        for inner in node.shards.values():
+            assert inner.engine.predicate("any").source == VERIFIED_ANY
+            assert inner.engine.predicate("extra").source == VERIFIED_ANY
+            assert inner.active_predicate_key() == "all"
+    name, shard = sorted(built)[0]
+    seq = cluster[name].send(SyntheticPayload(128), shard=shard)
+    sim.run(until=sim.now + 1.0)
+    for owner in cluster.shard_map.owners(shard):
+        cluster[owner].report_stability("verified", seq, origin=name, shard=shard)
+    event = cluster[name].waitfor(seq, "any", shard=shard, timeout_s=10.0)
+    sim.run_until_triggered(event)
+    assert event.ok
+    teardown(coordinator, cluster)
+
+
+@pytest.mark.parametrize("kind", CHANGES)
+def test_delivery_handlers_reach_kept_and_built_stacks_once(kind):
+    sim, _net, cluster, coordinator = build()
+    calls = {"early": [], "late": []}
+
+    def subscribe(node, label):
+        node.on_delivery(
+            lambda origin, seq, _payload, _meta, shard, name=node.name: (
+                calls[label].append((name, origin, seq, shard))
+            )
+        )
+
+    for node in cluster:
+        subscribe(node, "early")
+    change_membership(
+        sim, cluster, coordinator, kind,
+        on_joiner=lambda node: subscribe(node, "early"),
+    )
+    for node in cluster:
+        subscribe(node, "late")
+    del calls["early"][:]
+    sent = uneven_pump(sim, cluster)
+    expected = sorted(
+        (owner, origin, seq, shard)
+        for (origin, shard), last in sent.items()
+        for seq in range(last - shard % 3, last + 1)
+        for owner in cluster.shard_map.owners(shard)
+        if owner != origin
+    )
+    assert sorted(calls["late"]) == expected
+    assert sorted(calls["early"]) == expected  # once each: no doubling
+    teardown(coordinator, cluster)
+
+
+@pytest.mark.parametrize("kind", CHANGES)
+def test_stability_types_and_policy_reach_built_stacks(kind):
+    sim, _net, cluster, coordinator = build()
+    installed = []
+
+    def configure(node):
+        node.register_stability_type("verified")
+        installed.extend(
+            node.set_degradation_policy(protect={"any"}).values()
+        )
+
+    for node in cluster:
+        configure(node)
+    column = cluster["n00"].stack().type_id("verified")
+    built = change_membership(
+        sim, cluster, coordinator, kind, on_joiner=configure
+    )
+    for node in cluster:
+        for shard, inner in node.shards.items():
+            assert inner.type_id("verified") == column
+            policy = inner.degradation_policy
+            assert policy.protect == {"any"}
+            # One instance per stack: a built stack got a fresh one.
+            assert (policy in installed) == ((node.name, shard) not in built)
+    teardown(coordinator, cluster)
+
+
+def test_toggling_predicates_keeps_the_log_bounded():
+    _sim, _net, cluster, coordinator = build(spares=())
+    node = cluster["n00"]
+    node.monitor_stability_frontier("all", lambda *args: None)
+    size = None
+    for i in range(1001):
+        node.change_predicate(("all", "any")[i % 2])
+        node.change_predicate("any", (RELAXED_ALL, PREDICATES["any"])[i % 2])
+        if size is None:
+            size = log_size(node)  # the monitor, "any" and the active key
+    assert log_size(node) == size == 3
+    # Subscriptions append — each call is its own entry.
+    node.monitor_stability_frontier("all", lambda *args: None)
+    assert log_size(node) == size + 1
     teardown(coordinator, cluster)

@@ -180,3 +180,48 @@ def test_all_owners_multi_shard_totals_match_unsharded(seed):
     assert len({shard for (_o, shard) in counts}) > 1
     plain.close()
     sharded.close()
+
+
+@pytest.mark.parametrize("seed", [7, 1234])
+def test_single_shard_degenerate_matches_unsharded_callbacks(seed):
+    """One monitor and one delivery handler through each facade: the
+    sharded node's registration log hands them to its one stack, and the
+    twins make the same calls in the same order at the same virtual
+    times."""
+    sends = _schedule(seed)
+
+    def observe(cluster, sim, sharded):
+        calls = []
+        for name in NODES:
+            def monitor(origin, frontier, old, shard=0, name=name):
+                calls.append((sim.now, name, "advance", origin, frontier, old, shard))
+
+            def deliver(origin, seq, _payload, _meta, shard=0, name=name):
+                calls.append((sim.now, name, "deliver", origin, seq, shard))
+
+            cluster[name].monitor_stability_frontier("all", monitor)
+            cluster[name].on_delivery(deliver)
+        for _ in _drive(cluster, sim, sends, sharded=sharded):
+            pass
+        cluster.close()
+        return calls
+
+    plain_sim = Simulator()
+    plain_topo = _topology()
+    plain = StabilizerCluster(
+        plain_topo.build(plain_sim),
+        StabilizerConfig.from_topology(
+            plain_topo, NODES[0], predicates=dict(UNSHARDED),
+            control_interval_s=0.001,
+        ),
+    )
+    shard_sim = Simulator()
+    sharded = build_sharded_cluster(
+        _topology().build(shard_sim),
+        dict(SHARDED),
+        shard_count=1,
+        control_interval_s=0.001,
+    )
+    expected = observe(plain, plain_sim, sharded=False)
+    assert observe(sharded, shard_sim, sharded=True) == expected
+    assert {call[2] for call in expected} == {"advance", "deliver"}
