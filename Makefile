@@ -43,6 +43,11 @@ bench-record:
 #               held to the benchmark's own output checks: a src/ change
 #               that breaks the measuring stick fails tier-1, not the
 #               pipeline (perf/README.md)
+#   report      `repro report` as a gate: the eight paper experiments once
+#               at their report scale, one test per checked finding
+#               (virtual time and counts only, so deterministic); the
+#               findings that are red today are strict xfails
+#               (EXPERIMENTS.md, "Checked findings")
 #   rebalance   seeded join/leave/failover sweeps plus handcrafted
 #               crash-mid-handoff schedules over the rebalance invariants
 #               (docs/sharding.md, "Rebalancing & failover")

@@ -9,8 +9,9 @@ count by an order of magnitude.  Virtual goodput barely moves — the
 link rate is the link rate — so what the frames buy is host work per
 delivered message, and the gate is on two *deterministic* ratios:
 transport frames per message, and Python calls per delivered message
-inside ``sim.run`` (counted with ``cProfile`` the way
-``tests/obs/test_overhead.py`` counts them).  The wall-clock speed-up
+inside ``sim.run`` (``repro.bench.runners.count_calls``: ``cProfile``
+with the collector off, the way ``tests/obs/test_overhead.py`` counts
+them).  The wall-clock speed-up
 over the same region is printed and recorded as information only: it
 sat at 1.9-2.0x, on the edge of the 2.0x it used to be gated on, and a
 loaded machine decided which side.
@@ -19,11 +20,10 @@ A ``--record`` run lands in ``BENCH_dataplane.json`` at the repo root so
 the perf trajectory covers the pipelined path too.
 """
 
-import cProfile
-import gc
 import time
 
 from repro.bench import format_table
+from repro.bench.runners import count_calls
 from repro.core.config import StabilizerConfig
 from repro.core.dataplane import DataPlane
 from repro.net.tc import NetemSpec
@@ -58,13 +58,13 @@ CALLS_TOLERANCE = 0.05
 TRACE_SAMPLE_SHIFT = 6
 
 
-def run_once(total_bytes: int, frame_bytes, profiler=None) -> dict:
-    """One transfer; with a ``cProfile.Profile`` given, ``sim.run`` runs
-    under it (and the wall time of that run means nothing)."""
-    topo = Topology()
-    topo.add_node("x", group="east")
-    topo.add_node("y", group="west")
-    topo.set_default(NetemSpec(latency_ms=LATENCY_MS, rate_mbit=RATE_MBIT))
+def run_once(total_bytes: int, frame_bytes, counted: bool = False) -> dict:
+    """One transfer; ``counted``, the Python calls inside ``sim.run`` are
+    counted (and the wall time of that run means nothing)."""
+    topo = Topology.uniform(
+        {"x": "east", "y": "west"},
+        NetemSpec(latency_ms=LATENCY_MS, rate_mbit=RATE_MBIT),
+    )
     sim = Simulator()
     net = topo.build(sim)
 
@@ -101,10 +101,10 @@ def run_once(total_bytes: int, frame_bytes, profiler=None) -> dict:
     dp_x.send(SyntheticPayload(total_bytes))
 
     start = time.perf_counter()
-    if profiler is None:
-        sim.run(until=60.0)
+    if counted:
+        _none, calls = count_calls(sim.run, until=60.0)
     else:
-        profiler.runcall(sim.run, until=60.0)
+        sim.run(until=60.0)
     wall_s = time.perf_counter() - start
 
     assert dp_y.messages_received == messages, (
@@ -128,6 +128,8 @@ def run_once(total_bytes: int, frame_bytes, profiler=None) -> dict:
         "trace_events": tracer.emitted,
         "trace_sample_shift": TRACE_SAMPLE_SHIFT,
     }
+    if counted:
+        result["calls_per_message"] = calls / messages
     dp_x.close()
     dp_y.close()
     return result
@@ -147,17 +149,8 @@ def test_pipelined_dataplane_vs_per_message(benchmark, report, record_run):
     # The same two transfers again under the profiler: the simulator is
     # deterministic, so these are the calls the timed runs made.
     for result in results:
-        profiler = cProfile.Profile()
-        gc.collect()  # finalizers of earlier garbage would count as calls
-        gc.disable()
-        try:
-            run_once(total_bytes, result["frame_bytes"], profiler)
-        finally:
-            gc.enable()
-        result["calls_per_message"] = (
-            sum(entry.callcount for entry in profiler.getstats())
-            / result["messages"]
-        )
+        counted = run_once(total_bytes, result["frame_bytes"], counted=True)
+        result["calls_per_message"] = counted["calls_per_message"]
     calls_ratio = baseline["calls_per_message"] / coalesced["calls_per_message"]
 
     report.add(

@@ -33,10 +33,10 @@ PAYLOAD_BYTES = 256
 
 
 def run_once(batch: int, messages: int) -> dict:
-    topo = Topology()
-    for az in ("az0", "az1", "az2"):
-        topo.add_node(f"n-{az}", group=az)
-    topo.set_default(NetemSpec(latency_ms=10, rate_mbit=100))
+    topo = Topology.uniform(
+        {f"n-{az}": az for az in ("az0", "az1", "az2")},
+        NetemSpec(latency_ms=10, rate_mbit=100),
+    )
     sim = Simulator()
     net = topo.build(sim)
     config = StabilizerConfig.from_topology(

@@ -5,41 +5,15 @@ The paper's finding: read latency is comparable to the Wisconsin RTT (the
 second-fastest quorum member) with a slight rise as messages grow.
 """
 
-import pytest
+from repro.bench.paper import assert_reproduced, experiments
+from conftest import scale
 
-from repro.bench import format_table
-from repro.bench.runners import run_quorum_read
-from conftest import full_scale
-
-SIZES = tuple(1024 * 2**i for i in range(7))  # 1 KB .. 64 KB
+EXP = experiments()["fig3"]
 
 
 def test_fig3_quorum_read_latency(benchmark, report):
-    reads = 10 if full_scale() else 4
     result = benchmark.pedantic(
-        lambda: run_quorum_read(sizes_bytes=SIZES, reads_per_size=reads),
-        rounds=1,
-        iterations=1,
+        EXP.run, kwargs=EXP.scales[scale()], rounds=1, iterations=1
     )
-    latency = result["latency_s"]
-    rtts = result["rtt_s"]
-    rows = [
-        (size // 1024, f"{latency[size] * 1e3:.2f}", f"{rtts['WI'] * 1e3:.2f}")
-        for size in SIZES
-    ]
-    report.add(
-        format_table(
-            ["message KB", "read latency ms", "WI RTT ms (paper's reference)"],
-            rows,
-            title="Fig. 3: quorum read latency vs message size",
-        )
-    )
-    report.add(
-        "paper: read latency tracks the Wisconsin RTT (~35.6 ms), below "
-        "Clemson's (~50.9 ms), rising slightly with size"
-    )
-    # Shape assertions.
-    for size in SIZES:
-        assert latency[size] == pytest.approx(rtts["WI"], rel=0.25)
-        assert latency[size] < rtts["CLEM"]
-    assert latency[SIZES[-1]] > latency[SIZES[0]]  # slight rise with size
+    report.add(EXP.render(result))
+    assert_reproduced(EXP, result)

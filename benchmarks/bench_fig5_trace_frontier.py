@@ -10,86 +10,23 @@ reproduce:
 - MajorityWNodes is more vulnerable to load spikes than MajorityRegions.
 """
 
-from repro.bench import format_table
-from repro.bench.analysis import spike_count as _spike_count
-from repro.bench.runners import run_trace_experiment
-from conftest import full_scale
+from repro.bench.paper import assert_reproduced, experiments
+from conftest import RESULTS_DIR, scale
 
-ORDER = [
-    "OneWNode",
-    "OneRegion",
-    "MajorityRegions",
-    "AllRegions",
-    "MajorityWNodes",
-    "AllWNodes",
-]
+EXP = experiments()["fig5"]
 
 
 def test_fig5_stability_frontier_latency(benchmark, report):
-    scale = 1.0 if full_scale() else 0.05
     result = benchmark.pedantic(
-        lambda: run_trace_experiment(scale=scale), rounds=1, iterations=1
+        EXP.run, kwargs=EXP.scales[scale()], rounds=1, iterations=1
     )
+    report.add(EXP.render(result))
     series = result["series"]
-    rows = []
-    for key in ORDER:
-        s = series[key]
-        rows.append(
-            (
-                key,
-                len(s),
-                f"{s.mean():.3f}",
-                f"{s.percentile(99):.3f}",
-                f"{s.max():.3f}",
-                _spike_count(s.downsample(200)),
-            )
-        )
-    report.add(
-        format_table(
-            ["predicate", "messages", "mean s", "p99 s", "max s", "spikes"],
-            rows,
-            title=(
-                f"Fig. 5: first-satisfaction latency per predicate "
-                f"(trace scale={scale}, {result['messages']} messages)"
-            ),
-        )
-    )
-    report.add(
-        "paper (scale=1): three spikes up to ~60 s; weaker levels less "
-        "impacted; MajorityWNodes more vulnerable than MajorityRegions"
-    )
-    report.add_data(
-        "summaries", {key: series[key].summary() for key in ORDER}
-    )
-    # Cross-check against the built-in stability instruments: the sender's
-    # registry measured the same send->stable delays independently (send()
-    # timestamps + frontier-advance hook).  Sample counts must agree
-    # exactly; the exact histogram mean must agree within 1%.
-    obs = result["obs_stability"]
-    for key in ORDER:
-        s = series[key]
-        assert obs[key]["count"] == len(s), (
-            f"{key}: obs histogram has {obs[key]['count']} samples, "
-            f"series has {len(s)}"
-        )
-        assert abs(obs[key]["mean"] - s.mean()) <= 0.01 * s.mean(), (
-            f"{key}: obs mean {obs[key]['mean']:.6f}s vs "
-            f"series mean {s.mean():.6f}s"
-        )
-    report.add_data("obs_stability", obs)
-    from conftest import RESULTS_DIR
+    report.add_data("summaries", {key: s.summary() for key, s in series.items()})
+    report.add_data("obs_stability", result["obs_stability"])
     RESULTS_DIR.mkdir(exist_ok=True)
-    for key in ORDER:
-        series[key].downsample(400).to_csv(
+    for key, s in series.items():
+        s.downsample(400).to_csv(
             RESULTS_DIR / f"fig5_{key}.csv", header=("message_seq", "latency_s")
         )
-    # Shape assertions: the paper's strength ordering of mean latency...
-    means = {key: series[key].mean() for key in ORDER}
-    assert means["OneWNode"] <= means["OneRegion"] <= means["MajorityRegions"]
-    assert means["MajorityRegions"] <= means["AllRegions"]
-    assert means["MajorityRegions"] <= means["MajorityWNodes"] <= means["AllWNodes"]
-    # ... and the huge-file load spikes in the strong predicates (three in
-    # the paper; adjacent spikes can merge — or a big small-file burst can
-    # add one — depending on how the synthetic trace's queues drain).
-    for key in ("MajorityWNodes", "AllWNodes", "AllRegions"):
-        assert 2 <= _spike_count(series[key].downsample(200)) <= 6
+    assert_reproduced(EXP, result)

@@ -9,55 +9,23 @@ One file at a time on an idle emulated EC2 WAN.  The paper's findings:
   over PhxPaxos by 24.75 %.
 """
 
-import pytest
+from repro.bench.paper import assert_reproduced, experiments
+from conftest import scale
 
-from repro.bench import format_table
-from repro.bench.runners import run_file_sync
-from conftest import full_scale
+EXP = experiments()["fig6"]
 
 
 def test_fig6_file_sync_time(benchmark, report):
-    sizes = (
-        (10**3, 10**4, 10**5, 10**6, 10**7, 10**8)
-        if full_scale()
-        else (10**3, 10**4, 10**5, 10**6, 10**7)
-    )
     result = benchmark.pedantic(
-        lambda: run_file_sync(sizes_bytes=sizes), rounds=1, iterations=1
+        EXP.run, kwargs=EXP.scales[scale()], rounds=1, iterations=1
     )
-    sync = result["sync_time_s"]
-    systems = ["OneWNode", "MajorityRegions", "MajorityWNodes", "PhxPaxos"]
-    rows = [
-        tuple([size] + [f"{sync[s][size] * 1e3:.1f}" for s in systems])
-        for size in sizes
-    ]
-    report.add(
-        format_table(
-            ["file bytes"] + [f"{s} ms" for s in systems],
-            rows,
-            title="Fig. 6: file synchronization time (one file at a time)",
-        )
-    )
+    report.add(EXP.render(result))
     report.add_data(
         "sync_time_s",
-        {sys: {str(k): v for k, v in d.items()} for sys, d in sync.items()},
+        {
+            system: {str(size): t for size, t in times.items()}
+            for system, times in result["sync_time_s"].items()
+        },
     )
     report.add_data("improvement_vs_paxos", result["improvement_vs_paxos"])
-    improvement = result["improvement_vs_paxos"] * 100
-    report.add(
-        f"MajorityRegions vs PhxPaxos mean improvement: {improvement:.1f}% "
-        f"(paper: 24.75%)"
-    )
-    for size in sizes:
-        # Ordering: OneWNode < MajorityRegions < {MajorityWNodes, Paxos}.
-        assert sync["OneWNode"][size] < sync["MajorityRegions"][size]
-        assert sync["MajorityRegions"][size] < sync["PhxPaxos"][size]
-        # PhxPaxos and MajorityWNodes mostly overlap.
-        assert sync["PhxPaxos"][size] == pytest.approx(
-            sync["MajorityWNodes"][size], rel=0.25
-        )
-    # The gap grows with file size (absolute seconds saved).
-    small_gap = sync["PhxPaxos"][sizes[0]] - sync["MajorityRegions"][sizes[0]]
-    large_gap = sync["PhxPaxos"][sizes[-1]] - sync["MajorityRegions"][sizes[-1]]
-    assert large_gap > small_gap
-    assert improvement > 10.0
+    assert_reproduced(EXP, result)

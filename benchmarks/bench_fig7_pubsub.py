@@ -11,62 +11,15 @@ paper's findings to reproduce:
 - Stabilizer is as fast or faster than Pulsar in all scenarios.
 """
 
-from repro.bench import TABLE2_OBSERVED, format_table
-from repro.bench.runners import PUBSUB_SITES, run_pubsub_sweep
-from conftest import full_scale
+from repro.bench.paper import assert_reproduced, experiments
+from conftest import scale
 
-RATES = (250, 500, 1000, 2000, 4000, 8000, 16000)
+EXP = experiments()["fig7"]
 
 
 def test_fig7_pubsub_latency_and_throughput(benchmark, report):
-    messages = 10_000 if full_scale() else 1500
     sweep = benchmark.pedantic(
-        lambda: run_pubsub_sweep(rates=RATES, messages=messages),
-        rounds=1,
-        iterations=1,
+        EXP.run, kwargs=EXP.scales[scale()], rounds=1, iterations=1
     )
-    for metric, unit in (("latency_ms", "ms"), ("throughput_mbit", "Mbit/s")):
-        rows = []
-        for rate in RATES:
-            row = [rate]
-            for system in ("stabilizer", "pulsar"):
-                for site in PUBSUB_SITES:
-                    row.append(f"{sweep[system][rate][site][metric]:.2f}")
-            rows.append(tuple(row))
-        headers = ["rate msg/s"] + [
-            f"{sys[:4]}-{site}" for sys in ("stabilizer", "pulsar") for site in PUBSUB_SITES
-        ]
-        report.add(
-            format_table(headers, rows, title=f"Fig. 7 {metric} ({unit})")
-        )
-    stab, puls = sweep["stabilizer"], sweep["pulsar"]
-    # WAN sites bottleneck at the same throughput for both systems...
-    for site in ("WI", "CLEM", "MA"):
-        top_stab = max(stab[r][site]["throughput_mbit"] for r in RATES)
-        top_puls = max(puls[r][site]["throughput_mbit"] for r in RATES)
-        assert abs(top_stab - top_puls) / top_stab < 0.1
-        # ... close to the physical bandwidth of Table II.
-        observed = TABLE2_OBSERVED[site][0]
-        assert top_stab > 0.75 * observed
-        # Latency rises sharply past saturation.
-        assert (
-            stab[RATES[-1]][site]["latency_ms"]
-            > 2 * stab[RATES[0]][site]["latency_ms"]
-        )
-    # LAN: Pulsar latency grows with rate (GC), Stabilizer stays flat.
-    assert (
-        puls[RATES[-1]]["UT2"]["latency_ms"]
-        > 3 * puls[RATES[0]]["UT2"]["latency_ms"]
-    )
-    assert stab[RATES[-1]]["UT2"]["latency_ms"] < 2 * stab[RATES[0]]["UT2"]["latency_ms"]
-    # Stabilizer as fast or faster than Pulsar at the saturated rates.
-    for site in PUBSUB_SITES:
-        assert (
-            stab[RATES[-1]][site]["latency_ms"]
-            <= puls[RATES[-1]][site]["latency_ms"] * 1.05
-        )
-    report.add(
-        "paper: both systems bottleneck at the same WAN throughput; Pulsar "
-        "LAN latency grows with rate (JVM GC); Stabilizer as fast or faster "
-        "in all scenarios"
-    )
+    report.add(EXP.render(sweep))
+    assert_reproduced(EXP, sweep)

@@ -11,6 +11,9 @@ from repro.sim import Simulator
 from repro.transport import SyntheticPayload, TransportEndpoint
 
 
+LAN = NetemSpec(latency_ms=1, rate_mbit=10_000)
+
+
 def test_kernel_event_dispatch(benchmark):
     def run_1000_timers():
         sim = Simulator()
@@ -24,10 +27,7 @@ def test_kernel_event_dispatch(benchmark):
 
 
 def test_link_packet_cost(benchmark):
-    topo = Topology()
-    topo.add_node("a", "g")
-    topo.add_node("b", "g")
-    topo.set_default(NetemSpec(latency_ms=1, rate_mbit=10_000))
+    topo = Topology.uniform({"a": "g", "b": "g"}, LAN)
 
     def run_1000_packets():
         sim = Simulator()
@@ -43,10 +43,7 @@ def test_link_packet_cost(benchmark):
 
 
 def test_transport_frame_cost(benchmark):
-    topo = Topology()
-    topo.add_node("a", "g")
-    topo.add_node("b", "g")
-    topo.set_default(NetemSpec(latency_ms=1, rate_mbit=10_000))
+    topo = Topology.uniform({"a": "g", "b": "g"}, LAN)
 
     def run_500_frames():
         sim = Simulator()

@@ -1,47 +1,15 @@
 """Table I — emulated EC2 network status between North California and the
 other regions (latency injected, bandwidth throttled to half observed)."""
 
-from repro.bench import TABLE1_OBSERVED, ec2_topology, format_table
-from repro.bench.runners import run_network_matrix
-from repro.bench.topologies import EC2_NODES, EC2_SENDER
+from repro.bench.paper import assert_reproduced, experiments
+from conftest import scale
+
+EXP = experiments()["table1"]
 
 
 def test_table1_network_matrix(benchmark, report):
     matrix = benchmark.pedantic(
-        lambda: run_network_matrix(ec2_topology(heterogeneity=False), EC2_SENDER),
-        rounds=1,
-        iterations=1,
+        EXP.run, kwargs=EXP.scales[scale()], rounds=1, iterations=1
     )
-    rows = []
-    for region, (rtt, _observed, half) in TABLE1_OBSERVED.items():
-        # First node of the region other than the sender itself.
-        node = next(
-            n
-            for n, r in EC2_NODES.items()
-            if r == region and n != EC2_SENDER
-        )
-        measured = matrix[node]
-        rows.append(
-            (
-                region,
-                f"{rtt:.2f}",
-                f"{measured['rtt_ms']:.2f}",
-                f"{half:.1f}",
-                f"{measured['throughput_mbit']:.1f}",
-            )
-        )
-        assert measured["rtt_ms"] == positive_approx(rtt, 0.05)
-        assert measured["throughput_mbit"] == positive_approx(half, 0.05)
-    report.add(
-        format_table(
-            ["region", "paper RTT ms", "measured RTT ms", "paper half-thp Mbit", "measured Mbit"],
-            rows,
-            title="Table I: network status between North California and other regions",
-        )
-    )
-
-
-def positive_approx(expected, rel):
-    import pytest
-
-    return pytest.approx(expected, rel=rel)
+    report.add(EXP.render(matrix))
+    assert_reproduced(EXP, matrix)

@@ -1,37 +1,15 @@
 """Table II — network performance between Utah1 and the other CloudLab
 servers (the real-WAN environment of the pub/sub experiments)."""
 
-import pytest
+from repro.bench.paper import assert_reproduced, experiments
+from conftest import scale
 
-from repro.bench import TABLE2_OBSERVED, cloudlab_topology, format_table
-from repro.bench.runners import run_network_matrix
-from repro.bench.topologies import CLOUDLAB_SENDER
+EXP = experiments()["table2"]
 
 
 def test_table2_cloudlab_matrix(benchmark, report):
     matrix = benchmark.pedantic(
-        lambda: run_network_matrix(cloudlab_topology(), CLOUDLAB_SENDER),
-        rounds=1,
-        iterations=1,
+        EXP.run, kwargs=EXP.scales[scale()], rounds=1, iterations=1
     )
-    rows = []
-    for site, (thp, rtt) in TABLE2_OBSERVED.items():
-        measured = matrix[site]
-        rows.append(
-            (
-                site,
-                f"{thp:.2f}",
-                f"{measured['throughput_mbit']:.2f}",
-                f"{rtt:.3f}",
-                f"{measured['rtt_ms']:.3f}",
-            )
-        )
-        assert measured["rtt_ms"] == pytest.approx(rtt, rel=0.05)
-        assert measured["throughput_mbit"] == pytest.approx(thp, rel=0.10)
-    report.add(
-        format_table(
-            ["server", "paper Thp Mbit", "measured Thp", "paper RTT ms", "measured RTT"],
-            rows,
-            title="Table II: network performance between Utah1 and other servers",
-        )
-    )
+    report.add(EXP.render(matrix))
+    assert_reproduced(EXP, matrix)

@@ -37,6 +37,11 @@ def full_scale() -> bool:
     return os.environ.get("REPRO_FULL", "") == "1"
 
 
+def scale() -> str:
+    """The key of this session's entry in an ``Experiment.scales``."""
+    return "full" if full_scale() else "default"
+
+
 def _git(*argv):
     try:
         done = subprocess.run(
@@ -57,7 +62,7 @@ def provenance():
         "commit": _git("rev-parse", "HEAD"),
         "dirty": None if status is None else bool(status),
         "python": platform.python_version(),
-        "scale": "full" if full_scale() else "default",
+        "scale": scale(),
     }
 
 

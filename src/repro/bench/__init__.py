@@ -1,13 +1,13 @@
 """Benchmark harness: topology presets, experiment runners, reporting.
 
-Every table and figure of the paper's evaluation has a runner in
-:mod:`repro.bench.runners`; the modules under ``benchmarks/`` call them,
-print the regenerated rows/series next to the paper's reported numbers,
-and assert the qualitative shape (who wins, where the knees fall).
+Every table and figure of the paper's evaluation has a driver in
+:mod:`repro.bench.runners` and one entry in the table of
+:mod:`repro.bench.paper` saying how it runs, prints and is checked; the
+CLI, the modules under ``benchmarks/`` and the tier-1 report gate all
+read that entry.
 """
 
 from repro.bench.reporting import (
-    Comparison,
     format_counters,
     format_series,
     format_table,
@@ -20,7 +20,6 @@ from repro.bench.topologies import (
 )
 
 __all__ = [
-    "Comparison",
     "TABLE1_OBSERVED",
     "TABLE2_OBSERVED",
     "cloudlab_topology",

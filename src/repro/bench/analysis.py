@@ -1,4 +1,4 @@
-"""Series analysis used by benchmarks and post-processing.
+"""Series analysis used by the experiments' findings.
 
 Small, well-tested building blocks for the questions the evaluation keeps
 asking: where are the load spikes (Fig. 5), where does a latency curve's
@@ -9,7 +9,7 @@ knee sit (Fig. 7), and how do two series compare window by window
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.monitor import Series
 
@@ -35,28 +35,6 @@ def spike_count(
         elif y <= top * exit_frac and inside:
             inside = False
     return spikes
-
-
-def spike_intervals(
-    series: Series, enter_frac: float = 0.45, exit_frac: float = 0.3
-) -> List[Tuple[float, float]]:
-    """The (start, end) x-ranges of each spike (same rule as above)."""
-    top = series.max()
-    if not series or top <= 0:
-        return []
-    intervals: List[Tuple[float, float]] = []
-    start: Optional[float] = None
-    last_x = None
-    for x, y in series:
-        last_x = x
-        if y > top * enter_frac and start is None:
-            start = x
-        elif y <= top * exit_frac and start is not None:
-            intervals.append((start, x))
-            start = None
-    if start is not None and last_x is not None:
-        intervals.append((start, last_x))
-    return intervals
 
 
 def saturation_knee(
@@ -114,8 +92,16 @@ def alternation_score(
     return sum(even) / len(even) - sum(odd) / len(odd)
 
 
-def ccdf(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Complementary CDF points (value, P[X > value]) for tail plots."""
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(v, 1.0 - (i + 1) / n) for i, v in enumerate(ordered)]
+def instruments_agree(
+    pairs: Iterable[Tuple[str, Series, Mapping[str, float]]]
+) -> Tuple[bool, str]:
+    """A finding's check: each ``(label, series, summary)`` holds a probe's
+    series and the summary of the same delays from the sender's built-in
+    stability instruments (send() timestamps + frontier-advance hook).
+    Sample counts must agree exactly; the exact histogram mean within 1%."""
+    worst = 0.0
+    for label, series, summary in pairs:
+        if summary["count"] != len(series):
+            return False, f"{label}: {summary['count']:.0f} vs {len(series)} samples"
+        worst = max(worst, abs(summary["mean"] - series.mean()) / series.mean())
+    return worst <= 0.01, f"same counts, means within {worst:.3%}"

@@ -1,27 +1,76 @@
-"""The paper's reported numbers, as structured data, with verdict logic.
+"""The paper's evaluation as one table of experiments.
 
-`python -m repro report` (and tests) compare regenerated results against
-these expectations.  Two kinds of checks:
+An :class:`Experiment` is everything the repo says about one table or
+figure: the driver, the CLI flags and the scales it runs at, the one
+printer of its result, and the paper's findings about it as checks.  Each
+is declared at the end of the module of :mod:`repro.bench.runners` that
+holds its driver; ``repro <name>`` and ``repro report``, the modules
+under ``benchmarks/`` and the tier-1 ``report_smoke`` gate are generated
+from :func:`experiments`.  Three kinds of finding:
 
 - **exact** — network-bound quantities the emulation must match within a
   tolerance (Table I/II matrices, Fig. 3/Fig. 8 latencies);
 - **shape** — orderings and qualitative findings (who wins, what grows,
   what overlaps), which must hold even where absolute numbers are
-  substrate-dependent.
+  substrate-dependent;
+- **wall** — wall-clock bounds (the DSL microbenchmark's).  They depend
+  on the machine, so only ``benchmarks/`` enforces them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple
+from argparse import ArgumentTypeError
+from typing import Callable, Dict, List, NamedTuple, Tuple
+
+
+class Arg(NamedTuple):
+    """One flag of an experiment's subcommand, mapped to a ``run`` keyword."""
+
+    flag: str  # "--max-size"
+    keyword: str  # the ``run`` keyword the parsed value is passed as
+    # argparse ``type``: text -> the keyword's value.  Flags are outside
+    # input: it raises ValueError / ArgumentTypeError on a value the
+    # driver cannot run with, which argparse turns into a usage error.
+    parse: Callable[[str], object]
+    default: str  # as typed on the command line
+
+
+def _positive(kind):
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = f"positive {kind.__name__}"  # argparse's error text
+    return parse
+
+
+positive_int = _positive(int)
+positive_float = _positive(float)
 
 
 class Expectation(NamedTuple):
-    experiment: str  # "table1", "fig6", ...
     metric: str
     paper_value: str  # as reported, for display
-    check: Callable[[dict], bool]  # result-dict -> holds?
-    measured: Callable[[dict], str]  # result-dict -> display string
-    kind: str = "shape"  # "exact" | "shape"
+    check: Callable[[object], Tuple[bool, str]]  # result -> (holds?, measured)
+    kind: str = "shape"  # "exact" | "shape" | "wall"
+
+
+def finding(metric: str, paper_value: str, kind: str = "shape"):
+    """Decorator: the ``result -> (holds, measured text)`` function below
+    it is the check of this finding."""
+    return lambda check: Expectation(metric, paper_value, check, kind)
+
+
+class Experiment(NamedTuple):
+    name: str  # the CLI subcommand, and the key everywhere else
+    help: str
+    run: Callable[..., object]
+    args: Tuple[Arg, ...]
+    scales: Dict[str, dict]  # "report" | "default" | "full" -> run keywords
+    render: Callable[[object], str]  # the one table/series printer
+    expectations: Tuple[Expectation, ...]
 
 
 class Verdict(NamedTuple):
@@ -33,193 +82,55 @@ class Verdict(NamedTuple):
     holds: bool
 
 
-def _fmt_ms(value: float) -> str:
-    return f"{value * 1e3:.2f} ms"
+def experiments() -> Dict[str, Experiment]:
+    """The table: name -> :class:`Experiment`, in the paper's order.  To
+    add an experiment, write its module and add it to this tuple."""
+    # Imported here: each of these modules imports the types above.
+    from repro.bench.runners import fig3, fig5, fig6, fig7, fig8, microbench, network
+
+    declared = (
+        network.TABLE1, network.TABLE2, fig3.EXPERIMENT, microbench.EXPERIMENT,
+        fig5.EXPERIMENT, fig6.EXPERIMENT, fig7.EXPERIMENT, fig8.EXPERIMENT,
+    )
+    return {exp.name: exp for exp in declared}
 
 
-EXPECTATIONS: List[Expectation] = [
-    # ---------------------------------------------------------------- Fig. 3
-    Expectation(
-        experiment="fig3",
-        metric="quorum read latency ~ WI RTT",
-        paper_value="~35.6 ms (comparable to Wisconsin's RTT)",
-        check=lambda r: all(
-            abs(lat - r["rtt_s"]["WI"]) / r["rtt_s"]["WI"] < 0.25
-            for lat in r["latency_s"].values()
-        ),
-        measured=lambda r: _fmt_ms(
-            sum(r["latency_s"].values()) / len(r["latency_s"])
-        ),
-        kind="exact",
-    ),
-    Expectation(
-        experiment="fig3",
-        metric="latency rises slightly with size",
-        paper_value="slight increase 1 KB -> 64 KB",
-        check=lambda r: (
-            r["latency_s"][max(r["latency_s"])]
-            > r["latency_s"][min(r["latency_s"])]
-        ),
-        measured=lambda r: (
-            f"{_fmt_ms(r['latency_s'][min(r['latency_s'])])} -> "
-            f"{_fmt_ms(r['latency_s'][max(r['latency_s'])])}"
-        ),
-    ),
-    # ---------------------------------------------------------------- Fig. 5
-    Expectation(
-        experiment="fig5",
-        metric="strength ordering of mean latency",
-        paper_value="weaker levels less impacted than stronger",
-        check=lambda r: (
-            r["series"]["OneWNode"].mean()
-            <= r["series"]["OneRegion"].mean()
-            <= r["series"]["MajorityRegions"].mean()
-            <= r["series"]["AllRegions"].mean()
-            <= r["series"]["AllWNodes"].mean()
-        ),
-        measured=lambda r: " <= ".join(
-            f"{key}:{r['series'][key].mean():.2f}s"
-            for key in ("OneWNode", "MajorityRegions", "AllWNodes")
-        ),
-    ),
-    Expectation(
-        experiment="fig5",
-        metric="MajorityWNodes more vulnerable than MajorityRegions",
-        paper_value="MajorityWNodes > MajorityRegions under spikes",
-        check=lambda r: (
-            r["series"]["MajorityWNodes"].mean()
-            > r["series"]["MajorityRegions"].mean()
-        ),
-        measured=lambda r: (
-            f"{r['series']['MajorityWNodes'].mean():.2f}s vs "
-            f"{r['series']['MajorityRegions'].mean():.2f}s"
-        ),
-    ),
-    # ---------------------------------------------------------------- Fig. 6
-    Expectation(
-        experiment="fig6",
-        metric="MajorityRegions beats PhxPaxos at every size",
-        paper_value="24.75% mean improvement",
-        check=lambda r: all(
-            r["sync_time_s"]["MajorityRegions"][s] < r["sync_time_s"]["PhxPaxos"][s]
-            for s in r["sizes"]
-        )
-        and r["improvement_vs_paxos"] > 0.10,
-        measured=lambda r: f"{r['improvement_vs_paxos'] * 100:.1f}% mean improvement",
-    ),
-    Expectation(
-        experiment="fig6",
-        metric="PhxPaxos overlaps MajorityWNodes",
-        paper_value="the two curves mostly overlap",
-        check=lambda r: all(
-            abs(
-                r["sync_time_s"]["PhxPaxos"][s]
-                - r["sync_time_s"]["MajorityWNodes"][s]
-            )
-            / r["sync_time_s"]["PhxPaxos"][s]
-            < 0.25
-            for s in r["sizes"]
-        ),
-        measured=lambda r: "within 25% at every size",
-    ),
-    Expectation(
-        experiment="fig6",
-        metric="gap grows with file size",
-        paper_value="difference becomes larger as the file becomes larger",
-        check=lambda r: (
-            r["sync_time_s"]["PhxPaxos"][r["sizes"][-1]]
-            - r["sync_time_s"]["MajorityRegions"][r["sizes"][-1]]
-        )
-        > (
-            r["sync_time_s"]["PhxPaxos"][r["sizes"][0]]
-            - r["sync_time_s"]["MajorityRegions"][r["sizes"][0]]
-        ),
-        measured=lambda r: (
-            f"gap {(r['sync_time_s']['PhxPaxos'][r['sizes'][0]] - r['sync_time_s']['MajorityRegions'][r['sizes'][0]]) * 1e3:.1f} ms"
-            f" -> {(r['sync_time_s']['PhxPaxos'][r['sizes'][-1]] - r['sync_time_s']['MajorityRegions'][r['sizes'][-1]]) * 1e3:.1f} ms"
-        ),
-    ),
-    # ---------------------------------------------------------------- Fig. 7
-    Expectation(
-        experiment="fig7",
-        metric="identical WAN throughput bottleneck",
-        paper_value="both systems bottleneck at the same throughput",
-        check=lambda r: all(
-            abs(
-                max(r["stabilizer"][rate][site]["throughput_mbit"] for rate in r["stabilizer"])
-                - max(r["pulsar"][rate][site]["throughput_mbit"] for rate in r["pulsar"])
-            )
-            / max(r["stabilizer"][rate][site]["throughput_mbit"] for rate in r["stabilizer"])
-            < 0.1
-            for site in ("WI", "CLEM", "MA")
-        ),
-        measured=lambda r: ", ".join(
-            f"{site}:{max(r['stabilizer'][rate][site]['throughput_mbit'] for rate in r['stabilizer']):.0f}Mbit"
-            for site in ("WI", "CLEM", "MA")
-        ),
-    ),
-    Expectation(
-        experiment="fig7",
-        metric="Pulsar LAN latency grows with rate (GC), Stabilizer flat",
-        paper_value="Pulsar shows growth in latency on LAN",
-        check=lambda r: (
-            r["pulsar"][max(r["pulsar"])]["UT2"]["latency_ms"]
-            > 3 * r["pulsar"][min(r["pulsar"])]["UT2"]["latency_ms"]
-            and r["stabilizer"][max(r["stabilizer"])]["UT2"]["latency_ms"]
-            < 2 * r["stabilizer"][min(r["stabilizer"])]["UT2"]["latency_ms"]
-        ),
-        measured=lambda r: (
-            f"pulsar {r['pulsar'][min(r['pulsar'])]['UT2']['latency_ms']:.2f} -> "
-            f"{r['pulsar'][max(r['pulsar'])]['UT2']['latency_ms']:.2f} ms; "
-            f"stabilizer flat"
-        ),
-    ),
-    # ---------------------------------------------------------------- Fig. 8
-    Expectation(
-        experiment="fig8",
-        metric="all-sites vs three-sites gap",
-        paper_value="~3 ms (MA only 3 ms faster than CLEM)",
-        check=lambda r: abs(
-            (r["all_sites"].mean() - r["three_sites"].mean()) * 1e3 - 3.0
-        )
-        < 1.5,
-        measured=lambda r: _fmt_ms(r["all_sites"].mean() - r["three_sites"].mean()),
-        kind="exact",
-    ),
-    Expectation(
-        experiment="fig8",
-        metric="changing predicate tracks subscription state",
-        paper_value="latency drops when the slowest site leaves",
-        check=lambda r: r["changing"].window_mean(1, 5)
-        > r["changing"].window_mean(6, 10),
-        measured=lambda r: (
-            f"{_fmt_ms(r['changing'].window_mean(1, 5))} subscribed vs "
-            f"{_fmt_ms(r['changing'].window_mean(6, 10))} unsubscribed"
-        ),
-    ),
-]
+#: What a check raises on a malformed result — a missing key or index, a
+#: division by zero, a value of the wrong type or shape.  The finding
+#: fails; the report does not crash.
+MALFORMED = (LookupError, ArithmeticError, ValueError, TypeError, AttributeError)
 
 
-def verdicts_for(experiment: str, result: dict) -> List[Verdict]:
-    """Evaluate every expectation registered for ``experiment``."""
+def verdicts_for(experiment: str, result, wall: bool = False) -> List[Verdict]:
+    """Evaluate every finding declared for ``experiment`` on ``result``
+    (the ``wall`` ones on request)."""
     out = []
-    for exp in EXPECTATIONS:
-        if exp.experiment != experiment:
+    for found in experiments()[experiment].expectations:
+        if found.kind == "wall" and not wall:
             continue
         try:
-            holds = bool(exp.check(result))
-            measured = exp.measured(result)
-        except (KeyError, ZeroDivisionError, ValueError) as err:
-            holds = False
-            measured = f"<error: {err}>"
+            holds, measured = found.check(result)
+        except MALFORMED as err:
+            holds, measured = False, f"<error: {err}>"
         out.append(
-            Verdict(exp.experiment, exp.metric, exp.paper_value, measured, exp.kind, holds)
+            Verdict(
+                experiment, found.metric, found.paper_value, measured,
+                found.kind, bool(holds),
+            )
         )
     return out
 
 
-def experiments() -> List[str]:
-    seen: Dict[str, None] = {}
-    for exp in EXPECTATIONS:
-        seen.setdefault(exp.experiment, None)
-    return list(seen)
+def assert_reproduced(exp: Experiment, result) -> None:
+    """Raise ``AssertionError`` naming every finding of ``exp`` — ``wall``
+    ones included — that ``result`` does not reproduce."""
+    failed = [v for v in verdicts_for(exp.name, result, wall=True) if not v.holds]
+    if failed:
+        raise AssertionError(
+            f"{exp.name}: {len(failed)} finding(s) not reproduced\n"
+            + "\n".join(
+                f"  {v.metric} [{v.kind}] — paper: {v.paper_value}; "
+                f"measured: {v.measured_value}"
+                for v in failed
+            )
+        )

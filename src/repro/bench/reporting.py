@@ -8,16 +8,7 @@ shapes at a glance without plotting.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple
-
-
-class Comparison(NamedTuple):
-    """One paper-vs-measured line."""
-
-    metric: str
-    paper: str
-    measured: str
-    verdict: str = ""
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 
 def format_table(
@@ -37,14 +28,6 @@ def format_table(
     for row in rendered:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_comparisons(comparisons: Sequence[Comparison], title: str = "") -> str:
-    return format_table(
-        ["metric", "paper", "measured", "verdict"],
-        comparisons,
-        title=title,
-    )
 
 
 def format_series(
@@ -80,12 +63,8 @@ def format_counters(counters: Mapping[str, object], title: str = "") -> str:
     )
 
 
-def human_bytes(n: float) -> str:
-    for unit in ("B", "KB", "MB", "GB"):
-        if abs(n) < 1024 or unit == "GB":
-            return f"{n:.4g}{unit}"
-        n /= 1024.0
-    return f"{n:.4g}GB"  # pragma: no cover - unreachable
+def ms(seconds: float) -> str:
+    return f"{seconds * 1e3:.2f} ms"
 
 
 def _cell(value: object) -> str:

@@ -1,0 +1,48 @@
+"""Experiment drivers: one ``run_*`` function per table, figure, extension
+and ablation of the evaluation.
+
+Each driver builds a fresh simulation over :mod:`~repro.bench.runners.kit`,
+drives its workload, and returns plain data structures.  The eight paper
+experiments live one to a module, each ending in the
+:class:`~repro.bench.paper.Experiment` that declares how it is run,
+printed and checked (:func:`repro.bench.paper.experiments` is the table
+of them); ``extensions``, ``hotpath`` and ``sharding`` hold the drivers
+that have only a module under ``benchmarks/`` beside them.  This is the
+one list of the package's public names.
+"""
+
+from repro.bench.runners.extensions import (
+    run_ack_batching,
+    run_chunk_size_ablation,
+    run_cross_traffic,
+    run_redblue_comparison,
+    run_scalability,
+    run_strategy_comparison,
+)
+from repro.bench.runners.fig3 import QUORUM_MEMBERS, run_quorum_read
+from repro.bench.runners.fig5 import run_trace_experiment
+from repro.bench.runners.fig6 import (
+    FIG6_PREDICATES,
+    file_sync_time_paxos,
+    file_sync_time_stabilizer,
+    run_file_sync,
+)
+from repro.bench.runners.fig7 import (
+    PUBSUB_SITES,
+    run_pubsub_pulsar,
+    run_pubsub_stabilizer,
+    run_pubsub_sweep,
+)
+from repro.bench.runners.fig8 import run_reconfig
+from repro.bench.runners.hotpath import (
+    hotpath_calls_per_report,
+    run_hotpath_frontier,
+)
+from repro.bench.runners.kit import build_network, count_calls
+from repro.bench.runners.microbench import run_dsl_microbench, synthesize_predicate
+from repro.bench.runners.network import run_network_matrix
+from repro.bench.runners.sharding import (
+    run_overload_bench,
+    run_rebalance_bench,
+    run_shard_scaling,
+)

@@ -40,14 +40,17 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.core import StabilizerCluster, StabilizerConfig
+from repro.bench.runners.kit import (
+    StabilityProbe,
+    build_cluster,
+    build_network,
+    replay_trace,
+)
 from repro.errors import ConfigError
 from repro.net.faults import FaultSchedule
 from repro.net.tc import NetemSpec
 from repro.net.topology import Network, Topology
-from repro.sim import Simulator
 from repro.sim.monitor import Series
-from repro.sim.rng import RngRegistry
 from repro.transport.messages import SyntheticPayload
 from repro.workloads.dropbox_trace import synthesize_trace
 from repro.workloads.rates import constant_rate, poisson_rate
@@ -108,41 +111,24 @@ def run_scenario(scenario: dict, seed: int = 0) -> Dict[str, object]:
     name = scenario.get("name", "scenario")
     topo = build_topology(_require(scenario, "topology"))
     sender_name = _require(scenario, "sender")
+    topo.node(sender_name)  # a ConfigError for a name the topology lacks
     predicates = _require(scenario, "predicates")
     if not isinstance(predicates, dict) or not predicates:
         raise ConfigError("scenario needs at least one predicate")
-    sim = Simulator()
-    net = topo.build(sim, RngRegistry(seed))
+    sim, net = build_network(topo, seed)
     control = scenario.get("control", {})
-    config = StabilizerConfig.from_topology(
-        topo,
-        sender_name,
+    cluster = build_cluster(
+        net,
         control_interval_s=control.get("interval_s", 0.002),
         control_batch=control.get("batch", 16),
     )
-    cluster = StabilizerCluster(net, config)
     sender = cluster[sender_name]
     # Predicates are evaluated at the sender (they may reference the
     # sender's availability zone, which would not expand at other nodes).
     for key, source in predicates.items():
         sender.register_predicate(key, source)
 
-    send_times: List[float] = []
-    results = {key: Series(key) for key in predicates}
-
-    def monitor_for(key: str):
-        series = results[key]
-
-        def monitor(origin, frontier, old):
-            for seq in range(old + 1, frontier + 1):
-                if seq - 1 < len(send_times):
-                    sent = send_times[seq - 1]
-                    series.record(sent, sim.now - sent)
-
-        return monitor
-
-    for key in predicates:
-        sender.monitor_stability_frontier(key, monitor_for(key))
+    probe = StabilityProbe(sim, sender, predicates)
 
     _arm_faults(net, scenario.get("faults", []))
 
@@ -152,38 +138,23 @@ def run_scenario(scenario: dict, seed: int = 0) -> Dict[str, object]:
         size = workload.get("size_bytes", 8192)
         rate = _require(workload, "rate")
         messages = _require(workload, "messages")
-
-        def send(_i):
-            before = sender.last_sent_seq()
-            sender.send(SyntheticPayload(size))
-            send_times.extend([sim.now] * (sender.last_sent_seq() - before))
-
         generator = constant_rate if kind == "constant" else poisson_rate
-        generator(sim, rate, messages, send)
+        generator(sim, rate, messages, lambda _i: probe.send(SyntheticPayload(size)))
         horizon = messages / rate + workload.get("drain_s", 60.0)
     elif kind == "trace":
         records = synthesize_trace(
             scale=workload.get("scale", 0.02), seed=workload.get("seed", 7)
         )
-
-        def driver():
-            for record in records:
-                delay = record.time_s - sim.now
-                if delay > 0:
-                    yield delay
-                before = sender.last_sent_seq()
-                sender.send(SyntheticPayload(record.size_bytes))
-                send_times.extend(
-                    [sim.now] * (sender.last_sent_seq() - before)
-                )
-
-        process = sim.spawn(driver(), name="trace")
-        process.add_callback(lambda _e: None)
+        replay_trace(sim, records, probe.send)
         horizon = records[-1].time_s + workload.get("drain_s", 120.0)
     else:
         raise ConfigError(f"unknown workload kind {kind!r}")
 
     sim.run(until=horizon)
+    results = {key: Series(key) for key in predicates}
+    for key, samples in probe.samples.items():
+        for sample in samples:
+            results[key].record(sample.sent, sample.latency)
     return {
         "name": name,
         "series": results,

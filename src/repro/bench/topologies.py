@@ -76,36 +76,42 @@ def _node_factor(name: str, nodes: Dict[str, str]) -> float:
     return HETERO_FACTORS[peers.index(name) % len(HETERO_FACTORS)]
 
 
+def _mesh(topo: Topology, names, leg) -> Topology:
+    """Shape every pair of ``names`` symmetrically with
+    ``leg(a, b) -> (latency_ms, rate_mbit)``."""
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            latency_ms, rate_mbit = leg(a, b)
+            topo.set_link_symmetric(
+                a, b, NetemSpec(latency_ms=latency_ms, rate_mbit=rate_mbit)
+            )
+    return topo
+
+
 def ec2_topology(heterogeneity: bool = True) -> Topology:
     """The emulated EC2 WAN of Fig. 2 / Table I (halved bandwidth)."""
     topo = Topology("ec2-emulation")
     for name, region in EC2_NODES.items():
         topo.add_node(name, region)
 
-    def leg(region: str) -> Tuple[float, float]:
-        rtt, _observed, half = TABLE1_OBSERVED[region]
-        return rtt / 2.0, half
+    def leg(a: str, b: str) -> Tuple[float, float]:
+        regions = {EC2_NODES[a], EC2_NODES[b]}
+        if len(regions) == 1:
+            # Intra-region: Table I's "between availability zones in
+            # North California" row stands in for every region.
+            regions = {"North California"}
+        else:
+            # From the sender's region the other end's row applies; pairs
+            # the paper does not report take the pessimistic combination
+            # (max latency, min bandwidth) of their two sender legs.
+            regions.discard("North California")
+        rtt = max(TABLE1_OBSERVED[region][0] for region in regions)
+        rate = min(TABLE1_OBSERVED[region][2] for region in regions)
+        if heterogeneity:
+            rate *= min(_node_factor(a, EC2_NODES), _node_factor(b, EC2_NODES))
+        return rtt / 2.0, rate
 
-    names = list(EC2_NODES)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            region_a, region_b = EC2_NODES[a], EC2_NODES[b]
-            if region_a == region_b:
-                # Intra-region: Table I's "between availability zones in
-                # North California" row stands in for every region.
-                lat, rate = leg("North California")
-            elif "North California" in (region_a, region_b):
-                other = region_b if region_a == "North California" else region_a
-                lat, rate = leg(other)
-            else:
-                # Not reported by the paper; pessimistic combination.
-                lat_a, rate_a = leg(region_a)
-                lat_b, rate_b = leg(region_b)
-                lat, rate = max(lat_a, lat_b), min(rate_a, rate_b)
-            if heterogeneity:
-                rate *= min(_node_factor(a, EC2_NODES), _node_factor(b, EC2_NODES))
-            topo.set_link_symmetric(a, b, NetemSpec(latency_ms=lat, rate_mbit=rate))
-    return topo
+    return _mesh(topo, list(EC2_NODES), leg)
 
 
 def cloudlab_topology() -> Topology:
@@ -114,23 +120,13 @@ def cloudlab_topology() -> Topology:
     for name, site in CLOUDLAB_NODES.items():
         topo.add_node(name, site)
 
-    def leg(name: str) -> Tuple[float, float]:
-        rate, rtt = TABLE2_OBSERVED[name]
+    def leg(a: str, b: str) -> Tuple[float, float]:
+        # UT2 reaches the WAN through the same uplink as UT1, so a pair
+        # with either end in Utah is the far end's Table II row; two WAN
+        # sites take the pessimistic combination of their sender legs.
+        far = [n for n in (a, b) if n not in ("UT1", "UT2")] or [b]
+        rtt = max(TABLE2_OBSERVED[n][1] for n in far)
+        rate = min(TABLE2_OBSERVED[n][0] for n in far)
         return rtt / 2.0, rate
 
-    names = list(CLOUDLAB_NODES)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            if "UT1" in (a, b):
-                other = b if a == "UT1" else a
-                lat, rate = leg(other)
-            elif a == "UT2" or b == "UT2":
-                # UT2 reaches the WAN through the same uplink as UT1.
-                other = b if a == "UT2" else a
-                lat, rate = leg(other)
-            else:
-                lat_a, rate_a = leg(a)
-                lat_b, rate_b = leg(b)
-                lat, rate = max(lat_a, lat_b), min(rate_a, rate_b)
-            topo.set_link_symmetric(a, b, NetemSpec(latency_ms=lat, rate_mbit=rate))
-    return topo
+    return _mesh(topo, list(CLOUDLAB_NODES), leg)

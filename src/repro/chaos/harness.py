@@ -176,13 +176,14 @@ class ChaosHarness:
         self.rng = random.Random(config.seed ^ scenario.rng_salt)
         self._waiter_timeouts = 0
 
-        self.topo = topo = Topology()
-        for az, members in self.groups.items():
-            for name in members:
-                topo.add_node(name, group=az)
+        # Members AZ-major, then the spares: insertion order is the ACK
+        # table's row order, and the pinned seeds depend on it.
+        self.topo = topo = Topology.uniform(
+            {name: az for az, members in self.groups.items() for name in members},
+            scenario.link,
+        )
         for i, name in enumerate(self.spares):
             topo.add_node(name, group=f"az{i % config.azs}")
-        topo.set_default(scenario.link)
         # Partition events cut whole AZs, spares included: a spare mid-join
         # can find itself on the wrong side of the cut.
         self.all_groups = topo.groups()

@@ -9,9 +9,11 @@ Usage::
     python -m repro fig8
     python -m repro microbench
 
-Each subcommand prints the regenerated rows/series next to the paper's
-reported values (the same output the benchmark suite archives under
-``benchmarks/results/``).
+Each experiment subcommand is generated from the table in
+:mod:`repro.bench.paper` — its flags, its driver and the one printer of
+its result, which is also what the benchmark suite archives under
+``benchmarks/results/``; ``report`` runs them all at the ``report`` scale
+and checks the paper's findings.
 """
 
 from __future__ import annotations
@@ -20,146 +22,24 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bench.reporting import format_series, format_table
+from repro.bench.paper import experiments, verdicts_for
+from repro.bench.reporting import format_table
 from repro.bench.topologies import (
     CLOUDLAB_SENDER,
     EC2_SENDER,
-    TABLE1_OBSERVED,
-    TABLE2_OBSERVED,
     cloudlab_topology,
     ec2_topology,
 )
-from repro.bench import runners
 
 
-def _cmd_table1(_args) -> None:
-    matrix = runners.run_network_matrix(ec2_topology(heterogeneity=False), EC2_SENDER)
-    rows = []
-    for node, data in matrix.items():
-        rows.append((node, f"{data['rtt_ms']:.2f}", f"{data['throughput_mbit']:.1f}"))
-    print(format_table(["node", "RTT ms", "Thp Mbit/s"], rows, "Table I (measured)"))
-    print("\npaper (halved):", TABLE1_OBSERVED)
+def _experiment_command(exp):
+    """``repro <exp.name>``: run at the flags' values, print the result."""
 
+    def command(args) -> None:
+        keywords = {arg.keyword: getattr(args, arg.keyword) for arg in exp.args}
+        print(exp.render(exp.run(**keywords)))
 
-def _cmd_table2(_args) -> None:
-    matrix = runners.run_network_matrix(cloudlab_topology(), CLOUDLAB_SENDER)
-    rows = [
-        (node, f"{d['rtt_ms']:.3f}", f"{d['throughput_mbit']:.1f}")
-        for node, d in matrix.items()
-    ]
-    print(format_table(["server", "RTT ms", "Thp Mbit/s"], rows, "Table II (measured)"))
-    print("\npaper:", TABLE2_OBSERVED)
-
-
-def _cmd_fig3(args) -> None:
-    sizes = tuple(1024 * 2**i for i in range(7))
-    result = runners.run_quorum_read(sizes_bytes=sizes, reads_per_size=args.reads)
-    rows = [
-        (size // 1024, f"{result['latency_s'][size] * 1e3:.2f}")
-        for size in sizes
-    ]
-    print(format_table(["message KB", "read latency ms"], rows, "Fig. 3 (measured)"))
-    print("RTTs:", {k: f"{v * 1e3:.2f}ms" for k, v in result["rtt_s"].items()})
-
-
-def _cmd_microbench(args) -> None:
-    rows = runners.run_dsl_microbench(evaluations=args.evals)
-    print(
-        format_table(
-            ["ops", "operands", "compile ms", "eval us", "interp us"],
-            [
-                (
-                    r["operators"],
-                    r["operands"],
-                    f"{r['compile_ms']:.3f}",
-                    f"{r['eval_us']:.3f}",
-                    f"{r['interp_eval_us']:.3f}",
-                )
-                for r in rows
-            ],
-            "Section VI-A DSL overhead (measured)",
-        )
-    )
-
-
-def _cmd_fig5(args) -> None:
-    result = runners.run_trace_experiment(scale=args.scale)
-    print(
-        f"trace scale={args.scale}: {result['messages']} messages from "
-        f"{result['trace_files']} sync requests"
-    )
-    for key, series in result["series"].items():
-        down = series.downsample(24)
-        print()
-        print(
-            format_series(
-                list(down),
-                x_label="message seq",
-                y_label="latency s",
-                title=f"Fig. 5 — {key} (mean {series.mean():.3f}s)",
-            )
-        )
-
-
-def _cmd_fig6(args) -> None:
-    sizes = [10**e for e in range(3, 9) if 10**e <= args.max_size]
-    result = runners.run_file_sync(sizes_bytes=sizes)
-    systems = list(result["sync_time_s"])
-    rows = [
-        tuple(
-            [size]
-            + [f"{result['sync_time_s'][s][size] * 1e3:.1f}" for s in systems]
-        )
-        for size in sizes
-    ]
-    print(format_table(["file bytes"] + systems, rows, "Fig. 6 sync time (ms)"))
-    print(
-        f"\nMajorityRegions vs PhxPaxos mean improvement: "
-        f"{result['improvement_vs_paxos'] * 100:.1f}% (paper: 24.75%)"
-    )
-
-
-def _cmd_fig7(args) -> None:
-    rates = [float(r) for r in args.rates.split(",")]
-    sweep = runners.run_pubsub_sweep(rates=rates, messages=args.messages)
-    for system in ("stabilizer", "pulsar"):
-        rows = []
-        for rate in rates:
-            for site in runners.PUBSUB_SITES:
-                d = sweep[system][rate][site]
-                rows.append(
-                    (
-                        int(rate),
-                        site,
-                        f"{d['latency_ms']:.2f}",
-                        f"{d['throughput_mbit']:.1f}",
-                    )
-                )
-        print(
-            format_table(
-                ["rate", "site", "latency ms", "thp Mbit/s"],
-                rows,
-                f"Fig. 7 — {system}",
-            )
-        )
-        print()
-
-
-def _cmd_fig8(args) -> None:
-    result = runners.run_reconfig(messages=args.messages)
-    for key in ("all_sites", "three_sites", "changing"):
-        series = result[key]
-        print(f"{key}: mean {series.mean() * 1e3:.2f} ms over {len(series)} messages")
-    print("toggles:", result["toggles"][:6], "...")
-    down = result["changing"].downsample(20)
-    print(
-        format_series(
-            [(x, y * 1e3) for x, y in down],
-            x_label="time s",
-            y_label="latency ms",
-            title="Fig. 8 — changing predicate",
-        )
-    )
+    return command
 
 
 def _cmd_explain(args) -> None:
@@ -418,36 +298,25 @@ def _cmd_overload(args) -> None:
 
 
 def _cmd_report(args) -> None:
-    """Run every checked experiment and print a verdict table."""
-    from repro.bench.paper import verdicts_for
-
-    results = {
-        "fig3": runners.run_quorum_read(
-            sizes_bytes=(1024, 8192, 65536), reads_per_size=3
-        ),
-        "fig5": runners.run_trace_experiment(scale=args.scale),
-        "fig6": runners.run_file_sync(
-            sizes_bytes=(10**3, 10**5, 10**7)
-        ),
-        "fig7": runners.run_pubsub_sweep(
-            rates=(250, 1000, 4000, 16000), messages=args.messages
-        ),
-        "fig8": runners.run_reconfig(messages=args.messages),
-    }
-    rows = []
-    failed = 0
-    for experiment, result in results.items():
-        for verdict in verdicts_for(experiment, result):
-            rows.append(
-                (
-                    verdict.experiment,
-                    verdict.metric,
-                    verdict.paper_value,
-                    verdict.measured_value,
-                    "PASS" if verdict.holds else "FAIL",
-                )
-            )
-            failed += 0 if verdict.holds else 1
+    """Run every experiment at its ``report`` scale; print a verdict table."""
+    verdicts = []
+    for exp in experiments().values():
+        keywords = dict(exp.scales["report"])
+        for arg in exp.args:
+            if getattr(args, arg.keyword, None) is not None:
+                keywords[arg.keyword] = getattr(args, arg.keyword)
+        verdicts += verdicts_for(exp.name, exp.run(**keywords))
+    rows = [
+        (
+            v.experiment,
+            v.metric,
+            v.paper_value,
+            v.measured_value,
+            "PASS" if v.holds else "FAIL",
+        )
+        for v in verdicts
+    ]
+    failed = sum(not v.holds for v in verdicts)
     print(
         format_table(
             ["experiment", "finding", "paper", "measured", "verdict"],
@@ -466,27 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the paper's tables and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table1", help="Table I network matrix").set_defaults(fn=_cmd_table1)
-    sub.add_parser("table2", help="Table II CloudLab matrix").set_defaults(fn=_cmd_table2)
-    fig3 = sub.add_parser("fig3", help="Fig. 3 quorum read latency")
-    fig3.add_argument("--reads", type=int, default=5)
-    fig3.set_defaults(fn=_cmd_fig3)
-    micro = sub.add_parser("microbench", help="Section VI-A DSL overhead")
-    micro.add_argument("--evals", type=int, default=10_000)
-    micro.set_defaults(fn=_cmd_microbench)
-    fig5 = sub.add_parser("fig5", help="Fig. 5 trace-driven frontier latency")
-    fig5.add_argument("--scale", type=float, default=0.05)
-    fig5.set_defaults(fn=_cmd_fig5)
-    fig6 = sub.add_parser("fig6", help="Fig. 6 file sync vs Paxos")
-    fig6.add_argument("--max-size", type=float, default=1e7)
-    fig6.set_defaults(fn=_cmd_fig6)
-    fig7 = sub.add_parser("fig7", help="Fig. 7 pub/sub sweep")
-    fig7.add_argument("--rates", default="250,1000,4000,16000")
-    fig7.add_argument("--messages", type=int, default=1500)
-    fig7.set_defaults(fn=_cmd_fig7)
-    fig8 = sub.add_parser("fig8", help="Fig. 8 dynamic reconfiguration")
-    fig8.add_argument("--messages", type=int, default=800)
-    fig8.set_defaults(fn=_cmd_fig8)
+    for exp in experiments().values():
+        command = sub.add_parser(exp.name, help=exp.help)
+        for arg in exp.args:
+            # argparse runs a string default through ``type`` as well.
+            command.add_argument(
+                arg.flag, dest=arg.keyword, type=arg.parse, default=arg.default
+            )
+        command.set_defaults(fn=_experiment_command(exp))
     scenario = sub.add_parser(
         "scenario", help="run a declarative scenario JSON file"
     )
@@ -582,8 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser(
         "report", help="run every checked experiment; print verdict table"
     )
-    rep.add_argument("--scale", type=float, default=0.02)
-    rep.add_argument("--messages", type=int, default=800)
+    # Each overrides the ``report`` scale of the experiments that declare
+    # a flag of that name (``--scale``: fig5; ``--messages``: fig7, fig8).
+    declared = {a.flag: a for exp in experiments().values() for a in exp.args}
+    for flag in ("--scale", "--messages"):
+        arg = declared[flag]
+        rep.add_argument(flag, dest=arg.keyword, type=arg.parse, default=None)
     rep.set_defaults(fn=_cmd_report)
     return parser
 

@@ -9,7 +9,7 @@ preset (e.g. the Table I EC2 emulation) drive many experiments.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError, NetworkError
 from repro.net.host import Host
@@ -43,6 +43,19 @@ class Topology:
         self._by_name: Dict[str, NodeSpec] = {}
         self._links: Dict[Tuple[str, str], NetemSpec] = {}
         self.default_spec: Optional[NetemSpec] = None
+
+    @classmethod
+    def uniform(
+        cls, node_groups: Mapping[str, str], link: NetemSpec, name: str = "topology"
+    ) -> "Topology":
+        """Every pair shaped by the one ``link``; nodes in the order of the
+        ``node -> group`` mapping (insertion order is the DSL's ``$k`` index
+        and the ACK-table row order)."""
+        topo = cls(name)
+        for node, group in node_groups.items():
+            topo.add_node(node, group)
+        topo.set_default(link)
+        return topo
 
     # -- declaration -----------------------------------------------------------
     def add_node(self, name: str, group: str) -> NodeSpec:

@@ -57,11 +57,11 @@ def run_obs_scenario(
     """
     if nodes < 2:
         raise ValueError("need at least 2 nodes")
-    topo = Topology()
     names = [f"n{i}" for i in range(nodes)]
-    for i, name in enumerate(names):
-        topo.add_node(name, group=f"az{i % 3}")
-    topo.set_default(NetemSpec(latency_ms=latency_ms, rate_mbit=100))
+    topo = Topology.uniform(
+        {name: f"az{i % 3}" for i, name in enumerate(names)},
+        NetemSpec(latency_ms=latency_ms, rate_mbit=100),
+    )
     sim = Simulator()
     net = topo.build(sim, RngRegistry(seed))
     if tracer is None:

@@ -18,14 +18,13 @@ classic process-interaction style (as in SimPy):
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Simulator, TimerHandle
-from repro.sim.monitor import Counter, Histogram, Series
+from repro.sim.monitor import Histogram, Series
 from repro.sim.process import Interrupt, Process
 from repro.sim.rng import RngRegistry
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "Event",
     "Histogram",
     "Interrupt",

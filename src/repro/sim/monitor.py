@@ -1,16 +1,15 @@
 """Measurement collectors used by experiments and benchmarks.
 
-Three collectors cover everything the paper reports:
+Two collectors cover everything the paper reports:
 
 - :class:`Series` — (time, value) pairs, e.g. per-message latency over a run;
-- :class:`Histogram` — a value distribution with percentile queries;
-- :class:`Counter` — monotonic totals with rate-over-window helpers.
+- :class:`Histogram` — a value distribution with percentile queries.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class Series:
@@ -143,33 +142,6 @@ class Histogram:
             "p99": self.percentile(99),
             "max": max(self.samples) if self.samples else math.nan,
         }
-
-
-class Counter:
-    """A monotonic counter with timestamped increments."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.total = 0.0
-        self.first_time: Optional[float] = None
-        self.last_time: Optional[float] = None
-
-    def add(self, time: float, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("Counter is monotonic; use a Series for signed data")
-        if self.first_time is None:
-            self.first_time = time
-        self.last_time = time
-        self.total += amount
-
-    def rate(self) -> float:
-        """Total divided by the observed time span (0 span -> nan)."""
-        if self.first_time is None or self.last_time is None:
-            return math.nan
-        span = self.last_time - self.first_time
-        if span <= 0:
-            return math.nan
-        return self.total / span
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -4,10 +4,8 @@ import pytest
 
 from repro.bench.analysis import (
     alternation_score,
-    ccdf,
     saturation_knee,
     spike_count,
-    spike_intervals,
     windowed_means,
 )
 from repro.sim.monitor import Series
@@ -42,17 +40,6 @@ def test_spike_count_validation_and_empty():
         spike_count(series_from([1]), enter_frac=0.2, exit_frac=0.5)
 
 
-def test_spike_intervals():
-    s = series_from([0, 10, 10, 0, 0, 8, 0])
-    intervals = spike_intervals(s)
-    assert intervals == [(1.0, 3.0), (5.0, 6.0)]
-
-
-def test_spike_interval_open_at_end():
-    s = series_from([0, 0, 10, 10])
-    assert spike_intervals(s) == [(2.0, 3.0)]
-
-
 def test_saturation_knee():
     rates = [250, 500, 1000, 2000, 4000]
     latencies = [36, 36, 37, 80, 200]
@@ -81,11 +68,3 @@ def test_alternation_score_detects_toggling():
     assert score == pytest.approx(5.0)
     flat = series_from([7.0] * 30)
     assert alternation_score(flat, width=5.0) == pytest.approx(0.0)
-
-
-def test_ccdf_monotone():
-    points = ccdf([3, 1, 2, 4])
-    values = [v for v, _p in points]
-    probs = [p for _v, p in points]
-    assert values == [1, 2, 3, 4]
-    assert probs == [0.75, 0.5, 0.25, 0.0]

@@ -44,6 +44,26 @@ def test_fig6_command(capsys):
     assert "improvement" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fig6", "--max-size", "100"),  # below the smallest file: no size left
+        ("fig7", "--rates", ""),  # no rate at all
+        ("fig7", "--rates", "500,-1"),
+        ("fig7", "--rates", "500", "--messages", "0"),
+        ("fig3", "--reads", "0"),
+    ],
+)
+def test_unusable_arguments_are_usage_errors(capsys, argv):
+    """Flags are outside input: a value the driver cannot run with is
+    rejected by the parser (exit 2, a usage line), not an empty table
+    or a traceback."""
+    with pytest.raises(SystemExit) as raised:
+        main(list(argv))
+    assert raised.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
 def test_fig7_command(capsys):
     out = run_cli(capsys, "fig7", "--rates", "500", "--messages", "50")
     assert "stabilizer" in out and "pulsar" in out

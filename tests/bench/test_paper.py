@@ -1,14 +1,26 @@
 """Tests for the paper-expectations registry and verdict logic."""
 
-from repro.bench.paper import EXPECTATIONS, Verdict, experiments, verdicts_for
+from repro.bench.paper import Verdict, experiments, verdicts_for
 from repro.sim.monitor import Series
 
 
 def test_every_expectation_belongs_to_a_known_experiment():
-    assert set(experiments()) == {"fig3", "fig5", "fig6", "fig7", "fig8"}
-    for exp in EXPECTATIONS:
-        assert exp.kind in ("exact", "shape")
-        assert exp.paper_value
+    assert set(experiments()) == {
+        "table1", "table2", "fig3", "microbench", "fig5", "fig6", "fig7", "fig8",
+    }
+    for name, exp in experiments().items():
+        assert exp.name == name and exp.expectations
+        assert set(exp.scales) == {"report", "default", "full"}
+        for finding in exp.expectations:
+            assert finding.kind in ("exact", "shape", "wall")
+            assert finding.paper_value
+    # Wall-clock bounds are the microbenchmark's alone, and are left out
+    # unless asked for: the report and the tier-1 gate stay deterministic.
+    walled = {n for n, e in experiments().items() for f in e.expectations if f.kind == "wall"}
+    assert walled == {"microbench"}
+    rows = [{"operators": 1, "operands": 5, "compile_ms": 1.0, "eval_us": 2.0}]
+    assert verdicts_for("microbench", rows) == []
+    assert len(verdicts_for("microbench", rows, wall=True)) == 3
 
 
 def test_fig3_verdicts_pass_and_fail():
@@ -45,10 +57,18 @@ def test_fig8_verdict_uses_windows():
 
 
 def test_broken_result_yields_failing_verdict_not_crash():
-    verdicts = verdicts_for("fig6", {"sizes": [1000], "sync_time_s": {}})
-    assert verdicts
-    assert not any(v.holds for v in verdicts)
-    assert any("<error" in v.measured_value for v in verdicts)
+    empty = {"PhxPaxos": {}, "MajorityRegions": {}, "MajorityWNodes": {}}
+    for broken in (
+        {"sizes": [1000], "sync_time_s": {}},  # KeyError
+        # An empty sweep (IndexError), a Series where a dict belongs
+        # (TypeError): both used to escape and crash the report.
+        {"sizes": [], "sync_time_s": empty, "improvement_vs_paxos": 0.2},
+        {"sizes": [1000], "sync_time_s": Series(), "improvement_vs_paxos": 0.2},
+    ):
+        verdicts = verdicts_for("fig6", broken)
+        assert verdicts
+        assert not any(v.holds for v in verdicts)
+        assert any("<error" in v.measured_value for v in verdicts)
 
 
 def test_verdict_structure():

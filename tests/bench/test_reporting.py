@@ -2,13 +2,7 @@
 
 import math
 
-from repro.bench.reporting import (
-    Comparison,
-    format_comparisons,
-    format_series,
-    format_table,
-    human_bytes,
-)
+from repro.bench.reporting import format_series, format_table
 
 
 def test_format_table_aligns_columns():
@@ -29,13 +23,6 @@ def test_format_table_renders_floats_compactly():
     assert "1.23e+03" in text
 
 
-def test_format_comparisons():
-    text = format_comparisons(
-        [Comparison("latency", "24.75%", "15.9%", "shape ok")]
-    )
-    assert "24.75%" in text and "shape ok" in text
-
-
 def test_format_series_draws_bars():
     text = format_series([(0, 1.0), (1, 2.0)], title="S")
     lines = text.splitlines()
@@ -47,9 +34,3 @@ def test_format_series_empty_and_nan():
     assert "(empty series)" in format_series([])
     text = format_series([(0, float("nan")), (1, 3.0)])
     assert "nan" in text
-
-
-def test_human_bytes():
-    assert human_bytes(512) == "512B"
-    assert human_bytes(2048) == "2KB"
-    assert human_bytes(3 * 1024**3) == "3GB"

@@ -78,3 +78,35 @@ def test_cloudlab_remote_pairs_use_pessimistic_combination():
     spec = topo.link_spec("WI", "CLEM")
     assert spec.latency_ms == pytest.approx(50.918 / 2)
     assert spec.rate_mbit == pytest.approx(361.82)
+
+
+def _same_network(ours, theirs):
+    assert [(n.name, n.group) for n in ours.nodes] == [
+        (n.name, n.group) for n in theirs.nodes
+    ]
+    names = ours.node_names()
+    pairs = [(a, b) for a in names for b in names if a != b]
+    assert pairs and all(
+        ours.link_spec(a, b) == theirs.link_spec(a, b) for a, b in pairs
+    )
+
+
+def test_the_benchmarks_own_topologies_have_not_drifted():
+    """``perf/topologies.py`` is the benchmark's deliberate own copy of
+    the two environments (a refactor here must not move what ``perf/``
+    measures, and a PR that claims a gain may not edit it).  Same nodes in
+    the same order and groups, same spec on every directed link — or the
+    two describe different networks under one name."""
+    from perf import topologies as perf
+    from repro.net.tc import NetemSpec
+    from repro.net.topology import Topology
+
+    _same_network(cloudlab_topology(), perf.cloudlab())
+    _same_network(ec2_topology(), perf.ec2())
+    _same_network(
+        Topology.uniform(
+            {f"n{az}{k}": f"az{az}" for az in range(3) for k in range(2)},
+            NetemSpec(latency_ms=10.0, rate_mbit=100.0),
+        ),
+        perf.zones(3, 2),
+    )

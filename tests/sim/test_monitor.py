@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.monitor import Counter, Histogram, Series, percentile
+from repro.sim.monitor import Histogram, Series, percentile
 
 
 def test_series_records_and_summarizes():
@@ -84,24 +84,3 @@ def test_histogram_stdev_of_singleton_is_zero():
     h = Histogram()
     h.record(1.0)
     assert h.stdev() == 0.0
-
-
-def test_counter_rate():
-    c = Counter()
-    c.add(0.0, 10)
-    c.add(5.0, 10)
-    assert c.total == 20
-    assert c.rate() == 4.0
-
-
-def test_counter_rejects_negative():
-    c = Counter()
-    with pytest.raises(ValueError):
-        c.add(0.0, -1)
-
-
-def test_counter_rate_undefined_without_span():
-    c = Counter()
-    assert math.isnan(c.rate())
-    c.add(1.0)
-    assert math.isnan(c.rate())
