@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench bench-full bench-record api-check verify report \
-        perf perf-compare clean
+.PHONY: install test bench bench-full bench-record api-check metrics-doc \
+        metrics-check verify report perf perf-compare clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -71,9 +71,21 @@ api-check:
 	pytest tests/test_public_api.py
 	python -W error::DeprecationWarning -c "import repro"
 
+# The metric table in docs/observability.md is rendered from
+# src/repro/obs/catalogue.py: `metrics-doc` rewrites it in place,
+# `metrics-check` is the suite that fails when the checked-in table is
+# stale (and when stats() emits a name the catalogue does not declare, or
+# the other way round).  (-W: runpy warns that the package imported the
+# module it is about to run; the run shares no state with that copy.)
+metrics-doc:
+	python -W ignore::RuntimeWarning:runpy -m repro.obs.catalogue docs/observability.md
+
+metrics-check:
+	pytest tests/obs/test_catalogue.py
+
 # The whole gate in one target.  `test` already collects every *_smoke
-# marker and the API snapshot suite (they all live under tests/); the
-# targets above run one sweep alone.  pyproject.toml's filterwarnings
+# marker, the API snapshot suite and the metric-catalogue suite (they all
+# live under tests/); the targets above run one sweep alone.  pyproject.toml's filterwarnings
 # makes a DeprecationWarning raised inside repro.* an error there —
 # import time included — so nothing is left to add.
 verify: test

@@ -12,6 +12,7 @@ from repro.bench.runners.kit import build_cluster, build_network, drain
 from repro.core import StabilizerConfig
 from repro.net.tc import NetemSpec
 from repro.net.topology import Topology
+from repro.obs.catalogue import merge
 from repro.sim.rng import RngRegistry
 from repro.transport.messages import SyntheticPayload
 
@@ -636,11 +637,9 @@ def run_overload_bench(
             "virtual_end_s": round(sim.now, 3),
         }
         if controlled:
-            totals: Dict[str, float] = {}
-            for controller in admission.values():
-                for key, value in controller.stats().items():
-                    totals[key] = totals.get(key, 0) + value
-            result["admission"] = totals
+            result["admission"] = merge(
+                [controller.stats() for controller in admission.values()]
+            )
             result["max_degrade_steps"] = max(
                 ctrl.stats()["slacontrol.degrade_steps"]
                 for per_shard in sla.values()

@@ -50,20 +50,12 @@ from repro.core.recovery import save_snapshot, snapshot_state
 from repro.errors import DiskFaultError
 from repro.net.tc import NetemSpec
 from repro.net.topology import Topology
+from repro.obs.catalogue import merge
 from repro.obs.tracer import Tracer
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.faultio import MemoryFileSystem
 from repro.transport.messages import SyntheticPayload
-
-
-def sum_stats(sources) -> Dict[str, float]:
-    """Key-wise sum of the ``stats()`` dicts of ``sources``."""
-    totals: Dict[str, float] = {}
-    for source in sources:
-        for key, value in source.stats().items():
-            totals[key] = totals.get(key, 0) + value
-    return totals
 
 
 @dataclass
@@ -360,7 +352,10 @@ class ChaosHarness:
             "messages_sent": self.checker.sent_high(),
             "releases_checked": self.checker.releases_checked,
             "trace_dropped": self.tracer.dropped,
-            "cluster_totals": sum_stats(self.cluster),
+            "cluster_totals": merge(
+                [node.stats() for node in self.cluster],
+                each_prefix=[node.name for node in self.cluster],
+            ),
             "checks_per_s": self.checker.checks / elapsed_s if elapsed_s > 0 else 0.0,
         }
 

@@ -31,12 +31,12 @@ from repro.chaos.harness import (
     Scenario,
     ScenarioConfig,
     run_chaos,
-    sum_stats,
 )
 from repro.chaos.schedule import ChaosEvent
 from repro.core.cluster import StabilizerCluster
 from repro.core.slacontrol import SlaController
 from repro.net.tc import NetemSpec
+from repro.obs.catalogue import merge
 from repro.transport.messages import SyntheticPayload
 from repro.workloads.rates import FlashCrowdShape
 
@@ -204,7 +204,7 @@ class OverloadScenario(Scenario):
         steps = [c.stats()["slacontrol.degrade_steps"] for c in self.sla.values()]
         return {
             "nodes": len(self.harness.node_names),
-            "admission": sum_stats(self.admission.values()),
+            "admission": merge([c.stats() for c in self.admission.values()]),
             "slacontrol": {
                 name: ctrl.stats() for name, ctrl in sorted(self.sla.items())
             },

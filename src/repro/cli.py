@@ -30,6 +30,11 @@ from repro.bench.topologies import (
     cloudlab_topology,
     ec2_topology,
 )
+from repro.obs.catalogue import resolve
+
+# Checked at import: a family `repro obs` prints but nothing declares is
+# a KeyError here, not a table that is always empty.
+_LAG = resolve("frontier_lag.<origin>.<type>").prefix
 
 
 def _experiment_command(exp):
@@ -134,8 +139,8 @@ def _cmd_obs(args) -> None:
     for name in result["nodes"]:
         metrics = result["snapshots"][name]["metrics"]
         for metric, value in sorted(metrics.items()):
-            if metric.startswith("frontier_lag.") and value:
-                lag_rows.append((name, metric[len("frontier_lag."):], value))
+            if metric.startswith(_LAG) and value:
+                lag_rows.append((name, metric[len(_LAG):], value))
     if lag_rows:
         print(format_table(
             ["node", "origin.type", "lag"], lag_rows,

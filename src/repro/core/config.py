@@ -91,8 +91,10 @@ class StabilizerConfig:
         When True the node runs a :class:`~repro.core.durability.DurabilityManager`
         and ``persisted`` stability is only ever reported after a
         successful fsync of the covering WAL group commit.  When False
-        (the historical default) ``persisted`` advances with delivery —
-        persistence is modelled, not performed.
+        (the default) nothing grants ``persisted`` but the completeness
+        rule — the origin's own row, at the origin and wherever its
+        stream is delivered; a receiver's own cell moves only when the
+        application calls ``report_stability("persisted", ...)``.
     durability_group_commit_interval_s / durability_group_commit_batch:
         Group-commit policy: the WAL fsyncs at least every
         ``interval_s`` seconds of pending writes, or as soon as

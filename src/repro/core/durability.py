@@ -318,17 +318,17 @@ class DurabilityManager:
 
     def stats(self) -> Dict[str, int]:
         return {
-            "wal_appends": self.appends,
-            "wal_group_commits": self.group_commits,
-            "wal_fsync_failures": self.fsync_failures,
-            "wal_write_faults": self.write_faults,
-            "wal_poisoned_ranges": self.poisoned_ranges,
-            "wal_poisoned_records": self.poisoned_records,
-            "wal_rewritten_records": self.rewritten_records,
-            "wal_segments_rotated": self.segments_rotated,
-            "wal_segments_compacted": self.segments_compacted,
-            "wal_checkpoints": self.checkpoints,
-            "wal_pending": self.pending(),
+            "durability.wal_appends": self.appends,
+            "durability.wal_group_commits": self.group_commits,
+            "durability.wal_fsync_failures": self.fsync_failures,
+            "durability.wal_write_faults": self.write_faults,
+            "durability.wal_poisoned_ranges": self.poisoned_ranges,
+            "durability.wal_poisoned_records": self.poisoned_records,
+            "durability.wal_rewritten_records": self.rewritten_records,
+            "durability.wal_segments_rotated": self.segments_rotated,
+            "durability.wal_segments_compacted": self.segments_compacted,
+            "durability.wal_checkpoints": self.checkpoints,
+            "durability.wal_pending": self.pending(),
         }
 
     # ------------------------------------------------------------------ teardown

@@ -38,6 +38,7 @@ from repro.core.recovery import restore_state, snapshot_state
 from repro.core.stabilizer import Stabilizer
 from repro.errors import StabilizerError
 from repro.net.topology import Network
+from repro.obs.catalogue import merge
 from repro.sim.events import Event
 from repro.transport.messages import Payload
 
@@ -588,25 +589,22 @@ class ShardedStabilizer:
         )
 
     def stats(self) -> Dict[str, float]:
-        """Counters aggregated across owned shards.
-
-        Sums every numeric counter, except: ``frontier_lag.*`` gauges are
-        kept per shard (``frontier_lag.s<shard>.<origin>.<type>``), and
-        ``trace_events`` takes the max — the shards share one tracer, so
-        each already reports the node-wide total.  Adds
-        ``shards_owned`` / ``shard_count`` / ``ack_table_cells``.
+        """The owned shards' ``stats()`` merged by each metric's declared
+        rule (:mod:`repro.obs.catalogue`): counters and additive gauges
+        sum, high-water marks and levels take the max, and what only
+        means something per stack — ``frontier_lag.*``,
+        ``dataplane.delivery_watermark`` — is kept per shard
+        (``frontier_lag.s<shard>.<origin>.<type>``).  ``admission.*`` and
+        ``suspected_nodes`` are the node's own answers, and
+        ``shards_owned`` / ``shard_count`` / ``ack_table_cells`` are added.
         """
-        totals: Dict[str, float] = {}
-        for shard, inner in self.shards.items():
-            for stat_key, value in inner.stats().items():
-                if stat_key.startswith("frontier_lag."):
-                    totals[f"frontier_lag.s{shard}.{stat_key[len('frontier_lag.'):]}"] = value
-                elif stat_key in ("trace_events", "shard_epoch"):
-                    totals[stat_key] = max(totals.get(stat_key, 0), value)
-                else:
-                    totals[stat_key] = totals.get(stat_key, 0) + value
+        totals = merge(
+            [inner.stats() for inner in self.shards.values()],
+            each_prefix=[f"s{shard}" for shard in self.shards],
+        )
         if self.admission is not None:
             totals.update(self.admission.stats())
+        totals["suspected_nodes"] = len(self.suspected_nodes())
         totals["shards_owned"] = len(self.shards)
         totals["shards_pending"] = len(self.pending_shards)
         totals["shards_frozen"] = len(self._frozen)
@@ -782,7 +780,7 @@ class ShardedCluster(StabilizerCluster):
         """One record for the snapshot stream: every node's view plus —
         when a rebalance coordinator is attached — the cluster-level
         ``rebalance.*`` metrics (migrations in flight, handoff bytes,
-        retries, drain timeouts, cutover latency)."""
+        retries, drain timeouts)."""
         record: Dict[str, object] = {
             "nodes": {
                 name: node.obs_snapshot()
@@ -790,12 +788,7 @@ class ShardedCluster(StabilizerCluster):
             },
         }
         if self.coordinator is not None:
-            snap = self.coordinator.metrics.snapshot()
-            cluster = dict(snap["metrics"])
-            for name, summary in snap["histograms"].items():
-                cluster[f"{name}.p99"] = summary.get("p99", 0.0)
-                cluster[f"{name}.count"] = summary.get("count", 0)
-            record["cluster"] = cluster
+            record["cluster"] = self.coordinator.stats()
         return record
 
 

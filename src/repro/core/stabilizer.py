@@ -21,7 +21,7 @@ client APIs, and neither are ours.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import StabilizerConfig
 from repro.core.dataplane import DataPlane
@@ -109,8 +109,9 @@ class Stabilizer:
 
         # Honest durability (opt-in): a per-node WAL whose group-commit
         # fsyncs gate every ``persisted`` claim this node makes.  Without
-        # it, ``persisted`` advances with delivery (modelled persistence,
-        # the historical behaviour).
+        # it only the origin's own row holds ``persisted`` (the
+        # completeness rule); a receiver's cell moves when the
+        # application calls ``report_stability``.
         self.durability: Optional[DurabilityManager] = None
         if config.durability:
             self.durability = DurabilityManager(
@@ -171,22 +172,31 @@ class Stabilizer:
         # Edge admission (opt-in, like the degradation policy): installed
         # via set_admission; when present, direct sends preflight it.
         self.admission = None
-        # Frontier-lag gauges: how far each (origin, type) ACK-table cell
-        # of the *local row* trails the data plane's position.
-        for type_name, type_id in self._type_ids.items():
-            self._register_lag_gauges(type_name, type_id)
+        # Frontier-lag gauges: how far an (origin, type) ACK-table cell
+        # of the *local row* trails the data plane's position.  Only for
+        # cells this node grants — a cell nobody grants would read as a
+        # backlog growing by one per message: ``received`` always,
+        # ``persisted`` when the WAL grants it, any other from its first
+        # ``report_stability``.
+        self._lag_gauges: Set[Tuple[str, str]] = set()
+        granted = ("received", "persisted") if config.durability else ("received",)
+        for type_name in granted:
+            for origin in config.node_names:
+                self._register_lag_gauge(type_name, origin)
 
-    def _register_lag_gauges(self, type_name: str, type_id: int) -> None:
-        for origin in self.config.node_names:
-            def lag(origin=origin, type_id=type_id):
-                if origin == self.name:
-                    ref = self.dataplane.last_sent_seq()
-                else:
-                    ref = self.dataplane.highest_received(origin)
-                cell = self.tables[origin].get(self.local_index, type_id)
-                return max(0, ref - cell)
+    def _register_lag_gauge(self, type_name: str, origin: str) -> None:
+        type_id = self._type_ids[type_name]
 
-            self.registry.gauge(f"frontier_lag.{origin}.{type_name}", fn=lag)
+        def lag():
+            if origin == self.name:
+                ref = self.dataplane.last_sent_seq()
+            else:
+                ref = self.dataplane.highest_received(origin)
+            cell = self.tables[origin].get(self.local_index, type_id)
+            return max(0, ref - cell)
+
+        self._lag_gauges.add((type_name, origin))
+        self.registry.gauge(f"frontier_lag.{origin}.{type_name}", fn=lag)
 
     def stacks(self) -> Dict[Optional[int], "Stabilizer"]:
         """This node as its per-shard stacks, keyed by shard id: itself,
@@ -307,7 +317,6 @@ class Stabilizer:
         self.engine.ctx.types[type_name] = type_id
         self.engine.compiler.invalidate()
         self.strategy.on_type_registered(type_id)
-        self._register_lag_gauges(type_name, type_id)
         # Completeness rule: the origin's own row holds every property.
         own = self.tables[self.name]
         own.update(self.local_index, type_id, self.last_sent_seq())
@@ -318,9 +327,10 @@ class Stabilizer:
     ) -> None:
         """Report that this node grants ``origin``'s ``seq`` the
         application-defined stability level ``type_name``."""
-        self.strategy.grant_local(
-            origin or self.name, self.type_id(type_name), seq
-        )
+        origin = origin or self.name
+        self.strategy.grant_local(origin, self.type_id(type_name), seq)
+        if (type_name, origin) not in self._lag_gauges:
+            self._register_lag_gauge(type_name, origin)
 
     # ------------------------------------------------------------------ delivery
     def on_delivery(self, fn: DeliveryFn) -> None:
@@ -585,10 +595,7 @@ class Stabilizer:
         # strategy.acktable.reports_sent).
         stats.update(self.strategy.stats())
         if self.durability is not None:
-            # Only the durability.-prefixed names: the unprefixed wal_*
-            # aliases were removed after their one deprecation release.
-            for key, value in self.durability.stats().items():
-                stats[f"durability.{key}"] = value
+            stats.update(self.durability.stats())
         if self.admission is not None:
             stats.update(self.admission.stats())
         if self.alerter is not None:

@@ -9,8 +9,11 @@ holds the exposition to), and :func:`read_snapshots` reads what
 
 OpenMetrics mapping: metric names are sanitized (``.`` → ``_``) under a
 ``repro_`` prefix, the node becomes a ``node`` label, flat stats render
-as gauges, and histogram summaries render as OpenMetrics ``summary``
-families (``_count``/``_sum`` plus ``quantile`` samples).
+as the kind :mod:`repro.obs.catalogue` declares — ``counter`` families
+with a ``_total`` sample, or ``gauge`` — with its ``# HELP`` and
+``# UNIT``, a key it does not declare as an untyped ``gauge``, and
+histogram summaries as OpenMetrics ``summary`` families
+(``_count``/``_sum`` plus ``quantile`` samples).
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import json
 import re
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+from repro.obs.catalogue import lookup
 
 __all__ = [
     "render_openmetrics",
@@ -61,6 +66,23 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _describe(name: str, raw: str, summary: bool) -> Tuple[str, List[str]]:
+    """Family ``name``'s kind and its ``# TYPE`` / ``# UNIT`` / ``# HELP``
+    lines, from the catalogue row declaring ``raw``.  A key nothing
+    declares — a user's own metric on the public registry — is an
+    untyped ``gauge`` (or a bare ``summary``)."""
+    metric = lookup(raw, histogram=summary)
+    kind = "summary" if summary else "gauge" if metric is None else metric.kind
+    lines = [f"# TYPE {name} {kind}"]
+    if metric is not None:
+        # OpenMetrics wants a family's unit to be its name's suffix, and
+        # the names keep their historical spelling.
+        if name.endswith("_" + metric.unit):
+            lines.append(f"# UNIT {name} {metric.unit}")
+        lines.append(f"# HELP {name} {_escape(metric.help)}")
+    return kind, lines
+
+
 def render_openmetrics(
     snapshots: Dict[str, Dict[str, object]], prefix: str = "repro_"
 ) -> str:
@@ -69,8 +91,8 @@ def render_openmetrics(
     Families are grouped across nodes (one ``# TYPE`` line, one sample
     per node), deterministically ordered, terminated by ``# EOF``.
     """
-    gauges: Dict[str, List[Tuple[str, float]]] = {}
-    summaries: Dict[str, List[Tuple[str, Dict[str, float]]]] = {}
+    scalars: Dict[str, Tuple[str, List[Tuple[str, float]]]] = {}
+    summaries: Dict[str, Tuple[str, List[Tuple[str, Dict[str, float]]]]] = {}
     for node in sorted(snapshots):
         snap = snapshots[node]
         for raw, value in sorted(snap.get("metrics", {}).items()):
@@ -78,19 +100,25 @@ def render_openmetrics(
                 value = float(value)
             except (TypeError, ValueError):
                 continue
-            gauges.setdefault(metric_name(raw, prefix), []).append((node, value))
+            scalars.setdefault(metric_name(raw, prefix), (raw, []))[1].append(
+                (node, value)
+            )
         for raw, summary in sorted(snap.get("histograms", {}).items()):
-            summaries.setdefault(metric_name(raw, prefix), []).append(
+            summaries.setdefault(metric_name(raw, prefix), (raw, []))[1].append(
                 (node, summary)
             )
     lines: List[str] = []
-    for name in sorted(gauges):
-        lines.append(f"# TYPE {name} gauge")
-        for node, value in gauges[name]:
-            lines.append(f'{name}{{node="{_escape(node)}"}} {_fmt(value)}')
+    for name in sorted(scalars):
+        raw, samples = scalars[name]
+        kind, metadata = _describe(name, raw, summary=False)
+        lines.extend(metadata)
+        sample = name + "_total" if kind == "counter" else name
+        for node, value in samples:
+            lines.append(f'{sample}{{node="{_escape(node)}"}} {_fmt(value)}')
     for name in sorted(summaries):
-        lines.append(f"# TYPE {name} summary")
-        for node, summary in summaries[name]:
+        raw, samples = summaries[name]
+        lines.extend(_describe(name, raw, summary=True)[1])
+        for node, summary in samples:
             label = f'node="{_escape(node)}"'
             lines.append(
                 f"{name}_count{{{label}}} {_fmt(summary.get('count', 0))}"

@@ -3,9 +3,9 @@
 Pure rendering — :func:`render_top` turns one snapshot record (the
 format :class:`~repro.obs.export.SnapshotWriter` appends) into a text
 frame, optionally diffing against the previous record so counters
-become rates.  The CLI tails the file (``--follow``) or renders the
-last record once (``--once``); nothing here touches a terminal
-library, so tests just assert on the string.
+become rates.  The CLI renders the last record once, or tails the file
+(``--follow``); nothing here touches a terminal library, so tests just
+assert on the string.
 
 The frame answers the on-call glance questions: per node, is the
 frontier keeping up (per-key lag, send→stable p99), is the edge
@@ -17,7 +17,29 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.obs.catalogue import resolve
+
 __all__ = ["render_top"]
+
+
+# The keys the columns read, checked against the catalogue when this
+# module is imported (a family by its literal prefix): a column over a
+# name nothing declares is a ``KeyError`` here, not a silent zero on the
+# dashboard.
+_SENT = resolve("messages_sent").prefix
+_LAG = resolve("frontier_lag.<origin>.<type>").prefix
+_LATENCY = resolve("stability_latency.<key>").prefix
+_OFFERED = resolve("admission.offered").prefix
+_ADMITTED = resolve("admission.admitted").prefix
+_SHED = resolve("admission.shed").prefix
+_BREAKERS_OPEN = resolve("breaker.open").prefix
+_BREAKERS = resolve("breaker.count").prefix
+_SHARDS = resolve("shards_owned").prefix
+_MIGRATING = resolve("rebalance.shards_migrating").prefix
+_COMPLETED = resolve("rebalance.completed").prefix
+_HANDOFF = resolve("rebalance.handoff_bytes").prefix
+_RETRIES = resolve("rebalance.transfer_retries").prefix
+_DRAIN_TIMEOUTS = resolve("rebalance.drain_timeouts").prefix
 
 
 def _metric(snap: Dict[str, object], key: str, default: float = 0.0) -> float:
@@ -43,7 +65,7 @@ def _p99s(snap: Dict[str, object]) -> Dict[str, float]:
     # prefix per shard (``s3.stability_latency.<key>``) — show the worst
     # shard per key, since a hot shard is exactly what top must surface.
     out: Dict[str, float] = {}
-    marker = "stability_latency."
+    marker = _LATENCY
     for name, summary in snap.get("histograms", {}).items():
         at = name.find(marker)
         if at < 0:
@@ -84,25 +106,23 @@ def render_top(
     for name in sorted(nodes):
         snap = nodes[name]
         before = prev_nodes.get(name)
-        sent = _metric(snap, "data.chunks_sent")
-        sent_rate = _rate(sent, before and _metric(before, "data.chunks_sent"), dt)
-        lag = _max_prefixed(snap, "frontier_lag.")
+        sent = _metric(snap, _SENT)
+        sent_rate = _rate(sent, before and _metric(before, _SENT), dt)
+        lag = _max_prefixed(snap, _LAG)
         p99s = _p99s(snap)
         p99_text = " ".join(
             f"{key}:{value * 1000:.1f}" for key, value in sorted(p99s.items())
         ) or "-"
-        offered = _metric(snap, "admission.offered")
-        shed = _metric(snap, "admission.shed")
+        offered = _metric(snap, _OFFERED)
+        shed = _metric(snap, _SHED)
         adm_rate = _rate(
-            _metric(snap, "admission.admitted"),
-            before and _metric(before, "admission.admitted"),
-            dt,
+            _metric(snap, _ADMITTED), before and _metric(before, _ADMITTED), dt
         )
         shed_pct = (shed / offered) if offered else 0.0
-        brk_open = int(_metric(snap, "breaker.open"))
-        brk_total = int(_metric(snap, "breaker.count"))
+        brk_open = int(_metric(snap, _BREAKERS_OPEN))
+        brk_total = int(_metric(snap, _BREAKERS))
         brk = f"{brk_open}/{brk_total}" if brk_total else "-"
-        shards = int(_metric(snap, "shards_owned", -1))
+        shards = int(_metric(snap, _SHARDS, -1))
         lines.append(
             (
                 f"{name:<10} {sent_rate:>8.1f} {lag:>6.0f} {p99_text:<28.28} "
@@ -113,11 +133,11 @@ def render_top(
 
     cluster = record.get("cluster") or {}
     if cluster:
-        migrating = int(float(cluster.get("rebalance.shards_migrating", 0)))
-        completed = int(float(cluster.get("rebalance.completed", 0)))
-        handoff = float(cluster.get("rebalance.handoff_bytes", 0.0))
-        retries = int(float(cluster.get("rebalance.transfer_retries", 0)))
-        timeouts = int(float(cluster.get("rebalance.drain_timeouts", 0)))
+        migrating = int(float(cluster.get(_MIGRATING, 0)))
+        completed = int(float(cluster.get(_COMPLETED, 0)))
+        handoff = float(cluster.get(_HANDOFF, 0.0))
+        retries = int(float(cluster.get(_RETRIES, 0)))
+        timeouts = int(float(cluster.get(_DRAIN_TIMEOUTS, 0)))
         lines.append(
             f"rebalance: migrating={migrating} completed={completed} "
             f"handoff={handoff / 1024:.1f}KiB retries={retries} "

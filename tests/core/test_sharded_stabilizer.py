@@ -174,6 +174,77 @@ def test_stats_aggregate_and_keep_frontier_lag_per_shard():
     cluster.close()
 
 
+def test_stats_merge_each_metric_by_its_declared_rule():
+    """A high-water mark is not eight high-water marks added, and a
+    position in one shard's sequence space is not added to another's."""
+    sim, cluster = build(nodes=4, shard_count=8, replication=3)
+    node = cluster["n0"]
+    owned = node.owned_shards
+    for i in range(400):
+        sim.call_later(
+            i * 0.0005,
+            lambda i=i: node.send(SyntheticPayload(256), shard=owned[i % len(owned)]),
+        )
+    sim.run(until=3.0)
+    stats = node.stats()
+    per_stack = {shard: node.shard_stats(shard) for shard in node.shards}
+    assert len(per_stack) > 1
+    assert stats["messages_sent"] == 400  # counters still add
+    assert stats["dataplane.max_frame_messages"] == max(
+        s["dataplane.max_frame_messages"] for s in per_stack.values()
+    )
+    assert stats["dataplane.max_frame_messages"] == 1
+    assert "dataplane.delivery_watermark" not in stats
+    for shard, inner in per_stack.items():
+        assert (
+            stats[f"dataplane.s{shard}.delivery_watermark"]
+            == inner["dataplane.delivery_watermark"]
+            > 0
+        )
+    cluster.close()
+
+
+def test_suspected_nodes_counts_a_peer_once_however_many_stacks_share_it():
+    sim, cluster = build(nodes=4, shard_count=8, replication=3)
+    node = cluster["n0"]
+    cluster["n1"].crash()
+    cluster.net.crash_node("n1")
+    sim.run(until=30.0)
+    assert node.suspected_nodes() == {"n1"}
+    sharing = [s for s, inner in node.shards.items() if inner.suspected_nodes()]
+    assert len(sharing) > 1
+    assert node.stats()["suspected_nodes"] == 1
+    cluster.close()
+
+
+def test_sla_controller_level_and_signals_take_the_worst_stack():
+    from repro.core.slacontrol import SlaController
+
+    sim, cluster = build(nodes=4, shard_count=4, replication=3)
+    node = cluster["n0"]
+    controllers = SlaController.install(node, "all", target_p99_s=0.001)
+    assert len(controllers) > 1
+    owned = node.owned_shards
+    for i in range(1000):
+        sim.call_later(
+            i * 0.001,
+            lambda i=i: node.send(SyntheticPayload(256), shard=owned[i % len(owned)]),
+        )
+    sim.run(until=0.9)
+    stats = node.stats()
+    per_stack = [node.shard_stats(shard) for shard in node.shards]
+    assert {s["slacontrol.level"] for s in per_stack} == {1}
+    assert stats["slacontrol.level"] == 1
+    assert stats["slacontrol.window_p99_s"] == max(
+        s["slacontrol.window_p99_s"] for s in per_stack
+    )
+    assert 0 < stats["slacontrol.window_p99_s"] < 0.1
+    assert stats["slacontrol.ticks"] == sum(s["slacontrol.ticks"] for s in per_stack)
+    for controller in controllers.values():
+        controller.close()
+    cluster.close()
+
+
 def test_register_predicate_and_type_apply_to_every_owned_shard():
     _sim, cluster = build()
     node = cluster["n0"]

@@ -12,33 +12,37 @@ from repro.obs.export import (
     render_openmetrics,
     validate_openmetrics,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.scenario import run_obs_scenario
 from repro.obs.top import render_top
 from repro.obs.tracer import Tracer
 
 
-def _snapshot(node="n0", lag=3.0):
-    registry = MetricsRegistry()
-    registry.counter("data.chunks_sent").inc(100)
-    registry.gauge("frontier_lag.n1.received").set(lag)
-    hist = registry.histogram("stability_latency.all")
-    for value in (0.01, 0.02, 0.03):
-        hist.observe(value)
-    snap = registry.snapshot()
-    snap["node"] = node
-    return snap
+@pytest.fixture(scope="module")
+def records(tmp_path_factory):
+    """The demo run's snapshot stream, as `repro obs --snapshots-out`
+    writes it: a record every 250 ms while three nodes each send every
+    20 ms, and a last one after the drain.  Real ``obs_snapshot()``s, so
+    a dashboard column over a key nothing emits reads wrong here."""
+    path = tmp_path_factory.mktemp("obs") / "snaps.jsonl"
+    run_obs_scenario(seed=0, snapshots_out=str(path))
+    return list(read_snapshots(path))
 
 
 # ---------------------------------------------------------- OpenMetrics
-def test_openmetrics_roundtrip():
-    text = render_openmetrics({"n0": _snapshot("n0"), "n1": _snapshot("n1")})
+def test_openmetrics_roundtrip(records):
+    text = render_openmetrics(records[-1]["nodes"])
     assert text.endswith("# EOF\n")
     samples = validate_openmetrics(text)
     gauge = samples["repro_frontier_lag_n1_received"]
-    assert sorted(labels["node"] for labels, _v in gauge) == ["n0", "n1"]
-    summary = samples["repro_stability_latency_all"]
+    assert "# TYPE repro_frontier_lag_n1_received gauge" in text
+    assert sorted(labels["node"] for labels, _v in gauge) == ["n0", "n1", "n2"]
+    # A declared counter is typed, and its sample carries `_total`.
+    assert "# TYPE repro_messages_sent counter" in text
+    assert 'repro_messages_sent_total{node="n0"} 40' in text
+    assert [v for _labels, v in samples["repro_messages_sent"]] == [40.0] * 3
+    summary = samples["repro_stability_latency_all_remote"]
     counts = [v for labels, v in summary if "quantile" not in labels]
-    assert 3.0 in counts  # the _count sample
+    assert 40.0 in counts  # the _count sample
     quantiles = {
         labels["quantile"]: v for labels, v in summary if "quantile" in labels
     }
@@ -69,18 +73,17 @@ def test_openmetrics_name_sanitization():
 
 
 # ------------------------------------------------------- JSONL snapshots
-def test_snapshot_writer_roundtrip(tmp_path):
+def test_snapshot_writer_roundtrip(tmp_path, records):
+    snapshot = records[-1]["nodes"]["n0"]
     path = tmp_path / "snaps.jsonl"
     with SnapshotWriter(path) as writer:
-        writer.append(1.0, {"n0": _snapshot()})
-        writer.append(
-            2.0, {"n0": _snapshot()}, cluster={"rebalance.completed": 1}
-        )
+        writer.append(1.0, {"n0": snapshot})
+        writer.append(2.0, {"n0": snapshot}, cluster={"rebalance.completed": 1})
         assert writer.records == 2
-    records = list(read_snapshots(path))
-    assert [r["ts"] for r in records] == [1.0, 2.0]
-    assert records[1]["cluster"]["rebalance.completed"] == 1
-    assert records[0]["nodes"]["n0"]["metrics"]["data.chunks_sent"] == 100
+    written = list(read_snapshots(path))
+    assert [r["ts"] for r in written] == [1.0, 2.0]
+    assert written[1]["cluster"]["rebalance.completed"] == 1
+    assert written[0]["nodes"]["n0"]["metrics"]["messages_sent"] == 40
 
 
 # ------------------------------------------------------------- alerting
@@ -143,33 +146,48 @@ def test_observing_unbound_series_is_a_noop():
 
 
 # ------------------------------------------------------------ dashboard
-def test_render_top_rates_and_sections():
-    rec1 = {"ts": 1.0, "nodes": {"n0": _snapshot()}}
-    snap2 = _snapshot()
-    snap2["metrics"]["data.chunks_sent"] = 200
-    rec2 = {
-        "ts": 2.0,
-        "nodes": {"n0": snap2},
-        "cluster": {
+def _columns(frame, node):
+    (line,) = [ln for ln in frame.splitlines() if ln.startswith(node + " ")]
+    return line.split()
+
+
+def test_render_top_rates_and_sections(records):
+    # Two mid-run records half a second apart: each node sent 25 chunks
+    # in between, one every 20 ms.
+    early, late = records[0], records[2]
+    assert (early["ts"], late["ts"]) == (0.25, 0.75)
+    late = dict(
+        late,
+        cluster={
             "rebalance.shards_migrating": 2,
             "rebalance.completed": 3,
             "rebalance.handoff_bytes": 2048,
         },
-        "alerts": [{"rule": "slow", "window_s": [1, 5], "burn_short": 4.2}],
-    }
-    frame = render_top(rec2, prev=rec1)
-    assert "t=2.000s" in frame
-    assert "100.0" in frame  # (200-100)/1s send rate
-    p99_ms = snap2["histograms"]["stability_latency.all"]["p99"] * 1000
-    assert f"all:{p99_ms:.1f}" in frame
+        alerts=[{"rule": "slow", "window_s": [1, 5], "burn_short": 4.2}],
+    )
+    frame = render_top(late, prev=early)
+    assert "t=0.750s" in frame
+    for node in ("n0", "n1", "n2"):
+        assert _columns(frame, node)[1] == "50.0"  # sent/s
+    p99_ms = late["nodes"]["n0"]["histograms"]["stability_latency.all_remote"]["p99"]
+    assert f"all_remote:{p99_ms * 1000:.1f}" in frame
     assert "migrating=2" in frame and "completed=3" in frame
     assert "ALERT slow" in frame
     # No prev record: rates render as zero, frame still complete.
-    assert "t=1.000s" in render_top(rec1)
+    assert _columns(render_top(early), "n0")[1] == "0.0"
 
 
-def test_render_top_handles_sharded_histogram_prefixes():
-    snap = _snapshot()
+def test_render_top_reads_no_lag_on_a_drained_cluster(records):
+    # Mid-run a receiver trails the data plane; after the drain every
+    # cell this node grants has caught up, `persisted` never having been
+    # one of them on this non-durable run.
+    drained = render_top(records[-1])
+    for node in ("n0", "n1", "n2"):
+        assert _columns(drained, node)[2] == "0"  # lag
+
+
+def test_render_top_handles_sharded_histogram_prefixes(records):
+    snap = dict(records[-1]["nodes"]["n0"])
     snap["histograms"] = {
         "s0.stability_latency.all": {"p99": 0.010},
         "s1.stability_latency.all": {"p99": 0.050},

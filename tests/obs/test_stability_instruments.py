@@ -158,3 +158,65 @@ def test_frontier_lag_gauges_track_received_gap():
         assert stats["frontier_lag.a.received"] == 0
         assert stats["frontier_lag.b.received"] == 0
     cluster.close()
+
+
+def test_frontier_lag_gauges_exist_only_for_cells_this_node_grants():
+    """A lag gauge over a cell nobody grants reads as a backlog growing
+    by one per message on a healthy cluster; a durable node's
+    ``persisted`` gauge is the WAL's real backlog."""
+    from repro.storage.faultio import MemoryFileSystem
+
+    def run(durability, fs_factory=None):
+        topo = Topology()
+        topo.add_node("a", "east")
+        topo.add_node("b", "west")
+        topo.set_default(NetemSpec(latency_ms=5, rate_mbit=100))
+        sim = Simulator()
+        config = StabilizerConfig(
+            ["a", "b"],
+            {"east": ["a"], "west": ["b"]},
+            "a",
+            predicates={"all": "MIN($ALLWNODES - $MYWNODE)"},
+            control_interval_s=0.005,
+            durability=durability,
+        )
+        cluster = StabilizerCluster(topo.build(sim), config, fs_factory=fs_factory)
+        a, b = cluster["a"], cluster["b"]
+        for _ in range(10):
+            seq = a.send(b"hello")
+        sim.run_until_triggered(a.waitfor(seq, "all"), limit=2.0)
+        sim.run(until=sim.now + 0.5)
+        return cluster, b
+
+    def lag_keys(node):
+        return sorted(k for k in node.stats() if k.startswith("frontier_lag."))
+
+    # Non-durable: only the application would grant `persisted`, so there
+    # is no gauge for it until it does — and then for that cell only.
+    cluster, b = run(durability=False)
+    assert lag_keys(b) == ["frontier_lag.a.received", "frontier_lag.b.received"]
+    b.report_stability("persisted", 4, origin="a")
+    assert lag_keys(b) == [
+        "frontier_lag.a.persisted",
+        "frontier_lag.a.received",
+        "frontier_lag.b.received",
+    ]
+    assert b.stats()["frontier_lag.a.persisted"] == 6
+    cluster.close()
+
+    # Durable, healthy disk: the WAL grants `persisted` and catches up.
+    cluster, b = run(durability=True)
+    assert b.stats()["frontier_lag.a.persisted"] == 0
+    cluster.close()
+
+    # Durable, every fsync failing at b: received 10, persisted none.
+    def failing(name):
+        fs = MemoryFileSystem()
+        if name == "b":
+            fs.injector.arm("fsync_fail")
+        return fs
+
+    cluster, b = run(durability=True, fs_factory=failing)
+    assert b.stats()["frontier_lag.a.received"] == 0
+    assert b.stats()["frontier_lag.a.persisted"] == 10
+    cluster.close()
