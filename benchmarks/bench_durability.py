@@ -15,6 +15,7 @@ root so the perf trajectory covers the durability path too.
 """
 
 from repro.bench import format_table
+from repro.bench.runners import wal_calls_per_record
 from repro.core.cluster import StabilizerCluster
 from repro.core.config import StabilizerConfig
 from repro.net.tc import NetemSpec
@@ -94,6 +95,10 @@ def test_group_commit_batch_vs_persisted_latency(benchmark, report, record_run):
         rounds=1,
         iterations=1,
     )
+    # Host cost of the append path per batch size, in exact Python calls
+    # (tier-1 gates the batch-8 figure); counted outside the timed round.
+    for r in results:
+        r["calls_per_record"] = wal_calls_per_record(batch=r["batch"])
     report.add(
         format_table(
             [
@@ -105,6 +110,7 @@ def test_group_commit_batch_vs_persisted_latency(benchmark, report, record_run):
                 "max ms",
                 "fsyncs",
                 "fsyncs/msg",
+                "calls/record",
             ],
             [
                 (
@@ -116,6 +122,7 @@ def test_group_commit_batch_vs_persisted_latency(benchmark, report, record_run):
                     f"{r['max_ms']:.1f}",
                     r["fsyncs"],
                     f"{r['fsyncs_per_message']:.2f}",
+                    f"{r['calls_per_record']:.1f}",
                 )
                 for r in results
             ],
@@ -134,6 +141,7 @@ def test_group_commit_batch_vs_persisted_latency(benchmark, report, record_run):
             "mean_ms": [r["mean_ms"] for r in results],
             "p99_ms": [r["p99_ms"] for r in results],
             "fsyncs_per_message": [r["fsyncs_per_message"] for r in results],
+            "calls_per_record": [r["calls_per_record"] for r in results],
         },
     )
 

@@ -6,6 +6,8 @@ substrate regressions that would inflate every experiment's wall time are
 caught in review.
 """
 
+from repro.bench import format_table
+from repro.bench.runners import kernel_calls_per_event
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 from repro.transport import SyntheticPayload, TransportEndpoint
@@ -14,7 +16,7 @@ from repro.transport import SyntheticPayload, TransportEndpoint
 LAN = NetemSpec(latency_ms=1, rate_mbit=10_000)
 
 
-def test_kernel_event_dispatch(benchmark):
+def test_kernel_event_dispatch(benchmark, report):
     def run_1000_timers():
         sim = Simulator()
         state = {"count": 0}
@@ -24,6 +26,16 @@ def test_kernel_event_dispatch(benchmark):
         return state["count"]
 
     assert benchmark(run_1000_timers) == 1000
+    # The same loop's host cost in exact Python calls (tier-1 gates it).
+    calls = kernel_calls_per_event(1000)
+    report.add(
+        format_table(
+            ["events", "calls/event"],
+            [(1000, f"{calls:.2f}")],
+            title="Kernel: Python calls per fire-and-forget timer event",
+        )
+    )
+    report.add_data("calls_per_event", calls)
 
 
 def test_link_packet_cost(benchmark):

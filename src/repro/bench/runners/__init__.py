@@ -36,7 +36,9 @@ from repro.bench.runners.fig7 import (
 from repro.bench.runners.fig8 import run_reconfig
 from repro.bench.runners.hotpath import (
     hotpath_calls_per_report,
+    kernel_calls_per_event,
     run_hotpath_frontier,
+    wal_calls_per_record,
 )
 from repro.bench.runners.kit import build_network, count_calls
 from repro.bench.runners.microbench import run_dsl_microbench, synthesize_predicate

@@ -1,4 +1,5 @@
-"""Hot path: reports/sec through the frontier engine (not a paper figure)."""
+"""Hot paths: reports/sec through the frontier engine, and the exact
+Python-call cost of a WAL record and of a timer event (not paper figures)."""
 
 from __future__ import annotations
 
@@ -6,11 +7,15 @@ import time
 from typing import Dict, List, Sequence
 
 from repro.bench.runners.kit import count_calls
+from repro.core.config import StabilizerConfig
+from repro.core.durability import DurabilityManager
 from repro.core.frontier import FrontierEngine
 from repro.core.strategy import AckTable
 from repro.dsl.semantics import DslContext
 from repro.obs import Histogram
+from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
+from repro.storage.faultio import MemoryFileSystem
 
 
 def _hotpath_predicates(count: int, node_names: Sequence[str]) -> Dict[str, str]:
@@ -220,3 +225,50 @@ def hotpath_calls_per_report(
         _none, count = count_calls(_replay, engine, table, origin, updates)
         calls[mode] = count / reports
     return calls
+
+
+def wal_calls_per_record(records: int = 1_000, batch: int = 8) -> float:
+    """Python calls per WAL record on the no-fault path: ``records``
+    appends of a 256-byte payload through a :class:`DurabilityManager`
+    on a :class:`MemoryFileSystem`, the group commits (one per ``batch``
+    records) and segment rotations they cause included.  Exact per
+    ``(records, batch)``, so a layer put back on the per-record path
+    moves it whatever the machine is doing."""
+    config = StabilizerConfig(
+        ["a", "b"],
+        {"east": ["a"], "west": ["b"]},
+        "a",
+        durability=True,
+        durability_group_commit_batch=batch,
+    )
+    manager = DurabilityManager(Simulator(), config, fs=MemoryFileSystem())
+    payload = bytes(256)
+
+    def log_all() -> None:
+        for seq in range(1, records + 1):
+            manager.append("a", seq, payload)
+
+    _none, calls = count_calls(log_all)
+    if manager.watermark("a") != records - records % batch:
+        raise RuntimeError("the no-fault path did not commit every full batch")
+    manager.close()
+    return calls / records
+
+
+def _fire() -> None:
+    """A timer callback that does nothing (it is one of the calls counted)."""
+
+
+def kernel_calls_per_event(events: int = 1_000) -> float:
+    """Python calls per fire-and-forget timer event: ``events`` times one
+    ``call_later`` and its dispatch by ``run``, the callback's own call
+    included.  Exact per ``events``."""
+    sim = Simulator()
+
+    def drive() -> None:
+        for index in range(events):
+            sim.call_later(index * 0.001, _fire)
+        sim.run()
+
+    _none, calls = count_calls(drive)
+    return calls / events

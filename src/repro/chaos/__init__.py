@@ -47,14 +47,18 @@ value.  Every entry point also takes ``schedule=``, a handcrafted event
 list replacing the generated one.
 
 Everything is deterministic per seed: the same seed reproduces the same
-schedule, the same event interleaving, and the same final frontiers.
+schedule, the same event interleaving, and the same final frontiers —
+the whole report but its :data:`HOST_TIME_KEYS`, which is what
+:func:`virtual_view` returns.
 """
 
 from repro.chaos.harness import (
     CHAOS_DISK_FAULTS,
+    HOST_TIME_KEYS,
     ChaosConfig,
     ChaosHarness,
     run_chaos,
+    virtual_view,
 )
 from repro.chaos.invariants import InvariantChecker, InvariantViolation
 from repro.chaos.overload import OverloadChaosConfig, run_overload_chaos
@@ -66,6 +70,7 @@ __all__ = [
     "ChaosConfig",
     "ChaosEvent",
     "ChaosHarness",
+    "HOST_TIME_KEYS",
     "InvariantChecker",
     "InvariantViolation",
     "OverloadChaosConfig",
@@ -74,4 +79,5 @@ __all__ = [
     "run_chaos",
     "run_overload_chaos",
     "run_rebalance_chaos",
+    "virtual_view",
 ]

@@ -376,6 +376,18 @@ def run_chaos(
         harness.close()
 
 
+#: The report keys that measure the host, not the run.  Every other key of
+#: every scenario's report is a function of the seed.
+HOST_TIME_KEYS = frozenset({"elapsed_s", "checks_per_s"})
+
+
+def virtual_view(report: dict) -> dict:
+    """``report`` without its host-time keys: the part two runs of one
+    seed — or the same seed before and after a change that keeps
+    behaviour — must agree on, key for key."""
+    return {key: value for key, value in report.items() if key not in HOST_TIME_KEYS}
+
+
 # -- the classic scenario: crashes and partitions against durability ---------------
 STRICT_KEY = "all_remote"
 RELAXED_KEY = "any_remote"

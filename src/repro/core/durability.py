@@ -44,22 +44,17 @@ from repro.storage.faultio import MemoryFileSystem
 from repro.storage.log import AppendLog
 from repro.transport.messages import SyntheticPayload
 
-# One WAL record: kind (0 = raw bytes, 1 = synthetic), origin index, seq.
+# One WAL record: kind (0 = raw bytes, 1 = synthetic), origin index, seq;
+# a synthetic record carries the modelled length where the bytes would be.
 _RECORD = struct.Struct("!BHQ")
-_SYN_LEN = struct.Struct("!I")
+_SYN_RECORD = struct.Struct("!BHQI")
 
 #: ``on_durable(origin_name, seq)`` — every message of ``origin`` up to
 #: ``seq`` is now on stable storage at this node.
 DurableFn = Callable[[str, int], None]
 
-
-class _PendingRecord:
-    __slots__ = ("origin", "seq", "encoded")
-
-    def __init__(self, origin: str, seq: int, encoded: bytes):
-        self.origin = origin
-        self.seq = seq
-        self.encoded = encoded
+#: A record on its way to disk: ``(origin, seq, encoded)``.
+_PendingRecord = Tuple[str, int, bytes]
 
 
 class DurabilityManager:
@@ -92,10 +87,14 @@ class DurabilityManager:
 
         # Durable (fsync-confirmed) watermark per origin stream.
         self._watermarks: Dict[str, int] = {}
-        # Records queued but not yet written to the current segment.
+        # Records not yet written to the current segment: empty unless a
+        # write fault or a poisoned fsync is waiting for its retry.
         self._queue: deque = deque()
-        # Records written to the current segment, awaiting group commit.
+        # Records written to the current segment, awaiting group commit,
+        # and their highest sequence per origin in first-written order (the
+        # order the commit reports them durable in).
         self._written: List[_PendingRecord] = []
+        self._written_tops: Dict[str, int] = {}
         self._sealed: List[dict] = []  # {"name", "max_seqs", "poisoned"}
         self._segment_index = 0
         self._current: Optional[AppendLog] = None
@@ -140,24 +139,30 @@ class DurabilityManager:
         """
         if self._closed:
             raise StabilizerError("append to a closed DurabilityManager")
-        self._queue.append(
-            _PendingRecord(origin, seq, self._encode(origin, seq, payload))
-        )
+        record = (origin, seq, self._encode(origin, seq, payload))
         self.appends += 1
-        self._drain()
+        if self._queue:
+            # Behind whatever a fault left waiting: the log keeps order.
+            self._queue.append(record)
+            self._drain()
+        elif not self._write(record):
+            self._queue.append(record)
         if len(self._written) >= self.batch:
             self._commit()
-        elif (self._written or self._queue) and self._timer is None:
+        elif self._timer is None:
+            # This record is written or queued: something awaits a commit.
             self._timer = self.sim.call_later(self.interval_s, self._tick)
 
     def _encode(self, origin: str, seq: int, payload) -> bytes:
         index = self._node_index.get(origin)
         if index is None:
             raise StabilizerError(f"unknown origin {origin!r}")
+        if type(payload) is bytes:
+            return _RECORD.pack(0, index, seq) + payload
         if isinstance(payload, SyntheticPayload):
             # Modelled content: the record is honest about its framing and
             # fsync path without materializing the random bytes.
-            return _RECORD.pack(1, index, seq) + _SYN_LEN.pack(payload.length)
+            return _SYN_RECORD.pack(1, index, seq, payload.length)
         if isinstance(payload, (bytes, bytearray, memoryview)):
             return _RECORD.pack(0, index, seq) + bytes(payload)
         raise StabilizerError(
@@ -172,33 +177,29 @@ class DurabilityManager:
             return None
         return self._node_names[index], seq
 
+    def _write(self, record: _PendingRecord) -> bool:
+        """Write one record to the current segment; False on a disk fault
+        (the caller keeps the record queued and the timer retries)."""
+        origin, seq, encoded = record
+        try:
+            self._current.append(encoded)
+        except DiskFaultError:
+            # The log healed any torn tail.  Never block the delivery path.
+            self.write_faults += 1
+            if self._timer is None and not self._closed:
+                self._timer = self.sim.call_later(self.interval_s, self._tick)
+            return False
+        self._written.append(record)
+        if seq > self._written_tops.get(origin, 0):
+            self._written_tops[origin] = seq
+        if self.tracer.enabled and self.tracer.sampled(origin, seq):
+            self.tracer.emit(self._trace_node, "wal.append", origin=origin, seq=seq)
+        return True
+
     def _drain(self) -> None:
         """Move queued records into the current segment (best effort)."""
-        while self._queue:
-            record = self._queue[0]
-            try:
-                self._current.append(record.encoded)
-            except DiskFaultError:
-                # The log healed any torn tail; the record stays queued
-                # and the timer retries.  Never block the delivery path.
-                self.write_faults += 1
-                if self._timer is None and not self._closed:
-                    self._timer = self.sim.call_later(self.interval_s, self._tick)
-                return
+        while self._queue and self._write(self._queue[0]):
             self._queue.popleft()
-            self._written.append(record)
-            self._current_max[record.origin] = max(
-                self._current_max.get(record.origin, 0), record.seq
-            )
-            if self.tracer.enabled and self.tracer.sampled(
-                record.origin, record.seq
-            ):
-                self.tracer.emit(
-                    self._trace_node,
-                    "wal.append",
-                    origin=record.origin,
-                    seq=record.seq,
-                )
 
     def _tick(self) -> None:
         self._timer = None
@@ -221,12 +222,10 @@ class DurabilityManager:
             self._poison()
             return
         self.group_commits += 1
-        committed, self._written = self._written, []
-        tops: Dict[str, int] = {}
-        for record in committed:
-            tops[record.origin] = max(tops.get(record.origin, 0), record.seq)
+        records = len(self._written)
+        self._written = []
         tracing = self.tracer.enabled
-        for origin, top in tops.items():
+        for origin, top in self._take_written_tops().items():
             if top > self._watermarks.get(origin, 0):
                 self._watermarks[origin] = top
                 if tracing:
@@ -235,12 +234,22 @@ class DurabilityManager:
                         "wal.fsync",
                         origin=origin,
                         seq=top,
-                        records=len(committed),
+                        records=records,
                     )
                 if self.on_durable is not None:
                     self.on_durable(origin, top)
-        if self._current_bytes() >= self.segment_bytes:
+        if self._current.size_bytes() >= self.segment_bytes:
             self._rotate(poisoned=False)
+
+    def _take_written_tops(self) -> Dict[str, int]:
+        """The written-but-uncommitted tops, folded into the segment's own
+        maxima (a sealed segment answers for everything written to it,
+        committed or poisoned) and reset."""
+        tops, self._written_tops = self._written_tops, {}
+        for origin, top in tops.items():
+            if top > self._current_max.get(origin, 0):
+                self._current_max[origin] = top
+        return tops
 
     def _poison(self) -> None:
         """A group commit's fsync failed: the kernel may have dropped the
@@ -255,17 +264,12 @@ class DurabilityManager:
             self.tracer.emit(
                 self._trace_node, "wal.fsync_fail", records=len(self._written)
             )
-        for record in reversed(self._written):
-            self._queue.appendleft(record)
+        self._queue.extendleft(reversed(self._written))
         self._written = []
+        self._take_written_tops()
         self._rotate(poisoned=True)
         if self._timer is None and not self._closed:
             self._timer = self.sim.call_later(self.interval_s, self._tick)
-
-    def _current_bytes(self) -> int:
-        if self._current_name is None or not self.fs.exists(self._current_name):
-            return 0
-        return len(self.fs.read_bytes(self._current_name))
 
     def _rotate(self, poisoned: bool) -> None:
         self._seal_current(poisoned)

@@ -45,10 +45,10 @@ class RealtimeScheduler(Simulator):
         must not execute in that past (in-flight delays would collapse).
         """
         with self._wakeup:
-            at = self._now
+            at = self.now
             if self._started_wall is not None:
                 at = max(at, self._virtual_elapsed())
-            self._schedule_at(at, fn, *args)
+            self.call_at(at, fn, *args)
             self._wakeup.notify_all()
 
     def stop(self) -> None:
@@ -73,14 +73,13 @@ class RealtimeScheduler(Simulator):
             raise SimulationError(
                 "a realtime run needs an `until` horizon or a stop() caller"
             )
-        self._started_wall = time.monotonic() - self._now / self.speedup
+        self._started_wall = time.monotonic() - self.now / self.speedup
         while True:
             with self._wakeup:
                 if self._stopped:
                     self._stopped = False
                     break
-                self._prune_cancelled()
-                next_time = self._heap[0][0] if self._heap else None
+                next_time = self._next_time()
                 # An idle clock tracks the wall (capped so no event or the
                 # horizon is ever skipped): readers of `now` during idle
                 # periods must see wall-clock virtual time.
@@ -89,11 +88,11 @@ class RealtimeScheduler(Simulator):
                     cap = min(cap, next_time)
                 if until is not None:
                     cap = min(cap, until)
-                if cap > self._now:
-                    self._now = cap
+                if cap > self.now:
+                    self.now = cap
                 if until is not None and (next_time is None or next_time > until):
                     if self._virtual_elapsed() >= until:
-                        self._now = max(self._now, until)
+                        self.now = max(self.now, until)
                         break
                     # Idle until the horizon (or a post()).
                     self._sleep_until(until)
@@ -103,7 +102,7 @@ class RealtimeScheduler(Simulator):
                     continue
             # Event due now: execute outside the lock (handlers may post).
             self.step()
-        return self._now
+        return self.now
 
     def run_in_thread(self, until: Optional[float] = None) -> threading.Thread:
         """Run the loop on a daemon thread; join via the returned handle."""

@@ -99,7 +99,7 @@ class Timeout(Event):
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim)
         self.delay = delay
-        sim._schedule_at(sim.now + delay, self.succeed, value)
+        sim.call_at(sim.now + delay, self.succeed, value)
 
 
 class _Combined(Event):

@@ -2,29 +2,38 @@
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, Timeout
 
 
-class TimerHandle:
-    """Cancellable handle for a scheduled callback."""
+class TimerHandle(list):
+    """Cancellable handle for a scheduled callback.
 
-    __slots__ = ("time", "cancelled", "_fn", "_args")
+    The handle *is* the heap entry, ``[time, seq, fn, args]``: scheduling
+    costs one allocation and one push.  ``(time, seq)`` is unique, so the
+    heap's list comparison is decided before it reaches ``fn``.  A blank
+    ``fn`` marks an entry that was cancelled or has already run.
+    """
 
-    def __init__(self, time: float, fn: Callable, args: tuple):
-        self.time = time
-        self.cancelled = False
-        self._fn = fn
-        self._args = args
+    __slots__ = ()
+
+    @property
+    def time(self) -> float:
+        """Virtual time the callback is (or was) due."""
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        """True once the callback can no longer run: cancelled, or consumed."""
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op if it already ran)."""
-        self.cancelled = True
-        self._fn = None
-        self._args = ()
+        self[2] = None
+        self[3] = ()
 
 
 class Simulator:
@@ -35,17 +44,13 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds.  Only the event loop assigns it.
+        self.now = 0.0
         self._heap: list = []
         self._seq = 0
         self._running = False
 
     # -- clock -------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     def clock(self) -> float:
         """The virtual clock as a plain callable.
 
@@ -53,31 +58,34 @@ class Simulator:
         injected — e.g. :class:`repro.obs.tracer.Tracer` — so simulated
         components stamp virtual time instead of wall time.
         """
-        return self._now
+        return self.now
 
     # -- scheduling primitives ----------------------------------------------
-    def _schedule_at(self, time: float, fn: Callable, *args: Any) -> TimerHandle:
-        if time < self._now:
+    # call_at and call_later each push their own entry: a shared helper
+    # would put a second Python call (and a re-packed ``*args``) on every
+    # packet and timer.
+    def call_at(self, time: float, fn: Callable, *args: Any) -> TimerHandle:
+        """Run ``fn(*args)`` at absolute virtual time ``time``."""
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past (now={self._now}, target={time})"
+                f"cannot schedule in the past (now={self.now}, target={time})"
             )
-        handle = TimerHandle(time, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, handle))
+        self._seq = seq = self._seq + 1
+        handle = TimerHandle((time, seq, fn, args))
+        heappush(self._heap, handle)
         return handle
-
-    def _schedule_now(self, fn: Callable, *args: Any) -> TimerHandle:
-        return self._schedule_at(self._now, fn, *args)
 
     def call_later(self, delay: float, fn: Callable, *args: Any) -> TimerHandle:
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self._schedule_at(self._now + delay, fn, *args)
+        self._seq = seq = self._seq + 1
+        handle = TimerHandle((self.now + delay, seq, fn, args))
+        heappush(self._heap, handle)
+        return handle
 
-    def call_at(self, time: float, fn: Callable, *args: Any) -> TimerHandle:
-        """Run ``fn(*args)`` at absolute virtual time ``time``."""
-        return self._schedule_at(time, fn, *args)
+    def _schedule_now(self, fn: Callable, *args: Any) -> TimerHandle:
+        return self.call_at(self.now, fn, *args)
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -95,21 +103,31 @@ class Simulator:
         return Process(self, generator, name=name)
 
     # -- execution -----------------------------------------------------------
-    def _prune_cancelled(self) -> None:
-        """Drop cancelled entries from the heap top, so peeking at
-        ``self._heap[0]`` sees the next event that will actually run."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
+    def _next_time(self) -> Optional[float]:
+        """Time of the next callback that will actually run, or ``None``
+        when idle; cancelled entries at the heap head are discarded on the
+        way.  The one place outside :meth:`step` that reads an entry."""
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[2] is not None:
+                return head[0]
+            heappop(heap)
+        return None
 
     def step(self) -> bool:
         """Execute the next scheduled callback.  Returns False when idle."""
-        while self._heap:
-            time, _seq, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
+        heap = self._heap
+        while heap:
+            handle = heappop(heap)
+            fn = handle[2]
+            if fn is None:
                 continue
-            self._now = time
-            fn, args = handle._fn, handle._args
-            handle.cancel()  # mark consumed; releases references
+            self.now = handle[0]
+            args = handle[3]
+            # Consumed: a later cancel() is a no-op and the references go.
+            handle[2] = None
+            handle[3] = ()
             fn(*args)
             return True
         return False
@@ -119,25 +137,23 @@ class Simulator:
 
         Returns the virtual time at which the run stopped.  Processes that
         die with an uncaught exception re-raise it here (fail-fast), unless
-        another process was waiting on them.
+        another process was waiting on them.  The clock never moves
+        backwards: an ``until`` already behind ``now`` runs nothing.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         try:
             while True:
-                self._prune_cancelled()
-                if not self._heap:
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                if until is not None and self._heap[0][0] > until:
-                    self._now = until
+                next_time = self._next_time()
+                if next_time is None or (until is not None and next_time > until):
                     break
                 self.step()
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def run_until_triggered(self, event: Event, limit: float = float("inf")) -> Any:
         """Run until ``event`` triggers; returns its value.
@@ -146,14 +162,14 @@ class Simulator:
         ``limit`` first — a convenient guard in tests.
         """
         while not event.triggered:
-            self._prune_cancelled()
-            if not self._heap:
+            next_time = self._next_time()
+            if next_time is None:
                 raise SimulationError("simulation drained before event triggered")
-            if self._heap[0][0] > limit:
+            if next_time > limit:
                 raise SimulationError(f"event not triggered by t={limit}")
             self.step()
         return event.value
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled entries in the heap (approximate)."""
-        return sum(1 for _, _, h in self._heap if not h.cancelled)
+        return sum(1 for handle in self._heap if not handle.cancelled)

@@ -12,7 +12,9 @@ through the operating system, so this module models a disk:
   Only a successful ``fsync`` moves bytes from volatile to durable.
 - :class:`FaultInjector` — a seeded, deterministic source of injected
   faults, armed per kind with a probability (or scripted one-shot), that
-  the filesystem consults on every write and fsync.
+  the filesystem consults on every write and fsync while anything is
+  armed — always in the order of :data:`WRITE_FAULTS` /
+  :data:`FSYNC_FAULTS`, so a seed replays the same faults.
 - :class:`OsFileSystem` — the same interface over the real OS (with real
   ``os.fsync``), so production code paths and tests share one API.
 
@@ -114,14 +116,14 @@ class _MemNode:
 
     def __init__(self):
         self.data = bytearray()  # the page-cache view
-        self.durable = b""  # what survives a crash
+        self.durable = bytearray()  # what survives a crash; fsync patches it
         self.dirty: List[Tuple[int, int]] = []  # modified since last fsync
         self.lost: List[Tuple[int, int]] = []  # dropped dirty pages
 
     def clone(self) -> "_MemNode":
         node = _MemNode()
         node.data = bytearray(self.data)
-        node.durable = self.durable
+        node.durable = bytearray(self.durable)
         node.dirty = list(self.dirty)
         node.lost = list(self.lost)
         return node
@@ -138,19 +140,23 @@ class MemoryFile:
         self._fs = fs
         self._path = path
         self._node = node
-        self._mode = mode
+        self._readonly = "r" in mode and "+" not in mode
         self._append = "a" in mode
         self._pos = len(node.data) if self._append else 0
         self.closed = False
 
     # -- writing -----------------------------------------------------------
     def write(self, data: bytes) -> int:
-        self._check_open()
-        if "r" in self._mode and "+" not in self._mode:
+        if self.closed:
+            self._check_open()
+        if self._readonly:
             raise StorageError(f"file {self._path!r} opened read-only")
         data = bytes(data)
         injector = self._fs.injector
-        if injector is not None:
+        # With nothing armed every decide() answers no without touching the
+        # RNG or a counter, so one test stands in for all four; with
+        # anything armed all four are made, in this order.
+        if injector is not None and (injector._rates or injector._once):
             if injector.decide("enospc"):
                 raise DiskFaultError(
                     f"no space left writing {self._path!r}",
@@ -182,7 +188,13 @@ class MemoryFile:
             return
         node = self._node
         if self._append:
-            self._pos = len(node.data)
+            # Past the end of the file, so past every lost range too:
+            # nothing to zero-extend, nothing to trim.
+            start = len(node.data)
+            self._pos = end = start + len(data)
+            node.data += data
+            node.dirty.append((start, end))
+            return
         start = self._pos
         end = start + len(data)
         if end > len(node.data):
@@ -204,48 +216,55 @@ class MemoryFile:
         node.lost = trimmed
 
     def flush(self) -> None:
-        self._check_open()  # writes go straight to the "page cache"
+        if self.closed:  # writes go straight to the "page cache"
+            self._check_open()
 
     def fsync(self) -> None:
         """Make this file's contents durable (or fail trying)."""
         self._check_open()
         node = self._node
         injector = self._fs.injector
-        if injector is not None and injector.decide("fsync_fail"):
-            node.lost.extend(node.dirty)
-            node.dirty = []
-            raise DiskFaultError(
-                f"fsync failed for {self._path!r} (dirty pages dropped)",
-                kind="fsync_fail",
-            )
-        if injector is not None and injector.decide("fsync_torn"):
-            # A prefix of the dirty ranges reached the platter before the
-            # device error; the rest is dropped, as after fsync_fail.
-            keep = injector.rng.randrange(0, len(node.dirty) + 1)
-            survived, dropped = node.dirty[:keep], node.dirty[keep:]
-            node.dirty = []
-            node.lost.extend(dropped)
-            node.durable = self._durable_image(extra_dirty=survived)
-            raise DiskFaultError(
-                f"fsync interrupted for {self._path!r}", kind="fsync_torn"
-            )
-        node.durable = self._durable_image(extra_dirty=node.dirty)
+        # As in write(): consulted only while something is armed.
+        if injector is not None and (injector._rates or injector._once):
+            if injector.decide("fsync_fail"):
+                node.lost.extend(node.dirty)
+                node.dirty = []
+                raise DiskFaultError(
+                    f"fsync failed for {self._path!r} (dirty pages dropped)",
+                    kind="fsync_fail",
+                )
+            if injector.decide("fsync_torn"):
+                # A prefix of the dirty ranges reached the platter before
+                # the device error; the rest is dropped, as after fsync_fail.
+                keep = injector.rng.randrange(0, len(node.dirty) + 1)
+                survived, dropped = node.dirty[:keep], node.dirty[keep:]
+                node.dirty = []
+                node.lost.extend(dropped)
+                self._sync_ranges(survived)
+                raise DiskFaultError(
+                    f"fsync interrupted for {self._path!r}", kind="fsync_torn"
+                )
+        self._sync_ranges(node.dirty)
         node.dirty = []
 
-    def _durable_image(self, extra_dirty: List[Tuple[int, int]]) -> bytes:
-        """Current durable image plus the given now-synced dirty ranges,
-        with lost pages zeroed (they never reached the disk)."""
+    def _sync_ranges(self, ranges: List[Tuple[int, int]]) -> None:
+        """Copy the given now-synced dirty ranges into the durable image
+        and zero its lost pages (they never reached the disk).  The image
+        is patched in place: the cost is the bytes synced, not the file."""
         node = self._node
-        size = len(node.durable)
-        for a, b in extra_dirty:
-            size = max(size, b)
-        image = bytearray(size)
-        image[: len(node.durable)] = node.durable
-        for a, b in extra_dirty:
-            image[a:b] = node.data[a:b]
-        for a, b in _clip(node.lost, size):
-            image[a:b] = b"\x00" * (b - a)
-        return bytes(image)
+        durable = node.durable
+        size = len(durable)
+        for _a, b in ranges:
+            if b > size:
+                size = b
+        if size > len(durable):
+            durable.extend(bytes(size - len(durable)))
+        data = node.data
+        for a, b in ranges:
+            durable[a:b] = data[a:b]
+        if node.lost:
+            for a, b in _clip(node.lost, size):
+                durable[a:b] = bytes(b - a)
 
     # -- reading / positioning ----------------------------------------------
     def read(self, size: int = -1) -> bytes:
@@ -278,7 +297,7 @@ class MemoryFile:
         size = self._pos if size is None else size
         node = self._node
         del node.data[size:]
-        node.durable = node.durable[:size]
+        del node.durable[size:]
         node.dirty = _clip(node.dirty, size)
         node.lost = _clip(node.lost, size)
         return size
@@ -325,7 +344,7 @@ class MemoryFileSystem:
             self._files[path] = node
         if "w" in mode:
             node.data = bytearray()
-            node.durable = b""
+            node.durable = bytearray()
             node.dirty = []
             node.lost = []
         return MemoryFile(self, path, node, mode)
@@ -389,7 +408,7 @@ class MemoryFileSystem:
     @staticmethod
     def _crash_node(node: _MemNode, keep: int) -> None:
         base = len(node.durable)
-        image = bytearray(node.durable)
+        image = node.durable
         if keep > 0:
             surviving = node.data[base : base + keep]
             image.extend(surviving)
@@ -398,7 +417,6 @@ class MemoryFileSystem:
                     start = max(a, base)
                     image[start:b] = b"\x00" * (b - start)
         node.data = bytearray(image)
-        node.durable = bytes(image)
         node.dirty = []
         node.lost = []
 
@@ -407,9 +425,7 @@ class MemoryFileSystem:
         node = self._files.get(str(path))
         if node is None:
             raise StorageError(f"no such file {path!r}")
-        probe = node.clone()
-        MemoryFileSystem._crash_node(probe, 0)
-        return bytes(probe.data)
+        return bytes(node.durable)
 
     def unsynced_tail_len(self, path) -> int:
         node = self._files.get(str(path))

@@ -99,22 +99,26 @@ class AppendLog:
         """
         if self._closed:
             raise StorageError("append to a closed log")
-        if not isinstance(payload, (bytes, bytearray)):
-            raise StorageError(
-                f"log payloads are bytes, got {type(payload).__name__}"
-            )
-        payload = bytes(payload)
+        if type(payload) is not bytes:
+            if not isinstance(payload, (bytes, bytearray)):
+                raise StorageError(
+                    f"log payloads are bytes, got {type(payload).__name__}"
+                )
+            payload = bytes(payload)
         if self._file is not None:
-            frame = _FRAME.pack(len(payload), _frame_crc(payload))
+            size = len(payload)
+            head = _LEN.pack(size)
+            # The CRC of _frame_crc, over the length field already packed.
+            crc = zlib.crc32(payload, zlib.crc32(head))
             try:
-                self._file.write(frame + payload)
+                self._file.write(head + _LEN.pack(crc) + payload)
             except DiskFaultError as exc:
                 if exc.written:
                     self._file.truncate(self._size)
                     self.healed_torn_writes += 1
                 raise
             self._file.flush()
-            self._size += len(frame) + len(payload)
+            self._size += _FRAME.size + size
         self._records.append(payload)
         return len(self._records) - 1
 
@@ -149,6 +153,11 @@ class AppendLog:
     # -- reads --------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._records)
+
+    def size_bytes(self) -> int:
+        """Length of the file in bytes, from the log's own count of the
+        frames in it rather than a read (0 for a memory-only log)."""
+        return self._size
 
     def read(self, index: int) -> bytes:
         try:

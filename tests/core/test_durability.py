@@ -229,6 +229,61 @@ def test_append_after_close_raises():
 
 
 # ---------------------------------------------------------------------------
+# The short paths: a segment sized without reading it, a record written
+# without a trip through the queue.
+# ---------------------------------------------------------------------------
+
+
+def test_segment_size_is_counted_and_equals_the_file():
+    """Rotation asks the log for its size instead of reading the segment
+    back: the count must be the file's length after a healed torn write
+    and on both sides of a rotation."""
+    sim, fs, dm, durable = build_dm(batch=1, interval=0.02, segment_bytes=256)
+
+    def on_disk():
+        return len(fs.read_bytes(dm._current_name))
+
+    dm.append("a", 1, b"p" * 32)
+    assert dm._current.size_bytes() == on_disk() > 0
+    fs.injector.arm_once("torn_write")
+    dm.append("a", 2, b"q" * 32)  # torn, healed by truncation, still queued
+    assert dm._current.healed_torn_writes == 1
+    assert dm._current.size_bytes() == on_disk()
+    sim.run(until=0.1)  # the timer's retry writes and commits it
+    assert dm.watermark("a") == 2
+    seq = 2
+    while dm.segments_rotated == 0:
+        sealed, before = dm._current_name, dm._current.size_bytes()
+        assert before == on_disk() < 256
+        seq += 1
+        dm.append("a", seq, b"r" * 32)
+    # The commit that crossed the threshold rotated, and only that one.
+    assert len(fs.read_bytes(sealed)) >= 256
+    assert dm._current_name != sealed
+    assert dm._current.size_bytes() == on_disk() == 0
+    assert dm.watermark("a") == seq
+
+
+def test_write_fault_with_an_empty_queue_queues_the_record():
+    """The direct path's fault handling is the drain path's: one attempt,
+    the record left queued, the fault counted, the retry timer armed."""
+    sim, fs, dm, durable = build_dm(batch=2, interval=0.02)
+    fs.injector.arm_once("eio_write")
+    assert dm.pending() == 0 and sim.pending_count() == 0
+    dm.append("a", 1, b"faulted")
+    assert dm.write_faults == 1
+    assert fs.injector.injected == {"eio_write": 1}  # not retried in place
+    assert len(dm._queue) == 1 and dm._written == []
+    assert sim.pending_count() == 1  # the retry
+    # The next record goes behind it: the log keeps delivery order.
+    dm.append("a", 2, b"behind")
+    assert len(dm._queue) == 0
+    assert durable == [("a", 2)] and dm.watermark("a") == 2
+    written = [dm._decode(record.payload) for record in dm._current.records()]
+    assert written == [("a", 1), ("a", 2)]
+
+
+# ---------------------------------------------------------------------------
 # Crash-point sweep: every prefix of the WAL commit protocol.
 # ---------------------------------------------------------------------------
 

@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.runtime import RealtimeScheduler
+from repro.sim import AllOf, AnyOf, Interrupt, Simulator, TimerHandle
 
 
 def test_clock_starts_at_zero():
@@ -283,3 +287,228 @@ def test_spawned_process_does_not_run_before_run():
     assert marks == []
     sim.run()
     assert marks == ["ran"]
+
+
+# ---------------------------------------------------------------------------
+# The clock never moves backwards.
+# ---------------------------------------------------------------------------
+
+
+def test_run_until_behind_now_keeps_the_clock_with_an_event_pending():
+    sim = Simulator()
+    ran = []
+    sim.call_later(5.0, ran.append, "late")
+    sim.run(until=2.0)
+    assert sim.run(until=1.0) == 2.0
+    assert sim.now == 2.0
+    assert ran == []
+    # ... so nothing can be scheduled before what already happened.
+    with pytest.raises(SimulationError, match="past"):
+        sim.call_at(1.5, lambda: None)
+    sim.run()
+    assert ran == ["late"] and sim.now == 5.0
+
+
+def test_run_until_behind_now_keeps_the_clock_on_an_empty_heap():
+    sim = Simulator()
+    sim.run(until=3.0)
+    assert sim.run(until=1.0) == 3.0
+    assert sim.now == 3.0
+
+
+def test_realtime_run_until_behind_now_keeps_the_clock():
+    sched = RealtimeScheduler(speedup=1000.0)
+    ran = []
+    sched.call_later(5.0, ran.append, "late")
+    sched.run(until=2.0)
+    reached = sched.now
+    assert reached >= 2.0
+    assert sched.run(until=1.0) >= reached
+    assert sched.now >= reached
+    assert ran == []
+
+
+# ---------------------------------------------------------------------------
+# The handle is the heap entry.
+# ---------------------------------------------------------------------------
+
+
+def test_handle_reports_time_and_consumption():
+    sim = Simulator()
+    handle = sim.call_later(1.5, lambda: None)
+    assert isinstance(handle, TimerHandle)
+    assert handle.time == 1.5 and not handle.cancelled
+    sim.run()
+    # A fired handle reads as cancelled, and cancelling it stays a no-op.
+    assert handle.time == 1.5 and handle.cancelled
+    handle.cancel()
+    assert sim.pending_count() == 0
+
+
+def test_fired_and_cancelled_handles_release_their_references():
+    class Probe:
+        pass
+
+    sim = Simulator()
+    fired, dropped = Probe(), Probe()
+    refs = [weakref.ref(fired), weakref.ref(dropped)]
+    handles = [
+        sim.call_later(1.0, lambda probe: None, fired),
+        sim.call_later(2.0, lambda probe: None, dropped),
+    ]
+    handles[1].cancel()
+    del fired, dropped
+    assert refs[0]() is not None and refs[1]() is None
+    sim.run()
+    assert refs[0]() is None
+    assert all(handle.cancelled for handle in handles)
+
+
+def test_cancel_from_inside_the_callback_is_a_noop():
+    sim = Simulator()
+    seen = []
+    handles = []
+
+    def fire():
+        seen.append(handles[0].cancelled)  # already consumed when it runs
+        handles[0].cancel()
+        sim.call_later(0.0, seen.append, "next")
+
+    handles.append(sim.call_later(1.0, fire))
+    sim.run()
+    assert seen == [True, "next"]
+
+
+# ---------------------------------------------------------------------------
+# Differential: seeded random programs against a reference model.
+# ---------------------------------------------------------------------------
+
+
+class ModelHandle:
+    def __init__(self, time, order, fn, args):
+        self.time, self.order, self.fn, self.args = time, order, fn, args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled, self.fn, self.args = True, None, ()
+
+
+class ModelSimulator:
+    """The kernel's contract, written the slow way: every entry in one
+    list, re-sorted by ``(time, insertion)`` on each insert."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.entries = []
+        self.inserted = 0
+
+    def call_at(self, time, fn, *args):
+        if time < self.now:
+            raise SimulationError("past")
+        self.inserted += 1
+        handle = ModelHandle(time, self.inserted, fn, args)
+        self.entries.append(handle)
+        self.entries.sort(key=lambda h: (h.time, h.order))
+        return handle
+
+    def call_later(self, delay, fn, *args):
+        if delay < 0:
+            raise SimulationError("negative")
+        return self.call_at(self.now + delay, fn, *args)
+
+    def step(self):
+        while self.entries:
+            handle = self.entries.pop(0)
+            if handle.cancelled:
+                continue
+            self.now = handle.time
+            fn, args = handle.fn, handle.args
+            handle.cancel()
+            fn(*args)
+            return True
+        return False
+
+    def run(self, until=None):
+        while True:
+            live = [h for h in self.entries if not h.cancelled]
+            if not live or (until is not None and live[0].time > until):
+                break
+            self.step()
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
+
+    def pending_count(self):
+        return sum(1 for h in self.entries if not h.cancelled)
+
+
+def run_program(sim, seed):
+    """Drive ``sim`` through a seeded random program; return what an
+    observer could see.  Every random draw happens in execution order, so
+    two kernels that agree consume the same stream."""
+    rng = random.Random(seed)
+    trace = []
+    handles = []
+
+    def fire(ident, depth):
+        handle = handles[ident]
+        trace.append(("fire", ident, sim.now, handle.time, handle.cancelled))
+        if depth < 3:
+            for _ in range(rng.randrange(3)):
+                act(depth + 1)
+
+    def schedule(depth):
+        ident = len(handles)
+        if rng.random() < 0.5:
+            delay = rng.choice((0.0, 0.0, 0.5, 1.0, rng.random() * 3))
+            handle = sim.call_later(delay, fire, ident, depth)
+        else:
+            time = sim.now + rng.choice((0.0, 1.0, rng.random() * 3))
+            handle = sim.call_at(time, fire, ident, depth)
+        handles.append(handle)
+        trace.append(("scheduled", ident, handle.time, handle.cancelled))
+
+    def refused(call, *args):
+        try:
+            call(*args, fire, -1, 0)
+        except SimulationError:
+            return True
+        return False
+
+    def act(depth):
+        draw = rng.random()
+        if draw < 0.55 or not handles:
+            schedule(depth)
+        elif draw < 0.8:
+            victim = rng.randrange(len(handles))  # live, fired or cancelled
+            handles[victim].cancel()
+            trace.append(("cancel", victim, handles[victim].cancelled))
+        elif draw < 0.9:
+            trace.append(("pending", sim.pending_count()))
+        else:
+            trace.append(("negative", refused(sim.call_later, -0.1)))
+            if sim.now > 0:
+                trace.append(("past", refused(sim.call_at, sim.now / 2)))
+
+    for _ in range(60):
+        draw = rng.random()
+        if draw < 0.6:
+            act(0)
+        elif draw < 0.8:
+            trace.append(("step", sim.step(), sim.now))
+        else:
+            until = sim.now + rng.choice((-1.0, 0.0, 0.7, 2.0))
+            trace.append(("run", sim.run(until=until), sim.now))
+        trace.append(("pending", sim.pending_count()))
+    trace.append(("drain", sim.run(), sim.now, sim.pending_count()))
+    trace.append(("handles", [(h.time, h.cancelled) for h in handles]))
+    return trace
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_programs_match_the_reference_model(seed):
+    trace = run_program(Simulator(), seed)
+    assert trace == run_program(ModelSimulator(), seed)
+    # Every handle ends consumed, and the programs are not trivial.
+    assert all(cancelled for _time, cancelled in trace[-1][1])
+    assert sum(1 for entry in trace if entry[0] == "fire") >= 5

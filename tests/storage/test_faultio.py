@@ -1,9 +1,11 @@
 """Fault-injecting filesystem tests: the disk model the WAL is tested on."""
 
+import random
+
 import pytest
 
 from repro.errors import DiskFaultError, StorageError
-from repro.storage.faultio import FaultInjector, MemoryFileSystem
+from repro.storage.faultio import ALL_FAULTS, FaultInjector, MemoryFileSystem
 
 
 def fs_with(kind=None, count=1, seed=7):
@@ -236,3 +238,205 @@ def test_listdir_prefix_and_remove():
     assert fs.listdir("wal/wal-") == ["wal/wal-000002.log"]
     with pytest.raises(StorageError):
         fs.remove("wal/wal-000001.log")
+
+
+# ---------------------------------------------------------------------------
+# Differential: the in-place durable image against a full rebuild.
+# ---------------------------------------------------------------------------
+
+
+class OracleFile:
+    """One file of the disk model written the slow way, as the oracle:
+    every write and fsync consults the injector whether or not anything
+    is armed, every write goes through the general zero-extend / overwrite
+    / lost-range-trim path, and every fsync rebuilds the whole durable
+    image from scratch (``_durable_image``)."""
+
+    def __init__(self, seed):
+        self.injector = FaultInjector(seed)
+        self.data = bytearray()
+        self.durable = b""
+        self.dirty = []
+        self.lost = []
+
+    def write(self, data, pos=None):
+        """``pos=None`` appends; otherwise an ``r+b`` write at ``pos``."""
+        injector = self.injector
+        if injector.decide("enospc"):
+            raise DiskFaultError("enospc", kind="enospc", written=0)
+        if injector.decide("eio_write"):
+            raise DiskFaultError("eio", kind="eio_write", written=0)
+        if injector.decide("torn_write") and len(data) > 0:
+            cut = injector.rng.randrange(0, len(data))
+            self._write_at(data[:cut], pos)
+            raise DiskFaultError("torn", kind="torn_write", written=cut)
+        if injector.decide("bitflip") and len(data) > 0:
+            corrupted = bytearray(data)
+            index = injector.rng.randrange(0, len(corrupted))
+            corrupted[index] ^= 1 << injector.rng.randrange(0, 8)
+            data = bytes(corrupted)
+        self._write_at(data, pos)
+        return len(data)
+
+    def _write_at(self, data, pos):
+        if not data:
+            return
+        start = len(self.data) if pos is None else pos
+        end = start + len(data)
+        if end > len(self.data):
+            self.data.extend(b"\x00" * (end - len(self.data)))
+        self.data[start:end] = data
+        self.dirty.append((start, end))
+        trimmed = []
+        for a, b in self.lost:
+            if b <= start or a >= end:
+                trimmed.append((a, b))
+                continue
+            if a < start:
+                trimmed.append((a, start))
+            if b > end:
+                trimmed.append((end, b))
+        self.lost = trimmed
+
+    def fsync(self):
+        injector = self.injector
+        if injector.decide("fsync_fail"):
+            self.lost.extend(self.dirty)
+            self.dirty = []
+            raise DiskFaultError("fsync_fail", kind="fsync_fail")
+        if injector.decide("fsync_torn"):
+            keep = injector.rng.randrange(0, len(self.dirty) + 1)
+            survived, dropped = self.dirty[:keep], self.dirty[keep:]
+            self.dirty = []
+            self.lost.extend(dropped)
+            self.durable = self._durable_image(survived)
+            raise DiskFaultError("fsync_torn", kind="fsync_torn")
+        self.durable = self._durable_image(self.dirty)
+        self.dirty = []
+
+    def _durable_image(self, extra_dirty):
+        size = len(self.durable)
+        for a, b in extra_dirty:
+            size = max(size, b)
+        image = bytearray(size)
+        image[: len(self.durable)] = self.durable
+        for a, b in extra_dirty:
+            image[a:b] = self.data[a:b]
+        for a, b in self._clip(self.lost, size):
+            image[a:b] = b"\x00" * (b - a)
+        return bytes(image)
+
+    @staticmethod
+    def _clip(ranges, end):
+        return [(a, min(b, end)) for a, b in ranges if a < end]
+
+    def truncate(self, size):
+        del self.data[size:]
+        self.durable = self.durable[:size]
+        self.dirty = self._clip(self.dirty, size)
+        self.lost = self._clip(self.lost, size)
+
+    def crash(self, torn):
+        keep = 0
+        tail = len(self.data) - len(self.durable)
+        if torn and tail > 0:
+            keep = self.injector.rng.randrange(0, tail + 1)
+        base = len(self.durable)
+        image = bytearray(self.durable)
+        if keep > 0:
+            image.extend(self.data[base : base + keep])
+            for a, b in self._clip(self.lost, base + keep):
+                if b > base:
+                    start = max(a, base)
+                    image[start:b] = b"\x00" * (b - start)
+        self.data = bytearray(image)
+        self.durable = bytes(image)
+        self.dirty = []
+        self.lost = []
+
+
+def attempt(call, *args):
+    """The outcome of one file operation, faults included."""
+    try:
+        return ("ok", call(*args))
+    except DiskFaultError as exc:
+        return (exc.kind, exc.written)
+
+
+def run_against_oracle(seed, steps, armable, torn_crashes=True):
+    rng = random.Random(seed)
+    fs = MemoryFileSystem(seed=seed)
+    oracle = OracleFile(seed)
+    appender = fs.open("f", "ab")
+    faults = 0
+    for step in range(steps):
+        draw = rng.random()
+        if draw < 0.40:
+            data = rng.randbytes(rng.randrange(0, 48))
+            got = attempt(appender.write, data)
+            assert got == attempt(oracle.write, data), (seed, step)
+            faults += got[0] != "ok"
+        elif draw < 0.52:
+            # Overwrite somewhere in the file, or past its end (a hole).
+            pos = rng.randrange(0, len(oracle.data) + 8)
+            data = rng.randbytes(rng.randrange(1, 32))
+            with fs.open("f", "r+b") as handle:
+                handle.seek(pos)
+                got = attempt(handle.write, data)
+            assert got == attempt(oracle.write, data, pos), (seed, step)
+            faults += got[0] != "ok"
+        elif draw < 0.72:
+            got = attempt(fs.fsync, appender)
+            assert got == attempt(oracle.fsync), (seed, step)
+            faults += got[0] != "ok"
+        elif draw < 0.84 and armable:
+            kind = rng.choice(armable)
+            if rng.random() < 0.6:
+                count = rng.randrange(1, 3)
+                fs.injector.arm_once(kind, count)
+                oracle.injector.arm_once(kind, count)
+            else:
+                rate = rng.choice((0.0, 0.3, 0.7))
+                fs.injector.arm(kind, rate)
+                oracle.injector.arm(kind, rate)
+        elif draw < 0.88:
+            fs.injector.clear()
+            oracle.injector.clear()
+        elif draw < 0.94:
+            size = rng.randrange(0, len(oracle.data) + 1)
+            appender.truncate(size)
+            oracle.truncate(size)
+        else:
+            torn = torn_crashes and rng.random() < 0.7
+            fs.crash(torn=torn)
+            oracle.crash(torn)
+        assert fs.read_bytes("f") == bytes(oracle.data), (seed, step)
+        assert fs.durable_bytes("f") == oracle.durable, (seed, step)
+        assert fs.unsynced_tail_len("f") == len(oracle.data) - len(oracle.durable)
+        assert fs.injector.rolls == oracle.injector.rolls, (seed, step)
+        assert fs.injector.injected == oracle.injector.injected, (seed, step)
+        assert fs.injector.rng.getstate() == oracle.injector.rng.getstate()
+        # A clone is a deep copy: crashing it leaves the original alone.
+        if step % 16 == 0:
+            twin = fs.clone(seed=step)
+            twin.crash()
+            assert twin.read_bytes("f") == oracle.durable
+            assert fs.read_bytes("f") == bytes(oracle.data)
+    return fs, faults
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_armed_disk_matches_the_full_rebuild_oracle(seed):
+    fs, faults = run_against_oracle(seed, steps=300, armable=ALL_FAULTS)
+    assert faults > 0  # the sequence really exercised the fault paths
+    assert fs.injector.rolls > 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unarmed_disk_never_touches_the_injector(seed):
+    fs, faults = run_against_oracle(
+        seed, steps=300, armable=(), torn_crashes=False
+    )
+    assert faults == 0
+    assert fs.injector.rolls == 0 and fs.injector.injected == {}
+    assert fs.injector.rng.getstate() == FaultInjector(seed).rng.getstate()

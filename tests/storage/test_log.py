@@ -229,3 +229,21 @@ def test_zero_run_does_not_parse_as_records():
 def test_invalid_recovery_mode_rejected():
     with pytest.raises(StorageError, match="recovery mode"):
         AppendLog(recovery="lenient")
+
+
+def test_size_bytes_is_the_file_length_on_the_real_os(tmp_path):
+    """Counted, never read — and a bytearray payload frames like bytes."""
+    path = tmp_path / "sized.log"
+    log = AppendLog(path)
+    assert log.size_bytes() == 0
+    log.append(b"alpha")
+    log.append(bytearray(b"beta"))
+    assert log.size_bytes() == path.stat().st_size == 2 * 8 + 9
+    log.close()
+    with open(path, "ab") as fh:
+        fh.write(struct.pack("!II", 100, 0) + b"torn")
+    recovered = AppendLog(path)  # truncates the torn tail
+    assert recovered.size_bytes() == path.stat().st_size == 2 * 8 + 9
+    assert [r.payload for r in recovered.records()] == [b"alpha", b"beta"]
+    recovered.close()
+    assert AppendLog().size_bytes() == 0  # memory-only: no file
