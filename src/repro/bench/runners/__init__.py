@@ -35,6 +35,7 @@ from repro.bench.runners.fig7 import (
 )
 from repro.bench.runners.fig8 import run_reconfig
 from repro.bench.runners.hotpath import (
+    frame_calls_per_message,
     hotpath_calls_per_report,
     kernel_calls_per_event,
     run_hotpath_frontier,

@@ -1,5 +1,6 @@
 """Hot paths: reports/sec through the frontier engine, and the exact
-Python-call cost of a WAL record and of a timer event (not paper figures)."""
+Python-call cost of a WAL record, of a timer event and of an arrived data
+frame (not paper figures)."""
 
 from __future__ import annotations
 
@@ -7,15 +8,20 @@ import time
 from typing import Dict, List, Sequence
 
 from repro.bench.runners.kit import count_calls
+from repro.core.cluster import StabilizerCluster
 from repro.core.config import StabilizerConfig
+from repro.core.dataplane import DATA_CHANNEL, EPOCH_TAG, FRAME_TAG
 from repro.core.durability import DurabilityManager
 from repro.core.frontier import FrontierEngine
 from repro.core.strategy import AckTable
 from repro.dsl.semantics import DslContext
+from repro.net import NetemSpec, Topology
 from repro.obs import Histogram
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.faultio import MemoryFileSystem
+from repro.transport.chunker import FrameBuilder
+from repro.transport.messages import SyntheticPayload
 
 
 def _hotpath_predicates(count: int, node_names: Sequence[str]) -> Dict[str, str]:
@@ -272,3 +278,79 @@ def kernel_calls_per_event(events: int = 1_000) -> float:
 
     _none, calls = count_calls(drive)
     return calls / events
+
+
+#: Chunks per object in the frame driver: a frame of four is one object.
+_FRAME_OBJECT_CHUNKS = 4
+
+
+def _wire_frames(messages_per_frame: int, frames: int) -> list:
+    """``frames`` consecutive data frames of one origin's stream as the
+    sender cuts them — ``(payload, meta)`` pairs of ``messages_per_frame``
+    synthetic 8 KB chunks each, every four chunks one object."""
+    builder = FrameBuilder()
+    chunk = SyntheticPayload(8 * 1024)
+    wire = []
+    seq = 0
+    for _ in range(frames):
+        for _ in range(messages_per_frame):
+            object_id, index = divmod(seq, _FRAME_OBJECT_CHUNKS)
+            seq += 1
+            builder.add(chunk, (seq, object_id, index, _FRAME_OBJECT_CHUNKS, None))
+        payload, metas, lengths = builder.build()
+        meta = metas[0] if len(metas) == 1 else (FRAME_TAG, metas, lengths)
+        wire.append((payload, (EPOCH_TAG, 0, meta)))
+    return wire
+
+
+def _frame_receive_calls(messages_per_frame: int, frames: int, engine: bool) -> int:
+    """Python calls one receiver makes taking ``frames`` frames off the
+    data channel; without ``engine`` nothing hears of the arrivals (the
+    data plane's own share: validation, reassembly, delivery)."""
+    topo = Topology.uniform(
+        {"a": "east", "b": "west"}, NetemSpec(latency_ms=5, rate_mbit=100)
+    )
+    config = StabilizerConfig(
+        ["a", "b"],
+        {"east": ["a"], "west": ["b"]},
+        "a",
+        predicates={"all": "MIN($ALLWNODES - $MYWNODE)"},
+    )
+    cluster = StabilizerCluster(topo.build(Simulator()), config)
+    node = cluster["b"]
+    # Somebody must observe a's stream at b, or b evaluates nothing.
+    node.monitor_stability_frontier("all", _ignore_advance)
+    if not engine:
+        node.dataplane.on_arrival = None
+    receive = node.endpoint.channel("a", DATA_CHANNEL).on_deliver
+    wire = _wire_frames(messages_per_frame, frames)
+
+    def receive_all() -> None:
+        for payload, meta in wire:
+            receive(payload, meta)
+
+    _none, calls = count_calls(receive_all)
+    if node.dataplane.highest_received("a") != messages_per_frame * frames:
+        raise RuntimeError("the receiver did not take every frame")
+    cluster.close()
+    return calls
+
+
+def frame_calls_per_message(
+    messages_per_frame: int = 4, frames: int = 400
+) -> Dict[str, float]:
+    """Python calls a receiver spends on an arrived data frame of
+    ``messages_per_frame`` messages, from the channel's ``on_deliver``
+    down: one receiver, the ACK-table engine, a monitor on the origin's
+    stream.  ``calls_per_message`` and ``calls_per_frame`` are the whole
+    path; ``engine_calls_per_frame`` is what the arrival costs above the
+    data plane (ACK table, report batcher, frontier engine, facade) —
+    the count with the engine listening minus the count without.  Exact
+    per ``(messages_per_frame, frames)``."""
+    total = _frame_receive_calls(messages_per_frame, frames, engine=True)
+    bare = _frame_receive_calls(messages_per_frame, frames, engine=False)
+    return {
+        "calls_per_message": total / (frames * messages_per_frame),
+        "calls_per_frame": total / frames,
+        "engine_calls_per_frame": (total - bare) / frames,
+    }

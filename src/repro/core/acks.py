@@ -35,7 +35,12 @@ class AckTable:
         Returns True when the cell advanced; a stale (lower or equal)
         report is ignored and returns False — monotonic overwrite.
         """
-        self._check(node, type_id)
+        # Every range check of _check, compared inline: this runs once
+        # per acknowledgment.
+        if not 0 <= node < self.node_count:
+            raise StabilizerError(f"node index {node} out of range")
+        if not 0 <= type_id < self.type_count:
+            raise StabilizerError(f"type id {type_id} out of range")
         if seq < 0:
             raise StabilizerError(f"negative sequence number: {seq}")
         row = self._rows[node]
@@ -105,7 +110,10 @@ class AckTable:
 
     # -- reads ------------------------------------------------------------------
     def get(self, node: int, type_id: int) -> int:
-        self._check(node, type_id)
+        if not 0 <= node < self.node_count:
+            raise StabilizerError(f"node index {node} out of range")
+        if not 0 <= type_id < self.type_count:
+            raise StabilizerError(f"type id {type_id} out of range")
         return self._rows[node][type_id]
 
     def row(self, node: int) -> Tuple[int, ...]:

@@ -242,6 +242,9 @@ class StabilizerConfig:
                     )
 
         self.node_names = list(node_names)
+        # name -> row index, built once: ``node_index`` runs on every
+        # delivery and every control frame.
+        self._node_indices = {name: i for i, name in enumerate(self.node_names)}
         self.groups = {g: list(m) for g, m in groups.items()}
         self.local = local
         self.predicates = dict(predicates or {})
@@ -287,15 +290,15 @@ class StabilizerConfig:
     # -- derived views ----------------------------------------------------------
     @property
     def local_index(self) -> int:
-        return self.node_names.index(self.local)
+        return self._node_indices[self.local]
 
     def node_count(self) -> int:
         return len(self.node_names)
 
     def node_index(self, name: str) -> int:
         try:
-            return self.node_names.index(name)
-        except ValueError:
+            return self._node_indices[name]
+        except KeyError:
             raise ConfigError(f"unknown node {name!r}") from None
 
     def remote_names(self) -> List[str]:

@@ -27,6 +27,13 @@ The send path is *pipelined* per peer:
   :class:`~repro.errors.BackpressureError` or — under the ``"block"``
   policy — admits the message and signals the registered backpressure
   callbacks so the producer pauses itself.
+
+The receive path applies an arrived frame — a contiguous run ``[first,
+last]`` of one origin's stream — as one unit: the run is validated whole,
+the receive watermark advances once and the control plane hears of
+``last`` once (acknowledgment state is monotonic, so only the last
+sequence of a run carries information); reassembly, the durability
+append and delivery stay per message.  A lone message is a run of one.
 """
 
 from __future__ import annotations
@@ -36,7 +43,13 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import StabilizerConfig
 from repro.errors import BackpressureError, StabilizerError, TransportError
-from repro.transport.chunker import Chunker, FrameBuilder, Reassembler, split_frame_payload
+from repro.transport.chunker import (
+    Chunk,
+    Chunker,
+    FrameBuilder,
+    Reassembler,
+    split_frame_payload,
+)
 from repro.transport.endpoint import TransportEndpoint
 from repro.transport.messages import BATCH_ENTRY, Payload, payload_length
 
@@ -60,6 +73,7 @@ ChunkMeta = Tuple[int, int, int, int, object]
 
 DeliverFn = Callable[[str, int, Payload, object], None]
 ReceivedFn = Callable[[str, int, Payload], None]
+ArrivalFn = Callable[[str, int, int], None]
 SentFn = Callable[[int, Payload], None]
 BackpressureFn = Callable[[bool, int], None]
 
@@ -180,12 +194,21 @@ class DataPlane:
         on_deliver: Optional[DeliverFn] = None,
         on_received: Optional[ReceivedFn] = None,
         on_sent: Optional[SentFn] = None,
+        on_arrival: Optional[ArrivalFn] = None,
     ):
         self.endpoint = endpoint
         self.sim = endpoint.sim
         self.config = config
         self.on_deliver = on_deliver
+        # Per message of an arrived run: ``on_received(origin, seq,
+        # payload)`` — the durability layer's ingest point for remote
+        # streams (wired only when durability is on).
         self.on_received = on_received
+        # Once per arrived frame: ``on_arrival(origin, last, first)`` —
+        # ``origin``'s stream is now held contiguously up to ``last`` (the
+        # run that just arrived began at ``first``).  The stabilization
+        # engine's ``received`` grant hangs here.
+        self.on_arrival = on_arrival
         # Called once per locally originated chunk, after it is buffered
         # and queued for transmission — the durability layer's ingest
         # point for the node's own stream.
@@ -268,7 +291,8 @@ class DataPlane:
         the message's stability is the stability of ``last_seq``.
         """
         chunks = self.chunker.split(payload)
-        total = sum(payload_length(chunk.payload) for chunk in chunks)
+        sizes = [payload_length(chunk.payload) for chunk in chunks]
+        total = sum(sizes)
         if self.buffer.would_overflow(total) and self._send_policy == "except":
             raise BackpressureError(
                 f"send buffer full ({self.buffer.buffered_bytes()}B of "
@@ -281,10 +305,9 @@ class DataPlane:
         tracer = self.tracer
         tracing = tracer.enabled
         coalescing = self._frame_bytes is not None
-        for chunk in chunks:
+        for chunk, size in zip(chunks, sizes):
             seq = self._next_seq
             self._next_seq += 1
-            size = payload_length(chunk.payload)
             chunk_meta: ChunkMeta = (
                 seq,
                 chunk.object_id,
@@ -405,7 +428,7 @@ class DataPlane:
                 break  # frame full; the next frame takes it
             pending.popleft()
             stream.pending_bytes -= entry.size
-            builder.add(entry.payload, entry.chunk_meta)
+            builder.add(entry.payload, entry.chunk_meta, entry.size)
             if builder.pending_bytes >= self._frame_bytes:
                 break
         payload, metas, lengths = builder.build()
@@ -603,75 +626,116 @@ class DataPlane:
             if isinstance(meta, tuple) and meta and meta[0] == FRAME_TAG:
                 _tag, metas, lengths = meta
                 self.frames_received += 1
-                for chunk_meta, part in zip(
-                    metas, split_frame_payload(payload, lengths)
-                ):
-                    self._on_chunk(origin, part, chunk_meta)
+                self._on_run(origin, metas, split_frame_payload(payload, lengths))
             else:
-                self._on_chunk(origin, payload, meta)
+                # A lone message is a run of one.
+                self._on_run(origin, (meta,), (payload,))
 
         return receive
 
-    def _on_chunk(self, origin: str, payload: Payload, meta: ChunkMeta) -> None:
-        seq, object_id, chunk_index, chunk_count, user_meta = meta
-        last = self._highest_received.get(origin)
-        if last is None and seq != 1:
-            # First contact with a stream already in progress: a mirror
-            # joining (or rejoining after losing its state) adopts the
-            # origin's position.  Earlier messages belong to state
-            # transfer, not the live stream — but adoption must start at
-            # an object boundary or the first object could never complete.
-            if chunk_index != 0:
+    @staticmethod
+    def _out_of_order(origin: str, seq: int, expected: int) -> StabilizerError:
+        return StabilizerError(
+            f"origin {origin!r}: chunk seq {seq} arrived out of order "
+            f"(expected {expected}); the FIFO transport is broken"
+        )
+
+    def _on_run(self, origin: str, metas, parts) -> None:
+        """Apply one arrived frame: ``metas`` are the chunk metas of a
+        contiguous run ``[first, last]`` of ``origin``'s stream, ``parts``
+        their payloads.
+
+        The run is validated whole before any state moves; then the
+        receive watermark advances once and ``on_arrival(origin, last,
+        first)`` runs once — the ACK table, the report batcher and the
+        frontier engine see one update per frame, because only the last
+        sequence of a run carries information for monotonic state.  Only
+        what is inherently per message stays per message: reassembly,
+        ``on_received`` and ``on_deliver``.
+        """
+        first_meta = metas[0]
+        first = first_meta[0]
+        last = first - 1
+        for meta in metas:
+            last += 1
+            if meta[0] != last:
+                raise self._out_of_order(origin, meta[0], last)
+        held = self._highest_received.get(origin)
+        if held is None:
+            # First contact, possibly with a stream already in progress:
+            # a mirror joining (or rejoining after losing its state)
+            # adopts the origin's position.  Earlier messages belong to
+            # state transfer, not the live stream — but adoption must
+            # start at an object boundary or the first object could
+            # never complete.
+            if first != 1 and first_meta[2] != 0:
                 raise StabilizerError(
                     f"origin {origin!r}: joined mid-object (chunk "
-                    f"{chunk_index + 1}/{chunk_count} of object {object_id})"
+                    f"{first_meta[2] + 1}/{first_meta[3]} of object "
+                    f"{first_meta[1]})"
                 )
-            last = seq - 1
-        expected = (last or 0) + 1
-        if seq < expected:
+            held = first - 1
+        if first > held + 1:
+            raise self._out_of_order(origin, first, held + 1)
+        tracer = self.tracer
+        tracing = tracer.enabled
+        if first <= held:
             # A crash-restart replay can resend chunks we already hold:
             # the peer's view of our received-watermark lags by control
-            # latency.  Duplicates are harmless — drop them.
-            self.duplicates_dropped += 1
-            if self.tracer.enabled and self.tracer.sampled(origin, seq):
-                self.tracer.emit(
-                    self._trace_node, "data.duplicate", origin=origin, seq=seq
+            # latency.  Duplicates are harmless — drop the held prefix.
+            dropped = min(held, last) - first + 1
+            self.duplicates_dropped += dropped
+            if tracing:
+                for seq in range(first, first + dropped):
+                    if tracer.sampled(origin, seq):
+                        tracer.emit(
+                            self._trace_node,
+                            "data.duplicate",
+                            origin=origin,
+                            seq=seq,
+                        )
+            if last <= held:
+                return
+            metas = metas[dropped:]
+            parts = parts[dropped:]
+            first = held + 1
+        self._highest_received[origin] = last
+        self.messages_received += last - held
+        if tracing:
+            for meta in metas:
+                if tracer.sampled(origin, meta[0]):
+                    tracer.emit(
+                        self._trace_node,
+                        "data.receive",
+                        origin=origin,
+                        seq=meta[0],
+                        object=meta[1],
+                    )
+        if self.on_arrival is not None:
+            self.on_arrival(origin, last, first)
+        on_received = self.on_received
+        on_deliver = self.on_deliver
+        for meta, payload in zip(metas, parts):
+            seq, object_id, chunk_index, chunk_count, user_meta = meta
+            if chunk_count == 1:
+                complete: Optional[Payload] = payload
+            else:
+                reassembler = self._reassemblers.get(origin)
+                if reassembler is None:
+                    reassembler = self._reassemblers[origin] = Reassembler()
+                complete = reassembler.feed(
+                    Chunk(object_id, chunk_index, chunk_count, payload)
                 )
-            return
-        if seq > expected:
-            raise StabilizerError(
-                f"origin {origin!r}: chunk seq {seq} arrived out of order "
-                f"(expected {expected}); the FIFO transport is broken"
-            )
-        self._highest_received[origin] = seq
-        self.messages_received += 1
-        if self.tracer.enabled and self.tracer.sampled(origin, seq):
-            self.tracer.emit(
-                self._trace_node,
-                "data.receive",
-                origin=origin,
-                seq=seq,
-                object=object_id,
-            )
-        if chunk_count == 1:
-            complete: Optional[Payload] = payload
-        else:
-            reassembler = self._reassemblers.setdefault(origin, Reassembler())
-            from repro.transport.chunker import Chunk
-
-            complete = reassembler.feed(
-                Chunk(object_id, chunk_index, chunk_count, payload)
-            )
-        if self.on_received is not None:
-            self.on_received(origin, seq, payload)
-        if complete is not None:
-            if self.tracer.enabled and self.tracer.sampled(origin, seq):
-                self.tracer.emit(
-                    self._trace_node,
-                    "data.deliver",
-                    origin=origin,
-                    seq=seq,
-                    object=object_id,
-                )
-            if self.on_deliver is not None:
-                self.on_deliver(origin, seq, complete, user_meta)
+            if on_received is not None:
+                on_received(origin, seq, payload)
+            if complete is not None:
+                if tracing and tracer.sampled(origin, seq):
+                    tracer.emit(
+                        self._trace_node,
+                        "data.deliver",
+                        origin=origin,
+                        seq=seq,
+                        object=object_id,
+                    )
+                if on_deliver is not None:
+                    on_deliver(origin, seq, complete, user_meta)

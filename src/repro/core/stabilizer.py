@@ -127,12 +127,17 @@ class Stabilizer:
         self.fs = self.durability.fs if self.durability is not None else fs
 
         self._delivery_handlers: list = []
+        # An arrived frame is one grant (the engine hears of the run's
+        # last sequence, once); the WAL, when there is one, takes every
+        # message of it.
+        durable = self.durability is not None
         self.dataplane = DataPlane(
             self.endpoint,
             config,
             on_deliver=self._on_deliver,
-            on_received=self._on_received,
-            on_sent=self._on_sent if self.durability is not None else None,
+            on_arrival=self.strategy.on_remote_deliver,
+            on_received=self.durability.append if durable else None,
+            on_sent=self._on_sent if durable else None,
         )
         self.strategy.bind(self)
         # The carrier keeps its historical attribute name: the chaos
@@ -618,14 +623,6 @@ class Stabilizer:
         ``persisted`` be claimed (locally and to every peer)."""
         self.strategy.grant_local(origin, self._type_ids["persisted"], seq)
 
-    def _on_received(self, origin: str, seq: int, payload: Payload) -> None:
-        # The origin implicitly holds every property for what it sent —
-        # except ``persisted`` under durability, which only the origin's
-        # own fsyncs may claim (its control reports carry the claim here).
-        self.strategy.on_remote_deliver(origin, seq)
-        if self.durability is not None:
-            self.durability.append(origin, seq, payload)
-
     def _on_deliver(self, origin: str, seq: int, payload: Payload, meta) -> None:
         for handler in self._delivery_handlers:
             handler(origin, seq, payload, meta)
@@ -655,10 +652,7 @@ class Stabilizer:
         received = self._type_ids["received"]
         if cells is not None and all(t != received for t, _ in cells):
             return
-        table = self.tables[self.name]
-        floor = min(
-            table.get(node, received) for node in range(self.config.node_count())
-        )
+        floor = min([row[received] for row in self.tables[self.name].table])
         if floor > self._delivery_watermark:
             self._delivery_watermark = floor
             self.dataplane.reclaim_up_to(floor)

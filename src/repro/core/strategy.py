@@ -161,10 +161,20 @@ class StabilizationStrategy:
         )
         return advanced
 
-    def on_remote_deliver(self, origin: str, seq: int) -> None:
+    def on_remote_deliver(
+        self, origin: str, seq: int, first: Optional[int] = None
+    ) -> None:
         """A remote ``origin``'s stream delivered contiguously up to
         ``seq`` at this node: apply the origin-row completeness rule,
-        then record (and propagate) this node's ``received`` grant."""
+        then record (and propagate) this node's ``received`` grant.
+
+        Called once per arrived frame, not per message: the origin holds
+        every property for what it sent — except ``persisted`` under
+        durability, which only its own fsyncs may claim — and a newer
+        value overwrites a prior one, so the run's last sequence is all
+        the tables need.  ``first``, the sequence the run began at, only
+        keeps the trace per sequence: every sampled sequence of
+        ``first..seq`` gets its ``ack.local``."""
         table = self.tables[origin]
         origin_index = self.config.node_index(origin)
         advanced = table.set_all_types(
@@ -177,6 +187,21 @@ class StabilizationStrategy:
                 updated_cells=[(type_id, seq) for type_id in advanced],
             )
         self.node.detector.heard_from(origin)
+        tracer = self.tracer
+        if first is not None and first < seq and tracer.enabled:
+            local = self.config.local
+            # As the grant path does: a sequence at or below the cell is
+            # a stale grant and has no event.
+            held = table.table[self.local_index][self.received_id]
+            for covered in range(max(first, held + 1), seq):
+                if tracer.sampled(origin, covered):
+                    tracer.emit(
+                        local,
+                        "ack.local",
+                        origin=origin,
+                        type="received",
+                        seq=covered,
+                    )
         self.grant_local(origin, self.received_id, seq)
 
     def grant_local(self, origin: str, type_id: int, seq: int) -> None:

@@ -109,8 +109,11 @@ class FrameBuilder:
         self._bytes = 0
         self._synthetic = False
 
-    def add(self, payload: Payload, meta=None) -> None:
-        length = payload_length(payload)
+    def add(self, payload: Payload, meta=None, length: Optional[int] = None) -> None:
+        """Append one message; ``length`` is its payload length when the
+        caller already knows it (the send buffer does)."""
+        if length is None:
+            length = payload_length(payload)
         if isinstance(payload, SyntheticPayload):
             self._synthetic = True
             self._parts.append(payload)

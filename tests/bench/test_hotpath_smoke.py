@@ -4,14 +4,15 @@ These live under ``tests/`` so the tier-1 command exercises the harness
 itself on every PR — a broken ``run_hotpath_frontier`` or
 ``run_dsl_microbench`` fails here long before anyone runs the full
 benchmarks.  ``make bench-smoke`` selects just these via the
-``bench_smoke`` marker.  The last two are cost gates, not smoke runs:
-the Python calls one WAL record and one timer event cost, held to a
-budget.
+``bench_smoke`` marker.  The last three are cost gates, not smoke runs:
+the Python calls one WAL record, one timer event and one arrived data
+frame cost, held to a budget.
 """
 
 import pytest
 
 from repro.bench.runners import (
+    frame_calls_per_message,
     kernel_calls_per_event,
     run_dsl_microbench,
     run_hotpath_frontier,
@@ -28,6 +29,13 @@ pytestmark = pytest.mark.bench_smoke
 # raise a budget only with the reason in the commit.
 WAL_CALLS_PER_RECORD_BUDGET = 28.0
 KERNEL_CALLS_PER_EVENT_BUDGET = 6.6
+# An arrived data frame of one message costs a receiver 68.3 calls (72.3
+# before the frame became the unit of arrival), 51.0 of them above the
+# data plane: ACK table, report batcher, frontier engine.  That share
+# belongs to the frame, not to its messages — a frame of four costs 28.3
+# per message where every message used to pay the 72.
+FRAME_CALLS_PER_MESSAGE_BUDGET = 75.0
+FRAME_ENGINE_CALLS_SLACK = 3.0
 
 
 def test_hotpath_frontier_smoke():
@@ -66,3 +74,25 @@ def test_timer_event_stays_within_its_call_budget():
     calls = kernel_calls_per_event(events=1_000)
     assert calls <= KERNEL_CALLS_PER_EVENT_BUDGET
     assert calls == kernel_calls_per_event(events=1_000)  # exact
+
+
+def test_arrived_frame_stays_within_its_call_budget():
+    lone = frame_calls_per_message(1, frames=200)
+    assert lone["calls_per_message"] <= FRAME_CALLS_PER_MESSAGE_BUDGET
+    assert lone == frame_calls_per_message(1, frames=200)  # exact
+
+
+def test_engine_cost_of_an_arrival_is_per_frame_not_per_message():
+    lone = frame_calls_per_message(1, frames=200)
+    four = frame_calls_per_message(4, frames=200)
+    # What the ACK table, the batcher and the frontier engine cost is
+    # constant per frame ...
+    assert lone["engine_calls_per_frame"] > 0
+    assert (
+        abs(four["engine_calls_per_frame"] - lone["engine_calls_per_frame"])
+        <= FRAME_ENGINE_CALLS_SLACK
+    )
+    # ... so a message of a frame of four pays a quarter of it.
+    assert four["calls_per_message"] <= (
+        lone["calls_per_message"] - 0.7 * lone["engine_calls_per_frame"]
+    )

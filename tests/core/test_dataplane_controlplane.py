@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import StabilizerCluster
 from repro.core.config import StabilizerConfig
-from repro.core.dataplane import DataPlane, SendBuffer
+from repro.core.dataplane import DATA_CHANNEL, DataPlane, SendBuffer
 from repro.errors import StabilizerError
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
@@ -79,13 +79,20 @@ def test_dataplane_assigns_contiguous_seqs_across_messages():
     assert dp.next_seq == 5
 
 
+def arrive(dp, origin, payload, meta):
+    """Hand ``dp`` one transport frame from ``origin`` the way the FIFO
+    channel does: through the channel's ``on_deliver`` receiver."""
+    dp.endpoint.channel(origin, DATA_CHANNEL).on_deliver(payload, meta)
+
+
 def test_dataplane_detects_sequence_gaps():
     sim, net = build_net()
     dp = DataPlane(TransportEndpoint(net, "y"), config(local="y"))
-    dp._on_chunk("x", b"payload", (1, 0, 0, 1, None))
+    arrive(dp, "x", b"payload", (1, 0, 0, 1, None))
     # Once contact is established, a gap means the transport is broken.
     with pytest.raises(StabilizerError, match="out of order"):
-        dp._on_chunk("x", b"payload", (3, 2, 0, 1, None))
+        arrive(dp, "x", b"payload", (3, 2, 0, 1, None))
+    assert dp.highest_received("x") == 1
 
 
 def test_dataplane_first_contact_adopts_stream_position():
@@ -98,13 +105,13 @@ def test_dataplane_first_contact_adopts_stream_position():
         config(local="y"),
         on_deliver=lambda origin, seq, payload, meta: delivered.append(seq),
     )
-    dp._on_chunk("x", b"late joiner", (42, 7, 0, 1, None))
+    arrive(dp, "x", b"late joiner", (42, 7, 0, 1, None))
     assert dp.highest_received("x") == 42
     assert delivered == [42]
     # But never mid-object: the first object could not be reassembled.
     dp2 = DataPlane(TransportEndpoint(net, "x"), config(local="x"))
     with pytest.raises(StabilizerError, match="mid-object"):
-        dp2._on_chunk("y", b"fragment", (42, 7, 1, 3, None))
+        arrive(dp2, "y", b"fragment", (42, 7, 1, 3, None))
 
 
 def test_dataplane_delivery_and_received_callbacks():
