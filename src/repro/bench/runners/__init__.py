@@ -38,6 +38,7 @@ from repro.bench.runners.hotpath import (
     frame_calls_per_message,
     hotpath_calls_per_report,
     kernel_calls_per_event,
+    lone_send_calls_per_peer,
     run_hotpath_frontier,
     wal_calls_per_record,
 )

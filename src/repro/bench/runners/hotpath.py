@@ -1,6 +1,6 @@
 """Hot paths: reports/sec through the frontier engine, and the exact
-Python-call cost of a WAL record, of a timer event and of an arrived data
-frame (not paper figures)."""
+Python-call cost of a WAL record, of a timer event, of a lone message's
+send and of an arrived data frame (not paper figures)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Dict, List, Sequence
 from repro.bench.runners.kit import count_calls
 from repro.core.cluster import StabilizerCluster
 from repro.core.config import StabilizerConfig
-from repro.core.dataplane import DATA_CHANNEL, EPOCH_TAG, FRAME_TAG
+from repro.core.dataplane import DATA_CHANNEL, EPOCH_TAG, FRAME_TAG, DataPlane
 from repro.core.durability import DurabilityManager
 from repro.core.frontier import FrontierEngine
 from repro.core.strategy import AckTable
@@ -21,6 +21,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.faultio import MemoryFileSystem
 from repro.transport.chunker import FrameBuilder
+from repro.transport.endpoint import TransportEndpoint
 from repro.transport.messages import SyntheticPayload
 
 
@@ -278,6 +279,49 @@ def kernel_calls_per_event(events: int = 1_000) -> float:
 
     _none, calls = count_calls(drive)
     return calls / events
+
+
+def _ignore_delivery(payload, meta) -> None:
+    """A data channel's receiver that does nothing (one counted call)."""
+
+
+def lone_send_calls_per_peer(payload_bytes: int = 512, nodes: int = 5) -> float:
+    """Python calls one ``payload_bytes`` :meth:`DataPlane.send
+    <repro.core.dataplane.DataPlane.send>` costs per peer, from the call
+    through ``sim.run()`` to each receiver's data-channel ``on_deliver``
+    (a no-op): chunking, the send buffer, the frame cut, the FIFO channel,
+    the link, the event loop and the receiving channel.
+
+    ``nodes`` bare transport endpoints on a uniform network, the sender's
+    data plane the only plane, so no control traffic shares the run.  A
+    first send, drained, warms the routes; the counted send then runs up
+    to the moment its frames have arrived and no further (receiver ACKs
+    are due ``ack_interval`` later).  Exact per ``(payload_bytes, nodes)``.
+    """
+    names = [f"n{i}" for i in range(1, nodes + 1)]
+    link = NetemSpec(latency_ms=5, rate_mbit=100)
+    net = Topology.uniform({name: name for name in names}, link).build(Simulator())
+    config = StabilizerConfig(names, {name: [name] for name in names}, names[0])
+    for name in names[1:]:
+        endpoint = TransportEndpoint(net, name)
+        endpoint.channel(
+            names[0], DATA_CHANNEL, **config.channel_kwargs()
+        ).on_deliver = _ignore_delivery
+    dataplane = DataPlane(TransportEndpoint(net, names[0]), config)
+    payload = bytes(payload_bytes)
+    sim = net.sim
+    dataplane.send(payload)
+    sim.run()
+
+    def send_and_arrive() -> None:
+        dataplane.send(payload)
+        sim.run(until=sim.now + 2 * link.latency_s)
+
+    _none, calls = count_calls(send_and_arrive)
+    peers = nodes - 1
+    if dataplane.frames_sent != 2 * peers or dataplane.frame_messages != 2 * peers:
+        raise RuntimeError("the send did not leave as one frame of one per peer")
+    return calls / peers
 
 
 #: Chunks per object in the frame driver: a frame of four is one object.

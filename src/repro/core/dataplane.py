@@ -417,55 +417,66 @@ class DataPlane:
             )
 
     def _cut_frame(self, stream: _PeerStream, cause: str) -> None:
-        builder = self._builder
+        """Ship the next frame off ``stream``'s pending tail: the run of
+        entries that fits in ``frame_bytes`` (always at least one)."""
         pending = stream.pending
-        while pending:
-            entry = pending[0]
-            if (
-                builder.message_count
-                and builder.pending_bytes + entry.size > self._frame_bytes
-            ):
-                break  # frame full; the next frame takes it
-            pending.popleft()
-            stream.pending_bytes -= entry.size
-            builder.add(entry.payload, entry.chunk_meta, entry.size)
-            if builder.pending_bytes >= self._frame_bytes:
-                break
-        payload, metas, lengths = builder.build()
-        if len(metas) == 1:
-            # A lone message needs no batch framing.
-            stream.channel.send(payload, meta=(EPOCH_TAG, self.epoch, metas[0]))
+        frame_bytes = self._frame_bytes
+        first = pending.popleft()
+        run_bytes = first.size
+        messages = 1
+        if (
+            run_bytes >= frame_bytes
+            or not pending
+            or run_bytes + pending[0].size > frame_bytes
+        ):
+            # A lone message needs no batch framing: its chunk ships as is.
+            last_seq = first.seq
+            stream.channel.send(
+                first.payload, meta=(EPOCH_TAG, self.epoch, first.chunk_meta)
+            )
         else:
+            builder = self._builder
+            builder.add(first.payload, first.chunk_meta, run_bytes)
+            while pending and run_bytes < frame_bytes:
+                entry = pending[0]
+                if run_bytes + entry.size > frame_bytes:
+                    break  # frame full; the next frame takes it
+                pending.popleft()
+                builder.add(entry.payload, entry.chunk_meta, entry.size)
+                run_bytes += entry.size
+                messages += 1
+            payload, metas, lengths = builder.build()
+            last_seq = metas[-1][0]
             stream.channel.send(
                 payload,
                 meta=(EPOCH_TAG, self.epoch, (FRAME_TAG, metas, lengths)),
-                wire_overhead=BATCH_ENTRY.size * len(metas),
+                wire_overhead=BATCH_ENTRY.size * messages,
             )
+        stream.pending_bytes -= run_bytes
         self.frames_sent += 1
-        self.frame_messages += len(metas)
-        self.frame_payload_bytes += sum(lengths)
-        if len(metas) > self.max_frame_messages:
-            self.max_frame_messages = len(metas)
+        self.frame_messages += messages
+        self.frame_payload_bytes += run_bytes
+        if messages > self.max_frame_messages:
+            self.max_frame_messages = messages
         cause_key = (
             "size"
-            if cause == "inline" and len(metas) > 1 and self._frame_delay_s > 0.0
+            if cause == "inline" and messages > 1 and self._frame_delay_s > 0.0
             else cause
         )
         self.flush_causes[cause_key] = self.flush_causes.get(cause_key, 0) + 1
         if self.tracer.enabled:
-            # metas are chunk metas in stream order; the frame covers the
-            # contiguous sequence run [first_seq, last_seq] — the trace
-            # context that lets span reconstruction tie a peer's
-            # data.receive back to this frame.
+            # The frame covers the contiguous sequence run [first_seq,
+            # last_seq] — the trace context that lets span reconstruction
+            # tie a peer's data.receive back to this frame.
             self.tracer.emit(
                 self._trace_node,
                 "data.frame_send",
                 peer=stream.peer,
                 origin=self._trace_node,
-                first_seq=metas[0][0],
-                last_seq=metas[-1][0],
-                messages=len(metas),
-                bytes=sum(lengths),
+                first_seq=first.seq,
+                last_seq=last_seq,
+                messages=messages,
+                bytes=run_bytes,
                 cause=cause,
             )
 

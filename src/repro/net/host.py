@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.errors import NetworkError
 from repro.net.packet import Packet
 
 Handler = Callable[[Packet], None]
@@ -15,7 +14,9 @@ class Host:
 
     Protocol layers register a handler per *port* (an arbitrary string such
     as ``"stabilizer"`` or ``"paxos"``).  A crashed host silently drops
-    everything, which is exactly what a remote peer observes.
+    everything, which is exactly what a remote peer observes.  The arriving
+    link dispatches (:meth:`repro.net.link.Link.transmit`): it reads
+    ``crashed`` and the port table and keeps the receive counters here.
     """
 
     def __init__(self, name: str, index: int):
@@ -32,20 +33,6 @@ class Host:
 
     def unbind(self, port: str) -> None:
         self._handlers.pop(port, None)
-
-    def deliver(self, packet: Packet) -> None:
-        """Called by the network when a packet arrives."""
-        if self.crashed:
-            return
-        handler = self._handlers.get(packet.port)
-        if handler is None:
-            raise NetworkError(
-                f"host {self.name!r} has no handler bound for port "
-                f"{packet.port!r}"
-            )
-        self.packets_received += 1
-        self.bytes_received += packet.size_bytes
-        handler(packet)
 
     def crash(self) -> None:
         """Stop receiving; in-flight and future packets are dropped."""

@@ -17,9 +17,10 @@ the spikes of Fig. 5.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import NetworkError
+from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
 
@@ -89,13 +90,9 @@ class Link:
         return self.serialization_delay(size_bytes) + self.latency_s
 
     # -- transmission ----------------------------------------------------------
-    def transmit(
-        self,
-        packet: Packet,
-        deliver: Callable[[Packet], None],
-        now: Optional[float] = None,
-    ) -> bool:
-        """Enqueue ``packet``; call ``deliver(packet)`` on arrival.
+    def transmit(self, packet: Packet, dst: Host, now: Optional[float] = None) -> bool:
+        """Enqueue ``packet``; hand it to ``dst``'s handler for its port on
+        arrival.
 
         Returns False (and counts a drop) when the link is down or the
         packet is randomly lost.  Reliability is the transport's job.
@@ -129,16 +126,29 @@ class Link:
         stats.packets_sent += 1
         stats.bytes_sent += size
 
-        self.sim.call_at(done_serializing + propagation, self._arrive, packet, deliver)
+        self.sim.call_at(done_serializing + propagation, self._arrive, packet, dst)
         return True
 
-    def _arrive(self, packet: Packet, deliver: Callable[[Packet], None]) -> None:
-        self._backlog_bytes -= packet.size_bytes
+    def _arrive(self, packet: Packet, dst: Host) -> None:
+        # The one Python frame between the event loop and the port
+        # handler: link, host and port checks are all made here.
+        size = packet.size_bytes
+        self._backlog_bytes -= size
         if not self.up:
             # Link went down while the packet was in flight.
             self.stats.packets_dropped += 1
             return
-        deliver(packet)
+        if dst.crashed:
+            return  # a crashed host silently drops everything
+        handler = dst._handlers.get(packet.port)
+        if handler is None:
+            raise NetworkError(
+                f"host {dst.name!r} has no handler bound for port "
+                f"{packet.port!r}"
+            )
+        dst.packets_received += 1
+        dst.bytes_received += size
+        handler(packet)
 
     # -- dynamic control -------------------------------------------------------
     def set_up(self, up: bool) -> None:

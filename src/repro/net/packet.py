@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
-
-_packet_ids = itertools.count(1)
 
 
 class Packet:
@@ -17,7 +14,7 @@ class Packet:
     (Stabilizer, Paxos, pub/sub) can share one network.
     """
 
-    __slots__ = ("packet_id", "src", "dst", "port", "payload", "size_bytes", "sent_at")
+    __slots__ = ("src", "dst", "port", "payload", "size_bytes", "sent_at")
 
     def __init__(
         self,
@@ -30,7 +27,6 @@ class Packet:
     ):
         if size_bytes <= 0:
             raise ValueError(f"packet size must be positive, got {size_bytes}")
-        self.packet_id = next(_packet_ids)
         self.src = src
         self.dst = dst
         self.port = port
@@ -40,6 +36,6 @@ class Packet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Packet #{self.packet_id} {self.src}->{self.dst}:{self.port} "
-            f"{self.size_bytes}B>"
+            f"<Packet {self.src}->{self.dst}:{self.port} "
+            f"{self.size_bytes}B sent_at={self.sent_at}>"
         )

@@ -9,7 +9,7 @@ preset (e.g. the Table I EC2 emulation) drive many experiments.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError, NetworkError
 from repro.net.host import Host
@@ -143,20 +143,20 @@ class Network:
                     loss_rate=spec.loss_rate,
                     rng=rng.stream(f"link:{src}->{dst}"),
                 )
-        # (src, dst) -> (source host, link, destination's deliver): hosts
-        # and links live as long as the network, so a directed pair is
+        # (src, dst) -> (source host, link, destination host): hosts and
+        # links live as long as the network, so a directed pair is
         # validated once, not on every packet.
-        self._routes: Dict[Tuple[str, str], Tuple[Host, Link, Callable]] = {}
+        self._routes: Dict[Tuple[str, str], Tuple[Host, Link, Host]] = {}
 
     # -- data path ---------------------------------------------------------------
     def send(self, src: str, dst: str, port: str, payload, size_bytes: int) -> bool:
         """Transmit one packet; returns False if it was dropped at the link."""
-        source, link, deliver = self._routes.get((src, dst)) or self._route(src, dst)
+        source, link, target = self._routes.get((src, dst)) or self._route(src, dst)
         if source.crashed:
             return False  # a crashed node emits nothing
         now = self.sim.now
         packet = Packet(src, dst, port, payload, size_bytes, sent_at=now)
-        return link.transmit(packet, deliver, now)
+        return link.transmit(packet, target, now)
 
     def _route(self, src: str, dst: str):
         """Validate a directed pair on first use and remember it."""
@@ -167,7 +167,7 @@ class Network:
             # Checked before the link and the destination, as ever: not
             # remembered, so the pair is validated once the node is back.
             return source, None, None
-        route = source, self.link(src, dst), self.host(dst).deliver
+        route = source, self.link(src, dst), self.host(dst)
         self._routes[(src, dst)] = route
         return route
 

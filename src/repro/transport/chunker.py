@@ -94,7 +94,9 @@ class FrameBuilder:
     """Accumulates sequenced messages into one coalesced WAN frame.
 
     ``add`` never copies: real payloads are kept as ``memoryview`` parts
-    and joined exactly once when :meth:`build` cuts the frame.  A frame
+    and joined exactly once when :meth:`build` cuts the frame.  The data
+    plane builds only runs of two or more; a lone message ships its chunk
+    as is, with no batch framing and no copy.  A frame
     mixing real and synthetic payloads degrades to one
     :class:`SyntheticPayload` of the total length (experiments at that
     scale never inspect bytes).
@@ -125,28 +127,12 @@ class FrameBuilder:
         self._lengths.append(length)
         self._bytes += length
 
-    @property
-    def pending_bytes(self) -> int:
-        return self._bytes
-
-    @property
-    def message_count(self) -> int:
-        return len(self._parts)
-
     def build(self) -> Tuple[Payload, Tuple[object, ...], Tuple[int, ...]]:
         """Cut the frame: ``(payload, metas, lengths)``; resets the builder."""
         if not self._parts:
             raise TransportError("cannot build an empty frame")
         if self._synthetic:
             payload: Payload = SyntheticPayload(self._bytes)
-        elif len(self._parts) == 1:
-            part = self._parts[0]
-            # A whole-buffer view hands back the original object; a slice
-            # (or non-bytes buffer) costs the one frame-boundary copy.
-            if isinstance(part.obj, bytes) and len(part) == len(part.obj):
-                payload = part.obj
-            else:
-                payload = bytes(part)
         else:
             payload = b"".join(self._parts)  # the frame's one copy
         out = (payload, tuple(self._metas), tuple(self._lengths))

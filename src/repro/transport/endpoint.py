@@ -115,9 +115,6 @@ class TransportEndpoint:
         self.net.host(self.node_name).unbind(self.port)
 
     # -- wiring ---------------------------------------------------------------
-    def _send_raw(self, peer: str, frame, size_bytes: int) -> None:
-        self.net.send(self.node_name, peer, self.port, frame, max(size_bytes, 1))
-
     def _channel_suspended(self, chan: FifoChannel) -> None:
         self._suspended_peers.add(chan.peer)
         if self.on_peer_dead is not None:
@@ -136,14 +133,19 @@ class TransportEndpoint:
         kind = frame[0]
         if kind == "data":
             _, name, seq, payload, meta, epoch = frame
-            chan = self.channel(packet.src, name)
+            # One lookup; channel() only builds a channel on first use.
+            chan = self._channels.get((packet.src, name))
+            if chan is None:
+                chan = self.channel(packet.src, name)
             chan._handle_data(seq, payload, packet.size_bytes, meta, epoch)
         elif kind == "dgram":
             if self.on_datagram is not None:
                 self.on_datagram(packet.src, frame[1])
         elif kind == "ack":
             _, name, cumulative, epoch = frame
-            chan = self.channel(packet.src, name)
+            chan = self._channels.get((packet.src, name))
+            if chan is None:
+                chan = self.channel(packet.src, name)
             chan._handle_ack(cumulative, epoch)
         else:
             raise TransportError(f"unknown transport frame kind: {kind!r}")

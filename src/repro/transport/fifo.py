@@ -101,6 +101,9 @@ class FifoChannel:
             raise TransportError("max_retransmit_attempts must be positive")
         self.endpoint = endpoint
         self.sim = endpoint.sim
+        # Frames and ACKs go straight to the network, on the endpoint's port.
+        self.net = endpoint.net
+        self.port = endpoint.port
         self.local = endpoint.node_name
         self.peer = peer
         self.name = name
@@ -206,7 +209,13 @@ class FifoChannel:
         self._unacked[frame.seq] = frame
         self._unacked_bytes += frame.size
         frame.sent_at = self.sim.now
-        self._transmit(frame)
+        self.net.send(
+            self.local,
+            self.peer,
+            self.port,
+            ("data", self.name, frame.seq, frame.payload, frame.meta, self.epoch),
+            frame.size,
+        )
         self.frames_sent += 1
         if self._retransmit_timer is None and not self.suspended:
             self._arm_retransmit()
@@ -238,12 +247,20 @@ class FifoChannel:
         """True when frames are waiting on credits (backlogged)."""
         return bool(self._backlog)
 
-    def _transmit(self, frame: _OutFrame) -> None:
-        self.endpoint._send_raw(
-            self.peer,
-            ("data", self.name, frame.seq, frame.payload, frame.meta, self.epoch),
-            frame.size,
-        )
+    def _resend_unacked(self) -> None:
+        """Go-back-N: put every unacked frame on the wire again, in order
+        (Karn's rule: retransmitted frames stop contributing RTT samples)."""
+        for seq in sorted(self._unacked):
+            frame = self._unacked[seq]
+            frame.retransmitted = True
+            self.net.send(
+                self.local,
+                self.peer,
+                self.port,
+                ("data", self.name, frame.seq, frame.payload, frame.meta, self.epoch),
+                frame.size,
+            )
+            self.retransmissions += 1
 
     # -- retransmission ------------------------------------------------------
     def current_rto(self) -> float:
@@ -286,8 +303,6 @@ class FifoChannel:
             ):
                 self._suspend()
                 return
-            # Go-back-N: resend every unacked frame in order (Karn's rule:
-            # retransmitted frames stop contributing RTT samples).
             tracer = self.endpoint.tracer
             if tracer.enabled:
                 tracer.emit(
@@ -298,11 +313,7 @@ class FifoChannel:
                     frames=len(self._unacked),
                     attempt=self._attempts,
                 )
-            for seq in sorted(self._unacked):
-                frame = self._unacked[seq]
-                frame.retransmitted = True
-                self._transmit(frame)
-                self.retransmissions += 1
+            self._resend_unacked()
             self._last_progress = self.sim.now
         self._retransmit_timer = self.sim.call_later(
             self.current_rto(), self._check_retransmit
@@ -351,11 +362,7 @@ class FifoChannel:
                 port=self.endpoint.port,
                 frames=len(self._unacked),
             )
-        for seq in sorted(self._unacked):
-            frame = self._unacked[seq]
-            frame.retransmitted = True
-            self._transmit(frame)
-            self.retransmissions += 1
+        self._resend_unacked()
         if self._unacked and self._retransmit_timer is None:
             self._arm_retransmit()
 
@@ -458,7 +465,12 @@ class FifoChannel:
         elif epoch < self._peer_epoch:
             return  # a stale frame from before the peer's restart
         if seq < self._next_deliver_seq:
-            self._mark_ack_needed()  # duplicate: re-ack so sender unblocks
+            # A duplicate: re-ack so the sender unblocks.
+            self._ack_dirty = True
+            if self._ack_timer is None:
+                self._ack_timer = self.sim.call_later(
+                    self.ack_interval, self._ack_tick
+                )
             return
         ooo = self._ooo
         if seq == self._next_deliver_seq and not ooo:
@@ -475,15 +487,14 @@ class FifoChannel:
                 self.frames_delivered += 1
                 if self.on_deliver is not None:
                     self.on_deliver(frame.payload, frame.meta)
+        # An ACK is now due within ``ack_interval`` (the timer is armed
+        # after delivery, which keeps it in its place in event order).
         self._since_ack += 1
-        self._mark_ack_needed()
-        if self._since_ack >= self.ack_every:
-            self._send_ack()
-
-    def _mark_ack_needed(self) -> None:
         self._ack_dirty = True
         if self._ack_timer is None:
             self._ack_timer = self.sim.call_later(self.ack_interval, self._ack_tick)
+        if self._since_ack >= self.ack_every:
+            self._send_ack()
 
     def _ack_tick(self) -> None:
         self._ack_timer = None
@@ -502,8 +513,10 @@ class FifoChannel:
                 channel=self.name,
                 cumulative=self._next_deliver_seq - 1,
             )
-        self.endpoint._send_raw(
+        self.net.send(
+            self.local,
             self.peer,
+            self.port,
             ("ack", self.name, self._next_deliver_seq - 1, self._peer_epoch),
             ACK_FRAME_BYTES,
         )

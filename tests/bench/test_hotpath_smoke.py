@@ -4,9 +4,9 @@ These live under ``tests/`` so the tier-1 command exercises the harness
 itself on every PR — a broken ``run_hotpath_frontier`` or
 ``run_dsl_microbench`` fails here long before anyone runs the full
 benchmarks.  ``make bench-smoke`` selects just these via the
-``bench_smoke`` marker.  The last three are cost gates, not smoke runs:
-the Python calls one WAL record, one timer event and one arrived data
-frame cost, held to a budget.
+``bench_smoke`` marker.  The last five are cost gates, not smoke runs:
+the Python calls one WAL record, one timer event, one lone send and one
+arrived data frame cost, held to a budget.
 """
 
 import pytest
@@ -14,6 +14,7 @@ import pytest
 from repro.bench.runners import (
     frame_calls_per_message,
     kernel_calls_per_event,
+    lone_send_calls_per_peer,
     run_dsl_microbench,
     run_hotpath_frontier,
     wal_calls_per_record,
@@ -21,14 +22,18 @@ from repro.bench.runners import (
 
 pytestmark = pytest.mark.bench_smoke
 
-# Budgets for the two per-operation paths every workload pays, in Python
+# Budgets for the per-operation paths every workload pays, in Python
 # calls (``count_calls``: exact, no wall clock), pinned about 10 % above
 # what the code costs today — 25.5 per record (57.4 before the append path
-# was shortened) and 6.0 per event (9.0 before the handle became the heap
-# entry).  A change that puts a layer back on either path fails here;
-# raise a budget only with the reason in the commit.
+# was shortened), 5.0 per event (9.0 before the handle became the heap
+# entry, 6.0 while ``run`` asked ``_next_time()`` for every event) and
+# 41.5 per peer of a lone 512 B send (68.75 while a frame of one went
+# through the frame builder and a relay call per layer).  A change that
+# puts a layer back on any of these paths fails here; raise a budget only
+# with the reason in the commit.
 WAL_CALLS_PER_RECORD_BUDGET = 28.0
-KERNEL_CALLS_PER_EVENT_BUDGET = 6.6
+KERNEL_CALLS_PER_EVENT_BUDGET = 5.5
+LONE_SEND_CALLS_PER_PEER_BUDGET = 45.5
 # An arrived data frame of one message costs a receiver 68.3 calls (72.3
 # before the frame became the unit of arrival), 51.0 of them above the
 # data plane: ACK table, report batcher, frontier engine.  That share
@@ -74,6 +79,12 @@ def test_timer_event_stays_within_its_call_budget():
     calls = kernel_calls_per_event(events=1_000)
     assert calls <= KERNEL_CALLS_PER_EVENT_BUDGET
     assert calls == kernel_calls_per_event(events=1_000)  # exact
+
+
+def test_lone_send_stays_within_its_call_budget():
+    calls = lone_send_calls_per_peer(payload_bytes=512, nodes=5)
+    assert calls <= LONE_SEND_CALLS_PER_PEER_BUDGET
+    assert calls == lone_send_calls_per_peer(payload_bytes=512, nodes=5)  # exact
 
 
 def test_arrived_frame_stays_within_its_call_budget():

@@ -1,0 +1,166 @@
+"""A frame of one ships its chunk as is — and nothing else changed.
+
+The data plane cuts a frame by choosing the run first: a run of one
+message is sent as that message's chunk and chunk meta, and only a run of
+two or more goes through :class:`FrameBuilder`.  This is the differential
+test of that against a reference data plane that cuts *every* frame
+through the builder, as the send path did before.  Both stream the same
+seeded traffic — real and synthetic payloads, objects of one and of many
+chunks, chunks on both sides of ``frame_bytes``, a window small enough
+that stalled peers coalesce several messages into one frame — over the
+same network, and must put the same data frames on the wire: per peer,
+the same sequence of (payload bytes or length, meta, wire size), the same
+frames delivered, and the same frame counters.
+"""
+
+import random
+
+import pytest
+
+from repro.core import StabilizerConfig
+from repro.core.dataplane import DATA_CHANNEL, EPOCH_TAG, FRAME_TAG, DataPlane
+from repro.net import NetemSpec, Topology
+from repro.sim import Simulator
+from repro.transport.chunker import FrameBuilder
+from repro.transport.endpoint import TransportEndpoint
+from repro.transport.messages import BATCH_ENTRY, SyntheticPayload
+
+NODES = ["a", "b", "c", "d"]
+CHUNK_BYTES = 1500
+FRAME_BYTES = 1024  # below the largest chunk: some chunks alone fill a frame
+WINDOW_BYTES = 6000  # a few frames in flight, then the window stalls
+
+
+class ReferenceDataPlane(DataPlane):
+    """Every frame cut through the builder, a frame of one included."""
+
+    def _cut_frame(self, stream, cause):
+        builder = FrameBuilder()
+        pending = stream.pending
+        count = total = 0
+        while pending:
+            entry = pending[0]
+            if count and total + entry.size > self._frame_bytes:
+                break
+            pending.popleft()
+            stream.pending_bytes -= entry.size
+            builder.add(entry.payload, entry.chunk_meta, entry.size)
+            count += 1
+            total += entry.size
+            if total >= self._frame_bytes:
+                break
+        payload, metas, lengths = builder.build()
+        if len(metas) == 1:
+            stream.channel.send(payload, meta=(EPOCH_TAG, self.epoch, metas[0]))
+        else:
+            stream.channel.send(
+                payload,
+                meta=(EPOCH_TAG, self.epoch, (FRAME_TAG, metas, lengths)),
+                wire_overhead=BATCH_ENTRY.size * len(metas),
+            )
+        self.frames_sent += 1
+        self.frame_messages += len(metas)
+        self.frame_payload_bytes += sum(lengths)
+        self.max_frame_messages = max(self.max_frame_messages, len(metas))
+        cause_key = (
+            "size"
+            if cause == "inline" and len(metas) > 1 and self._frame_delay_s > 0.0
+            else cause
+        )
+        self.flush_causes[cause_key] = self.flush_causes.get(cause_key, 0) + 1
+
+
+def plain(payload):
+    """A payload as comparable data: its bytes, or a synthetic length."""
+    if isinstance(payload, SyntheticPayload):
+        return ("synthetic", payload.length)
+    return bytes(payload)
+
+
+def draw_payload(rng):
+    size = rng.choice(
+        (
+            rng.randint(1, 200),  # several fit one frame
+            rng.randint(200, FRAME_BYTES),
+            rng.randint(FRAME_BYTES + 1, CHUNK_BYTES),  # one chunk, alone
+            rng.randint(CHUNK_BYTES + 1, 4 * CHUNK_BYTES),  # many chunks
+        )
+    )
+    if rng.random() < 0.5:
+        return SyntheticPayload(size)
+    return bytes(rng.getrandbits(8) for _ in range(size))
+
+
+def stream_traffic(plane_class, seed):
+    """Run the seeded traffic from ``a`` through a ``plane_class`` data
+    plane; return what every peer received and the plane's counters."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    net = Topology.uniform(
+        {name: name for name in NODES}, NetemSpec(latency_ms=10, rate_mbit=20)
+    ).build(sim)
+    config = StabilizerConfig(
+        NODES,
+        {name: [name] for name in NODES},
+        "a",
+        chunk_bytes=CHUNK_BYTES,
+        frame_bytes=FRAME_BYTES,
+        frame_delay_ms=rng.choice((0.0, 2.0)),
+        window_bytes=WINDOW_BYTES,
+    )
+    delivered = {peer: [] for peer in NODES[1:]}
+    for peer in NODES[1:]:
+        channel = TransportEndpoint(net, peer).channel(
+            "a", DATA_CHANNEL, **config.channel_kwargs()
+        )
+        channel.on_deliver = lambda payload, meta, _log=delivered[peer]: _log.append(
+            (plain(payload), meta)
+        )
+    wire = {peer: [] for peer in NODES[1:]}
+    send = net.send
+
+    def recording_send(src, dst, port, frame, size_bytes):
+        if frame[0] == "data":
+            wire[dst].append((plain(frame[3]), frame[4], size_bytes))
+        return send(src, dst, port, frame, size_bytes)
+
+    net.send = recording_send
+    plane = plane_class(TransportEndpoint(net, "a"), config)
+    at = 0.0
+    for _burst in range(40):
+        at += rng.choice((0.0005, 0.002, 0.02))
+        payloads = [draw_payload(rng) for _ in range(rng.randint(1, 4))]
+        for payload in payloads:
+            sim.call_at(at, plane.send, payload)
+    sim.run()
+    counters = {
+        name: getattr(plane, name)
+        for name in (
+            "frames_sent",
+            "frame_messages",
+            "frame_payload_bytes",
+            "max_frame_messages",
+            "flush_causes",
+            "window_stalls",
+        )
+    }
+    return wire, delivered, counters
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lone_frames_put_the_same_frames_on_the_wire(seed):
+    wire, delivered, counters = stream_traffic(DataPlane, seed)
+    assert (wire, delivered, counters) == stream_traffic(ReferenceDataPlane, seed)
+    # The traffic exercised both cuts: lone frames and coalesced ones.
+    metas = [meta for frames in delivered.values() for _payload, meta in frames]
+    assert any(meta[2][0] == FRAME_TAG for meta in metas)
+    assert any(meta[2][0] != FRAME_TAG for meta in metas)
+    # Every peer got every message of the stream, in order.
+    streamed = counters["frame_messages"] // len(delivered)
+    for frames in delivered.values():
+        seqs = [
+            chunk[0]
+            for _payload, (_tag, _epoch, meta) in frames
+            for chunk in (meta[1] if meta[0] == FRAME_TAG else (meta,))
+        ]
+        assert seqs == list(range(1, streamed + 1))

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+import cProfile
 import random
 import weakref
 
@@ -442,10 +443,16 @@ class ModelSimulator:
         return sum(1 for h in self.entries if not h.cancelled)
 
 
+class Boom(Exception):
+    """Raised by a callback of a random program."""
+
+
 def run_program(sim, seed):
     """Drive ``sim`` through a seeded random program; return what an
     observer could see.  Every random draw happens in execution order, so
-    two kernels that agree consume the same stream."""
+    two kernels that agree consume the same stream.  Some callbacks raise:
+    the exception leaves ``step``/``run``, the raising handle is consumed,
+    ``run`` is re-entrant again and the program carries on."""
     rng = random.Random(seed)
     trace = []
     handles = []
@@ -456,6 +463,17 @@ def run_program(sim, seed):
         if depth < 3:
             for _ in range(rng.randrange(3)):
                 act(depth + 1)
+        if rng.random() < 0.15:
+            raise Boom(ident)
+
+    def guarded(call, *args):
+        try:
+            return call(*args)
+        except Boom as exc:
+            ident = exc.args[0]
+            running = getattr(sim, "_running", False)  # the model has none
+            trace.append(("raised", ident, handles[ident].cancelled, running))
+            return "raised"
 
     def schedule(depth):
         ident = len(handles)
@@ -495,12 +513,16 @@ def run_program(sim, seed):
         if draw < 0.6:
             act(0)
         elif draw < 0.8:
-            trace.append(("step", sim.step(), sim.now))
+            trace.append(("step", guarded(sim.step), sim.now))
         else:
             until = sim.now + rng.choice((-1.0, 0.0, 0.7, 2.0))
-            trace.append(("run", sim.run(until=until), sim.now))
+            trace.append(("run", guarded(sim.run, until), sim.now))
         trace.append(("pending", sim.pending_count()))
-    trace.append(("drain", sim.run(), sim.now, sim.pending_count()))
+    while True:
+        drained = guarded(sim.run)
+        trace.append(("drain", drained, sim.now, sim.pending_count()))
+        if drained != "raised":
+            break
     trace.append(("handles", [(h.time, h.cancelled) for h in handles]))
     return trace
 
@@ -512,3 +534,33 @@ def test_random_programs_match_the_reference_model(seed):
     # Every handle ends consumed, and the programs are not trivial.
     assert all(cancelled for _time, cancelled in trace[-1][1])
     assert sum(1 for entry in trace if entry[0] == "fire") >= 5
+    # Some callback raised; each was consumed and left run() re-entrant.
+    raised = [entry for entry in trace if entry[0] == "raised"]
+    assert raised
+    assert all(consumed and not running for _, _, consumed, running in raised)
+
+
+def test_run_dispatches_every_event_through_step():
+    """``run`` calls ``step`` once per event it dispatches and for nothing
+    else — not for cancelled entries, not past ``until``.  A contract:
+    ``perf/trace.py`` reports ``sim.events_per_send`` as the profile's call
+    count of ``Simulator.step`` (``count_calls``' profiler, read per
+    function), and a ``run`` that dispatched inline would make that metric
+    read null."""
+    sim = Simulator()
+    fired = []
+    for index in range(30):
+        handle = sim.call_later(index * 0.1, fired.append, index)
+        if index % 4 == 1:
+            handle.cancel()
+    profiler = cProfile.Profile()
+    profiler.runcall(sim.run, 2.0)
+    assert fired == [index for index in range(21) if index % 4 != 1]
+    profiler.runcall(sim.run)
+    assert fired == [index for index in range(30) if index % 4 != 1]
+    step_calls = sum(
+        entry.callcount
+        for entry in profiler.getstats()
+        if entry.code is Simulator.step.__code__
+    )
+    assert step_calls == len(fired)
