@@ -20,7 +20,6 @@ from repro.obs import Histogram
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.faultio import MemoryFileSystem
-from repro.transport.chunker import FrameBuilder
 from repro.transport.endpoint import TransportEndpoint
 from repro.transport.messages import SyntheticPayload
 
@@ -332,17 +331,18 @@ def _wire_frames(messages_per_frame: int, frames: int) -> list:
     """``frames`` consecutive data frames of one origin's stream as the
     sender cuts them — ``(payload, meta)`` pairs of ``messages_per_frame``
     synthetic 8 KB chunks each, every four chunks one object."""
-    builder = FrameBuilder()
-    chunk = SyntheticPayload(8 * 1024)
+    chunk_bytes = 8 * 1024
+    lengths = (chunk_bytes,) * messages_per_frame
+    payload = SyntheticPayload(chunk_bytes * messages_per_frame)
     wire = []
     seq = 0
     for _ in range(frames):
+        metas = []
         for _ in range(messages_per_frame):
             object_id, index = divmod(seq, _FRAME_OBJECT_CHUNKS)
             seq += 1
-            builder.add(chunk, (seq, object_id, index, _FRAME_OBJECT_CHUNKS, None))
-        payload, metas, lengths = builder.build()
-        meta = metas[0] if len(metas) == 1 else (FRAME_TAG, metas, lengths)
+            metas.append((seq, object_id, index, _FRAME_OBJECT_CHUNKS, None))
+        meta = metas[0] if len(metas) == 1 else (FRAME_TAG, tuple(metas), lengths)
         wire.append((payload, (EPOCH_TAG, 0, meta)))
     return wire
 

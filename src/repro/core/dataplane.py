@@ -43,15 +43,9 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import StabilizerConfig
 from repro.errors import BackpressureError, StabilizerError, TransportError
-from repro.transport.chunker import (
-    Chunk,
-    Chunker,
-    FrameBuilder,
-    Reassembler,
-    split_frame_payload,
-)
+from repro.transport.chunker import Chunker
 from repro.transport.endpoint import TransportEndpoint
-from repro.transport.messages import BATCH_ENTRY, Payload, payload_length
+from repro.transport.messages import BATCH_ENTRY, Payload, SyntheticPayload
 
 DATA_CHANNEL = "stab.data"
 
@@ -171,10 +165,6 @@ class _PeerStream:
         self.timer = None
         self.stalled = False
 
-    def enqueue(self, entry: _BufferEntry) -> None:
-        self.pending.append(entry)
-        self.pending_bytes += entry.size
-
     def clear(self) -> None:
         self.pending.clear()
         self.pending_bytes = 0
@@ -225,7 +215,6 @@ class DataPlane:
         self._next_seq = 1  # message sequence numbers are 1-based
         self._frame_bytes = config.frame_bytes
         self._frame_delay_s = config.frame_delay_s()
-        self._builder = FrameBuilder()
         channel_kwargs = config.channel_kwargs()
         self._out_channels = {}
         self._streams: Dict[str, _PeerStream] = {}
@@ -238,8 +227,11 @@ class DataPlane:
             stream = _PeerStream(peer, channel)
             self._streams[peer] = stream
             channel.on_window_open = self._make_window_open(stream)
-        # Receiving state, per origin.
-        self._reassemblers: Dict[str, Reassembler] = {}
+        # Receiving state, per origin.  An object's chunks are consecutive
+        # messages of its origin's FIFO stream, so an origin has at most one
+        # object in progress: ``[object_id, next_index, parts, synthetic]``
+        # (``synthetic`` once a part arrived as a length).
+        self._objects: Dict[str, list] = {}
         self._highest_received: Dict[str, int] = {}
         for peer in config.remote_names():
             channel = endpoint.channel(peer, DATA_CHANNEL)
@@ -290,10 +282,8 @@ class DataPlane:
         peer (see module docstring).  Returns ``(first_seq, last_seq)``;
         the message's stability is the stability of ``last_seq``.
         """
-        chunks = self.chunker.split(payload)
-        sizes = [payload_length(chunk.payload) for chunk in chunks]
-        total = sum(sizes)
-        if self.buffer.would_overflow(total) and self._send_policy == "except":
+        object_id, parts, sizes = self.chunker.split(payload)
+        if self.buffer.would_overflow(sum(sizes)) and self._send_policy == "except":
             raise BackpressureError(
                 f"send buffer full ({self.buffer.buffered_bytes()}B of "
                 f"{self.buffer.max_bytes}B); the WAN has not drained — "
@@ -305,18 +295,17 @@ class DataPlane:
         tracer = self.tracer
         tracing = tracer.enabled
         coalescing = self._frame_bytes is not None
-        for chunk, size in zip(chunks, sizes):
+        streams = self._streams.values()
+        fanout = len(self._out_channels)
+        count = len(parts)
+        index = 0
+        for part, size in zip(parts, sizes):
             seq = self._next_seq
             self._next_seq += 1
-            chunk_meta: ChunkMeta = (
-                seq,
-                chunk.object_id,
-                chunk.chunk_index,
-                chunk.chunk_count,
-                meta,
-            )
+            chunk_meta: ChunkMeta = (seq, object_id, index, count, meta)
+            index += 1
             entry = self.buffer.add(
-                seq, size, meta, payload=chunk.payload, chunk_meta=chunk_meta
+                seq, size, meta, payload=part, chunk_meta=chunk_meta
             )
             if tracing and tracer.sampled(self._trace_node, seq):
                 tracer.emit(
@@ -325,17 +314,16 @@ class DataPlane:
                     origin=self._trace_node,
                     seq=seq,
                     bytes=size,
-                    object=chunk.object_id,
+                    object=object_id,
                 )
             if coalescing:
-                for stream in self._streams.values():
-                    stream.enqueue(entry)
+                for stream in streams:
+                    stream.pending.append(entry)
+                    stream.pending_bytes += size
             else:
                 # Pre-pipelining path: one transport frame per message.
                 for peer, channel in self._out_channels.items():
-                    channel.send(
-                        chunk.payload, meta=(EPOCH_TAG, self.epoch, chunk_meta)
-                    )
+                    channel.send(part, meta=(EPOCH_TAG, self.epoch, chunk_meta))
                     if tracing and tracer.sampled(self._trace_node, seq):
                         tracer.emit(
                             self._trace_node,
@@ -346,11 +334,11 @@ class DataPlane:
                             bytes=size,
                         )
             self.messages_sent += 1
-            self.payload_bytes_sent += size * len(self._out_channels)
+            self.payload_bytes_sent += size * fanout
             if self.on_sent is not None:
-                self.on_sent(seq, chunk.payload)
+                self.on_sent(seq, part)
         if coalescing:
-            for stream in self._streams.values():
+            for stream in streams:
                 self._pump(stream, "inline")
         self._update_backpressure()
         return first_seq, self._next_seq - 1
@@ -435,21 +423,35 @@ class DataPlane:
                 first.payload, meta=(EPOCH_TAG, self.epoch, first.chunk_meta)
             )
         else:
-            builder = self._builder
-            builder.add(first.payload, first.chunk_meta, run_bytes)
+            # One pass over the run; real payloads are joined once, here —
+            # the frame's one copy.  A frame with any synthetic part is one
+            # SyntheticPayload of the run's length (experiments at that
+            # scale never inspect bytes).
+            parts = [first.payload]
+            metas = [first.chunk_meta]
+            lengths = [run_bytes]
+            synthetic = type(first.payload) is SyntheticPayload
             while pending and run_bytes < frame_bytes:
                 entry = pending[0]
-                if run_bytes + entry.size > frame_bytes:
+                size = entry.size
+                if run_bytes + size > frame_bytes:
                     break  # frame full; the next frame takes it
                 pending.popleft()
-                builder.add(entry.payload, entry.chunk_meta, entry.size)
-                run_bytes += entry.size
-                messages += 1
-            payload, metas, lengths = builder.build()
+                parts.append(entry.payload)
+                metas.append(entry.chunk_meta)
+                lengths.append(size)
+                run_bytes += size
+                if type(entry.payload) is SyntheticPayload:
+                    synthetic = True
+            messages = len(metas)
             last_seq = metas[-1][0]
             stream.channel.send(
-                payload,
-                meta=(EPOCH_TAG, self.epoch, (FRAME_TAG, metas, lengths)),
+                SyntheticPayload(run_bytes) if synthetic else b"".join(parts),
+                meta=(
+                    EPOCH_TAG,
+                    self.epoch,
+                    (FRAME_TAG, tuple(metas), tuple(lengths)),
+                ),
                 wire_overhead=BATCH_ENTRY.size * messages,
             )
         stream.pending_bytes -= run_bytes
@@ -637,12 +639,36 @@ class DataPlane:
             if isinstance(meta, tuple) and meta and meta[0] == FRAME_TAG:
                 _tag, metas, lengths = meta
                 self.frames_received += 1
-                self._on_run(origin, metas, split_frame_payload(payload, lengths))
-            else:
+                if type(payload) is SyntheticPayload:
+                    # A synthetic frame's parts are its lengths.
+                    if sum(lengths) != payload.length:
+                        raise self._short_frame(payload.length, lengths)
+                    self._on_run(origin, metas, lengths, True)
+                    return
+                # Zero-copy: each message is a slice of the arrived frame.
+                view = memoryview(payload)
+                if sum(lengths) != len(view):
+                    raise self._short_frame(len(view), lengths)
+                parts = []
+                offset = 0
+                for length in lengths:
+                    parts.append(view[offset : offset + length])
+                    offset += length
+                self._on_run(origin, metas, parts, False)
+            elif type(payload) is SyntheticPayload:
                 # A lone message is a run of one.
-                self._on_run(origin, (meta,), (payload,))
+                self._on_run(origin, (meta,), (payload.length,), True)
+            else:
+                self._on_run(origin, (meta,), (payload,), False)
 
         return receive
+
+    @staticmethod
+    def _short_frame(length: int, lengths) -> TransportError:
+        return TransportError(
+            f"frame length {length} does not cover its "
+            f"{len(lengths)} messages ({sum(lengths)}B)"
+        )
 
     @staticmethod
     def _out_of_order(origin: str, seq: int, expected: int) -> StabilizerError:
@@ -651,10 +677,12 @@ class DataPlane:
             f"(expected {expected}); the FIFO transport is broken"
         )
 
-    def _on_run(self, origin: str, metas, parts) -> None:
+    def _on_run(self, origin: str, metas, parts, synthetic: bool) -> None:
         """Apply one arrived frame: ``metas`` are the chunk metas of a
         contiguous run ``[first, last]`` of ``origin``'s stream, ``parts``
-        their payloads.
+        their payloads — or, for a ``synthetic`` frame, their lengths (a
+        part becomes a :class:`SyntheticPayload` only where something
+        takes it as a payload).
 
         The run is validated whole before any state moves; then the
         receive watermark advances once and ``on_arrival(origin, last,
@@ -663,6 +691,14 @@ class DataPlane:
         sequence of a run carries information for monotonic state.  Only
         what is inherently per message stays per message: reassembly,
         ``on_received`` and ``on_deliver``.
+
+        Reassembly is in order: the chunks of an object are consecutive
+        sequences, so the one object in progress grows by the chunk
+        that continues it and is joined once, on its last chunk.  A chunk
+        that neither starts an object (index 0) nor continues the one in
+        progress is the orphaned tail of an object whose head this node
+        never held — a receiver resumed mid-object from a snapshot — and
+        is dropped; it can never complete.
         """
         first_meta = metas[0]
         first = first_meta[0]
@@ -726,27 +762,45 @@ class DataPlane:
             self.on_arrival(origin, last, first)
         on_received = self.on_received
         on_deliver = self.on_deliver
-        for meta, payload in zip(metas, parts):
-            seq, object_id, chunk_index, chunk_count, user_meta = meta
-            if chunk_count == 1:
-                complete: Optional[Payload] = payload
-            else:
-                reassembler = self._reassemblers.get(origin)
-                if reassembler is None:
-                    reassembler = self._reassemblers[origin] = Reassembler()
-                complete = reassembler.feed(
-                    Chunk(object_id, chunk_index, chunk_count, payload)
-                )
+        objects = self._objects
+        obj = objects.get(origin)  # [object_id, next_index, parts, synthetic]
+        for meta, part in zip(metas, parts):
+            seq, object_id, index, count, user_meta = meta
             if on_received is not None:
-                on_received(origin, seq, payload)
-            if complete is not None:
-                if tracing and tracer.sampled(origin, seq):
-                    tracer.emit(
-                        self._trace_node,
-                        "data.deliver",
-                        origin=origin,
-                        seq=seq,
-                        object=object_id,
-                    )
-                if on_deliver is not None:
-                    on_deliver(origin, seq, complete, user_meta)
+                on_received(origin, seq, SyntheticPayload(part) if synthetic else part)
+            if count == 1:
+                complete = SyntheticPayload(part) if synthetic else part
+            elif index == 0:
+                obj = objects[origin] = [object_id, 1, [part], synthetic]
+                continue
+            elif obj is not None and obj[1] == index and obj[0] == object_id:
+                if synthetic != obj[3]:
+                    # A synthetic frame carried some of this object: it is
+                    # synthetic as a whole, its parts kept as lengths.
+                    if synthetic:
+                        obj[2] = [len(p) for p in obj[2]]
+                        obj[3] = True
+                    else:
+                        part = len(part)
+                obj[2].append(part)
+                if index + 1 < count:
+                    obj[1] = index + 1
+                    continue
+                if obj[3]:
+                    complete = SyntheticPayload(sum(obj[2]))
+                else:
+                    complete = b"".join(obj[2])
+                del objects[origin]
+                obj = None
+            else:
+                continue  # an orphan: see the docstring
+            if tracing and tracer.sampled(origin, seq):
+                tracer.emit(
+                    self._trace_node,
+                    "data.deliver",
+                    origin=origin,
+                    seq=seq,
+                    object=object_id,
+                )
+            if on_deliver is not None:
+                on_deliver(origin, seq, complete, user_meta)

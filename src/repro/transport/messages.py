@@ -1,10 +1,13 @@
-"""Wire frames and payload sizing.
+"""Control and strategy frames, and payload sizing.
 
-Frames know their own *wire size* (a fixed binary header plus the payload
-length) so the network layer charges realistic bandwidth.  Real ``bytes``
-payloads can be encoded/decoded to an actual binary wire format — useful in
-tests and for the threaded runtime, which sends real frames.  Large
-experiments use :class:`SyntheticPayload`, which carries only a length.
+Frames know their own *wire size* (a fixed binary header plus their
+entries) so the network layer charges realistic bandwidth.  Each also has
+an ``encode``/``decode`` pair for a binary wire format; nothing in the
+simulated network calls them, since it carries frame objects.  Data
+messages are not frames of this module: they travel as payloads on the
+FIFO channels, a coalesced run paying one ``BATCH_ENTRY`` per message (see
+:mod:`repro.core.dataplane`).  Large experiments use
+:class:`SyntheticPayload`, which carries only a length.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from typing import Dict, Tuple, Union
 
 from repro.errors import TransportError
 
-DATA_HEADER = struct.Struct("!BHQI")  # kind, origin-index, seq, payload-len
-ACK_HEADER = struct.Struct("!BHQ")  # kind, node-index, cumulative seq
 CONTROL_HEADER = struct.Struct("!BHH")  # kind, node-index, entry count
 CONTROL_ENTRY = struct.Struct("!HQ")  # type-id, seq
 RESUME_HEADER = struct.Struct("!BHH")  # kind, node-index, entry count
@@ -23,11 +24,8 @@ RESUME_ENTRY = struct.Struct("!HQ")  # origin-index, highest received seq
 BATCH_HEADER = struct.Struct("!BHH")  # kind, origin-index, message count
 BATCH_ENTRY = struct.Struct("!QI")  # seq, payload-len
 
-KIND_DATA = 1
-KIND_ACK = 2
 KIND_CONTROL = 3
 KIND_RESUME = 4
-KIND_BATCH = 5
 KIND_CONTROL_BATCH = 6
 KIND_SEQ_REPORT = 7
 KIND_SEQ_STABLE = 8
@@ -77,6 +75,11 @@ Payload = Union[bytes, SyntheticPayload]
 
 def payload_length(payload: Payload) -> int:
     """Length in bytes of a real or synthetic payload."""
+    kind = type(payload)
+    if kind is bytes or kind is memoryview:
+        return len(payload)
+    if kind is SyntheticPayload:
+        return payload.length
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return len(payload)
     if isinstance(payload, SyntheticPayload):
@@ -85,145 +88,6 @@ def payload_length(payload: Payload) -> int:
         f"unsupported payload type: {type(payload).__name__} "
         "(use bytes or SyntheticPayload)"
     )
-
-
-class DataFrame:
-    """One sequenced data message from ``origin``."""
-
-    __slots__ = ("origin_index", "seq", "payload", "meta")
-
-    def __init__(self, origin_index: int, seq: int, payload: Payload, meta=None):
-        if seq < 0:
-            raise TransportError(f"negative sequence number: {seq}")
-        self.origin_index = origin_index
-        self.seq = seq
-        self.payload = payload
-        # Out-of-band metadata (e.g. chunk bookkeeping).  It rides along in
-        # the simulator without being charged bandwidth: real deployments
-        # encode the same few fields inside the 15-byte header's payload.
-        self.meta = meta
-
-    def wire_size(self) -> int:
-        return DATA_HEADER.size + payload_length(self.payload)
-
-    def encode(self) -> bytes:
-        if not isinstance(self.payload, (bytes, bytearray, memoryview)):
-            raise TransportError("only real byte payloads can be encoded")
-        header = DATA_HEADER.pack(
-            KIND_DATA, self.origin_index, self.seq, len(self.payload)
-        )
-        return header + bytes(self.payload)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "DataFrame":
-        try:
-            kind, origin, seq, length = DATA_HEADER.unpack_from(data)
-        except struct.error as exc:
-            raise TransportError(f"malformed data frame: {exc}") from exc
-        if kind != KIND_DATA:
-            raise TransportError(f"not a data frame (kind={kind})")
-        payload = data[DATA_HEADER.size : DATA_HEADER.size + length]
-        if len(payload) != length:
-            raise TransportError("truncated data frame")
-        return cls(origin, seq, payload)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<DataFrame origin={self.origin_index} seq={self.seq}>"
-
-
-class BatchFrame:
-    """A coalesced WAN frame: several sequenced messages, one frame.
-
-    The pipelined data plane accumulates messages up to its frame budget
-    and ships them under a single transport header; each message costs
-    only a ``BATCH_ENTRY`` (seq, length) record instead of a whole frame.
-    ``messages`` is a list of ``(seq, payload)`` pairs in sequence order.
-    """
-
-    __slots__ = ("origin_index", "messages")
-
-    def __init__(self, origin_index: int, messages):
-        self.origin_index = origin_index
-        self.messages = list(messages)
-        for seq, _payload in self.messages:
-            if seq < 0:
-                raise TransportError(f"negative sequence number: {seq}")
-
-    def wire_size(self) -> int:
-        return BATCH_HEADER.size + sum(
-            BATCH_ENTRY.size + payload_length(p) for _, p in self.messages
-        )
-
-    def encode(self) -> bytes:
-        parts = [
-            BATCH_HEADER.pack(KIND_BATCH, self.origin_index, len(self.messages))
-        ]
-        views = []
-        for seq, payload in self.messages:
-            if not isinstance(payload, (bytes, bytearray, memoryview)):
-                raise TransportError("only real byte payloads can be encoded")
-            parts.append(BATCH_ENTRY.pack(seq, payload_length(payload)))
-            views.append(
-                payload if isinstance(payload, memoryview) else memoryview(payload)
-            )
-        # Entry headers first, payload bytes after: both sides join once.
-        return b"".join(parts) + b"".join(views)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "BatchFrame":
-        try:
-            kind, origin, count = BATCH_HEADER.unpack_from(data)
-        except struct.error as exc:
-            raise TransportError(f"malformed batch frame: {exc}") from exc
-        if kind != KIND_BATCH:
-            raise TransportError(f"not a batch frame (kind={kind})")
-        offset = BATCH_HEADER.size
-        entries = []
-        for _ in range(count):
-            try:
-                seq, length = BATCH_ENTRY.unpack_from(data, offset)
-            except struct.error as exc:
-                raise TransportError(f"truncated batch frame: {exc}") from exc
-            offset += BATCH_ENTRY.size
-            entries.append((seq, length))
-        view = memoryview(data)
-        messages = []
-        for seq, length in entries:
-            payload = view[offset : offset + length]
-            if len(payload) != length:
-                raise TransportError("truncated batch frame")
-            messages.append((seq, payload))
-            offset += length
-        return cls(origin, messages)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<BatchFrame origin={self.origin_index} "
-            f"messages={len(self.messages)}>"
-        )
-
-
-class AckFrame:
-    """Transport-level cumulative acknowledgment: "I have all ≤ seq"."""
-
-    __slots__ = ("node_index", "cumulative_seq")
-
-    def __init__(self, node_index: int, cumulative_seq: int):
-        self.node_index = node_index
-        self.cumulative_seq = cumulative_seq
-
-    def wire_size(self) -> int:
-        return ACK_HEADER.size
-
-    def encode(self) -> bytes:
-        return ACK_HEADER.pack(KIND_ACK, self.node_index, self.cumulative_seq)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "AckFrame":
-        kind, node, seq = ACK_HEADER.unpack_from(data)
-        if kind != KIND_ACK:
-            raise TransportError(f"not an ack frame (kind={kind})")
-        return cls(node, seq)
 
 
 class ControlFrame:

@@ -4,9 +4,10 @@ These live under ``tests/`` so the tier-1 command exercises the harness
 itself on every PR — a broken ``run_hotpath_frontier`` or
 ``run_dsl_microbench`` fails here long before anyone runs the full
 benchmarks.  ``make bench-smoke`` selects just these via the
-``bench_smoke`` marker.  The last five are cost gates, not smoke runs:
-the Python calls one WAL record, one timer event, one lone send and one
-arrived data frame cost, held to a budget.
+``bench_smoke`` marker.  The last six are cost gates, not smoke runs:
+the Python calls one WAL record, one timer event, one lone send, one
+arrived data frame and one message of a frame of four cost, held to a
+budget.
 """
 
 import pytest
@@ -27,19 +28,24 @@ pytestmark = pytest.mark.bench_smoke
 # what the code costs today — 25.5 per record (57.4 before the append path
 # was shortened), 5.0 per event (9.0 before the handle became the heap
 # entry, 6.0 while ``run`` asked ``_next_time()`` for every event) and
-# 41.5 per peer of a lone 512 B send (68.75 while a frame of one went
-# through the frame builder and a relay call per layer).  A change that
-# puts a layer back on any of these paths fails here; raise a budget only
-# with the reason in the commit.
+# 37.25 per peer of a lone 512 B send (68.75 while a frame of one went
+# through the frame builder and a relay call per layer, 41.5 while the
+# chunker built a ``Chunk`` per chunk and a peer's queue took it through
+# a method call).  A change that puts a layer back on any of these paths
+# fails here; raise a budget only with the reason in the commit.
 WAL_CALLS_PER_RECORD_BUDGET = 28.0
 KERNEL_CALLS_PER_EVENT_BUDGET = 5.5
-LONE_SEND_CALLS_PER_PEER_BUDGET = 45.5
-# An arrived data frame of one message costs a receiver 68.3 calls (72.3
-# before the frame became the unit of arrival), 51.0 of them above the
-# data plane: ACK table, report batcher, frontier engine.  That share
-# belongs to the frame, not to its messages — a frame of four costs 28.3
-# per message where every message used to pay the 72.
-FRAME_CALLS_PER_MESSAGE_BUDGET = 75.0
+LONE_SEND_CALLS_PER_PEER_BUDGET = 41.0
+# An arrived data frame of one message costs a receiver 58.5 calls (72.3
+# before the frame became the unit of arrival, 68.3 while every chunk of a
+# many-chunk object went through a ``Chunk`` and the any-order
+# reassembler), 51.0 of them above the data plane: ACK table, report
+# batcher, frontier engine.  That share belongs to the frame, not to its
+# messages: a message of a frame of four — 8 KB chunks, four to an
+# object, the ``trace_bulk`` path — costs 16.0 (28.25 with the reassembler
+# and a ``SyntheticPayload`` per part of the frame).
+FRAME_CALLS_PER_MESSAGE_BUDGET = 64.0
+FRAME_OF_FOUR_CALLS_PER_MESSAGE_BUDGET = 18.0
 FRAME_ENGINE_CALLS_SLACK = 3.0
 
 
@@ -91,6 +97,12 @@ def test_arrived_frame_stays_within_its_call_budget():
     lone = frame_calls_per_message(1, frames=200)
     assert lone["calls_per_message"] <= FRAME_CALLS_PER_MESSAGE_BUDGET
     assert lone == frame_calls_per_message(1, frames=200)  # exact
+
+
+def test_message_of_a_frame_of_four_stays_within_its_call_budget():
+    four = frame_calls_per_message(4, frames=200)
+    assert four["calls_per_message"] <= FRAME_OF_FOUR_CALLS_PER_MESSAGE_BUDGET
+    assert four == frame_calls_per_message(4, frames=200)  # exact
 
 
 def test_engine_cost_of_an_arrival_is_per_frame_not_per_message():

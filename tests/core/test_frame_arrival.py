@@ -31,7 +31,6 @@ from repro.errors import StabilizerError
 from repro.net import NetemSpec, Topology
 from repro.obs import Tracer
 from repro.sim import Simulator
-from repro.transport.chunker import FrameBuilder
 
 from .test_strategy_equivalence import collapse
 
@@ -62,14 +61,14 @@ def make_stream(rng, count, start=1):
 
 
 def wire_frame(messages, epoch=0):
-    """``messages`` as the one transport frame the sender would cut:
-    ``(payload, meta)``."""
-    builder = FrameBuilder()
-    for meta, payload in messages:
-        builder.add(payload, meta)
-    payload, metas, lengths = builder.build()
-    if len(metas) == 1:
-        return payload, (EPOCH_TAG, epoch, metas[0])
+    """``messages`` (real payloads) as the one transport frame the sender
+    would cut: ``(payload, meta)``."""
+    if len(messages) == 1:
+        meta, payload = messages[0]
+        return payload, (EPOCH_TAG, epoch, meta)
+    metas = tuple(meta for meta, _payload in messages)
+    lengths = tuple(len(payload) for _meta, payload in messages)
+    payload = b"".join(payload for _meta, payload in messages)
     return payload, (EPOCH_TAG, epoch, (FRAME_TAG, metas, lengths))
 
 
@@ -221,16 +220,19 @@ def test_a_gap_inside_a_frame_raises_before_any_state_moves():
     receiver = Receiver()
     stream = make_stream(random.Random(1), 8)
     receiver.arrive(stream[:2])
-    reassembler = receiver.node.dataplane._reassemblers.get("x")
+
+    def in_progress():
+        obj = receiver.node.dataplane._objects.get("x")
+        return obj and (obj[0], obj[1], [bytes(p) for p in obj[2]], obj[3])
+
     before = receiver.state()
-    pending = reassembler.pending_objects() if reassembler else 0
+    held = in_progress()
     with pytest.raises(StabilizerError, match="FIFO transport is broken"):
         receiver.arrive(stream[2:4] + stream[5:7])  # seq 5 is missing
     with pytest.raises(StabilizerError, match="FIFO transport is broken"):
         receiver.arrive(stream[3:6])  # the frame itself starts past the held run
     assert receiver.state() == before
-    reassembler = receiver.node.dataplane._reassemblers.get("x")
-    assert (reassembler.pending_objects() if reassembler else 0) == pending
+    assert in_progress() == held
     # The stream continues where it was.
     receiver.arrive(stream[2:])
     assert receiver.node.dataplane.highest_received("x") == 8

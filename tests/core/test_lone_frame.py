@@ -2,9 +2,10 @@
 
 The data plane cuts a frame by choosing the run first: a run of one
 message is sent as that message's chunk and chunk meta, and only a run of
-two or more goes through :class:`FrameBuilder`.  This is the differential
-test of that against a reference data plane that cuts *every* frame
-through the builder, as the send path did before.  Both stream the same
+two or more is gathered into a coalesced frame, in one pass.  This is the
+differential test of that against a reference data plane that cuts
+*every* frame through a frame builder (a private copy of the one the send
+path used to have), as the send path once did.  Both stream the same
 seeded traffic — real and synthetic payloads, objects of one and of many
 chunks, chunks on both sides of ``frame_bytes``, a window small enough
 that stalled peers coalesce several messages into one frame — over the
@@ -21,7 +22,6 @@ from repro.core import StabilizerConfig
 from repro.core.dataplane import DATA_CHANNEL, EPOCH_TAG, FRAME_TAG, DataPlane
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
-from repro.transport.chunker import FrameBuilder
 from repro.transport.endpoint import TransportEndpoint
 from repro.transport.messages import BATCH_ENTRY, SyntheticPayload
 
@@ -31,11 +31,37 @@ FRAME_BYTES = 1024  # below the largest chunk: some chunks alone fill a frame
 WINDOW_BYTES = 6000  # a few frames in flight, then the window stalls
 
 
+class _FrameBuilder:
+    """The frame builder the send path used to cut runs with: real
+    payloads held as ``memoryview`` parts and joined once; a frame with a
+    synthetic part is one :class:`SyntheticPayload` of the total."""
+
+    def __init__(self):
+        self._parts, self._metas, self._lengths = [], [], []
+        self._synthetic = False
+
+    def add(self, payload, meta, length):
+        if isinstance(payload, SyntheticPayload):
+            self._synthetic = True
+        elif not isinstance(payload, memoryview):
+            payload = memoryview(payload)
+        self._parts.append(payload)
+        self._metas.append(meta)
+        self._lengths.append(length)
+
+    def build(self):
+        if self._synthetic:
+            payload = SyntheticPayload(sum(self._lengths))
+        else:
+            payload = b"".join(self._parts)
+        return payload, tuple(self._metas), tuple(self._lengths)
+
+
 class ReferenceDataPlane(DataPlane):
     """Every frame cut through the builder, a frame of one included."""
 
     def _cut_frame(self, stream, cause):
-        builder = FrameBuilder()
+        builder = _FrameBuilder()
         pending = stream.pending
         count = total = 0
         while pending:

@@ -1,11 +1,15 @@
-"""Unit and property tests for the 8 KB chunker/reassembler."""
+"""Unit and property tests for the 8 KB chunker.
+
+Reassembly lives in the data plane (in order, one object in progress per
+origin): ``tests/core/test_reassembly.py``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TransportError
-from repro.transport.chunker import CHUNK_BYTES, Chunk, Chunker, Reassembler
+from repro.transport.chunker import CHUNK_BYTES, Chunker
 from repro.transport.messages import SyntheticPayload, payload_length
 
 
@@ -14,22 +18,22 @@ def test_default_chunk_size_is_8kb():
 
 
 def test_small_object_is_one_chunk():
-    chunks = Chunker().split(b"tiny")
-    assert len(chunks) == 1
-    assert chunks[0].payload == b"tiny"
-    assert chunks[0].is_last
+    _object_id, parts, sizes = Chunker().split(b"tiny")
+    assert parts == [b"tiny"]
+    assert sizes == [4]
 
 
 def test_exact_multiple_has_no_tail_chunk():
-    chunks = Chunker().split(b"x" * (CHUNK_BYTES * 3))
-    assert len(chunks) == 3
-    assert all(payload_length(c.payload) == CHUNK_BYTES for c in chunks)
+    _object_id, parts, sizes = Chunker().split(b"x" * (CHUNK_BYTES * 3))
+    assert len(parts) == 3
+    assert sizes == [CHUNK_BYTES] * 3
+    assert [payload_length(p) for p in parts] == sizes
 
 
 def test_tail_chunk_carries_remainder():
-    chunks = Chunker().split(b"x" * (CHUNK_BYTES + 100))
-    assert len(chunks) == 2
-    assert payload_length(chunks[1].payload) == 100
+    _object_id, parts, sizes = Chunker().split(b"x" * (CHUNK_BYTES + 100))
+    assert sizes == [CHUNK_BYTES, 100]
+    assert payload_length(parts[1]) == 100
 
 
 def test_paper_trace_message_count():
@@ -41,26 +45,24 @@ def test_paper_trace_message_count():
 
 
 def test_synthetic_split_sizes():
-    chunks = Chunker().split(SyntheticPayload(CHUNK_BYTES * 2 + 5))
-    assert [payload_length(c.payload) for c in chunks] == [
-        CHUNK_BYTES,
-        CHUNK_BYTES,
-        5,
-    ]
-    assert all(isinstance(c.payload, SyntheticPayload) for c in chunks)
+    _object_id, parts, sizes = Chunker().split(SyntheticPayload(CHUNK_BYTES * 2 + 5))
+    assert sizes == [CHUNK_BYTES, CHUNK_BYTES, 5]
+    assert parts == [SyntheticPayload(n) for n in sizes]
+    assert all(type(p) is SyntheticPayload for p in parts)
 
 
 def test_object_ids_are_unique_per_chunker():
     chunker = Chunker()
-    a = chunker.split(b"a")
-    b = chunker.split(b"b")
-    assert a[0].object_id != b[0].object_id
+    a, _parts, _sizes = chunker.split(b"a")
+    b, _parts, _sizes = chunker.split(b"b")
+    assert a != b
 
 
 def test_zero_length_object_is_one_empty_chunk():
-    chunks = Chunker().split(b"")
-    assert len(chunks) == 1
-    assert payload_length(chunks[0].payload) == 0
+    for empty in (b"", SyntheticPayload(0)):
+        _object_id, parts, sizes = Chunker().split(empty)
+        assert sizes == [0]
+        assert [payload_length(p) for p in parts] == [0]
 
 
 def test_invalid_chunk_size_rejected():
@@ -68,86 +70,28 @@ def test_invalid_chunk_size_rejected():
         Chunker(chunk_bytes=0)
 
 
-def test_reassembler_in_order():
-    chunker = Chunker(chunk_bytes=4)
-    reassembler = Reassembler()
-    chunks = chunker.split(b"abcdefghij")
-    results = [reassembler.feed(c) for c in chunks]
-    assert results[:-1] == [None, None]
-    assert results[-1] == b"abcdefghij"
-    assert reassembler.pending_objects() == 0
-
-
-def test_reassembler_out_of_order():
-    chunker = Chunker(chunk_bytes=4)
-    reassembler = Reassembler()
-    chunks = chunker.split(b"abcdefghij")
-    assert reassembler.feed(chunks[2]) is None
-    assert reassembler.feed(chunks[0]) is None
-    assert reassembler.feed(chunks[1]) == b"abcdefghij"
-
-
-def test_reassembler_interleaved_objects():
-    chunker = Chunker(chunk_bytes=4)
-    reassembler = Reassembler()
-    obj1 = chunker.split(b"11112222")
-    obj2 = chunker.split(b"aaaabbbb")
-    assert reassembler.feed(obj1[0]) is None
-    assert reassembler.feed(obj2[0]) is None
-    assert reassembler.pending_objects() == 2
-    assert reassembler.feed(obj2[1]) == b"aaaabbbb"
-    assert reassembler.feed(obj1[1]) == b"11112222"
-
-
-def test_reassembler_synthetic_object():
-    chunker = Chunker()
-    reassembler = Reassembler()
-    chunks = chunker.split(SyntheticPayload(20000))
-    result = None
-    for c in chunks:
-        result = reassembler.feed(c)
-    assert result == SyntheticPayload(20000)
-
-
-def test_reassembler_rejects_inconsistent_counts():
-    reassembler = Reassembler()
-    reassembler.feed(Chunk(1, 0, 3, b"a"))
+def test_split_rejects_what_is_not_a_payload():
     with pytest.raises(TransportError):
-        reassembler.feed(Chunk(1, 1, 4, b"b"))
-
-
-def test_reassembler_rejects_out_of_range_index():
-    reassembler = Reassembler()
-    with pytest.raises(TransportError):
-        reassembler.feed(Chunk(1, 5, 3, b"a"))
+        Chunker().split("a string")
 
 
 @given(data=st.binary(min_size=0, max_size=2000), chunk_bytes=st.integers(1, 257))
 @settings(max_examples=60, deadline=None)
 def test_split_then_reassemble_roundtrips(data, chunk_bytes):
     chunker = Chunker(chunk_bytes=chunk_bytes)
-    reassembler = Reassembler()
-    chunks = chunker.split(data)
-    assert sum(payload_length(c.payload) for c in chunks) == len(data)
-    result = None
-    for chunk in chunks:
-        assert result is None
-        result = reassembler.feed(chunk)
-    assert result == data
+    _object_id, parts, sizes = chunker.split(data)
+    assert len(parts) == chunker.chunk_count(len(data))
+    assert sizes == [len(p) for p in parts]
+    assert all(0 < size <= chunk_bytes for size in sizes) or sizes == [0]
+    assert b"".join(parts) == data
 
 
-@given(
-    data=st.binary(min_size=1, max_size=1000),
-    chunk_bytes=st.integers(1, 97),
-    seed=st.integers(0, 2**16),
-)
-@settings(max_examples=40, deadline=None)
-def test_reassembly_is_order_independent(data, chunk_bytes, seed):
-    import random
-
+@given(length=st.integers(0, 5000), chunk_bytes=st.integers(1, 257))
+@settings(max_examples=60, deadline=None)
+def test_synthetic_split_covers_the_length(length, chunk_bytes):
     chunker = Chunker(chunk_bytes=chunk_bytes)
-    reassembler = Reassembler()
-    chunks = chunker.split(data)
-    random.Random(seed).shuffle(chunks)
-    completed = [r for c in chunks if (r := reassembler.feed(c)) is not None]
-    assert completed == [data]
+    _object_id, parts, sizes = chunker.split(SyntheticPayload(length))
+    assert len(parts) == chunker.chunk_count(length)
+    assert sizes == [p.length for p in parts]
+    assert sum(sizes) == length
+    assert all(size == chunk_bytes for size in sizes[:-1])

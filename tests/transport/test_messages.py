@@ -4,9 +4,7 @@ import pytest
 
 from repro.errors import TransportError
 from repro.transport.messages import (
-    AckFrame,
     ControlFrame,
-    DataFrame,
     InterestFrame,
     SyntheticPayload,
     payload_length,
@@ -15,6 +13,8 @@ from repro.transport.messages import (
 
 def test_payload_length_bytes_and_synthetic():
     assert payload_length(b"abc") == 3
+    assert payload_length(memoryview(b"abcd")[1:]) == 3
+    assert payload_length(bytearray(b"ab")) == 2
     assert payload_length(SyntheticPayload(8192)) == 8192
 
 
@@ -29,49 +29,6 @@ def test_synthetic_payload_validation_and_equality():
     assert SyntheticPayload(5) == SyntheticPayload(5)
     assert SyntheticPayload(5) != SyntheticPayload(6)
     assert len(SyntheticPayload(7)) == 7
-
-
-def test_data_frame_roundtrip():
-    frame = DataFrame(origin_index=3, seq=42, payload=b"hello world")
-    decoded = DataFrame.decode(frame.encode())
-    assert decoded.origin_index == 3
-    assert decoded.seq == 42
-    assert decoded.payload == b"hello world"
-
-
-def test_data_frame_wire_size_includes_header():
-    frame = DataFrame(0, 0, b"x" * 100)
-    assert frame.wire_size() == len(frame.encode()) == 100 + 15
-
-
-def test_data_frame_synthetic_payload_sizes_but_cannot_encode():
-    frame = DataFrame(0, 0, SyntheticPayload(8192))
-    assert frame.wire_size() == 8192 + 15
-    with pytest.raises(TransportError):
-        frame.encode()
-
-
-def test_data_frame_rejects_negative_seq():
-    with pytest.raises(TransportError):
-        DataFrame(0, -1, b"")
-
-
-def test_data_frame_decode_rejects_wrong_kind():
-    ack = AckFrame(1, 5).encode()
-    with pytest.raises(TransportError):
-        DataFrame.decode(ack)
-
-
-def test_data_frame_decode_rejects_truncation():
-    frame = DataFrame(0, 0, b"hello").encode()
-    with pytest.raises(TransportError):
-        DataFrame.decode(frame[:-2])
-
-
-def test_ack_frame_roundtrip():
-    decoded = AckFrame.decode(AckFrame(7, 123456).encode())
-    assert decoded.node_index == 7
-    assert decoded.cumulative_seq == 123456
 
 
 def test_control_frame_roundtrip_preserves_entries():
