@@ -347,10 +347,14 @@ def _wire_frames(messages_per_frame: int, frames: int) -> list:
     return wire
 
 
-def _frame_receive_calls(messages_per_frame: int, frames: int, engine: bool) -> int:
+def _frame_receive_calls(
+    messages_per_frame: int, frames: int, engine: bool, observed: bool
+) -> int:
     """Python calls one receiver makes taking ``frames`` frames off the
     data channel; without ``engine`` nothing hears of the arrivals (the
-    data plane's own share: validation, reassembly, delivery)."""
+    data plane's own share: validation, reassembly, delivery).  With
+    ``observed`` a monitor at the receiver watches the origin's stream;
+    without, nothing there does (``wan_small``'s receivers)."""
     topo = Topology.uniform(
         {"a": "east", "b": "west"}, NetemSpec(latency_ms=5, rate_mbit=100)
     )
@@ -362,8 +366,9 @@ def _frame_receive_calls(messages_per_frame: int, frames: int, engine: bool) -> 
     )
     cluster = StabilizerCluster(topo.build(Simulator()), config)
     node = cluster["b"]
-    # Somebody must observe a's stream at b, or b evaluates nothing.
-    node.monitor_stability_frontier("all", _ignore_advance)
+    if observed:
+        # Somebody must observe a's stream at b, or b evaluates nothing.
+        node.monitor_stability_frontier("all", _ignore_advance)
     if not engine:
         node.dataplane.on_arrival = None
     receive = node.endpoint.channel("a", DATA_CHANNEL).on_deliver
@@ -381,18 +386,23 @@ def _frame_receive_calls(messages_per_frame: int, frames: int, engine: bool) -> 
 
 
 def frame_calls_per_message(
-    messages_per_frame: int = 4, frames: int = 400
+    messages_per_frame: int = 4, frames: int = 400, observed: bool = True
 ) -> Dict[str, float]:
     """Python calls a receiver spends on an arrived data frame of
     ``messages_per_frame`` messages, from the channel's ``on_deliver``
-    down: one receiver, the ACK-table engine, a monitor on the origin's
-    stream.  ``calls_per_message`` and ``calls_per_frame`` are the whole
-    path; ``engine_calls_per_frame`` is what the arrival costs above the
-    data plane (ACK table, report batcher, frontier engine, facade) —
-    the count with the engine listening minus the count without.  Exact
-    per ``(messages_per_frame, frames)``."""
-    total = _frame_receive_calls(messages_per_frame, frames, engine=True)
-    bare = _frame_receive_calls(messages_per_frame, frames, engine=False)
+    down: one receiver, the ACK-table engine, and — with ``observed`` —
+    a monitor on the origin's stream.  ``calls_per_message`` and
+    ``calls_per_frame`` are the whole path; ``engine_calls_per_frame`` is
+    what the arrival costs above the data plane (ACK table, report
+    batcher, frontier engine, facade) — the count with the engine
+    listening minus the count without.  Exact per
+    ``(messages_per_frame, frames, observed)``."""
+    total = _frame_receive_calls(
+        messages_per_frame, frames, engine=True, observed=observed
+    )
+    bare = _frame_receive_calls(
+        messages_per_frame, frames, engine=False, observed=observed
+    )
     return {
         "calls_per_message": total / (frames * messages_per_frame),
         "calls_per_frame": total / frames,

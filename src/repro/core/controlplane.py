@@ -159,8 +159,9 @@ class ControlChannelSet:
 
     # -- outbound -------------------------------------------------------------------
     def send_frame(self, peer: str, frame) -> int:
-        """Ship one epoch-tagged state frame to ``peer``; returns its
-        wire size (already added to the byte counters)."""
+        """Ship one epoch-tagged state frame to ``peer`` as one datagram
+        and arm the tail probe behind it; returns its wire size (already
+        added to the byte counters)."""
         now = self.sim.now
         if now != self._tail_at:
             self._tail_at = now
@@ -170,11 +171,19 @@ class ControlChannelSet:
             self._probe_timer = self.sim.call_later(
                 self._probe_delay, self._probe_tick
             )
-        return self._ship(peer, frame)
+        # _ship without a rider, inline: this runs once per report per peer.
+        wire_size = frame.wire_size()
+        self.endpoint.send_datagram(
+            peer, (EPOCH_TAG, self.epoch, frame), wire_size + TRANSPORT_HEADER_BYTES
+        )
+        self.frames_sent += 1
+        self.bytes_sent += wire_size
+        return wire_size
 
     def _ship(self, peer: str, frame, rider: Optional[InterestFrame] = None) -> int:
         """One datagram: ``frame``, and ``rider`` behind it under the
-        same transport header."""
+        same transport header (no tail probe: repair and interest
+        traffic)."""
         wire_size = frame.wire_size()
         if rider is None:
             body = (EPOCH_TAG, self.epoch, frame)
@@ -360,11 +369,12 @@ class ControlChannelSet:
         self.on_heard(peer)
         if len(tagged) > 3:
             self._on_interest(peer, tagged[3])
-        if isinstance(frame, ControlFrame):
+        kind = type(frame)
+        if kind is ControlFrame:
             if frame.entries:
                 self.on_frame(peer, frame)
             # else a bare heartbeat: on_heard was all it had to say
-        elif isinstance(frame, ResumeFrame):
+        elif kind is ResumeFrame:
             if self.tracer.enabled:
                 self.tracer.emit(self._trace_node, "control.resume", peer=peer)
             # A new life: whatever its last one claimed no longer counts.
@@ -372,7 +382,7 @@ class ControlChannelSet:
             if self._peer_interest.pop(peer, None) is not None:
                 self._rebuild_observers()
             self.on_resume(peer, frame.have)
-        elif isinstance(frame, InterestFrame):
+        elif kind is InterestFrame:
             self._on_interest(peer, frame)
         else:
             self.on_frame(peer, frame)

@@ -41,8 +41,10 @@ its key has a monitor, the slot has a pending waiter, the origin is the
 local node (the send→stable instruments hang off its advances), or a
 tracer is bound (every advance is an event).  Observed slots run the
 eager incremental path above on every table update.  Every other slot is
-a *pull* value: an update for an origin nobody observes costs
-``reevaluate`` one dictionary lookup, and ``frontier()``, ``add_waiter``,
+a *pull* value: an update for an origin nobody observes costs its writer
+one membership test in :attr:`FrontierEngine.watched` and the engine no
+call at all (``reevaluate`` itself returns at its first line for such an
+origin), and ``frontier()``, ``add_waiter``,
 the first monitor and the snapshots evaluate ``predicate(table)`` when
 they ask.  A slot that becomes observed is seeded — value, witness and
 monitor high-water mark — from that evaluation, so the eager path
@@ -81,7 +83,7 @@ Cell = Tuple[int, int]  # (node, type_id)
 CellUpdate = Tuple[int, int]  # (type_id, new_seq) for the updated node
 Slot = Tuple[str, str]  # (origin, predicate key)
 
-#: ``_watched[origin]`` when every registered key of the origin is observed.
+#: ``watched[origin]`` when every registered key of the origin is observed.
 _EVERY_KEY = object()
 #: What ``reevaluate`` returns when nothing was evaluated: shared and
 #: read-only, so the unobserved path allocates nothing.
@@ -150,11 +152,14 @@ class FrontierEngine:
         self._waiters: Dict[Slot, List[Tuple[int, int, _Waiter]]] = {}
         self._waiter_counter = 0
         self._cancelled_waiters = 0  # still heaped but dead (lazy deletion)
-        # origin -> observed keys (a set, or _EVERY_KEY); an origin with no
-        # observed slot is absent.  Derived by _rewatch from the monitors,
-        # the pending waiters, the local origin and the tracer binding.
         self._observe_all = False
-        self._watched: Dict[str, object] = {}
+        #: origin -> its observed keys (a set, or every key); an origin
+        #: with no observed slot is absent — so ``origin in watched`` is
+        #: whether a table update for ``origin`` is worth a
+        #: :meth:`reevaluate` call.  Derived by ``_rewatch`` from the
+        #: monitors, the pending waiters, the local origin and the tracer
+        #: binding, which *replaces* the dict: read it, never keep it.
+        self.watched: Dict[str, object] = {}
         #: Predicate calls performed, eager and on read alike.
         self.evaluations = 0
         #: The share of ``evaluations`` made for an unobserved slot because
@@ -308,13 +313,9 @@ class FrontierEngine:
                     watched.setdefault(origin, set()).add(key)
             if self._local in self.tables:
                 watched[self._local] = _EVERY_KEY
-        self._watched = watched
+        self.watched = watched
         if self.on_watch_change is not None:
             self.on_watch_change()
-
-    def watched_origins(self):
-        """The origins with at least one observed slot (a live view)."""
-        return self._watched.keys()
 
     def _evaluate_on_read(self, origin: str, key: str) -> int:
         """The pull path: ``predicate(table)`` now, for an unobserved slot.
@@ -469,7 +470,7 @@ class FrontierEngine:
         observed slot returns at the first line: its frontiers are
         evaluated when somebody asks (see the module docstring).
         """
-        watch = self._watched.get(origin)
+        watch = self.watched.get(origin)
         if watch is None:
             return _NO_ADVANCE
         rows = self.tables[origin].table

@@ -36,6 +36,7 @@ restores refuse a cross-engine mismatch.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -200,6 +201,9 @@ def restore_state(stabilizer, snapshot: dict) -> None:
         if table is None:
             raise StabilizerError(f"snapshot has unknown origin {origin!r}")
         table.restore(rows)
+    # The restored received column may have raised its floor unscanned:
+    # the next rising cell rescans it (Stabilizer._rescan_received_floor).
+    stabilizer._received_floor = math.inf
     stabilizer.engine.restore_frontiers(snapshot["frontiers"])
     stabilizer.engine.restore_monitor_high(snapshot["monitor_high"])
     stabilizer.dataplane._next_seq = max(

@@ -100,6 +100,11 @@ class Stabilizer:
         # stream that every node (us included) has acknowledged as
         # ``received``.  Send-buffer reclamation follows it — nothing else.
         self._delivery_watermark = 0
+        # That column's floor as of the last scan (see
+        # _rescan_received_floor), or infinity while it may have risen
+        # unscanned — after a local send moved our own row off it, or a
+        # restore — so that the next rising cell rescans.
+        self._received_floor = 0
         # The engine holds the table map: frontiers nobody observes are
         # evaluated from it on demand instead of on every update.
         self.engine = FrontierEngine(config.dsl_context(), self.tables)
@@ -635,24 +640,23 @@ class Stabilizer:
         # both ends).
         self.stability.on_advance(key, origin, value)
 
-    def _on_table_update(self, origin: str, node: int, cells=None) -> None:
-        self.engine.reevaluate(origin, updated_node=node, updated_cells=cells)
-        if origin == self.name:
-            self._advance_delivery_watermark(cells)
-
-    def _advance_delivery_watermark(self, cells=None) -> None:
+    def _rescan_received_floor(self) -> None:
         """Reclaim send-buffer space once messages are received everywhere.
 
         Driven directly by the ACK table — the MIN over every node's
         ``received`` cell for our own stream — independent of whatever
-        predicate the frontier engine is evaluating.  ``cells`` (the
-        updated ``(type_id, seq)`` pairs, when known) lets updates that
-        cannot move the received floor skip the scan entirely.
+        predicate the frontier engine is evaluating.  The engines call
+        this only when a ``received`` cell of our table rose from at or
+        below :attr:`_received_floor`: the floor is a minimum and cells
+        only rise, so no other update can move it.
         """
-        received = self._type_ids["received"]
-        if cells is not None and all(t != received for t, _ in cells):
-            return
-        floor = min([row[received] for row in self.tables[self.name].table])
+        received = self.strategy.received_id
+        rows = self.tables[self.name].table
+        floor = rows[0][received]
+        for row in rows:
+            if row[received] < floor:
+                floor = row[received]
+        self._received_floor = floor
         if floor > self._delivery_watermark:
             self._delivery_watermark = floor
             self.dataplane.reclaim_up_to(floor)

@@ -37,6 +37,16 @@ granted cells).  An engine fills hooks — ``_propagate_grant``,
 ``_ship_batch``, ``on_control_frame``, ``full_state_frames`` and the
 ``on_local_send`` / ``on_catchup`` / snapshot extras — and nothing else.
 
+A value reaches the tables in one write, with no relay between: an
+arrived frame writes the origin's row and then makes its ``received``
+grant, a local send writes this node's own row, a local grant writes one
+cell, and an applied report writes the reporter's row.  Each checks what
+it is given inline (a report's indices, type ids and sequence numbers
+come off the wire) and calls the frontier engine only when it observes
+the origin (``origin in engine.watched``).  Only a ``received`` cell of
+this node's own stream can move the delivery watermark, and only by
+rising from the column's floor — the one case that rescans it.
+
 Engine selection flows through
 ``StabilizerConfig(stabilization_strategy=...)``, with a per-shard
 override (``shard_strategies``) resolved by
@@ -50,8 +60,8 @@ reaches ACK state through the strategy interface or the facade's
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Dict, Optional
+import math
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.acks import AckTable
 from repro.core.controlplane import ControlChannelSet
@@ -70,15 +80,19 @@ class StabilizationStrategy:
 
     1. ``build_tables()`` — allocate the per-origin ACK tables (the
        shared evaluation substrate).
-    2. ``bind(stabilizer)`` — attach to the node: build the control
-       carrier (a :class:`~repro.core.controlplane.ControlChannelSet`
-       constructed with this engine's ``on_control_frame`` and
-       ``full_state_frames`` as its callbacks), take the carrier's
-       tracer, start engine timers.  After this, ``carrier`` is set.
-    3. Steady state: ``on_local_send`` / ``on_remote_deliver`` /
-       ``grant_local`` from the facade; ``on_control_frame`` from the
-       carrier; ``advance_candidates()`` forces pending control work out
-       now (flush/broadcast) instead of waiting for the next timer.
+    2. ``bind(stabilizer)`` — attach to the node: take its frontier
+       engine, build the control carrier (a
+       :class:`~repro.core.controlplane.ControlChannelSet` constructed
+       with this engine's ``on_control_frame`` and ``full_state_frames``
+       as its callbacks), take the carrier's tracer, start engine
+       timers.  After this, ``carrier`` is set.
+    3. Steady state: ``on_local_send`` from the facade's ``send``;
+       ``on_remote_deliver`` from the data plane, once per arrived
+       frame; ``grant_local`` from the arrival itself, the WAL's fsyncs,
+       ``report_stability``, a restart's re-grants and a sharded
+       cutover; ``on_control_frame`` from the carrier;
+       ``advance_candidates()`` forces pending control work out now
+       (flush/broadcast) instead of waiting for the next timer.
     4. ``full_state_frames(peer)`` — the frames that rebuild this
        node's engine state at ``peer``; the carrier re-sends them to
        repair lost frames and ``on_resume_request(peer)`` to resync a
@@ -88,12 +102,13 @@ class StabilizationStrategy:
     5. ``close()`` — stop timers and the carrier; graceful shutdown and
        crash alike (no engine sends a parting frame).
 
-    Engines must keep every table monotone (cells never regress) and
-    must call ``stabilizer._on_table_update`` after advancing cells so
-    the frontier engine re-evaluates and reclamation advances.  The
-    carrier loses, duplicates and reorders frames: every frame must
-    carry absolute values the receiver max-merges, never a delta that
-    only makes sense after its predecessor.
+    Engines must keep every table monotone (cells never regress).  The
+    write paths above keep the frontier engine and the delivery
+    watermark in step with what they write; an engine that advances
+    cells itself does it through :meth:`_apply_stable`, which does the
+    same.  The carrier loses, duplicates and reorders frames: every
+    frame must carry absolute values the receiver max-merges, never a
+    delta that only makes sense after its predecessor.
     """
 
     #: Engine id — the ``stabilization_strategy`` config value, the
@@ -107,10 +122,12 @@ class StabilizationStrategy:
         self.tracer = None  # the carrier's, set by bind()
         self.tables: Dict[str, AckTable] = {}
         self.received_id = config.type_ids()["received"]
-        # ``config.local_index`` is a list scan; the grant path runs once
-        # per acknowledgment.
+        # Resolved once: the grant and report paths run once per
+        # acknowledgment.
         self.local_index = config.local_index
+        self._index_of = {name: i for i, name in enumerate(config.node_names)}
         self._type_names = config.type_names()
+        self._frontier = None  # the node's frontier engine, set by bind()
         # The report batcher: origin -> {type_id -> seq} granted locally
         # and not yet shipped.  The cadence honours the data plane's
         # frame clock: never flush faster than WAN frames are cut.
@@ -132,6 +149,7 @@ class StabilizationStrategy:
     def bind(self, stabilizer) -> None:
         """Attach to the node and bring up the control carrier."""
         self.node = stabilizer
+        self._frontier = stabilizer.engine
         self.carrier = ControlChannelSet(
             stabilizer.endpoint,
             stabilizer.config,
@@ -144,22 +162,30 @@ class StabilizationStrategy:
         self.tracer = self.carrier.tracer
 
     # ------------------------------------------------------------------ steady state
-    def on_local_send(self, first: int, last: int) -> None:
+    def on_local_send(self, first: int, last: int) -> List[Tuple[int, int]]:
         """This node originated sequences ``first..last`` on its own
         stream.  The shared part is the Section III-C completeness rule:
         every stability property holds at the origin immediately (except
         ``persisted`` under durability, which waits for the WAL fsync).
-        """
-        table = self.tables[self.config.local]
-        advanced = table.set_all_types(
-            self.local_index, last, skip=self.node._persisted_skip
+        Returns the ``(type_id, last)`` cells that advanced."""
+        node = self.node
+        row = self.tables[self.config.local].table[self.local_index]
+        if row[self.received_id] <= node._received_floor:
+            # Our own received cell leaves the column's floor, which may
+            # rise with it: the next rising cell rescans.
+            node._received_floor = math.inf
+        skip = node._persisted_skip
+        cells = []
+        for type_id, current in enumerate(row):
+            if last > current and type_id not in skip:
+                row[type_id] = last
+                cells.append((type_id, last))
+        # The local origin is always observed (its advances feed the
+        # send→stable instruments).
+        self._frontier.reevaluate(
+            self.config.local, updated_node=self.local_index, updated_cells=cells
         )
-        self.node.engine.reevaluate(
-            self.config.local,
-            updated_node=self.local_index,
-            updated_cells=[(type_id, last) for type_id in advanced],
-        )
-        return advanced
+        return cells
 
     def on_remote_deliver(
         self, origin: str, seq: int, first: Optional[int] = None
@@ -172,19 +198,25 @@ class StabilizationStrategy:
         every property for what it sent — except ``persisted`` under
         durability, which only its own fsyncs may claim — and a newer
         value overwrites a prior one, so the run's last sequence is all
-        the tables need.  ``first``, the sequence the run began at, only
-        keeps the trace per sequence: every sampled sequence of
-        ``first..seq`` gets its ``ack.local``."""
+        the tables need.  The origin row is written in one pass, and the
+        frontier engine hears of it only if it observes ``origin``.
+        ``first``, the sequence the run began at, only keeps the trace
+        per sequence: every sampled sequence of ``first..seq`` gets its
+        ``ack.local``."""
         table = self.tables[origin]
-        origin_index = self.config.node_index(origin)
-        advanced = table.set_all_types(
-            origin_index, seq, skip=self.node._persisted_skip
-        )
-        if advanced:
-            self.node.engine.reevaluate(
-                origin,
-                updated_node=origin_index,
-                updated_cells=[(type_id, seq) for type_id in advanced],
+        origin_index = self._index_of[origin]
+        row = table.table[origin_index]
+        skip = self.node._persisted_skip
+        frontier = self._frontier
+        cells = [] if origin in frontier.watched else None
+        for type_id, current in enumerate(row):
+            if seq > current and type_id not in skip:
+                row[type_id] = seq
+                if cells is not None:
+                    cells.append((type_id, seq))
+        if cells:
+            frontier.reevaluate(
+                origin, updated_node=origin_index, updated_cells=cells
             )
         self.node.detector.heard_from(origin)
         tracer = self.tracer
@@ -206,16 +238,28 @@ class StabilizationStrategy:
 
     def grant_local(self, origin: str, type_id: int, seq: int) -> None:
         """This node grants ``origin``'s ``seq`` stability level
-        ``type_id`` (delivery acks, WAL fsyncs, application reports).
-        Updates the local row immediately — predicates at this node see
-        the grant without network delay — then hands it to the engine's
-        propagation protocol.  The only local-grant path: engines fill
+        ``type_id`` (delivery acks, WAL fsyncs, application reports,
+        recovery re-grants, sharded cutovers).  Writes the local row's
+        cell immediately — predicates at this node see the grant without
+        network delay; the frontier engine is called only if it observes
+        ``origin``, and the delivery watermark is looked at only for this
+        node's own stream — then hands it to the engine's propagation
+        protocol.  The only local-grant path: engines fill
         :meth:`_propagate_grant`, they do not override this."""
-        table = self.tables.get(origin)
-        if table is None:
+        tables = self.tables
+        if origin not in tables:
             raise StabilizerError(f"unknown origin stream {origin!r}")
-        if not table.update(self.local_index, type_id, seq):
+        table = tables[origin]
+        if not 0 <= type_id < table.type_count:
+            raise StabilizerError(f"type id {type_id} out of range")
+        if seq < 0:
+            raise StabilizerError(f"negative sequence number: {seq}")
+        local_index = self.local_index
+        row = table.table[local_index]
+        held = row[type_id]
+        if seq <= held:
             return  # stale: monotonic overwrite means nothing to report
+        row[type_id] = seq
         tracer = self.tracer
         if tracer.enabled and tracer.sampled(origin, seq):
             names = self._type_names
@@ -226,7 +270,17 @@ class StabilizationStrategy:
                 type=names[type_id] if type_id < len(names) else type_id,
                 seq=seq,
             )
-        self.node._on_table_update(origin, self.local_index, ((type_id, seq),))
+        frontier = self._frontier
+        if origin in frontier.watched:
+            frontier.reevaluate(
+                origin,
+                updated_node=local_index,
+                updated_cells=((type_id, seq),),
+            )
+        if origin == self.config.local and type_id == self.received_id:
+            node = self.node
+            if held <= node._received_floor:
+                node._rescan_received_floor()
         self._propagate_grant(origin, type_id, seq)
 
     def _propagate_grant(self, origin: str, type_id: int, seq: int) -> None:
@@ -244,7 +298,11 @@ class StabilizationStrategy:
         """Queue "this node grants ``origin`` up to ``seq`` at
         ``type_id``" for the next flush: after ``control_batch`` distinct
         pending cells, or ``control_flush_interval_s`` after the first."""
-        pending = self._pending.setdefault(origin, {})
+        batch = self._pending
+        if origin in batch:
+            pending = batch[origin]
+        else:
+            pending = batch[origin] = {}
         if type_id not in pending:
             # Count distinct pending (origin, type) cells: re-granting the
             # same cell before a flush overwrites in place and must not
@@ -292,7 +350,9 @@ class StabilizationStrategy:
         shared substrate: they learn "stable everywhere up to N" without
         per-node attribution, so every row advances together (MIN, MAX
         and KTH predicates all fire at the same instant).  Returns True
-        if any cell advanced; the facade then runs a full frontier pass.
+        if any cell advanced; then the origin takes a full frontier pass
+        and, if it is this node's own stream, the received floor a
+        rescan.
         """
         table = self.tables.get(origin)
         if table is None:
@@ -303,7 +363,9 @@ class StabilizationStrategy:
                 if table.update(row, type_id, seq):
                     advanced = True
         if advanced:
-            self.node._on_table_update(origin, None, None)
+            self._frontier.reevaluate(origin)
+            if origin == self.config.local:
+                self.node._rescan_received_floor()
         return advanced
 
     def on_type_registered(self, type_id: int) -> None:
@@ -421,7 +483,7 @@ class AckTableStrategy(StabilizationStrategy):
 
     # ------------------------------------------------------------------ demand
     def _observed_origins(self):
-        origins = set(self.node.engine.watched_origins())
+        origins = set(self._frontier.watched)
         if self._read_at:
             held_since = self.node.sim.now - self.carrier.heartbeat_interval
             origins.update(
@@ -438,70 +500,73 @@ class AckTableStrategy(StabilizationStrategy):
         if origin not in self.carrier.interest:
             self.carrier.announce_interest()
 
-    def _targets(self, origin: str):
-        """Whom a report about ``origin`` is for: the peers observing it."""
-        return self.carrier.observers[origin]
-
-    def _report_frame(self, origin: str, entries: Dict[int, int]) -> ControlFrame:
-        return ControlFrame(
-            node_index=self.local_index,
-            origin_index=self.config.node_index(origin),
-            entries=entries,
-        )
-
     def _ship_batch(self, pending: Dict[str, Dict[int, int]]) -> None:
         """One transport frame per observing peer, however many origin
-        streams the flush covers."""
+        streams the flush covers.  A report's entries are the batch's own
+        dict, swapped out of ``_pending`` and never written again."""
+        observers = self.carrier.observers
+        send_frame = self.carrier.send_frame
+        tracing = self.tracer.enabled
         if len(pending) == 1:
             # The common flush, one origin: its one report goes down the
-            # target list as it is — nothing to regroup or coalesce.
+            # observer list as it is — nothing to regroup or coalesce.
             ((origin, entries),) = pending.items()
-            targets = self._targets(origin)
+            targets = observers[origin]
             self.reports_withheld += self._peer_count - len(targets)
             if not targets:
                 return
-            sends = zip(targets, repeat((self._report_frame(origin, entries),)))
-        else:
-            per_peer: Dict[str, list] = {}
-            for origin, entries in pending.items():
-                targets = self._targets(origin)
-                self.reports_withheld += self._peer_count - len(targets)
-                if targets:
-                    frame = self._report_frame(origin, entries)
-                    for peer in targets:
-                        per_peer.setdefault(peer, []).append(frame)
-            sends = per_peer.items()
-        tracing = self.tracer.enabled
-        for peer, frames in sends:
+            frame = ControlFrame(self.local_index, self._index_of[origin], entries)
+            for peer in targets:
+                send_frame(peer, frame)
+                self.reports_sent += 1
+                if tracing:
+                    self._trace_send(peer, (frame,))
+            return
+        per_peer: Dict[str, list] = {}
+        for origin, entries in pending.items():
+            targets = observers[origin]
+            self.reports_withheld += self._peer_count - len(targets)
+            if targets:
+                frame = ControlFrame(self.local_index, self._index_of[origin], entries)
+                for peer in targets:
+                    per_peer.setdefault(peer, []).append(frame)
+        for peer, frames in per_peer.items():
             if len(frames) == 1:
                 outgoing = frames[0]
             else:
                 outgoing = ControlBatch(self.local_index, frames)
                 self.reports_coalesced += len(frames)
-            self.carrier.send_frame(peer, outgoing)
+            send_frame(peer, outgoing)
             self.reports_sent += len(frames)
             if tracing:
-                # heads = the ack watermarks this flush carries, as
-                # [origin, type, seq] triples — the trace context that
-                # lets span reconstruction follow one send's ACK from the
-                # acking peer back to its origin.
-                names = self._type_names
-                self.tracer.emit(
-                    self.config.local,
-                    "control.send",
-                    peer=peer,
-                    origins=len(frames),
-                    cells=sum(len(f.entries) for f in frames),
-                    heads=[
-                        [
-                            self.config.node_names[f.origin_index],
-                            names[t] if t < len(names) else t,
-                            s,
-                        ]
-                        for f in frames
-                        for t, s in f.entries.items()
-                    ],
-                )
+                self._trace_send(peer, frames)
+
+    def _trace_send(self, peer: str, frames) -> None:
+        """The ``control.send`` event of one flush to ``peer`` (its callers
+        test the flag once per flush)."""
+        tracer = self.tracer
+        if tracer.enabled:
+            # heads = the ack watermarks this flush carries, as [origin,
+            # type, seq] triples — the trace context that lets span
+            # reconstruction follow one send's ACK from the acking peer
+            # back to its origin.
+            names = self._type_names
+            tracer.emit(
+                self.config.local,
+                "control.send",
+                peer=peer,
+                origins=len(frames),
+                cells=sum(len(f.entries) for f in frames),
+                heads=[
+                    [
+                        self.config.node_names[f.origin_index],
+                        names[t] if t < len(names) else t,
+                        s,
+                    ]
+                    for f in frames
+                    for t, s in f.entries.items()
+                ],
+            )
 
     def full_state_frames(self, peer: str) -> list:
         """This node's full acknowledgment rows, every origin's, as one
@@ -519,45 +584,88 @@ class AckTableStrategy(StabilizationStrategy):
                 if seq > 0 and type_id not in batched
             }
             if entries:
-                frames.append(self._report_frame(origin, entries))
+                frames.append(
+                    ControlFrame(self.local_index, self._index_of[origin], entries)
+                )
         if len(frames) > 1:
             return [ControlBatch(self.local_index, frames)]
         return frames
 
     def on_control_frame(self, peer: str, frame) -> None:
-        if isinstance(frame, ControlFrame):
-            self._apply_report(frame)
-        elif isinstance(frame, ControlBatch):
-            for report in frame.frames:
-                self._apply_report(report)
+        """Apply a report (or a batch of them): per report, one table
+        write of the reporter's row and — if this node observes the
+        origin — one frontier pass over the cells that rose.
+
+        Everything in a report comes off the wire, so each is checked
+        before it is used: the reporter and origin indices, each type id
+        and each sequence number.  A ``received`` cell of this node's own
+        stream that rose from the column's floor rescans the floor (see
+        :meth:`~repro.core.stabilizer.Stabilizer._rescan_received_floor`);
+        any other update cannot move it."""
+        kind = type(frame)
+        if kind is ControlFrame:
+            reports = (frame,)
+        elif kind is ControlBatch:
+            reports = frame.frames
         else:
             super().on_control_frame(peer, frame)
-
-    def _apply_report(self, frame: ControlFrame) -> None:
-        reporter = frame.node_index
-        origin = self.config.node_names[frame.origin_index]
-        if self.tracer.enabled:
-            names = self._type_names
-            self.tracer.emit(
-                self.config.local,
-                "control.receive",
-                peer=self.config.node_names[reporter],
-                origin=origin,
-                cells=len(frame.entries),
-                heads=[
-                    [names[t] if t < len(names) else t, s]
-                    for t, s in frame.entries.items()
-                ],
-            )
-        table = self.tables.get(origin)
-        if table is None:
-            raise StabilizerError(f"control report for unknown origin {origin!r}")
-        # One batched table update and one frontier pass per frame — the
-        # advanced (type_id, seq) cells let the engine use its reverse
-        # dependency index instead of rescanning every predicate.
-        advanced = table.update_many(reporter, frame.entries)
-        if advanced:
-            self.node._on_table_update(origin, reporter, advanced)
+            return
+        names = self.config.node_names
+        node_count = len(names)
+        received = self.received_id
+        local_index = self.local_index
+        frontier = self._frontier
+        tracing = self.tracer.enabled
+        for report in reports:
+            reporter = report.node_index
+            origin_index = report.origin_index
+            if not 0 <= reporter < node_count:
+                raise StabilizerError(f"node index {reporter} out of range")
+            if not 0 <= origin_index < node_count:
+                raise StabilizerError(
+                    f"control report for origin index {origin_index} out of range"
+                )
+            origin = names[origin_index]
+            entries = report.entries
+            if tracing:
+                type_names = self._type_names
+                self.tracer.emit(
+                    self.config.local,
+                    "control.receive",
+                    peer=names[reporter],
+                    origin=origin,
+                    cells=len(entries),
+                    heads=[
+                        [type_names[t] if t < len(type_names) else t, s]
+                        for t, s in entries.items()
+                    ],
+                )
+            table = self.tables[origin]
+            type_count = table.type_count
+            row = table.table[reporter]
+            # The advanced (type_id, seq) cells let the frontier engine use
+            # its reverse dependency index instead of rescanning every
+            # predicate; nobody needs them for an origin it does not watch.
+            cells = [] if origin in frontier.watched else None
+            rose_from = None  # the received cell's value before it rose
+            for type_id, seq in entries.items():
+                if not 0 <= type_id < type_count:
+                    raise StabilizerError(f"type id {type_id} out of range")
+                if seq < 0:
+                    raise StabilizerError(f"negative sequence number: {seq}")
+                held = row[type_id]
+                if seq > held:
+                    row[type_id] = seq
+                    if type_id == received:
+                        rose_from = held
+                    if cells is not None:
+                        cells.append((type_id, seq))
+            if cells:
+                frontier.reevaluate(origin, updated_node=reporter, updated_cells=cells)
+            if rose_from is not None and origin_index == local_index:
+                node = self.node
+                if rose_from <= node._received_floor:
+                    node._rescan_received_floor()
 
     def _engine_stats(self) -> Dict[str, float]:
         return {

@@ -62,12 +62,12 @@ class SequencerStrategy(StabilizationStrategy):
     _propagate_grant = StabilizationStrategy._batch_report
 
     def on_local_send(self, first: int, last: int):
-        advanced = super().on_local_send(first, last)
+        cells = super().on_local_send(first, last)
         # The origin's own completeness jump is itself a grant floor the
         # sequencer must hear about, or nothing would ever stabilize.
-        for type_id in advanced:
-            self._batch_report(self.config.local, type_id, last)
-        return advanced
+        for type_id, seq in cells:
+            self._batch_report(self.config.local, type_id, seq)
+        return cells
 
     def _ship_batch(self, pending: Dict[str, Dict[int, int]]) -> None:
         node_index = self.config.node_index

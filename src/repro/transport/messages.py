@@ -96,6 +96,8 @@ class ControlFrame:
     ``entries`` maps a numeric stability-type id to the highest sequence
     number the reporting node acknowledges for that type, for one origin
     stream.  Monotonic by construction: newer frames overwrite older ones.
+    The frame holds ``entries`` as given, not a copy: its maker hands over
+    a dict it no longer writes (a report batch, swapped out at its flush).
     """
 
     __slots__ = ("node_index", "origin_index", "entries")
@@ -105,7 +107,7 @@ class ControlFrame:
     ):
         self.node_index = node_index
         self.origin_index = origin_index
-        self.entries = dict(entries)
+        self.entries = entries
 
     def wire_size(self) -> int:
         return CONTROL_HEADER.size + 2 + CONTROL_ENTRY.size * len(self.entries)
@@ -121,17 +123,23 @@ class ControlFrame:
 
     @classmethod
     def decode(cls, data: bytes) -> "ControlFrame":
-        kind, node, count = CONTROL_HEADER.unpack_from(data)
+        try:
+            kind, node, count = CONTROL_HEADER.unpack_from(data)
+        except struct.error as exc:
+            raise TransportError(f"malformed control frame: {exc}") from exc
         if kind != KIND_CONTROL:
             raise TransportError(f"not a control frame (kind={kind})")
         offset = CONTROL_HEADER.size
-        (origin,) = struct.unpack_from("!H", data, offset)
-        offset += 2
         entries: Dict[int, int] = {}
-        for _ in range(count):
-            type_id, seq = CONTROL_ENTRY.unpack_from(data, offset)
-            offset += CONTROL_ENTRY.size
-            entries[type_id] = seq
+        try:
+            (origin,) = struct.unpack_from("!H", data, offset)
+            offset += 2
+            for _ in range(count):
+                type_id, seq = CONTROL_ENTRY.unpack_from(data, offset)
+                offset += CONTROL_ENTRY.size
+                entries[type_id] = seq
+        except struct.error as exc:
+            raise TransportError(f"truncated control frame: {exc}") from exc
         return cls(node, origin, entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -429,7 +437,10 @@ class ResumeFrame:
         offset = RESUME_HEADER.size
         have: Dict[int, int] = {}
         for _ in range(count):
-            origin, seq = RESUME_ENTRY.unpack_from(data, offset)
+            try:
+                origin, seq = RESUME_ENTRY.unpack_from(data, offset)
+            except struct.error as exc:
+                raise TransportError(f"truncated resume frame: {exc}") from exc
             offset += RESUME_ENTRY.size
             have[origin] = seq
         return cls(node, have)

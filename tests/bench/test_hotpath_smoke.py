@@ -4,10 +4,11 @@ These live under ``tests/`` so the tier-1 command exercises the harness
 itself on every PR — a broken ``run_hotpath_frontier`` or
 ``run_dsl_microbench`` fails here long before anyone runs the full
 benchmarks.  ``make bench-smoke`` selects just these via the
-``bench_smoke`` marker.  The last six are cost gates, not smoke runs:
+``bench_smoke`` marker.  The last seven are cost gates, not smoke runs:
 the Python calls one WAL record, one timer event, one lone send, one
-arrived data frame and one message of a frame of four cost, held to a
-budget.
+arrived data frame (at a receiver that observes the stream, and the
+engine's share at one that does not) and one message of a frame of four
+cost, held to a budget.
 """
 
 import pytest
@@ -36,16 +37,22 @@ pytestmark = pytest.mark.bench_smoke
 WAL_CALLS_PER_RECORD_BUDGET = 28.0
 KERNEL_CALLS_PER_EVENT_BUDGET = 5.5
 LONE_SEND_CALLS_PER_PEER_BUDGET = 41.0
-# An arrived data frame of one message costs a receiver 58.5 calls (72.3
-# before the frame became the unit of arrival, 68.3 while every chunk of a
-# many-chunk object went through a ``Chunk`` and the any-order
-# reassembler), 51.0 of them above the data plane: ACK table, report
-# batcher, frontier engine.  That share belongs to the frame, not to its
-# messages: a message of a frame of four — 8 KB chunks, four to an
-# object, the ``trace_bulk`` path — costs 16.0 (28.25 with the reassembler
-# and a ``SyntheticPayload`` per part of the frame).
-FRAME_CALLS_PER_MESSAGE_BUDGET = 64.0
-FRAME_OF_FOUR_CALLS_PER_MESSAGE_BUDGET = 18.0
+# An arrived data frame of one message costs a receiver that observes the
+# origin's stream 48.5 calls (72.3 before the frame became the unit of
+# arrival, 68.3 while every chunk of a many-chunk object went through a
+# ``Chunk`` and the any-order reassembler, 58.5 while a value went through
+# ``set_all_types``, ``_on_table_update`` and the other relays to the ACK
+# table), 41.0 of them above the data plane: ACK table, report batcher,
+# frontier engine (51.0 with the relays).  That share belongs to the
+# frame, not to its messages: a message of a frame of four — 8 KB chunks,
+# four to an object, the ``trace_bulk`` path — costs 13.5 (28.25 with the
+# reassembler and a ``SyntheticPayload`` per part of the frame, 16.0 with
+# the relays).  At a receiver that observes nothing — every receiver of
+# ``wan_small`` — the engine's share is 4.0: the frontier engine is not
+# called at all (18.0 while it was called to say so).
+FRAME_CALLS_PER_MESSAGE_BUDGET = 54.0
+FRAME_OF_FOUR_CALLS_PER_MESSAGE_BUDGET = 15.0
+UNOBSERVED_FRAME_ENGINE_CALLS_BUDGET = 5.0
 FRAME_ENGINE_CALLS_SLACK = 3.0
 
 
@@ -103,6 +110,15 @@ def test_message_of_a_frame_of_four_stays_within_its_call_budget():
     four = frame_calls_per_message(4, frames=200)
     assert four["calls_per_message"] <= FRAME_OF_FOUR_CALLS_PER_MESSAGE_BUDGET
     assert four == frame_calls_per_message(4, frames=200)  # exact
+
+
+def test_an_arrival_nobody_observes_stays_within_its_engine_budget():
+    quiet = frame_calls_per_message(1, frames=200, observed=False)
+    assert quiet["engine_calls_per_frame"] <= UNOBSERVED_FRAME_ENGINE_CALLS_BUDGET
+    assert quiet == frame_calls_per_message(1, frames=200, observed=False)  # exact
+    # Observing the stream is what costs the frontier passes.
+    observed = frame_calls_per_message(1, frames=200)
+    assert quiet["engine_calls_per_frame"] < observed["engine_calls_per_frame"]
 
 
 def test_engine_cost_of_an_arrival_is_per_frame_not_per_message():

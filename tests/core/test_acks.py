@@ -1,11 +1,18 @@
-"""Unit and property tests for the monotonic ACK table."""
+"""Unit and property tests for the monotonic ACK table, and for the
+engines' write paths into it."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import StabilizerCluster
 from repro.core.acks import AckTable
+from repro.core.config import StabilizerConfig
 from repro.errors import StabilizerError
+from repro.net import NetemSpec, Topology
+from repro.sim import Simulator
+from repro.testing import MemoryFileSystem
+from repro.transport.messages import ControlFrame
 
 
 def test_table_starts_at_zero():
@@ -44,42 +51,75 @@ def test_out_of_range_rejected():
         AckTable(0, 1)
 
 
+def _stack(durability=False):
+    """Node ``a`` of a two-node cluster: the ACK-table engine's write paths
+    over three columns (received, persisted, verified)."""
+    link = NetemSpec(latency_ms=5, rate_mbit=100)
+    topo = Topology.uniform({"a": "a", "b": "b"}, link)
+    config = StabilizerConfig(
+        ["a", "b"],
+        {"a": ["a"], "b": ["b"]},
+        "a",
+        ack_types=["verified"],
+        durability=durability,
+    )
+    cluster = StabilizerCluster(
+        topo.build(Simulator()),
+        config,
+        fs_factory=(lambda name: MemoryFileSystem()) if durability else None,
+    )
+    return cluster["a"]
+
+
+def _report(node_index, entries, origin_index=0):
+    frame = ControlFrame(node_index, origin_index, entries)
+    return lambda strategy: strategy.on_control_frame("b", frame)
+
+
 @pytest.mark.parametrize(
     "batch",
     [
-        lambda t: t.update_many(2, {0: 1}),  # node out of range
-        lambda t: t.update_many(-1, {0: 1}),
-        lambda t: t.update_many(0, {2: 1}),  # type out of range
-        lambda t: t.update_many(0, {-1: 1}),  # must not wrap to the last column
-        lambda t: t.update_many(0, {0: -1}),  # negative sequence
-        lambda t: t.set_all_types(2, 1),
-        lambda t: t.set_all_types(-1, 1),
-        lambda t: t.set_all_types(0, -1),
+        _report(2, {0: 1}),  # reporter out of range
+        _report(-1, {0: 1}),  # must not wrap to the last row
+        _report(1, {3: 1}),  # type out of range
+        _report(1, {-1: 1}),  # must not wrap to the last column
+        _report(1, {0: -1}),  # negative sequence
+        lambda s: s.grant_local("b", 3, 1),
+        lambda s: s.grant_local("b", -1, 1),
+        lambda s: s.grant_local("b", 0, -1),
     ],
 )
 def test_batch_updates_keep_the_range_checks(batch):
-    """update_many / set_all_types check once per call instead of once per
-    cell through update(); what they reject is unchanged."""
-    table = AckTable(2, 2)
+    """The engines' write paths — a report applied, a local grant — write
+    the live rows directly; what they reject is what ``update`` rejects."""
+    node = _stack()
     with pytest.raises(StabilizerError):
-        batch(table)
-    assert table.snapshot() == [[0, 0], [0, 0]]
+        batch(node.strategy)
+    assert node.tables["a"].snapshot() == [[0, 0, 0], [0, 0, 0]]
+    assert node.tables["b"].snapshot() == [[0, 0, 0], [0, 0, 0]]
 
 
-def test_update_many_returns_advanced_types():
-    table = AckTable(1, 3)
-    table.update(0, 1, 10)
-    advanced = table.update_many(0, {0: 5, 1: 7, 2: 0})
-    assert advanced == [(0, 5)]  # type 1 was stale-r, type 2 is zero
-    assert table.row(0) == (5, 10, 0)
+def test_a_report_advances_only_the_cells_that_rose():
+    node = _stack()
+    table = node.tables["b"]
+    table.update(1, 1, 10)
+    node.strategy.on_control_frame("b", ControlFrame(1, 1, {0: 5, 1: 7, 2: 0}))
+    # type 1 was stale-r, type 2 is zero
+    assert table.row(1) == (5, 10, 0)
 
 
-def test_set_all_types():
-    table = AckTable(2, 3)
-    table.update(0, 1, 20)
-    assert table.set_all_types(0, 15) == [0, 2]
-    assert table.row(0) == (15, 20, 15)
-    assert table.set_all_types(0, 10) == []
+def test_an_arrival_completes_the_origin_row():
+    """Section III-C: the origin holds every property for what it sent —
+    ``persisted`` only by its own fsyncs under durability."""
+    for durability, persisted in ((False, 15), (True, 0)):
+        node = _stack(durability)
+        table = node.tables["b"]
+        table.update(1, 2, 20)
+        node.strategy.on_remote_deliver("b", 15, 15)
+        assert table.row(1) == (15, persisted, 20)
+        assert table.row(0) == (15, 0, 0)  # a's received grant
+        node.strategy.on_remote_deliver("b", 10, 10)  # stale: nothing moves
+        assert table.row(1) == (15, persisted, 20)
 
 
 def test_add_type_column():

@@ -87,7 +87,7 @@ def test_unobserved_update_calls_no_predicate_and_allocates_no_slot_state():
     profiler = cProfile.Profile()
     profiler.enable()
     for node, seq in updates:
-        eng.tables["d"]._rows[node][0] = seq  # move the cell without a call
+        eng.tables["d"].table[node][0] = seq  # move the cell without a call
         result = eng.reevaluate(
             "d", updated_node=node, updated_cells=((0, seq),)
         )
@@ -127,7 +127,7 @@ def test_first_waiter_turns_the_slot_eager_and_the_last_release_turns_it_back():
         bump(eng, "d", node, 4)
     released = []
     assert eng.add_waiter("d", 4, lambda: released.append("met"), key="all") is None
-    assert released == ["met"] and "d" not in eng._watched  # already satisfied
+    assert released == ["met"] and "d" not in eng.watched  # already satisfied
     assert eng.add_waiter("d", 6, lambda: released.append("six"), key="all")
     # Seeded from the evaluation add_waiter made: value, witness, high mark.
     assert eng.evaluations_on_read == 2
@@ -136,7 +136,7 @@ def test_first_waiter_turns_the_slot_eager_and_the_last_release_turns_it_back():
         (node, 0) for node in range(len(NODES))
     )
     assert eng._monitor_high[("d", "all")] == 4
-    assert eng._watched["d"] == {"all"}  # ... and only that key of "d"
+    assert eng.watched["d"] == {"all"}  # ... and only that key of "d"
     eager = eng.evaluations
     for node in range(len(NODES)):
         bump(eng, "d", node, 5)
@@ -148,7 +148,7 @@ def test_first_waiter_turns_the_slot_eager_and_the_last_release_turns_it_back():
     assert released == ["met", "six"]
     # Last listener gone: no cache, no watch entry, reads pull again.
     assert ("d", "all") not in eng._frontiers and ("d", "all") not in eng._slots
-    assert "d" not in eng._watched
+    assert "d" not in eng.watched
     before = eng.evaluations_on_read
     assert eng.frontier("d", "all") == 9
     assert eng.evaluations_on_read == before + 1
@@ -161,7 +161,7 @@ def test_a_cancelled_waiter_keeps_the_slot_eager_until_the_frontier_passes_it():
     bump(eng, "d", 0, 3)
     assert ("d", "any") in eng._slots  # lazy deletion: still heaped
     bump(eng, "d", 0, 6)
-    assert "d" not in eng._watched and eng._slots == {}
+    assert "d" not in eng.watched and eng._slots == {}
 
 
 def test_first_monitor_seeds_every_origin_and_hears_only_what_moves_afterwards():

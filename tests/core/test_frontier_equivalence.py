@@ -131,6 +131,12 @@ def test_incremental_matches_brute_force_over_random_streams():
         assert brute.evaluations_on_read == seeding
 
 
+def _apply(table, node, entries):
+    """A report's write: each cell through ``AckTable.update``; returns
+    the ``(type_id, seq)`` cells that rose, for the frontier pass."""
+    return [(t, s) for t, s in entries.items() if table.update(node, t, s)]
+
+
 def test_batched_cell_updates_match_brute_force():
     """A multi-entry control frame applies several cells of one row at
     once; the single batched re-evaluation pass must equal brute force."""
@@ -150,8 +156,8 @@ def test_batched_cell_updates_match_brute_force():
                 entries[type_id] = values[node][type_id]
         if not entries:
             continue
-        advanced = table_inc.update_many(node, entries)
-        table_brute.update_many(node, entries)
+        advanced = _apply(table_inc, node, entries)
+        _apply(table_brute, node, entries)
         incremental.reevaluate("d", updated_node=node, updated_cells=advanced)
         brute.reevaluate("d", updated_node=node)
         for key in incremental.predicate_keys():
@@ -267,7 +273,7 @@ def _run_stream(seed):
                     values[origin][node][type_id] += rng.randint(1, 4)
                     entries[type_id] = values[origin][node][type_id]
             for side in sides:
-                advanced = side.engine.tables[origin].update_many(node, entries)
+                advanced = _apply(side.engine.tables[origin], node, entries)
                 if advanced:
                     side.engine.reevaluate(
                         origin, updated_node=node, updated_cells=advanced

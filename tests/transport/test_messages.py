@@ -1,11 +1,17 @@
 """Unit tests for wire frames and payload sizing."""
 
+import struct
+
 import pytest
 
 from repro.errors import TransportError
 from repro.transport.messages import (
+    BATCH_HEADER,
+    KIND_CONTROL_BATCH,
+    ControlBatch,
     ControlFrame,
     InterestFrame,
+    ResumeFrame,
     SyntheticPayload,
     payload_length,
 )
@@ -58,3 +64,36 @@ def test_control_frame_wire_size_scales_with_entries():
     assert big.wire_size() > small.wire_size()
     assert small.wire_size() == len(small.encode())
     assert big.wire_size() == len(big.encode())
+
+
+_BATCH = ControlBatch(1, [ControlFrame(1, 0, {0: 7}), ControlFrame(1, 2, {0: 3, 1: 2})])
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        ControlFrame(2, 1, {0: 99, 3: 42}),
+        _BATCH,
+        ResumeFrame(1, {0: 5, 2: 9}),
+    ],
+    ids=lambda frame: type(frame).__name__,
+)
+def test_a_truncated_frame_is_a_transport_error_at_every_offset(frame):
+    """Cut the encoding at every byte offset, as the WAL's torn-tail sweep
+    cuts a segment: every proper prefix fails to decode with a
+    ``TransportError`` — no ``struct.error`` leaks out of a decoder — and
+    the whole encoding round-trips."""
+    encoded = frame.encode()
+    decode = type(frame).decode
+    for cut in range(len(encoded)):
+        with pytest.raises(TransportError):
+            decode(encoded[:cut])
+    assert decode(encoded).encode() == encoded
+
+
+def test_a_batch_whose_report_is_short_is_a_transport_error():
+    """The batch's length prefix is intact, the report inside it is cut."""
+    report = ControlFrame(1, 0, {0: 7}).encode()[:-4]
+    data = BATCH_HEADER.pack(KIND_CONTROL_BATCH, 1, 1) + struct.pack("!H", len(report))
+    with pytest.raises(TransportError, match="truncated control frame"):
+        ControlBatch.decode(data + report)
