@@ -28,7 +28,6 @@ bench-record:
 # (A pattern rule, so the names are not in .PHONY: make skips implicit
 # rules for phony targets, and no file is ever called `chaos-smoke`.)
 #
-#   bench       the hot-path benchmark harness at tiny configurations
 #   chaos       a seeded 3-AZ/6-node chaos run with full invariant
 #               checking, small enough for CI (seconds, not minutes)
 #   durability  the 20-seed disk-fault chaos sweep over the durability-
@@ -43,16 +42,15 @@ bench-record:
 #               held to the benchmark's own output checks: a src/ change
 #               that breaks the measuring stick fails tier-1, not the
 #               pipeline (perf/README.md)
-#   report      `repro report` as a gate: the eight paper experiments once
-#               at their report scale, one test per checked finding
-#               (virtual time and counts only, so deterministic); the
-#               findings that are red today are strict xfails
-#               (EXPERIMENTS.md, "Checked findings")
+#   report      `repro report` as a gate: every declared experiment — the
+#               paper's and the repo's own — once at its report scale, one
+#               test per checked finding (virtual time and counts only, so
+#               deterministic); the findings that are red today are strict
+#               xfails (EXPERIMENTS.md, "Checked findings")
 #   rebalance   seeded join/leave/failover sweeps plus handcrafted
 #               crash-mid-handoff schedules over the rebalance invariants
 #               (docs/sharding.md, "Rebalancing & failover")
-#   shard       partial-replication invariant runs plus the shard-scaling
-#               bench harness at tiny scale (docs/sharding.md)
+#   shard       partial-replication invariant runs (docs/sharding.md)
 #   strategy    one seeded chaos run per stabilization engine — ACK table,
 #               sequencer, hybrid clock — under the full invariant checker
 #               (docs/strategies.md)

@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
-Every bench regenerates one table or figure of the paper, prints the
-comparison, and writes it to ``benchmarks/results/<name>.txt`` so the
+Every test runs one experiment of the table, prints its report, and
+writes it to ``benchmarks/results/<name>.txt`` — with the result as
+``<name>.json`` and each series in it as ``<name>_<path>.csv`` — so the
 report survives pytest's output capturing.
 
 Set ``REPRO_FULL=1`` to run the full-scale workloads (the complete
@@ -18,6 +19,8 @@ import subprocess
 from pathlib import Path
 
 import pytest
+
+from repro.sim.monitor import Series
 
 RESULTS_DIR = Path(__file__).parent / "results"
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,30 +71,37 @@ def provenance():
 
 @pytest.fixture()
 def record_run(request, provenance):
-    """``record_run(name, row)``: append ``row``, stamped with the
+    """``record_run(name, result)``: append ``result``, stamped with the
     session's provenance, to the ``BENCH_<name>.json`` trajectory at the
     repo root — only in a run started with ``--record``.  The one place
     the suite writes outside ``results/``."""
 
-    def record(name: str, row: dict) -> None:
+    def record(name: str, result) -> None:
         if not request.config.getoption("--record"):
             return
         path = ROOT / f"BENCH_{name}.json"
         trajectory = json.loads(path.read_text()) if path.exists() else {"runs": []}
-        trajectory["runs"].append({**row, "provenance": provenance})
-        path.write_text(json.dumps(trajectory, indent=2) + "\n")
+        trajectory["runs"].append({"result": result, "provenance": provenance})
+        path.write_text(json.dumps(trajectory, indent=2, default=str) + "\n")
 
     return record
 
 
+def _jsonable(value):
+    """JSON for what ``json`` cannot encode: a series as its summary."""
+    return value.summary() if isinstance(value, Series) else str(value)
+
+
 class Reporter:
-    """Collects report text (and optional structured data), then prints
-    it and saves both to disk: ``<name>.txt`` and ``<name>.json``."""
+    """Collects report text, structured data and series, then prints the
+    text and saves all three: ``<name>.txt``, ``<name>.json`` and one
+    ``<name>_<key>.csv`` per series."""
 
     def __init__(self, name: str):
         self.name = name
         self._chunks = []
         self._data = {}
+        self._series = {}
 
     def add(self, text: str) -> None:
         self._chunks.append(text)
@@ -100,20 +110,27 @@ class Reporter:
         """Attach machine-readable results (saved as JSON alongside)."""
         self._data[key] = value
 
+    def add_series(self, key: str, series: Series) -> None:
+        """Attach a series (saved as a two-column CSV alongside)."""
+        self._series[key] = series
+
     def flush(self) -> None:
         body = "\n".join(self._chunks) + "\n"
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / f"{self.name}.txt").write_text(body)
         if self._data:
             (RESULTS_DIR / f"{self.name}.json").write_text(
-                json.dumps(self._data, indent=2, default=str)
+                json.dumps(self._data, indent=2, default=_jsonable)
             )
+        for key, series in self._series.items():
+            series.to_csv(RESULTS_DIR / f"{self.name}_{key}.csv")
         print(f"\n===== {self.name} =====")
         print(body)
 
 
 @pytest.fixture()
 def report(request):
-    reporter = Reporter(request.node.name.replace("test_", "", 1))
+    """A :class:`Reporter` named after the experiment the test runs."""
+    reporter = Reporter(request.node.callspec.id)
     yield reporter
     reporter.flush()

@@ -1,20 +1,25 @@
-"""The paper's evaluation as one table of experiments.
+"""The evaluation as one table of experiments: the paper's, and the repo's own.
 
-An :class:`Experiment` is everything the repo says about one table or
-figure: the driver, the CLI flags and the scales it runs at, the one
-printer of its result, and the paper's findings about it as checks.  Each
-is declared at the end of the module of :mod:`repro.bench.runners` that
-holds its driver; ``repro <name>`` and ``repro report``, the modules
-under ``benchmarks/`` and the tier-1 ``report_smoke`` gate are generated
-from :func:`experiments`.  Three kinds of finding:
+An :class:`Experiment` is everything the repo says about one table,
+figure, ablation, extension or subsystem bench: the driver, the CLI
+flags and the scales it runs at, the one printer of its result, and the
+findings about it as checks — the paper's for its tables and figures,
+the repo's own claims (call budgets, trade-offs, invariants) for the
+rest.  Each is declared at the end of the module of
+:mod:`repro.bench.runners` that holds its driver; ``repro <name>`` and
+``repro report``, the one parametrized module under ``benchmarks/`` and
+the tier-1 ``report_smoke`` gate are generated from :func:`experiments`.
+Three kinds of finding:
 
 - **exact** — network-bound quantities the emulation must match within a
-  tolerance (Table I/II matrices, Fig. 3/Fig. 8 latencies);
+  tolerance (Table I/II matrices, Fig. 3/Fig. 8 latencies), and exact
+  counts (Python calls, messages, events);
 - **shape** — orderings and qualitative findings (who wins, what grows,
   what overlaps), which must hold even where absolute numbers are
   substrate-dependent;
-- **wall** — wall-clock bounds (the DSL microbenchmark's).  They depend
-  on the machine, so only ``benchmarks/`` enforces them.
+- **wall** — bounds on host time (the DSL microbenchmark's, the hot
+  path's latency).  They depend on the machine, so only ``benchmarks/``
+  enforces them.
 """
 
 from __future__ import annotations
@@ -82,17 +87,36 @@ class Verdict(NamedTuple):
     holds: bool
 
 
-def experiments() -> Dict[str, Experiment]:
-    """The table: name -> :class:`Experiment`, in the paper's order.  To
-    add an experiment, write its module and add it to this tuple."""
+def paper_experiments() -> Dict[str, Experiment]:
+    """The paper's tables and figures: name -> :class:`Experiment`, in
+    the paper's order."""
     # Imported here: each of these modules imports the types above.
-    from repro.bench.runners import fig3, fig5, fig6, fig7, fig8, microbench, network
+    from repro.bench.runners import (
+        fig3, fig4, fig5, fig6, fig7, fig8, microbench, network, table3,
+    )
 
     declared = (
-        network.TABLE1, network.TABLE2, fig3.EXPERIMENT, microbench.EXPERIMENT,
-        fig5.EXPERIMENT, fig6.EXPERIMENT, fig7.EXPERIMENT, fig8.EXPERIMENT,
+        network.TABLE1, network.TABLE2, table3.EXPERIMENT, fig3.EXPERIMENT,
+        microbench.EXPERIMENT, fig4.EXPERIMENT, fig5.EXPERIMENT,
+        fig6.EXPERIMENT, fig7.EXPERIMENT, fig8.EXPERIMENT,
     )
     return {exp.name: exp for exp in declared}
+
+
+def experiments() -> Dict[str, Experiment]:
+    """The table: the paper's experiments, then the repo's own —
+    ablations, extensions, subsystem benches.  To add an experiment,
+    declare it at the end of its driver's module and add it here."""
+    from repro.bench.runners import extensions, hotpath, sharding
+
+    ours = (
+        extensions.ACK_BATCHING, extensions.CHUNK_SIZE, extensions.JIT,
+        extensions.CROSS_TRAFFIC, extensions.REDBLUE, extensions.SCALABILITY,
+        extensions.STRATEGIES, hotpath.HOTPATH, hotpath.DATAPLANE_PIPELINE,
+        extensions.DURABILITY, hotpath.SIM_KERNEL, extensions.CHAOS,
+        sharding.SHARD_SCALING, sharding.REBALANCE, sharding.FLASH_CROWD,
+    )
+    return {**paper_experiments(), **{exp.name: exp for exp in ours}}
 
 
 #: What a check raises on a malformed result — a missing key or index, a

@@ -1,22 +1,27 @@
-"""Hot paths: reports/sec through the frontier engine, and the exact
+"""Hot paths: reports/sec through the frontier engine, the exact
 Python-call cost of a WAL record, of a timer event, of a lone message's
-send and of an arrived data frame (not paper figures)."""
+send and of an arrived data frame, frame coalescing against per-message
+sends, and the substrate's timers, packets and frames (not paper
+figures)."""
 
 from __future__ import annotations
 
 import time
 from typing import Dict, List, Sequence
 
+from repro.bench.paper import Experiment, finding
+from repro.bench.reporting import format_counters, format_table
 from repro.bench.runners.kit import count_calls
 from repro.core.cluster import StabilizerCluster
 from repro.core.config import StabilizerConfig
-from repro.core.dataplane import DATA_CHANNEL, EPOCH_TAG, FRAME_TAG, DataPlane
+from repro.core.dataplane import DATA_CHANNEL, FRAME_TAG, DataPlane
 from repro.core.durability import DurabilityManager
 from repro.core.frontier import FrontierEngine
 from repro.core.strategy import AckTable
 from repro.dsl.semantics import DslContext
 from repro.net import NetemSpec, Topology
 from repro.obs import Histogram
+from repro.obs.tracer import Tracer
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.faultio import MemoryFileSystem
@@ -343,7 +348,7 @@ def _wire_frames(messages_per_frame: int, frames: int) -> list:
             seq += 1
             metas.append((seq, object_id, index, _FRAME_OBJECT_CHUNKS, None))
         meta = metas[0] if len(metas) == 1 else (FRAME_TAG, tuple(metas), lengths)
-        wire.append((payload, (EPOCH_TAG, 0, meta)))
+        wire.append((payload, (0, meta)))
     return wire
 
 
@@ -408,3 +413,557 @@ def frame_calls_per_message(
         "calls_per_frame": total / frames,
         "engine_calls_per_frame": (total - bare) / frames,
     }
+
+
+#: The grid's key cell, whose calls per report are counted.
+KEY_PREDICATES = 16
+KEY_NODES = 8
+
+
+def run_hotpath(
+    predicate_counts: Sequence[int] = (4, 16, 64),
+    node_counts: Sequence[int] = (2, 8, 16),
+    reports: int = 5_000,
+) -> Dict[str, object]:
+    """The frontier engine's grid (:func:`run_hotpath_frontier`), its key
+    cell's calls per report (:func:`hotpath_calls_per_report`), and the
+    exact Python-call cost of the per-operation paths every workload pays:
+    a WAL record, a timer event, a lone send per peer, and an arrived
+    data frame of one and of four messages, observed and not."""
+    return {
+        "reports": reports,
+        "rows": run_hotpath_frontier(predicate_counts, node_counts, reports),
+        "calls_per_report": hotpath_calls_per_report(
+            KEY_PREDICATES, KEY_NODES, reports
+        ),
+        "wal_record": wal_calls_per_record(records=1_000, batch=8),
+        "timer_event": kernel_calls_per_event(events=1_000),
+        "lone_send": lone_send_calls_per_peer(payload_bytes=512, nodes=5),
+        "frame_of_one": frame_calls_per_message(1, frames=200),
+        "frame_of_four": frame_calls_per_message(4, frames=200),
+        "frame_unobserved": frame_calls_per_message(1, frames=200, observed=False),
+    }
+
+
+# ---------------------------------------------------------------------------
+# The pipelined data plane: frame coalescing vs per-message sends.
+# ---------------------------------------------------------------------------
+
+LATENCY_MS = 70.0
+RATE_MBIT = 100.0
+PIPELINE_CHUNK_BYTES = 1024
+PIPELINE_FRAME_BYTES = 32 * 1024
+#: 2x the link's bandwidth-delay product (100 Mbit * 140 ms RTT
+#: ~= 1.75 MB), so neither plane is window-limited and the comparison
+#: isolates per-event cost.
+PIPELINE_WINDOW_BYTES = 4 * 1024 * 1024
+#: Transfers run with tracing ON, sampled at 1/2^6 = 1/64 of sequences
+#: (head-based, seeded): the calls finding then also guards the claim
+#: that sampled tracing is cheap enough for always-on use.
+TRACE_SAMPLE_SHIFT = 6
+
+
+def run_transfer(total_bytes: int, frame_bytes, counted: bool = False) -> dict:
+    """One ``total_bytes`` transfer over a 100 Mbit / 70 ms link, coalesced
+    into ``frame_bytes`` frames (``None``: one frame per message);
+    ``counted``, the Python calls inside ``sim.run`` are counted (and the
+    wall time of that run means nothing)."""
+    topo = Topology.uniform(
+        {"x": "east", "y": "west"},
+        NetemSpec(latency_ms=LATENCY_MS, rate_mbit=RATE_MBIT),
+    )
+    sim = Simulator()
+    net = topo.build(sim)
+
+    def config(local):
+        return StabilizerConfig(
+            ["x", "y"],
+            {"x": ["x"], "y": ["y"]},
+            local,
+            chunk_bytes=PIPELINE_CHUNK_BYTES,
+            window_bytes=PIPELINE_WINDOW_BYTES,
+            frame_bytes=frame_bytes,
+        )
+
+    delivered_bytes = 0
+    done_at = [None]
+
+    def on_received(origin, seq, payload):
+        nonlocal delivered_bytes
+        delivered_bytes += len(payload)
+        done_at[0] = sim.now
+
+    tracer = Tracer(
+        clock=sim.clock, capacity=4096, enabled=True,
+        sample_shift=TRACE_SAMPLE_SHIFT,
+    )
+    ep_x = TransportEndpoint(net, "x")
+    ep_y = TransportEndpoint(net, "y")
+    ep_x.tracer = tracer
+    ep_y.tracer = tracer
+    dp_x = DataPlane(ep_x, config("x"))
+    dp_y = DataPlane(ep_y, config("y"), on_received=on_received)
+
+    messages = total_bytes // PIPELINE_CHUNK_BYTES
+    dp_x.send(SyntheticPayload(total_bytes))
+
+    start = time.perf_counter()
+    if counted:
+        _none, calls = count_calls(sim.run, until=60.0)
+    else:
+        sim.run(until=60.0)
+    wall_s = time.perf_counter() - start
+
+    if dp_y.messages_received != messages:
+        raise RuntimeError(
+            f"only {dp_y.messages_received}/{messages} messages delivered "
+            "before the virtual deadline"
+        )
+    channel = next(iter(dp_x.endpoint.channels().values()))
+    result = {
+        "mode": "coalesced" if frame_bytes else "per-message",
+        "frame_bytes": frame_bytes,
+        "total_bytes": total_bytes,
+        "messages": messages,
+        "wall_s": wall_s,
+        "wall_bytes_per_s": delivered_bytes / wall_s,
+        "virtual_s": done_at[0],
+        "virtual_goodput_mbit": delivered_bytes * 8 / done_at[0] / 1e6,
+        "frames_sent": dp_x.frames_sent or messages,
+        "max_frame_messages": dp_x.max_frame_messages,
+        "window_stalls": dp_x.window_stalls,
+        "retransmissions": channel.retransmissions,
+        "trace_events": tracer.emitted,
+        "trace_sample_shift": TRACE_SAMPLE_SHIFT,
+    }
+    if counted:
+        result["calls_per_message"] = calls / messages
+    dp_x.close()
+    dp_y.close()
+    return result
+
+
+def run_pipeline(total_bytes: int = 2 * 1024 * 1024) -> Dict[str, object]:
+    """The same transfer per-message and coalesced (:func:`run_transfer`),
+    then both again under the profiler — the simulator is deterministic,
+    so these are the calls the timed runs made.  ``speedup`` (host time)
+    is the coalesced plane's wall-clock bytes/s over the baseline's."""
+    results = [
+        run_transfer(total_bytes, frame_bytes=None),
+        run_transfer(total_bytes, frame_bytes=PIPELINE_FRAME_BYTES),
+    ]
+    baseline, coalesced = results
+    speedup = coalesced["wall_bytes_per_s"] / baseline["wall_bytes_per_s"]
+    for result in results:
+        counted = run_transfer(total_bytes, result["frame_bytes"], counted=True)
+        result["calls_per_message"] = counted["calls_per_message"]
+    return {
+        "results": results,
+        "speedup": speedup,
+        "calls_ratio": baseline["calls_per_message"] / coalesced["calls_per_message"],
+    }
+
+
+# ---------------------------------------------------------------------------
+# The substrate: timers, link packets, transport frames.
+# ---------------------------------------------------------------------------
+
+LAN = NetemSpec(latency_ms=1, rate_mbit=10_000)
+
+
+def _timers_fired(count: int) -> int:
+    sim = Simulator()
+    state = {"count": 0}
+    for i in range(count):
+        sim.call_later(i * 0.001, lambda: state.__setitem__("count", state["count"] + 1))
+    sim.run()
+    return state["count"]
+
+
+def _packets_arrived(count: int) -> int:
+    sim = Simulator()
+    net = Topology.uniform({"a": "g", "b": "g"}, LAN).build(sim)
+    seen = {"count": 0}
+    net.host("b").bind("x", lambda p: seen.__setitem__("count", seen["count"] + 1))
+    for _ in range(count):
+        net.send("a", "b", "x", b"", 100)
+    sim.run()
+    return seen["count"]
+
+
+def _frames_delivered(count: int) -> int:
+    sim = Simulator()
+    net = Topology.uniform({"a": "g", "b": "g"}, LAN).build(sim)
+    sender = TransportEndpoint(net, "a").channel("b", "s")
+    receiver = TransportEndpoint(net, "b").channel("a", "s")
+    seen = {"count": 0}
+    receiver.on_deliver = lambda p, m: seen.__setitem__("count", seen["count"] + 1)
+    for _ in range(count):
+        sender.send(SyntheticPayload(512))
+    sim.run(until=5.0)
+    return seen["count"]
+
+
+def run_sim_kernel(timers: int = 1000, packets: int = 1000, frames: int = 500) -> dict:
+    """The substrate's own hot paths, each driven to completion: timers
+    through the kernel, packets over a LAN link, 512 B frames over a FIFO
+    channel; how many of each arrived.  (Their host cost in calls is the
+    ``hotpath`` experiment's.)"""
+    return {
+        "timers": timers,
+        "timers_fired": _timers_fired(timers),
+        "packets": packets,
+        "packets_arrived": _packets_arrived(packets),
+        "frames": frames,
+        "frames_delivered": _frames_delivered(frames),
+    }
+
+
+# ---------------------------------------------------------------------------
+# The declarations: printer, findings and scales per experiment.
+# ---------------------------------------------------------------------------
+
+#: How many times the incremental engine's Python calls per report the
+#: brute-force baseline makes at the key cell, by report count (50.7 vs
+#: 162.2 at 5,000 reports).  The counts are exact per count, so each is
+#: gated against its own measured ratio less :data:`CALLS_TOLERANCE`:
+#: room for a call or two more per report, not for a change that gives
+#: the saving back.  The wall-clock speed-up of the same cell is printed
+#: only: four runs on one box read 2.41x, 2.51x, 1.75x and 3.81x with
+#: identical evaluation counts.
+HOTPATH_CALLS_RATIO = {1_000: 3.22, 5_000: 3.20, 20_000: 3.21}
+CALLS_TOLERANCE = 0.05
+
+
+def _render_hotpath(result) -> str:
+    rows = result["rows"]
+    grid = format_table(
+        [
+            "predicates", "nodes", "incremental rps", "brute rps", "speedup",
+            "p50 us", "p99 us", "evaluations", "skipped idx", "skipped sc",
+        ],
+        [
+            (
+                r["predicates"],
+                r["nodes"],
+                f"{r['incremental_rps']:.0f}",
+                f"{r['brute_rps']:.0f}",
+                f"{r['speedup']:.2f}x",
+                f"{r['latency_p50_us']:.1f}",
+                f"{r['latency_p99_us']:.1f}",
+                r["evaluations"],
+                r["skipped_by_index"],
+                r["skipped_by_shortcircuit"],
+            )
+            for r in rows
+        ],
+        title="Hot path: frontier reports/sec, incremental vs brute force",
+    )
+    calls = result["calls_per_report"]
+    paths = format_counters(
+        {
+            "calls_per_report": round(calls["incremental"], 2),
+            "brute_calls_per_report": round(calls["brute"], 2),
+            "wal_record": result["wal_record"],
+            "timer_event": result["timer_event"],
+            "lone_send_per_peer": result["lone_send"],
+            "frame_of_one_per_message": result["frame_of_one"]["calls_per_message"],
+            "frame_of_four_per_message": result["frame_of_four"]["calls_per_message"],
+            "engine_per_frame_observed": (
+                result["frame_of_one"]["engine_calls_per_frame"]
+            ),
+            "engine_per_frame_unobserved": (
+                result["frame_unobserved"]["engine_calls_per_frame"]
+            ),
+        },
+        title=(
+            f"Python calls per operation (reports at {KEY_PREDICATES} "
+            f"predicates x {KEY_NODES} nodes)"
+        ),
+    )
+    return grid + "\n" + paths
+
+
+@finding("incremental frontiers equal brute force", "every grid cell", kind="exact")
+def _frontiers_match(result):
+    differ = [
+        f"{r['predicates']}x{r['nodes']}"
+        for r in result["rows"]
+        if not r["frontiers_match"]
+    ]
+    return not differ, "differ at " + ", ".join(differ) if differ else "all cells"
+
+
+@finding(
+    "the incremental machinery engages",
+    "no more evaluations than brute force; index and short-circuit skips",
+    kind="exact",
+)
+def _engages(result):
+    rows = result["rows"]
+    holds = (
+        all(r["evaluations"] <= r["brute_evaluations"] for r in rows)
+        and any(r["skipped_by_index"] > 0 for r in rows)
+        and any(r["skipped_by_shortcircuit"] > 0 for r in rows)
+    )
+    evaluations = sum(r["evaluations"] for r in rows)
+    brute = sum(r["brute_evaluations"] for r in rows)
+    return holds, f"{evaluations} vs {brute} evaluations"
+
+
+@finding("per-report cost is measured", "0 < p50 <= p99 us, reports/s > 0", kind="wall")
+def _measured(result):
+    rows = result["rows"]
+    holds = all(
+        0 < r["latency_p50_us"] <= r["latency_p99_us"]
+        and r["incremental_rps"] > 0
+        and r["brute_rps"] > 0
+        for r in rows
+    )
+    return holds, f"p99 up to {max(r['latency_p99_us'] for r in rows):.1f} us"
+
+
+@finding(
+    "brute-force calls per report vs incremental",
+    f"the measured ratio less {CALLS_TOLERANCE:.0%} (3.20x at 5,000 reports)",
+    kind="exact",
+)
+def _calls_per_report(result):
+    calls = result["calls_per_report"]
+    ratio = calls["brute"] / calls["incremental"]
+    gate = HOTPATH_CALLS_RATIO[result["reports"]] * (1 - CALLS_TOLERANCE)
+    return ratio >= gate, f"{ratio:.2f}x (gate {gate:.2f}x)"
+
+
+# The per-operation budgets: pinned about 10 % above what each path costs
+# today, each with what it cost before the changes that shortened it.  A
+# change that puts a layer back on one of these paths fails here; raise a
+# budget only with the reason in the commit.
+
+
+def _budget(value: float, budget: float):
+    return value <= budget, f"{value:.2f}"
+
+
+@finding(
+    "calls per WAL record",
+    "<= 28.0 (25.5; 57.4 before the append path was shortened)",
+    kind="exact",
+)
+def _wal_record(result):
+    return _budget(result["wal_record"], 28.0)
+
+
+@finding(
+    "calls per timer event",
+    "<= 5.5 (5.0; 9.0 before the handle became the heap entry, "
+    "6.0 while run asked _next_time() for every event)",
+    kind="exact",
+)
+def _timer_event(result):
+    return _budget(result["timer_event"], 5.5)
+
+
+@finding(
+    "calls per peer of a lone 512 B send",
+    "<= 41.0 (37.25; 68.75 while a frame of one went through the "
+    "coalescing path and a relay call per layer, 41.5 while the chunker "
+    "made a Chunk per chunk and a peer's queue took it through a method "
+    "call)",
+    kind="exact",
+)
+def _lone_send(result):
+    return _budget(result["lone_send"], 41.0)
+
+
+@finding(
+    "calls per message of an arrived frame of one",
+    "<= 54.0 at a receiver observing the stream (47.5; 72.3 before the "
+    "frame became the unit of arrival, 68.3 while every chunk went "
+    "through a Chunk and the any-order reassembler, 58.5 while a value "
+    "went through set_all_types, _on_table_update and the other relays "
+    "to the ACK table, 48.5 while the epoch envelope carried a marker)",
+    kind="exact",
+)
+def _frame_of_one(result):
+    return _budget(result["frame_of_one"]["calls_per_message"], 54.0)
+
+
+@finding(
+    "calls per message of an arrived frame of four",
+    "<= 15.0, 8 KB chunks four to an object, the trace_bulk path (13.25; "
+    "28.25 with the reassembler and a SyntheticPayload per part, 16.0 "
+    "with the relays, 13.5 with the epoch marker)",
+    kind="exact",
+)
+def _frame_of_four(result):
+    return _budget(result["frame_of_four"]["calls_per_message"], 15.0)
+
+
+@finding(
+    "engine calls per arrival nobody observes",
+    "<= 5.0, below the observed arrival's (4.0, the wan_small receivers; "
+    "18.0 while the frontier engine was called to say so)",
+    kind="exact",
+)
+def _unobserved(result):
+    quiet = result["frame_unobserved"]["engine_calls_per_frame"]
+    observed = result["frame_of_one"]["engine_calls_per_frame"]
+    return quiet <= 5.0 and quiet < observed, f"{quiet:.2f} vs {observed:.2f}"
+
+
+@finding(
+    "engine cost of an arrival is per frame, not per message",
+    "frame of four within 3 calls of a frame of one; a message of it "
+    "pays a quarter (41.0 per frame, 51.0 with the relays)",
+    kind="exact",
+)
+def _per_frame(result):
+    lone, four = result["frame_of_one"], result["frame_of_four"]
+    holds = (
+        lone["engine_calls_per_frame"] > 0
+        and abs(four["engine_calls_per_frame"] - lone["engine_calls_per_frame"]) <= 3.0
+        and four["calls_per_message"]
+        <= lone["calls_per_message"] - 0.7 * lone["engine_calls_per_frame"]
+    )
+    return holds, (
+        f"{four['engine_calls_per_frame']:.2f} vs "
+        f"{lone['engine_calls_per_frame']:.2f} per frame"
+    )
+
+
+HOTPATH = Experiment(
+    name="hotpath",
+    help="the frontier engine's reports/sec and the per-operation call budgets",
+    run=run_hotpath,
+    args=(),
+    scales={
+        "report": {"predicate_counts": (4, 16), "node_counts": (2, 8), "reports": 1_000},
+        "default": {"reports": 5_000},
+        "full": {"reports": 20_000},
+    },
+    render=_render_hotpath,
+    expectations=(
+        _frontiers_match, _engages, _measured, _calls_per_report, _wal_record,
+        _timer_event, _lone_send, _frame_of_one, _frame_of_four, _unobserved,
+        _per_frame,
+    ),
+)
+
+#: How many times the coalesced plane's Python calls per delivered
+#: message the per-message baseline takes, by transfer size, as measured
+#: when the gate was set: 42.10 vs 21.94 at 2 MiB, 50.24 vs 29.05 at 8 MiB
+#: (the longer transfer spends more of its calls on window bookkeeping
+#: both planes share; 26.73 vs 8.72 at 2 MiB today).  Gated like
+#: :data:`HOTPATH_CALLS_RATIO`.  The wall-clock speed-up is printed only:
+#: it sat at 1.9-2.0x, on the edge of the 2.0x it used to be gated on, and
+#: a loaded machine decided which side.
+PIPELINE_CALLS_RATIO = {2 * 1024 * 1024: 1.92, 8 * 1024 * 1024: 1.73}
+
+
+def _render_pipeline(result) -> str:
+    return format_table(
+        [
+            "mode", "msgs", "frames", "calls/msg", "wall MB/s", "virt Mbit/s",
+            "stalls", "rexmit",
+        ],
+        [
+            (
+                r["mode"],
+                r["messages"],
+                r["frames_sent"],
+                f"{r['calls_per_message']:.1f}",
+                f"{r['wall_bytes_per_s'] / 1e6:.1f}",
+                f"{r['virtual_goodput_mbit']:.1f}",
+                r["window_stalls"],
+                r["retransmissions"],
+            )
+            for r in result["results"]
+        ],
+        title=(
+            f"Pipelined data plane on {RATE_MBIT:.0f} Mbit / "
+            f"{LATENCY_MS:.0f} ms ({result['calls_ratio']:.2f}x fewer calls per "
+            f"message; wall speedup {result['speedup']:.1f}x, not gated)"
+        ),
+    )
+
+
+@finding("coalescing cuts transport frames", "at least 8x fewer frames", kind="exact")
+def _fewer_frames(result):
+    baseline, coalesced = result["results"]
+    return (
+        coalesced["frames_sent"] * 8 <= baseline["frames_sent"],
+        f"{coalesced['frames_sent']} vs {baseline['frames_sent']}",
+    )
+
+
+@finding(
+    "per-message calls per delivered message vs coalesced",
+    f"the measured ratio less {CALLS_TOLERANCE:.0%} (1.92x at 2 MiB)",
+    kind="exact",
+)
+def _fewer_calls(result):
+    total_bytes = result["results"][0]["total_bytes"]
+    gate = PIPELINE_CALLS_RATIO[total_bytes] * (1 - CALLS_TOLERANCE)
+    ratio = result["calls_ratio"]
+    return ratio >= gate, f"{ratio:.2f}x (gate {gate:.2f}x)"
+
+
+# The frames save headers, so virtual goodput may inch up, never down.
+@finding("virtual goodput does not fall", "the link rate is the link rate")
+def _goodput_holds(result):
+    baseline, coalesced = (r["virtual_goodput_mbit"] for r in result["results"])
+    return coalesced >= baseline, f"{coalesced:.2f} vs {baseline:.2f} Mbit/s"
+
+
+DATAPLANE_PIPELINE = Experiment(
+    name="dataplane_pipeline",
+    help="frame coalescing vs per-message sends on one WAN link",
+    run=run_pipeline,
+    args=(),
+    scales={
+        "report": {"total_bytes": 2 * 1024 * 1024},
+        "default": {"total_bytes": 2 * 1024 * 1024},
+        "full": {"total_bytes": 8 * 1024 * 1024},
+    },
+    render=_render_pipeline,
+    expectations=(_fewer_frames, _fewer_calls, _goodput_holds),
+)
+
+
+def _render_sim_kernel(result) -> str:
+    return format_table(
+        ["path", "sent", "arrived"],
+        [
+            ("timer events", result["timers"], result["timers_fired"]),
+            ("LAN packets", result["packets"], result["packets_arrived"]),
+            ("512 B FIFO frames", result["frames"], result["frames_delivered"]),
+        ],
+        title="Substrate hot paths, each driven to completion",
+    )
+
+
+@finding("every timer fires", "all of them", kind="exact")
+def _timers(result):
+    return result["timers_fired"] == result["timers"], f"{result['timers_fired']}"
+
+
+@finding("every packet arrives", "all of them", kind="exact")
+def _packets(result):
+    return result["packets_arrived"] == result["packets"], f"{result['packets_arrived']}"
+
+
+@finding("every frame is delivered", "all of them", kind="exact")
+def _frames(result):
+    return result["frames_delivered"] == result["frames"], f"{result['frames_delivered']}"
+
+
+SIM_KERNEL = Experiment(
+    name="sim_kernel",
+    help="the substrate's timers, link packets and transport frames",
+    run=run_sim_kernel,
+    args=(),
+    scales={"report": {}, "default": {}, "full": {}},
+    render=_render_sim_kernel,
+    expectations=(_timers, _packets, _frames),
+)

@@ -1,6 +1,7 @@
 """Sharding drivers: partial replication against the unsharded control
 plane, live rebalancing under load, and a regional flash crowd with and
-without the closed loop (none of them a paper figure)."""
+without the closed loop (none of them a paper figure), each declared as
+an :class:`~repro.bench.paper.Experiment` at the end of the module."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import math
 import time
 from typing import Dict, Sequence, Tuple
 
+from repro.bench.paper import Experiment, finding
+from repro.bench.reporting import format_table
 from repro.bench.runners.kit import build_cluster, build_network, drain
 from repro.core import StabilizerConfig
 from repro.net.tc import NetemSpec
@@ -673,3 +676,352 @@ def run_overload_bench(
         "baseline": run_mode(controlled=False),
         "controlled": run_mode(controlled=True),
     }
+
+
+# ---------------------------------------------------------------------------
+# The declarations: printer, findings and scales per experiment.
+# ---------------------------------------------------------------------------
+
+
+def _render_shard_scaling(result) -> str:
+    config = result["config"]
+    return format_table(
+        [
+            "keys", "ctrl bytes (sharded)", "ctrl bytes (full)", "ctrl x",
+            "ctrl x (vs demand)", "payload x", "cells/node (sharded)",
+            "cells/node (full)", "lag gauges",
+        ],
+        [
+            (
+                r["keys"],
+                r["sharded_control_bytes"],
+                r["unsharded_control_bytes"],
+                f"{r['control_reduction']:.1f}",
+                f"{r['control_reduction_vs_demand']:.1f}",
+                f"{r['payload_reduction']:.1f}",
+                r["sharded_max_cells"],
+                r["unsharded_max_cells"],
+                r["frontier_lag_gauges"],
+            )
+            for r in result["rows"]
+        ],
+        title=(
+            f"Partial replication ({config['shard_count']} shards x "
+            f"{config['replication']} owners, {config['nodes']} nodes) vs full fan-out"
+        ),
+    )
+
+
+@finding(
+    "every run stabilizes the workload",
+    "sharded and both unsharded baselines",
+    kind="exact",
+)
+def _shards_converge(result):
+    holds = all(
+        r["sharded_converged"]
+        and r["unsharded_converged"]
+        and r["unsharded_demand_converged"]
+        for r in result["rows"]
+    )
+    return holds, "converged" if holds else "not converged"
+
+
+# The owner-set fan-out gives ~(nodes-1)/(replication-1) = 7x headroom at
+# 8 nodes and 2 owners.
+@finding(
+    "partial replication cuts control and payload bytes",
+    ">= 4x against the full fan-out, at every key-space size",
+    kind="exact",
+)
+def _bytes_cut(result):
+    rows = result["rows"]
+    holds = all(
+        r["control_reduction"] >= 4.0 and r["payload_reduction"] >= 4.0 for r in rows
+    )
+    measured = ", ".join(
+        f"{r['control_reduction']:.1f}x / {r['payload_reduction']:.1f}x" for r in rows
+    )
+    return holds, measured
+
+
+# Against an unsharded cluster whose reports follow demand too, a report
+# has one reader either way; only the heartbeats' peer count differs.
+@finding(
+    "against demand-following reports only the heartbeats differ",
+    "0 < the ratio vs demand < the ratio vs full fan-out",
+)
+def _vs_demand(result):
+    rows = result["rows"]
+    holds = all(
+        0 < r["control_reduction_vs_demand"] < r["control_reduction"] for r in rows
+    )
+    return holds, ", ".join(f"{r['control_reduction_vs_demand']:.1f}x" for r in rows)
+
+
+# Control state is a function of owned shards, never of keys.
+@finding(
+    "per-node ACK cells are flat across the key space",
+    "identical at every key-space size",
+    kind="exact",
+)
+def _cells_flat(result):
+    cells = [r["sharded_max_cells"] for r in result["rows"]]
+    return len(set(cells)) == 1, ", ".join(map(str, cells))
+
+
+@finding("frontier lag is gauged per shard", "at least one lag gauge", kind="exact")
+def _lag_gauged(result):
+    gauges = [r["frontier_lag_gauges"] for r in result["rows"]]
+    return all(n > 0 for n in gauges), ", ".join(map(str, gauges))
+
+
+SHARD_SCALING = Experiment(
+    name="shard_scaling",
+    help="sharded ACK tables with partial replication vs full fan-out",
+    run=run_shard_scaling,
+    args=(),
+    scales={
+        "report": {"messages": 240},
+        "default": {"messages": 240},
+        "full": {"messages": 960},
+    },
+    render=_render_shard_scaling,
+    expectations=(_shards_converge, _bytes_cut, _vs_demand, _cells_flat, _lag_gauged),
+)
+
+
+def _render_rebalance(result) -> str:
+    config = result["config"]
+    return format_table(
+        [
+            "phase", "members", "cutovers", "shards moved", "cutover lat (s)",
+            "handoff KiB", "retries", "probe during (s)", "probe after (s)", "repl ok",
+        ],
+        [
+            (
+                p["phase"],
+                p["members"],
+                len(p["cutovers"]),
+                sum(c["shards_moved"] for c in p["cutovers"]),
+                "/".join(f"{c['latency_s']:.2f}" for c in p["cutovers"]) or "-",
+                f"{p['handoff_bytes'] / 1024:.1f}",
+                p["transfer_retries"],
+                "-"
+                if p["probe_disturbance_s"] is None
+                else f"{p['probe_disturbance_s']:.3f}",
+                f"{p['probe_after_s']:.3f}",
+                p["replication_restored"],
+            )
+            for p in result["phases"]
+        ],
+        title=(
+            f"Live rebalance under load ({config['shard_count']} shards x "
+            f"{config['replication']} owners, {config['nodes']} -> "
+            f"{config['nodes'] + len(config['joins'])} -> "
+            f"{len(result['final_members'])} nodes)"
+        ),
+    )
+
+
+@finding(
+    "every phase restores replication from real transfers",
+    "each shard at its replication factor, 0 unsourced rebuilds",
+    kind="exact",
+)
+def _replication_restored(result):
+    phases = result["phases"]
+    holds = all(
+        p["replication_restored"] and all(c["unsourced"] == 0 for c in p["cutovers"])
+        for p in phases
+    )
+    return holds, ", ".join(f"{p['phase']}: {p['replication_restored']}" for p in phases)
+
+
+@finding(
+    "one cutover per membership op",
+    "2 joins, 3 leaves; the epoch ends at 5",
+    kind="exact",
+)
+def _one_cutover_per_op(result):
+    _steady, out, down = result["phases"]
+    holds = (
+        len(out["cutovers"]) == 2
+        and len(down["cutovers"]) == 3
+        and result["final_epoch"] == 5
+    )
+    return holds, (
+        f"{len(out['cutovers'])} + {len(down['cutovers'])} cutovers, "
+        f"epoch {result['final_epoch']}"
+    )
+
+
+# With 64 * 2 ownerships over 9-10 nodes a join wins far below half the
+# shard space.
+@finding("a join moves only the shards the joiner wins", "0 < moved < the shard count")
+def _minimal_moves(result):
+    moved = [c["shards_moved"] for c in result["phases"][1]["cutovers"]]
+    shard_count = result["config"]["shard_count"]
+    return all(0 < n < shard_count for n in moved), ", ".join(map(str, moved))
+
+
+@finding(
+    "unmoved shards keep stabilizing mid-handoff",
+    "the disturbance probe completes in both membership phases",
+)
+def _unmoved_stabilize(result):
+    steady, out, down = result["phases"]
+    probes = [p["probe_disturbance_s"] for p in (out, down)]
+    holds = (
+        all(probe is not None and math.isfinite(probe) for probe in probes)
+        and all(math.isfinite(p["probe_after_s"]) for p in (steady, out, down))
+    )
+    return holds, ", ".join(
+        "-" if probe is None else f"{probe:.3f} s" for probe in probes
+    )
+
+
+@finding(
+    "state moves over the wire", "handoff bytes in both membership phases", kind="exact"
+)
+def _state_moves(result):
+    handoff = [p["handoff_bytes"] for p in result["phases"][1:]]
+    return all(n > 0 for n in handoff), ", ".join(f"{n} B" for n in handoff)
+
+
+REBALANCE = Experiment(
+    name="rebalance",
+    help="live shard rebalancing under load: scale out, then scale in",
+    run=run_rebalance_bench,
+    args=(),
+    scales={
+        "report": {"pump_shards": 2},
+        "default": {"pump_shards": 2},
+        "full": {"pump_shards": 4},
+    },
+    render=_render_rebalance,
+    expectations=(
+        _replication_restored, _one_cutover_per_op, _minimal_moves,
+        _unmoved_stabilize, _state_moves,
+    ),
+)
+
+
+def _render_flash_crowd(result) -> str:
+    config = result["config"]
+    rows = []
+    for mode in (result["baseline"], result["controlled"]):
+        counters = mode["counters"]
+        rows.append(
+            (
+                mode["mode"],
+                counters["offered"],
+                counters["sent"] + counters["queued"],
+                counters["shed"],
+                f"{mode['steady_p99_s']:.3f}",
+                f"{mode['peak_p99_s']:.3f}",
+                f"{mode['peak_pending_s']:.3f}",
+                f"{mode['breach_windows']}/{mode['crowd_windows']}",
+                f"{mode['settle_s']:.0f}",
+            )
+        )
+    return format_table(
+        [
+            "mode", "offered", "accepted", "shed", "steady p99 (s)", "peak p99 (s)",
+            "peak pending (s)", "breach windows", "settle (s)",
+        ],
+        rows,
+        title=(
+            f"{config['crowd_multiplier']:.0f}x flash crowd in "
+            f"{config['crowd_az']} ({config['nodes']} nodes, "
+            f"{config['shard_count']} shards x "
+            f"{config['replication']} owners, "
+            f"target p99 {config['target_p99_s']}s)"
+        ),
+    )
+
+
+@finding("both runs drain", "every admitted message stabilizes", kind="exact")
+def _drained(result):
+    drained = [result[mode]["drained"] for mode in ("baseline", "controlled")]
+    return all(drained), f"baseline {drained[0]}, controlled {drained[1]}"
+
+
+@finding(
+    "the baseline blows the SLA for most of the crowd",
+    "peak p99 > 2x target; breaches in over half the crowd windows",
+)
+def _baseline_breaches(result):
+    baseline, target = result["baseline"], result["config"]["target_p99_s"]
+    holds = (
+        baseline["peak_p99_s"] > 2 * target
+        and baseline["breach_windows"] > baseline["crowd_windows"] // 2
+    )
+    return holds, (
+        f"peak {baseline['peak_p99_s']:.3f} s, "
+        f"{baseline['breach_windows']}/{baseline['crowd_windows']} windows"
+    )
+
+
+# Only the reaction windows (if any) stay above target.
+@finding(
+    "the closed loop holds the SLA",
+    "peak p99 under 1/5 of the baseline's; at most 1/3 of its breaches",
+)
+def _controlled_holds(result):
+    baseline, controlled = result["baseline"], result["controlled"]
+    holds = (
+        controlled["peak_p99_s"] < baseline["peak_p99_s"] / 5
+        and controlled["breach_windows"] <= baseline["breach_windows"] // 3
+    )
+    return holds, (
+        f"peak {controlled['peak_p99_s']:.3f} s, "
+        f"{controlled['breach_windows']} breach windows"
+    )
+
+
+@finding(
+    "shedding is explicit, bounded, and never of an admitted message",
+    "0 admitted shed; 0 < shed < offered",
+    kind="exact",
+)
+def _bounded_shedding(result):
+    controlled = result["controlled"]
+    admission = controlled["admission"]
+    shed, offered = admission["admission.shed"], controlled["counters"]["offered"]
+    holds = admission["admission.admitted_shed"] == 0 and 0 < shed < offered
+    return holds, (
+        f"{admission['admission.admitted_shed']:.0f} admitted shed, "
+        f"{shed:.0f} of {offered} shed"
+    )
+
+
+@finding(
+    "the controllers react, then walk all the way back",
+    ">= 1 degrade step; every predicate restored",
+    kind="exact",
+)
+def _react_and_restore(result):
+    controlled = result["controlled"]
+    holds = controlled["max_degrade_steps"] >= 1 and controlled["restored"]
+    return holds, (
+        f"{controlled['max_degrade_steps']:.0f} steps, restored {controlled['restored']}"
+    )
+
+
+FLASH_CROWD = Experiment(
+    name="flash_crowd",
+    help="a 10x regional flash crowd, closed loop vs none",
+    run=run_overload_bench,
+    args=(),
+    scales={
+        "report": {"duration_s": 10.0, "crowd_hold_s": 3.0},
+        "default": {"duration_s": 10.0, "crowd_hold_s": 3.0},
+        "full": {"duration_s": 14.0, "crowd_hold_s": 6.0},
+    },
+    render=_render_flash_crowd,
+    expectations=(
+        _drained, _baseline_breaches, _controlled_holds, _bounded_shedding,
+        _react_and_restore,
+    ),
+)

@@ -3,8 +3,8 @@
 "The crashed secondary node can be observed by a predicate update timer
 or the data transmission failure information.  The primary can adjust the
 predicate to eliminate the impact."  The paper leaves the adjustment to
-the system designer; :class:`PredicateAutoAdjuster` automates the common
-policy:
+the system designer; :class:`PredicateAutoAdjuster` is the rewrite behind
+the common policy:
 
 - when a peer is suspected, every registered predicate that *depends on*
   that peer is re-registered with the peer's table row masked out of the
@@ -15,7 +15,11 @@ policy:
   restored (the paper's gap rule means monitors stay silent until the
   restored, stricter predicate catches up).
 
-Opt-in: construct one next to a Stabilizer and call :meth:`attach`.
+The stock :class:`~repro.core.degradation.MaskSuspectedPolicy` drives it:
+install that with :meth:`~repro.core.stabilizer.Stabilizer.set_degradation_policy`
+(every transition then lands in the degradation log and ``stats()``), and
+reach the policy's adjuster with
+:meth:`~repro.core.degradation.MaskSuspectedPolicy.adjuster_for`.
 """
 
 from __future__ import annotations
@@ -39,22 +43,13 @@ class PredicateAutoAdjuster:
         self._masked: Set[str] = set()  # currently masked-out node names
         self.adjustments = 0
         self.restorations = 0
-        self._attached = False
-
-    def attach(self) -> "PredicateAutoAdjuster":
-        if not self._attached:
-            self.stabilizer.detector.on_suspect(self._on_suspect)
-            self.stabilizer.detector.on_recover(self._on_recover)
-            self._attached = True
-        return self
 
     # ------------------------------------------------------------------ events
     def mask_node(self, peer: str) -> None:
-        """Exclude ``peer`` from every unprotected dependent predicate.
+        """Exclude ``peer`` from every unprotected dependent predicate
+        (the degradation policy calls it on suspicion).
 
-        Public so degradation policies (``repro.core.degradation``) can
-        drive the rewrite without attaching detector callbacks.  A peer
-        outside this stabilizer's node list is out of scope — under
+        A peer outside this stabilizer's node list is out of scope — under
         partial replication a shard view only contains the shard's owner
         set, and suspicion of a non-owner is not evidence about this
         shard — so the call is a no-op rather than a config error."""
@@ -71,12 +66,6 @@ class PredicateAutoAdjuster:
             return
         self._masked.discard(peer)
         self._rewrite_all()
-
-    def _on_suspect(self, peer: str) -> None:
-        self.mask_node(peer)
-
-    def _on_recover(self, peer: str) -> None:
-        self.unmask_node(peer)
 
     # ------------------------------------------------------------------ rewriting
     def _rewrite_all(self) -> None:

@@ -136,8 +136,9 @@ class StabilizerConfig:
         deployment — they speak different control protocols.
     strategy_params:
         Engine-specific knobs, e.g. ``{"sequencer": "b"}`` for the
-        sequencer engine or ``{"clock_interval_s": 0.02}`` for the
-        hybrid-clock engine.  Ignored by engines that do not read them.
+        sequencer engine or ``{"clock_interval_s": 0.02}`` (a finite
+        positive number of seconds) for the hybrid-clock engine.  Ignored
+        by engines that do not read them.
     shard_strategies:
         Per-shard engine override (``{shard_id: strategy_name}``) applied
         by :meth:`shard_view` — lets a :class:`~repro.core.sharding.ShardedStabilizer`

@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.core.config import StabilizerConfig
-from repro.core.dataplane import EPOCH_TAG
 from repro.transport.endpoint import TransportEndpoint
 from repro.transport.fifo import TRANSPORT_HEADER_BYTES
 from repro.transport.messages import (
@@ -96,7 +95,7 @@ class ControlChannelSet:
         self.on_heard = on_heard
         self.on_resume = on_resume
         self.local_index = config.local_index
-        # Epoch fencing (see dataplane.EPOCH_TAG): control reports carry
+        # Epoch fencing (as in the data plane): control reports carry
         # table row indices, which only mean anything within one epoch's
         # owner set — a stale report must be fenced, not applied.
         self.epoch = config.shard_epoch
@@ -174,7 +173,7 @@ class ControlChannelSet:
         # _ship without a rider, inline: this runs once per report per peer.
         wire_size = frame.wire_size()
         self.endpoint.send_datagram(
-            peer, (EPOCH_TAG, self.epoch, frame), wire_size + TRANSPORT_HEADER_BYTES
+            peer, (self.epoch, frame), wire_size + TRANSPORT_HEADER_BYTES
         )
         self.frames_sent += 1
         self.bytes_sent += wire_size
@@ -186,10 +185,10 @@ class ControlChannelSet:
         traffic)."""
         wire_size = frame.wire_size()
         if rider is None:
-            body = (EPOCH_TAG, self.epoch, frame)
+            body = (self.epoch, frame)
         else:
             wire_size += rider.wire_size()
-            body = (EPOCH_TAG, self.epoch, frame, rider)
+            body = (self.epoch, frame, rider)
         self.endpoint.send_datagram(
             peer, body, wire_size + TRANSPORT_HEADER_BYTES
         )
@@ -338,19 +337,19 @@ class ControlChannelSet:
         wire_size = frame.wire_size()
         for peer in self._peers:
             self.endpoint.channel(peer, CONTROL_CHANNEL).send(
-                SyntheticPayload(wire_size), meta=(EPOCH_TAG, self.epoch, frame)
+                SyntheticPayload(wire_size), meta=(self.epoch, frame)
             )
         self.frames_sent += len(self._peers)
         self.bytes_sent += wire_size * len(self._peers)
 
     # -- inbound --------------------------------------------------------------------
-    def _on_control(self, _carried_by, tagged) -> None:
-        """One inbound frame, off a datagram (called with its source) or
-        the resume channel (called with its payload) — unused either
-        way: the frame names its sender."""
+    def _on_control(self, _carried_by, body) -> None:
+        """One inbound ``(epoch, frame[, rider])``, off a datagram (called
+        with its source) or the resume channel (called with its payload)
+        — unused either way: the frame names its sender."""
         if self._closed:
             return
-        frame_epoch, frame = tagged[1], tagged[2]
+        frame_epoch, frame = body[0], body[1]
         if frame_epoch != self.epoch:
             # Epoch fence: row indices in this report belong to a
             # different owner set — applying them would corrupt the
@@ -367,8 +366,8 @@ class ControlChannelSet:
         self.frames_received += 1
         peer = self.config.node_names[frame.node_index]
         self.on_heard(peer)
-        if len(tagged) > 3:
-            self._on_interest(peer, tagged[3])
+        if len(body) > 2:
+            self._on_interest(peer, body[2])
         kind = type(frame)
         if kind is ControlFrame:
             if frame.entries:

@@ -53,14 +53,12 @@ DATA_CHANNEL = "stab.data"
 #: first element is an integer sequence number).
 FRAME_TAG = "frame"
 
-#: Tag wrapping every plane frame's meta with the membership epoch of the
-#: shard map the sending stack was built from: ``(EPOCH_TAG, epoch, meta)``.
-#: Receivers unwrap and *fence*: a frame stamped with a different epoch
-#: comes from a stack running a superseded (or not-yet-adopted) shard
-#: layout, and delivering it would corrupt ACK rows whose indices belong
-#: to a different owner set.  Fenced frames are counted and dropped.
-#: Untagged metas are legacy epoch-0 traffic.
-EPOCH_TAG = "epoch"
+# Every plane frame's meta is ``(epoch, meta)``: the membership epoch of
+# the shard map the sending stack was built from, around the frame's own
+# meta.  Receivers unwrap and *fence*: a frame stamped with a different
+# epoch comes from a stack running a superseded (or not-yet-adopted) shard
+# layout, and delivering it would corrupt ACK rows whose indices belong
+# to a different owner set.  Fenced frames are counted and dropped.
 
 # (seq, object_id, chunk_index, chunk_count, user_meta)
 ChunkMeta = Tuple[int, int, int, int, object]
@@ -323,7 +321,7 @@ class DataPlane:
             else:
                 # Pre-pipelining path: one transport frame per message.
                 for peer, channel in self._out_channels.items():
-                    channel.send(part, meta=(EPOCH_TAG, self.epoch, chunk_meta))
+                    channel.send(part, meta=(self.epoch, chunk_meta))
                     if tracing and tracer.sampled(self._trace_node, seq):
                         tracer.emit(
                             self._trace_node,
@@ -420,7 +418,7 @@ class DataPlane:
             # A lone message needs no batch framing: its chunk ships as is.
             last_seq = first.seq
             stream.channel.send(
-                first.payload, meta=(EPOCH_TAG, self.epoch, first.chunk_meta)
+                first.payload, meta=(self.epoch, first.chunk_meta)
             )
         else:
             # One pass over the run; real payloads are joined once, here —
@@ -447,11 +445,7 @@ class DataPlane:
             last_seq = metas[-1][0]
             stream.channel.send(
                 SyntheticPayload(run_bytes) if synthetic else b"".join(parts),
-                meta=(
-                    EPOCH_TAG,
-                    self.epoch,
-                    (FRAME_TAG, tuple(metas), tuple(lengths)),
-                ),
+                meta=(self.epoch, (FRAME_TAG, tuple(metas), tuple(lengths))),
                 wire_overhead=BATCH_ENTRY.size * messages,
             )
         stream.pending_bytes -= run_bytes
@@ -588,7 +582,7 @@ class DataPlane:
         count = 0
         for entry in self.buffer.entries_above(from_seq):
             channel.send(
-                entry.payload, meta=(EPOCH_TAG, self.epoch, entry.chunk_meta)
+                entry.payload, meta=(self.epoch, entry.chunk_meta)
             )
             count += 1
             self.payload_bytes_sent += entry.size
@@ -618,24 +612,23 @@ class DataPlane:
 
     def _make_receiver(self, origin: str):
         def receive(payload: Payload, meta) -> None:
-            if isinstance(meta, tuple) and meta and meta[0] == EPOCH_TAG:
-                _tag, frame_epoch, meta = meta
-                if frame_epoch != self.epoch:
-                    # Epoch fence: the sender is running a different shard
-                    # layout.  Its row indices and owner sets do not match
-                    # ours — routing the frame into our tables would
-                    # corrupt them.  Drop it; the sender learns the new
-                    # layout from the rebalance coordinator, not from us.
-                    self.stale_epoch_frames += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            self._trace_node,
-                            "data.epoch_fenced",
-                            origin=origin,
-                            frame_epoch=frame_epoch,
-                            local_epoch=self.epoch,
-                        )
-                    return
+            frame_epoch, meta = meta
+            if frame_epoch != self.epoch:
+                # Epoch fence: the sender is running a different shard
+                # layout.  Its row indices and owner sets do not match
+                # ours — routing the frame into our tables would corrupt
+                # them.  Drop it; the sender learns the new layout from
+                # the rebalance coordinator, not from us.
+                self.stale_epoch_frames += 1
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        self._trace_node,
+                        "data.epoch_fenced",
+                        origin=origin,
+                        frame_epoch=frame_epoch,
+                        local_epoch=self.epoch,
+                    )
+                return
             if isinstance(meta, tuple) and meta and meta[0] == FRAME_TAG:
                 _tag, metas, lengths = meta
                 self.frames_received += 1

@@ -31,7 +31,7 @@ further and avoid most calls entirely:
 
 ``FrontierEngine(..., incremental=False)`` keeps the pre-index behaviour
 (scan every predicate, evaluate every dependent one) as the brute-force
-baseline for the equivalence tests and ``bench_hotpath_frontier``.
+baseline for the equivalence tests and the ``hotpath`` experiment.
 
 Evaluation is also **demand-driven**.  The paper's interface to stability
 is three calls — ``waitfor``, ``monitor_stability_frontier``,
@@ -630,7 +630,7 @@ class FrontierEngine:
     ) -> Dict[str, int]:
         """The pre-index engine: scan all predicates, evaluate dependents.
 
-        Kept as the baseline that ``bench_hotpath_frontier`` and the
+        Kept as the baseline that the ``hotpath`` experiment and the
         randomized equivalence tests compare the incremental path against.
         """
         advanced: Dict[str, int] = {}

@@ -32,9 +32,11 @@ see an ``origin`` message stamped at or below stamp(F) again".
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 from repro.core.strategy import StabilizationStrategy
+from repro.errors import ConfigError
 from repro.transport.messages import ClockFrame
 
 #: Minimum strictly-positive clock advance per local event, so stamps
@@ -54,6 +56,17 @@ class HybridClockStrategy(StabilizationStrategy):
             # Default: a shade slower than the ACK-table flush cadence —
             # the engine exists to trade latency for fixed-size metadata.
             interval = max(2.0 * config.control_flush_interval_s(), 0.01)
+        elif (
+            isinstance(interval, bool)
+            or not isinstance(interval, (int, float))
+            or not (math.isfinite(interval) and interval > 0)
+        ):
+            # Zero re-arms the tick at the same instant forever; NaN never
+            # fires it.
+            raise ConfigError(
+                "clock_interval_s must be a finite positive number of "
+                f"seconds, got {interval!r}"
+            )
         self.clock_interval_s = float(interval)
         self._hlc = 0.0
         # Per-origin (seq, stamp) points: our own appended at send time,

@@ -12,7 +12,7 @@ tree walking, no dictionary lookups and no interpretation of the IR.
         return min(max(t[2][0], t[3][0]), max(t[6][0]))
 
 The tree-walking :mod:`repro.dsl.interpreter` over the same IR is the
-non-JIT ablation measured in ``benchmarks/bench_ablation_jit.py``.
+non-JIT ablation measured by ``repro jit``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 This is the non-JIT baseline: semantically identical to the compiled form,
 used (a) as the differential-testing oracle for the compiler and (b) as
-the ablation measured in ``benchmarks/bench_ablation_jit.py``.
+the ablation measured by ``repro jit``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Real WAN links are shared; the paper's testbed saw this as bandwidth
 variability.  A :class:`CrossTrafficFlow` occupies a fraction of a link
 with a constant packet stream, letting experiments ask how each
 consistency model behaves when one region's links congest (the
-``bench_ext_cross_traffic`` extension experiment).
+``cross_traffic`` extension experiment).
 """
 
 from __future__ import annotations

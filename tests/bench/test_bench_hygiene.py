@@ -45,7 +45,7 @@ def _violations(source):
 
 def test_bench_modules_write_only_through_the_conftest():
     modules = sorted(BENCHMARKS.glob("*.py"))
-    assert len(modules) > 20  # not vacuous: the suite is where we look
+    assert len(modules) > 1  # not vacuous: the suite is where we look
     violations = [
         f"benchmarks/{path.name} {violation}"
         for path in modules
@@ -85,24 +85,22 @@ def test_hygiene_lint_catches_each_shape():
     )
 
 
-# -- the paper's claims live in one place -----------------------------------
+# -- every claim lives in one place ------------------------------------------
 #
-# Each experiment of ``repro.bench.paper.experiments()`` is declared once —
-# driver, flags, scales, printer, findings — and the CLI, ``benchmarks/``
-# and the tier-1 report gate read that declaration.  These lints keep a
-# second copy from growing back.
+# Each experiment of ``repro.bench.paper.experiments()`` — the paper's and
+# the repo's own — is declared once: driver, flags, scales, printer,
+# findings.  The CLI, the one module under ``benchmarks/`` and the tier-1
+# report gate read that declaration.  These lints keep a second copy from
+# growing back.
 
 SRC_BENCH = BENCHMARKS.parent / "src" / "repro" / "bench"
-
-
-def _bench_module(name):
-    (path,) = BENCHMARKS.glob(f"bench_{name}_*.py")
-    return path
+#: All ``benchmarks/`` holds: the fixtures and the one parametrized module.
+SUITE = {"conftest.py", "bench_experiments.py"}
 
 
 def _claims_of_its_own(source):
-    """What a bench module of a declared experiment may not hold: an
-    ``assert`` statement, or anything but one ``assert_reproduced``."""
+    """What the bench module may not hold: an ``assert`` statement, or
+    anything but one ``assert_reproduced``."""
     tree = ast.parse(source)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
@@ -145,14 +143,13 @@ def _frontier_loops(source):
 def test_declared_experiments_are_checked_in_one_place():
     from repro.bench.paper import experiments
 
-    violations = []
     for name, exp in experiments().items():
         assert exp.expectations, f"{name} declares no finding"
-        path = _bench_module(name)
-        violations += [
-            f"benchmarks/{path.name} {violation}"
-            for violation in _claims_of_its_own(path.read_text(encoding="utf-8"))
-        ]
+    assert {path.name for path in BENCHMARKS.glob("*.py")} == SUITE, (
+        "a bench is an experiment declared in repro.bench.runners, not a module"
+    )
+    source = (BENCHMARKS / "bench_experiments.py").read_text(encoding="utf-8")
+    violations = list(_claims_of_its_own(source))
     assert not violations, (
         "a finding belongs in the experiment's expectations:\n  "
         + "\n  ".join(violations)

@@ -1,12 +1,19 @@
 """Tests for the paper-expectations registry and verdict logic."""
 
-from repro.bench.paper import Verdict, experiments, verdicts_for
+from repro.bench.paper import Verdict, experiments, paper_experiments, verdicts_for
 from repro.sim.monitor import Series
 
 
 def test_every_expectation_belongs_to_a_known_experiment():
-    assert set(experiments()) == {
-        "table1", "table2", "fig3", "microbench", "fig5", "fig6", "fig7", "fig8",
+    assert set(paper_experiments()) == {
+        "table1", "table2", "table3", "fig3", "microbench", "fig4", "fig5",
+        "fig6", "fig7", "fig8",
+    }
+    assert set(experiments()) - set(paper_experiments()) == {
+        "ack_batching", "chunk_size", "jit", "cross_traffic", "redblue",
+        "scalability", "strategies", "hotpath", "dataplane_pipeline",
+        "durability", "sim_kernel", "chaos", "shard_scaling", "rebalance",
+        "flash_crowd",
     }
     for name, exp in experiments().items():
         assert exp.name == name and exp.expectations
@@ -14,10 +21,11 @@ def test_every_expectation_belongs_to_a_known_experiment():
         for finding in exp.expectations:
             assert finding.kind in ("exact", "shape", "wall")
             assert finding.paper_value
-    # Wall-clock bounds are the microbenchmark's alone, and are left out
-    # unless asked for: the report and the tier-1 gate stay deterministic.
+    # Host-time bounds are the microbenchmark's and the hot path's alone,
+    # and are left out unless asked for: the report and the tier-1 gate
+    # stay deterministic.
     walled = {n for n, e in experiments().items() for f in e.expectations if f.kind == "wall"}
-    assert walled == {"microbench"}
+    assert walled == {"microbench", "hotpath"}
     rows = [{"operators": 1, "operands": 5, "compile_ms": 1.0, "eval_us": 2.0}]
     assert verdicts_for("microbench", rows) == []
     assert len(verdicts_for("microbench", rows, wall=True)) == 3

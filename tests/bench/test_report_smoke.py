@@ -1,10 +1,11 @@
-"""The paper's findings as a tier-1 gate: ``repro report``, one test each.
+"""Every declared finding as a tier-1 gate: ``repro report``, one test each.
 
-Every experiment of :func:`repro.bench.paper.experiments` runs once at
-its ``report`` scale — on the simulator, so every check is on virtual
-time and counts and the gate is deterministic — and each finding that
-is not a wall-clock bound is one test id.  ``make report-smoke`` selects
-the module by marker; the ``wall`` findings are ``benchmarks/``' alone.
+Every experiment of :func:`repro.bench.paper.experiments` — the paper's
+and the repo's own — runs once at its ``report`` scale, on the
+simulator, so every check is on virtual time and counts and the gate is
+deterministic; each finding that is not a host-time bound is one test
+id.  ``make report-smoke`` selects the module by marker; the ``wall``
+findings are ``benchmarks/``' alone.
 """
 
 import re

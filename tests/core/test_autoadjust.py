@@ -1,9 +1,10 @@
-"""Tests for automatic predicate adjustment on failures (Section III-E)."""
+"""Tests for automatic predicate adjustment on failures (Section III-E),
+through the stock degradation policy that drives it."""
 
 import pytest
 
 from repro.core import StabilizerCluster, StabilizerConfig
-from repro.core.autoadjust import PredicateAutoAdjuster
+from repro.core.degradation import MaskSuspectedPolicy
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 
@@ -30,8 +31,9 @@ def build(failure_timeout_s=0.3, predicates=None, protect=frozenset()):
         failure_timeout_s=failure_timeout_s,
     )
     cluster = StabilizerCluster(net, config)
-    adjuster = PredicateAutoAdjuster(cluster["a"], protect=set(protect)).attach()
-    return sim, net, cluster, adjuster
+    a = cluster["a"]
+    policy = a.set_degradation_policy(MaskSuspectedPolicy(protect=set(protect)))
+    return sim, net, cluster, policy.adjuster_for(a)
 
 
 def test_crash_unblocks_dependent_predicates():

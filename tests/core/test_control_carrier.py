@@ -306,9 +306,9 @@ def interest_in(payload):
     if payload[0] != "dgram":
         return None
     body = payload[1]
-    if isinstance(body[2], InterestFrame):
-        return body[2]
-    return body[3] if len(body) > 3 else None
+    if isinstance(body[1], InterestFrame):
+        return body[1]
+    return body[2] if len(body) > 2 else None
 
 
 def observers(cluster, at, origin):

@@ -331,7 +331,7 @@ class _Side:
 
         def intercept(src, dst, port, payload, size):
             if payload[0] == "dgram":
-                self.wire.append((src, dst, size, _plain(payload[1][2:])))
+                self.wire.append((src, dst, size, _plain(payload[1][1:])))
             return send(src, dst, port, payload, size)
 
         self.net.send = intercept

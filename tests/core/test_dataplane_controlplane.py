@@ -81,8 +81,9 @@ def test_dataplane_assigns_contiguous_seqs_across_messages():
 
 def arrive(dp, origin, payload, meta):
     """Hand ``dp`` one transport frame from ``origin`` the way the FIFO
-    channel does: through the channel's ``on_deliver`` receiver."""
-    dp.endpoint.channel(origin, DATA_CHANNEL).on_deliver(payload, meta)
+    channel does: through the channel's ``on_deliver`` receiver, in the
+    epoch envelope every sender puts around a meta."""
+    dp.endpoint.channel(origin, DATA_CHANNEL).on_deliver(payload, (dp.epoch, meta))
 
 
 def test_dataplane_detects_sequence_gaps():

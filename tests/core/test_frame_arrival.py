@@ -26,7 +26,7 @@ from itertools import product
 import pytest
 
 from repro.core import StabilizerCluster, StabilizerConfig
-from repro.core.dataplane import DATA_CHANNEL, EPOCH_TAG, FRAME_TAG
+from repro.core.dataplane import DATA_CHANNEL, FRAME_TAG
 from repro.errors import StabilizerError
 from repro.net import NetemSpec, Topology
 from repro.obs import Tracer
@@ -65,11 +65,11 @@ def wire_frame(messages, epoch=0):
     would cut: ``(payload, meta)``."""
     if len(messages) == 1:
         meta, payload = messages[0]
-        return payload, (EPOCH_TAG, epoch, meta)
+        return payload, (epoch, meta)
     metas = tuple(meta for meta, _payload in messages)
     lengths = tuple(len(payload) for _meta, payload in messages)
     payload = b"".join(payload for _meta, payload in messages)
-    return payload, (EPOCH_TAG, epoch, (FRAME_TAG, metas, lengths))
+    return payload, (epoch, (FRAME_TAG, metas, lengths))
 
 
 class Receiver:

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.core import StabilizerConfig
-from repro.core.dataplane import DATA_CHANNEL, EPOCH_TAG, FRAME_TAG, DataPlane
+from repro.core.dataplane import DATA_CHANNEL, FRAME_TAG, DataPlane
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 from repro.transport.endpoint import TransportEndpoint
@@ -77,11 +77,11 @@ class ReferenceDataPlane(DataPlane):
                 break
         payload, metas, lengths = builder.build()
         if len(metas) == 1:
-            stream.channel.send(payload, meta=(EPOCH_TAG, self.epoch, metas[0]))
+            stream.channel.send(payload, meta=(self.epoch, metas[0]))
         else:
             stream.channel.send(
                 payload,
-                meta=(EPOCH_TAG, self.epoch, (FRAME_TAG, metas, lengths)),
+                meta=(self.epoch, (FRAME_TAG, metas, lengths)),
                 wire_overhead=BATCH_ENTRY.size * len(metas),
             )
         self.frames_sent += 1
@@ -179,14 +179,14 @@ def test_lone_frames_put_the_same_frames_on_the_wire(seed):
     assert (wire, delivered, counters) == stream_traffic(ReferenceDataPlane, seed)
     # The traffic exercised both cuts: lone frames and coalesced ones.
     metas = [meta for frames in delivered.values() for _payload, meta in frames]
-    assert any(meta[2][0] == FRAME_TAG for meta in metas)
-    assert any(meta[2][0] != FRAME_TAG for meta in metas)
+    assert any(meta[1][0] == FRAME_TAG for meta in metas)
+    assert any(meta[1][0] != FRAME_TAG for meta in metas)
     # Every peer got every message of the stream, in order.
     streamed = counters["frame_messages"] // len(delivered)
     for frames in delivered.values():
         seqs = [
             chunk[0]
-            for _payload, (_tag, _epoch, meta) in frames
+            for _payload, (_epoch, meta) in frames
             for chunk in (meta[1] if meta[0] == FRAME_TAG else (meta,))
         ]
         assert seqs == list(range(1, streamed + 1))

@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.core import StabilizerConfig
-from repro.core.dataplane import DATA_CHANNEL, EPOCH_TAG, FRAME_TAG, DataPlane
+from repro.core.dataplane import DATA_CHANNEL, FRAME_TAG, DataPlane
 from repro.errors import TransportError
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
@@ -117,12 +117,12 @@ def wire(messages, epoch=0):
     a lone message ships as it is, a run through the builder."""
     if len(messages) == 1:
         meta, payload = messages[0]
-        return payload, (EPOCH_TAG, epoch, meta)
+        return payload, (epoch, meta)
     builder = _FrameBuilder()
     for meta, payload in messages:
         builder.add(payload, meta)
     payload, metas, lengths = builder.build()
-    return payload, (EPOCH_TAG, epoch, (FRAME_TAG, metas, lengths))
+    return payload, (epoch, (FRAME_TAG, metas, lengths))
 
 
 def make_stream(rng, objects, start=1):
@@ -196,7 +196,7 @@ def oracle(frames, durable):
     delivered, received = [], []
     watermark = None
     for messages in frames:
-        payload, (_tag, _epoch, meta) = wire(messages)
+        payload, (_epoch, meta) = wire(messages)
         if meta[0] == FRAME_TAG:
             metas, parts = meta[1], _split_frame_payload(payload, meta[2])
         else:

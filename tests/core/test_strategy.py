@@ -92,6 +92,16 @@ def test_sequencer_must_be_a_cluster_node():
         build_strategy(config)
 
 
+@pytest.mark.parametrize(
+    "interval", (0, 0.0, -0.01, float("nan"), float("inf"), "fast", True)
+)
+def test_clock_interval_must_be_a_finite_positive_number(interval):
+    # Building is enough: a zero interval used to re-arm the clock tick at
+    # the same instant forever, and a NaN one never to broadcast at all.
+    with pytest.raises(ConfigError, match="clock_interval_s"):
+        build("hybrid_clock", strategy_params={"clock_interval_s": interval})
+
+
 # ---------------------------------------------------------------------------
 # End-to-end stabilization on the non-default engines
 # ---------------------------------------------------------------------------
