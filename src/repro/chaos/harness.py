@@ -509,6 +509,10 @@ class ClassicScenario(Scenario):
         # Totals first: reading a frontier nobody observes is itself a
         # counted predicate evaluation.
         stream = self.harness.stream_report(elapsed_s)
+        by_kind: Dict[str, int] = {}
+        for fs in self.cluster.filesystems.values():
+            for kind, count in fs.injector.injected.items():
+                by_kind[kind] = by_kind.get(kind, 0) + count
         return {
             "nodes": len(self.harness.node_names),
             "final_frontiers": {
@@ -519,10 +523,8 @@ class ClassicScenario(Scenario):
                 for node in self.cluster
             },
             "durability": True,
-            "disk_faults_injected": sum(
-                sum(fs.injector.injected.values())
-                for fs in self.cluster.filesystems.values()
-            ),
+            "disk_faults_injected": sum(by_kind.values()),
+            "disk_faults_by_kind": dict(sorted(by_kind.items())),
             "checkpoints_taken": self.checkpoints_taken,
             "checkpoint_faults": self.checkpoint_faults,
             **stream,

@@ -4,10 +4,11 @@ The paper's DSL distinguishes ``.received`` from ``.persisted``
 stability, and applications such as the Dropbox-style backup service ack
 users only once data is durable.  This module makes the ``persisted``
 ACK column a *true statement about bytes on disk*: every delivered
-message (the node's own sends and every remote stream) is appended to a
-write-ahead log, fsyncs are batched by a group-commit timer/size, and the
-``persisted`` stability report for a sequence number is emitted **only
-after the fsync covering it returns successfully**.
+message (the node's own sends and every remote stream) is staged for a
+write-ahead log, a group commit (fired by size or by timer) writes the
+staged records in one write and fsyncs them, and the ``persisted``
+stability report for a sequence number is emitted **only after the
+fsync covering it returns successfully**.
 
 Layout: numbered segment files (``wal-000001.log`` …) of
 :class:`~repro.storage.log.AppendLog` frames, each record encoding
@@ -20,7 +21,7 @@ pages when fsync fails — retrying the same file returns success without
 the data ever reaching the disk.  So a failed group commit *poisons* the
 written-but-unsynced range: the current segment is sealed (its already
 fsynced prefix stays trusted, its tail is never trusted again), the
-poisoned records are re-queued and **rewritten to a fresh segment**, and
+poisoned records stay staged and are **rewritten to a fresh segment**, and
 the durable watermark does not move until a *new* fsync covering a *new*
 copy of the bytes returns.  Nothing is ever reported persisted on the
 strength of a retried fsync.
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import json
 import struct
-from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DiskFaultError, StabilizerError
@@ -52,9 +52,6 @@ _SYN_RECORD = struct.Struct("!BHQI")
 #: ``on_durable(origin_name, seq)`` — every message of ``origin`` up to
 #: ``seq`` is now on stable storage at this node.
 DurableFn = Callable[[str, int], None]
-
-#: A record on its way to disk: ``(origin, seq, encoded)``.
-_PendingRecord = Tuple[str, int, bytes]
 
 
 class DurabilityManager:
@@ -87,14 +84,12 @@ class DurabilityManager:
 
         # Durable (fsync-confirmed) watermark per origin stream.
         self._watermarks: Dict[str, int] = {}
-        # Records not yet written to the current segment: empty unless a
-        # write fault or a poisoned fsync is waiting for its retry.
-        self._queue: deque = deque()
-        # Records written to the current segment, awaiting group commit,
-        # and their highest sequence per origin in first-written order (the
-        # order the commit reports them durable in).
-        self._written: List[_PendingRecord] = []
-        self._written_tops: Dict[str, int] = {}
+        # Encoded records awaiting a group commit, in delivery order, and
+        # their highest sequence per origin in first-staged order (the
+        # order the commit reports them durable in).  A refused write or a
+        # poisoned fsync leaves both as they are for the retry.
+        self._staged: List[bytes] = []
+        self._staged_tops: Dict[str, int] = {}
         self._sealed: List[dict] = []  # {"name", "max_seqs", "poisoned"}
         self._segment_index = 0
         self._current: Optional[AppendLog] = None
@@ -130,33 +125,30 @@ class DurabilityManager:
 
     # ------------------------------------------------------------------ appends
     def append(self, origin: str, seq: int, payload) -> None:
-        """Queue one delivered message for the write-ahead log.
+        """Stage one delivered message for the write-ahead log.
 
-        Never raises on disk faults: a write failure leaves the record
-        queued and the group-commit timer retries; the caller's only
-        contract is that ``persisted`` will not be reported until an
-        fsync covering this record succeeds.
+        No file I/O here: the group commit writes the staged records.
+        Never raises on disk faults; the caller's only contract is that
+        ``persisted`` will not be reported until an fsync covering this
+        record succeeds.
         """
         if self._closed:
             raise StabilizerError("append to a closed DurabilityManager")
-        record = (origin, seq, self._encode(origin, seq, payload))
+        self._staged.append(self._encode(origin, seq, payload))
         self.appends += 1
-        if self._queue:
-            # Behind whatever a fault left waiting: the log keeps order.
-            self._queue.append(record)
-            self._drain()
-        elif not self._write(record):
-            self._queue.append(record)
-        if len(self._written) >= self.batch:
+        tops = self._staged_tops
+        if seq > tops.get(origin, 0):
+            tops[origin] = seq
+        if len(self._staged) >= self.batch:
             self._commit()
         elif self._timer is None:
-            # This record is written or queued: something awaits a commit.
-            self._timer = self.sim.call_later(self.interval_s, self._tick)
+            self._arm_timer()
 
     def _encode(self, origin: str, seq: int, payload) -> bytes:
-        index = self._node_index.get(origin)
-        if index is None:
-            raise StabilizerError(f"unknown origin {origin!r}")
+        try:
+            index = self._node_index[origin]
+        except KeyError:
+            raise StabilizerError(f"unknown origin {origin!r}") from None
         if type(payload) is bytes:
             return _RECORD.pack(0, index, seq) + payload
         if isinstance(payload, SyntheticPayload):
@@ -177,55 +169,51 @@ class DurabilityManager:
             return None
         return self._node_names[index], seq
 
-    def _write(self, record: _PendingRecord) -> bool:
-        """Write one record to the current segment; False on a disk fault
-        (the caller keeps the record queued and the timer retries)."""
-        origin, seq, encoded = record
-        try:
-            self._current.append(encoded)
-        except DiskFaultError:
-            # The log healed any torn tail.  Never block the delivery path.
-            self.write_faults += 1
-            if self._timer is None and not self._closed:
-                self._timer = self.sim.call_later(self.interval_s, self._tick)
-            return False
-        self._written.append(record)
-        if seq > self._written_tops.get(origin, 0):
-            self._written_tops[origin] = seq
-        if self.tracer.enabled and self.tracer.sampled(origin, seq):
-            self.tracer.emit(self._trace_node, "wal.append", origin=origin, seq=seq)
-        return True
-
-    def _drain(self) -> None:
-        """Move queued records into the current segment (best effort)."""
-        while self._queue and self._write(self._queue[0]):
-            self._queue.popleft()
+    def _arm_timer(self) -> None:
+        if self._timer is None:
+            self._timer = self.sim.call_later(self.interval_s, self._tick)
 
     def _tick(self) -> None:
         self._timer = None
-        if self._closed:
-            return
-        self._drain()
-        self._commit()
-        if (self._written or self._queue) and self._timer is None:
-            self._timer = self.sim.call_later(self.interval_s, self._tick)
+        if not self._closed:
+            self._commit()
 
     # ------------------------------------------------------------------ commit
     def _commit(self) -> None:
-        """One group commit: fsync the current segment, then — and only
-        then — report the covered sequences durable."""
-        if not self._written:
+        """One group commit: write every staged record to the current
+        segment in one write, fsync it, then — and only then — report the
+        covered sequences durable.  A fault leaves every record staged and
+        arms the retry."""
+        staged = self._staged
+        if not staged:
             return
+        try:
+            self._current.append_many(staged)
+        except DiskFaultError:
+            # The log healed any torn tail back to its last whole frame.
+            self.write_faults += 1
+            self._arm_timer()
+            return
+        tracing = self.tracer.enabled
+        if tracing:
+            for encoded in staged:
+                origin, seq = self._decode(encoded)
+                if self.tracer.sampled(origin, seq):
+                    self.tracer.emit(
+                        self._trace_node, "wal.append", origin=origin, seq=seq
+                    )
         try:
             self._current.sync()
         except DiskFaultError:
             self._poison()
             return
         self.group_commits += 1
-        records = len(self._written)
-        self._written = []
-        tracing = self.tracer.enabled
-        for origin, top in self._take_written_tops().items():
+        records = len(staged)
+        tops = self._staged_tops
+        self._staged = []
+        self._staged_tops = {}
+        self._fold_into_segment(tops)
+        for origin, top in tops.items():
             if top > self._watermarks.get(origin, 0):
                 self._watermarks[origin] = top
                 if tracing:
@@ -241,35 +229,30 @@ class DurabilityManager:
         if self._current.size_bytes() >= self.segment_bytes:
             self._rotate(poisoned=False)
 
-    def _take_written_tops(self) -> Dict[str, int]:
-        """The written-but-uncommitted tops, folded into the segment's own
-        maxima (a sealed segment answers for everything written to it,
-        committed or poisoned) and reset."""
-        tops, self._written_tops = self._written_tops, {}
+    def _fold_into_segment(self, tops: Dict[str, int]) -> None:
+        """Fold written tops into the segment's own maxima: a sealed
+        segment answers for everything written to it, committed or
+        poisoned."""
+        current_max = self._current_max
         for origin, top in tops.items():
-            if top > self._current_max.get(origin, 0):
-                self._current_max[origin] = top
-        return tops
+            if top > current_max.get(origin, 0):
+                current_max[origin] = top
 
     def _poison(self) -> None:
         """A group commit's fsync failed: the kernel may have dropped the
         dirty pages, so the unsynced range of this segment can never be
-        trusted again.  Seal it, re-queue the records for a fresh
+        trusted again.  Seal it, keep the records staged for a fresh
         segment, and leave the watermark exactly where it was."""
+        records = len(self._staged)
         self.fsync_failures += 1
         self.poisoned_ranges += 1
-        self.poisoned_records += len(self._written)
-        self.rewritten_records += len(self._written)
+        self.poisoned_records += records
+        self.rewritten_records += records
         if self.tracer.enabled:
-            self.tracer.emit(
-                self._trace_node, "wal.fsync_fail", records=len(self._written)
-            )
-        self._queue.extendleft(reversed(self._written))
-        self._written = []
-        self._take_written_tops()
+            self.tracer.emit(self._trace_node, "wal.fsync_fail", records=records)
+        self._fold_into_segment(self._staged_tops)
         self._rotate(poisoned=True)
-        if self._timer is None and not self._closed:
-            self._timer = self.sim.call_later(self.interval_s, self._tick)
+        self._arm_timer()
 
     def _rotate(self, poisoned: bool) -> None:
         self._seal_current(poisoned)
@@ -279,10 +262,7 @@ class DurabilityManager:
     def _seal_current(self, poisoned: bool) -> None:
         if self._current is None:
             return
-        try:
-            self._current.close(sync=False)
-        except DiskFaultError:  # pragma: no cover - close(sync=False) is quiet
-            pass
+        self._current.close(sync=False)
         self._sealed.append(
             {
                 "name": self._current_name,
@@ -313,11 +293,10 @@ class DurabilityManager:
 
     def pending(self) -> int:
         """Records delivered but not yet covered by a successful fsync."""
-        return len(self._queue) + len(self._written)
+        return len(self._staged)
 
     def flush(self) -> None:
-        """Drain and group-commit now (graceful paths and tests)."""
-        self._drain()
+        """Group-commit now (graceful paths and tests)."""
         self._commit()
 
     def stats(self) -> Dict[str, int]:
@@ -340,23 +319,16 @@ class DurabilityManager:
         """Graceful shutdown: final group commit, then close.
 
         A final disk fault is absorbed (the unsynced tail simply was
-        never reported persisted — honesty is preserved by silence).
+        never reported persisted — honesty is preserved by silence), and
+        the retry it armed is cancelled with the timer.
         """
         if self._closed:
             return
-        self._cancel_timer()
         if sync:
-            try:
-                self.flush()
-            except DiskFaultError:  # pragma: no cover - flush absorbs faults
-                pass
-        if self._current is not None:
-            try:
-                self._current.close(sync=False)
-            except DiskFaultError:  # pragma: no cover
-                pass
-            self._current = None
-        self._closed = True
+            self._commit()
+        # What the final commit could not make durable is abandoned, as
+        # in a crash.
+        self.crash()
 
     def crash(self) -> None:
         """Abandon everything un-fsynced — the node is crashing and gets

@@ -97,30 +97,51 @@ class AppendLog:
         (the log stays clean) and the :class:`~repro.errors.DiskFaultError`
         propagates — the record is *not* in the log.
         """
-        if self._closed:
-            raise StorageError("append to a closed log")
         if type(payload) is not bytes:
             if not isinstance(payload, (bytes, bytearray)):
                 raise StorageError(
                     f"log payloads are bytes, got {type(payload).__name__}"
                 )
             payload = bytes(payload)
-        if self._file is not None:
-            size = len(payload)
-            head = _LEN.pack(size)
+        return self.append_many([payload])
+
+    def append_many(self, payloads: List[bytes]) -> int:
+        """Append records in one ``write`` and one flush; returns the
+        index of the first.
+
+        The bytes are exactly those of :meth:`append` per record, frame
+        after frame.  All or nothing: a payload that is not ``bytes`` is
+        refused before a byte is written, and a refused or torn write
+        truncates the file back to its last whole frame before the batch
+        and propagates the :class:`~repro.errors.DiskFaultError` — none of
+        the records is in the log.
+        """
+        if self._closed:
+            raise StorageError("append to a closed log")
+        frames: List[bytes] = []
+        for payload in payloads:
+            if type(payload) is not bytes:
+                raise StorageError(
+                    f"log payloads are bytes, got {type(payload).__name__}"
+                )
+            head = _LEN.pack(len(payload))
             # The CRC of _frame_crc, over the length field already packed.
             crc = zlib.crc32(payload, zlib.crc32(head))
+            frames += (head, _LEN.pack(crc), payload)
+        if self._file is not None:
+            data = b"".join(frames)
             try:
-                self._file.write(head + _LEN.pack(crc) + payload)
+                self._file.write(data)
             except DiskFaultError as exc:
                 if exc.written:
                     self._file.truncate(self._size)
                     self.healed_torn_writes += 1
                 raise
             self._file.flush()
-            self._size += _FRAME.size + size
-        self._records.append(payload)
-        return len(self._records) - 1
+            self._size += len(data)
+        first = len(self._records)
+        self._records += payloads
+        return first
 
     def sync(self) -> None:
         """Force bytes to stable storage — a real ``os.fsync``.

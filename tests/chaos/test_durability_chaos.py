@@ -14,7 +14,7 @@ this sweep.
 
 import pytest
 
-from repro.chaos import ChaosConfig, run_chaos, virtual_view
+from repro.chaos import CHAOS_DISK_FAULTS, ChaosConfig, run_chaos, virtual_view
 
 pytestmark = pytest.mark.durability_smoke
 
@@ -63,19 +63,26 @@ def test_disk_fault_chaos_holds_durability_invariants(seed):
 
 
 def test_sweep_actually_exercised_the_fault_machinery():
-    """Across the sweep the schedules must have injected real disk
-    faults, taken checkpoints, and re-checked restarts — a sweep that
-    never faults proves nothing."""
+    """Across the sweep the schedules must have injected every chaos
+    disk-fault kind, taken checkpoints, and re-checked restarts — a sweep
+    that never faults proves nothing.  The injector is consulted once per
+    group-commit write and once per fsync, so the write kinds get fewer
+    chances than records; each must still fire."""
     faults = checkpoints = restarts = disk_events = 0
+    by_kind = dict.fromkeys(CHAOS_DISK_FAULTS, 0)
     for seed in SEEDS:
         report = report_for(seed)
         faults += report["disk_faults_injected"]
+        for kind, count in report["disk_faults_by_kind"].items():
+            by_kind[kind] += count
         checkpoints += report["checkpoints_taken"]
         restarts += report["restarts_checked"]
         disk_events += sum(
             1 for _t, kind, _target in report["fired"] if kind == "disk_fault"
         )
-    assert faults > 0
+    assert faults == sum(by_kind.values())
+    assert set(by_kind) == set(CHAOS_DISK_FAULTS)
+    assert all(count > 0 for count in by_kind.values()), by_kind
     assert checkpoints > 0
     assert restarts > 0
     assert disk_events > 0

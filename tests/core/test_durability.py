@@ -229,8 +229,7 @@ def test_append_after_close_raises():
 
 
 # ---------------------------------------------------------------------------
-# The short paths: a segment sized without reading it, a record written
-# without a trip through the queue.
+# A segment sized without reading it; a commit's one write refused or torn.
 # ---------------------------------------------------------------------------
 
 
@@ -246,7 +245,7 @@ def test_segment_size_is_counted_and_equals_the_file():
     dm.append("a", 1, b"p" * 32)
     assert dm._current.size_bytes() == on_disk() > 0
     fs.injector.arm_once("torn_write")
-    dm.append("a", 2, b"q" * 32)  # torn, healed by truncation, still queued
+    dm.append("a", 2, b"q" * 32)  # torn, healed by truncation, still staged
     assert dm._current.healed_torn_writes == 1
     assert dm._current.size_bytes() == on_disk()
     sim.run(until=0.1)  # the timer's retry writes and commits it
@@ -264,36 +263,70 @@ def test_segment_size_is_counted_and_equals_the_file():
     assert dm.watermark("a") == seq
 
 
-def test_write_fault_with_an_empty_queue_queues_the_record():
-    """The direct path's fault handling is the drain path's: one attempt,
-    the record left queued, the fault counted, the retry timer armed."""
-    sim, fs, dm, durable = build_dm(batch=2, interval=0.02)
+def test_a_refused_commit_write_keeps_every_staged_record():
+    """Appends stage records without touching the file; the commit writes
+    them in one write.  A refused write is one injector consultation for
+    the whole batch: nothing reaches the file, every record stays staged,
+    the fault is counted once and the retry is armed; the next commit
+    writes those records ahead of later ones."""
+    sim, fs, dm, durable = build_dm(batch=3, interval=0.02)
+    dm.append("a", 1, b"first")
+    dm.append("b", 4, b"second")
+    assert fs.read_bytes(dm._current_name) == b""  # staged, not written
     fs.injector.arm_once("eio_write")
-    assert dm.pending() == 0 and sim.pending_count() == 0
-    dm.append("a", 1, b"faulted")
-    assert dm.write_faults == 1
-    assert fs.injector.injected == {"eio_write": 1}  # not retried in place
-    assert len(dm._queue) == 1 and dm._written == []
+    dm.append("a", 2, b"third")  # the size trigger: one write, refused
+    assert fs.injector.injected == {"eio_write": 1}
+    assert dm.write_faults == 1 and dm.group_commits == 0
+    assert dm.pending() == 3 and durable == []
+    assert fs.read_bytes(dm._current_name) == b""
     assert sim.pending_count() == 1  # the retry
-    # The next record goes behind it: the log keeps delivery order.
-    dm.append("a", 2, b"behind")
-    assert len(dm._queue) == 0
-    assert durable == [("a", 2)] and dm.watermark("a") == 2
+    dm.append("a", 3, b"behind")  # the size trigger again, unarmed now
+    assert dm.pending() == 0 and dm.group_commits == 1
+    assert durable == [("a", 3), ("b", 4)]
     written = [dm._decode(record.payload) for record in dm._current.records()]
-    assert written == [("a", 1), ("a", 2)]
+    assert written == [("a", 1), ("b", 4), ("a", 2), ("a", 3)]
+
+
+def test_a_torn_commit_write_is_healed_to_the_last_whole_frame():
+    sim, fs, dm, durable = build_dm(batch=2, interval=0.02)
+    dm.append("a", 1, b"committed")
+    dm.append("a", 2, b"committed")
+    before = fs.read_bytes(dm._current_name)
+    fs.injector.arm_once("torn_write")
+    dm.append("a", 3, b"torn-" * 8)
+    dm.append("a", 4, b"torn-" * 8)
+    assert dm._current.healed_torn_writes == 1 and dm.write_faults == 1
+    assert fs.read_bytes(dm._current_name) == before
+    assert dm._current.size_bytes() == len(before)
+    assert dm.pending() == 2 and dm.watermark("a") == 2
+    sim.run(until=0.1)  # the timer's retry writes the whole batch
+    assert dm.watermark("a") == 4 and durable == [("a", 2), ("a", 4)]
+
+
+@pytest.mark.parametrize("fault", ["fsync_fail", "enospc"])
+def test_close_cancels_the_retry_its_final_commit_armed(fault):
+    sim, fs, dm, durable = build_dm(batch=100)
+    dm.append("a", 1, b"never-durable")
+    fs.injector.arm_once(fault)
+    dm.close()
+    assert fs.injector.injected == {fault: 1}
+    assert sim.pending_count() == 0
+    sim.run()
+    assert durable == [] and dm.watermark("a") == 0
 
 
 # ---------------------------------------------------------------------------
-# Crash-point sweep: every prefix of the WAL commit protocol.
+# Crash-point sweep: every byte of one commit's write.
 # ---------------------------------------------------------------------------
 
 
-def test_crash_point_sweep_over_commit_protocol():
-    """Enumerate a crash after every byte of the un-fsynced portion of the
-    live segment (covering frame-header, payload and fsync boundaries).
-    From every prefix, recovery must reach a legal state: watermark
-    between the fsynced floor and the optimistic ceiling, never a crash,
-    never a claim for a record whose bytes did not survive."""
+def test_crash_point_sweep_over_one_commit_write():
+    """Enumerate a crash after every byte of the tail one commit's write
+    leaves in the live segment before its fsync (covering frame-header,
+    payload and frame boundaries).  From every prefix, recovery must
+    reach a legal state: watermark between the fsynced floor and the
+    optimistic ceiling, never a crash, never a claim for a record whose
+    bytes did not survive."""
     sim, fs, dm, durable = build_dm(batch=100, interval=10.0)
     for seq in range(1, 4):
         dm.append("a", seq, b"committed-%d" % seq)
@@ -301,8 +334,10 @@ def test_crash_point_sweep_over_commit_protocol():
     floor = dm.watermark("a")
     assert floor == 3
     for seq in range(4, 7):
-        dm.append("a", seq, b"in-flight-%d" % seq)  # staged, not fsynced
+        dm.append("a", seq, b"in-flight-%d" % seq)
     segment = dm._current_name
+    assert fs.unsynced_tail_len(segment) == 0  # staged records are not in the file
+    dm._current.append_many(dm._staged)  # the commit's write step, no fsync
     tail = fs.unsynced_tail_len(segment)
     assert tail > 0
     states = set()
@@ -315,10 +350,8 @@ def test_crash_point_sweep_over_commit_protocol():
         # Honesty: every claimed record's bytes must be recoverable.
         assert recovered.recovered_records >= mark
         states.add(mark)
-    # The sweep must actually exercise intermediate commit points: the
-    # fully-lost tail (floor) and the fully-survived tail (6) both occur.
-    assert floor in states
-    assert 6 in states
+    # The one write holds three frames: a crash keeps none, some or all.
+    assert states == {3, 4, 5, 6}
 
 
 # ---------------------------------------------------------------------------

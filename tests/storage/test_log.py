@@ -247,3 +247,43 @@ def test_size_bytes_is_the_file_length_on_the_real_os(tmp_path):
     assert [r.payload for r in recovered.records()] == [b"alpha", b"beta"]
     recovered.close()
     assert AppendLog().size_bytes() == 0  # memory-only: no file
+
+
+def test_append_many_writes_the_frames_append_writes_in_one_write():
+    payloads = [b"zero", b"alpha", b"", b"gamma" * 40]
+    one_by_one, batched = MemoryFileSystem(), MemoryFileSystem()
+    single = AppendLog("a.log", fs=one_by_one)
+    for payload in payloads:
+        single.append(payload)
+    log = AppendLog("a.log", fs=batched)
+    assert log.append_many(payloads[:1]) == 0
+    assert log.append_many(payloads[1:]) == 1
+    assert log.append_many([]) == 4
+    assert batched.read_bytes("a.log") == one_by_one.read_bytes("a.log")
+    assert log.size_bytes() == single.size_bytes()
+    assert [r.payload for r in log.records()] == payloads
+    # One write per call: one dirty range per batch.
+    assert len(batched._files["a.log"].dirty) == 2
+
+
+@pytest.mark.parametrize("kind", ["enospc", "eio_write", "torn_write"])
+def test_append_many_is_all_or_nothing(kind):
+    fs = MemoryFileSystem(seed=5)
+    log = AppendLog("b.log", fs=fs)
+    log.append(b"whole")
+    before = fs.read_bytes("b.log")
+    fs.injector.arm_once(kind)
+    with pytest.raises(DiskFaultError):
+        log.append_many([b"one", b"two", b"three"])
+    assert fs.injector.injected == {kind: 1}  # one write, one consultation
+    assert fs.read_bytes("b.log") == before and log.size_bytes() == len(before)
+    assert len(log) == 1
+    with pytest.raises(StorageError, match="bytes"):
+        log.append_many([b"fine", "text"])
+    assert fs.read_bytes("b.log") == before and len(log) == 1
+    log.append_many([b"after"])
+    log.close()
+    assert [r.payload for r in AppendLog("b.log", fs=fs).records()] == [
+        b"whole",
+        b"after",
+    ]
