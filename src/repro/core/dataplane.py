@@ -39,6 +39,7 @@ append and delivery stay per message.  A lone message is a run of one.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import StabilizerConfig
@@ -233,7 +234,7 @@ class DataPlane:
         self._highest_received: Dict[str, int] = {}
         for peer in config.remote_names():
             channel = endpoint.channel(peer, DATA_CHANNEL)
-            channel.on_deliver = self._make_receiver(peer)
+            channel.on_deliver = partial(self._receive, peer)
         self.messages_sent = 0
         self.messages_received = 0
         self.duplicates_dropped = 0
@@ -610,52 +611,6 @@ class DataPlane:
                 self._highest_received.get(origin, 0), seq
             )
 
-    def _make_receiver(self, origin: str):
-        def receive(payload: Payload, meta) -> None:
-            frame_epoch, meta = meta
-            if frame_epoch != self.epoch:
-                # Epoch fence: the sender is running a different shard
-                # layout.  Its row indices and owner sets do not match
-                # ours — routing the frame into our tables would corrupt
-                # them.  Drop it; the sender learns the new layout from
-                # the rebalance coordinator, not from us.
-                self.stale_epoch_frames += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self._trace_node,
-                        "data.epoch_fenced",
-                        origin=origin,
-                        frame_epoch=frame_epoch,
-                        local_epoch=self.epoch,
-                    )
-                return
-            if isinstance(meta, tuple) and meta and meta[0] == FRAME_TAG:
-                _tag, metas, lengths = meta
-                self.frames_received += 1
-                if type(payload) is SyntheticPayload:
-                    # A synthetic frame's parts are its lengths.
-                    if sum(lengths) != payload.length:
-                        raise self._short_frame(payload.length, lengths)
-                    self._on_run(origin, metas, lengths, True)
-                    return
-                # Zero-copy: each message is a slice of the arrived frame.
-                view = memoryview(payload)
-                if sum(lengths) != len(view):
-                    raise self._short_frame(len(view), lengths)
-                parts = []
-                offset = 0
-                for length in lengths:
-                    parts.append(view[offset : offset + length])
-                    offset += length
-                self._on_run(origin, metas, parts, False)
-            elif type(payload) is SyntheticPayload:
-                # A lone message is a run of one.
-                self._on_run(origin, (meta,), (payload.length,), True)
-            else:
-                self._on_run(origin, (meta,), (payload,), False)
-
-        return receive
-
     @staticmethod
     def _short_frame(length: int, lengths) -> TransportError:
         return TransportError(
@@ -670,12 +625,17 @@ class DataPlane:
             f"(expected {expected}); the FIFO transport is broken"
         )
 
-    def _on_run(self, origin: str, metas, parts, synthetic: bool) -> None:
-        """Apply one arrived frame: ``metas`` are the chunk metas of a
-        contiguous run ``[first, last]`` of ``origin``'s stream, ``parts``
-        their payloads — or, for a ``synthetic`` frame, their lengths (a
-        part becomes a :class:`SyntheticPayload` only where something
-        takes it as a payload).
+    def _receive(self, origin: str, payload: Payload, meta) -> None:
+        """Apply one frame that arrived from ``origin`` — the data
+        channel's ``on_deliver``, bound to its origin.
+
+        First the epoch fence, then the unpack: a coalesced frame's meta
+        is ``(FRAME_TAG, metas, lengths)`` over one joined payload, whose
+        parts are zero-copy slices of it — or, for a synthetic frame, its
+        lengths (a part becomes a :class:`SyntheticPayload` only where
+        something takes it as a payload); a lone message is a run of one.
+        The metas are those of a contiguous run ``[first, last]`` of
+        ``origin``'s stream.
 
         The run is validated whole before any state moves; then the
         receive watermark advances once and ``on_arrival(origin, last,
@@ -693,6 +653,45 @@ class DataPlane:
         never held — a receiver resumed mid-object from a snapshot — and
         is dropped; it can never complete.
         """
+        frame_epoch, meta = meta
+        if frame_epoch != self.epoch:
+            # Epoch fence: the sender is running a different shard
+            # layout.  Its row indices and owner sets do not match ours —
+            # routing the frame into our tables would corrupt them.  Drop
+            # it; the sender learns the new layout from the rebalance
+            # coordinator, not from us.
+            self.stale_epoch_frames += 1
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self._trace_node,
+                    "data.epoch_fenced",
+                    origin=origin,
+                    frame_epoch=frame_epoch,
+                    local_epoch=self.epoch,
+                )
+            return
+        synthetic = type(payload) is SyntheticPayload
+        if meta[0] == FRAME_TAG:
+            _tag, metas, lengths = meta
+            self.frames_received += 1
+            if synthetic:
+                # A synthetic frame's parts are its lengths.
+                if sum(lengths) != payload.length:
+                    raise self._short_frame(payload.length, lengths)
+                parts = lengths
+            else:
+                # Zero-copy: each message is a slice of the arrived frame.
+                view = memoryview(payload)
+                if sum(lengths) != len(view):
+                    raise self._short_frame(len(view), lengths)
+                parts = []
+                offset = 0
+                for length in lengths:
+                    parts.append(view[offset : offset + length])
+                    offset += length
+        else:
+            metas = (meta,)
+            parts = (payload.length,) if synthetic else (payload,)
         first_meta = metas[0]
         first = first_meta[0]
         last = first - 1

@@ -19,12 +19,14 @@ further and avoid most calls entirely:
   only those predicates (``skipped_by_index`` counts the rest).
 - Algebraic short-circuits derived from the compiled IR skip or replace
   full evaluations (``skipped_by_shortcircuit`` / ``fast_advances``):
-  a pure ``MAX``-reduce advances directly to the new cell value when it
-  exceeds the cached frontier and is untouched otherwise; ``MIN`` and
-  ``KTH_*`` reduces are re-evaluated only when an updated cell is in the
-  *witness set* — the cells whose value was ``<=`` the last result.
-  Both rules rely on the ACK table's monotonicity (cells never regress);
-  anything the IR cannot prove falls back to a full evaluation.
+  a tree of ``MAX`` advances directly to the new cell value when it
+  exceeds the cached frontier and is untouched otherwise; any other
+  arithmetic-free tree of ``MIN`` / ``MAX`` / ``KTH_*``, nested or not,
+  is re-evaluated only when an updated cell is in the *witness set* —
+  the cells whose value was ``<=`` the last result (the lemma is at
+  :func:`~repro.dsl.compiler.classify_shortcircuit`).  Both rules rely
+  on the ACK table's monotonicity (cells never regress); anything the
+  IR cannot prove (arithmetic) falls back to a full evaluation.
 - Waiters live in a per-``(origin, key)`` min-heap keyed on sequence
   number, so a release pops only the released waiters instead of
   scanning every pending one.
@@ -105,7 +107,7 @@ class _SlotState:
 
     ``version`` ties the cache to one predicate definition — a
     ``change_predicate`` redefinition invalidates it.  ``witness`` is the
-    bottleneck cell set for ``min``/``kth`` predicates (None otherwise).
+    bottleneck cell set of a ``witness``-class predicate (None otherwise).
     """
 
     __slots__ = ("version", "value", "witness")
@@ -476,55 +478,76 @@ class FrontierEngine:
         rows = self.tables[origin].table
         if not self.incremental:
             return self._reevaluate_brute(origin, rows, watch, updated_node)
-        total = len(self._predicates)
-        if not total:
-            return {}
-        if updated_node is not None and updated_cells is not None:
-            keys = self._keys_for_cells(updated_node, updated_cells)
-        elif updated_node is not None:
-            keys = self._node_index.get(updated_node, [])
+        predicates = self._predicates
+        if not predicates:
+            return _NO_ADVANCE
+        total = len(predicates) if watch is _EVERY_KEY else len(watch)
+        # ``one``: the value of a one-cell update, whose cell is ``cell``.
+        one = cell = None
+        if updated_node is None:
+            keys = list(predicates)
+        elif updated_node not in self._node_index:
+            # Nobody reads the row (at its origin, a send's own row).
+            self.skipped_by_index += total
+            return _NO_ADVANCE
+        elif updated_cells is None:
+            keys = self._node_index[updated_node]
+        elif len(updated_cells) == 1:
+            type_id, one = updated_cells[0]
+            cell = (updated_node, type_id)
+            keys = self._cell_index.get(cell, ())
         else:
-            keys = list(self._predicates)
+            keys = self._keys_for_cells(updated_node, updated_cells)
         if watch is not _EVERY_KEY:
-            total = len(watch)
             keys = [key for key in keys if key in watch]
         self.skipped_by_index += total - len(keys)
         if not keys:
-            return {}
+            return _NO_ADVANCE
         advanced: Dict[str, int] = {}
+        slots = self._slots
+        versions = self._versions
         for key in keys:
-            predicate = self._predicates[key]
+            predicate = predicates[key]
             slot = (origin, key)
-            state = self._slots.get(slot)
-            if state is not None and state.version != self._versions[key]:
+            state = slots.get(slot)
+            if state is not None and state.version != versions[key]:
                 state = None
             value = None
             witness = None
             if state is not None:
                 kind = predicate.shortcircuit
                 if kind == "max" and updated_cells is not None:
-                    new_high = max(
-                        seq
-                        for type_id, seq in updated_cells
-                        if (updated_node, type_id) in predicate.cells
-                    )
+                    if cell is not None:
+                        new_high = one
+                    else:
+                        new_high = 0
+                        cells = predicate.cells
+                        for type_id, seq in updated_cells:
+                            if seq > new_high and (updated_node, type_id) in cells:
+                                new_high = seq
                     if new_high <= state.value:
                         self.skipped_by_shortcircuit += 1
                         continue
-                    # Pure MAX over monotone cells: the new result is
+                    # A tree of MAX over monotone cells: the new result is
                     # exactly the updated value — no evaluation needed.
                     value = new_high
                     self.fast_advances += 1
-                elif kind in ("min", "kth") and state.witness is not None:
-                    if updated_cells is not None:
-                        touched = any(
-                            (updated_node, type_id) in state.witness
-                            for type_id, _seq in updated_cells
-                        )
+                elif kind == "witness" and state.witness is not None:
+                    bottleneck = state.witness
+                    if cell is not None:
+                        touched = cell in bottleneck
+                    elif updated_cells is not None:
+                        touched = False
+                        for type_id, _seq in updated_cells:
+                            if (updated_node, type_id) in bottleneck:
+                                touched = True
+                                break
                     elif updated_node is not None:
-                        touched = any(
-                            cell[0] == updated_node for cell in state.witness
-                        )
+                        touched = False
+                        for node, _type_id in bottleneck:
+                            if node == updated_node:
+                                touched = True
+                                break
                     else:
                         touched = True
                     if not touched:
@@ -535,9 +558,7 @@ class FrontierEngine:
                 value = predicate.evaluate(rows)
                 witness = self._witness(predicate, rows, value)
             if state is None:
-                self._slots[slot] = _SlotState(
-                    self._versions[key], value, witness
-                )
+                slots[slot] = _SlotState(versions[key], value, witness)
             else:
                 state.value = value
                 state.witness = witness
@@ -547,31 +568,27 @@ class FrontierEngine:
     def _keys_for_cells(
         self, node: int, cells: Sequence[CellUpdate]
     ) -> List[str]:
+        """The keys reading any of ``node``'s ``cells``, each once, in the
+        order the index lists them."""
         index = self._cell_index
-        if len(cells) == 1:
-            return index.get((node, cells[0][0]), [])
-        # dict.fromkeys: dedupe while keeping registration order stable.
-        return list(
-            dict.fromkeys(
-                key
-                for type_id, _seq in cells
-                for key in index.get((node, type_id), ())
-            )
-        )
+        keys: Dict[str, None] = {}
+        for type_id, _seq in cells:
+            for key in index.get((node, type_id), ()):
+                keys[key] = None
+        return list(keys)
 
     @staticmethod
     def _witness(predicate: CompiledPredicate, rows, value: int):
-        """Bottleneck cells after a full evaluation of ``min``/``kth``.
+        """Bottleneck cells after a full evaluation of a ``witness``
+        predicate.
 
         A later update to a cell *outside* this set had an old value
         strictly above the result, and (by monotonicity) raising such a
-        cell cannot move an order statistic — so it is safe to skip.
+        cell cannot move the result — so it is safe to skip.
         """
-        if predicate.shortcircuit not in ("min", "kth"):
+        if predicate.shortcircuit != "witness":
             return None
-        return frozenset(
-            cell for cell in predicate.cells if rows[cell[0]][cell[1]] <= value
-        )
+        return {cell for cell in predicate.cells if rows[cell[0]][cell[1]] <= value}
 
     def _report(
         self,

@@ -516,16 +516,9 @@ class ShardedStabilizer:
                 old_snapshots[shard] = snapshot_state(inner)
             else:
                 released.append(shard)
-            port = inner.config.transport_port()
+            # Frames peers put on the wire before their cutover may still
+            # be in flight to this stack's port: the closed port drops them.
             inner.close()
-            if shard not in new_owned:
-                # Peers cut over in the same instant, but frames they put
-                # on the wire *before* cutover may still be in flight to
-                # the released stack's port.  A real host drops datagrams
-                # to a closed socket; park the port with a silent-drop
-                # handler so stragglers don't surface as unbound ports.
-                # Re-gaining the shard later rebinds the live handler.
-                self.net.host(self.name).bind(port, lambda packet: None)
         self.config = new_config
         self.shard_map = new_map
         self.owned_shards = tuple(sorted(new_owned))

@@ -131,6 +131,8 @@ class Stabilizer:
             self._persisted_skip = ()
         self.fs = self.durability.fs if self.durability is not None else fs
 
+        # Delivery handlers (on_delivery); the data plane delivers nothing
+        # until the first one is registered.
         self._delivery_handlers: list = []
         # An arrived frame is one grant (the engine hears of the run's
         # last sequence, once); the WAL, when there is one, takes every
@@ -139,7 +141,6 @@ class Stabilizer:
         self.dataplane = DataPlane(
             self.endpoint,
             config,
-            on_deliver=self._on_deliver,
             on_arrival=self.strategy.on_remote_deliver,
             on_received=self.durability.append if durable else None,
             on_sent=self._on_sent if durable else None,
@@ -346,6 +347,7 @@ class Stabilizer:
     def on_delivery(self, fn: DeliveryFn) -> None:
         """Subscribe to remote messages: ``fn(origin, seq, payload, meta)``."""
         self._delivery_handlers.append(fn)
+        self.dataplane.on_deliver = self._on_deliver
 
     # ------------------------------------------------------------------ backpressure
     def on_backpressure(self, fn: Callable[[bool, int], None]) -> None:

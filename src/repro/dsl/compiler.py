@@ -52,28 +52,39 @@ def _kth(k: int, values: tuple, largest: bool) -> int:
 def classify_shortcircuit(ir: Ir) -> Optional[str]:
     """The algebraic class the frontier engine can exploit incrementally.
 
-    ``"max"``  — a pure MAX-reduce over table cells (and constants): a
-    cell update can only raise the result, and only when the new value
-    exceeds the cached one; the new result is then exactly that value.
-    ``"min"`` / ``"kth"`` — pure MIN / order-statistic reduces: raising a
-    cell whose previous value was strictly above the cached result cannot
-    move the result, so only updates to "bottleneck" witness cells need a
-    re-evaluation.  ``None`` — arithmetic or nested reduces; no algebraic
-    shortcut applies and the engine must always re-evaluate.
+    Both classes cover arithmetic-free trees of ``MIN`` / ``MAX`` /
+    ``KTH_*`` (with a constant K) over table cells and constants, nested
+    to any depth, and both rely on cells never regressing.
+
+    ``"max"`` — a tree of ``MAX`` alone (a lone cell or constant
+    included) is the maximum of its leaves: a cell update can only raise
+    the result, and only when the new value exceeds the cached one; the
+    new result is then exactly that value.
+
+    ``"witness"`` — any other such tree.  For every threshold ``v``,
+    ``[f(t) > v]`` is a monotone Boolean function of the bits
+    ``[t_c > v]`` (``MIN`` is AND, ``MAX`` OR, ``KTH_*`` a threshold
+    gate, a constant a fixed bit).  Raising a cell whose value was
+    already above the cached result ``v`` leaves every bit at ``v`` as it
+    was, so ``f`` stays ``<= v``, and monotonicity keeps it ``>= v``: only
+    updates to a "witness" cell — value ``<= v`` at the last evaluation —
+    need a re-evaluation.
+
+    ``None`` — arithmetic anywhere in the tree, or a data-dependent K; no
+    algebraic shortcut applies and the engine always re-evaluates.
     """
     if isinstance(ir, (Leaf, Const)):
         return "max"
-    if isinstance(ir, ReduceIr) and all(
-        isinstance(item, (Leaf, Const)) for item in ir.items
-    ):
-        return "max" if ir.op == "MAX" else "min"
-    if (
-        isinstance(ir, KthIr)
-        and isinstance(ir.k, Const)
-        and all(isinstance(item, (Leaf, Const)) for item in ir.items)
-    ):
-        return "kth"
-    return None
+    if isinstance(ir, KthIr) and not isinstance(ir.k, Const):
+        return None
+    if not isinstance(ir, (ReduceIr, KthIr)):
+        return None
+    kinds = [classify_shortcircuit(item) for item in ir.items]
+    if None in kinds:
+        return None
+    if isinstance(ir, ReduceIr) and ir.op == "MAX" and "witness" not in kinds:
+        return "max"
+    return "witness"
 
 
 def generate_source(ir: Ir, function_name: str = "_predicate") -> str:

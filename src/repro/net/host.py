@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Set
 
 from repro.net.packet import Packet
 
@@ -14,8 +14,9 @@ class Host:
 
     Protocol layers register a handler per *port* (an arbitrary string such
     as ``"stabilizer"`` or ``"paxos"``).  A crashed host silently drops
-    everything, which is exactly what a remote peer observes.  The arriving
-    link dispatches (:meth:`repro.net.link.Link.transmit`): it reads
+    everything, which is exactly what a remote peer observes; so does a
+    port that :meth:`unbind` closed, like a closed socket.  The arriving
+    link dispatches (:meth:`repro.net.link.Link.send`): it reads
     ``crashed`` and the port table and keeps the receive counters here.
     """
 
@@ -24,15 +25,21 @@ class Host:
         self.index = index
         self.crashed = False
         self._handlers: Dict[str, Handler] = {}
+        # Ports a handler was unbound from: packets still in flight to
+        # one are dropped, not an error.
+        self._closed: Set[str] = set()
         self.packets_received = 0
         self.bytes_received = 0
 
     def bind(self, port: str, handler: Handler) -> None:
         """Register ``handler`` for ``port``; rebinding replaces it."""
         self._handlers[port] = handler
+        self._closed.discard(port)
 
     def unbind(self, port: str) -> None:
-        self._handlers.pop(port, None)
+        """Close ``port``: from now on what arrives there is dropped."""
+        if self._handlers.pop(port, None) is not None:
+            self._closed.add(port)
 
     def crash(self) -> None:
         """Stop receiving; in-flight and future packets are dropped."""

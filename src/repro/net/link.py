@@ -38,13 +38,20 @@ class LinkStats:
 
 
 class Link:
-    """One directed link between two hosts."""
+    """One directed link from a ``source`` host to a ``target`` host.
+
+    :meth:`send` is the whole way of a packet into the network: the
+    transport's channels and datagrams hold the link to each peer and
+    call it directly (:meth:`Network.send
+    <repro.net.topology.Network.send>` is the by-name lookup for
+    everything else).
+    """
 
     def __init__(
         self,
         sim: Simulator,
-        src: str,
-        dst: str,
+        source: Host,
+        target: Host,
         latency_s: float,
         bandwidth_bps: float,
         jitter_s: float = 0.0,
@@ -52,6 +59,7 @@ class Link:
         rng: Optional[random.Random] = None,
         up: bool = True,
     ):
+        src, dst = source.name, target.name
         if latency_s < 0:
             raise NetworkError(f"negative latency on {src}->{dst}")
         if bandwidth_bps <= 0:
@@ -61,6 +69,8 @@ class Link:
         if (jitter_s > 0 or loss_rate > 0) and rng is None:
             raise NetworkError("jitter/loss require an rng stream")
         self.sim = sim
+        self.source = source
+        self.target = target
         self.src = src
         self.dst = dst
         self.latency_s = latency_s
@@ -90,15 +100,17 @@ class Link:
         return self.serialization_delay(size_bytes) + self.latency_s
 
     # -- transmission ----------------------------------------------------------
-    def transmit(self, packet: Packet, dst: Host, now: Optional[float] = None) -> bool:
-        """Enqueue ``packet``; hand it to ``dst``'s handler for its port on
-        arrival.
+    def send(self, port: str, payload, size_bytes: int) -> bool:
+        """Put one packet of ``size_bytes`` on the link; on arrival it goes
+        to the target host's handler for ``port``.
 
-        Returns False (and counts a drop) when the link is down or the
-        packet is randomly lost.  Reliability is the transport's job.
-        ``now`` is the caller's reading of the clock when it has just
-        taken one (``Network.send`` stamps the packet with it).
+        Returns False when nothing was sent: the source host is crashed
+        (it emits nothing), or the link is down or randomly loses the
+        packet (both counted as drops).  Reliability is the transport's
+        job.
         """
+        if self.source.crashed:
+            return False
         stats = self.stats
         if not self.up:
             stats.packets_dropped += 1
@@ -109,8 +121,9 @@ class Link:
 
         # Every packet of every layer passes here: the queueing and
         # serialization arithmetic of the methods above, written out.
-        if now is None:
-            now = self.sim.now
+        sim = self.sim
+        now = sim.now
+        packet = Packet(self.src, self.dst, port, payload, size_bytes, sent_at=now)
         size = packet.size_bytes
         busy_until = self._busy_until
         start = now if now > busy_until else busy_until
@@ -126,10 +139,10 @@ class Link:
         stats.packets_sent += 1
         stats.bytes_sent += size
 
-        self.sim.call_at(done_serializing + propagation, self._arrive, packet, dst)
+        sim.call_at(done_serializing + propagation, self._arrive, packet)
         return True
 
-    def _arrive(self, packet: Packet, dst: Host) -> None:
+    def _arrive(self, packet: Packet) -> None:
         # The one Python frame between the event loop and the port
         # handler: link, host and port checks are all made here.
         size = packet.size_bytes
@@ -138,10 +151,13 @@ class Link:
             # Link went down while the packet was in flight.
             self.stats.packets_dropped += 1
             return
+        dst = self.target
         if dst.crashed:
             return  # a crashed host silently drops everything
         handler = dst._handlers.get(packet.port)
         if handler is None:
+            if packet.port in dst._closed:
+                return  # a straggler to a closed port, like a closed socket's
             raise NetworkError(
                 f"host {dst.name!r} has no handler bound for port "
                 f"{packet.port!r}"

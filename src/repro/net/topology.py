@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.errors import ConfigError, NetworkError
 from repro.net.host import Host
 from repro.net.link import Link
-from repro.net.packet import Packet
 from repro.net.tc import NetemSpec
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -135,41 +134,27 @@ class Network:
                 spec = topology.link_spec(src, dst)
                 self.links[(src, dst)] = Link(
                     sim,
-                    src,
-                    dst,
+                    self.hosts[src],
+                    self.hosts[dst],
                     latency_s=spec.latency_s,
                     bandwidth_bps=spec.bandwidth_bps,
                     jitter_s=spec.jitter_s,
                     loss_rate=spec.loss_rate,
                     rng=rng.stream(f"link:{src}->{dst}"),
                 )
-        # (src, dst) -> (source host, link, destination host): hosts and
-        # links live as long as the network, so a directed pair is
-        # validated once, not on every packet.
-        self._routes: Dict[Tuple[str, str], Tuple[Host, Link, Host]] = {}
 
     # -- data path ---------------------------------------------------------------
     def send(self, src: str, dst: str, port: str, payload, size_bytes: int) -> bool:
-        """Transmit one packet; returns False if it was dropped at the link."""
-        source, link, target = self._routes.get((src, dst)) or self._route(src, dst)
-        if source.crashed:
-            return False  # a crashed node emits nothing
-        now = self.sim.now
-        packet = Packet(src, dst, port, payload, size_bytes, sent_at=now)
-        return link.transmit(packet, target, now)
-
-    def _route(self, src: str, dst: str):
-        """Validate a directed pair on first use and remember it."""
+        """Transmit one packet from host ``src`` to host ``dst`` over their
+        link (:meth:`Link.send <repro.net.link.Link.send>`); returns False
+        if nothing was sent.  A crashed sender emits nothing: that is
+        checked before the destination is, so a bad destination is
+        refused only once the sender is back up."""
         if src == dst:
             raise NetworkError("loopback sends are handled above the network")
-        source = self.host(src)
-        if source.crashed:
-            # Checked before the link and the destination, as ever: not
-            # remembered, so the pair is validated once the node is back.
-            return source, None, None
-        route = source, self.link(src, dst), self.host(dst)
-        self._routes[(src, dst)] = route
-        return route
+        if self.host(src).crashed:
+            return False
+        return self.link(src, dst).send(port, payload, size_bytes)
 
     # -- lookups ------------------------------------------------------------------
     def host(self, name: str) -> Host:

@@ -173,7 +173,8 @@ CATALOGUE = (
            "observed-slot evaluations the cell-to-predicate index ruled out"),
     Metric("evaluations_skipped_by_shortcircuit", "counter", "sum", "evaluations",
            "core.frontier",
-           "observed-slot evaluations a MIN/KTH witness or MAX bound ruled out"),
+           "observed-slot evaluations a witness set or a MAX-tree bound ruled "
+           "out (nested MIN/MAX/KTH trees included)"),
     Metric("frontier_fast_advances", "counter", "sum", "advances",
            "core.frontier", "frontier advances taken without a full evaluation"),
     Metric("pending_waiters", "gauge", "sum", "waiters", "core.frontier",

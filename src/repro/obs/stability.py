@@ -74,14 +74,17 @@ class StabilityInstruments:
         hist = self.registry.histogram(f"{self.prefix}.{key}", self.buckets)
         now = self.clock()
         send_times = self._send_times
-        on_sample = self.on_sample
-        for seq in range(covered + 1, frontier + 1):
-            ts = send_times.get(seq)
-            if ts is not None:
-                latency = now - ts
-                hist.observe(latency)
-                self._samples.inc()
-                if on_sample is not None:
+        samples = [
+            now - send_times[seq]
+            for seq in range(covered + 1, frontier + 1)
+            if seq in send_times
+        ]
+        if samples:
+            hist.observe_many(samples)
+            self._samples.inc(len(samples))
+            on_sample = self.on_sample
+            if on_sample is not None:
+                for latency in samples:
                     on_sample(key, latency)
         self._covered[key] = frontier
         self._gc()

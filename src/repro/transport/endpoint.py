@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import TransportError
+from repro.net.link import Link
 from repro.net.topology import Network
 from repro.obs.tracer import NULL_TRACER
 from repro.transport.fifo import DeliverFn, FifoChannel
@@ -55,6 +56,10 @@ class TransportEndpoint:
         # read the tracer from here.  The Stabilizer replaces it before
         # constructing its planes; standalone endpoints stay silent.
         self.tracer = NULL_TRACER
+        # peer -> the link to it, for datagrams.
+        self._links: Dict[str, Link] = {
+            dst: link for (src, dst), link in net.links.items() if src == node_name
+        }
         net.host(node_name).bind(port, self._on_packet)
 
     def channel(self, peer: str, name: str, **kwargs) -> FifoChannel:
@@ -91,9 +96,7 @@ class TransportEndpoint:
     def send_datagram(self, peer: str, body, size_bytes: int) -> None:
         """Ship ``body`` to ``peer``'s ``on_datagram`` as one unreliable
         packet of ``size_bytes`` (see module docstring)."""
-        self.net.send(
-            self.node_name, peer, self.port, ("dgram", body), size_bytes
-        )
+        self._links[peer].send(self.port, ("dgram", body), size_bytes)
 
     def channels(self) -> Dict[Tuple[str, str], FifoChannel]:
         return dict(self._channels)

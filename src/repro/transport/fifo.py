@@ -101,10 +101,11 @@ class FifoChannel:
             raise TransportError("max_retransmit_attempts must be positive")
         self.endpoint = endpoint
         self.sim = endpoint.sim
-        # Frames and ACKs go straight to the network, on the endpoint's port.
-        self.net = endpoint.net
-        self.port = endpoint.port
         self.local = endpoint.node_name
+        # Frames and ACKs go straight onto the link to the peer, on the
+        # endpoint's port.
+        self.link = endpoint.net.link(self.local, peer)
+        self.port = endpoint.port
         self.peer = peer
         self.name = name
         self.rto = rto
@@ -209,9 +210,7 @@ class FifoChannel:
         self._unacked[frame.seq] = frame
         self._unacked_bytes += frame.size
         frame.sent_at = self.sim.now
-        self.net.send(
-            self.local,
-            self.peer,
+        self.link.send(
             self.port,
             ("data", self.name, frame.seq, frame.payload, frame.meta, self.epoch),
             frame.size,
@@ -253,9 +252,7 @@ class FifoChannel:
         for seq in sorted(self._unacked):
             frame = self._unacked[seq]
             frame.retransmitted = True
-            self.net.send(
-                self.local,
-                self.peer,
+            self.link.send(
                 self.port,
                 ("data", self.name, frame.seq, frame.payload, frame.meta, self.epoch),
                 frame.size,
@@ -513,9 +510,7 @@ class FifoChannel:
                 channel=self.name,
                 cumulative=self._next_deliver_seq - 1,
             )
-        self.net.send(
-            self.local,
-            self.peer,
+        self.link.send(
             self.port,
             ("ack", self.name, self._next_deliver_seq - 1, self._peer_epoch),
             ACK_FRAME_BYTES,

@@ -23,6 +23,8 @@ from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 from repro.transport.messages import InterestFrame
 
+from tests.wiretap import Tap
+
 NODES = ["a", "b", "c", "d"]
 GROUPS = {"east": ["a", "b"], "west": ["c", "d"]}
 LATENCY_S = 0.010
@@ -58,26 +60,6 @@ def build(strategy, jitter_ms=0.0, control_interval_s=FLUSH_S, **config_kwargs):
     return sim, net, StabilizerCluster(net, config)
 
 
-def intercept(net, drop):
-    """Route every packet through ``drop(src, dst, payload) -> bool``;
-    returns the list of packets it dropped."""
-    dropped = []
-    real_send = net.send
-
-    def send(src, dst, port, payload, size_bytes):
-        if drop(src, dst, payload):
-            dropped.append((net.sim.now, src, dst, payload))
-            return False
-        return real_send(src, dst, port, payload, size_bytes)
-
-    net.send = send
-    return dropped
-
-
-def is_control(payload):
-    return payload[0] == "dgram"
-
-
 def stream(sim, node, count, rate_per_s, start=0.0):
     for i in range(count):
         sim.call_at(start + i / rate_per_s, node.send, b"x" * 64)
@@ -94,14 +76,12 @@ def frontiers(cluster, origin):
 def test_heavy_control_loss_converges_after_quiescence(strategy):
     sim, net, cluster = build(strategy)
     rng = random.Random(7)
-    dropped = intercept(
-        net, lambda src, dst, p: is_control(p) and rng.random() < 0.30
-    )
+    tap = Tap(net, "dgram", lambda src, dst, p: rng.random() < 0.30)
     stream(sim, cluster["a"], count=200, rate_per_s=200.0)
     # Loss never stops, so no single re-send is sure to land; each
     # heartbeat round is another independent try at every lost cell.
     sim.run(until=1.0 + 6 * HEARTBEAT_S)
-    assert len(dropped) > 100
+    assert len(tap.dropped) > 100
     assert frontiers(cluster, "a") == {name: 200 for name in NODES}
     assert cluster["a"].delivery_watermark() == 200
 
@@ -113,19 +93,16 @@ def test_lost_last_report_is_repaired_by_the_tail_probe(strategy):
     sim.run(until=0.1)
     t0 = sim.now
     # d's only report about the message — nothing follows to supersede it.
-    dropped = intercept(
-        net,
-        lambda src, dst, p: is_control(p)
-        and (src, dst) == ("d", "a")
-        and sim.now < t0 + 0.04,
+    tap = Tap(
+        net, "dgram", lambda src, dst, p: (src, dst) == ("d", "a") and sim.now < t0 + 0.04
     )
     seq = a.send(b"the only message")
     # Unharmed, the report lands one delivery, one flush and one trip
     # back after the send; this is well past that.
     sim.run(until=t0 + LATENCY_S + FLUSH_S + LATENCY_S + 0.015)
-    assert dropped
+    assert tap.dropped
     assert a.get_stability_frontier("all") < seq
-    last_report = max(t for t, *_ in dropped)
+    last_report = max(t for t, *_ in tap.dropped)
     sim.run(until=last_report + MIN_RTO_S + RTT_S)
     assert a.get_stability_frontier("all") == seq
     assert sim.now < HEARTBEAT_S  # no heartbeat has fired yet
@@ -144,13 +121,10 @@ def test_quiet_origins_lost_report_is_repaired_by_the_heartbeat(strategy):
     stream(sim, a, count=600, rate_per_s=200.0)
     sim.run(until=0.2)
     t0 = sim.now
-    dropped = intercept(
-        net,
-        lambda src, dst, p: is_control(p) and src == "d" and sim.now < t0 + 0.04,
-    )
+    tap = Tap(net, "dgram", lambda src, dst, p: src == "d" and sim.now < t0 + 0.04)
     seq = b.send(b"b's only message")
     sim.run(until=t0 + MIN_RTO_S + 2 * RTT_S + 0.1)
-    assert dropped
+    assert tap.dropped
     assert d.stats()["strategy.tail_probes"] == 0
     if strategy == "hybrid_clock":
         # Clock frames are whole state: the next one repairs the loss.
@@ -171,12 +145,11 @@ def test_reordered_reports_never_regress_a_cell(strategy):
     sent, arrived = {}, {}
 
     def number(src, dst, payload):
-        if is_control(payload):
-            order = sent.setdefault((src, dst), {})
-            order[id(payload[1])] = (len(order), payload)  # keeps the id alive
+        order = sent.setdefault((src, dst), {})
+        order[id(payload[1])] = (len(order), payload)  # keeps the id alive
         return False
 
-    intercept(net, number)
+    tap = Tap(net, "dgram", number)
     for node in cluster:
         deliver = node.endpoint.on_datagram
 
@@ -209,6 +182,7 @@ def test_reordered_reports_never_regress_a_cell(strategy):
         for earlier, later in zip(order, order[1:])
         if later < earlier
     )
+    assert tap.seen
     assert overtaken > 0  # the jitter did reorder control frames
     assert frontiers(cluster, "a") == {name: 200 for name in NODES}
     assert frontiers(cluster, "c") == {name: 200 for name in NODES}
@@ -231,16 +205,15 @@ def test_resume_request_survives_its_first_packet_being_dropped(strategy):
     def first_resume_to_a(src, dst, payload):
         return (
             (src, dst) == ("d", "a")
-            and payload[0] == "data"
             and payload[1] == CONTROL_CHANNEL
-            and not dropped
+            and not tap.dropped
         )
 
-    dropped = intercept(net, first_resume_to_a)
+    tap = Tap(net, "data", first_resume_to_a)
     net.recover_node("d")
     d = cluster.restart_node("d", snapshot)
     sim.run(until=4.0)
-    assert len(dropped) == 1
+    assert len(tap.dropped) == 1
     assert d.endpoint.channel("a", CONTROL_CHANNEL).retransmissions >= 1
     assert d.dataplane.highest_received("a") == missed[-1]
     assert frontiers(cluster, "a") == {name: missed[-1] for name in NODES}
@@ -317,13 +290,14 @@ def observers(cluster, at, origin):
 
 def test_an_all_observing_cluster_puts_no_interest_on_the_wire(strategy):
     sim, net, cluster = build(strategy)
-    stated = intercept(net, lambda src, dst, p: interest_in(p) is not None)
+    tap = Tap(net, "dgram", lambda src, dst, p: interest_in(p) is not None)
     if strategy == "acktable":
         for node in cluster:
             node.monitor_stability_frontier("all", lambda *advance: None)
     stream(sim, cluster["a"], count=100, rate_per_s=200.0)
     sim.run(until=2 * HEARTBEAT_S + 0.1)
-    assert stated == []
+    assert tap.seen  # control datagrams crossed the tap ...
+    assert tap.dropped == []  # ... and none stated an interest
     for node in cluster:
         stats = node.stats()
         assert stats["strategy.interest_announcements"] == 0
@@ -339,15 +313,16 @@ def test_a_dropped_widening_is_repaired_by_the_next_heartbeat(strategy):
     sim.run(until=0.2)
     assert observers(cluster, "b", "a") == {"a"}
     # c starts to wait on a's stream and says so to everyone; b never hears.
-    lost = intercept(
+    tap = Tap(
         net,
+        "dgram",
         lambda src, dst, p: (src, dst) == ("c", "b")
         and interest_in(p) is not None
         and sim.now < HEARTBEAT_S,
     )
     cluster["c"].waitfor(400, "all", origin="a")
     sim.run(until=HEARTBEAT_S - 0.01)
-    assert len(lost) == 1
+    assert len(tap.dropped) == 1
     assert observers(cluster, "d", "a") == {"a", "c"}
     assert observers(cluster, "b", "a") == {"a"}  # b: still withholding
     b_row = NODES.index("b")
@@ -372,20 +347,23 @@ def test_of_two_reordered_announcements_the_newer_version_stands(strategy):
         pytest.skip("broadcasts: no interest to announce")
     sim, net, cluster = build(strategy)
     sim.run(until=0.1)
-    held = intercept(
-        net, lambda src, dst, p: (src, dst) == ("c", "b") and interest_in(p) is not None
+    tap = Tap(
+        net,
+        "dgram",
+        lambda src, dst, p: (src, dst) == ("c", "b") and interest_in(p) is not None,
     )
     c = cluster["c"]
     c.waitfor(1, "all", origin="a")  # c observes {c, a} ...
     c.waitfor(1, "all", origin="d")  # ... then {c, a, d}
-    older, newer = (interest_in(payload) for *_where, payload in held)
+    held = [payload for _at, _src, _dst, payload, _size in tap.dropped]
+    older, newer = (interest_in(payload) for payload in held)
     assert older.version < newer.version
     deliver = cluster["b"].endpoint.on_datagram
-    deliver("c", held[1][3][1])
+    deliver("c", held[1][1])
     assert {o for o in NODES if "c" in observers(cluster, "b", o)} == {"a", "c", "d"}
-    deliver("c", held[0][3][1])  # overtaken on the way: says nothing any more
+    deliver("c", held[0][1])  # overtaken on the way: says nothing any more
     assert {o for o in NODES if "c" in observers(cluster, "b", o)} == {"a", "c", "d"}
-    deliver("c", held[1][3][1])  # and a duplicate changes nothing either
+    deliver("c", held[1][1])  # and a duplicate changes nothing either
     assert {o for o in NODES if "c" in observers(cluster, "b", o)} == {"a", "c", "d"}
 
 
@@ -443,8 +421,9 @@ def test_a_restarted_peer_is_served_everything_until_it_speaks_again(strategy):
     net.recover_node("d")
     restarted_at = sim.now
     # The new life's own announcement is lost; its resume request is not.
-    lost = intercept(
+    tap = Tap(
         net,
+        "dgram",
         lambda src, dst, p: src == "d"
         and interest_in(p) is not None
         and sim.now < restarted_at + 0.1,
@@ -452,7 +431,7 @@ def test_a_restarted_peer_is_served_everything_until_it_speaks_again(strategy):
     d = cluster.restart_node("d", snapshot)
     d.waitfor(45, "all", origin="a")  # this life does observe a's stream
     sim.run(until=restarted_at + 0.1)
-    assert len(lost) == len(NODES) - 1
+    assert len(tap.dropped) == len(NODES) - 1
     # Peers forgot the previous life: whatever d may want, it is sent.
     for origin in NODES:
         assert "d" in observers(cluster, "b", origin)

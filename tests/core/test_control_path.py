@@ -43,6 +43,8 @@ from repro.transport.messages import (
     SyntheticPayload,
 )
 
+from tests.wiretap import Tap
+
 NODES = ["a", "b", "c"]
 LOCAL = "b"  # the node every stream is fed to
 PEERS = ["a", "c"]
@@ -326,15 +328,7 @@ class _Side:
                     ),
                 )
         self.released = []
-        self.wire = []
-        send = self.net.send
-
-        def intercept(src, dst, port, payload, size):
-            if payload[0] == "dgram":
-                self.wire.append((src, dst, size, _plain(payload[1][1:])))
-            return send(src, dst, port, payload, size)
-
-        self.net.send = intercept
+        self.tap = Tap(self.net, "dgram")
         # Start-up: the interest statements land, then nothing runs.
         self.sim.run(until=0.02)
 
@@ -359,7 +353,10 @@ class _Side:
             "watermark": node.delivery_watermark(),
             "buffered": node.dataplane.buffer.buffered_bytes(),
             "strategy": strategy.stats(),
-            "wire": self.wire,
+            "wire": [
+                (src, dst, size, _plain(payload[1][1:]))
+                for _at, src, dst, payload, size in self.tap.seen
+            ],
         }
 
     def events(self):
@@ -514,6 +511,7 @@ def test_the_control_path_matches_the_relay_chain(
             )
     # The streams reached every path they are meant to.
     assert new.node.tables[LOCAL].get(1, RECEIVED) > 0
+    assert new.tap.seen
     if engine == "acktable":
         assert new.node.delivery_watermark() > 0
         assert new.node.strategy.reports_sent > 0
@@ -562,3 +560,4 @@ def test_a_grant_that_lifts_the_received_floor_reclaims(monkeypatch):
         assert new.state() == oracle.state()
         watermarks.append(new.node.delivery_watermark())
     assert watermarks == [0, 0, 3, 4]
+    assert new.tap.seen

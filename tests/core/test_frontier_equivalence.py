@@ -11,8 +11,9 @@ both must agree with the oracle ``predicate.evaluate(table)``.
 
 The tests drive the engines through thousands of random ACK-table
 updates over a mix of predicate shapes — pure ``MAX``, pure ``MIN``,
-order statistics, second ACK-type columns, nested reduces and arithmetic
-— including mid-stream ``change_predicate`` redefinitions, and compare
+order statistics, second ACK-type columns, nested reduces with and
+without constants (fixed ones and random trees) and arithmetic —
+including mid-stream ``change_predicate`` redefinitions, and compare
 after every single step.
 """
 
@@ -42,7 +43,29 @@ PREDICATE_POOL = [
     "MAX(MIN($ALLWNODES) + 1, 1)",
     "KTH_MAX(SIZEOF($ALLWNODES)/2, $ALLWNODES)",
     "MIN($WNODE_a, $WNODE_d.persisted)",
+    "KTH_MAX(2, MAX($WNODE_a, $WNODE_b), MIN($AZ_west), 3)",
+    "MIN(MAX($AZ_east, 2), KTH_MIN(2, $WNODE_d, $WNODE_e.persisted, 4))",
+    "MAX(MAX($WNODE_b, 1), $WNODE_f.persisted)",
 ]
+
+
+def _nested_tree(rng, depth=3):
+    """A random arithmetic-free predicate: ``MIN`` / ``MAX`` / ``KTH_*``
+    over single cells, small constants and such trees, ``depth`` deep."""
+    items = []
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if depth > 1 and roll < 0.4:
+            items.append(_nested_tree(rng, depth - 1))
+        elif roll < 0.55:
+            items.append(str(rng.randint(0, 6)))
+        else:
+            suffix = ".persisted" if rng.random() < 0.3 else ""
+            items.append(f"$WNODE_{rng.choice(NODES)}{suffix}")
+    op = rng.choice(("MIN", "MAX", "KTH_MAX", "KTH_MIN"))
+    if op.startswith("KTH"):
+        items.insert(0, str(rng.randint(1, len(items))))
+    return f"{op}({', '.join(items)})"
 
 
 def _ignore(origin, frontier, old):
@@ -84,7 +107,7 @@ def test_incremental_matches_brute_force_over_random_streams():
         sources = [
             PREDICATE_POOL[rng.randrange(len(PREDICATE_POOL))]
             for _ in range(rng.randint(3, len(PREDICATE_POOL)))
-        ]
+        ] + [_nested_tree(rng) for _ in range(4)]
         incremental, brute = _engines(sources)
         # Attaching the monitors evaluated each remote slot once, to seed it.
         seeding = incremental.evaluations_on_read

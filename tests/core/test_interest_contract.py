@@ -33,6 +33,8 @@ from repro.core.strategy import STRATEGY_NAMES
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 
+from tests.wiretap import Tap
+
 NODES = ["s", "r1", "r2", "r3", "r4"]
 GROUPS = {"home": ["s", "r1"], "east": ["r2"], "west": ["r3"], "south": ["r4"]}
 PREDICATES = {
@@ -72,21 +74,6 @@ def build(strategy):
     return sim, net, StabilizerCluster(net, config)
 
 
-def lose_datagrams(net, rate, seed):
-    rng = random.Random(seed)
-    real_send = net.send
-    lost = []
-
-    def send(src, dst, port, payload, size_bytes):
-        if payload[0] == "dgram" and rng.random() < rate:
-            lost.append((src, dst))
-            return False
-        return real_send(src, dst, port, payload, size_bytes)
-
-    net.send = send
-    return lost
-
-
 def table_cells(cluster):
     return {
         node.name: {origin: t.snapshot() for origin, t in node.tables.items()}
@@ -106,7 +93,11 @@ class Run:
 
     def __init__(self, strategy, observe_everything, loss=None):
         self.sim, self.net, self.cluster = build(strategy)
-        self.lost = lose_datagrams(self.net, *loss) if loss else []
+        self.tap = None
+        if loss:
+            rate, seed = loss
+            rng = random.Random(seed)
+            self.tap = Tap(self.net, "dgram", lambda src, dst, p: rng.random() < rate)
         self.reports = []
         self.monitored = []  # the monitor calls among them
         self.samples = {}  # sample time -> table_cells()
@@ -205,7 +196,7 @@ def test_nothing_reported_anywhere_is_ever_ahead_of_the_twin(strategy, seed):
     for each in (run, twin):
         drive(each, rows)
         each.sim.run(until=grid[-1] + 0.01)
-    assert len(run.lost) > 20
+    assert len(run.tap.dropped) > 20
     assert len(run.reports) > 100  # the schedule did make nodes report
     known = twin.frontier_trajectories()
     for at, node, origin, key, value in run.reports:

@@ -25,6 +25,8 @@ from repro.sim import Simulator
 from repro.transport.endpoint import TransportEndpoint
 from repro.transport.messages import BATCH_ENTRY, SyntheticPayload
 
+from tests.wiretap import Tap
+
 NODES = ["a", "b", "c", "d"]
 CHUNK_BYTES = 1500
 FRAME_BYTES = 1024  # below the largest chunk: some chunks alone fill a frame
@@ -142,15 +144,7 @@ def stream_traffic(plane_class, seed):
         channel.on_deliver = lambda payload, meta, _log=delivered[peer]: _log.append(
             (plain(payload), meta)
         )
-    wire = {peer: [] for peer in NODES[1:]}
-    send = net.send
-
-    def recording_send(src, dst, port, frame, size_bytes):
-        if frame[0] == "data":
-            wire[dst].append((plain(frame[3]), frame[4], size_bytes))
-        return send(src, dst, port, frame, size_bytes)
-
-    net.send = recording_send
+    tap = Tap(net, "data")
     plane = plane_class(TransportEndpoint(net, "a"), config)
     at = 0.0
     for _burst in range(40):
@@ -159,6 +153,9 @@ def stream_traffic(plane_class, seed):
         for payload in payloads:
             sim.call_at(at, plane.send, payload)
     sim.run()
+    wire = {peer: [] for peer in NODES[1:]}
+    for _at, _src, dst, frame, size_bytes in tap.seen:
+        wire[dst].append((plain(frame[3]), frame[4], size_bytes))
     counters = {
         name: getattr(plane, name)
         for name in (
@@ -176,6 +173,7 @@ def stream_traffic(plane_class, seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_lone_frames_put_the_same_frames_on_the_wire(seed):
     wire, delivered, counters = stream_traffic(DataPlane, seed)
+    assert all(wire.values())  # every peer's data frames crossed the tap
     assert (wire, delivered, counters) == stream_traffic(ReferenceDataPlane, seed)
     # The traffic exercised both cuts: lone frames and coalesced ones.
     metas = [meta for frames in delivered.values() for _payload, meta in frames]

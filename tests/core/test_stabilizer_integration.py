@@ -234,3 +234,52 @@ def test_predicate_adjustment_after_crash_unblocks():
     a.change_predicate("sync", "MIN($ALLWNODES - $MYWNODE - $WNODE_d)")
     sim.run(until=4.0)
     assert a.get_stability_frontier("sync") == seq
+
+
+def three_nodes(**config_kwargs):
+    """a, b, c on a uniform 10 ms, 100 Mbit/s WAN (a is the config's local)."""
+    names = ["a", "b", "c"]
+    topo = Topology.uniform(
+        {name: name for name in names}, NetemSpec(latency_ms=10, rate_mbit=100)
+    )
+    sim = Simulator()
+    config = StabilizerConfig(
+        names, {name: [name] for name in names}, "a", **config_kwargs
+    )
+    return sim, StabilizerCluster(topo.build(sim), config)
+
+
+def test_closing_a_node_with_packets_in_flight_to_it():
+    sim, cluster = three_nodes()
+    a = cluster["a"]
+    for _ in range(5):
+        a.send(b"x" * 100)
+    sim.run(until=0.005)  # a's frames to b are on the wire
+    cluster["b"].close()
+    # What was in flight to b's closed transport port is dropped there,
+    # as a closed socket drops it; c still gets everything.
+    sim.run(until=1.0)
+    assert cluster["c"].dataplane.highest_received("a") == 5
+
+
+def test_a_late_delivery_handler_sees_every_later_message():
+    # One 1000-byte chunk per frame, so an object arrives chunk by chunk.
+    sim, cluster = three_nodes(chunk_bytes=1000, frame_bytes=1000)
+    a, b, c = cluster["a"], cluster["b"], cluster["c"]
+    first = bytes(range(250)) * 20  # five chunks
+    a.send(first)
+    sim.run(until=0.0102)  # b holds part of the object, nobody listens
+    assert 0 < b.dataplane.highest_received("a") < 5
+    delivered = []
+    b.on_delivery(lambda origin, seq, payload, meta: delivered.append((seq, payload)))
+    a.send(b"second")
+    sim.run(until=1.0)
+    # The object in progress when the handler came completes whole.
+    assert [(seq, bytes(payload)) for seq, payload in delivered] == [
+        (5, first),
+        (6, b"second"),
+    ]
+    # c never listened and still reassembled: nothing is left in progress.
+    assert c.dataplane.highest_received("a") == 6
+    assert c.dataplane._objects == {}
+    assert c.dataplane.on_deliver is None

@@ -5,41 +5,38 @@ import pytest
 from repro.errors import NetworkError
 from repro.net.host import Host
 from repro.net.link import Link
-from repro.net.packet import Packet
 from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
 
 
-def make_link(sim, latency_s=0.01, bandwidth_bps=8e6, **kwargs):
-    return Link(sim, "a", "b", latency_s, bandwidth_bps, **kwargs)
+def make_link(sim, latency_s=0.01, bandwidth_bps=8e6, on_packet=None, **kwargs):
+    """A link from host ``a`` to host ``b``, whose ``test`` port hands
+    every arrival to ``on_packet`` (by default: drops it)."""
+    target = Host("b", 1)
+    target.bind("test", on_packet or (lambda p: None))
+    return Link(sim, Host("a", 0), target, latency_s, bandwidth_bps, **kwargs)
 
 
-def packet(size=1000, sim=None):
-    return Packet("a", "b", "test", b"", size, sent_at=sim.now if sim else 0.0)
-
-
-def receiver(on_packet):
-    """Host ``b`` with ``on_packet`` bound to the test port."""
-    host = Host("b", 1)
-    host.bind("test", on_packet)
-    return host
+def send(link, size=1000):
+    return link.send("test", b"", size)
 
 
 def test_idle_link_delivery_time_is_serialization_plus_latency():
     sim = Simulator()
-    link = make_link(sim)  # 8 Mbit/s -> 1000 bytes = 1ms serialize; + 10ms
     arrivals = []
-    link.transmit(packet(1000, sim), receiver(lambda p: arrivals.append(sim.now)))
+    # 8 Mbit/s -> 1000 bytes = 1ms serialize; + 10ms
+    link = make_link(sim, on_packet=lambda p: arrivals.append(sim.now))
+    send(link, 1000)
     sim.run()
     assert arrivals == [pytest.approx(0.011)]
 
 
 def test_fifo_queueing_delays_second_packet():
     sim = Simulator()
-    link = make_link(sim)
     arrivals = []
-    link.transmit(packet(1000, sim), receiver(lambda p: arrivals.append(sim.now)))
-    link.transmit(packet(1000, sim), receiver(lambda p: arrivals.append(sim.now)))
+    link = make_link(sim, on_packet=lambda p: arrivals.append(sim.now))
+    send(link, 1000)
+    send(link, 1000)
     sim.run()
     # Second packet serializes after the first: 2ms + 10ms propagation.
     assert arrivals == [pytest.approx(0.011), pytest.approx(0.012)]
@@ -49,7 +46,7 @@ def test_queueing_delay_reports_backlog():
     sim = Simulator()
     link = make_link(sim)
     for _ in range(5):
-        link.transmit(packet(1000, sim), receiver(lambda p: None))
+        send(link, 1000)
     assert link.queueing_delay() == pytest.approx(0.005)
     assert link.backlog_bytes() == 5000
     sim.run()
@@ -59,10 +56,13 @@ def test_queueing_delay_reports_backlog():
 
 def test_transfer_time_helper_matches_actual_delivery():
     sim = Simulator()
-    link = make_link(sim, latency_s=0.02, bandwidth_bps=1e6)
-    expected = link.transfer_time(12_500)  # 0.1s serialize + 0.02s
     arrivals = []
-    link.transmit(packet(12_500, sim), receiver(lambda p: arrivals.append(sim.now)))
+    link = make_link(
+        sim, latency_s=0.02, bandwidth_bps=1e6,
+        on_packet=lambda p: arrivals.append(sim.now),
+    )
+    expected = link.transfer_time(12_500)  # 0.1s serialize + 0.02s
+    send(link, 12_500)
     sim.run()
     assert arrivals == [pytest.approx(expected)]
 
@@ -70,16 +70,16 @@ def test_transfer_time_helper_matches_actual_delivery():
 def test_down_link_drops_and_counts():
     sim = Simulator()
     link = make_link(sim, up=False)
-    assert link.transmit(packet(100, sim), receiver(lambda p: None)) is False
+    assert send(link, 100) is False
     assert link.stats.packets_dropped == 1
     assert link.stats.packets_sent == 0
 
 
 def test_link_down_mid_flight_drops_packet():
     sim = Simulator()
-    link = make_link(sim)
     arrivals = []
-    link.transmit(packet(1000, sim), receiver(lambda p: arrivals.append(p)))
+    link = make_link(sim, on_packet=arrivals.append)
+    send(link, 1000)
     link.set_up(False)
     sim.run()
     assert arrivals == []
@@ -89,10 +89,10 @@ def test_link_down_mid_flight_drops_packet():
 def test_loss_rate_drops_fraction_of_packets():
     sim = Simulator()
     rng = RngRegistry(42).stream("loss")
-    link = make_link(sim, loss_rate=0.5, rng=rng)
     delivered = []
+    link = make_link(sim, loss_rate=0.5, rng=rng, on_packet=delivered.append)
     for _ in range(200):
-        link.transmit(packet(10, sim), receiver(lambda p: delivered.append(p)))
+        send(link, 10)
     sim.run()
     assert 60 < len(delivered) < 140
     assert link.stats.packets_dropped == 200 - len(delivered)
@@ -107,20 +107,26 @@ def test_loss_without_rng_rejected():
 def test_jitter_spreads_arrivals():
     sim = Simulator()
     rng = RngRegistry(1).stream("jitter")
-    link = Link(sim, "a", "b", 0.01, 8e9, jitter_s=0.005, rng=rng)
     arrivals = []
+    link = make_link(
+        sim, 0.01, 8e9, jitter_s=0.005, rng=rng,
+        on_packet=lambda p: arrivals.append(sim.now),
+    )
     for _ in range(50):
-        link.transmit(packet(10, sim), receiver(lambda p: arrivals.append(sim.now)))
+        send(link, 10)
     sim.run()
     assert max(arrivals) - min(arrivals) > 0.001
 
 
 def test_reshape_changes_future_transfers():
     sim = Simulator()
-    link = make_link(sim, latency_s=0.01, bandwidth_bps=8e6)
-    link.reshape(latency_s=0.05, bandwidth_bps=4e6)
     arrivals = []
-    link.transmit(packet(1000, sim), receiver(lambda p: arrivals.append(sim.now)))
+    link = make_link(
+        sim, latency_s=0.01, bandwidth_bps=8e6,
+        on_packet=lambda p: arrivals.append(sim.now),
+    )
+    link.reshape(latency_s=0.05, bandwidth_bps=4e6)
+    send(link, 1000)
     sim.run()
     assert arrivals == [pytest.approx(0.052)]
 
@@ -128,9 +134,9 @@ def test_reshape_changes_future_transfers():
 def test_invalid_parameters_rejected():
     sim = Simulator()
     with pytest.raises(NetworkError):
-        Link(sim, "a", "b", -1.0, 1e6)
+        make_link(sim, -1.0, 1e6)
     with pytest.raises(NetworkError):
-        Link(sim, "a", "b", 0.0, 0.0)
+        make_link(sim, 0.0, 0.0)
     link = make_link(sim)
     with pytest.raises(NetworkError):
         link.reshape(bandwidth_bps=-5)
@@ -140,8 +146,40 @@ def test_stats_track_bytes_and_max_backlog():
     sim = Simulator()
     link = make_link(sim)
     for _ in range(3):
-        link.transmit(packet(500, sim), receiver(lambda p: None))
+        send(link, 500)
     assert link.stats.max_backlog_bytes == 1500
     sim.run()
     assert link.stats.bytes_sent == 1500
     assert link.stats.packets_sent == 3
+
+
+def test_a_crashed_source_sends_nothing():
+    sim = Simulator()
+    arrivals = []
+    link = make_link(sim, on_packet=arrivals.append)
+    link.source.crash()
+    assert send(link, 100) is False
+    assert (link.stats.packets_sent, link.stats.packets_dropped) == (0, 0)
+    link.source.recover()
+    assert send(link, 100) is True
+    sim.run()
+    assert [(p.src, p.dst, p.port, p.size_bytes) for p in arrivals] == [
+        ("a", "b", "test", 100)
+    ]
+
+
+def test_a_closed_port_drops_stragglers_a_never_bound_one_raises():
+    sim = Simulator()
+    arrivals = []
+    link = make_link(sim, on_packet=arrivals.append)
+    send(link, 100)
+    link.target.unbind("test")
+    sim.run()  # the packet in flight meets a closed port: dropped
+    assert arrivals == [] and link.target.packets_received == 0
+    link.target.bind("test", arrivals.append)  # reopened: delivered again
+    send(link, 100)
+    sim.run()
+    assert len(arrivals) == 1
+    link.send("never-bound", b"", 100)
+    with pytest.raises(NetworkError, match="no handler"):
+        sim.run()

@@ -75,6 +75,18 @@ def test_send_to_unbound_port_raises():
         sim.run()
 
 
+def test_packets_in_flight_to_an_unbound_port_are_dropped():
+    sim = Simulator()
+    net = two_node_topology().build(sim)
+    got = []
+    net.host("b").bind("app", got.append)
+    net.send("a", "b", "app", "straggler", 10)
+    net.host("b").unbind("app")  # closed like a socket, not never bound
+    sim.run()
+    assert got == []
+    assert net.host("b").packets_received == 0
+
+
 def test_loopback_send_rejected():
     net = two_node_topology().build(Simulator())
     with pytest.raises(NetworkError):
@@ -110,9 +122,9 @@ def test_crashed_node_drops_deliveries():
 
 
 def test_remembered_route_still_sees_crashes_partitions_and_rebinds():
-    """``send`` validates a directed pair once and remembers host, link and
-    handler entry point; everything that can change afterwards — a crash of
-    either end, a cut link, a rebound port — must still be honoured."""
+    """A link holds its two hosts for the network's lifetime; everything
+    that can change about them afterwards — a crash of either end, a cut
+    link, a rebound port — must still be honoured."""
     sim = Simulator()
     net = two_node_topology().build(sim)
     got = []
