@@ -33,12 +33,13 @@ monitor / waiter / stats surfaces an application uses — and raises
    live pair (A, B), A's ``reclaimed_up_to`` never exceeds B's receive
    watermark for A's stream.  (Crashed peers freeze A's ACK row for
    them, so reclaim cannot outrun a node that is down.)
-9. **Window accounting never leaks credits.**  On every windowed
-   transport channel, the unacked-bytes counter equals the sum of the
-   in-flight frame sizes, never exceeds the window by more than the
-   one-frame-always-flies allowance, and transport backlog only exists
-   while something is genuinely in flight.  The data plane's per-peer
-   pending tail is held to the same sum rule.
+9. **Window accounting never leaks credits.**  On every transport
+   channel the unacked-bytes counter equals the sum of the in-flight
+   frame sizes.  The window lives in the data plane's per-peer streams:
+   a stream's pending tail is held to the same sum rule, the bytes in
+   flight on its channel never exceed ``max(window_bytes, largest frame
+   in flight)`` (one frame may always fly), and a stalled stream has
+   something in flight whose ACK will resume it.
 10. **No delivery lost across a cutover.**  At every rebalance cutover
     the coordinator reports, per (moved shard, surviving origin), the
     highest receive watermark any live pre-cutover owner held
@@ -367,50 +368,50 @@ class InvariantChecker:
         """Invariant 9: window credit accounting never leaks."""
         units = [unit for node in nodes for _shard, unit in self._units(node)]
         for node in units:
-            if not hasattr(node, "endpoint"):
+            if hasattr(node, "endpoint"):
+                for channel in node.endpoint.channels().values():
+                    inflight = sum(f.size for f in channel._unacked.values())
+                    self.checks += 1
+                    if channel._unacked_bytes != inflight:
+                        self._fail(
+                            f"credit leak at {node.name}: channel "
+                            f"{channel.name!r} to {channel.peer} counts "
+                            f"{channel._unacked_bytes}B unacked but holds "
+                            f"{inflight}B of frames"
+                        )
+            if not hasattr(node, "dataplane"):
                 continue
-            for channel in node.endpoint.channels().values():
-                inflight = sum(f.size for f in channel._unacked.values())
+            window = node.dataplane._window_bytes
+            for stream in node.dataplane._streams.values():
                 self.checks += 1
-                if channel._unacked_bytes != inflight:
+                tail = sum(e.size for e in stream.pending)
+                if stream.pending_bytes != tail:
                     self._fail(
-                        f"credit leak at {node.name}: channel "
-                        f"{channel.name!r} to {channel.peer} counts "
-                        f"{channel._unacked_bytes}B unacked but holds "
-                        f"{inflight}B of frames"
+                        f"pending-tail leak at {node.name}: stream to "
+                        f"{stream.peer} counts {stream.pending_bytes}B "
+                        f"but holds {tail}B"
                     )
-                limit = channel.max_inflight_bytes
-                if limit is not None:
+                channel = stream.channel
+                inflight = channel._unacked_bytes
+                if window is not None:
                     # One frame may always fly, however large — but only one.
                     largest = max(
                         (f.size for f in channel._unacked.values()), default=0
                     )
                     self.checks += 1
-                    if channel._unacked_bytes > max(limit, largest):
+                    if inflight > max(window, largest):
                         self._fail(
-                            f"window overrun at {node.name}: channel "
-                            f"{channel.name!r} to {channel.peer} has "
-                            f"{channel._unacked_bytes}B in flight against a "
-                            f"{limit}B window"
+                            f"window overrun at {node.name}: stream to "
+                            f"{stream.peer} has {inflight}B in flight "
+                            f"against a {window}B window"
                         )
-                    self.checks += 1
-                    if channel._backlog and not channel._unacked:
-                        self._fail(
-                            f"stuck backlog at {node.name}: channel "
-                            f"{channel.name!r} to {channel.peer} backlogs "
-                            f"{len(channel._backlog)} frames with nothing "
-                            "in flight"
-                        )
-            if hasattr(node, "dataplane"):
-                for stream in node.dataplane._streams.values():
-                    self.checks += 1
-                    tail = sum(e.size for e in stream.pending)
-                    if stream.pending_bytes != tail:
-                        self._fail(
-                            f"pending-tail leak at {node.name}: stream to "
-                            f"{stream.peer} counts {stream.pending_bytes}B "
-                            f"but holds {tail}B"
-                        )
+                self.checks += 1
+                if stream.stalled and not inflight:
+                    self._fail(
+                        f"stuck stream at {node.name}: stream to "
+                        f"{stream.peer} stalls {stream.pending_bytes}B "
+                        "with nothing in flight"
+                    )
 
     def _observe_persisted(self, node, shard: int, origin: str, rows) -> None:
         """Record every *other* node's persisted claim as held at

@@ -17,7 +17,8 @@ applies three classic defenses, outermost first:
   (chaos invariant 13 holds the controller to this);
 - **per-peer / per-shard circuit breakers** (closed → open → half-open)
   fed by the transport's own distress signals — retransmissions, channel
-  suspensions, dead-peer reports, and persistent credit-window stalls.
+  suspensions, dead-peer reports — and by a peer's data-plane stream that
+  stays stalled on its send window.
   When too many breakers are open the gate closes and new work is shed
   *before* it can pile onto a struggling WAN.
 
@@ -499,12 +500,12 @@ class AdmissionController:
             for (peer, chan_name), chan in inner.endpoint.channels().items():
                 slot = (shard, peer, chan_name)
                 seen_rtx, seen_stalled = self._chan_seen.get(slot, (0, False))
-                stalled = chan.window_stalled()
+                stalled = inner.dataplane.window_stalled(peer)
                 unhealthy = (
                     chan.retransmissions > seen_rtx
                     or chan.suspended
-                    # One stall is routine flow control; a channel still
-                    # stalled a full poll later is not draining.
+                    # One stall is routine flow control; a peer's stream
+                    # still stalled a full poll later is not draining.
                     or (stalled and seen_stalled)
                 )
                 self._chan_seen[slot] = (chan.retransmissions, stalled)

@@ -53,11 +53,12 @@ class StabilizerConfig:
         :class:`~repro.core.strategy.AckTableStrategy`), of which the two
         old settings were the hand-set extremes.
     window_bytes:
-        Per-peer credit-based send window: at most this many bytes may be
-        in flight (unacknowledged) toward one peer; cumulative transport
-        acks return credits.  A slow or suspected peer backpressures only
-        its own stream.  ``None`` disables windowing (the pre-pipelining
-        behaviour).
+        Per-peer send window, kept by the data plane: a frame is cut only
+        while nothing is in flight to the peer or its wire bytes fit the
+        window beside what is in flight (unacknowledged); until then the
+        peer's stream stalls, and cumulative transport acks reopen it.
+        A slow or suspected peer backpressures only its own stream.
+        ``None`` disables windowing.
     frame_bytes:
         WAN frame coalescing threshold: sequenced messages accumulate
         into one transport frame until the frame reaches this size.
@@ -421,7 +422,6 @@ class StabilizerConfig:
             "max_retransmit_attempts": self.max_retransmit_attempts,
             "min_rto": self.transport_min_rto_s,
             "max_rto": self.transport_max_rto_s,
-            "max_inflight_bytes": self.window_bytes,
         }
 
     def frame_delay_s(self) -> float:

@@ -12,16 +12,22 @@ node's stream (fan-out to every remote peer over reliable FIFO channels)
 and *receives* every remote stream (reassembling objects and reporting
 ``received`` acknowledgments to the control plane).
 
-The send path is *pipelined* per peer:
+The send path is *pipelined* per peer.  Each remote peer has one stream:
+the not-yet-framed tail of this node's sequence.  It is the one send
+queue — the FIFO channel under it sends every frame at once — and the one
+place the send window (``window_bytes``) is kept:
 
-- every remote peer has its own credit-based send window on the transport
-  channel (``window_bytes``), so a slow or suspected peer backpressures
-  only its own stream;
 - sequenced messages coalesce into WAN frames of up to ``frame_bytes``
   (one transport header and one link packet per frame instead of per
-  message), cut immediately at the end of each ``send()`` call, when a
-  frame fills, when the ``frame_delay_ms`` frame clock ticks, or the
-  moment a stalled window reopens;
+  message; ``None``, a frame per message), cut immediately at the end of
+  each ``send()`` call, when a frame fills, when the ``frame_delay_ms``
+  frame clock ticks, or the moment an ACK returns credits to the peer;
+- a run is cut only if nothing is in flight on the peer's channel, or if
+  the bytes in flight plus the run's wire size (payload, transport
+  header, and a batch entry per message for a run of two or more) fit in
+  the window.  Otherwise the stream *stalls* until an ACK retires frames,
+  so a slow or suspected peer backpressures only its own stream.
+  Crash-restart replay goes through the same stream and the same rule;
 - the retained send buffer is bounded (``max_buffer_bytes``): when the
   WAN cannot drain, ``send()`` either raises
   :class:`~repro.errors.BackpressureError` or — under the ``"block"``
@@ -46,6 +52,7 @@ from repro.core.config import StabilizerConfig
 from repro.errors import BackpressureError, StabilizerError, TransportError
 from repro.transport.chunker import Chunker
 from repro.transport.endpoint import TransportEndpoint
+from repro.transport.fifo import TRANSPORT_HEADER_BYTES
 from repro.transport.messages import BATCH_ENTRY, Payload, SyntheticPayload
 
 DATA_CHANNEL = "stab.data"
@@ -212,29 +219,23 @@ class DataPlane:
         self.buffer = SendBuffer(config.max_buffer_bytes, strict=False)
         self._send_policy = config.send_policy
         self._next_seq = 1  # message sequence numbers are 1-based
-        self._frame_bytes = config.frame_bytes
+        # No coalescing is a frame_bytes of 0: every run is one message.
+        self._frame_bytes = config.frame_bytes or 0
         self._frame_delay_s = config.frame_delay_s()
+        self._window_bytes = config.window_bytes
         channel_kwargs = config.channel_kwargs()
-        self._out_channels = {}
         self._streams: Dict[str, _PeerStream] = {}
         for peer in config.remote_names():
-            try:
-                channel = endpoint.channel(peer, DATA_CHANNEL, **channel_kwargs)
-            except TransportError:
-                channel = endpoint.channel(peer, DATA_CHANNEL)
-            self._out_channels[peer] = channel
-            stream = _PeerStream(peer, channel)
-            self._streams[peer] = stream
-            channel.on_window_open = self._make_window_open(stream)
+            channel = endpoint.channel(peer, DATA_CHANNEL, **channel_kwargs)
+            channel.on_deliver = partial(self._receive, peer)
+            stream = self._streams[peer] = _PeerStream(peer, channel)
+            channel.on_window_open = partial(self._window_open, stream)
         # Receiving state, per origin.  An object's chunks are consecutive
         # messages of its origin's FIFO stream, so an origin has at most one
         # object in progress: ``[object_id, next_index, parts, synthetic]``
         # (``synthetic`` once a part arrived as a length).
         self._objects: Dict[str, list] = {}
         self._highest_received: Dict[str, int] = {}
-        for peer in config.remote_names():
-            channel = endpoint.channel(peer, DATA_CHANNEL)
-            channel.on_deliver = partial(self._receive, peer)
         self.messages_sent = 0
         self.messages_received = 0
         self.duplicates_dropped = 0
@@ -249,7 +250,9 @@ class DataPlane:
         self.frame_payload_bytes = 0
         self.frames_received = 0
         self.max_frame_messages = 0
-        self.flush_causes = {"inline": 0, "size": 0, "timer": 0, "window": 0}
+        self.flush_causes = {
+            "inline": 0, "size": 0, "timer": 0, "window": 0, "replay": 0
+        }
         self.window_stalls = 0
         self.window_opens = 0
         # Backpressure state (engaged while the WAN cannot drain).
@@ -293,9 +296,8 @@ class DataPlane:
         first_seq = self._next_seq
         tracer = self.tracer
         tracing = tracer.enabled
-        coalescing = self._frame_bytes is not None
         streams = self._streams.values()
-        fanout = len(self._out_channels)
+        fanout = len(self._streams)
         count = len(parts)
         index = 0
         for part, size in zip(parts, sizes):
@@ -315,30 +317,15 @@ class DataPlane:
                     bytes=size,
                     object=object_id,
                 )
-            if coalescing:
-                for stream in streams:
-                    stream.pending.append(entry)
-                    stream.pending_bytes += size
-            else:
-                # Pre-pipelining path: one transport frame per message.
-                for peer, channel in self._out_channels.items():
-                    channel.send(part, meta=(self.epoch, chunk_meta))
-                    if tracing and tracer.sampled(self._trace_node, seq):
-                        tracer.emit(
-                            self._trace_node,
-                            "data.peer_send",
-                            peer=peer,
-                            origin=self._trace_node,
-                            seq=seq,
-                            bytes=size,
-                        )
+            for stream in streams:
+                stream.pending.append(entry)
+                stream.pending_bytes += size
             self.messages_sent += 1
             self.payload_bytes_sent += size * fanout
             if self.on_sent is not None:
                 self.on_sent(seq, part)
-        if coalescing:
-            for stream in streams:
-                self._pump(stream, "inline")
+        for stream in streams:
+            self._pump(stream, "inline")
         self._update_backpressure()
         return first_seq, self._next_seq - 1
 
@@ -346,9 +333,11 @@ class DataPlane:
         return self._next_seq - 1
 
     # -- frame pipeline ----------------------------------------------------------
-    def _make_window_open(self, stream: _PeerStream):
-        def window_open() -> None:
-            if stream.pending:
+    def _window_open(self, stream: _PeerStream) -> None:
+        """The channel's ``on_window_open``: an ACK retired frames to
+        ``stream.peer``, so cut what the window now lets fly."""
+        if stream.pending:
+            if stream.stalled:
                 self.window_opens += 1
                 if self.tracer.enabled:
                     self.tracer.emit(
@@ -357,9 +346,7 @@ class DataPlane:
                         peer=stream.peer,
                         pending=stream.pending_bytes,
                     )
-                self._pump(stream, "window")
-
-        return window_open
+            self._pump(stream, "window")
 
     def _frame_tick(self, stream: _PeerStream) -> None:
         stream.timer = None
@@ -379,8 +366,7 @@ class DataPlane:
         while stream.pending:
             if only_full and stream.pending_bytes < self._frame_bytes:
                 break
-            avail = channel.window_available()
-            if avail is not None and avail <= 0:
+            if not self._cut_frame(stream, cause):
                 if not stream.stalled:
                     stream.stalled = True
                     self.window_stalls += 1
@@ -390,9 +376,9 @@ class DataPlane:
                             "window.stall",
                             peer=stream.peer,
                             pending=stream.pending_bytes,
+                            inflight=channel.unacked_bytes(),
                         )
-                return  # window-open will resume this stream
-            self._cut_frame(stream, cause)
+                return  # the next ACK that retires frames resumes it
         stream.stalled = False
         if (
             stream.pending
@@ -403,24 +389,33 @@ class DataPlane:
                 self._frame_delay_s, self._frame_tick, stream
             )
 
-    def _cut_frame(self, stream: _PeerStream, cause: str) -> None:
-        """Ship the next frame off ``stream``'s pending tail: the run of
-        entries that fits in ``frame_bytes`` (always at least one)."""
+    def _cut_frame(self, stream: _PeerStream, cause: str) -> bool:
+        """Ship the next frame off ``stream``'s pending tail — the run of
+        entries that fits in ``frame_bytes`` (always at least one) — if
+        the window lets it fly (see module docstring); False if not."""
         pending = stream.pending
         frame_bytes = self._frame_bytes
+        run_bytes = messages = 0
+        for entry in pending:
+            if messages and run_bytes + entry.size > frame_bytes:
+                break  # frame full; the next frame takes it
+            run_bytes += entry.size
+            messages += 1
+            if run_bytes >= frame_bytes:
+                break
+        channel = stream.channel
+        inflight = channel._unacked_bytes
+        if inflight and self._window_bytes is not None:
+            wire = run_bytes + TRANSPORT_HEADER_BYTES
+            if messages > 1:
+                wire += BATCH_ENTRY.size * messages
+            if inflight + wire > self._window_bytes:
+                return False
         first = pending.popleft()
-        run_bytes = first.size
-        messages = 1
-        if (
-            run_bytes >= frame_bytes
-            or not pending
-            or run_bytes + pending[0].size > frame_bytes
-        ):
+        if messages == 1:
             # A lone message needs no batch framing: its chunk ships as is.
             last_seq = first.seq
-            stream.channel.send(
-                first.payload, meta=(self.epoch, first.chunk_meta)
-            )
+            channel.send(first.payload, meta=(self.epoch, first.chunk_meta))
         else:
             # One pass over the run; real payloads are joined once, here —
             # the frame's one copy.  A frame with any synthetic part is one
@@ -428,23 +423,17 @@ class DataPlane:
             # scale never inspect bytes).
             parts = [first.payload]
             metas = [first.chunk_meta]
-            lengths = [run_bytes]
+            lengths = [first.size]
             synthetic = type(first.payload) is SyntheticPayload
-            while pending and run_bytes < frame_bytes:
-                entry = pending[0]
-                size = entry.size
-                if run_bytes + size > frame_bytes:
-                    break  # frame full; the next frame takes it
-                pending.popleft()
+            for _ in range(messages - 1):
+                entry = pending.popleft()
                 parts.append(entry.payload)
                 metas.append(entry.chunk_meta)
-                lengths.append(size)
-                run_bytes += size
+                lengths.append(entry.size)
                 if type(entry.payload) is SyntheticPayload:
                     synthetic = True
-            messages = len(metas)
             last_seq = metas[-1][0]
-            stream.channel.send(
+            channel.send(
                 SyntheticPayload(run_bytes) if synthetic else b"".join(parts),
                 meta=(self.epoch, (FRAME_TAG, tuple(metas), tuple(lengths))),
                 wire_overhead=BATCH_ENTRY.size * messages,
@@ -476,6 +465,7 @@ class DataPlane:
                 bytes=run_bytes,
                 cause=cause,
             )
+        return True
 
     def flush(self) -> None:
         """Cut every partial frame now, window permitting — the manual
@@ -488,6 +478,11 @@ class DataPlane:
         """Bytes accumulated for ``peer`` that no frame has shipped yet."""
         stream = self._streams.get(peer)
         return stream.pending_bytes if stream is not None else 0
+
+    def window_stalled(self, peer: str) -> bool:
+        """True while ``peer``'s stream waits on window credits."""
+        stream = self._streams.get(peer)
+        return stream is not None and stream.stalled
 
     def close(self) -> None:
         """Cancel frame-clock timers (the node is going away)."""
@@ -566,28 +561,25 @@ class DataPlane:
         range — that cannot happen when the peer restarts from a snapshot
         taken at crash time, because reclaim waits for *everyone*.
         """
-        channel = self._out_channels.get(peer)
-        if channel is None:
+        stream = self._streams.get(peer)
+        if stream is None:
             raise StabilizerError(f"no data channel to {peer!r}")
         if self.buffer.reclaimed_up_to > from_seq:
             raise StabilizerError(
                 f"cannot replay to {peer!r} from seq {from_seq}: buffer "
                 f"reclaimed up to {self.buffer.reclaimed_up_to}"
             )
-        stream = self._streams.get(peer)
-        if stream is not None:
-            # The unframed tail is a subset of the buffered entries about
-            # to be replayed — clear it or the peer would see duplicates.
-            stream.clear()
-        channel.reset_stream()
-        count = 0
-        for entry in self.buffer.entries_above(from_seq):
-            channel.send(
-                entry.payload, meta=(self.epoch, entry.chunk_meta)
-            )
-            count += 1
-            self.payload_bytes_sent += entry.size
+        # The unframed tail is a subset of the buffered entries about to
+        # be replayed: they replace it, and leave as any tail does.
+        stream.clear()
+        stream.channel.reset_stream()
+        entries = self.buffer.entries_above(from_seq)
+        stream.pending.extend(entries)
+        stream.pending_bytes = sum(entry.size for entry in entries)
+        count = len(entries)
+        self.payload_bytes_sent += stream.pending_bytes
         self.replayed_chunks += count
+        self._pump(stream, "replay")
         if self.tracer.enabled:
             self.tracer.emit(
                 self._trace_node,

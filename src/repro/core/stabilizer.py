@@ -48,7 +48,6 @@ class Stabilizer:
         self,
         net: Network,
         config: StabilizerConfig,
-        endpoint: Optional[TransportEndpoint] = None,
         fs=None,
         tracer: Optional[Tracer] = None,
     ):
@@ -59,7 +58,7 @@ class Stabilizer:
         self.local_index = config.local_index
         # Shard views bind a per-shard transport port so the per-shard
         # stacks of a ShardedStabilizer coexist on one host.
-        self.endpoint = endpoint or TransportEndpoint(
+        self.endpoint = TransportEndpoint(
             net, config.local, port=config.transport_port()
         )
 

@@ -115,9 +115,11 @@ CATALOGUE = (
            "highest own-stream sequence every node acknowledged received: "
            "a position in one stream's sequence space"),
     Metric("window.stalls", "counter", "sum", "events", "core.dataplane",
-           "frame cuts deferred because a peer's credit window was full"),
+           "times a peer's stream stalled: its next frame did not fit the "
+           "send window beside the bytes in flight"),
     Metric("window.opens", "counter", "sum", "events", "core.dataplane",
-           "stalled peers resumed by an acknowledgment"),
+           "acknowledgments that returned credits to a stalled peer's "
+           "stream (the data plane owns the window; the FIFO has none)"),
     Metric("backpressure.events", "counter", "sum", "events", "core.dataplane",
            "send buffer crossings of the high watermark"),
     # -- transport.fifo ----------------------------------------------------

@@ -130,8 +130,6 @@ class _TraceIndex:
     def __init__(self, events: Iterable):
         # (origin, shard, seq) -> (ts, node) of the data.enqueue
         self.enqueues: Dict[SendKey, Tuple[float, str]] = {}
-        # (origin_node, shard, peer) -> exact per-seq send watermarks
-        self.peer_sends: Dict[Tuple, _WatermarkSeries] = {}
         # (origin_node, shard, peer) -> frame [first, last] runs by last
         self.frames: Dict[Tuple, List[Tuple[float, int, int]]] = {}
         # (node, origin, shard) -> receive / deliver / fsync watermarks
@@ -156,15 +154,12 @@ class _TraceIndex:
             if etype == "data.enqueue":
                 key = (ev["origin"], shard, ev["seq"])
                 self.enqueues.setdefault(key, (ts, node))
-            elif etype == "data.peer_send":
-                series = self.peer_sends.setdefault(
-                    (node, shard, ev["peer"]), _WatermarkSeries()
-                )
-                series.append(ts, ev["seq"])
             elif etype == "data.frame_send":
                 if "last_seq" in ev:
                     runs = self.frames.setdefault((node, shard, ev["peer"]), [])
-                    runs.append((ts, ev["first_seq"], ev["last_seq"]))
+                    # A replay re-sends what already left: keep the first send.
+                    if not runs or ev["last_seq"] > runs[-1][2]:
+                        runs.append((ts, ev["first_seq"], ev["last_seq"]))
             elif etype == "data.receive":
                 series = self.receives.setdefault(
                     (node, ev["origin"], shard), _WatermarkSeries()
@@ -225,12 +220,7 @@ class _TraceIndex:
     # ------------------------------------------------------------ lookups
     def send_ts(self, origin_node, shard, peer, seq) -> Optional[float]:
         """When did ``origin_node`` first put ``seq`` on the wire to
-        ``peer`` — exact per-chunk send, or the coalesced frame's cut."""
-        exact = self.peer_sends.get((origin_node, shard, peer))
-        if exact is not None:
-            ts = exact.first_covering(seq)
-            if ts is not None:
-                return ts
+        ``peer``: the cut of the frame that carried it."""
         runs = self.frames.get((origin_node, shard, peer))
         if runs:
             lasts = [last for _ts, _first, last in runs]

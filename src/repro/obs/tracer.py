@@ -1,7 +1,7 @@
 """Structured event tracer with a bounded flight-recorder ring.
 
 Every instrumented site in the stack stamps lifecycle events —
-``data.enqueue``, ``data.peer_send``, ``transport.retransmit``,
+``data.enqueue``, ``data.frame_send``, ``transport.retransmit``,
 ``data.receive``, ``transport.ack``, ``frontier.advance``,
 ``waiter.wake``, ``monitor.fire``, ``wal.append``, ``wal.fsync`` — into
 one :class:`Tracer`.  The clock is injected: the sim kernel's virtual

@@ -11,13 +11,12 @@ possibly-lossy link model:
 - a go-back-N retransmit fires when no progress happens within the
   retransmission timeout.
 
-With ``max_inflight_bytes`` set the channel is *credit-windowed*: at most
-that many bytes may be unacknowledged toward the peer, frames beyond the
-window wait in a backlog, and every cumulative ACK returns credits that
-relaunch backlogged frames.  ``on_window_open`` fires whenever credits
-come back with the backlog fully drained — the data plane uses it to cut
-fresh frames the moment a slow peer catches up, so a stalled stream
-backpressures only itself.
+The channel has no send window and no send queue: ``send`` puts the
+frame on the link at once.  How many bytes may be in flight to a peer is
+the data plane's decision (``window_bytes``); it reads
+:meth:`FifoChannel.unacked_bytes` before it cuts a frame, and
+``on_window_open`` — fired by every ACK that retires frames — tells it
+when credits came back.
 
 The retransmission timeout is *adaptive* (Jacobson/Karn): ACKed frames
 that were never retransmitted contribute RTT samples to an EWMA estimator
@@ -37,7 +36,7 @@ is one periodic timer and occasional tiny ACK frames.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.errors import TransportError
 from repro.transport.messages import Payload, payload_length
@@ -82,7 +81,6 @@ class FifoChannel:
         rto: float = 0.5,
         ack_every: int = 32,
         ack_interval: float = 0.05,
-        max_inflight_bytes: Optional[int] = None,
         adaptive_rto: bool = True,
         min_rto: float = 0.05,
         max_rto: float = 5.0,
@@ -91,8 +89,6 @@ class FifoChannel:
     ):
         if rto <= 0 or ack_interval <= 0 or ack_every <= 0:
             raise TransportError("rto, ack_every and ack_interval must be positive")
-        if max_inflight_bytes is not None and max_inflight_bytes <= 0:
-            raise TransportError("max_inflight_bytes must be positive")
         if min_rto <= 0 or max_rto < min_rto:
             raise TransportError("need 0 < min_rto <= max_rto")
         if retransmit_backoff < 1.0:
@@ -120,8 +116,8 @@ class FifoChannel:
         self.max_retransmit_attempts = max_retransmit_attempts
 
         self.on_deliver: Optional[DeliverFn] = None
-        # Fired (no arguments) when returning credits reopen the window
-        # with nothing left in the backlog; see module docstring.
+        # Fired (no arguments) by every ACK that retires frames; see
+        # module docstring.
         self.on_window_open: Optional[Callable[[], None]] = None
         self.closed = False
         # Suspended: the retry loop concluded the peer is dead (see module
@@ -136,14 +132,10 @@ class FifoChannel:
         self.epoch = self.sim.now
         self._peer_epoch: Optional[float] = None
 
-        # Sender state.  With ``max_inflight_bytes`` set, frames beyond
-        # the window wait in ``_backlog`` (the data plane's "buffer data
-        # for later transmission if needed") and drain as ACKs free space.
-        self.max_inflight_bytes = max_inflight_bytes
+        # Sender state: every frame sent and not yet acknowledged.
         self._next_send_seq = 0
         self._unacked: Dict[int, _OutFrame] = {}
         self._unacked_bytes = 0
-        self._backlog: List[_OutFrame] = []
         self._lowest_unacked = 0
         self._retransmit_timer = None
         self._last_progress = 0.0
@@ -169,12 +161,10 @@ class FifoChannel:
         self.revivals = 0
         self.rtt_samples = 0
         self.stream_resets = 0
-        self.window_stalls = 0
-        self.window_opens = 0
 
     # -- sending ------------------------------------------------------------
     def send(self, payload: Payload, meta=None, wire_overhead: int = 0) -> int:
-        """Queue one frame; returns its transport sequence number.
+        """Put one frame on the link; returns its transport sequence number.
 
         ``wire_overhead`` adds encoding bytes beyond the payload itself
         (e.g. the per-message entry records of a coalesced batch frame)
@@ -183,68 +173,25 @@ class FifoChannel:
         if self.closed:
             raise TransportError(f"channel {self.name!r} is closed")
         seq = self._next_send_seq
-        self._next_send_seq += 1
+        self._next_send_seq = seq + 1
         size = payload_length(payload) + TRANSPORT_HEADER_BYTES + wire_overhead
         frame = _OutFrame(seq, payload, size, meta)
-        if (
-            self.max_inflight_bytes is not None
-            and self._unacked_bytes + size > self.max_inflight_bytes
-            and self._unacked  # always let at least one frame fly
-        ):
-            self._backlog.append(frame)
-            self.window_stalls += 1
-            if self.endpoint.tracer.enabled:
-                self.endpoint.tracer.emit(
-                    self.local,
-                    "window.stall",
-                    peer=self.peer,
-                    channel=self.name,
-                    inflight=self._unacked_bytes,
-                    backlog=len(self._backlog),
-                )
-        else:
-            self._launch(frame)
-        return seq
-
-    def _launch(self, frame: _OutFrame) -> None:
-        self._unacked[frame.seq] = frame
-        self._unacked_bytes += frame.size
         frame.sent_at = self.sim.now
+        self._unacked[seq] = frame
+        self._unacked_bytes += size
         self.link.send(
-            self.port,
-            ("data", self.name, frame.seq, frame.payload, frame.meta, self.epoch),
-            frame.size,
+            self.port, ("data", self.name, seq, payload, meta, self.epoch), size
         )
         self.frames_sent += 1
         if self._retransmit_timer is None and not self.suspended:
             self._arm_retransmit()
+        return seq
 
     def unacked_count(self) -> int:
         return len(self._unacked)
 
     def unacked_bytes(self) -> int:
         return self._unacked_bytes
-
-    def backlog_count(self) -> int:
-        return len(self._backlog)
-
-    def window_available(self) -> Optional[int]:
-        """Credits left before the window closes (``None`` = no window).
-
-        An idle channel always reports at least one byte available — the
-        window never blocks the first frame, however large (mirroring the
-        "always let at least one frame fly" send rule)."""
-        if self.max_inflight_bytes is None:
-            return None
-        if self._backlog:
-            return 0  # frames already waiting: the window is spoken for
-        if not self._unacked:
-            return max(1, self.max_inflight_bytes)
-        return max(0, self.max_inflight_bytes - self._unacked_bytes)
-
-    def window_stalled(self) -> bool:
-        """True when frames are waiting on credits (backlogged)."""
-        return bool(self._backlog)
 
     def _resend_unacked(self) -> None:
         """Go-back-N: put every unacked frame on the wire again, in order
@@ -387,7 +334,6 @@ class FifoChannel:
         self._lowest_unacked = 0
         self._unacked.clear()
         self._unacked_bytes = 0
-        self._backlog.clear()
         self._attempts = 0
         self.stream_resets += 1
         if self.endpoint.tracer.enabled:
@@ -415,35 +361,15 @@ class FifoChannel:
         if progressed:
             self._attempts = 0
             self._last_progress = now
-            self._drain_backlog()
         if self.suspended:
             # Any ack — even a duplicate — proves the peer is alive.
             self.revive()
         if not self._unacked and self._retransmit_timer is not None:
             self._retransmit_timer.cancel()
             self._retransmit_timer = None
-        if (
-            progressed
-            and not self._backlog
-            and self.on_window_open is not None
-            and (
-                self.max_inflight_bytes is None
-                or self._unacked_bytes < self.max_inflight_bytes
-            )
-        ):
-            # Credits came back and nothing transport-level is waiting:
-            # let the layer above cut fresh frames into the open window.
-            self.window_opens += 1
+        if progressed and self.on_window_open is not None:
+            # Credits came back: the layer above may cut fresh frames.
             self.on_window_open()
-
-    def _drain_backlog(self) -> None:
-        while self._backlog and (
-            self.max_inflight_bytes is None
-            or not self._unacked
-            or self._unacked_bytes + self._backlog[0].size
-            <= self.max_inflight_bytes
-        ):
-            self._launch(self._backlog.pop(0))
 
     # -- receiving -----------------------------------------------------------
     def _handle_data(

@@ -54,7 +54,7 @@ def _finding(name, finding):
     marks = ()
     if (name, finding.metric) in WINDOW_BOUND:
         marks = pytest.mark.xfail(
-            strict=True, reason="ROADMAP 1(a): window-bound since PR 5"
+            strict=True, reason="ROADMAP, restore Fig. 7's saturation: window-bound"
         )
     slug = re.sub(r"[^A-Za-z0-9]+", "-", finding.metric).strip("-")
     return pytest.param(name, finding.metric, id=f"{name}-{slug}", marks=marks)

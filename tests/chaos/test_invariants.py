@@ -137,19 +137,22 @@ class FakeBuffer:
 
 
 class FakeStream:
-    def __init__(self, peer, sizes, pending_bytes=None):
+    def __init__(self, peer, sizes=(), pending_bytes=None, inflight=(), stalled=False):
         self.peer = peer
         self.pending = [FakeFrame(s) for s in sizes]
         self.pending_bytes = (
             sum(sizes) if pending_bytes is None else pending_bytes
         )
+        self.channel = FakeChannel(frame_sizes=inflight)
+        self.stalled = stalled
 
 
 class FakePipelineDataPlane:
-    def __init__(self, reclaimed_up_to=0, received=None, streams=()):
+    def __init__(self, reclaimed_up_to=0, received=None, streams=(), window_bytes=None):
         self.buffer = FakeBuffer(reclaimed_up_to)
         self._received = received or {}
         self._streams = {s.peer: s for s in streams}
+        self._window_bytes = window_bytes
 
     def highest_received(self, origin):
         return self._received.get(origin, 0)
@@ -181,13 +184,7 @@ def test_reclaim_at_global_delivery_passes():
 
 
 class FakeChannel:
-    def __init__(
-        self,
-        frame_sizes=(),
-        unacked_bytes=None,
-        max_inflight_bytes=None,
-        backlog=(),
-    ):
+    def __init__(self, frame_sizes=(), unacked_bytes=None):
         self.name = "stab.data"
         self.peer = "b"
         self._unacked = {
@@ -196,8 +193,6 @@ class FakeChannel:
         self._unacked_bytes = (
             sum(frame_sizes) if unacked_bytes is None else unacked_bytes
         )
-        self.max_inflight_bytes = max_inflight_bytes
-        self._backlog = [FakeFrame(s) for s in backlog]
 
 
 class FakeEndpoint:
@@ -218,42 +213,36 @@ def test_credit_leak_detected():
         checker.check_windows([node])
 
 
+def window_node(window_bytes=1000, **stream):
+    node = FakeNode("a")
+    node.dataplane = FakePipelineDataPlane(
+        streams=(FakeStream("b", **stream),), window_bytes=window_bytes
+    )
+    return node
+
+
 def test_window_overrun_detected():
     checker = InvariantChecker()
-    node = FakeNode("a")
-    node.endpoint = FakeEndpoint(
-        FakeChannel(frame_sizes=(600, 600), max_inflight_bytes=1000)
-    )
     with pytest.raises(InvariantViolation, match="window overrun"):
-        checker.check_windows([node])
+        checker.check_windows([window_node(inflight=(600, 600))])
 
 
 def test_one_oversized_frame_is_allowed():
     checker = InvariantChecker()
-    node = FakeNode("a")
-    node.endpoint = FakeEndpoint(
-        FakeChannel(frame_sizes=(5000,), max_inflight_bytes=1000)
-    )
-    checker.check_windows([node])
+    checker.check_windows([window_node(inflight=(5000,))])
+    checker.check_windows([window_node(window_bytes=None, inflight=(600, 600))])
     assert checker.violations == []
 
 
 def test_stuck_backlog_detected():
+    # A stalled stream with nothing in flight waits for an ACK that never comes.
     checker = InvariantChecker()
-    node = FakeNode("a")
-    node.endpoint = FakeEndpoint(
-        FakeChannel(max_inflight_bytes=1000, backlog=(100,))
-    )
-    with pytest.raises(InvariantViolation, match="stuck backlog"):
-        checker.check_windows([node])
+    checker.check_windows([window_node(sizes=(100,), inflight=(900,), stalled=True)])
+    with pytest.raises(InvariantViolation, match="stuck stream"):
+        checker.check_windows([window_node(sizes=(100,), stalled=True)])
 
 
 def test_pending_tail_leak_detected():
     checker = InvariantChecker()
-    node = FakeNode("a")
-    node.endpoint = FakeEndpoint()
-    node.dataplane = FakePipelineDataPlane(
-        streams=(FakeStream("b", (100, 100), pending_bytes=150),)
-    )
     with pytest.raises(InvariantViolation, match="pending-tail leak"):
-        checker.check_windows([node])
+        checker.check_windows([window_node(sizes=(100, 100), pending_bytes=150)])

@@ -56,6 +56,8 @@ def test_parameter_validation():
         make(control_fanout="some")
     with pytest.raises(ConfigError):
         make(failure_timeout_s=0)
+    with pytest.raises(ConfigError):
+        make(window_bytes=0)
 
 
 def test_unknown_node_index_rejected():

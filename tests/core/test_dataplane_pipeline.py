@@ -4,7 +4,7 @@ stalls, backpressure policies, and replay interaction with pending tails."""
 import pytest
 
 from repro.core.config import StabilizerConfig
-from repro.core.dataplane import DataPlane
+from repro.core.dataplane import DATA_CHANNEL, DataPlane
 from repro.errors import BackpressureError
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
@@ -183,14 +183,34 @@ def test_replay_clears_pending_tail_no_duplicates():
         window_bytes=3000,
     )
     dp_x.send(SyntheticPayload(20_000))
-    assert dp_x.pending_frame_bytes("y") > 0  # stalled tail exists
-    # Catch-up replay must not double-send the stalled tail.
-    dp_x.replay_to("y", 0)
-    assert dp_x.pending_frame_bytes("y") == 0
+    assert dp_x.pending_frame_bytes("y") == 18_000  # stalled tail exists
+    # Catch-up replay takes the stalled tail's place: every entry is
+    # pending once, less the one frame the reset stream lets fly.
+    assert dp_x.replay_to("y", 0) == 20
+    assert dp_x.pending_frame_bytes("y") == 18_000
     sim.run(until=10.0)
     assert dp_y.highest_received("x") == 20
-    assert received.count(5) == 1
-    assert sorted(set(received)) == list(range(1, 21))
+    assert received == list(range(1, 21))  # no duplicates
+
+
+def test_replay_never_exceeds_the_window():
+    sim, net = build_net(latency_ms=20)
+    dp_x, dp_y, _, received = wire(
+        sim, net, chunk_bytes=1000, frame_bytes=2000, window_bytes=3000
+    )
+    dp_x.send(SyntheticPayload(20_000))
+    sim.run(until=10.0)
+    channel = dp_x.endpoint.channel("y", DATA_CHANNEL)
+    inflight, link_send = [], channel.link.send
+    channel.link.send = lambda *packet: (
+        inflight.append(channel.unacked_bytes()) or link_send(*packet)
+    )
+    dp_x.replay_to("y", 0)
+    sim.run(until=20.0)
+    # The replay left as frames of two, waiting on credits like any stream.
+    assert len(inflight) == 10 and max(inflight) <= 3000
+    assert dp_y.duplicates_dropped == 20
+    assert received == list(range(1, 21))
 
 
 def test_close_cancels_frame_timers():
@@ -209,6 +229,8 @@ def test_coalescing_disabled_sends_per_message():
     )
     dp_x.send(SyntheticPayload(5000))
     sim.run(until=5.0)
-    assert dp_x.frames_sent == 0  # the coalescing path never engaged
+    # Every message rides a frame of one, cut like any other frame.
+    assert dp_x.frames_sent == dp_x.frame_messages == 5
+    assert dp_y.frames_received == 0  # no batch frame crossed
     assert dp_y.messages_received == 5
     assert received == [1, 2, 3, 4, 5]

@@ -23,6 +23,7 @@ from repro.core.dataplane import DATA_CHANNEL, FRAME_TAG, DataPlane
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 from repro.transport.endpoint import TransportEndpoint
+from repro.transport.fifo import TRANSPORT_HEADER_BYTES
 from repro.transport.messages import BATCH_ENTRY, SyntheticPayload
 
 from tests.wiretap import Tap
@@ -60,23 +61,29 @@ class _FrameBuilder:
 
 
 class ReferenceDataPlane(DataPlane):
-    """Every frame cut through the builder, a frame of one included."""
+    """Every frame cut through the builder, a frame of one included,
+    under the same window rule: the run flies if nothing is in flight or
+    its wire bytes fit the window beside what is."""
 
     def _cut_frame(self, stream, cause):
-        builder = _FrameBuilder()
-        pending = stream.pending
+        pending = list(stream.pending)
         count = total = 0
-        while pending:
-            entry = pending[0]
+        for entry in pending:
             if count and total + entry.size > self._frame_bytes:
                 break
-            pending.popleft()
-            stream.pending_bytes -= entry.size
-            builder.add(entry.payload, entry.chunk_meta, entry.size)
             count += 1
             total += entry.size
             if total >= self._frame_bytes:
                 break
+        wire = total + TRANSPORT_HEADER_BYTES + BATCH_ENTRY.size * count * (count > 1)
+        inflight = stream.channel.unacked_bytes()
+        if inflight and inflight + wire > self._window_bytes:
+            return False
+        builder = _FrameBuilder()
+        for entry in pending[:count]:
+            stream.pending.popleft()
+            stream.pending_bytes -= entry.size
+            builder.add(entry.payload, entry.chunk_meta, entry.size)
         payload, metas, lengths = builder.build()
         if len(metas) == 1:
             stream.channel.send(payload, meta=(self.epoch, metas[0]))
@@ -96,6 +103,7 @@ class ReferenceDataPlane(DataPlane):
             else cause
         )
         self.flush_causes[cause_key] = self.flush_causes.get(cause_key, 0) + 1
+        return True
 
 
 def plain(payload):

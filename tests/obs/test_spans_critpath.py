@@ -146,7 +146,8 @@ def test_shard_tags_keep_sequence_spaces_apart():
 
 
 def test_frame_run_covers_coalesced_sequences():
-    # One frame covering seqs 1..3: every seq maps to the frame's cut.
+    # One frame covering seqs 1..3: every seq maps to the frame's cut,
+    # not to the frames of a later replay that re-sent them.
     events = [
         _ev(0.000, "n0", "data.enqueue", origin="n0", seq=s, bytes=64)
         for s in (1, 2, 3)
@@ -157,6 +158,11 @@ def test_frame_run_covers_coalesced_sequences():
     ] + [
         _ev(0.015, "n1", "data.receive", origin="n0", seq=s)
         for s in (1, 2, 3)
+    ] + [
+        _ev(0.5, "n0", "data.frame_send", peer="n1", origin="n0",
+            first_seq=first, last_seq=last, messages=last - first + 1,
+            bytes=100, cause="replay")
+        for first, last in ((1, 2), (3, 3))
     ]
     trees = build_span_trees(events)
     for seq in (1, 2, 3):

@@ -3,22 +3,9 @@
 import pytest
 
 from repro.errors import TransportError
-from repro.net import NetemSpec, Topology
-from repro.sim import Simulator
-from repro.sim.rng import RngRegistry
 from repro.transport import TransportEndpoint
 
-
-def build_net(latency_ms=10.0, loss_rate=0.0, seed=0):
-    topo = Topology()
-    topo.add_node("a", "east")
-    topo.add_node("b", "west")
-    topo.set_link_symmetric(
-        "a", "b", NetemSpec(latency_ms=latency_ms, rate_mbit=100.0, loss_rate=loss_rate)
-    )
-    sim = Simulator()
-    net = topo.build(sim, RngRegistry(seed))
-    return sim, net
+from tests.transport.test_fifo import build_net
 
 
 def wire_pair(net, **kwargs):

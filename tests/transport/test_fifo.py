@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.errors import TransportError
+from repro.core.config import StabilizerConfig
+from repro.core.dataplane import DATA_CHANNEL, DataPlane
+from repro.errors import ConfigError, TransportError
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 from repro.transport import SyntheticPayload, TransportEndpoint
@@ -168,44 +170,74 @@ def test_throughput_bounded_by_link_bandwidth():
     assert goodput == pytest.approx(1e6, rel=0.1)
 
 
+def windowed_pair(net, **config):
+    """Data planes at a and b over their FIFO data channel.  The channel
+    launches every frame at once; the send window is the data plane's."""
+    sender, receiver = (
+        DataPlane(
+            TransportEndpoint(net, local),
+            StabilizerConfig(["a", "b"], {"a": ["a"], "b": ["b"]}, local, **config),
+        )
+        for local in ("a", "b")
+    )
+    channel = sender.endpoint.channel("b", DATA_CHANNEL)
+    inflight, link_send = [], channel.link.send
+    channel.link.send = lambda *packet: (
+        inflight.append(channel.unacked_bytes()) or link_send(*packet)
+    )
+    received = []
+    receiver.on_received = lambda origin, seq, payload: received.append(seq)
+    return sender, channel, received, inflight
+
+
 def test_flow_control_bounds_inflight_bytes():
     sim, net = build_net(latency_ms=20.0, rate_mbit=100.0)
-    sender, receiver, received = wire_pair(net, max_inflight_bytes=30_000)
-    for i in range(20):
-        sender.send(SyntheticPayload(10_000), meta=i)
-    # At most 3 frames (~30 KB incl. headers is exceeded by the 3rd, so 2
-    # launched + the always-one rule) are in flight; the rest are backlogged.
-    assert sender.unacked_bytes() <= 30_000 + 10_024
-    assert sender.backlog_count() >= 16
+    sender, channel, received, inflight = windowed_pair(
+        net, chunk_bytes=10_000, frame_bytes=10_000, window_bytes=30_000
+    )
+    for _ in range(20):
+        sender.send(SyntheticPayload(10_000))
+    # Two 10_024-byte frames fit the window; the third would not, so the
+    # other 18 wait in the data plane's stream, not below it.
+    assert channel.unacked_count() == 2
+    assert sender.pending_frame_bytes("b") == 180_000
     sim.run(until=20.0)
-    assert [m for _, m in received] == list(range(20))
-    assert sender.backlog_count() == 0
-    assert sender.unacked_count() == 0
+    assert received == list(range(1, 21))
+    assert max(inflight) <= 30_000
+    assert sender.pending_frame_bytes("b") == 0
+    assert channel.unacked_count() == 0
 
 
 def test_flow_control_preserves_order_under_loss():
     sim, net = build_net(loss_rate=0.2, seed=9)
-    sender, receiver, received = wire_pair(
-        net, rto=0.15, max_inflight_bytes=5_000
+    sender, channel, received, inflight = windowed_pair(
+        net, chunk_bytes=900, frame_bytes=900, window_bytes=5_000
     )
-    for i in range(40):
-        sender.send(SyntheticPayload(900), meta=i)
+    for _ in range(40):
+        sender.send(SyntheticPayload(900))
     sim.run(until=120.0)
-    assert [m for _, m in received] == list(range(40))
+    assert received == list(range(1, 41))
+    assert channel.retransmissions > 0 and max(inflight) <= 5_000
 
 
 def test_flow_control_always_lets_one_frame_fly():
     sim, net = build_net()
-    sender, receiver, received = wire_pair(net, max_inflight_bytes=10)
+    sender, channel, received, _ = windowed_pair(
+        net, chunk_bytes=50_000, frame_bytes=50_000, window_bytes=10
+    )
     sender.send(SyntheticPayload(50_000))  # far above the window
+    assert channel.unacked_count() == 1
     sim.run(until=10.0)
-    assert len(received) == 1
+    assert received == [1]
 
 
 def test_flow_control_validation():
     sim, net = build_net()
+    with pytest.raises(ConfigError):
+        StabilizerConfig(["a", "b"], {"a": ["a"], "b": ["b"]}, "a", window_bytes=0)
+    # The window is no channel option: the channel has none to validate.
     ep = TransportEndpoint(net, "a")
-    with pytest.raises(TransportError):
+    with pytest.raises(TypeError):
         ep.channel("b", "bad-window", max_inflight_bytes=0)
 
 
