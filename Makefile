@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction.
 
 .PHONY: install test bench bench-full bench-record api-check metrics-doc \
-        metrics-check verify report perf perf-compare clean
+        metrics-check verify report perf perf-compare goldens clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -90,6 +90,14 @@ verify: test
 
 report:
 	python -m repro report
+
+# Rewrite the goldens (tests/golden.py): the exact metrics of the five
+# perf/ workloads at smoke scale and the virtual_view of every chaos run
+# under tests/chaos/, from the runs tier-1 makes, under hash seed 0.  A
+# change that keeps behaviour leaves `git diff tests/goldens` empty; one
+# that moves an outcome shows which, to be explained.
+goldens:
+	PYTHONHASHSEED=0 REPRO_GOLDENS=write pytest tests/bench/test_perf_smoke.py tests/chaos
 
 # The canonical send->stable benchmark (perf/README.md): five workloads
 # end to end plus the traced per-layer pass, ~4 min.  The record lands in

@@ -60,13 +60,7 @@ class WanKVStore:
         # Write forwarding: a non-owner routes the write to the primary
         # and learns the assigned sequence number back.
         self._forward_pending: Dict[int, Event] = {}
-        self._forward_channels = {}
-        for peer in stabilizer.config.remote_names():
-            channel = stabilizer.endpoint.channel(peer, FORWARD_CHANNEL)
-            channel.on_deliver = (
-                lambda payload, meta, _p=peer: self._on_forward(_p, payload, meta)
-            )
-            self._forward_channels[peer] = channel
+        stabilizer.endpoint.accept(FORWARD_CHANNEL, self._on_forward)
 
     # ------------------------------------------------------------------ writes
     def put(self, key: str, value: Value) -> PutResult:
@@ -108,7 +102,7 @@ class WanKVStore:
         forward_id = next(_forward_ids)
         event = self.sim.event()
         self._forward_pending[forward_id] = event
-        self._forward_channels[owner].send(
+        self.stabilizer.endpoint.channel(owner, FORWARD_CHANNEL).send(
             value if payload_length(value) > 0 else SyntheticPayload(0),
             meta=("fwd_put", forward_id, key),
         )
@@ -124,7 +118,7 @@ class WanKVStore:
             else:
                 result = self.put(key, payload)
                 reply = ("fwd_ack", forward_id, result.seq)
-            self._forward_channels[peer].send(
+            self.stabilizer.endpoint.channel(peer, FORWARD_CHANNEL).send(
                 SyntheticPayload(FORWARD_HEADER_BYTES), meta=reply
             )
         elif kind == "fwd_ack":

@@ -72,13 +72,7 @@ class QuorumKV:
             stabilizer.register_predicate(WRITE_PREDICATE_KEY, source)
         # RPC plumbing for quorum reads.
         self._pending: Dict[int, dict] = {}
-        self._channels = {}
-        for peer in stabilizer.config.remote_names():
-            channel = stabilizer.endpoint.channel(peer, QUORUM_CHANNEL)
-            channel.on_deliver = (
-                lambda payload, meta, _p=peer: self._on_rpc(_p, payload, meta)
-            )
-            self._channels[peer] = channel
+        stabilizer.endpoint.accept(QUORUM_CHANNEL, self._on_rpc)
 
     # ------------------------------------------------------------------ writes
     def write(self, key: str, value: Value):
@@ -101,7 +95,7 @@ class QuorumKV:
                 version, seq, value = self._local_lookup(key)
                 self._record_response(read_id, self.name, version, value)
             else:
-                self._channels[member].send(
+                self.kv.stabilizer.endpoint.channel(member, QUORUM_CHANNEL).send(
                     SyntheticPayload(REQUEST_BYTES), meta=("req", read_id, key)
                 )
         return event
@@ -122,7 +116,7 @@ class QuorumKV:
             size = RESPONSE_HEADER_BYTES + (
                 payload_length(value) if value is not None else 0
             )
-            self._channels[peer].send(
+            self.kv.stabilizer.endpoint.channel(peer, QUORUM_CHANNEL).send(
                 SyntheticPayload(size), meta=("resp", read_id, version, value)
             )
         elif kind == "resp":

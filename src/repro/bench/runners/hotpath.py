@@ -285,7 +285,7 @@ def kernel_calls_per_event(events: int = 1_000) -> float:
     return calls / events
 
 
-def _ignore_delivery(payload, meta) -> None:
+def _ignore_delivery(peer, payload, meta) -> None:
     """A data channel's receiver that does nothing (one counted call)."""
 
 
@@ -300,17 +300,16 @@ def lone_send_calls_per_peer(payload_bytes: int = 512, nodes: int = 5) -> float:
     data plane the only plane, so no control traffic shares the run.  A
     first send, drained, warms the routes; the counted send then runs up
     to the moment its frames have arrived and no further (receiver ACKs
-    are due ``ack_interval`` later).  Exact per ``(payload_bytes, nodes)``.
+    are due ``ACK_INTERVAL_S`` later).  Exact per ``(payload_bytes, nodes)``.
     """
     names = [f"n{i}" for i in range(1, nodes + 1)]
     link = NetemSpec(latency_ms=5, rate_mbit=100)
     net = Topology.uniform({name: name for name in names}, link).build(Simulator())
     config = StabilizerConfig(names, {name: [name] for name in names}, names[0])
     for name in names[1:]:
-        endpoint = TransportEndpoint(net, name)
-        endpoint.channel(
-            names[0], DATA_CHANNEL, **config.channel_kwargs()
-        ).on_deliver = _ignore_delivery
+        TransportEndpoint(net, name).accept(
+            DATA_CHANNEL, _ignore_delivery, **config.channel_kwargs()
+        )
     dataplane = DataPlane(TransportEndpoint(net, names[0]), config)
     payload = bytes(payload_bytes)
     sim = net.sim
@@ -594,10 +593,13 @@ def _packets_arrived(count: int) -> int:
 def _frames_delivered(count: int) -> int:
     sim = Simulator()
     net = Topology.uniform({"a": "g", "b": "g"}, LAN).build(sim)
-    sender = TransportEndpoint(net, "a").channel("b", "s")
-    receiver = TransportEndpoint(net, "b").channel("a", "s")
     seen = {"count": 0}
-    receiver.on_deliver = lambda p, m: seen.__setitem__("count", seen["count"] + 1)
+    TransportEndpoint(net, "b").accept(
+        "s", lambda _peer, _p, _m: seen.__setitem__("count", seen["count"] + 1)
+    )
+    sender_endpoint = TransportEndpoint(net, "a")
+    sender_endpoint.accept("s", _ignore_delivery)
+    sender = sender_endpoint.channel("b", "s")
     for _ in range(count):
         sender.send(SyntheticPayload(512))
     sim.run(until=5.0)

@@ -280,25 +280,11 @@ class AdmissionController:
         for shard, inner in node.stacks().items():
             for peer in inner.config.remote_names():
                 self._breaker((peer, shard))
-        self._wire_dead_peer()
+        node.on_peer_dead(self._on_peer_dead)
         self._pump_timer = self.sim.call_later(pump_interval_s, self._pump)
 
     # ------------------------------------------------------------------ wiring
-    def _wire_dead_peer(self) -> None:
-        node = self.node
-        if hasattr(node, "shards"):
-            node.on_peer_dead(self._on_shard_peer_dead)
-            return
-        previous = node.on_peer_dead
-
-        def chained(peer: str, channel_name: str) -> None:
-            self._breaker((peer, node.config.shard_id)).trip()
-            if previous is not None:
-                previous(peer, channel_name)
-
-        node.on_peer_dead = chained
-
-    def _on_shard_peer_dead(self, peer: str, shard: int) -> None:
+    def _on_peer_dead(self, peer: str, shard: Optional[int]) -> None:
         self._breaker((peer, shard)).trip()
 
     def _breaker(self, key: BreakerKey) -> CircuitBreaker:

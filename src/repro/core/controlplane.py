@@ -103,7 +103,9 @@ class ControlChannelSet:
         self._peers = list(config.remote_names())
         endpoint.on_datagram = self._on_control
         endpoint.accept(
-            CONTROL_CHANNEL, self._on_control, **config.channel_kwargs()
+            CONTROL_CHANNEL,
+            lambda peer, _payload, body: self._on_control(peer, body),
+            **config.channel_kwargs(),
         )
         self.frames_sent = 0
         self.frames_received = 0
@@ -344,9 +346,9 @@ class ControlChannelSet:
 
     # -- inbound --------------------------------------------------------------------
     def _on_control(self, _carried_by, body) -> None:
-        """One inbound ``(epoch, frame[, rider])``, off a datagram (called
-        with its source) or the resume channel (called with its payload)
-        — unused either way: the frame names its sender."""
+        """One inbound ``(epoch, frame[, rider])``, off a datagram or the
+        resume channel, from ``_carried_by`` — unused: the frame names its
+        sender."""
         if self._closed:
             return
         frame_epoch, frame = body[0], body[1]

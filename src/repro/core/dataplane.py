@@ -100,15 +100,14 @@ class _BufferEntry:
 class SendBuffer:
     """Retains sent chunks until they are globally delivered.
 
-    With ``strict`` (the default) an overflowing ``add`` raises; the
-    pipelined data plane instead enforces its admission policy *before*
-    sequencing a message and runs the buffer in non-strict mode, so a
-    ``"block"``-policy overflow degrades to a soft bound.
+    ``max_bytes`` is a soft bound: ``add`` never refuses a chunk.  The
+    data plane applies its send policy against :meth:`would_overflow`
+    *before* it sequences a message, so a ``"block"``-policy overflow
+    stays soft.
     """
 
-    def __init__(self, max_bytes: Optional[int] = None, strict: bool = True):
+    def __init__(self, max_bytes: Optional[int] = None):
         self.max_bytes = max_bytes
-        self.strict = strict
         self._entries: Dict[int, _BufferEntry] = {}
         self._bytes = 0
         self._reclaimed_up_to = 0
@@ -120,11 +119,6 @@ class SendBuffer:
     def add(
         self, seq: int, size: int, meta=None, payload=None, chunk_meta=None
     ) -> _BufferEntry:
-        if self.strict and self.would_overflow(size):
-            raise StabilizerError(
-                f"send buffer full ({self._bytes}B of {self.max_bytes}B); "
-                "reclaim has not caught up"
-            )
         entry = _BufferEntry(seq, size, meta, payload, chunk_meta)
         self._entries[seq] = entry
         self._bytes += size
@@ -214,20 +208,18 @@ class DataPlane:
         self.epoch = config.shard_epoch
         self.stale_epoch_frames = 0
         self.chunker = Chunker(config.chunk_bytes)
-        # Admission policy runs before sequencing (see send()); the buffer
-        # itself is non-strict so a "block"-policy overflow stays soft.
-        self.buffer = SendBuffer(config.max_buffer_bytes, strict=False)
+        # Admission policy runs before sequencing (see send()).
+        self.buffer = SendBuffer(config.max_buffer_bytes)
         self._send_policy = config.send_policy
         self._next_seq = 1  # message sequence numbers are 1-based
         # No coalescing is a frame_bytes of 0: every run is one message.
         self._frame_bytes = config.frame_bytes or 0
         self._frame_delay_s = config.frame_delay_s()
         self._window_bytes = config.window_bytes
-        channel_kwargs = config.channel_kwargs()
+        endpoint.accept(DATA_CHANNEL, self._receive, **config.channel_kwargs())
         self._streams: Dict[str, _PeerStream] = {}
         for peer in config.remote_names():
-            channel = endpoint.channel(peer, DATA_CHANNEL, **channel_kwargs)
-            channel.on_deliver = partial(self._receive, peer)
+            channel = endpoint.channel(peer, DATA_CHANNEL)
             stream = self._streams[peer] = _PeerStream(peer, channel)
             channel.on_window_open = partial(self._window_open, stream)
         # Receiving state, per origin.  An object's chunks are consecutive

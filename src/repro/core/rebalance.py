@@ -194,6 +194,7 @@ class HandoffManager:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.endpoint = TransportEndpoint(net, local, port=HANDOFF_PORT)
         self.endpoint.tracer = self.tracer
+        self.endpoint.accept(HANDOFF_CHANNEL, self._on_blob)
         self._incoming: Dict[Tuple[int, int], dict] = {}
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -202,17 +203,7 @@ class HandoffManager:
         self.closed = False
 
     # -- receiving ------------------------------------------------------------
-    def expect(self, source: str) -> None:
-        """Arm the receive path from ``source``.
-
-        Must run before the source sends: the endpoint creates channels
-        lazily on first packet but without a delivery callback, so an
-        unexpected blob would sit in the transport forever.
-        """
-        channel = self.endpoint.channel(source, HANDOFF_CHANNEL)
-        channel.on_deliver = self._on_blob
-
-    def _on_blob(self, payload, meta) -> None:
+    def _on_blob(self, _peer: str, payload, meta) -> None:
         _tag, shard, epoch, source = meta
         snapshot = json.loads(bytes(payload))
         self._incoming[(shard, epoch)] = {
@@ -703,7 +694,6 @@ class RebalanceCoordinator:
                 continue
             source_name = sources[state["source_pos"] % len(sources)]
             source = self.cluster.nodes[source_name]
-            target.handoff.expect(source_name)
             if state["attempts"] > 0:
                 source.handoff.reset_to(joiner)
             size = source.handoff.send_shard(

@@ -60,7 +60,8 @@ ROUTED = (
 #: built later.
 EVERY_STACK = (
     "register_predicate", "change_predicate", "register_stability_type",
-    "monitor_stability_frontier", "on_delivery", "set_degradation_policy",
+    "monitor_stability_frontier", "on_delivery", "on_peer_dead",
+    "set_degradation_policy",
 )
 #: One answer for the node as a whole, drawn from every live stack.
 MERGED = (
@@ -149,7 +150,6 @@ class ShardedStabilizer:
         # routed error until cutover (in-flight traffic keeps draining).
         self._frozen: Set[int] = set()
         self.shards: Dict[int, Stabilizer] = {}
-        self._peer_dead_handlers: List[ShardPeerDeadFn] = []
         # The registration log: kind -> slot -> apply(shard, inner), kinds
         # in replay order, slots in call order.  Everything _every_stack
         # has applied is here, and replaying it is all that configures a
@@ -196,7 +196,6 @@ class ShardedStabilizer:
             # default filesystem; every later shard (and restarts)
             # must share it — WAL directories are per-shard already.
             self.fs = inner.fs
-        inner.on_peer_dead = self._make_peer_dead_relay(shard)
         for entries in self._log.values():
             for apply in entries.values():
                 apply(shard, inner)
@@ -401,14 +400,9 @@ class ShardedStabilizer:
         ``fn(peer, shard)``.  Each shard stack's endpoint reports on its
         own port, so a dead link on one shard never implicates the same
         peer in a co-owned shard whose link is healthy."""
-        self._peer_dead_handlers.append(fn)
-
-    def _make_peer_dead_relay(self, shard: int):
-        def relay(peer: str, channel_name: str) -> None:
-            for handler in self._peer_dead_handlers:
-                handler(peer, shard)
-
-        return relay
+        self._every_stack(
+            "subscription", None, lambda shard, inner: inner.on_peer_dead(fn)
+        )
 
     # ------------------------------------------------------------------ membership
     @property

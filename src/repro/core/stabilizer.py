@@ -39,6 +39,9 @@ from repro.transport.endpoint import TransportEndpoint
 from repro.transport.messages import Payload
 
 DeliveryFn = Callable[[str, int, Payload, object], None]
+# fn(peer, shard): a transport dead-peer report and the shard_id of the
+# stack whose endpoint made it (None unsharded).
+PeerDeadFn = Callable[[str, Optional[int]], None]
 
 
 class Stabilizer:
@@ -167,10 +170,7 @@ class Stabilizer:
         self.degradations = 0
         self.reinclusions = 0
         self.endpoint.on_peer_dead = self._on_peer_dead
-        # Optional relay for the node hosting this stack (e.g. a
-        # ShardedStabilizer re-scoping the report by shard): called as
-        # fn(peer, channel_name) after the local detector is informed.
-        self.on_peer_dead: Optional[Callable[[str, str], None]] = None
+        self._peer_dead_handlers: List[PeerDeadFn] = []
         self.detector.on_suspect(self._on_peer_suspected)
         self.detector.on_recover(self._on_peer_recovered)
         # Every live peer's carrier heartbeats, so silence since start is
@@ -348,6 +348,12 @@ class Stabilizer:
         self._delivery_handlers.append(fn)
         self.dataplane.on_deliver = self._on_deliver
 
+    def on_peer_dead(self, fn: PeerDeadFn) -> None:
+        """Subscribe to transport dead-peer reports: ``fn(peer, shard)``,
+        after the local failure detector heard of it; ``shard`` is this
+        stack's ``config.shard_id`` (None unsharded)."""
+        self._peer_dead_handlers.append(fn)
+
     # ------------------------------------------------------------------ backpressure
     def on_backpressure(self, fn: Callable[[bool, int], None]) -> None:
         """Register ``fn(engaged, buffered_bytes)``: called with ``True``
@@ -442,8 +448,8 @@ class Stabilizer:
         # here never leaks into co-owned shards with healthy links.
         self._degradation_log.append((self.sim.now, "transport_dead", peer))
         self.detector.suspect(peer)
-        if self.on_peer_dead is not None:
-            self.on_peer_dead(peer, channel_name)
+        for fn in self._peer_dead_handlers:
+            fn(peer, self.config.shard_id)
 
     def _on_peer_suspected(self, peer: str) -> None:
         self._degradation_log.append((self.sim.now, "suspect", peer))

@@ -109,13 +109,7 @@ class PaxosReplica:
         self._campaigning = False
 
         self._peers = [n for n in config.node_names if n != self.name]
-        self._out = {
-            peer: endpoint.channel(peer, PAXOS_CHANNEL) for peer in self._peers
-        }
-        for peer in self._peers:
-            endpoint.channel(peer, PAXOS_CHANNEL).on_deliver = (
-                lambda payload, msg, _p=peer: self._on_message(_p, msg)
-            )
+        endpoint.accept(PAXOS_CHANNEL, self._on_message)
 
         if self.name == config.leader:
             self.become_leader()
@@ -153,9 +147,11 @@ class PaxosReplica:
 
     # ------------------------------------------------------------------ transport
     def _send(self, peer: str, msg) -> None:
-        self._out[peer].send(SyntheticPayload(msg.wire_size()), meta=msg)
+        self.endpoint.channel(peer, PAXOS_CHANNEL).send(
+            SyntheticPayload(msg.wire_size()), meta=msg
+        )
 
-    def _on_message(self, peer: str, msg) -> None:
+    def _on_message(self, peer: str, _payload, msg) -> None:
         if isinstance(msg, Prepare):
             self._handle_prepare(peer, msg)
         elif isinstance(msg, Promise):

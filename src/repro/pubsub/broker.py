@@ -72,13 +72,7 @@ class StabilizerBroker:
         self._subscriptions: Dict[str, List[Subscription]] = {}
         # topic -> sites (possibly including ourselves) with subscribers.
         self._active_sites: Dict[str, Set[str]] = {}
-        self._mgmt = {}
-        for peer in stabilizer.config.remote_names():
-            channel = stabilizer.endpoint.channel(peer, MGMT_CHANNEL)
-            self._mgmt[peer] = channel
-            channel.on_deliver = (
-                lambda payload, meta, _p=peer: self._on_mgmt(_p, meta)
-            )
+        stabilizer.endpoint.accept(MGMT_CHANNEL, self._on_mgmt)
         stabilizer.on_delivery(self._on_remote_message)
         self.send_times: Dict[int, float] = {}
         self.published = 0
@@ -144,13 +138,14 @@ class StabilizerBroker:
             sites.discard(self.name)
         self._install_predicate(topic)
         kind = "subscribed" if active else "unsubscribed"
-        for channel in self._mgmt.values():
-            channel.send(
+        endpoint = self.stabilizer.endpoint
+        for peer in self.stabilizer.config.remote_names():
+            endpoint.channel(peer, MGMT_CHANNEL).send(
                 SyntheticPayload(MGMT_FRAME_BYTES + len(topic)),
                 meta=(kind, self.name, topic),
             )
 
-    def _on_mgmt(self, peer: str, meta) -> None:
+    def _on_mgmt(self, peer: str, _payload, meta) -> None:
         kind, site, topic = meta
         sites = self._active_sites.setdefault(topic, set())
         if kind == "subscribed":

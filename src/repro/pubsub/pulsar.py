@@ -102,19 +102,8 @@ class PulsarBroker:
         self.gc: Optional[GcModel] = GcModel() if cluster.gc_enabled else None
         self._busy_until = 0.0
         self._peers = [n for n in net.topology.node_names() if n != name]
-        self._data = {}
-        self._acks = {}
-        for peer in self._peers:
-            data = self.endpoint.channel(peer, DATA_CHANNEL)
-            data.on_deliver = (
-                lambda payload, meta, _p=peer: self._on_data(_p, payload, meta)
-            )
-            self._data[peer] = data
-            ack = self.endpoint.channel(peer, ACK_CHANNEL)
-            ack.on_deliver = (
-                lambda payload, meta, _p=peer: self._on_ack(_p, meta)
-            )
-            self._acks[peer] = ack
+        self.endpoint.accept(DATA_CHANNEL, self._on_data)
+        self.endpoint.accept(ACK_CHANNEL, self._on_ack)
         self._subscribers: List[MessageFn] = []
         self._next_seq = 1
         self.send_times: Dict[int, float] = {}
@@ -134,7 +123,6 @@ class PulsarBroker:
         for subscriber in list(self._subscribers):
             subscriber(self.name, seq, payload, meta)
         for peer in self._peers:
-            channel = self._data[peer]
             link = self.net.link(self.name, peer)
             inaccessible = (
                 not link.up
@@ -143,6 +131,7 @@ class PulsarBroker:
             if inaccessible and not self.cluster.buffer_fix:
                 self.dropped += 1  # Pulsar's silent abandon
                 continue
+            channel = self.endpoint.channel(peer, DATA_CHANNEL)
             channel.send(payload, meta=(seq, meta))
         return seq
 
@@ -171,9 +160,11 @@ class PulsarBroker:
         self.delivered += 1
         for subscriber in list(self._subscribers):
             subscriber(origin, seq, payload, meta)
-        self._acks[origin].send(SyntheticPayload(ACK_BYTES), meta=seq)
+        self.endpoint.channel(origin, ACK_CHANNEL).send(
+            SyntheticPayload(ACK_BYTES), meta=seq
+        )
 
-    def _on_ack(self, site: str, seq: int) -> None:
+    def _on_ack(self, site: str, _payload, seq: int) -> None:
         self.ack_times[(site, seq)] = self.sim.now
 
 

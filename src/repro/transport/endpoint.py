@@ -4,6 +4,14 @@ Every protocol in the reproduction (Stabilizer data plane, Paxos,
 pub/sub) builds on named FIFO channels.  An endpoint owns the host's side
 of every channel and demultiplexes incoming packets by channel name.
 
+A name gets its consumer once: :meth:`TransportEndpoint.accept` registers
+``on_deliver(peer, payload, meta)`` and the channel options for every
+channel of that name, to any peer.  Each such channel is built on first
+use — a local :meth:`~TransportEndpoint.channel` call or the peer's first
+packet — with the consumer bound to its peer.  A packet for a name the
+endpoint never accepted is dropped *unacknowledged*, so its sender keeps
+retransmitting until the name is accepted: the stream loses nothing.
+
 Beside the reliable channels the endpoint carries *datagrams*
 (:meth:`TransportEndpoint.send_datagram` / ``on_datagram``): one raw
 packet, no sequence number, no acknowledgment, no retransmission — it
@@ -21,18 +29,20 @@ without an explicit recovery message.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import TransportError
 from repro.net.link import Link
 from repro.net.topology import Network
 from repro.obs.tracer import NULL_TRACER
-from repro.transport.fifo import DeliverFn, FifoChannel
+from repro.transport.fifo import FifoChannel
 
 TRANSPORT_PORT = "transport"
 
 PeerDeadFn = Callable[[str, str], None]  # (peer, channel name)
 DatagramFn = Callable[[str, object], None]  # (peer, body)
+AcceptFn = Callable[[str, object, object], None]  # (peer, payload, meta)
 
 
 class TransportEndpoint:
@@ -50,8 +60,8 @@ class TransportEndpoint:
         self.on_peer_dead: Optional[PeerDeadFn] = None
         # Invoked (peer, body) for every datagram; unset, they are dropped.
         self.on_datagram: Optional[DatagramFn] = None
-        # name -> (on_deliver, kwargs) for channels created on first use.
-        self._accepted: Dict[str, Tuple[Optional[DeliverFn], dict]] = {}
+        # name -> (on_deliver, options) for channels built on first use.
+        self._accepted: Dict[str, Tuple[AcceptFn, dict]] = {}
         # Observability: channels and the planes built on this endpoint
         # read the tracer from here.  The Stabilizer replaces it before
         # constructing its planes; standalone endpoints stay silent.
@@ -62,36 +72,36 @@ class TransportEndpoint:
         }
         net.host(node_name).bind(port, self._on_packet)
 
-    def channel(self, peer: str, name: str, **kwargs) -> FifoChannel:
-        """Get or create the channel to ``peer`` named ``name``.
-
-        Keyword arguments (``rto``, ``ack_every``, ``ack_interval``, the
-        adaptive-RTO knobs, ...) apply only at creation time; without
-        any, a name registered with :meth:`accept` uses that registration.
-        """
-        if peer == self.node_name:
-            raise TransportError("no loopback channels; deliver locally instead")
-        key = (peer, name)
-        chan = self._channels.get(key)
+    def channel(self, peer: str, name: str) -> FifoChannel:
+        """Get or create the channel to ``peer`` named ``name``, a name
+        registered with :meth:`accept`."""
+        chan = self._channels.get((peer, name))
         if chan is None:
-            on_deliver = None
-            if not kwargs and name in self._accepted:
-                on_deliver, kwargs = self._accepted[name]
-            chan = FifoChannel(self, peer, name, **kwargs)
-            chan.on_deliver = on_deliver
-            self._channels[key] = chan
-        elif kwargs:
-            raise TransportError(
-                f"channel {name!r} to {peer} already exists; cannot re-configure"
-            )
+            chan = self._open(peer, name)
+            if chan is None:
+                raise TransportError(f"channel {name!r} was never accepted")
         return chan
 
-    def accept(self, name: str, on_deliver: DeliverFn, **kwargs) -> None:
-        """Channels named ``name`` come into being on first use — a local
-        :meth:`channel` call or a peer's first packet — built with
-        ``kwargs`` and delivering to ``on_deliver``.  For rare traffic
-        that does not justify a standing channel per peer."""
-        self._accepted[name] = (on_deliver, kwargs)
+    def accept(self, name: str, on_deliver: AcceptFn, **options) -> None:
+        """Make ``name`` a channel name here: every channel of it, to any
+        peer, is built on first use with ``options`` and delivers to
+        ``on_deliver(peer, payload, meta)``.  Once per name."""
+        if name in self._accepted:
+            raise TransportError(f"channel {name!r} is already accepted")
+        self._accepted[name] = (on_deliver, options)
+
+    def _open(self, peer: str, name: str) -> Optional[FifoChannel]:
+        """Build the channel to ``peer`` of an accepted ``name`` (None if
+        the name was never accepted)."""
+        if peer == self.node_name:
+            raise TransportError("no loopback channels; deliver locally instead")
+        accepted = self._accepted.get(name)
+        if accepted is None:
+            return None
+        on_deliver, options = accepted
+        chan = FifoChannel(self, peer, name, partial(on_deliver, peer), **options)
+        self._channels[(peer, name)] = chan
+        return chan
 
     def send_datagram(self, peer: str, body, size_bytes: int) -> None:
         """Ship ``body`` to ``peer``'s ``on_datagram`` as one unreliable
@@ -136,20 +146,23 @@ class TransportEndpoint:
         kind = frame[0]
         if kind == "data":
             _, name, seq, payload, meta, epoch = frame
-            # One lookup; channel() only builds a channel on first use.
-            chan = self._channels.get((packet.src, name))
-            if chan is None:
-                chan = self.channel(packet.src, name)
-            chan._handle_data(seq, payload, packet.size_bytes, meta, epoch)
+            # One lookup; a channel is built only on first use.  A name
+            # never accepted opens none: the frame goes unacknowledged
+            # and its sender retransmits it.
+            chan = self._channels.get((packet.src, name)) or self._open(
+                packet.src, name
+            )
+            if chan is not None:
+                chan._handle_data(seq, payload, packet.size_bytes, meta, epoch)
         elif kind == "dgram":
             if self.on_datagram is not None:
                 self.on_datagram(packet.src, frame[1])
         elif kind == "ack":
             _, name, cumulative, epoch = frame
+            # No channel: this endpoint never sent on the name.
             chan = self._channels.get((packet.src, name))
-            if chan is None:
-                chan = self.channel(packet.src, name)
-            chan._handle_ack(cumulative, epoch)
+            if chan is not None:
+                chan._handle_ack(cumulative, epoch)
         else:
             raise TransportError(f"unknown transport frame kind: {kind!r}")
         # Any packet from a peer with suspended channels proves it is alive.

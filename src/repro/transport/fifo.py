@@ -6,8 +6,9 @@ possibly-lossy link model:
 
 - the sender numbers frames with a transport sequence;
 - the receiver delivers in order, buffering out-of-order arrivals;
-- cumulative ACKs flow back every ``ack_every`` frames or ``ack_interval``
-  seconds, releasing the sender's retransmission buffer;
+- cumulative ACKs flow back every :data:`ACK_EVERY` frames or
+  :data:`ACK_INTERVAL_S` seconds, releasing the sender's retransmission
+  buffer;
 - a go-back-N retransmit fires when no progress happens within the
   retransmission timeout.
 
@@ -21,14 +22,15 @@ when credits came back.
 The retransmission timeout is *adaptive* (Jacobson/Karn): ACKed frames
 that were never retransmitted contribute RTT samples to an EWMA estimator
 (``srtt``/``rttvar``), and the base timeout is ``srtt + 4·rttvar`` clamped
-to ``[min_rto, max_rto]``.  Consecutive unproductive retransmissions back
-off exponentially, and after ``max_retransmit_attempts`` of them the
-channel *suspends* — it stops the retry timer and surfaces a dead-peer
-report to the endpoint instead of retrying silently forever.  A suspended
-channel keeps its unacknowledged frames; any later sign of life from the
-peer (an ACK, or any packet observed by the endpoint) revives it, which
-retransmits everything outstanding — so a healed partition or a restarted
-peer catches up without losing a single frame.
+to ``[min_rto, max_rto]`` (it starts at :data:`INITIAL_RTO_S`).
+Consecutive unproductive retransmissions back off exponentially (by
+:data:`RETRANSMIT_BACKOFF` each), and after ``max_retransmit_attempts``
+of them the channel *suspends* — it stops the retry timer and surfaces a
+dead-peer report to the endpoint instead of retrying silently forever.  A
+suspended channel keeps its unacknowledged frames; any later sign of life
+from the peer (an ACK, or any packet observed by the endpoint) revives
+it, which retransmits everything outstanding — so a healed partition or a
+restarted peer catches up without losing a single frame.
 
 With loss-free links (the default in the paper's experiments) the overhead
 is one periodic timer and occasional tiny ACK frames.
@@ -44,11 +46,19 @@ from repro.transport.messages import Payload, payload_length
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.transport.endpoint import TransportEndpoint
 
-DeliverFn = Callable[[Payload, object], None]
+DeliverFn = Callable[[Payload, object], None]  # (payload, meta)
 
 TRANSPORT_HEADER_BYTES = 24  # seq + channel id + flags, matching messages.py scale
 ACK_FRAME_BYTES = 20
 
+# The receiver acknowledges every ACK_EVERY in-order frames, and at most
+# ACK_INTERVAL_S after the first frame it has not acknowledged yet.
+ACK_EVERY = 32
+ACK_INTERVAL_S = 0.05
+# The base RTO before the first RTT sample, and the factor each
+# consecutive unproductive retransmission multiplies it by.
+INITIAL_RTO_S = 0.5
+RETRANSMIT_BACKOFF = 2.0
 # RTO granularity: rttvar collapses to ~0 on jitter-free virtual links,
 # and an RTO equal to the RTT would retransmit on every ack delay.
 RTO_GRANULE_S = 0.01
@@ -69,8 +79,8 @@ class _OutFrame:
 class FifoChannel:
     """One direction of a reliable stream; see module docstring.
 
-    Created through :class:`~repro.transport.endpoint.TransportEndpoint`;
-    both ends share the channel ``name``.
+    Built by :class:`~repro.transport.endpoint.TransportEndpoint` for a
+    name it accepted; both ends share the channel ``name``.
     """
 
     def __init__(
@@ -78,21 +88,13 @@ class FifoChannel:
         endpoint: "TransportEndpoint",
         peer: str,
         name: str,
-        rto: float = 0.5,
-        ack_every: int = 32,
-        ack_interval: float = 0.05,
-        adaptive_rto: bool = True,
+        on_deliver: DeliverFn,
         min_rto: float = 0.05,
         max_rto: float = 5.0,
-        retransmit_backoff: float = 2.0,
         max_retransmit_attempts: Optional[int] = None,
     ):
-        if rto <= 0 or ack_interval <= 0 or ack_every <= 0:
-            raise TransportError("rto, ack_every and ack_interval must be positive")
         if min_rto <= 0 or max_rto < min_rto:
             raise TransportError("need 0 < min_rto <= max_rto")
-        if retransmit_backoff < 1.0:
-            raise TransportError("retransmit_backoff must be >= 1")
         if max_retransmit_attempts is not None and max_retransmit_attempts <= 0:
             raise TransportError("max_retransmit_attempts must be positive")
         self.endpoint = endpoint
@@ -104,18 +106,13 @@ class FifoChannel:
         self.port = endpoint.port
         self.peer = peer
         self.name = name
-        self.rto = rto
-        self.ack_every = ack_every
-        self.ack_interval = ack_interval
-        self.adaptive_rto = adaptive_rto
         # An RTO below the peer's delayed-ack window would retransmit on
-        # every ack delay; both ends are built with the same parameters.
-        self.min_rto = max(min_rto, 2.0 * ack_interval)
+        # every ack delay.
+        self.min_rto = max(min_rto, 2.0 * ACK_INTERVAL_S)
         self.max_rto = max_rto
-        self.retransmit_backoff = retransmit_backoff
         self.max_retransmit_attempts = max_retransmit_attempts
 
-        self.on_deliver: Optional[DeliverFn] = None
+        self.on_deliver = on_deliver
         # Fired (no arguments) by every ACK that retires frames; see
         # module docstring.
         self.on_window_open: Optional[Callable[[], None]] = None
@@ -140,10 +137,10 @@ class FifoChannel:
         self._retransmit_timer = None
         self._last_progress = 0.0
         self._attempts = 0  # consecutive unproductive retransmissions
-        # RTT estimator (Jacobson); base RTO starts at the configured rto.
+        # RTT estimator (Jacobson); base RTO starts at INITIAL_RTO_S.
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
-        self._base_rto = min(max(rto, self.min_rto), self.max_rto)
+        self._base_rto = min(max(INITIAL_RTO_S, self.min_rto), self.max_rto)
 
         # Receiver state.
         self._next_deliver_seq = 0
@@ -210,7 +207,7 @@ class FifoChannel:
     def current_rto(self) -> float:
         """The effective timeout: the (possibly RTT-estimated) base RTO
         backed off exponentially by the consecutive-failure count."""
-        rto = self._base_rto * (self.retransmit_backoff ** self._attempts)
+        rto = self._base_rto * (RETRANSMIT_BACKOFF ** self._attempts)
         return min(rto, self.max_rto)
 
     def srtt(self) -> Optional[float]:
@@ -355,7 +352,7 @@ class FifoChannel:
             if frame is not None:
                 self._unacked_bytes -= frame.size
                 progressed = True
-                if self.adaptive_rto and not frame.retransmitted:
+                if not frame.retransmitted:
                     self._observe_rtt(now - frame.sent_at)
             self._lowest_unacked += 1
         if progressed:
@@ -392,7 +389,7 @@ class FifoChannel:
             self._ack_dirty = True
             if self._ack_timer is None:
                 self._ack_timer = self.sim.call_later(
-                    self.ack_interval, self._ack_tick
+                    ACK_INTERVAL_S, self._ack_tick
                 )
             return
         ooo = self._ooo
@@ -400,23 +397,21 @@ class FifoChannel:
             # In order with nothing buffered: no reorder-buffer round trip.
             self._next_deliver_seq = seq + 1
             self.frames_delivered += 1
-            if self.on_deliver is not None:
-                self.on_deliver(payload, meta)
+            self.on_deliver(payload, meta)
         else:
             ooo[seq] = _OutFrame(seq, payload, size, meta)
             while self._next_deliver_seq in ooo:
                 frame = ooo.pop(self._next_deliver_seq)
                 self._next_deliver_seq += 1
                 self.frames_delivered += 1
-                if self.on_deliver is not None:
-                    self.on_deliver(frame.payload, frame.meta)
-        # An ACK is now due within ``ack_interval`` (the timer is armed
+                self.on_deliver(frame.payload, frame.meta)
+        # An ACK is now due within ACK_INTERVAL_S (the timer is armed
         # after delivery, which keeps it in its place in event order).
         self._since_ack += 1
         self._ack_dirty = True
         if self._ack_timer is None:
-            self._ack_timer = self.sim.call_later(self.ack_interval, self._ack_tick)
-        if self._since_ack >= self.ack_every:
+            self._ack_timer = self.sim.call_later(ACK_INTERVAL_S, self._ack_tick)
+        if self._since_ack >= ACK_EVERY:
             self._send_ack()
 
     def _ack_tick(self) -> None:

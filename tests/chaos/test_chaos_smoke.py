@@ -15,6 +15,7 @@ from repro.chaos import (
     run_chaos,
     virtual_view,
 )
+from tests import golden
 
 pytestmark = pytest.mark.chaos_smoke
 
@@ -27,6 +28,7 @@ def smoke_config(seed=SEED):
 
 def test_seeded_chaos_run_holds_every_invariant():
     report = run_chaos(smoke_config())
+    golden.check(f"chaos/classic_seed{SEED}", virtual_view(report))
     assert report["violations"] == []
     assert report["waiter_timeouts"] == 0
     assert len(report["fired"]) >= 10

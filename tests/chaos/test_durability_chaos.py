@@ -15,6 +15,7 @@ this sweep.
 import pytest
 
 from repro.chaos import CHAOS_DISK_FAULTS, ChaosConfig, run_chaos, virtual_view
+from tests import golden
 
 pytestmark = pytest.mark.durability_smoke
 
@@ -47,6 +48,7 @@ def report_for(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_disk_fault_chaos_holds_durability_invariants(seed):
     report = report_for(seed)
+    golden.check(f"chaos/durability_seed{seed}", virtual_view(report))
     assert report["violations"] == []
     assert report["durability"] is True
     # Traffic converged despite the faults: every remote stream is

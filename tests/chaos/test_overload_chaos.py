@@ -8,8 +8,9 @@ degradation is temporary — the pristine predicate comes back).
 
 import pytest
 
-from repro.chaos import OverloadChaosConfig, run_overload_chaos
+from repro.chaos import OverloadChaosConfig, run_overload_chaos, virtual_view
 from repro.chaos.schedule import generate_schedule
+from tests import golden
 
 pytestmark = pytest.mark.overload_smoke
 
@@ -28,6 +29,7 @@ def config(tmp_path, **kwargs):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
 def test_seeded_overload_sweep_is_violation_free(tmp_path, seed):
     report = run_overload_chaos(config(tmp_path, seed=seed))
+    golden.check(f"chaos/overload_seed{seed}", virtual_view(report))
     assert report["violations"] == []
     # Invariant 13: nothing that was admitted was ever shed, and the
     # books balance — every offer is accounted admitted, shed, or queued.
@@ -54,6 +56,7 @@ def test_flash_crowd_fires_and_sheds(tmp_path):
 
 def test_same_seed_reproduces_the_run(tmp_path):
     first = run_overload_chaos(config(tmp_path, seed=4))
+    golden.check("chaos/overload_seed4", virtual_view(first))
     second = run_overload_chaos(config(tmp_path, seed=4))
     assert first["schedule"] == second["schedule"]
     assert first["fired"] == second["fired"]

@@ -16,7 +16,13 @@ marker.
 
 import pytest
 
-from repro.chaos import ChaosEvent, RebalanceChaosConfig, run_rebalance_chaos
+from repro.chaos import (
+    ChaosEvent,
+    RebalanceChaosConfig,
+    run_rebalance_chaos,
+    virtual_view,
+)
+from tests import golden
 
 pytestmark = pytest.mark.rebalance_smoke
 
@@ -29,6 +35,7 @@ def config(tmp_path, **kwargs):
 @pytest.mark.parametrize("seed", [0, 1, 3, 7])
 def test_seeded_rebalance_sweep_is_violation_free(tmp_path, seed):
     report = run_rebalance_chaos(config(tmp_path, seed=seed))
+    golden.check(f"chaos/rebalance_seed{seed}", virtual_view(report))
     assert report["violations"] == []
     assert report["unsourced_shards"] == 0
     assert report["waiter_timeouts"] == 0
@@ -50,6 +57,7 @@ def test_crash_joiner_mid_handoff(tmp_path):
         ChaosEvent(at=3.0, kind="restart", target=("s0",)),
     ]
     report = run_rebalance_chaos(config(tmp_path, events=3), schedule)
+    golden.check("chaos/rebalance_crash_joiner", virtual_view(report))
     assert report["violations"] == []
     assert report["epoch_final"] == 1
     assert report["cutovers_checked"] == 1
@@ -66,6 +74,7 @@ def test_crash_source_mid_handoff(tmp_path):
         ChaosEvent(at=3.0, kind="restart", target=("n00",)),
     ]
     report = run_rebalance_chaos(config(tmp_path, events=3), schedule)
+    golden.check("chaos/rebalance_crash_source", virtual_view(report))
     assert report["violations"] == []
     assert report["epoch_final"] == 1
     assert report["cutovers_checked"] == 1
@@ -82,6 +91,7 @@ def test_leave_under_partition_heals_and_restores_replication(tmp_path):
         ChaosEvent(at=2.5, kind="heal", target=("az0", "az1")),
     ]
     report = run_rebalance_chaos(config(tmp_path, events=3), schedule)
+    golden.check("chaos/rebalance_leave_under_partition", virtual_view(report))
     assert report["violations"] == []
     assert report["epoch_final"] == 1
     assert report["unsourced_shards"] == 0

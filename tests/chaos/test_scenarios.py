@@ -18,7 +18,9 @@ from repro.chaos import (
     run_chaos,
     run_overload_chaos,
     run_rebalance_chaos,
+    virtual_view,
 )
+from tests import golden
 
 SHARED_KINDS = {"crash", "restart", "partition", "heal"}
 
@@ -107,6 +109,7 @@ def test_handcrafted_schedule_runs_in_every_scenario(run, config_class, tmp_path
         ChaosEvent(at=2.6, kind="restart", target=("n01",)),
     ]
     report = run(config_class(trace_dir=str(tmp_path)), schedule=schedule)
+    golden.check(f"chaos/handcrafted_{run.__name__}", virtual_view(report))
     assert report["violations"] == []
     assert report["schedule"] == [[ev.at, ev.kind, list(ev.target)] for ev in schedule]
     assert [kind for _t, kind, _target in report["fired"]] == [

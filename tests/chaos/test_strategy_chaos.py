@@ -14,6 +14,7 @@ import pytest
 
 from repro.chaos import ChaosConfig, run_chaos, virtual_view
 from repro.core.strategy import STRATEGY_NAMES
+from tests import golden
 
 pytestmark = pytest.mark.strategy_smoke
 
@@ -27,6 +28,7 @@ def strategy_config(name):
 @pytest.mark.parametrize("engine", STRATEGY_NAMES)
 def test_chaos_invariants_hold_under_every_engine(engine):
     report = run_chaos(strategy_config(engine))
+    golden.check(f"chaos/strategy_{engine}_seed{SEED}", virtual_view(report))
     assert report["violations"] == []
     assert report["waiter_timeouts"] == 0
     kinds = {kind for _t, kind, _target in report["fired"]}

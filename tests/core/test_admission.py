@@ -309,8 +309,9 @@ def test_breaker_cooldown_reopens_gate():
 
 
 def test_dead_peer_chain_preserves_degradation_path():
-    """The controller chains (not replaces) the sharding relay slot, and
-    the stabilizer's own detector still sees the dead-peer report."""
+    """The controller subscribes beside (not instead of) an earlier
+    dead-peer subscriber, and the stabilizer's own detector still sees
+    the report."""
     sim, net, cluster = build(
         nodes=("a", "b"),
         max_retransmit_attempts=2,
@@ -319,14 +320,14 @@ def test_dead_peer_chain_preserves_degradation_path():
     )
     node = cluster["a"]
     seen = []
-    node.on_peer_dead = lambda peer, chan: seen.append(peer)
+    node.on_peer_dead(lambda peer, shard: seen.append((peer, shard)))
     node.set_admission(rate_per_s=1000.0)
     node.send(SyntheticPayload(256))
     sim.run(until=0.2)
     net.crash_node("b")
     node.send(SyntheticPayload(256))
     sim.run(until=3.0)
-    assert "b" in seen  # the pre-existing hook still fired
+    assert ("b", None) in seen  # the earlier subscriber still heard it
     assert "b" in node.suspected_nodes()
     cluster.close()
 

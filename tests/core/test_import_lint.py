@@ -342,3 +342,63 @@ def test_inflight_lint_catches_each_read():
     for source in ("chan.unacked_bytes()", "inflight = stream.channel._unacked_bytes"):
         assert _inflight_reads(ast.parse(source)) == [1], source
     assert not _inflight_reads(ast.parse("chan.unacked_count()"))
+
+
+# ---------------------------------------------------------------------------
+# One way to open a channel: a name gets its consumer and options once, in
+# TransportEndpoint.accept.  Outside the transport nothing builds a
+# FifoChannel and no ``.channel()`` call configures one.
+# ---------------------------------------------------------------------------
+
+ROOT = SRC.parents[1]
+#: Everything that could open a channel, the transport package aside.
+CHANNEL_USERS = ("src", "tests", "perf", "examples", "benchmarks")
+
+
+def _channel_bypasses(tree):
+    """(line, what) for every ``FifoChannel(...)`` and every ``.channel(...)``
+    call that passes keyword arguments."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) == "FifoChannel":
+            found.append((node.lineno, "constructs a FifoChannel"))
+        elif isinstance(func, ast.Attribute) and func.attr == "channel" and node.keywords:
+            found.append((node.lineno, "passes options to .channel()"))
+    return found
+
+
+def test_channels_open_only_through_accept():
+    transport = SRC / "transport"
+    violations = []
+    for top in CHANNEL_USERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if transport in path.parents:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            rel = path.relative_to(ROOT).as_posix()
+            violations += [f"{rel}:{line} {what}" for line, what in _channel_bypasses(tree)]
+    assert not violations, (
+        "a channel name gets its consumer and options once, in "
+        "TransportEndpoint.accept; channel(peer, name) only looks one up:\n  "
+        + "\n  ".join(violations)
+    )
+    # Not vacuous: the endpoint is where channels are built.
+    endpoint = ast.parse((transport / "endpoint.py").read_text(encoding="utf-8"))
+    assert [what for _line, what in _channel_bypasses(endpoint)] == [
+        "constructs a FifoChannel"
+    ]
+
+
+def test_channel_lint_catches_each_bypass():
+    for source in (
+        "FifoChannel(endpoint, peer, name, deliver)",
+        "fifo.FifoChannel(endpoint, peer, name, deliver)",
+        "endpoint.channel(peer, name, max_rto=0.2)",
+        "node.endpoint.channel(peer, name, **options)",
+    ):
+        assert len(_channel_bypasses(ast.parse(source))) == 1, source
+    assert not _channel_bypasses(ast.parse("endpoint.channel(peer, name).send(b'')"))
+    assert not _channel_bypasses(ast.parse("endpoint.accept(name, fn, max_rto=0.2)"))

@@ -146,11 +146,12 @@ def stream_traffic(plane_class, seed):
     )
     delivered = {peer: [] for peer in NODES[1:]}
     for peer in NODES[1:]:
-        channel = TransportEndpoint(net, peer).channel(
-            "a", DATA_CHANNEL, **config.channel_kwargs()
-        )
-        channel.on_deliver = lambda payload, meta, _log=delivered[peer]: _log.append(
-            (plain(payload), meta)
+        TransportEndpoint(net, peer).accept(
+            DATA_CHANNEL,
+            lambda _origin, payload, meta, _log=delivered[peer]: _log.append(
+                (plain(payload), meta)
+            ),
+            **config.channel_kwargs(),
         )
     tap = Tap(net, "data")
     plane = plane_class(TransportEndpoint(net, "a"), config)

@@ -266,7 +266,6 @@ def _handoff_pair():
 def test_handoff_transfer_parks_until_taken():
     sim, _net, src, dst = _handoff_pair()
     blob = {"version": 3, "hello": [1, 2, 3]}
-    dst.expect("src")
     size = src.send_shard("dst", shard=5, epoch=2, snapshot=blob)
     assert size > 0
     sim.run(until=sim.now + 1.0)
@@ -280,7 +279,6 @@ def test_handoff_transfer_parks_until_taken():
 
 def test_handoff_blobs_ride_the_crash_snapshot():
     sim, _net, src, dst = _handoff_pair()
-    dst.expect("src")
     src.send_shard("dst", shard=1, epoch=3, snapshot={"x": 1})
     sim.run(until=sim.now + 1.0)
     parked = dst.incoming_state()
@@ -306,13 +304,11 @@ def test_handoff_channel_death_suspects_nobody():
         predicates={"self": "MIN($MYWNODE)"},
     )
     src = cluster["n00"]
-    src.handoff.endpoint.channel(
-        "n01", HANDOFF_CHANNEL, max_retransmit_attempts=3, max_rto=0.2
-    )
+    channel = src.handoff.endpoint.channel("n01", HANDOFF_CHANNEL)
+    channel.max_retransmit_attempts, channel.max_rto = 3, 0.2
     net.crash_node("n01")
     src.handoff.send_shard("n01", shard=0, epoch=1, snapshot={"x": 1})
     sim.run(until=sim.now + 30.0)
-    channel = src.handoff.endpoint.channel("n01", HANDOFF_CHANNEL)
     assert channel.suspended
     assert src.suspected_nodes() == set()
     teardown(coordinator, cluster)
@@ -324,7 +320,8 @@ def test_dead_peer_reports_carry_the_shard():
     reports = []
     node.on_peer_dead(lambda peer, shard: reports.append((peer, shard)))
     shard = node.owned_shards[0]
-    node.shards[shard].on_peer_dead("n10", "stab.data")
+    # The shard stack's endpoint reports a data channel giving up.
+    node.shards[shard].endpoint.on_peer_dead("n10", "stab.data")
     assert reports == [("n10", shard)]
     teardown(coordinator, cluster)
 

@@ -26,19 +26,29 @@ def build_net(loss_rate=0.0, latency_ms=10.0, rate_mbit=100.0, seed=0):
     return sim, net
 
 
-def wire_pair(net, **kwargs):
+def ignore(peer, payload, meta):
+    """A consumer for a name that only sends."""
+
+
+def collect(log, key=lambda peer, payload, meta: (payload, meta)):
+    """A consumer appending ``key(peer, payload, meta)`` to ``log``."""
+    return lambda peer, payload, meta: log.append(key(peer, payload, meta))
+
+
+def wire_pair(net, on_deliver=None):
+    """The channel a→b named ``stream`` and what b delivered off it, as
+    ``(payload, meta)`` pairs (or whatever ``on_deliver`` keeps)."""
     ep_a = TransportEndpoint(net, "a")
     ep_b = TransportEndpoint(net, "b")
-    sender = ep_a.channel("b", "stream", **kwargs)
+    ep_a.accept("stream", ignore)
     received = []
-    receiver = ep_b.channel("a", "stream")
-    receiver.on_deliver = lambda payload, meta: received.append((payload, meta))
-    return sender, receiver, received
+    ep_b.accept("stream", on_deliver or collect(received))
+    return ep_a.channel("b", "stream"), received
 
 
 def test_in_order_delivery():
     sim, net = build_net()
-    sender, receiver, received = wire_pair(net)
+    sender, received = wire_pair(net)
     for i in range(10):
         sender.send(f"msg{i}".encode(), meta=i)
     sim.run(until=5.0)
@@ -48,14 +58,14 @@ def test_in_order_delivery():
 
 def test_sequence_numbers_are_consecutive():
     sim, net = build_net()
-    sender, _, _ = wire_pair(net)
+    sender, _ = wire_pair(net)
     seqs = [sender.send(b"x") for _ in range(5)]
     assert seqs == [0, 1, 2, 3, 4]
 
 
 def test_acks_release_retransmission_buffer():
     sim, net = build_net()
-    sender, receiver, received = wire_pair(net)
+    sender, received = wire_pair(net)
     for i in range(5):
         sender.send(b"payload")
     assert sender.unacked_count() == 5
@@ -66,7 +76,7 @@ def test_acks_release_retransmission_buffer():
 
 def test_delivery_under_heavy_loss():
     sim, net = build_net(loss_rate=0.3, seed=7)
-    sender, receiver, received = wire_pair(net, rto=0.2)
+    sender, received = wire_pair(net)
     for i in range(50):
         sender.send(b"m", meta=i)
     sim.run(until=60.0)
@@ -77,9 +87,8 @@ def test_delivery_under_heavy_loss():
 
 def test_fifo_order_preserved_under_loss():
     sim, net = build_net(loss_rate=0.2, seed=13)
-    sender, receiver, received = wire_pair(net, rto=0.15)
     order = []
-    receiver.on_deliver = lambda payload, meta: order.append(meta)
+    sender, _ = wire_pair(net, collect(order, lambda peer, payload, meta: meta))
     for i in range(100):
         sender.send(SyntheticPayload(100), meta=i)
     sim.run(until=120.0)
@@ -89,7 +98,7 @@ def test_fifo_order_preserved_under_loss():
 
 def test_duplicate_frames_not_redelivered():
     sim, net = build_net(loss_rate=0.25, seed=3)
-    sender, receiver, received = wire_pair(net, rto=0.1)
+    sender, received = wire_pair(net)
     for i in range(30):
         sender.send(b"z", meta=i)
     sim.run(until=60.0)
@@ -99,7 +108,7 @@ def test_duplicate_frames_not_redelivered():
 
 def test_send_on_closed_channel_rejected():
     sim, net = build_net()
-    sender, _, _ = wire_pair(net)
+    sender, _ = wire_pair(net)
     sender.close()
     with pytest.raises(TransportError):
         sender.send(b"late")
@@ -108,30 +117,56 @@ def test_send_on_closed_channel_rejected():
 def test_channel_reuse_and_reconfigure_rules():
     sim, net = build_net()
     ep = TransportEndpoint(net, "a")
+    ep.accept("s", ignore)
     chan1 = ep.channel("b", "s")
     assert ep.channel("b", "s") is chan1
+    # A name is accepted once, with its options: no second configuration.
+    with pytest.raises(TransportError, match="already accepted"):
+        ep.accept("s", ignore, min_rto=1.0)
+    with pytest.raises(TransportError, match="never accepted"):
+        ep.channel("b", "unknown")
     with pytest.raises(TransportError):
-        ep.channel("b", "s", rto=1.0)
-    with pytest.raises(TransportError):
-        ep.channel("a", "self")
+        ep.channel("a", "s")  # no loopback
 
 
 def test_invalid_channel_parameters_rejected():
     sim, net = build_net()
     ep = TransportEndpoint(net, "a")
+    ep.accept("bad", ignore, min_rto=0)
     with pytest.raises(TransportError):
-        ep.channel("b", "bad", rto=0)
+        ep.channel("b", "bad")
+
+
+def test_a_frame_for_a_name_not_yet_accepted_waits_for_accept():
+    """The stream is lossless even when the receiver accepts late: a
+    frame on a name the receiver never accepted is not acknowledged, so
+    the sender retransmits it until the name is, and it arrives once."""
+    sim, net = build_net()
+    ep_a = TransportEndpoint(net, "a")
+    ep_b = TransportEndpoint(net, "b")
+    ep_a.accept("late", ignore)
+    sender = ep_a.channel("b", "late")
+    sender.send(b"early", meta="m")
+    sim.run(until=1.0)
+    assert sender.unacked_count() == 1
+    assert sender.retransmissions >= 1
+    assert ep_b.channels() == {}
+    received = []
+    ep_b.accept("late", collect(received, lambda *delivery: delivery))
+    sim.run(until=10.0)
+    assert received == [("a", b"early", "m")]
+    assert sender.unacked_count() == 0
 
 
 def test_bidirectional_streams_are_independent():
     sim, net = build_net()
     ep_a = TransportEndpoint(net, "a")
     ep_b = TransportEndpoint(net, "b")
+    got_at_b, got_at_a = [], []
+    ep_b.accept("x", collect(got_at_b, lambda peer, p, m: p))
+    ep_a.accept("x", collect(got_at_a, lambda peer, p, m: p))
     a_to_b = ep_a.channel("b", "x")
     b_to_a = ep_b.channel("a", "x")
-    got_at_b, got_at_a = [], []
-    ep_b.channel("a", "x").on_deliver = lambda p, m: got_at_b.append(p)
-    ep_a.channel("b", "x").on_deliver = lambda p, m: got_at_a.append(p)
     a_to_b.send(b"to-b")
     b_to_a.send(b"to-a")
     sim.run(until=2.0)
@@ -143,11 +178,12 @@ def test_two_named_channels_do_not_interfere():
     sim, net = build_net()
     ep_a = TransportEndpoint(net, "a")
     ep_b = TransportEndpoint(net, "b")
+    got = {"data": [], "control": []}
+    for name, log in got.items():
+        ep_a.accept(name, ignore)
+        ep_b.accept(name, collect(log, lambda peer, p, m: p))
     data = ep_a.channel("b", "data")
     control = ep_a.channel("b", "control")
-    got = {"data": [], "control": []}
-    ep_b.channel("a", "data").on_deliver = lambda p, m: got["data"].append(p)
-    ep_b.channel("a", "control").on_deliver = lambda p, m: got["control"].append(p)
     data.send(b"d0")
     control.send(b"c0")
     data.send(b"d1")
@@ -157,9 +193,8 @@ def test_two_named_channels_do_not_interfere():
 
 def test_throughput_bounded_by_link_bandwidth():
     sim, net = build_net(latency_ms=5.0, rate_mbit=8.0)  # 1 MB/s
-    sender, receiver, received = wire_pair(net)
     arrivals = []
-    receiver.on_deliver = lambda p, m: arrivals.append(sim.now)
+    sender, _ = wire_pair(net, collect(arrivals, lambda peer, p, m: sim.now))
     n = 100
     for i in range(n):
         sender.send(SyntheticPayload(10_000))
@@ -237,8 +272,9 @@ def test_flow_control_validation():
         StabilizerConfig(["a", "b"], {"a": ["a"], "b": ["b"]}, "a", window_bytes=0)
     # The window is no channel option: the channel has none to validate.
     ep = TransportEndpoint(net, "a")
+    ep.accept("bad-window", ignore, max_inflight_bytes=0)
     with pytest.raises(TypeError):
-        ep.channel("b", "bad-window", max_inflight_bytes=0)
+        ep.channel("b", "bad-window")
 
 
 def test_restarted_sender_epoch_resets_receiver_stream():
@@ -246,20 +282,17 @@ def test_restarted_sender_epoch_resets_receiver_stream():
     later epoch; the receiver resets its transport stream instead of
     treating the new seq 0 as a duplicate (Section III-E recovery)."""
     sim, net = build_net()
-    ep_a = TransportEndpoint(net, "a")
-    ep_b = TransportEndpoint(net, "b")
-    sender = ep_a.channel("b", "stream")
     received = []
-    ep_b.channel("a", "stream").on_deliver = lambda p, m: received.append(m)
+    sender, _ = wire_pair(net, collect(received, lambda peer, p, m: m))
     sender.send(b"x", meta="pre-1")
     sender.send(b"x", meta="pre-2")
     sim.run(until=1.0)
     assert received == ["pre-1", "pre-2"]
 
     # "Restart": tear the endpoint down and build a new one at t > 0.
-    sender.close()
-    ep_a.close()
+    sender.endpoint.close()
     ep_a2 = TransportEndpoint(net, "a")
+    ep_a2.accept("stream", ignore)
     sender2 = ep_a2.channel("b", "stream")
     assert sender2.epoch > 0
     sender2.send(b"x", meta="post-1")
@@ -271,11 +304,10 @@ def test_restarted_sender_epoch_resets_receiver_stream():
 
 def test_stale_epoch_frames_are_ignored():
     sim, net = build_net()
-    ep_a = TransportEndpoint(net, "a")
     ep_b = TransportEndpoint(net, "b")
     received = []
+    ep_b.accept("stream", collect(received, lambda peer, p, m: m))
     receiver = ep_b.channel("a", "stream")
-    receiver.on_deliver = lambda p, m: received.append(m)
     receiver._handle_data(0, b"new", 10, "new-epoch", epoch=5.0)
     receiver._handle_data(0, b"old", 10, "old-epoch", epoch=1.0)
     assert received == ["new-epoch"]
@@ -283,7 +315,7 @@ def test_stale_epoch_frames_are_ignored():
 
 def test_synthetic_payloads_flow_through():
     sim, net = build_net()
-    sender, receiver, received = wire_pair(net)
+    sender, received = wire_pair(net)
     sender.send(SyntheticPayload(8192))
     sim.run(until=2.0)
     assert received == [(SyntheticPayload(8192), None)]

@@ -13,7 +13,7 @@ from repro.transport import SyntheticPayload, TransportEndpoint
 from repro.transport.fifo import TRANSPORT_HEADER_BYTES
 from repro.transport.messages import BATCH_ENTRY
 
-from tests.transport.test_fifo import build_net
+from tests.transport.test_fifo import build_net, wire_pair
 
 
 def wire(net, **config):
@@ -84,8 +84,7 @@ def test_one_frame_always_flies():
 
 def test_window_open_fires_on_credit_return():
     sim, net = build_net()
-    sender = TransportEndpoint(net, "a").channel("b", "stream")
-    TransportEndpoint(net, "b").channel("a", "stream")
+    sender, _ = wire_pair(net)
     opens = []
     sender.on_window_open = lambda: opens.append(sender.unacked_count())
     sender.send(SyntheticPayload(1_000))
