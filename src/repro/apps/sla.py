@@ -157,9 +157,8 @@ class ConsistencySLA:
 
     def mean_utility(self, since: int = 0) -> float:
         """Average delivered utility over resolved acquires — all of
-        them by default, or only ``outcomes[since:]`` so a controller
-        (:class:`~repro.core.slacontrol.SlaController`) can window the
-        signal by remembering ``len(outcomes)`` between ticks."""
+        them by default, or only ``outcomes[since:]`` so a caller can
+        window the signal by remembering ``len(outcomes)``."""
         outcomes = self.outcomes[since:]
         if not outcomes:
             return 0.0

@@ -512,7 +512,6 @@ def run_overload_bench(
                 admission[name] = node.set_admission(
                     rate_per_s=admit_rate_per_s,
                     queue_limit=queue_limit,
-                    shed_policy="reject_new",
                 )
                 sla[name] = SlaController.install(
                     node,

@@ -51,7 +51,6 @@ FRAME_DELAY_MS = 2.0
 # (10/s per node) and far below a crowd's, so only surges shed.
 ADMIT_RATE_PER_S = 15.0
 QUEUE_LIMIT = 64
-SHED_POLICY = "reject_new"
 # The SLA loop: stability-latency target and controller cadence.
 TARGET_P99_S = 0.5
 CONTROLLER_INTERVAL_S = 0.2
@@ -97,7 +96,6 @@ class OverloadScenario(Scenario):
         controller = node.set_admission(
             rate_per_s=ADMIT_RATE_PER_S,
             queue_limit=QUEUE_LIMIT,
-            shed_policy=SHED_POLICY,
         )
         controller.on_admitted(
             lambda seq, shard, name=node.name: self.checker.note_sent(

@@ -9,9 +9,8 @@ applies three classic defenses, outermost first:
 
 - a **token bucket** caps the sustained ingest rate (burst-tolerant
   throttling);
-- a **bounded admission queue** absorbs bursts above the rate with an
-  explicit shed policy — ``"reject_new"`` refuses the newcomer,
-  ``"drop_oldest"`` sheds the oldest *queued* entry to make room.  Only
+- a **bounded admission queue** absorbs bursts above the rate; when it
+  is full the newcomer is refused, so what waits keeps its place.  Only
   entries that were never admitted are ever shed: once a message has been
   handed to ``send()`` and sequenced it is replicated like any other
   (chaos invariant 13 holds the controller to this);
@@ -48,6 +47,15 @@ BREAKER_HALF_OPEN = "half_open"
 
 #: (peer, shard) — shard is None for an unsharded node.
 BreakerKey = Tuple[str, Optional[int]]
+
+#: Consecutive unhealthy transport polls that open a peer's breaker.
+BREAKER_FAILURE_THRESHOLD = 3
+#: How long an open breaker waits before it lets one probe through.
+BREAKER_COOLDOWN_S = 1.0
+#: The gate sheds new work while at least this share of breakers is open.
+BREAKER_OPEN_FRACTION = 0.5
+#: Cadence of the pump that drains the queue and polls the transport.
+PUMP_INTERVAL_S = 0.02
 
 
 class TokenBucket:
@@ -116,8 +124,8 @@ class CircuitBreaker:
         self,
         clock: Callable[[], float],
         label: str = "",
-        failure_threshold: int = 3,
-        cooldown_s: float = 1.0,
+        failure_threshold: int = BREAKER_FAILURE_THRESHOLD,
+        cooldown_s: float = BREAKER_COOLDOWN_S,
     ):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
@@ -212,51 +220,23 @@ class AdmissionController:
     ``node`` is a :class:`~repro.core.stabilizer.Stabilizer` or
     :class:`~repro.core.sharding.ShardedStabilizer`; attach through the
     node's ``set_admission`` so the send-path preflight and stats merge
-    are wired up.  ``rate_per_s`` is the sustained admit rate,
-    ``burst`` the bucket depth (default: one second's worth),
-    ``queue_limit`` the bounded queue, ``shed_policy`` either
-    ``"reject_new"`` or ``"drop_oldest"``.  Breakers open after
-    ``breaker_failure_threshold`` consecutive unhealthy transport polls
-    (or instantly on a dead-peer report) and the gate sheds new work
-    while at least ``breaker_open_fraction`` of peer breakers are open.
+    are wired up.  ``rate_per_s`` is the sustained admit rate (the
+    bucket holds one second's worth), ``queue_limit`` the bounded queue.
+    Breakers open after :data:`BREAKER_FAILURE_THRESHOLD` consecutive
+    unhealthy transport polls (or instantly on a dead-peer report) and
+    the gate sheds new work while at least :data:`BREAKER_OPEN_FRACTION`
+    of peer breakers are open.
     """
 
-    SHED_POLICIES = ("reject_new", "drop_oldest")
-
-    def __init__(
-        self,
-        node,
-        rate_per_s: float,
-        burst: Optional[float] = None,
-        queue_limit: int = 256,
-        shed_policy: str = "reject_new",
-        breaker_failure_threshold: int = 3,
-        breaker_cooldown_s: float = 1.0,
-        breaker_open_fraction: float = 0.5,
-        pump_interval_s: float = 0.02,
-    ):
-        if shed_policy not in self.SHED_POLICIES:
-            raise ValueError(
-                f"shed_policy must be one of {self.SHED_POLICIES}, "
-                f"got {shed_policy!r}"
-            )
+    def __init__(self, node, rate_per_s: float, queue_limit: int = 256):
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if not 0.0 < breaker_open_fraction <= 1.0:
-            raise ValueError("breaker_open_fraction must be in (0, 1]")
         self.node = node
         self.sim = node.sim
         self.name = node.name
         self.tracer = getattr(node, "tracer", None) or NULL_TRACER
-        self.bucket = TokenBucket(
-            self.sim.clock, rate_per_s, burst if burst is not None else rate_per_s
-        )
+        self.bucket = TokenBucket(self.sim.clock, rate_per_s, rate_per_s)
         self.queue_limit = queue_limit
-        self.shed_policy = shed_policy
-        self.breaker_failure_threshold = breaker_failure_threshold
-        self.breaker_cooldown_s = breaker_cooldown_s
-        self.breaker_open_fraction = breaker_open_fraction
-        self.pump_interval_s = pump_interval_s
         self._queue: deque = deque()
         self._breakers: Dict[BreakerKey, CircuitBreaker] = {}
         # (shard, peer, channel) -> (retransmissions, stalled) at last poll.
@@ -281,7 +261,7 @@ class AdmissionController:
             for peer in inner.config.remote_names():
                 self._breaker((peer, shard))
         node.on_peer_dead(self._on_peer_dead)
-        self._pump_timer = self.sim.call_later(pump_interval_s, self._pump)
+        self._pump_timer = self.sim.call_later(PUMP_INTERVAL_S, self._pump)
 
     # ------------------------------------------------------------------ wiring
     def _on_peer_dead(self, peer: str, shard: Optional[int]) -> None:
@@ -292,12 +272,7 @@ class AdmissionController:
         if breaker is None:
             peer, shard = key
             label = peer if shard is None else f"{peer}/s{shard}"
-            breaker = CircuitBreaker(
-                self.sim.clock,
-                label=label,
-                failure_threshold=self.breaker_failure_threshold,
-                cooldown_s=self.breaker_cooldown_s,
-            )
+            breaker = CircuitBreaker(self.sim.clock, label=label)
             breaker.on_transition = self._trace_transition
             self._breakers[key] = breaker
         return breaker
@@ -326,7 +301,7 @@ class AdmissionController:
         open_count = sum(
             1 for b in self._breakers.values() if b.state == BREAKER_OPEN
         )
-        return open_count < self.breaker_open_fraction * len(self._breakers)
+        return open_count < BREAKER_OPEN_FRACTION * len(self._breakers)
 
     def submit(
         self, payload, meta=None, *, key=None, shard: Optional[int] = None
@@ -337,7 +312,7 @@ class AdmissionController:
         token was available and the send went through; ``"queued"`` when
         the message waits its turn in the bounded queue (the pump drains
         it at the token rate); ``"shed"`` when it was refused — by the
-        breaker gate, or by the shed policy on a full queue.  A shed
+        breaker gate, or because the queue is full.  A shed
         message was *never* admitted; a queued one is not admitted until
         the pump sends it.
         """
@@ -345,7 +320,7 @@ class AdmissionController:
             raise StabilizerError("admission controller is closed")
         self.offered += 1
         if not self.gate_open():
-            return self._shed_new(None, "breaker")
+            return self._shed(None, "breaker")
         entry = _Entry(payload, meta, key, shard)
         if not self._queue and self.bucket.take():
             try:
@@ -358,29 +333,16 @@ class AdmissionController:
 
     def _enqueue(self, entry: _Entry) -> AdmissionOutcome:
         if len(self._queue) >= self.queue_limit:
-            if self.shed_policy == "reject_new":
-                return self._shed_new(entry, "queue_full")
-            oldest = self._queue.popleft()
-            self._shed_entry(oldest, "drop_oldest")
+            return self._shed(entry, "queue_full")
         self._queue.append(entry)
         if len(self._queue) > self.queue_peak:
             self.queue_peak = len(self._queue)
         return AdmissionOutcome("queued", None, "")
 
-    def _shed_new(self, entry: Optional[_Entry], reason: str) -> AdmissionOutcome:
-        if entry is not None:
-            self._shed_entry(entry, reason)
-        else:
-            self._count_shed(reason, admitted=False)
-        return AdmissionOutcome("shed", None, reason)
-
-    def _shed_entry(self, entry: _Entry, reason: str) -> None:
-        self._count_shed(reason, admitted=entry.admitted)
-
-    def _count_shed(self, reason: str, admitted: bool) -> None:
+    def _shed(self, entry: Optional[_Entry], reason: str) -> AdmissionOutcome:
         self.shed += 1
         self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
-        if admitted:
+        if entry is not None and entry.admitted:
             # Structurally unreachable: only never-admitted queue entries
             # are ever shed.  Counted anyway so chaos invariant 13 audits
             # the claim instead of trusting it.
@@ -389,6 +351,7 @@ class AdmissionController:
             self.tracer.emit(
                 self.name, "admission.shed", reason=reason, queued=len(self._queue)
             )
+        return AdmissionOutcome("shed", None, reason)
 
     def _admit(self, entry: _Entry) -> int:
         """Perform the send for an entry that holds a token."""
@@ -464,7 +427,7 @@ class AdmissionController:
     def _pump(self) -> None:
         if self._closed:
             return
-        self._pump_timer = self.sim.call_later(self.pump_interval_s, self._pump)
+        self._pump_timer = self.sim.call_later(PUMP_INTERVAL_S, self._pump)
         self._poll_breakers()
         while self._queue and self.gate_open() and self.bucket.take():
             entry = self._queue.popleft()

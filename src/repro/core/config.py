@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.dsl.semantics import DEFAULT_TYPE, DslContext
 from repro.errors import ConfigError
+from repro.transport.fifo import MIN_RTO_S
 
 BUILTIN_TYPES = (DEFAULT_TYPE, "persisted")
 
@@ -70,13 +71,12 @@ class StabilizerConfig:
         latency for batching on high-rate streams.  The control plane's
         ack coalescing honours the same clock: its flush interval is at
         least this long.
-    send_policy:
-        What a full send buffer (``max_buffer_bytes``) does to ``send()``:
-        ``"except"`` raises :class:`~repro.errors.BackpressureError`;
-        ``"block"`` admits the message anyway (the bound goes soft) and
-        relies on the registered backpressure callbacks /
-        ``waitfor_capacity()`` to pause the producer — a hard block would
-        deadlock the single-threaded simulator.
+    max_buffer_bytes:
+        Bound on the retained send buffer (``None``: unbounded).  A
+        ``send()`` that would overflow it raises
+        :class:`~repro.errors.BackpressureError` before sequencing; the
+        backpressure callbacks / ``waitfor_capacity()`` tell the producer
+        when to resume.
     failure_timeout_s:
         Silence threshold after which a peer is suspected (Section III-E's
         "predicate update timer").
@@ -86,8 +86,10 @@ class StabilizerConfig:
         failure detector (the paper's "data transmission failure
         information").  ``None`` retries forever (the pre-robustness
         behaviour).
-    transport_min_rto_s / transport_max_rto_s:
-        Clamp for the adaptive (Jacobson/Karn) retransmission timeout.
+    transport_max_rto_s:
+        Ceiling of the adaptive (Jacobson/Karn) retransmission timeout;
+        its floor is the transport's
+        :data:`~repro.transport.fifo.MIN_RTO_S`.
     durability:
         When True the node runs a :class:`~repro.core.durability.DurabilityManager`
         and ``persisted`` stability is only ever reported after a
@@ -135,16 +137,6 @@ class StabilizerConfig:
         sequencer node), or ``"hybrid_clock"`` (Okapi-style hybrid-clock
         stable-time vectors).  All engines must agree across a
         deployment — they speak different control protocols.
-    strategy_params:
-        Engine-specific knobs, e.g. ``{"sequencer": "b"}`` for the
-        sequencer engine or ``{"clock_interval_s": 0.02}`` (a finite
-        positive number of seconds) for the hybrid-clock engine.  Ignored
-        by engines that do not read them.
-    shard_strategies:
-        Per-shard engine override (``{shard_id: strategy_name}``) applied
-        by :meth:`shard_view` — lets a :class:`~repro.core.sharding.ShardedStabilizer`
-        run, say, the sequencer engine on a write-hot shard while the
-        rest keep the deployment default.
     """
 
     def __init__(
@@ -163,9 +155,7 @@ class StabilizerConfig:
         window_bytes: Optional[int] = 1024 * 1024,
         frame_bytes: Optional[int] = 32 * 1024,
         frame_delay_ms: float = 0.0,
-        send_policy: str = "except",
         max_retransmit_attempts: Optional[int] = 8,
-        transport_min_rto_s: float = 0.05,
         transport_max_rto_s: float = 5.0,
         durability: bool = False,
         durability_group_commit_interval_s: float = 0.005,
@@ -178,8 +168,6 @@ class StabilizerConfig:
         shard_id: Optional[int] = None,
         shard_epoch: int = 0,
         stabilization_strategy: str = "acktable",
-        strategy_params: Optional[Dict] = None,
-        shard_strategies: Optional[Dict] = None,
     ):
         if local not in node_names:
             raise ConfigError(f"local node {local!r} not in node list")
@@ -199,12 +187,10 @@ class StabilizerConfig:
             raise ConfigError("frame_bytes must be positive or None")
         if frame_delay_ms < 0:
             raise ConfigError("frame_delay_ms must be non-negative")
-        if send_policy not in ("except", "block"):
-            raise ConfigError("send_policy must be 'except' or 'block'")
         if max_retransmit_attempts is not None and max_retransmit_attempts <= 0:
             raise ConfigError("max_retransmit_attempts must be positive or None")
-        if transport_min_rto_s <= 0 or transport_max_rto_s < transport_min_rto_s:
-            raise ConfigError("need 0 < transport_min_rto_s <= transport_max_rto_s")
+        if transport_max_rto_s < MIN_RTO_S:
+            raise ConfigError(f"transport_max_rto_s must be at least {MIN_RTO_S}")
         if durability_group_commit_interval_s <= 0:
             raise ConfigError("durability_group_commit_interval_s must be positive")
         if durability_group_commit_batch <= 0:
@@ -235,13 +221,6 @@ class StabilizerConfig:
                 f"unknown stabilization strategy {stabilization_strategy!r}; "
                 f"known: {', '.join(STRATEGY_NAMES)}"
             )
-        if shard_strategies is not None:
-            for shard, name in shard_strategies.items():
-                if name not in STRATEGY_NAMES:
-                    raise ConfigError(
-                        f"unknown stabilization strategy {name!r} for "
-                        f"shard {shard}; known: {', '.join(STRATEGY_NAMES)}"
-                    )
 
         self.node_names = list(node_names)
         # name -> row index, built once: ``node_index`` runs on every
@@ -260,9 +239,7 @@ class StabilizerConfig:
         self.window_bytes = window_bytes
         self.frame_bytes = frame_bytes
         self.frame_delay_ms = frame_delay_ms
-        self.send_policy = send_policy
         self.max_retransmit_attempts = max_retransmit_attempts
-        self.transport_min_rto_s = transport_min_rto_s
         self.transport_max_rto_s = transport_max_rto_s
         self.durability = durability
         self.durability_group_commit_interval_s = durability_group_commit_interval_s
@@ -279,12 +256,6 @@ class StabilizerConfig:
         self.shard_id = shard_id
         self.shard_epoch = int(shard_epoch)
         self.stabilization_strategy = stabilization_strategy
-        self.strategy_params = dict(strategy_params or {})
-        self.shard_strategies = (
-            {int(k): v for k, v in shard_strategies.items()}
-            if shard_strategies is not None
-            else None
-        )
         self._shard_map = None
         if self.shard_owners is not None:
             self.shard_map()  # validate the explicit assignment eagerly
@@ -380,15 +351,6 @@ class StabilizerConfig:
                 "shard_owners": None,
                 "shard_id": shard,
                 "durability_dir": f"{self.durability_dir}/s{shard}",
-                # Per-shard engine choice: the override map wins over the
-                # deployment default, and does not propagate into the
-                # single-shard view (whose own map would be meaningless).
-                "stabilization_strategy": (
-                    (self.shard_strategies or {}).get(
-                        shard, self.stabilization_strategy
-                    )
-                ),
-                "shard_strategies": None,
             }
         )
 
@@ -420,7 +382,6 @@ class StabilizerConfig:
         with (first creation wins; data and control planes share them)."""
         return {
             "max_retransmit_attempts": self.max_retransmit_attempts,
-            "min_rto": self.transport_min_rto_s,
             "max_rto": self.transport_max_rto_s,
         }
 
@@ -474,9 +435,7 @@ class StabilizerConfig:
             "window_bytes": self.window_bytes,
             "frame_bytes": self.frame_bytes,
             "frame_delay_ms": self.frame_delay_ms,
-            "send_policy": self.send_policy,
             "max_retransmit_attempts": self.max_retransmit_attempts,
-            "transport_min_rto_s": self.transport_min_rto_s,
             "transport_max_rto_s": self.transport_max_rto_s,
             "durability": self.durability,
             "durability_group_commit_interval_s": self.durability_group_commit_interval_s,
@@ -493,12 +452,6 @@ class StabilizerConfig:
             "shard_id": self.shard_id,
             "shard_epoch": self.shard_epoch,
             "stabilization_strategy": self.stabilization_strategy,
-            "strategy_params": dict(self.strategy_params),
-            "shard_strategies": (
-                {str(k): v for k, v in self.shard_strategies.items()}
-                if self.shard_strategies is not None
-                else None
-            ),
         }
 
     @classmethod

@@ -42,6 +42,9 @@ from repro.transport.messages import (
 )
 
 CONTROL_CHANNEL = "stab.ctrl"
+# How long the stream must be silent before the last frame to a peer is
+# repaired by a re-send of the full state (the tail probe).
+TAIL_PROBE_S = 0.05
 
 HeardFn = Callable[[str], None]
 # (peer name, {origin_index -> highest received seq} the peer already has)
@@ -69,7 +72,7 @@ class ControlChannelSet:
     receiver max-merges.  The carrier repairs loss by re-sending the
     engine's full state (the ``full_state`` callback): once per peer of
     the last frame when the stream falls silent for
-    ``transport_min_rto_s`` (the tail probe), and to every peer on every
+    :data:`TAIL_PROBE_S` (the tail probe), and to every peer on every
     heartbeat tick (anti-entropy).  Only :class:`ResumeFrame`, a request
     rather than state, rides a reliable channel, created on first use.
     """
@@ -115,7 +118,6 @@ class ControlChannelSet:
         self.tail_probes = 0
         # Tail probe: the last frame to a peer has no successor to
         # supersede it, so its loss must be repaired by a re-send.
-        self._probe_delay = config.transport_min_rto_s
         self._probe_timer = None
         self._tail_at = 0.0
         self._tail_peers: list = []
@@ -170,7 +172,7 @@ class ControlChannelSet:
         self._tail_peers.append(peer)
         if self._probe_timer is None:
             self._probe_timer = self.sim.call_later(
-                self._probe_delay, self._probe_tick
+                TAIL_PROBE_S, self._probe_tick
             )
         # _ship without a rider, inline: this runs once per report per peer.
         wire_size = frame.wire_size()
@@ -225,7 +227,7 @@ class ControlChannelSet:
         self._probe_timer = None
         if self._closed:
             return
-        due = self._tail_at + self._probe_delay
+        due = self._tail_at + TAIL_PROBE_S
         if self.sim.now < due:
             # Frames went out since this timer was armed: look again once
             # the newest of them has been the last for a full delay.

@@ -29,10 +29,9 @@ place the send window (``window_bytes``) is kept:
   so a slow or suspected peer backpressures only its own stream.
   Crash-restart replay goes through the same stream and the same rule;
 - the retained send buffer is bounded (``max_buffer_bytes``): when the
-  WAN cannot drain, ``send()`` either raises
-  :class:`~repro.errors.BackpressureError` or — under the ``"block"``
-  policy — admits the message and signals the registered backpressure
-  callbacks so the producer pauses itself.
+  WAN cannot drain, ``send()`` raises
+  :class:`~repro.errors.BackpressureError`, and the registered
+  backpressure callbacks tell the producer when to pause and resume.
 
 The receive path applies an arrived frame — a contiguous run ``[first,
 last]`` of one origin's stream — as one unit: the run is validated whole,
@@ -100,10 +99,9 @@ class _BufferEntry:
 class SendBuffer:
     """Retains sent chunks until they are globally delivered.
 
-    ``max_bytes`` is a soft bound: ``add`` never refuses a chunk.  The
-    data plane applies its send policy against :meth:`would_overflow`
-    *before* it sequences a message, so a ``"block"``-policy overflow
-    stays soft.
+    ``add`` never refuses a chunk: the data plane checks
+    :meth:`would_overflow` *before* it sequences a message, and refuses
+    the whole message there.
     """
 
     def __init__(self, max_bytes: Optional[int] = None):
@@ -210,7 +208,6 @@ class DataPlane:
         self.chunker = Chunker(config.chunk_bytes)
         # Admission policy runs before sequencing (see send()).
         self.buffer = SendBuffer(config.max_buffer_bytes)
-        self._send_policy = config.send_policy
         self._next_seq = 1  # message sequence numbers are 1-based
         # No coalescing is a frame_bytes of 0: every run is one message.
         self._frame_bytes = config.frame_bytes or 0
@@ -277,7 +274,7 @@ class DataPlane:
         the message's stability is the stability of ``last_seq``.
         """
         object_id, parts, sizes = self.chunker.split(payload)
-        if self.buffer.would_overflow(sum(sizes)) and self._send_policy == "except":
+        if self.buffer.would_overflow(sum(sizes)):
             raise BackpressureError(
                 f"send buffer full ({self.buffer.buffered_bytes()}B of "
                 f"{self.buffer.max_bytes}B); the WAN has not drained — "

@@ -441,7 +441,7 @@ class ShardedStabilizer:
         :class:`~repro.core.degradation.MaskSuspectedPolicy` by default,
         or one per call to ``policy_factory()``.  Suspicion of a node
         outside a shard's owner set is out of scope there and adjusts
-        nothing (see ``PredicateAutoAdjuster.mask_node``).  Returns the
+        nothing (see ``MaskSuspectedPolicy.on_suspect``).  Returns the
         installed policies keyed by shard.
         """
         return self._every_stack(

@@ -5,7 +5,7 @@ The paper demonstrates *manual* dynamic reconfiguration: an operator
 watching tail latency calls ``change_predicate`` to trade consistency
 for responsiveness, then walks the predicate back once the WAN recovers.
 :class:`SlaController` closes that loop.  Each control tick it measures
-three overload signals on one node:
+two overload signals on one node:
 
 - the send→stable latency percentile over the *last interval only* (a
   :class:`_HistogramWindow` diff over the cumulative
@@ -14,21 +14,18 @@ three overload signals on one node:
 - the age of the oldest local send the frontier has not covered
   (:meth:`~repro.obs.stability.StabilityInstruments.oldest_pending_age`
   — the stall signal a latency histogram cannot give, since a stuck
-  frontier stops producing samples exactly when things are worst);
-- optionally, the windowed mean utility of a
-  :class:`~repro.apps.sla.ConsistencySLA`'s recent outcomes and the
-  ``frontier_lag.*`` gauges of remote streams.
+  frontier stops producing samples exactly when things are worst).
 
 When the SLA is breached it relaxes the watched predicate one rung down
-a *relaxation ladder* (by default: shrinking-quorum ``KTH_MAX`` steps
-ending at ``MAX`` — eventual); when measurements have stayed healthy for
+the :func:`relaxation_ladder` (shrinking-quorum ``KTH_MAX`` steps ending
+at ``MAX`` — eventual); when measurements have stayed healthy for
 ``healthy_ticks`` consecutive ticks it restores one rung up.  Both
 directions respect a cooldown, so the controller cannot flap faster than
 the system can re-equilibrate, and restoration demands margin
-(``restore_fraction`` of the target) — classic hysteresis.
+(:data:`RESTORE_FRACTION` of the target) — classic hysteresis.
 
 Predicate changes are routed through
-:meth:`~repro.core.autoadjust.PredicateAutoAdjuster.rebase_original`
+:meth:`~repro.core.degradation.MaskSuspectedPolicy.rebase_original`
 when a masking degradation policy is live, so a ladder step taken while
 a peer is suspected composes with the mask instead of clobbering it.
 
@@ -42,9 +39,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.degradation import MaskSuspectedPolicy
 from repro.errors import StabilizerError
 
 __all__ = ["SlaController", "relaxation_ladder"]
+
+#: Restore only at or below this fraction of the target.
+RESTORE_FRACTION = 0.5
+#: Below this many window samples the percentile is not trusted (the
+#: pending-age signal still is).
+MIN_SAMPLES = 5
 
 
 class _WindowStats:
@@ -141,29 +145,15 @@ class SlaController:
     target_p99_s:
         The SLA: windowed p99 send→stable latency (and oldest-pending
         age) must stay at or below this.
-    ladder:
-        Relaxed sources, strictest first; defaults to
-        :func:`relaxation_ladder`.  ``level`` 0 is the pristine source,
-        level ``i`` is ``ladder[i-1]``.
-    interval_s / cooldown_s / healthy_ticks / restore_fraction:
-        Control cadence and hysteresis: measure every ``interval_s``;
-        at most one step per ``cooldown_s``; restore only after
+    interval_s / cooldown_s / healthy_ticks:
+        Control cadence and hysteresis: measure every ``interval_s``
+        (the first tick is ``interval_s`` after construction); at most
+        one step per ``cooldown_s``; restore only after
         ``healthy_ticks`` consecutive ticks at or below
-        ``restore_fraction * target_p99_s``.
-    min_samples:
-        Below this many window samples the percentile is not trusted
-        (the pending-age signal still is).
-    sla / min_utility:
-        Optional :class:`~repro.apps.sla.ConsistencySLA` whose recent
-        outcome utilities feed the loop: windowed mean utility below
-        ``min_utility`` counts as a breach.
-    max_lag:
-        Optional message-count threshold on the ``frontier_lag.*``
-        gauges of remote streams; ``None`` disables the signal.
-    adjuster:
-        Explicit :class:`~repro.core.autoadjust.PredicateAutoAdjuster`
-        for mask composition; default: resolved from the stabilizer's
-        degradation policy at step time (``adjuster_for``).
+        ``RESTORE_FRACTION * target_p99_s``.
+
+    ``level`` 0 is the pristine source, level ``i`` is ``ladder[i-1]``
+    of :func:`relaxation_ladder`.
     """
 
     def __init__(
@@ -171,63 +161,35 @@ class SlaController:
         stabilizer,
         key: str,
         target_p99_s: float,
-        ladder: Optional[List[str]] = None,
         interval_s: float = 0.25,
         cooldown_s: float = 1.0,
         healthy_ticks: int = 4,
-        restore_fraction: float = 0.5,
-        min_samples: int = 5,
-        sla=None,
-        min_utility: Optional[float] = None,
-        max_lag: Optional[int] = None,
-        adjuster=None,
-        autostart: bool = True,
     ):
         if target_p99_s <= 0:
             raise ValueError("target_p99_s must be > 0")
-        if not 0.0 < restore_fraction <= 1.0:
-            raise ValueError("restore_fraction must be in (0, 1]")
         self.stabilizer = stabilizer
         self.sim = stabilizer.sim
         self.key = key
         self.target_p99_s = float(target_p99_s)
         self.original_source = stabilizer.engine.predicate(key).source
-        self.ladder = (
-            list(ladder)
-            if ladder is not None
-            else relaxation_ladder(stabilizer.config)
-        )
-        if not self.ladder:
-            raise ValueError("relaxation ladder must have at least one rung")
+        self.ladder = relaxation_ladder(stabilizer.config)
         # Reject unregisterable rungs now, not mid-incident.
         for source in self.ladder:
             stabilizer.engine.compiler.compile(source)
         self.interval_s = interval_s
         self.cooldown_s = cooldown_s
         self.healthy_ticks = healthy_ticks
-        self.restore_fraction = restore_fraction
-        self.min_samples = min_samples
-        self.sla = sla
-        self.min_utility = min_utility
-        self.max_lag = max_lag
-        self._adjuster = adjuster
 
         #: 0 = pristine; i = ladder[i-1] is installed.
         self.level = 0
         self._healthy_streak = 0
         self._last_step_at = float("-inf")
-        self._sla_index = 0
         self._closed = False
         self._window = _HistogramWindow(
             stabilizer.registry.histogram(
                 f"{stabilizer.stability.prefix}.{key}"
             )
         )
-        self._remote_lag_gauges = [
-            stabilizer.registry.gauge(f"frontier_lag.{origin}.received")
-            for origin in stabilizer.config.node_names
-            if origin != stabilizer.name
-        ]
 
         registry = stabilizer.registry
         registry.gauge("slacontrol.level", fn=lambda: self.level)
@@ -240,9 +202,7 @@ class SlaController:
         self._g_p99.set(0.0)
         self._g_pending.set(0.0)
 
-        self._timer = None
-        if autostart:
-            self._timer = self.sim.call_later(self.interval_s, self._tick)
+        self._timer = self.sim.call_later(self.interval_s, self._tick)
 
     # ------------------------------------------------------------------ sharded
     @classmethod
@@ -264,60 +224,20 @@ class SlaController:
         """One interval's signals (also consumed by :meth:`_tick`)."""
         window = self._window.advance()
         p99 = None
-        if window.count >= self.min_samples:
+        if window.count >= MIN_SAMPLES:
             p99 = window.percentile(99)
         pending_age = self.stabilizer.stability.oldest_pending_age(self.key)
-        utility = None
-        if self.sla is not None:
-            outcomes = self.sla.outcomes[self._sla_index:]
-            self._sla_index += len(outcomes)
-            if outcomes:
-                utility = sum(
-                    o.sub_sla.utility for o in outcomes
-                ) / len(outcomes)
-        lag = 0
-        if self._remote_lag_gauges:
-            lag = max(int(g.value) for g in self._remote_lag_gauges)
         self._g_p99.set(p99 if p99 is not None else 0.0)
         self._g_pending.set(pending_age)
         return {
             "samples": window.count,
             "p99": p99,
             "pending_age": pending_age,
-            "utility": utility,
-            "lag": lag,
         }
 
-    def _breached(self, m: Dict[str, float]) -> bool:
-        if m["p99"] is not None and m["p99"] > self.target_p99_s:
-            return True
-        if m["pending_age"] > self.target_p99_s:
-            return True
-        if (
-            self.min_utility is not None
-            and m["utility"] is not None
-            and m["utility"] < self.min_utility
-        ):
-            return True
-        if self.max_lag is not None and m["lag"] > self.max_lag:
-            return True
-        return False
-
-    def _healthy(self, m: Dict[str, float]) -> bool:
-        margin = self.restore_fraction * self.target_p99_s
-        if m["pending_age"] > margin:
-            return False
-        if m["p99"] is not None and m["p99"] > margin:
-            return False
-        if (
-            self.min_utility is not None
-            and m["utility"] is not None
-            and m["utility"] < self.min_utility
-        ):
-            return False
-        if self.max_lag is not None and m["lag"] > self.max_lag:
-            return False
-        return True
+    def _within(self, m: Dict[str, float], limit: float) -> bool:
+        """Both signals at or below ``limit``."""
+        return m["pending_age"] <= limit and (m["p99"] is None or m["p99"] <= limit)
 
     # ------------------------------------------------------------------ control loop
     def _tick(self) -> None:
@@ -328,12 +248,12 @@ class SlaController:
         m = self.measure()
         now = self.sim.now
         in_cooldown = now - self._last_step_at < self.cooldown_s
-        if self._breached(m):
+        if not self._within(m, self.target_p99_s):
             self._c_breaches.inc()
             self._healthy_streak = 0
             if self.level < len(self.ladder) and not in_cooldown:
                 self._step(+1, m)
-        elif self._healthy(m):
+        elif self._within(m, RESTORE_FRACTION * self.target_p99_s):
             self._healthy_streak += 1
             if (
                 self.level > 0
@@ -356,10 +276,10 @@ class SlaController:
             if self.level == 0
             else self.ladder[self.level - 1]
         )
-        adjuster = self._resolve_adjuster()
+        policy = self._masking_policy()
         install = source
-        if adjuster is not None:
-            install = adjuster.rebase_original(self.key, source)
+        if policy is not None:
+            install = policy.rebase_original(self.key, source)
         try:
             self.stabilizer.change_predicate(self.key, install)
         except StabilizerError:
@@ -386,13 +306,9 @@ class SlaController:
                 pending_age=round(m["pending_age"], 6),
             )
 
-    def _resolve_adjuster(self):
-        if self._adjuster is not None:
-            return self._adjuster
+    def _masking_policy(self) -> Optional[MaskSuspectedPolicy]:
         policy = self.stabilizer.degradation_policy
-        if policy is not None and hasattr(policy, "adjuster_for"):
-            return policy.adjuster_for(self.stabilizer)
-        return None
+        return policy if isinstance(policy, MaskSuspectedPolicy) else None
 
     # ------------------------------------------------------------------ inspection
     def restored(self) -> bool:
@@ -404,11 +320,11 @@ class SlaController:
         current = self.stabilizer.engine.predicate(self.key).source
         if current == self.original_source:
             return True
-        adjuster = self._resolve_adjuster()
+        policy = self._masking_policy()
         return (
-            adjuster is not None
-            and bool(adjuster.masked_nodes())
-            and self.key in adjuster.adjusted_keys()
+            policy is not None
+            and bool(policy.excluded_nodes())
+            and self.key in policy.adjusted_keys()
         )
 
     def stats(self) -> Dict[str, float]:

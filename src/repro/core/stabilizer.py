@@ -374,8 +374,8 @@ class Stabilizer:
 
     def waitfor_capacity(self) -> Event:
         """An event that succeeds once backpressure is released (or at
-        once, if it is not engaged) — how a ``"block"``-policy producer
-        pauses itself instead of overrunning the buffer."""
+        once, if it is not engaged) — how a producer pauses itself
+        instead of running into :class:`~repro.errors.BackpressureError`."""
         event = self.sim.event()
         if not self.dataplane.backpressure_engaged:
             event.succeed(self.dataplane.buffer.buffered_bytes())

@@ -48,9 +48,8 @@ this node's own stream can move the delivery watermark, and only by
 rising from the column's floor — the one case that rescans it.
 
 Engine selection flows through
-``StabilizerConfig(stabilization_strategy=...)``, with a per-shard
-override (``shard_strategies``) resolved by
-:meth:`~repro.core.config.StabilizerConfig.shard_view`.
+``StabilizerConfig(stabilization_strategy=...)``; every shard view of a
+deployment runs the same engine.
 
 Import rule (enforced by an AST lint): only this module and the engine
 modules may import ``repro.core.acks`` directly — everything else

@@ -16,13 +16,13 @@ The trade is metadata size vs stabilization latency: control traffic is
 O(n) fixed-size frames per interval regardless of message rate (the
 ACK-table engine's reports grow with distinct acked cells), but
 stability only advances on clock ticks — between broadcasts nothing
-stabilizes, so p50 stability latency carries about half a
-``clock_interval_s`` of slack.  Like the sequencer engine, the GST is a
+stabilizes, so p50 stability latency carries about half a clock
+interval of slack.  Like the sequencer engine, the GST is a
 cluster-wide scalar: per-node attribution is lost and ``MAX``/``KTH``
-predicate forms degrade to MIN timing.  Tune the interval with::
-
-    StabilizerConfig(..., stabilization_strategy="hybrid_clock",
-                     strategy_params={"clock_interval_s": 0.02})
+predicate forms degrade to MIN timing.  The clock interval is
+``max(2 × control_flush_interval_s, 0.01)``: a shade slower than the
+ACK-table flush cadence, since the engine exists to trade latency for
+fixed-size metadata; raise ``control_interval_s`` to slow it.
 
 Soundness of the stable-time rule rests on two transport facts: data
 streams are FIFO per origin, and an origin's stamps strictly increase —
@@ -32,11 +32,9 @@ see an ``origin`` message stamped at or below stamp(F) again".
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Tuple
 
 from repro.core.strategy import StabilizationStrategy
-from repro.errors import ConfigError
 from repro.transport.messages import ClockFrame
 
 #: Minimum strictly-positive clock advance per local event, so stamps
@@ -51,23 +49,8 @@ class HybridClockStrategy(StabilizationStrategy):
 
     def __init__(self, config):
         super().__init__(config)
-        interval = config.strategy_params.get("clock_interval_s")
-        if interval is None:
-            # Default: a shade slower than the ACK-table flush cadence —
-            # the engine exists to trade latency for fixed-size metadata.
-            interval = max(2.0 * config.control_flush_interval_s(), 0.01)
-        elif (
-            isinstance(interval, bool)
-            or not isinstance(interval, (int, float))
-            or not (math.isfinite(interval) and interval > 0)
-        ):
-            # Zero re-arms the tick at the same instant forever; NaN never
-            # fires it.
-            raise ConfigError(
-                "clock_interval_s must be a finite positive number of "
-                f"seconds, got {interval!r}"
-            )
-        self.clock_interval_s = float(interval)
+        # See module docstring.
+        self.clock_interval_s = max(2.0 * config.control_flush_interval_s(), 0.01)
         self._hlc = 0.0
         # Per-origin (seq, stamp) points: our own appended at send time,
         # remote origins' learned from their ClockFrame heads.  Sorted by

@@ -16,10 +16,9 @@ per-node predicate forms (``MAX``, ``KTH_MAX``, group subtraction) all
 degrade to MIN timing — they fire, but only once the slowest node has
 acknowledged.  A crashed sequencer stalls *all* stability advance until
 it restarts (restored floors plus every peer's resume re-report rebuild
-its min state); choose the sequencer with ``strategy_params``::
-
-    StabilizerConfig(..., stabilization_strategy="sequencer",
-                     strategy_params={"sequencer": "b"})
+its min state).  The sequencer is the first node of ``node_names`` (of
+the shard's owner set, under sharding), so a deployment places it by
+node order.
 """
 
 from __future__ import annotations
@@ -38,13 +37,7 @@ class SequencerStrategy(StabilizationStrategy):
 
     def __init__(self, config):
         super().__init__(config)
-        self.sequencer = config.strategy_params.get(
-            "sequencer", config.node_names[0]
-        )
-        if self.sequencer not in config.node_names:
-            raise StabilizerError(
-                f"sequencer {self.sequencer!r} is not a cluster node"
-            )
+        self.sequencer = config.node_names[0]
         self.is_sequencer = config.local == self.sequencer
         # Sequencer-side min tracking: (origin_idx, type_id) -> one floor
         # per node, and the last broadcast stable value.

@@ -77,7 +77,7 @@ class NotPrimaryError(StabilizerError):
 class BackpressureError(StabilizerError):
     """Admitting a message would overflow the bounded send buffer.
 
-    Raised by ``Stabilizer.send`` under the ``"except"`` send policy when
+    Raised by ``Stabilizer.send`` when
     the WAN cannot drain fast enough for reclamation to keep up; carries
     how full the buffer is so callers can log or shed load sensibly.
     """

@@ -136,8 +136,8 @@ CATALOGUE = (
     Metric("strategy.bytes_sent", "counter", "sum", "bytes", "core.control",
            "control-carrier wire bytes sent"),
     Metric("strategy.tail_probes", "counter", "sum", "events", "core.control",
-           "times the carrier fell silent for transport_min_rto_s and re-sent "
-           "its full state to the peers of its last frame"),
+           "times the carrier fell silent for its 50 ms tail-probe delay and "
+           "re-sent its full state to the peers of its last frame"),
     Metric("strategy.interest_announcements", "counter", "sum", "frames",
            "core.control",
            "interest statements sent as datagrams of their own, one per peer "
@@ -265,7 +265,7 @@ CATALOGUE = (
     Metric("admission.shed", "counter", "sum", "messages", "core.node",
            "refused at the edge, before sequencing"),
     Metric("admission.shed_<reason>", "counter", "sum", "messages", "core.node",
-           "shed count by reason (breaker, queue_full, drop_oldest)"),
+           "shed count by reason (breaker, queue_full)"),
     Metric("admission.admitted_shed", "counter", "sum", "messages", "core.node",
            "admitted then lost: must stay 0"),
     Metric("admission.queue_depth", "gauge", "sum", "messages", "core.node",

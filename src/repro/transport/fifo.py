@@ -22,7 +22,7 @@ when credits came back.
 The retransmission timeout is *adaptive* (Jacobson/Karn): ACKed frames
 that were never retransmitted contribute RTT samples to an EWMA estimator
 (``srtt``/``rttvar``), and the base timeout is ``srtt + 4·rttvar`` clamped
-to ``[min_rto, max_rto]`` (it starts at :data:`INITIAL_RTO_S`).
+to ``[MIN_RTO_S, max_rto]`` (it starts at :data:`INITIAL_RTO_S`).
 Consecutive unproductive retransmissions back off exponentially (by
 :data:`RETRANSMIT_BACKOFF` each), and after ``max_retransmit_attempts``
 of them the channel *suspends* — it stops the retry timer and surfaces a
@@ -62,6 +62,9 @@ RETRANSMIT_BACKOFF = 2.0
 # RTO granularity: rttvar collapses to ~0 on jitter-free virtual links,
 # and an RTO equal to the RTT would retransmit on every ack delay.
 RTO_GRANULE_S = 0.01
+# The RTO floor: an RTO below the peer's delayed-ack window would
+# retransmit on every ack delay.
+MIN_RTO_S = 2.0 * ACK_INTERVAL_S
 
 
 class _OutFrame:
@@ -89,12 +92,11 @@ class FifoChannel:
         peer: str,
         name: str,
         on_deliver: DeliverFn,
-        min_rto: float = 0.05,
         max_rto: float = 5.0,
         max_retransmit_attempts: Optional[int] = None,
     ):
-        if min_rto <= 0 or max_rto < min_rto:
-            raise TransportError("need 0 < min_rto <= max_rto")
+        if max_rto < MIN_RTO_S:
+            raise TransportError(f"max_rto must be at least {MIN_RTO_S}")
         if max_retransmit_attempts is not None and max_retransmit_attempts <= 0:
             raise TransportError("max_retransmit_attempts must be positive")
         self.endpoint = endpoint
@@ -106,9 +108,6 @@ class FifoChannel:
         self.port = endpoint.port
         self.peer = peer
         self.name = name
-        # An RTO below the peer's delayed-ack window would retransmit on
-        # every ack delay.
-        self.min_rto = max(min_rto, 2.0 * ACK_INTERVAL_S)
         self.max_rto = max_rto
         self.max_retransmit_attempts = max_retransmit_attempts
 
@@ -140,7 +139,7 @@ class FifoChannel:
         # RTT estimator (Jacobson); base RTO starts at INITIAL_RTO_S.
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
-        self._base_rto = min(max(INITIAL_RTO_S, self.min_rto), self.max_rto)
+        self._base_rto = min(INITIAL_RTO_S, self.max_rto)
 
         # Receiver state.
         self._next_deliver_seq = 0
@@ -224,7 +223,7 @@ class FifoChannel:
             self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - sample)
             self._srtt = 0.875 * self._srtt + 0.125 * sample
         rto = self._srtt + max(4.0 * self._rttvar, RTO_GRANULE_S)
-        self._base_rto = min(max(rto, self.min_rto), self.max_rto)
+        self._base_rto = min(max(rto, MIN_RTO_S), self.max_rto)
 
     def _arm_retransmit(self) -> None:
         self._last_progress = self.sim.now

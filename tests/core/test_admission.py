@@ -5,6 +5,7 @@ import pytest
 from repro.core import StabilizerCluster, StabilizerConfig
 from repro.core.admission import (
     BREAKER_CLOSED,
+    BREAKER_COOLDOWN_S,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     AdmissionController,
@@ -158,11 +159,14 @@ def test_submit_within_rate_sends_immediately():
 def test_submit_above_rate_queues_then_pump_drains():
     sim, net, cluster = build()
     node = cluster["a"]
-    controller = node.set_admission(rate_per_s=10.0, burst=1.0)
+    # The bucket holds one second's worth: one token at 1/s.
+    controller = node.set_admission(rate_per_s=1.0)
     assert controller.submit(SyntheticPayload(64)).status == "sent"
     assert controller.submit(SyntheticPayload(64)).status == "queued"
     assert controller.queue_depth() == 1
-    sim.run(until=0.5)  # pump drains at the token rate
+    sim.run(until=0.5)
+    assert controller.queue_depth() == 1  # no token yet
+    sim.run(until=1.5)  # pump drains at the token rate
     assert controller.queue_depth() == 0
     assert controller.stats()["admission.admitted"] == 2
     cluster.close()
@@ -171,9 +175,7 @@ def test_submit_above_rate_queues_then_pump_drains():
 def test_reject_new_sheds_newcomer_when_queue_full():
     sim, net, cluster = build()
     node = cluster["a"]
-    controller = node.set_admission(
-        rate_per_s=1.0, burst=1.0, queue_limit=2, shed_policy="reject_new"
-    )
+    controller = node.set_admission(rate_per_s=1.0, queue_limit=2)
     controller.submit(SyntheticPayload(64))  # sent
     controller.submit(SyntheticPayload(64))  # queued
     controller.submit(SyntheticPayload(64))  # queued
@@ -185,28 +187,10 @@ def test_reject_new_sheds_newcomer_when_queue_full():
     cluster.close()
 
 
-def test_drop_oldest_sheds_queued_never_admitted():
-    sim, net, cluster = build()
-    node = cluster["a"]
-    controller = node.set_admission(
-        rate_per_s=1.0, burst=1.0, queue_limit=1, shed_policy="drop_oldest"
-    )
-    controller.submit(SyntheticPayload(64))  # sent
-    controller.submit(SyntheticPayload(64))  # queued
-    outcome = controller.submit(SyntheticPayload(64))
-    assert outcome.status == "queued"  # the newcomer got the slot
-    stats = controller.stats()
-    assert stats["admission.shed_drop_oldest"] == 1
-    assert stats["admission.admitted_shed"] == 0
-    cluster.close()
-
-
 def test_accounting_is_conserved():
     sim, net, cluster = build()
     node = cluster["a"]
-    controller = node.set_admission(
-        rate_per_s=5.0, burst=2.0, queue_limit=3, shed_policy="reject_new"
-    )
+    controller = node.set_admission(rate_per_s=2.0, queue_limit=3)
     for _ in range(20):
         controller.submit(SyntheticPayload(64))
     stats = controller.stats()
@@ -223,8 +207,6 @@ def test_accounting_is_conserved():
 def test_invalid_arguments():
     sim, net, cluster = build()
     node = cluster["a"]
-    with pytest.raises(ValueError, match="shed_policy"):
-        AdmissionController(node, rate_per_s=1.0, shed_policy="tailgate")
     with pytest.raises(ValueError, match="queue_limit"):
         AdmissionController(node, rate_per_s=1.0, queue_limit=0)
     cluster.close()
@@ -238,7 +220,7 @@ def test_invalid_arguments():
 def test_direct_send_above_rate_raises_admission_error():
     sim, net, cluster = build()
     node = cluster["a"]
-    node.set_admission(rate_per_s=10.0, burst=2.0)
+    node.set_admission(rate_per_s=2.0)
     node.send(SyntheticPayload(64))
     node.send(SyntheticPayload(64))
     with pytest.raises(AdmissionError) as exc:
@@ -253,11 +235,11 @@ def test_direct_send_above_rate_raises_admission_error():
 def test_direct_send_passes_once_tokens_refill():
     sim, net, cluster = build()
     node = cluster["a"]
-    node.set_admission(rate_per_s=10.0, burst=1.0)
+    node.set_admission(rate_per_s=1.0)
     node.send(SyntheticPayload(64))
     with pytest.raises(AdmissionError):
         node.send(SyntheticPayload(64))
-    sim.run(until=0.2)
+    sim.run(until=1.2)
     assert node.send(SyntheticPayload(64)) > 0
     cluster.close()
 
@@ -275,9 +257,7 @@ def test_dead_peer_report_trips_breaker_and_gate():
         failure_timeout_s=30.0,  # only the transport path may suspect
     )
     node = cluster["a"]
-    controller = node.set_admission(
-        rate_per_s=1000.0, breaker_cooldown_s=5.0
-    )
+    controller = node.set_admission(rate_per_s=1000.0)
     node.send(SyntheticPayload(256))
     sim.run(until=0.2)
     net.crash_node("b")
@@ -296,12 +276,14 @@ def test_dead_peer_report_trips_breaker_and_gate():
 def test_breaker_cooldown_reopens_gate():
     sim, net, cluster = build()
     node = cluster["a"]
-    controller = node.set_admission(rate_per_s=1000.0, breaker_cooldown_s=0.5)
+    controller = node.set_admission(rate_per_s=1000.0)
     controller._breaker(("b", None)).trip()
     assert not controller.gate_open()
     outcome = controller.submit(SyntheticPayload(64))
     assert outcome.status == "shed" and outcome.reason == "breaker"
-    sim.run(until=1.0)  # cooldown elapses; healthy polls probe and close
+    sim.run(until=BREAKER_COOLDOWN_S / 2)
+    assert not controller.gate_open()  # still cooling down
+    sim.run(until=BREAKER_COOLDOWN_S + 0.1)  # healthy polls probe and close
     assert controller.open_breakers() == []
     assert controller.gate_open()
     assert controller.submit(SyntheticPayload(64)).status == "sent"
@@ -351,7 +333,7 @@ def test_stats_merge_into_node_stats():
 def test_close_cancels_pump():
     sim, net, cluster = build()
     node = cluster["a"]
-    controller = node.set_admission(rate_per_s=10.0, burst=1.0)
+    controller = node.set_admission(rate_per_s=1.0)
     controller.submit(SyntheticPayload(64))
     controller.submit(SyntheticPayload(64))  # queued
     controller.close()

@@ -1,5 +1,5 @@
-"""Tests for automatic predicate adjustment on failures (Section III-E),
-through the stock degradation policy that drives it."""
+"""Tests for automatic predicate adjustment on failures (Section III-E):
+the stock degradation policy's masking rewrite."""
 
 import pytest
 
@@ -33,11 +33,11 @@ def build(failure_timeout_s=0.3, predicates=None, protect=frozenset()):
     cluster = StabilizerCluster(net, config)
     a = cluster["a"]
     policy = a.set_degradation_policy(MaskSuspectedPolicy(protect=set(protect)))
-    return sim, net, cluster, policy.adjuster_for(a)
+    return sim, net, cluster, policy
 
 
 def test_crash_unblocks_dependent_predicates():
-    sim, net, cluster, adjuster = build()
+    sim, net, cluster, policy = build()
     a = cluster["a"]
     a.send(b"warmup")
     sim.run(until=0.2)
@@ -45,13 +45,13 @@ def test_crash_unblocks_dependent_predicates():
     seq = a.send(b"after crash")
     event = a.waitfor(seq, "all")
     sim.run_until_triggered(event, limit=10.0)  # without adjustment: stuck
-    assert adjuster.masked_nodes() == {"d"}
-    assert "all" in adjuster.adjusted_keys()
+    assert policy.excluded_nodes() == {"d"}
+    assert "all" in policy.adjusted_keys()
     assert a.get_stability_frontier("all") >= seq
 
 
 def test_named_node_references_are_substituted():
-    sim, net, cluster, adjuster = build()
+    sim, net, cluster, policy = build()
     a = cluster["a"]
     a.send(b"warmup")
     sim.run(until=0.2)
@@ -65,38 +65,38 @@ def test_named_node_references_are_substituted():
 
 
 def test_recovery_restores_original_predicates():
-    sim, net, cluster, adjuster = build()
+    sim, net, cluster, policy = build()
     a = cluster["a"]
     a.send(b"warmup")
     sim.run(until=0.2)
     net.crash_node("d")
     sim.run(until=2.0)
-    assert adjuster.adjusted_keys()
+    assert policy.adjusted_keys()
     net.recover_node("d")
     seq = a.send(b"post recovery")
     sim.run(until=6.0)
-    assert adjuster.masked_nodes() == set()
-    assert adjuster.adjusted_keys() == []
+    assert policy.excluded_nodes() == set()
+    assert policy.adjusted_keys() == []
     assert a.engine.predicate("all").source == "MIN($ALLWNODES - $MYWNODE)"
-    assert adjuster.restorations >= 1
+    assert policy.restorations >= 1
     # With d back, the original strict predicate advances again.
     assert a.get_stability_frontier("all") >= seq
 
 
 def test_protected_keys_are_left_alone():
-    sim, net, cluster, adjuster = build(protect={"named"})
+    sim, net, cluster, policy = build(protect={"named"})
     a = cluster["a"]
     a.send(b"warmup")
     sim.run(until=0.3)
     net.crash_node("d")
     sim.run(until=2.0)
-    assert "named" not in adjuster.adjusted_keys()
-    assert "all" in adjuster.adjusted_keys()
+    assert "named" not in policy.adjusted_keys()
+    assert "all" in policy.adjusted_keys()
     assert a.engine.predicate("named").source == "MIN($WNODE_c, $WNODE_d)"
 
 
 def test_independent_predicates_untouched():
-    sim, net, cluster, adjuster = build(
+    sim, net, cluster, policy = build(
         predicates={
             "bc_only": "MIN($WNODE_b, $WNODE_c)",
             "all": "MIN($ALLWNODES - $MYWNODE)",
@@ -107,13 +107,13 @@ def test_independent_predicates_untouched():
     sim.run(until=0.2)
     net.crash_node("d")
     sim.run(until=2.0)
-    assert adjuster.adjusted_keys() == ["all"]
+    assert policy.adjusted_keys() == ["all"]
     assert a.engine.predicate("bc_only").source == "MIN($WNODE_b, $WNODE_c)"
 
 
 def test_mask_name_boundaries():
-    sim, net, cluster, adjuster = build()
-    masked = adjuster._mask("MIN($WNODE_d, $WNODE_dd)", ["d"])
+    sim, net, cluster, policy = build()
+    masked = policy._mask("MIN($WNODE_d, $WNODE_dd)", ["d"])
     assert masked == "MIN($MYWNODE, $WNODE_dd)"
-    masked = adjuster._mask("MAX($ALLWNODES - $MYWNODE)", ["c", "d"])
+    masked = policy._mask("MAX($ALLWNODES - $MYWNODE)", ["c", "d"])
     assert masked == "MAX(($ALLWNODES - $WNODE_c - $WNODE_d) - $MYWNODE)"

@@ -83,7 +83,7 @@ def test_for_node_changes_only_local():
 def test_for_node_carries_every_field():
     """``for_node`` is ``replace(local=...)``: no field list to forget a
     new field in.  Every field is set off its default here (the int-keyed
-    shard maps included, whose keys round-trip through ``to_dict`` as
+    shard map included, whose keys round-trip through ``to_dict`` as
     strings), so a dropped one shows as a difference."""
     config = make(
         predicates={"all": "MIN($ALLWNODES)"},
@@ -97,9 +97,7 @@ def test_for_node_carries_every_field():
         window_bytes=64 * 1024,
         frame_bytes=16 * 1024,
         frame_delay_ms=1.0,
-        send_policy="block",
         max_retransmit_attempts=5,
-        transport_min_rto_s=0.1,
         transport_max_rto_s=2.0,
         durability=True,
         durability_group_commit_interval_s=0.01,
@@ -112,8 +110,6 @@ def test_for_node_carries_every_field():
         shard_id=1,
         shard_epoch=3,
         stabilization_strategy="sequencer",
-        strategy_params={"sequencer": "b"},
-        shard_strategies={1: "hybrid_clock"},
     )
     full, defaults = config.to_dict(), make().to_dict()
     positional = ("node_names", "groups", "local")

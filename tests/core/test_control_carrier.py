@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.core import StabilizerCluster, StabilizerConfig, snapshot_state
-from repro.core.controlplane import CONTROL_CHANNEL
+from repro.core.controlplane import CONTROL_CHANNEL, TAIL_PROBE_S
 from repro.core.strategy import STRATEGY_NAMES
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
@@ -30,7 +30,6 @@ GROUPS = {"east": ["a", "b"], "west": ["c", "d"]}
 LATENCY_S = 0.010
 RTT_S = 2 * LATENCY_S
 FLUSH_S = 0.005
-MIN_RTO_S = 0.05
 FAILURE_TIMEOUT_S = 3.0
 HEARTBEAT_S = FAILURE_TIMEOUT_S / 3.0
 
@@ -53,7 +52,6 @@ def build(strategy, jitter_ms=0.0, control_interval_s=FLUSH_S, **config_kwargs):
         predicates={"all": "MIN($ALLWNODES - $MYWNODE)"},
         control_interval_s=control_interval_s,
         failure_timeout_s=FAILURE_TIMEOUT_S,
-        transport_min_rto_s=MIN_RTO_S,
         stabilization_strategy=strategy,
         **config_kwargs,
     )
@@ -103,7 +101,7 @@ def test_lost_last_report_is_repaired_by_the_tail_probe(strategy):
     assert tap.dropped
     assert a.get_stability_frontier("all") < seq
     last_report = max(t for t, *_ in tap.dropped)
-    sim.run(until=last_report + MIN_RTO_S + RTT_S)
+    sim.run(until=last_report + TAIL_PROBE_S + RTT_S)
     assert a.get_stability_frontier("all") == seq
     assert sim.now < HEARTBEAT_S  # no heartbeat has fired yet
     if strategy != "hybrid_clock":
@@ -123,7 +121,7 @@ def test_quiet_origins_lost_report_is_repaired_by_the_heartbeat(strategy):
     t0 = sim.now
     tap = Tap(net, "dgram", lambda src, dst, p: src == "d" and sim.now < t0 + 0.04)
     seq = b.send(b"b's only message")
-    sim.run(until=t0 + MIN_RTO_S + 2 * RTT_S + 0.1)
+    sim.run(until=t0 + TAIL_PROBE_S + 2 * RTT_S + 0.1)
     assert tap.dropped
     assert d.stats()["strategy.tail_probes"] == 0
     if strategy == "hybrid_clock":

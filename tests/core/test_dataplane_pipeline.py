@@ -141,31 +141,18 @@ def test_window_stall_defers_and_window_open_resumes():
 
 def test_send_policy_except_raises_before_sequencing():
     sim, net = build_net()
-    dp_x, _, _, _ = wire(
-        sim, net, max_buffer_bytes=10_000, send_policy="except"
-    )
-    dp_x.send(SyntheticPayload(9_000))
-    with pytest.raises(BackpressureError) as exc_info:
-        dp_x.send(SyntheticPayload(5_000))
-    assert exc_info.value.buffered_bytes == 9_000
-    assert exc_info.value.max_bytes == 10_000
-    # The refused message consumed no sequence numbers.
-    assert dp_x.last_sent_seq() == dp_x.send(SyntheticPayload(100)) [1] - 1
-
-
-def test_send_policy_block_admits_and_signals():
-    sim, net = build_net()
-    dp_x, _, _, _ = wire(
-        sim, net, max_buffer_bytes=10_000, send_policy="block"
-    )
+    dp_x, _, _, _ = wire(sim, net, max_buffer_bytes=10_000)
     events = []
     dp_x.on_backpressure(lambda engaged, buffered: events.append((engaged, buffered)))
     dp_x.send(SyntheticPayload(9_000))
     assert dp_x.backpressure_engaged
     assert events == [(True, 9_000)]
-    # The soft bound admits an overflowing message rather than raising.
-    dp_x.send(SyntheticPayload(5_000))
-    assert dp_x.buffer.buffered_bytes() == 14_000
+    with pytest.raises(BackpressureError) as exc_info:
+        dp_x.send(SyntheticPayload(5_000))
+    assert exc_info.value.buffered_bytes == 9_000
+    assert exc_info.value.max_bytes == 10_000
+    # The refused message consumed no sequence numbers.
+    assert dp_x.last_sent_seq() == dp_x.send(SyntheticPayload(100))[1] - 1
     # Reclamation drains below the low watermark and releases.
     dp_x.reclaim_up_to(dp_x.last_sent_seq())
     assert not dp_x.backpressure_engaged

@@ -402,3 +402,118 @@ def test_channel_lint_catches_each_bypass():
         assert len(_channel_bypasses(ast.parse(source))) == 1, source
     assert not _channel_bypasses(ast.parse("endpoint.channel(peer, name).send(b'')"))
     assert not _channel_bypasses(ast.parse("endpoint.accept(name, fn, max_rto=0.2)"))
+
+
+# ---------------------------------------------------------------------------
+# No option only tests set: every keyword parameter of the four option-heavy
+# constructors is passed by some module outside tests/, or is a deployment
+# setting kept configurable on purpose.
+# ---------------------------------------------------------------------------
+
+#: Constructor -> its defining module (whose own mentions do not count).
+OPTION_CLASSES = {
+    "StabilizerConfig": "src/repro/core/config.py",
+    "FifoChannel": "src/repro/transport/fifo.py",
+    "SlaController": "src/repro/core/slacontrol.py",
+    "AdmissionController": "src/repro/core/admission.py",
+}
+#: Where a caller that sets an option may live.
+OPTION_USERS = ("src", "perf", "benchmarks", "examples")
+#: Options no caller outside tests/ sets, kept on purpose, with the reason.
+KEPT_OPTIONS = {
+    ("StabilizerConfig", "max_buffer_bytes"):
+        "deployment resource size: the only bound on retained send memory",
+    ("StabilizerConfig", "durability_segment_bytes"):
+        "deployment resource size: the WAL segment rotation threshold",
+    ("StabilizerConfig", "durability_dir"):
+        "deployment path: where the WAL lives in the node's filesystem",
+    ("StabilizerConfig", "shard_owners"):
+        "deployment placement: an explicit shard -> owners assignment",
+    ("StabilizerConfig", "shard_id"):
+        "derived: shard_view sets it on the slice a shard stack runs on",
+}
+
+
+def _options(tree, cls):
+    """The keyword parameters (those with a default) of ``cls.__init__``."""
+    init = next(
+        item for item in _class_body(tree, cls)
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    )
+    args = init.args
+    positional = args.posonlyargs + args.args
+    with_default = positional[len(positional) - len(args.defaults):]
+    return [arg.arg for arg in with_default] + [
+        arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def _passed_names(tree):
+    """Every keyword-argument name and every string dict key in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(
+                key.value for key in node.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
+    return names
+
+
+def _unset_options(sources):
+    """``sources`` maps a repo-relative path to module source; returns
+    ``Class.option`` for every option no other module passes and
+    ``KEPT_OPTIONS`` does not name."""
+    trees = {rel: ast.parse(source) for rel, source in sources.items()}
+    passed = {rel: _passed_names(tree) for rel, tree in trees.items()}
+    unset = []
+    for cls, home in OPTION_CLASSES.items():
+        for option in _options(trees[home], cls):
+            if (cls, option) in KEPT_OPTIONS:
+                continue
+            if not any(option in names for rel, names in passed.items() if rel != home):
+                unset.append(f"{cls}.{option}")
+    return unset
+
+
+def _option_sources():
+    return {
+        path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+        for top in OPTION_USERS
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+
+
+def test_no_option_only_tests_set():
+    unset = _unset_options(_option_sources())
+    assert not unset, (
+        "an option no caller outside tests/ sets is a branch no workload "
+        "runs: make it a module constant, or name it in KEPT_OPTIONS with "
+        "the deployment reason:\n  " + "\n  ".join(unset)
+    )
+
+
+def test_kept_options_are_real_options():
+    """The exemption table must not rot: each entry is still an option."""
+    sources = _option_sources()
+    for cls, option in KEPT_OPTIONS:
+        home = OPTION_CLASSES[cls]
+        assert option in _options(ast.parse(sources[home]), cls), (cls, option)
+
+
+def test_option_lint_flags_a_planted_option():
+    sources = _option_sources()
+    home = OPTION_CLASSES["SlaController"]
+    planted = sources[home].replace(
+        "        healthy_ticks: int = 4,\n",
+        "        healthy_ticks: int = 4,\n        planted_knob: float = 1.0,\n",
+        1,
+    )
+    assert planted != sources[home]
+    assert _unset_options({**sources, home: planted}) == ["SlaController.planted_knob"]
+    # A caller outside the defining module that passes it clears it.
+    caller = "SlaController(node, 'k', 0.5, planted_knob=2.0)"
+    assert not _unset_options({**sources, home: planted, "src/caller.py": caller})

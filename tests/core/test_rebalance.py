@@ -15,7 +15,6 @@ from repro.core import (
     StabilizerConfig,
     snapshot_state,
 )
-from repro.core.autoadjust import PredicateAutoAdjuster
 from repro.core.membership import RebalancePlanner, ShardMap
 from repro.core.rebalance import (
     HANDOFF_CHANNEL,
@@ -572,28 +571,28 @@ def test_predicates_recompile_against_the_new_owner_set():
 
 
 def test_masking_a_departed_node_is_a_no_op_after_cutover():
-    # Satellite: PredicateAutoAdjuster scoping across the epoch bump — a
-    # node that left the deployment is out of every owner set, so
-    # masking it adjusts nothing on the rebuilt stacks.  (Replication 3
-    # so masking one live co-owner still leaves a non-empty owner set —
-    # the adjuster refuses rewrites that would empty a predicate.)
+    # MaskSuspectedPolicy scoping across the epoch bump — a node that
+    # left the deployment is out of every owner set, so masking it
+    # adjusts nothing on the rebuilt stacks.  (Replication 3 so masking
+    # one live co-owner still leaves a non-empty owner set — the policy
+    # refuses rewrites that would empty a predicate.)
     sim, _net, cluster, coordinator = build(spares=(), replication=3)
     shard = cluster.shard_map.owned_shards("n01")[0]
     coordinator.node_leave("n01")
     settle(sim, coordinator)
     owner = cluster.shard_map.primary(shard)
     inner = cluster[owner].shards[shard]
-    adjuster = PredicateAutoAdjuster(inner)
-    adjuster.mask_node("n01")
-    assert adjuster.masked_nodes() == set()
-    assert adjuster.adjustments == 0
+    policy = inner.set_degradation_policy()
+    policy.on_suspect(inner, "n01")
+    assert policy.excluded_nodes() == set()
+    assert policy.adjustments == 0
     # A live co-owner still adjusts — the scope shrank, not the feature.
     co_owner = next(
         n for n in inner.config.node_names if n != owner
     )
-    adjuster.mask_node(co_owner)
-    assert adjuster.masked_nodes() == {co_owner}
-    assert adjuster.adjustments > 0
+    policy.on_suspect(inner, co_owner)
+    assert policy.excluded_nodes() == {co_owner}
+    assert policy.adjustments > 0
     teardown(coordinator, cluster)
 
 

@@ -13,7 +13,6 @@ from repro.core import (
     restore_state,
     snapshot_state,
 )
-from repro.core.autoadjust import PredicateAutoAdjuster
 from repro.core.stabilizer import Stabilizer
 from repro.errors import ConfigError, StabilizerError
 from repro.net import NetemSpec, Topology
@@ -344,20 +343,20 @@ def test_masking_an_out_of_scope_peer_is_a_no_op():
         for name in cluster.nodes
         if name not in inner.config.node_names
     )
-    adjuster = PredicateAutoAdjuster(inner)
-    adjuster.mask_node(outsider)
-    assert adjuster.masked_nodes() == set()
-    assert adjuster.adjustments == 0
-    adjuster.unmask_node(outsider)  # also a no-op, not an error
+    policy = inner.set_degradation_policy()
+    policy.on_suspect(inner, outsider)
+    assert policy.excluded_nodes() == set()
+    assert policy.adjustments == 0
+    policy.on_recover(inner, outsider)  # also a no-op, not an error
 
     co_owner = next(
         name for name in inner.config.node_names if name != node.name
     )
-    adjuster.mask_node(co_owner)
-    assert adjuster.masked_nodes() == {co_owner}
-    assert adjuster.adjustments > 0
+    policy.on_suspect(inner, co_owner)
+    assert policy.excluded_nodes() == {co_owner}
+    assert policy.adjustments > 0
     assert f"$WNODE_{co_owner}" in inner.engine.predicate("all").source
-    adjuster.unmask_node(co_owner)
+    policy.on_recover(inner, co_owner)
     assert inner.engine.predicate("all").source == PREDICATES["all"]
     cluster.close()
 

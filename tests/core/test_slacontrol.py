@@ -49,8 +49,9 @@ def controller_for(node, **kwargs):
     kwargs.setdefault("target_p99_s", 0.5)
     kwargs.setdefault("healthy_ticks", 2)
     kwargs.setdefault("cooldown_s", 0.2)
-    kwargs.setdefault("autostart", False)
-    return SlaController(node, "all", **kwargs)
+    ctrl = SlaController(node, "all", **kwargs)
+    ctrl._timer.cancel()  # the tests tick by hand
+    return ctrl
 
 
 def tick(sim, ctrl, advance=0.0):
@@ -58,8 +59,7 @@ def tick(sim, ctrl, advance=0.0):
     if advance:
         sim.run(until=sim.now + advance)
     ctrl._tick()
-    if ctrl._timer is not None:  # keep the rearm from double-ticking
-        ctrl._timer.cancel()
+    ctrl._timer.cancel()  # keep the rearm from double-ticking
 
 
 def inject(node, value, n=10):
@@ -145,12 +145,6 @@ def test_validation():
     node = cluster["a"]
     with pytest.raises(ValueError, match="target_p99_s"):
         controller_for(node, target_p99_s=0.0)
-    with pytest.raises(ValueError, match="restore_fraction"):
-        controller_for(node, restore_fraction=0.0)
-    with pytest.raises(ValueError, match="ladder"):
-        controller_for(node, ladder=[])
-    with pytest.raises(Exception):
-        controller_for(node, ladder=["MIN(("])  # rejected at construction
     cluster.close()
 
 
@@ -164,9 +158,7 @@ def test_records_pristine_source():
 
 def test_install_shapes():
     sim, net, cluster = build()
-    plain = SlaController.install(
-        cluster["a"], "all", target_p99_s=0.5, autostart=False
-    )
+    plain = SlaController.install(cluster["a"], "all", target_p99_s=0.5)
     assert list(plain) == [None]
     cluster.close()
 
@@ -182,9 +174,7 @@ def test_install_shapes():
         control_interval_s=0.005,
     )
     node = sharded["a"]
-    controllers = SlaController.install(
-        node, "all", target_p99_s=0.5, autostart=False
-    )
+    controllers = SlaController.install(node, "all", target_p99_s=0.5)
     assert sorted(controllers) == sorted(node.shards)
     for shard, ctrl in controllers.items():
         assert ctrl.stabilizer is node.shards[shard]
@@ -293,61 +283,6 @@ def test_degrade_stops_at_the_bottom_rung():
 
 
 # ---------------------------------------------------------------------------
-# Optional signals: utility and lag
-# ---------------------------------------------------------------------------
-
-
-class _FakeOutcome:
-    class _Sub:
-        def __init__(self, utility):
-            self.utility = utility
-
-    def __init__(self, utility):
-        self.sub_sla = self._Sub(utility)
-
-
-class _FakeSla:
-    def __init__(self):
-        self.outcomes = []
-
-
-def test_low_utility_is_a_breach():
-    sim, net, cluster = build()
-    node = cluster["a"]
-    sla = _FakeSla()
-    ctrl = controller_for(node, sla=sla, min_utility=0.8)
-    sla.outcomes.extend([_FakeOutcome(0.6), _FakeOutcome(0.6)])
-    tick(sim, ctrl)
-    assert ctrl.level == 1
-    # The window moved past those outcomes: an empty interval is healthy.
-    m = ctrl.measure()
-    assert m["utility"] is None
-    cluster.close()
-
-
-def test_utility_window_is_incremental():
-    sim, net, cluster = build()
-    node = cluster["a"]
-    sla = _FakeSla()
-    ctrl = controller_for(node, sla=sla, min_utility=0.5)
-    sla.outcomes.append(_FakeOutcome(1.0))
-    assert ctrl.measure()["utility"] == 1.0
-    sla.outcomes.append(_FakeOutcome(0.2))
-    assert ctrl.measure()["utility"] == 0.2  # only the new outcome
-    cluster.close()
-
-
-def test_remote_lag_breaches_when_enabled():
-    sim, net, cluster = build()
-    node = cluster["a"]
-    ctrl = controller_for(node, max_lag=10)
-    node.registry.gauge("frontier_lag.b.received").set(25)
-    tick(sim, ctrl)
-    assert ctrl.level == 1
-    cluster.close()
-
-
-# ---------------------------------------------------------------------------
 # Composition with the masking degradation policy
 # ---------------------------------------------------------------------------
 
@@ -367,22 +302,21 @@ def masked_setup(strategy="acktable"):
     net.crash_node("c")
     node.send(SyntheticPayload(64))
     sim.run(until=2.0)  # a suspects c; the mask rewrites "all"
-    adjuster = policy.adjuster_for(node)
-    assert "c" in adjuster.masked_nodes()
-    assert "all" in adjuster.adjusted_keys()
-    return sim, net, cluster, node, ctrl, adjuster
+    assert "c" in policy.excluded_nodes()
+    assert "all" in policy.adjusted_keys()
+    return sim, net, cluster, node, ctrl
 
 
 @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
 def test_ladder_steps_compose_with_active_mask(strategy):
-    sim, net, cluster, node, ctrl, adjuster = masked_setup(strategy)
+    sim, net, cluster, node, ctrl = masked_setup(strategy)
     masked_strict = node.engine.predicate("all").source
     assert masked_strict != STRICT
     inject(node, 2.0)
     tick(sim, ctrl)
     assert ctrl.level == 1
     installed = node.engine.predicate("all").source
-    # The step rebased through the adjuster: neither the raw rung nor a
+    # The step rebased through the policy: neither the raw rung nor a
     # clobbered pristine source, but the rung rewritten under the mask.
     assert installed != ctrl.ladder[0]
     assert installed != masked_strict
@@ -412,7 +346,7 @@ def test_ladder_steps_compose_with_active_mask(strategy):
     ],
 )
 def test_restored_accepts_an_active_mask(strategy):
-    sim, net, cluster, node, ctrl, adjuster = masked_setup(strategy)
+    sim, net, cluster, node, ctrl = masked_setup(strategy)
     inject(node, 2.0)
     tick(sim, ctrl)
     tick(sim, ctrl, advance=0.2)  # healthy, streak 1

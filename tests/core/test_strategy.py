@@ -5,7 +5,7 @@ ACK-table engine to the pre-refactor golden traces, and the chaos sweep
 (test_strategy_chaos.py) exercises every engine under failures; this
 file covers the seams in between — the factory and config validation,
 end-to-end stabilization on the non-default engines, cross-engine
-snapshot refusal, per-shard engine overrides, and the namespaced stats
+snapshot refusal, the engine of a sharded node, and the namespaced stats
 contract.
 """
 
@@ -33,9 +33,9 @@ GROUPS = {n: [n] for n in NODES}
 STRICT = "MIN($ALLWNODES - $MYWNODE)"
 
 
-def config_for(strategy, **kwargs):
+def config_for(strategy, nodes=NODES, **kwargs):
     return StabilizerConfig(
-        NODES,
+        nodes,
         GROUPS,
         "a",
         predicates={"all": STRICT},
@@ -45,15 +45,15 @@ def config_for(strategy, **kwargs):
     )
 
 
-def build(strategy, tracer=None, **config_kwargs):
+def build(strategy, tracer=None, nodes=NODES, **config_kwargs):
     topo = Topology()
-    for i, name in enumerate(NODES):
+    for i, name in enumerate(nodes):
         topo.add_node(name, f"az{i}")
     topo.set_default(NetemSpec(latency_ms=5, rate_mbit=100))
     sim = Simulator()
     net = topo.build(sim)
     cluster = StabilizerCluster(
-        net, config_for(strategy, **config_kwargs), tracer=tracer
+        net, config_for(strategy, nodes, **config_kwargs), tracer=tracer
     )
     return sim, net, cluster
 
@@ -81,27 +81,6 @@ def test_unknown_strategy_name_is_rejected():
         config_for("vector_clock")
 
 
-def test_unknown_shard_override_is_rejected():
-    with pytest.raises(ConfigError, match="shard 1"):
-        config_for("acktable", shard_strategies={1: "vector_clock"})
-
-
-def test_sequencer_must_be_a_cluster_node():
-    config = config_for("sequencer", strategy_params={"sequencer": "zz"})
-    with pytest.raises(StabilizerError, match="not a cluster node"):
-        build_strategy(config)
-
-
-@pytest.mark.parametrize(
-    "interval", (0, 0.0, -0.01, float("nan"), float("inf"), "fast", True)
-)
-def test_clock_interval_must_be_a_finite_positive_number(interval):
-    # Building is enough: a zero interval used to re-arm the clock tick at
-    # the same instant forever, and a NaN one never to broadcast at all.
-    with pytest.raises(ConfigError, match="clock_interval_s"):
-        build("hybrid_clock", strategy_params={"clock_interval_s": interval})
-
-
 # ---------------------------------------------------------------------------
 # End-to-end stabilization on the non-default engines
 # ---------------------------------------------------------------------------
@@ -120,9 +99,9 @@ def test_engine_stabilizes_a_healthy_cluster(strategy):
 
 
 def test_non_default_sequencer_node_serves_the_cluster():
-    sim, net, cluster = build(
-        "sequencer", strategy_params={"sequencer": "b"}
-    )
+    # The sequencer is the first node in deployment order: listing b
+    # first funnels a's stream through a node that does not send.
+    sim, net, cluster = build("sequencer", nodes=["b", "a", "c"])
     for name in NODES:
         strat = cluster[name].strategy
         assert strat.sequencer == "b"
@@ -235,7 +214,7 @@ def test_same_engine_snapshot_roundtrips(strategy):
 # ---------------------------------------------------------------------------
 
 
-def test_per_shard_strategy_override():
+def test_every_shard_runs_the_deployment_engine():
     topo = Topology()
     for i, name in enumerate(NODES):
         topo.add_node(name, f"az{i}")
@@ -247,13 +226,15 @@ def test_per_shard_strategy_override():
         {"all": STRICT},
         shard_count=2,
         control_interval_s=0.005,
-        shard_strategies={1: "sequencer"},
+        shard_replication=2,
+        stabilization_strategy="sequencer",
     )
-    node = cluster["a"]
-    assert node.shards[0].strategy.name == "acktable"
-    assert node.shards[1].strategy.name == "sequencer"
-    # The override map itself must not leak into the single-shard views.
-    assert node.shards[1].config.shard_strategies is None
+    for name in NODES:
+        for shard, inner in cluster[name].shards.items():
+            assert inner.strategy.name == "sequencer"
+            # Each shard funnels through its own first owner.
+            owners = cluster.shard_map.owners(shard)
+            assert inner.strategy.sequencer == owners[0]
     cluster.close()
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import TransportError
 from repro.transport import TransportEndpoint
-from repro.transport.fifo import INITIAL_RTO_S, RETRANSMIT_BACKOFF
+from repro.transport.fifo import INITIAL_RTO_S, MIN_RTO_S, RETRANSMIT_BACKOFF
 
 from tests.transport.test_fifo import build_net, collect, ignore
 
@@ -40,6 +40,7 @@ def test_rtt_estimation_tightens_the_timeout():
     # far below the initial 500 ms.
     assert 0.015 < sender.srtt() < 0.1
     assert sender.current_rto() < INITIAL_RTO_S / 2
+    assert sender.current_rto() >= MIN_RTO_S
 
 
 def test_karns_rule_skips_retransmitted_frames():
@@ -191,7 +192,7 @@ def test_close_clears_suspension_state():
 def test_adaptive_channel_config_validation():
     sim, net = build_net()
     ep = TransportEndpoint(net, "a")
-    ep.accept("bad1", ignore, min_rto=0.5, max_rto=0.1)
+    ep.accept("bad1", ignore, max_rto=MIN_RTO_S / 2)
     ep.accept("bad2", ignore, max_retransmit_attempts=0)
     for name in ("bad1", "bad2"):
         with pytest.raises(TransportError):

@@ -8,6 +8,7 @@ from repro.errors import ConfigError, TransportError
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 from repro.transport import SyntheticPayload, TransportEndpoint
+from repro.transport.fifo import MIN_RTO_S
 
 
 def build_net(loss_rate=0.0, latency_ms=10.0, rate_mbit=100.0, seed=0):
@@ -122,7 +123,7 @@ def test_channel_reuse_and_reconfigure_rules():
     assert ep.channel("b", "s") is chan1
     # A name is accepted once, with its options: no second configuration.
     with pytest.raises(TransportError, match="already accepted"):
-        ep.accept("s", ignore, min_rto=1.0)
+        ep.accept("s", ignore, max_rto=1.0)
     with pytest.raises(TransportError, match="never accepted"):
         ep.channel("b", "unknown")
     with pytest.raises(TransportError):
@@ -132,9 +133,12 @@ def test_channel_reuse_and_reconfigure_rules():
 def test_invalid_channel_parameters_rejected():
     sim, net = build_net()
     ep = TransportEndpoint(net, "a")
-    ep.accept("bad", ignore, min_rto=0)
-    with pytest.raises(TransportError):
+    # The RTO ceiling may not undercut the transport's constant floor.
+    ep.accept("bad", ignore, max_rto=MIN_RTO_S / 2)
+    with pytest.raises(TransportError, match="max_rto"):
         ep.channel("b", "bad")
+    ep.accept("floor", ignore, max_rto=MIN_RTO_S)
+    assert ep.channel("b", "floor").current_rto() == MIN_RTO_S
 
 
 def test_a_frame_for_a_name_not_yet_accepted_waits_for_accept():
