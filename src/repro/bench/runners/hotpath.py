@@ -785,7 +785,8 @@ def _lone_send(result):
 
 @finding(
     "calls per message of an arrived frame of one",
-    "<= 35.5 at a receiver observing the stream (32.3; 72.3 before the "
+    "<= 35.5 at a receiver observing the stream (31.3; 32.3 while an "
+    "arrival's received grant went through grant_local, 72.3 before the "
     "frame became the unit of arrival, 68.3 while every chunk went "
     "through a Chunk and the any-order reassembler, 58.5 while a value "
     "went through set_all_types, _on_table_update and the other relays "
@@ -800,7 +801,8 @@ def _frame_of_one(result):
 
 @finding(
     "calls per message of an arrived frame of four",
-    "<= 10.2, 8 KB chunks four to an object, the trace_bulk path (9.25; "
+    "<= 10.2, 8 KB chunks four to an object, the trace_bulk path (9.0; "
+    "9.25 while the received grant went through grant_local, "
     "28.25 with the reassembler and a SyntheticPayload per part, 16.0 "
     "with the relays, 13.5 with the epoch marker, 13.25 with the "
     "receiver closure and the engine's generator frames)",
@@ -812,7 +814,9 @@ def _frame_of_four(result):
 
 @finding(
     "calls per message of an arrival nobody observes",
-    "<= 9.1, the wan_small receivers' whole path (8.27; 10.52 while a "
+    "<= 9.1, the wan_small receivers' whole path (7.26; 8.27 while "
+    "the received grant went through grant_local to the report batcher "
+    "that the origin's data ACK replaced, 10.52 while a "
     "closure relayed the frame and every message went through an empty "
     "delivery-handler loop)",
     kind="exact",
@@ -834,7 +838,9 @@ def _report_calls(result):
 
 @finding(
     "engine calls per arrival nobody observes",
-    "<= 5.0, below the observed arrival's (4.0, the wan_small receivers; "
+    "<= 5.0, below the observed arrival's (3.0, the wan_small receivers; "
+    "4.0 while the received grant went through grant_local to the "
+    "report batcher, "
     "18.0 while the frontier engine was called to say so)",
     kind="exact",
 )
@@ -847,7 +853,8 @@ def _unobserved(result):
 @finding(
     "engine cost of an arrival is per frame, not per message",
     "frame of four within 3 calls of a frame of one; a message of it "
-    "pays a quarter (28.0 per frame, 51.0 with the relays, 41.0 with the "
+    "pays a quarter (27.0 per frame, 28.0 through grant_local, 51.0 "
+    "with the relays, 41.0 with the "
     "engine's generator frames)",
     kind="exact",
 )

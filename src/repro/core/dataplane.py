@@ -12,6 +12,14 @@ node's stream (fan-out to every remote peer over reliable FIFO channels)
 and *receives* every remote stream (reassembling objects and reporting
 ``received`` acknowledgments to the control plane).
 
+The data channel's cumulative ACK is also the receiver's ``received``
+report to the origin.  The receiver ACKs within the control plane's
+flush interval, with its shard epoch as the ACK's tag; when an ACK
+retires frames, the origin reads the newest one's last sequence and
+hands ``on_acked(peer, last)`` to the stabilization engine — unless the
+tag differs from its own epoch, which says the peer fenced the frames
+instead of taking them.
+
 The send path is *pipelined* per peer.  Each remote peer has one stream:
 the not-yet-framed tail of this node's sequence.  It is the one send
 queue — the FIFO channel under it sends every frame at once — and the one
@@ -73,6 +81,7 @@ ChunkMeta = Tuple[int, int, int, int, object]
 DeliverFn = Callable[[str, int, Payload, object], None]
 ReceivedFn = Callable[[str, int, Payload], None]
 ArrivalFn = Callable[[str, int, int], None]
+AckedFn = Callable[[str, int], None]
 SentFn = Callable[[int, Payload], None]
 BackpressureFn = Callable[[bool, int], None]
 
@@ -183,6 +192,7 @@ class DataPlane:
         on_received: Optional[ReceivedFn] = None,
         on_sent: Optional[SentFn] = None,
         on_arrival: Optional[ArrivalFn] = None,
+        on_acked: Optional[AckedFn] = None,
     ):
         self.endpoint = endpoint
         self.sim = endpoint.sim
@@ -197,6 +207,10 @@ class DataPlane:
         # run that just arrived began at ``first``).  The stabilization
         # engine's ``received`` grant hangs here.
         self.on_arrival = on_arrival
+        # Once per data-channel ACK that retires frames the peer took:
+        # ``on_acked(peer, last)`` — ``peer`` holds this node's stream
+        # contiguously up to ``last`` (see module docstring).
+        self.on_acked = on_acked
         # Called once per locally originated chunk, after it is buffered
         # and queued for transmission — the durability layer's ingest
         # point for the node's own stream.
@@ -213,12 +227,21 @@ class DataPlane:
         self._frame_bytes = config.frame_bytes or 0
         self._frame_delay_s = config.frame_delay_s()
         self._window_bytes = config.window_bytes
-        endpoint.accept(DATA_CHANNEL, self._receive, **config.channel_kwargs())
+        # The ACK is the received report: due within the flush interval
+        # that report would have waited, and tagged with our epoch.
+        endpoint.accept(
+            DATA_CHANNEL,
+            self._receive,
+            ack_delay=config.control_flush_interval_s(),
+            ack_tag=self.epoch,
+            **config.channel_kwargs(),
+        )
         self._streams: Dict[str, _PeerStream] = {}
         for peer in config.remote_names():
             channel = endpoint.channel(peer, DATA_CHANNEL)
             stream = self._streams[peer] = _PeerStream(peer, channel)
             channel.on_window_open = partial(self._window_open, stream)
+            channel.on_ack_traced = partial(self._trace_ack, peer)
         # Receiving state, per origin.  An object's chunks are consecutive
         # messages of its origin's FIFO stream, so an origin has at most one
         # object in progress: ``[object_id, next_index, parts, synthetic]``
@@ -322,9 +345,17 @@ class DataPlane:
         return self._next_seq - 1
 
     # -- frame pipeline ----------------------------------------------------------
-    def _window_open(self, stream: _PeerStream) -> None:
+    def _window_open(self, stream: _PeerStream, meta, tag) -> None:
         """The channel's ``on_window_open``: an ACK retired frames to
-        ``stream.peer``, so cut what the window now lets fly."""
+        ``stream.peer``, the newest of them with ``meta``.  Unless the
+        peer fenced them (its ``tag``, the peer's epoch, is not ours), it
+        now holds our stream up to that frame's last sequence; and the
+        window may let more fly."""
+        if tag == self.epoch and self.on_acked is not None:
+            inner = meta[1]
+            self.on_acked(
+                stream.peer, inner[1][-1][0] if inner[0] == FRAME_TAG else inner[0]
+            )
         if stream.pending:
             if stream.stalled:
                 self.window_opens += 1
@@ -336,6 +367,20 @@ class DataPlane:
                         pending=stream.pending_bytes,
                     )
             self._pump(stream, "window")
+
+    def _trace_ack(self, origin: str, meta) -> None:
+        """The receiver's end of an ACK-derived ``received`` grant: the
+        data channel from ``origin`` sent an ACK covering the frame with
+        ``meta`` (called only while tracing).  None, or a fenced frame's
+        meta, is no grant."""
+        if self.tracer.enabled and meta is not None and meta[0] == self.epoch:
+            inner = meta[1]
+            self.tracer.emit(
+                self._trace_node,
+                "data.ack_send",
+                origin=origin,
+                seq=inner[1][-1][0] if inner[0] == FRAME_TAG else inner[0],
+            )
 
     def _frame_tick(self, stream: _PeerStream) -> None:
         stream.timer = None

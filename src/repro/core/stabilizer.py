@@ -138,12 +138,14 @@ class Stabilizer:
         self._delivery_handlers: list = []
         # An arrived frame is one grant (the engine hears of the run's
         # last sequence, once); the WAL, when there is one, takes every
-        # message of it.
+        # message of it.  A data-channel ACK is the peer's received
+        # report, for an engine that takes it as one.
         durable = self.durability is not None
         self.dataplane = DataPlane(
             self.endpoint,
             config,
             on_arrival=self.strategy.on_remote_deliver,
+            on_acked=self.strategy.on_peer_received,
             on_received=self.durability.append if durable else None,
             on_sent=self._on_sent if durable else None,
         )
@@ -633,7 +635,7 @@ class Stabilizer:
         """A WAL group commit's fsync returned: everything of ``origin``
         up to ``seq`` is genuinely on this node's disk — only now may
         ``persisted`` be claimed (locally and to every peer)."""
-        self.strategy.grant_local(origin, self._type_ids["persisted"], seq)
+        self.strategy.grant_durable(origin, self._type_ids["persisted"], seq)
 
     def _on_deliver(self, origin: str, seq: int, payload: Payload, meta) -> None:
         for handler in self._delivery_handlers:

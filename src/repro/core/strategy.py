@@ -30,17 +30,22 @@ collapsed; see ``docs/strategies.md`` for the expressiveness trade).
 
 All three have one shape.  The base class owns what they share: the
 tables, the composed :class:`~repro.core.controlplane.ControlChannelSet`
-carrier, the one local-grant path (:meth:`StabilizationStrategy.grant_local`)
+carrier, the local-grant path (:meth:`StabilizationStrategy.grant_local`,
+and an arrival's ``received`` grant inline in ``on_remote_deliver``)
 and the one report batcher (a flush at least every
 ``control_flush_interval_s`` or after ``control_batch`` distinct newly
 granted cells).  An engine fills hooks — ``_propagate_grant``,
-``_ship_batch``, ``on_control_frame``, ``full_state_frames`` and the
-``on_local_send`` / ``on_catchup`` / snapshot extras — and nothing else.
+``_propagate_received``, ``_ship_batch``, ``on_control_frame``,
+``full_state_frames`` and the ``on_local_send`` / ``on_catchup`` /
+``on_peer_received`` / ``grant_durable`` / snapshot extras — and
+nothing else.
 
 A value reaches the tables in one write, with no relay between: an
 arrived frame writes the origin's row and then makes its ``received``
 grant, a local send writes this node's own row, a local grant writes one
-cell, and an applied report writes the reporter's row.  Each checks what
+cell, an applied report writes the reporter's row, and — under the
+ACK-table engine — a data-channel ACK writes the acknowledging peer's
+``received`` cell of this node's own stream.  Each checks what
 it is given inline (a report's indices, type ids and sequence numbers
 come off the wire) and calls the frontier engine only when it observes
 the origin (``origin in engine.watched``).  Only a ``received`` cell of
@@ -87,9 +92,12 @@ class StabilizationStrategy:
        timers.  After this, ``carrier`` is set.
     3. Steady state: ``on_local_send`` from the facade's ``send``;
        ``on_remote_deliver`` from the data plane, once per arrived
-       frame; ``grant_local`` from the arrival itself, the WAL's fsyncs,
-       ``report_stability``, a restart's re-grants and a sharded
-       cutover; ``on_control_frame`` from the carrier;
+       frame; ``grant_local`` from ``report_stability``, a restart's
+       re-grants and a sharded cutover; ``grant_durable`` from the WAL's
+       fsyncs;
+       ``on_peer_received`` (an engine that has one) from the data
+       plane, once per data-channel ACK that retires frames;
+       ``on_control_frame`` from the carrier;
        ``advance_candidates()`` forces pending control work out now
        (flush/broadcast) instead of waiting for the next timer.
     4. ``full_state_frames(peer)`` — the frames that rebuild this
@@ -218,13 +226,20 @@ class StabilizationStrategy:
                 origin, updated_node=origin_index, updated_cells=cells
             )
         self.node.detector.heard_from(origin)
+        # This node's received grant: grant_local's write, less the checks
+        # the data plane has already made (a remote origin, a sequence of
+        # its stream).
+        received = self.received_id
+        local_index = self.local_index
+        local_row = table.table[local_index]
+        held = local_row[received]
+        if seq <= held:
+            return  # stale: monotonic overwrite means nothing to report
+        local_row[received] = seq
         tracer = self.tracer
-        if first is not None and first < seq and tracer.enabled:
+        if tracer.enabled:
             local = self.config.local
-            # As the grant path does: a sequence at or below the cell is
-            # a stale grant and has no event.
-            held = table.table[self.local_index][self.received_id]
-            for covered in range(max(first, held + 1), seq):
+            for covered in range(seq if first is None else max(first, held + 1), seq + 1):
                 if tracer.sampled(origin, covered):
                     tracer.emit(
                         local,
@@ -233,18 +248,23 @@ class StabilizationStrategy:
                         type="received",
                         seq=covered,
                     )
-        self.grant_local(origin, self.received_id, seq)
+        if origin in frontier.watched:
+            frontier.reevaluate(
+                origin, updated_node=local_index, updated_cells=((received, seq),)
+            )
+        self._propagate_received(origin, seq, held)
 
     def grant_local(self, origin: str, type_id: int, seq: int) -> None:
         """This node grants ``origin``'s ``seq`` stability level
-        ``type_id`` (delivery acks, WAL fsyncs, application reports,
-        recovery re-grants, sharded cutovers).  Writes the local row's
+        ``type_id`` (WAL fsyncs, application reports, recovery
+        re-grants, sharded cutovers; an arrival's ``received`` grant is
+        the same write, inline in :meth:`on_remote_deliver`).  Writes the local row's
         cell immediately — predicates at this node see the grant without
         network delay; the frontier engine is called only if it observes
         ``origin``, and the delivery watermark is looked at only for this
         node's own stream — then hands it to the engine's propagation
-        protocol.  The only local-grant path: engines fill
-        :meth:`_propagate_grant`, they do not override this."""
+        protocol.  Engines fill :meth:`_propagate_grant`, they do not
+        override this."""
         tables = self.tables
         if origin not in tables:
             raise StabilizerError(f"unknown origin stream {origin!r}")
@@ -286,6 +306,22 @@ class StabilizationStrategy:
         """Engine-specific propagation of a local grant (the batching
         engines bind this to :meth:`_batch_report`)."""
         raise NotImplementedError
+
+    def _propagate_received(self, origin: str, seq: int, held: int) -> None:
+        """Propagation of an arrival's ``received`` grant (the cell was
+        ``held`` before it): a local grant like any other, unless the
+        engine learns it some other way."""
+        self._propagate_grant(origin, self.received_id, seq)
+
+    #: ``(peer, seq)``: ``peer``'s data channel acknowledged this node's
+    #: stream up to ``seq`` — for an engine that takes the ACK as
+    #: ``peer``'s ``received`` report; None for one that does not.
+    on_peer_received = None
+
+    def grant_durable(self, origin: str, type_id: int, seq: int) -> None:
+        """A WAL group commit's fsync covers ``origin`` up to ``seq``:
+        grant ``persisted`` (``type_id``)."""
+        self.grant_local(origin, type_id, seq)
 
     #: ``() -> origins this node observes``, for an engine that routes its
     #: frames by demand (the carrier then advertises it and keeps
@@ -468,6 +504,10 @@ class AckTableStrategy(StabilizationStrategy):
         self._peer_count = len(config.remote_names())
         # origin -> when its frontier was last read here unobserved.
         self._read_at: Dict[str, float] = {}
+        # origin -> (until, public): a received grant that skipped the
+        # batcher (see _propagate_received) opened a window during which
+        # repair sends that cell only as it stood before the window.
+        self._held: Dict[str, Tuple[float, int]] = {}
         self.reports_sent = 0
         self.reports_coalesced = 0
         self.reports_withheld = 0
@@ -479,6 +519,59 @@ class AckTableStrategy(StabilizationStrategy):
         engine.on_unobserved_read = self._on_unobserved_read
 
     _propagate_grant = StabilizationStrategy._batch_report
+
+    def _propagate_received(self, origin: str, seq: int, held: int) -> None:
+        """An arrival's ``received`` grant goes to the peers observing
+        ``origin`` in a report, as any grant does — unless the origin is
+        the only one: it learns the cell from its data channel's ACK
+        (:meth:`on_peer_received`), so nothing is batched.
+
+        Such a grant still must not reach anyone sooner than its report
+        would have: full-state repair sends the cell as it stood before
+        (``held``) until one flush interval after the first grant of the
+        window (see :meth:`full_state_frames`); the window expires
+        lazily, with no timer."""
+        targets = self.carrier.observers[origin]
+        # Peers are distinct: [origin] is the one list whose ends are both
+        # the origin.
+        if targets and (targets[0] != origin or targets[-1] != origin):
+            self._batch_report(origin, self.received_id, seq)
+            return
+        now = self.node.sim.now
+        windows = self._held
+        if origin not in windows or now >= windows[origin][0]:
+            windows[origin] = (now + self._flush_interval_s, held)
+
+    def on_peer_received(self, peer: str, seq: int) -> None:
+        """``peer``'s data channel acknowledged this node's stream up to
+        ``seq``: the write a ``received`` report from ``peer`` makes (see
+        :meth:`on_control_frame`), from the ACK that states the same fact
+        at no extra wire bytes — and, as the report was, a sign of life."""
+        node = self.node
+        node.detector.heard_from(peer)
+        peer_index = self._index_of[peer]
+        local = self.config.local
+        received = self.received_id
+        row = self.tables[local].table[peer_index]
+        held = row[received]
+        if seq <= held:
+            return
+        row[received] = seq
+        if self.tracer.enabled:
+            self.tracer.emit(local, "data.ack_receive", peer=peer, seq=seq)
+        frontier = self._frontier
+        if local in frontier.watched:
+            frontier.reevaluate(
+                local, updated_node=peer_index, updated_cells=((received, seq),)
+            )
+        if held <= node._received_floor:
+            node._rescan_received_floor()
+
+    def grant_durable(self, origin: str, type_id: int, seq: int) -> None:
+        """A group commit is already a batch: its ``persisted`` grant
+        ships at once instead of waiting a flush interval."""
+        self.grant_local(origin, type_id, seq)
+        self.advance_candidates()
 
     # ------------------------------------------------------------------ demand
     def _observed_origins(self):
@@ -573,8 +666,15 @@ class AckTableStrategy(StabilizationStrategy):
         report, restarted and lost them all, or has only now begun to
         observe a stream rebuilds its view of our column without waiting
         for organic re-acks (which, being monotonic, would never repeat
-        old values), and so every table converges within a heartbeat."""
+        old values), and so every table converges within a heartbeat.
+
+        Repair must not pre-empt the flush cadence: a cell whose report
+        is still batched is left to that report, and a ``received`` cell
+        that skipped the batcher is sent as it stood before its window
+        until the window closes (see :meth:`_propagate_received`)."""
         frames = []
+        now = self.node.sim.now
+        received = self.received_id
         for origin, table in self.tables.items():
             batched = self._pending.get(origin, ())
             entries = {
@@ -582,6 +682,12 @@ class AckTableStrategy(StabilizationStrategy):
                 for type_id, seq in enumerate(table.row(self.local_index))
                 if seq > 0 and type_id not in batched
             }
+            window = self._held.get(origin)
+            if window is not None and now < window[0] and received in entries:
+                if window[1] > 0:
+                    entries[received] = window[1]
+                else:
+                    del entries[received]
             if entries:
                 frames.append(
                     ControlFrame(self.local_index, self._index_of[origin], entries)

@@ -150,7 +150,9 @@ CATALOGUE = (
     Metric("strategy.acktable.reports_withheld", "counter", "sum", "reports",
            "core.control",
            "ACK-table engine: reports not sent because the peer does not "
-           "observe that origin, per flush and origin"),
+           "observe that origin, per flush and origin (a received grant "
+           "only its origin observes is never batched: the origin's data "
+           "ACK carries it)"),
     Metric("strategy.sequencer.reports_sent", "counter", "sum", "reports",
            "core.control", "sequencer engine: grant floors reported"),
     Metric("strategy.sequencer.stable_broadcasts", "counter", "sum", "frames",

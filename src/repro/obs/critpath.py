@@ -112,7 +112,7 @@ def _attribute_one(trace: SendTrace, key: str,
         return unattributed()
 
     kind = cause["kind"]
-    if kind == "control.receive":
+    if kind in ("control.receive", "data.ack_receive"):
         blamed = cause["peer"]
         chain = trace.peers.get(blamed)
         if chain is None or chain.get("report_received") is None:

@@ -12,8 +12,10 @@ The trace context that makes this possible is the ``(origin, seq)`` key
 independent sequence spaces).  Data frames carry it in their chunk
 metas (``data.frame_send`` records the covered ``[first_seq,
 last_seq]`` run), control flushes carry it in their ``heads`` (the
-``[origin, type, seq]`` ack watermarks aboard each frame), and every
-per-sequence instant event names it outright.  :func:`build_span_trees`
+``[origin, type, seq]`` ack watermarks aboard each frame), a data-channel
+ACK that is a ``received`` report names the last sequence it covers at
+both ends (``data.ack_send`` at the receiver, ``data.ack_receive`` at
+the origin), and every per-sequence instant event names it outright.  :func:`build_span_trees`
 replays a ring (or a JSONL trace file) once, indexes those watermarks,
 and assembles one :class:`SpanNode` tree per sampled send.
 
@@ -205,6 +207,24 @@ class _TraceIndex:
                         "shard": shard, "peer": ev["peer"],
                         "heads": list(heads), "ts": ts,
                     }
+            elif etype == "data.ack_send":
+                # The data channel's ACK: the received report to the origin.
+                series = self.ctrl_sends.setdefault(
+                    (node, ev["origin"], ev["origin"], shard, "received"),
+                    _WatermarkSeries(),
+                )
+                series.append(ts, ev["seq"])
+            elif etype == "data.ack_receive":
+                series = self.ctrl_receives.setdefault(
+                    (node, ev["peer"], node, shard, "received"),
+                    _WatermarkSeries(),
+                )
+                series.append(ts, ev["seq"])
+                last_cause[node] = {
+                    "kind": "data.ack_receive", "origin": node,
+                    "shard": shard, "peer": ev["peer"],
+                    "heads": [["received", ev["seq"]]], "ts": ts,
+                }
             elif etype == "frontier.advance":
                 cause = last_cause.get(node)
                 if cause is not None and (

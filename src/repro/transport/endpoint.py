@@ -158,11 +158,11 @@ class TransportEndpoint:
             if self.on_datagram is not None:
                 self.on_datagram(packet.src, frame[1])
         elif kind == "ack":
-            _, name, cumulative, epoch = frame
+            _, name, cumulative, epoch, tag = frame
             # No channel: this endpoint never sent on the name.
             chan = self._channels.get((packet.src, name))
             if chan is not None:
-                chan._handle_ack(cumulative, epoch)
+                chan._handle_ack(cumulative, epoch, tag)
         else:
             raise TransportError(f"unknown transport frame kind: {kind!r}")
         # Any packet from a peer with suspended channels proves it is alive.

@@ -6,18 +6,29 @@ possibly-lossy link model:
 
 - the sender numbers frames with a transport sequence;
 - the receiver delivers in order, buffering out-of-order arrivals;
-- cumulative ACKs flow back every :data:`ACK_EVERY` frames or
-  :data:`ACK_INTERVAL_S` seconds, releasing the sender's retransmission
-  buffer;
+- cumulative ACKs flow back every :data:`ACK_EVERY` frames, and at most
+  ``ack_delay`` seconds after the first frame not yet acknowledged,
+  releasing the sender's retransmission buffer;
 - a go-back-N retransmit fires when no progress happens within the
   retransmission timeout.
+
+ACK cadence per channel.  ``ack_delay`` is :data:`ACK_INTERVAL_S`
+(50 ms) for every channel but the Stabilizer's data channel, whose ACK
+is also the origin's ``received`` report: the data plane sets it to the
+control plane's flush interval (``control_flush_interval_s``), so the
+ACK is due no later than the report it replaces.  Paxos, pub/sub and
+the resume channel keep 50 ms.  Every ACK carries the receiving
+consumer's ``ack_tag`` (the data plane's shard epoch; ``None``
+elsewhere) so the sender can tell whether what it retired was taken or
+fenced.
 
 The channel has no send window and no send queue: ``send`` puts the
 frame on the link at once.  How many bytes may be in flight to a peer is
 the data plane's decision (``window_bytes``); it reads
 :meth:`FifoChannel.unacked_bytes` before it cuts a frame, and
-``on_window_open`` — fired by every ACK that retires frames — tells it
-when credits came back.
+``on_window_open(meta, tag)`` — fired by every ACK that retires frames,
+with the newest retired frame's meta and the ACK's tag — tells it when
+credits came back and how far the peer has taken the stream.
 
 The retransmission timeout is *adaptive* (Jacobson/Karn): ACKed frames
 that were never retransmitted contribute RTT samples to an EWMA estimator
@@ -49,10 +60,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DeliverFn = Callable[[Payload, object], None]  # (payload, meta)
 
 TRANSPORT_HEADER_BYTES = 24  # seq + channel id + flags, matching messages.py scale
-ACK_FRAME_BYTES = 20
+# Cumulative seq + channel id + stream epoch (20), and the consumer's
+# 4-byte ack tag.
+ACK_FRAME_BYTES = 24
 
 # The receiver acknowledges every ACK_EVERY in-order frames, and at most
-# ACK_INTERVAL_S after the first frame it has not acknowledged yet.
+# ack_delay (by default ACK_INTERVAL_S) after the first frame it has not
+# acknowledged yet.
 ACK_EVERY = 32
 ACK_INTERVAL_S = 0.05
 # The base RTO before the first RTT sample, and the factor each
@@ -62,9 +76,11 @@ RETRANSMIT_BACKOFF = 2.0
 # RTO granularity: rttvar collapses to ~0 on jitter-free virtual links,
 # and an RTO equal to the RTT would retransmit on every ack delay.
 RTO_GRANULE_S = 0.01
-# The RTO floor: an RTO below the peer's delayed-ack window would
-# retransmit on every ack delay.
-MIN_RTO_S = 2.0 * ACK_INTERVAL_S
+# The RTO floor, twice the longest delayed-ack window (ACK_INTERVAL_S):
+# an RTO below a peer's ack delay would retransmit on every ack delay.  A
+# literal, not derived from the ack delay, so a channel that ACKs sooner
+# (the data channel) does not quietly lower it.
+MIN_RTO_S = 0.1
 
 
 class _OutFrame:
@@ -94,9 +110,13 @@ class FifoChannel:
         on_deliver: DeliverFn,
         max_rto: float = 5.0,
         max_retransmit_attempts: Optional[int] = None,
+        ack_delay: float = ACK_INTERVAL_S,
+        ack_tag=None,
     ):
         if max_rto < MIN_RTO_S:
             raise TransportError(f"max_rto must be at least {MIN_RTO_S}")
+        if ack_delay <= 0:
+            raise TransportError("ack_delay must be positive")
         if max_retransmit_attempts is not None and max_retransmit_attempts <= 0:
             raise TransportError("max_retransmit_attempts must be positive")
         self.endpoint = endpoint
@@ -112,9 +132,14 @@ class FifoChannel:
         self.max_retransmit_attempts = max_retransmit_attempts
 
         self.on_deliver = on_deliver
-        # Fired (no arguments) by every ACK that retires frames; see
-        # module docstring.
-        self.on_window_open: Optional[Callable[[], None]] = None
+        # Fired (meta of the newest retired frame, the ACK's tag) by every
+        # ACK that retires frames; see module docstring.
+        self.on_window_open: Optional[Callable[[object, object], None]] = None
+        # Called (meta of the newest frame it covers) by every ACK this
+        # channel sends while tracing is on: the consumer's trace hook.
+        self.on_ack_traced: Optional[Callable[[object], None]] = None
+        self.ack_delay = ack_delay
+        self.ack_tag = ack_tag
         self.closed = False
         # Suspended: the retry loop concluded the peer is dead (see module
         # docstring).  Frames are retained and sends still transmit — they
@@ -147,6 +172,7 @@ class FifoChannel:
         self._since_ack = 0
         self._ack_timer = None
         self._ack_dirty = False
+        self._delivered_meta = None  # the newest frame delivered in order
 
         # Counters for tests and benchmarks.
         self.frames_sent = 0
@@ -338,22 +364,23 @@ class FifoChannel:
             )
 
     def _handle_ack(
-        self, cumulative_seq: int, epoch: Optional[float] = None
+        self, cumulative_seq: int, epoch: Optional[float] = None, tag=None
     ) -> None:
         if self.closed:
             return
         if epoch is not None and epoch != self.epoch:
             return  # an ack for a previous incarnation of this stream
-        progressed = False
+        retired = None  # the newest frame this ack retires
         now = self.sim.now
         while self._lowest_unacked <= cumulative_seq:
             frame = self._unacked.pop(self._lowest_unacked, None)
             if frame is not None:
                 self._unacked_bytes -= frame.size
-                progressed = True
+                retired = frame
                 if not frame.retransmitted:
                     self._observe_rtt(now - frame.sent_at)
             self._lowest_unacked += 1
+        progressed = retired is not None
         if progressed:
             self._attempts = 0
             self._last_progress = now
@@ -364,8 +391,9 @@ class FifoChannel:
             self._retransmit_timer.cancel()
             self._retransmit_timer = None
         if progressed and self.on_window_open is not None:
-            # Credits came back: the layer above may cut fresh frames.
-            self.on_window_open()
+            # Credits came back, and the peer took the stream up to the
+            # newest retired frame.
+            self.on_window_open(retired.meta, tag)
 
     # -- receiving -----------------------------------------------------------
     def _handle_data(
@@ -383,19 +411,21 @@ class FifoChannel:
             self._since_ack = 0
         elif epoch < self._peer_epoch:
             return  # a stale frame from before the peer's restart
+        # An ACK is now due within ack_delay.  The timer is armed before
+        # delivery, ahead of any the consumer arms for the same arrival:
+        # on the data channel the ACK is the received report, and it
+        # leaves before the reports the arrival batches.
+        self._ack_dirty = True
+        if self._ack_timer is None:
+            self._ack_timer = self.sim.call_later(self.ack_delay, self._ack_tick)
         if seq < self._next_deliver_seq:
-            # A duplicate: re-ack so the sender unblocks.
-            self._ack_dirty = True
-            if self._ack_timer is None:
-                self._ack_timer = self.sim.call_later(
-                    ACK_INTERVAL_S, self._ack_tick
-                )
-            return
+            return  # a duplicate: the re-ack unblocks the sender
         ooo = self._ooo
         if seq == self._next_deliver_seq and not ooo:
             # In order with nothing buffered: no reorder-buffer round trip.
             self._next_deliver_seq = seq + 1
             self.frames_delivered += 1
+            self._delivered_meta = meta
             self.on_deliver(payload, meta)
         else:
             ooo[seq] = _OutFrame(seq, payload, size, meta)
@@ -403,13 +433,9 @@ class FifoChannel:
                 frame = ooo.pop(self._next_deliver_seq)
                 self._next_deliver_seq += 1
                 self.frames_delivered += 1
+                self._delivered_meta = frame.meta
                 self.on_deliver(frame.payload, frame.meta)
-        # An ACK is now due within ACK_INTERVAL_S (the timer is armed
-        # after delivery, which keeps it in its place in event order).
         self._since_ack += 1
-        self._ack_dirty = True
-        if self._ack_timer is None:
-            self._ack_timer = self.sim.call_later(ACK_INTERVAL_S, self._ack_tick)
         if self._since_ack >= ACK_EVERY:
             self._send_ack()
 
@@ -430,9 +456,14 @@ class FifoChannel:
                 channel=self.name,
                 cumulative=self._next_deliver_seq - 1,
             )
+            if self.on_ack_traced is not None:
+                self.on_ack_traced(self._delivered_meta)
         self.link.send(
             self.port,
-            ("ack", self.name, self._next_deliver_seq - 1, self._peer_epoch),
+            (
+                "ack", self.name, self._next_deliver_seq - 1, self._peer_epoch,
+                self.ack_tag,
+            ),
             ACK_FRAME_BYTES,
         )
 

@@ -9,7 +9,9 @@ observes the origin.  Before, each value went through a chain of relays:
 ``_apply_report`` → ``update_many`` → ``_on_table_update`` for a report.
 
 That chain is kept below as a private oracle (``_ParentChain`` and the
-ACK-table engine's ``_AckTableOracle``).  Seeded streams — frames of 1–4
+ACK-table engine's ``_AckTableOracle``); where an arrival's ``received``
+grant goes next is not part of it, so the oracle hands that to the
+engine's ``_propagate_received`` as the engine does.  Seeded streams — frames of 1–4
 messages with stale and duplicate runs, reports single and batched with
 stale cells, local sends and grants, waiters — drive a node built with
 the oracle and a node built with the engine as it is, and everything a
@@ -119,8 +121,8 @@ class _ParentChain(StabilizationStrategy):
             )
         self.node.detector.heard_from(origin)
         tracer = self.tracer
+        held = table.table[self.local_index][self.received_id]
         if first is not None and first < seq and tracer.enabled:
-            held = table.table[self.local_index][self.received_id]
             for covered in range(max(first, held + 1), seq):
                 if tracer.sampled(origin, covered):
                     tracer.emit(
@@ -130,9 +132,9 @@ class _ParentChain(StabilizationStrategy):
                         type="received",
                         seq=covered,
                     )
-        self.grant_local(origin, self.received_id, seq)
+        self.grant_local(origin, self.received_id, seq, arrival_held=held)
 
-    def grant_local(self, origin, type_id, seq):
+    def grant_local(self, origin, type_id, seq, arrival_held=None):
         table = self.tables.get(origin)
         if table is None:
             raise StabilizerError(f"unknown origin stream {origin!r}")
@@ -149,7 +151,12 @@ class _ParentChain(StabilizationStrategy):
                 seq=seq,
             )
         self._on_table_update(origin, self.local_index, ((type_id, seq),))
-        self._propagate_grant(origin, type_id, seq)
+        if arrival_held is None:
+            self._propagate_grant(origin, type_id, seq)
+        else:
+            # Not part of the chain: an arrival's grant propagates as the
+            # engine propagates arrivals.
+            self._propagate_received(origin, seq, arrival_held)
 
     def _apply_stable(self, origin, entries):
         table = self.tables.get(origin)

@@ -11,6 +11,8 @@ from repro.sim import Simulator
 from repro.transport import TransportEndpoint
 from repro.transport.messages import SyntheticPayload
 
+from tests.wiretap import Tap
+
 NODES = ["x", "y"]
 
 
@@ -234,6 +236,61 @@ def test_origin_fanout_targets_only_the_origin():
     # Anti-entropy tells x anyway, at heartbeat cadence.
     sim.run(until=0.2 + y.controlplane.heartbeat_interval)
     assert x.tables["y"].get(1, 0) == 1
+
+
+# ---------------------------------------------------------------------------
+# The received report is the data channel's ACK (the ACK-table engine): a
+# receiver's received grant for an origin only the origin observes is never
+# batched; the origin writes the cell when the receiver's ACK retires frames.
+# ---------------------------------------------------------------------------
+
+
+def test_at_quiescence_the_origin_holds_each_peers_highest_received():
+    sim, net = build_net()
+    cluster = StabilizerCluster(net, config())
+    x, y = cluster["x"], cluster["y"]
+    for i in range(20):
+        sim.call_at(0.003 * i, x.send, SyntheticPayload(300))
+    sim.run(until=1.0)  # quiet, and before the first heartbeat
+    assert y.dataplane.highest_received("x") == 20
+    assert x.tables["x"].get(1, x.type_id("received")) == 20
+    assert x.delivery_watermark() == 20 and len(x.dataplane.buffer) == 0
+    # No report carried it.
+    assert y.stats()["strategy.acktable.reports_sent"] == 0
+
+
+def test_a_lost_last_ack_is_repaired_by_retransmission_and_the_duplicate_reack():
+    sim, net = build_net()
+    cluster = StabilizerCluster(net, config())
+    x, y = cluster["x"], cluster["y"]
+    received = x.type_id("received")
+    channel = x.endpoint.channel("y", DATA_CHANNEL)
+    ack_delay = y.endpoint.channel("x", DATA_CHANNEL).ack_delay
+    x.send(SyntheticPayload(300))
+    sim.run(until=0.5)  # an RTT sample: the RTO is at its floor
+    assert x.tables["x"].get(1, received) == 1
+    # The one ACK of the stream's last frame is lost; nothing follows it.
+    tap = Tap(net, "ack", lambda src, dst, payload: not tap.dropped)
+    seq = x.send(SyntheticPayload(300))
+    retransmitted = []
+    resend = channel._resend_unacked
+
+    def resend_and_note():
+        retransmitted.append(sim.now)
+        resend()
+
+    channel._resend_unacked = resend_and_note
+    while not retransmitted:
+        sim.step()
+    assert len(tap.dropped) == 1
+    assert x.tables["x"].get(1, received) == seq - 1
+    # The retransmission is a duplicate at y, which re-ACKs it within one
+    # ACK delay: repaired one ACK delay and a round trip later, no report.
+    sim.run(until=retransmitted[0] + ack_delay + 2 * 0.005 + 0.001)
+    assert channel.retransmissions == 1
+    assert x.tables["x"].get(1, received) == seq
+    assert x.delivery_watermark() == seq
+    assert y.stats()["strategy.acktable.reports_sent"] == 0
 
 
 def test_heartbeats_flow_only_when_idle():

@@ -12,7 +12,8 @@ nothing.  Under the ACK-table engine, whose live reports follow demand
 node that was not observing is a lower bound, everything after it is
 exact one round trip later.  The gate at the end is the tier-1 form of
 the ``perf/`` claim: receivers evaluate nothing and hear nothing live,
-and the sender's monitor cannot tell.  ``test_frontier_equivalence.py``
+they report received to the sender only through its data channel's
+ACKs, and the sender's monitor cannot tell.  ``test_frontier_equivalence.py``
 has the randomized part, ``test_interest_contract.py`` the contract
 against the all-observing twin.
 """
@@ -35,6 +36,8 @@ from repro.net import NetemSpec, Topology
 from repro.obs import Tracer
 from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
+
+from tests.wiretap import Tap
 
 NODES = ["a", "b", "c", "d"]
 GROUPS = {"east": ["a", "b"], "west": ["c", "d"]}
@@ -424,6 +427,7 @@ def seeded_run(monitors_everywhere, seed=7):
     # could no longer be compared instant by instant.
     # ``test_interest_contract.py`` has the lossy comparison.
     sim, net, cluster = build(seed=seed, nodes=FIVE, groups=FIVE_GROUPS)
+    datagrams = Tap(net, "dgram")
     sender = cluster["s"]
     trajectory = []
     for key in PREDICATES:
@@ -456,7 +460,10 @@ def seeded_run(monitors_everywhere, seed=7):
     assert sender.get_stability_frontier("all") == 300
     stats = {node.name: node.stats() for node in cluster}
     wire = {
-        pair: (link.stats.packets_sent, link.stats.bytes_sent)
+        pair: (
+            link.stats.packets_sent,
+            sum(1 for _at, *seen, _p, _b in datagrams.seen if tuple(seen) == pair),
+        )
         for pair, link in net.links.items()
     }
     final = tables()
@@ -489,23 +496,26 @@ def test_gate_receivers_evaluate_nothing_and_the_sender_cannot_tell():
     ):
         assert stats["s"][counter] == eager_stats["s"][counter], counter
     # On the wire the receivers stopped telling each other what none of
-    # them watches.  A receiver-to-receiver link carries no data, so all
-    # it saw is the start-up interest announcement and the one heartbeat;
-    # the receiver-to-sender links carry what they carried before plus
-    # that announcement.
+    # them watches, and stopped reporting received to the sender: its
+    # data channel's ACKs say the same.  A receiver-to-receiver link
+    # carries no data, so all it saw is the start-up interest announcement
+    # and the one heartbeat; the receiver-to-sender links carry the same
+    # ACKs as before and, of datagrams, only that announcement and the
+    # heartbeat.
     for name in FIVE[1:]:
         assert stats[name]["strategy.interest_announcements"] == len(FIVE) - 1
-        assert stats[name]["strategy.acktable.reports_withheld"] > 300
+        assert stats[name]["strategy.acktable.reports_sent"] == 0
         assert eager_stats[name]["strategy.interest_announcements"] == 0
-        assert eager_stats[name]["strategy.acktable.reports_withheld"] == 0
-    for (src, dst), (packets, _bytes) in wire.items():
-        eager_packets, _eager_bytes = eager_wire[(src, dst)]
+        assert eager_stats[name]["strategy.acktable.reports_sent"] > 300
+    for (src, dst), (packets, datagrams) in wire.items():
+        eager_packets, eager_datagrams = eager_wire[(src, dst)]
         if src == "s":
             assert packets == eager_packets, (src, dst)
         elif dst == "s":
-            assert packets == eager_packets + 1, (src, dst)
+            assert datagrams == 2 < eager_datagrams / 50, (src, dst)
+            assert packets - datagrams == eager_packets - eager_datagrams
         else:
-            assert packets == 2 < eager_packets / 50, (src, dst)
+            assert packets == datagrams == 2 < eager_packets / 50, (src, dst)
     # The sender's tables are the eager cluster's at every instant.  A
     # receiver's are a lower bound of them mid-stream — its own row and the
     # origin's are live, its fellow receivers' rows are not — and equal one

@@ -15,6 +15,7 @@ from repro.core import (
     StabilizerConfig,
     snapshot_state,
 )
+from repro.core.dataplane import DATA_CHANNEL
 from repro.core.membership import RebalancePlanner, ShardMap
 from repro.core.rebalance import (
     HANDOFF_CHANNEL,
@@ -357,6 +358,14 @@ def test_epoch_mismatch_fences_frames():
     # never applied — its watermark for a stays at zero.
     assert b.dataplane.highest_received("a") == 0
     assert b.stats()["stale_epoch_frames"] > 0
+    # b's transport acknowledged the frames it fenced, but its ACK names
+    # its own epoch: a claims nothing received at b, and keeps its buffer.
+    assert b.endpoint.channel("a", DATA_CHANNEL).acks_sent > 0
+    received = a.type_id("received")
+    assert a.tables["a"].get(a.config.node_index("b"), received) == 0
+    assert a.delivery_watermark() == 0
+    assert a.dataplane.buffer.reclaimed_up_to == 0
+    assert len(a.dataplane.buffer) == 1
     a.close()
     b.close()
 

@@ -14,7 +14,13 @@ the reliable FIFO onto the datagram carrier: a checked diff showed every
 advance (key, origin, new, old), every advance *time*, the frontiers,
 tables, watermarks and message counters identical, and only the three
 ``control_*`` counters changed (tail probes and full-state heartbeats
-are counted as frames).
+are counted as frames).  And once more when the data channel's ACK
+became the received report (and its timer moved ahead of the report
+flush): every advance's key, origin and values, the frontiers, tables,
+watermarks and counters identical, every advance time within 1.08 µs of
+the old one — a ``received`` advance sooner by the serialization a
+report is longer than an ACK, a ``verified`` one later by the ACK now
+ahead of it on the link.
 
 The fixture is compared through :func:`collapse` since a WAN frame
 became the unit of arrival: a receiver applies a frame of *k* consecutive

@@ -2,7 +2,8 @@
 
 The FIFO channel has no window and no queue: ``send`` puts the frame on
 the link at once, and every ACK that retires frames fires
-``on_window_open``.  A data-plane stream cuts a frame only while nothing
+``on_window_open(meta, tag)`` with the newest retired frame's meta and
+the ACK's tag.  A data-plane stream cuts a frame only while nothing
 is in flight or the frame's wire bytes fit the window beside what is
 (``repro.core.dataplane``'s module docstring).
 """
@@ -86,11 +87,27 @@ def test_window_open_fires_on_credit_return():
     sim, net = build_net()
     sender, _ = wire_pair(net)
     opens = []
-    sender.on_window_open = lambda: opens.append(sender.unacked_count())
-    sender.send(SyntheticPayload(1_000))
-    sender.send(SyntheticPayload(1_000))
+    sender.on_window_open = lambda meta, tag: opens.append(
+        (sender.unacked_count(), meta, tag)
+    )
+    sender.send(SyntheticPayload(1_000), meta="first")
+    sender.send(SyntheticPayload(1_000), meta="second")
     sim.run(until=5.0)
-    assert opens == [0]  # the one ACK that retired both frames
+    # The one ACK that retired both frames, naming the newer; a channel
+    # whose consumer set no ack tag acknowledges with None.
+    assert opens == [(0, "second", None)]
+
+
+def test_window_open_carries_the_receivers_epoch_and_last_sequence():
+    sim, net = build_net()
+    sender, channel, _ = wire(net, chunk_bytes=500, frame_bytes=1_000)
+    acked = []
+    sender.on_acked = lambda peer, last: acked.append((peer, last))
+    sender.send(SyntheticPayload(500))  # a lone frame: seq 1
+    sim.run(until=1.0)
+    sender.send(SyntheticPayload(1_000))  # one coalesced frame: 2 and 3
+    sim.run(until=2.0)
+    assert acked == [("b", 1), ("b", 3)]
 
 
 def test_window_open_not_fired_while_backlog_remains():
@@ -101,8 +118,8 @@ def test_window_open_not_fired_while_backlog_remains():
     )
     seen, window_open = [], channel.on_window_open
 
-    def on_open():
-        window_open()
+    def on_open(meta, tag):
+        window_open(meta, tag)
         seen.append((channel.frames_sent - sender.frames_sent, channel.unacked_bytes()))
 
     channel.on_window_open = on_open
