@@ -39,6 +39,7 @@ from repro.bench.runners.fig7 import (
 )
 from repro.bench.runners.fig8 import run_reconfig
 from repro.bench.runners.hotpath import (
+    ack_calls_per_ack,
     frame_calls_per_message,
     hotpath_calls_per_report,
     kernel_calls_per_event,

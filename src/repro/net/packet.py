@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Tuple, Union
+
+#: A host port: a name, or a transport channel's key — a tuple whose
+#: first item is the name of its endpoint's port.
+Port = Union[str, Tuple[str, ...]]
 
 
 class Packet:
@@ -11,7 +15,8 @@ class Packet:
     ``payload`` is an arbitrary Python object (the transport layer puts a
     frame here); only ``size_bytes`` matters to the network model.  ``port``
     selects the handler on the destination host, so several protocols
-    (Stabilizer, Paxos, pub/sub) can share one network.
+    (Stabilizer, Paxos, pub/sub) can share one network, and a transport
+    endpoint can hand each channel its own packets.
     """
 
     __slots__ = ("src", "dst", "port", "payload", "size_bytes", "sent_at")
@@ -20,7 +25,7 @@ class Packet:
         self,
         src: str,
         dst: str,
-        port: str,
+        port: Port,
         payload: Any,
         size_bytes: int,
         sent_at: float,

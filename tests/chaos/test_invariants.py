@@ -187,8 +187,9 @@ class FakeChannel:
     def __init__(self, frame_sizes=(), unacked_bytes=None):
         self.name = "stab.data"
         self.peer = "b"
+        # seq -> (wire tuple, size, send time), as FifoChannel keeps it.
         self._unacked = {
-            i: FakeFrame(size) for i, size in enumerate(frame_sizes)
+            i: (None, size, 0.0) for i, size in enumerate(frame_sizes)
         }
         self._unacked_bytes = (
             sum(frame_sizes) if unacked_bytes is None else unacked_bytes

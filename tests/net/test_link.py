@@ -183,3 +183,23 @@ def test_a_closed_port_drops_stragglers_a_never_bound_one_raises():
     link.send("never-bound", b"", 100)
     with pytest.raises(NetworkError, match="no handler"):
         sim.run()
+
+
+def test_a_channel_key_with_no_handler_goes_to_its_endpoint_port():
+    # A tuple port names a channel on the endpoint port it starts with:
+    # unbound, the packet goes to that port; that one unbound, it raises.
+    sim = Simulator()
+    arrivals = []
+    link = make_link(sim, on_packet=arrivals.append)
+    link.target.bind(("test", "chan", "a"), lambda p: arrivals.append("key"))
+    link.send(("test", "chan", "a"), b"", 100)
+    link.send(("test", "other", "a"), b"", 100)
+    sim.run()
+    assert arrivals[0] == "key" and arrivals[1].port == ("test", "other", "a")
+    link.target.unbind("test")
+    link.send(("test", "other", "a"), b"", 100)
+    sim.run()  # the endpoint port is closed: dropped
+    assert len(arrivals) == 2
+    link.send(("never-bound", "chan", "a"), b"", 100)
+    with pytest.raises(NetworkError, match="no handler"):
+        sim.run()

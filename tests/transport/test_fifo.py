@@ -307,13 +307,19 @@ def test_restarted_sender_epoch_resets_receiver_stream():
 
 
 def test_stale_epoch_frames_are_ignored():
-    sim, net = build_net()
-    ep_b = TransportEndpoint(net, "b")
+    """A frame of the sender's old incarnation that arrives after the new
+    incarnation's first frame is dropped, not delivered."""
+    sim, net = build_net(latency_ms=100.0)
     received = []
-    ep_b.accept("stream", collect(received, lambda peer, p, m: m))
-    receiver = ep_b.channel("a", "stream")
-    receiver._handle_data(0, b"new", 10, "new-epoch", epoch=5.0)
-    receiver._handle_data(0, b"old", 10, "old-epoch", epoch=1.0)
+    sender, _ = wire_pair(net, collect(received, lambda peer, p, m: m))
+    sender.send(b"old", meta="old-epoch")  # lands at about t = 0.1
+    sim.run(until=0.01)
+    sender.endpoint.close()
+    net.link("a", "b").reshape(latency_s=0.001)
+    ep_a2 = TransportEndpoint(net, "a")
+    ep_a2.accept("stream", ignore)
+    ep_a2.channel("b", "stream").send(b"new", meta="new-epoch")
+    sim.run(until=1.0)
     assert received == ["new-epoch"]
 
 
