@@ -51,8 +51,8 @@ bench-record:
 #               crash-mid-handoff schedules over the rebalance invariants
 #               (docs/sharding.md, "Rebalancing & failover")
 #   shard       partial-replication invariant runs (docs/sharding.md)
-#   strategy    one seeded chaos run per stabilization engine — ACK table,
-#               sequencer, hybrid clock — under the full invariant checker
+#   strategy    one seeded chaos run per stabilization engine — ACK table
+#               and sequencer — under the full invariant checker
 #               (docs/strategies.md)
 #   trace       a seeded 3-node run must yield a well-formed chrome trace
 #               with at least one complete cross-node span tree, a
@@ -93,10 +93,14 @@ report:
 
 # Rewrite the goldens (tests/golden.py): the exact metrics of the five
 # perf/ workloads at smoke scale and the virtual_view of every chaos run
-# under tests/chaos/, from the runs tier-1 makes, under hash seed 0.  A
-# change that keeps behaviour leaves `git diff tests/goldens` empty; one
-# that moves an outcome shows which, to be explained.
+# under tests/chaos/, from the runs tier-1 makes, under hash seed 0.  The
+# old files are removed first, so a golden no run writes any more shows
+# as deleted instead of lingering unread (`check` never looks for
+# orphans).  A change that keeps behaviour leaves `git diff tests/goldens`
+# empty; one that moves, adds or drops an outcome shows which, to be
+# explained.
 goldens:
+	rm -f tests/goldens/perf/*.json tests/goldens/chaos/*.json
 	PYTHONHASHSEED=0 REPRO_GOLDENS=write pytest tests/bench/test_perf_smoke.py tests/chaos
 
 # The canonical send->stable benchmark (perf/README.md): five workloads

@@ -13,8 +13,7 @@ The public API mirrors the paper's library surface:
 - Stabilization engines — :class:`StabilizationStrategy` is the control
   protocol behind the tables: :class:`AckTableStrategy` (the paper's ACK
   streaming, the default), :class:`SequencerStrategy` (deferred-update
-  stabilization through one sequencer), :class:`HybridClockStrategy`
-  (Okapi-style stable-time vectors); select with
+  stabilization through one sequencer); select with
   ``StabilizerConfig(stabilization_strategy=...)`` (see
   ``docs/strategies.md``).
 - Partial replication — :class:`ShardMap` assigns keys to shards and
@@ -61,7 +60,6 @@ from repro.core import (
     AckTableStrategy,
     AdmissionController,
     CircuitBreaker,
-    HybridClockStrategy,
     RebalanceCoordinator,
     RebalancePlan,
     RebalancePlanner,
@@ -118,7 +116,6 @@ __all__ = [
     "CompiledPredicate",
     "DegradationPolicy",
     "FileBackupService",
-    "HybridClockStrategy",
     "MaskSuspectedPolicy",
     "MetricsRegistry",
     "NetemSpec",

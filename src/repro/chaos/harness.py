@@ -543,7 +543,7 @@ class ChaosConfig(ScenarioConfig):
     disk_faults: bool = False  # schedule CHAOS_DISK_FAULTS events too
     checkpoint_interval_s: Optional[float] = None  # snapshot + WAL compaction
     # Which stabilization engine the cluster runs (the invariants are
-    # engine-agnostic; make strategy-smoke sweeps all three).
+    # engine-agnostic; make strategy-smoke sweeps both).
     stabilization_strategy: str = "acktable"
     trace_capacity: int = 65536
     scenario: ClassVar[type] = ClassicScenario

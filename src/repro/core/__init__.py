@@ -3,8 +3,8 @@
 See :mod:`repro.core.stabilizer` for the facade and the paper's API;
 :mod:`repro.core.frontier` for predicate evaluation; the data plane lives
 in :mod:`repro.core.dataplane` and the stabilization engines (the paper's
-ACK-table control plane plus the sequencer and hybrid-clock alternatives)
-behind :mod:`repro.core.strategy`.
+ACK-table control plane plus the sequencer alternative) behind
+:mod:`repro.core.strategy`.
 """
 
 from repro.core.admission import (
@@ -53,7 +53,6 @@ from repro.core.strategy import (
     StabilizationStrategy,
     build_strategy,
 )
-from repro.core.strategy_hybrid import HybridClockStrategy
 from repro.core.strategy_sequencer import SequencerStrategy
 
 __all__ = [
@@ -69,7 +68,6 @@ __all__ = [
     "MaskSuspectedPolicy",
     "FrontierEngine",
     "HandoffManager",
-    "HybridClockStrategy",
     "RebalanceCoordinator",
     "RebalancePlan",
     "RebalancePlanner",

@@ -21,7 +21,7 @@ BUILTIN_TYPES = (DEFAULT_TYPE, "persisted")
 
 #: Recognised stabilization engines, in documentation order (the classes
 #: live in ``repro.core.strategy``, which re-exports this tuple).
-STRATEGY_NAMES = ("acktable", "sequencer", "hybrid_clock")
+STRATEGY_NAMES = ("acktable", "sequencer")
 
 
 class StabilizerConfig:
@@ -132,11 +132,10 @@ class StabilizerConfig:
         it (see :mod:`repro.core.rebalance`).
     stabilization_strategy:
         The stabilization engine (``docs/strategies.md``):
-        ``"acktable"`` (the paper's per-cell ACK streaming, the default),
-        ``"sequencer"`` (deferred-update stabilization through one
-        sequencer node), or ``"hybrid_clock"`` (Okapi-style hybrid-clock
-        stable-time vectors).  All engines must agree across a
-        deployment — they speak different control protocols.
+        ``"acktable"`` (the paper's per-cell ACK streaming, the default)
+        or ``"sequencer"`` (deferred-update stabilization through one
+        sequencer node).  Every node of a deployment must run the same
+        engine — they speak different control protocols.
     """
 
     def __init__(

@@ -328,7 +328,6 @@ class Stabilizer:
         self._type_ids[type_name] = type_id
         self.engine.ctx.types[type_name] = type_id
         self.engine.compiler.invalidate()
-        self.strategy.on_type_registered(type_id)
         # Completeness rule: the origin's own row holds every property.
         own = self.tables[self.name]
         own.update(self.local_index, type_id, self.last_sent_seq())

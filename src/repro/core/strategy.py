@@ -14,27 +14,24 @@ single shard of one — can choose its engine:
   (``"sequencer"``): deferred-update stabilization in the style of
   Gunawardhana, Bravo & Rodrigues — grant floors funnel to one sequencer
   node which broadcasts a single stable counter per (origin, type).
-- :class:`~repro.core.strategy_hybrid.HybridClockStrategy`
-  (``"hybrid_clock"``): Okapi-style hybrid logical/physical clock stamps
-  with periodic fixed-size stable-time vectors.
 
 Every engine populates the same evaluation substrate — the per-origin
 :class:`~repro.core.acks.AckTable` matrix read by the
 :class:`~repro.core.frontier.FrontierEngine` — so predicates, waiters,
 monitors, snapshots, and send-buffer reclamation work identically under
-all of them.  They differ in the *protocol that fills the cells*: the
+both.  They differ in the *protocol that fills the cells*: the
 ACK-table engine advances individual cells as reports arrive, while the
-sequencer and hybrid-clock engines advance **all rows at once** when
-their global stability rule fires (per-node cell granularity is
-collapsed; see ``docs/strategies.md`` for the expressiveness trade).
+sequencer engine advances **all rows at once** when its global
+stability rule fires (per-node cell granularity is collapsed; see
+``docs/strategies.md`` for the expressiveness trade).
 
-All three have one shape.  The base class owns what they share: the
+Both have one shape.  The base class owns what they share: the
 tables, the composed :class:`~repro.core.controlplane.ControlChannelSet`
 carrier, the local-grant path (:meth:`StabilizationStrategy.grant_local`,
 and an arrival's ``received`` grant inline in ``on_remote_deliver``)
 and the one report batcher (a flush at least every
 ``control_flush_interval_s`` or after ``control_batch`` distinct newly
-granted cells).  An engine fills hooks — ``_propagate_grant``,
+granted cells), which every local grant feeds.  An engine fills hooks —
 ``_propagate_received``, ``_ship_batch``, ``on_control_frame``,
 ``full_state_frames`` and the ``on_local_send`` / ``on_catchup`` /
 ``on_peer_received`` / ``grant_durable`` / snapshot extras — and
@@ -98,8 +95,8 @@ class StabilizationStrategy:
        ``on_peer_received`` (an engine that has one) from the data
        plane, once per data-channel ACK that retires frames;
        ``on_control_frame`` from the carrier;
-       ``advance_candidates()`` forces pending control work out now
-       (flush/broadcast) instead of waiting for the next timer.
+       ``advance_candidates()`` flushes the report batch now instead of
+       waiting for the next timer.
     4. ``full_state_frames(peer)`` — the frames that rebuild this
        node's engine state at ``peer``; the carrier re-sends them to
        repair lost frames and ``on_resume_request(peer)`` to resync a
@@ -262,9 +259,8 @@ class StabilizationStrategy:
         cell immediately — predicates at this node see the grant without
         network delay; the frontier engine is called only if it observes
         ``origin``, and the delivery watermark is looked at only for this
-        node's own stream — then hands it to the engine's propagation
-        protocol.  Engines fill :meth:`_propagate_grant`, they do not
-        override this."""
+        node's own stream — then queues it in the report batcher.
+        Engines do not override this."""
         tables = self.tables
         if origin not in tables:
             raise StabilizerError(f"unknown origin stream {origin!r}")
@@ -300,18 +296,13 @@ class StabilizationStrategy:
             node = self.node
             if held <= node._received_floor:
                 node._rescan_received_floor()
-        self._propagate_grant(origin, type_id, seq)
-
-    def _propagate_grant(self, origin: str, type_id: int, seq: int) -> None:
-        """Engine-specific propagation of a local grant (the batching
-        engines bind this to :meth:`_batch_report`)."""
-        raise NotImplementedError
+        self._batch_report(origin, type_id, seq)
 
     def _propagate_received(self, origin: str, seq: int, held: int) -> None:
         """Propagation of an arrival's ``received`` grant (the cell was
         ``held`` before it): a local grant like any other, unless the
         engine learns it some other way."""
-        self._propagate_grant(origin, self.received_id, seq)
+        self._batch_report(origin, self.received_id, seq)
 
     #: ``(peer, seq)``: ``peer``'s data channel acknowledged this node's
     #: stream up to ``seq`` — for an engine that takes the ACK as
@@ -359,8 +350,7 @@ class StabilizationStrategy:
 
     def advance_candidates(self) -> None:
         """Push pending control state out *now* instead of waiting for
-        the next timer: flush the report batch (an engine with a clock
-        instead of a batch broadcasts that)."""
+        the next timer: flush the report batch."""
         if self._flush_timer is not None:
             self._flush_timer.cancel()
             self._flush_timer = None
@@ -381,13 +371,12 @@ class StabilizationStrategy:
         have granted ``origin``'s stream up to ``seq`` at ``type_id``, for
         each ``(type_id, seq)`` in ``entries`` — so set the whole column.
 
-        This is how the sequencer and hybrid-clock engines feed the
-        shared substrate: they learn "stable everywhere up to N" without
-        per-node attribution, so every row advances together (MIN, MAX
-        and KTH predicates all fire at the same instant).  Returns True
-        if any cell advanced; then the origin takes a full frontier pass
-        and, if it is this node's own stream, the received floor a
-        rescan.
+        This is how the sequencer engine feeds the shared substrate: it
+        learns "stable everywhere up to N" without per-node attribution,
+        so every row advances together (MIN, MAX and KTH predicates all
+        fire at the same instant).  Returns True if any cell advanced;
+        then the origin takes a full frontier pass and, if it is this
+        node's own stream, the received floor a rescan.
         """
         table = self.tables.get(origin)
         if table is None:
@@ -402,10 +391,6 @@ class StabilizationStrategy:
             if origin == self.config.local:
                 self.node._rescan_received_floor()
         return advanced
-
-    def on_type_registered(self, type_id: int) -> None:
-        """A runtime ``register_stability_type`` added a column (the
-        facade already widened every table)."""
 
     def on_control_frame(self, peer: str, frame) -> None:
         """An engine-specific control frame arrived from ``peer``."""
@@ -517,8 +502,6 @@ class AckTableStrategy(StabilizationStrategy):
         engine = stabilizer.engine
         engine.on_watch_change = self.carrier.announce_interest
         engine.on_unobserved_read = self._on_unobserved_read
-
-    _propagate_grant = StabilizationStrategy._batch_report
 
     def _propagate_received(self, origin: str, seq: int, held: int) -> None:
         """An arrival's ``received`` grant goes to the peers observing
@@ -783,9 +766,8 @@ class AckTableStrategy(StabilizationStrategy):
 def build_strategy(config: StabilizerConfig) -> StabilizationStrategy:
     """Instantiate the engine ``config.stabilization_strategy`` names
     (one of :data:`STRATEGY_NAMES` — the config validated that)."""
-    from repro.core.strategy_hybrid import HybridClockStrategy
     from repro.core.strategy_sequencer import SequencerStrategy
 
-    engines = (AckTableStrategy, SequencerStrategy, HybridClockStrategy)
+    engines = (AckTableStrategy, SequencerStrategy)
     by_name = {engine.name: engine for engine in engines}
     return by_name[config.stabilization_strategy](config)

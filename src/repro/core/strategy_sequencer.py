@@ -52,8 +52,6 @@ class SequencerStrategy(StabilizationStrategy):
     # and cadence knobs as the ACK-table engine (control_batch /
     # control_flush_interval_s), so the benchmark compares protocols,
     # not tuning.
-    _propagate_grant = StabilizationStrategy._batch_report
-
     def on_local_send(self, first: int, last: int):
         cells = super().on_local_send(first, last)
         # The origin's own completeness jump is itself a grant floor the

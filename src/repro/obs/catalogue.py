@@ -159,10 +159,6 @@ CATALOGUE = (
            "core.control", "sequencer engine: stable-set broadcasts"),
     Metric("strategy.sequencer.stable_entries", "counter", "sum", "entries",
            "core.control", "sequencer engine: entries those broadcasts carried"),
-    Metric("strategy.hybrid_clock.clock_broadcasts", "counter", "sum", "frames",
-           "core.control", "hybrid-clock engine: clock broadcasts"),
-    Metric("strategy.hybrid_clock.points_retained", "gauge", "sum", "points",
-           "core.control", "hybrid-clock engine: clock points still held"),
     # -- core.frontier -----------------------------------------------------
     Metric("predicate_evaluations", "counter", "sum", "evaluations",
            "core.frontier",

@@ -29,14 +29,11 @@ KIND_RESUME = 4
 KIND_CONTROL_BATCH = 6
 KIND_SEQ_REPORT = 7
 KIND_SEQ_STABLE = 8
-KIND_CLOCK = 9
 KIND_INTEREST = 10
 
-# Strategy frames (see repro.core.strategy_sequencer / strategy_hybrid).
+# Strategy frames (see repro.core.strategy_sequencer).
 SEQ_HEADER = struct.Struct("!BHH")  # kind, node-index, entry count
 SEQ_ENTRY = struct.Struct("!HHQ")  # origin-index, type-id, seq
-CLOCK_HEADER = struct.Struct("!BHdQdH")  # kind, node, clock, head seq/stamp, count
-CLOCK_ENTRY = struct.Struct("!Hd")  # type-id, stable time
 INTEREST_HEADER = struct.Struct("!BHIH")  # kind, node-index, version, origin count
 INTEREST_ENTRY = struct.Struct("!H")  # origin-index
 
@@ -269,78 +266,6 @@ class SequencerStableFrame(_SequencerEntriesFrame):
     single stable counter, not per-node cells."""
 
     KIND = KIND_SEQ_STABLE
-
-
-class ClockFrame:
-    """One node's periodic hybrid-clock announcement (Okapi-style).
-
-    Carries the sender's hybrid logical/physical clock, the head of its
-    own stream as a ``(seq, stamp)`` point, and its per-type *stable
-    time* scalars — "every message stamped at or before this time is
-    granted type ``t`` by me".  Fixed-size regardless of message rate:
-    the metadata-vs-latency trade of the hybrid-clock engine.
-    """
-
-    __slots__ = ("node_index", "clock", "head_seq", "head_stamp", "stable_times")
-
-    def __init__(
-        self,
-        node_index: int,
-        clock: float,
-        head_seq: int,
-        head_stamp: float,
-        stable_times: Dict[int, float],
-    ):
-        self.node_index = node_index
-        self.clock = float(clock)
-        self.head_seq = int(head_seq)
-        self.head_stamp = float(head_stamp)
-        self.stable_times = dict(stable_times)
-
-    def wire_size(self) -> int:
-        return CLOCK_HEADER.size + CLOCK_ENTRY.size * len(self.stable_times)
-
-    def encode(self) -> bytes:
-        parts = [
-            CLOCK_HEADER.pack(
-                KIND_CLOCK,
-                self.node_index,
-                self.clock,
-                self.head_seq,
-                self.head_stamp,
-                len(self.stable_times),
-            )
-        ]
-        for type_id, stable in sorted(self.stable_times.items()):
-            parts.append(CLOCK_ENTRY.pack(type_id, stable))
-        return b"".join(parts)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ClockFrame":
-        try:
-            kind, node, clock, head_seq, head_stamp, count = (
-                CLOCK_HEADER.unpack_from(data)
-            )
-        except struct.error as exc:
-            raise TransportError(f"malformed clock frame: {exc}") from exc
-        if kind != KIND_CLOCK:
-            raise TransportError(f"not a clock frame (kind={kind})")
-        offset = CLOCK_HEADER.size
-        stable_times: Dict[int, float] = {}
-        for _ in range(count):
-            try:
-                type_id, stable = CLOCK_ENTRY.unpack_from(data, offset)
-            except struct.error as exc:
-                raise TransportError(f"truncated clock frame: {exc}") from exc
-            offset += CLOCK_ENTRY.size
-            stable_times[type_id] = stable
-        return cls(node, clock, head_seq, head_stamp, stable_times)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ClockFrame from={self.node_index} clock={self.clock:.6f} "
-            f"head=({self.head_seq}, {self.head_stamp:.6f})>"
-        )
 
 
 class InterestFrame:

@@ -4,10 +4,10 @@ Marked ``strategy_smoke`` so ``make strategy-smoke`` can run exactly
 this.  The safety invariants are engine-agnostic — they observe the
 system through the ACK tables and application surfaces, never through
 the wire protocol — so the same schedule must hold under the ACK-table
-default, the sequencer, and the hybrid-clock engine.  The sweep uses
-the chaos harness unchanged: crashes, restarts, AZ partitions, WAL
-recovery, degradation policies, with ``MIN``-class predicates (the
-timing every engine supports — see ``docs/strategies.md``).
+default and the sequencer.  The sweep uses the chaos harness unchanged:
+crashes, restarts, AZ partitions, WAL recovery, degradation policies,
+with ``MIN``-class predicates (the timing every engine supports — see
+``docs/strategies.md``).
 """
 
 import pytest
@@ -46,7 +46,7 @@ def test_chaos_invariants_hold_under_every_engine(engine):
             )
 
 
-@pytest.mark.parametrize("engine", ("sequencer", "hybrid_clock"))
+@pytest.mark.parametrize("engine", ("sequencer",))
 def test_non_default_engines_are_deterministic_per_seed(engine):
     first = virtual_view(run_chaos(strategy_config(engine)))
     second = virtual_view(run_chaos(strategy_config(engine)))

@@ -125,10 +125,7 @@ def test_lost_last_report_is_repaired_by_the_tail_probe(strategy):
     sim.run(until=last_report + TAIL_PROBE_S + RTT_S)
     assert a.get_stability_frontier("ver") == seq
     assert sim.now < HEARTBEAT_S  # no heartbeat has fired yet
-    if strategy != "hybrid_clock":
-        # The clock engine never falls silent: its next periodic frame
-        # supersedes the lost one before a probe is due.
-        assert d.stats()["strategy.tail_probes"] >= 1
+    assert d.stats()["strategy.tail_probes"] >= 1
 
 
 # -- (c) ---------------------------------------------------------------------
@@ -146,10 +143,6 @@ def test_quiet_origins_lost_report_is_repaired_by_the_heartbeat(strategy):
     sim.run(until=t0 + TAIL_PROBE_S + 2 * RTT_S + 0.1)
     assert tap.dropped
     assert d.stats()["strategy.tail_probes"] == 0
-    if strategy == "hybrid_clock":
-        # Clock frames are whole state: the next one repairs the loss.
-        assert b.get_stability_frontier("ver") == seq
-        return
     # d's later reports carry a's cells only; b's stays lost ...
     assert b.get_stability_frontier("ver") < seq
     # ... until d's next heartbeat re-sends its full state.
@@ -255,15 +248,13 @@ def test_steady_state_holds_no_control_channel_or_transport_timer(strategy):
             assert channel._retransmit_timer is None
             assert channel._ack_timer is None
     # What is left on the heap is one heartbeat and one failure-detector
-    # tick per node — and for the clock engine, which never falls
-    # silent, its broadcast timer, the frames in flight and the one
-    # tail-probe timer trailing them.  No timer belongs to a frame.
+    # tick per node, and nothing is in flight.  No timer belongs to a
+    # frame.
     in_flight = sum(link.stats.packets_sent for link in net.links.values()) - sum(
         host.packets_received for host in net.hosts.values()
     )
-    assert in_flight == (12 if strategy == "hybrid_clock" else 0)
-    per_node = 4 if strategy == "hybrid_clock" else 2
-    assert sim.pending_count() - in_flight == per_node * len(NODES)
+    assert in_flight == 0
+    assert sim.pending_count() == 2 * len(NODES)
     # Read last: under the ACK-table engine a read at a node that does not
     # observe the stream is itself an observation and announces it (the
     # interest cases below), which would put datagrams in flight.

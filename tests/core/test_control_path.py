@@ -18,7 +18,7 @@ the oracle and a node built with the engine as it is, and everything a
 caller can see must agree after every step: table rows, the pending
 report batch, frontier values and engine counters, monitor calls, waiter
 releases, the delivery watermark and the send buffer, the datagrams on
-the wire and every trace event.  Three engines × durability × tracer ×
+the wire and every trace event.  Both engines × durability × tracer ×
 whether anything at the node observes the remote streams.
 """
 
@@ -29,8 +29,11 @@ import pytest
 import repro.core.stabilizer as stabilizer_module
 from repro.core import StabilizerCluster
 from repro.core.config import StabilizerConfig
-from repro.core.strategy import AckTableStrategy, StabilizationStrategy
-from repro.core.strategy_hybrid import HybridClockStrategy
+from repro.core.strategy import (
+    STRATEGY_NAMES,
+    AckTableStrategy,
+    StabilizationStrategy,
+)
 from repro.core.strategy_sequencer import SequencerStrategy
 from repro.errors import StabilizerError
 from repro.net import NetemSpec, Topology
@@ -38,7 +41,6 @@ from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 from repro.testing import MemoryFileSystem
 from repro.transport.messages import (
-    ClockFrame,
     ControlBatch,
     ControlFrame,
     SequencerStableFrame,
@@ -152,7 +154,7 @@ class _ParentChain(StabilizationStrategy):
             )
         self._on_table_update(origin, self.local_index, ((type_id, seq),))
         if arrival_held is None:
-            self._propagate_grant(origin, type_id, seq)
+            self._batch_report(origin, type_id, seq)
         else:
             # Not part of the chain: an arrival's grant propagates as the
             # engine propagates arrivals.
@@ -268,14 +270,9 @@ class _SequencerOracle(SequencerStrategy, _ParentChain):
     pass
 
 
-class _HybridClockOracle(HybridClockStrategy, _ParentChain):
-    pass
-
-
 ORACLES = {
     "acktable": _AckTableOracle,
     "sequencer": _SequencerOracle,
-    "hybrid_clock": _HybridClockOracle,
 }
 
 
@@ -431,7 +428,7 @@ def _stream(engine, seed):
                     cells[key] = max(top, value)
                     entries[type_id] = value
                 frames.append((NODES.index(reporter), NODES.index(origin), entries))
-            steps.append(lambda s, fs=frames, r=rng.random(): _report(s, engine, fs, r))
+            steps.append(lambda s, fs=frames: _report(s, engine, fs))
         elif roll < 0.80:
             count = rng.randint(1, 3)
             sent += count
@@ -466,7 +463,7 @@ def _stream(engine, seed):
     return steps
 
 
-def _report(side, engine, frames, roll):
+def _report(side, engine, frames):
     """Hand ``frames`` to the node as its engine's own control frames."""
     strategy = side.node.strategy
     if engine == "acktable":
@@ -476,30 +473,16 @@ def _report(side, engine, frames, roll):
         else:
             frame = reports[0]
         strategy.on_control_frame(NODES[frame.node_index], frame)
-    elif engine == "sequencer":
+    else:
         # The sequencer's verdicts: stable everywhere up to each value.
         entries = {(o, t): seq for _r, o, e in frames for t, seq in e.items()}
         strategy.on_control_frame("a", SequencerStableFrame(0, entries))
-    else:
-        reporter, _o, entries = frames[0]
-        points = strategy._points[reporter]
-        head = points[-1][0] + 1 if points else 1
-        strategy.on_control_frame(
-            NODES[reporter],
-            ClockFrame(
-                reporter,
-                clock=roll,
-                head_seq=head,
-                head_stamp=roll / 2,
-                stable_times={t: roll * (1 + t) / 4 for t in entries},
-            ),
-        )
 
 
 @pytest.mark.parametrize("observed", [True, False], ids=["observed", "unobserved"])
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("durable", [False, True], ids=["volatile", "durable"])
-@pytest.mark.parametrize("engine", ["acktable", "sequencer", "hybrid_clock"])
+@pytest.mark.parametrize("engine", STRATEGY_NAMES)
 def test_the_control_path_matches_the_relay_chain(
     engine, durable, traced, observed, monkeypatch
 ):

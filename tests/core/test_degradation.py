@@ -4,10 +4,10 @@ Parameterized over the stabilization engines (docs/strategies.md).
 Suspicion, policy bookkeeping, and predicate rewriting are engine-
 agnostic, but the *payoff* of masking differs: the ACK-table engine
 tracks per-node floors, so excluding a dead node lets stability advance
-on the survivors; the sequencer and hybrid-clock engines bulk-set whole
-table columns from one cluster-wide stable counter/GST that needs every
-node's reports — a suspect pins that counter no matter how the predicate
-is rewritten.  Those cases are strict xfails below, with this reason.
+on the survivors; the sequencer engine bulk-sets whole table columns
+from one cluster-wide stable counter that needs every node's reports — a
+suspect pins that counter no matter how the predicate is rewritten.
+Those cases are strict xfails below, with this reason.
 """
 
 import pytest
@@ -21,24 +21,21 @@ from repro.sim import Simulator
 NODES = ["a", "b", "c"]
 GROUPS = {"east": ["a"], "west": ["b", "c"]}
 
-#: Engines whose predicates all share one cluster-wide stable counter:
+#: The sequencer's predicates all share one cluster-wide stable counter:
 #: masking a suspect out of the predicate cannot unblock stability,
 #: because the counter itself still waits on the suspect's reports.
 MASKING_UNBLOCKS = [
     "acktable",
-    *(
-        pytest.param(
-            name,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason=(
-                    "bulk-set engine: the stable counter/GST needs every "
-                    "node's reports, so masking a suspect cannot unblock "
-                    "stability (docs/strategies.md)"
-                ),
+    pytest.param(
+        "sequencer",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason=(
+                "bulk-set engine: the stable counter needs every node's "
+                "reports, so masking a suspect cannot unblock stability "
+                "(docs/strategies.md)"
             ),
-        )
-        for name in ("sequencer", "hybrid_clock")
+        ),
     ),
 ]
 

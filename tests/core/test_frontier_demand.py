@@ -314,7 +314,7 @@ def test_remote_site_read_and_waitfor_at_a_receiver(strategy):
     """``get_stability_frontier(origin=other)`` and ``waitfor(...,
     origin=other)`` at a node that observes nothing of that stream —
     under the ACK-table engine's cell updates and under the bulk-set path
-    (``updated_node=None``) of the sequencer and hybrid-clock engines."""
+    (``updated_node=None``) of the sequencer engine."""
 
     def run(listen_at_receivers):
         sim, net, cluster = build(strategy)

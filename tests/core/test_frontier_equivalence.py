@@ -276,7 +276,7 @@ def _run_stream(seed):
                 for o in ORIGINS:
                     side.engine.reevaluate(o)
         elif roll < 0.20:
-            # The bulk-set path of the sequencer / hybrid-clock engines:
+            # The bulk-set path of the sequencer engine:
             # a whole column moves, then one full pass (no updated_node).
             type_id = rng.randrange(2)
             floor = min(row[type_id] for row in values[origin]) + rng.randint(1, 3)

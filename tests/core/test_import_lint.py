@@ -25,7 +25,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 ALLOWED = {
     "core/strategy.py",
     "core/strategy_sequencer.py",
-    "core/strategy_hybrid.py",
 }
 
 ACKS_MODULE = "repro.core.acks"
@@ -145,7 +144,7 @@ def test_engines_compose_the_carrier_and_inherit_the_grant_path():
     assert "class AckTableStrategy(StabilizationStrategy)" in sources["core/strategy.py"]
     violations = _shape_violations(sources)
     assert not violations, (
-        "engines have-a ControlChannelSet and fill _propagate_grant; see "
+        "engines have-a ControlChannelSet and inherit grant_local; see "
         "docs/strategies.md, 'Writing an engine':\n  " + "\n  ".join(violations)
     )
 

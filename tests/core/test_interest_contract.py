@@ -285,8 +285,6 @@ def test_one_heartbeat_after_the_last_send_every_table_is_the_twins(strategy, se
     # The last grants are flushed one delivery and one flush after the last
     # send; the first heartbeat after that carries them everywhere.
     settled = last_send + LATENCY_S + FLUSH_S + HEARTBEAT_S + LATENCY_S + 0.005
-    if strategy == "hybrid_clock":
-        settled += 4 * FLUSH_S  # stability waits for the next clock ticks
     for each in (run, twin):
         drive(each, rows)
         each.sim.run(until=settled)
@@ -306,8 +304,6 @@ def test_a_read_at_quiescence_leaves_no_timer_on_the_heap(strategy):
     run = Run(strategy, observe_everything=False)
     drive(run, [(0.01 * k, "send", ("s", 256)) for k in range(1, 20)])
     run.sim.run(until=0.2 + HEARTBEAT_S + 0.1)
-    if strategy == "hybrid_clock":
-        return  # never quiescent: its clock frames are always in flight
     net, sim = run.net, run.sim
 
     def in_flight():
@@ -323,7 +319,7 @@ def test_a_read_at_quiescence_leaves_no_timer_on_the_heap(strategy):
     announced = in_flight()
     # Under the ACK-table engine each of the four reads was a first
     # observation, announced to the four peers at once; the bulk-set
-    # engines had nothing to say.
+    # sequencer had nothing to say.
     assert announced == (16 if strategy == "acktable" else 0)
     assert sim.pending_count() - announced == timers
     # Every peer answers with its state, and then it is quiet again.

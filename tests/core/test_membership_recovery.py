@@ -331,8 +331,8 @@ def test_monitor_high_survives_the_restart(strategy):
 
     sim2 = Simulator()
     net2 = net.topology.build(sim2)
-    # A full cluster, not a bare Stabilizer: the hybrid-clock engine
-    # broadcasts unconditionally, so its peers must exist to hear it.
+    # A full cluster, not a bare Stabilizer, so the restarted node's
+    # peers exist to hear whatever its engine sends.
     cluster2 = StabilizerCluster(net2, a.config)
     restarted = cluster2["a"]
     reported = []

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import (
     AckTableStrategy,
-    HybridClockStrategy,
     SequencerStrategy,
     StabilizerCluster,
     StabilizerConfig,
@@ -67,7 +66,6 @@ def test_factory_builds_the_configured_engine():
     expected = {
         "acktable": AckTableStrategy,
         "sequencer": SequencerStrategy,
-        "hybrid_clock": HybridClockStrategy,
     }
     assert set(expected) == set(STRATEGY_NAMES)
     for name, cls in expected.items():
@@ -76,9 +74,15 @@ def test_factory_builds_the_configured_engine():
         assert strategy.name == name
 
 
-def test_unknown_strategy_name_is_rejected():
-    with pytest.raises(ConfigError, match="unknown stabilization strategy"):
-        config_for("vector_clock")
+@pytest.mark.parametrize("name", ("vector_clock", "hybrid_clock"))
+def test_unknown_strategy_name_is_rejected(name):
+    # "hybrid_clock" is a retired engine: a config naming it is refused
+    # like any other unknown name, with the engines that remain.
+    with pytest.raises(
+        ConfigError,
+        match=f"unknown stabilization strategy '{name}'; known: acktable, sequencer$",
+    ):
+        config_for(name)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +90,7 @@ def test_unknown_strategy_name_is_rejected():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("strategy", ("sequencer", "hybrid_clock"))
+@pytest.mark.parametrize("strategy", ("sequencer",))
 def test_engine_stabilizes_a_healthy_cluster(strategy):
     sim, net, cluster = build(strategy)
     a = cluster["a"]
@@ -114,20 +118,6 @@ def test_non_default_sequencer_node_serves_the_cluster():
     # Only the sequencer broadcasts stable frames; reporters never do.
     assert cluster["b"].strategy.stable_broadcasts > 0
     assert cluster["a"].strategy.stable_broadcasts == 0
-    cluster.close()
-
-
-def test_hybrid_stability_waits_for_the_next_clock_tick():
-    sim, net, cluster = build("hybrid_clock")
-    a = cluster["a"]
-    interval = a.strategy.clock_interval_s
-    seq = a.send(b"tick-gated")
-    event = a.waitfor(seq, "all", timeout_s=5.0)
-    sim.run_until_triggered(event, limit=5.0)
-    assert event.ok
-    # The GST only moves on broadcast: stability cannot have landed
-    # before one full clock interval elapsed.
-    assert sim.now >= interval
     cluster.close()
 
 
@@ -250,8 +240,8 @@ def test_stats_are_namespaced_per_engine(strategy):
     seq = a.send(b"counted")
     sim.run_until_triggered(a.waitfor(seq, "all"), limit=5.0)
     stats = a.stats()
-    # The origin always *hears* control traffic (its peers' reports,
-    # stable broadcasts, or clock frames — whatever the engine speaks).
+    # The origin always *hears* control traffic (its peers' reports or
+    # stable broadcasts — whatever the engine speaks).
     assert stats["strategy.frames_received"] > 0
     # Engine-private counters live under the engine's own prefix, so a
     # dashboard can tell which protocol produced them.

@@ -16,6 +16,7 @@ from repro.core.admission import AdmissionController
 from repro.core.rebalance import RebalanceCoordinator
 from repro.core.sharding import build_sharded_cluster
 from repro.core.slacontrol import SlaController
+from repro.core.strategy import STRATEGY_NAMES
 from repro.net import NetemSpec
 from repro.net.topology import Topology
 from repro.obs import catalogue
@@ -45,7 +46,7 @@ def _shapes():
     ):
         result = run_obs_scenario(seed=0, **kwargs)
         shapes[tag] = list(result["snapshots"].values())
-    for engine in ("acktable", "sequencer", "hybrid_clock"):
+    for engine in STRATEGY_NAMES:
         sim, net = build_network(_topology())
         cluster = build_cluster(
             net,
