@@ -5,25 +5,23 @@
 - :mod:`repro.apps.backup` — the Dropbox-like file backup service used in
   the Section VI-B experiments;
 - :mod:`repro.apps.quorum` — the Quorum read/write protocol of
-  Section IV-B, measured in Fig. 3.
+  Section IV-B, measured in Fig. 3;
+- :mod:`repro.apps.redblue` — Gemini-style RedBlue consistency, the
+  two-level baseline the paper argues against.
 """
 
 from repro.apps.backup import FileBackupService, UploadHandle
 from repro.apps.kvstore import PutResult, WanKVStore
 from repro.apps.quorum import QuorumKV
 from repro.apps.redblue import RedBlueError, RedBlueKV, build_redblue_sites
-from repro.apps.sla import ConsistencySLA, SubSla, parse_path_cue
 
 __all__ = [
-    "ConsistencySLA",
     "FileBackupService",
     "PutResult",
     "QuorumKV",
     "RedBlueError",
     "RedBlueKV",
-    "SubSla",
     "UploadHandle",
     "WanKVStore",
     "build_redblue_sites",
-    "parse_path_cue",
 ]

@@ -74,32 +74,10 @@ class FileBackupService:
             stable=stable,
         )
 
-    def upload_path(self, path: str, content: Value) -> UploadHandle:
-        """Upload with a WheelFS-style consistency cue in the path.
-
-        ``backups/.MajorityRegions/db.dump`` stores ``backups/db.dump``
-        under the ``MajorityRegions`` predicate — the related-work
-        interface expressed through Stabilizer (see Section II-B).
-        """
-        from repro.apps.sla import parse_path_cue
-
-        name, predicate_key = parse_path_cue(path)
-        return self.upload(name, content, predicate_key)
-
     # ------------------------------------------------------------------ retrieval
     def download(self, name: str) -> Value:
         """The file's current content at this site (own or mirrored)."""
         return self.kv.get(self._key(name)).value
-
-    def download_stable(
-        self, name: str, predicate_key: Optional[str] = None
-    ) -> Event:
-        """An event yielding the content once the file's latest version
-        satisfies the predicate — the "wait before allowing access" mode."""
-        inner = self.kv.read_stable(self._key(name), predicate_key)
-        event = self.sim.event()
-        inner.add_callback(lambda e: event.succeed(e.value.value))
-        return event
 
     def exists(self, name: str) -> bool:
         return self.kv.store.contains(self._key(name))

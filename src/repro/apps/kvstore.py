@@ -12,25 +12,17 @@ model."
 The primary-site rule: the first site to create a key owns it; only the
 owner may update it, and every other site keeps a read-only mirror.  The
 store exposes the paper's added APIs — ``get_stability_frontier``,
-``register_predicate``, ``change_predicate`` — plus ``put_wait`` /
-``read_stable`` conveniences built on ``waitfor``.
+``register_predicate``, ``change_predicate`` — plus ``put_wait``, a
+convenience built on ``waitfor``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, NamedTuple, Optional, Tuple
 
-import itertools
-
 from repro.core.stabilizer import Stabilizer
 from repro.errors import NotPrimaryError, StorageError
-from repro.sim.events import Event
 from repro.storage.objectstore import ObjectStore, Value, Version
-from repro.transport.messages import SyntheticPayload, payload_length
-
-FORWARD_CHANNEL = "kv.forward"
-FORWARD_HEADER_BYTES = 48
-_forward_ids = itertools.count(1)
 
 
 class PutResult(NamedTuple):
@@ -57,10 +49,6 @@ class WanKVStore:
         # for a stability level on a specific key.
         self._last_update: Dict[str, Tuple[str, int]] = {}
         stabilizer.on_delivery(self._on_remote_update)
-        # Write forwarding: a non-owner routes the write to the primary
-        # and learns the assigned sequence number back.
-        self._forward_pending: Dict[int, Event] = {}
-        stabilizer.endpoint.accept(FORWARD_CHANNEL, self._on_forward)
 
     # ------------------------------------------------------------------ writes
     def put(self, key: str, value: Value) -> PutResult:
@@ -85,59 +73,6 @@ class WanKVStore:
         result = self.put(key, value)
         return result, self.stabilizer.waitfor(result.seq, predicate_key)
 
-    def put_forwarded(self, key: str, value: Value) -> Event:
-        """Write from *any* site: forwarded to the key's primary.
-
-        The primary-site rule stands — only the owner applies the write —
-        but a non-owner may route it there.  Returns an event yielding the
-        sequence number the primary assigned (after one round trip); the
-        caller can then ``waitfor`` any stability level on the owner's
-        stream.  A locally-owned (or fresh) key writes directly.
-        """
-        owner = self._owners.get(key)
-        if owner is None or owner == self.name:
-            event = self.sim.event()
-            event.succeed(self.put(key, value).seq)
-            return event
-        forward_id = next(_forward_ids)
-        event = self.sim.event()
-        self._forward_pending[forward_id] = event
-        self.stabilizer.endpoint.channel(owner, FORWARD_CHANNEL).send(
-            value if payload_length(value) > 0 else SyntheticPayload(0),
-            meta=("fwd_put", forward_id, key),
-        )
-        return event
-
-    def _on_forward(self, peer: str, payload, meta) -> None:
-        kind = meta[0]
-        if kind == "fwd_put":
-            _kind, forward_id, key = meta
-            owner = self._owners.get(key)
-            if owner is not None and owner != self.name:
-                reply = ("fwd_nak", forward_id, owner)
-            else:
-                result = self.put(key, payload)
-                reply = ("fwd_ack", forward_id, result.seq)
-            self.stabilizer.endpoint.channel(peer, FORWARD_CHANNEL).send(
-                SyntheticPayload(FORWARD_HEADER_BYTES), meta=reply
-            )
-        elif kind == "fwd_ack":
-            _kind, forward_id, seq = meta
-            event = self._forward_pending.pop(forward_id, None)
-            if event is not None:
-                event.succeed(seq)
-        elif kind == "fwd_nak":
-            _kind, forward_id, actual_owner = meta
-            event = self._forward_pending.pop(forward_id, None)
-            if event is not None:
-                event.fail(
-                    NotPrimaryError(
-                        f"forwarded write bounced: key owned by {actual_owner!r}"
-                    )
-                )
-        else:
-            raise StorageError(f"unknown forward message {kind!r}")
-
     def delete(self, key: str) -> PutResult:
         owner = self._owners.get(key)
         if owner is None:
@@ -159,18 +94,6 @@ class WanKVStore:
 
     def owner(self, key: str) -> Optional[str]:
         return self._owners.get(key)
-
-    def read_stable(self, key: str, predicate_key: Optional[str] = None) -> Event:
-        """An event yielding the key's version once its most recent update
-        satisfies the predicate — "the client can access data only after
-        the desired level of stability is assured" (Section I)."""
-        origin, seq = self._last_update.get(key, (None, None))
-        if origin is None:
-            raise StorageError(f"unknown key {key!r}")
-        wait = self.stabilizer.waitfor(seq, predicate_key, origin=origin)
-        event = self.sim.event()
-        wait.add_callback(lambda _e: event.succeed(self.store.get(key)))
-        return event
 
     # ------------------------------------------------------------------ stability API
     def get_stability_frontier(

@@ -443,7 +443,6 @@ def run_overload_bench(
     duration_s: float = 10.0,
     target_p99_s: float = 0.4,
     admit_rate_per_s: float = 25.0,
-    queue_limit: int = 64,
     sample_interval_s: float = 0.25,
     control_interval_s: float = 0.01,
     max_settle_s: float = 60.0,
@@ -463,6 +462,7 @@ def run_overload_bench(
     message, relaxes the predicate, and walks it back — so its breach
     count stays a fraction of the baseline's.
     """
+    from repro.core.admission import QUEUE_LIMIT
     from repro.core.slacontrol import SlaController, _HistogramWindow, _WindowStats
     from repro.core.sharding import build_sharded_cluster
     from repro.errors import BackpressureError
@@ -509,18 +509,8 @@ def run_overload_bench(
         if controlled:
             for name in cluster.nodes:
                 node = cluster[name]
-                admission[name] = node.set_admission(
-                    rate_per_s=admit_rate_per_s,
-                    queue_limit=queue_limit,
-                )
-                sla[name] = SlaController.install(
-                    node,
-                    "sla",
-                    target_p99_s,
-                    interval_s=0.2,
-                    cooldown_s=0.6,
-                    healthy_ticks=3,
-                )
+                admission[name] = node.set_admission(rate_per_s=admit_rate_per_s)
+                sla[name] = SlaController.install(node, "sla", target_p99_s)
 
         def stacks():
             for name in cluster.nodes:
@@ -668,7 +658,7 @@ def run_overload_bench(
             "crowd_az": crowd_az,
             "target_p99_s": target_p99_s,
             "admit_rate_per_s": admit_rate_per_s,
-            "queue_limit": queue_limit,
+            "queue_limit": QUEUE_LIMIT,
             "payload_bytes": payload_bytes,
             "seed": seed,
         },

@@ -50,12 +50,8 @@ FRAME_DELAY_MS = 2.0
 # Edge admission: the token-bucket rate sits above the base offered rate
 # (10/s per node) and far below a crowd's, so only surges shed.
 ADMIT_RATE_PER_S = 15.0
-QUEUE_LIMIT = 64
-# The SLA loop: stability-latency target and controller cadence.
+# The SLA loop's stability-latency target.
 TARGET_P99_S = 0.5
-CONTROLLER_INTERVAL_S = 0.2
-CONTROLLER_COOLDOWN_S = 0.6
-HEALTHY_TICKS = 3
 CROWD_MULTIPLIER = 10.0  # a flash crowd's send-rate factor...
 CROWD_RAMP_S = 0.5  # ...reached, and later shed, over this long
 SLOW_LINK = NetemSpec(latency_ms=250.0, rate_mbit=1.0)  # a slow node's links
@@ -93,24 +89,14 @@ class OverloadScenario(Scenario):
     def arm_node(self, node) -> None:
         """Install the full overload pipeline on one (re)built node."""
         super().arm_node(node)
-        controller = node.set_admission(
-            rate_per_s=ADMIT_RATE_PER_S,
-            queue_limit=QUEUE_LIMIT,
-        )
+        controller = node.set_admission(rate_per_s=ADMIT_RATE_PER_S)
         controller.on_admitted(
             lambda seq, shard, name=node.name: self.checker.note_sent(
                 name, seq, shard if shard is not None else 0
             )
         )
         self.admission[node.name] = controller
-        self.sla[node.name] = SlaController(
-            node,
-            SLA_KEY,
-            TARGET_P99_S,
-            interval_s=CONTROLLER_INTERVAL_S,
-            cooldown_s=CONTROLLER_COOLDOWN_S,
-            healthy_ticks=HEALTHY_TICKS,
-        )
+        self.sla[node.name] = SlaController(node, SLA_KEY, TARGET_P99_S)
 
     def rearm_node(self, node) -> None:
         # A controller may have died mid-degradation; the snapshot

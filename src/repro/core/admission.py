@@ -56,32 +56,32 @@ BREAKER_COOLDOWN_S = 1.0
 BREAKER_OPEN_FRACTION = 0.5
 #: Cadence of the pump that drains the queue and polls the transport.
 PUMP_INTERVAL_S = 0.02
+#: Bound of the admission queue: the most work waiting for a token.
+QUEUE_LIMIT = 64
 
 
 class TokenBucket:
     """A continuously refilling token bucket.
 
-    ``rate_per_s`` tokens accrue per second up to ``burst``; ``take``
-    spends them.  The clock is injected so the bucket runs on virtual
-    time in simulation and wall time under the realtime scheduler.
+    ``rate_per_s`` tokens accrue per second, up to one second's worth;
+    ``take`` spends them.  The clock is injected so the bucket runs
+    on virtual time in simulation and wall time under the realtime
+    scheduler.
     """
 
-    def __init__(self, clock: Callable[[], float], rate_per_s: float, burst: float):
+    def __init__(self, clock: Callable[[], float], rate_per_s: float):
         if rate_per_s <= 0:
             raise ValueError("rate_per_s must be positive")
-        if burst <= 0:
-            raise ValueError("burst must be positive")
         self.clock = clock
         self.rate_per_s = float(rate_per_s)
-        self.burst = float(burst)
-        self._tokens = float(burst)
+        self._tokens = self.rate_per_s
         self._last = clock()
 
     def _refill(self) -> None:
         now = self.clock()
         if now > self._last:
             self._tokens = min(
-                self.burst, self._tokens + (now - self._last) * self.rate_per_s
+                self.rate_per_s, self._tokens + (now - self._last) * self.rate_per_s
             )
             self._last = now
 
@@ -101,40 +101,23 @@ class TokenBucket:
     def refund(self, n: float = 1.0) -> None:
         """Return tokens spent on an admit that did not go through."""
         self._refill()
-        self._tokens = min(self.burst, self._tokens + n)
-
-    def set_rate(self, rate_per_s: float) -> None:
-        if rate_per_s <= 0:
-            raise ValueError("rate_per_s must be positive")
-        self._refill()  # settle the old rate first
-        self.rate_per_s = float(rate_per_s)
+        self._tokens = min(self.rate_per_s, self._tokens + n)
 
 
 class CircuitBreaker:
     """Closed → open → half-open, driven by explicit success/failure marks.
 
-    ``failure_threshold`` consecutive failures (or one :meth:`trip`, for
-    unambiguous signals like a dead-peer report) open the breaker; after
-    ``cooldown_s`` it becomes half-open, and the next mark decides:
-    success closes it, failure re-opens with a fresh cooldown.  State is
-    evaluated lazily against the clock, so no timer is needed.
+    :data:`BREAKER_FAILURE_THRESHOLD` consecutive failures (or one
+    :meth:`trip`, for unambiguous signals like a dead-peer report) open the
+    breaker; after :data:`BREAKER_COOLDOWN_S` it becomes half-open, and the
+    next mark decides: success closes it, failure re-opens with a fresh
+    cooldown.  State is evaluated lazily against the clock, so no timer is
+    needed.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        label: str = "",
-        failure_threshold: int = BREAKER_FAILURE_THRESHOLD,
-        cooldown_s: float = BREAKER_COOLDOWN_S,
-    ):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if cooldown_s <= 0:
-            raise ValueError("cooldown_s must be positive")
+    def __init__(self, clock: Callable[[], float], label: str):
         self.clock = clock
         self.label = label
-        self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
         self._state = BREAKER_CLOSED
         self._failures = 0  # consecutive, while closed
         self._opened_at = 0.0
@@ -148,7 +131,7 @@ class CircuitBreaker:
     def state(self) -> str:
         if (
             self._state == BREAKER_OPEN
-            and self.clock() - self._opened_at >= self.cooldown_s
+            and self.clock() - self._opened_at >= BREAKER_COOLDOWN_S
         ):
             self._transition(BREAKER_HALF_OPEN)
             self.probes += 1
@@ -180,7 +163,7 @@ class CircuitBreaker:
             self._transition(BREAKER_OPEN)
             return
         self._failures += 1
-        if self._failures >= self.failure_threshold:
+        if self._failures >= BREAKER_FAILURE_THRESHOLD:
             self.trip()
 
     def record_success(self) -> None:
@@ -189,11 +172,6 @@ class CircuitBreaker:
         if state == BREAKER_HALF_OPEN:
             self.closes += 1
             self._transition(BREAKER_CLOSED)
-
-    def allow(self) -> bool:
-        """Whether traffic toward this peer should flow right now."""
-        return self.state != BREAKER_OPEN
-
 
 class AdmissionOutcome(NamedTuple):
     """What :meth:`AdmissionController.submit` resolved to."""
@@ -221,22 +199,20 @@ class AdmissionController:
     :class:`~repro.core.sharding.ShardedStabilizer`; attach through the
     node's ``set_admission`` so the send-path preflight and stats merge
     are wired up.  ``rate_per_s`` is the sustained admit rate (the
-    bucket holds one second's worth), ``queue_limit`` the bounded queue.
+    bucket holds one second's worth); at most :data:`QUEUE_LIMIT` entries
+    wait in the bounded queue.
     Breakers open after :data:`BREAKER_FAILURE_THRESHOLD` consecutive
     unhealthy transport polls (or instantly on a dead-peer report) and
     the gate sheds new work while at least :data:`BREAKER_OPEN_FRACTION`
     of peer breakers are open.
     """
 
-    def __init__(self, node, rate_per_s: float, queue_limit: int = 256):
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
+    def __init__(self, node, rate_per_s: float):
         self.node = node
         self.sim = node.sim
         self.name = node.name
         self.tracer = getattr(node, "tracer", None) or NULL_TRACER
-        self.bucket = TokenBucket(self.sim.clock, rate_per_s, rate_per_s)
-        self.queue_limit = queue_limit
+        self.bucket = TokenBucket(self.sim.clock, rate_per_s)
         self._queue: deque = deque()
         self._breakers: Dict[BreakerKey, CircuitBreaker] = {}
         # (shard, peer, channel) -> (retransmissions, stalled) at last poll.
@@ -272,7 +248,7 @@ class AdmissionController:
         if breaker is None:
             peer, shard = key
             label = peer if shard is None else f"{peer}/s{shard}"
-            breaker = CircuitBreaker(self.sim.clock, label=label)
+            breaker = CircuitBreaker(self.sim.clock, label)
             breaker.on_transition = self._trace_transition
             self._breakers[key] = breaker
         return breaker
@@ -332,7 +308,7 @@ class AdmissionController:
         return self._enqueue(entry)
 
     def _enqueue(self, entry: _Entry) -> AdmissionOutcome:
-        if len(self._queue) >= self.queue_limit:
+        if len(self._queue) >= QUEUE_LIMIT:
             return self._shed(entry, "queue_full")
         self._queue.append(entry)
         if len(self._queue) > self.queue_peak:

@@ -395,29 +395,6 @@ class StabilizerConfig:
         return max(self.control_interval_s, self.frame_delay_s())
 
     # -- (de)serialization ----------------------------------------------------
-    def to_json_file(self, path) -> None:
-        """Write the configuration file (the paper's launch-time config,
-        including the DSL predicate definitions)."""
-        import json
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-    @classmethod
-    def from_json_file(cls, path, local: Optional[str] = None) -> "StabilizerConfig":
-        """Load a configuration file; ``local`` overrides the node the
-        file was written for (one file can serve a whole deployment)."""
-        import json
-        from pathlib import Path
-
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load config {path}: {exc}") from exc
-        if local is not None:
-            data["local"] = local
-        return cls.from_dict(data)
-
     def to_dict(self) -> dict:
         return {
             "node_names": list(self.node_names),

@@ -92,16 +92,6 @@ _EVERY_KEY = object()
 _NO_ADVANCE: Mapping[str, int] = MappingProxyType({})
 
 
-class _Waiter:
-    __slots__ = ("seq", "callback", "released", "cancelled")
-
-    def __init__(self, seq: int, callback: WaiterFn):
-        self.seq = seq
-        self.callback = callback
-        self.released = False
-        self.cancelled = False
-
-
 class _SlotState:
     """Cached evaluation state for one (origin, key) slot.
 
@@ -150,10 +140,9 @@ class FrontierEngine:
         self._cell_index: Dict[Cell, List[str]] = {}
         self._node_index: Dict[int, List[str]] = {}
         self._monitors: Dict[str, List[MonitorFn]] = {}
-        # Waiter min-heaps: (seq, insertion tiebreak, waiter).
-        self._waiters: Dict[Slot, List[Tuple[int, int, _Waiter]]] = {}
+        # Waiter min-heaps: (seq, insertion tiebreak, callback).
+        self._waiters: Dict[Slot, List[Tuple[int, int, WaiterFn]]] = {}
         self._waiter_counter = 0
-        self._cancelled_waiters = 0  # still heaped but dead (lazy deletion)
         self._observe_all = False
         #: origin -> its observed keys (a set, or every key); an origin
         #: with no observed slot is absent — so ``origin in watched`` is
@@ -240,16 +229,6 @@ class FrontierEngine:
         elif key not in self._predicates:
             raise PredicateNotFound(f"no predicate registered under {key!r}")
         self._active_key = key
-
-    def unregister_predicate(self, key: str) -> None:
-        if key not in self._predicates:
-            raise PredicateNotFound(f"no predicate registered under {key!r}")
-        self._drop_slots(key)
-        del self._predicates[key]
-        del self._versions[key]
-        self._rebuild_index()
-        if self._active_key == key:
-            self._active_key = next(iter(self._predicates), None)
 
     def _drop_slots(self, key: str) -> None:
         """``key``'s current definition is about to go: forget what was
@@ -396,12 +375,10 @@ class FrontierEngine:
 
     def add_waiter(
         self, origin: str, seq: int, callback: WaiterFn, key: Optional[str] = None
-    ) -> Optional[_Waiter]:
+    ) -> None:
         """Run ``callback`` once frontier(origin, key) >= seq.
 
-        Fires immediately (synchronously) if already satisfied.  Returns a
-        handle for :meth:`cancel_waiter`, or ``None`` when the callback
-        fired synchronously (there is nothing left to cancel).
+        Fires immediately (synchronously) if already satisfied.
         """
         key = self._resolve_key(key)
         self.predicate(key)
@@ -413,7 +390,7 @@ class FrontierEngine:
             value = self._evaluate_on_read(origin, key)
         if value >= seq:
             callback()
-            return None
+            return
         if not observed:
             # First pending waiter: the slot turns eager and carries on
             # from the evaluation just made.
@@ -421,28 +398,10 @@ class FrontierEngine:
             self._waiters[slot] = []
             self._rewatch()
         self._waiter_counter += 1
-        waiter = _Waiter(seq, callback)
         heapq.heappush(
             self._waiters.setdefault(slot, []),
-            (seq, self._waiter_counter, waiter),
+            (seq, self._waiter_counter, callback),
         )
-        return waiter
-
-    def cancel_waiter(self, handle: Optional[_Waiter]) -> bool:
-        """Mark a pending waiter dead so release skips its callback.
-
-        Cancellation is lazy: the heap entry stays until the frontier
-        passes it (popping mid-heap would cost O(n)), but a cancelled
-        waiter is excluded from :meth:`pending_waiters` immediately and
-        its callback never runs.  Safe to call with ``None`` (a waiter
-        that fired synchronously) or on an already released/cancelled
-        handle; returns True only when this call retired the waiter.
-        """
-        if handle is None or handle.released or handle.cancelled:
-            return False
-        handle.cancelled = True
-        self._cancelled_waiters += 1
-        return True
 
     def frontier(self, origin: str, key: Optional[str] = None) -> int:
         """The current frontier of ``(origin, key)``: the cached value of
@@ -669,21 +628,17 @@ class FrontierEngine:
             return
         tracing = self._tracer.enabled
         while heap and heap[0][0] <= frontier:
-            _seq, _tie, waiter = heapq.heappop(heap)
-            waiter.released = True
-            if waiter.cancelled:
-                self._cancelled_waiters -= 1
-                continue
+            seq, _tie, callback = heapq.heappop(heap)
             if tracing:
                 self._tracer.emit(
                     self._trace_node,
                     "waiter.wake",
                     origin=slot[0],
                     key=slot[1],
-                    seq=waiter.seq,
+                    seq=seq,
                     frontier=frontier,
                 )
-            waiter.callback()
+            callback()
         if not heap:
             del self._waiters[slot]
             if not self._observed(*slot):
@@ -693,8 +648,7 @@ class FrontierEngine:
                 self._rewatch()
 
     def pending_waiters(self) -> int:
-        live = sum(len(ws) for ws in self._waiters.values())
-        return live - self._cancelled_waiters
+        return sum(len(ws) for ws in self._waiters.values())
 
     # -- persistence ----------------------------------------------------------------
     def snapshot_frontiers(self) -> Dict[str, Dict[str, int]]:

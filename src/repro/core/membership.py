@@ -9,9 +9,9 @@ what":
   on.  Keys hash to shards; each shard is owned by a rendezvous-chosen
   subset of the WAN nodes; a node replicates and stabilizes only the
   shards it owns.  Maps are *epoch-numbered*: every membership change
-  produces a successor map (:meth:`ShardMap.with_nodes`) with the epoch
-  bumped, and every data/control frame of a shard stack is fenced on
-  the epoch of the map it was built from.
+  produces a successor map with the epoch bumped, and every data/control
+  frame of a shard stack is fenced on the epoch of the map it was built
+  from.
 - :class:`RebalancePlanner` — computes the minimal set of per-shard
   ownership moves between two maps.  Rendezvous hashing guarantees
   minimality structurally: a membership change only disturbs the shards
@@ -77,8 +77,8 @@ class ShardMap:
     (``{shard_id: [names]}``) overrides rendezvous assignment entirely.
 
     ``epoch`` numbers the map's place in a deployment's membership
-    history: the initial map is epoch 0 and every successor produced by
-    :meth:`with_nodes` bumps it by one.  Shard stacks stamp their map
+    history: the initial map is epoch 0 and every successor the rebalance
+    coordinator builds bumps it by one.  Shard stacks stamp their map
     epoch into every frame, so a node still running a superseded layout
     gets fenced instead of corrupting ACK rows (see
     :mod:`repro.core.rebalance`).
@@ -168,9 +168,6 @@ class ShardMap:
         self._check(shard)
         return self._primaries[shard]
 
-    def is_owner(self, name: str, shard: int) -> bool:
-        return name in self.owners(shard)
-
     def owned_shards(self, name: str) -> Tuple[int, ...]:
         """Every shard ``name`` owns, ascending."""
         if name not in self._order:
@@ -190,36 +187,6 @@ class ShardMap:
             raise ConfigError(
                 f"shard {shard} out of range 0..{self.shard_count - 1}"
             )
-
-    # -- successor maps ----------------------------------------------------------
-    def with_nodes(
-        self,
-        node_names: Sequence[str],
-        owners: Optional[Dict[int, Sequence[str]]] = None,
-    ) -> "ShardMap":
-        """The successor map after a membership change, epoch bumped.
-
-        Replication is clamped to the new population so a shrinking
-        deployment degrades to fewer replicas instead of refusing to
-        exist.  Maps built from an explicit ``owners`` table cannot be
-        re-derived (there is no hash to re-run) — the caller must supply
-        the successor's owners too.
-        """
-        if self._explicit and owners is None:
-            raise ConfigError(
-                "explicit-owners ShardMap cannot derive a successor; "
-                "pass the new owners mapping"
-            )
-        replication = self.replication
-        if replication is not None:
-            replication = min(replication, len(node_names))
-        return ShardMap(
-            node_names,
-            shard_count=self.shard_count,
-            replication=replication,
-            owners=owners,
-            epoch=self.epoch + 1,
-        )
 
     # -- (de)serialization -------------------------------------------------------
     def to_dict(self) -> dict:
@@ -290,10 +257,6 @@ class RebalancePlan:
     def new_epoch(self) -> int:
         return self.new_map.epoch
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.moves
-
     def moved_shards(self) -> Tuple[int, ...]:
         return tuple(move.shard_id for move in self.moves)
 
@@ -328,25 +291,6 @@ class RebalancePlanner:
 
     def __init__(self, shard_map: ShardMap):
         self.shard_map = shard_map
-
-    def plan_join(self, name: str) -> RebalancePlan:
-        """``name`` joins the deployment (appended in deployment order)."""
-        if name in self.shard_map.node_names:
-            raise ConfigError(f"node {name!r} is already a member")
-        new_map = self.shard_map.with_nodes(
-            list(self.shard_map.node_names) + [name]
-        )
-        return self.plan(new_map)
-
-    def plan_leave(self, name: str) -> RebalancePlan:
-        """``name`` leaves (decommission or declared permanently dead)."""
-        if name not in self.shard_map.node_names:
-            raise ConfigError(f"node {name!r} is not a member")
-        remaining = [n for n in self.shard_map.node_names if n != name]
-        if not remaining:
-            raise ConfigError("cannot remove the last node")
-        new_map = self.shard_map.with_nodes(remaining)
-        return self.plan(new_map)
 
     def plan(self, new_map: ShardMap) -> RebalancePlan:
         """Diff ``new_map`` against the current map shard by shard."""

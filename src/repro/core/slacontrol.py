@@ -19,7 +19,7 @@ two overload signals on one node:
 When the SLA is breached it relaxes the watched predicate one rung down
 the :func:`relaxation_ladder` (shrinking-quorum ``KTH_MAX`` steps ending
 at ``MAX`` — eventual); when measurements have stayed healthy for
-``healthy_ticks`` consecutive ticks it restores one rung up.  Both
+:data:`HEALTHY_TICKS` consecutive ticks it restores one rung up.  Both
 directions respect a cooldown, so the controller cannot flap faster than
 the system can re-equilibrate, and restoration demands margin
 (:data:`RESTORE_FRACTION` of the target) — classic hysteresis.
@@ -44,6 +44,13 @@ from repro.errors import StabilizerError
 
 __all__ = ["SlaController", "relaxation_ladder"]
 
+#: The control cadence: one measurement every this many seconds (the
+#: first one this long after construction).
+INTERVAL_S = 0.2
+#: At most one ladder step per this many seconds.
+COOLDOWN_S = 0.6
+#: Consecutive healthy ticks a restore needs.
+HEALTHY_TICKS = 3
 #: Restore only at or below this fraction of the target.
 RESTORE_FRACTION = 0.5
 #: Below this many window samples the percentile is not trusted (the
@@ -145,12 +152,11 @@ class SlaController:
     target_p99_s:
         The SLA: windowed p99 send→stable latency (and oldest-pending
         age) must stay at or below this.
-    interval_s / cooldown_s / healthy_ticks:
-        Control cadence and hysteresis: measure every ``interval_s``
-        (the first tick is ``interval_s`` after construction); at most
-        one step per ``cooldown_s``; restore only after
-        ``healthy_ticks`` consecutive ticks at or below
-        ``RESTORE_FRACTION * target_p99_s``.
+
+    The cadence and hysteresis are module constants: measure every
+    :data:`INTERVAL_S`; at most one step per :data:`COOLDOWN_S`; restore
+    only after :data:`HEALTHY_TICKS` consecutive ticks at or below
+    ``RESTORE_FRACTION * target_p99_s``.
 
     ``level`` 0 is the pristine source, level ``i`` is ``ladder[i-1]``
     of :func:`relaxation_ladder`.
@@ -161,9 +167,6 @@ class SlaController:
         stabilizer,
         key: str,
         target_p99_s: float,
-        interval_s: float = 0.25,
-        cooldown_s: float = 1.0,
-        healthy_ticks: int = 4,
     ):
         if target_p99_s <= 0:
             raise ValueError("target_p99_s must be > 0")
@@ -176,9 +179,6 @@ class SlaController:
         # Reject unregisterable rungs now, not mid-incident.
         for source in self.ladder:
             stabilizer.engine.compiler.compile(source)
-        self.interval_s = interval_s
-        self.cooldown_s = cooldown_s
-        self.healthy_ticks = healthy_ticks
 
         #: 0 = pristine; i = ladder[i-1] is installed.
         self.level = 0
@@ -202,11 +202,11 @@ class SlaController:
         self._g_p99.set(0.0)
         self._g_pending.set(0.0)
 
-        self._timer = self.sim.call_later(self.interval_s, self._tick)
+        self._timer = self.sim.call_later(INTERVAL_S, self._tick)
 
     # ------------------------------------------------------------------ sharded
     @classmethod
-    def install(cls, node, key: str, target_p99_s: float, **kwargs):
+    def install(cls, node, key: str, target_p99_s: float):
         """Attach one controller per stack of ``node``, keyed as
         ``node.stacks()`` keys them: by shard for a
         :class:`~repro.core.sharding.ShardedStabilizer` (each shard has
@@ -215,7 +215,7 @@ class SlaController:
         controller is bound to the stack it was built on: it does not
         follow a shard that a rebalance cutover rebuilds."""
         return {
-            shard: cls(inner, key, target_p99_s, **kwargs)
+            shard: cls(inner, key, target_p99_s)
             for shard, inner in sorted(node.stacks().items())
         }
 
@@ -243,11 +243,11 @@ class SlaController:
     def _tick(self) -> None:
         if self._closed:
             return
-        self._timer = self.sim.call_later(self.interval_s, self._tick)
+        self._timer = self.sim.call_later(INTERVAL_S, self._tick)
         self._c_ticks.inc()
         m = self.measure()
         now = self.sim.now
-        in_cooldown = now - self._last_step_at < self.cooldown_s
+        in_cooldown = now - self._last_step_at < COOLDOWN_S
         if not self._within(m, self.target_p99_s):
             self._c_breaches.inc()
             self._healthy_streak = 0
@@ -257,7 +257,7 @@ class SlaController:
             self._healthy_streak += 1
             if (
                 self.level > 0
-                and self._healthy_streak >= self.healthy_ticks
+                and self._healthy_streak >= HEALTHY_TICKS
                 and not in_cooldown
             ):
                 self._step(-1, m)

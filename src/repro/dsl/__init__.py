@@ -34,13 +34,7 @@ from repro.dsl.ast import (
     Suffixed,
 )
 from repro.dsl.compiler import CompiledPredicate, PredicateCompiler
-from repro.dsl.format import (
-    canonicalize,
-    describe,
-    format_ast,
-    format_ir,
-    predicates_equivalent,
-)
+from repro.dsl.format import describe, format_ast, format_ir
 from repro.dsl.interpreter import evaluate_ir
 from repro.dsl.lexer import Token, tokenize
 from repro.dsl.parser import parse
@@ -59,14 +53,12 @@ __all__ = [
     "SizeOf",
     "Suffixed",
     "Token",
-    "canonicalize",
     "describe",
     "evaluate_ir",
     "expand",
     "format_ast",
     "format_ir",
     "parse",
-    "predicates_equivalent",
     "shard_standard_predicates",
     "standard_predicates",
     "tokenize",

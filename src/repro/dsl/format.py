@@ -1,16 +1,13 @@
-"""Formatting and comparison of predicates.
+"""Formatting of predicates.
 
-Three tools that keep predicates legible once macros, runtime rewrites
+Two tools that keep predicates legible once macros, runtime rewrites
 (auto-adjustment, broker-managed predicates) and JIT compilation are in
 play:
 
 - :func:`format_ast` — canonical source text for a parsed predicate
   (normalized whitespace/case; round-trips through the parser);
 - :func:`format_ir` — the *expanded* form: macros resolved to concrete
-  node names, suffixes explicit — what the predicate actually reads;
-- :func:`predicates_equivalent` — structural equality of the expanded
-  IR.  Sound (equal IR means identical behaviour) but not complete
-  (semantically equal predicates can differ structurally).
+  node names, suffixes explicit — what the predicate actually reads.
 """
 
 from __future__ import annotations
@@ -66,11 +63,6 @@ def format_ast(node: Node) -> str:
     raise DslSemanticError(f"cannot format {type(node).__name__}")
 
 
-def canonicalize(source: str) -> str:
-    """Parse and re-render: one normalized spelling per predicate."""
-    return format_ast(parse(source))
-
-
 # ---------------------------------------------------------------------------
 # Expanded IR.
 # ---------------------------------------------------------------------------
@@ -123,48 +115,3 @@ def describe(source: str, ctx: DslContext) -> str:
     ]
     expanded = format_ir(ir, node_names=ctx.node_names, type_names=type_names)
     return f"{format_ast(ast)}  =>  {expanded}"
-
-
-# ---------------------------------------------------------------------------
-# Structural equivalence.
-# ---------------------------------------------------------------------------
-
-
-def ir_equal(a: Ir, b: Ir) -> bool:
-    """Structural equality of two IR trees."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Leaf):
-        return a == b
-    if isinstance(a, Const):
-        return a.value == b.value  # type: ignore[union-attr]
-    if isinstance(a, ArithIr):
-        return (
-            a.op == b.op
-            and ir_equal(a.left, b.left)
-            and ir_equal(a.right, b.right)
-        )
-    if isinstance(a, ReduceIr):
-        return (
-            a.op == b.op
-            and len(a.items) == len(b.items)
-            and all(ir_equal(x, y) for x, y in zip(a.items, b.items))
-        )
-    if isinstance(a, KthIr):
-        return (
-            a.op == b.op
-            and ir_equal(a.k, b.k)
-            and len(a.items) == len(b.items)
-            and all(ir_equal(x, y) for x, y in zip(a.items, b.items))
-        )
-    raise DslSemanticError(f"cannot compare {type(a).__name__}")
-
-
-def predicates_equivalent(source_a: str, source_b: str, ctx: DslContext) -> bool:
-    """Whether two predicate texts expand to identical IR under ``ctx``.
-
-    Sound: True implies both always compute the same frontier at this
-    node.  Incomplete: False proves nothing (e.g. ``MAX($1, $2)`` vs
-    ``MAX($2, $1)`` differ structurally but agree semantically).
-    """
-    return ir_equal(expand(parse(source_a), ctx), expand(parse(source_b), ctx))

@@ -1,7 +1,7 @@
 """Generators for the paper's standard predicates.
 
 Table III defines six consistency models (three at region granularity,
-three at WAN-node granularity) plus Section IV-B's quorum predicates.
+three at WAN-node granularity).
 These helpers emit the predicate *source strings* for any topology, so
 applications register them through the normal DSL path — exactly how a
 Stabilizer user would.
@@ -72,25 +72,6 @@ def majority_wnodes() -> str:
 def all_wnodes(exclude: Sequence[str] = ()) -> str:
     """Stable once every remote WAN node (minus ``exclude``) acknowledged."""
     return f"MIN({remote_wnodes_set(exclude)})"
-
-
-def quorum_write() -> str:
-    """Section IV-B write predicate: a write quorum has acknowledged."""
-    return "KTH_MIN(SIZEOF($ALLWNODES)/2 + 1, $ALLWNODES)"
-
-
-def quorum_read() -> str:
-    """Section IV-B read predicate: a read quorum has acknowledged."""
-    return "KTH_MIN(SIZEOF($ALLWNODES)/2, $ALLWNODES)"
-
-
-def az_geo_replicated() -> str:
-    """Section IV-A's example: fully replicated inside the sender's
-    availability zone AND present at one site outside it."""
-    return (
-        "MIN(MIN($MYAZWNODES - $MYWNODE), "
-        "MAX($ALLWNODES - $MYAZWNODES))"
-    )
 
 
 def standard_predicates(

@@ -56,10 +56,6 @@ class CrossTrafficFlow:
             self._timer.cancel()
             self._timer = None
 
-    def utilization_of(self) -> float:
-        """Fraction of the target link's bandwidth this flow consumes."""
-        return self.rate_bps / self.net.link(self.src, self.dst).bandwidth_bps
-
     def _tick(self) -> None:
         self._timer = None
         if not self._running:

@@ -92,13 +92,6 @@ class Link:
         """Seconds a packet submitted now would wait before serialization."""
         return max(0.0, self._busy_until - self.sim.now)
 
-    def serialization_delay(self, size_bytes: int) -> float:
-        return size_bytes * 8.0 / self.bandwidth_bps
-
-    def transfer_time(self, size_bytes: int) -> float:
-        """Idle-link end-to-end time for a message of ``size_bytes``."""
-        return self.serialization_delay(size_bytes) + self.latency_s
-
     # -- transmission ----------------------------------------------------------
     def send(self, port: Port, payload, size_bytes: int) -> bool:
         """Put one packet of ``size_bytes`` on the link; on arrival it goes

@@ -47,17 +47,3 @@ class NetemSpec:
     @property
     def bandwidth_bps(self) -> float:
         return self.rate_mbit * MBIT
-
-    def halved(self) -> "NetemSpec":
-        """The paper's half-throughput variant of this rule."""
-        return NetemSpec(
-            latency_ms=self.latency_ms,
-            rate_mbit=self.rate_mbit / 2.0,
-            jitter_ms=self.jitter_ms,
-            loss_rate=self.loss_rate,
-        )
-
-    @classmethod
-    def from_rtt(cls, rtt_ms: float, rate_mbit: float, **kwargs) -> "NetemSpec":
-        """Build a spec from a measured round-trip time (half it per way)."""
-        return cls(latency_ms=rtt_ms / 2.0, rate_mbit=rate_mbit, **kwargs)

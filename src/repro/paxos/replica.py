@@ -316,6 +316,3 @@ class PaxosReplica:
 
     def queued(self) -> int:
         return len(self._queue)
-
-    def applied_up_to(self) -> int:
-        return self._applied_up_to

@@ -113,10 +113,6 @@ class StabilizerBroker:
             self._announce(topic, True)
         return subscription
 
-    def topics(self) -> List[str]:
-        """Topics with at least one local subscriber."""
-        return [t for t, subs in self._subscriptions.items() if subs]
-
     def active_sites(self, topic: str = DEFAULT_TOPIC) -> Set[str]:
         return set(self._active_sites.get(topic, ()))
 

@@ -16,15 +16,13 @@ classic process-interaction style (as in SimPy):
 - :mod:`repro.sim.monitor` collects time series and distribution statistics.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Simulator, TimerHandle
 from repro.sim.monitor import Histogram, Series
 from repro.sim.process import Interrupt, Process
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
     "Histogram",
     "Interrupt",

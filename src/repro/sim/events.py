@@ -100,59 +100,3 @@ class Timeout(Event):
         super().__init__(sim)
         self.delay = delay
         sim.call_at(sim.now + delay, self.succeed, value)
-
-
-class _Combined(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events):  # noqa: F821
-        super().__init__(sim)
-        self.events = list(events)
-        if not self.events:
-            raise SimulationError("combined event needs at least one child")
-        self._remaining = len(self.events)
-        for event in self.events:
-            event.add_callback(self._child_triggered)
-
-    def _child_triggered(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Combined):
-    """Succeeds when the first child event triggers.
-
-    The value is the child event itself, so the waiter can tell which one
-    fired.  A failing child fails the combination.
-    """
-
-    __slots__ = ()
-
-    def _child_triggered(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.failed:
-            self.fail(event.exception)  # type: ignore[arg-type]
-        else:
-            self.succeed(event)
-
-
-class AllOf(_Combined):
-    """Succeeds when every child event has succeeded.
-
-    The value is the list of child values, in constructor order.  The first
-    failing child fails the combination.
-    """
-
-    __slots__ = ()
-
-    def _child_triggered(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.failed:
-            self.fail(event.exception)  # type: ignore[arg-type]
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([child.value for child in self.events])

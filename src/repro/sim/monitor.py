@@ -91,19 +91,6 @@ class Series:
         lines.extend(f"{t!r},{v!r}" for t, v in self)
         Path(path).write_text("\n".join(lines) + "\n")
 
-    @classmethod
-    def from_csv(cls, path, name: str = "") -> "Series":
-        """Load a series written by :meth:`to_csv`."""
-        from pathlib import Path
-
-        series = cls(name)
-        lines = Path(path).read_text().splitlines()
-        for line in lines[1:]:
-            t, v = line.split(",")
-            series.record(float(t), float(v))
-        return series
-
-
 class Histogram:
     """A value distribution; keeps raw samples (fine at our scales)."""
 

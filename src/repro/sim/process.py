@@ -8,8 +8,8 @@ A process wraps a generator.  The generator yields:
 - an ``int`` or ``float`` — sugar for ``sim.timeout(n)``.
 
 The process object is itself an event: it succeeds with the generator's
-return value, or fails with its uncaught exception.  Waiting on a process
-therefore composes naturally with :class:`AnyOf` / :class:`AllOf`.
+return value, or fails with its uncaught exception, so one process can
+wait on another like on any event.
 """
 
 from __future__ import annotations

@@ -33,8 +33,3 @@ class RngRegistry:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Derive a child registry whose streams are independent of ours."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode()).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))

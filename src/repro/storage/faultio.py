@@ -287,9 +287,6 @@ class MemoryFile:
             raise StorageError(f"bad whence {whence}")
         return self._pos
 
-    def tell(self) -> int:
-        return self._pos
-
     def truncate(self, size: Optional[int] = None) -> int:
         """Shrink the file.  Modelled as immediately durable (a metadata
         operation); recovery code truncates torn tails through this."""

@@ -120,16 +120,6 @@ class ObjectStore:
             raise StorageError(f"key {key!r} is deleted")
         return version
 
-    def get_version(self, key: str, version: int) -> Version:
-        history = self._history.get(key)
-        if history:
-            offset = version - history[0].version
-            if 0 <= offset < len(history):
-                return history[offset]
-        raise StorageError(
-            f"no version {version} of key {key!r} (compacted or never written)"
-        )
-
     def get_by_time(self, key: str, timestamp: float) -> Version:
         """The version that was current at ``timestamp`` (Derecho's
         temporal query)."""
@@ -164,40 +154,10 @@ class ObjectStore:
             raise StorageError(f"unknown key {key!r}")
         return history[-1]
 
-    def keys_with_prefix(self, prefix: str) -> List[str]:
-        """Live keys starting with ``prefix`` (the K/V apps' namespaces)."""
-        return [k for k in self._history if k.startswith(prefix) and self.contains(k)]
-
-    # -- maintenance ----------------------------------------------------------
-    def compact(self, key: str, keep_versions: int = 1) -> int:
-        """Drop old versions of ``key``, keeping the newest ``keep_versions``.
-
-        Version numbers of the surviving entries are preserved (they stay
-        meaningful to readers holding references); returns how many
-        versions were dropped.  ``get_by_time`` before the retained window
-        will no longer resolve — callers compact only what they may query.
-        """
-        if keep_versions < 1:
-            raise StorageError("must keep at least one version")
-        history = self._history.get(key)
-        if history is None:
-            raise StorageError(f"unknown key {key!r}")
-        drop = max(0, len(history) - keep_versions)
-        if drop:
-            del history[:drop]
-        return drop
-
     # -- watchers ----------------------------------------------------------------
     def watch(self, fn: WatchFn) -> None:
         """Call ``fn(key, version)`` after every applied mutation."""
         self._watchers.append(fn)
-
-    def unwatch(self, fn: WatchFn) -> None:
-        """Remove a watcher previously added with :meth:`watch`."""
-        try:
-            self._watchers.remove(fn)
-        except ValueError:
-            raise StorageError("watcher was not registered") from None
 
     # -- recovery -----------------------------------------------------------------
     def _replay(self) -> None:

@@ -29,12 +29,6 @@ class Chunker:
         self.chunk_bytes = chunk_bytes
         self._next_object_id = 0
 
-    def chunk_count(self, length: int) -> int:
-        """How many chunks a ``length``-byte object becomes (min 1)."""
-        if length <= 0:
-            return 1
-        return (length + self.chunk_bytes - 1) // self.chunk_bytes
-
     def split(self, payload: Payload) -> Tuple[int, List[Payload], List[int]]:
         """Split one object: ``(object_id, parts, sizes)``, with a fresh
         object id.  An object of one chunk is its own part.  The parts of

@@ -15,7 +15,7 @@ from repro.workloads.dropbox_trace import (
     synthesize_trace,
     trace_stats,
 )
-from repro.workloads.filesizes import bounded_lognormal, bounded_pareto
+from repro.workloads.filesizes import bounded_lognormal
 from repro.workloads.rates import (
     FlashCrowdShape,
     constant_rate,
@@ -28,7 +28,6 @@ __all__ = [
     "FlashCrowdShape",
     "TraceRecord",
     "bounded_lognormal",
-    "bounded_pareto",
     "constant_rate",
     "flash_crowd",
     "poisson_rate",

@@ -29,19 +29,3 @@ def bounded_lognormal(
     mu = math.log(median_bytes)
     value = rng.lognormvariate(mu, sigma)
     return int(min(max(value, floor_bytes), cap_bytes))
-
-
-def bounded_pareto(
-    rng: random.Random,
-    alpha: float,
-    floor_bytes: float,
-    cap_bytes: float,
-) -> int:
-    """One draw from a bounded Pareto (used by ablation workloads)."""
-    if alpha <= 0 or floor_bytes <= 0 or cap_bytes <= floor_bytes:
-        raise ConfigError("invalid pareto parameters")
-    u = rng.random()
-    l_a = floor_bytes**alpha
-    h_a = cap_bytes**alpha
-    value = (-(u * h_a - u * l_a - h_a) / (h_a * l_a)) ** (-1.0 / alpha)
-    return int(value)

@@ -80,31 +80,10 @@ def test_stability_order_across_predicates():
     )
 
 
-def test_download_stable_waits_for_predicate():
-    sim, net, services = build()
-    svc = services["nc1"]
-    handle = svc.upload("doc", b"content", "MajorityRegions")
-    event = svc.download_stable("doc", "MajorityRegions")
-    content = sim.run_until_triggered(event, limit=3.0)
-    assert content == b"content"
-    # Stability implies the majority-regions frontier passed the file.
-    assert svc.get_stability_frontier("MajorityRegions") >= handle.seq
-
-
 def test_empty_name_rejected():
     sim, net, services = build()
     with pytest.raises(StorageError):
         services["nc1"].upload("", b"x")
-
-
-def test_upload_path_uses_wheelfs_cue():
-    sim, net, services = build()
-    svc = services["nc1"]
-    handle = svc.upload_path("backups/.MajorityRegions/db.dump", b"dump")
-    assert handle.name == "backups/db.dump"
-    sim.run_until_triggered(handle.stable, limit=3.0)
-    # The cue selected MajorityRegions: frontier covers it there.
-    assert svc.get_stability_frontier("MajorityRegions") >= handle.seq
 
 
 def test_re_upload_creates_new_version():

@@ -99,27 +99,6 @@ def test_delete_requires_ownership():
         stores["east1"].delete("never-existed")
 
 
-def test_read_stable_at_remote_site():
-    sim, net, stores = build()
-    west = stores["west1"]
-    west.register_predicate("AllWNodes", "MIN($ALLWNODES - $MYWNODE)")
-    stores["east1"].put("k", b"payload")
-    sim.run(until=0.001)
-    event = west.read_stable("k", "AllWNodes") if west.store.contains("k") else None
-    # The mirror has not arrived yet; read_stable on an unknown key raises.
-    assert event is None
-    sim.run(until=1.0)
-    event = west.read_stable("k", "AllWNodes")
-    version = sim.run_until_triggered(event, limit=2.0)
-    assert version.value == b"payload"
-
-
-def test_read_stable_unknown_key():
-    sim, net, stores = build()
-    with pytest.raises(StorageError):
-        stores["east1"].read_stable("ghost")
-
-
 def test_persisted_acks_reported_by_mirrors():
     sim, net, stores = build()
     kv = stores["east1"]
@@ -149,50 +128,6 @@ def test_persist_delay_defers_persisted_level():
         )
     sim.run(until=3.0)
     assert times["persist_all"] >= times["recv_all"] + 0.2
-
-
-def test_put_forwarded_routes_to_primary():
-    sim, net, stores = build()
-    stores["east1"].put("k", b"v1")
-    sim.run(until=1.0)
-    event = stores["west1"].put_forwarded("k", b"v2-from-west")
-    seq = sim.run_until_triggered(event, limit=2.0)
-    assert seq == 2  # the primary's second message
-    sim.run(until=2.0)
-    assert stores["east1"].get("k").value == b"v2-from-west"
-    assert stores["west2"].get("k").value == b"v2-from-west"
-    assert stores["west2"].owner("k") == "east1"  # ownership unchanged
-
-
-def test_put_forwarded_local_key_is_direct():
-    sim, net, stores = build()
-    event = stores["east1"].put_forwarded("fresh", b"v")
-    assert event.triggered
-    assert event.value == 1
-
-
-def test_put_forwarded_bounces_on_stale_ownership():
-    """If the forwarder's ownership view is stale (the target no longer
-    thinks it owns the key), the write fails cleanly instead of applying
-    at the wrong primary."""
-    sim, net, stores = build()
-    stores["east1"].put("k", b"v1")
-    sim.run(until=1.0)
-    # Corrupt west1's ownership view to point at a non-owner.
-    stores["west1"]._owners["k"] = "east2"
-    stores["east2"]._owners["k"] = "east1"
-    event = stores["west1"].put_forwarded("k", b"v2")
-    caught = []
-
-    def waiter():
-        try:
-            yield event
-        except NotPrimaryError as exc:
-            caught.append(str(exc))
-
-    proc = sim.spawn(waiter())
-    sim.run_until_triggered(proc, limit=2.0)
-    assert caught and "bounced" in caught[0]
 
 
 def test_synthetic_values_flow_end_to_end():

@@ -6,9 +6,10 @@ from repro.core import StabilizerCluster, StabilizerConfig
 from repro.core.admission import (
     BREAKER_CLOSED,
     BREAKER_COOLDOWN_S,
+    BREAKER_FAILURE_THRESHOLD,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    AdmissionController,
+    QUEUE_LIMIT,
     CircuitBreaker,
     TokenBucket,
 )
@@ -42,8 +43,8 @@ def build(nodes=("a", "b"), latency_ms=5, **config_kwargs):
 
 def test_token_bucket_refills_continuously():
     now = [0.0]
-    bucket = TokenBucket(lambda: now[0], rate_per_s=10.0, burst=5.0)
-    for _ in range(5):
+    bucket = TokenBucket(lambda: now[0], rate_per_s=10.0)
+    for _ in range(10):  # the bucket holds one second's worth
         assert bucket.take()
     assert not bucket.take()
     now[0] = 0.25  # 2.5 tokens accrued
@@ -54,28 +55,16 @@ def test_token_bucket_refills_continuously():
 
 def test_token_bucket_burst_caps_refill_and_refund():
     now = [0.0]
-    bucket = TokenBucket(lambda: now[0], rate_per_s=100.0, burst=3.0)
+    bucket = TokenBucket(lambda: now[0], rate_per_s=3.0)
     now[0] = 10.0
     assert bucket.tokens == 3.0
     bucket.refund(5.0)
     assert bucket.tokens == 3.0
 
 
-def test_token_bucket_set_rate_settles_old_rate_first():
-    now = [0.0]
-    bucket = TokenBucket(lambda: now[0], rate_per_s=10.0, burst=10.0)
-    for _ in range(10):
-        bucket.take()
-    now[0] = 0.5  # 5 tokens at the old rate
-    bucket.set_rate(1000.0)
-    assert bucket.tokens == pytest.approx(5.0)
-
-
 def test_token_bucket_validation():
     with pytest.raises(ValueError):
-        TokenBucket(lambda: 0.0, rate_per_s=0, burst=1)
-    with pytest.raises(ValueError):
-        TokenBucket(lambda: 0.0, rate_per_s=1, burst=0)
+        TokenBucket(lambda: 0.0, rate_per_s=0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,18 +74,14 @@ def test_token_bucket_validation():
 
 def test_breaker_threshold_then_halfopen_then_close():
     now = [0.0]
-    breaker = CircuitBreaker(
-        lambda: now[0], failure_threshold=3, cooldown_s=1.0
-    )
-    breaker.record_failure()
-    breaker.record_failure()
+    breaker = CircuitBreaker(lambda: now[0], "b")
+    for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
+        breaker.record_failure()
     assert breaker.state == BREAKER_CLOSED
     breaker.record_failure()
     assert breaker.state == BREAKER_OPEN
-    assert not breaker.allow()
-    now[0] = 1.0  # cooldown elapsed: lazily half-open
+    now[0] = BREAKER_COOLDOWN_S  # cooldown elapsed: lazily half-open
     assert breaker.state == BREAKER_HALF_OPEN
-    assert breaker.allow()
     breaker.record_success()
     assert breaker.state == BREAKER_CLOSED
     assert breaker.trips == 1 and breaker.closes == 1 and breaker.probes == 1
@@ -104,30 +89,31 @@ def test_breaker_threshold_then_halfopen_then_close():
 
 def test_breaker_halfopen_failure_reopens():
     now = [0.0]
-    breaker = CircuitBreaker(
-        lambda: now[0], failure_threshold=1, cooldown_s=1.0
-    )
-    breaker.record_failure()
-    now[0] = 1.0
+    breaker = CircuitBreaker(lambda: now[0], "b")
+    for _ in range(BREAKER_FAILURE_THRESHOLD):
+        breaker.record_failure()
+    now[0] = BREAKER_COOLDOWN_S
     assert breaker.state == BREAKER_HALF_OPEN
-    breaker.record_failure()
+    breaker.record_failure()  # one failure re-opens a half-open breaker
     assert breaker.state == BREAKER_OPEN
     assert breaker.trips == 2
-    now[0] = 1.5  # the reopen restarted the cooldown
+    now[0] = 1.5 * BREAKER_COOLDOWN_S  # the reopen restarted the cooldown
     assert breaker.state == BREAKER_OPEN
 
 
 def test_breaker_success_resets_consecutive_failures():
-    breaker = CircuitBreaker(lambda: 0.0, failure_threshold=2)
-    breaker.record_failure()
+    breaker = CircuitBreaker(lambda: 0.0, "b")
+    for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
+        breaker.record_failure()
     breaker.record_success()
-    breaker.record_failure()
+    for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
+        breaker.record_failure()
     assert breaker.state == BREAKER_CLOSED
 
 
 def test_breaker_trip_is_immediate_and_extends_cooldown():
     now = [0.0]
-    breaker = CircuitBreaker(lambda: now[0], cooldown_s=1.0)
+    breaker = CircuitBreaker(lambda: now[0], "b")
     breaker.trip()
     assert breaker.state == BREAKER_OPEN
     now[0] = 0.9
@@ -175,40 +161,33 @@ def test_submit_above_rate_queues_then_pump_drains():
 def test_reject_new_sheds_newcomer_when_queue_full():
     sim, net, cluster = build()
     node = cluster["a"]
-    controller = node.set_admission(rate_per_s=1.0, queue_limit=2)
-    controller.submit(SyntheticPayload(64))  # sent
-    controller.submit(SyntheticPayload(64))  # queued
-    controller.submit(SyntheticPayload(64))  # queued
+    controller = node.set_admission(rate_per_s=1.0)
+    assert controller.submit(SyntheticPayload(64)).status == "sent"
+    for _ in range(QUEUE_LIMIT):
+        assert controller.submit(SyntheticPayload(64)).status == "queued"
     outcome = controller.submit(SyntheticPayload(64))
     assert outcome.status == "shed" and outcome.reason == "queue_full"
     stats = controller.stats()
     assert stats["admission.shed_queue_full"] == 1
-    assert stats["admission.queue_depth"] == 2
+    assert stats["admission.queue_depth"] == QUEUE_LIMIT
     cluster.close()
 
 
 def test_accounting_is_conserved():
     sim, net, cluster = build()
     node = cluster["a"]
-    controller = node.set_admission(rate_per_s=2.0, queue_limit=3)
-    for _ in range(20):
+    controller = node.set_admission(rate_per_s=2.0)
+    for _ in range(QUEUE_LIMIT + 20):
         controller.submit(SyntheticPayload(64))
     stats = controller.stats()
-    assert stats["admission.offered"] == 20
+    assert stats["admission.offered"] == QUEUE_LIMIT + 20
+    assert stats["admission.shed"] == 18  # two sent, QUEUE_LIMIT queued
     assert stats["admission.offered"] == (
         stats["admission.admitted"]
         + stats["admission.shed"]
         + stats["admission.queue_depth"]
     )
     assert stats["admission.admitted_shed"] == 0
-    cluster.close()
-
-
-def test_invalid_arguments():
-    sim, net, cluster = build()
-    node = cluster["a"]
-    with pytest.raises(ValueError, match="queue_limit"):
-        AdmissionController(node, rate_per_s=1.0, queue_limit=0)
     cluster.close()
 
 

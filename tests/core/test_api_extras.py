@@ -1,10 +1,8 @@
-"""Tests for the practical API extras: config files, waitfor timeouts,
-and operational stats."""
-
-import pytest
+"""Tests for the practical API extras: waitfor timeouts and operational
+stats."""
 
 from repro.core import StabilizerCluster, StabilizerConfig
-from repro.errors import ConfigError, StabilizerError
+from repro.errors import StabilizerError
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 
@@ -29,41 +27,6 @@ def build(**kwargs):
         **kwargs,
     )
     return sim, net, StabilizerCluster(net, config)
-
-
-# ---------------------------------------------------------------------------
-# Config files.
-# ---------------------------------------------------------------------------
-
-
-def test_config_json_roundtrip(tmp_path):
-    config = StabilizerConfig(
-        NODES, GROUPS, "a", predicates={"p": "MAX($ALLWNODES)"}, chunk_bytes=4096
-    )
-    path = tmp_path / "stabilizer.json"
-    config.to_json_file(path)
-    loaded = StabilizerConfig.from_json_file(path)
-    assert loaded.to_dict() == config.to_dict()
-
-
-def test_config_file_serves_whole_deployment(tmp_path):
-    """One file, many nodes: each loads it with its own name — the
-    paper's 'look up its own data center name' behaviour."""
-    path = tmp_path / "deploy.json"
-    StabilizerConfig(NODES, GROUPS, "a").to_json_file(path)
-    for name in NODES:
-        config = StabilizerConfig.from_json_file(path, local=name)
-        assert config.local == name
-        assert config.node_names == NODES
-
-
-def test_config_file_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        StabilizerConfig.from_json_file(tmp_path / "missing.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError):
-        StabilizerConfig.from_json_file(bad)
 
 
 # ---------------------------------------------------------------------------

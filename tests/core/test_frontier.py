@@ -45,8 +45,6 @@ def test_unknown_key_rejected():
         eng.predicate("nope")
     with pytest.raises(PredicateNotFound):
         eng.change_predicate("nope")
-    with pytest.raises(PredicateNotFound):
-        eng.unregister_predicate("nope")
 
 
 def test_first_registered_becomes_active():
@@ -271,14 +269,6 @@ def test_frontiers_are_per_origin():
     eng.reevaluate("b")
     assert eng.frontier("a", "any") == 4
     assert eng.frontier("b", "any") == 0
-
-
-def test_unregister_moves_active_key():
-    eng = engine()
-    eng.register_predicate("one", "MAX($ALLWNODES)")
-    eng.register_predicate("two", "MIN($ALLWNODES)")
-    eng.unregister_predicate("one")
-    assert eng.active_key == "two"
 
 
 def test_snapshot_restore_frontiers():

@@ -206,7 +206,6 @@ class _Side:
         self.fired = {f"p{i}": [] for i in range(len(sources))}
         self.released = []  # (waiter id, step)
         self.step = 0
-        self.handles = {}
         self.engine = _engine(sources)
         if monitored:
             for key in self.fired:
@@ -218,7 +217,7 @@ class _Side:
         )
 
     def wait(self, waiter_id, origin, key, seq):
-        self.handles[waiter_id] = self.engine.add_waiter(
+        self.engine.add_waiter(
             origin,
             seq,
             lambda: self.released.append((waiter_id, self.step)),
@@ -262,13 +261,6 @@ def _run_stream(seed):
             for side in sides:
                 side.wait(next_waiter, origin, key, seq)
             next_waiter += 1
-        elif roll < 0.12 and watched.handles:
-            waiter_id = rng.choice(sorted(watched.handles))
-            outcomes = {
-                side.engine.cancel_waiter(side.handles.pop(waiter_id))
-                for side in sides
-            }
-            assert len(outcomes) == 1, f"seed {seed} step {step}: cancel differs"
         elif roll < 0.14:
             source = rng.choice(PREDICATE_POOL)
             for side in sides:

@@ -1,6 +1,7 @@
 """Lints on the strategy layer: ``repro.core.acks`` is private to it, and
 every engine has the one shape (second half of this file); the node
-interface is classified once, and the send window has one owner.
+interface is classified once, and the send window has one owner; no
+option and no definition exists that only tests reach.
 
 The strategy redesign (``docs/strategies.md``) put the ACK tables behind
 :class:`repro.core.strategy.StabilizationStrategy`: engines own the
@@ -14,6 +15,7 @@ walks the source tree and keeps the boundary real.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -404,7 +406,7 @@ def test_channel_lint_catches_each_bypass():
 
 
 # ---------------------------------------------------------------------------
-# No option only tests set: every keyword parameter of the four option-heavy
+# No option only tests set: every keyword parameter of the option-heavy
 # constructors is passed by some module outside tests/, or is a deployment
 # setting kept configurable on purpose.
 # ---------------------------------------------------------------------------
@@ -415,6 +417,8 @@ OPTION_CLASSES = {
     "FifoChannel": "src/repro/transport/fifo.py",
     "SlaController": "src/repro/core/slacontrol.py",
     "AdmissionController": "src/repro/core/admission.py",
+    "CircuitBreaker": "src/repro/core/admission.py",
+    "TokenBucket": "src/repro/core/admission.py",
 }
 #: Where a caller that sets an option may live.
 OPTION_USERS = ("src", "perf", "benchmarks", "examples")
@@ -507,8 +511,8 @@ def test_option_lint_flags_a_planted_option():
     sources = _option_sources()
     home = OPTION_CLASSES["SlaController"]
     planted = sources[home].replace(
-        "        healthy_ticks: int = 4,\n",
-        "        healthy_ticks: int = 4,\n        planted_knob: float = 1.0,\n",
+        "        target_p99_s: float,\n    ):",
+        "        target_p99_s: float,\n        planted_knob: float = 1.0,\n    ):",
         1,
     )
     assert planted != sources[home]
@@ -516,3 +520,176 @@ def test_option_lint_flags_a_planted_option():
     # A caller outside the defining module that passes it clears it.
     caller = "SlaController(node, 'k', 0.5, planted_knob=2.0)"
     assert not _unset_options({**sources, home: planted, "src/caller.py": caller})
+
+
+# ---------------------------------------------------------------------------
+# No definition only tests reach: every def and class in src/repro is read
+# by some module outside tests/, or is kept on purpose.
+# ---------------------------------------------------------------------------
+
+#: Where a reader that reaches a definition may live.
+DEF_USERS = ("src", "perf", "examples", "benchmarks")
+#: Definitions nothing outside tests/ reaches, kept on purpose, with the
+#: reason: (module under src/repro, qualified name) -> reason.
+KEPT_DEFS = {
+    ("dsl/stdlib.py", "shard_standard_predicates"):
+        "frozen surface: named in docs/api_surface.txt",
+    ("core/rebalance.py", "RebalanceCoordinator.declare_dead"):
+        "fault recovery: the only way into failover re-replication",
+    ("core/recovery.py", "load_snapshot"):
+        "fault recovery: the read side of save_snapshot",
+    ("storage/faultio.py", "MemoryFileSystem.crash_file"):
+        "test fake: the fake disk's crash control",
+    ("storage/faultio.py", "MemoryFileSystem.durable_bytes"):
+        "test fake: what the fake disk holds past a crash",
+    ("storage/faultio.py", "MemoryFileSystem.unsynced_tail_len"):
+        "test fake: what the fake disk would lose in a crash",
+    ("storage/faultio.py", "FaultInjector.arm_once"):
+        "test fake: one injected fault at a chosen write",
+    ("storage/faultio.py", "MemoryFile.seek"):
+        "test fake: the only way to reach the fake's lost-range rewrite",
+    ("obs/export.py", "validate_openmetrics"):
+        "reference checker: what the exposition tests compare against",
+    ("chaos/harness.py", "virtual_view"):
+        "golden key: the chaos goldens are each run's virtual_view",
+    ("chaos/rebalance.py", "run_rebalance_chaos"):
+        "golden key: the handcrafted golden's file name is run.__name__",
+    ("sim/kernel.py", "Simulator.pending_count"):
+        "public read: tests assert through it, not the private heap",
+    ("net/link.py", "Link.backlog_bytes"):
+        "public read: tests assert through it, not the private counter",
+    ("core/membership.py", "FailureDetector.is_suspected"):
+        "public read: tests assert through it, not the private state",
+    ("core/membership.py", "FailureDetector.last_heard"):
+        "public read: tests assert through it, not the private state",
+    ("core/dataplane.py", "DataPlane.pending_frame_bytes"):
+        "public read: tests assert through it, not the private frame",
+    ("obs/spans.py", "SendTrace.cross_node"):
+        "public read: tests assert through it, not the span list",
+}
+
+
+def _definitions(tree):
+    """(qualified name, node) of every def and class in a module body and
+    in class bodies, dunders aside.  A function's local helpers are its
+    own business and are not listed."""
+    found = []
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    found.append((prefix + node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    walk(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.If, ast.Try)):
+                walk(node.body + node.orelse, prefix)
+
+    walk(tree.body, "")
+    return found
+
+
+def _read_names(tree):
+    """Every name ``tree`` reads: a loaded ``ast.Name``, a loaded
+    attribute, or a string constant (``getattr`` spells names that way).
+    An ``__all__`` entry is not a read, and neither is an import alias:
+    re-exporting a name does not use it."""
+    exported = {
+        id(node)
+        for assign in ast.walk(tree)
+        if isinstance(assign, ast.Assign)
+        and any(getattr(target, "id", None) == "__all__" for target in assign.targets)
+        for node in ast.walk(assign.value)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in exported
+        ):
+            names.add(node.value)
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _scan(source):
+    """(names read, (qualified name, line) of each definition) of one
+    module; cached, since the self-tests rescan every module but one."""
+    tree = ast.parse(source)
+    return _read_names(tree), [(name, node.lineno) for name, node in _definitions(tree)]
+
+
+def _unreached(sources, kept=KEPT_DEFS):
+    """``sources`` maps a repo-relative path to module source; returns
+    ``(module, line, name)`` for every definition under ``src/repro``
+    whose name no module reads, ``kept`` aside.
+
+    The scan is by name, so it undercounts: a definition passes as soon
+    as anything reads its name — an unrelated method, a dict key, a
+    same-named call in its own body.  ``dsl.stdlib.quorum_write`` passed
+    on the ``"quorum_write"`` predicate key of ``apps/quorum.py`` and had
+    to be found by hand.  A flagged definition is certainly unreached; an
+    unflagged one may still be."""
+    scans = {rel: _scan(source) for rel, source in sources.items()}
+    read = set().union(*(names for names, _defs in scans.values()))
+    unreached = []
+    for rel, (_names, definitions) in scans.items():
+        if not rel.startswith("src/repro/"):
+            continue
+        module = rel[len("src/repro/"):]
+        for name, line in definitions:
+            if name.rsplit(".", 1)[-1] not in read and (module, name) not in kept:
+                unreached.append((module, line, name))
+    return unreached
+
+
+def _def_sources():
+    return {
+        path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+        for top in DEF_USERS
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+
+
+def test_no_definition_only_tests_reach():
+    unreached = _unreached(_def_sources())
+    assert not unreached, (
+        "a definition only tests reach is code no workload runs: delete "
+        "it (and what only it drives), or name it in KEPT_DEFS with the "
+        "reason:\n  "
+        + "\n  ".join(f"{module}:{line} {name}" for module, line, name in unreached)
+    )
+
+
+def test_kept_defs_exist_and_are_still_unreached():
+    """The exemption table must not rot: each entry is still defined, and
+    still unreached — an entry that gained a caller leaves the table."""
+    unreached = {
+        (module, name) for module, _line, name in _unreached(_def_sources(), kept={})
+    }
+    for module, name in KEPT_DEFS:
+        assert (module, name) in unreached, (
+            f"KEPT_DEFS names {module} {name}, which is gone or now reached"
+        )
+
+
+def test_definition_lint_flags_a_planted_definition():
+    sources = _def_sources()
+    home = "src/repro/core/admission.py"
+    planted = sources[home] + "\n\ndef planted_helper():\n    pass\n"
+    line = planted.count("\n") - 1
+    flagged = [("core/admission.py", line, "planted_helper")]
+    assert _unreached({**sources, home: planted}) == flagged
+    # Re-exporting it is not a caller.
+    export = (
+        "from repro.core.admission import planted_helper\n"
+        '__all__ = ["planted_helper"]\n'
+    )
+    assert _unreached({**sources, home: planted, "src/export.py": export}) == flagged
+    # A call, or a getattr by name, is.
+    for caller in ("planted_helper()", 'getattr(admission, "planted_helper")()'):
+        assert not _unreached({**sources, home: planted, "src/caller.py": caller})

@@ -67,7 +67,8 @@ def test_owner_sets_have_exactly_replication_members_in_deployment_order():
         assert len(set(owners)) == 3
         assert list(owners) == sorted(owners, key=order.__getitem__)
         assert shard_map.primary(shard) in owners
-        assert all(shard_map.is_owner(name, shard) for name in owners)
+        for name in NODES:
+            assert (name in owners) == (shard in shard_map.owned_shards(name))
 
 
 def test_shards_spread_across_the_cluster():
@@ -110,8 +111,7 @@ def test_removing_a_node_only_reassigns_the_shards_it_owned():
 
 def test_adding_a_node_only_reassigns_shards_it_wins():
     before = ShardMap(NODES, shard_count=64, replication=2)
-    after = before.with_nodes(NODES + ["n8"])
-    assert after.epoch == before.epoch + 1
+    after = ShardMap(NODES + ["n8"], shard_count=64, replication=2)
     for shard in range(64):
         if "n8" not in after.owners(shard):
             # The joiner didn't win this shard: nothing moves.

@@ -14,6 +14,9 @@ import pytest
 
 from repro.core import StabilizerCluster, StabilizerConfig, build_sharded_cluster
 from repro.core.slacontrol import (
+    COOLDOWN_S,
+    HEALTHY_TICKS,
+    INTERVAL_S,
     SlaController,
     _HistogramWindow,
     relaxation_ladder,
@@ -45,11 +48,8 @@ def build(nodes=("a", "b", "c"), **config_kwargs):
     return sim, net, StabilizerCluster(net, config)
 
 
-def controller_for(node, **kwargs):
-    kwargs.setdefault("target_p99_s", 0.5)
-    kwargs.setdefault("healthy_ticks", 2)
-    kwargs.setdefault("cooldown_s", 0.2)
-    ctrl = SlaController(node, "all", **kwargs)
+def controller_for(node, target_p99_s=0.5):
+    ctrl = SlaController(node, "all", target_p99_s)
     ctrl._timer.cancel()  # the tests tick by hand
     return ctrl
 
@@ -203,7 +203,7 @@ def test_p99_breach_degrades_one_rung():
 def test_cooldown_blocks_back_to_back_steps():
     sim, net, cluster = build(nodes=("a", "b", "c", "d", "e"))
     node = cluster["a"]
-    ctrl = controller_for(node, cooldown_s=0.5)
+    ctrl = controller_for(node)
     assert len(ctrl.ladder) == 3
     inject(node, 2.0)
     tick(sim, ctrl)
@@ -211,9 +211,12 @@ def test_cooldown_blocks_back_to_back_steps():
     inject(node, 2.0)
     tick(sim, ctrl)  # same instant: breached but inside the cooldown
     assert ctrl.level == 1
-    assert ctrl.stats()["slacontrol.breaches"] == 2
     inject(node, 2.0)
-    tick(sim, ctrl, advance=0.6)
+    tick(sim, ctrl, advance=INTERVAL_S)  # one tick on: still inside it
+    assert ctrl.level == 1
+    assert ctrl.stats()["slacontrol.breaches"] == 3
+    inject(node, 2.0)
+    tick(sim, ctrl, advance=COOLDOWN_S - INTERVAL_S)
     assert ctrl.level == 2
     cluster.close()
 
@@ -221,13 +224,14 @@ def test_cooldown_blocks_back_to_back_steps():
 def test_restore_needs_a_healthy_streak():
     sim, net, cluster = build()
     node = cluster["a"]
-    ctrl = controller_for(node, healthy_ticks=2, cooldown_s=0.1)
+    ctrl = controller_for(node)
     inject(node, 2.0)
     tick(sim, ctrl)
     assert ctrl.level == 1
-    tick(sim, ctrl, advance=0.2)  # healthy (empty window), streak 1
-    assert ctrl.level == 1
-    tick(sim, ctrl, advance=0.2)  # streak 2: restore
+    for _ in range(HEALTHY_TICKS - 1):
+        tick(sim, ctrl, advance=INTERVAL_S)  # healthy (empty window)
+        assert ctrl.level == 1
+    tick(sim, ctrl, advance=INTERVAL_S)  # the streak is complete: restore
     assert ctrl.level == 0
     assert node.engine.predicate("all").source == STRICT
     assert ctrl.restored()
@@ -239,16 +243,18 @@ def test_neutral_zone_resets_the_streak():
     sim, net, cluster = build()
     node = cluster["a"]
     # margin = 0.25; a 0.4s window is neither breached nor healthy.
-    ctrl = controller_for(node, healthy_ticks=2, cooldown_s=0.1)
+    ctrl = controller_for(node)
     inject(node, 2.0)
     tick(sim, ctrl)
     assert ctrl.level == 1
-    tick(sim, ctrl, advance=0.2)  # healthy, streak 1
+    for _ in range(HEALTHY_TICKS - 1):
+        tick(sim, ctrl, advance=INTERVAL_S)  # healthy: one short of a restore
     inject(node, 0.4)
-    tick(sim, ctrl, advance=0.2)  # neutral: streak back to 0
-    tick(sim, ctrl, advance=0.2)  # healthy, streak 1 — still no restore
-    assert ctrl.level == 1
-    tick(sim, ctrl, advance=0.2)  # streak 2: restore
+    tick(sim, ctrl, advance=INTERVAL_S)  # neutral: streak back to 0
+    for _ in range(HEALTHY_TICKS - 1):
+        tick(sim, ctrl, advance=INTERVAL_S)  # healthy — still no restore
+        assert ctrl.level == 1
+    tick(sim, ctrl, advance=INTERVAL_S)  # the streak is complete: restore
     assert ctrl.level == 0
     cluster.close()
 
@@ -272,11 +278,11 @@ def test_pending_age_breaches_without_samples(strategy):
 def test_degrade_stops_at_the_bottom_rung():
     sim, net, cluster = build(nodes=("a", "b"))
     node = cluster["a"]
-    ctrl = controller_for(node, cooldown_s=0.1)
+    ctrl = controller_for(node)
     assert len(ctrl.ladder) == 1
     for _ in range(3):
         inject(node, 2.0)
-        tick(sim, ctrl, advance=0.2)
+        tick(sim, ctrl, advance=COOLDOWN_S)
     assert ctrl.level == 1
     assert ctrl.stats()["slacontrol.degrade_steps"] == 1
     cluster.close()
@@ -295,7 +301,7 @@ def masked_setup(strategy="acktable"):
     )
     node = cluster["a"]
     policy = node.set_degradation_policy()
-    ctrl = controller_for(node, cooldown_s=0.1)
+    ctrl = controller_for(node)
     node.send(SyntheticPayload(64))  # warmup: establish heartbeat state
     sim.run(until=0.5)
     cluster["c"].crash()
@@ -346,8 +352,8 @@ def test_restored_accepts_an_active_mask(strategy):
     sim, net, cluster, node, ctrl = masked_setup(strategy)
     inject(node, 2.0)
     tick(sim, ctrl)
-    tick(sim, ctrl, advance=0.2)  # healthy, streak 1
-    tick(sim, ctrl, advance=0.2)  # streak 2: restore to level 0
+    for _ in range(HEALTHY_TICKS):
+        tick(sim, ctrl, advance=INTERVAL_S)  # the last one restores level 0
     assert ctrl.level == 0
     # The engine still holds the masked variant (c is down), yet the
     # controller is done: invariant 14 must not demand the literal

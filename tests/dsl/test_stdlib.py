@@ -5,11 +5,8 @@ import pytest
 from repro.dsl.compiler import PredicateCompiler
 from repro.dsl.semantics import DslContext
 from repro.dsl.stdlib import (
-    az_geo_replicated,
     majority_regions,
     one_region,
-    quorum_read,
-    quorum_write,
     remote_groups,
     standard_predicates,
 )
@@ -115,8 +112,9 @@ def test_quorum_predicates_overlap():
     """Nw + Nr > N: a read quorum always intersects a write quorum."""
     ctx = DslContext(NODES, GROUPS, "nc1")
     comp = PredicateCompiler(ctx)
-    write = comp.compile(quorum_write())
-    read = comp.compile(quorum_read())
+    # Section IV-B's write and read predicates.
+    write = comp.compile("KTH_MIN(SIZEOF($ALLWNODES)/2 + 1, $ALLWNODES)")
+    comp.compile("KTH_MIN(SIZEOF($ALLWNODES)/2, $ALLWNODES)")
     n = len(NODES)
     # Derive the implied quorum sizes from KTH_MIN semantics:
     # KTH_MIN(k, all) >= s  iff at least n-k+1 nodes acked >= s.
@@ -134,7 +132,11 @@ def test_quorum_predicates_overlap():
 def test_az_geo_replicated_example():
     ctx = DslContext(NODES, GROUPS, "nc1")
     comp = PredicateCompiler(ctx)
-    predicate = comp.compile(az_geo_replicated())
+    # Section IV-A: fully replicated inside the sender's availability zone
+    # and present at one site outside it.
+    predicate = comp.compile(
+        "MIN(MIN($MYAZWNODES - $MYWNODE), MAX($ALLWNODES - $MYAZWNODES))"
+    )
     # AZ peer (nc2) acked 4; one remote (ohio1) acked 6 -> frontier 4.
     received = [9, 4, 0, 0, 0, 0, 0, 6]
     assert predicate.evaluate(table(received)) == 4

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core import StabilizerCluster, StabilizerConfig
 from repro.net import NetemSpec, Topology
 from repro.paxos import PaxosCluster
-from repro.sim import AllOf, Simulator
+from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
 from repro.transport.messages import SyntheticPayload
 
@@ -85,7 +85,8 @@ def test_concurrent_origins_do_not_interfere():
         for observer in NODES
         for origin in NODES
     ]
-    sim.run_until_triggered(AllOf(sim, events), limit=30.0)
+    for event in events:
+        sim.run_until_triggered(event, limit=30.0)
     for observer in NODES:
         for origin in NODES:
             if origin == observer:
@@ -148,7 +149,8 @@ def test_paxos_under_loss_commits_everything_in_order():
     applied = []
     cluster["q"].on_apply = lambda inst, payload, meta: applied.append(inst)
     events = [cluster.submit(SyntheticPayload(512)) for _ in range(20)]
-    sim.run_until_triggered(AllOf(sim, events), limit=120.0)
+    for event in events:
+        sim.run_until_triggered(event, limit=120.0)
     sim.run(until=sim.now + 5.0)
     assert applied == list(range(1, 21))
 

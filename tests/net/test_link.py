@@ -54,17 +54,16 @@ def test_queueing_delay_reports_backlog():
     assert link.queueing_delay() == 0.0
 
 
-def test_transfer_time_helper_matches_actual_delivery():
+def test_idle_link_delivers_after_serialization_plus_latency():
     sim = Simulator()
     arrivals = []
     link = make_link(
         sim, latency_s=0.02, bandwidth_bps=1e6,
         on_packet=lambda p: arrivals.append(sim.now),
     )
-    expected = link.transfer_time(12_500)  # 0.1s serialize + 0.02s
     send(link, 12_500)
     sim.run()
-    assert arrivals == [pytest.approx(expected)]
+    assert arrivals == [pytest.approx(0.1 + 0.02)]  # serialize + propagate
 
 
 def test_down_link_drops_and_counts():

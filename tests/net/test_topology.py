@@ -168,12 +168,7 @@ def test_single_node_topology_rejected():
         topo.build(Simulator())
 
 
-def test_netem_spec_validation_and_halving():
-    spec = NetemSpec(latency_ms=20, rate_mbit=100)
-    half = spec.halved()
-    assert half.rate_mbit == 50
-    assert half.latency_ms == 20
-    assert NetemSpec.from_rtt(40, 10).latency_ms == 20
+def test_netem_spec_validation():
     with pytest.raises(ConfigError):
         NetemSpec(latency_ms=-1, rate_mbit=1)
     with pytest.raises(ConfigError):

@@ -68,7 +68,7 @@ def _shapes():
     )
     node = cluster["s0"]
     gate = node.set_admission(
-        AdmissionController(node, rate_per_s=10.0, queue_limit=4)
+        AdmissionController(node, rate_per_s=10.0)
     )
     SlaController.install(node, "all", target_p99_s=0.001)
     for i in range(400):

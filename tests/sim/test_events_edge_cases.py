@@ -1,67 +1,9 @@
-"""Edge cases of the event combinators and timers."""
+"""Edge cases of events and timers."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Simulator
-
-
-def test_allof_fails_on_first_child_failure():
-    sim = Simulator()
-    good = sim.timeout(5.0, "late")
-    bad = sim.event()
-    combined = AllOf(sim, [good, bad])
-    caught = []
-
-    def waiter():
-        try:
-            yield combined
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    proc = sim.spawn(waiter())
-    sim.call_later(1.0, bad.fail, ValueError("child died"))
-    sim.run_until_triggered(proc)
-    assert caught == ["child died"]
-    assert sim.now == 1.0  # did not wait for the slow child
-
-
-def test_anyof_fails_if_first_trigger_is_a_failure():
-    sim = Simulator()
-    slow = sim.timeout(5.0)
-    bad = sim.event()
-    combined = AnyOf(sim, [slow, bad])
-    sim.call_later(0.5, bad.fail, RuntimeError("boom"))
-    sim.run(until=1.0)
-    assert combined.failed
-    assert isinstance(combined.exception, RuntimeError)
-
-
-def test_anyof_ignores_later_triggers():
-    sim = Simulator()
-    a = sim.timeout(1.0, "a")
-    b = sim.timeout(2.0, "b")
-    combined = AnyOf(sim, [a, b])
-    sim.run()
-    assert combined.value is a  # b's later trigger was a no-op
-
-
-def test_combined_event_requires_children():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        AnyOf(sim, [])
-    with pytest.raises(SimulationError):
-        AllOf(sim, [])
-
-
-def test_allof_with_already_triggered_children():
-    sim = Simulator()
-    a = sim.event()
-    a.succeed("pre")
-    b = sim.timeout(1.0, "post")
-    combined = AllOf(sim, [a, b])
-    sim.run_until_triggered(combined)
-    assert combined.value == ["pre", "post"]
+from repro.sim import Simulator
 
 
 def test_negative_timeout_rejected():

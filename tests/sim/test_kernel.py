@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.runtime import RealtimeScheduler
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator, TimerHandle
+from repro.sim import Interrupt, Simulator, TimerHandle
 
 
 def test_clock_starts_at_zero():
@@ -108,26 +108,6 @@ def test_timeout_succeeds_at_deadline():
     assert to.ok
     assert to.value == "done"
     assert sim.now == 2.5
-
-
-def test_anyof_returns_first_event():
-    sim = Simulator()
-    slow = sim.timeout(5.0, "slow")
-    fast = sim.timeout(1.0, "fast")
-    first = AnyOf(sim, [slow, fast])
-    sim.run_until_triggered(first)
-    assert first.value is fast
-    assert sim.now == 1.0
-
-
-def test_allof_collects_values_in_order():
-    sim = Simulator()
-    a = sim.timeout(3.0, "a")
-    b = sim.timeout(1.0, "b")
-    both = AllOf(sim, [a, b])
-    sim.run_until_triggered(both)
-    assert both.value == ["a", "b"]
-    assert sim.now == 3.0
 
 
 def test_process_sleeps_with_plain_numbers():

@@ -49,10 +49,9 @@ def test_series_csv_roundtrip(tmp_path):
     s.record(1.5, 2.75)
     path = tmp_path / "series.csv"
     s.to_csv(path, header=("t", "v"))
-    text = path.read_text()
-    assert text.splitlines()[0] == "t,v"
-    loaded = Series.from_csv(path, name="lat")
-    assert list(loaded) == list(s)
+    header, *rows = path.read_text().splitlines()
+    assert header == "t,v"
+    assert [tuple(map(float, row.split(","))) for row in rows] == list(s)
 
 
 def test_percentile_interpolates():

@@ -53,10 +53,9 @@ def test_invalid_arguments(store):
 def test_get_version_history(store):
     store.put("k", b"v1")
     store.put("k", b"v2")
-    assert store.get_version("k", 1).value == b"v1"
-    assert store.get_version("k", 2).value == b"v2"
-    with pytest.raises(StorageError):
-        store.get_version("k", 3)
+    history = store.history("k")
+    assert [(v.version, v.value) for v in history] == [(1, b"v1"), (2, b"v2")]
+    assert store.history("missing") == []
 
 
 def test_get_by_time(store, clock):
@@ -79,8 +78,9 @@ def test_delete_writes_tombstone(store):
     with pytest.raises(StorageError, match="deleted"):
         store.get("k")
     # History is preserved.
-    assert store.get_version("k", 1).value == b"v"
-    assert store.get_version("k", 2).tombstone
+    old, tombstone = store.history("k")
+    assert (old.version, old.value, old.tombstone) == (1, b"v", False)
+    assert (tombstone.version, tombstone.tombstone) == (2, True)
 
 
 def test_delete_unknown_key(store):
@@ -102,50 +102,6 @@ def test_watchers_see_every_mutation(store):
     store.put("k", b"2")
     store.delete("k")
     assert events == [("k", 1), ("k", 2), ("k", 3)]
-
-
-def test_keys_with_prefix(store):
-    store.put("file:a", b"1")
-    store.put("file:b", b"2")
-    store.put("meta:x", b"3")
-    store.delete("file:b")
-    assert store.keys_with_prefix("file:") == ["file:a"]
-    assert store.keys_with_prefix("meta:") == ["meta:x"]
-
-
-def test_compact_keeps_newest_and_version_numbers(store):
-    for i in range(5):
-        store.put("k", f"v{i}".encode())
-    dropped = store.compact("k", keep_versions=2)
-    assert dropped == 3
-    assert store.get("k").value == b"v4"
-    assert store.get("k").version == 5
-    assert store.get_version("k", 4).value == b"v3"
-    with pytest.raises(StorageError, match="compacted"):
-        store.get_version("k", 2)
-    # New writes continue the version sequence.
-    assert store.put("k", b"v5").version == 6
-
-
-def test_compact_validation(store):
-    store.put("k", b"v")
-    assert store.compact("k") == 0  # nothing to drop
-    with pytest.raises(StorageError):
-        store.compact("missing")
-    with pytest.raises(StorageError):
-        store.compact("k", keep_versions=0)
-
-
-def test_unwatch_removes_watcher(store):
-    events = []
-    watcher = lambda key, version: events.append(key)  # noqa: E731
-    store.watch(watcher)
-    store.put("k", b"1")
-    store.unwatch(watcher)
-    store.put("k", b"2")
-    assert events == ["k"]
-    with pytest.raises(StorageError):
-        store.unwatch(watcher)
 
 
 def test_log_replay_restores_state(tmp_path, clock):

@@ -8,7 +8,6 @@ from repro.sim.rng import RngRegistry
 from repro.workloads import (
     DropboxTraceConfig,
     bounded_lognormal,
-    bounded_pareto,
     constant_rate,
     poisson_rate,
     synthesize_trace,
@@ -131,17 +130,3 @@ def test_bounded_lognormal_validation():
         bounded_lognormal(rng, 0, 1, 10)
     with pytest.raises(ConfigError):
         bounded_lognormal(rng, 100, 1, 50)
-
-
-def test_bounded_pareto_respects_bounds():
-    rng = RngRegistry(3).stream("pareto")
-    draws = [bounded_pareto(rng, 1.2, 100, 100_000) for _ in range(500)]
-    assert all(100 <= d <= 100_000 for d in draws)
-
-
-def test_bounded_pareto_validation():
-    rng = RngRegistry(0).stream("x")
-    with pytest.raises(ConfigError):
-        bounded_pareto(rng, 0, 1, 10)
-    with pytest.raises(ConfigError):
-        bounded_pareto(rng, 1, 10, 10)
