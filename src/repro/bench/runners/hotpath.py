@@ -810,13 +810,14 @@ def _timer_event(result):
 
 @finding(
     "calls per peer of a lone 512 B send",
-    "<= 35.5 (29.0; 68.75 while a frame of one went through the "
+    "<= 35.5 (26.0; 68.75 while a frame of one went through the "
     "coalescing path and a relay call per layer, 41.5 while the chunker "
     "made a Chunk per chunk and a peer's queue took it through a method "
     "call, 37.25 while every packet went through Network.send, 35.25 "
     "while the FIFO kept a second window and launched through _launch, "
     "32.25 while the endpoint's port relayed every packet to its channel "
-    "and every sent frame was an object)",
+    "and every sent frame was an object, 29.0 while each peer queued its "
+    "own copy of every chunk)",
     kind="exact",
 )
 def _lone_send(result):

@@ -35,11 +35,12 @@ monitor / waiter / stats surfaces an application uses — and raises
    them, so reclaim cannot outrun a node that is down.)
 9. **Window accounting never leaks credits.**  On every transport
    channel the unacked-bytes counter equals the sum of the in-flight
-   frame sizes.  The window lives in the data plane's per-peer streams:
-   a stream's pending tail is held to the same sum rule, the bytes in
-   flight on its channel never exceed ``max(window_bytes, largest frame
-   in flight)`` (one frame may always fly), and a stalled stream has
-   something in flight whose ACK will resume it.
+   frame sizes.  The window lives in the data plane's per-peer streams,
+   cursors into the send log: no cursor is on a reclaimed sequence, a
+   stream's pending bytes are held to the same sum rule over the log,
+   the bytes in flight on its channel never exceed ``max(window_bytes,
+   largest frame in flight)`` (one frame may always fly), and a stalled
+   stream has something in flight whose ACK will resume it.
 10. **No delivery lost across a cutover.**  At every rebalance cutover
     the coordinator reports, per (moved shard, surviving origin), the
     highest receive watermark any live pre-cutover owner held
@@ -381,10 +382,14 @@ class InvariantChecker:
                         )
             if not hasattr(node, "dataplane"):
                 continue
-            window = node.dataplane._window_bytes
-            for stream in node.dataplane._streams.values():
-                self.checks += 1
-                tail = sum(e.size for e in stream.pending)
+            dataplane = node.dataplane
+            window = dataplane._window_bytes
+            log, end = dataplane.buffer._entries, dataplane.next_seq
+            for stream in dataplane._streams.values():
+                self.checks += 1  # one check: the cursor and its tail
+                if stream.cursor <= dataplane.buffer.reclaimed_up_to:
+                    self._fail(f"reclaimed cursor at {node.name} for {stream.peer}")
+                tail = sum(log[seq].size for seq in range(stream.cursor, end))
                 if stream.pending_bytes != tail:
                     self._fail(
                         f"pending-tail leak at {node.name}: stream to "

@@ -20,10 +20,11 @@ hands ``on_acked(peer, last)`` to the stabilization engine — unless the
 tag differs from its own epoch, which says the peer fenced the frames
 instead of taking them.
 
-The send path is *pipelined* per peer.  Each remote peer has one stream:
-the not-yet-framed tail of this node's sequence.  It is the one send
-queue — the FIFO channel under it sends every frame at once — and the one
-place the send window (``window_bytes``) is kept:
+The send path is *pipelined* per peer over one send log, the send
+buffer.  Each remote peer has one stream: a cursor into the log (the
+next sequence to frame).  It is the one send queue — the FIFO channel
+under it sends every frame at once — and the one place the send window
+(``window_bytes``) is kept:
 
 - sequenced messages coalesce into WAN frames of up to ``frame_bytes``
   (one transport header and one link packet per frame instead of per
@@ -35,7 +36,9 @@ place the send window (``window_bytes``) is kept:
   header, and a batch entry per message for a run of two or more) fit in
   the window.  Otherwise the stream *stalls* until an ACK retires frames,
   so a slow or suspected peer backpressures only its own stream.
-  Crash-restart replay goes through the same stream and the same rule;
+  Crash-restart replay moves the peer's cursor back over the same log.
+  A frame is built once, kept on its first log entry, and shipped to
+  every peer that cuts the same run;
 - the retained send buffer is bounded (``max_buffer_bytes``): when the
   WAN cannot drain, ``send()`` raises
   :class:`~repro.errors.BackpressureError`, and the registered
@@ -51,9 +54,8 @@ append and delivery stay per message.  A lone message is a run of one.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import StabilizerConfig
 from repro.errors import BackpressureError, StabilizerError, TransportError
@@ -93,20 +95,22 @@ BACKPRESSURE_LOW = 0.5
 
 
 class _BufferEntry:
-    __slots__ = ("seq", "size", "meta", "payload", "chunk_meta")
+    __slots__ = ("seq", "size", "payload", "chunk_meta", "frame")
 
-    def __init__(self, seq: int, size: int, meta, payload=None, chunk_meta=None):
+    def __init__(self, seq: int, size: int, payload=None, chunk_meta=None):
         self.seq = seq
         self.size = size
-        self.meta = meta
         # The chunk itself, retained for crash-restart replay: "it can
         # also buffer data for later transmission if needed".
         self.payload = payload
         self.chunk_meta = chunk_meta
+        # The frame that starts here, once a peer cut one (see _cut_frame).
+        self.frame = None
 
 
 class SendBuffer:
-    """Retains sent chunks until they are globally delivered.
+    """The send log: retains sent chunks, ``reclaimed_up_to + 1`` on,
+    until they are globally delivered.
 
     ``add`` never refuses a chunk: the data plane checks
     :meth:`would_overflow` *before* it sequences a message, and refuses
@@ -123,13 +127,9 @@ class SendBuffer:
     def would_overflow(self, nbytes: int) -> bool:
         return self.max_bytes is not None and self._bytes + nbytes > self.max_bytes
 
-    def add(
-        self, seq: int, size: int, meta=None, payload=None, chunk_meta=None
-    ) -> _BufferEntry:
-        entry = _BufferEntry(seq, size, meta, payload, chunk_meta)
-        self._entries[seq] = entry
+    def add(self, seq: int, size: int, payload=None, chunk_meta=None) -> None:
+        self._entries[seq] = _BufferEntry(seq, size, payload, chunk_meta)
         self._bytes += size
-        return entry
 
     def reclaim_up_to(self, seq: int) -> int:
         """Release every entry with sequence <= ``seq``; returns count."""
@@ -159,26 +159,19 @@ class SendBuffer:
 
 
 class _PeerStream:
-    """One peer's share of the pipelined send path: the not-yet-framed
-    tail of the stream plus its frame-clock timer and stall state."""
+    """One peer's share of the pipelined send path: its cursor into the
+    send log, the bytes from it to the log's end, its frame-clock timer
+    and stall state."""
 
-    __slots__ = ("peer", "channel", "pending", "pending_bytes", "timer", "stalled")
+    __slots__ = ("peer", "channel", "cursor", "pending_bytes", "timer", "stalled")
 
     def __init__(self, peer: str, channel):
         self.peer = peer
         self.channel = channel
-        self.pending: Deque[_BufferEntry] = deque()
+        self.cursor = 1  # the next sequence to frame
         self.pending_bytes = 0
         self.timer = None
         self.stalled = False
-
-    def clear(self) -> None:
-        self.pending.clear()
-        self.pending_bytes = 0
-        self.stalled = False
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
 
 
 class DataPlane:
@@ -297,7 +290,8 @@ class DataPlane:
         the message's stability is the stability of ``last_seq``.
         """
         object_id, parts, sizes = self.chunker.split(payload)
-        if self.buffer.would_overflow(sum(sizes)):
+        nbytes = sum(sizes)
+        if self.buffer.would_overflow(nbytes):
             raise BackpressureError(
                 f"send buffer full ({self.buffer.buffered_bytes()}B of "
                 f"{self.buffer.max_bytes}B); the WAN has not drained — "
@@ -308,8 +302,6 @@ class DataPlane:
         first_seq = self._next_seq
         tracer = self.tracer
         tracing = tracer.enabled
-        streams = self._streams.values()
-        fanout = len(self._streams)
         count = len(parts)
         index = 0
         for part, size in zip(parts, sizes):
@@ -317,9 +309,7 @@ class DataPlane:
             self._next_seq += 1
             chunk_meta: ChunkMeta = (seq, object_id, index, count, meta)
             index += 1
-            entry = self.buffer.add(
-                seq, size, meta, payload=part, chunk_meta=chunk_meta
-            )
+            self.buffer.add(seq, size, part, chunk_meta)
             if tracing and tracer.sampled(self._trace_node, seq):
                 tracer.emit(
                     self._trace_node,
@@ -329,14 +319,12 @@ class DataPlane:
                     bytes=size,
                     object=object_id,
                 )
-            for stream in streams:
-                stream.pending.append(entry)
-                stream.pending_bytes += size
-            self.messages_sent += 1
-            self.payload_bytes_sent += size * fanout
             if self.on_sent is not None:
                 self.on_sent(seq, part)
-        for stream in streams:
+        self.messages_sent += count
+        self.payload_bytes_sent += nbytes * len(self._streams)
+        for stream in self._streams.values():
+            stream.pending_bytes += nbytes
             self._pump(stream, "inline")
         self._update_backpressure()
         return first_seq, self._next_seq - 1
@@ -356,7 +344,7 @@ class DataPlane:
             self.on_acked(
                 stream.peer, inner[1][-1][0] if inner[0] == FRAME_TAG else inner[0]
             )
-        if stream.pending:
+        if stream.cursor < self._next_seq:
             if stream.stalled:
                 self.window_opens += 1
                 if self.tracer.enabled:
@@ -384,20 +372,20 @@ class DataPlane:
 
     def _frame_tick(self, stream: _PeerStream) -> None:
         stream.timer = None
-        if stream.pending:
+        if stream.cursor < self._next_seq:
             self._pump(stream, "timer")
 
     def _pump(self, stream: _PeerStream, cause: str) -> None:
         """Cut as many frames as the flush policy and window allow."""
         channel = stream.channel
         if channel.closed:
-            stream.clear()
+            self._seek(stream, self._next_seq)  # the tail has nowhere to go
             return
         # With a frame clock, an inline flush ships only *full* frames;
         # the partial tail waits for the timer (or a window-open event).
         # With no clock (frame_delay 0) every flush drains everything.
         only_full = cause == "inline" and self._frame_delay_s > 0.0
-        while stream.pending:
+        while stream.cursor < self._next_seq:
             if only_full and stream.pending_bytes < self._frame_bytes:
                 break
             if not self._cut_frame(stream, cause):
@@ -415,7 +403,7 @@ class DataPlane:
                 return  # the next ACK that retires frames resumes it
         stream.stalled = False
         if (
-            stream.pending
+            stream.cursor < self._next_seq
             and self._frame_delay_s > 0.0
             and stream.timer is None
         ):
@@ -424,54 +412,64 @@ class DataPlane:
             )
 
     def _cut_frame(self, stream: _PeerStream, cause: str) -> bool:
-        """Ship the next frame off ``stream``'s pending tail — the run of
+        """Ship the next frame from ``stream``'s cursor — the run of log
         entries that fits in ``frame_bytes`` (always at least one) — if
-        the window lets it fly (see module docstring); False if not."""
-        pending = stream.pending
+        the window lets it fly (see module docstring); False if not.
+
+        A shipped frame stays on its first entry as ``(open, last,
+        run_bytes, overhead, payload, meta)`` until the log grows into its
+        run: ``open`` is the log end that cut the run short, 0 if full."""
+        log = self.buffer._entries
+        cursor = stream.cursor
+        first = log[cursor]
+        end = self._next_seq
         frame_bytes = self._frame_bytes
-        run_bytes = messages = 0
-        for entry in pending:
-            if messages and run_bytes + entry.size > frame_bytes:
-                break  # frame full; the next frame takes it
-            run_bytes += entry.size
-            messages += 1
-            if run_bytes >= frame_bytes:
-                break
+        frame = first.frame
+        if frame is not None and frame[0] and frame[0] != end:
+            if frame[2] + log[frame[0]].size <= frame_bytes:
+                frame = None  # the log grew into the run
+        if frame is None:
+            last, run_bytes = cursor, first.size
+            while (
+                run_bytes < frame_bytes
+                and last + 1 < end
+                and run_bytes + log[last + 1].size <= frame_bytes
+            ):
+                last += 1
+                run_bytes += log[last].size
+            overhead = BATCH_ENTRY.size * (last - cursor + 1) if last > cursor else 0
+        else:
+            _open, last, run_bytes, overhead, payload, meta = frame
         channel = stream.channel
         inflight = channel._unacked_bytes
-        if inflight and self._window_bytes is not None:
-            wire = run_bytes + TRANSPORT_HEADER_BYTES
-            if messages > 1:
-                wire += BATCH_ENTRY.size * messages
-            if inflight + wire > self._window_bytes:
-                return False
-        first = pending.popleft()
-        if messages == 1:
-            # A lone message needs no batch framing: its chunk ships as is.
-            last_seq = first.seq
-            channel.send(first.payload, meta=(self.epoch, first.chunk_meta))
-        else:
-            # One pass over the run; real payloads are joined once, here —
-            # the frame's one copy.  A frame with any synthetic part is one
-            # SyntheticPayload of the run's length (experiments at that
-            # scale never inspect bytes).
-            parts = [first.payload]
-            metas = [first.chunk_meta]
-            lengths = [first.size]
-            synthetic = type(first.payload) is SyntheticPayload
-            for _ in range(messages - 1):
-                entry = pending.popleft()
-                parts.append(entry.payload)
-                metas.append(entry.chunk_meta)
-                lengths.append(entry.size)
-                if type(entry.payload) is SyntheticPayload:
-                    synthetic = True
-            last_seq = metas[-1][0]
-            channel.send(
-                SyntheticPayload(run_bytes) if synthetic else b"".join(parts),
-                meta=(self.epoch, (FRAME_TAG, tuple(metas), tuple(lengths))),
-                wire_overhead=BATCH_ENTRY.size * messages,
-            )
+        if (
+            inflight
+            and self._window_bytes is not None
+            and inflight + run_bytes + TRANSPORT_HEADER_BYTES + overhead
+            > self._window_bytes
+        ):
+            return False
+        messages = last - cursor + 1
+        if frame is None:
+            if messages == 1:
+                # A lone message needs no batch framing: its chunk ships as is.
+                payload, meta = first.payload, (self.epoch, first.chunk_meta)
+            else:
+                # Real payloads are joined once, here — the frame's one
+                # copy.  A frame with any synthetic part is one
+                # SyntheticPayload of the run's length (experiments at
+                # that scale never inspect bytes).
+                run = [log[seq] for seq in range(cursor, last + 1)]
+                parts = [entry.payload for entry in run]
+                synthetic = SyntheticPayload in {type(part) for part in parts}
+                payload = SyntheticPayload(run_bytes) if synthetic else b"".join(parts)
+                metas = tuple([entry.chunk_meta for entry in run])
+                lengths = tuple([entry.size for entry in run])
+                meta = (self.epoch, (FRAME_TAG, metas, lengths))
+            open_end = end if last + 1 == end and run_bytes < frame_bytes else 0
+            first.frame = (open_end, last, run_bytes, overhead, payload, meta)
+        channel.send(payload, meta, overhead)
+        stream.cursor = last + 1
         stream.pending_bytes -= run_bytes
         self.frames_sent += 1
         self.frame_messages += messages
@@ -483,7 +481,7 @@ class DataPlane:
             if cause == "inline" and messages > 1 and self._frame_delay_s > 0.0
             else cause
         )
-        self.flush_causes[cause_key] = self.flush_causes.get(cause_key, 0) + 1
+        self.flush_causes[cause_key] += 1
         if self.tracer.enabled:
             # The frame covers the contiguous sequence run [first_seq,
             # last_seq] — the trace context that lets span reconstruction
@@ -493,19 +491,30 @@ class DataPlane:
                 "data.frame_send",
                 peer=stream.peer,
                 origin=self._trace_node,
-                first_seq=first.seq,
-                last_seq=last_seq,
+                first_seq=cursor,
+                last_seq=last,
                 messages=messages,
                 bytes=run_bytes,
                 cause=cause,
             )
         return True
 
+    def _seek(self, stream: _PeerStream, cursor: int) -> None:
+        """Move ``stream``'s cursor to ``cursor``, dropping its stall and
+        frame-clock timer."""
+        log, end = self.buffer._entries, self._next_seq
+        stream.cursor = cursor
+        stream.pending_bytes = sum(log[seq].size for seq in range(cursor, end))
+        stream.stalled = False
+        if stream.timer is not None:
+            stream.timer.cancel()
+            stream.timer = None
+
     def flush(self) -> None:
         """Cut every partial frame now, window permitting — the manual
         counterpart of the frame clock (e.g. before a planned shutdown)."""
         for stream in self._streams.values():
-            if stream.pending:
+            if stream.cursor < self._next_seq:
                 self._pump(stream, "timer")
 
     def pending_frame_bytes(self, peer: str) -> int:
@@ -521,7 +530,7 @@ class DataPlane:
     def close(self) -> None:
         """Cancel frame-clock timers (the node is going away)."""
         for stream in self._streams.values():
-            stream.clear()
+            self._seek(stream, self._next_seq)
 
     # -- backpressure ------------------------------------------------------------
     def on_backpressure(self, fn: BackpressureFn) -> None:
@@ -603,14 +612,10 @@ class DataPlane:
                 f"cannot replay to {peer!r} from seq {from_seq}: buffer "
                 f"reclaimed up to {self.buffer.reclaimed_up_to}"
             )
-        # The unframed tail is a subset of the buffered entries about to
-        # be replayed: they replace it, and leave as any tail does.
-        stream.clear()
+        # The unframed tail is part of the replay, and leaves as any does.
+        self._seek(stream, min(from_seq + 1, self._next_seq))
         stream.channel.reset_stream()
-        entries = self.buffer.entries_above(from_seq)
-        stream.pending.extend(entries)
-        stream.pending_bytes = sum(entry.size for entry in entries)
-        count = len(entries)
+        count = self._next_seq - stream.cursor
         self.payload_bytes_sent += stream.pending_bytes
         self.replayed_chunks += count
         self._pump(stream, "replay")
@@ -623,6 +628,13 @@ class DataPlane:
                 chunks=count,
             )
         return count
+
+    def restore_next_seq(self, seq: int) -> None:
+        """Resume this node's stream at ``seq`` from a snapshot; every
+        peer's cursor moves there (what lies below is :meth:`replay_to`'s)."""
+        self._next_seq = max(self._next_seq, seq)
+        for stream in self._streams.values():
+            self._seek(stream, self._next_seq)
 
     # -- receiving side ------------------------------------------------------------
     def highest_received(self, origin: str) -> int:

@@ -206,9 +206,7 @@ def restore_state(stabilizer, snapshot: dict) -> None:
     stabilizer._received_floor = math.inf
     stabilizer.engine.restore_frontiers(snapshot["frontiers"])
     stabilizer.engine.restore_monitor_high(snapshot["monitor_high"])
-    stabilizer.dataplane._next_seq = max(
-        stabilizer.dataplane._next_seq, int(snapshot["next_seq"])
-    )
+    stabilizer.dataplane.restore_next_seq(int(snapshot["next_seq"]))
     # Receive watermarks: what this node acknowledged as received for each
     # remote stream is in its own column of the restored tables; the data
     # plane resumes each stream there instead of mid-stream-join logic.
@@ -226,14 +224,8 @@ def restore_state(stabilizer, snapshot: dict) -> None:
         buffer._reclaimed_up_to, int(buffer_state["reclaimed_up_to"])
     )
     for entry in buffer_state["entries"]:
-        chunk_meta = tuple(entry["chunk_meta"])
-        buffer.add(
-            entry["seq"],
-            entry["size"],
-            meta=chunk_meta[4],
-            payload=_decode_payload(entry["payload"]),
-            chunk_meta=chunk_meta,
-        )
+        payload = _decode_payload(entry["payload"])
+        buffer.add(entry["seq"], entry["size"], payload, tuple(entry["chunk_meta"]))
     strategy_state = (snapshot.get("strategy") or {}).get("state")
     if strategy_state:
         stabilizer.strategy.restore(strategy_state)

@@ -200,6 +200,20 @@ def test_replay_never_exceeds_the_window():
     assert received == list(range(1, 21))
 
 
+def test_replay_from_past_the_stream_end_replays_nothing():
+    sim, net = build_net()
+    dp_x, dp_y, _, received = wire(sim, net, chunk_bytes=1000, frame_bytes=2000)
+    dp_x.send(SyntheticPayload(3000))
+    sim.run(until=1.0)
+    # A peer that claims more of the stream than was sent is replayed
+    # nothing, and the stream carries on from the next send.
+    assert dp_x.replay_to("y", 10) == 0
+    assert dp_x.pending_frame_bytes("y") == 0
+    dp_x.send(SyntheticPayload(500))
+    sim.run(until=2.0)
+    assert received == [1, 2, 3, 4]
+
+
 def test_close_cancels_frame_timers():
     sim, net = build_net()
     dp_x, _, _, _ = wire(sim, net, frame_bytes=8000, frame_delay_ms=5.0)

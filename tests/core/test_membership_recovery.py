@@ -25,6 +25,8 @@ from repro.errors import StabilizerError
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 
+from tests.wiretap import Tap
+
 NODES = ["a", "b", "c"]
 GROUPS = {"east": ["a"], "west": ["b", "c"]}
 
@@ -219,6 +221,35 @@ def test_snapshot_roundtrip_preserves_state(tmp_path, strategy):
     assert restarted.dataplane.next_seq == a.dataplane.next_seq
     # The stream resumes without reusing sequence numbers.
     assert restarted.send(b"next") == seq + 1
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_restore_puts_every_cursor_at_the_restored_sequence(strategy):
+    sim, net, cluster = build(strategy=strategy)
+    a = cluster["a"]
+    a.send(b"warmup")
+    sim.run(until=0.2)
+    net.crash_node("c")  # c never acks: the snapshot holds a buffer tail
+    for i in range(3):
+        a.send(b"unreclaimed-%d" % i)
+    sim.run(until=1.0)
+    snap = snapshot_state(a)
+    assert snap["buffer"]["entries"]
+
+    sim2 = Simulator()
+    net2 = net.topology.build(sim2)
+    restarted = Stabilizer(net2, a.config)
+    restore_state(restarted, snap)
+    dataplane = restarted.dataplane
+    assert dataplane.next_seq == snap["next_seq"]
+    # The restored tail is replayed on request, not streamed: no peer's
+    # cursor is left below the restored sequence.
+    assert [dataplane.pending_frame_bytes(peer) for peer in ("b", "c")] == [0, 0]
+    tap = Tap(net2, "data")
+    seq = restarted.send(b"after restore")
+    assert seq == snap["next_seq"]
+    shipped = {dst: wire[4][1][0] for _at, _src, dst, wire, _size in tap.seen}
+    assert shipped == {"b": seq, "c": seq}
 
 
 @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
