@@ -37,7 +37,8 @@ bench-record:
 #   overload    seeded flash-crowd / slow-node sweeps over the admission-
 #               control and SLA-controller invariants — no admitted
 #               message is ever shed, degraded predicates are restored
-#               (docs/overload.md)
+#               (docs/overload.md) — and the flash_crowd bench, a run of
+#               the same scenario, with its findings
 #   perf        the five perf/ workloads at a fiftieth of their size,
 #               held to the benchmark's own output checks: a src/ change
 #               that breaks the measuring stick fails tier-1, not the
@@ -49,7 +50,9 @@ bench-record:
 #               xfails (EXPERIMENTS.md, "Checked findings")
 #   rebalance   seeded join/leave/failover sweeps plus handcrafted
 #               crash-mid-handoff schedules over the rebalance invariants
-#               (docs/sharding.md, "Rebalancing & failover")
+#               (docs/sharding.md, "Rebalancing & failover") — and the
+#               rebalance bench, a run of the same scenario, with its
+#               findings
 #   shard       partial-replication invariant runs (docs/sharding.md)
 #   strategy    one seeded chaos run per stabilization engine — ACK table
 #               and sequencer — under the full invariant checker

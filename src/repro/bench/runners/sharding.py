@@ -1,21 +1,36 @@
 """Sharding drivers: partial replication against the unsharded control
 plane, live rebalancing under load, and a regional flash crowd with and
 without the closed loop (none of them a paper figure), each declared as
-an :class:`~repro.bench.paper.Experiment` at the end of the module."""
+an :class:`~repro.bench.paper.Experiment` at the end of the module.  The
+last two build nothing of their own: each is a run of its chaos scenario
+(:mod:`repro.chaos.rebalance`, :mod:`repro.chaos.overload`), with that
+scenario's constants, on a handcrafted schedule."""
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Dict, Sequence, Tuple
+from typing import ClassVar, Dict, List, Sequence, Tuple
 
 from repro.bench.paper import Experiment, finding
 from repro.bench.reporting import format_table
+from repro.bench.runners.extensions import _no_violation
 from repro.bench.runners.kit import build_cluster, build_network, drain
-from repro.core import StabilizerConfig
+from repro.chaos.harness import ChaosHarness, Scenario, run_chaos
+from repro.chaos.overload import (
+    ADMIT_RATE_PER_S,
+    CROWD_MULTIPLIER,
+    PAYLOAD_BYTES,
+    SLA_KEY,
+    TARGET_P99_S,
+    WAITER_EVERY,
+    OverloadChaosConfig,
+    OverloadScenario,
+)
+from repro.chaos.rebalance import RebalanceChaosConfig
+from repro.chaos.schedule import ChaosEvent
+from repro.core.slacontrol import INTERVAL_S, _HistogramWindow, _WindowStats
 from repro.net.tc import NetemSpec
 from repro.net.topology import Topology
-from repro.obs.catalogue import merge
 from repro.sim.rng import RngRegistry
 from repro.transport.messages import SyntheticPayload
 
@@ -212,458 +227,140 @@ def run_shard_scaling(
     }
 
 
-def run_rebalance_bench(
-    nodes: int = 8,
-    joins: Sequence[str] = ("j0", "j1"),
-    leaves: Sequence[str] = ("n1", "n3", "j0"),
-    shard_count: int = 64,
-    replication: int = 2,
-    payload_bytes: int = 256,
-    pump_shards: int = 2,
-    slice_s: float = 0.05,
-    control_interval_s: float = 0.02,
-    settle_slices: int = 1200,
-) -> dict:
-    """Live rebalancing under load: scale out, then scale in.
+# ---------------------------------------------------------------------------
+# Live rebalancing and a regional flash crowd: each is its chaos scenario
+# on a handcrafted schedule, its findings read from the harness report.
+# ---------------------------------------------------------------------------
 
-    An ``nodes``-member cluster (2 AZs) carries continuous traffic while
-    the membership walks ``nodes -> nodes + len(joins) -> final`` via a
-    :class:`~repro.core.rebalance.RebalanceCoordinator`.  Each phase
-    records:
 
-    - per-cutover latency (freeze-to-cutover, from the coordinator's
-      history) and the number of shards that moved — minimality is the
-      headline: only the shards the joiner wins / the leaver owned;
-    - handoff bytes and transfer retries (coordinator metric deltas);
-    - frontier disturbance — a strict (every-owner) ``waitfor`` probe on
-      an *unmoved* shard issued while handoffs are in flight, against
-      the same probe at steady state: collateral stall on shards the
-      plan never touched;
-    - a replication audit after every cutover: each shard must have
-      exactly ``replication`` live owners with built stacks.
-    """
-    from repro.core.rebalance import RebalanceCoordinator
-    from repro.core.sharding import ShardedCluster
+class _RebalanceBenchConfig(RebalanceChaosConfig):
+    """Room to scale out and in: 8 members over the 2 AZs, 2 spare hosts."""
 
-    members = [f"n{i}" for i in range(nodes)]
-    # Members first, then the joiners' hosts, each dealt over the 2 AZs.
-    topo = Topology.uniform(
-        {
-            name: f"az{i % 2}"
-            for names in (members, joins)
-            for i, name in enumerate(names)
-        },
-        NetemSpec(latency_ms=5, rate_mbit=200),
+    nodes_per_az: ClassVar[int] = 4
+    spare_hosts: ClassVar[int] = 2
+
+
+def run_rebalance_bench(gap_s: float = 1.0) -> dict:
+    """Live rebalancing under load: the rebalance chaos scenario (16
+    shards x 2 owners, invariants 1–12) through 8 -> 10 -> 7 members, one
+    membership op every ``gap_s``: both spares join, then one member of
+    each AZ and the first joiner leave.  No crash, no partition: the
+    seeded rebalance-chaos runs mix membership with faults, this run
+    measures the churn alone.  The result is the harness report."""
+    ops = (
+        ("node_join", "s0"), ("node_join", "s1"),
+        ("node_leave", "n01"), ("node_leave", "n11"), ("node_leave", "s0"),
     )
-    sim, net = build_network(topo)
-    config = StabilizerConfig(
-        node_names=members,
-        groups={
-            az: [n for i, n in enumerate(members) if i % 2 == int(az[2:])]
-            for az in ("az0", "az1")
-        },
-        local=members[0],
-        predicates={
-            "all": "MIN($SHARDWNODES - $MYWNODE)",
-            "any": "MAX($SHARDWNODES - $MYWNODE)",
-        },
-        shard_count=shard_count,
-        shard_replication=replication,
-        control_interval_s=control_interval_s,
-        failure_timeout_s=2.0,
-        durability=False,
-    )
-    cluster = ShardedCluster(net, config)
-    coordinator = RebalanceCoordinator(
-        cluster, drain_timeout_s=2.0, transfer_timeout_s=4.0
-    )
-    sent = 0
+    schedule = [ChaosEvent(gap_s * i, op, (name,)) for i, (op, name) in enumerate(ops, 1)]
+    return run_chaos(_RebalanceBenchConfig(), schedule)
 
-    def pump() -> None:
-        nonlocal sent
-        for node in cluster:
-            shards = [
-                s for s in node.shards if s not in node.frozen_shards()
-            ]
-            for shard in shards[:pump_shards]:
-                node.send(SyntheticPayload(payload_bytes), shard=shard)
-                sent += 1
 
-    def probe(shard: str = None) -> float:
-        """Strict-stability latency of one message on ``shard`` (or the
-        lowest live shard): send, waitfor every owner, measure."""
-        if shard is None:
-            shard = min(
-                s
-                for s in range(shard_count)
-                if cluster.shard_map.primary(s) in cluster.nodes
-                and s in cluster.nodes[cluster.shard_map.primary(s)].shards
-            )
-        owner = cluster.shard_map.primary(shard)
-        node = cluster.nodes[owner]
-        if shard not in node.shards or shard in node.frozen_shards():
-            return float("nan")
-        started = sim.now
-        seq = node.send(SyntheticPayload(payload_bytes), shard=shard)
-        event = node.waitfor(seq, "all", shard=shard, timeout_s=60.0)
-        sim.run_until_triggered(event)
-        if not event.ok:
-            return float("inf")
-        return sim.now - started
+class _FlashCrowdConfig(OverloadChaosConfig):
+    """The overload scenario on a WAN the crowd congests.  Each origin
+    reaches each peer over its own directed link, and a payload is 64–511
+    bytes, 288 B on average.  A crowded node offers 10 x 10 msg/s, about
+    29 KB/s on each outgoing link, against 0.15 Mbit/s = 18.75 KB/s; base
+    traffic (10 msg/s, about 2.9 KB/s) and what admission lets through
+    (ADMIT_RATE_PER_S = 25 msg/s, about 7.2 KB/s) fit."""
 
-    def settle() -> None:
-        for _ in range(settle_slices):
-            if coordinator.idle:
-                return
-            pump()
-            sim.run(until=sim.now + slice_s)
-        raise RuntimeError(f"rebalance stuck in phase {coordinator.phase!r}")
+    link: ClassVar[NetemSpec] = NetemSpec(latency_ms=10, rate_mbit=0.15)
 
-    def audit_replication() -> bool:
-        shard_map = cluster.shard_map
-        for shard in range(shard_count):
-            owners = set(shard_map.owners(shard))
-            if len(owners) != replication:
-                return False
-            for owner in owners:
-                if shard not in cluster.nodes[owner].shards:
-                    return False
-        return True
 
-    def run_phase(name: str, ops: Sequence[Tuple[str, str]]) -> dict:
-        nonlocal sent
-        before = coordinator.stats()
-        history_mark = len(coordinator.history)
-        sent_mark = sent
-        started = sim.now
-        wall = time.perf_counter()
-        moved: set = set()
-        for kind, subject in ops:
-            if kind == "join":
-                coordinator.node_join(subject)
-            else:
-                coordinator.node_leave(subject)
-        plan = coordinator.active_plan
-        if plan is not None:
-            moved = set(plan.moved_shards())
-        # Collateral disturbance: strict stability on a shard the plan
-        # does not touch, measured while handoffs are in flight.
-        unmoved = next(
-            (
-                s
-                for s in range(shard_count)
-                if s not in moved
-                and cluster.shard_map.primary(s) in cluster.nodes
-                and s
-                in cluster.nodes[cluster.shard_map.primary(s)].shards
-            ),
-            None,
-        )
-        disturbance = probe(unmoved) if ops and unmoved is not None else None
-        settle()
-        after = coordinator.stats()
-        cutovers = [
-            {
-                "kind": h["kind"],
-                "subject": h["subject"],
-                "shards_moved": h["shards_moved"],
-                "latency_s": h["latency_s"],
-                "unsourced": h["unsourced"],
-            }
-            for h in coordinator.history[history_mark:]
-        ]
-        return {
-            "phase": name,
-            "ops": [f"{kind}:{subject}" for kind, subject in ops],
-            "members": len(cluster.nodes),
-            "sim_duration_s": sim.now - started,
-            "elapsed_s": time.perf_counter() - wall,
-            "messages_sent": sent - sent_mark,
-            "cutovers": cutovers,
-            "handoff_bytes": after.get("rebalance.handoff_bytes", 0)
-            - before.get("rebalance.handoff_bytes", 0),
-            "transfer_retries": after.get("rebalance.transfer_retries", 0)
-            - before.get("rebalance.transfer_retries", 0),
-            "drain_timeouts": after.get("rebalance.drain_timeouts", 0)
-            - before.get("rebalance.drain_timeouts", 0),
-            "probe_disturbance_s": disturbance,
-            "probe_after_s": probe(),
-            "replication_restored": audit_replication(),
-            "epoch": cluster.shard_map.epoch,
-        }
+class _Undefended(OverloadScenario):
+    """The baseline: no admission gate and no SLA controller, so every
+    offer goes straight to ``send``."""
 
-    phases = []
-    # Warm-up: traffic only, baseline probe.
-    for _ in range(20):
-        pump()
-        sim.run(until=sim.now + slice_s)
-    phases.append(run_phase("steady", []))
-    phases.append(run_phase("scale-out", [("join", j) for j in joins]))
-    phases.append(run_phase("scale-in", [("leave", l) for l in leaves]))
-    result = {
-        "config": {
-            "nodes": nodes,
-            "joins": list(joins),
-            "leaves": list(leaves),
-            "shard_count": shard_count,
-            "replication": replication,
-            "payload_bytes": payload_bytes,
-        },
-        "phases": phases,
-        "final_members": sorted(cluster.nodes),
-        "final_epoch": cluster.shard_map.epoch,
-        "messages_sent": sent,
+    def arm_node(self, node) -> None:
+        Scenario.arm_node(self, node)  # policy and monitors only
+
+    def send(self, name: str) -> None:
+        node = self.cluster[name]
+        seq = node.send(SyntheticPayload(self.harness.rng.randrange(64, PAYLOAD_BYTES)))
+        self.checker.note_sent(name, seq)
+        if seq % WAITER_EVERY == 0:
+            self.harness.guard(node, seq, SLA_KEY)
+
+
+class _UndefendedConfig(_FlashCrowdConfig):
+    scenario: ClassVar[type] = _Undefended
+
+
+def _crowd_run(config: OverloadChaosConfig, schedule: List[ChaosEvent]) -> dict:
+    """One harness run of ``schedule``, a crowd and its end: the report,
+    plus the cluster's p99 send->stable latency and oldest pending send
+    under ``SLA_KEY``, sampled at the SLA controllers' own cadence."""
+    harness = ChaosHarness(config, schedule)
+    sim, nodes = harness.sim, list(harness.cluster)
+    windows = [
+        _HistogramWindow(node.registry.histogram(f"{node.stability.prefix}.{SLA_KEY}"))
+        for node in nodes
+    ]
+    timeline: List[dict] = []
+
+    def sample() -> None:
+        sim.call_later(INTERVAL_S, sample)
+        stats = [window.advance() for window in windows]
+        p99 = _WindowStats(
+            stats[0].bounds,
+            [sum(counts) for counts in zip(*(s.counts for s in stats))],
+            max(s.observed_max for s in stats),
+        ).percentile(99)
+        pending = max(node.stability.oldest_pending_age(SLA_KEY) for node in nodes)
+        timeline.append({
+            "t": round(sim.now, 3),
+            "p99_s": round(p99, 4),
+            "pending_s": round(pending, 4),
+            "breach": p99 > TARGET_P99_S or pending > TARGET_P99_S,
+        })
+
+    sim.call_later(INTERVAL_S, sample)
+    try:
+        report = harness.run()
+        drained = harness.scenario.quiescent()
+        accepted = sum(harness.checker.sent_high().values())
+    finally:
+        harness.close()
+    start = schedule[0].at
+    crowd = [p for p in timeline if start <= p["t"] <= harness.traffic_end()]
+    return {
+        **report,
+        "timeline": timeline,
+        "accepted": accepted,
+        "drained": drained,
+        "steady_p99_s": max(p["p99_s"] for p in timeline if p["t"] < start),
+        "peak_p99_s": max(p["p99_s"] for p in timeline),
+        "peak_pending_s": max(p["pending_s"] for p in timeline),
+        "breach_windows": sum(p["breach"] for p in crowd),
+        "crowd_windows": len(crowd),
+        "settle_s": report["settle_slices"] * config.settle_slice_s,
     }
-    coordinator.close()
-    cluster.close()
-    return result
 
 
-# ---------------------------------------------------------------------------
-# Overload: a regional flash crowd, closed loop vs. no controller.
-# ---------------------------------------------------------------------------
-
-#: The settle phase samples the SLA windows once per slice of this length.
-SETTLE_SLICE_S = 2.0
-
-
-def run_overload_bench(
-    nodes: int = 8,
-    azs: int = 4,
-    shard_count: int = 8,
-    replication: int = 3,
-    base_interval_s: float = 0.08,
-    payload_bytes: int = 2048,
-    link_rate_mbit: float = 1.0,
-    crowd_multiplier: float = 10.0,
-    crowd_az: str = "az0",
-    crowd_start_s: float = 2.0,
-    crowd_ramp_s: float = 0.5,
-    crowd_hold_s: float = 3.0,
-    duration_s: float = 10.0,
-    target_p99_s: float = 0.4,
-    admit_rate_per_s: float = 25.0,
-    sample_interval_s: float = 0.25,
-    control_interval_s: float = 0.01,
-    max_settle_s: float = 60.0,
-    seed: int = 0,
-) -> dict:
-    """A 10x regional flash crowd through a partially replicated
-    cluster, run twice: without any defense (the baseline — ``send``
-    straight into the buffers) and with the full closed loop (admission
-    control in front, one :class:`~repro.core.slacontrol.SlaController`
-    per shard stack behind).
-
-    Both runs sample the *windowed* p99 send->stable latency and the
-    oldest-pending age every ``sample_interval_s``; a sample breaches
-    when either exceeds ``target_p99_s``.  The claim the bench guards:
-    the baseline blows the SLA for the duration of the crowd, the
-    closed loop sheds a bounded amount at the edge, keeps every admitted
-    message, relaxes the predicate, and walks it back — so its breach
-    count stays a fraction of the baseline's.
-    """
-    from repro.core.admission import QUEUE_LIMIT
-    from repro.core.slacontrol import SlaController, _HistogramWindow, _WindowStats
-    from repro.core.sharding import build_sharded_cluster
-    from repro.errors import BackpressureError
-    from repro.workloads.rates import FlashCrowdShape
-
-    shape = FlashCrowdShape(
-        base_rate=1.0,
-        peak_rate=crowd_multiplier,
-        t0=crowd_start_s,
-        ramp_s=crowd_ramp_s,
-        hold_s=crowd_hold_s,
-        decay_s=crowd_ramp_s,
-    )
-    traffic_end = duration_s
-    topo = Topology.uniform(
-        {f"n{i}": f"az{i % azs}" for i in range(nodes)},
-        # A deliberately narrow WAN: the crowd must be able to congest it.
-        NetemSpec(latency_ms=30, rate_mbit=link_rate_mbit),
-    )
-
-    def run_mode(controlled: bool) -> dict:
-        sim, net = build_network(topo, seed)
-        cluster = build_sharded_cluster(
-            net,
-            {"sla": "MIN($ALLWNODES - $MYWNODE)"},
-            shard_count=shard_count,
-            shard_replication=replication,
-            control_interval_s=control_interval_s,
-            window_bytes=8 * 1024,
-            frame_bytes=2 * 1024,
-            frame_delay_ms=2.0,
-        )
-        crowd_nodes = {
-            name
-            for name in net.topology.node_names()
-            if net.topology.groups()[crowd_az].count(name)
-        }
-        counters = {
-            "offered": 0, "sent": 0, "queued": 0,
-            "shed": 0, "backpressure": 0,
-        }
-        admission = {}
-        sla = {}
-        if controlled:
-            for name in cluster.nodes:
-                node = cluster[name]
-                admission[name] = node.set_admission(rate_per_s=admit_rate_per_s)
-                sla[name] = SlaController.install(node, "sla", target_p99_s)
-
-        def stacks():
-            for name in cluster.nodes:
-                for shard, inner in sorted(cluster[name].shards.items()):
-                    yield name, shard, inner
-
-        windows = {
-            (name, shard): _HistogramWindow(
-                inner.registry.histogram(f"{inner.stability.prefix}.sla")
-            )
-            for name, shard, inner in stacks()
-        }
-
-        def send_tick(name: str, state: dict) -> None:
-            if sim.now >= traffic_end:
-                return
-            multiplier = shape.rate_at(sim.now) if name in crowd_nodes else 1.0
-            sim.call_later(
-                base_interval_s / multiplier, send_tick, name, state
-            )
-            node = cluster[name]
-            shard = node.owned_shards[state["i"] % len(node.owned_shards)]
-            state["i"] += 1
-            counters["offered"] += 1
-            payload = SyntheticPayload(payload_bytes)
-            if controlled:
-                outcome = admission[name].submit(payload, shard=shard)
-                counters[outcome.status] += 1
-            else:
-                try:
-                    node.send(payload, shard=shard)
-                    counters["sent"] += 1
-                except BackpressureError:
-                    counters["backpressure"] += 1
-
-        timeline = []
-
-        def sample() -> dict:
-            deltas = None
-            bounds = None
-            observed_max = 0.0
-            pending = 0.0
-            for name, shard, inner in stacks():
-                stats = windows[(name, shard)].advance()
-                if deltas is None:
-                    bounds = stats.bounds
-                    deltas = [0] * len(stats.counts)
-                for i, c in enumerate(stats.counts):
-                    deltas[i] += c
-                observed_max = max(observed_max, stats.observed_max)
-                pending = max(
-                    pending, inner.stability.oldest_pending_age("sla")
-                )
-            combined = _WindowStats(bounds, deltas, observed_max)
-            p99 = combined.percentile(99) if combined.count else 0.0
-            point = {
-                "t": round(sim.now, 3),
-                "samples": combined.count,
-                "p99_s": round(p99, 4),
-                "pending_s": round(pending, 4),
-                "breach": p99 > target_p99_s or pending > target_p99_s,
-            }
-            timeline.append(point)
-            return point
-
-        def sample_tick() -> None:
-            if sim.now >= traffic_end:
-                return
-            sim.call_later(sample_interval_s, sample_tick)
-            sample()
-
-        for name in cluster.nodes:
-            sim.call_later(base_interval_s, send_tick, name, {"i": 0})
-        sim.call_later(sample_interval_s, sample_tick)
-        sim.run(until=traffic_end)
-
-        # Settle: drain queues and pending sends, let controllers restore.
-        def quiescent() -> bool:
-            if any(c.queue_depth() for c in admission.values()):
-                return False
-            if controlled and not all(
-                ctrl.restored()
-                for per_shard in sla.values()
-                for ctrl in per_shard.values()
-            ):
-                return False
-            return all(
-                inner.stability.oldest_pending_age("sla") == 0.0
-                for _, _, inner in stacks()
-            )
-
-        settled_from = len(timeline)
-        drained = drain(
-            sim, quiescent, slice_s=SETTLE_SLICE_S,
-            max_slices=math.ceil(max_settle_s / SETTLE_SLICE_S), on_slice=sample,
-        )
-        settle_s = SETTLE_SLICE_S * (len(timeline) - settled_from)
-
-        crowd_points = [
-            p for p in timeline if crowd_start_s <= p["t"] <= traffic_end
-        ]
-        result = {
-            "mode": "controlled" if controlled else "baseline",
-            "counters": dict(counters),
-            "timeline": timeline,
-            "steady_p99_s": max(
-                (p["p99_s"] for p in timeline if p["t"] < crowd_start_s),
-                default=0.0,
-            ),
-            "peak_p99_s": max(p["p99_s"] for p in timeline),
-            "peak_pending_s": max(p["pending_s"] for p in timeline),
-            "breach_windows": sum(p["breach"] for p in crowd_points),
-            "crowd_windows": len(crowd_points),
-            "settle_s": settle_s,
-            "drained": drained,
-            "virtual_end_s": round(sim.now, 3),
-        }
-        if controlled:
-            result["admission"] = merge(
-                [controller.stats() for controller in admission.values()]
-            )
-            result["max_degrade_steps"] = max(
-                ctrl.stats()["slacontrol.degrade_steps"]
-                for per_shard in sla.values()
-                for ctrl in per_shard.values()
-            )
-            result["restored"] = all(
-                ctrl.restored()
-                for per_shard in sla.values()
-                for ctrl in per_shard.values()
-            )
-            for per_shard in sla.values():
-                for ctrl in per_shard.values():
-                    ctrl.close()
-        cluster.close()
-        return result
-
+def run_overload_bench(crowd_hold_s: float = 3.0) -> dict:
+    """A 10x regional flash crowd, run twice through the overload chaos
+    scenario on a narrow WAN (:class:`_FlashCrowdConfig`): as it is —
+    admission control and an SLA controller at every node — and without
+    either (:class:`_Undefended`, the baseline).  A sampled window
+    breaches when its p99 or oldest pending send exceeds the scenario's
+    ``TARGET_P99_S``.  The claim: the baseline blows the SLA for most of
+    the crowd; the closed loop sheds a bounded amount at the edge, keeps
+    every admitted message, relaxes the predicate and walks it back."""
+    # The crowd hits az0 after 2 s of steady traffic.
+    schedule = [
+        ChaosEvent(2.0, "flash_crowd", ("az0",)),
+        ChaosEvent(2.0 + crowd_hold_s, "flash_end", ()),
+    ]
     return {
         "config": {
-            "nodes": nodes,
-            "azs": azs,
-            "shard_count": shard_count,
-            "replication": replication,
-            "crowd_multiplier": crowd_multiplier,
-            "crowd_az": crowd_az,
-            "target_p99_s": target_p99_s,
-            "admit_rate_per_s": admit_rate_per_s,
-            "queue_limit": QUEUE_LIMIT,
-            "payload_bytes": payload_bytes,
-            "seed": seed,
+            "crowd_multiplier": CROWD_MULTIPLIER,
+            "crowd_az": "az0",
+            "target_p99_s": TARGET_P99_S,
+            "admit_rate_per_s": ADMIT_RATE_PER_S,
+            "payload_bytes": PAYLOAD_BYTES,
+            "link_rate_mbit": _FlashCrowdConfig.link.rate_mbit,
         },
-        "baseline": run_mode(controlled=False),
-        "controlled": run_mode(controlled=True),
+        "baseline": _crowd_run(_UndefendedConfig(), schedule),
+        "controlled": _crowd_run(_FlashCrowdConfig(), schedule),
     }
 
 
@@ -780,101 +477,92 @@ SHARD_SCALING = Experiment(
 )
 
 
-def _render_rebalance(result) -> str:
-    config = result["config"]
+def _render_rebalance(report) -> str:
+    members = [len(report["members_initial"])]
+    unmoved = {epoch: f"{released}/{guarded}" for epoch, guarded, released in
+               report["unmoved_waiters"]}
+    rows = []
+    for h in report["rebalances"]:
+        members.append(members[-1] + (1 if h["kind"] == "join" else -1))
+        rows.append((
+            f"{h['kind']} {h['subject']}", h["new_epoch"], members[-1],
+            f"{h['shards_moved']}/{h['shards_total']}", f"{h['latency_s']:.2f}",
+            f"{h['handoff_bytes'] / 1024:.1f}", h["unsourced"],
+            unmoved.get(h["new_epoch"], "0/0"),
+        ))
     return format_table(
         [
-            "phase", "members", "cutovers", "shards moved", "cutover lat (s)",
-            "handoff KiB", "retries", "probe during (s)", "probe after (s)", "repl ok",
+            "op", "epoch", "members", "shards moved", "cutover lat (s)",
+            "handoff KiB", "unsourced", "unmoved waiters released",
         ],
-        [
-            (
-                p["phase"],
-                p["members"],
-                len(p["cutovers"]),
-                sum(c["shards_moved"] for c in p["cutovers"]),
-                "/".join(f"{c['latency_s']:.2f}" for c in p["cutovers"]) or "-",
-                f"{p['handoff_bytes'] / 1024:.1f}",
-                p["transfer_retries"],
-                "-"
-                if p["probe_disturbance_s"] is None
-                else f"{p['probe_disturbance_s']:.3f}",
-                f"{p['probe_after_s']:.3f}",
-                p["replication_restored"],
-            )
-            for p in result["phases"]
-        ],
+        rows,
         title=(
-            f"Live rebalance under load ({config['shard_count']} shards x "
-            f"{config['replication']} owners, {config['nodes']} -> "
-            f"{config['nodes'] + len(config['joins'])} -> "
-            f"{len(result['final_members'])} nodes)"
+            f"Live rebalance under load ({report['shard_count']} shards x "
+            f"{report['replication']} owners, {members[0]} -> {max(members)} -> "
+            f"{members[-1]} nodes; {sum(report['messages_sent'].values())} messages, "
+            f"{report['waiter_timeouts']} waiter timeouts)"
         ),
     )
 
 
 @finding(
-    "every phase restores replication from real transfers",
-    "each shard at its replication factor, 0 unsourced rebuilds",
+    "no safety invariant is violated", "0 violations of invariants 1-12", kind="exact"
+)
+def _rebalance_safe(report):
+    return _no_violation.check([report])
+
+
+# The harness audits replication at quiescence (invariant 11), after the
+# last cutover; each cutover's owner sets are invariant 12's.
+@finding(
+    "replication is restored from real transfers",
+    "0 unsourced rebuilds; each shard at its replication factor at the end",
     kind="exact",
 )
-def _replication_restored(result):
-    phases = result["phases"]
-    holds = all(
-        p["replication_restored"] and all(c["unsourced"] == 0 for c in p["cutovers"])
-        for p in phases
-    )
-    return holds, ", ".join(f"{p['phase']}: {p['replication_restored']}" for p in phases)
+def _replication_restored(report):
+    unsourced = report["unsourced_shards"]
+    holds = unsourced == 0 and not report["violations"]
+    return holds, f"{unsourced} unsourced of {report['cutovers_checked']} cutovers"
 
 
 @finding(
-    "one cutover per membership op",
-    "2 joins, 3 leaves; the epoch ends at 5",
+    "one cutover per membership op", "2 joins, 3 leaves; the epoch ends at 5",
     kind="exact",
 )
-def _one_cutover_per_op(result):
-    _steady, out, down = result["phases"]
-    holds = (
-        len(out["cutovers"]) == 2
-        and len(down["cutovers"]) == 3
-        and result["final_epoch"] == 5
-    )
-    return holds, (
-        f"{len(out['cutovers'])} + {len(down['cutovers'])} cutovers, "
-        f"epoch {result['final_epoch']}"
-    )
+def _one_cutover_per_op(report):
+    kinds = [h["kind"] for h in report["rebalances"]]
+    epoch = report["epoch_final"]
+    holds = kinds == ["join"] * 2 + ["leave"] * 3 and epoch == 5
+    joins, leaves = kinds.count("join"), kinds.count("leave")
+    return holds, f"{joins} + {leaves} cutovers, epoch {epoch}"
 
 
-# With 64 * 2 ownerships over 9-10 nodes a join wins far below half the
+# With 16 * 2 ownerships over 9-10 nodes a join wins far below half the
 # shard space.
 @finding("a join moves only the shards the joiner wins", "0 < moved < the shard count")
-def _minimal_moves(result):
-    moved = [c["shards_moved"] for c in result["phases"][1]["cutovers"]]
-    shard_count = result["config"]["shard_count"]
-    return all(0 < n < shard_count for n in moved), ", ".join(map(str, moved))
+def _minimal_moves(report):
+    moved = [h["shards_moved"] for h in report["rebalances"] if h["kind"] == "join"]
+    return all(0 < n < report["shard_count"] for n in moved), ", ".join(map(str, moved))
 
 
+# A waiter the scenario guarded, mid-handoff, on a shard the plan leaves
+# alone: a stall there would be the handoff's collateral damage.
 @finding(
     "unmoved shards keep stabilizing mid-handoff",
-    "the disturbance probe completes in both membership phases",
+    "at every cutover, waiters on shards outside the plan; all released",
 )
-def _unmoved_stabilize(result):
-    steady, out, down = result["phases"]
-    probes = [p["probe_disturbance_s"] for p in (out, down)]
-    holds = (
-        all(probe is not None and math.isfinite(probe) for probe in probes)
-        and all(math.isfinite(p["probe_after_s"]) for p in (steady, out, down))
+def _unmoved_stabilize(report):
+    waiters = report["unmoved_waiters"]  # [cutover epoch, guarded, released]
+    holds = len(waiters) == len(report["rebalances"]) and all(
+        0 < released == guarded for _, guarded, released in waiters
     )
-    return holds, ", ".join(
-        "-" if probe is None else f"{probe:.3f} s" for probe in probes
-    )
+    return holds, ", ".join(f"{released}/{guarded}" for _, guarded, released in waiters)
 
 
-@finding(
-    "state moves over the wire", "handoff bytes in both membership phases", kind="exact"
-)
-def _state_moves(result):
-    handoff = [p["handoff_bytes"] for p in result["phases"][1:]]
+# Per cutover, from the coordinator's history.
+@finding("state moves over the wire", "handoff bytes at every cutover", kind="exact")
+def _state_moves(report):
+    handoff = [h["handoff_bytes"] for h in report["rebalances"]]
     return all(n > 0 for n in handoff), ", ".join(f"{n} B" for n in handoff)
 
 
@@ -884,14 +572,12 @@ REBALANCE = Experiment(
     run=run_rebalance_bench,
     args=(),
     scales={
-        "report": {"pump_shards": 2},
-        "default": {"pump_shards": 2},
-        "full": {"pump_shards": 4},
+        "report": {"gap_s": 1.0}, "default": {"gap_s": 1.0}, "full": {"gap_s": 3.0},
     },
     render=_render_rebalance,
     expectations=(
-        _replication_restored, _one_cutover_per_op, _minimal_moves,
-        _unmoved_stabilize, _state_moves,
+        _rebalance_safe, _replication_restored, _one_cutover_per_op,
+        _minimal_moves, _unmoved_stabilize, _state_moves,
     ),
 )
 
@@ -899,21 +585,14 @@ REBALANCE = Experiment(
 def _render_flash_crowd(result) -> str:
     config = result["config"]
     rows = []
-    for mode in (result["baseline"], result["controlled"]):
-        counters = mode["counters"]
-        rows.append(
-            (
-                mode["mode"],
-                counters["offered"],
-                counters["sent"] + counters["queued"],
-                counters["shed"],
-                f"{mode['steady_p99_s']:.3f}",
-                f"{mode['peak_p99_s']:.3f}",
-                f"{mode['peak_pending_s']:.3f}",
-                f"{mode['breach_windows']}/{mode['crowd_windows']}",
-                f"{mode['settle_s']:.0f}",
-            )
-        )
+    for mode in ("baseline", "controlled"):
+        run, admission = result[mode], result[mode]["admission"]
+        rows.append((
+            mode, admission.get("admission.offered", run["accepted"]), run["accepted"],
+            admission.get("admission.shed", 0), f"{run['steady_p99_s']:.3f}",
+            f"{run['peak_p99_s']:.3f}", f"{run['peak_pending_s']:.3f}",
+            f"{run['breach_windows']}/{run['crowd_windows']}", f"{run['settle_s']:.0f}",
+        ))
     return format_table(
         [
             "mode", "offered", "accepted", "shed", "steady p99 (s)", "peak p99 (s)",
@@ -921,13 +600,20 @@ def _render_flash_crowd(result) -> str:
         ],
         rows,
         title=(
-            f"{config['crowd_multiplier']:.0f}x flash crowd in "
-            f"{config['crowd_az']} ({config['nodes']} nodes, "
-            f"{config['shard_count']} shards x "
-            f"{config['replication']} owners, "
+            f"{config['crowd_multiplier']:.0f}x flash crowd in {config['crowd_az']} "
+            f"({result['controlled']['nodes']} nodes, "
+            f"{config['link_rate_mbit']} Mbit/s links, "
+            f"admission {config['admit_rate_per_s']:.0f} msg/s, "
             f"target p99 {config['target_p99_s']}s)"
         ),
     )
+
+
+@finding(
+    "no safety invariant is violated", "0 violations of invariants 1-14", kind="exact"
+)
+def _flash_crowd_safe(result):
+    return _no_violation.check([result["baseline"], result["controlled"]])
 
 
 @finding("both runs drain", "every admitted message stabilizes", kind="exact")
@@ -971,31 +657,25 @@ def _controlled_holds(result):
 
 @finding(
     "shedding is explicit, bounded, and never of an admitted message",
-    "0 admitted shed; 0 < shed < offered",
-    kind="exact",
+    "0 admitted shed; 0 < shed < offered", kind="exact",
 )
 def _bounded_shedding(result):
-    controlled = result["controlled"]
-    admission = controlled["admission"]
-    shed, offered = admission["admission.shed"], controlled["counters"]["offered"]
+    admission = result["controlled"]["admission"]
+    shed, offered = admission["admission.shed"], admission["admission.offered"]
     holds = admission["admission.admitted_shed"] == 0 and 0 < shed < offered
     return holds, (
         f"{admission['admission.admitted_shed']:.0f} admitted shed, "
-        f"{shed:.0f} of {offered} shed"
+        f"{shed:.0f} of {offered:.0f} shed"
     )
 
 
 @finding(
     "the controllers react, then walk all the way back",
-    ">= 1 degrade step; every predicate restored",
-    kind="exact",
+    ">= 1 degrade step; every predicate restored", kind="exact",
 )
 def _react_and_restore(result):
-    controlled = result["controlled"]
-    holds = controlled["max_degrade_steps"] >= 1 and controlled["restored"]
-    return holds, (
-        f"{controlled['max_degrade_steps']:.0f} steps, restored {controlled['restored']}"
-    )
+    steps, restored = (result["controlled"][k] for k in ("max_degrade_steps", "restored"))
+    return steps >= 1 and restored, f"{steps:.0f} steps, restored {restored}"
 
 
 FLASH_CROWD = Experiment(
@@ -1004,13 +684,12 @@ FLASH_CROWD = Experiment(
     run=run_overload_bench,
     args=(),
     scales={
-        "report": {"duration_s": 10.0, "crowd_hold_s": 3.0},
-        "default": {"duration_s": 10.0, "crowd_hold_s": 3.0},
-        "full": {"duration_s": 14.0, "crowd_hold_s": 6.0},
+        "report": {"crowd_hold_s": 3.0}, "default": {"crowd_hold_s": 3.0},
+        "full": {"crowd_hold_s": 6.0},
     },
     render=_render_flash_crowd,
     expectations=(
-        _drained, _baseline_breaches, _controlled_holds, _bounded_shedding,
-        _react_and_restore,
+        _flash_crowd_safe, _drained, _baseline_breaches, _controlled_holds,
+        _bounded_shedding, _react_and_restore,
     ),
 )

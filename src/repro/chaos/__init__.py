@@ -43,8 +43,10 @@ keys.  The config class handed to it selects the scenario:
 Everything else a run depends on — send period, payload size, window
 and frame budgets, admission and controller tunings, shard count — is a
 named constant in the scenario's module, next to the reason for its
-value.  Every entry point also takes ``schedule=``, a handcrafted event
-list replacing the generated one.
+value, and the topology (``azs``, ``nodes_per_az``, ``spare_hosts``,
+``link``) is class attributes of the config.  Every entry point also
+takes ``schedule=``, a handcrafted event list replacing the generated
+one.
 
 Everything is deterministic per seed: the same seed reproduces the same
 schedule, the same event interleaving, and the same final frontiers —

@@ -4,8 +4,10 @@ A :class:`ChaosHarness` run is a full experiment — a cluster under
 traffic, faults, and invariants — and what the experiments share lives
 here exactly once:
 
-1. build an AZ topology (plus any spare hosts the scenario provisions),
-   the simulator and network, one cluster-wide flight recorder, and an
+1. build an AZ topology — ``azs`` x ``nodes_per_az`` members plus
+   ``spare_hosts`` non-members, every pair over one ``link``, all four
+   class attributes of the config — the simulator and network, one
+   cluster-wide flight recorder, and an
    :class:`~repro.chaos.invariants.InvariantChecker` wired to dump that
    recorder on the first violation;
 2. generate the seeded fault schedule
@@ -32,6 +34,12 @@ checkpoints), :class:`~repro.chaos.overload.OverloadScenario` and
 The run is deterministic per seed: schedules, event interleavings and
 final frontiers reproduce exactly.  :func:`run_chaos` wraps a run and
 returns the report dict the benchmark and the smoke tests consume.
+
+The repo's benches of these regimes are harness runs too, each with
+its scenario's constants: ``chaos`` on seeded schedules, ``rebalance``
+(two joins, three leaves) and ``flash_crowd`` (one crowd, with and
+without the defences) on handcrafted ones, their config subclasses
+setting only the topology (:mod:`repro.bench.runners.sharding`).
 """
 
 from __future__ import annotations
@@ -71,6 +79,8 @@ class ScenarioConfig:
 
     azs: ClassVar[int] = 3
     nodes_per_az: ClassVar[int] = 2
+    spare_hosts: ClassVar[int] = 0  # non-members ``s<i>``, spread over the AZs
+    link: ClassVar[NetemSpec] = NetemSpec(latency_ms=10, rate_mbit=100)  # any two hosts
     settle_slice_s: ClassVar[float] = 2.0
     max_settle_slices: ClassVar[int] = 60
     # The flight recorder is always on — a failing seed must always come
@@ -98,8 +108,6 @@ class Scenario:
     name: str  # dump-file prefix: ``<name>_failure_<seed>.trace.json``
     rng_salt = 0x5EED  # XOR-ed into the seed for the traffic RNG stream
     send_interval_s = 0.1  # per host
-    link = NetemSpec(latency_ms=10, rate_mbit=100)  # between any two hosts
-    spare_hosts = 0  # provisioned non-members ``s<i>``, spread over the AZs
 
     def __init__(self, harness: "ChaosHarness"):
         self.harness = harness
@@ -150,7 +158,7 @@ class ChaosHarness:
         self.scenario = scenario = config.scenario(self)
         self.groups = config.groups()
         self.node_names = [n for members in self.groups.values() for n in members]
-        self.spares = [f"s{i}" for i in range(scenario.spare_hosts)]
+        self.spares = [f"s{i}" for i in range(config.spare_hosts)]
         self.schedule: List[ChaosEvent] = (
             schedule
             if schedule is not None
@@ -172,7 +180,7 @@ class ChaosHarness:
         # table's row order, and the pinned seeds depend on it.
         self.topo = topo = Topology.uniform(
             {name: az for az, members in self.groups.items() for name in members},
-            scenario.link,
+            config.link,
         )
         for i, name in enumerate(self.spares):
             topo.add_node(name, group=f"az{i % config.azs}")
@@ -244,10 +252,11 @@ class ChaosHarness:
             return  # the host is down; its timer idles until restart
         self.scenario.send(name)
 
-    def guard(self, node, seq: int, key: str, **shard) -> None:
-        """Put a release-verified waiter on ``(seq, key)``."""
+    def guard(self, node, seq: int, key: str, **shard):
+        """Put a release-verified waiter on ``(seq, key)``; returns it."""
         event = self.checker.guarded_waitfor(node, seq, key, timeout_s=60.0, **shard)
         event.add_callback(self._count_timeout)
+        return event
 
     def _count_timeout(self, event) -> None:
         if event.failed:

@@ -48,8 +48,11 @@ WAITER_EVERY = 7  # every n-th admitted send of a node gets a guarded waiter
 WINDOW_BYTES = 8 * 1024
 FRAME_DELAY_MS = 2.0
 # Edge admission: the token-bucket rate sits above the base offered rate
-# (10/s per node) and far below a crowd's, so only surges shed.
-ADMIT_RATE_PER_S = 15.0
+# (10/s per node) and far below a crowd's (100/s), so only surges shed;
+# and high enough that what a crowd gets through still loads a narrow
+# WAN, so the SLA loop has to act (the flash_crowd bench: at 15/s its
+# controllers never take a step).
+ADMIT_RATE_PER_S = 25.0
 # The SLA loop's stability-latency target.
 TARGET_P99_S = 0.5
 CROWD_MULTIPLIER = 10.0  # a flash crowd's send-rate factor...

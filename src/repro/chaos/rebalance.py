@@ -73,13 +73,14 @@ class RebalanceScenario(Scenario):
     """See module docstring."""
 
     name = "rebalance"
-    link = NetemSpec(latency_ms=5, rate_mbit=100)
-    spare_hosts = SPARES
 
     def __init__(self, harness: ChaosHarness):
         super().__init__(harness)
         self._frozen_rejections = 0
         self._rebalance_slices = 0
+        # plan epoch -> the waiters put on shards the active plan does
+        # not move, while its handoff was in flight.
+        self._unmoved_waiters: Dict[int, list] = {}
 
     def schedule_budgets(self) -> dict:
         return {
@@ -149,7 +150,10 @@ class RebalanceScenario(Scenario):
             return
         self.checker.note_sent(name, seq, shard=shard)
         if seq % WAITER_EVERY == 0:
-            self.harness.guard(node, seq, SHARD_STRICT_KEY, shard=shard)
+            event = self.harness.guard(node, seq, SHARD_STRICT_KEY, shard=shard)
+            plan = self.coordinator.active_plan
+            if plan is not None and shard not in plan.moved_shards():
+                self._unmoved_waiters.setdefault(plan.new_epoch, []).append(event)
 
     # -- membership events and crash/restart extras --------------------------------
     def handlers(self) -> Dict[str, Callable[..., None]]:
@@ -196,6 +200,11 @@ class RebalanceScenario(Scenario):
             "cutovers_checked": self.checker.cutovers_checked,
             "unsourced_shards": sum(h["unsourced"] for h in history),
             "frozen_rejections": self._frozen_rejections,
+            # [plan epoch, waiters guarded mid-handoff, of them released]
+            "unmoved_waiters": [
+                [epoch, len(events), sum(event.ok for event in events)]
+                for epoch, events in sorted(self._unmoved_waiters.items())
+            ],
             "rebalance_stats": self.coordinator.stats(),
             **self.harness.stream_report(elapsed_s),
         }
@@ -212,6 +221,8 @@ class RebalanceChaosConfig(ScenarioConfig):
 
     events: int = 8
     azs: ClassVar[int] = 2
+    spare_hosts: ClassVar[int] = SPARES
+    link: ClassVar[NetemSpec] = NetemSpec(latency_ms=5, rate_mbit=100)
     scenario: ClassVar[type] = RebalanceScenario
 
 

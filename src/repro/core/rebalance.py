@@ -299,7 +299,7 @@ class _Rebalance:
 
     __slots__ = (
         "kind", "subject", "plan", "new_config", "phase", "frozen_at",
-        "drain_deadline", "transfers", "unsourced",
+        "drain_deadline", "transfers", "unsourced", "handoff_bytes",
     )
 
     def __init__(self, kind: str, subject: str, plan: RebalancePlan,
@@ -317,6 +317,7 @@ class _Rebalance:
         # exhausted — the joiner builds the shard empty and catch-up
         # replay from co-owner buffers fills in what it can.
         self.unsourced: Set[Tuple[int, str]] = set()
+        self.handoff_bytes = 0  # state blobs sent, retries included
 
 
 class RebalanceCoordinator:
@@ -701,6 +702,7 @@ class RebalanceCoordinator:
                 snapshot_state(source.shards[shard]),
             )
             self._handoff_bytes.inc(size)
+            active.handoff_bytes += size
             state["attempts"] += 1
             state["sent_at"] = self.sim.now
             state["source"] = source_name
@@ -780,7 +782,8 @@ class RebalanceCoordinator:
         self._completed.inc()
         self.history.append(
             {**plan.summary(), "kind": active.kind, "subject": active.subject,
-             "latency_s": latency, "unsourced": len(active.unsourced)}
+             "latency_s": latency, "unsourced": len(active.unsourced),
+             "handoff_bytes": active.handoff_bytes}
         )
         self._active = None
         active.phase = "done"

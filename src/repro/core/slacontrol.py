@@ -143,9 +143,10 @@ class SlaController:
     Parameters
     ----------
     stabilizer:
-        A plain :class:`~repro.core.stabilizer.Stabilizer` (for a
-        :class:`~repro.core.sharding.ShardedStabilizer` use
-        :meth:`install`, which puts one controller on each shard stack).
+        A plain :class:`~repro.core.stabilizer.Stabilizer`, or one stack of
+        a :class:`~repro.core.sharding.ShardedStabilizer` (each shard has
+        its own engine, tables and latency histograms, so each needs its
+        own loop: one controller per item of ``node.stacks()``).
     key:
         The predicate key to control.  Its source at construction time
         is recorded as the *pristine* definition restoration returns to.
@@ -203,21 +204,6 @@ class SlaController:
         self._g_pending.set(0.0)
 
         self._timer = self.sim.call_later(INTERVAL_S, self._tick)
-
-    # ------------------------------------------------------------------ sharded
-    @classmethod
-    def install(cls, node, key: str, target_p99_s: float):
-        """Attach one controller per stack of ``node``, keyed as
-        ``node.stacks()`` keys them: by shard for a
-        :class:`~repro.core.sharding.ShardedStabilizer` (each shard has
-        its own engine, tables, and latency histograms, so each needs its
-        own loop), ``{None: controller}`` for a plain Stabilizer.  A
-        controller is bound to the stack it was built on: it does not
-        follow a shard that a rebalance cutover rebuilds."""
-        return {
-            shard: cls(inner, key, target_p99_s)
-            for shard, inner in sorted(node.stacks().items())
-        }
 
     # ------------------------------------------------------------------ measurement
     def measure(self) -> Dict[str, float]:

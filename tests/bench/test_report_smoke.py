@@ -5,7 +5,10 @@ and the repo's own — runs once at its ``report`` scale, on the
 simulator, so every check is on virtual time and counts and the gate is
 deterministic; each finding that is not a host-time bound is one test
 id.  ``make report-smoke`` selects the module by marker; the ``wall``
-findings are ``benchmarks/``' alone.
+findings are ``benchmarks/``' alone.  The benches that are runs of a
+chaos scenario also carry that scenario's marker, so ``make
+rebalance-smoke`` / ``make overload-smoke`` run a regime's chaos runs and
+its bench together.
 """
 
 import re
@@ -28,6 +31,13 @@ WINDOW_BOUND = {
 }
 
 
+#: Experiment -> the marker of the chaos scenario it runs.
+SCENARIO_MARKS = {
+    "rebalance": pytest.mark.rebalance_smoke,
+    "flash_crowd": pytest.mark.overload_smoke,
+}
+
+
 @pytest.fixture(scope="module")
 def run_once():
     """``run_once(name) -> (result, {metric: Verdict})``, cached."""
@@ -44,18 +54,24 @@ def run_once():
     return lookup
 
 
-@pytest.mark.parametrize("name", experiments())
+def _marks(name):
+    return [SCENARIO_MARKS[name]] if name in SCENARIO_MARKS else []
+
+
+@pytest.mark.parametrize(
+    "name", [pytest.param(name, marks=_marks(name)) for name in experiments()]
+)
 def test_experiment_runs_and_prints(run_once, name):
     result, _verdicts = run_once(name)
     assert experiments()[name].render(result).strip()
 
 
 def _finding(name, finding):
-    marks = ()
+    marks = _marks(name)
     if (name, finding.metric) in WINDOW_BOUND:
-        marks = pytest.mark.xfail(
+        marks.append(pytest.mark.xfail(
             strict=True, reason="ROADMAP, restore Fig. 7's saturation: window-bound"
-        )
+        ))
     slug = re.sub(r"[^A-Za-z0-9]+", "-", finding.metric).strip("-")
     return pytest.param(name, finding.metric, id=f"{name}-{slug}", marks=marks)
 

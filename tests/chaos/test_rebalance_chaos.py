@@ -45,6 +45,12 @@ def test_seeded_rebalance_sweep_is_violation_free(tmp_path, seed):
     assert report["epoch_final"] >= 1
     assert report["cutovers_checked"] >= 1
     assert report["rebalances"]
+    # Each cutover's handoff bytes add up to the coordinator's counter,
+    # and every waiter put on a shard outside a plan mid-handoff released.
+    assert sum(h["handoff_bytes"] for h in report["rebalances"]) == (
+        report["rebalance_stats"]["rebalance.handoff_bytes"]
+    )
+    assert all(guarded == released for _, guarded, released in report["unmoved_waiters"])
 
 
 def test_crash_joiner_mid_handoff(tmp_path):

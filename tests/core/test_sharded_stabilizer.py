@@ -221,7 +221,10 @@ def test_sla_controller_level_and_signals_take_the_worst_stack():
 
     sim, cluster = build(nodes=4, shard_count=4, replication=3)
     node = cluster["n0"]
-    controllers = SlaController.install(node, "all", target_p99_s=0.001)
+    controllers = [
+        SlaController(inner, "all", target_p99_s=0.001)
+        for inner in node.stacks().values()
+    ]
     assert len(controllers) > 1
     owned = node.owned_shards
     for i in range(1000):
@@ -239,7 +242,7 @@ def test_sla_controller_level_and_signals_take_the_worst_stack():
     )
     assert 0 < stats["slacontrol.window_p99_s"] < 0.1
     assert stats["slacontrol.ticks"] == sum(s["slacontrol.ticks"] for s in per_stack)
-    for controller in controllers.values():
+    for controller in controllers:
         controller.close()
     cluster.close()
 

@@ -12,7 +12,7 @@ wiring, not stabilization speed.
 
 import pytest
 
-from repro.core import StabilizerCluster, StabilizerConfig, build_sharded_cluster
+from repro.core import StabilizerCluster, StabilizerConfig
 from repro.core.slacontrol import (
     COOLDOWN_S,
     HEALTHY_TICKS,
@@ -154,31 +154,6 @@ def test_records_pristine_source():
     assert ctrl.original_source == STRICT
     assert ctrl.level == 0 and ctrl.restored()
     cluster.close()
-
-
-def test_install_shapes():
-    sim, net, cluster = build()
-    plain = SlaController.install(cluster["a"], "all", target_p99_s=0.5)
-    assert list(plain) == [None]
-    cluster.close()
-
-    shard_sim = Simulator()
-    topo = Topology()
-    for i, name in enumerate(("a", "b", "c")):
-        topo.add_node(name, f"az{i}")
-    topo.set_default(NetemSpec(latency_ms=5, rate_mbit=100))
-    sharded = build_sharded_cluster(
-        topo.build(shard_sim),
-        {"all": STRICT},
-        shard_count=4,
-        control_interval_s=0.005,
-    )
-    node = sharded["a"]
-    controllers = SlaController.install(node, "all", target_p99_s=0.5)
-    assert sorted(controllers) == sorted(node.shards)
-    for shard, ctrl in controllers.items():
-        assert ctrl.stabilizer is node.shards[shard]
-    sharded.close()
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,8 @@ def _shapes():
     gate = node.set_admission(
         AdmissionController(node, rate_per_s=10.0)
     )
-    SlaController.install(node, "all", target_p99_s=0.001)
+    for inner in node.stacks().values():
+        SlaController(inner, "all", target_p99_s=0.001)
     for i in range(400):
         sim.call_later(
             i * 0.0005, lambda i=i: gate.submit(SyntheticPayload(256), key=f"k{i}")
