@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench bench-full bench-record api-check metrics-doc \
+.PHONY: install test bench bench-full bench-record api-check lint metrics-doc \
         metrics-check verify report perf perf-compare goldens clean
 
 install:
@@ -71,6 +71,14 @@ bench-record:
 api-check:
 	pytest tests/test_public_api.py
 	python -W error::DeprecationWarning -c "import repro"
+
+# The AST lints over src/repro in one run: only the strategy layer imports
+# the ACK tables, every engine has the one shape, every Stabilizer method
+# is classified once on the sharded node, one owner reads the send window,
+# channels open only through accept, and no option (constructor or public
+# function parameter) and no definition exists that only tests reach.
+lint:
+	pytest tests/core/test_import_lint.py
 
 # The metric table in docs/observability.md is rendered from
 # src/repro/obs/catalogue.py: `metrics-doc` rewrites it in place,

@@ -36,19 +36,16 @@ class UploadHandle(NamedTuple):
 class FileBackupService:
     """See module docstring.  One instance per site, over the K/V store."""
 
-    def __init__(self, kv: WanKVStore, install_standard_predicates: bool = True):
+    def __init__(self, kv: WanKVStore):
         self.kv = kv
         self.stabilizer: Stabilizer = kv.stabilizer
         self.sim = kv.sim
         self.name = kv.name
-        if install_standard_predicates:
-            existing = set(self.stabilizer.engine.predicate_keys())
-            config = self.stabilizer.config
-            for key, source in standard_predicates(
-                config.groups, config.local
-            ).items():
-                if key not in existing:
-                    self.stabilizer.register_predicate(key, source)
+        existing = set(self.stabilizer.engine.predicate_keys())
+        config = self.stabilizer.config
+        for key, source in standard_predicates(config.groups, config.local).items():
+            if key not in existing:
+                self.stabilizer.register_predicate(key, source)
 
     # ------------------------------------------------------------------ uploads
     def upload(

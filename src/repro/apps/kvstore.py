@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.core.stabilizer import Stabilizer
-from repro.errors import NotPrimaryError, StorageError
+from repro.errors import NotPrimaryError
 from repro.storage.objectstore import ObjectStore, Value, Version
 
 
@@ -37,13 +37,11 @@ class WanKVStore:
         self,
         stabilizer: Stabilizer,
         store: Optional[ObjectStore] = None,
-        persist_delay_s: float = 0.0,
     ):
         self.stabilizer = stabilizer
         self.sim = stabilizer.sim
         self.name = stabilizer.name
         self.store = store or ObjectStore(clock=lambda: self.sim.now)
-        self.persist_delay_s = persist_delay_s
         self._owners: Dict[str, str] = {}
         # Last update each key received: (origin, seq) — lets readers wait
         # for a stability level on a specific key.
@@ -73,17 +71,6 @@ class WanKVStore:
         result = self.put(key, value)
         return result, self.stabilizer.waitfor(result.seq, predicate_key)
 
-    def delete(self, key: str) -> PutResult:
-        owner = self._owners.get(key)
-        if owner is None:
-            raise StorageError(f"unknown key {key!r}")
-        if owner != self.name:
-            raise NotPrimaryError(f"key {key!r} is owned by {owner!r}")
-        version = self.store.delete(key)
-        seq = self.stabilizer.send(b"", meta=("del", key))
-        self._last_update[key] = (self.name, seq)
-        return PutResult(version, seq)
-
     # ------------------------------------------------------------------ reads
     def get(self, key: str) -> Version:
         """The latest locally known version (own pool or mirror)."""
@@ -109,24 +96,10 @@ class WanKVStore:
 
     # ------------------------------------------------------------------ mirroring
     def _on_remote_update(self, origin: str, seq: int, payload, meta) -> None:
-        if not (isinstance(meta, tuple) and len(meta) == 2):
+        if not (isinstance(meta, tuple) and len(meta) == 2 and meta[0] == "put"):
             return  # not a K/V record (another app shares the stream)
-        kind, key = meta
-        if kind == "put":
-            self._owners[key] = origin
-            self.store._apply(key, payload, tombstone=False, record=True)
-        elif kind == "del":
-            self._owners[key] = origin
-            self.store._apply(key, b"", tombstone=True, record=True)
-        else:
-            return
+        key = meta[1]
+        self._owners[key] = origin
+        self.store._apply(key, payload, record=True)
         self._last_update[key] = (origin, seq)
-        if self.persist_delay_s > 0:
-            self.sim.call_later(
-                self.persist_delay_s, self._report_persisted, origin, seq
-            )
-        else:
-            self._report_persisted(origin, seq)
-
-    def _report_persisted(self, origin: str, seq: int) -> None:
         self.stabilizer.report_stability("persisted", seq, origin=origin)

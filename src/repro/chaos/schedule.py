@@ -6,8 +6,9 @@ schedule.  The generator maintains validity invariants so every schedule
 can actually execute against a cluster:
 
 - a node is only crashed while alive and only restarted while crashed;
-- at most ``max_crashed`` nodes are down simultaneously (the cluster
-  must keep a live majority so traffic and stability keep flowing);
+- fewer than half the nodes (but at least one) are down at a time (the
+  cluster must keep a live majority so traffic and stability keep
+  flowing);
 - at most one partition is active at a time (``Network.heal`` restores
   *every* link, so overlapping partitions would heal together anyway);
 - the schedule ends with a heal and the restart of every crashed node,
@@ -42,6 +43,9 @@ from __future__ import annotations
 import random
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+#: The longest pause between two events, in virtual seconds.
+MAX_GAP_S = 2.0
+
 
 class ChaosEvent(NamedTuple):
     """One scheduled fault transition."""
@@ -61,8 +65,6 @@ def generate_schedule(
     events: int = 12,
     start: float = 1.0,
     min_gap: float = 0.5,
-    max_gap: float = 2.0,
-    max_crashed: Optional[int] = None,
     disk_fault_kinds: Sequence[str] = (),
     spare_nodes: Sequence[str] = (),
     max_leaves: int = 0,
@@ -87,8 +89,7 @@ def generate_schedule(
     if len(groups) < 2:
         raise ValueError("need at least 2 AZs to partition")
     nodes = [n for members in groups.values() for n in members]
-    if max_crashed is None:
-        max_crashed = max(1, (len(nodes) - 1) // 2)
+    max_crashed = max(1, (len(nodes) - 1) // 2)
     if min_members is None:
         min_members = max(2, len(nodes) - max_leaves)
     rng = random.Random(seed)
@@ -109,7 +110,7 @@ def generate_schedule(
     def emit(kind: str, target: Tuple[str, ...]) -> None:
         nonlocal t
         schedule.append(ChaosEvent(round(t, 6), kind, target))
-        t += rng.uniform(min_gap, max_gap)
+        t += rng.uniform(min_gap, MAX_GAP_S)
 
     while len(schedule) < events:
         # Close every open fault before the budget runs out: each crashed

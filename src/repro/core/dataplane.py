@@ -181,7 +181,6 @@ class DataPlane:
         self,
         endpoint: TransportEndpoint,
         config: StabilizerConfig,
-        on_deliver: Optional[DeliverFn] = None,
         on_received: Optional[ReceivedFn] = None,
         on_sent: Optional[SentFn] = None,
         on_arrival: Optional[ArrivalFn] = None,
@@ -190,7 +189,9 @@ class DataPlane:
         self.endpoint = endpoint
         self.sim = endpoint.sim
         self.config = config
-        self.on_deliver = on_deliver
+        # Per delivered message: ``on_deliver(origin, seq, payload, meta)``
+        # — set by the stabilizer once something subscribes to delivery.
+        self.on_deliver: Optional[DeliverFn] = None
         # Per message of an arrived run: ``on_received(origin, seq,
         # payload)`` — the durability layer's ingest point for remote
         # streams (wired only when durability is on).

@@ -58,6 +58,8 @@ from repro.transport.endpoint import TransportEndpoint
 #: ``ShardedStabilizer.on_peer_dead``).
 HANDOFF_PORT = "transport.handoff"
 HANDOFF_CHANNEL = "stab.handoff"
+#: The coordinator's tick, in virtual seconds.
+POLL_INTERVAL_S = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +328,7 @@ class RebalanceCoordinator:
 
     One rebalance runs at a time; further requests queue.  The
     coordinator is a polling state machine on the simulator clock
-    (``poll_interval_s``) — freeze happens synchronously at request
+    (``POLL_INTERVAL_S``) — freeze happens synchronously at request
     time, drain/transfer completion and crash recovery are observed on
     ticks, and the cutover executes within a single tick, i.e. a single
     simulator instant across every member.
@@ -340,7 +342,6 @@ class RebalanceCoordinator:
         drain_timeout_s: float = 5.0,
         transfer_timeout_s: float = 10.0,
         max_transfer_attempts: int = 5,
-        poll_interval_s: float = 0.05,
     ):
         self.cluster = cluster
         self.sim = cluster.sim
@@ -351,7 +352,6 @@ class RebalanceCoordinator:
         self.drain_timeout_s = drain_timeout_s
         self.transfer_timeout_s = transfer_timeout_s
         self.max_transfer_attempts = max_transfer_attempts
-        self.poll_interval_s = poll_interval_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.gauge(
             "rebalance.shards_migrating", fn=self._shards_migrating
@@ -469,7 +469,7 @@ class RebalanceCoordinator:
             kind, subject = self._queue.pop(0)
             self._begin(kind, subject)
         if self._active is not None and self._timer is None:
-            self._timer = self.sim.call_later(self.poll_interval_s, self._tick)
+            self._timer = self.sim.call_later(POLL_INTERVAL_S, self._tick)
 
     def _begin(self, kind: str, subject: str) -> None:
         base = self.cluster.base_config
@@ -590,7 +590,7 @@ class RebalanceCoordinator:
             if active.phase == "cutover":
                 self._try_cutover(active)
         if self._active is not None:
-            self._timer = self.sim.call_later(self.poll_interval_s, self._tick)
+            self._timer = self.sim.call_later(POLL_INTERVAL_S, self._tick)
         elif self._queue:
             self._start_next()
 

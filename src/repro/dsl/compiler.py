@@ -87,9 +87,9 @@ def classify_shortcircuit(ir: Ir) -> Optional[str]:
     return "witness"
 
 
-def generate_source(ir: Ir, function_name: str = "_predicate") -> str:
-    """Emit the Python source for one predicate function."""
-    return f"def {function_name}(t):\n    return {_gen(ir)}\n"
+def generate_source(ir: Ir) -> str:
+    """Emit the Python source for one predicate function, ``_predicate``."""
+    return f"def _predicate(t):\n    return {_gen(ir)}\n"
 
 
 def _gen(ir: Ir) -> str:

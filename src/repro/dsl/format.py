@@ -12,8 +12,6 @@ play:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.dsl.ast import (
     Arith,
     Call,
@@ -68,29 +66,13 @@ def format_ast(node: Node) -> str:
 # ---------------------------------------------------------------------------
 
 
-def format_ir(
-    ir: Ir,
-    node_names: Optional[Sequence[str]] = None,
-    type_names: Optional[Sequence[str]] = None,
-) -> str:
-    """Render expanded IR; names resolve when the context vocab is given."""
-
-    def leaf(item: Leaf) -> str:
-        node = (
-            node_names[item.node]
-            if node_names and item.node < len(node_names)
-            else f"#{item.node + 1}"
-        )
-        type_name = (
-            type_names[item.type_id]
-            if type_names and item.type_id < len(type_names)
-            else f"type{item.type_id}"
-        )
-        return f"ack[{node}].{type_name}"
+def format_ir(ir: Ir, ctx: DslContext) -> str:
+    """Render expanded IR, with the context's node and type names."""
+    type_names = {type_id: name for name, type_id in ctx.types.items()}
 
     def walk(item: Ir) -> str:
         if isinstance(item, Leaf):
-            return leaf(item)
+            return f"ack[{ctx.node_names[item.node]}].{type_names[item.type_id]}"
         if isinstance(item, Const):
             return str(item.value)
         if isinstance(item, ArithIr):
@@ -109,9 +91,4 @@ def format_ir(
 def describe(source: str, ctx: DslContext) -> str:
     """One predicate, both forms — for logs and debugging."""
     ast = parse(source)
-    ir = expand(ast, ctx)
-    type_names = [
-        name for name, _id in sorted(ctx.types.items(), key=lambda kv: kv[1])
-    ]
-    expanded = format_ir(ir, node_names=ctx.node_names, type_names=type_names)
-    return f"{format_ast(ast)}  =>  {expanded}"
+    return f"{format_ast(ast)}  =>  {format_ir(expand(ast, ctx), ctx)}"

@@ -46,21 +46,9 @@ def all_regions(groups: Dict[str, Sequence[str]], local: str) -> str:
     return f"MIN({maxes})"
 
 
-def remote_wnodes_set(exclude: Sequence[str] = ()) -> str:
-    """The set expression for "every remote node", minus ``exclude``.
-
-    ``exclude`` supports the Section III-E pattern: after a crash "the
-    primary can adjust the predicate to eliminate the impact" — drop the
-    suspected nodes from the observation set.
-    """
-    parts = ["$ALLWNODES - $MYWNODE"]
-    parts.extend(f"$WNODE_{_normalize(name)}" for name in exclude)
-    return " - ".join(parts)
-
-
-def one_wnode(exclude: Sequence[str] = ()) -> str:
+def one_wnode() -> str:
     """Stable once any remote WAN node acknowledged."""
-    return f"MAX({remote_wnodes_set(exclude)})"
+    return "MAX($ALLWNODES - $MYWNODE)"
 
 
 def majority_wnodes() -> str:
@@ -69,9 +57,9 @@ def majority_wnodes() -> str:
     return "KTH_MAX(SIZEOF($ALLWNODES)/2 + 1, ($ALLWNODES - $MYWNODE))"
 
 
-def all_wnodes(exclude: Sequence[str] = ()) -> str:
-    """Stable once every remote WAN node (minus ``exclude``) acknowledged."""
-    return f"MIN({remote_wnodes_set(exclude)})"
+def all_wnodes() -> str:
+    """Stable once every remote WAN node acknowledged."""
+    return "MIN($ALLWNODES - $MYWNODE)"
 
 
 def standard_predicates(
@@ -98,16 +86,9 @@ def standard_predicates(
 # $SHARDWNODES == $ALLWNODES.
 
 
-def shard_remote_wnodes_set(exclude: Sequence[str] = ()) -> str:
-    """The set expression for "every remote shard owner", minus ``exclude``."""
-    parts = ["$SHARDWNODES - $MYWNODE"]
-    parts.extend(f"$WNODE_{_normalize(name)}" for name in exclude)
-    return " - ".join(parts)
-
-
-def shard_one_wnode(exclude: Sequence[str] = ()) -> str:
+def shard_one_wnode() -> str:
     """Stable once any remote shard owner acknowledged."""
-    return f"MAX({shard_remote_wnodes_set(exclude)})"
+    return "MAX($SHARDWNODES - $MYWNODE)"
 
 
 def shard_majority_wnodes() -> str:
@@ -116,9 +97,9 @@ def shard_majority_wnodes() -> str:
     return "KTH_MAX(SIZEOF($SHARDWNODES)/2 + 1, ($SHARDWNODES - $MYWNODE))"
 
 
-def shard_all_wnodes(exclude: Sequence[str] = ()) -> str:
-    """Stable once every remote shard owner (minus ``exclude``) acknowledged."""
-    return f"MIN({shard_remote_wnodes_set(exclude)})"
+def shard_all_wnodes() -> str:
+    """Stable once every remote shard owner acknowledged."""
+    return "MIN($SHARDWNODES - $MYWNODE)"
 
 
 def shard_standard_predicates() -> Dict[str, str]:

@@ -15,6 +15,8 @@ from repro.errors import NetworkError
 from repro.net.topology import Network
 
 CROSSTRAFFIC_PORT = "crosstraffic"
+#: The size of one background packet: an Ethernet MTU.
+PACKET_BYTES = 1500
 
 
 class CrossTrafficFlow:
@@ -26,17 +28,15 @@ class CrossTrafficFlow:
         src: str,
         dst: str,
         rate_bps: float,
-        packet_bytes: int = 1500,
     ):
-        if rate_bps <= 0 or packet_bytes <= 0:
-            raise NetworkError("rate and packet size must be positive")
+        if rate_bps <= 0:
+            raise NetworkError("rate must be positive")
         self.net = net
         self.sim = net.sim
         self.src = src
         self.dst = dst
         self.rate_bps = rate_bps
-        self.packet_bytes = packet_bytes
-        self._interval = packet_bytes * 8.0 / rate_bps
+        self._interval = PACKET_BYTES * 8.0 / rate_bps
         self._timer = None
         self._running = False
         self.packets_sent = 0
@@ -60,9 +60,7 @@ class CrossTrafficFlow:
         self._timer = None
         if not self._running:
             return
-        self.net.send(
-            self.src, self.dst, CROSSTRAFFIC_PORT, b"", self.packet_bytes
-        )
+        self.net.send(self.src, self.dst, CROSSTRAFFIC_PORT, b"", PACKET_BYTES)
         self.packets_sent += 1
         self._timer = self.sim.call_later(self._interval, self._tick)
 

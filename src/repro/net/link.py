@@ -57,7 +57,6 @@ class Link:
         jitter_s: float = 0.0,
         loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,
-        up: bool = True,
     ):
         src, dst = source.name, target.name
         if latency_s < 0:
@@ -78,7 +77,7 @@ class Link:
         self.jitter_s = jitter_s
         self.loss_rate = loss_rate
         self.rng = rng
-        self.up = up
+        self.up = True
         self.stats = LinkStats()
         self._busy_until = 0.0
         self._backlog_bytes = 0

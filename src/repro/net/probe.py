@@ -14,6 +14,8 @@ from repro.sim.monitor import Histogram
 
 PING_PORT = "probe.ping"
 IPERF_PORT = "probe.iperf"
+#: The size of one throughput-probe packet.
+IPERF_PACKET_BYTES = 8192
 PING_SIZE_BYTES = 64
 
 
@@ -56,7 +58,6 @@ def measure_throughput(
     src: str,
     dst: str,
     duration_s: float = 5.0,
-    packet_bytes: int = 8192,
 ) -> float:
     """Blast packets for ``duration_s``; returns goodput in bits/second.
 
@@ -79,7 +80,7 @@ def measure_throughput(
         # Keep at most a small backlog queued so the run ends promptly.
         while sim.now < end:
             while link.queueing_delay() < 0.05 and sim.now < end:
-                net.send(src, dst, IPERF_PORT, b"x", packet_bytes)
+                net.send(src, dst, IPERF_PORT, b"x", IPERF_PACKET_BYTES)
             yield 0.01
 
     proc = sim.spawn(feeder(), name=f"iperf:{src}->{dst}")

@@ -35,13 +35,16 @@ DEFAULT_WINDOWS: Tuple[Tuple[float, float, float], ...] = (
     (1.0, 10.0, 14.4),
     (5.0, 30.0, 6.0),
 )
+#: Both windows need this many observations before a rule can fire — one
+#: unlucky first sample is not a 100% error ratio.
+MIN_SAMPLES = 5
 
 
 class SloRule:
     """One SLO: observations of ``series`` should be ≤ ``threshold``."""
 
     __slots__ = (
-        "name", "series", "threshold", "target", "windows", "min_samples",
+        "name", "series", "threshold", "target", "windows",
     )
 
     def __init__(
@@ -51,7 +54,6 @@ class SloRule:
         threshold: float,
         target: float = 0.99,
         windows: Sequence[Tuple[float, float, float]] = DEFAULT_WINDOWS,
-        min_samples: int = 5,
     ):
         if not 0.0 < target < 1.0:
             raise ValueError("target must be in (0, 1)")
@@ -62,9 +64,6 @@ class SloRule:
         self.threshold = threshold
         self.target = target
         self.windows = tuple(windows)
-        #: Both windows need this many observations before the rule can
-        #: fire — one unlucky first sample is not a 100% error ratio.
-        self.min_samples = min_samples
 
     @property
     def error_budget(self) -> float:
@@ -131,8 +130,8 @@ class SloAlerter:
     """Evaluates :class:`SloRule`\\ s over live observations.
 
     One instance per node; ``clock`` is the virtual clock.  Alert state
-    transitions invoke ``on_alert(alert, fired: bool)`` and emit
-    ``alert.fire`` / ``alert.resolve`` tracer events.
+    transitions land in ``history`` and emit ``alert.fire`` /
+    ``alert.resolve`` tracer events.
     """
 
     def __init__(
@@ -141,13 +140,11 @@ class SloAlerter:
         rules: Sequence[SloRule],
         tracer=None,
         node: str = "",
-        on_alert: Optional[Callable[["Alert", bool], None]] = None,
     ):
         self.clock = clock
         self.rules = list(rules)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.node = node
-        self.on_alert = on_alert
         self.fired = 0
         self.resolved = 0
         self.history: List[Alert] = []
@@ -210,8 +207,8 @@ class SloAlerter:
             # factor; resolve when the short window cools (standard
             # fast-resolve behaviour).
             should_fire = (
-                len(short.events) >= rule.min_samples
-                and len(long_.events) >= rule.min_samples
+                len(short.events) >= MIN_SAMPLES
+                and len(long_.events) >= MIN_SAMPLES
                 and burn_short >= factor
                 and burn_long >= factor
             )
@@ -229,8 +226,6 @@ class SloAlerter:
                         burn_short=round(burn_short, 3),
                         burn_long=round(burn_long, 3),
                     )
-                if self.on_alert is not None:
-                    self.on_alert(alert, True)
             elif alert is not None and burn_short < factor:
                 alert.resolved_at = now
                 del self._active[key]
@@ -242,8 +237,6 @@ class SloAlerter:
                         window_s=pair[1],
                         burn_short=round(burn_short, 3),
                     )
-                if self.on_alert is not None:
-                    self.on_alert(alert, False)
             elif alert is not None:
                 alert.burn_short = burn_short
                 alert.burn_long = burn_long

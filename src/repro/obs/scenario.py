@@ -29,6 +29,12 @@ from repro.transport.messages import SyntheticPayload
 STRICT_KEY = "all_remote"
 RELAXED_KEY = "any_remote"
 DURABLE_KEY = "durable_all"
+#: Each node sends one message per interval (virtual seconds).
+SEND_INTERVAL_S = 0.02
+#: The trace ring's size, in events.
+TRACE_CAPACITY = 65536
+#: How often a metrics snapshot is streamed (virtual seconds).
+SNAPSHOT_INTERVAL_S = 0.25
 
 
 def run_obs_scenario(
@@ -37,13 +43,10 @@ def run_obs_scenario(
     seed: int = 0,
     durability: bool = False,
     payload_bytes: int = 512,
-    send_interval_s: float = 0.02,
     latency_ms: float = 10.0,
     tracer: Optional[Tracer] = None,
-    trace_capacity: int = 65536,
     sample_shift: int = 0,
     snapshots_out: Optional[str] = None,
-    snapshot_interval_s: float = 0.25,
     slo_threshold_s: Optional[float] = None,
 ) -> Dict[str, object]:
     """Run the scenario; returns stats snapshots and the trace ring.
@@ -66,7 +69,7 @@ def run_obs_scenario(
     net = topo.build(sim, RngRegistry(seed))
     if tracer is None:
         tracer = Tracer(
-            clock=sim.clock, capacity=trace_capacity, enabled=True,
+            clock=sim.clock, capacity=TRACE_CAPACITY, enabled=True,
             sample_shift=sample_shift, sample_seed=seed,
         )
     predicates = {
@@ -126,26 +129,26 @@ def run_obs_scenario(
             )
             for alerter in alerters.values():
                 alerter.evaluate()
-            sim.call_later(snapshot_interval_s, snapshot_tick)
+            sim.call_later(SNAPSHOT_INTERVAL_S, snapshot_tick)
 
-        sim.call_later(snapshot_interval_s, snapshot_tick)
+        sim.call_later(SNAPSHOT_INTERVAL_S, snapshot_tick)
 
     per_node = max(1, messages // nodes)
 
     def send_tick(name: str, remaining: int) -> None:
         cluster[name].send(SyntheticPayload(payload_bytes))
         if remaining > 1:
-            sim.call_later(send_interval_s, send_tick, name, remaining - 1)
+            sim.call_later(SEND_INTERVAL_S, send_tick, name, remaining - 1)
 
     for i, name in enumerate(names):
         # Stagger first sends so streams do not tick in lockstep.
         sim.call_later(
-            send_interval_s * (i + 1) / nodes, send_tick, name, per_node
+            SEND_INTERVAL_S * (i + 1) / nodes, send_tick, name, per_node
         )
 
     # Drain: every node's own last message covered by the strict
     # predicate *at that node* (which implies every remote received it).
-    sim.run(until=send_interval_s * per_node + 1.0)
+    sim.run(until=SEND_INTERVAL_S * per_node + 1.0)
     drain_key = DURABLE_KEY if durability else STRICT_KEY
     for name in names:
         node = cluster[name]

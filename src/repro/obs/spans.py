@@ -287,12 +287,12 @@ class SpanNode:
 
     __slots__ = ("name", "node", "start", "end", "children", "meta")
 
-    def __init__(self, name, node, start, end, children=None, meta=None):
+    def __init__(self, name, node, start, end, meta=None):
         self.name = name
         self.node = node
         self.start = start
         self.end = end
-        self.children: List["SpanNode"] = children or []
+        self.children: List["SpanNode"] = []
         self.meta: Dict[str, object] = meta or {}
 
     @property

@@ -16,7 +16,7 @@ than the run length.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -31,13 +31,11 @@ class StabilityInstruments:
         registry: MetricsRegistry,
         clock: Callable[[], float],
         node: str,
-        buckets: Optional[Sequence[float]] = None,
         prefix: str = "stability_latency",
     ):
         self.registry = registry
         self.clock = clock
         self.node = node
-        self.buckets = buckets
         self.prefix = prefix
         self._send_times: Dict[int, float] = {}
         self._send_order: deque = deque()  # seqs in send order, for GC
@@ -71,7 +69,7 @@ class StabilityInstruments:
             self._covered[key] = covered = 0
         if frontier <= covered:
             return
-        hist = self.registry.histogram(f"{self.prefix}.{key}", self.buckets)
+        hist = self.registry.histogram(f"{self.prefix}.{key}")
         now = self.clock()
         send_times = self._send_times
         samples = [
@@ -118,7 +116,7 @@ class StabilityInstruments:
             self._send_times.pop(order.popleft(), None)
 
     def summary(self, key: str) -> Dict[str, float]:
-        return self.registry.histogram(f"{self.prefix}.{key}", self.buckets).summary()
+        return self.registry.histogram(f"{self.prefix}.{key}").summary()
 
     def summaries(self) -> Dict[str, Dict[str, float]]:
         return {key: self.summary(key) for key in sorted(self._covered)}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import PaxosError
 from repro.net.topology import Network
@@ -20,7 +20,6 @@ class PaxosCluster:
         self,
         net: Network,
         leader: str,
-        quorum_size: Optional[int] = None,
         window: int = 128,
     ):
         self.net = net
@@ -28,7 +27,6 @@ class PaxosCluster:
         self.config = PaxosConfig(
             net.topology.node_names(),
             leader=leader,
-            quorum_size=quorum_size,
             window=window,
         )
         self.replicas: Dict[str, PaxosReplica] = {}

@@ -27,35 +27,33 @@ from repro.transport.endpoint import TransportEndpoint
 from repro.transport.messages import Payload, SyntheticPayload
 
 PAXOS_CHANNEL = "paxos"
+#: How long the leader batches chosen instances before it broadcasts
+#: their commits (virtual seconds).
+COMMIT_INTERVAL_S = 0.01
 
 ApplyFn = Callable[[int, Payload, object], None]
 
 
 class PaxosConfig:
-    """Deployment settings shared by every replica."""
+    """Deployment settings shared by every replica; a quorum is a
+    majority of them."""
 
     def __init__(
         self,
         node_names: Sequence[str],
         leader: str,
-        quorum_size: Optional[int] = None,
         window: int = 128,
-        commit_interval_s: float = 0.01,
     ):
         if leader not in node_names:
             raise PaxosError(f"leader {leader!r} not in node list")
         if len(set(node_names)) != len(node_names):
             raise PaxosError("duplicate node names")
-        n = len(node_names)
         self.node_names = list(node_names)
         self.leader = leader
-        self.quorum_size = quorum_size if quorum_size is not None else n // 2 + 1
-        if not 1 <= self.quorum_size <= n:
-            raise PaxosError(f"quorum size {self.quorum_size} out of range 1..{n}")
+        self.quorum_size = len(node_names) // 2 + 1
         if window <= 0:
             raise PaxosError("window must be positive")
         self.window = window
-        self.commit_interval_s = commit_interval_s
 
     def node_index(self, name: str) -> int:
         return self.node_names.index(name)
@@ -283,7 +281,7 @@ class PaxosReplica:
         if self._commit_timer is not None:
             return
         self._commit_timer = self.sim.call_later(
-            self.config.commit_interval_s, self._broadcast_commit
+            COMMIT_INTERVAL_S, self._broadcast_commit
         )
 
     def _broadcast_commit(self) -> None:

@@ -14,7 +14,7 @@ attributes two behaviours to it:
    link to the remote broker is temporarily inaccessible it turns out that
    the local broker will silently abandon sending the message."  With
    ``buffer_fix=False`` a publish towards a link whose backlog exceeds
-   ``drop_backlog_s`` seconds is dropped; ``buffer_fix=True`` reproduces
+   ``DROP_BACKLOG_S`` seconds is dropped; ``buffer_fix=True`` reproduces
    the paper's modification ("introduces buffering and ensures that Pulsar
    continues to try, eventually sending all messages and preserving sender
    order").
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import PubSubError
 from repro.net.topology import Network
 from repro.transport.endpoint import TransportEndpoint
 from repro.transport.messages import Payload, SyntheticPayload, payload_length
@@ -37,47 +36,41 @@ PULSAR_PORT = "pulsar.transport"
 DATA_CHANNEL = "pulsar.data"
 ACK_CHANNEL = "pulsar.ack"
 ACK_BYTES = 24
+#: A link whose queue holds more than this many seconds of traffic is
+#: "temporarily inaccessible" to a broker without the buffering fix.
+DROP_BACKLOG_S = 1.0
+
+# The GC model approximates a busy JVM broker: ~3 bytes allocated per
+# payload byte (serialization copies), an 8 MB surviving-allocation budget
+# per collection, and pauses that start around 12 ms and stretch as the
+# old generation fills.
+ALLOC_FACTOR = 3.0
+YOUNG_GEN_BYTES = 8e6
+BASE_PAUSE_S = 0.012
+PAUSE_GROWTH_S = 0.0008
+MAX_PAUSE_S = 0.12
+CPU_PER_MESSAGE_S = 0.00002
 
 MessageFn = Callable[[str, int, Payload, object], None]
 
 
 class GcModel:
-    """Stop-the-world pauses driven by allocation volume.
+    """Stop-the-world pauses driven by allocation volume (the constants
+    above)."""
 
-    Defaults approximate a busy JVM broker: ~3 bytes allocated per payload
-    byte (serialization copies), an 8 MB surviving-allocation budget per
-    collection, and pauses that start around 12 ms and stretch as the old
-    generation fills.
-    """
-
-    def __init__(
-        self,
-        alloc_factor: float = 3.0,
-        young_gen_bytes: float = 8e6,
-        base_pause_s: float = 0.012,
-        pause_growth_s: float = 0.0008,
-        max_pause_s: float = 0.12,
-        cpu_per_message_s: float = 0.00002,
-    ):
-        self.alloc_factor = alloc_factor
-        self.young_gen_bytes = young_gen_bytes
-        self.base_pause_s = base_pause_s
-        self.pause_growth_s = pause_growth_s
-        self.max_pause_s = max_pause_s
-        self.cpu_per_message_s = cpu_per_message_s
+    def __init__(self):
         self._allocated = 0.0
         self.collections = 0
         self.total_pause_s = 0.0
 
     def process(self, size_bytes: int) -> float:
         """CPU + GC time charged for handling one message of this size."""
-        cost = self.cpu_per_message_s
-        self._allocated += size_bytes * self.alloc_factor
-        if self._allocated >= self.young_gen_bytes:
-            self._allocated -= self.young_gen_bytes
+        cost = CPU_PER_MESSAGE_S
+        self._allocated += size_bytes * ALLOC_FACTOR
+        if self._allocated >= YOUNG_GEN_BYTES:
+            self._allocated -= YOUNG_GEN_BYTES
             pause = min(
-                self.base_pause_s + self.pause_growth_s * self.collections,
-                self.max_pause_s,
+                BASE_PAUSE_S + PAUSE_GROWTH_S * self.collections, MAX_PAUSE_S
             )
             self.collections += 1
             self.total_pause_s += pause
@@ -126,7 +119,7 @@ class PulsarBroker:
             link = self.net.link(self.name, peer)
             inaccessible = (
                 not link.up
-                or link.queueing_delay() > self.cluster.drop_backlog_s
+                or link.queueing_delay() > DROP_BACKLOG_S
             )
             if inaccessible and not self.cluster.buffer_fix:
                 self.dropped += 1  # Pulsar's silent abandon
@@ -176,14 +169,10 @@ class PulsarCluster:
         net: Network,
         gc_enabled: bool = True,
         buffer_fix: bool = True,
-        drop_backlog_s: float = 1.0,
     ):
-        if drop_backlog_s <= 0:
-            raise PubSubError("drop_backlog_s must be positive")
         self.net = net
         self.gc_enabled = gc_enabled
         self.buffer_fix = buffer_fix
-        self.drop_backlog_s = drop_backlog_s
         self.brokers: Dict[str, PulsarBroker] = {}
         for name in net.topology.node_names():
             self.brokers[name] = PulsarBroker(net, name, self)

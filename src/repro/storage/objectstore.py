@@ -34,7 +34,6 @@ class Version(NamedTuple):
     value: Value
     version: int  # per-key, 1-based
     timestamp: float  # store-level time of the put
-    tombstone: bool = False
 
 
 class ObjectStore:
@@ -68,19 +67,12 @@ class ObjectStore:
             raise StorageError(
                 f"values are bytes or SyntheticPayload, got {type(value).__name__}"
             )
-        return self._apply(key, value, tombstone=False, record=True)
-
-    def delete(self, key: str) -> Version:
-        """Write a tombstone version (the key's history is preserved)."""
-        if key not in self._history:
-            raise StorageError(f"unknown key {key!r}")
-        return self._apply(key, b"", tombstone=True, record=True)
+        return self._apply(key, value, record=True)
 
     def _apply(
         self,
         key: str,
-        value: bytes,
-        tombstone: bool,
+        value: Value,
         record: bool,
         timestamp: Optional[float] = None,
     ) -> Version:
@@ -91,7 +83,6 @@ class ObjectStore:
             value=value,
             version=next_version,
             timestamp=self._clock() if timestamp is None else timestamp,
-            tombstone=tombstone,
         )
         history.append(version)
         self.puts += 1
@@ -100,13 +91,7 @@ class ObjectStore:
                 encoded = {"synthetic": value.length}
             else:
                 encoded = {"value": value.hex()}
-            encoded.update(
-                {
-                    "key": key,
-                    "tombstone": tombstone,
-                    "timestamp": version.timestamp,
-                }
-            )
+            encoded.update({"key": key, "timestamp": version.timestamp})
             self._log.append(json.dumps(encoded).encode())
         for watcher in self._watchers:
             watcher(key, version)
@@ -114,11 +99,11 @@ class ObjectStore:
 
     # -- reads ------------------------------------------------------------------
     def get(self, key: str) -> Version:
-        """The latest version of ``key`` (raises on missing/deleted)."""
-        version = self._latest(key)
-        if version.tombstone:
-            raise StorageError(f"key {key!r} is deleted")
-        return version
+        """The latest version of ``key`` (raises on a missing key)."""
+        history = self._history.get(key)
+        if not history:
+            raise StorageError(f"unknown key {key!r}")
+        return history[-1]
 
     def get_by_time(self, key: str, timestamp: float) -> Version:
         """The version that was current at ``timestamp`` (Derecho's
@@ -139,20 +124,13 @@ class ObjectStore:
         return candidate
 
     def contains(self, key: str) -> bool:
-        history = self._history.get(key)
-        return bool(history) and not history[-1].tombstone
+        return key in self._history
 
     def keys(self) -> List[str]:
-        return [k for k in self._history if self.contains(k)]
+        return list(self._history)
 
     def history(self, key: str) -> List[Version]:
         return list(self._history.get(key, ()))
-
-    def _latest(self, key: str) -> Version:
-        history = self._history.get(key)
-        if not history:
-            raise StorageError(f"unknown key {key!r}")
-        return history[-1]
 
     # -- watchers ----------------------------------------------------------------
     def watch(self, fn: WatchFn) -> None:
@@ -171,7 +149,6 @@ class ObjectStore:
                 self._apply(
                     entry["key"],
                     value,
-                    tombstone=entry["tombstone"],
                     record=False,
                     timestamp=entry["timestamp"],
                 )

@@ -19,7 +19,6 @@ from repro.workloads.filesizes import bounded_lognormal
 from repro.workloads.rates import (
     FlashCrowdShape,
     constant_rate,
-    flash_crowd,
     poisson_rate,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "TraceRecord",
     "bounded_lognormal",
     "constant_rate",
-    "flash_crowd",
     "poisson_rate",
     "synthesize_trace",
     "trace_stats",

@@ -11,13 +11,15 @@ import random
 
 from repro.errors import ConfigError
 
+#: The smallest size a draw returns: no file is emptier than a header.
+FLOOR_BYTES = 128
+
 
 def bounded_lognormal(
     rng: random.Random,
     median_bytes: float,
     sigma: float,
     cap_bytes: float,
-    floor_bytes: float = 128,
 ) -> int:
     """One draw from a log-normal with the given median, clamped.
 
@@ -28,4 +30,4 @@ def bounded_lognormal(
         raise ConfigError("invalid lognormal parameters")
     mu = math.log(median_bytes)
     value = rng.lognormvariate(mu, sigma)
-    return int(min(max(value, floor_bytes), cap_bytes))
+    return int(min(max(value, FLOOR_BYTES), cap_bytes))

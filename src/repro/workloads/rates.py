@@ -110,31 +110,3 @@ class FlashCrowdShape:
         frac = dt / self.decay_s if self.decay_s else 1.0
         return self.peak_rate - (self.peak_rate - self.base_rate) * frac
 
-
-def flash_crowd(
-    sim: Simulator,
-    shape: FlashCrowdShape,
-    duration_s: float,
-    send: SendFn,
-) -> Process:
-    """Open-loop sender following ``shape`` for ``duration_s`` seconds.
-
-    Like :func:`constant_rate` but with a time-varying rate: each
-    inter-send gap is ``1 / shape.rate_at(now)``, so the instantaneous
-    rate tracks the trapezoid.  Open loop — the crowd does not slow
-    down because the system is hurting, which is the whole point.
-    """
-    if duration_s <= 0:
-        raise ConfigError("duration must be positive")
-    deadline = sim.now + duration_s
-
-    def runner():
-        index = 0
-        while sim.now < deadline:
-            send(index)
-            index += 1
-            yield 1.0 / shape.rate_at(sim.now)
-
-    process = sim.spawn(runner(), name=f"flash-crowd-{shape.peak_rate}")
-    process.add_callback(lambda _e: None)
-    return process

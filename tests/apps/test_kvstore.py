@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import WanKVStore
 from repro.core import StabilizerCluster, StabilizerConfig
-from repro.errors import NotPrimaryError, StorageError
+from repro.errors import NotPrimaryError
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 from repro.transport.messages import SyntheticPayload
@@ -79,26 +79,6 @@ def test_put_wait_majority():
     assert kv.get_stability_frontier("MajorityWNodes") >= result.seq
 
 
-def test_delete_propagates_tombstone():
-    sim, net, stores = build()
-    stores["east1"].put("k", b"v")
-    sim.run(until=1.0)
-    stores["east1"].delete("k")
-    sim.run(until=2.0)
-    for name in NODES:
-        assert not stores[name].store.contains("k")
-
-
-def test_delete_requires_ownership():
-    sim, net, stores = build()
-    stores["east1"].put("k", b"v")
-    sim.run(until=1.0)
-    with pytest.raises(NotPrimaryError):
-        stores["west1"].delete("k")
-    with pytest.raises(StorageError):
-        stores["east1"].delete("never-existed")
-
-
 def test_persisted_acks_reported_by_mirrors():
     sim, net, stores = build()
     kv = stores["east1"]
@@ -108,26 +88,6 @@ def test_persisted_acks_reported_by_mirrors():
     result, stable = kv.put_wait("k", b"v", "persisted_all")
     sim.run_until_triggered(stable, limit=2.0)
     assert kv.get_stability_frontier("persisted_all") >= result.seq
-
-
-def test_persist_delay_defers_persisted_level():
-    sim, net, stores = build()
-    # Rebuild west1's store with a persist delay.
-    kv = stores["east1"]
-    kv.register_predicate("recv_all", "MIN($ALLWNODES - $MYWNODE)")
-    kv.register_predicate(
-        "persist_all", "MIN(($ALLWNODES - $MYWNODE).persisted)"
-    )
-    for name in ("east2", "west1", "west2"):
-        stores[name].persist_delay_s = 0.2
-    result, _ = kv.put_wait("k", b"v")
-    times = {}
-    for key in ("recv_all", "persist_all"):
-        kv.stabilizer.waitfor(result.seq, key).add_callback(
-            lambda e, _k=key: times.setdefault(_k, sim.now)
-        )
-    sim.run(until=3.0)
-    assert times["persist_all"] >= times["recv_all"] + 0.2
 
 
 def test_synthetic_values_flow_end_to_end():

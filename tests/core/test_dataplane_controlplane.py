@@ -107,11 +107,8 @@ def test_dataplane_first_contact_adopts_stream_position():
     origin's current position (state transfer covers the past)."""
     sim, net = build_net()
     delivered = []
-    dp = DataPlane(
-        TransportEndpoint(net, "y"),
-        config(local="y"),
-        on_deliver=lambda origin, seq, payload, meta: delivered.append(seq),
-    )
+    dp = DataPlane(TransportEndpoint(net, "y"), config(local="y"))
+    dp.on_deliver = lambda origin, seq, payload, meta: delivered.append(seq)
     arrive(dp, "x", b"late joiner", (42, 7, 0, 1, None))
     assert dp.highest_received("x") == 42
     assert delivered == [42]
@@ -128,10 +125,10 @@ def test_dataplane_delivery_and_received_callbacks():
     receiver = DataPlane(
         TransportEndpoint(net, "y"),
         config(local="y", chunk_bytes=1000),
-        on_deliver=lambda origin, seq, payload, meta: delivered.append(
-            (origin, seq, payload, meta)
-        ),
         on_received=lambda origin, seq, payload: received.append(seq),
+    )
+    receiver.on_deliver = lambda origin, seq, payload, meta: delivered.append(
+        (origin, seq, payload, meta)
     )
     sender.send(SyntheticPayload(2500), meta="file-1")
     sim.run(until=1.0)

@@ -35,9 +35,9 @@ def wire(sim, net, **kwargs):
     dp_y = DataPlane(
         TransportEndpoint(net, "y"),
         config("y", **kwargs),
-        on_deliver=lambda o, s, p, m: delivered.append((o, s, p, m)),
         on_received=lambda o, s, p: received.append(s),
     )
+    dp_y.on_deliver = lambda o, s, p, m: delivered.append((o, s, p, m))
     return dp_x, dp_y, delivered, received
 
 

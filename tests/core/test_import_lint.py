@@ -406,22 +406,15 @@ def test_channel_lint_catches_each_bypass():
 
 
 # ---------------------------------------------------------------------------
-# No option only tests set: every keyword parameter of the option-heavy
-# constructors is passed by some module outside tests/, or is a deployment
-# setting kept configurable on purpose.
+# No option only tests set: every defaulted parameter of a constructor in
+# src/repro, and of a public module-level function outside repro.bench, is
+# passed by some module outside tests/, or is kept configurable on purpose.
 # ---------------------------------------------------------------------------
 
-#: Constructor -> its defining module (whose own mentions do not count).
-OPTION_CLASSES = {
-    "StabilizerConfig": "src/repro/core/config.py",
-    "FifoChannel": "src/repro/transport/fifo.py",
-    "SlaController": "src/repro/core/slacontrol.py",
-    "AdmissionController": "src/repro/core/admission.py",
-    "CircuitBreaker": "src/repro/core/admission.py",
-    "TokenBucket": "src/repro/core/admission.py",
-}
 #: Where a caller that sets an option may live.
 OPTION_USERS = ("src", "perf", "benchmarks", "examples")
+#: The bench drivers' parameters are the scale axis of the Experiment table.
+BENCH = "src/repro/bench/"
 #: Options no caller outside tests/ sets, kept on purpose, with the reason.
 KEPT_OPTIONS = {
     ("StabilizerConfig", "max_buffer_bytes"):
@@ -433,29 +426,74 @@ KEPT_OPTIONS = {
     ("StabilizerConfig", "shard_owners"):
         "deployment placement: an explicit shard -> owners assignment",
     ("StabilizerConfig", "shard_id"):
-        "derived: shard_view sets it on the slice a shard stack runs on",
+        "plumbing: shard_view sets it on the slice a shard stack runs on",
+    ("ObjectStore", "log"):
+        "deployment persistence target: the log a store recovers from",
+    ("StabilizerBroker", "log"):
+        "deployment persistence target: the log a broker recovers from",
+    ("WanKVStore", "store"):
+        "deployment persistence target: a K/V store recovered from its log",
+    ("MemoryFileSystem", "injector"):
+        "test fake's control: the faults the fake disk injects",
+    ("ShardedStabilizer", "pending_shards"):
+        "plumbing: ShardedCluster._restart_args passes it from core/sharding.py",
+    ("ShardedStabilizer", "shard_epochs"):
+        "plumbing: ShardedCluster._restart_args passes it from core/sharding.py",
 }
 
 
-def _options(tree, cls):
-    """The keyword parameters (those with a default) of ``cls.__init__``."""
-    init = next(
-        item for item in _class_body(tree, cls)
-        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
-    )
-    args = init.args
+def _defaulted(args, skip_self):
+    """(position, name) of each parameter of ``args`` that has a default;
+    keyword-only ones have no position (``None``)."""
     positional = args.posonlyargs + args.args
-    with_default = positional[len(positional) - len(args.defaults):]
-    return [arg.arg for arg in with_default] + [
-        arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+    first = len(positional) - len(args.defaults)
+    found = [
+        (index - skip_self, arg.arg)
+        for index, arg in enumerate(positional) if index >= first
+    ]
+    return found + [
+        (None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
         if default is not None
     ]
 
 
-def _passed_names(tree):
-    """Every keyword-argument name and every string dict key in ``tree``."""
-    names = set()
+def _option_holders(tree, rel):
+    """(callee name, [(position, option)]) for every class ``__init__`` in
+    the module and, outside repro.bench, every public module-level
+    function."""
+    holders = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    holders.append((node.name, _defaulted(item.args, skip_self=1)))
+    if not rel.startswith(BENCH):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                holders.append((node.name, _defaulted(node.args, skip_self=0)))
+    return holders
+
+
+def _scoped(tree):
+    """Yield ``(node, names of the defs and classes it sits in)`` for every
+    node of ``tree``: a call or read of a name inside the definition of
+    that name is the definition reaching itself, not a caller."""
+    stack = [(tree, frozenset())]
+    while stack:
+        node, around = stack.pop()
+        yield node, around
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            around = around | {node.name}
+        stack.extend((child, around) for child in ast.iter_child_nodes(node))
+
+
+def _passed(tree):
+    """What ``tree`` sets: every keyword-argument name and string dict
+    key, and, per callee name, the most leading positional arguments a
+    call outside the callee's own definition passes (a ``*args`` sets
+    nothing from where it stands)."""
+    names, positional = set(), {}
+    for node, around in _scoped(tree):
         if isinstance(node, ast.keyword) and node.arg is not None:
             names.add(node.arg)
         elif isinstance(node, ast.Dict):
@@ -463,22 +501,51 @@ def _passed_names(tree):
                 key.value for key in node.keys
                 if isinstance(key, ast.Constant) and isinstance(key.value, str)
             )
-    return names
+        elif isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            count = next(
+                (i for i, arg in enumerate(node.args) if isinstance(arg, ast.Starred)),
+                len(node.args),
+            )
+            if callee and callee not in around and count:
+                positional[callee] = max(positional.get(callee, 0), count)
+    return names, positional
+
+
+@functools.lru_cache(maxsize=None)
+def _option_scan(rel, source):
+    """(option holders, what it sets) of one module; cached, since the
+    self-tests rescan every module but one."""
+    tree = ast.parse(source)
+    holders = _option_holders(tree, rel) if rel.startswith("src/repro/") else []
+    return holders, _passed(tree)
+
+
+def _options_in(sources):
+    """``sources`` maps a repo-relative path to module source; yields
+    ``(path, callee, position, option)`` for every option under src/repro."""
+    for rel, source in sources.items():
+        for callee, options in _option_scan(rel, source)[0]:
+            for position, option in options:
+                yield rel, callee, position, option
 
 
 def _unset_options(sources):
-    """``sources`` maps a repo-relative path to module source; returns
-    ``Class.option`` for every option no other module passes and
-    ``KEPT_OPTIONS`` does not name."""
-    trees = {rel: ast.parse(source) for rel, source in sources.items()}
-    passed = {rel: _passed_names(tree) for rel, tree in trees.items()}
+    """``callee.option`` for every option that ``KEPT_OPTIONS`` does not
+    name and that nothing sets: no module but its defining one passes it
+    by name, and no call outside its own definition passes it by
+    position."""
+    passed = {rel: _option_scan(rel, source)[1] for rel, source in sources.items()}
     unset = []
-    for cls, home in OPTION_CLASSES.items():
-        for option in _options(trees[home], cls):
-            if (cls, option) in KEPT_OPTIONS:
-                continue
-            if not any(option in names for rel, names in passed.items() if rel != home):
-                unset.append(f"{cls}.{option}")
+    for home, callee, position, option in _options_in(sources):
+        if (callee, option) in KEPT_OPTIONS:
+            continue
+        if not any(
+            (option in names and rel != home)
+            or (position is not None and positional.get(callee, 0) > position)
+            for rel, (names, positional) in passed.items()
+        ):
+            unset.append(f"{callee}.{option}")
     return unset
 
 
@@ -500,16 +567,18 @@ def test_no_option_only_tests_set():
 
 
 def test_kept_options_are_real_options():
-    """The exemption table must not rot: each entry is still an option."""
-    sources = _option_sources()
-    for cls, option in KEPT_OPTIONS:
-        home = OPTION_CLASSES[cls]
-        assert option in _options(ast.parse(sources[home]), cls), (cls, option)
+    """The exemption table must not rot: each entry is still an option,
+    and each reason is a deployment setting, a test fake's control or
+    plumbing."""
+    options = {(callee, option) for _rel, callee, _pos, option in _options_in(_option_sources())}
+    for key, reason in KEPT_OPTIONS.items():
+        assert key in options, key
+        assert reason.startswith(("deployment ", "test fake's control", "plumbing")), key
 
 
 def test_option_lint_flags_a_planted_option():
     sources = _option_sources()
-    home = OPTION_CLASSES["SlaController"]
+    home = "src/repro/core/slacontrol.py"
     planted = sources[home].replace(
         "        target_p99_s: float,\n    ):",
         "        target_p99_s: float,\n        planted_knob: float = 1.0,\n    ):",
@@ -520,6 +589,32 @@ def test_option_lint_flags_a_planted_option():
     # A caller outside the defining module that passes it clears it.
     caller = "SlaController(node, 'k', 0.5, planted_knob=2.0)"
     assert not _unset_options({**sources, home: planted, "src/caller.py": caller})
+
+    # Any class counts, and any public function outside repro.bench.
+    home = "src/repro/net/link.py"
+    planted = sources[home] + (
+        "\n\nclass PlantedQueue:\n"
+        "    def __init__(self, size, planted_depth=4):\n"
+        "        self.depth = planted_depth\n"
+        "\n\ndef planted_probe(link, planted_count=1):\n"
+        "    return planted_probe(link, 2)\n"
+    )
+    flagged = ["PlantedQueue.planted_depth", "planted_probe.planted_count"]
+    assert _unset_options({**sources, home: planted}) == flagged
+    # A pass inside the definition itself sets nothing: that call above
+    # passes planted_count positionally and is still flagged.
+    # A positional pass from another module clears it; a *args does not.
+    for caller, left in (
+        ("PlantedQueue(8, 2)\nplanted_probe(link, 3)", []),
+        ("PlantedQueue(8)\nplanted_probe(link, 3)", flagged[:1]),
+        ("PlantedQueue(*sizes)\nplanted_probe(link, *counts)", flagged),
+    ):
+        extra = {home: planted, "src/caller.py": caller}
+        assert _unset_options({**sources, **extra}) == left, caller
+    # A bench driver's parameter is its scale axis, not an option.
+    bench = "src/repro/bench/runners/planted.py"
+    driver = "def run_planted(messages=800):\n    pass\n"
+    assert not _unset_options({**sources, bench: driver})
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +661,14 @@ KEPT_DEFS = {
         "public read: tests assert through it, not the private frame",
     ("obs/spans.py", "SendTrace.cross_node"):
         "public read: tests assert through it, not the span list",
+    ("storage/objectstore.py", "ObjectStore.get_by_time"):
+        "the versioned store's time-indexed read, in PAPER.md §2's inventory",
+    ("apps/kvstore.py", "WanKVStore.get_by_time"):
+        "the versioned store's time-indexed read, in PAPER.md §2's inventory",
+    ("storage/faultio.py", "MemoryFileSystem.clone"):
+        "test fake: the fake disk's crash-point fork",
+    ("storage/faultio.py", "_MemNode.clone"):
+        "test fake: the fake disk's crash-point fork",
 }
 
 
@@ -593,7 +696,9 @@ def _read_names(tree):
     """Every name ``tree`` reads: a loaded ``ast.Name``, a loaded
     attribute, or a string constant (``getattr`` spells names that way).
     An ``__all__`` entry is not a read, and neither is an import alias:
-    re-exporting a name does not use it."""
+    re-exporting a name does not use it.  Nor is a read inside a
+    definition of the same name: a method that calls its namesake on
+    another object, or itself, is not reached by that call."""
     exported = {
         id(node)
         for assign in ast.walk(tree)
@@ -602,16 +707,20 @@ def _read_names(tree):
         for node in ast.walk(assign.value)
     }
     names = set()
-    for node in ast.walk(tree):
+    for node, around in _scoped(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            name = node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+            name = node.attr
         elif (
             isinstance(node, ast.Constant) and isinstance(node.value, str)
             and id(node) not in exported
         ):
-            names.add(node.value)
+            name = node.value
+        else:
+            continue
+        if name not in around:
+            names.add(name)
     return names
 
 
@@ -629,8 +738,8 @@ def _unreached(sources, kept=KEPT_DEFS):
     whose name no module reads, ``kept`` aside.
 
     The scan is by name, so it undercounts: a definition passes as soon
-    as anything reads its name — an unrelated method, a dict key, a
-    same-named call in its own body.  ``dsl.stdlib.quorum_write`` passed
+    as anything outside a same-named definition reads its name — an
+    unrelated method, a dict key.  ``dsl.stdlib.quorum_write`` passed
     on the ``"quorum_write"`` predicate key of ``apps/quorum.py`` and had
     to be found by hand.  A flagged definition is certainly unreached; an
     unflagged one may still be."""
@@ -693,3 +802,19 @@ def test_definition_lint_flags_a_planted_definition():
     # A call, or a getattr by name, is.
     for caller in ("planted_helper()", 'getattr(admission, "planted_helper")()'):
         assert not _unreached({**sources, home: planted, "src/caller.py": caller})
+
+
+def test_definition_lint_ignores_a_read_inside_the_same_name():
+    sources = _def_sources()
+    home = "src/repro/core/admission.py"
+    planted = sources[home] + (
+        "\n\ndef planted_walk(node):\n"
+        "    return [planted_walk(child) for child in node]\n"
+    )
+    line = planted.count("\n") - 1
+    flagged = [("core/admission.py", line, "planted_walk")]
+    # Its own body calls the same name: still unreached.
+    assert _unreached({**sources, home: planted}) == flagged
+    # A read from anywhere else reaches it.
+    caller = "planted_walk(tree)"
+    assert not _unreached({**sources, home: planted, "src/caller.py": caller})

@@ -170,10 +170,10 @@ class Receiver:
         self.plane = DataPlane(
             TransportEndpoint(net, "y"),
             config,
-            on_deliver=lambda origin, seq, payload, meta: self.delivered.append(
-                (seq, plain(payload), meta)
-            ),
             on_received=self._on_received if durable else None,
+        )
+        self.plane.on_deliver = lambda origin, seq, payload, meta: self.delivered.append(
+            (seq, plain(payload), meta)
         )
         self._receive = self.plane.endpoint.channel("x", DATA_CHANNEL).on_deliver
 

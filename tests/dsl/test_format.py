@@ -22,8 +22,8 @@ def canonicalize(source):
 
 
 def equivalent(source_a, source_b, ctx):
-    return format_ir(expand(parse(source_a), ctx)) == format_ir(
-        expand(parse(source_b), ctx)
+    return format_ir(expand(parse(source_a), ctx), ctx) == format_ir(
+        expand(parse(source_b), ctx), ctx
     )
 
 
@@ -48,20 +48,14 @@ def test_canonicalize_round_trips():
 
 def test_format_ir_with_names():
     ir = expand(parse("MIN($AZ_west)"), CTX)
-    text = format_ir(
-        ir, node_names=NODES, type_names=["received", "persisted", "verified"]
-    )
-    assert text == "MIN(ack[c].received, ack[d].received)"
-
-
-def test_format_ir_without_names_uses_indices():
-    ir = expand(parse("MAX($2.persisted)"), CTX)
-    assert format_ir(ir) == "ack[#2].type1"
+    assert format_ir(ir, CTX) == "MIN(ack[c].received, ack[d].received)"
+    ir = expand(parse("MAX($2.persisted, $3.verified)"), CTX)
+    assert format_ir(ir, CTX) == "MAX(ack[b].persisted, ack[c].verified)"
 
 
 def test_format_ir_kth_and_arith():
     ir = expand(parse("KTH_MAX(2, $ALLWNODES)"), CTX)
-    text = format_ir(ir, node_names=NODES)
+    text = format_ir(ir, CTX)
     assert text.startswith("KTH_MAX(k=2; ")
 
 

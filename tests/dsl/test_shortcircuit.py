@@ -118,8 +118,8 @@ def test_the_enumeration_evaluates_as_the_generated_code_does(trees):
     for number, (ir, values, _is_max, _cells) in enumerate(trees):
         if number % 97:
             continue
-        exec(generate_source(ir, "_f"), {"_kth": _kth}, namespace)
-        fn = namespace["_f"]
+        exec(generate_source(ir), {"_kth": _kth}, namespace)
+        fn = namespace["_predicate"]
         assert [fn([[v] for v in t]) for t in TABLES] == list(values), ir
 
 

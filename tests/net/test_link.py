@@ -68,7 +68,8 @@ def test_idle_link_delivers_after_serialization_plus_latency():
 
 def test_down_link_drops_and_counts():
     sim = Simulator()
-    link = make_link(sim, up=False)
+    link = make_link(sim)
+    link.set_up(False)
     assert send(link, 100) is False
     assert link.stats.packets_dropped == 1
     assert link.stats.packets_sent == 0

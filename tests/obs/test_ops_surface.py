@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.obs.alerts import SloAlerter, SloRule
+from repro.obs.alerts import MIN_SAMPLES, SloAlerter, SloRule
 from repro.obs.export import (
     SnapshotWriter,
     read_snapshots,
@@ -87,11 +87,11 @@ def test_snapshot_writer_roundtrip(tmp_path, records):
 
 
 # ------------------------------------------------------------- alerting
-def _alerter(**rule_kwargs):
+def _alerter():
     t = [0.0]
     rule = SloRule(
         "slow", "stable.all", threshold=0.05, target=0.9,
-        windows=((1.0, 5.0, 2.0),), **rule_kwargs,
+        windows=((1.0, 5.0, 2.0),),
     )
     tracer = Tracer(clock=lambda: t[0], capacity=64, enabled=True)
     return t, SloAlerter(
@@ -118,8 +118,8 @@ def test_alert_fires_on_sustained_burn_and_resolves():
 
 
 def test_alert_needs_min_samples():
-    t, alerter, _tracer = _alerter(min_samples=10)
-    for _ in range(9):
+    t, alerter, _tracer = _alerter()
+    for _ in range(MIN_SAMPLES - 1):
         t[0] += 0.01
         alerter.observe("stable.all", 0.2)
     assert alerter.fired == 0

@@ -28,10 +28,9 @@ def test_config_validation():
     with pytest.raises(PaxosError):
         PaxosConfig(["a", "a"], leader="a")
     with pytest.raises(PaxosError):
-        PaxosConfig(["a", "b"], leader="a", quorum_size=3)
-    with pytest.raises(PaxosError):
         PaxosConfig(["a", "b"], leader="a", window=0)
     assert PaxosConfig(["a", "b", "c"], leader="a").quorum_size == 2
+    assert PaxosConfig(["a", "b", "c", "d"], leader="a").quorum_size == 3
 
 
 def test_single_command_commits():

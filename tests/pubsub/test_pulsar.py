@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import PubSubError
 from repro.net import NetemSpec, Topology
 from repro.pubsub import GcModel, PulsarCluster
+from repro.pubsub.pulsar import BASE_PAUSE_S, CPU_PER_MESSAGE_S, MAX_PAUSE_S, YOUNG_GEN_BYTES
 from repro.sim import Simulator
 from repro.transport.messages import SyntheticPayload
 
@@ -41,24 +41,20 @@ def test_ack_flows_back_to_publisher():
 
 
 def test_gc_model_pauses_accumulate():
-    gc = GcModel(young_gen_bytes=1000, alloc_factor=1.0, base_pause_s=0.01)
-    costs = [gc.process(400) for _ in range(10)]
-    assert gc.collections == 4  # 4000 bytes allocated / 1000 budget
-    assert sum(costs) > 4 * 0.01
-    assert gc.total_pause_s >= 4 * 0.01
+    gc = GcModel()
+    costs = [gc.process(1_000_000) for _ in range(20)]
+    assert gc.collections == 7  # 60 MB allocated / 8 MB budget
+    assert sum(costs) > 7 * BASE_PAUSE_S
+    assert gc.total_pause_s >= 7 * BASE_PAUSE_S
 
 
 def test_gc_pause_growth_is_capped():
-    gc = GcModel(
-        young_gen_bytes=10,
-        base_pause_s=0.01,
-        pause_growth_s=0.01,
-        max_pause_s=0.03,
-    )
-    for _ in range(100):
-        gc.process(10)
-    # Later pauses are clamped at max_pause_s.
-    assert gc.process(10) - gc.cpu_per_message_s <= 0.03 + 1e-9
+    gc = GcModel()
+    # One collection per call; the pause grows for 135 of them.
+    for _ in range(200):
+        gc.process(YOUNG_GEN_BYTES)
+    # Later pauses are clamped at MAX_PAUSE_S.
+    assert gc.process(YOUNG_GEN_BYTES) - CPU_PER_MESSAGE_S == pytest.approx(MAX_PAUSE_S)
 
 
 def test_gc_increases_latency_at_high_rate():
@@ -90,35 +86,27 @@ def test_gc_increases_latency_at_high_rate():
 
 
 def test_original_pulsar_drops_on_backlogged_link():
-    sim, net, cluster = build(
-        rate_mbit=8.0, gc_enabled=False, buffer_fix=False, drop_backlog_s=0.05
-    )
+    sim, net, cluster = build(rate_mbit=8.0, gc_enabled=False, buffer_fix=False)
     got = []
     cluster["b"].subscribe(lambda origin, seq, payload, meta: got.append(seq))
     broker = cluster["a"]
-    # 8 Mbit/s = 1 MB/s; 100 x 10 KB = 1 MB submitted instantly: the
-    # backlog blows past 50 ms quickly and later publishes are dropped.
-    for _ in range(100):
+    # 8 Mbit/s = 1 MB/s; 300 x 10 KB = 3 MB submitted instantly: the
+    # backlog blows past DROP_BACKLOG_S (1 s) and later publishes are
+    # dropped.
+    for _ in range(300):
         broker.publish(SyntheticPayload(10_000))
     sim.run(until=10.0)
     assert broker.dropped > 0
-    assert len(got) == 100 - broker.dropped
+    assert len(got) == 300 - broker.dropped
 
 
 def test_buffer_fix_preserves_every_message_and_order():
-    sim, net, cluster = build(
-        rate_mbit=8.0, gc_enabled=False, buffer_fix=True, drop_backlog_s=0.05
-    )
+    sim, net, cluster = build(rate_mbit=8.0, gc_enabled=False, buffer_fix=True)
     got = []
     cluster["b"].subscribe(lambda origin, seq, payload, meta: got.append(seq))
     broker = cluster["a"]
-    for _ in range(100):
+    for _ in range(300):
         broker.publish(SyntheticPayload(10_000))
     sim.run(until=20.0)
     assert broker.dropped == 0
-    assert got == list(range(1, 101))
-
-
-def test_drop_backlog_validation():
-    with pytest.raises(PubSubError):
-        build(drop_backlog_s=0)
+    assert got == list(range(1, 301))

@@ -71,28 +71,12 @@ def test_get_by_time(store, clock):
         store.get_by_time("k", 0.5)
 
 
-def test_delete_writes_tombstone(store):
-    store.put("k", b"v")
-    store.delete("k")
-    assert not store.contains("k")
-    with pytest.raises(StorageError, match="deleted"):
-        store.get("k")
-    # History is preserved.
-    old, tombstone = store.history("k")
-    assert (old.version, old.value, old.tombstone) == (1, b"v", False)
-    assert (tombstone.version, tombstone.tombstone) == (2, True)
-
-
-def test_delete_unknown_key(store):
-    with pytest.raises(StorageError):
-        store.delete("missing")
-
-
-def test_keys_excludes_deleted(store):
+def test_keys_lists_each_key_once(store):
     store.put("a", b"1")
     store.put("b", b"2")
-    store.delete("a")
-    assert store.keys() == ["b"]
+    store.put("a", b"3")
+    assert store.keys() == ["a", "b"]
+    assert store.contains("a") and not store.contains("c")
 
 
 def test_watchers_see_every_mutation(store):
@@ -100,8 +84,9 @@ def test_watchers_see_every_mutation(store):
     store.watch(lambda key, version: events.append((key, version.version)))
     store.put("k", b"1")
     store.put("k", b"2")
-    store.delete("k")
-    assert events == [("k", 1), ("k", 2), ("k", 3)]
+    store.put("other", b"x")
+    store.put("k", b"3")
+    assert events == [("k", 1), ("k", 2), ("other", 1), ("k", 3)]
 
 
 def test_log_replay_restores_state(tmp_path, clock):
@@ -111,12 +96,11 @@ def test_log_replay_restores_state(tmp_path, clock):
     store.put("k", b"v1")
     store.put("k", b"v2")
     store.put("other", b"x")
-    store.delete("other")
     store._log.close()
 
     recovered = ObjectStore(FakeClock(), log=AppendLog(path))
     assert recovered.get("k").value == b"v2"
     assert recovered.get("k").version == 2
-    assert not recovered.contains("other")
+    assert recovered.keys() == ["k", "other"]
     # Timestamps come from the log, not the new clock.
     assert recovered.get("k").timestamp == 2.5
