@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench bench-full bench-record api-check lint metrics-doc \
+.PHONY: install test bench bench-full api-check lint metrics-doc \
         metrics-check verify report perf perf-compare goldens clean
 
 install:
@@ -14,13 +14,6 @@ bench:
 
 bench-full:
 	REPRO_FULL=1 pytest benchmarks/ --benchmark-only
-
-# The only run that touches tracked files: each trajectory bench appends
-# one provenance-stamped row to its BENCH_<name>.json at the repo root
-# (benchmarks/conftest.py::record_run).  Plain `make bench` leaves
-# `git status` clean.
-bench-record:
-	pytest benchmarks/ --benchmark-only --record
 
 # One sweep alone: `make <name>-smoke` runs `pytest -m <name>_smoke`.
 # The markers are declared in pyproject.toml and all live under tests/,

@@ -5,9 +5,8 @@ paper's tables and figures, then the repo's own ablations, extensions
 and subsystem benches.  Each runs its driver once at this session's
 scale (``REPRO_FULL=1``: ``full``, else ``default``), prints the
 declared printer's report, saves the result and every series in it
-under ``benchmarks/results/``, appends the result to its trajectory at
-the repo root in a ``--record`` run, and checks every declared finding,
-the host-time (``wall``) ones included.  A finding, a printer or a scale
+under ``benchmarks/results/``, and checks every declared finding, the
+host-time (``wall``) ones included.  A finding, a printer or a scale
 is changed where it is declared, never here.
 """
 
@@ -16,20 +15,6 @@ import pytest
 from repro.bench.paper import assert_reproduced, experiments
 from repro.sim.monitor import Series
 from conftest import scale
-
-#: The experiments whose runs a ``--record`` session appends to a
-#: trajectory: experiment -> trajectory name.
-TRAJECTORIES = {
-    "chaos": "chaos",
-    "dataplane_pipeline": "dataplane",
-    "durability": "durability",
-    "hotpath": "hotpath",
-    "flash_crowd": "overload",
-    "rebalance": "rebalance",
-    "shard_scaling": "shard",
-    "strategies": "strategy",
-}
-
 
 def series_in(value, path=()):
     """``(path, series)`` for every :class:`Series` inside ``value``,
@@ -45,7 +30,7 @@ def series_in(value, path=()):
 
 
 @pytest.mark.parametrize("name", experiments())
-def test_experiment(name, benchmark, report, record_run):
+def test_experiment(name, benchmark, report):
     exp = experiments()[name]
     result = benchmark.pedantic(
         exp.run, kwargs=exp.scales[scale()], rounds=1, iterations=1
@@ -54,6 +39,4 @@ def test_experiment(name, benchmark, report, record_run):
     report.add_data("result", result)
     for path, series in series_in(result):
         report.add_series("_".join(path), series)
-    if name in TRAJECTORIES:
-        record_run(TRAJECTORIES[name], result)
     assert_reproduced(exp, result)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -23,17 +21,6 @@ import pytest
 from repro.sim.monitor import Series
 
 RESULTS_DIR = Path(__file__).parent / "results"
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--record",
-        action="store_true",
-        help="append each bench's row to its tracked BENCH_<name>.json "
-        "trajectory at the repo root (make bench-record); without it a "
-        "run leaves tracked files alone",
-    )
 
 
 def full_scale() -> bool:
@@ -43,48 +30,6 @@ def full_scale() -> bool:
 def scale() -> str:
     """The key of this session's entry in an ``Experiment.scales``."""
     return "full" if full_scale() else "default"
-
-
-def _git(*argv):
-    try:
-        done = subprocess.run(
-            ("git",) + argv, cwd=ROOT, capture_output=True, text=True, timeout=30
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return done.stdout.strip() if done.returncode == 0 else None
-
-
-@pytest.fixture(scope="session")
-def provenance():
-    """Where this session's rows come from.  Session-scoped: taken before
-    the first row lands, so the rows a run writes are not what makes its
-    later rows ``dirty``."""
-    status = _git("status", "--porcelain")
-    return {
-        "commit": _git("rev-parse", "HEAD"),
-        "dirty": None if status is None else bool(status),
-        "python": platform.python_version(),
-        "scale": scale(),
-    }
-
-
-@pytest.fixture()
-def record_run(request, provenance):
-    """``record_run(name, result)``: append ``result``, stamped with the
-    session's provenance, to the ``BENCH_<name>.json`` trajectory at the
-    repo root — only in a run started with ``--record``.  The one place
-    the suite writes outside ``results/``."""
-
-    def record(name: str, result) -> None:
-        if not request.config.getoption("--record"):
-            return
-        path = ROOT / f"BENCH_{name}.json"
-        trajectory = json.loads(path.read_text()) if path.exists() else {"runs": []}
-        trajectory["runs"].append({"result": result, "provenance": provenance})
-        path.write_text(json.dumps(trajectory, indent=2, default=str) + "\n")
-
-    return record
 
 
 def _jsonable(value):

@@ -410,11 +410,10 @@ CHAOS_DISK_FAULTS = ("fsync_fail", "eio_write", "enospc", "torn_write")
 DISK_FAULT_RATE = 0.3  # how often an armed fault hits an eligible operation
 PAYLOAD_BYTES = 1024
 WAITER_EVERY = 5  # every n-th send of a node gets guarded waiters
-# Deliberately tiny window and frame budgets: partitions and suspensions
-# must close windows and stall streams mid-run, so the stall/resume and
-# reclaim invariants see real traffic.
+# A deliberately tiny window: partitions and suspensions must close
+# windows and stall streams mid-run, so the stall/resume and reclaim
+# invariants see real traffic.
 WINDOW_BYTES = 4 * 1024
-FRAME_DELAY_MS = 2.0
 DURABILITY_BATCH = 8  # WAL group commit
 DURABILITY_INTERVAL_S = 0.01
 
@@ -448,7 +447,6 @@ class ClassicScenario(Scenario):
                 DURABLE_KEY: "MIN($ALLWNODES.persisted)",
             },
             window_bytes=WINDOW_BYTES,
-            frame_delay_ms=FRAME_DELAY_MS,
             durability=True,
             durability_group_commit_batch=DURABILITY_BATCH,
             durability_group_commit_interval_s=DURABILITY_INTERVAL_S,

@@ -46,7 +46,6 @@ SLA_SOURCE = "MIN($ALLWNODES - $MYWNODE)"
 PAYLOAD_BYTES = 512
 WAITER_EVERY = 7  # every n-th admitted send of a node gets a guarded waiter
 WINDOW_BYTES = 8 * 1024
-FRAME_DELAY_MS = 2.0
 # Edge admission: the token-bucket rate sits above the base offered rate
 # (10/s per node) and far below a crowd's (100/s), so only surges shed;
 # and high enough that what a crowd gets through still loads a narrow
@@ -84,7 +83,6 @@ class OverloadScenario(Scenario):
         base = harness.stabilizer_config(
             predicates={SLA_KEY: SLA_SOURCE},
             window_bytes=WINDOW_BYTES,
-            frame_delay_ms=FRAME_DELAY_MS,
         )
         self.cluster = StabilizerCluster(harness.net, base, tracer=harness.tracer)
         return self.cluster

@@ -61,7 +61,6 @@ REPLICATION = 2
 PAYLOAD_BYTES = 512
 WAITER_EVERY = 5  # every n-th send of a (node, shard) stream gets a waiter
 WINDOW_BYTES = 8 * 1024
-FRAME_DELAY_MS = 1.0
 # Coordinator patience, shorter than its defaults: a drain or transfer
 # stalled by a crash or partition times out and retries within the run.
 DRAIN_TIMEOUT_S = 2.0
@@ -97,7 +96,6 @@ class RebalanceScenario(Scenario):
             shard_count=SHARD_COUNT,
             shard_replication=REPLICATION,
             window_bytes=WINDOW_BYTES,
-            frame_delay_ms=FRAME_DELAY_MS,
             durability=False,  # see module docstring
         )
         self.cluster = ShardedCluster(harness.net, base, tracer=harness.tracer)

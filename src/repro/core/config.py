@@ -64,13 +64,6 @@ class StabilizerConfig:
         WAN frame coalescing threshold: sequenced messages accumulate
         into one transport frame until the frame reaches this size.
         ``None`` disables coalescing — every message rides its own frame.
-    frame_delay_ms:
-        How long a partial frame may wait for more messages before the
-        frame clock flushes it.  ``0`` (the default) flushes at the end
-        of every ``send()`` call, adding no latency; larger values trade
-        latency for batching on high-rate streams.  The control plane's
-        ack coalescing honours the same clock: its flush interval is at
-        least this long.
     max_buffer_bytes:
         Bound on the retained send buffer (``None``: unbounded).  A
         ``send()`` that would overflow it raises
@@ -153,7 +146,6 @@ class StabilizerConfig:
         max_buffer_bytes: Optional[int] = None,
         window_bytes: Optional[int] = 1024 * 1024,
         frame_bytes: Optional[int] = 32 * 1024,
-        frame_delay_ms: float = 0.0,
         max_retransmit_attempts: Optional[int] = 8,
         transport_max_rto_s: float = 5.0,
         durability: bool = False,
@@ -184,8 +176,6 @@ class StabilizerConfig:
             raise ConfigError("window_bytes must be positive or None")
         if frame_bytes is not None and frame_bytes <= 0:
             raise ConfigError("frame_bytes must be positive or None")
-        if frame_delay_ms < 0:
-            raise ConfigError("frame_delay_ms must be non-negative")
         if max_retransmit_attempts is not None and max_retransmit_attempts <= 0:
             raise ConfigError("max_retransmit_attempts must be positive or None")
         if transport_max_rto_s < MIN_RTO_S:
@@ -237,7 +227,6 @@ class StabilizerConfig:
         self.max_buffer_bytes = max_buffer_bytes
         self.window_bytes = window_bytes
         self.frame_bytes = frame_bytes
-        self.frame_delay_ms = frame_delay_ms
         self.max_retransmit_attempts = max_retransmit_attempts
         self.transport_max_rto_s = transport_max_rto_s
         self.durability = durability
@@ -384,16 +373,6 @@ class StabilizerConfig:
             "max_rto": self.transport_max_rto_s,
         }
 
-    def frame_delay_s(self) -> float:
-        """The frame clock in seconds (0 = flush at the end of each send)."""
-        return self.frame_delay_ms / 1000.0
-
-    def control_flush_interval_s(self) -> float:
-        """The control plane's ack-coalescing cadence: its own interval,
-        but never faster than the data plane's frame clock — stability
-        reports piggyback on the same rhythm WAN frames are cut to."""
-        return max(self.control_interval_s, self.frame_delay_s())
-
     # -- (de)serialization ----------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -410,7 +389,6 @@ class StabilizerConfig:
             "max_buffer_bytes": self.max_buffer_bytes,
             "window_bytes": self.window_bytes,
             "frame_bytes": self.frame_bytes,
-            "frame_delay_ms": self.frame_delay_ms,
             "max_retransmit_attempts": self.max_retransmit_attempts,
             "transport_max_rto_s": self.transport_max_rto_s,
             "durability": self.durability,

@@ -28,9 +28,9 @@ under it sends every frame at once — and the one place the send window
 
 - sequenced messages coalesce into WAN frames of up to ``frame_bytes``
   (one transport header and one link packet per frame instead of per
-  message; ``None``, a frame per message), cut immediately at the end of
-  each ``send()`` call, when a frame fills, when the ``frame_delay_ms``
-  frame clock ticks, or the moment an ACK returns credits to the peer;
+  message; ``None``, a frame per message), cut at the end of each
+  ``send()`` call, the moment an ACK returns credits to the peer, or at
+  a crash-restart replay, so no partial frame waits for more messages;
 - a run is cut only if nothing is in flight on the peer's channel, or if
   the bytes in flight plus the run's wire size (payload, transport
   header, and a batch entry per message for a run of two or more) fit in
@@ -160,17 +160,14 @@ class SendBuffer:
 
 class _PeerStream:
     """One peer's share of the pipelined send path: its cursor into the
-    send log, the bytes from it to the log's end, its frame-clock timer
-    and stall state."""
+    send log and its stall state."""
 
-    __slots__ = ("peer", "channel", "cursor", "pending_bytes", "timer", "stalled")
+    __slots__ = ("peer", "channel", "cursor", "stalled")
 
     def __init__(self, peer: str, channel):
         self.peer = peer
         self.channel = channel
         self.cursor = 1  # the next sequence to frame
-        self.pending_bytes = 0
-        self.timer = None
         self.stalled = False
 
 
@@ -187,7 +184,6 @@ class DataPlane:
         on_acked: Optional[AckedFn] = None,
     ):
         self.endpoint = endpoint
-        self.sim = endpoint.sim
         self.config = config
         # Per delivered message: ``on_deliver(origin, seq, payload, meta)``
         # — set by the stabilizer once something subscribes to delivery.
@@ -219,14 +215,13 @@ class DataPlane:
         self._next_seq = 1  # message sequence numbers are 1-based
         # No coalescing is a frame_bytes of 0: every run is one message.
         self._frame_bytes = config.frame_bytes or 0
-        self._frame_delay_s = config.frame_delay_s()
         self._window_bytes = config.window_bytes
         # The ACK is the received report: due within the flush interval
         # that report would have waited, and tagged with our epoch.
         endpoint.accept(
             DATA_CHANNEL,
             self._receive,
-            ack_delay=config.control_flush_interval_s(),
+            ack_delay=config.control_interval_s,
             ack_tag=self.epoch,
             **config.channel_kwargs(),
         )
@@ -256,9 +251,7 @@ class DataPlane:
         self.frame_payload_bytes = 0
         self.frames_received = 0
         self.max_frame_messages = 0
-        self.flush_causes = {
-            "inline": 0, "size": 0, "timer": 0, "window": 0, "replay": 0
-        }
+        self.flush_causes = {"inline": 0, "window": 0, "replay": 0}
         self.window_stalls = 0
         self.window_opens = 0
         # Backpressure state (engaged while the WAN cannot drain).
@@ -325,7 +318,6 @@ class DataPlane:
         self.messages_sent += count
         self.payload_bytes_sent += nbytes * len(self._streams)
         for stream in self._streams.values():
-            stream.pending_bytes += nbytes
             self._pump(stream, "inline")
         self._update_backpressure()
         return first_seq, self._next_seq - 1
@@ -353,7 +345,7 @@ class DataPlane:
                         self._trace_node,
                         "window.open",
                         peer=stream.peer,
-                        pending=stream.pending_bytes,
+                        pending=self._tail_bytes(stream),
                     )
             self._pump(stream, "window")
 
@@ -371,24 +363,13 @@ class DataPlane:
                 seq=inner[1][-1][0] if inner[0] == FRAME_TAG else inner[0],
             )
 
-    def _frame_tick(self, stream: _PeerStream) -> None:
-        stream.timer = None
-        if stream.cursor < self._next_seq:
-            self._pump(stream, "timer")
-
     def _pump(self, stream: _PeerStream, cause: str) -> None:
-        """Cut as many frames as the flush policy and window allow."""
+        """Cut frames until the stream is drained or the window stalls it."""
         channel = stream.channel
         if channel.closed:
             self._seek(stream, self._next_seq)  # the tail has nowhere to go
             return
-        # With a frame clock, an inline flush ships only *full* frames;
-        # the partial tail waits for the timer (or a window-open event).
-        # With no clock (frame_delay 0) every flush drains everything.
-        only_full = cause == "inline" and self._frame_delay_s > 0.0
         while stream.cursor < self._next_seq:
-            if only_full and stream.pending_bytes < self._frame_bytes:
-                break
             if not self._cut_frame(stream, cause):
                 if not stream.stalled:
                     stream.stalled = True
@@ -398,19 +379,11 @@ class DataPlane:
                             self._trace_node,
                             "window.stall",
                             peer=stream.peer,
-                            pending=stream.pending_bytes,
+                            pending=self._tail_bytes(stream),
                             inflight=channel.unacked_bytes(),
                         )
                 return  # the next ACK that retires frames resumes it
         stream.stalled = False
-        if (
-            stream.cursor < self._next_seq
-            and self._frame_delay_s > 0.0
-            and stream.timer is None
-        ):
-            stream.timer = self.sim.call_later(
-                self._frame_delay_s, self._frame_tick, stream
-            )
 
     def _cut_frame(self, stream: _PeerStream, cause: str) -> bool:
         """Ship the next frame from ``stream``'s cursor — the run of log
@@ -471,18 +444,12 @@ class DataPlane:
             first.frame = (open_end, last, run_bytes, overhead, payload, meta)
         channel.send(payload, meta, overhead)
         stream.cursor = last + 1
-        stream.pending_bytes -= run_bytes
         self.frames_sent += 1
         self.frame_messages += messages
         self.frame_payload_bytes += run_bytes
         if messages > self.max_frame_messages:
             self.max_frame_messages = messages
-        cause_key = (
-            "size"
-            if cause == "inline" and messages > 1 and self._frame_delay_s > 0.0
-            else cause
-        )
-        self.flush_causes[cause_key] += 1
+        self.flush_causes[cause] += 1
         if self.tracer.enabled:
             # The frame covers the contiguous sequence run [first_seq,
             # last_seq] — the trace context that lets span reconstruction
@@ -501,27 +468,19 @@ class DataPlane:
         return True
 
     def _seek(self, stream: _PeerStream, cursor: int) -> None:
-        """Move ``stream``'s cursor to ``cursor``, dropping its stall and
-        frame-clock timer."""
-        log, end = self.buffer._entries, self._next_seq
+        """Move ``stream``'s cursor to ``cursor``, dropping its stall."""
         stream.cursor = cursor
-        stream.pending_bytes = sum(log[seq].size for seq in range(cursor, end))
         stream.stalled = False
-        if stream.timer is not None:
-            stream.timer.cancel()
-            stream.timer = None
 
-    def flush(self) -> None:
-        """Cut every partial frame now, window permitting — the manual
-        counterpart of the frame clock (e.g. before a planned shutdown)."""
-        for stream in self._streams.values():
-            if stream.cursor < self._next_seq:
-                self._pump(stream, "timer")
+    def _tail_bytes(self, stream: _PeerStream) -> int:
+        """The bytes of the log from ``stream``'s cursor to its end."""
+        log = self.buffer._entries
+        return sum(log[seq].size for seq in range(stream.cursor, self._next_seq))
 
     def pending_frame_bytes(self, peer: str) -> int:
         """Bytes accumulated for ``peer`` that no frame has shipped yet."""
         stream = self._streams.get(peer)
-        return stream.pending_bytes if stream is not None else 0
+        return self._tail_bytes(stream) if stream is not None else 0
 
     def window_stalled(self, peer: str) -> bool:
         """True while ``peer``'s stream waits on window credits."""
@@ -529,7 +488,7 @@ class DataPlane:
         return stream is not None and stream.stalled
 
     def close(self) -> None:
-        """Cancel frame-clock timers (the node is going away)."""
+        """Drop every peer's unframed tail (the node is going away)."""
         for stream in self._streams.values():
             self._seek(stream, self._next_seq)
 
@@ -617,7 +576,7 @@ class DataPlane:
         self._seek(stream, min(from_seq + 1, self._next_seq))
         stream.channel.reset_stream()
         count = self._next_seq - stream.cursor
-        self.payload_bytes_sent += stream.pending_bytes
+        self.payload_bytes_sent += self._tail_bytes(stream)
         self.replayed_chunks += count
         self._pump(stream, "replay")
         if self.tracer.enabled:

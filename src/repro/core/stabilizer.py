@@ -676,7 +676,6 @@ class Stabilizer:
         then timers stop."""
         if self.admission is not None:
             self.admission.close()
-        self.dataplane.flush()  # ship any partial frames before the end
         if self.durability is not None:
             self.durability.close(sync=True)
         self.detector.stop()

@@ -30,7 +30,7 @@ tables, the composed :class:`~repro.core.controlplane.ControlChannelSet`
 carrier, the local-grant path (:meth:`StabilizationStrategy.grant_local`,
 and an arrival's ``received`` grant inline in ``on_remote_deliver``)
 and the one report batcher (a flush at least every
-``control_flush_interval_s`` or after ``control_batch`` distinct newly
+``control_interval_s`` or after ``control_batch`` distinct newly
 granted cells), which every local grant feeds.  An engine fills hooks —
 ``_propagate_received``, ``_ship_batch``, ``on_control_frame``,
 ``full_state_frames`` and the ``on_local_send`` / ``on_catchup`` /
@@ -133,12 +133,11 @@ class StabilizationStrategy:
         self._type_names = config.type_names()
         self._frontier = None  # the node's frontier engine, set by bind()
         # The report batcher: origin -> {type_id -> seq} granted locally
-        # and not yet shipped.  The cadence honours the data plane's
-        # frame clock: never flush faster than WAN frames are cut.
+        # and not yet shipped.
         self._pending: Dict[str, Dict[int, int]] = {}
         self._pending_count = 0
         self._flush_timer = None
-        self._flush_interval_s = config.control_flush_interval_s()
+        self._flush_interval_s = config.control_interval_s
 
     # ------------------------------------------------------------------ lifecycle
     def build_tables(self) -> Dict[str, AckTable]:
@@ -323,7 +322,7 @@ class StabilizationStrategy:
     def _batch_report(self, origin: str, type_id: int, seq: int) -> None:
         """Queue "this node grants ``origin`` up to ``seq`` at
         ``type_id``" for the next flush: after ``control_batch`` distinct
-        pending cells, or ``control_flush_interval_s`` after the first."""
+        pending cells, or ``control_interval_s`` after the first."""
         batch = self._pending
         if origin in batch:
             pending = batch[origin]

@@ -50,7 +50,7 @@ class SequencerStrategy(StabilizationStrategy):
     # ------------------------------------------------------------------ reporting side
     # Grant floors ride the base class's report batcher — the same code
     # and cadence knobs as the ACK-table engine (control_batch /
-    # control_flush_interval_s), so the benchmark compares protocols,
+    # control_interval_s), so the benchmark compares protocols,
     # not tuning.
     def on_local_send(self, first: int, last: int):
         cells = super().on_local_send(first, last)

@@ -15,7 +15,7 @@ possibly-lossy link model:
 ACK cadence per channel.  ``ack_delay`` is :data:`ACK_INTERVAL_S`
 (50 ms) for every channel but the Stabilizer's data channel, whose ACK
 is also the origin's ``received`` report: the data plane sets it to the
-control plane's flush interval (``control_flush_interval_s``), so the
+control plane's flush interval (``control_interval_s``), so the
 ACK is due no later than the report it replaces.  Paxos, pub/sub and
 the resume channel keep 50 ms.  Every ACK carries the receiving
 consumer's ``ack_tag`` (the data plane's shard epoch; ``None``

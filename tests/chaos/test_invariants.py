@@ -126,36 +126,22 @@ def test_clean_run_counts_checks_without_violations():
 # ---------------------------------------------------------------------------
 
 
-class FakeEntry:
-    def __init__(self, size):
-        self.size = size
-
-
 class FakeBuffer:
-    """The send log: ``sizes`` are the entries from ``reclaimed_up_to + 1``."""
-
-    def __init__(self, reclaimed_up_to, sizes=()):
+    def __init__(self, reclaimed_up_to):
         self.reclaimed_up_to = reclaimed_up_to
-        self._entries = {
-            reclaimed_up_to + 1 + i: FakeEntry(size) for i, size in enumerate(sizes)
-        }
 
 
 class FakeStream:
-    def __init__(self, peer, cursor=1, pending_bytes=0, inflight=(), stalled=False):
+    def __init__(self, peer, cursor=1, inflight=(), stalled=False):
         self.peer = peer
         self.cursor = cursor
-        self.pending_bytes = pending_bytes
         self.channel = FakeChannel(frame_sizes=inflight)
         self.stalled = stalled
 
 
 class FakePipelineDataPlane:
-    def __init__(
-        self, reclaimed_up_to=0, received=None, streams=(), window_bytes=None, sizes=()
-    ):
-        self.buffer = FakeBuffer(reclaimed_up_to, sizes)
-        self.next_seq = reclaimed_up_to + 1 + len(sizes)
+    def __init__(self, reclaimed_up_to=0, received=None, streams=(), window_bytes=None):
+        self.buffer = FakeBuffer(reclaimed_up_to)
         self._received = received or {}
         self._streams = {s.peer: s for s in streams}
         self._window_bytes = window_bytes
@@ -220,17 +206,15 @@ def test_credit_leak_detected():
         checker.check_windows([node])
 
 
-def window_node(window_bytes=1000, sizes=(), reclaimed_up_to=0, **stream):
+def window_node(window_bytes=1000, reclaimed_up_to=0, **stream):
     """A node streaming to ``b``; by default the stream's cursor is at the
-    first unreclaimed entry and its pending bytes are the log's."""
+    first unreclaimed entry."""
     stream.setdefault("cursor", reclaimed_up_to + 1)
-    stream.setdefault("pending_bytes", sum(sizes))
     node = FakeNode("a")
     node.dataplane = FakePipelineDataPlane(
         reclaimed_up_to=reclaimed_up_to,
         streams=(FakeStream("b", **stream),),
         window_bytes=window_bytes,
-        sizes=sizes,
     )
     return node
 
@@ -251,31 +235,16 @@ def test_one_oversized_frame_is_allowed():
 def test_stuck_backlog_detected():
     # A stalled stream with nothing in flight waits for an ACK that never comes.
     checker = InvariantChecker()
-    checker.check_windows([window_node(sizes=(100,), inflight=(900,), stalled=True)])
+    checker.check_windows([window_node(inflight=(900,), stalled=True)])
     with pytest.raises(InvariantViolation, match="stuck stream"):
-        checker.check_windows([window_node(sizes=(100,), stalled=True)])
-
-
-def test_pending_tail_leak_detected():
-    checker = InvariantChecker()
-    checker.check_windows([window_node(sizes=(100, 100))])
-    checker.check_windows([window_node(sizes=(100, 100), cursor=2, pending_bytes=100)])
-    assert checker.violations == []
-    with pytest.raises(InvariantViolation, match="pending-tail leak"):
-        checker.check_windows([window_node(sizes=(100, 100), pending_bytes=150)])
-    with pytest.raises(InvariantViolation, match="pending-tail leak"):
-        checker.check_windows(
-            [window_node(sizes=(100, 100), cursor=2, pending_bytes=200)]
-        )
+        checker.check_windows([window_node(stalled=True)])
 
 
 def test_cursor_on_a_reclaimed_sequence_detected():
-    # Sequences 1-4 are reclaimed and 5-6 held: a cursor at 5 frames a
-    # held entry, one at 4 would frame a sequence the log no longer has.
+    # Sequences 1-4 are reclaimed: a cursor at 5 frames a held entry,
+    # one at 4 would frame a sequence the log no longer has.
     checker = InvariantChecker()
-    checker.check_windows([window_node(sizes=(100, 100), reclaimed_up_to=4)])
+    checker.check_windows([window_node(reclaimed_up_to=4)])
     assert checker.violations == []
     with pytest.raises(InvariantViolation, match="reclaimed cursor"):
-        checker.check_windows(
-            [window_node(sizes=(100, 100), reclaimed_up_to=4, cursor=4)]
-        )
+        checker.check_windows([window_node(reclaimed_up_to=4, cursor=4)])

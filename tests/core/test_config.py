@@ -96,7 +96,6 @@ def test_for_node_carries_every_field():
         max_buffer_bytes=1 << 20,
         window_bytes=64 * 1024,
         frame_bytes=16 * 1024,
-        frame_delay_ms=1.0,
         max_retransmit_attempts=5,
         transport_max_rto_s=2.0,
         durability=True,

@@ -1,5 +1,6 @@
-"""The pipelined data plane: frame coalescing, the frame clock, window
-stalls, backpressure policies, and replay interaction with pending tails."""
+"""The pipelined data plane: frame coalescing, frames cut inside
+``send()``, window stalls, backpressure policies, and replay interaction
+with pending tails."""
 
 import pytest
 
@@ -76,6 +77,8 @@ def test_lone_message_needs_no_batch_frame():
     sim, net = build_net()
     dp_x, dp_y, delivered, _ = wire(sim, net, frame_bytes=32 * 1024)
     dp_x.send(b"hello")
+    # The frame was cut inside send(): nothing waits for more messages.
+    assert (dp_x.frames_sent, dp_x.pending_frame_bytes("y")) == (1, 0)
     sim.run(until=5.0)
     assert dp_x.frames_sent == 1
     assert dp_x.frame_messages == 1
@@ -83,39 +86,6 @@ def test_lone_message_needs_no_batch_frame():
     # never saw a batch.
     assert dp_y.frames_received == 0
     assert delivered[0][2] == b"hello"
-
-
-def test_frame_clock_holds_partial_frames():
-    sim, net = build_net()
-    dp_x, dp_y, _, received = wire(
-        sim, net, frame_bytes=8000, frame_delay_ms=5.0
-    )
-    dp_x.send(SyntheticPayload(500))
-    dp_x.send(SyntheticPayload(500))
-    # Partial frame: below frame_bytes, the clock has not ticked.
-    assert dp_x.frames_sent == 0
-    assert dp_x.pending_frame_bytes("y") == 1000
-    sim.run(until=1.0)
-    # The timer cut one coalesced two-message frame.
-    assert dp_x.frames_sent == 1
-    assert dp_x.frame_messages == 2
-    assert dp_x.flush_causes["timer"] == 1
-    assert dp_x.pending_frame_bytes("y") == 0
-    assert received == [1, 2]
-
-
-def test_full_frames_cut_inline_under_frame_clock():
-    sim, net = build_net()
-    dp_x, _, _, received = wire(
-        sim, net, chunk_bytes=1000, frame_bytes=4000, frame_delay_ms=50.0
-    )
-    dp_x.send(SyntheticPayload(9000))  # 9 chunks: 2 full frames + 1 pending
-    assert dp_x.frames_sent == 2
-    assert dp_x.flush_causes["size"] == 2
-    assert dp_x.pending_frame_bytes("y") == 1000
-    sim.run(until=1.0)
-    assert dp_x.frames_sent == 3
-    assert len(received) == 9
 
 
 def test_window_stall_defers_and_window_open_resumes():
@@ -212,15 +182,6 @@ def test_replay_from_past_the_stream_end_replays_nothing():
     dp_x.send(SyntheticPayload(500))
     sim.run(until=2.0)
     assert received == [1, 2, 3, 4]
-
-
-def test_close_cancels_frame_timers():
-    sim, net = build_net()
-    dp_x, _, _, _ = wire(sim, net, frame_bytes=8000, frame_delay_ms=5.0)
-    dp_x.send(SyntheticPayload(100))
-    dp_x.close()
-    assert dp_x.pending_frame_bytes("y") == 0
-    sim.run(until=1.0)  # the cancelled timer must not fire into a dead plane
 
 
 def test_coalescing_disabled_sends_per_message():

@@ -1,7 +1,8 @@
 """Lints on the strategy layer: ``repro.core.acks`` is private to it, and
 every engine has the one shape (second half of this file); the node
 interface is classified once, and the send window has one owner; no
-option and no definition exists that only tests reach.
+option and no definition exists that only tests reach, and no config
+field that nothing reads.
 
 The strategy redesign (``docs/strategies.md``) put the ACK tables behind
 :class:`repro.core.strategy.StabilizationStrategy`: engines own the
@@ -818,3 +819,94 @@ def test_definition_lint_ignores_a_read_inside_the_same_name():
     # A read from anywhere else reaches it.
     caller = "planted_walk(tree)"
     assert not _unreached({**sources, home: planted, "src/caller.py": caller})
+
+
+# ---------------------------------------------------------------------------
+# No config field only its own plumbing reads: every attribute
+# ``StabilizerConfig.__init__`` sets is read somewhere in src/repro outside
+# ``__init__``, ``to_dict`` and ``replace`` (which copy fields, not use
+# them).
+# ---------------------------------------------------------------------------
+
+CONFIG_MODULE = "src/repro/core/config.py"
+#: The methods that move every field whether anything uses it or not.
+CONFIG_PLUMBING = {"__init__", "to_dict", "replace"}
+#: Fields nothing reads yet, to be deleted: the set only shrinks.
+UNREAD_FIELDS = {"control_fanout"}
+
+
+def _config_fields(tree):
+    """The attributes ``StabilizerConfig.__init__`` assigns on ``self``."""
+    (init,) = (
+        item
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "StabilizerConfig"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    )
+    return {
+        node.attr
+        for node in ast.walk(init)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) == "self"
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _attribute_reads(rel, source):
+    """The attribute names one module loads, the config module's plumbing
+    methods aside; cached, since the self-test rescans every module but
+    one."""
+    return {
+        node.attr
+        for node, around in _scoped(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (rel == CONFIG_MODULE and around & CONFIG_PLUMBING)
+    }
+
+
+def _unread_fields(sources):
+    """Fields of ``StabilizerConfig`` no attribute read under src/repro
+    reaches.  By name, like the definition lint: a read of a same-named
+    attribute of anything counts."""
+    read = set().union(
+        *(
+            _attribute_reads(rel, source)
+            for rel, source in sources.items()
+            if rel.startswith("src/repro/")
+        )
+    )
+    return _config_fields(ast.parse(sources[CONFIG_MODULE])) - read
+
+
+def test_every_config_field_is_read():
+    assert _unread_fields(_def_sources()) == UNREAD_FIELDS, (
+        "a config field nothing reads is an option that does nothing: "
+        "delete it (and drop it from UNREAD_FIELDS once it is gone)"
+    )
+
+
+def test_config_field_lint_flags_a_planted_field():
+    sources = _def_sources()
+    planted = sources[CONFIG_MODULE].replace(
+        "        self.shard_id = shard_id\n",
+        "        self.shard_id = shard_id\n        self.planted_field = 1\n",
+        1,
+    )
+    assert planted != sources[CONFIG_MODULE]
+    extra = {CONFIG_MODULE: planted}
+    assert _unread_fields({**sources, **extra}) == UNREAD_FIELDS | {"planted_field"}
+    # A read in to_dict is plumbing, not a use; a read elsewhere is.
+    in_to_dict = planted.replace(
+        "            \"shard_id\": self.shard_id,\n",
+        "            \"shard_id\": self.shard_id,\n"
+        "            \"planted_field\": self.planted_field,\n",
+        1,
+    )
+    assert in_to_dict != planted
+    extra = {CONFIG_MODULE: in_to_dict}
+    assert _unread_fields({**sources, **extra}) == UNREAD_FIELDS | {"planted_field"}
+    extra["src/repro/caller.py"] = "width = config.planted_field\n"
+    assert _unread_fields({**sources, **extra}) == UNREAD_FIELDS

@@ -64,20 +64,19 @@ def draw_payload(rng):
 
 
 def seeded_schedule(seed):
-    """The seeded traffic: a frame clock, and bursts of payloads as
-    ``(at, payload)`` in send order."""
+    """The seeded traffic: bursts of payloads as ``(at, payload)`` in
+    send order."""
     rng = random.Random(seed)
-    frame_delay_ms = rng.choice((0.0, 2.0))
     schedule = []
     at = 0.0
     for _burst in range(40):
         at += rng.choice((0.0005, 0.002, 0.02))
         for _ in range(rng.randint(1, 4)):
             schedule.append((at, draw_payload(rng)))
-    return frame_delay_ms, schedule
+    return schedule
 
 
-def stream_traffic(frame_delay_ms, schedule):
+def stream_traffic(schedule):
     """Send ``schedule`` from ``a``.  Returns the chunks ``a`` sequenced
     (seq -> (part, chunk meta)), per peer the data frames as first put on
     the wire — ``(log end at the cut, payload, meta, wire size)`` — per
@@ -97,7 +96,6 @@ def stream_traffic(frame_delay_ms, schedule):
         "a",
         chunk_bytes=CHUNK_BYTES,
         frame_bytes=FRAME_BYTES,
-        frame_delay_ms=frame_delay_ms,
         window_bytes=WINDOW_BYTES,
     )
     delivered = {peer: [] for peer in NODES[1:]}
@@ -227,7 +225,7 @@ def built_and_runs(frames):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_frames_on_the_wire_keep_the_framing_claims(seed):
-    chunks, frames, delivered, plane = stream_traffic(*seeded_schedule(seed))
+    chunks, frames, delivered, plane = stream_traffic(seeded_schedule(seed))
     by_cut = assert_framing_claims(chunks, frames, delivered)
     assert any(len(sent) > 1 for sent in by_cut.values())
     # The traffic exercised both cuts: lone frames and coalesced ones.
@@ -244,7 +242,7 @@ def test_a_frame_is_built_once_per_run_not_once_per_peer(seed):
     new meta handed to the channels, so the distinct metas on the wire
     are the frames built.  They must be the distinct runs; the per-peer
     cuts are several times more."""
-    _chunks, frames, _delivered, plane = stream_traffic(*seeded_schedule(seed))
+    _chunks, frames, _delivered, plane = stream_traffic(seeded_schedule(seed))
     built, runs = built_and_runs(frames)
     assert len(built) == len(runs)
     assert plane.frames_sent >= 2 * len(runs)
@@ -263,7 +261,7 @@ def test_a_run_the_log_grew_into_is_rebuilt_for_the_peer_held_back():
         (0.081, b"y" * 100),
         (0.082, b"z" * 100),
     ]
-    chunks, frames, delivered, plane = stream_traffic(0.0, schedule)
+    chunks, frames, delivered, plane = stream_traffic(schedule)
     assert_framing_claims(chunks, frames, delivered)
     small = [seq for seq, (part, _meta) in chunks.items() if len(part) == 100]
     runs_from = {
