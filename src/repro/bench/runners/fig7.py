@@ -235,7 +235,7 @@ EXPERIMENT = Experiment(
         Arg("--messages", "messages", positive_int, "1500"),
     ),
     scales={
-        "report": {"rates": (250, 1000, 4000, 16000), "messages": 800},
+        "report": {"rates": (250, 1000, 4000, 16000), "messages": 1500},
         "default": {"rates": RATES, "messages": 1500},
         "full": {"rates": RATES, "messages": 10_000},
     },

@@ -370,7 +370,7 @@ class InvariantChecker:
         for node in units:
             if hasattr(node, "endpoint"):
                 for channel in node.endpoint.channels().values():
-                    inflight = sum(f[1] for f in channel._unacked.values())
+                    inflight = sum(f[1] for f in channel._unacked)
                     self.checks += 1
                     if channel._unacked_bytes != inflight:
                         self._fail(
@@ -391,9 +391,7 @@ class InvariantChecker:
                 inflight = channel._unacked_bytes
                 if window is not None:
                     # One frame may always fly, however large — but only one.
-                    largest = max(
-                        (f[1] for f in channel._unacked.values()), default=0
-                    )
+                    largest = max((f[1] for f in channel._unacked), default=0)
                     self.checks += 1
                     if inflight > max(window, largest):
                         self._fail(

@@ -59,7 +59,8 @@ class StabilizerConfig:
         window beside what is in flight (unacknowledged); until then the
         peer's stream stalls, and cumulative transport acks reopen it.
         A slow or suspected peer backpressures only its own stream.
-        ``None`` disables windowing.
+        ``None`` (the default) sets no window: every frame is cut at once
+        and the link's queue paces the stream, saturating its bandwidth.
     frame_bytes:
         WAN frame coalescing threshold: sequenced messages accumulate
         into one transport frame until the frame reaches this size.
@@ -144,7 +145,7 @@ class StabilizerConfig:
         control_fanout: str = "all",
         failure_timeout_s: float = 5.0,
         max_buffer_bytes: Optional[int] = None,
-        window_bytes: Optional[int] = 1024 * 1024,
+        window_bytes: Optional[int] = None,
         frame_bytes: Optional[int] = 32 * 1024,
         max_retransmit_attempts: Optional[int] = 8,
         transport_max_rto_s: float = 5.0,

@@ -31,7 +31,8 @@ under it sends every frame at once — and the one place the send window
   message; ``None``, a frame per message), cut at the end of each
   ``send()`` call, the moment an ACK returns credits to the peer, or at
   a crash-restart replay, so no partial frame waits for more messages;
-- a run is cut only if nothing is in flight on the peer's channel, or if
+- with no window (the default) every run is cut at once.  With one, a
+  run is cut only if nothing is in flight on the peer's channel, or if
   the bytes in flight plus the run's wire size (payload, transport
   header, and a batch entry per message for a run of two or more) fit in
   the window.  Otherwise the stream *stalls* until an ACK retires frames,
@@ -251,7 +252,6 @@ class DataPlane:
         self.frame_payload_bytes = 0
         self.frames_received = 0
         self.max_frame_messages = 0
-        self.flush_causes = {"inline": 0, "window": 0, "replay": 0}
         self.window_stalls = 0
         self.window_opens = 0
         # Backpressure state (engaged while the WAN cannot drain).
@@ -449,7 +449,6 @@ class DataPlane:
         self.frame_payload_bytes += run_bytes
         if messages > self.max_frame_messages:
             self.max_frame_messages = messages
-        self.flush_causes[cause] += 1
         if self.tracer.enabled:
             # The frame covers the contiguous sequence run [first_seq,
             # last_seq] — the trace context that lets span reconstruction

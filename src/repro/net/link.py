@@ -12,17 +12,29 @@ This produces the behaviour the paper's evaluation leans on: below the
 bandwidth limit latency is flat at roughly L; above it the queue grows
 without bound and latency "rises sharply" (Fig. 7), and large bursts create
 the spikes of Fig. 5.
+
+A link is a queue, not one timer per packet.  With a fixed latency the
+packets in flight arrive in the order they were sent, so the link threads
+them into a list (``Packet.next``) and only its head has an entry on the
+simulator's heap; the head's arrival arms the next.  Each packet reserves
+its event sequence number when it is sent, so the simulator runs every
+arrival at the same point of its event order as a heap entry per packet
+would.  A packet due before the list's tail — jitter, or a
+:meth:`Link.reshape` that shortened the latency — goes on the heap on its
+own instead.  Link, host and port checks are made at arrival, so a link
+taken down or a target crashed with packets in flight drops them there.
 """
 
 from __future__ import annotations
 
 import random
+from heapq import heappush
 from typing import Optional
 
 from repro.errors import NetworkError
 from repro.net.host import Host
 from repro.net.packet import Packet, Port
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, TimerHandle
 
 
 class LinkStats:
@@ -81,6 +93,9 @@ class Link:
         self.stats = LinkStats()
         self._busy_until = 0.0
         self._backlog_bytes = 0
+        # The last packet of the in-order list in flight (see module
+        # docstring); its head is the one with a heap entry.
+        self._tail: Optional[Packet] = None
 
     # -- inspection ----------------------------------------------------------
     def backlog_bytes(self) -> int:
@@ -115,15 +130,19 @@ class Link:
         # serialization arithmetic of the methods above, written out.
         sim = self.sim
         now = sim.now
-        packet = Packet(self.src, self.dst, port, payload, size_bytes, sent_at=now)
-        size = packet.size_bytes
         busy_until = self._busy_until
         start = now if now > busy_until else busy_until
-        done_serializing = start + size * 8.0 / self.bandwidth_bps
-        self._busy_until = done_serializing
+        done_serializing = start + size_bytes * 8.0 / self.bandwidth_bps
         propagation = self.latency_s
         if self.jitter_s > 0:
             propagation += self.rng.uniform(0, self.jitter_s)
+        due = done_serializing + propagation
+        # The arrival's place in the event order is taken now, as a
+        # heap entry of its own would take it.
+        sim._seq = seq = sim._seq + 1
+        packet = Packet(self.src, self.dst, port, payload, size_bytes, due, seq)
+        size = packet.size_bytes
+        self._busy_until = done_serializing
 
         backlog = self._backlog_bytes = self._backlog_bytes + size
         if backlog > stats.max_backlog_bytes:
@@ -131,12 +150,32 @@ class Link:
         stats.packets_sent += 1
         stats.bytes_sent += size
 
-        sim.call_at(done_serializing + propagation, self._arrive, packet)
+        tail = self._tail
+        if tail is None:
+            self._tail = packet
+            heappush(sim._heap, TimerHandle((due, seq, self._arrive, (packet, True))))
+        elif due >= tail.due:
+            tail.next = self._tail = packet
+        else:
+            heappush(sim._heap, TimerHandle((due, seq, self._arrive, (packet, False))))
         return True
 
-    def _arrive(self, packet: Packet) -> None:
+    def _arrive(self, packet: Packet, queued: bool) -> None:
         # The one Python frame between the event loop and the port
-        # handler: link, host and port checks are all made here.
+        # handler: the next packet of the list is armed, and link, host
+        # and port checks are all made here.
+        if queued:
+            following = packet.next
+            if following is None:
+                self._tail = None
+            else:
+                packet.next = None
+                heappush(
+                    self.sim._heap,
+                    TimerHandle(
+                        (following.due, following.seq, self._arrive, (following, True))
+                    ),
+                )
         size = packet.size_bytes
         self._backlog_bytes -= size
         if not self.up:

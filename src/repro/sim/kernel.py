@@ -181,5 +181,9 @@ class Simulator:
         return event.value
 
     def pending_count(self) -> int:
-        """Number of not-yet-cancelled entries in the heap (approximate)."""
+        """Number of not-yet-cancelled entries in the heap (approximate).
+
+        A link arms only the first of its in-order packets in flight
+        (:mod:`repro.net.link`): the packets queued behind it are not
+        heap entries, and this count does not see them."""
         return sum(1 for handle in self._heap if not handle.cancelled)

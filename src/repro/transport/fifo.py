@@ -60,7 +60,8 @@ is one periodic timer and occasional tiny ACK frames.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import TransportError
 from repro.transport.messages import Payload, payload_length
@@ -159,12 +160,12 @@ class FifoChannel:
         self.epoch = self.sim.now
         self._peer_epoch: Optional[float] = None
 
-        # Sender state: every frame sent and not yet acknowledged, as
-        # seq -> (the wire tuple handed to the link, its size, send time).
+        # Sender state: every frame sent and not yet acknowledged, in
+        # sequence order, as (the wire tuple handed to the link, its size,
+        # send time).  A cumulative ACK retires a prefix.
         self._next_send_seq = 0
-        self._unacked: Dict[int, Tuple[tuple, int, float]] = {}
+        self._unacked: Deque[Tuple[tuple, int, float]] = deque()
         self._unacked_bytes = 0
-        self._lowest_unacked = 0
         # Karn's rule: every frame below this sequence was resent.
         self._resent_below = 0
         self._retransmit_timer = None
@@ -207,7 +208,7 @@ class FifoChannel:
         self._next_send_seq = seq + 1
         size = payload_length(payload) + TRANSPORT_HEADER_BYTES + wire_overhead
         wire = ("data", self.name, seq, payload, meta, self.epoch)
-        self._unacked[seq] = (wire, size, self.sim.now)
+        self._unacked.append((wire, size, self.sim.now))
         self._unacked_bytes += size
         self.link.send(self._data_port, wire, size)
         self.frames_sent += 1
@@ -226,7 +227,7 @@ class FifoChannel:
         (Karn's rule: none of them gives an RTT sample from now on)."""
         self._resent_below = self._next_send_seq
         link, port = self.link, self._data_port
-        for wire, size, _sent_at in self._unacked.values():
+        for wire, size, _sent_at in self._unacked:
             link.send(port, wire, size)
         self.retransmissions += len(self._unacked)
 
@@ -364,7 +365,6 @@ class FifoChannel:
             self.suspended = False
             self.endpoint._channel_revived(self)
         self._next_send_seq = 0
-        self._lowest_unacked = 0
         self._resent_below = 0
         self._unacked.clear()
         self._unacked_bytes = 0
@@ -383,15 +383,10 @@ class FifoChannel:
         _, _, cumulative, epoch, tag = packet.payload
         if epoch == self.epoch:  # else an ack for a previous incarnation
             retired = None  # the newest record this ack retires
-            lowest = self._lowest_unacked
             unacked = self._unacked
-            while lowest <= cumulative:
-                record = unacked.pop(lowest, None)
-                if record is not None:
-                    self._unacked_bytes -= record[1]
-                    retired = record
-                lowest += 1
-            self._lowest_unacked = lowest
+            while unacked and unacked[0][0][2] <= cumulative:  # its wire's seq
+                retired = unacked.popleft()
+                self._unacked_bytes -= retired[1]
             if retired is not None:
                 wire, _size, sent_at = retired
                 now = self.sim.now

@@ -20,17 +20,6 @@ from repro.bench.paper import experiments, verdicts_for
 
 pytestmark = pytest.mark.report_smoke
 
-#: Red since the pipelined data plane's fixed send window (PR 5): the WAN
-#: plateau is ~0.5 MB in flight, not the link (WI 105 / CLEM 88 / MA 91
-#: Mbit/s against Table II's 362 / 416 / 437).  Strict, so the PR that
-#: restores Fig. 7's saturation has to take them off this list.
-WINDOW_BOUND = {
-    ("fig7", "identical WAN throughput bottleneck"),
-    ("fig7", "bottleneck close to the physical bandwidth"),
-    ("fig7", "Stabilizer as fast or faster at the saturated rate"),
-}
-
-
 #: Experiment -> the marker of the chaos scenario it runs.
 SCENARIO_MARKS = {
     "rebalance": pytest.mark.rebalance_smoke,
@@ -68,10 +57,6 @@ def test_experiment_runs_and_prints(run_once, name):
 
 def _finding(name, finding):
     marks = _marks(name)
-    if (name, finding.metric) in WINDOW_BOUND:
-        marks.append(pytest.mark.xfail(
-            strict=True, reason="ROADMAP, restore Fig. 7's saturation: window-bound"
-        ))
     slug = re.sub(r"[^A-Za-z0-9]+", "-", finding.metric).strip("-")
     return pytest.param(name, finding.metric, id=f"{name}-{slug}", marks=marks)
 
@@ -92,15 +77,14 @@ def test_finding_is_reproduced(run_once, name, metric):
     )
 
 
-def test_the_strict_xfails_name_real_findings_and_the_record_says_red():
-    declared = {
-        (name, finding.metric)
-        for name, exp in experiments().items()
-        for finding in exp.expectations
-    }
-    assert WINDOW_BOUND <= declared
+def test_the_record_says_fig7_is_reproduced():
+    """Each of Fig. 7's findings is green above; EXPERIMENTS.md, which
+    once listed three of them as red, has to say so too."""
+    declared = [finding.metric for finding in experiments()["fig7"].expectations]
     record = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
     text = " ".join(record.read_text(encoding="utf-8").split())
-    for _name, metric in WINDOW_BOUND:
-        listed = text[text.index(f"— {metric}"):][: len(metric) + 120]
-        assert "window-bound, red, strict-xfailed" in listed, metric
+    section = text[text.index("## Fig. 7"):text.index("## Fig. 8")]
+    assert "window-bound" not in section and "xfail" not in section
+    for metric in declared:
+        assert f"— {metric}" in section, metric
+    assert "**Reproduced.**" in section

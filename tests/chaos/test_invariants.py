@@ -4,6 +4,8 @@ These tests drive the checker with minimal fakes so each failure mode is
 exercised directly — a checker that never fires is worse than none.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.chaos import InvariantChecker, InvariantViolation
@@ -179,10 +181,9 @@ class FakeChannel:
     def __init__(self, frame_sizes=(), unacked_bytes=None):
         self.name = "stab.data"
         self.peer = "b"
-        # seq -> (wire tuple, size, send time), as FifoChannel keeps it.
-        self._unacked = {
-            i: (None, size, 0.0) for i, size in enumerate(frame_sizes)
-        }
+        # (wire tuple, size, send time) in sequence order, as FifoChannel
+        # keeps it.
+        self._unacked = deque((None, size, 0.0) for size in frame_sizes)
         self._unacked_bytes = (
             sum(frame_sizes) if unacked_bytes is None else unacked_bytes
         )
