@@ -44,7 +44,7 @@ from repro.workloads.rates import constant_rate
 # ---------------------------------------------------------------------------
 
 
-def run_redblue_comparison(operations: int = 15) -> Dict[str, float]:
+def run_redblue_comparison(operations: int = 10) -> Dict[str, float]:
     """Compare Gemini-style RedBlue against Stabilizer predicates.
 
     RedBlue offers exactly two levels: blue (local now, eventual
@@ -260,7 +260,7 @@ def run_chunk_size_ablation(
 
 def run_ack_batching(
     intervals_s: Sequence[float] = (0.001, 0.005, 0.02, 0.05, 0.1),
-    messages: int = 200,
+    messages: int = 150,
     rate: float = 100.0,
 ) -> List[Dict[str, float]]:
     """Sweep the control-plane flush interval: detection lag vs reports.

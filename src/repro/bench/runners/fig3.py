@@ -17,7 +17,7 @@ QUORUM_MEMBERS = ("UT1", "WI", "CLEM")
 
 def run_quorum_read(
     sizes_bytes: Sequence[int] = tuple(1024 * 2**i for i in range(7)),
-    reads_per_size: int = 5,
+    reads_per_size: int = 4,
 ) -> Dict[str, object]:
     """The Fig. 3 experiment: quorum {UT1, WI, CLEM}, Nr = Nw = 2, writer
     at UT2, reader at UT1; returns read latencies and RTT reference lines."""
@@ -89,7 +89,7 @@ EXPERIMENT = Experiment(
     name="fig3",
     help="Fig. 3 quorum read latency",
     run=run_quorum_read,
-    args=(Arg("--reads", "reads_per_size", positive_int, "5"),),
+    args=(Arg("--reads", "reads_per_size", positive_int, "4"),),
     scales={
         "report": {"sizes_bytes": (1024, 8192, 65536), "reads_per_size": 3},
         "default": {"reads_per_size": 4},

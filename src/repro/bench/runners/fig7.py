@@ -231,7 +231,7 @@ EXPERIMENT = Experiment(
     help="Fig. 7 pub/sub sweep",
     run=run_pubsub_sweep,
     args=(
-        Arg("--rates", "rates", _rates, "250,1000,4000,16000"),
+        Arg("--rates", "rates", _rates, ",".join(map(str, RATES))),
         Arg("--messages", "messages", positive_int, "1500"),
     ),
     scales={

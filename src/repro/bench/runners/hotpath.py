@@ -790,12 +790,13 @@ def _budget(value: float, budget: float):
 
 @finding(
     "calls per WAL record",
-    "<= 16.5 (14.9; 57.4 before the append path was shortened, 25.5 while "
-    "every record was written to the segment on append)",
+    "<= 9.5 (8.5; 57.4 before the append path was shortened, 25.5 while "
+    "every record was written to the segment on append, 14.9 while each "
+    "record was its own frame)",
     kind="exact",
 )
 def _wal_record(result):
-    return _budget(result["wal_record"], 16.5)
+    return _budget(result["wal_record"], 9.5)
 
 
 @finding(

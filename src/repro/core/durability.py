@@ -5,16 +5,29 @@ stability, and applications such as the Dropbox-style backup service ack
 users only once data is durable.  This module makes the ``persisted``
 ACK column a *true statement about bytes on disk*: every delivered
 message (the node's own sends and every remote stream) is staged for a
-write-ahead log, a group commit (fired by size or by timer) writes the
-staged records in one write and fsyncs them, and the ``persisted``
-stability report for a sequence number is emitted **only after the
-fsync covering it returns successfully**.
+write-ahead log, a group commit (fired by size, or by a timer armed at
+the first staged record) writes the staged records in one write and
+fsyncs them, and the ``persisted`` stability report for a sequence
+number is emitted **only after the fsync covering it returns
+successfully** — one report per commit, naming every origin it covers.
 
 Layout: numbered segment files (``wal-000001.log`` …) of
-:class:`~repro.storage.log.AppendLog` frames, each record encoding
-``(origin, seq, payload)``; a ``wal.meta`` manifest (written atomically:
-temp file, fsync, rename) carries the *base watermarks* absorbed by
-snapshot checkpoints so compacted segments stay accounted for.
+:class:`~repro.storage.log.AppendLog` frames, **one frame per group
+commit**: the frame's payload is the commit's records back to back, each
+a ``(kind, origin index, seq, length)`` header followed by ``length``
+payload bytes (a synthetic record, modelled content, has none).  The
+whole batch has one length, one CRC and one ``write``.  A ``wal.meta``
+manifest (written atomically: temp file, fsync, rename) carries the
+*base watermarks* absorbed by snapshot checkpoints so compacted segments
+stay accounted for.
+
+**What a damaged batch loses.**  The batch is the unit of loss.  A torn
+batch — a crash, or a torn write, before its fsync returned — loses all
+of its records, none of which was ever claimed: recovery truncates it as
+a torn tail, and a torn write is healed back to the last whole frame at
+once.  Bit rot inside a batch fails the batch's CRC; permissive recovery
+skips the whole batch and salvages the ones after it, so the contiguous
+watermark stops below the hole — recovery can only under-claim.
 
 **Fsync-failure policy (no "fsyncgate").**  A modern kernel drops dirty
 pages when fsync fails — retrying the same file returns success without
@@ -36,7 +49,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import DiskFaultError, StabilizerError
 from repro.obs.tracer import NULL_TRACER
@@ -44,14 +57,16 @@ from repro.storage.faultio import MemoryFileSystem
 from repro.storage.log import AppendLog
 from repro.transport.messages import SyntheticPayload
 
-# One WAL record: kind (0 = raw bytes, 1 = synthetic), origin index, seq;
-# a synthetic record carries the modelled length where the bytes would be.
-_RECORD = struct.Struct("!BHQ")
-_SYN_RECORD = struct.Struct("!BHQI")
+# One WAL record's header: kind (0 = raw bytes, 1 = synthetic), origin
+# index, seq, length.  A raw record's payload follows its header; a
+# synthetic record carries only the modelled length, no bytes after it.
+_RECORD = struct.Struct("!BHQI")
 
-#: ``on_durable(origin_name, seq)`` — every message of ``origin`` up to
-#: ``seq`` is now on stable storage at this node.
-DurableFn = Callable[[str, int], None]
+#: ``on_durable(tops)`` — one group commit's fsync returned: for each
+#: ``origin, seq`` of ``tops``, every message of ``origin`` up to ``seq``
+#: is now on stable storage at this node (only origins whose durable
+#: watermark rose, in first-staged order).
+DurableFn = Callable[[Dict[str, int]], None]
 
 
 class DurabilityManager:
@@ -84,11 +99,14 @@ class DurabilityManager:
 
         # Durable (fsync-confirmed) watermark per origin stream.
         self._watermarks: Dict[str, int] = {}
-        # Encoded records awaiting a group commit, in delivery order, and
-        # their highest sequence per origin in first-staged order (the
-        # order the commit reports them durable in).  A refused write or a
-        # poisoned fsync leaves both as they are for the retry.
+        # Records awaiting a group commit, in delivery order: each one's
+        # header, then its payload (a synthetic record has none), joined
+        # into one AppendLog frame by the commit; how many records that
+        # is; and their highest sequence per origin in first-staged order
+        # (the order the commit reports them durable in).  A refused write
+        # or a poisoned fsync leaves all three as they are for the retry.
         self._staged: List[bytes] = []
+        self._staged_records = 0
         self._staged_tops: Dict[str, int] = {}
         self._sealed: List[dict] = []  # {"name", "max_seqs", "poisoned"}
         self._segment_index = 0
@@ -134,40 +152,46 @@ class DurabilityManager:
         """
         if self._closed:
             raise StabilizerError("append to a closed DurabilityManager")
-        self._staged.append(self._encode(origin, seq, payload))
-        self.appends += 1
-        tops = self._staged_tops
-        if seq > tops.get(origin, 0):
-            tops[origin] = seq
-        if len(self._staged) >= self.batch:
-            self._commit()
-        elif self._timer is None:
-            self._arm_timer()
-
-    def _encode(self, origin: str, seq: int, payload) -> bytes:
         try:
             index = self._node_index[origin]
         except KeyError:
             raise StabilizerError(f"unknown origin {origin!r}") from None
+        staged = self._staged
         if type(payload) is bytes:
-            return _RECORD.pack(0, index, seq) + payload
-        if isinstance(payload, SyntheticPayload):
+            staged += (_RECORD.pack(0, index, seq, len(payload)), payload)
+        elif isinstance(payload, SyntheticPayload):
             # Modelled content: the record is honest about its framing and
             # fsync path without materializing the random bytes.
-            return _SYN_RECORD.pack(1, index, seq, payload.length)
-        if isinstance(payload, (bytes, bytearray, memoryview)):
-            return _RECORD.pack(0, index, seq) + bytes(payload)
-        raise StabilizerError(
-            f"cannot log payload of type {type(payload).__name__}"
-        )
+            staged.append(_RECORD.pack(1, index, seq, payload.length))
+        elif isinstance(payload, (bytes, bytearray, memoryview)):
+            payload = bytes(payload)
+            staged += (_RECORD.pack(0, index, seq, len(payload)), payload)
+        else:
+            raise StabilizerError(
+                f"cannot log payload of type {type(payload).__name__}"
+            )
+        self.appends += 1
+        self._staged_records += 1
+        tops = self._staged_tops
+        if seq > tops.get(origin, 0):
+            tops[origin] = seq
+        if self._staged_records >= self.batch:
+            self._commit()
+        elif self._timer is None:
+            self._arm_timer()
 
-    def _decode(self, record: bytes) -> Optional[Tuple[str, int]]:
-        if len(record) < _RECORD.size:
-            return None
-        kind, index, seq = _RECORD.unpack_from(record)
-        if kind not in (0, 1) or index >= len(self._node_names):
-            return None
-        return self._node_names[index], seq
+    def _decode(self, batch: bytes) -> Iterator[Tuple[str, int]]:
+        """The ``(origin, seq)`` of every record in one committed batch."""
+        names = self._node_names
+        offset, end = 0, len(batch)
+        while offset + _RECORD.size <= end:
+            kind, index, seq, length = _RECORD.unpack_from(batch, offset)
+            if kind > 1 or index >= len(names):
+                return  # not a record this manager wrote
+            offset += _RECORD.size
+            if kind == 0:
+                offset += length
+            yield names[index], seq
 
     def _arm_timer(self) -> None:
         if self._timer is None:
@@ -181,14 +205,16 @@ class DurabilityManager:
     # ------------------------------------------------------------------ commit
     def _commit(self) -> None:
         """One group commit: write every staged record to the current
-        segment in one write, fsync it, then — and only then — report the
+        segment as one frame, fsync it, then — and only then — report the
         covered sequences durable.  A fault leaves every record staged and
-        arms the retry."""
+        arms the retry; a commit that succeeds cancels the timer, so the
+        next interval counts from the next staged record."""
         staged = self._staged
         if not staged:
             return
+        batch = b"".join(staged)
         try:
-            self._current.append_many(staged)
+            self._current.append(batch)
         except DiskFaultError:
             # The log healed any torn tail back to its last whole frame.
             self.write_faults += 1
@@ -196,8 +222,7 @@ class DurabilityManager:
             return
         tracing = self.tracer.enabled
         if tracing:
-            for encoded in staged:
-                origin, seq = self._decode(encoded)
+            for origin, seq in self._decode(batch):
                 if self.tracer.sampled(origin, seq):
                     self.tracer.emit(
                         self._trace_node, "wal.append", origin=origin, seq=seq
@@ -207,15 +232,21 @@ class DurabilityManager:
         except DiskFaultError:
             self._poison()
             return
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         self.group_commits += 1
-        records = len(staged)
+        records = self._staged_records
         tops = self._staged_tops
         self._staged = []
+        self._staged_records = 0
         self._staged_tops = {}
         self._fold_into_segment(tops)
+        watermarks = self._watermarks
+        advanced: Dict[str, int] = {}
         for origin, top in tops.items():
-            if top > self._watermarks.get(origin, 0):
-                self._watermarks[origin] = top
+            if top > watermarks.get(origin, 0):
+                watermarks[origin] = advanced[origin] = top
                 if tracing:
                     self.tracer.emit(
                         self._trace_node,
@@ -224,8 +255,8 @@ class DurabilityManager:
                         seq=top,
                         records=records,
                     )
-                if self.on_durable is not None:
-                    self.on_durable(origin, top)
+        if advanced and self.on_durable is not None:
+            self.on_durable(advanced)
         if self._current.size_bytes() >= self.segment_bytes:
             self._rotate(poisoned=False)
 
@@ -243,7 +274,7 @@ class DurabilityManager:
         dirty pages, so the unsynced range of this segment can never be
         trusted again.  Seal it, keep the records staged for a fresh
         segment, and leave the watermark exactly where it was."""
-        records = len(self._staged)
+        records = self._staged_records
         self.fsync_failures += 1
         self.poisoned_ranges += 1
         self.poisoned_records += records
@@ -293,7 +324,7 @@ class DurabilityManager:
 
     def pending(self) -> int:
         """Records delivered but not yet covered by a successful fsync."""
-        return len(self._staged)
+        return self._staged_records
 
     def flush(self) -> None:
         """Group-commit now (graceful paths and tests)."""
@@ -435,13 +466,10 @@ class DurabilityManager:
                 self.salvaged_segments += 1
             max_seqs: Dict[str, int] = {}
             for record in log.records():
-                decoded = self._decode(record.payload)
-                if decoded is None:
-                    continue
-                origin, seq = decoded
-                seen.setdefault(origin, set()).add(seq)
-                max_seqs[origin] = max(max_seqs.get(origin, 0), seq)
-                self.recovered_records += 1
+                for origin, seq in self._decode(record.payload):
+                    seen.setdefault(origin, set()).add(seq)
+                    max_seqs[origin] = max(max_seqs.get(origin, 0), seq)
+                    self.recovered_records += 1
             log.close(sync=False)
             self._sealed.append(
                 {"name": path, "max_seqs": max_seqs, "poisoned": False}

@@ -630,11 +630,11 @@ class Stabilizer:
         # Our own stream enters the WAL as each chunk is originated.
         self.durability.append(self.name, seq, payload)
 
-    def _on_durable(self, origin: str, seq: int) -> None:
-        """A WAL group commit's fsync returned: everything of ``origin``
-        up to ``seq`` is genuinely on this node's disk — only now may
+    def _on_durable(self, tops: Dict[str, int]) -> None:
+        """A WAL group commit's fsync returned: everything of each origin
+        up to its top is genuinely on this node's disk — only now may
         ``persisted`` be claimed (locally and to every peer)."""
-        self.strategy.grant_durable(origin, self._type_ids["persisted"], seq)
+        self.strategy.grant_durable(self._type_ids["persisted"], tops)
 
     def _on_deliver(self, origin: str, seq: int, payload: Payload, meta) -> None:
         for handler in self._delivery_handlers:

@@ -308,10 +308,11 @@ class StabilizationStrategy:
     #: ``peer``'s ``received`` report; None for one that does not.
     on_peer_received = None
 
-    def grant_durable(self, origin: str, type_id: int, seq: int) -> None:
-        """A WAL group commit's fsync covers ``origin`` up to ``seq``:
-        grant ``persisted`` (``type_id``)."""
-        self.grant_local(origin, type_id, seq)
+    def grant_durable(self, type_id: int, tops: Dict[str, int]) -> None:
+        """A WAL group commit's fsync covers each origin of ``tops`` up
+        to its sequence: grant ``persisted`` (``type_id``)."""
+        for origin, seq in tops.items():
+            self.grant_local(origin, type_id, seq)
 
     #: ``() -> origins this node observes``, for an engine that routes its
     #: frames by demand (the carrier then advertises it and keeps
@@ -549,10 +550,11 @@ class AckTableStrategy(StabilizationStrategy):
         if held <= node._received_floor:
             node._rescan_received_floor()
 
-    def grant_durable(self, origin: str, type_id: int, seq: int) -> None:
-        """A group commit is already a batch: its ``persisted`` grant
-        ships at once instead of waiting a flush interval."""
-        self.grant_local(origin, type_id, seq)
+    def grant_durable(self, type_id: int, tops: Dict[str, int]) -> None:
+        """A group commit is already a batch: its ``persisted`` grants,
+        every origin it covers, ship at once in one flush instead of
+        waiting a flush interval."""
+        super().grant_durable(type_id, tops)
         self.advance_candidates()
 
     # ------------------------------------------------------------------ demand

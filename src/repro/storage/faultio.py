@@ -9,7 +9,13 @@ through the operating system, so this module models a disk:
 - :class:`MemoryFileSystem` — an in-memory filesystem that tracks, per
   file, the *volatile* contents (the page-cache view every read sees) and
   the *durable* image (what survives :meth:`MemoryFileSystem.crash`).
-  Only a successful ``fsync`` moves bytes from volatile to durable.
+  Only a successful ``fsync`` moves bytes from volatile to durable.  The
+  image is not a second copy of the file: while it is a prefix of the
+  volatile contents — always, on a disk with nothing armed — it is kept
+  as a synced length, and an fsync just moves that length.  It is
+  copied out only once it would differ from that prefix (a write below
+  the synced length, a failed or torn fsync), and a crash, which makes
+  the image the contents, ends the copy again.
 - :class:`FaultInjector` — a seeded, deterministic source of injected
   faults, armed per kind with a probability (or scripted one-shot), that
   the filesystem consults on every write and fsync while anything is
@@ -110,20 +116,41 @@ class FaultInjector:
 
 
 class _MemNode:
-    """One file's state: volatile contents, durable image, lost pages."""
+    """One file's state: volatile contents, durable image, lost pages.
 
-    __slots__ = ("data", "durable", "dirty", "lost")
+    The durable image is kept *lazily*: while ``durable`` is None it is
+    ``data[:synced]``, with no copy, and there are no lost pages.  It is
+    copied out (:meth:`materialize`; ``synced`` is then unused) only when
+    it would differ from that prefix: a write below ``synced``, or a
+    failed or torn fsync (lost pages).  A crash makes ``data`` the image,
+    so the node is lazy again after it.
+    """
+
+    __slots__ = ("data", "durable", "synced", "dirty", "lost")
 
     def __init__(self):
         self.data = bytearray()  # the page-cache view
-        self.durable = bytearray()  # what survives a crash; fsync patches it
+        # What survives a crash: None while it is data[:synced]; fsync
+        # patches it in place once copied out.
+        self.durable: Optional[bytearray] = None
+        self.synced = 0
         self.dirty: List[Tuple[int, int]] = []  # modified since last fsync
         self.lost: List[Tuple[int, int]] = []  # dropped dirty pages
+
+    def materialize(self) -> None:
+        """Copy the durable image out of ``data`` (once)."""
+        if self.durable is None:
+            self.durable = self.data[: self.synced]
+
+    def durable_len(self) -> int:
+        return self.synced if self.durable is None else len(self.durable)
 
     def clone(self) -> "_MemNode":
         node = _MemNode()
         node.data = bytearray(self.data)
-        node.durable = bytearray(self.durable)
+        if self.durable is not None:
+            node.durable = bytearray(self.durable)
+        node.synced = self.synced
         node.dirty = list(self.dirty)
         node.lost = list(self.lost)
         return node
@@ -197,6 +224,8 @@ class MemoryFile:
             return
         start = self._pos
         end = start + len(data)
+        if start < node.synced and node.durable is None:
+            node.materialize()  # the image keeps the bytes this overwrites
         if end > len(node.data):
             node.data.extend(b"\x00" * (end - len(node.data)))
         node.data[start:end] = data
@@ -227,6 +256,9 @@ class MemoryFile:
         # As in write(): consulted only while something is armed.
         if injector is not None and (injector._rates or injector._once):
             if injector.decide("fsync_fail"):
+                # Lost pages read as zeroes in the image once it reaches
+                # them, so it can no longer be a prefix of ``data``.
+                node.materialize()
                 node.lost.extend(node.dirty)
                 node.dirty = []
                 raise DiskFaultError(
@@ -238,19 +270,32 @@ class MemoryFile:
                 # the device error; the rest is dropped, as after fsync_fail.
                 keep = injector.rng.randrange(0, len(node.dirty) + 1)
                 survived, dropped = node.dirty[:keep], node.dirty[keep:]
+                node.materialize()
                 node.dirty = []
                 node.lost.extend(dropped)
                 self._sync_ranges(survived)
                 raise DiskFaultError(
                     f"fsync interrupted for {self._path!r}", kind="fsync_torn"
                 )
-        self._sync_ranges(node.dirty)
+        if node.durable is None:
+            # A lazy image has no lost pages, and every byte of ``data``
+            # past ``synced`` that no dirty range covers is a zero a write
+            # past the end left — a zero in the image too.  So the image
+            # is still a prefix of ``data``: just move its length.
+            synced = node.synced
+            for _a, b in node.dirty:
+                if b > synced:
+                    synced = b
+            node.synced = synced
+        else:
+            self._sync_ranges(node.dirty)
         node.dirty = []
 
     def _sync_ranges(self, ranges: List[Tuple[int, int]]) -> None:
-        """Copy the given now-synced dirty ranges into the durable image
-        and zero its lost pages (they never reached the disk).  The image
-        is patched in place: the cost is the bytes synced, not the file."""
+        """Copy the given now-synced dirty ranges into the copied-out
+        durable image and zero its lost pages (they never reached the
+        disk).  The image is patched in place: the cost is the bytes
+        synced, not the file."""
         node = self._node
         durable = node.durable
         size = len(durable)
@@ -294,7 +339,10 @@ class MemoryFile:
         size = self._pos if size is None else size
         node = self._node
         del node.data[size:]
-        del node.durable[size:]
+        if node.durable is None:
+            node.synced = min(node.synced, size)
+        else:
+            del node.durable[size:]
         node.dirty = _clip(node.dirty, size)
         node.lost = _clip(node.lost, size)
         return size
@@ -341,7 +389,8 @@ class MemoryFileSystem:
             self._files[path] = node
         if "w" in mode:
             node.data = bytearray()
-            node.durable = bytearray()
+            node.durable = None
+            node.synced = 0
             node.dirty = []
             node.lost = []
         return MemoryFile(self, path, node, mode)
@@ -389,7 +438,7 @@ class MemoryFileSystem:
         self.crashes += 1
         for node in self._files.values():
             keep = 0
-            tail = len(node.data) - len(node.durable)
+            tail = len(node.data) - node.durable_len()
             if torn and tail > 0:
                 keep = self.injector.rng.randrange(0, tail + 1)
             self._crash_node(node, keep)
@@ -404,16 +453,24 @@ class MemoryFileSystem:
 
     @staticmethod
     def _crash_node(node: _MemNode, keep: int) -> None:
-        base = len(node.durable)
-        image = node.durable
-        if keep > 0:
-            surviving = node.data[base : base + keep]
-            image.extend(surviving)
-            for a, b in _clip(node.lost, base + keep):
-                if b > base:
-                    start = max(a, base)
-                    image[start:b] = b"\x00" * (b - start)
-        node.data = bytearray(image)
+        """The image, with ``keep`` bytes of the unsynced tail, becomes
+        ``data``: the node is lazy again."""
+        if node.durable is None:
+            base = node.synced
+            image = node.data
+            del image[base + keep :]  # a lazy node has no lost pages
+        else:
+            base = len(node.durable)
+            image = node.durable
+            if keep > 0:
+                image += node.data[base : base + keep]
+                for a, b in _clip(node.lost, base + keep):
+                    if b > base:
+                        start = max(a, base)
+                        image[start:b] = bytes(b - start)
+        node.data = image
+        node.durable = None
+        node.synced = len(image)
         node.dirty = []
         node.lost = []
 
@@ -422,13 +479,15 @@ class MemoryFileSystem:
         node = self._files.get(str(path))
         if node is None:
             raise StorageError(f"no such file {path!r}")
+        if node.durable is None:  # read the image without copying it out
+            return bytes(node.data[: node.synced])
         return bytes(node.durable)
 
     def unsynced_tail_len(self, path) -> int:
         node = self._files.get(str(path))
         if node is None:
             raise StorageError(f"no such file {path!r}")
-        return len(node.data) - len(node.durable)
+        return len(node.data) - node.durable_len()
 
     def clone(self, seed: int = 0) -> "MemoryFileSystem":
         """A deep copy with a fresh, fault-free injector — lets a test

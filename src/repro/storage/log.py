@@ -91,45 +91,28 @@ class AppendLog:
 
     # -- writes ------------------------------------------------------------
     def append(self, payload: bytes) -> int:
-        """Append one record; returns its index.
+        """Append one record in one ``write`` and one flush; returns its
+        index.
 
-        On an injected torn write the partial frame is truncated away
-        (the log stays clean) and the :class:`~repro.errors.DiskFaultError`
-        propagates — the record is *not* in the log.
+        All or nothing: a payload that is not bytes is refused before a
+        byte is written, and a refused or torn write truncates the file
+        back to its last whole frame and propagates the
+        :class:`~repro.errors.DiskFaultError` — the record is *not* in the
+        log.
         """
+        if self._closed:
+            raise StorageError("append to a closed log")
         if type(payload) is not bytes:
             if not isinstance(payload, (bytes, bytearray)):
                 raise StorageError(
                     f"log payloads are bytes, got {type(payload).__name__}"
                 )
             payload = bytes(payload)
-        return self.append_many([payload])
-
-    def append_many(self, payloads: List[bytes]) -> int:
-        """Append records in one ``write`` and one flush; returns the
-        index of the first.
-
-        The bytes are exactly those of :meth:`append` per record, frame
-        after frame.  All or nothing: a payload that is not ``bytes`` is
-        refused before a byte is written, and a refused or torn write
-        truncates the file back to its last whole frame before the batch
-        and propagates the :class:`~repro.errors.DiskFaultError` — none of
-        the records is in the log.
-        """
-        if self._closed:
-            raise StorageError("append to a closed log")
-        frames: List[bytes] = []
-        for payload in payloads:
-            if type(payload) is not bytes:
-                raise StorageError(
-                    f"log payloads are bytes, got {type(payload).__name__}"
-                )
+        if self._file is not None:
             head = _LEN.pack(len(payload))
             # The CRC of _frame_crc, over the length field already packed.
             crc = zlib.crc32(payload, zlib.crc32(head))
-            frames += (head, _LEN.pack(crc), payload)
-        if self._file is not None:
-            data = b"".join(frames)
+            data = b"".join((head, _LEN.pack(crc), payload))
             try:
                 self._file.write(data)
             except DiskFaultError as exc:
@@ -139,9 +122,8 @@ class AppendLog:
                 raise
             self._file.flush()
             self._size += len(data)
-        first = len(self._records)
-        self._records += payloads
-        return first
+        self._records.append(payload)
+        return len(self._records) - 1
 
     def sync(self) -> None:
         """Force bytes to stable storage — a real ``os.fsync``.

@@ -1,7 +1,10 @@
 """CLI tests: every subcommand runs and prints its report."""
 
+import inspect
+
 import pytest
 
+from repro.bench.paper import experiments
 from repro.cli import build_parser, main
 
 
@@ -15,6 +18,23 @@ def test_parser_lists_all_experiments():
     text = parser.format_help()
     for command in ("table1", "table2", "fig3", "fig5", "fig6", "fig7", "fig8", "microbench"):
         assert command in text
+
+
+@pytest.mark.parametrize("name", sorted(experiments()))
+def test_the_cli_runs_an_experiment_at_its_default_scale(name):
+    """``repro <name>`` with no flags is the run the benchmarks and
+    EXPERIMENTS.md quote: each keyword of the ``default`` scale is the
+    value of its flag or, for a keyword with no flag, the run's own
+    default."""
+    exp = experiments()[name]
+    args = build_parser().parse_args([name])
+    cli = {arg.keyword: getattr(args, arg.keyword) for arg in exp.args}
+    params = inspect.signature(exp.run).parameters
+    for keyword, value in exp.scales["default"].items():
+        got = cli[keyword] if keyword in cli else params[keyword].default
+        if isinstance(value, (list, tuple)):
+            got, value = list(got), list(value)
+        assert got == value, keyword
 
 
 def test_no_command_is_an_error():

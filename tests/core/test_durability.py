@@ -40,7 +40,7 @@ def build_dm(batch=4, interval=0.01, segment_bytes=4096, fs=None, seed=0):
         sim,
         dm_config(batch, interval, segment_bytes),
         fs=fs,
-        on_durable=lambda origin, seq: durable.append((origin, seq)),
+        on_durable=lambda tops: durable.extend(tops.items()),
     )
     return sim, fs, dm, durable
 
@@ -283,7 +283,9 @@ def test_a_refused_commit_write_keeps_every_staged_record():
     dm.append("a", 3, b"behind")  # the size trigger again, unarmed now
     assert dm.pending() == 0 and dm.group_commits == 1
     assert durable == [("a", 3), ("b", 4)]
-    written = [dm._decode(record.payload) for record in dm._current.records()]
+    # The whole batch is one frame, its records in staged order.
+    (batch,) = dm._current.records()
+    written = list(dm._decode(batch.payload))
     assert written == [("a", 1), ("b", 4), ("a", 2), ("a", 3)]
 
 
@@ -337,7 +339,7 @@ def test_crash_point_sweep_over_one_commit_write():
         dm.append("a", seq, b"in-flight-%d" % seq)
     segment = dm._current_name
     assert fs.unsynced_tail_len(segment) == 0  # staged records are not in the file
-    dm._current.append_many(dm._staged)  # the commit's write step, no fsync
+    dm._current.append(b"".join(dm._staged))  # the commit's write, no fsync
     tail = fs.unsynced_tail_len(segment)
     assert tail > 0
     states = set()
@@ -350,8 +352,9 @@ def test_crash_point_sweep_over_one_commit_write():
         # Honesty: every claimed record's bytes must be recoverable.
         assert recovered.recovered_records >= mark
         states.add(mark)
-    # The one write holds three frames: a crash keeps none, some or all.
-    assert states == {3, 4, 5, 6}
+    # The one write is one frame: a torn batch is never claimed, so a
+    # crash keeps none of its records or all of them.
+    assert states == {3, 6}
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +414,32 @@ def test_persisted_claims_propagate_and_converge():
     # And the claims are backed by actual WAL fsyncs on both disks.
     assert a.durability.watermark("a") == seq
     assert b.durability.watermark("a") == seq
+    cluster.close()
+
+
+def test_a_commit_grants_every_origin_it_covers_in_one_flush():
+    """One group commit covering two streams is one ``on_durable`` call:
+    the ACK-table engine grants ``persisted`` for both, then flushes its
+    report batch once, not once per origin."""
+    sim, net, cluster = build_cluster_net(batch=100, interval=0.5)
+    a, b = cluster["a"], cluster["b"]
+    flushes = []
+    advance = b.strategy.advance_candidates
+
+    def counted():
+        flushes.append(sim.now)
+        advance()
+
+    b.strategy.advance_candidates = counted
+    seq_a, seq_b = a.send(b"from-a"), b.send(b"from-b")
+    sim.run(until=0.1)  # a's message has arrived; nothing is committed
+    persisted = b.type_id("persisted")
+    assert b.durability.pending() == 2 and not flushes
+    assert b.tables["a"].get(1, persisted) == b.tables["b"].get(1, persisted) == 0
+    b.durability.flush()
+    assert len(flushes) == 1
+    assert b.tables["a"].get(1, persisted) == seq_a
+    assert b.tables["b"].get(1, persisted) == seq_b
     cluster.close()
 
 

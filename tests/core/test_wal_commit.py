@@ -1,39 +1,36 @@
-"""The staged WAL against the per-record writer it replaced.
+"""The WAL's claims, checked on the disk it writes.
 
-``DurabilityManager.append`` stages an encoded record in memory and the
-group commit writes every staged record in one ``AppendLog.append_many``
-call, flushes, and fsyncs.  Before, ``append`` wrote each record to the
-segment as it arrived (``AppendLog.append`` and a flush per record), kept
-a queue only for records a fault left behind, and the group commit was
-the fsync alone.  That writer is kept below as a private oracle
-(``_PerRecordWal``).
+``DurabilityManager.append`` stages a record's header and payload in
+memory; a group commit writes every staged record as one ``AppendLog``
+frame, flushes and fsyncs it, and only then reports the covered
+sequences through ``on_durable``.  These tests read the disk model's
+durable image with a parser of their own, built from the on-disk format
+rather than by the code under test, over seeded streams of appends from
+three origins (``bytes``, ``memoryview`` and ``SyntheticPayload``
+records), batch sizes 1, 3 and 8, a segment bound small enough to rotate
+and ``sim.run(until=…)`` steps in between, and hold the manager to its
+claims:
 
-On an unarmed filesystem the two must be indistinguishable wherever a
-caller can look: seeded streams of appends from several origins
-(``bytes``, ``memoryview`` and ``SyntheticPayload`` records), batch sizes
-1, 3 and 8, a segment bound small enough to rotate and ``sim.run(until=…)``
-steps in between must give the same ``on_durable`` calls at the same
-instants, watermarks, ``stats()`` and ``pending()`` after every step, and
-the same bytes in every segment — page cache and durable image — and the
-same recovery after a crash at every commit boundary.  Between
-boundaries they differ by design: staged records are not in the file.
-
-On an armed filesystem (each of the six fault kinds, several seeds) the
-writers differ by design — the injector is consulted once per commit
-write instead of once per record — so only the claims are held: nothing
-is reported durable unless its frame is in the durable image, and
-recovery after a crash never lands below a reported watermark.
+- per origin, the records in the durable image are the appended ones,
+  payloads included, once each and in order, up to the reported
+  watermark and no further (on an unarmed disk; an armed one may also
+  hold a poisoned copy of a batch, so there every reported record must
+  be in the image);
+- ``on_durable(tops)`` fires only once the durable image holds each
+  origin's records up to its top;
+- recovery after a crash, torn or not, at every commit never lands below
+  a reported watermark, nor above what was appended;
+- records are staged exactly while the group-commit timer is armed: no
+  tick fires on an empty batch.
 """
 
 import random
 import struct
 import zlib
-from collections import deque
 
 import pytest
 
 from repro.core import DurabilityManager, StabilizerConfig
-from repro.errors import DiskFaultError, StabilizerError
 from repro.sim import Simulator
 from repro.storage.faultio import ALL_FAULTS, MemoryFileSystem
 from repro.transport.messages import SyntheticPayload
@@ -45,109 +42,13 @@ SEGMENT_BYTES = 384
 SEGMENTS = "wal/wal-"
 STEPS = 150
 
-
-# ---------------------------------------------------------------------------
-# The oracle: the per-record writer as it was.
-# ---------------------------------------------------------------------------
-
-
-class _PerRecordWal(DurabilityManager):
-    """Every record written to the current segment on ``append``; the
-    group commit is the fsync of what was written.  Tracing is left out:
-    the trace is not compared."""
-
-    def __init__(self, *args, **kwargs):
-        self._queue = deque()
-        self._written = []
-        self._written_tops = {}
-        super().__init__(*args, **kwargs)
-
-    def append(self, origin, seq, payload):
-        if self._closed:
-            raise StabilizerError("append to a closed DurabilityManager")
-        record = (origin, seq, self._encode(origin, seq, payload))
-        self.appends += 1
-        if self._queue:
-            self._queue.append(record)
-            self._drain()
-        elif not self._write(record):
-            self._queue.append(record)
-        if len(self._written) >= self.batch:
-            self._commit()
-        elif self._timer is None:
-            self._timer = self.sim.call_later(self.interval_s, self._tick)
-
-    def _write(self, record):
-        origin, seq, encoded = record
-        try:
-            self._current.append(encoded)
-        except DiskFaultError:
-            self.write_faults += 1
-            if self._timer is None and not self._closed:
-                self._timer = self.sim.call_later(self.interval_s, self._tick)
-            return False
-        self._written.append(record)
-        if seq > self._written_tops.get(origin, 0):
-            self._written_tops[origin] = seq
-        return True
-
-    def _drain(self):
-        while self._queue and self._write(self._queue[0]):
-            self._queue.popleft()
-
-    def _tick(self):
-        self._timer = None
-        if self._closed:
-            return
-        self._drain()
-        self._commit()
-        if (self._written or self._queue) and self._timer is None:
-            self._timer = self.sim.call_later(self.interval_s, self._tick)
-
-    def _commit(self):
-        if not self._written:
-            return
-        try:
-            self._current.sync()
-        except DiskFaultError:
-            self._poison()
-            return
-        self.group_commits += 1
-        self._written = []
-        tops, self._written_tops = self._written_tops, {}
-        self._fold_into_segment(tops)
-        for origin, top in tops.items():
-            if top > self._watermarks.get(origin, 0):
-                self._watermarks[origin] = top
-                if self.on_durable is not None:
-                    self.on_durable(origin, top)
-        if self._current.size_bytes() >= self.segment_bytes:
-            self._rotate(poisoned=False)
-
-    def _poison(self):
-        self.fsync_failures += 1
-        self.poisoned_ranges += 1
-        self.poisoned_records += len(self._written)
-        self.rewritten_records += len(self._written)
-        self._queue.extendleft(reversed(self._written))
-        self._written = []
-        tops, self._written_tops = self._written_tops, {}
-        self._fold_into_segment(tops)
-        self._rotate(poisoned=True)
-        if self._timer is None and not self._closed:
-            self._timer = self.sim.call_later(self.interval_s, self._tick)
-
-    def pending(self):
-        return len(self._queue) + len(self._written)
-
-    def flush(self):
-        self._drain()
-        self._commit()
-
-
-# ---------------------------------------------------------------------------
-# Drivers and the claims.
-# ---------------------------------------------------------------------------
+# The on-disk format: AppendLog frames of ``length | crc32 | batch``, the
+# CRC over the length field and the batch; a batch is records of a
+# ``kind, origin index, seq, length`` header, followed by ``length``
+# payload bytes for a raw record (kind 0) and by nothing for a synthetic
+# one (kind 1).
+FRAME = struct.Struct("!II")
+RECORD = struct.Struct("!BHQI")
 
 
 def config(batch):
@@ -162,83 +63,127 @@ def config(batch):
     )
 
 
-def _frame(origin, seq, payload) -> bytes:
-    """The bytes a record must have on disk, built here from the on-disk
-    format rather than by the code under test: ``length | crc32 | record``
-    over a ``!BHQ`` (raw) or ``!BHQI`` (synthetic) record header."""
+def encode(origin, seq, payload) -> bytes:
+    """One record as the batch holds it."""
     index = NODES.index(origin)
     if isinstance(payload, SyntheticPayload):
-        record = struct.pack("!BHQI", 1, index, seq, payload.length)
-    else:
-        record = struct.pack("!BHQ", 0, index, seq) + bytes(payload)
-    head = struct.pack("!I", len(record))
-    return head + struct.pack("!I", zlib.crc32(record, zlib.crc32(head))) + record
+        return RECORD.pack(1, index, seq, payload.length)
+    return RECORD.pack(0, index, seq, len(payload)) + bytes(payload)
+
+
+def parse(image):
+    """``origin -> [record, …]`` of one segment image's whole frames, in
+    order; parsing stops at the first frame that is cut short or fails
+    its CRC (a torn tail, or the zeroes of dropped pages)."""
+    found = {}
+    offset = 0
+    while offset + FRAME.size <= len(image):
+        length, crc = FRAME.unpack_from(image, offset)
+        start = offset + FRAME.size
+        batch = image[start : start + length]
+        if len(batch) < length or zlib.crc32(
+            batch, zlib.crc32(image[offset : offset + 4])
+        ) != crc:
+            break
+        at = 0
+        while at < length:
+            kind, index, seq, size = RECORD.unpack_from(batch, at)
+            end = at + RECORD.size + (size if kind == 0 else 0)
+            found.setdefault(NODES[index], []).append(batch[at:end])
+            at = end
+        offset = start + length
+    return found
 
 
 class _Wal:
-    """One manager on its own simulator and filesystem, with everything
-    it reported durable (and when) and the frame of every record."""
+    """One manager on its own simulator and filesystem, with every record
+    appended and every watermark it reported."""
 
-    def __init__(self, cls, batch, seed, claims=False):
+    def __init__(self, batch, seed, armed=False):
         self.sim = Simulator()
         self.fs = MemoryFileSystem(seed=seed)
         self.batch = batch
-        self.claims = claims
+        self.armed = armed
         self.bit_rot = False
-        self.durable = []
+        self.appended = {origin: [] for origin in NODES}
         self.reported = {}
-        self.frames = {}
-        self.dm = cls(self.sim, config(batch), fs=self.fs, on_durable=self._on_durable)
+        self.commits_checked = 0
+        self.dm = DurabilityManager(
+            self.sim, config(batch), fs=self.fs, on_durable=self._on_durable
+        )
 
     def append(self, origin, seq, payload):
-        self.frames[origin, seq] = _frame(origin, seq, payload)
+        self.appended[origin].append(encode(origin, seq, payload))
         self.dm.append(origin, seq, payload)
 
-    def _on_durable(self, origin, top):
-        self.durable.append((origin, top, self.sim.now))
-        self.reported[origin] = top
-        if self.claims:
-            self.check_claims()
+    def _on_durable(self, tops):
+        assert tops, "a commit reported nothing"
+        for origin, top in tops.items():
+            assert top > self.reported.get(origin, 0), (origin, top)
+            self.reported[origin] = top
+        # Called from inside the commit: the fsync must already be done.
+        self.check_image()
 
     def images(self, durable=True):
         read = self.fs.durable_bytes if durable else self.fs.read_bytes
-        return {path: read(path) for path in self.fs.listdir(SEGMENTS)}
+        return [read(path) for path in self.fs.listdir(SEGMENTS)]
 
-    def recovered(self, crash=True):
-        """A fresh manager over a copy of the disk, crashed or not."""
-        probe = self.fs.clone()
-        if crash:
-            probe.crash()
-        return DurabilityManager(Simulator(), config(self.batch), fs=probe)
-
-    def check_claims(self):
-        """Every reported record's frame is in a durable image, and a
-        crash recovers at least every reported watermark.
+    def check_image(self):
+        """The durable image holds every reported record — on an unarmed
+        disk exactly those, once each and in order.
 
         A disk that flips bits on write (``bit_rot``) defeats any log: a
-        frame it corrupted is in no image at all, and recovery stops at
-        the corruption.  There only the records the disk kept are held to
-        the first claim, and the second to what recovery finds without a
-        crash."""
-        durable = self.images().values()
-        volatile = None if not self.bit_rot else self.images(durable=False).values()
-        for (origin, seq), frame in self.frames.items():
-            if seq > self.reported.get(origin, 0):
-                continue
-            if any(frame in image for image in durable):
-                continue
-            assert volatile is not None and not any(
-                frame in image for image in volatile
-            ), f"{origin}:{seq} reported durable, frame not on disk"
-        recovered = self.recovered()
-        uncrashed = self.recovered(crash=False) if self.bit_rot else None
-        for origin, top in self.reported.items():
-            floor = top if uncrashed is None else min(top, uncrashed.watermark(origin))
-            assert recovered.watermark(origin) >= floor, (origin, top)
+        batch it corrupted is in no image whole.  There a reported record
+        missing from the durable image must be missing from the page
+        cache too."""
+        if not self.armed:
+            found = {}
+            for image in self.images():
+                for origin, records in parse(image).items():
+                    found.setdefault(origin, []).extend(records)
+            for origin in NODES:
+                top = self.reported.get(origin, 0)
+                assert found.get(origin, []) == self.appended[origin][:top], origin
+            return
+        durable = self.images()
+        volatile = self.images(durable=False) if self.bit_rot else None
+        for origin, records in self.appended.items():
+            for record in records[: self.reported.get(origin, 0)]:
+                if any(record in image for image in durable):
+                    continue
+                assert volatile is not None and not any(
+                    record in image for image in volatile
+                ), f"{origin}: a reported record is not on disk"
 
-    def observed(self):
-        dm = self.dm
-        return (list(self.durable), dm.watermarks(), dm.stats(), dm.pending())
+    def recovered(self, crash=True, torn=False, seed=0):
+        """A fresh manager over a copy of the disk, crashed or not."""
+        probe = self.fs.clone(seed=seed)
+        if crash:
+            probe.crash(torn=torn)
+        return DurabilityManager(Simulator(), config(self.batch), fs=probe)
+
+    def check_recovery(self):
+        """After each new commit, crash a copy of the disk (whole and
+        torn) and recover: every reported watermark survives, and nothing
+        beyond what was appended is claimed."""
+        if self.dm.group_commits == self.commits_checked:
+            return
+        self.commits_checked = self.dm.group_commits
+        uncrashed = self.recovered(crash=False) if self.bit_rot else None
+        for torn in (False, True):
+            recovered = self.recovered(torn=torn, seed=self.commits_checked)
+            for origin in NODES:
+                top = self.reported.get(origin, 0)
+                if uncrashed is not None:
+                    top = min(top, uncrashed.watermark(origin))
+                mark = recovered.watermark(origin)
+                assert top <= mark <= len(self.appended[origin]), (origin, torn)
+                if not self.armed:
+                    assert mark == top, (origin, torn)
+
+    def check_timer(self):
+        """The timer is armed exactly while records wait for a commit."""
+        assert (self.dm._timer is not None) == (self.dm.pending() > 0)
 
 
 def _payload(rng):
@@ -265,52 +210,46 @@ def _steps(seed, steps=STEPS):
             yield "run", rng.choice((0.001, 0.004, INTERVAL_S, 0.025))
 
 
-def _apply(wal, step):
-    kind, arg = step
-    if kind == "append":
-        wal.append(*arg)
-    else:
-        wal.sim.run(until=wal.sim.now + arg)
+def _run(wal, seed):
+    for kind, arg in _steps(seed):
+        if kind == "append":
+            wal.append(*arg)
+        else:
+            wal.sim.run(until=wal.sim.now + arg)
+        wal.check_image()
+        wal.check_recovery()
+        wal.check_timer()
 
 
 # ---------------------------------------------------------------------------
-# Unarmed: the staged writer is the per-record writer, seen from outside.
+# Unarmed: the durable image is exactly the reported prefix.
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("batch", [1, 3, 8])
 @pytest.mark.parametrize("seed", range(4))
-def test_staged_commit_matches_the_per_record_writer(seed, batch):
-    new = _Wal(DurabilityManager, batch, seed, claims=True)
-    old = _Wal(_PerRecordWal, batch, seed)
-    boundaries = 0
-    for step in _steps(seed):
-        _apply(new, step)
-        _apply(old, step)
-        assert new.observed() == old.observed()
-        if new.dm.pending() == 0:
-            # A commit boundary: everything appended is written and synced.
-            boundaries += 1
-            assert new.images(durable=False) == old.images(durable=False)
-            assert new.images() == old.images()
-            fresh, oracle = new.recovered(), old.recovered()
-            assert fresh.watermarks() == oracle.watermarks()
-            assert fresh.stats() == oracle.stats()
-            assert fresh.recovered_records == oracle.recovered_records
-    new.sim.run(until=new.sim.now + 1.0)
-    old.sim.run(until=old.sim.now + 1.0)
-    assert new.observed() == old.observed()
-    assert new.images() == old.images()
+def test_the_durable_image_is_the_reported_prefix(seed, batch):
+    wal = _Wal(batch, seed)
+    _run(wal, seed)
+    wal.sim.run(until=wal.sim.now + 1.0)
+    wal.check_image()
+    wal.check_recovery()
+    wal.check_timer()
+    # Everything appended was committed and reported.
+    assert wal.dm.pending() == 0 and wal.sim.pending_count() == 0
+    assert wal.reported == {o: len(r) for o, r in wal.appended.items()}
+    assert wal.dm.watermarks() == wal.reported
     # The stream did exercise what it claims to: commits by size and by
     # timer, several segments, every origin reported.
-    assert boundaries > 10
-    assert new.dm.segments_rotated >= 2
-    assert set(new.reported) == set(NODES)
-    assert new.dm.pending() == 0 and new.dm.group_commits > 0
+    assert wal.dm.group_commits > 10
+    assert wal.dm.segments_rotated >= 2
+    if batch > 1:
+        appends = sum(len(r) for r in wal.appended.values())
+        assert wal.dm.group_commits > appends // batch  # some by the timer
 
 
 # ---------------------------------------------------------------------------
-# Armed: only the claims.
+# Armed: every reported record is on disk and survives a crash.
 # ---------------------------------------------------------------------------
 
 
@@ -320,19 +259,17 @@ FAULT_RATE = 0.3
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ALL_FAULTS)
 def test_an_armed_disk_never_breaks_the_claims(kind, seed):
-    wal = _Wal(DurabilityManager, 3, seed, claims=True)
+    wal = _Wal(3, seed, armed=True)
     wal.bit_rot = kind == "bitflip"
     wal.fs.injector.arm(kind, FAULT_RATE)
-    for step in _steps(seed):
-        _apply(wal, step)
-        wal.check_claims()
+    _run(wal, seed)
     assert wal.fs.injector.injected.get(kind, 0) > 0
     # Healed, everything left staged commits: the manager gives up nothing.
     wal.fs.injector.clear()
     wal.sim.run(until=wal.sim.now + 1.0)
-    wal.check_claims()
+    wal.check_image()
+    wal.check_recovery()
+    wal.check_timer()
     assert wal.dm.pending() == 0
-    tops = {}
-    for origin, seq in wal.frames:
-        tops[origin] = max(tops.get(origin, 0), seq)
+    tops = {o: len(r) for o, r in wal.appended.items() if r}
     assert wal.dm.watermarks() == tops == wal.reported

@@ -250,7 +250,12 @@ class OracleFile:
     every write and fsync consults the injector whether or not anything
     is armed, every write goes through the general zero-extend / overwrite
     / lost-range-trim path, and every fsync rebuilds the whole durable
-    image from scratch (``_durable_image``)."""
+    image from scratch (``_durable_image``).
+
+    ``lazy`` is whether the disk model may still keep its durable image
+    as a prefix of the file instead of a copy: it must stop at an
+    overwrite below the image's end, a failed or a torn fsync, and
+    start again at a crash — and at nothing else."""
 
     def __init__(self, seed):
         self.injector = FaultInjector(seed)
@@ -258,6 +263,7 @@ class OracleFile:
         self.durable = b""
         self.dirty = []
         self.lost = []
+        self.lazy = True
 
     def write(self, data, pos=None):
         """``pos=None`` appends; otherwise an ``r+b`` write at ``pos``."""
@@ -283,6 +289,8 @@ class OracleFile:
             return
         start = len(self.data) if pos is None else pos
         end = start + len(data)
+        if start < len(self.durable):
+            self.lazy = False
         if end > len(self.data):
             self.data.extend(b"\x00" * (end - len(self.data)))
         self.data[start:end] = data
@@ -301,12 +309,14 @@ class OracleFile:
     def fsync(self):
         injector = self.injector
         if injector.decide("fsync_fail"):
+            self.lazy = False
             self.lost.extend(self.dirty)
             self.dirty = []
             raise DiskFaultError("fsync_fail", kind="fsync_fail")
         if injector.decide("fsync_torn"):
             keep = injector.rng.randrange(0, len(self.dirty) + 1)
             survived, dropped = self.dirty[:keep], self.dirty[keep:]
+            self.lazy = False
             self.dirty = []
             self.lost.extend(dropped)
             self.durable = self._durable_image(survived)
@@ -353,6 +363,12 @@ class OracleFile:
         self.durable = bytes(image)
         self.dirty = []
         self.lost = []
+        self.lazy = True
+
+
+def is_lazy(fs, path="f"):
+    """Whether the file's durable image is still ``data[:synced]``."""
+    return fs._files[path].durable is None
 
 
 def attempt(call, *args):
@@ -422,6 +438,8 @@ def run_against_oracle(seed, steps, armable, torn_crashes=True):
             twin.crash()
             assert twin.read_bytes("f") == oracle.durable
             assert fs.read_bytes("f") == bytes(oracle.data)
+        # Reading the image, its tail length or a clone copied nothing out.
+        assert is_lazy(fs) == oracle.lazy, (seed, step)
     return fs, faults
 
 
@@ -440,3 +458,106 @@ def test_unarmed_disk_never_touches_the_injector(seed):
     assert faults == 0
     assert fs.injector.rolls == 0 and fs.injector.injected == {}
     assert fs.injector.rng.getstate() == FaultInjector(seed).rng.getstate()
+
+
+# ---------------------------------------------------------------------------
+# The lazy durable image: a synced length until it must be a copy.
+# ---------------------------------------------------------------------------
+
+
+def test_appends_and_fsyncs_on_an_unarmed_disk_keep_the_image_lazy():
+    fs = fs_with()
+    fh = fs.open("f", "ab")
+    for chunk in (b"one", b"", b"two-two", b"three"):
+        fh.write(chunk)
+        fs.fsync(fh)
+        assert is_lazy(fs)
+    fh.write(b"tail")
+    assert fs.durable_bytes("f") == b"onetwo-twothree"
+    assert fs.unsynced_tail_len("f") == 4
+    assert fs.clone().durable_bytes("f") == b"onetwo-twothree"
+    fh.truncate(6)  # a truncate while lazy clips the synced length
+    assert fs.durable_bytes("f") == b"onetwo" and fs.unsynced_tail_len("f") == 0
+    with fs.open("f", "r+b") as handle:
+        handle.seek(10)  # past the end: a zero-filled hole, then bytes
+        handle.write(b"far")
+    fs.fsync(fh)
+    assert fs.durable_bytes("f") == b"onetwo" + bytes(4) + b"far"
+    assert is_lazy(fs) and is_lazy(fs.clone())
+
+
+def test_an_overwrite_below_the_synced_length_copies_the_image_out():
+    fs = fs_with()
+    fh = fs.open("f", "ab")
+    fh.write(b"abcdef")
+    fs.fsync(fh)
+    with fs.open("f", "r+b") as handle:
+        handle.seek(6)
+        handle.write(b"gh")  # at the synced length: still a prefix
+        assert is_lazy(fs)
+        handle.seek(2)
+        handle.write(b"XY")
+    assert not is_lazy(fs)
+    assert fs.read_bytes("f") == b"abXYefgh"
+    assert fs.durable_bytes("f") == b"abcdef"
+    fs.fsync(fh)
+    assert fs.durable_bytes("f") == b"abXYefgh"
+
+
+@pytest.mark.parametrize("kind", ["fsync_fail", "fsync_torn"])
+def test_a_failed_or_torn_fsync_copies_the_image_out(kind):
+    fs = fs_with()
+    fh = fs.open("f", "ab")
+    fh.write(b"kept")
+    fs.fsync(fh)
+    fh.write(b"doomed")
+    fs.injector.arm_once(kind)
+    with pytest.raises(DiskFaultError):
+        fs.fsync(fh)
+    assert not is_lazy(fs)
+    fh.write(b"later")
+    fs.fsync(fh)
+    assert fs.durable_bytes("f") in (
+        b"kept" + bytes(6) + b"later",  # the doomed range was dropped
+        b"keptdoomedlater",  # fsync_torn: it reached the platter first
+    )
+
+
+def test_a_crash_makes_the_image_the_file_and_the_node_lazy_again():
+    fs = fs_with("fsync_fail")
+    fh = fs.open("f", "ab")
+    fh.write(b"lost")
+    with pytest.raises(DiskFaultError):
+        fs.fsync(fh)
+    fh.write(b"kept")
+    fs.fsync(fh)
+    fh.write(b"tail")
+    assert not is_lazy(fs)
+    fs.crash_file("f", keep_tail=2)
+    assert is_lazy(fs)
+    assert fs.read_bytes("f") == fs.durable_bytes("f") == bytes(4) + b"keptta"
+    assert fs.unsynced_tail_len("f") == 0
+    # Lazy already: the crash trims the file back to its synced length.
+    fh.write(b"more")
+    fs.crash()
+    assert is_lazy(fs) and fs.read_bytes("f") == bytes(4) + b"keptta"
+
+
+def test_a_lazy_fsync_ends_the_image_at_the_last_dirty_byte():
+    """A gap between dirty ranges is zeroes in the file as in the image,
+    so the lazy fsync need not look for one; but the bytes past the last
+    dirty range were never synced, even the zeroes a truncate left."""
+    fs = fs_with()
+    fh = fs.open("f", "ab")
+    fh.write(b"base")
+    fs.fsync(fh)
+    with fs.open("f", "r+b") as handle:
+        handle.seek(6)
+        handle.write(b"xy")  # a gap at 4..6
+        handle.seek(12)
+        handle.write(b"zz")
+    fh.truncate(10)  # drops the second range; 8..10 is a zero, not dirty
+    fs.fsync(fh)
+    assert is_lazy(fs)
+    assert fs.durable_bytes("f") == b"base" + bytes(2) + b"xy"
+    assert fs.unsynced_tail_len("f") == 2

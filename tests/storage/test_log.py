@@ -1,6 +1,7 @@
 """Append-log tests including crash-recovery behaviour."""
 
 import struct
+import zlib
 
 import pytest
 
@@ -249,39 +250,41 @@ def test_size_bytes_is_the_file_length_on_the_real_os(tmp_path):
     assert AppendLog().size_bytes() == 0  # memory-only: no file
 
 
-def test_append_many_writes_the_frames_append_writes_in_one_write():
+def test_append_writes_one_frame_in_one_write():
     payloads = [b"zero", b"alpha", b"", b"gamma" * 40]
-    one_by_one, batched = MemoryFileSystem(), MemoryFileSystem()
-    single = AppendLog("a.log", fs=one_by_one)
-    for payload in payloads:
-        single.append(payload)
-    log = AppendLog("a.log", fs=batched)
-    assert log.append_many(payloads[:1]) == 0
-    assert log.append_many(payloads[1:]) == 1
-    assert log.append_many([]) == 4
-    assert batched.read_bytes("a.log") == one_by_one.read_bytes("a.log")
-    assert log.size_bytes() == single.size_bytes()
+    fs = MemoryFileSystem()
+    log = AppendLog("a.log", fs=fs)
+    assert [log.append(payload) for payload in payloads] == [0, 1, 2, 3]
+    heads = [struct.pack("!I", len(p)) for p in payloads]
+    frames = b"".join(
+        head + struct.pack("!I", zlib.crc32(p, zlib.crc32(head))) + p
+        for head, p in zip(heads, payloads)
+    )
+    assert fs.read_bytes("a.log") == frames
+    assert log.size_bytes() == len(frames)
     assert [r.payload for r in log.records()] == payloads
-    # One write per call: one dirty range per batch.
-    assert len(batched._files["a.log"].dirty) == 2
+    # One write per record: one dirty range each.
+    assert len(fs._files["a.log"].dirty) == len(payloads)
 
 
 @pytest.mark.parametrize("kind", ["enospc", "eio_write", "torn_write"])
-def test_append_many_is_all_or_nothing(kind):
+def test_append_is_all_or_nothing(kind):
     fs = MemoryFileSystem(seed=5)
     log = AppendLog("b.log", fs=fs)
     log.append(b"whole")
     before = fs.read_bytes("b.log")
     fs.injector.arm_once(kind)
-    with pytest.raises(DiskFaultError):
-        log.append_many([b"one", b"two", b"three"])
+    with pytest.raises(DiskFaultError) as err:
+        log.append(b"one-two-three" * 4)
     assert fs.injector.injected == {kind: 1}  # one write, one consultation
+    # A torn write left a partial frame, and the log healed it away.
+    assert log.healed_torn_writes == (err.value.written > 0) == (kind == "torn_write")
     assert fs.read_bytes("b.log") == before and log.size_bytes() == len(before)
     assert len(log) == 1
     with pytest.raises(StorageError, match="bytes"):
-        log.append_many([b"fine", "text"])
+        log.append("text")
     assert fs.read_bytes("b.log") == before and len(log) == 1
-    log.append_many([b"after"])
+    log.append(b"after")
     log.close()
     assert [r.payload for r in AppendLog("b.log", fs=fs).records()] == [
         b"whole",
