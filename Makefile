@@ -67,9 +67,9 @@ api-check:
 
 # The AST lints over src/repro in one run: only the strategy layer imports
 # the ACK tables, every engine has the one shape, every Stabilizer method
-# is classified once on the sharded node, one owner reads the send window,
-# channels open only through accept, and no option (constructor or public
-# function parameter) and no definition exists that only tests reach.
+# is classified once on the sharded node, channels open only through
+# accept, and no option (constructor or public function parameter) and no
+# definition exists that only tests reach.
 lint:
 	pytest tests/core/test_import_lint.py
 

@@ -338,7 +338,8 @@ def lone_send_calls_per_peer(payload_bytes: int = 512, nodes: int = 5) -> float:
 def ack_calls_per_ack(nodes: int = 5) -> float:
     """Python calls one data-channel ACK that retires a frame costs its
     sender, from the link's arrival event through the channel to the data
-    plane's ``on_window_open``.
+    plane's ``on_retired``, which hands the peer's position to
+    ``on_acked``.
 
     On :func:`_lone_sender`'s network a lone 512 B send goes to every
     peer; each receiver ACKs it ``ACK_INTERVAL_S`` after it arrived, and
@@ -489,10 +490,6 @@ LATENCY_MS = 70.0
 RATE_MBIT = 100.0
 PIPELINE_CHUNK_BYTES = 1024
 PIPELINE_FRAME_BYTES = 32 * 1024
-#: 2x the link's bandwidth-delay product (100 Mbit * 140 ms RTT
-#: ~= 1.75 MB), so neither plane is window-limited and the comparison
-#: isolates per-event cost.
-PIPELINE_WINDOW_BYTES = 4 * 1024 * 1024
 #: Transfers run with tracing ON, sampled at 1/2^6 = 1/64 of sequences
 #: (head-based, seeded): the calls finding then also guards the claim
 #: that sampled tracing is cheap enough for always-on use.
@@ -517,7 +514,6 @@ def run_transfer(total_bytes: int, frame_bytes, counted: bool = False) -> dict:
             {"x": ["x"], "y": ["y"]},
             local,
             chunk_bytes=PIPELINE_CHUNK_BYTES,
-            window_bytes=PIPELINE_WINDOW_BYTES,
             frame_bytes=frame_bytes,
         )
 
@@ -567,15 +563,12 @@ def run_transfer(total_bytes: int, frame_bytes, counted: bool = False) -> dict:
         "virtual_goodput_mbit": delivered_bytes * 8 / done_at[0] / 1e6,
         "frames_sent": dp_x.frames_sent or messages,
         "max_frame_messages": dp_x.max_frame_messages,
-        "window_stalls": dp_x.window_stalls,
         "retransmissions": channel.retransmissions,
         "trace_events": tracer.emitted,
         "trace_sample_shift": TRACE_SAMPLE_SHIFT,
     }
     if counted:
         result["calls_per_message"] = calls / messages
-    dp_x.close()
-    dp_y.close()
     return result
 
 
@@ -811,7 +804,8 @@ def _timer_event(result):
 
 @finding(
     "calls per peer of a lone 512 B send",
-    "<= 35.5 (26.0; 68.75 while a frame of one went through the "
+    "<= 35.5 (24.75; 26.0 while each peer cut its frames off its own "
+    "cursor into the send log, 68.75 while a frame of one went through the "
     "coalescing path and a relay call per layer, 41.5 while the chunker "
     "made a Chunk per chunk and a peer's queue took it through a method "
     "call, 37.25 while every packet went through Network.send, 35.25 "
@@ -946,8 +940,9 @@ HOTPATH = Experiment(
 #: How many times the coalesced plane's Python calls per delivered
 #: message the per-message baseline takes, by transfer size, as measured
 #: when the gate was set: 42.10 vs 21.94 at 2 MiB, 50.24 vs 29.05 at 8 MiB
-#: (the longer transfer spends more of its calls on window bookkeeping
-#: both planes share; 24.63 vs 8.65 at 2 MiB today).  Gated like
+#: (the longer transfer then stalled on a 4 MiB send window, whose
+#: bookkeeping both planes shared).  With no window both sizes read 18.80
+#: vs 8.79 (2.14x).  Gated like
 #: :data:`HOTPATH_CALLS_RATIO`.  The wall-clock speed-up is printed only:
 #: it sat at 1.9-2.0x, on the edge of the 2.0x it used to be gated on, and
 #: a loaded machine decided which side.
@@ -958,7 +953,7 @@ def _render_pipeline(result) -> str:
     return format_table(
         [
             "mode", "msgs", "frames", "calls/msg", "wall MB/s", "virt Mbit/s",
-            "stalls", "rexmit",
+            "rexmit",
         ],
         [
             (
@@ -968,7 +963,6 @@ def _render_pipeline(result) -> str:
                 f"{r['calls_per_message']:.1f}",
                 f"{r['wall_bytes_per_s'] / 1e6:.1f}",
                 f"{r['virtual_goodput_mbit']:.1f}",
-                r["window_stalls"],
                 r["retransmissions"],
             )
             for r in result["results"]

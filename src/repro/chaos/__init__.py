@@ -40,11 +40,11 @@ keys.  The config class handed to it selects the scenario:
   crashes landing mid-handoff (invariants 10–12).  Fields: ``seed,
   events, trace_dir``.
 
-Everything else a run depends on — send period, payload size, window
-and frame budgets, admission and controller tunings, shard count — is a
-named constant in the scenario's module, next to the reason for its
-value, and the topology (``azs``, ``nodes_per_az``, ``spare_hosts``,
-``link``) is class attributes of the config.  Every entry point also
+Everything else a run depends on — send period, payload size,
+admission and controller tunings, shard count — is a named constant in
+the scenario's module, next to the reason for its value, and the
+topology (``azs``, ``nodes_per_az``, ``spare_hosts``, ``link``) is
+class attributes of the config.  Every entry point also
 takes ``schedule=``, a handcrafted event list replacing the generated
 one.
 

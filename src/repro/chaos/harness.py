@@ -410,10 +410,6 @@ CHAOS_DISK_FAULTS = ("fsync_fail", "eio_write", "enospc", "torn_write")
 DISK_FAULT_RATE = 0.3  # how often an armed fault hits an eligible operation
 PAYLOAD_BYTES = 1024
 WAITER_EVERY = 5  # every n-th send of a node gets guarded waiters
-# A deliberately tiny window: partitions and suspensions must close
-# windows and stall streams mid-run, so the stall/resume and reclaim
-# invariants see real traffic.
-WINDOW_BYTES = 4 * 1024
 DURABILITY_BATCH = 8  # WAL group commit
 DURABILITY_INTERVAL_S = 0.01
 
@@ -446,7 +442,6 @@ class ClassicScenario(Scenario):
                 # bytes — the claim the durability-honesty invariants police.
                 DURABLE_KEY: "MIN($ALLWNODES.persisted)",
             },
-            window_bytes=WINDOW_BYTES,
             durability=True,
             durability_group_commit_batch=DURABILITY_BATCH,
             durability_group_commit_interval_s=DURABILITY_INTERVAL_S,

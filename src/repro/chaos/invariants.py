@@ -33,13 +33,10 @@ monitor / waiter / stats surfaces an application uses — and raises
    live pair (A, B), A's ``reclaimed_up_to`` never exceeds B's receive
    watermark for A's stream.  (Crashed peers freeze A's ACK row for
    them, so reclaim cannot outrun a node that is down.)
-9. **Window accounting never leaks credits.**  On every transport
-   channel the unacked-bytes counter equals the sum of the in-flight
-   frame sizes.  The window lives in the data plane's per-peer streams,
-   cursors into the send log: no cursor is on a reclaimed sequence, the
-   bytes in flight on its channel never exceed ``max(window_bytes,
-   largest frame in flight)`` (one frame may always fly), and a stalled
-   stream has something in flight whose ACK will resume it.
+9. *Retired.*  It checked the per-peer send window's credit
+   accounting.  The data plane has no send window and no per-peer send
+   state: every frame goes on its link when it is cut, so there are no
+   credits to leak.  The number is kept so the others keep theirs.
 10. **No delivery lost across a cutover.**  At every rebalance cutover
     the coordinator reports, per (moved shard, surviving origin), the
     highest receive watermark any live pre-cutover owner held
@@ -324,7 +321,6 @@ class InvariantChecker:
                     self._observe_persisted(unit, shard, origin, current)
                 self._check_durability_honesty(unit, shard, node.name)
         self.check_reclaim(nodes)
-        self.check_windows(nodes)
 
     @classmethod
     def _shard_units(cls, nodes) -> Dict[int, List[Tuple[str, object]]]:
@@ -363,49 +359,6 @@ class InvariantChecker:
                             f"{peer_name} has received only {got} of "
                             f"{name}'s stream"
                         )
-
-    def check_windows(self, nodes) -> None:
-        """Invariant 9: window credit accounting never leaks."""
-        units = [unit for node in nodes for _shard, unit in self._units(node)]
-        for node in units:
-            if hasattr(node, "endpoint"):
-                for channel in node.endpoint.channels().values():
-                    inflight = sum(f[1] for f in channel._unacked)
-                    self.checks += 1
-                    if channel._unacked_bytes != inflight:
-                        self._fail(
-                            f"credit leak at {node.name}: channel "
-                            f"{channel.name!r} to {channel.peer} counts "
-                            f"{channel._unacked_bytes}B unacked but holds "
-                            f"{inflight}B of frames"
-                        )
-            if not hasattr(node, "dataplane"):
-                continue
-            dataplane = node.dataplane
-            window = dataplane._window_bytes
-            for stream in dataplane._streams.values():
-                self.checks += 1
-                if stream.cursor <= dataplane.buffer.reclaimed_up_to:
-                    self._fail(f"reclaimed cursor at {node.name} for {stream.peer}")
-                channel = stream.channel
-                inflight = channel._unacked_bytes
-                if window is not None:
-                    # One frame may always fly, however large — but only one.
-                    largest = max((f[1] for f in channel._unacked), default=0)
-                    self.checks += 1
-                    if inflight > max(window, largest):
-                        self._fail(
-                            f"window overrun at {node.name}: stream to "
-                            f"{stream.peer} has {inflight}B in flight "
-                            f"against a {window}B window"
-                        )
-                self.checks += 1
-                if stream.stalled and not inflight:
-                    self._fail(
-                        f"stuck stream at {node.name}: stream to "
-                        f"{stream.peer} stalls at seq {stream.cursor} "
-                        "with nothing in flight"
-                    )
 
     def _observe_persisted(self, node, shard: int, origin: str, rows) -> None:
         """Record every *other* node's persisted claim as held at

@@ -45,7 +45,6 @@ SLA_SOURCE = "MIN($ALLWNODES - $MYWNODE)"
 
 PAYLOAD_BYTES = 512
 WAITER_EVERY = 7  # every n-th admitted send of a node gets a guarded waiter
-WINDOW_BYTES = 8 * 1024
 # Edge admission: the token-bucket rate sits above the base offered rate
 # (10/s per node) and far below a crowd's (100/s), so only surges shed;
 # and high enough that what a crowd gets through still loads a narrow
@@ -80,10 +79,7 @@ class OverloadScenario(Scenario):
 
     def build_cluster(self) -> StabilizerCluster:
         harness = self.harness
-        base = harness.stabilizer_config(
-            predicates={SLA_KEY: SLA_SOURCE},
-            window_bytes=WINDOW_BYTES,
-        )
+        base = harness.stabilizer_config(predicates={SLA_KEY: SLA_SOURCE})
         self.cluster = StabilizerCluster(harness.net, base, tracer=harness.tracer)
         return self.cluster
 

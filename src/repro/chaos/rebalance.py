@@ -60,9 +60,8 @@ SHARD_COUNT = 16
 REPLICATION = 2
 PAYLOAD_BYTES = 512
 WAITER_EVERY = 5  # every n-th send of a (node, shard) stream gets a waiter
-WINDOW_BYTES = 8 * 1024
 # Coordinator patience, shorter than its defaults: a drain or transfer
-# stalled by a crash or partition times out and retries within the run.
+# held up by a crash or partition times out and retries within the run.
 DRAIN_TIMEOUT_S = 2.0
 TRANSFER_TIMEOUT_S = 2.0
 MAX_TRANSFER_ATTEMPTS = 8
@@ -95,7 +94,6 @@ class RebalanceScenario(Scenario):
             predicates=dict(REBALANCE_PREDICATES),
             shard_count=SHARD_COUNT,
             shard_replication=REPLICATION,
-            window_bytes=WINDOW_BYTES,
             durability=False,  # see module docstring
         )
         self.cluster = ShardedCluster(harness.net, base, tracer=harness.tracer)

@@ -16,8 +16,7 @@ applies three classic defenses, outermost first:
   (chaos invariant 13 holds the controller to this);
 - **per-peer / per-shard circuit breakers** (closed → open → half-open)
   fed by the transport's own distress signals — retransmissions, channel
-  suspensions, dead-peer reports — and by a peer's data-plane stream that
-  stays stalled on its send window.
+  suspensions, dead-peer reports.
   When too many breakers are open the gate closes and new work is shed
   *before* it can pile onto a struggling WAN.
 
@@ -215,8 +214,8 @@ class AdmissionController:
         self.bucket = TokenBucket(self.sim.clock, rate_per_s)
         self._queue: deque = deque()
         self._breakers: Dict[BreakerKey, CircuitBreaker] = {}
-        # (shard, peer, channel) -> (retransmissions, stalled) at last poll.
-        self._chan_seen: Dict[Tuple[Optional[int], str, str], Tuple[int, bool]] = {}
+        # (shard, peer, channel) -> retransmissions at last poll.
+        self._chan_seen: Dict[Tuple[Optional[int], str, str], int] = {}
         self._on_admitted: List[Callable[[int, Optional[int]], None]] = []
         self._in_admit = False
         self._closed = False
@@ -424,16 +423,11 @@ class AdmissionController:
             health: Dict[str, bool] = {}
             for (peer, chan_name), chan in inner.endpoint.channels().items():
                 slot = (shard, peer, chan_name)
-                seen_rtx, seen_stalled = self._chan_seen.get(slot, (0, False))
-                stalled = inner.dataplane.window_stalled(peer)
                 unhealthy = (
-                    chan.retransmissions > seen_rtx
+                    chan.retransmissions > self._chan_seen.get(slot, 0)
                     or chan.suspended
-                    # One stall is routine flow control; a peer's stream
-                    # still stalled a full poll later is not draining.
-                    or (stalled and seen_stalled)
                 )
-                self._chan_seen[slot] = (chan.retransmissions, stalled)
+                self._chan_seen[slot] = chan.retransmissions
                 health[peer] = health.get(peer, True) and not unhealthy
             for peer, healthy in health.items():
                 breaker = self._breaker((peer, shard))

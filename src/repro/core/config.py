@@ -53,14 +53,6 @@ class StabilizerConfig:
         about an origin goes to the peers that observe it (see
         :class:`~repro.core.strategy.AckTableStrategy`), of which the two
         old settings were the hand-set extremes.
-    window_bytes:
-        Per-peer send window, kept by the data plane: a frame is cut only
-        while nothing is in flight to the peer or its wire bytes fit the
-        window beside what is in flight (unacknowledged); until then the
-        peer's stream stalls, and cumulative transport acks reopen it.
-        A slow or suspected peer backpressures only its own stream.
-        ``None`` (the default) sets no window: every frame is cut at once
-        and the link's queue paces the stream, saturating its bandwidth.
     frame_bytes:
         WAN frame coalescing threshold: sequenced messages accumulate
         into one transport frame until the frame reaches this size.
@@ -145,7 +137,6 @@ class StabilizerConfig:
         control_fanout: str = "all",
         failure_timeout_s: float = 5.0,
         max_buffer_bytes: Optional[int] = None,
-        window_bytes: Optional[int] = None,
         frame_bytes: Optional[int] = 32 * 1024,
         max_retransmit_attempts: Optional[int] = 8,
         transport_max_rto_s: float = 5.0,
@@ -173,8 +164,6 @@ class StabilizerConfig:
             raise ConfigError("control_fanout must be 'all' or 'origin'")
         if failure_timeout_s <= 0:
             raise ConfigError("failure_timeout_s must be positive")
-        if window_bytes is not None and window_bytes <= 0:
-            raise ConfigError("window_bytes must be positive or None")
         if frame_bytes is not None and frame_bytes <= 0:
             raise ConfigError("frame_bytes must be positive or None")
         if max_retransmit_attempts is not None and max_retransmit_attempts <= 0:
@@ -226,7 +215,6 @@ class StabilizerConfig:
         self.control_fanout = control_fanout
         self.failure_timeout_s = failure_timeout_s
         self.max_buffer_bytes = max_buffer_bytes
-        self.window_bytes = window_bytes
         self.frame_bytes = frame_bytes
         self.max_retransmit_attempts = max_retransmit_attempts
         self.transport_max_rto_s = transport_max_rto_s
@@ -388,7 +376,6 @@ class StabilizerConfig:
             "control_fanout": self.control_fanout,
             "failure_timeout_s": self.failure_timeout_s,
             "max_buffer_bytes": self.max_buffer_bytes,
-            "window_bytes": self.window_bytes,
             "frame_bytes": self.frame_bytes,
             "max_retransmit_attempts": self.max_retransmit_attempts,
             "transport_max_rto_s": self.transport_max_rto_s,

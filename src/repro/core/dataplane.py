@@ -20,28 +20,25 @@ hands ``on_acked(peer, last)`` to the stabilization engine — unless the
 tag differs from its own epoch, which says the peer fenced the frames
 instead of taking them.
 
-The send path is *pipelined* per peer over one send log, the send
-buffer.  Each remote peer has one stream: a cursor into the log (the
-next sequence to frame).  It is the one send queue — the FIFO channel
-under it sends every frame at once — and the one place the send window
-(``window_bytes``) is kept:
+The send path is one send log, the send buffer, and no per-peer state.
+``send()`` sequences a message's chunks into the log and cuts the new
+entries once into *greedy runs*: from the first new sequence, as many
+entries as fit in ``frame_bytes`` (always at least one; ``None``, a frame
+per message), then the next run, to the log's end.  Every run is shipped
+to every open peer channel, all of one peer's frames before the next
+peer's.  The FIFO channel under it puts each frame on the link at once,
+so no frame waits, for more messages or for an ACK:
 
-- sequenced messages coalesce into WAN frames of up to ``frame_bytes``
-  (one transport header and one link packet per frame instead of per
-  message; ``None``, a frame per message), cut at the end of each
-  ``send()`` call, the moment an ACK returns credits to the peer, or at
-  a crash-restart replay, so no partial frame waits for more messages;
-- with no window (the default) every run is cut at once.  With one, a
-  run is cut only if nothing is in flight on the peer's channel, or if
-  the bytes in flight plus the run's wire size (payload, transport
-  header, and a batch entry per message for a run of two or more) fit in
-  the window.  Otherwise the stream *stalls* until an ACK retires frames,
-  so a slow or suspected peer backpressures only its own stream.
-  Crash-restart replay moves the peer's cursor back over the same log.
-  A frame is built once, kept on its first log entry, and shipped to
-  every peer that cuts the same run;
-- the retained send buffer is bounded (``max_buffer_bytes``): when the
-  WAN cannot drain, ``send()`` raises
+- a run of one message ships its chunk and chunk meta as they are; a run
+  of two or more is one coalesced WAN frame (one transport header and one
+  link packet instead of one per message), built once and shared by
+  every peer;
+- crash-restart replay (:meth:`DataPlane.replay_to`) resets one peer's
+  channel and ships it the greedy runs of the log from the sequence it
+  asks for, which may coalesce what earlier sends shipped apart;
+- backpressure is the bound on the retained send buffer
+  (``max_buffer_bytes``), not a per-peer window: a slow peer's frames
+  queue on its own link, and when the WAN cannot drain, ``send()`` raises
   :class:`~repro.errors.BackpressureError`, and the registered
   backpressure callbacks tell the producer when to pause and resume.
 
@@ -62,7 +59,7 @@ from repro.core.config import StabilizerConfig
 from repro.errors import BackpressureError, StabilizerError, TransportError
 from repro.transport.chunker import Chunker
 from repro.transport.endpoint import TransportEndpoint
-from repro.transport.fifo import TRANSPORT_HEADER_BYTES
+from repro.transport.fifo import FifoChannel
 from repro.transport.messages import BATCH_ENTRY, Payload, SyntheticPayload
 
 DATA_CHANNEL = "stab.data"
@@ -96,7 +93,7 @@ BACKPRESSURE_LOW = 0.5
 
 
 class _BufferEntry:
-    __slots__ = ("seq", "size", "payload", "chunk_meta", "frame")
+    __slots__ = ("seq", "size", "payload", "chunk_meta")
 
     def __init__(self, seq: int, size: int, payload=None, chunk_meta=None):
         self.seq = seq
@@ -105,8 +102,6 @@ class _BufferEntry:
         # also buffer data for later transmission if needed".
         self.payload = payload
         self.chunk_meta = chunk_meta
-        # The frame that starts here, once a peer cut one (see _cut_frame).
-        self.frame = None
 
 
 class SendBuffer:
@@ -159,19 +154,6 @@ class SendBuffer:
         return len(self._entries)
 
 
-class _PeerStream:
-    """One peer's share of the pipelined send path: its cursor into the
-    send log and its stall state."""
-
-    __slots__ = ("peer", "channel", "cursor", "stalled")
-
-    def __init__(self, peer: str, channel):
-        self.peer = peer
-        self.channel = channel
-        self.cursor = 1  # the next sequence to frame
-        self.stalled = False
-
-
 class DataPlane:
     """See module docstring."""
 
@@ -216,7 +198,6 @@ class DataPlane:
         self._next_seq = 1  # message sequence numbers are 1-based
         # No coalescing is a frame_bytes of 0: every run is one message.
         self._frame_bytes = config.frame_bytes or 0
-        self._window_bytes = config.window_bytes
         # The ACK is the received report: due within the flush interval
         # that report would have waited, and tagged with our epoch.
         endpoint.accept(
@@ -226,11 +207,10 @@ class DataPlane:
             ack_tag=self.epoch,
             **config.channel_kwargs(),
         )
-        self._streams: Dict[str, _PeerStream] = {}
+        self._channels: Dict[str, FifoChannel] = {}
         for peer in config.remote_names():
-            channel = endpoint.channel(peer, DATA_CHANNEL)
-            stream = self._streams[peer] = _PeerStream(peer, channel)
-            channel.on_window_open = partial(self._window_open, stream)
+            channel = self._channels[peer] = endpoint.channel(peer, DATA_CHANNEL)
+            channel.on_retired = partial(self._retired, peer)
             channel.on_ack_traced = partial(self._trace_ack, peer)
         # Receiving state, per origin.  An object's chunks are consecutive
         # messages of its origin's FIFO stream, so an origin has at most one
@@ -252,8 +232,6 @@ class DataPlane:
         self.frame_payload_bytes = 0
         self.frames_received = 0
         self.max_frame_messages = 0
-        self.window_stalls = 0
-        self.window_opens = 0
         # Backpressure state (engaged while the WAN cannot drain).
         self._bp_handlers: List[BackpressureFn] = []
         self._bp_engaged = False
@@ -279,9 +257,10 @@ class DataPlane:
         """Stream one application message to every remote peer.
 
         The payload is split into ≤ ``chunk_bytes`` chunks, each assigned
-        the next sequence number; chunks coalesce into WAN frames per
-        peer (see module docstring).  Returns ``(first_seq, last_seq)``;
-        the message's stability is the stability of ``last_seq``.
+        the next sequence number; the new chunks are cut into WAN frames
+        once and shipped to every peer (see module docstring).  Returns
+        ``(first_seq, last_seq)``; the message's stability is the
+        stability of ``last_seq``.
         """
         object_id, parts, sizes = self.chunker.split(payload)
         nbytes = sum(sizes)
@@ -316,9 +295,9 @@ class DataPlane:
             if self.on_sent is not None:
                 self.on_sent(seq, part)
         self.messages_sent += count
-        self.payload_bytes_sent += nbytes * len(self._streams)
-        for stream in self._streams.values():
-            self._pump(stream, "inline")
+        channels = self._channels.values()
+        self.payload_bytes_sent += nbytes * len(channels)
+        self._ship(self._cut(first_seq), channels, "inline")
         self._update_backpressure()
         return first_seq, self._next_seq - 1
 
@@ -326,28 +305,14 @@ class DataPlane:
         return self._next_seq - 1
 
     # -- frame pipeline ----------------------------------------------------------
-    def _window_open(self, stream: _PeerStream, meta, tag) -> None:
-        """The channel's ``on_window_open``: an ACK retired frames to
-        ``stream.peer``, the newest of them with ``meta``.  Unless the
-        peer fenced them (its ``tag``, the peer's epoch, is not ours), it
-        now holds our stream up to that frame's last sequence; and the
-        window may let more fly."""
+    def _retired(self, peer: str, meta, tag) -> None:
+        """The channel's ``on_retired``: an ACK retired frames to
+        ``peer``, the newest of them with ``meta``.  Unless the peer
+        fenced them (its ``tag``, the peer's epoch, is not ours), it now
+        holds our stream up to that frame's last sequence."""
         if tag == self.epoch and self.on_acked is not None:
             inner = meta[1]
-            self.on_acked(
-                stream.peer, inner[1][-1][0] if inner[0] == FRAME_TAG else inner[0]
-            )
-        if stream.cursor < self._next_seq:
-            if stream.stalled:
-                self.window_opens += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self._trace_node,
-                        "window.open",
-                        peer=stream.peer,
-                        pending=self._tail_bytes(stream),
-                    )
-            self._pump(stream, "window")
+            self.on_acked(peer, inner[1][-1][0] if inner[0] == FRAME_TAG else inner[0])
 
     def _trace_ack(self, origin: str, meta) -> None:
         """The receiver's end of an ACK-derived ``received`` grant: the
@@ -363,47 +328,17 @@ class DataPlane:
                 seq=inner[1][-1][0] if inner[0] == FRAME_TAG else inner[0],
             )
 
-    def _pump(self, stream: _PeerStream, cause: str) -> None:
-        """Cut frames until the stream is drained or the window stalls it."""
-        channel = stream.channel
-        if channel.closed:
-            self._seek(stream, self._next_seq)  # the tail has nowhere to go
-            return
-        while stream.cursor < self._next_seq:
-            if not self._cut_frame(stream, cause):
-                if not stream.stalled:
-                    stream.stalled = True
-                    self.window_stalls += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            self._trace_node,
-                            "window.stall",
-                            peer=stream.peer,
-                            pending=self._tail_bytes(stream),
-                            inflight=channel.unacked_bytes(),
-                        )
-                return  # the next ACK that retires frames resumes it
-        stream.stalled = False
-
-    def _cut_frame(self, stream: _PeerStream, cause: str) -> bool:
-        """Ship the next frame from ``stream``'s cursor — the run of log
-        entries that fits in ``frame_bytes`` (always at least one) — if
-        the window lets it fly (see module docstring); False if not.
-
-        A shipped frame stays on its first entry as ``(open, last,
-        run_bytes, overhead, payload, meta)`` until the log grows into its
-        run: ``open`` is the log end that cut the run short, 0 if full."""
+    def _cut(self, seq: int) -> list:
+        """The log from ``seq`` to its end, cut into greedy runs (see
+        module docstring), as frames ``(first, last, run_bytes, overhead,
+        payload, meta)``."""
         log = self.buffer._entries
-        cursor = stream.cursor
-        first = log[cursor]
         end = self._next_seq
         frame_bytes = self._frame_bytes
-        frame = first.frame
-        if frame is not None and frame[0] and frame[0] != end:
-            if frame[2] + log[frame[0]].size <= frame_bytes:
-                frame = None  # the log grew into the run
-        if frame is None:
-            last, run_bytes = cursor, first.size
+        frames = []
+        while seq < end:
+            first = log[seq]
+            last, run_bytes = seq, first.size
             while (
                 run_bytes < frame_bytes
                 and last + 1 < end
@@ -411,85 +346,59 @@ class DataPlane:
             ):
                 last += 1
                 run_bytes += log[last].size
-            overhead = BATCH_ENTRY.size * (last - cursor + 1) if last > cursor else 0
-        else:
-            _open, last, run_bytes, overhead, payload, meta = frame
-        channel = stream.channel
-        inflight = channel._unacked_bytes
-        if (
-            inflight
-            and self._window_bytes is not None
-            and inflight + run_bytes + TRANSPORT_HEADER_BYTES + overhead
-            > self._window_bytes
-        ):
-            return False
-        messages = last - cursor + 1
-        if frame is None:
-            if messages == 1:
+            if last == seq:
                 # A lone message needs no batch framing: its chunk ships as is.
-                payload, meta = first.payload, (self.epoch, first.chunk_meta)
+                meta = (self.epoch, first.chunk_meta)
+                frames.append((seq, seq, run_bytes, 0, first.payload, meta))
             else:
                 # Real payloads are joined once, here — the frame's one
                 # copy.  A frame with any synthetic part is one
                 # SyntheticPayload of the run's length (experiments at
                 # that scale never inspect bytes).
-                run = [log[seq] for seq in range(cursor, last + 1)]
+                run = [log[s] for s in range(seq, last + 1)]
                 parts = [entry.payload for entry in run]
                 synthetic = SyntheticPayload in {type(part) for part in parts}
                 payload = SyntheticPayload(run_bytes) if synthetic else b"".join(parts)
                 metas = tuple([entry.chunk_meta for entry in run])
                 lengths = tuple([entry.size for entry in run])
                 meta = (self.epoch, (FRAME_TAG, metas, lengths))
-            open_end = end if last + 1 == end and run_bytes < frame_bytes else 0
-            first.frame = (open_end, last, run_bytes, overhead, payload, meta)
-        channel.send(payload, meta, overhead)
-        stream.cursor = last + 1
-        self.frames_sent += 1
-        self.frame_messages += messages
-        self.frame_payload_bytes += run_bytes
-        if messages > self.max_frame_messages:
-            self.max_frame_messages = messages
-        if self.tracer.enabled:
-            # The frame covers the contiguous sequence run [first_seq,
-            # last_seq] — the trace context that lets span reconstruction
-            # tie a peer's data.receive back to this frame.
-            self.tracer.emit(
-                self._trace_node,
-                "data.frame_send",
-                peer=stream.peer,
-                origin=self._trace_node,
-                first_seq=cursor,
-                last_seq=last,
-                messages=messages,
-                bytes=run_bytes,
-                cause=cause,
-            )
-        return True
+                frames.append(
+                    (seq, last, run_bytes, BATCH_ENTRY.size * len(run), payload, meta)
+                )
+            seq = last + 1
+        return frames
 
-    def _seek(self, stream: _PeerStream, cursor: int) -> None:
-        """Move ``stream``'s cursor to ``cursor``, dropping its stall."""
-        stream.cursor = cursor
-        stream.stalled = False
-
-    def _tail_bytes(self, stream: _PeerStream) -> int:
-        """The bytes of the log from ``stream``'s cursor to its end."""
-        log = self.buffer._entries
-        return sum(log[seq].size for seq in range(stream.cursor, self._next_seq))
-
-    def pending_frame_bytes(self, peer: str) -> int:
-        """Bytes accumulated for ``peer`` that no frame has shipped yet."""
-        stream = self._streams.get(peer)
-        return self._tail_bytes(stream) if stream is not None else 0
-
-    def window_stalled(self, peer: str) -> bool:
-        """True while ``peer``'s stream waits on window credits."""
-        stream = self._streams.get(peer)
-        return stream is not None and stream.stalled
-
-    def close(self) -> None:
-        """Drop every peer's unframed tail (the node is going away)."""
-        for stream in self._streams.values():
-            self._seek(stream, self._next_seq)
+    def _ship(self, frames: list, channels, cause: str) -> None:
+        """Send ``frames`` on each open channel of ``channels``, all of one
+        channel's before the next's."""
+        tracer = self.tracer
+        for channel in channels:
+            if channel.closed:
+                continue  # the peer's stack is gone: its frames have nowhere to go
+            for first, last, run_bytes, overhead, payload, meta in frames:
+                channel.send(payload, meta, overhead)
+                messages = last - first + 1
+                self.frames_sent += 1
+                self.frame_messages += messages
+                self.frame_payload_bytes += run_bytes
+                if messages > self.max_frame_messages:
+                    self.max_frame_messages = messages
+                if tracer.enabled:
+                    # The frame covers the contiguous sequence run
+                    # [first_seq, last_seq] — the trace context that lets
+                    # span reconstruction tie a peer's data.receive back
+                    # to this frame.
+                    tracer.emit(
+                        self._trace_node,
+                        "data.frame_send",
+                        peer=channel.peer,
+                        origin=self._trace_node,
+                        first_seq=first,
+                        last_seq=last,
+                        messages=messages,
+                        bytes=run_bytes,
+                        cause=cause,
+                    )
 
     # -- backpressure ------------------------------------------------------------
     def on_backpressure(self, fn: BackpressureFn) -> None:
@@ -563,21 +472,21 @@ class DataPlane:
         range — that cannot happen when the peer restarts from a snapshot
         taken at crash time, because reclaim waits for *everyone*.
         """
-        stream = self._streams.get(peer)
-        if stream is None:
+        channel = self._channels.get(peer)
+        if channel is None:
             raise StabilizerError(f"no data channel to {peer!r}")
         if self.buffer.reclaimed_up_to > from_seq:
             raise StabilizerError(
                 f"cannot replay to {peer!r} from seq {from_seq}: buffer "
                 f"reclaimed up to {self.buffer.reclaimed_up_to}"
             )
-        # The unframed tail is part of the replay, and leaves as any does.
-        self._seek(stream, min(from_seq + 1, self._next_seq))
-        stream.channel.reset_stream()
-        count = self._next_seq - stream.cursor
-        self.payload_bytes_sent += self._tail_bytes(stream)
+        channel.reset_stream()
+        first = min(from_seq + 1, self._next_seq)
+        count = self._next_seq - first
+        frames = self._cut(first)
+        self.payload_bytes_sent += sum(frame[2] for frame in frames)
         self.replayed_chunks += count
-        self._pump(stream, "replay")
+        self._ship(frames, (channel,), "replay")
         if self.tracer.enabled:
             self.tracer.emit(
                 self._trace_node,
@@ -589,11 +498,9 @@ class DataPlane:
         return count
 
     def restore_next_seq(self, seq: int) -> None:
-        """Resume this node's stream at ``seq`` from a snapshot; every
-        peer's cursor moves there (what lies below is :meth:`replay_to`'s)."""
+        """Resume this node's stream at ``seq`` from a snapshot (what lies
+        below is :meth:`replay_to`'s)."""
         self._next_seq = max(self._next_seq, seq)
-        for stream in self._streams.values():
-            self._seek(stream, self._next_seq)
 
     # -- receiving side ------------------------------------------------------------
     def highest_received(self, origin: str) -> int:

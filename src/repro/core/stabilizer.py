@@ -604,8 +604,7 @@ class Stabilizer:
             "dataplane.frame_payload_bytes": self.dataplane.frame_payload_bytes,
             "dataplane.max_frame_messages": self.dataplane.max_frame_messages,
             "dataplane.delivery_watermark": self._delivery_watermark,
-            "window.stalls": self.dataplane.window_stalls,
-            "window.opens": self.dataplane.window_opens,
+            "window.stalls": 0,  # no send window; see the catalogue
             "backpressure.events": self.dataplane.backpressure_events,
         })
         # The engine-comparable strategy.* family plus the running
@@ -680,7 +679,6 @@ class Stabilizer:
             self.durability.close(sync=True)
         self.detector.stop()
         self.strategy.close()
-        self.dataplane.close()
         self.endpoint.close()
 
     def crash(self) -> None:
@@ -693,5 +691,4 @@ class Stabilizer:
             self.durability.crash()
         self.detector.stop()
         self.strategy.close()  # stops timers; no engine sends a parting frame
-        self.dataplane.close()  # partial frames die with the node
         self.endpoint.close()

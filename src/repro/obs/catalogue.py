@@ -115,11 +115,8 @@ CATALOGUE = (
            "highest own-stream sequence every node acknowledged received: "
            "a position in one stream's sequence space"),
     Metric("window.stalls", "counter", "sum", "events", "core.dataplane",
-           "times a peer's stream stalled: its next frame did not fit the "
-           "send window beside the bytes in flight"),
-    Metric("window.opens", "counter", "sum", "events", "core.dataplane",
-           "acknowledgments that returned credits to a stalled peer's "
-           "stream (the data plane owns the window; the FIFO has none)"),
+           "always 0: there is no send window; kept while perf/trace.py "
+           "still totals it"),
     Metric("backpressure.events", "counter", "sum", "events", "core.dataplane",
            "send buffer crossings of the high watermark"),
     # -- transport.fifo ----------------------------------------------------

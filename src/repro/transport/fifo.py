@@ -23,12 +23,10 @@ elsewhere) so the sender can tell whether what it retired was taken or
 fenced.
 
 The channel has no send window and no send queue: ``send`` puts the
-frame on the link at once.  How many bytes may be in flight to a peer is
-the data plane's decision (``window_bytes``); it reads
-:meth:`FifoChannel.unacked_bytes` before it cuts a frame, and
-``on_window_open(meta, tag)`` — fired by every ACK that retires frames,
-with the newest retired frame's meta and the ACK's tag — tells it when
-credits came back and how far the peer has taken the stream.
+frame on the link at once, and the link's queue paces the stream.
+``on_retired(meta, tag)`` — fired by every ACK that retires frames, with
+the newest retired frame's meta and the ACK's tag — tells the consumer
+how far the peer has taken the stream.
 
 The retransmission timeout is *adaptive* (Jacobson/Karn): each ACK that
 retires frames gives one RTT sample, from the newest frame it retires,
@@ -141,7 +139,7 @@ class FifoChannel:
         self.on_deliver = on_deliver
         # Fired (meta of the newest retired frame, the ACK's tag) by every
         # ACK that retires frames; see module docstring.
-        self.on_window_open: Optional[Callable[[object, object], None]] = None
+        self.on_retired: Optional[Callable[[object, object], None]] = None
         # Called (meta of the newest frame it covers) by every ACK this
         # channel sends while tracing is on: the consumer's trace hook.
         self.on_ack_traced: Optional[Callable[[object], None]] = None
@@ -165,7 +163,6 @@ class FifoChannel:
         # send time).  A cumulative ACK retires a prefix.
         self._next_send_seq = 0
         self._unacked: Deque[Tuple[tuple, int, float]] = deque()
-        self._unacked_bytes = 0
         # Karn's rule: every frame below this sequence was resent.
         self._resent_below = 0
         self._retransmit_timer = None
@@ -209,7 +206,6 @@ class FifoChannel:
         size = payload_length(payload) + TRANSPORT_HEADER_BYTES + wire_overhead
         wire = ("data", self.name, seq, payload, meta, self.epoch)
         self._unacked.append((wire, size, self.sim.now))
-        self._unacked_bytes += size
         self.link.send(self._data_port, wire, size)
         self.frames_sent += 1
         if self._retransmit_timer is None and not self.suspended:
@@ -218,9 +214,6 @@ class FifoChannel:
 
     def unacked_count(self) -> int:
         return len(self._unacked)
-
-    def unacked_bytes(self) -> int:
-        return self._unacked_bytes
 
     def _resend_unacked(self) -> None:
         """Go-back-N: put every unacked frame on the wire again, in order
@@ -367,7 +360,6 @@ class FifoChannel:
         self._next_send_seq = 0
         self._resent_below = 0
         self._unacked.clear()
-        self._unacked_bytes = 0
         self._attempts = 0
         self.stream_resets += 1
         if self.endpoint.tracer.enabled:
@@ -386,7 +378,6 @@ class FifoChannel:
             unacked = self._unacked
             while unacked and unacked[0][0][2] <= cumulative:  # its wire's seq
                 retired = unacked.popleft()
-                self._unacked_bytes -= retired[1]
             if retired is not None:
                 wire, _size, sent_at = retired
                 now = self.sim.now
@@ -402,10 +393,9 @@ class FifoChannel:
             if not self._unacked and self._retransmit_timer is not None:
                 self._retransmit_timer.cancel()
                 self._retransmit_timer = None
-            if retired is not None and self.on_window_open is not None:
-                # Credits came back, and the peer took the stream up to the
-                # newest retired frame.
-                self.on_window_open(wire[4], tag)  # its meta
+            if retired is not None and self.on_retired is not None:
+                # The peer took the stream up to the newest retired frame.
+                self.on_retired(wire[4], tag)  # its meta
         if self.peer in self._suspended_peers:
             self.endpoint.revive_peer(self.peer)
 

@@ -4,8 +4,6 @@ These tests drive the checker with minimal fakes so each failure mode is
 exercised directly — a checker that never fires is worse than none.
 """
 
-from collections import deque
-
 import pytest
 
 from repro.chaos import InvariantChecker, InvariantViolation
@@ -133,20 +131,10 @@ class FakeBuffer:
         self.reclaimed_up_to = reclaimed_up_to
 
 
-class FakeStream:
-    def __init__(self, peer, cursor=1, inflight=(), stalled=False):
-        self.peer = peer
-        self.cursor = cursor
-        self.channel = FakeChannel(frame_sizes=inflight)
-        self.stalled = stalled
-
-
 class FakePipelineDataPlane:
-    def __init__(self, reclaimed_up_to=0, received=None, streams=(), window_bytes=None):
+    def __init__(self, reclaimed_up_to=0, received=None):
         self.buffer = FakeBuffer(reclaimed_up_to)
         self._received = received or {}
-        self._streams = {s.peer: s for s in streams}
-        self._window_bytes = window_bytes
 
     def highest_received(self, origin):
         return self._received.get(origin, 0)
@@ -170,82 +158,3 @@ def test_reclaim_at_global_delivery_passes():
     b.dataplane = FakePipelineDataPlane(received={"a": 5})
     checker.check_reclaim([a, b])
     assert checker.violations == []
-
-
-# ---------------------------------------------------------------------------
-# Invariant 9: window accounting never leaks credits.
-# ---------------------------------------------------------------------------
-
-
-class FakeChannel:
-    def __init__(self, frame_sizes=(), unacked_bytes=None):
-        self.name = "stab.data"
-        self.peer = "b"
-        # (wire tuple, size, send time) in sequence order, as FifoChannel
-        # keeps it.
-        self._unacked = deque((None, size, 0.0) for size in frame_sizes)
-        self._unacked_bytes = (
-            sum(frame_sizes) if unacked_bytes is None else unacked_bytes
-        )
-
-
-class FakeEndpoint:
-    def __init__(self, *channels):
-        self._channels = {i: c for i, c in enumerate(channels)}
-
-    def channels(self):
-        return self._channels
-
-
-def test_credit_leak_detected():
-    checker = InvariantChecker()
-    node = FakeNode("a")
-    node.endpoint = FakeEndpoint(
-        FakeChannel(frame_sizes=(100, 200), unacked_bytes=250)
-    )
-    with pytest.raises(InvariantViolation, match="credit leak"):
-        checker.check_windows([node])
-
-
-def window_node(window_bytes=1000, reclaimed_up_to=0, **stream):
-    """A node streaming to ``b``; by default the stream's cursor is at the
-    first unreclaimed entry."""
-    stream.setdefault("cursor", reclaimed_up_to + 1)
-    node = FakeNode("a")
-    node.dataplane = FakePipelineDataPlane(
-        reclaimed_up_to=reclaimed_up_to,
-        streams=(FakeStream("b", **stream),),
-        window_bytes=window_bytes,
-    )
-    return node
-
-
-def test_window_overrun_detected():
-    checker = InvariantChecker()
-    with pytest.raises(InvariantViolation, match="window overrun"):
-        checker.check_windows([window_node(inflight=(600, 600))])
-
-
-def test_one_oversized_frame_is_allowed():
-    checker = InvariantChecker()
-    checker.check_windows([window_node(inflight=(5000,))])
-    checker.check_windows([window_node(window_bytes=None, inflight=(600, 600))])
-    assert checker.violations == []
-
-
-def test_stuck_backlog_detected():
-    # A stalled stream with nothing in flight waits for an ACK that never comes.
-    checker = InvariantChecker()
-    checker.check_windows([window_node(inflight=(900,), stalled=True)])
-    with pytest.raises(InvariantViolation, match="stuck stream"):
-        checker.check_windows([window_node(stalled=True)])
-
-
-def test_cursor_on_a_reclaimed_sequence_detected():
-    # Sequences 1-4 are reclaimed: a cursor at 5 frames a held entry,
-    # one at 4 would frame a sequence the log no longer has.
-    checker = InvariantChecker()
-    checker.check_windows([window_node(reclaimed_up_to=4)])
-    assert checker.violations == []
-    with pytest.raises(InvariantViolation, match="reclaimed cursor"):
-        checker.check_windows([window_node(reclaimed_up_to=4, cursor=4)])

@@ -56,8 +56,6 @@ def test_parameter_validation():
         make(control_fanout="some")
     with pytest.raises(ConfigError):
         make(failure_timeout_s=0)
-    with pytest.raises(ConfigError):
-        make(window_bytes=0)
 
 
 def test_unknown_node_index_rejected():
@@ -94,7 +92,6 @@ def test_for_node_carries_every_field():
         control_fanout="origin",
         failure_timeout_s=2.0,
         max_buffer_bytes=1 << 20,
-        window_bytes=64 * 1024,
         frame_bytes=16 * 1024,
         max_retransmit_attempts=5,
         transport_max_rto_s=2.0,

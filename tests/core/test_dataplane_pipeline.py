@@ -1,27 +1,29 @@
-"""The pipelined data plane: frame coalescing, frames cut inside
-``send()``, window stalls, backpressure policies, and replay interaction
-with pending tails."""
+"""The pipelined data plane: frame coalescing, frames cut and shipped
+inside ``send()``, ACKs, backpressure policies, and replay."""
 
 import pytest
 
 from repro.core.config import StabilizerConfig
 from repro.core.dataplane import DATA_CHANNEL, DataPlane
-from repro.errors import BackpressureError
+from repro.errors import BackpressureError, StabilizerError
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
+from repro.sim.rng import RngRegistry
 from repro.transport import TransportEndpoint
 from repro.transport.messages import SyntheticPayload
 
 NODES = ["x", "y"]
 
 
-def build_net(latency_ms=5, rate_mbit=100):
+def build_net(latency_ms=5, rate_mbit=100, loss_rate=0.0, seed=0):
     topo = Topology()
     for name in NODES:
         topo.add_node(name, group=name)
-    topo.set_default(NetemSpec(latency_ms=latency_ms, rate_mbit=rate_mbit))
+    topo.set_default(
+        NetemSpec(latency_ms=latency_ms, rate_mbit=rate_mbit, loss_rate=loss_rate)
+    )
     sim = Simulator()
-    return sim, topo.build(sim)
+    return sim, topo.build(sim, RngRegistry(seed))
 
 
 def config(local="x", **kwargs):
@@ -40,6 +42,10 @@ def wire(sim, net, **kwargs):
     )
     dp_y.on_deliver = lambda o, s, p, m: delivered.append((o, s, p, m))
     return dp_x, dp_y, delivered, received
+
+
+def channel_to_y(dp_x):
+    return dp_x.endpoint.channel("y", DATA_CHANNEL)
 
 
 def test_chunks_coalesce_into_frames():
@@ -77,8 +83,9 @@ def test_lone_message_needs_no_batch_frame():
     sim, net = build_net()
     dp_x, dp_y, delivered, _ = wire(sim, net, frame_bytes=32 * 1024)
     dp_x.send(b"hello")
-    # The frame was cut inside send(): nothing waits for more messages.
-    assert (dp_x.frames_sent, dp_x.pending_frame_bytes("y")) == (1, 0)
+    # The frame was cut and shipped inside send(): nothing waits for more
+    # messages.
+    assert dp_x.frames_sent == channel_to_y(dp_x).unacked_count() == 1
     sim.run(until=5.0)
     assert dp_x.frames_sent == 1
     assert dp_x.frame_messages == 1
@@ -88,26 +95,60 @@ def test_lone_message_needs_no_batch_frame():
     assert delivered[0][2] == b"hello"
 
 
-def test_window_stall_defers_and_window_open_resumes():
+def test_every_frame_is_on_the_wire_when_send_returns():
     sim, net = build_net(latency_ms=20)
-    dp_x, dp_y, _, received = wire(
-        sim,
-        net,
-        chunk_bytes=1000,
-        frame_bytes=2000,
-        window_bytes=4000,
-    )
+    dp_x, dp_y, _, received = wire(sim, net, chunk_bytes=1000, frame_bytes=2000)
+    channel = channel_to_y(dp_x)
     dp_x.send(SyntheticPayload(40_000))
-    # The window closed long before 40 KB could be cut into frames.
-    assert dp_x.window_stalls >= 1
-    assert dp_x.pending_frame_bytes("y") > 0
-    cut_at_send = dp_x.frames_sent
+    # No window: all twenty frames of two are in flight at once...
+    assert dp_x.frames_sent == channel.unacked_count() == 20
+    # ...and so is the next send's, whatever is already in flight.
+    dp_x.send(SyntheticPayload(1000))
+    assert dp_x.frames_sent == channel.unacked_count() == 21
     sim.run(until=10.0)
-    # Credits came back, stalled pending flushed, everything arrived.
-    assert dp_x.window_opens >= 1
-    assert dp_x.frames_sent > cut_at_send  # the ACKs cut the stalled tail
-    assert len(received) == 40
-    assert dp_x.pending_frame_bytes("y") == 0
+    assert received == list(range(1, 42))
+    assert channel.unacked_count() == 0
+
+
+def test_acks_carry_the_receivers_epoch_and_last_sequence():
+    sim, net = build_net()
+    dp_x, _, _, _ = wire(sim, net, chunk_bytes=500, frame_bytes=1000)
+    acked = []
+    dp_x.on_acked = lambda peer, last: acked.append((peer, last))
+    dp_x.send(SyntheticPayload(500))  # a lone frame: seq 1
+    sim.run(until=1.0)
+    dp_x.send(SyntheticPayload(1000))  # one coalesced frame: 2 and 3
+    sim.run(until=2.0)
+    assert acked == [("y", 1), ("y", 3)]
+
+
+def test_an_ack_from_another_epoch_grants_nothing():
+    sim, net = build_net()
+    dp_x = DataPlane(TransportEndpoint(net, "x"), config("x"))
+    dp_y = DataPlane(TransportEndpoint(net, "y"), config("y", shard_epoch=1))
+    acked = []
+    dp_x.on_acked = lambda peer, last: acked.append((peer, last))
+    dp_x.send(b"fenced")
+    sim.run(until=1.0)
+    # y fenced the frame; its ACK retired it but took nothing.
+    assert dp_y.stale_epoch_frames == 1
+    assert channel_to_y(dp_x).unacked_count() == 0
+    assert acked == []
+
+
+def test_acks_after_retransmission_carry_the_last_sequence():
+    sim, net = build_net(loss_rate=0.2, seed=3)
+    dp_x, _, _, received = wire(sim, net, chunk_bytes=800, frame_bytes=800)
+    channel = channel_to_y(dp_x)
+    acked = []
+    dp_x.on_acked = lambda peer, last: acked.append(last)
+    for _ in range(30):
+        dp_x.send(SyntheticPayload(800))
+    sim.run(until=60.0)
+    assert received == list(range(1, 31))
+    assert channel.retransmissions > 0 and channel.unacked_count() == 0
+    # Each ACK that retired frames named the newest one's last sequence.
+    assert acked == sorted(set(acked)) and acked[-1] == 30
 
 
 def test_send_policy_except_raises_before_sequencing():
@@ -131,44 +172,45 @@ def test_send_policy_except_raises_before_sequencing():
     assert dp_x.backpressure_events == 2
 
 
-def test_replay_clears_pending_tail_no_duplicates():
+def test_replay_delivers_no_duplicates():
     sim, net = build_net(latency_ms=20)
-    dp_x, dp_y, _, received = wire(
-        sim,
-        net,
-        chunk_bytes=1000,
-        frame_bytes=2000,
-        window_bytes=3000,
-    )
+    dp_x, dp_y, _, received = wire(sim, net, chunk_bytes=1000, frame_bytes=2000)
     dp_x.send(SyntheticPayload(20_000))
-    assert dp_x.pending_frame_bytes("y") == 18_000  # stalled tail exists
-    # Catch-up replay takes the stalled tail's place: every entry is
-    # pending once, less the one frame the reset stream lets fly.
+    # A replay while the sent frames are still in flight: the reset
+    # stream resends every entry, and the receiver drops what it holds.
     assert dp_x.replay_to("y", 0) == 20
-    assert dp_x.pending_frame_bytes("y") == 18_000
     sim.run(until=10.0)
     assert dp_y.highest_received("x") == 20
+    assert dp_y.duplicates_dropped == 20
     assert received == list(range(1, 21))  # no duplicates
 
 
-def test_replay_never_exceeds_the_window():
+def test_a_replay_ships_the_greedy_runs_from_its_start():
     sim, net = build_net(latency_ms=20)
-    dp_x, dp_y, _, received = wire(
-        sim, net, chunk_bytes=1000, frame_bytes=2000, window_bytes=3000
-    )
+    dp_x, dp_y, _, received = wire(sim, net, chunk_bytes=1000, frame_bytes=2000)
     dp_x.send(SyntheticPayload(20_000))
     sim.run(until=10.0)
-    channel = dp_x.endpoint.channel("y", DATA_CHANNEL)
-    inflight, link_send = [], channel.link.send
-    channel.link.send = lambda *packet: (
-        inflight.append(channel.unacked_bytes()) or link_send(*packet)
-    )
-    dp_x.replay_to("y", 0)
+    channel = channel_to_y(dp_x)
+    assert dp_x.replay_to("y", 0) == 20
+    # The replay left at once, as frames of two on the reset stream.
+    assert channel.unacked_count() == 10 and channel.stream_resets == 1
     sim.run(until=20.0)
-    # The replay left as frames of two, waiting on credits like any stream.
-    assert len(inflight) == 10 and max(inflight) <= 3000
     assert dp_y.duplicates_dropped == 20
     assert received == list(range(1, 21))
+
+
+def test_a_replay_below_the_reclaimed_log_raises():
+    sim, net = build_net()
+    dp_x, _, _, _ = wire(sim, net, chunk_bytes=1000, frame_bytes=2000)
+    dp_x.send(SyntheticPayload(3000))
+    sim.run(until=1.0)
+    dp_x.reclaim_up_to(2)
+    channel = channel_to_y(dp_x)
+    with pytest.raises(StabilizerError, match="reclaimed up to 2"):
+        dp_x.replay_to("y", 1)
+    # Refused before the reset: nothing was resent.
+    assert channel.stream_resets == 0 and dp_x.replayed_chunks == 0
+    assert dp_x.replay_to("y", 2) == 1
 
 
 def test_replay_from_past_the_stream_end_replays_nothing():
@@ -179,7 +221,7 @@ def test_replay_from_past_the_stream_end_replays_nothing():
     # A peer that claims more of the stream than was sent is replayed
     # nothing, and the stream carries on from the next send.
     assert dp_x.replay_to("y", 10) == 0
-    assert dp_x.pending_frame_bytes("y") == 0
+    assert channel_to_y(dp_x).unacked_count() == 0
     dp_x.send(SyntheticPayload(500))
     sim.run(until=2.0)
     assert received == [1, 2, 3, 4]

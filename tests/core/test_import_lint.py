@@ -1,8 +1,7 @@
 """Lints on the strategy layer: ``repro.core.acks`` is private to it, and
 every engine has the one shape (second half of this file); the node
-interface is classified once, and the send window has one owner; no
-option and no definition exists that only tests reach, and no config
-field that nothing reads.
+interface is classified once; no option and no definition exists that
+only tests reach, and no config field that nothing reads.
 
 The strategy redesign (``docs/strategies.md``) put the ACK tables behind
 :class:`repro.core.strategy.StabilizationStrategy`: engines own the
@@ -301,49 +300,6 @@ def test_the_interface_table_in_the_docs_is_the_lints():
         assert row is not None, f"docs/sharding.md has no '| {label} |' row"
         listed = row.split("|")[2].replace("`", "").replace(",", " ").split()
         assert tuple(listed) == names, f"{label}: docs list {listed}, lint has {names}"
-
-
-# ---------------------------------------------------------------------------
-# One send window: outside the transport, only the data plane that keeps it
-# and the chaos invariant that checks it read a channel's bytes in flight.
-# ---------------------------------------------------------------------------
-
-INFLIGHT_READERS = {"core/dataplane.py", "chaos/invariants.py"}
-INFLIGHT_NAMES = {"unacked_bytes", "_unacked_bytes"}
-
-
-def _inflight_reads(tree):
-    """The line of every ``.unacked_bytes`` / ``._unacked_bytes`` read."""
-    return [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in INFLIGHT_NAMES
-    ]
-
-
-def test_only_the_data_plane_reads_the_bytes_in_flight():
-    readers, violations = set(), []
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(SRC).as_posix()
-        if rel.startswith("transport/"):
-            continue
-        lines = _inflight_reads(ast.parse(path.read_text(encoding="utf-8")))
-        if lines:
-            readers.add(rel)
-        if rel not in INFLIGHT_READERS:
-            violations += [f"{rel}:{line}" for line in lines]
-    assert not violations, (
-        "the send window is the data plane's (core/dataplane.py); compare "
-        "in-flight bytes with it there, not here:\n  " + "\n  ".join(violations)
-    )
-    # Not vacuous: the allowlist is exactly who reads it.
-    assert readers == INFLIGHT_READERS
-
-
-def test_inflight_lint_catches_each_read():
-    for source in ("chan.unacked_bytes()", "inflight = stream.channel._unacked_bytes"):
-        assert _inflight_reads(ast.parse(source)) == [1], source
-    assert not _inflight_reads(ast.parse("chan.unacked_count()"))
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +614,8 @@ KEPT_DEFS = {
         "public read: tests assert through it, not the private state",
     ("core/membership.py", "FailureDetector.last_heard"):
         "public read: tests assert through it, not the private state",
-    ("core/dataplane.py", "DataPlane.pending_frame_bytes"):
-        "public read: tests assert through it, not the private frame",
+    ("paxos/replica.py", "PaxosReplica.inflight"):
+        "public read: tests assert through it, not the private counter",
     ("obs/spans.py", "SendTrace.cross_node"):
         "public read: tests assert through it, not the span list",
     ("storage/objectstore.py", "ObjectStore.get_by_time"):

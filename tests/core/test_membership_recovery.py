@@ -240,11 +240,9 @@ def test_restore_puts_every_cursor_at_the_restored_sequence(strategy):
     net2 = net.topology.build(sim2)
     restarted = Stabilizer(net2, a.config)
     restore_state(restarted, snap)
-    dataplane = restarted.dataplane
-    assert dataplane.next_seq == snap["next_seq"]
-    # The restored tail is replayed on request, not streamed: no peer's
-    # cursor is left below the restored sequence.
-    assert [dataplane.pending_frame_bytes(peer) for peer in ("b", "c")] == [0, 0]
+    assert restarted.dataplane.next_seq == snap["next_seq"]
+    # The restored tail is replayed on request, not streamed: the next
+    # send ships its own sequence and nothing below it.
     tap = Tap(net2, "data")
     seq = restarted.send(b"after restore")
     assert seq == snap["next_seq"]

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.config import StabilizerConfig
 from repro.core.dataplane import DATA_CHANNEL, DataPlane
-from repro.errors import ConfigError, TransportError
+from repro.errors import BackpressureError, TransportError
 from repro.net import NetemSpec, Topology
 from repro.sim import Simulator
 from repro.transport import SyntheticPayload, TransportEndpoint
-from repro.transport.fifo import MIN_RTO_S
+from repro.transport.fifo import MIN_RTO_S, TRANSPORT_HEADER_BYTES
 
 
 def build_net(loss_rate=0.0, latency_ms=10.0, rate_mbit=100.0, seed=0):
@@ -72,7 +72,6 @@ def test_acks_release_retransmission_buffer():
     assert sender.unacked_count() == 5
     sim.run(until=5.0)
     assert sender.unacked_count() == 0
-    assert sender.unacked_bytes() == 0
 
 
 def test_delivery_under_heavy_loss():
@@ -209,9 +208,24 @@ def test_throughput_bounded_by_link_bandwidth():
     assert goodput == pytest.approx(1e6, rel=0.1)
 
 
-def windowed_pair(net, **config):
-    """Data planes at a and b over their FIFO data channel.  The channel
-    launches every frame at once; the send window is the data plane's."""
+def test_on_retired_fires_once_per_ack_with_the_newest_meta():
+    sim, net = build_net()
+    sender, _ = wire_pair(net)
+    retired = []
+    sender.on_retired = lambda meta, tag: retired.append(
+        (sender.unacked_count(), meta, tag)
+    )
+    sender.send(SyntheticPayload(1_000), meta="first")
+    sender.send(SyntheticPayload(1_000), meta="second")
+    sim.run(until=5.0)
+    # The one ACK that retired both frames, naming the newer; a channel
+    # whose consumer set no ack tag acknowledges with None.
+    assert retired == [(0, "second", None)]
+
+
+def plane_pair(net, **config):
+    """Data planes at a and b over their FIFO data channel: the sender,
+    its channel to b and the sequences b received."""
     sender, receiver = (
         DataPlane(
             TransportEndpoint(net, local),
@@ -219,62 +233,66 @@ def windowed_pair(net, **config):
         )
         for local in ("a", "b")
     )
-    channel = sender.endpoint.channel("b", DATA_CHANNEL)
-    inflight, link_send = [], channel.link.send
-    channel.link.send = lambda *packet: (
-        inflight.append(channel.unacked_bytes()) or link_send(*packet)
-    )
     received = []
     receiver.on_received = lambda origin, seq, payload: received.append(seq)
-    return sender, channel, received, inflight
+    return sender, sender.endpoint.channel("b", DATA_CHANNEL), received
 
 
 def test_flow_control_bounds_inflight_bytes():
+    # The channel launches every frame at once.  What bounds the bytes in
+    # flight is the data plane's send buffer: it holds every sent message
+    # until reclaim, and refuses a message that would overflow it.
     sim, net = build_net(latency_ms=20.0, rate_mbit=100.0)
-    sender, channel, received, inflight = windowed_pair(
-        net, chunk_bytes=10_000, frame_bytes=10_000, window_bytes=30_000
+    sender, channel, received = plane_pair(
+        net, chunk_bytes=10_000, frame_bytes=10_000, max_buffer_bytes=30_000
     )
-    for _ in range(20):
+    for _ in range(3):
         sender.send(SyntheticPayload(10_000))
-    # Two 10_024-byte frames fit the window; the third would not, so the
-    # other 18 wait in the data plane's stream, not below it.
-    assert channel.unacked_count() == 2
-    assert sender.pending_frame_bytes("b") == 180_000
-    sim.run(until=20.0)
-    assert received == list(range(1, 21))
-    assert max(inflight) <= 30_000
-    assert sender.pending_frame_bytes("b") == 0
-    assert channel.unacked_count() == 0
+    with pytest.raises(BackpressureError):
+        sender.send(SyntheticPayload(10_000))
+    assert channel.unacked_count() == 3
+    assert channel.link.stats.bytes_sent == 30_000 + 3 * TRANSPORT_HEADER_BYTES
+    sim.run(until=5.0)
+    assert received == [1, 2, 3] and channel.unacked_count() == 0
+    # Reclaim, not the ACKs, makes room for the next message.
+    with pytest.raises(BackpressureError):
+        sender.send(SyntheticPayload(10_000))
+    sender.reclaim_up_to(3)
+    sender.send(SyntheticPayload(10_000))
+    sim.run(until=10.0)
+    assert received == [1, 2, 3, 4]
 
 
 def test_flow_control_preserves_order_under_loss():
     sim, net = build_net(loss_rate=0.2, seed=9)
-    sender, channel, received, inflight = windowed_pair(
-        net, chunk_bytes=900, frame_bytes=900, window_bytes=5_000
-    )
+    sender, channel, received = plane_pair(net, chunk_bytes=900, frame_bytes=900)
     for _ in range(40):
         sender.send(SyntheticPayload(900))
     sim.run(until=120.0)
     assert received == list(range(1, 41))
-    assert channel.retransmissions > 0 and max(inflight) <= 5_000
+    assert channel.retransmissions > 0
 
 
 def test_flow_control_always_lets_one_frame_fly():
     sim, net = build_net()
-    sender, channel, received, _ = windowed_pair(
-        net, chunk_bytes=50_000, frame_bytes=50_000, window_bytes=10
+    sender, channel, received = plane_pair(
+        net, chunk_bytes=50_000, frame_bytes=10
     )
-    sender.send(SyntheticPayload(50_000))  # far above the window
-    assert channel.unacked_count() == 1
+    # A run always takes at least one message: a chunk far above
+    # frame_bytes flies alone, and so does the next.
+    sender.send(SyntheticPayload(50_000))
+    sender.send(SyntheticPayload(50_000))
+    assert channel.unacked_count() == sender.frames_sent == 2
     sim.run(until=10.0)
-    assert received == [1]
+    assert received == [1, 2]
 
 
 def test_flow_control_validation():
-    sim, net = build_net()
-    with pytest.raises(ConfigError):
+    # The send window is no option: neither the config nor a channel
+    # takes one.
+    with pytest.raises(TypeError):
         StabilizerConfig(["a", "b"], {"a": ["a"], "b": ["b"]}, "a", window_bytes=0)
-    # The window is no channel option: the channel has none to validate.
+    sim, net = build_net()
     ep = TransportEndpoint(net, "a")
     ep.accept("bad-window", ignore, max_inflight_bytes=0)
     with pytest.raises(TypeError):
