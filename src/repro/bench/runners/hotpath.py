@@ -392,7 +392,8 @@ def _frame_receive_calls(
 ) -> int:
     """Python calls one receiver makes taking ``frames`` frames off the
     data channel; without ``engine`` nothing hears of the arrivals (the
-    data plane's own share: validation, reassembly, delivery).  With
+    data plane's own share: validation, and no reassembly, since nothing
+    delivers or traces here).  With
     ``observed`` a monitor at the receiver watches the origin's stream;
     without, nothing there does (``wan_small``'s receivers)."""
     topo = Topology.uniform(
@@ -832,7 +833,8 @@ def _ack(result):
 
 @finding(
     "calls per message of an arrived frame of one",
-    "<= 35.5 at a receiver observing the stream (31.3; 32.3 while an "
+    "<= 35.5 at a receiver observing the stream (29.8; 31.3 while a "
+    "receiver nothing delivered to still reassembled, 32.3 while an "
     "arrival's received grant went through grant_local, 72.3 before the "
     "frame became the unit of arrival, 68.3 while every chunk went "
     "through a Chunk and the any-order reassembler, 58.5 while a value "
@@ -848,7 +850,8 @@ def _frame_of_one(result):
 
 @finding(
     "calls per message of an arrived frame of four",
-    "<= 10.2, 8 KB chunks four to an object, the trace_bulk path (9.0; "
+    "<= 10.2, 8 KB chunks four to an object, the trace_bulk path (7.5; "
+    "9.0 while a receiver nothing delivered to still reassembled, "
     "9.25 while the received grant went through grant_local, "
     "28.25 with the reassembler and a SyntheticPayload per part, 16.0 "
     "with the relays, 13.5 with the epoch marker, 13.25 with the "
@@ -861,7 +864,8 @@ def _frame_of_four(result):
 
 @finding(
     "calls per message of an arrival nobody observes",
-    "<= 9.1, the wan_small receivers' whole path (7.26; 8.27 while "
+    "<= 9.1, the wan_small receivers' whole path (5.76; 7.26 while a "
+    "receiver nothing delivered to still reassembled, 8.27 while "
     "the received grant went through grant_local to the report batcher "
     "that the origin's data ACK replaced, 10.52 while a "
     "closure relayed the frame and every message went through an empty "
@@ -942,10 +946,11 @@ HOTPATH = Experiment(
 #: when the gate was set: 42.10 vs 21.94 at 2 MiB, 50.24 vs 29.05 at 8 MiB
 #: (the longer transfer then stalled on a 4 MiB send window, whose
 #: bookkeeping both planes shared).  With no window both sizes read 18.80
-#: vs 8.79 (2.14x).  Gated like
-#: :data:`HOTPATH_CALLS_RATIO`.  The wall-clock speed-up is printed only:
-#: it sat at 1.9-2.0x, on the edge of the 2.0x it used to be gated on, and
-#: a loaded machine decided which side.
+#: vs 8.79 (2.14x), and 19.80 vs 8.82 (2.25x) since reassembly is a method
+#: of its own, one call per arrived frame at a receiver that delivers.
+#: Gated like :data:`HOTPATH_CALLS_RATIO`.  The wall-clock speed-up is
+#: printed only: it sat at 1.9-2.0x, on the edge of the 2.0x it used to be
+#: gated on, and a loaded machine decided which side.
 PIPELINE_CALLS_RATIO = {2 * 1024 * 1024: 1.92, 8 * 1024 * 1024: 1.73}
 
 

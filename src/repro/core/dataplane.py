@@ -48,6 +48,10 @@ the receive watermark advances once and the control plane hears of
 ``last`` once (acknowledgment state is monotonic, so only the last
 sequence of a run carries information); reassembly, the durability
 append and delivery stay per message.  A lone message is a run of one.
+Reassembly only serves a consumer (a delivery handler, or the tracer's
+``data.deliver``): a receiver with neither skips it and keeps, by
+reference, only the runs since the head of the object in progress, which
+the first consumer replays so that it gets that object whole.
 """
 
 from __future__ import annotations
@@ -217,6 +221,10 @@ class DataPlane:
         # object in progress: ``[object_id, next_index, parts, synthetic]``
         # (``synthetic`` once a part arrived as a length).
         self._objects: Dict[str, list] = {}
+        # Per origin, while nothing consumes its objects: the arrived runs
+        # ``(metas, parts, synthetic)`` from the one holding the head of
+        # the object in progress on — none once a run ends an object.
+        self._kept: Dict[str, list] = {}
         self._highest_received: Dict[str, int] = {}
         self.messages_sent = 0
         self.messages_received = 0
@@ -556,6 +564,16 @@ class DataPlane:
         progress is the orphaned tail of an object whose head this node
         never held — a receiver resumed mid-object from a snapshot — and
         is dropped; it can never complete.
+
+        Reassembly only serves a consumer: ``on_deliver`` or the tracer's
+        ``data.deliver``.  While neither is there and no object of
+        ``origin`` is mid-assembly, a run skips it and is kept by
+        reference only if the object in progress after it — begun in it
+        or in a run kept before it — is unfinished; a run that ends an
+        object drops every kept run of its origin.  The first run that
+        meets a consumer replays the kept runs through the reassembler,
+        delivering and tracing nothing, so the object in progress is
+        whole when that run continues it.
         """
         frame_epoch, meta = meta
         if frame_epoch != self.epoch:
@@ -658,6 +676,40 @@ class DataPlane:
             self.on_arrival(origin, last, first)
         on_received = self.on_received
         on_deliver = self.on_deliver
+        kept = self._kept
+        if on_deliver is None and not tracing and origin not in self._objects:
+            # Nothing consumes an object: reassembly waits (see docstring).
+            if on_received is not None:
+                for meta, part in zip(metas, parts):
+                    on_received(
+                        origin, meta[0], SyntheticPayload(part) if synthetic else part
+                    )
+            meta = metas[-1]
+            index = meta[2]
+            if index + 1 == meta[3]:
+                if kept:
+                    kept.pop(origin, None)  # an object boundary: keep nothing
+            elif last - index >= first:
+                # The head of the object in progress is in this frame.
+                kept[origin] = [(metas, parts, synthetic)]
+            elif origin in kept:
+                kept[origin].append((metas, parts, synthetic))
+            # else the frame is an orphaned tail: there is nothing to keep.
+            return
+        if kept and origin in kept:
+            # The first consumer: rebuild the object in progress first.
+            for frame in kept.pop(origin):
+                self._assemble(origin, *frame, None, None, False)
+        self._assemble(origin, metas, parts, synthetic, on_received, on_deliver, tracing)
+
+    def _assemble(
+        self, origin, metas, parts, synthetic, on_received, on_deliver, tracing
+    ) -> None:
+        """Reassemble the messages of one arrived run (``metas`` with their
+        ``parts``) in order: each goes to ``on_received`` (if any), and each
+        object it completes to ``on_deliver`` (if any), traced as
+        ``data.deliver`` while ``tracing``."""
+        tracer = self.tracer
         objects = self._objects
         obj = objects.get(origin)  # [object_id, next_index, parts, synthetic]
         for meta, part in zip(metas, parts):
@@ -689,7 +741,7 @@ class DataPlane:
                 del objects[origin]
                 obj = None
             else:
-                continue  # an orphan: see the docstring
+                continue  # an orphan: see _receive
             if tracing and tracer.sampled(origin, seq):
                 tracer.emit(
                     self._trace_node,

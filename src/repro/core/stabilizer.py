@@ -134,7 +134,8 @@ class Stabilizer:
         self.fs = self.durability.fs if self.durability is not None else fs
 
         # Delivery handlers (on_delivery); the data plane delivers nothing
-        # until the first one is registered.
+        # (and, untraced, reassembles nothing) until the first one is
+        # registered.
         self._delivery_handlers: list = []
         # An arrived frame is one grant (the engine hears of the run's
         # last sequence, once); the WAL, when there is one, takes every

@@ -94,21 +94,20 @@ class Histogram:
             self.max = value
         self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
 
-    def observe_many(self, values: Sequence[float]) -> None:
-        """:meth:`observe` each of ``values`` in order, in one call: the
-        sum accumulates in the same order, so every field ends
-        bit-identical to the per-value calls."""
-        total, low, high = self.sum, self.min, self.max
-        bounds, counts = self.bounds, self.bucket_counts
-        for value in values:
+    def observe_n(self, value: float, count: int) -> None:
+        """:meth:`observe` ``value`` ``count`` times, in one call: the sum
+        still takes ``value`` once per sample, so every field ends
+        bit-identical to the per-sample calls."""
+        total = self.sum
+        for _ in range(count):
             total += value
-            if value < low:
-                low = value
-            if value > high:
-                high = value
-            counts[bisect.bisect_left(bounds, value)] += 1
-        self.count += len(values)
-        self.sum, self.min, self.max = total, low, high
+        self.sum = total
+        self.count += count
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        self.bucket_counts[bisect.bisect_left(self.bounds, value)] += count
 
     @property
     def mean(self) -> float:

@@ -295,10 +295,6 @@ class SpanNode:
         self.children: List["SpanNode"] = []
         self.meta: Dict[str, object] = meta or {}
 
-    @property
-    def duration(self) -> float:
-        return max(0.0, self.end - self.start)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
@@ -308,11 +304,6 @@ class SpanNode:
             "meta": dict(self.meta),
             "children": [child.to_dict() for child in self.children],
         }
-
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

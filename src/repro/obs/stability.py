@@ -8,9 +8,14 @@ that bookkeeping for the local node's own stream, feeding one
 per-predicate-key histogram (``stability_latency.<key>``) in the node's
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
-Timestamps are garbage-collected once *every* registered key's frontier
-covers them, so memory stays bounded by the in-flight window rather
-than the run length.
+Every chunk of one ``send()`` shares its send instant, so the instruments
+keep one ``(first_seq, last_seq, sent_at)`` run per send, not a stamp per
+chunk, and a frontier advance observes each run it covers once, with the
+number of its sequences it covers (:meth:`~repro.obs.metrics.Histogram.
+observe_n`, bit-identical to one observation per sequence).  A run is
+garbage-collected once *every* registered key's frontier covers it, so
+memory stays bounded by the in-flight window rather than the run
+length.
 """
 
 from __future__ import annotations
@@ -37,55 +42,90 @@ class StabilityInstruments:
         self.clock = clock
         self.node = node
         self.prefix = prefix
-        self._send_times: Dict[int, float] = {}
-        self._send_order: deque = deque()  # seqs in send order, for GC
+        #: One ``(first_seq, last_seq, sent_at)`` per send, in send order:
+        #: every chunk of one ``send()`` shares its instant.  Only sequences
+        #: above the GC floor are held (the head run is trimmed to it).
+        self._runs: deque = deque()
         #: Per-key high-water mark of the local-origin frontier already
         #: turned into samples — prevents double-recording when a
         #: predicate is redefined and its frontier recomputed.
         self._covered: Dict[str, int] = {}
+        #: The lowest value in ``_covered``: only the key that holds it
+        #: can move the GC floor when it advances.
+        self._floor = 0
         self._samples = registry.counter(f"{prefix}.samples")
         #: Optional ``fn(key, latency_s)`` invoked per sample — the hook
         #: the SLO burn-rate alerter hangs off (see repro.obs.alerts).
         self.on_sample: Optional[Callable[[str, float], None]] = None
 
     def register_key(self, key: str) -> None:
-        self._covered.setdefault(key, 0)
+        if key not in self._covered:
+            self._covered[key] = self._floor = 0
 
     def note_send(self, first_seq: int, last_seq: int) -> None:
-        """Record the send instant for every chunk seq of one message."""
-        now = self.clock()
-        for seq in range(first_seq, last_seq + 1):
-            if seq not in self._send_times:
-                self._send_times[seq] = now
-                self._send_order.append(seq)
+        """Record the send instant of one message, chunk seqs
+        ``first_seq..last_seq``."""
+        self._runs.append((first_seq, last_seq, self.clock()))
 
     def on_advance(self, key: str, origin: str, frontier: int) -> None:
-        """Feed the ``key`` histogram when the local stream's cell moves."""
+        """Feed the ``key`` histogram when the local stream's cell moves:
+        one sample per newly covered seq, observed once per run."""
         if origin != self.node:
             return
         covered = self._covered.get(key)
         if covered is None:
             # Key registered directly with the engine; start tracking.
-            self._covered[key] = covered = 0
+            self.register_key(key)
+            covered = 0
         if frontier <= covered:
             return
         hist = self.registry.histogram(f"{self.prefix}.{key}")
-        now = self.clock()
-        send_times = self._send_times
-        samples = [
-            now - send_times[seq]
-            for seq in range(covered + 1, frontier + 1)
-            if seq in send_times
-        ]
-        if samples:
-            hist.observe_many(samples)
-            self._samples.inc(len(samples))
+        runs = self._runs
+        at = self._first_run_above(covered)
+        end = len(runs)
+        if at < end:
+            now = self.clock()
             on_sample = self.on_sample
-            if on_sample is not None:
-                for latency in samples:
-                    on_sample(key, latency)
+            # (latency, samples) per covered run, for on_sample once the
+            # histogram holds them all.
+            heard = [] if on_sample is not None else None
+            total = 0
+            while at < end:
+                first, last, sent_at = runs[at]
+                if first > frontier:
+                    break
+                if first <= covered:
+                    first = covered + 1
+                if last > frontier:
+                    last = frontier
+                latency, count = now - sent_at, last - first + 1
+                hist.observe_n(latency, count)
+                total += count
+                if heard is not None:
+                    heard.append((latency, count))
+                at += 1
+            self._samples.inc(total)
+            if heard:
+                for latency, count in heard:
+                    for _ in range(count):
+                        on_sample(key, latency)
         self._covered[key] = frontier
-        self._gc()
+        if covered == self._floor:
+            self._gc()
+
+    def _first_run_above(self, seq: int) -> int:
+        """Index of the first run holding a sequence above ``seq``."""
+        runs = self._runs
+        if not runs or runs[0][1] > seq:
+            return 0  # the usual case: the key at the GC floor
+        low, high = 1, len(runs)
+        while low < high:
+            mid = (low + high) // 2
+            if runs[mid][1] <= seq:
+                low = mid + 1
+            else:
+                high = mid
+        return low
 
     def oldest_pending_age(self, key: str) -> float:
         """Age of the oldest local send ``key``'s frontier has not
@@ -97,23 +137,20 @@ class StabilityInstruments:
         histogram goes silent while in-flight messages quietly age.
         This reads that age directly (``SlaController`` feeds on it).
         """
-        covered = self._covered.get(key, 0)
-        now = self.clock()
-        send_times = self._send_times
-        for seq in self._send_order:
-            if seq > covered:
-                ts = send_times.get(seq)
-                if ts is not None:
-                    return now - ts
-        return 0.0
+        at = self._first_run_above(self._covered.get(key, 0))
+        if at == len(self._runs):
+            return 0.0
+        return self.clock() - self._runs[at][2]
 
     def _gc(self) -> None:
-        if not self._covered:
-            return
-        floor = min(self._covered.values())
-        order = self._send_order
-        while order and order[0] <= floor:
-            self._send_times.pop(order.popleft(), None)
+        """Forget what every key covers: the runs at or below the new
+        floor, and the covered part of the run across it."""
+        self._floor = floor = min(self._covered.values())
+        runs = self._runs
+        while runs and runs[0][1] <= floor:
+            runs.popleft()
+        if runs and runs[0][0] <= floor:
+            runs[0] = (floor + 1,) + runs[0][1:]
 
     def summary(self, key: str) -> Dict[str, float]:
         return self.registry.histogram(f"{self.prefix}.{key}").summary()

@@ -8,10 +8,13 @@ the pipeline runs the benchmark.  So the five workloads run here at a
 fiftieth of their size, ``perf/run.py --scale 0.02 --seconds 0`` in this
 process, and each must come out ``correct`` with no failed send — and
 with the exact metrics of ``tests/goldens/perf/`` (``tests/golden.py``).
-``make perf-smoke`` selects it by marker.
+``make perf-smoke`` selects it by marker.  One more run goes through
+``perf/run.py`` itself, as a child process, for its output contract.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,19 @@ def test_workload_is_correct_at_smoke_scale(workload):
     assert result["attempted"] == result["samples"] >= 100
     assert result["repetitions"] >= 3
     golden.check(f"perf/{workload}", golden_view(result))
+
+
+def test_a_workload_run_prints_its_result_last():
+    """The contract the benchmark's reader parses: the last line a
+    ``--workload`` run prints is its JSON result.  The run appends its
+    record to the git-ignored ``perf/results/history.jsonl``."""
+    run = subprocess.run(
+        [sys.executable, "perf/run.py", "--workload", "wan_small",
+         "--scale", "0.02", "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert sorted(result) == ["attempted", "correct", "failed", "metrics"]
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["attempted"] >= 100

@@ -618,6 +618,12 @@ KEPT_DEFS = {
         "public read: tests assert through it, not the private counter",
     ("obs/spans.py", "SendTrace.cross_node"):
         "public read: tests assert through it, not the span list",
+    ("apps/kvstore.py", "WanKVStore.owner"):
+        "public read: tests assert through it, not the private map",
+    ("transport/fifo.py", "FifoChannel.srtt"):
+        "public read: tests assert through it, not the private estimate",
+    ("storage/objectstore.py", "ObjectStore.watch"):
+        "the versioned store's watchers, in PAPER.md §2's inventory",
     ("storage/objectstore.py", "ObjectStore.get_by_time"):
         "the versioned store's time-indexed read, in PAPER.md §2's inventory",
     ("apps/kvstore.py", "WanKVStore.get_by_time"):
@@ -650,12 +656,13 @@ def _definitions(tree):
 
 
 def _read_names(tree):
-    """Every name ``tree`` reads: a loaded ``ast.Name``, a loaded
-    attribute, or a string constant (``getattr`` spells names that way).
-    An ``__all__`` entry is not a read, and neither is an import alias:
-    re-exporting a name does not use it.  Nor is a read inside a
-    definition of the same name: a method that calls its namesake on
-    another object, or itself, is not reached by that call."""
+    """What ``tree`` reads, as two sets: the names of loaded bare
+    ``ast.Name``s, and the names of loaded attributes and string
+    constants (``getattr`` spells names that way).  An ``__all__`` entry
+    is not a read, and neither is an import alias: re-exporting a name
+    does not use it.  Nor is a read inside a definition of the same name:
+    a method that calls its namesake on another object, or itself, is not
+    reached by that call."""
     exported = {
         id(node)
         for assign in ast.walk(tree)
@@ -663,36 +670,40 @@ def _read_names(tree):
         and any(getattr(target, "id", None) == "__all__" for target in assign.targets)
         for node in ast.walk(assign.value)
     }
-    names = set()
+    bare, attributes = set(), set()
     for node, around in _scoped(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            name = node.id
+            name, into = node.id, bare
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            name = node.attr
+            name, into = node.attr, attributes
         elif (
             isinstance(node, ast.Constant) and isinstance(node.value, str)
             and id(node) not in exported
         ):
-            name = node.value
+            name, into = node.value, attributes
         else:
             continue
         if name not in around:
-            names.add(name)
-    return names
+            into.add(name)
+    return bare, attributes
 
 
 @functools.lru_cache(maxsize=None)
 def _scan(source):
-    """(names read, (qualified name, line) of each definition) of one
-    module; cached, since the self-tests rescan every module but one."""
+    """(bare names read, attribute names read, (qualified name, line) of
+    each definition) of one module; cached, since the self-tests rescan
+    every module but one."""
     tree = ast.parse(source)
-    return _read_names(tree), [(name, node.lineno) for name, node in _definitions(tree)]
+    bare, attributes = _read_names(tree)
+    return bare, attributes, [(name, node.lineno) for name, node in _definitions(tree)]
 
 
 def _unreached(sources, kept=KEPT_DEFS):
     """``sources`` maps a repo-relative path to module source; returns
     ``(module, line, name)`` for every definition under ``src/repro``
-    whose name no module reads, ``kept`` aside.
+    whose name no module reads, ``kept`` aside.  A method (a dotted
+    definition) is read only as an attribute or a string: a bare name of
+    the same spelling is some local variable, not the method.
 
     The scan is by name, so it undercounts: a definition passes as soon
     as anything outside a same-named definition reads its name — an
@@ -701,14 +712,17 @@ def _unreached(sources, kept=KEPT_DEFS):
     to be found by hand.  A flagged definition is certainly unreached; an
     unflagged one may still be."""
     scans = {rel: _scan(source) for rel, source in sources.items()}
-    read = set().union(*(names for names, _defs in scans.values()))
+    bare = set().union(*(scan[0] for scan in scans.values()))
+    attributes = set().union(*(scan[1] for scan in scans.values()))
     unreached = []
-    for rel, (_names, definitions) in scans.items():
+    for rel, (_bare, _attributes, definitions) in scans.items():
         if not rel.startswith("src/repro/"):
             continue
         module = rel[len("src/repro/"):]
         for name, line in definitions:
-            if name.rsplit(".", 1)[-1] not in read and (module, name) not in kept:
+            owner, _dot, short = name.rpartition(".")
+            read = short in attributes or (not owner and short in bare)
+            if not read and (module, name) not in kept:
                 unreached.append((module, line, name))
     return unreached
 
@@ -775,6 +789,25 @@ def test_definition_lint_ignores_a_read_inside_the_same_name():
     # A read from anywhere else reaches it.
     caller = "planted_walk(tree)"
     assert not _unreached({**sources, home: planted, "src/caller.py": caller})
+
+
+def test_definition_lint_reads_a_method_only_as_an_attribute():
+    sources = _def_sources()
+    home = "src/repro/core/admission.py"
+    planted = sources[home] + (
+        "\n\nclass PlantedProbe:\n"
+        "    def planted_depth(self):\n"
+        "        return 0\n"
+    )
+    line = planted.splitlines().index("    def planted_depth(self):") + 1
+    flagged = [("core/admission.py", line, "PlantedProbe.planted_depth")]
+    # A local variable of the method's name is not the method.
+    local = "planted_depth = len(PlantedProbe.__name__)\nprint(planted_depth)"
+    assert _unreached({**sources, home: planted, "src/caller.py": local}) == flagged
+    # An attribute load, or a getattr by name, is.
+    for caller in ("PlantedProbe().planted_depth()", 'getattr(probe, "planted_depth")'):
+        extra = {home: planted, "src/caller.py": f"{local}\n{caller}"}
+        assert not _unreached({**sources, **extra}), caller
 
 
 # ---------------------------------------------------------------------------

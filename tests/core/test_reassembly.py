@@ -26,6 +26,7 @@ from repro.core import StabilizerConfig
 from repro.core.dataplane import DATA_CHANNEL, FRAME_TAG, DataPlane
 from repro.errors import TransportError
 from repro.net import NetemSpec, Topology
+from repro.obs import Tracer
 from repro.sim import Simulator
 from repro.transport.endpoint import TransportEndpoint
 from repro.transport.messages import SyntheticPayload, payload_length
@@ -159,23 +160,32 @@ def cut(rng, stream):
 
 
 class Receiver:
-    """A bare data plane at y taking x's stream off the data channel."""
+    """A bare data plane at y taking x's stream off the data channel;
+    with ``handler``, something listens from the start (else call
+    :meth:`listen`)."""
 
-    def __init__(self, durable):
+    def __init__(self, durable, handler=True, tracer=None):
         net = Topology.uniform(
             {"x": "x", "y": "y"}, NetemSpec(latency_ms=5, rate_mbit=100)
         ).build(Simulator())
         config = StabilizerConfig(["x", "y"], {"x": ["x"], "y": ["y"]}, "y")
         self.delivered, self.received = [], []
+        endpoint = TransportEndpoint(net, "y")
+        if tracer is not None:
+            endpoint.tracer = tracer
         self.plane = DataPlane(
-            TransportEndpoint(net, "y"),
+            endpoint,
             config,
             on_received=self._on_received if durable else None,
         )
+        if handler:
+            self.listen()
+        self._receive = self.plane.endpoint.channel("x", DATA_CHANNEL).on_deliver
+
+    def listen(self):
         self.plane.on_deliver = lambda origin, seq, payload, meta: self.delivered.append(
             (seq, plain(payload), meta)
         )
-        self._receive = self.plane.endpoint.channel("x", DATA_CHANNEL).on_deliver
 
     def _on_received(self, origin, seq, payload):
         self.received.append((seq, plain(payload)))
@@ -314,3 +324,100 @@ def test_an_orphan_leaves_the_object_in_progress_alone():
     receiver.arrive([((8, 5, 0, 1, None), b"z")])
     assert receiver.delivered == [(8, b"z", None)]
     assert receiver.in_progress()[:2] == [4, 1]
+
+
+# ---------------------------------------------------------------------------
+# A receiver nothing delivers to defers reassembly: it keeps the runs since
+# the head of the object in progress, and only while one is in progress.
+# ---------------------------------------------------------------------------
+
+
+def kept_seqs(receiver):
+    """The sequences of the runs the receiver keeps for x, run by run."""
+    return [
+        [meta[0] for meta in metas] for metas, _parts, _synthetic
+        in receiver.plane._kept.get("x", ())
+    ]
+
+
+@pytest.mark.parametrize("durable", (True, False), ids=("durable", "plain"))
+@pytest.mark.parametrize("seed", range(24))
+def test_a_late_handler_gets_what_the_oracle_delivers_after_it(seed, durable):
+    """Nothing listens until a seeded frame; from there the handler sees
+    exactly the oracle's deliveries of the objects completed since, the
+    one in progress whole.  Until then ``on_received`` still takes every
+    message, and the receiver keeps runs only while an object is in
+    progress, from the run that holds its head."""
+    rng = random.Random(seed)
+    start = 1 if seed % 2 == 0 else rng.randint(2, 90)
+    stream = make_stream(rng, rng.randint(6, 14), start=start)
+    frames = cut(rng, stream)
+    late = rng.randrange(len(frames) + 1)
+    metas = {meta[0]: meta for meta, _payload in stream}
+    receiver = Receiver(durable, handler=False)
+    for messages in frames[:late]:
+        receiver.arrive(messages)
+        last = metas[receiver.plane.highest_received("x")]
+        kept = kept_seqs(receiver)
+        if last[2] + 1 == last[3]:
+            assert kept == []  # an object boundary passed
+        else:
+            head = last[0] - last[2]
+            assert kept and head in kept[0]
+            assert all(metas[seq][2] for run in kept[1:] for seq in run)
+    assert receiver.plane._objects == {}
+    receiver.listen()
+    for messages in frames[late:]:
+        receiver.arrive(messages)
+    delivered, received, _pending = oracle(frames, durable)
+    before, _received, _pending = oracle(frames[:late], durable)
+    assert receiver.delivered == delivered[len(before):]
+    assert receiver.received == received
+    assert receiver.in_progress() is None and receiver.plane._kept == {}
+
+
+def test_the_first_handler_gets_the_object_in_progress_and_nothing_before():
+    stream = [
+        ((1, 0, 0, 2, "a"), b"a0|"),
+        ((2, 0, 1, 2, "a"), b"a1"),
+        ((3, 1, 0, 3, "b"), b"b0|"),
+        ((4, 1, 1, 3, "b"), b"b1|"),
+        ((5, 1, 2, 3, "b"), b"b2"),
+        ((6, 2, 0, 1, "c"), b"c"),
+    ]
+    receiver = Receiver(durable=False, handler=False)
+    receiver.arrive(stream[:3])  # object a whole, and b's head
+    assert kept_seqs(receiver) == [[1, 2, 3]]
+    receiver.arrive(stream[3:4])
+    assert kept_seqs(receiver) == [[1, 2, 3], [4]]
+    receiver.listen()
+    receiver.arrive(stream[4:])
+    # a completed before anyone listened: it is not delivered.
+    assert receiver.delivered == [(5, b"b0|b1|b2", "b"), (6, b"c", "c")]
+    assert receiver.plane._kept == {} and receiver.in_progress() is None
+
+
+def test_a_tracer_enabled_mid_object_traces_what_an_assembling_receiver_does():
+    """``data.deliver`` events from the instant a tracer is enabled are
+    those of a receiver that assembled all along (one with a handler):
+    the object in progress, but nothing that completed before."""
+    stream = [
+        ((1, 0, 0, 1, None), b"a"),
+        ((2, 1, 0, 3, None), b"b0"),
+        ((3, 1, 1, 3, None), b"b1"),
+        ((4, 1, 2, 3, None), b"b2"),
+        ((5, 2, 0, 2, None), b"c0"),
+        ((6, 2, 1, 2, None), b"c1"),
+    ]
+    events = []
+    for handler in (True, False):
+        tracer = Tracer(enabled=False)
+        receiver = Receiver(durable=False, handler=handler, tracer=tracer)
+        receiver.arrive(stream[:2]).arrive(stream[2:3])
+        tracer.enable()
+        receiver.arrive(stream[3:5]).arrive(stream[5:])
+        events.append([
+            (event.fields["seq"], event.fields["object"])
+            for event in tracer.events() if event.etype == "data.deliver"
+        ])
+    assert events[0] == events[1] == [(4, 1), (6, 2)]

@@ -283,3 +283,24 @@ def test_a_late_delivery_handler_sees_every_later_message():
     assert c.dataplane.highest_received("a") == 6
     assert c.dataplane._objects == {}
     assert c.dataplane.on_deliver is None
+
+
+def test_a_receiver_nobody_delivers_to_writes_the_same_wal():
+    """A receiver with no handler assembles nothing, but its WAL takes
+    every message: its durable image is the one a listening receiver's
+    (the path that assembles) is."""
+    images = []
+    for listen in (True, False):
+        sim, cluster = three_nodes(chunk_bytes=1000, frame_bytes=3000, durability=True)
+        a, b = cluster["a"], cluster["b"]
+        if listen:
+            b.on_delivery(lambda origin, seq, payload, meta: None)
+        for size in (5000, 10, 2500, 7100):
+            a.send(bytes(range(256)) * (size // 256) + b"x" * (size % 256))
+        sim.run(until=1.0)
+        assert b.dataplane.highest_received("a") == 17
+        assert (b.dataplane._objects, b.dataplane._kept) == ({}, {})
+        images.append({path: b.fs.durable_bytes(path) for path in b.fs.listdir()})
+        cluster.close()
+    assert images[0] == images[1]
+    assert sum(len(image) for image in images[0].values()) > 14_600

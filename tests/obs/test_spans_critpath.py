@@ -63,7 +63,7 @@ def test_single_send_span_tree_shape_and_timings():
     names = {child.name for child in replicate.children}
     assert names == {"net:data", "deliver", "ack:batch", "net:ack"}
     net = next(c for c in replicate.children if c.name == "net:data")
-    assert net.duration == pytest.approx(0.010)
+    assert net.end - net.start == pytest.approx(0.010)
     assert stable.name == "stable:all"
 
 

@@ -2,11 +2,15 @@
 cross-check against an independently timed monitor (the acceptance
 criterion: counts match exactly, means within 1%)."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.core import StabilizerCluster, StabilizerConfig
 from repro.net import NetemSpec, Topology
 from repro.obs import MetricsRegistry, StabilityInstruments
+from repro.obs.metrics import Histogram
 from repro.sim import Simulator
 
 
@@ -71,13 +75,114 @@ def test_timestamps_gc_at_min_covered_floor():
     clock, registry, inst = make()
     inst.register_key("fast")
     inst.register_key("slow")
-    inst.note_send(1, 10)
+    inst.note_send(1, 10)  # one send: one run of ten seqs
     inst.on_advance("fast", "a", 10)
-    assert len(inst._send_times) == 10  # "slow" still needs them
+    assert list(inst._runs) == [(1, 10, 0.0)]  # "slow" still needs them
     inst.on_advance("slow", "a", 6)
-    assert len(inst._send_times) == 4  # 1..6 covered by both keys
+    assert list(inst._runs) == [(7, 10, 0.0)]  # 1..6 covered by both keys
     inst.on_advance("slow", "a", 10)
-    assert len(inst._send_times) == 0
+    assert list(inst._runs) == []
+
+
+class PerSequence:
+    """The instruments as they were before runs: one send stamp per
+    chunk sequence, one observation per covered sequence, stamps dropped
+    at the lowest key's frontier — the reference the run store is held
+    to."""
+
+    def __init__(self, clock, node):
+        self.clock = clock
+        self.node = node
+        self.hists = {}
+        self.samples = []  # (key, latency): what on_sample saw
+        self._send_times = {}
+        self._send_order = deque()
+        self._covered = {}
+
+    def register_key(self, key):
+        self._covered.setdefault(key, 0)
+
+    def note_send(self, first_seq, last_seq):
+        now = self.clock()
+        for seq in range(first_seq, last_seq + 1):
+            self._send_times[seq] = now
+            self._send_order.append(seq)
+
+    def on_advance(self, key, origin, frontier):
+        if origin != self.node:
+            return
+        covered = self._covered.setdefault(key, 0)
+        if frontier <= covered:
+            return
+        hist = self.hists.setdefault(key, Histogram(key))
+        now = self.clock()
+        for seq in range(covered + 1, frontier + 1):
+            if seq in self._send_times:
+                hist.observe(now - self._send_times[seq])
+                self.samples.append((key, now - self._send_times[seq]))
+        self._covered[key] = frontier
+        floor = min(self._covered.values())
+        while self._send_order and self._send_order[0] <= floor:
+            del self._send_times[self._send_order.popleft()]
+
+    def oldest_pending_age(self, key):
+        covered = self._covered.get(key, 0)
+        for seq in self._send_order:
+            if seq > covered:
+                return self.clock() - self._send_times[seq]
+        return 0.0
+
+
+def fields(hist):
+    return (hist.count, hist.sum, hist.min, hist.max, hist.bucket_counts)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_runs_match_the_per_sequence_reference(seed):
+    """Seeded sends of 1–64 chunks, 1–3 keys advancing at their own pace
+    (with recomputes and remote origins), and one key registered late —
+    directly on odd seeds, lazily by its first advance on even ones: every
+    histogram field, the ``on_sample`` sequence and every key's
+    ``oldest_pending_age`` equal the per-sequence reference's."""
+    rng = random.Random(seed)
+    clock, registry, inst = make()
+    reference = PerSequence(clock, "a")
+    seen = []
+    inst.on_sample = lambda key, latency: seen.append((key, latency))
+    keys = [f"k{i}" for i in range(rng.randint(1, 3))]
+    for key in keys:
+        inst.register_key(key)
+        reference.register_key(key)
+    frontiers = dict.fromkeys(keys, 0)
+    sent = 0
+    late_at = rng.randint(20, 200)
+    for step in range(400):
+        clock.now += rng.expovariate(20.0)
+        if step == late_at:
+            frontiers["late"] = 0
+            if seed % 2:
+                inst.register_key("late")
+                reference.register_key("late")
+        if rng.random() < 0.35:
+            chunks = rng.randint(1, 64)
+            inst.note_send(sent + 1, sent + chunks)
+            reference.note_send(sent + 1, sent + chunks)
+            sent += chunks
+        else:
+            key = rng.choice(sorted(frontiers))
+            frontier = min(sent, frontiers[key] + rng.choice((0, 1, 5, 40, 200)))
+            origin = "a" if rng.random() < 0.9 else "b"
+            if origin == "a":
+                frontiers[key] = frontier
+            inst.on_advance(key, origin, frontier)
+            reference.on_advance(key, origin, frontier)
+        for key in frontiers:
+            assert inst.oldest_pending_age(key) == reference.oldest_pending_age(key)
+    assert "late" in reference.hists and sent > 2000
+    for key, hist in reference.hists.items():
+        assert fields(registry.histogram(f"stability_latency.{key}")) == fields(hist)
+    assert seen == reference.samples
+    assert registry.counter("stability_latency.samples").value == len(seen)
 
 
 def test_cluster_instruments_match_independent_monitor_within_1pct():
