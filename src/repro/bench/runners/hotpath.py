@@ -388,14 +388,16 @@ def _wire_frames(messages_per_frame: int, frames: int) -> list:
 
 
 def _frame_receive_calls(
-    messages_per_frame: int, frames: int, engine: bool, observed: bool
+    messages_per_frame: int, frames: int, engine: bool, observed: bool, delivered: bool
 ) -> int:
     """Python calls one receiver makes taking ``frames`` frames off the
     data channel; without ``engine`` nothing hears of the arrivals (the
-    data plane's own share: validation, and no reassembly, since nothing
-    delivers or traces here).  With
+    data plane's own share: validation, and reassembly only when
+    ``delivered``).  With
     ``observed`` a monitor at the receiver watches the origin's stream;
-    without, nothing there does (``wan_small``'s receivers)."""
+    without, nothing there does (``wan_small``'s receivers).  With
+    ``delivered`` a no-op delivery handler makes the receiver reassemble
+    and deliver every message, as the apps' receivers do."""
     topo = Topology.uniform(
         {"a": "east", "b": "west"}, NetemSpec(latency_ms=5, rate_mbit=100)
     )
@@ -410,6 +412,8 @@ def _frame_receive_calls(
     if observed:
         # Somebody must observe a's stream at b, or b evaluates nothing.
         node.monitor_stability_frontier("all", _ignore_advance)
+    if delivered:
+        node.on_delivery(lambda origin, seq, payload, meta: None)
     if not engine:
         node.dataplane.on_arrival = None
     receive = node.endpoint.channel("a", DATA_CHANNEL).on_deliver
@@ -427,22 +431,26 @@ def _frame_receive_calls(
 
 
 def frame_calls_per_message(
-    messages_per_frame: int = 4, frames: int = 400, observed: bool = True
+    messages_per_frame: int = 4,
+    frames: int = 400,
+    observed: bool = True,
+    delivered: bool = False,
 ) -> Dict[str, float]:
     """Python calls a receiver spends on an arrived data frame of
     ``messages_per_frame`` messages, from the channel's ``on_deliver``
-    down: one receiver, the ACK-table engine, and — with ``observed`` —
-    a monitor on the origin's stream.  ``calls_per_message`` and
-    ``calls_per_frame`` are the whole path; ``engine_calls_per_frame`` is
-    what the arrival costs above the data plane (ACK table, report
-    batcher, frontier engine, facade) — the count with the engine
-    listening minus the count without.  Exact per
-    ``(messages_per_frame, frames, observed)``."""
+    down: one receiver, the ACK-table engine, with ``observed`` a
+    monitor on the origin's stream, with ``delivered`` a delivery
+    handler.  ``calls_per_message`` and ``calls_per_frame`` are the
+    whole path; ``engine_calls_per_frame`` is what the arrival costs
+    above the data plane (ACK table, report batcher, frontier engine,
+    facade) — the count with the engine listening minus the count
+    without.  Exact per
+    ``(messages_per_frame, frames, observed, delivered)``."""
     total = _frame_receive_calls(
-        messages_per_frame, frames, engine=True, observed=observed
+        messages_per_frame, frames, True, observed, delivered
     )
     bare = _frame_receive_calls(
-        messages_per_frame, frames, engine=False, observed=observed
+        messages_per_frame, frames, False, observed, delivered
     )
     return {
         "calls_per_message": total / (frames * messages_per_frame),
@@ -466,7 +474,7 @@ def run_hotpath(
     exact Python-call cost of the per-operation paths every workload pays:
     a WAL record, a timer event, a lone send per peer, the data ACK that
     retires it, and an arrived data frame of one and of four messages,
-    observed and not."""
+    observed and not, delivered and not."""
     return {
         "reports": reports,
         "rows": run_hotpath_frontier(predicate_counts, node_counts, reports),
@@ -479,6 +487,9 @@ def run_hotpath(
         "ack": ack_calls_per_ack(nodes=5),
         "frame_of_one": frame_calls_per_message(1, frames=200),
         "frame_of_four": frame_calls_per_message(4, frames=200),
+        "frame_of_four_delivered": frame_calls_per_message(
+            4, frames=200, delivered=True
+        ),
         "frame_unobserved": frame_calls_per_message(1, frames=200, observed=False),
     }
 
@@ -657,8 +668,10 @@ def run_sim_kernel(timers: int = 1000, packets: int = 1000, frames: int = 500) -
 # ---------------------------------------------------------------------------
 
 #: How many times the incremental engine's Python calls per report the
-#: brute-force baseline makes at the key cell, by report count (28.3 vs
-#: 160.2 at 5,000 reports; 3.29x, 48.7 incremental, while the engine's
+#: brute-force baseline makes at the key cell, by report count (23.3 vs
+#: 151.2 at 5,000 reports; 5.66x, 28.3 vs 160.2, while a slot kept its
+#: value in a cache object of its own and an unmoved evaluation still
+#: called the report step; 3.29x, 48.7 incremental, while the engine's
 #: step ran generator frames and a nested reduce was always evaluated).
 #: The counts are exact per count, so each is gated against its own
 #: measured ratio less :data:`CALLS_TOLERANCE`: room for a call or two
@@ -666,7 +679,7 @@ def run_sim_kernel(timers: int = 1000, packets: int = 1000, frames: int = 500) -
 #: wall-clock speed-up of the same cell is printed only: four runs on one
 #: box read 2.41x, 2.51x, 1.75x and 3.81x with identical evaluation
 #: counts.
-HOTPATH_CALLS_RATIO = {1_000: 5.61, 5_000: 5.66, 20_000: 5.73}
+HOTPATH_CALLS_RATIO = {1_000: 6.42, 5_000: 6.47, 20_000: 6.57}
 CALLS_TOLERANCE = 0.05
 
 
@@ -705,6 +718,9 @@ def _render_hotpath(result) -> str:
             "ack_at_sender": result["ack"],
             "frame_of_one_per_message": result["frame_of_one"]["calls_per_message"],
             "frame_of_four_per_message": result["frame_of_four"]["calls_per_message"],
+            "delivered_four_per_message": (
+                result["frame_of_four_delivered"]["calls_per_message"]
+            ),
             "unobserved_per_message": result["frame_unobserved"]["calls_per_message"],
             "engine_per_frame_observed": (
                 result["frame_of_one"]["engine_calls_per_frame"]
@@ -762,7 +778,7 @@ def _measured(result):
 
 @finding(
     "brute-force calls per report vs incremental",
-    f"the measured ratio less {CALLS_TOLERANCE:.0%} (5.66x at 5,000 reports)",
+    f"the measured ratio less {CALLS_TOLERANCE:.0%} (6.47x at 5,000 reports)",
     kind="exact",
 )
 def _calls_per_report(result):
@@ -833,7 +849,9 @@ def _ack(result):
 
 @finding(
     "calls per message of an arrived frame of one",
-    "<= 35.5 at a receiver observing the stream (29.8; 31.3 while a "
+    "<= 35.5 at a receiver observing the stream (27.8; 29.8 while the "
+    "frontier engine's advance went through a Stabilizer forwarder and "
+    "a report call per unmoved evaluation, 31.3 while a "
     "receiver nothing delivered to still reassembled, 32.3 while an "
     "arrival's received grant went through grant_local, 72.3 before the "
     "frame became the unit of arrival, 68.3 while every chunk went "
@@ -850,7 +868,8 @@ def _frame_of_one(result):
 
 @finding(
     "calls per message of an arrived frame of four",
-    "<= 10.2, 8 KB chunks four to an object, the trace_bulk path (7.5; "
+    "<= 10.2, 8 KB chunks four to an object, the trace_bulk path (7.0; "
+    "7.5 while the engine's advance went through a Stabilizer forwarder, "
     "9.0 while a receiver nothing delivered to still reassembled, "
     "9.25 while the received grant went through grant_local, "
     "28.25 with the reassembler and a SyntheticPayload per part, 16.0 "
@@ -860,6 +879,17 @@ def _frame_of_one(result):
 )
 def _frame_of_four(result):
     return _budget(result["frame_of_four"]["calls_per_message"], 10.2)
+
+
+@finding(
+    "calls per message of an arrived frame of four that is delivered",
+    "<= 10.2 at a receiver with a delivery handler, which reassembles "
+    "and delivers every message (9.25; 9.75 while the engine's advance "
+    "went through a Stabilizer forwarder)",
+    kind="exact",
+)
+def _delivered_frame_of_four(result):
+    return _budget(result["frame_of_four_delivered"]["calls_per_message"], 10.2)
 
 
 @finding(
@@ -878,13 +908,16 @@ def _unobserved_message(result):
 
 @finding(
     "incremental calls per report",
-    "<= 31.5 at the key cell (28.3 at 5,000 reports; 48.7 while the "
+    "<= 25.7 at the key cell (23.3 at 5,000 reports; 28.3 while a slot "
+    "kept its value in a cache object of its own, every evaluation "
+    "called for a witness and a report and every advance went through a "
+    "Stabilizer forwarder, 48.7 while the "
     "engine's step ran generator frames and a nested reduce was always "
     "evaluated)",
     kind="exact",
 )
 def _report_calls(result):
-    return _budget(result["calls_per_report"]["incremental"], 31.5)
+    return _budget(result["calls_per_report"]["incremental"], 25.7)
 
 
 @finding(
@@ -904,7 +937,8 @@ def _unobserved(result):
 @finding(
     "engine cost of an arrival is per frame, not per message",
     "frame of four within 3 calls of a frame of one; a message of it "
-    "pays a quarter (27.0 per frame, 28.0 through grant_local, 51.0 "
+    "pays a quarter (25.0 per frame, 27.0 through a Stabilizer forwarder "
+    "and a report call per unmoved evaluation, 28.0 through grant_local, 51.0 "
     "with the relays, 41.0 with the "
     "engine's generator frames)",
     kind="exact",
@@ -937,7 +971,8 @@ HOTPATH = Experiment(
     expectations=(
         _frontiers_match, _engages, _measured, _calls_per_report, _report_calls,
         _wal_record, _timer_event, _lone_send, _ack, _frame_of_one,
-        _frame_of_four, _unobserved, _unobserved_message, _per_frame,
+        _frame_of_four, _delivered_frame_of_four, _unobserved,
+        _unobserved_message, _per_frame,
     ),
 )
 

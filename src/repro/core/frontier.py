@@ -31,6 +31,15 @@ further and avoid most calls entirely:
   number, so a release pops only the released waiters instead of
   scanning every pending one.
 
+A report names the row it moved and its risen cells; a full pass names
+neither and evaluates every observed predicate.  An observed slot has
+one value, in ``_frontiers``.  Its entry in ``_slots`` — the witness set
+of its last full evaluation, or None for a predicate without one — says
+that value was evaluated under the key's current definition, so the
+short-circuits may trust it.  A redefinition (``change_predicate``) and
+a restore (``restore_frontiers``) drop those entries, and the next
+report over such a slot evaluates it in full.
+
 ``FrontierEngine(..., incremental=False)`` keeps the pre-index behaviour
 (scan every predicate, evaluate every dependent one) as the brute-force
 baseline for the equivalence tests and the ``hotpath`` experiment.
@@ -70,6 +79,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -92,22 +102,6 @@ _EVERY_KEY = object()
 _NO_ADVANCE: Mapping[str, int] = MappingProxyType({})
 
 
-class _SlotState:
-    """Cached evaluation state for one (origin, key) slot.
-
-    ``version`` ties the cache to one predicate definition — a
-    ``change_predicate`` redefinition invalidates it.  ``witness`` is the
-    bottleneck cell set of a ``witness``-class predicate (None otherwise).
-    """
-
-    __slots__ = ("version", "value", "witness")
-
-    def __init__(self, version: int, value: int, witness):
-        self.version = version
-        self.value = value
-        self.witness = witness
-
-
 class FrontierEngine:
     """See module docstring.  One engine per Stabilizer instance."""
 
@@ -124,8 +118,6 @@ class FrontierEngine:
         self.incremental = incremental
         self._local = ctx.local
         self._predicates: Dict[str, CompiledPredicate] = {}
-        self._versions: Dict[str, int] = {}
-        self._version_counter = 0
         self._active_key: Optional[str] = None
         # frontier[(origin, key)] -> last evaluated value.  Observed
         # slots only: an unobserved slot has no entry here or in _slots.
@@ -135,7 +127,9 @@ class FrontierEngine:
         # monitors must stay silent until the new definition catches back
         # up past everything they already saw.
         self._monitor_high: Dict[Slot, int] = {}
-        self._slots: Dict[Slot, _SlotState] = {}
+        # slot -> witness set (None without one): its value is the current
+        # definition's, so the short-circuits may trust it.
+        self._slots: Dict[Slot, Optional[Set[Cell]]] = {}
         # Reverse dependency index: cell -> keys, node -> keys.
         self._cell_index: Dict[Cell, List[str]] = {}
         self._node_index: Dict[int, List[str]] = {}
@@ -163,7 +157,7 @@ class FrontierEngine:
         # its stability-latency instruments here) and a tracer.  Both
         # default to inert so the engine stays runtime-agnostic and the
         # hot path pays one flag/None check per advance.
-        self.on_advance: Optional[Callable[[str, str, int, int], None]] = None
+        self.on_advance: Optional[Callable[[str, str, int], None]] = None
         # Demand, for whoever routes by it (the ACK-table engine asks its
         # peers for live reports about observed origins only): called
         # after the set of observed slots changed, and with the origin
@@ -203,8 +197,6 @@ class FrontierEngine:
             )
         predicate = self.compiler.compile(source)
         self._predicates[key] = predicate
-        self._version_counter += 1
-        self._versions[key] = self._version_counter
         self._rebuild_index()
         if self._active_key is None:
             self._active_key = key
@@ -223,8 +215,6 @@ class FrontierEngine:
             predicate = self.compiler.compile(source)
             self._drop_slots(key)
             self._predicates[key] = predicate
-            self._version_counter += 1
-            self._versions[key] = self._version_counter
             self._rebuild_index()
         elif key not in self._predicates:
             raise PredicateNotFound(f"no predicate registered under {key!r}")
@@ -321,9 +311,7 @@ class FrontierEngine:
         if predicate is None or table is None:
             return  # e.g. a waiter on a stream this node does not carry
         self._frontiers[slot] = value
-        self._slots[slot] = _SlotState(
-            self._versions[key], value, self._witness(predicate, table.table, value)
-        )
+        self._slots[slot] = self._witness(predicate, table.table, value)
         self._raise_monitor_high(slot, value)
 
     def _unobserved_values(
@@ -422,11 +410,11 @@ class FrontierEngine:
     ) -> Mapping[str, int]:
         """``origin``'s table moved: re-run its *observed* predicates.
 
-        With ``updated_node`` given, predicates that do not read that
-        node's row are skipped (the common case: one control report only
-        moves one row).  ``updated_cells`` — ``(type_id, new_seq)`` pairs
-        for that node — narrows the selection to cell granularity and
-        enables the algebraic short-circuits.  Returns the keys that
+        A report names the row it moved, ``updated_node``, and its risen
+        cells, ``updated_cells`` — ``(type_id, new_seq)`` pairs of that
+        row: only the predicates reading one of them are looked at, and
+        the algebraic short-circuits apply.  A full pass names neither
+        and evaluates every observed predicate.  Returns the keys that
         advanced with their new frontier values.  An origin with no
         observed slot returns at the first line: its frontiers are
         evaluated when somebody asks (see the module docstring).
@@ -449,8 +437,6 @@ class FrontierEngine:
             # Nobody reads the row (at its origin, a send's own row).
             self.skipped_by_index += total
             return _NO_ADVANCE
-        elif updated_cells is None:
-            keys = self._node_index[updated_node]
         elif len(updated_cells) == 1:
             type_id, one = updated_cells[0]
             cell = (updated_node, type_id)
@@ -463,19 +449,27 @@ class FrontierEngine:
         if not keys:
             return _NO_ADVANCE
         advanced: Dict[str, int] = {}
+        frontiers = self._frontiers
         slots = self._slots
-        versions = self._versions
         for key in keys:
             predicate = predicates[key]
             slot = (origin, key)
-            state = slots.get(slot)
-            if state is not None and state.version != versions[key]:
-                state = None
-            value = None
-            witness = None
-            if state is not None:
-                kind = predicate.shortcircuit
-                if kind == "max" and updated_cells is not None:
+            kind = predicate.shortcircuit
+            if updated_node is not None and slot in slots:
+                if kind == "witness":
+                    bottleneck = slots[slot]
+                    if cell is not None:
+                        touched = cell in bottleneck
+                    else:
+                        touched = False
+                        for type_id, _seq in updated_cells:
+                            if (updated_node, type_id) in bottleneck:
+                                touched = True
+                                break
+                    if not touched:
+                        self.skipped_by_shortcircuit += 1
+                        continue
+                elif kind == "max":
                     if cell is not None:
                         new_high = one
                     else:
@@ -484,44 +478,23 @@ class FrontierEngine:
                         for type_id, seq in updated_cells:
                             if seq > new_high and (updated_node, type_id) in cells:
                                 new_high = seq
-                    if new_high <= state.value:
+                    old = frontiers.get(slot, 0)
+                    if new_high <= old:
                         self.skipped_by_shortcircuit += 1
                         continue
                     # A tree of MAX over monotone cells: the new result is
                     # exactly the updated value — no evaluation needed.
-                    value = new_high
                     self.fast_advances += 1
-                elif kind == "witness" and state.witness is not None:
-                    bottleneck = state.witness
-                    if cell is not None:
-                        touched = cell in bottleneck
-                    elif updated_cells is not None:
-                        touched = False
-                        for type_id, _seq in updated_cells:
-                            if (updated_node, type_id) in bottleneck:
-                                touched = True
-                                break
-                    elif updated_node is not None:
-                        touched = False
-                        for node, _type_id in bottleneck:
-                            if node == updated_node:
-                                touched = True
-                                break
-                    else:
-                        touched = True
-                    if not touched:
-                        self.skipped_by_shortcircuit += 1
-                        continue
-            if value is None:
-                self.evaluations += 1
-                value = predicate.evaluate(rows)
-                witness = self._witness(predicate, rows, value)
-            if state is None:
-                slots[slot] = _SlotState(versions[key], value, witness)
-            else:
-                state.value = value
-                state.witness = witness
-            self._report(slot, key, origin, value, advanced)
+                    self._report(slot, key, origin, new_high, old, advanced)
+                    continue
+            self.evaluations += 1
+            value = predicate.evaluate(rows)
+            slots[slot] = (
+                self._witness(predicate, rows, value) if kind == "witness" else None
+            )
+            old = frontiers.get(slot, 0)
+            if value != old:
+                self._report(slot, key, origin, value, old, advanced)
         return advanced
 
     def _keys_for_cells(
@@ -537,7 +510,9 @@ class FrontierEngine:
         return list(keys)
 
     @staticmethod
-    def _witness(predicate: CompiledPredicate, rows, value: int):
+    def _witness(
+        predicate: CompiledPredicate, rows, value: int
+    ) -> Optional[Set[Cell]]:
         """Bottleneck cells after a full evaluation of a ``witness``
         predicate.
 
@@ -555,17 +530,16 @@ class FrontierEngine:
         key: str,
         origin: str,
         value: int,
+        old: int,
         advanced: Dict[str, int],
     ) -> None:
-        old = self._frontiers.get(slot, 0)
-        if value == old:
-            return
+        """``slot`` moved from ``old`` to ``value`` (the two differ)."""
         self._frontiers[slot] = value
         if value < old:
             return  # predicate was redefined; hold reports until caught up
         advanced[key] = value
         if self.on_advance is not None:
-            self.on_advance(key, origin, value, old)
+            self.on_advance(key, origin, value)
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(
@@ -619,7 +593,10 @@ class FrontierEngine:
                 continue
             self.evaluations += 1
             value = predicate.evaluate(rows)
-            self._report((origin, key), key, origin, value, advanced)
+            slot = (origin, key)
+            old = self._frontiers.get(slot, 0)
+            if value != old:
+                self._report(slot, key, origin, value, old, advanced)
         return advanced
 
     def _release_waiters(self, slot: Tuple[str, str], frontier: int) -> None:
@@ -696,12 +673,9 @@ class FrontierEngine:
                 # monitors resume above it, never below.
                 self._raise_monitor_high(slot, value)
         # Restored frontiers may sit above anything the current tables
-        # support; drop the evaluation caches so the next report takes a
-        # full pass instead of short-circuiting against stale state, and
-        # rebuild the reverse dependency index so incremental evaluation
-        # resumes from a coherent cell->predicate map.
+        # support; forget every slot's witness so the next report takes a
+        # full pass instead of short-circuiting against it.
         self._slots.clear()
-        self._rebuild_index()
         # Waiters registered before the restore whose target the restored
         # frontier already covers must release now — nothing may ever be
         # blocked behind a frontier that has already passed its target.

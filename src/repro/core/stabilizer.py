@@ -111,7 +111,9 @@ class Stabilizer:
         # evaluated from it on demand instead of on every update.
         self.engine = FrontierEngine(config.dsl_context(), self.tables)
         self.engine.bind_obs(self.tracer, self.name)
-        self.engine.on_advance = self._on_frontier_advance
+        # Every slot advance feeds the instruments, which keep only the
+        # local origin's (send→stable needs this node's clock at both ends).
+        self.engine.on_advance = self.stability.on_advance
         self.detector = FailureDetector(self.sim, config)
 
         # Honest durability (opt-in): a per-node WAL whose group-commit
@@ -639,14 +641,6 @@ class Stabilizer:
     def _on_deliver(self, origin: str, seq: int, payload: Payload, meta) -> None:
         for handler in self._delivery_handlers:
             handler(origin, seq, payload, meta)
-
-    def _on_frontier_advance(
-        self, key: str, origin: str, value: int, old: int
-    ) -> None:
-        # The engine reports every slot advance here; the instruments
-        # keep only local-origin samples (send→stable needs our clock at
-        # both ends).
-        self.stability.on_advance(key, origin, value)
 
     def _rescan_received_floor(self) -> None:
         """Reclaim send-buffer space once messages are received everywhere.

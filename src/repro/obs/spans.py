@@ -73,57 +73,35 @@ class _WatermarkSeries:
     Appends keep only strictly increasing values with their first
     timestamp; ``first_covering(seq)`` answers "when did this series
     first reach ``seq`` or beyond?" — the primitive every ACK/fsync/
-    frame lookup reduces to.
+    frame lookup reduces to.  A frontier's coverage is the same series
+    over the advances' new values: an advance that re-walks a range
+    after a predicate redefinition adds nothing (only the first covering
+    counts, matching the instruments' high-water rule), and each kept
+    entry also remembers its *cause* — the table update that triggered
+    it — for :meth:`covering`.
     """
 
-    __slots__ = ("seqs", "ts")
+    __slots__ = ("seqs", "ts", "causes")
 
     def __init__(self):
         self.seqs: List[int] = []
         self.ts: List[float] = []
+        self.causes: List[Optional[dict]] = []
 
-    def append(self, ts: float, seq: int) -> None:
+    def append(self, ts: float, seq: int, cause: Optional[dict] = None) -> None:
         if not self.seqs or seq > self.seqs[-1]:
             self.seqs.append(seq)
             self.ts.append(ts)
-
-    def first_covering(self, seq: int) -> Optional[float]:
-        i = bisect.bisect_left(self.seqs, seq)
-        return self.ts[i] if i < len(self.seqs) else None
-
-
-class _CoverageSeries:
-    """First time each sequence was covered by a frontier advance.
-
-    Advances arrive as ``(old, new]`` ranges that are *mostly* monotonic
-    but can re-walk ranges after a predicate redefinition; only the
-    first covering counts (matching the instruments' high-water rule).
-    Each kept segment also remembers the advance's *cause* — the table
-    update that triggered it.
-    """
-
-    __slots__ = ("bounds", "ts", "causes")
-
-    def __init__(self):
-        self.bounds: List[int] = []  # inclusive upper bound per segment
-        self.ts: List[float] = []
-        self.causes: List[Optional[dict]] = []
-
-    def append(self, ts: float, old: int, new: int, cause) -> None:
-        hi = self.bounds[-1] if self.bounds else 0
-        if new > hi:
-            self.bounds.append(new)
-            self.ts.append(ts)
             self.causes.append(cause)
 
-    def first_covering(self, seq: int):
-        """``(ts, cause)`` of the advance that first covered ``seq``."""
-        i = bisect.bisect_left(self.bounds, seq)
-        if i >= len(self.bounds):
-            return None
-        # Sequences at or below the first segment's bound were covered by
-        # that advance (or were already covered when recording began).
-        return self.ts[i], self.causes[i]
+    def covering(self, seq: int) -> Optional[Tuple[float, Optional[dict]]]:
+        """``(ts, cause)`` of the first entry at or beyond ``seq``."""
+        i = bisect.bisect_left(self.seqs, seq)
+        return (self.ts[i], self.causes[i]) if i < len(self.seqs) else None
+
+    def first_covering(self, seq: int) -> Optional[float]:
+        covering = self.covering(seq)
+        return None if covering is None else covering[0]
 
 
 class _TraceIndex:
@@ -144,7 +122,7 @@ class _TraceIndex:
         # (node, from_peer, origin, shard, type) -> control.receive heads
         self.ctrl_receives: Dict[Tuple, _WatermarkSeries] = {}
         # (node, origin, shard, key) -> frontier coverage with causes
-        self.advances: Dict[Tuple, _CoverageSeries] = {}
+        self.advances: Dict[Tuple, _WatermarkSeries] = {}
         # Per-node most recent table-update cause, for advance blame.
         last_cause: Dict[str, dict] = {}
 
@@ -233,9 +211,9 @@ class _TraceIndex:
                 ):
                     cause = None
                 series = self.advances.setdefault(
-                    (node, ev["origin"], shard, ev["key"]), _CoverageSeries()
+                    (node, ev["origin"], shard, ev["key"]), _WatermarkSeries()
                 )
-                series.append(ts, ev.get("old", 0), ev["frontier"], cause)
+                series.append(ts, ev["frontier"], cause)
 
     # ------------------------------------------------------------ lookups
     def send_ts(self, origin_node, shard, peer, seq) -> Optional[float]:
@@ -381,7 +359,7 @@ def build_span_trees(
                 continue
             if key_filter is not None and pkey not in key_filter:
                 continue
-            covering = series.first_covering(seq)
+            covering = series.covering(seq)
             if covering is not None:
                 stable[pkey] = covering
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 __all__ = ["StabilityInstruments"]
 
@@ -53,6 +53,8 @@ class StabilityInstruments:
         #: The lowest value in ``_covered``: only the key that holds it
         #: can move the GC floor when it advances.
         self._floor = 0
+        #: key -> its histogram, from the first advance that samples it.
+        self._hists: Dict[str, Histogram] = {}
         self._samples = registry.counter(f"{prefix}.samples")
         #: Optional ``fn(key, latency_s)`` invoked per sample — the hook
         #: the SLO burn-rate alerter hangs off (see repro.obs.alerts).
@@ -79,7 +81,10 @@ class StabilityInstruments:
             covered = 0
         if frontier <= covered:
             return
-        hist = self.registry.histogram(f"{self.prefix}.{key}")
+        hist = self._hists.get(key)
+        if hist is None:
+            name = f"{self.prefix}.{key}"
+            hist = self._hists[key] = self.registry.histogram(name)
         runs = self._runs
         at = self._first_run_above(covered)
         end = len(runs)

@@ -2,7 +2,8 @@
 
 ``run_dsl_microbench`` runs here at a size smaller than the microbench
 experiment's report scale.  The per-message cost of an arrived frame
-(one message, and four to a frame) is checked against the ``hotpath``
+(one message, four to a frame, and four to a frame at a receiver that
+delivers them) is checked against the ``hotpath``
 experiment's own budget findings, so each budget is kept in one place.
 This file also checks that the count is exact: measuring it twice gives
 the same count.
@@ -42,3 +43,12 @@ def test_message_of_a_frame_of_four_stays_within_its_call_budget():
         "calls per message of an arrived frame of four", {"frame_of_four": four}
     )
     assert four == frame_calls_per_message(4, frames=200)  # exact
+
+
+def test_delivered_frame_of_four_stays_within_its_call_budget():
+    delivered = frame_calls_per_message(4, frames=200, delivered=True)
+    _assert_finding_holds(
+        "calls per message of an arrived frame of four that is delivered",
+        {"frame_of_four_delivered": delivered},
+    )
+    assert delivered == frame_calls_per_message(4, frames=200, delivered=True)

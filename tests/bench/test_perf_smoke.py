@@ -13,6 +13,7 @@ with the exact metrics of ``tests/goldens/perf/`` (``tests/golden.py``).
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,14 +59,22 @@ def test_workload_is_correct_at_smoke_scale(workload):
     golden.check(f"perf/{workload}", golden_view(result))
 
 
-def test_a_workload_run_prints_its_result_last():
+def test_a_workload_run_prints_its_result_last(tmp_path):
     """The contract the benchmark's reader parses: the last line a
     ``--workload`` run prints is its JSON result.  The run appends its
-    record to the git-ignored ``perf/results/history.jsonl``."""
+    record to ``perf/results/history.jsonl`` beside the script, so it
+    runs from a copy of ``perf/`` and ``BENCHMARK.json`` with this
+    ``src/`` linked in: the checkout is left as it was found."""
+    shutil.copytree(
+        ROOT / "perf", tmp_path / "perf",
+        ignore=shutil.ignore_patterns("results", "__pycache__"),
+    )
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     run = subprocess.run(
         [sys.executable, "perf/run.py", "--workload", "wan_small",
          "--scale", "0.02", "--seconds", "0"],
-        cwd=ROOT, capture_output=True, text=True, timeout=600,
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])

@@ -63,7 +63,7 @@ def test_reevaluate_advances_frontier_and_fires_monitor():
     eng.monitor_stability_frontier("any", lambda o, new, old: events.append((o, new, old)))
     t = eng.tables["a"]
     t.update(1, 0, 7)
-    eng.reevaluate("a", updated_node=1)
+    eng.reevaluate("a", updated_node=1, updated_cells=((0, 7),))
     assert eng.frontier("a", "any") == 7
     assert events == [("a", 7, 0)]
 
@@ -75,7 +75,7 @@ def test_reevaluate_skips_independent_predicates():
     t = eng.tables["a"]
     t.update(1, 0, 9)  # node b: not read by the predicate
     before = eng.evaluations
-    eng.reevaluate("a", updated_node=1)
+    eng.reevaluate("a", updated_node=1, updated_cells=((0, 9),))
     assert eng.evaluations == before
     assert eng.frontier("a", "west_only") == 0
 
@@ -169,7 +169,7 @@ def test_duplicate_seq_waiters_all_release_in_insertion_order():
     eng.add_waiter("a", 5, lambda: released.append("third"), key="any")
     t = eng.tables["a"]
     t.update(1, 0, 5)
-    eng.reevaluate("a", updated_node=1)
+    eng.reevaluate("a", updated_node=1, updated_cells=((0, 5),))
     assert released == ["first", "second", "third"]
     assert eng.pending_waiters() == 0
 
@@ -183,11 +183,11 @@ def test_waiter_heap_releases_only_satisfied_seqs():
         eng.add_waiter("a", seq, lambda s=seq: released.append(s), key="any")
     t = eng.tables["a"]
     t.update(2, 0, 6)
-    eng.reevaluate("a", updated_node=2)
+    eng.reevaluate("a", updated_node=2, updated_cells=((0, 6),))
     assert released == [1, 3, 5]
     assert eng.pending_waiters() == 2
     t.update(2, 0, 20)
-    eng.reevaluate("a", updated_node=2)
+    eng.reevaluate("a", updated_node=2, updated_cells=((0, 20),))
     assert released == [1, 3, 5, 7, 9]
 
 
@@ -198,7 +198,7 @@ def test_waiters_survive_frontier_regression_after_redefinition():
     eng.add_waiter("a", 10, lambda: released.append("hit"), key="p")
     t = eng.tables["a"]
     t.update(1, 0, 5)
-    eng.reevaluate("a", updated_node=1)
+    eng.reevaluate("a", updated_node=1, updated_cells=((0, 5),))
     assert released == []
     # Stricter redefinition regresses the frontier; the waiter must not
     # be dropped or spuriously fired while the gap lasts.
@@ -219,7 +219,7 @@ def test_waiter_at_exact_current_frontier_fires_synchronously():
     eng.register_predicate("any", "MAX($ALLWNODES)")
     t = eng.tables["a"]
     t.update(1, 0, 7)
-    eng.reevaluate("a", updated_node=1)
+    eng.reevaluate("a", updated_node=1, updated_cells=((0, 7),))
     released = []
     eng.add_waiter("a", 7, lambda: released.append("exact"), key="any")
     assert released == ["exact"]
@@ -282,3 +282,40 @@ def test_snapshot_restore_frontiers():
     other.register_predicate("any", "MAX($ALLWNODES)")
     other.restore_frontiers(snap)
     assert other.frontier("a", "any") == 8
+
+
+def test_redefinition_is_read_before_any_full_pass():
+    """``change_predicate`` forgets the slot's witness: the outgoing
+    definition's bottleneck says nothing about the new one, so the first
+    report after it evaluates the new definition in full — even one that
+    moves a cell outside the old witness."""
+    eng = engine()
+    eng.register_predicate("p", "MIN($ALLWNODES)")
+    t = eng.tables["a"]
+    for node, seq in ((0, 5), (1, 5), (2, 5), (3, 1)):
+        t.update(node, 0, seq)
+    eng.reevaluate("a")
+    assert eng.frontier("a", "p") == 1  # the witness is d's cell alone
+    eng.change_predicate("p", "MIN($AZ_east)")  # no full pass follows
+    t.update(1, 0, 7)  # b: outside the old witness
+    assert eng.reevaluate("a", updated_node=1, updated_cells=((0, 7),)) == {"p": 5}
+    assert eng.frontier("a", "p") == 5  # MIN(a=5, b=7), the new definition
+
+
+def test_restored_frontier_is_not_trusted_by_the_next_report():
+    """A restored frontier may sit above anything the table supports, so
+    no short-circuit may be taken against it: the next report evaluates
+    in full, though it moves a cell outside the witness."""
+    eng = engine()
+    eng.register_predicate("p", "MIN($ALLWNODES)")
+    t = eng.tables["a"]
+    for node, seq in ((0, 5), (1, 5), (2, 5), (3, 1)):
+        t.update(node, 0, seq)
+    eng.reevaluate("a")
+    eng.restore_frontiers({"a": {"p": 10}})
+    assert eng.frontier("a", "p") == 10
+    evaluations = eng.evaluations
+    t.update(1, 0, 7)  # b: outside the witness
+    eng.reevaluate("a", updated_node=1, updated_cells=((0, 7),))
+    assert eng.evaluations == evaluations + 1
+    assert eng.frontier("a", "p") == 1  # what the table supports

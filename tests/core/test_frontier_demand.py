@@ -143,7 +143,7 @@ def test_first_waiter_turns_the_slot_eager_and_the_last_release_turns_it_back():
     # Seeded from the evaluation add_waiter made: value, witness, high mark.
     assert eng.evaluations_on_read == 2
     assert eng._frontiers[("d", "all")] == 4
-    assert eng._slots[("d", "all")].witness == frozenset(
+    assert eng._slots[("d", "all")] == frozenset(
         (node, 0) for node in range(len(NODES))
     )
     assert eng._monitor_high[("d", "all")] == 4
