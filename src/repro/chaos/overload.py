@@ -88,9 +88,7 @@ class OverloadScenario(Scenario):
         super().arm_node(node)
         controller = node.set_admission(rate_per_s=ADMIT_RATE_PER_S)
         controller.on_admitted(
-            lambda seq, shard, name=node.name: self.checker.note_sent(
-                name, seq, shard if shard is not None else 0
-            )
+            lambda seq, name=node.name: self.checker.note_sent(name, seq)
         )
         self.admission[node.name] = controller
         self.sla[node.name] = SlaController(node, SLA_KEY, TARGET_P99_S)

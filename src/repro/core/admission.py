@@ -14,18 +14,17 @@ applies three classic defenses, outermost first:
   entries that were never admitted are ever shed: once a message has been
   handed to ``send()`` and sequenced it is replicated like any other
   (chaos invariant 13 holds the controller to this);
-- **per-peer / per-shard circuit breakers** (closed → open → half-open)
-  fed by the transport's own distress signals — retransmissions, channel
+- **per-peer circuit breakers** (closed → open → half-open) fed by the
+  transport's own distress signals — retransmissions, channel
   suspensions, dead-peer reports.
   When too many breakers are open the gate closes and new work is shed
   *before* it can pile onto a struggling WAN.
 
-The controller is opt-in, like the degradation policy: attach one with
-``Stabilizer.set_admission(...)`` / ``ShardedStabilizer.set_admission(...)``
-and route producers through :meth:`AdmissionController.submit`.  Direct
-``send()`` calls stay legal — they take the fail-fast path (token +
-breaker check, no queueing) and raise
-:class:`~repro.errors.AdmissionError` when refused.
+The controller is opt-in, like the degradation policy: attach one to an
+unsharded node with ``Stabilizer.set_admission(...)`` and route producers
+through :meth:`AdmissionController.submit`.  Direct ``send()`` calls
+stay legal — they take the fail-fast path (token + breaker check, no
+queueing) and raise :class:`~repro.errors.AdmissionError` when refused.
 
 Everything reports through ``admission.*`` / ``breaker.*`` metrics in the
 node's stats and emits traces on sheds and breaker transitions; see
@@ -43,9 +42,6 @@ from repro.obs.tracer import NULL_TRACER
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
-
-#: (peer, shard) — shard is None for an unsharded node.
-BreakerKey = Tuple[str, Optional[int]]
 
 #: Consecutive unhealthy transport polls that open a peer's breaker.
 BREAKER_FAILURE_THRESHOLD = 3
@@ -181,25 +177,22 @@ class AdmissionOutcome(NamedTuple):
 
 
 class _Entry:
-    __slots__ = ("payload", "meta", "key", "shard", "admitted")
+    __slots__ = ("payload", "meta", "admitted")
 
-    def __init__(self, payload, meta, key, shard):
+    def __init__(self, payload, meta):
         self.payload = payload
         self.meta = meta
-        self.key = key
-        self.shard = shard
         self.admitted = False
 
 
 class AdmissionController:
     """See module docstring.  One controller guards one node's ingest.
 
-    ``node`` is a :class:`~repro.core.stabilizer.Stabilizer` or
-    :class:`~repro.core.sharding.ShardedStabilizer`; attach through the
-    node's ``set_admission`` so the send-path preflight and stats merge
-    are wired up.  ``rate_per_s`` is the sustained admit rate (the
-    bucket holds one second's worth); at most :data:`QUEUE_LIMIT` entries
-    wait in the bounded queue.
+    ``node`` is an unsharded :class:`~repro.core.stabilizer.Stabilizer`;
+    attach through its ``set_admission`` so the send-path preflight and
+    stats merge are wired up.  ``rate_per_s`` is the sustained admit
+    rate (the bucket holds one second's worth); at most
+    :data:`QUEUE_LIMIT` entries wait in the bounded queue.
     Breakers open after :data:`BREAKER_FAILURE_THRESHOLD` consecutive
     unhealthy transport polls (or instantly on a dead-peer report) and
     the gate sheds new work while at least :data:`BREAKER_OPEN_FRACTION`
@@ -213,10 +206,10 @@ class AdmissionController:
         self.tracer = getattr(node, "tracer", None) or NULL_TRACER
         self.bucket = TokenBucket(self.sim.clock, rate_per_s)
         self._queue: deque = deque()
-        self._breakers: Dict[BreakerKey, CircuitBreaker] = {}
-        # (shard, peer, channel) -> retransmissions at last poll.
-        self._chan_seen: Dict[Tuple[Optional[int], str, str], int] = {}
-        self._on_admitted: List[Callable[[int, Optional[int]], None]] = []
+        self._breakers: Dict[str, CircuitBreaker] = {}
+        # (peer, channel) -> retransmissions at last poll.
+        self._chan_seen: Dict[Tuple[str, str], int] = {}
+        self._on_admitted: List[Callable[[int], None]] = []
         self._in_admit = False
         self._closed = False
         # Submit-path accounting; invariant 13 audits these:
@@ -232,24 +225,21 @@ class AdmissionController:
         self.direct_offered = 0
         self.direct_admitted = 0
         self.direct_refused = 0
-        for shard, inner in node.stacks().items():
-            for peer in inner.config.remote_names():
-                self._breaker((peer, shard))
+        for peer in node.config.remote_names():
+            self._breaker(peer)
         node.on_peer_dead(self._on_peer_dead)
         self._pump_timer = self.sim.call_later(PUMP_INTERVAL_S, self._pump)
 
     # ------------------------------------------------------------------ wiring
-    def _on_peer_dead(self, peer: str, shard: Optional[int]) -> None:
-        self._breaker((peer, shard)).trip()
+    def _on_peer_dead(self, peer: str, _shard: Optional[int]) -> None:
+        self._breaker(peer).trip()
 
-    def _breaker(self, key: BreakerKey) -> CircuitBreaker:
-        breaker = self._breakers.get(key)
+    def _breaker(self, peer: str) -> CircuitBreaker:
+        breaker = self._breakers.get(peer)
         if breaker is None:
-            peer, shard = key
-            label = peer if shard is None else f"{peer}/s{shard}"
-            breaker = CircuitBreaker(self.sim.clock, label)
+            breaker = CircuitBreaker(self.sim.clock, peer)
             breaker.on_transition = self._trace_transition
-            self._breakers[key] = breaker
+            self._breakers[peer] = breaker
         return breaker
 
     def _trace_transition(self, breaker: CircuitBreaker, old: str, new: str) -> None:
@@ -258,9 +248,9 @@ class AdmissionController:
                 self.name, f"breaker.{new}", peer=breaker.label, was=old
             )
 
-    def on_admitted(self, fn: Callable[[int, Optional[int]], None]) -> None:
-        """Subscribe to admissions: ``fn(seq, shard)`` after each send
-        the controller performed (``shard`` is None on unsharded nodes)."""
+    def on_admitted(self, fn: Callable[[int], None]) -> None:
+        """Subscribe to admissions: ``fn(seq)`` after each send the
+        controller performed."""
         self._on_admitted.append(fn)
 
     # ------------------------------------------------------------------ the gate
@@ -278,9 +268,7 @@ class AdmissionController:
         )
         return open_count < BREAKER_OPEN_FRACTION * len(self._breakers)
 
-    def submit(
-        self, payload, meta=None, *, key=None, shard: Optional[int] = None
-    ) -> AdmissionOutcome:
+    def submit(self, payload, meta=None) -> AdmissionOutcome:
         """Offer one message; admit, queue, or shed it.
 
         Returns the outcome: ``"sent"`` with the sequence number when a
@@ -296,7 +284,7 @@ class AdmissionController:
         self.offered += 1
         if not self.gate_open():
             return self._shed(None, "breaker")
-        entry = _Entry(payload, meta, key, shard)
+        entry = _Entry(payload, meta)
         if not self._queue and self.bucket.take():
             try:
                 seq = self._admit(entry)
@@ -332,31 +320,14 @@ class AdmissionController:
         """Perform the send for an entry that holds a token."""
         self._in_admit = True
         try:
-            if hasattr(self.node, "shards"):
-                seq = self.node.send(
-                    entry.payload, entry.meta, key=entry.key, shard=entry.shard
-                )
-            else:
-                seq = self.node.send(entry.payload, entry.meta)
+            seq = self.node.send(entry.payload, entry.meta)
         finally:
             self._in_admit = False
         entry.admitted = True
         self.admitted += 1
-        shard = self._resolve_shard(entry)
         for fn in self._on_admitted:
-            fn(seq, shard)
+            fn(seq)
         return seq
-
-    def _resolve_shard(self, entry: _Entry) -> Optional[int]:
-        shard_map = getattr(self.node, "shard_map", None)
-        if shard_map is None:
-            return None
-        if entry.shard is not None:
-            return entry.shard
-        if entry.key is not None:
-            return shard_map.shard_of(entry.key)
-        owned = self.node.owned_shards
-        return owned[0] if owned else None
 
     # ------------------------------------------------------------------ direct sends
     def preflight(self) -> None:
@@ -408,8 +379,8 @@ class AdmissionController:
             entry = self._queue.popleft()
             try:
                 self._admit(entry)
-            except (BackpressureError, StabilizerError):
-                # The send path refused (buffer full / shard frozen):
+            except BackpressureError:
+                # The send path refused (buffer full):
                 # the entry stays un-admitted at the head of the queue
                 # and the pump retries next tick.  Never shed — it was
                 # offered in good faith and the refusal is transient.
@@ -419,22 +390,21 @@ class AdmissionController:
                 break
 
     def _poll_breakers(self) -> None:
-        for shard, inner in self.node.stacks().items():
-            health: Dict[str, bool] = {}
-            for (peer, chan_name), chan in inner.endpoint.channels().items():
-                slot = (shard, peer, chan_name)
-                unhealthy = (
-                    chan.retransmissions > self._chan_seen.get(slot, 0)
-                    or chan.suspended
-                )
-                self._chan_seen[slot] = chan.retransmissions
-                health[peer] = health.get(peer, True) and not unhealthy
-            for peer, healthy in health.items():
-                breaker = self._breaker((peer, shard))
-                if healthy:
-                    breaker.record_success()
-                else:
-                    breaker.record_failure()
+        health: Dict[str, bool] = {}
+        for slot, chan in self.node.endpoint.channels().items():
+            unhealthy = (
+                chan.retransmissions > self._chan_seen.get(slot, 0)
+                or chan.suspended
+            )
+            self._chan_seen[slot] = chan.retransmissions
+            peer = slot[0]
+            health[peer] = health.get(peer, True) and not unhealthy
+        for peer, healthy in health.items():
+            breaker = self._breaker(peer)
+            if healthy:
+                breaker.record_success()
+            else:
+                breaker.record_failure()
 
     # ------------------------------------------------------------------ introspection
     def queue_depth(self) -> int:

@@ -54,8 +54,8 @@ from repro.transport.endpoint import TransportEndpoint
 
 #: The handoff endpoint's own network port: structurally outside every
 #: shard stack's port, so a handoff channel exhausting its retries never
-#: feeds a shard's failure detector (dead-peer scoping, see
-#: ``ShardedStabilizer.on_peer_dead``).
+#: feeds a shard's failure detector (each shard stack's endpoint reports
+#: its own dead peers, see ``Stabilizer.on_peer_dead``).
 HANDOFF_PORT = "transport.handoff"
 HANDOFF_CHANNEL = "stab.handoff"
 #: The coordinator's tick, in virtual seconds.
@@ -66,14 +66,15 @@ POLL_INTERVAL_S = 0.05
 # snapshot remapping
 # ---------------------------------------------------------------------------
 def remap_inner_snapshot(
-    snapshot: dict, view: StabilizerConfig, columns: Optional[int] = None
+    snapshot: dict, view: StabilizerConfig
 ) -> Tuple[dict, Dict[str, int]]:
     """Rewrite a per-shard (version-3) snapshot for a new owner set.
 
     ``snapshot`` is the inner snapshot captured at an *old* owner of the
     shard; ``view`` is the successor shard view of the node restoring it;
-    ``columns`` is how many stability types the restoring stack holds
-    (the view's own, unless more were registered at run time).
+    the restoring stack holds the view's stability types only, so each
+    row keeps the view's type columns and drops one registered at run
+    time.
     ACK-table row indices are positional in the owner list, so every row
     is moved to the name's index in the new list; rows of leavers drop,
     rows of joiners start at zero.  Origin streams of leavers drop with
@@ -102,17 +103,7 @@ def remap_inner_snapshot(
     source_local: str = old_config["local"]
     target_local: str = view.local
     is_stayer = source_local == target_local
-    # The snapshot's rows are as wide as its source's tables: configured
-    # types, then those registered at run time.  The restoring stack must
-    # hold as many, or the rows would land in the wrong shape.
-    width = len(snapshot["tables"][source_local][0])
-    if columns is None:
-        columns = len(view.type_names())
-    if width != columns:
-        raise StabilizerError(
-            f"cannot remap snapshot with {width} stability types into a "
-            f"stack with {columns}"
-        )
+    width = len(view.type_names())
     old_index = {name: i for i, name in enumerate(old_names)}
 
     tables: Dict[str, List[List[int]]] = {}
@@ -125,7 +116,7 @@ def remap_inner_snapshot(
             elif name == target_local and not is_stayer:
                 rows.append([0] * width)  # joiner's own acks start empty
             elif name in old_index:
-                rows.append(list(old_rows[old_index[name]]))
+                rows.append(list(old_rows[old_index[name]][:width]))
             else:
                 rows.append([0] * width)  # another joiner's column
         tables[origin] = rows

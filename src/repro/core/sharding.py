@@ -1,6 +1,6 @@
 """Partial replication: one Stabilizer stack per owned shard.
 
-ROADMAP item 1, after Xiang & Vaidya's *Global Stabilization for Causally
+After Xiang & Vaidya's *Global Stabilization for Causally
 Consistent Partial Replication*: the key space hashes into shards, each
 shard is owned by a subset of the WAN nodes, and a node allocates ACK
 tables, frontier engines, predicate registries, and send buffers only for
@@ -19,12 +19,16 @@ the degenerate configuration (every node owns every shard) is
 *identical* to the unsharded engine, which the equivalence tests pin
 down seed-for-seed.
 
-Predicates registered on a sharded node compile against each shard
-view's context, where ``$ALLWNODES`` and ``$SHARDWNODES`` both mean the
-owner set.  Use the ``$SHARDWNODES`` spelling
-(:func:`repro.dsl.stdlib.shard_standard_predicates`) to make the scoping
-explicit; ``$WNODE_<name>`` references to non-owners fail at compile
-time rather than waiting forever.
+A sharded deployment is configured at deployment: the config's
+predicates compile against each shard view's context, where
+``$ALLWNODES`` and ``$SHARDWNODES`` both mean the owner set.  Use the
+``$SHARDWNODES`` spelling (:func:`repro.dsl.stdlib.shard_standard_predicates`)
+to make the scoping explicit; ``$WNODE_<name>`` references to non-owners
+fail at compile time rather than waiting forever.  The sharded node
+routes sends, waits and frontier reads and merges what the node reports;
+anything else — run-time registration, subscriptions, a degradation
+policy — is made on the stacks themselves (``stacks()`` / ``stack()``)
+and lasts until a cutover rebuilds that stack.
 """
 
 from __future__ import annotations
@@ -42,63 +46,41 @@ from repro.obs.catalogue import merge
 from repro.sim.events import Event
 from repro.transport.messages import Payload
 
-# fn(origin, seq, payload, meta, shard)
-ShardDeliveryFn = Callable[[str, int, Payload, object, int], None]
-# fn(peer, shard) — a transport dead-peer report re-scoped to the shard
-# stack whose endpoint produced it.
-ShardPeerDeadFn = Callable[[str, int], None]
-
 # The node interface: every public method or property of ``Stabilizer``,
 # by how a sharded node answers it (table in docs/sharding.md, held to
 # both classes by tests/core/test_import_lint.py).
 #: One stack, picked by ``key=`` / ``shard=`` (see ``stack``).
-ROUTED = (
-    "send", "last_sent_seq", "waitfor", "get_stability_frontier",
-    "report_stability",
-)
-#: Every live stack now, and — through the registration log — every stack
-#: built later.
-EVERY_STACK = (
-    "register_predicate", "change_predicate", "register_stability_type",
-    "monitor_stability_frontier", "on_delivery", "on_peer_dead",
-    "set_degradation_policy",
-)
+ROUTED = ("send", "waitfor", "get_stability_frontier")
 #: One answer for the node as a whole, drawn from every live stack.
-MERGED = (
-    "stats", "obs_snapshot", "suspected_nodes", "degradation_log", "blame",
-    "stacks", "set_admission",
-)
+MERGED = ("stats", "obs_snapshot", "blame", "stacks")
 #: Fanned out to every live stack, not remembered.
 LIFECYCLE = ("close", "crash", "request_catchup")
-#: Not on the sharded node: call them on ``node.stack(key=, shard=)``.
+#: Not on the sharded node: call them on ``node.stack(key=, shard=)``, or
+#: on each item of ``node.stacks()``.  What configures a stack (predicates,
+#: stability types, a policy, subscriptions) is set at deployment — the
+#: config's ``predicates`` reach every stack, those a cutover builds too —
+#: or per stack, where it lasts until a cutover rebuilds that stack.
 STACK_ONLY = (
+    ("register_predicate", "set at deployment, or per stack through stacks()"),
+    ("change_predicate", "set at deployment, or per stack through stacks()"),
+    ("register_stability_type", "set at deployment, or per stack through stacks()"),
+    ("set_degradation_policy", "a policy binds to one stack"),
+    ("monitor_stability_frontier", "a subscription to one stack's frontiers"),
+    ("on_delivery", "a subscription to one stack's streams"),
+    ("on_peer_dead", "a subscription to one stack's endpoint"),
     ("on_backpressure", "a callback about one send buffer"),
     ("backpressure_engaged", "one send buffer's state"),
     ("waitfor_capacity", "waits on one send buffer"),
+    ("last_sent_seq", "a position in one shard's sequence space"),
     ("delivery_watermark", "a position in one shard's sequence space"),
+    ("report_stability", "a cell of one shard's tables"),
     ("type_id", "the same column on every stack: ask any one"),
     ("active_predicate_key", "a degradation policy may move it per stack"),
+    ("degradation_log", "one stack's detector and policy"),
+    ("suspected_nodes", "one stack's detector; stats() counts the union"),
     ("attach_alerter", "an alerter binds to one stack's latency samples"),
+    ("set_admission", "admission guards the ingest of one unsharded node"),
 )
-
-# The registration log's kinds, in replay order — each may name only what
-# an earlier kind defines: a predicate source names stability types, a
-# policy or subscription names predicate keys, the active key is one.
-_REPLAY_ORDER = ("type", "predicate", "policy", "subscription", "active")
-
-
-def _definition(key: str, source: str):
-    """The replayed form of a predicate definition.  A stack built later
-    already holds the config-time keys, so there it is register-or-change;
-    the live call stays as strict as the caller made it."""
-
-    def define(shard: int, inner: Stabilizer) -> None:
-        if key in inner.engine.predicate_keys():
-            inner.change_predicate(key, source)
-        else:
-            inner.register_predicate(key, source)
-
-    return define
 
 
 class ShardedStabilizer:
@@ -106,15 +88,14 @@ class ShardedStabilizer:
 
     ``config`` is the *global* deployment config carrying ``shard_count``
     and ``shard_replication`` (or an explicit ``shard_owners`` mapping).
-    The node answers the ``Stabilizer`` interface in the five ways the
+    The node answers the ``Stabilizer`` interface in the four ways the
     module's tuples name.  Routed calls resolve their shard through the
     deployment's :class:`~repro.core.membership.ShardMap` and raise
     :class:`~repro.errors.StabilizerError` naming the owners to route to
     when this node does not own it (:meth:`stack` is that routing handed
-    out).  Every-stack calls are kept in one registration log that
-    :meth:`_build_shard` replays, so a stack built at a rebalance cutover
-    carries every predicate, stability type, policy, monitor and delivery
-    handler ever registered on the node.
+    out).  Every stack — at construction, and those a rebalance cutover
+    builds — is configured by its shard view alone: the deployment's
+    predicates and stability types, nothing registered at run time.
     """
 
     def __init__(
@@ -150,15 +131,6 @@ class ShardedStabilizer:
         # routed error until cutover (in-flight traffic keeps draining).
         self._frozen: Set[int] = set()
         self.shards: Dict[int, Stabilizer] = {}
-        # The registration log: kind -> slot -> apply(shard, inner), kinds
-        # in replay order, slots in call order.  Everything _every_stack
-        # has applied is here, and replaying it is all that configures a
-        # new stack (config-time predicates ride in on the shard view).
-        # A keyed slot *redefines*, so the log stays bounded under
-        # toggling (a kind that holds one thing is its own slot).
-        self._log: Dict[str, Dict[object, Callable[[int, Stabilizer], object]]] = {
-            kind: {} for kind in _REPLAY_ORDER
-        }
         # Per-shard epoch overrides for crash-restarts: an unmoved shard
         # runs cluster-wide at the epoch of the map it was *built* from,
         # which may trail the adopted config's epoch (kept stacks are not
@@ -166,9 +138,6 @@ class ShardedStabilizer:
         # frames with that shard's running epoch or every peer fences
         # them.  Cleared at cutover — rebuilds there use the new epoch.
         self._shard_epoch_overrides: Dict[int, int] = dict(shard_epochs or {})
-        # Edge admission (opt-in): one controller spans every owned
-        # shard, with per-(peer, shard) breakers — see set_admission.
-        self.admission = None
         self.fs = fs
         for shard in self.owned_shards:
             if shard in self.pending_shards:
@@ -182,10 +151,8 @@ class ShardedStabilizer:
 
     def _build_shard(self, shard: int) -> Stabilizer:
         """Construct (or reconstruct) the inner stack for ``shard`` from
-        the *current* config's shard view and configure it by replaying
-        the registration log.  State, if any, is restored by the caller
-        afterwards: a replayed monitor must already be listening when
-        ``restore_state`` raises its high-water marks and re-evaluates."""
+        the *current* config's shard view.  State, if any, is restored by
+        the caller afterwards."""
         view = self.config.shard_view(shard)
         epoch = self._shard_epoch_overrides.get(shard)
         if epoch is not None and epoch != view.shard_epoch:
@@ -196,23 +163,8 @@ class ShardedStabilizer:
             # default filesystem; every later shard (and restarts)
             # must share it — WAL directories are per-shard already.
             self.fs = inner.fs
-        for entries in self._log.values():
-            for apply in entries.values():
-                apply(shard, inner)
         self.shards[shard] = inner
         return inner
-
-    def _every_stack(self, kind, slot, apply, replay=None) -> Dict[int, object]:
-        """The one way a call reaches every stack: run ``apply(shard,
-        inner)`` on each live one, then record it (or ``replay``, where a
-        later stack needs another form) under ``kind`` for those built
-        after this call — in ``slot``, or appended when that is ``None``.
-        An ``apply`` that raises records nothing."""
-        results = {
-            shard: apply(shard, inner) for shard, inner in self.shards.items()
-        }
-        self._log[kind][object() if slot is None else slot] = replay or apply
-        return results
 
     # ------------------------------------------------------------------ routing
     def shard_of(self, key) -> int:
@@ -271,14 +223,7 @@ class ShardedStabilizer:
         ``key``, else the lowest owned shard.  Returns the sequence
         number within that shard's stream (sequence spaces are
         per-shard; pair it with the shard for global identity).
-
-        With an admission controller attached the call first clears its
-        fail-fast gate (which may raise
-        :class:`~repro.errors.AdmissionError`) — the inner stacks carry
-        no controllers of their own, so the gate is charged exactly once.
         """
-        if self.admission is not None:
-            self.admission.preflight()
         inner = self.stack(key, shard)
         if inner.config.shard_id in self._frozen:
             raise StabilizerError(
@@ -287,9 +232,6 @@ class ShardedStabilizer:
                 "accept writes after cutover — retry"
             )
         return inner.send(payload, meta)
-
-    def last_sent_seq(self, shard: Optional[int] = None) -> int:
-        return self.stack(shard=shard).last_sent_seq()
 
     # ------------------------------------------------------------------ stability API
     def waitfor(
@@ -318,92 +260,6 @@ class ShardedStabilizer:
     ) -> int:
         return self.stack(key, shard).get_stability_frontier(predicate_key, origin)
 
-    def register_predicate(self, key: str, source: str) -> None:
-        """Register ``source`` under ``key`` on every owned shard (each
-        compiles it against its own owner-set context)."""
-        self._every_stack(
-            "predicate",
-            key,
-            lambda shard, inner: inner.register_predicate(key, source),
-            replay=_definition(key, source),
-        )
-
-    def change_predicate(self, key: str, source: Optional[str] = None) -> None:
-        """Switch the active predicate to ``key`` on every owned shard,
-        redefining it first when ``source`` is given."""
-        def activate(shard: int, inner: Stabilizer) -> None:
-            inner.change_predicate(key)
-
-        if source is None:
-            self._every_stack("active", "active", activate)
-            return
-        self._every_stack(
-            "predicate",
-            key,
-            lambda shard, inner: inner.change_predicate(key, source),
-            replay=_definition(key, source),
-        )
-        self._log["active"]["active"] = activate  # a redefinition activates too
-
-    def monitor_stability_frontier(self, predicate_key: str, fn) -> None:
-        """Register ``fn(origin, frontier, old_frontier, shard)`` on
-        frontier advances of ``predicate_key`` on any owned shard.  On a
-        stack built later it resumes above what the old stack (a rebuilt
-        shard) or the transfer's source (a joined one) had reported."""
-        self._every_stack(
-            "subscription",
-            None,
-            lambda shard, inner: inner.monitor_stability_frontier(
-                predicate_key,
-                lambda origin, frontier, old: fn(origin, frontier, old, shard),
-            ),
-        )
-
-    def register_stability_type(self, type_name: str) -> int:
-        """Add an application-defined stability level on every owned
-        shard; the column index is identical across shards (every stack
-        takes the same registrations in the same order)."""
-        type_ids = self._every_stack(
-            "type",
-            type_name,
-            lambda shard, inner: inner.register_stability_type(type_name),
-        )
-        return next(iter(type_ids.values()), -1)
-
-    def report_stability(
-        self,
-        type_name: str,
-        seq: int,
-        origin: Optional[str] = None,
-        *,
-        key=None,
-        shard: Optional[int] = None,
-    ) -> None:
-        self.stack(key, shard).report_stability(type_name, seq, origin)
-
-    # ------------------------------------------------------------------ delivery
-    def on_delivery(self, fn: ShardDeliveryFn) -> None:
-        """Subscribe to remote messages on every owned shard:
-        ``fn(origin, seq, payload, meta, shard)``."""
-        self._every_stack(
-            "subscription",
-            None,
-            lambda shard, inner: inner.on_delivery(
-                lambda origin, seq, payload, meta: fn(
-                    origin, seq, payload, meta, shard
-                )
-            ),
-        )
-
-    def on_peer_dead(self, fn: ShardPeerDeadFn) -> None:
-        """Subscribe to shard-scoped transport dead-peer reports:
-        ``fn(peer, shard)``.  Each shard stack's endpoint reports on its
-        own port, so a dead link on one shard never implicates the same
-        peer in a co-owned shard whose link is healthy."""
-        self._every_stack(
-            "subscription", None, lambda shard, inner: inner.on_peer_dead(fn)
-        )
-
     # ------------------------------------------------------------------ membership
     @property
     def epoch(self) -> int:
@@ -425,48 +281,6 @@ class ShardedStabilizer:
 
     def frozen_shards(self) -> Tuple[int, ...]:
         return tuple(sorted(self._frozen))
-
-    def suspected_nodes(self):
-        """Union of every shard detector's suspicions."""
-        suspected = set()
-        for inner in self.shards.values():
-            suspected |= inner.suspected_nodes()
-        return suspected
-
-    def set_degradation_policy(self, policy_factory=None, protect=frozenset()):
-        """Install a degradation policy on every owned shard.
-
-        Policies bind to one Stabilizer, so each shard gets its own
-        instance: the stock
-        :class:`~repro.core.degradation.MaskSuspectedPolicy` by default,
-        or one per call to ``policy_factory()``.  Suspicion of a node
-        outside a shard's owner set is out of scope there and adjusts
-        nothing (see ``MaskSuspectedPolicy.on_suspect``).  Returns the
-        installed policies keyed by shard.
-        """
-        return self._every_stack(
-            "policy",
-            "policy",
-            lambda shard, inner: inner.set_degradation_policy(
-                policy_factory() if policy_factory is not None else None,
-                protect=protect,
-            ),
-        )
-
-    # One definition for both node kinds: the controller decomposes either
-    # through stacks(), with breakers per (peer, shard) (docs/overload.md).
-    set_admission = Stabilizer.set_admission
-
-    def degradation_log(self) -> List[Tuple[float, str, str, int]]:
-        """Every (virtual time, transition, peer, shard) event across the
-        owned shards, oldest first."""
-        merged = [
-            (ts, transition, peer, shard)
-            for shard, inner in self.shards.items()
-            for ts, transition, peer in inner.degradation_log()
-        ]
-        merged.sort(key=lambda entry: entry[0])
-        return merged
 
     def apply_rebalance(self, new_config: StabilizerConfig) -> Dict[str, List[int]]:
         """The cutover step of a rebalance: adopt ``new_config``'s shard
@@ -532,10 +346,7 @@ class ShardedStabilizer:
             # With no surviving old owner to source a transfer the shard
             # restarts empty (catch-up replay from co-owners still fills
             # in whatever they buffer).
-            columns = len(view.type_names()) + len(self._log["type"])
-            snap, adopt = (
-                remap_inner_snapshot(source, view, columns) if source else (None, {})
-            )
+            snap, adopt = remap_inner_snapshot(source, view) if source else (None, {})
             inner = self._build_shard(shard)
             if snap is not None:
                 restore_state(inner, snap)
@@ -581,17 +392,17 @@ class ShardedStabilizer:
         sum, high-water marks and levels take the max, and what only
         means something per stack — ``frontier_lag.*``,
         ``dataplane.delivery_watermark`` — is kept per shard
-        (``frontier_lag.s<shard>.<origin>.<type>``).  ``admission.*`` and
-        ``suspected_nodes`` are the node's own answers, and
+        (``frontier_lag.s<shard>.<origin>.<type>``).  ``suspected_nodes``
+        counts each peer once however many stacks suspect it, and
         ``shards_owned`` / ``shard_count`` / ``ack_table_cells`` are added.
         """
         totals = merge(
             [inner.stats() for inner in self.shards.values()],
             each_prefix=[f"s{shard}" for shard in self.shards],
         )
-        if self.admission is not None:
-            totals.update(self.admission.stats())
-        totals["suspected_nodes"] = len(self.suspected_nodes())
+        totals["suspected_nodes"] = len(
+            set().union(*(inner.suspected_nodes() for inner in self.shards.values()))
+        )
         totals["shards_owned"] = len(self.shards)
         totals["shards_pending"] = len(self.pending_shards)
         totals["shards_frozen"] = len(self._frozen)
@@ -639,8 +450,6 @@ class ShardedStabilizer:
         self._stop(Stabilizer.crash)
 
     def _stop(self, how) -> None:
-        if self.admission is not None:
-            self.admission.close()
         for inner in self.shards.values():
             how(inner)
         self.handoff.close()

@@ -425,7 +425,7 @@ class Stabilizer:
 
     def set_admission(self, controller=None, **kwargs):
         """Attach an :class:`~repro.core.admission.AdmissionController`
-        guarding this node's ingest (overload robustness; see
+        guarding this unsharded node's ingest (overload robustness; see
         ``docs/overload.md``).  Pass a prebuilt controller, or keyword
         arguments (``rate_per_s=...`` etc.) to construct one.  Its
         ``admission.*`` / ``breaker.*`` counters join :meth:`stats`, and

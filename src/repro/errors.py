@@ -91,7 +91,7 @@ class BackpressureError(StabilizerError):
 class AdmissionError(BackpressureError):
     """Edge admission refused a message before it was sequenced.
 
-    Raised by ``Stabilizer.send`` / ``ShardedStabilizer.send`` when an
+    Raised by ``Stabilizer.send`` when an
     :class:`~repro.core.admission.AdmissionController` is attached and the
     message cannot be admitted right now.  ``reason`` is ``"rate"`` (token
     bucket empty), ``"breaker"`` (too many peer circuit breakers open) or

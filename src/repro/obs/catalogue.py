@@ -278,7 +278,7 @@ CATALOGUE = (
     Metric("admission.direct_refused", "counter", "sum", "messages", "core.node",
            "direct sends refused with AdmissionError"),
     Metric("breaker.count", "gauge", "sum", "breakers", "core.node",
-           "per-(peer, shard) circuit breakers"),
+           "per-peer circuit breakers"),
     Metric("breaker.open", "gauge", "sum", "breakers", "core.node",
            "breakers open now"),
     Metric("breaker.half_open", "gauge", "sum", "breakers", "core.node",

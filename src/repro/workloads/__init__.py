@@ -10,7 +10,6 @@ constant-rate senders of the pub/sub experiments, and
 """
 
 from repro.workloads.dropbox_trace import (
-    DropboxTraceConfig,
     TraceRecord,
     synthesize_trace,
     trace_stats,
@@ -23,7 +22,6 @@ from repro.workloads.rates import (
 )
 
 __all__ = [
-    "DropboxTraceConfig",
     "FlashCrowdShape",
     "TraceRecord",
     "bounded_lognormal",

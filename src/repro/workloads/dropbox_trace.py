@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.rng import RngRegistry
@@ -39,39 +39,22 @@ class TraceRecord:
     size_bytes: int
 
 
-@dataclass(frozen=True)
-class DropboxTraceConfig:
-    """Knobs of the synthesizer; defaults match the paper's trace."""
-
-    duration_s: float = 983.0  # 16:40:45 -> 16:57:08
-    total_bytes: int = int(3.87 * GIB)
-    huge_sizes: Tuple[int, ...] = (
-        int(150e6),
-        int(132e6),
-        int(118e6),
-    )
-    huge_times_frac: Tuple[float, ...] = (0.22, 0.52, 0.80)
-    median_small_bytes: float = 48 * 1024
-    sigma: float = 2.1
-    cap_small_bytes: float = 24e6
-    burstiness: float = 0.6  # fraction of small files arriving in bursts
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.total_bytes <= 0:
-            raise ConfigError("duration and volume must be positive")
-        if len(self.huge_sizes) != len(self.huge_times_frac):
-            raise ConfigError("one arrival time per huge file required")
-        if sum(self.huge_sizes) >= self.total_bytes:
-            raise ConfigError("huge files exceed the total volume")
-        if not 0 <= self.burstiness <= 1:
-            raise ConfigError("burstiness is a fraction")
+# The synthesizer's shape, matching the paper's trace.
+#: The window, 16:40:45 -> 16:57:08.
+DURATION_S = 983.0
+TOTAL_BYTES = int(3.87 * GIB)
+#: The three huge files and when they arrive, as fractions of the window.
+HUGE_SIZES = (int(150e6), int(132e6), int(118e6))
+HUGE_TIMES_FRAC = (0.22, 0.52, 0.80)
+#: The log-normal body of small files.
+MEDIAN_SMALL_BYTES = 48 * 1024
+SIGMA = 2.1
+CAP_SMALL_BYTES = 24e6
+#: The fraction of small files arriving in bursts.
+BURSTINESS = 0.6
 
 
-def synthesize_trace(
-    scale: float = 1.0,
-    seed: int = 7,
-    config: DropboxTraceConfig = DropboxTraceConfig(),
-) -> List[TraceRecord]:
+def synthesize_trace(scale: float = 1.0, seed: int = 7) -> List[TraceRecord]:
     """Generate the trace; see module docstring.
 
     ``scale`` shrinks the window and every volume (huge files included)
@@ -82,14 +65,12 @@ def synthesize_trace(
     if not 0 < scale <= 1:
         raise ConfigError(f"scale must be in (0, 1]: {scale}")
     rng = RngRegistry(seed).stream("dropbox-trace")
-    duration = config.duration_s * scale
-    target_bytes = int(config.total_bytes * scale)
+    duration = DURATION_S * scale
+    target_bytes = int(TOTAL_BYTES * scale)
 
     records: List[TraceRecord] = []
     remaining = target_bytes
-    for index, (size, frac) in enumerate(
-        zip(config.huge_sizes, config.huge_times_frac)
-    ):
+    for index, (size, frac) in enumerate(zip(HUGE_SIZES, HUGE_TIMES_FRAC)):
         size = int(size * scale)
         records.append(
             TraceRecord(
@@ -102,7 +83,7 @@ def synthesize_trace(
 
     # Burst centres: small files cluster around them (and around the huge
     # uploads, as Fig. 4 shows dense request periods).
-    burst_centres = [frac * duration for frac in config.huge_times_frac]
+    burst_centres = [frac * duration for frac in HUGE_TIMES_FRAC]
     burst_centres += [rng.uniform(0, duration) for _ in range(5)]
     burst_width = max(duration * 0.01, 0.5)
 
@@ -110,12 +91,12 @@ def synthesize_trace(
     while remaining > 0:
         size = bounded_lognormal(
             rng,
-            median_bytes=config.median_small_bytes,
-            sigma=config.sigma,
-            cap_bytes=config.cap_small_bytes,
+            median_bytes=MEDIAN_SMALL_BYTES,
+            sigma=SIGMA,
+            cap_bytes=CAP_SMALL_BYTES,
         )
         size = min(size, remaining)  # the last file tops the volume off
-        if rng.random() < config.burstiness:
+        if rng.random() < BURSTINESS:
             centre = rng.choice(burst_centres)
             time = min(max(rng.gauss(centre, burst_width), 0.0), duration)
         else:

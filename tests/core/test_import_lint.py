@@ -176,7 +176,7 @@ def test_shape_lint_catches_both_violations():
 # core/sharding.py, and the sharded node answers it the way it is classified.
 # ---------------------------------------------------------------------------
 
-CATEGORIES = ("ROUTED", "EVERY_STACK", "MERGED", "LIFECYCLE", "STACK_ONLY")
+CATEGORIES = ("ROUTED", "MERGED", "LIFECYCLE", "STACK_ONLY")
 
 
 def _class_body(tree, name):
@@ -184,7 +184,7 @@ def _class_body(tree, name):
 
 
 def _interface_tuples(sharding_tree):
-    """The five module-level tuples of ``core/sharding.py``, as name
+    """The four module-level tuples of ``core/sharding.py``, as name
     tuples (``STACK_ONLY`` pairs each name with its reason)."""
     found = {}
     for node in sharding_tree.body:
@@ -226,18 +226,6 @@ def _interface_violations(stabilizer_source, sharding_source):
                 violations.append(f"{cat} names {name!r} but ShardedStabilizer does not define it")
             elif cat == "STACK_ONLY" and name in sharded:
                 violations.append(f"STACK_ONLY names {name!r} but ShardedStabilizer forwards it")
-    for name in categories["EVERY_STACK"]:
-        calls = {
-            node.func.attr
-            for node in ast.walk(sharded.get(name, ast.Pass()))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name) and node.func.value.id == "self"
-        }
-        if "_every_stack" not in calls:
-            violations.append(
-                f"ShardedStabilizer.{name} is EVERY_STACK but does not go "
-                "through self._every_stack: stacks built later would miss it"
-            )
     return violations
 
 
@@ -264,31 +252,35 @@ def test_interface_lint_catches_each_violation():
     )
     assert _interface_violations(added, sharding) == [
         "Stabilizer.purge is classified 0 times (nowhere): name it in exactly "
-        "one of ROUTED, EVERY_STACK, MERGED, LIFECYCLE, STACK_ONLY in "
-        "core/sharding.py"
+        "one of ROUTED, MERGED, LIFECYCLE, STACK_ONLY in core/sharding.py"
     ]
     twice = sharding.replace('LIFECYCLE = ("close",', 'LIFECYCLE = ("stats", "close",', 1)
     assert "classified 2 times (MERGED, LIFECYCLE)" in _interface_violations(
         stabilizer, twice
     )[0]
+    stale = sharding.replace('LIFECYCLE = ("close",', 'LIFECYCLE = ("purge", "close",', 1)
+    assert _interface_violations(stabilizer, stale) == [
+        "LIFECYCLE names 'purge', not a public Stabilizer method"
+    ]
     undefined = sharding.replace("    def request_catchup(", "    def _request_catchup(", 1)
     assert _interface_violations(stabilizer, undefined) == [
         "LIFECYCLE names 'request_catchup' but ShardedStabilizer does not define it"
     ]
-    bypass = sharding.replace(
-        'return self._every_stack(\n            "policy",',
-        'return every_stack(\n            "policy",',
+    forwarder = sharding.replace(
+        "    # ------------------------------------------------------------------ stability API",
+        "    def last_sent_seq(self, shard=None):\n"
+        "        return self.stack(shard=shard).last_sent_seq()\n\n"
+        "    # ------------------------------------------------------------------ stability API",
         1,
     )
-    assert bypass != sharding
-    assert _interface_violations(stabilizer, bypass) == [
-        "ShardedStabilizer.set_degradation_policy is EVERY_STACK but does not "
-        "go through self._every_stack: stacks built later would miss it"
+    assert forwarder != sharding
+    assert _interface_violations(stabilizer, forwarder) == [
+        "STACK_ONLY names 'last_sent_seq' but ShardedStabilizer forwards it"
     ]
 
 
 def test_the_interface_table_in_the_docs_is_the_lints():
-    """docs/sharding.md prints the five tuples; hold the table to them."""
+    """docs/sharding.md prints the four tuples; hold the table to them."""
     docs = (SRC.parents[1] / "docs" / "sharding.md").read_text(encoding="utf-8")
     categories = _interface_tuples(ast.parse(_interface_sources()[1]))
     for cat, names in categories.items():

@@ -230,24 +230,23 @@ def test_remap_joiner_zeroes_own_row_and_adopts_watermarks():
     assert adopt == {"a": 4}
 
 
-def test_remap_takes_the_snapshots_width_and_refuses_another():
-    # Rows are as wide as the source's tables (a run-time type widens
-    # them); the restoring stack must hold as many columns.
+def test_remap_keeps_only_the_views_stability_types():
+    # A type one stack registered at run time widens its rows; the stack
+    # a cutover builds holds the view's types only, so that column drops.
     snap = _traffic_snapshot()
     for rows in snap["tables"].values():
         for row in rows:
-            row.append(0)  # as if a type had been registered at run time
+            row.append(7)  # as if a type had been registered at run time
     successor = _owner_config(
         ["a", "b", "c"], {0: ["b", "c"], 1: ["b", "c"]}, "b", epoch=1
     )
     view = successor.for_node("b").shard_view(0)
-    width = len(view.type_names()) + 1
-    remapped, _adopt = remap_inner_snapshot(snap, view, width)
-    assert all(
-        len(row) == width for rows in remapped["tables"].values() for row in rows
-    )
-    with pytest.raises(StabilizerError, match=f"{width} stability types"):
-        remap_inner_snapshot(snap, view)  # a stack without the type
+    remapped, _adopt = remap_inner_snapshot(snap, view)
+    b_index = view.node_names.index("b")
+    for origin, rows in remapped["tables"].items():
+        assert all(len(row) == len(view.type_names()) for row in rows)
+    # b's own row of the stream it kept, less the dropped column.
+    assert remapped["tables"]["b"][b_index] == snap["tables"]["b"][1][:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +311,7 @@ def test_handoff_channel_death_suspects_nobody():
     src.handoff.send_shard("n01", shard=0, epoch=1, snapshot={"x": 1})
     sim.run(until=sim.now + 30.0)
     assert channel.suspended
-    assert src.suspected_nodes() == set()
+    assert src.stats()["suspected_nodes"] == 0
     teardown(coordinator, cluster)
 
 
@@ -320,7 +319,8 @@ def test_dead_peer_reports_carry_the_shard():
     _sim, _net, cluster, coordinator = build(spares=())
     node = cluster["n00"]
     reports = []
-    node.on_peer_dead(lambda peer, shard: reports.append((peer, shard)))
+    for inner in node.stacks().values():
+        inner.on_peer_dead(lambda peer, shard: reports.append((peer, shard)))
     shard = node.owned_shards[0]
     # The shard stack's endpoint reports a data channel giving up.
     node.shards[shard].endpoint.on_peer_dead("n10", "stab.data")
@@ -608,24 +608,19 @@ def test_masking_a_departed_node_is_a_no_op_after_cutover():
 
 
 # ---------------------------------------------------------------------------
-# The registration log: what was registered on the node reaches every stack
-# a cutover builds (docs/sharding.md, "The node interface").
+# What a stack a cutover builds carries: the deployment's configuration,
+# nothing registered on the stack it replaces (docs/sharding.md, "The node
+# interface").
 # ---------------------------------------------------------------------------
 
 ONE = "MAX($SHARDWNODES)"
 RELAXED_ALL = "MAX($SHARDWNODES - $MYWNODE)"
-VERIFIED_ANY = "MIN($SHARDWNODES.verified)"
 CHANGES = ["leave", "join"]
 
 
-def log_size(node):
-    return sum(len(entries) for entries in node._log.values())
-
-
-def change_membership(sim, cluster, coordinator, kind, on_joiner=None):
+def change_membership(sim, cluster, coordinator, kind):
     """Run one membership change to completion; returns the
-    ``(node, shard)`` stacks it built.  ``on_joiner(node)`` runs on the
-    joiner while all of its stacks are still pending."""
+    ``(node, shard)`` stacks it built."""
     before = {
         (node.name, shard): inner
         for node in cluster
@@ -636,8 +631,6 @@ def change_membership(sim, cluster, coordinator, kind, on_joiner=None):
     else:
         coordinator.node_join("s0")
         assert cluster["s0"].shards == {}
-        if on_joiner is not None:
-            on_joiner(cluster["s0"])
     settle(sim, coordinator)
     built = {
         (node.name, shard)
@@ -668,21 +661,26 @@ def uneven_pump(sim, cluster):
 
 @pytest.mark.parametrize("kind", CHANGES)
 def test_monitors_follow_every_stack_a_cutover_builds(kind):
+    # As the rebalance chaos scenario does: a monitor on every stack, and
+    # on each stack a cutover builds once it has cut over.
     sim, _net, cluster, coordinator = build()
     reported = {}  # (node, origin, shard) -> every frontier it was told
 
-    def watch(node):
-        node.monitor_stability_frontier(
-            "all",
-            lambda origin, frontier, _old, shard, name=node.name: (
-                reported.setdefault((name, origin, shard), []).append(frontier)
-            ),
-        )
+    def watch(node, shards):
+        for shard in shards:
+            node.shards[shard].monitor_stability_frontier(
+                "all",
+                lambda origin, frontier, _old, shard=shard, name=node.name: (
+                    reported.setdefault((name, origin, shard), []).append(frontier)
+                ),
+            )
 
     for node in cluster:
-        watch(node)
+        watch(node, node.shards)
     uneven_pump(sim, cluster)
-    built = change_membership(sim, cluster, coordinator, kind, on_joiner=watch)
+    built = change_membership(sim, cluster, coordinator, kind)
+    for node in cluster:
+        watch(node, [shard for name, shard in built if name == node.name])
     sent = uneven_pump(sim, cluster)
     assert len(sent) == 16  # 8 shards x 2 owners, before and after
     heard = {
@@ -702,94 +700,94 @@ def test_monitors_follow_every_stack_a_cutover_builds(kind):
     teardown(coordinator, cluster)
 
 
-@pytest.mark.parametrize("kind", CHANGES)
-def test_runtime_predicates_and_the_active_key_reach_built_stacks(kind):
-    sim, _net, cluster, coordinator = build()
-
-    def configure(node):
-        node.change_predicate("all", RELAXED_ALL)  # a config-time key
-        node.register_predicate("one", ONE)
-        node.change_predicate("one")  # bare activation: no source to carry
-
-    for node in cluster:
-        configure(node)
-    built = change_membership(
-        sim, cluster, coordinator, kind, on_joiner=configure
-    )
-    for node in cluster:
-        for inner in node.shards.values():
-            assert inner.engine.predicate("one").source == ONE
-            assert inner.engine.predicate("all").source == RELAXED_ALL
-            assert inner.active_predicate_key() == "one"
+def serve_on_a_built_stack(sim, cluster, built):
+    """A stack a cutover built still serves a ``waitfor`` on ``all``."""
     name, shard = sorted(built)[0]
     seq = cluster[name].send(SyntheticPayload(128), shard=shard)
-    event = cluster[name].waitfor(seq, "one", shard=shard, timeout_s=10.0)
+    event = cluster[name].waitfor(seq, "all", shard=shard, timeout_s=10.0)
     sim.run_until_triggered(event)
     assert event.ok
-    # Strict as ever on the live call: nothing is recorded when it raises.
-    size = log_size(cluster[name])
-    with pytest.raises(StabilizerError, match="already registered"):
-        cluster[name].register_predicate("one", ONE)
-    assert log_size(cluster[name]) == size
+
+
+@pytest.mark.parametrize("kind", CHANGES)
+def test_built_stacks_carry_only_the_config_time_predicates(kind):
+    sim, _net, cluster, coordinator = build()
+    config_keys = set(cluster["n00"].stack().engine.predicate_keys())
+    for node in cluster:
+        for inner in node.stacks().values():
+            inner.change_predicate("all", RELAXED_ALL)  # a config-time key
+            inner.register_predicate("one", ONE)
+            inner.change_predicate("one")
+    built = change_membership(sim, cluster, coordinator, kind)
+    for node in cluster:
+        for shard, inner in node.shards.items():
+            keys = set(inner.engine.predicate_keys())
+            if (node.name, shard) in built:
+                # The deployment's predicates, as configured, and the
+                # default key.
+                assert keys == config_keys
+                assert inner.engine.predicate("all").source == PREDICATES["all"]
+                assert inner.active_predicate_key() == "all"
+            else:
+                # A kept stack keeps what was made on it.
+                assert keys == config_keys | {"one"}
+                assert inner.engine.predicate("all").source == RELAXED_ALL
+                assert inner.active_predicate_key() == "one"
+    serve_on_a_built_stack(sim, cluster, built)
     teardown(coordinator, cluster)
 
 
 @pytest.mark.parametrize("kind", CHANGES)
-def test_a_type_registered_between_two_definitions_of_one_key(kind):
-    # The redefinition names a type that did not exist when the key was
-    # first defined: replay goes by kind (types before definitions), not
-    # by where the key's slot was first written.
+def test_built_stacks_carry_only_the_config_time_types_and_no_policy(kind):
     sim, _net, cluster, coordinator = build()
-
-    def configure(node):
-        node.change_predicate("any", ONE)
-        node.register_predicate("extra", ONE)
-        node.register_stability_type("verified")
-        node.change_predicate("any", VERIFIED_ANY)
-        node.change_predicate("extra", VERIFIED_ANY)
-        node.change_predicate("all")
-
+    config_types = cluster["n00"].stack().config.type_names()
+    assert "verified" not in config_types
+    policies = {}
     for node in cluster:
-        configure(node)
-    built = change_membership(
-        sim, cluster, coordinator, kind, on_joiner=configure
-    )
+        for shard, inner in node.stacks().items():
+            inner.register_stability_type("verified")
+            policies[(node.name, shard)] = inner.set_degradation_policy()
+    uneven_pump(sim, cluster)  # rows carry the run-time column into the handoff
+    built = change_membership(sim, cluster, coordinator, kind)
     for node in cluster:
-        for inner in node.shards.values():
-            assert inner.engine.predicate("any").source == VERIFIED_ANY
-            assert inner.engine.predicate("extra").source == VERIFIED_ANY
-            assert inner.active_predicate_key() == "all"
-    name, shard = sorted(built)[0]
-    seq = cluster[name].send(SyntheticPayload(128), shard=shard)
-    sim.run(until=sim.now + 1.0)
-    for owner in cluster.shard_map.owners(shard):
-        cluster[owner].report_stability("verified", seq, origin=name, shard=shard)
-    event = cluster[name].waitfor(seq, "any", shard=shard, timeout_s=10.0)
-    sim.run_until_triggered(event)
-    assert event.ok
+        for shard, inner in node.shards.items():
+            if (node.name, shard) in built:
+                # The shard view's types alone, and no policy.
+                assert [inner.type_id(t) for t in config_types] == list(
+                    range(len(config_types))
+                )
+                with pytest.raises(StabilizerError, match="unknown stability"):
+                    inner.type_id("verified")
+                assert inner.degradation_policy is None
+            else:
+                # A kept stack keeps what was made on it.
+                assert inner.type_id("verified") == len(config_types)
+                assert inner.degradation_policy is policies[(node.name, shard)]
+    serve_on_a_built_stack(sim, cluster, built)
     teardown(coordinator, cluster)
 
 
 @pytest.mark.parametrize("kind", CHANGES)
 def test_delivery_handlers_reach_kept_and_built_stacks_once(kind):
+    # A kept stack keeps its handlers and a built one starts with none:
+    # subscribing again on the built stacks doubles nothing.
     sim, _net, cluster, coordinator = build()
     calls = {"early": [], "late": []}
 
-    def subscribe(node, label):
-        node.on_delivery(
-            lambda origin, seq, _payload, _meta, shard, name=node.name: (
-                calls[label].append((name, origin, seq, shard))
+    def subscribe(node, shards, label):
+        for shard in shards:
+            node.shards[shard].on_delivery(
+                lambda origin, seq, _payload, _meta, shard=shard, name=node.name: (
+                    calls[label].append((name, origin, seq, shard))
+                )
             )
-        )
 
     for node in cluster:
-        subscribe(node, "early")
-    change_membership(
-        sim, cluster, coordinator, kind,
-        on_joiner=lambda node: subscribe(node, "early"),
-    )
+        subscribe(node, node.shards, "early")
+    built = change_membership(sim, cluster, coordinator, kind)
     for node in cluster:
-        subscribe(node, "late")
+        subscribe(node, [s for name, s in built if name == node.name], "early")
+        subscribe(node, node.shards, "late")
     del calls["early"][:]
     sent = uneven_pump(sim, cluster)
     expected = sorted(
@@ -801,48 +799,4 @@ def test_delivery_handlers_reach_kept_and_built_stacks_once(kind):
     )
     assert sorted(calls["late"]) == expected
     assert sorted(calls["early"]) == expected  # once each: no doubling
-    teardown(coordinator, cluster)
-
-
-@pytest.mark.parametrize("kind", CHANGES)
-def test_stability_types_and_policy_reach_built_stacks(kind):
-    sim, _net, cluster, coordinator = build()
-    installed = []
-
-    def configure(node):
-        node.register_stability_type("verified")
-        installed.extend(
-            node.set_degradation_policy(protect={"any"}).values()
-        )
-
-    for node in cluster:
-        configure(node)
-    column = cluster["n00"].stack().type_id("verified")
-    built = change_membership(
-        sim, cluster, coordinator, kind, on_joiner=configure
-    )
-    for node in cluster:
-        for shard, inner in node.shards.items():
-            assert inner.type_id("verified") == column
-            policy = inner.degradation_policy
-            assert policy.protect == {"any"}
-            # One instance per stack: a built stack got a fresh one.
-            assert (policy in installed) == ((node.name, shard) not in built)
-    teardown(coordinator, cluster)
-
-
-def test_toggling_predicates_keeps_the_log_bounded():
-    _sim, _net, cluster, coordinator = build(spares=())
-    node = cluster["n00"]
-    node.monitor_stability_frontier("all", lambda *args: None)
-    size = None
-    for i in range(1001):
-        node.change_predicate(("all", "any")[i % 2])
-        node.change_predicate("any", (RELAXED_ALL, PREDICATES["any"])[i % 2])
-        if size is None:
-            size = log_size(node)  # the monitor, "any" and the active key
-    assert log_size(node) == size == 3
-    # Subscriptions append — each call is its own entry.
-    node.monitor_stability_frontier("all", lambda *args: None)
-    assert log_size(node) == size + 1
     teardown(coordinator, cluster)

@@ -184,8 +184,7 @@ def test_all_owners_multi_shard_totals_match_unsharded(seed):
 
 @pytest.mark.parametrize("seed", [7, 1234])
 def test_single_shard_degenerate_matches_unsharded_callbacks(seed):
-    """One monitor and one delivery handler through each facade: the
-    sharded node's registration log hands them to its one stack, and the
+    """One monitor and one delivery handler on each node's stacks: the
     twins make the same calls in the same order at the same virtual
     times."""
     sends = _schedule(seed)
@@ -193,14 +192,15 @@ def test_single_shard_degenerate_matches_unsharded_callbacks(seed):
     def observe(cluster, sim, sharded):
         calls = []
         for name in NODES:
-            def monitor(origin, frontier, old, shard=0, name=name):
-                calls.append((sim.now, name, "advance", origin, frontier, old, shard))
+            for stack in cluster[name].stacks().values():
+                def monitor(origin, frontier, old, name=name):
+                    calls.append((sim.now, name, "advance", origin, frontier, old))
 
-            def deliver(origin, seq, _payload, _meta, shard=0, name=name):
-                calls.append((sim.now, name, "deliver", origin, seq, shard))
+                def deliver(origin, seq, _payload, _meta, name=name):
+                    calls.append((sim.now, name, "deliver", origin, seq))
 
-            cluster[name].monitor_stability_frontier("all", monitor)
-            cluster[name].on_delivery(deliver)
+                stack.monitor_stability_frontier("all", monitor)
+                stack.on_delivery(deliver)
         for _ in _drive(cluster, sim, sends, sharded=sharded):
             pass
         cluster.close()

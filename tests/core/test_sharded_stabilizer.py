@@ -56,11 +56,12 @@ def test_send_routes_only_to_the_owner_set():
     sim, cluster = build()
     deliveries = {name: [] for name in cluster.nodes}
     for name, node in cluster.nodes.items():
-        node.on_delivery(
-            lambda origin, seq, payload, meta, shard, _n=name: deliveries[
-                _n
-            ].append((origin, seq, shard))
-        )
+        for shard, inner in node.stacks().items():
+            inner.on_delivery(
+                lambda origin, seq, payload, meta, _n=name, _s=shard: deliveries[
+                    _n
+                ].append((origin, seq, _s))
+            )
     sender = cluster["n0"]
     shard = owned_shard(sender)
     owners = set(cluster.shard_map.owners(shard))
@@ -101,7 +102,7 @@ def test_key_routing_matches_the_shard_map():
     seq = node.send(SyntheticPayload(64), key=key)
     sim.run(until=1.0)
     assert node.get_stability_frontier("one", key=key) >= 0
-    assert node.last_sent_seq(shard=shard) == seq
+    assert node.stack(shard=shard).last_sent_seq() == seq
     assert node.owner_for_key(key) == cluster.shard_map.primary(shard)
     cluster.close()
 
@@ -113,20 +114,6 @@ def test_sequence_spaces_are_per_shard():
     assert node.send(SyntheticPayload(64), shard=first) == 1
     assert node.send(SyntheticPayload(64), shard=first) == 2
     assert node.send(SyntheticPayload(64), shard=second) == 1
-    cluster.close()
-
-
-def test_monitor_and_delivery_carry_the_shard():
-    sim, cluster = build()
-    node = cluster["n0"]
-    advances = []
-    node.monitor_stability_frontier(
-        "all", lambda origin, frontier, old, shard: advances.append(shard)
-    )
-    shard = owned_shard(node)
-    seq = node.send(SyntheticPayload(128), shard=shard)
-    sim.run_until_triggered(node.waitfor(seq, "all", shard=shard, timeout_s=10.0))
-    assert shard in advances
     cluster.close()
 
 
@@ -209,9 +196,9 @@ def test_suspected_nodes_counts_a_peer_once_however_many_stacks_share_it():
     cluster["n1"].crash()
     cluster.net.crash_node("n1")
     sim.run(until=30.0)
-    assert node.suspected_nodes() == {"n1"}
     sharing = [s for s, inner in node.shards.items() if inner.suspected_nodes()]
     assert len(sharing) > 1
+    assert all(node.shards[s].suspected_nodes() == {"n1"} for s in sharing)
     assert node.stats()["suspected_nodes"] == 1
     cluster.close()
 
@@ -244,19 +231,6 @@ def test_sla_controller_level_and_signals_take_the_worst_stack():
     assert stats["slacontrol.ticks"] == sum(s["slacontrol.ticks"] for s in per_stack)
     for controller in controllers:
         controller.close()
-    cluster.close()
-
-
-def test_register_predicate_and_type_apply_to_every_owned_shard():
-    _sim, cluster = build()
-    node = cluster["n0"]
-    node.register_predicate("extra", "MAX($SHARDWNODES)")
-    for inner in node.shards.values():
-        assert "extra" in inner.engine.predicate_keys()
-    type_id = node.register_stability_type("verified")
-    assert type_id >= 0
-    for inner in node.shards.values():
-        assert inner.type_id("verified") == type_id
     cluster.close()
 
 
@@ -361,15 +335,6 @@ def test_masking_an_out_of_scope_peer_is_a_no_op():
     assert f"$WNODE_{co_owner}" in inner.engine.predicate("all").source
     policy.on_recover(inner, co_owner)
     assert inner.engine.predicate("all").source == PREDICATES["all"]
-    cluster.close()
-
-
-def test_set_degradation_policy_installs_one_per_shard():
-    _sim, cluster = build()
-    node = cluster["n0"]
-    policies = node.set_degradation_policy()
-    assert set(policies) == set(node.owned_shards)
-    assert node.degradation_log() == []
     cluster.close()
 
 

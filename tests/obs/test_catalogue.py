@@ -58,23 +58,33 @@ def _shapes():
         sim.run(until=2.0)
         shapes[f"plain_{engine}"] = [node.obs_snapshot() for node in cluster]
         cluster.close()
-    # A sharded node behind an admission gate small enough to shed, with
-    # an SLA controller per stack: a *consumer* that spells a gauge name
-    # wrong registers it (registry.gauge is get-or-create), and it would
-    # show up here.
+    # An unsharded node behind an admission gate small enough to shed,
+    # with an SLA controller: a *consumer* that spells a gauge name wrong
+    # registers it (registry.gauge is get-or-create), and it would show
+    # up here.
+    sim, net = build_network(_topology())
+    cluster = build_cluster(net, {"all": "MIN($ALLWNODES)"})
+    node = cluster["s0"]
+    gate = node.set_admission(AdmissionController(node, rate_per_s=10.0))
+    SlaController(node, "all", target_p99_s=0.001)
+    for i in range(400):
+        sim.call_later(i * 0.0005, gate.submit, SyntheticPayload(256))
+    sim.run(until=3.0)
+    shapes["admission"] = [n.obs_snapshot() for n in cluster]
+    cluster.close()
+    # A sharded node with an SLA controller per stack: its merged stats.
     sim, net = build_network(_topology())
     cluster = build_sharded_cluster(
         net, {"all": "MIN($SHARDWNODES)"}, shard_count=8, shard_replication=3
     )
     node = cluster["s0"]
-    gate = node.set_admission(
-        AdmissionController(node, rate_per_s=10.0)
-    )
     for inner in node.stacks().values():
         SlaController(inner, "all", target_p99_s=0.001)
+    owned = node.owned_shards
     for i in range(400):
         sim.call_later(
-            i * 0.0005, lambda i=i: gate.submit(SyntheticPayload(256), key=f"k{i}")
+            i * 0.0005,
+            lambda i=i: node.send(SyntheticPayload(256), shard=owned[i % len(owned)]),
         )
     sim.run(until=3.0)
     shapes["sharded"] = [n.obs_snapshot() for n in cluster]

@@ -6,7 +6,6 @@ from repro.errors import ConfigError
 from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workloads import (
-    DropboxTraceConfig,
     bounded_lognormal,
     constant_rate,
     poisson_rate,
@@ -61,15 +60,6 @@ def test_scale_validation():
         synthesize_trace(scale=0)
     with pytest.raises(ConfigError):
         synthesize_trace(scale=1.5)
-
-
-def test_trace_config_validation():
-    with pytest.raises(ConfigError):
-        DropboxTraceConfig(duration_s=0)
-    with pytest.raises(ConfigError):
-        DropboxTraceConfig(huge_sizes=(10,), huge_times_frac=(0.1, 0.2))
-    with pytest.raises(ConfigError):
-        DropboxTraceConfig(total_bytes=100, huge_sizes=(200,), huge_times_frac=(0.5,))
 
 
 def test_message_count_counts_tail_chunks():
